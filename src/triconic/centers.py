@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateResult, TrilaterationInconsistent
+from .errors import DegenerateResult, DegenerateTriangle, TrilaterationInconsistent
 from .geom import (
     BaryCoords,
     LineEq,
@@ -355,5 +355,5 @@ def reflection_triangle(t: Triangle, q: Point2) -> Triangle:
     pts = tuple(reflect_about_line(q, ln) for ln in lines)
     try:
         return Triangle(*pts)
-    except Exception as exc:
+    except DegenerateTriangle as exc:
         raise DegenerateResult(f"reflection triangle of {q} degenerates") from exc

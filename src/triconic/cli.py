@@ -14,6 +14,7 @@ import sys
 from . import config
 from .errors import TriconicError
 from .geom import Point2, Triangle
+from .kernels import BACKEND
 
 
 def _parse_triangle(text: str) -> Triangle:
@@ -102,7 +103,7 @@ def _cmd_verify(args) -> int:
         res = run_proposition(args.prop, seed=args.seed, trials=args.trials)
         report = {
             "seed": args.seed,
-            "kernel_backend": __import__("triconic.kernels", fromlist=["BACKEND"]).BACKEND,
+            "kernel_backend": BACKEND,
             "all_pass": res.passed,
             "results": [res.to_json()],
         }

@@ -775,27 +775,19 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         bbox = (cc.center.x - r, cc.center.x + r, cc.center.y - r, cc.center.y + r)
     xmin, xmax, ymin, ymax = bbox
     ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    # Cell centres by RegionGrid.cell_center's expression, x along a row.
+    xs = (xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx)[None, :]
+    ys = (ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny)[:, None]
     kcode = {
         "v_ellipse_over_C": kernels.KIND_V_ELLIPSE,
         "p_ellipse_over_P": kernels.KIND_P_ELLIPSE,
         "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
     }[kind]
-    rows = []
-    for j in range(ny):
-        y = ymin + (j + 0.5) * (ymax - ymin) / ny
-        row = []
-        for i in range(nx):
-            x = xmin + (i + 0.5) * (xmax - xmin) / nx
-            if kind == "v_ellipse_over_C":
-                status, code, _, _, _ = kernels.six_point(
-                    ax, ay, bx, by, x, y, kcode, 0.0, 0.0
-                )
-            else:
-                status, code, _, _, _ = kernels.six_point(
-                    ax, ay, bx, by, cx, cy, kcode, x, y
-                )
-            row.append(kernels.CLASS_NAMES[kernels.CLASS_FAILED if status else code])
-        rows.append(tuple(row))
+    if kind == "v_ellipse_over_C":
+        codes = kernels.six_point_batch(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)
+    else:
+        codes = kernels.six_point_batch(ax, ay, bx, by, cx, cy, kcode, xs, ys)
+    rows = [tuple(kernels.CLASS_NAMES[c] for c in row) for row in codes.tolist()]
     return RegionGrid(tuple(bbox), nx, ny, tuple(rows))
 
 

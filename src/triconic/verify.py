@@ -47,7 +47,13 @@ from .conic import (
     residual_bary,
     tangency_discriminant,
 )
-from .errors import ConstructionFailed, DegenerateMember, UnknownProposition
+from .errors import (
+    ConstructionFailed,
+    DegenerateMember,
+    DegenerateTriangle,
+    RankDeficient,
+    UnknownProposition,
+)
 from .geom import (
     BaryCoords,
     LineEq,
@@ -106,7 +112,7 @@ def random_triangle(rng: np.random.Generator) -> Triangle:
         pts = rng.uniform(0.0, 1.0, (3, 2))
         try:
             t = Triangle(*(Point2(*p) for p in pts))
-        except Exception:
+        except DegenerateTriangle:
             continue
         a, b, c = t.sides()
         if max(a, b, c) / min(a, b, c) > MAX_ASPECT:
@@ -379,7 +385,7 @@ def _chk_type_regions_V(cfg) -> float:
     if status:
         return 1.0
     Acf, Bcf, Ccf = co[0], co[1], co[2]
-    nrm = kernels.pure.frobenius(co)
+    nrm = kernels.frobenius(co)
     worst = max(worst, abs(Acf / nrm * (Ccf / nrm) - (Bcf / (2 * nrm)) ** 2))
     # (iii) generic interior C -> ellipse or hyperbola.
     status, code, _, _, _ = kernels.six_point(
@@ -914,7 +920,7 @@ def _chk_phyp_parabola(cfg) -> float:
         )
         if st:
             return math.nan
-        nrm = kernels.pure.frobenius(co)
+        nrm = kernels.frobenius(co)
         return (co[0] / nrm) * (co[2] / nrm) - (co[1] / (2.0 * nrm)) ** 2
 
     s_disc = _bisect_sign_change(discn, found - 2e-3, found + 2e-3, steps=40)
@@ -991,7 +997,7 @@ def _gen_appendix(name):
                 cfg["p"] = [p.x, p.y]
             try:
                 _mk_appendix_check(name)(cfg)
-            except ConstructionFailed:
+            except (ConstructionFailed, RankDeficient):
                 continue
             return cfg
 

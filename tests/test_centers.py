@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from triconic import centers
 from triconic.centers import (
     anticevian_triangle,
     center_bary,
@@ -19,6 +20,7 @@ from triconic.centers import (
     soddy,
     soddy_centers,
 )
+from triconic.errors import DegenerateResult
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
 from triconic.verify import random_triangle
 
@@ -213,6 +215,22 @@ def test_reflection_triangle(t345):
     assert distance(refl.a, Point2(1, -1)) < 1e-12  # over BC (y = 0)
     assert distance(refl.b, Point2(-1, 1)) < 1e-12  # over CA (x = 0)
     assert distance(refl.c, Point2(2.2, 2.6)) < 1e-12  # over AB (3x+4y=12)
+
+
+def test_reflection_triangle_degenerate_vs_bug(t345, monkeypatch):
+    # Reflections of a circumcircle point over the sidelines are collinear
+    # (they lie on its Steiner line).
+    cc = circumcircle(t345)
+    on_circle = Point2(cc.center.x + cc.radius, cc.center.y)
+    with pytest.raises(DegenerateResult):
+        reflection_triangle(t345, on_circle)
+
+    def broken(*args):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(centers, "Triangle", broken)
+    with pytest.raises(TypeError):
+        reflection_triangle(t345, Point2(1, 1))
 
 
 def test_classic_center_constructed_ids(t456):

@@ -5,39 +5,32 @@ import pytest
 
 from triconic import kernels
 from triconic.conic import Conic, classify, fit_conic_5pts
-from triconic.geom import Point2
-from triconic.kernels import py as pyk
-
-try:
-    from triconic.kernels import _fast as ck
-except ImportError:
-    ck = None
-
-needs_compiled = pytest.mark.skipif(ck is None, reason="compiled kernel not built")
+from triconic.geom import Point2, Triangle
+from triconic.loci import REGION_KINDS, region_map
 
 _CLASS_TO_NAME = {
-    "circle": pyk.CLASS_CIRCLE,
-    "ellipse": pyk.CLASS_ELLIPSE,
-    "parabola": pyk.CLASS_PARABOLA,
-    "hyperbola": pyk.CLASS_HYPERBOLA,
-    "rectangular_hyperbola": pyk.CLASS_RECTANGULAR_HYPERBOLA,
-    "degenerate_two_lines": pyk.CLASS_DEGENERATE_TWO_LINES,
-    "degenerate_parallel_lines": pyk.CLASS_DEGENERATE_PARALLEL_LINES,
-    "degenerate_point": pyk.CLASS_DEGENERATE_POINT,
+    "circle": kernels.CLASS_CIRCLE,
+    "ellipse": kernels.CLASS_ELLIPSE,
+    "parabola": kernels.CLASS_PARABOLA,
+    "hyperbola": kernels.CLASS_HYPERBOLA,
+    "rectangular_hyperbola": kernels.CLASS_RECTANGULAR_HYPERBOLA,
+    "degenerate_two_lines": kernels.CLASS_DEGENERATE_TWO_LINES,
+    "degenerate_parallel_lines": kernels.CLASS_DEGENERATE_PARALLEL_LINES,
+    "degenerate_point": kernels.CLASS_DEGENERATE_POINT,
 }
 
 
 def test_det5_matches_numpy(rng):
     for _ in range(200):
         m = rng.uniform(-2, 2, (5, 5))
-        assert pyk.det5(m.tolist()) == pytest.approx(np.linalg.det(m), rel=1e-9, abs=1e-12)
+        assert kernels.det5(m.tolist()) == pytest.approx(np.linalg.det(m), rel=1e-9, abs=1e-12)
 
 
 def test_fit5_cofactor_matches_svd(rng):
     for _ in range(100):
         pts = rng.uniform(-1, 2, (5, 2))
-        co = pyk.fit5_cofactor(pts[:, 0], pts[:, 1])
-        if pyk.frobenius(co) < 1e-12:
+        co = kernels.fit5_cofactor(pts[:, 0], pts[:, 1])
+        if kernels.frobenius(co) < 1e-12:
             continue
         svd = fit_conic_5pts([Point2(*p) for p in pts])
         cof = Conic.from_coeffs(co)
@@ -49,10 +42,10 @@ def test_fit5_cofactor_matches_svd(rng):
 def test_classify_code_matches_module(rng):
     for _ in range(300):
         co = tuple(rng.uniform(-1, 1, 6))
-        if pyk.frobenius(co) < 1e-9:
+        if kernels.frobenius(co) < 1e-9:
             continue
         want = classify(Conic.from_coeffs(co)).value
-        assert pyk.classify_code(co) == _CLASS_TO_NAME[want]
+        assert kernels.classify_code(co) == _CLASS_TO_NAME[want]
 
 
 def test_six_point_matches_module(rng, t_generic):
@@ -61,8 +54,8 @@ def test_six_point_matches_module(rng, t_generic):
     t = t_generic
     for _ in range(50):
         px, py = rng.uniform(-0.5, 1.5, 2)
-        st, code, res6, detn, co = pyk.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, pyk.KIND_P_ELLIPSE, px, py
+        st, code, res6, detn, co = kernels.six_point(
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, px, py
         )
         if st:
             continue
@@ -71,42 +64,78 @@ def test_six_point_matches_module(rng, t_generic):
         assert res6 <= 1e-10
 
 
-@needs_compiled
-def test_backend_parity(rng):
-    worst = 0.0
-    for _ in range(1500):
-        vals = rng.uniform(-1, 2, 8)
-        kind = int(rng.integers(0, 4))
-        rp = pyk.six_point(*vals[:6], kind, vals[6], vals[7])
-        rf = ck.six_point(*vals[:6], kind, vals[6], vals[7])
-        assert rp[0] == rf[0]
-        if rp[0]:
-            continue
-        assert rp[1] == rf[1]
-        worst = max(
-            worst,
-            abs(rp[2] - rf[2]),
-            abs(rp[3] - rf[3]),
-            max(abs(a - b) for a, b in zip(rp[4], rf[4])),
-        )
-    # Same algorithm; only compiler re-association separates them.
-    assert worst < 1e-10
+def _scalar_region_classes(t, kind, grid):
+    """Per-cell six_point classes of region_map, one scalar call a cell."""
+    kcode = {
+        "v_ellipse_over_C": kernels.KIND_V_ELLIPSE,
+        "p_ellipse_over_P": kernels.KIND_P_ELLIPSE,
+        "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
+    }[kind]
+    rows = []
+    for j in range(grid.ny):
+        row = []
+        for i in range(grid.nx):
+            x, y = grid.cell_center(i, j)
+            if kind == "v_ellipse_over_C":
+                args = (t.a.x, t.a.y, t.b.x, t.b.y, x, y, kcode, 0.0, 0.0)
+            else:
+                args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kcode, x, y)
+            try:
+                status, code, _, _, _ = kernels.six_point(*args)
+            except ZeroDivisionError:
+                # C on A or B: a side has length zero.  The scalar kernel
+                # divides by it; the batch kernel reports the cell failed.
+                status, code = 1, kernels.CLASS_FAILED
+            row.append(kernels.CLASS_NAMES[kernels.CLASS_FAILED if status else code])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-@needs_compiled
-def test_backend_vertices_identical(rng):
-    for _ in range(300):
-        vals = rng.uniform(-1, 2, 8)
-        kind = int(rng.integers(0, 4))
-        vp = pyk.triad_vertices12(*vals[:6], kind, vals[6], vals[7])
-        vf = ck.triad_vertices12(*vals[:6], kind, vals[6], vals[7])
-        assert (vp is None) == (vf is None)
-        if vp is None:
-            continue
-        assert vp == pytest.approx(vf, abs=1e-13)
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (10.0, 10.0), (100.0, 100.0)])
+def test_region_map_batch_matches_scalar(offset, monkeypatch):
+    # Each 625-cell map then runs in several chunks and a partial last one.
+    monkeypatch.setattr(kernels, "_BATCH_CHUNK", 97)
+    ox, oy = offset
+    # A 25x25 grid on this box puts cell centres exactly on the lines x = ox
+    # and y = oy, which hold a side of the 3-4-5 and of the equilateral
+    # triangle: there a P-triad member degenerates.
+    bbox = (ox - 3.125, ox + 3.125, oy - 3.125, oy + 3.125)
+    failed = 0
+    for verts in (
+        ((0.0, 3.0), (4.0, 0.0), (0.0, 0.0)),
+        ((0.1, 0.2), (1.3, 0.15), (0.5, 1.1)),
+        ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)),
+    ):
+        t = Triangle(*(Point2(x + ox, y + oy) for x, y in verts))
+        for kind in REGION_KINDS:
+            grid = region_map(t, kind, (25, 25), bbox)
+            assert grid.cells == _scalar_region_classes(t, kind, grid), (verts, kind)
+            failed += sum(row.count("degenerate") for row in grid.cells)
+    assert failed > 0
 
 
-def test_backend_selection_env():
-    assert kernels.BACKEND in ("c", "py")
-    assert kernels.KIND_CODES["v_ellipse"] == pyk.KIND_V_ELLIPSE
-    assert kernels.CLASS_NAMES[pyk.CLASS_FAILED] == "degenerate"
+def test_batch_fit_is_bit_identical(rng):
+    # Same arithmetic in the same order: vertices and cofactor fits agree
+    # with the scalar kernel to the last bit, translated inputs included.
+    for offset in (0.0, 100.0):
+        for kind in range(4):
+            vals = rng.uniform(-1.0, 2.0, (8, 300)) + offset
+            xs, ys, bad = kernels._vertices_batch(*vals[:6], kind, vals[6], vals[7])
+            coeffs = np.array(kernels._fit5_batch(xs[:5], ys[:5]))
+            for i in range(vals.shape[1]):
+                args = vals[:, i].tolist()
+                v = kernels.triad_vertices12(*args[:6], kind, *args[6:])
+                assert bad[i] == (v is None)
+                if v is None:
+                    continue
+                assert xs[:, i].tolist() == list(v[0::2])
+                assert ys[:, i].tolist() == list(v[1::2])
+                assert coeffs[:, i].tolist() == list(
+                    kernels.fit5_cofactor(v[0:10:2], v[1:10:2])
+                )
+
+
+def test_backend_is_py():
+    assert kernels.BACKEND == "py"
+    assert kernels.KIND_CODES["v_ellipse"] == kernels.KIND_V_ELLIPSE
+    assert kernels.CLASS_NAMES[kernels.CLASS_FAILED] == "degenerate"

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from triconic import config
-from triconic.errors import UnknownProposition
+from triconic import config, verify
+from triconic.errors import DegenerateTriangle, UnknownProposition
 from triconic.verify import (
     MANIFEST,
     PROPOSITION_IDS,
@@ -42,6 +43,33 @@ def test_random_triangle_constraints(rng):
             return math.acos(max(-1, min(1, (v * v + w * w - u * u) / (2 * v * w))))
 
         assert min(ang(a, b, c), ang(b, c, a), ang(c, a, b)) >= 0.05
+
+
+def test_random_triangle_redraws_only_degenerate(monkeypatch):
+    real = verify.Triangle
+    errors = [DegenerateTriangle("collinear"), TypeError("bug")]
+
+    def flaky(*pts):
+        if errors:
+            raise errors.pop(0)
+        return real(*pts)
+
+    monkeypatch.setattr(verify, "Triangle", flaky)
+    rng = np.random.default_rng(0)
+    # The first draw is degenerate and drawn again; the second raises a
+    # programming error, which must surface instead of being redrawn.
+    with pytest.raises(TypeError):
+        random_triangle(rng)
+    assert not errors
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_appendix_generator_skips_rank_deficient_configurations(seed):
+    # At these seeds the A3 generator draws triangles whose five-point fit
+    # is rank deficient; it must draw again instead of crashing the check.
+    r = run_proposition("A3-x3prime-center", seed=seed)
+    assert r.passed, r.note
+    assert math.isfinite(r.max_residual)
 
 
 def test_run_proposition_example():
