@@ -153,10 +153,12 @@ def classify_code(co):
 
 def triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py):
     """Twelve vertex coordinates (A1 A2 B1 B2 C1 C2) or None if a member
-    degenerates."""
+    degenerates, coincident vertices included."""
     a = math.hypot(bx - cx, by - cy)
     b = math.hypot(cx - ax, cy - ay)
     c = math.hypot(ax - bx, ay - by)
+    if min(a, b, c) == 0.0:
+        return None
     scale = max(a, b, c)
     if kind == KIND_V_ELLIPSE:
         d1, d2, d3 = b + c, c + a, a + b
@@ -303,6 +305,7 @@ def _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py):
             bad |= (np.abs(d) <= eps) | (np.abs(d) >= s - eps)
     else:
         raise ValueError(f"unknown kind code {kind}")
+    bad |= np.minimum(np.minimum(a, b), c) == 0.0
     xs, ys = [], []
     for (f1x, f1y, f2x, f2y), d, s in (
         ((bx, by, cx, cy), d1, a),

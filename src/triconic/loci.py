@@ -38,6 +38,7 @@ from .errors import (
     DriverNotOnLocus,
     NotConverged,
     RadicalDomainError,
+    TriconicError,
 )
 from .geom import (
     BaryCoords,
@@ -508,96 +509,10 @@ def equilateral_ostar_locus_check() -> EquilateralOstarReport:
 
 
 # ---------------------------------------------------------------------------
-# Special points by derivative-free minimization
+# Special points as common zeros of two brackets
 # ---------------------------------------------------------------------------
 
-def _coordinate_descent(f, p, scale, rounds=60):
-    x, y = p
-    fx = f((x, y))
-    h = scale * 1e-4
-    while h > 1e-15 * scale and rounds > 0:
-        rounds -= 1
-        improved = False
-        for dx, dy in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-            cand = (x + dx, y + dy)
-            fc = f(cand)
-            if fc < fx:
-                x, y = cand
-                fx = fc
-                improved = True
-        if not improved:
-            h /= 2.0
-    return (x, y), fx
-
-
-def _bracket_curve_starts(t: Triangle, kind: str, span: float = 3.0, n: int = 72):
-    """Start points near intersections of the two independent bracket curves
-    of a circle functional (their common zeros are the functional's zeros).
-
-    kind "delta" uses the focal-sum brackets, "lambda" the focal-difference
-    ones; the third bracket is dependent (the three sum to zero).
-    """
-    a, b, c = t.sides()
-    if kind == "delta":
-        def g1(x, y):
-            da, db, dc = _deltas(t, Point2(x, y))
-            return c * c - b * b + db * db - dc * dc
-
-        def g2(x, y):
-            da, db, dc = _deltas(t, Point2(x, y))
-            return a * a - c * c + dc * dc - da * da
-    else:
-        def g1(x, y):
-            la, lb, lc = _lambdas(t, Point2(x, y))
-            return -a * a + b * b + la * la - lb * lb
-
-        def g2(x, y):
-            la, lb, lc = _lambdas(t, Point2(x, y))
-            return -a * a + c * c + la * la - lc * lc
-
-    cen = Point2((t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0)
-    s = t.scale()
-    bbox = (cen.x - span * s, cen.x + span * s, cen.y - span * s, cen.y + span * s)
-    pts1 = [p for poly in trace_zero_set(g1, bbox, n) for p in poly]
-    pts2 = [p for poly in trace_zero_set(g2, bbox, n) for p in poly]
-    if not pts1 or not pts2:
-        return []
-    arr1 = np.array([(p.x, p.y) for p in pts1])
-    arr2 = np.array([(p.x, p.y) for p in pts2])
-    d2 = (
-        (arr1[:, None, 0] - arr2[None, :, 0]) ** 2
-        + (arr1[:, None, 1] - arr2[None, :, 1]) ** 2
-    )
-    order = np.argsort(d2, axis=None)
-    starts = []
-    for flat in order[: 40 * 8]:
-        i, j = divmod(int(flat), arr2.shape[0])
-        x = (arr1[i, 0] + arr2[j, 0]) / 2.0
-        y = (arr1[i, 1] + arr2[j, 1]) / 2.0
-        if any(math.hypot(x - sx, y - sy) < 0.15 * s for sx, sy in starts):
-            continue
-        starts.append((x, y))
-        if len(starts) >= 8:
-            break
-    return starts
-
-
-def _multi_start_minimize(f, starts, scale, target, maxiter=200):
-    hits = []
-    best = (None, math.inf)
-    for s in starts:
-        res = optimize.minimize(
-            f,
-            np.array(s),
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-13 * scale, "fatol": 0.0},
-        )
-        (x, y), val = _coordinate_descent(f, (res.x[0], res.x[1]), scale)
-        if val < best[1]:
-            best = ((x, y), val)
-        if val <= target:
-            hits.append(((x, y), val))
-    return hits, best
+_CIRCLE_TARGET = 1e-16  # times s**8: the circle functionals have degree 8 in lengths
 
 
 def find_pstar(t: Triangle) -> Point2:
@@ -606,14 +521,11 @@ def find_pstar(t: Triangle) -> Point2:
 
     The circle functional can vanish at additional genuine points very
     close to a vertex (verified counterexamples to strict uniqueness, which
-    is an open question); when several validated zeros exist the one with
-    the largest clearance from the vertices is returned, matching the
-    central solution of the level-curve picture.
+    is an open question); of the validated bracket roots, the one with the
+    largest clearance from the vertices is returned, matching the central
+    solution of the level-curve picture.
     """
-    hits = find_pstar_candidates(t)
-    if not hits:
-        raise NotConverged("pstar functional did not reach its target", None, None)
-    return Point2(*hits[0][0])
+    return Point2(*find_pstar_candidates(t)[0][0])
 
 
 def _is_circle_at(t: Triangle, p: Point2, kind: str, rel_tol: float = 1e-4) -> bool:
@@ -621,7 +533,7 @@ def _is_circle_at(t: Triangle, p: Point2, kind: str, rel_tol: float = 1e-4) -> b
     concentric with the circumcircle?"""
     try:
         rep = six_point_conic(build_triad(t, kind, p))
-    except Exception:
+    except TriconicError:
         return False
     if rep.conic_class is not ConicClass.CIRCLE or rep.center is None:
         return False
@@ -629,114 +541,102 @@ def _is_circle_at(t: Triangle, p: Point2, kind: str, rel_tol: float = 1e-4) -> b
     return distance(rep.center, cc.center) <= rel_tol * cc.radius
 
 
-def find_pstar_candidates(t: Triangle):
-    """Converged zeros of the circle functional, validated as actual circle
-    drivers.
+def _solver(t: Triangle, kind: str):
+    """solve(seed) -> (xy, value): a root of two independent brackets of the
+    `kind` circle functional, found from seed, and the functional there.
 
-    The functional also vanishes at the triangle vertices (two bracket
-    factors collapse there); candidates are therefore validated by the
-    circle postcondition rather than filtered by distance alone, since the
-    genuine zero can sit close to a vertex for thin triangles.
+    With u_i = s_i^2 - x_i^2 over the sides s and the focal sums ("p_ellipse")
+    or differences ("p_hyperbola") x, the functional is a sum of squared
+    products u_i * (u_j - u_k).  Off the sidelines, where some u_i vanishes,
+    its zeros are where u_a = u_b = u_c: the common zeros of two brackets.
+    """
+    sides = t.sides()
+    focal, functional = {
+        "p_ellipse": (_deltas, pstar_circle_functional),
+        "p_hyperbola": (_lambdas, phyp_circle_functional),
+    }[kind]
+
+    def g(q):
+        ua, ub, uc = (s * s - x * x for s, x in zip(sides, focal(t, Point2(q[0], q[1]))))
+        return (uc - ub, ua - uc) if kind == "p_ellipse" else (ub - ua, uc - ua)
+
+    def solve(seed):
+        # Powell's hybrid method (MINPACK).  Its success flag is not read: at
+        # this xtol it reports no progress even on an exact root, so the
+        # point is judged by the functional.
+        xy = tuple(optimize.root(g, seed, method="hybr", options={"xtol": 1e-14}).x)
+        return xy, functional(*sides, *focal(t, Point2(*xy)))
+
+    return solve
+
+
+def _circle_points(t: Triangle, kind: str):
+    """Distinct points whose `kind` six-point conic is a circle concentric
+    with the circumcircle, as (xy, functional value) pairs, smallest value
+    first.
+
+    The bracket root-find runs from 19 fixed seeds: the centroid, incenter
+    and circumcenter, and 8 points on each of two rings about the centroid.
+    A root counts when the functional meets its target and the conic
+    validates; the functional also vanishes at the vertices, where the
+    conic is no circle.
     """
     s = t.scale()
-    target = 1e-16 * s**8
-
-    def f(q):
-        p = Point2(q[0], q[1])
-        return pstar_circle_functional(*t.sides(), *_deltas(t, p))
-
+    solve = _solver(t, kind)
     cc = circumcircle(t)
-    centroid = Point2(
-        (t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0
+    cx = (t.a.x + t.b.x + t.c.x) / 3.0
+    cy = (t.a.y + t.b.y + t.c.y) / 3.0
+    seeds = [(cx, cy), incircle(t).center.as_tuple(), cc.center.as_tuple()]
+    for r in (0.45 * cc.radius, 1.2 * cc.radius):
+        for k in range(8):
+            ang = math.pi * k / 4.0
+            seeds.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
+    roots = []
+    best = (None, math.inf)
+    for seed in seeds:
+        xy, val = solve(seed)
+        if val < best[1]:
+            best = (xy, val)
+        if val <= _CIRCLE_TARGET * s**8 and _is_circle_at(t, Point2(*xy), kind):
+            roots.append((xy, val))
+    if not roots:
+        raise NotConverged(f"{kind} circle functional did not reach its target", *best)
+    radius = (1e-7 if kind == "p_ellipse" else 1e-6) * s
+    hits: list[tuple[tuple[float, float], float]] = []
+    for xy, val in sorted(roots, key=lambda h: h[1]):
+        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius for h in hits):
+            hits.append((xy, val))
+    return hits
+
+
+def find_pstar_candidates(t: Triangle):
+    """Validated zeros of the P-ellipse circle functional, as (xy, value)
+    pairs, principal zero first.
+
+    The genuine zero can sit close to a vertex for thin triangles, where the
+    functional also vanishes; candidates are therefore validated by the
+    circle postcondition rather than filtered by distance.  They are ordered
+    by clearance from the vertices.
+    """
+    return sorted(
+        _circle_points(t, "p_ellipse"),
+        key=lambda h: -min(distance(Point2(*h[0]), v) for v in t.vertices()),
     )
-    inc = incircle(t).center
-    starts = [centroid.as_tuple(), inc.as_tuple(), cc.center.as_tuple()]
-    for k in range(6):
-        ang = math.pi * k / 3.0
-        starts.append(
-            (
-                centroid.x + 0.45 * cc.radius * math.cos(ang),
-                centroid.y + 0.45 * cc.radius * math.sin(ang),
-            )
-        )
-    # Grid seeds catch zeros hiding near a vertex (thin triangles), and the
-    # bracket-curve intersections seed the exact zero geometry.
-    grid_vals = []
-    for i in range(13):
-        for j in range(13):
-            x = cc.center.x + cc.radius * 1.4 * (i / 6.0 - 1.0)
-            y = cc.center.y + cc.radius * 1.4 * (j / 6.0 - 1.0)
-            if min(distance(Point2(x, y), v) for v in t.vertices()) < 1e-3 * s:
-                continue
-            grid_vals.append(((x, y), f((x, y))))
-    grid_vals.sort(key=lambda g: g[1])
-    starts.extend(g[0] for g in grid_vals[:8])
-    starts.extend(_bracket_curve_starts(t, "delta"))
-    hits, best = _multi_start_minimize(f, starts, s, target)
-    hits = [h for h in hits if _is_circle_at(t, Point2(*h[0]), "p_ellipse")]
-    if not hits:
-        raise NotConverged(
-            "pstar functional did not reach its target", best[0], best[1]
-        )
-    # Cluster converged zeros, then order by clearance from the vertices
-    # (principal zero first).
-    clusters: list[tuple[tuple[float, float], float]] = []
-    for xy, val in sorted(hits, key=lambda h: h[1]):
-        if not any(
-            math.hypot(xy[0] - c[0][0], xy[1] - c[0][1]) <= 1e-7 * s for c in clusters
-        ):
-            clusters.append((xy, val))
-    clusters.sort(
-        key=lambda h: -min(distance(Point2(*h[0]), v) for v in t.vertices())
-    )
-    return clusters
 
 
 def find_phyp_circle_points(t: Triangle) -> tuple[Point2, Point2]:
-    """The pair of points whose P-hyperbola six-point conic is a circle.
-
-    The functional also vanishes trivially at the triangle vertices; those
-    are excluded by a guard radius.
-    """
-    s = t.scale()
-    target = 1e-16 * s**8
-
-    def f(q):
-        p = Point2(q[0], q[1])
-        return phyp_circle_functional(*t.sides(), *_lambdas(t, p))
-
-    cc = circumcircle(t)
-    cen = Point2((t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0)
-    span = max(cc.radius * 1.7, 2.2 * s)
-    grid_vals = []
-    for i in range(13):
-        for j in range(13):
-            x = cen.x + span * (i / 6.0 - 1.0)
-            y = cen.y + span * (j / 6.0 - 1.0)
-            if min(distance(Point2(x, y), v) for v in t.vertices()) < 1e-3 * s:
-                continue
-            grid_vals.append(((x, y), f((x, y))))
-    grid_vals.sort(key=lambda g: g[1])
-    starts = [g[0] for g in grid_vals[:16]]
-    starts.extend(_bracket_curve_starts(t, "lambda"))
-    hits, best = _multi_start_minimize(f, starts, s, target)
-    hits = [h for h in hits if _is_circle_at(t, Point2(*h[0]), "p_hyperbola")]
-    if not hits:
-        raise NotConverged("phyp circle functional did not converge", best[0], best[1])
-    clusters: list[tuple[tuple[float, float], float]] = []
-    for (xy, val) in sorted(hits, key=lambda h: h[1]):
-        if not any(math.hypot(xy[0] - c[0][0], xy[1] - c[0][1]) <= 1e-6 * s for c in clusters):
-            clusters.append((xy, val))
-    if len(clusters) == 1:
+    """The pair of points whose P-hyperbola six-point conic is a circle,
+    sorted by (x, y)."""
+    hits = _circle_points(t, "p_hyperbola")
+    if len(hits) == 1:
         # The pair are common intersections of each other's triads: recover
         # the partner as the second common point and polish it.
-        p1 = Point2(*clusters[0][0])
-        q = second_common_point(build_triad(t, "p_hyperbola", p1))
-        (xy, val) = _coordinate_descent(f, q.as_tuple(), s)
-        if val > target:
+        q = second_common_point(build_triad(t, "p_hyperbola", Point2(*hits[0][0])))
+        xy, val = _solver(t, "p_hyperbola")(q.as_tuple())
+        if val > _CIRCLE_TARGET * t.scale() ** 8:
             raise NotConverged("second circle point did not converge", xy, val)
-        clusters.append((xy, val))
-    pts = sorted((Point2(*c[0]) for c in clusters[:2]), key=lambda p: (p.x, p.y))
+        hits.append((xy, val))
+    pts = sorted((Point2(*h[0]) for h in hits[:2]), key=lambda p: (p.x, p.y))
     return (pts[0], pts[1])
 
 

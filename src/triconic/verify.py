@@ -421,8 +421,8 @@ def _chk_pell_incidence(cfg) -> float:
 def _chk_pstar(cfg) -> float:
     # Existence plus the circle/concentricity postconditions are the hard
     # claims.  Strict uniqueness is an open question and genuine secondary
-    # zeros near a vertex exist (verified counterexample); the candidate
-    # clustering in find_pstar_candidates keeps those observational.
+    # zeros near a vertex exist (verified counterexample); only the principal
+    # candidate, the one farthest from the vertices, is checked.
     t = _cfg_tri(cfg)
     hits = find_pstar_candidates(t)
     p = Point2(*hits[0][0])

@@ -64,6 +64,15 @@ def test_six_point_matches_module(rng, t_generic):
         assert res6 <= 1e-10
 
 
+def test_six_point_coincident_vertices_fail_cleanly():
+    # C on A: side b has length zero, so the V-ellipse triad has no member
+    # through it; the kernel reports a failed construction.
+    args = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    assert kernels.triad_vertices12(*args) is None
+    status, code, res6, _, coeffs = kernels.six_point(*args)
+    assert (status, code, res6, coeffs) == (1, kernels.CLASS_FAILED, math.inf, None)
+
+
 def _scalar_region_classes(t, kind, grid):
     """Per-cell six_point classes of region_map, one scalar call a cell."""
     kcode = {
@@ -80,12 +89,7 @@ def _scalar_region_classes(t, kind, grid):
                 args = (t.a.x, t.a.y, t.b.x, t.b.y, x, y, kcode, 0.0, 0.0)
             else:
                 args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kcode, x, y)
-            try:
-                status, code, _, _, _ = kernels.six_point(*args)
-            except ZeroDivisionError:
-                # C on A or B: a side has length zero.  The scalar kernel
-                # divides by it; the batch kernel reports the cell failed.
-                status, code = 1, kernels.CLASS_FAILED
+            status, code, _, _, _ = kernels.six_point(*args)
             row.append(kernels.CLASS_NAMES[kernels.CLASS_FAILED if status else code])
         rows.append(tuple(row))
     return tuple(rows)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from triconic import loci
 from triconic.centers import circumcircle, classic_center, incircle
 from triconic.conic import ConicClass, classify, residual
 from triconic.errors import RadicalDomainError
@@ -32,8 +33,8 @@ from triconic.loci import (
     _deltas,
     _lambdas,
 )
-from triconic.triads import build_triad, six_point_conic, triad_vertices
-from triconic.verify import random_triangle
+from triconic.triads import build_triad, second_common_point, six_point_conic, triad_vertices
+from triconic.verify import random_flat_triangle, random_triangle
 
 
 def test_x478_quartic_values():
@@ -205,6 +206,56 @@ def test_find_phyp_circle_points(t_generic):
 
     q = second_common_point(build_triad(t_generic, "p_hyperbola", p1))
     assert distance(q, p2) <= 1e-7 * s
+
+
+def _search_triangle(draw):
+    kind, i = draw
+    if kind == "obtuse":
+        # Angle at C about 165 degrees: a hard case for the pair search.
+        return Triangle(
+            Point2(0.7751131641779292, 0.29089325912672925),
+            Point2(0.4204307459590436, 0.0042869212385614475),
+            Point2(0.6259889257552741, 0.13306675605752827),
+        )
+    draw_fn = random_triangle if kind == "random" else random_flat_triangle
+    return draw_fn(np.random.default_rng([2026, i]))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [("random", i) for i in range(8)] + [("flat", i) for i in range(4)] + [("obtuse", 0)],
+    ids=str,
+)
+def test_circle_searches_postconditions(draw):
+    t = _search_triangle(draw)
+    s = t.scale()
+    cc = circumcircle(t)
+
+    def check(kind, p, fval):
+        assert fval <= 1e-16 * s**8
+        rep = six_point_conic(build_triad(t, kind, p))
+        assert rep.conic_class is ConicClass.CIRCLE
+        assert distance(rep.center, cc.center) <= 1e-6 * cc.radius
+
+    for xy, fval in find_pstar_candidates(t):
+        check("p_ellipse", Point2(*xy), fval)
+    p1, p2 = find_phyp_circle_points(t)
+    for p in (p1, p2):
+        check("p_hyperbola", p, phyp_circle_functional(*t.sides(), *_lambdas(t, p)))
+    assert distance(p1, p2) > 1e-6 * s
+    q = second_common_point(build_triad(t, "p_hyperbola", p1))
+    assert distance(q, p2) <= 1e-7 * s
+
+
+def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
+    # Only library errors mean "no circle here"; a bug inside the
+    # validation must not turn into a failed search.
+    def broken(tr):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(loci, "six_point_conic", broken)
+    with pytest.raises(TypeError, match="injected"):
+        find_pstar_candidates(t_generic)
 
 
 def test_region_map_circumcircle_boundary(t_generic):
