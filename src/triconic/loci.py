@@ -541,70 +541,70 @@ def _is_circle_at(t: Triangle, p: Point2, kind: str, rel_tol: float = 1e-4) -> b
     return distance(rep.center, cc.center) <= rel_tol * cc.radius
 
 
-def _solver(t: Triangle, kind: str):
-    """solve(seed) -> (xy, value): a root of two independent brackets of the
-    `kind` circle functional, found from seed, and the functional there.
+def _seeds(t: Triangle) -> list[tuple[float, float]]:
+    """Starts for the bracket root-find: the centroid, incenter and
+    circumcenter, 8 points on each of two rings about the centroid, and one
+    point outside each vertex on its bisector, half the vertex-incenter
+    distance beyond the vertex, where the near-vertex zeros sit."""
+    cc = circumcircle(t)
+    inc = incircle(t).center
+    cx = (t.a.x + t.b.x + t.c.x) / 3.0
+    cy = (t.a.y + t.b.y + t.c.y) / 3.0
+    seeds = [(cx, cy), inc.as_tuple(), cc.center.as_tuple()]
+    for r in (0.45 * cc.radius, 1.2 * cc.radius):
+        for k in range(8):
+            ang = math.pi * k / 4.0
+            seeds.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
+    seeds += [(1.5 * v.x - 0.5 * inc.x, 1.5 * v.y - 0.5 * inc.y) for v in t.vertices()]
+    return seeds
+
+
+def _circle_points(t: Triangle, kind: str, seeds):
+    """Distinct points whose `kind` six-point conic is a circle concentric
+    with the circumcircle, as (xy, functional value) pairs, smallest value
+    first, found by a root-find from each seed.
 
     With u_i = s_i^2 - x_i^2 over the sides s and the focal sums ("p_ellipse")
     or differences ("p_hyperbola") x, the functional is a sum of squared
     products u_i * (u_j - u_k).  Off the sidelines, where some u_i vanishes,
     its zeros are where u_a = u_b = u_c: the common zeros of two brackets.
-    """
-    sides = t.sides()
-    focal, functional = {
-        "p_ellipse": (_deltas, pstar_circle_functional),
-        "p_hyperbola": (_lambdas, phyp_circle_functional),
-    }[kind]
-
-    def g(q):
-        ua, ub, uc = (s * s - x * x for s, x in zip(sides, focal(t, Point2(q[0], q[1]))))
-        return (uc - ub, ua - uc) if kind == "p_ellipse" else (ub - ua, uc - ua)
-
-    def solve(seed):
-        # Powell's hybrid method (MINPACK).  Its success flag is not read: at
-        # this xtol it reports no progress even on an exact root, so the
-        # point is judged by the functional.
-        xy = tuple(optimize.root(g, seed, method="hybr", options={"xtol": 1e-14}).x)
-        return xy, functional(*sides, *focal(t, Point2(*xy)))
-
-    return solve
-
-
-def _circle_points(t: Triangle, kind: str):
-    """Distinct points whose `kind` six-point conic is a circle concentric
-    with the circumcircle, as (xy, functional value) pairs, smallest value
-    first.
-
-    The bracket root-find runs from 19 fixed seeds: the centroid, incenter
-    and circumcenter, and 8 points on each of two rings about the centroid.
     A root counts when the functional meets its target and the conic
     validates; the functional also vanishes at the vertices, where the
     conic is no circle.
     """
+    # Per kind: the focal quantities, the functional, two independent
+    # brackets and the dedupe radius over s.
+    focal, functional, brackets, radius = {
+        "p_ellipse": (
+            _deltas, pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
+        ),
+        "p_hyperbola": (
+            _lambdas, phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
+        ),
+    }[kind]
+    sides = t.sides()
     s = t.scale()
-    solve = _solver(t, kind)
-    cc = circumcircle(t)
-    cx = (t.a.x + t.b.x + t.c.x) / 3.0
-    cy = (t.a.y + t.b.y + t.c.y) / 3.0
-    seeds = [(cx, cy), incircle(t).center.as_tuple(), cc.center.as_tuple()]
-    for r in (0.45 * cc.radius, 1.2 * cc.radius):
-        for k in range(8):
-            ang = math.pi * k / 4.0
-            seeds.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
+
+    def g(q):
+        return brackets(*(a * a - x * x for a, x in zip(sides, focal(t, Point2(q[0], q[1])))))
+
     roots = []
     best = (None, math.inf)
     for seed in seeds:
-        xy, val = solve(seed)
+        # Powell's hybrid method (MINPACK).  Its success flag is not read: at
+        # this xtol it reports no progress even on an exact root, so the
+        # point is judged by the functional.
+        xy = tuple(optimize.root(g, seed, method="hybr", options={"xtol": 1e-14}).x)
+        val = functional(*sides, *focal(t, Point2(*xy)))
         if val < best[1]:
             best = (xy, val)
         if val <= _CIRCLE_TARGET * s**8 and _is_circle_at(t, Point2(*xy), kind):
             roots.append((xy, val))
     if not roots:
         raise NotConverged(f"{kind} circle functional did not reach its target", *best)
-    radius = (1e-7 if kind == "p_ellipse" else 1e-6) * s
     hits: list[tuple[tuple[float, float], float]] = []
     for xy, val in sorted(roots, key=lambda h: h[1]):
-        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius for h in hits):
+        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius * s for h in hits):
             hits.append((xy, val))
     return hits
 
@@ -619,7 +619,7 @@ def find_pstar_candidates(t: Triangle):
     by clearance from the vertices.
     """
     return sorted(
-        _circle_points(t, "p_ellipse"),
+        _circle_points(t, "p_ellipse", _seeds(t)),
         key=lambda h: -min(distance(Point2(*h[0]), v) for v in t.vertices()),
     )
 
@@ -627,15 +627,15 @@ def find_pstar_candidates(t: Triangle):
 def find_phyp_circle_points(t: Triangle) -> tuple[Point2, Point2]:
     """The pair of points whose P-hyperbola six-point conic is a circle,
     sorted by (x, y)."""
-    hits = _circle_points(t, "p_hyperbola")
+    hits = _circle_points(t, "p_hyperbola", _seeds(t))
     if len(hits) == 1:
         # The pair are common intersections of each other's triads: recover
-        # the partner as the second common point and polish it.
+        # the partner from the second common point, validated and deduped
+        # against the first like any other root.
         q = second_common_point(build_triad(t, "p_hyperbola", Point2(*hits[0][0])))
-        xy, val = _solver(t, "p_hyperbola")(q.as_tuple())
-        if val > _CIRCLE_TARGET * t.scale() ** 8:
-            raise NotConverged("second circle point did not converge", xy, val)
-        hits.append((xy, val))
+        hits = _circle_points(t, "p_hyperbola", [hits[0][0], q.as_tuple()])
+        if len(hits) == 1:
+            raise NotConverged("second circle point did not converge", *hits[0])
     pts = sorted((Point2(*h[0]) for h in hits[:2]), key=lambda p: (p.x, p.y))
     return (pts[0], pts[1])
 

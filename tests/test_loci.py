@@ -6,7 +6,7 @@ import pytest
 from triconic import loci
 from triconic.centers import circumcircle, classic_center, incircle
 from triconic.conic import ConicClass, classify, residual
-from triconic.errors import RadicalDomainError
+from triconic.errors import NotConverged, RadicalDomainError
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
 from triconic.loci import (
     covertex_conconic_V,
@@ -245,6 +245,42 @@ def test_circle_searches_postconditions(draw):
     assert distance(p1, p2) > 1e-6 * s
     q = second_common_point(build_triad(t, "p_hyperbola", p1))
     assert distance(q, p2) <= 1e-7 * s
+
+
+def test_find_pstar_candidates_near_vertex_zeros():
+    # A flat triangle, obtuse at C: besides the principal zero, the
+    # P-ellipse circle functional has a genuine zero on each side of C along
+    # its bisector.
+    t = Triangle(
+        Point2(0.0, 0.0),
+        Point2(1.483727388938172, 0.0),
+        Point2(0.7378315713690614, 0.09869291364934368),
+    )
+    s = t.scale()
+    cc = circumcircle(t)
+    cands = [Point2(*xy) for xy, _ in find_pstar_candidates(t)]
+    assert len(cands) == 3
+    for p in cands:
+        rep = six_point_conic(build_triad(t, "p_ellipse", p))
+        assert rep.conic_class is ConicClass.CIRCLE
+        assert distance(rep.center, cc.center) <= 1e-6 * cc.radius
+    assert distance(cands[0], t.c) > 0.5 * s
+    below, above = sorted(cands[1:], key=lambda p: p.y)
+    assert below.y < t.c.y < above.y
+    assert max(distance(below, t.c), distance(above, t.c)) <= 0.05 * s
+
+
+def test_find_phyp_circle_points_recovers_partner(t_generic, monkeypatch):
+    # Seeded with one point of the pair only, the search recovers the
+    # other through the second common point of its triad.
+    p1, p2 = find_phyp_circle_points(t_generic)
+    monkeypatch.setattr(loci, "_seeds", lambda t: [p1.as_tuple()])
+    q1, q2 = find_phyp_circle_points(t_generic)
+    assert max(distance(p1, q1), distance(p2, q2)) <= 1e-9 * t_generic.scale()
+    # A partner that comes back onto the first point is no pair.
+    monkeypatch.setattr(loci, "second_common_point", lambda tr: p1)
+    with pytest.raises(NotConverged):
+        find_phyp_circle_points(t_generic)
 
 
 def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
