@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateResult, DegenerateTriangle, TrilaterationInconsistent
+from .errors import (
+    DegenerateResult,
+    DegenerateTriangle,
+    PointAtInfinity,
+    TrilaterationInconsistent,
+)
 from .geom import (
     BaryCoords,
     LineEq,
@@ -321,13 +326,15 @@ def soddy_centers(t: Triangle) -> tuple[Point2 | None, Point2]:
 
 def cevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
     u, v, w = q.u, q.v, q.w
+    if (u, v, w).count(0.0) == 2:
+        raise DegenerateResult("cevian undefined at a vertex")
     try:
         return Triangle(
             bary_to_cartesian(t, BaryCoords(0.0, v, w)),
             bary_to_cartesian(t, BaryCoords(u, 0.0, w)),
             bary_to_cartesian(t, BaryCoords(u, v, 0.0)),
         )
-    except Exception as exc:
+    except (PointAtInfinity, DegenerateTriangle) as exc:
         raise DegenerateResult(f"cevian triangle of {q} degenerates") from exc
 
 
@@ -341,7 +348,7 @@ def anticevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
             bary_to_cartesian(t, BaryCoords(u, -v, w)),
             bary_to_cartesian(t, BaryCoords(u, v, -w)),
         )
-    except Exception as exc:
+    except (PointAtInfinity, DegenerateTriangle) as exc:
         raise DegenerateResult(f"anticevian triangle of {q} degenerates") from exc
 
 

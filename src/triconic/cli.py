@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_locus(args) -> int:
     from .loci import (
-        eval_implicit,
+        PLANE_CURVES,
         sample_locus_ostar,
         sample_locus_x478,
         trace_zero_set,
@@ -151,12 +151,12 @@ def _cmd_locus(args) -> int:
         ]
     elif args.kind.startswith("zero-set:"):
         curve = args.kind.split(":", 1)[1]
-        if curve not in ("x478_quartic", "covertex_locus_V", "halftangent_sextic"):
+        if curve not in PLANE_CURVES:
             print(f"error: zero-set tracing supports plane curves, not {curve!r}", file=sys.stderr)
             return 2
         bbox = tuple(float(v) for v in args.bbox.split(",")) if args.bbox else (-1.5, 1.5, -1.5, 1.5)
         polys = trace_zero_set(
-            lambda x, y: eval_implicit(curve, {"x": x, "y": y}),
+            PLANE_CURVES[curve],
             bbox,
             n_seeds=max(32, int(math.sqrt(args.samples)) * 4),
         )

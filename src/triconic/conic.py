@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DET_DEGENERATE_TOL, DISC_PARABOLA_TOL, RANK_REL_TOL
+from .config import DISC_PARABOLA_TOL, RANK_REL_TOL
 from .errors import (
     InvalidAxisLength,
     LineOnConic,
@@ -24,6 +24,7 @@ from .errors import (
     RankDeficient,
 )
 from .geom import LineEq, Point2, Triangle, distance, midpoint
+from .kernels import CLASS_NAMES, classify_code
 
 
 class ConicClass(enum.Enum):
@@ -79,15 +80,8 @@ class Conic:
         return cls(m, frame)
 
     def coeffs(self) -> tuple[float, float, float, float, float, float]:
-        m = self.m
-        return (
-            m[0, 0],
-            2.0 * m[0, 1],
-            m[1, 1],
-            2.0 * m[0, 2],
-            2.0 * m[1, 2],
-            m[2, 2],
-        )
+        (a, b, d), (_, c, e), (_, _, f) = self.m.tolist()
+        return (a, 2.0 * b, c, 2.0 * d, 2.0 * e, f)
 
     def __call__(self, p: Point2) -> float:
         v = np.array([p.x, p.y, 1.0])
@@ -176,31 +170,14 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 
 def classify(c: Conic, triangle: Triangle | None = None) -> ConicClass:
-    """Classify a conic; barycentric conics are converted to Cartesian first."""
+    """Classify a conic by kernels.classify_code; barycentric conics are
+    converted to Cartesian first."""
     if c.frame == "bary":
         if triangle is None:
             raise ValueError("classification of a barycentric conic needs its triangle")
         c = conic_bary_to_cartesian(c, triangle)
-    m = _normalized(c.m)
-    A, C = m[0, 0], m[1, 1]
-    Bh = m[0, 1]
-    det = float(np.linalg.det(m))
-    disc = A * C - Bh * Bh
-    if abs(det) < DET_DEGENERATE_TOL:
-        if disc < -DISC_PARABOLA_TOL:
-            return ConicClass.DEGENERATE_TWO_LINES
-        if disc > DISC_PARABOLA_TOL:
-            return ConicClass.DEGENERATE_POINT
-        return ConicClass.DEGENERATE_PARALLEL_LINES
-    if abs(disc) < DISC_PARABOLA_TOL:
-        return ConicClass.PARABOLA
-    if disc > 0.0:
-        if abs(A - C) < DET_DEGENERATE_TOL and abs(Bh) < DET_DEGENERATE_TOL:
-            return ConicClass.CIRCLE
-        return ConicClass.ELLIPSE
-    if abs(A + C) < DET_DEGENERATE_TOL:
-        return ConicClass.RECTANGULAR_HYPERBOLA
-    return ConicClass.HYPERBOLA
+    code, _, _ = classify_code(c.coeffs())
+    return ConicClass(CLASS_NAMES[code])
 
 
 def center(c: Conic) -> Point2:
@@ -406,13 +383,11 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
-    """Real intersections of two conics by pencil degeneration.
-
-    Finds a degenerate member of the pencil c1 + lambda*c2, splits it into
-    lines, intersects those with c1 and keeps candidates lying on both
-    conics after one Newton polish.
-    """
+def pencil_degenerate_lines(c1: Conic, c2: Conic) -> list[tuple[LineEq, LineEq]]:
+    """Line pairs of the degenerate members m1 + lambda*m2 of the pencil of
+    two conics, one per real root of the cubic det(m1 + lambda*m2) (a
+    quadratic when det m2 vanishes).  Members that vanish or have no real
+    lines are skipped."""
     m1, m2 = _normalized(c1.m), _normalized(c2.m)
     f0 = float(np.linalg.det(m1))
     f3 = float(np.linalg.det(m2))
@@ -421,20 +396,42 @@ def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
     c2_ = (fp + fm) / 2.0 - f0
     c1_ = (fp - fm) / 2.0 - f3
     roots = np.roots([f3, c2_, c1_, f0]) if abs(f3) > 1e-14 else np.roots([c2_, c1_, f0])
-    real_roots = [float(r.real) for r in roots if abs(r.imag) <= 1e-7 * (1.0 + abs(r))]
-    real_roots.append(float("inf"))  # c2 itself, in case it is degenerate
+    out = []
+    for r in roots:
+        if abs(r.imag) <= 1e-7 * (1.0 + abs(r)):
+            lines = _real_lines(m1 + float(r.real) * m2)
+            if lines is not None:
+                out.append(lines)
+    return out
+
+
+def _real_lines(m: np.ndarray) -> tuple[LineEq, LineEq] | None:
+    """split_degenerate of a pencil member, None if it vanishes or has no
+    real lines."""
+    if np.linalg.norm(m) <= 1e-13:
+        return None
+    try:
+        return split_degenerate(Conic(m, "cartesian"))
+    except LineOnConic:
+        return None
+
+
+def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
+    """Real intersections of two conics by pencil degeneration.
+
+    Splits the degenerate members of the pencil c1 + lambda*c2 into lines,
+    intersects those with c1 and keeps candidates lying on both conics
+    after one Newton polish.
+    """
+    m1, m2 = _normalized(c1.m), _normalized(c2.m)
+    members = [(c1, lines) for lines in pencil_degenerate_lines(c1, c2)]
+    # c2 itself is the member at lambda = inf, in case it is degenerate.
+    lines = _real_lines(m2)
+    if lines is not None:
+        members.append((c2, lines))
     candidates: list[Point2] = []
-    for lam in real_roots:
-        D = m2 if math.isinf(lam) else m1 + lam * m2
-        nrm = np.linalg.norm(D)
-        if nrm <= 1e-13:
-            continue
-        try:
-            g, h = split_degenerate(Conic(D, "cartesian"))
-        except LineOnConic:
-            continue
-        base = c2 if math.isinf(lam) else c1
-        for line in (g, h):
+    for base, pair in members:
+        for line in pair:
             try:
                 pts = conic_line_intersection(base, line)
             except LineOnConic:

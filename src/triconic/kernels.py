@@ -1,4 +1,4 @@
-"""Six-point kernels: the scalar path and its numpy batch twin.
+"""Six-point kernels, scalar and numpy batch, and the one conic classifier.
 
 These are the inner-loop primitives used by region maps and the verifier:
 construct a triad's six vertices, fit the conic through five of them by
@@ -7,6 +7,11 @@ serve one-off calls (the bisection loops of the verifier) and are the
 reference in tests; `six_point_batch` runs the same arithmetic, in the same
 order, on whole grids of driver points.
 
+`classify_code` holds the conic-type policy for the whole package: one
+threshold ladder on the Frobenius-normalized coefficients, applied to
+floats and arrays alike.  `conic.classify`, both six-point kernels and the
+verifier's parabola checks call it.
+
 The cofactor five-point fit depends polynomially on the input points, so
 the determinant of the fitted matrix varies continuously along parameter
 sweeps (needed for sign-bracketing of degeneracy boundaries).  The public
@@ -14,6 +19,7 @@ object-level API in triconic.conic uses the SVD route instead; the two are
 compared in tests.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -104,8 +110,11 @@ def fit5_cofactor(xs, ys):
 
 
 def frobenius(co):
+    """Frobenius norm of the conic matrix of (xx, xy, yy, x, y, 1): a float
+    for scalar coefficients, an array for array ones."""
     A, B, C, D, E, F = co
-    return math.sqrt(A * A + C * C + F * F + (B * B + D * D + E * E) / 2.0)
+    sq = A * A + C * C + F * F + (B * B + D * D + E * E) / 2.0
+    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
 
 
 def mat_det(co):
@@ -126,29 +135,57 @@ def conic_residual(co, x, y):
     return abs(conic_eval(co, x, y)) / (n * (x * x + y * y + 1.0))
 
 
-def classify_code(co):
-    """Same thresholds as triconic.conic.classify, on normalized coefficients."""
-    n = frobenius(co)
-    if n == 0.0:
+def _ladder(finite, singular, two_lines, point, parabolic, elliptic, circular, rectangular):
+    """The conic-type policy: a class code from the threshold tests of
+    classify_code, each a bool."""
+    if not finite:
         return CLASS_FAILED
+    if singular:
+        if two_lines:
+            return CLASS_DEGENERATE_TWO_LINES
+        if point:
+            return CLASS_DEGENERATE_POINT
+        return CLASS_DEGENERATE_PARALLEL_LINES
+    if parabolic:
+        return CLASS_PARABOLA
+    if elliptic:
+        return CLASS_CIRCLE if circular else CLASS_ELLIPSE
+    return CLASS_RECTANGULAR_HYPERBOLA if rectangular else CLASS_HYPERBOLA
+
+
+# _ladder for every outcome of its eight tests, at index sum(test_k << (7-k)).
+_LADDER = tuple(_ladder(*tests) for tests in itertools.product((False, True), repeat=8))
+_LADDER_ARRAY = np.array(_LADDER)
+
+
+def classify_code(co):
+    """Class code of the conic (xx, xy, yy, x, y, 1), with the determinant
+    and the quadratic discriminant A*C - B^2/4 it was decided on, both of
+    the Frobenius-normalized coefficients.
+
+    The coefficients may be floats, numpy float scalars or broadcastable
+    arrays; arrays give an array of codes.  A zero or non-finite norm gives
+    CLASS_FAILED.  Each test is weighted before the tests are summed into
+    the ladder index: numpy bools add as logical or.
+    """
+    n = frobenius(co)
+    if not isinstance(n, np.ndarray) and not n > 0.0:
+        n = math.nan  # fails the finite test below instead of dividing by zero
     A, B, C, D, E, F = (t / n for t in co)
     det = mat_det((A, B, C, D, E, F))
     disc = A * C - B * B / 4.0
-    if abs(det) < DET_DEGENERATE_TOL:
-        if disc < -DISC_PARABOLA_TOL:
-            return CLASS_DEGENERATE_TWO_LINES
-        if disc > DISC_PARABOLA_TOL:
-            return CLASS_DEGENERATE_POINT
-        return CLASS_DEGENERATE_PARALLEL_LINES
-    if abs(disc) < DISC_PARABOLA_TOL:
-        return CLASS_PARABOLA
-    if disc > 0.0:
-        if abs(A - C) < DET_DEGENERATE_TOL and abs(B / 2.0) < DET_DEGENERATE_TOL:
-            return CLASS_CIRCLE
-        return CLASS_ELLIPSE
-    if abs(A + C) < DET_DEGENERATE_TOL:
-        return CLASS_RECTANGULAR_HYPERBOLA
-    return CLASS_HYPERBOLA
+    index = (
+        128 * ((n > 0.0) & (n < math.inf))
+        + 64 * (abs(det) < DET_DEGENERATE_TOL)
+        + 32 * (disc < -DISC_PARABOLA_TOL)
+        + 16 * (disc > DISC_PARABOLA_TOL)
+        + 8 * (abs(disc) < DISC_PARABOLA_TOL)
+        + 4 * (disc > 0.0)
+        + 2 * ((abs(A - C) < DET_DEGENERATE_TOL) & (abs(B / 2.0) < DET_DEGENERATE_TOL))
+        + (abs(A + C) < DET_DEGENERATE_TOL)
+    )
+    table = _LADDER_ARRAY if isinstance(index, np.ndarray) else _LADDER
+    return table[index], det, disc
 
 
 def triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py):
@@ -204,7 +241,8 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     """Fused triad -> five-point fit -> classification.
 
     Returns (status, class_code, residual6, det_normalized, coeffs):
-    status 0 on success, 1 when a member degenerates (coeffs then None).
+    status 0 on success, 1 when a member degenerates or the fit is zero or
+    not finite (coeffs then None).
     residual6 is the incidence residual of the sixth vertex on the conic
     fitted through the first five; det_normalized is det of the
     Frobenius-normalized matrix (its sign brackets degeneracy boundaries).
@@ -215,12 +253,10 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     xs = v[0::2]
     ys = v[1::2]
     co = fit5_cofactor(xs[:5], ys[:5])
-    n = frobenius(co)
-    if n == 0.0 or not all(math.isfinite(t) for t in co):
+    code, detn, _ = classify_code(co)
+    if code == CLASS_FAILED:
         return (1, CLASS_FAILED, math.inf, 0.0, None)
-    res6 = conic_residual(co, xs[5], ys[5])
-    detn = mat_det(co) / (n * n * n)
-    return (0, classify_code(co), res6, detn, co)
+    return (0, code, conic_residual(co, xs[5], ys[5]), detn, co)
 
 
 # ---------------------------------------------------------------------------
@@ -348,38 +384,5 @@ def _codes(ax, ay, bx, by, cx, cy, kind, px, py):
     """six_point_batch on 1-d arrays of equal length."""
     with np.errstate(all="ignore"):
         xs, ys, failed = _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
-        co = _fit5_batch(xs[:5], ys[:5])
-        A, B, C, D, E, F = co
-        n = np.sqrt(A * A + C * C + F * F + (B * B + D * D + E * E) / 2.0)
-        failed |= (n == 0.0) | ~np.isfinite(co).all(axis=0)
-        # classify_code on the normalized coefficients.
-        A, B, C, D, E, F = (t / n for t in co)
-        det = mat_det((A, B, C, D, E, F))
-        disc = A * C - B * B / 4.0
-    singular = np.abs(det) < DET_DEGENERATE_TOL
-    elliptic = disc > 0.0
-    return np.select(
-        [
-            failed,
-            singular & (disc < -DISC_PARABOLA_TOL),
-            singular & (disc > DISC_PARABOLA_TOL),
-            singular,
-            np.abs(disc) < DISC_PARABOLA_TOL,
-            elliptic
-            & (np.abs(A - C) < DET_DEGENERATE_TOL)
-            & (np.abs(B / 2.0) < DET_DEGENERATE_TOL),
-            elliptic,
-            np.abs(A + C) < DET_DEGENERATE_TOL,
-        ],
-        [
-            CLASS_FAILED,
-            CLASS_DEGENERATE_TWO_LINES,
-            CLASS_DEGENERATE_POINT,
-            CLASS_DEGENERATE_PARALLEL_LINES,
-            CLASS_PARABOLA,
-            CLASS_CIRCLE,
-            CLASS_ELLIPSE,
-            CLASS_RECTANGULAR_HYPERBOLA,
-        ],
-        CLASS_HYPERBOLA,
-    )
+        codes, _, _ = classify_code(_fit5_batch(xs[:5], ys[:5]))
+    return np.where(failed, CLASS_FAILED, codes)

@@ -207,12 +207,6 @@ def phyp_parabola_condition(a, b, c, la, lb, lc) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class ImplicitCurve:
-    id: str
-    evaluate: callable  # (context dict) -> float
-
-
 def _deltas(t: Triangle, p: Point2):
     return (
         distance(p, t.b) + distance(p, t.c),
@@ -229,74 +223,19 @@ def _lambdas(t: Triangle, p: Point2):
     )
 
 
+# The plane curves by name, each a function of (x, y).
+PLANE_CURVES = {
+    "x478_quartic": x478_quartic,
+    "covertex_locus_V": covertex_locus_V,
+    "halftangent_sextic": halftangent_sextic,
+}
+
+
 def eval_implicit(curve_id: str, context: dict) -> float:
-    """Evaluate one of the named implicit conditions.
-
-    Plane curves take {"x", "y"}; the functionals take either sidelengths
-    plus deltas/lambdas, or {"t": Triangle, "p": Point2}.
-    """
-    if curve_id == "x478_quartic":
-        return x478_quartic(context["x"], context["y"])
-    if curve_id == "covertex_locus_V":
-        return covertex_locus_V(context["x"], context["y"])
-    if curve_id == "halftangent_sextic":
-        return halftangent_sextic(context["x"], context["y"])
-    if curve_id == "parabola_deg8_V":
-        if "t" in context:
-            a, b, c = context["t"].sides()
-        else:
-            a, b, c = context["a"], context["b"], context["c"]
-        return parabola_deg8_V(a, b, c)
-    if curve_id == "pstar_circle_functional":
-        if "t" in context:
-            t, p = context["t"], context["p"]
-            return pstar_circle_functional(*t.sides(), *_deltas(t, p))
-        return pstar_circle_functional(
-            context["a"], context["b"], context["c"],
-            context["da"], context["db"], context["dc"],
-        )
-    if curve_id == "covertex_condition_equilateral_P":
-        if "t" in context:
-            t, p = context["t"], context["p"]
-            return covertex_condition_equilateral_P(*_deltas(t, p))
-        return covertex_condition_equilateral_P(
-            context["da"], context["db"], context["dc"]
-        )
-    if curve_id == "phyp_circle_functional":
-        if "t" in context:
-            t, p = context["t"], context["p"]
-            return phyp_circle_functional(*t.sides(), *_lambdas(t, p))
-        return phyp_circle_functional(
-            context["a"], context["b"], context["c"],
-            context["la"], context["lb"], context["lc"],
-        )
-    if curve_id == "phyp_parabola_condition":
-        if "t" in context:
-            t, p = context["t"], context["p"]
-            return phyp_parabola_condition(*t.sides(), *_lambdas(t, p))
-        return phyp_parabola_condition(
-            context["a"], context["b"], context["c"],
-            context["la"], context["lb"], context["lc"],
-        )
-    raise KeyError(f"unknown implicit curve {curve_id!r}")
-
-
-CURVE_IDS = (
-    "x478_quartic",
-    "parabola_deg8_V",
-    "covertex_locus_V",
-    "halftangent_sextic",
-    "pstar_circle_functional",
-    "covertex_condition_equilateral_P",
-    "phyp_circle_functional",
-    "phyp_parabola_condition",
-)
-
-
-def implicit_curve(curve_id: str) -> ImplicitCurve:
-    if curve_id not in CURVE_IDS:
+    """Evaluate one of PLANE_CURVES at {"x", "y"}; KeyError if unknown."""
+    if curve_id not in PLANE_CURVES:
         raise KeyError(f"unknown implicit curve {curve_id!r}")
-    return ImplicitCurve(curve_id, lambda ctx, _id=curve_id: eval_implicit(_id, ctx))
+    return PLANE_CURVES[curve_id](context["x"], context["y"])
 
 
 # ---------------------------------------------------------------------------
@@ -800,28 +739,36 @@ def covertex_conconic_V(x: float, y: float) -> float:
     return float(np.linalg.det(m))
 
 
-def _bisect_along_ray(g, lo: float, hi: float, samples: int = 400) -> float:
-    """First root of g on [lo, hi] by scan + bisection."""
-    prev_r, prev_v = lo, g(lo)
-    for k in range(1, samples + 1):
-        r = lo + (hi - lo) * k / samples
-        v = g(r)
-        if prev_v == 0.0:
-            return prev_r
-        if (prev_v < 0.0) != (v < 0.0):
-            a, b, fa = prev_r, r, prev_v
+def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60):
+    """Sign changes of f on [lo, hi], in order, as a generator.
+
+    Scans `steps` equal cells and bisects each one whose end values are
+    finite and of opposite sign to ~1e-13 (80 halvings); the first root is
+    next(bisect_sign_changes(...), None) and costs no further evaluations.
+    """
+    prev_s, prev_f = lo, f(lo)
+    for k in range(1, steps + 1):
+        s = lo + (hi - lo) * k / steps
+        v = f(s)
+        if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
+            a, b, fa = prev_s, s, prev_f
             for _ in range(80):
                 m = (a + b) / 2.0
-                fm = g(m)
-                if fm == 0.0:
-                    return m
+                fm = f(m)
                 if (fa < 0.0) != (fm < 0.0):
                     b = m
                 else:
                     a, fa = m, fm
-            return (a + b) / 2.0
-        prev_r, prev_v = r, v
-    raise DriverNotOnLocus("no sign change along the scan ray")
+            yield (a + b) / 2.0
+        prev_s, prev_f = s, v
+
+
+def _bisect_along_ray(g, lo: float, hi: float) -> float:
+    """First root of g on [lo, hi], scanned in 400 cells."""
+    r = next(bisect_sign_changes(g, lo, hi, steps=400), None)
+    if r is None:
+        raise DriverNotOnLocus("no sign change along the scan ray")
+    return r
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .conic import Conic, ConicClass, classify, center as conic_center, split_degenerate
-from .errors import EmptyScene
+from .errors import EmptyScene, LineOnConic
 from .geom import LineEq, Point2
 from .loci import RegionGrid, trace_zero_set
 from .scene import Scene, _conic_from_json
@@ -55,7 +55,7 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
     if kind.is_degenerate():
         try:
             g, h = split_degenerate(c)
-        except Exception:
+        except LineOnConic:
             return []
         return [seg for line in (g, h) for seg in _clip_line(line, bbox)]
     m = c.m

@@ -22,6 +22,7 @@ from .conic import (
     conic_conic_intersections,
     conic_from_foci,
     fit_conic_5pts,
+    pencil_degenerate_lines,
     residual,
     vertices_of_focal_conic,
     covertices_of_focal_conic,
@@ -295,30 +296,6 @@ def _line_contains(line: LineEq, p: Point2) -> float:
     return line.distance_to(p)
 
 
-def _pencil_degenerate_lines(c1: Conic, c2: Conic) -> list[tuple[LineEq, LineEq]]:
-    import numpy as np
-
-    m1 = c1.m / np.linalg.norm(c1.m)
-    m2 = c2.m / np.linalg.norm(c2.m)
-    f0 = float(np.linalg.det(m1))
-    f3 = float(np.linalg.det(m2))
-    fp = float(np.linalg.det(m1 + m2))
-    fm = float(np.linalg.det(m1 - m2))
-    c2_ = (fp + fm) / 2.0 - f0
-    c1_ = (fp - fm) / 2.0 - f3
-    roots = np.roots([f3, c2_, c1_, f0])
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-7 * (1.0 + abs(r)):
-            continue
-        D = m1 + float(r.real) * m2
-        try:
-            out.append(conics.split_degenerate(Conic(D, "cartesian")))
-        except Exception:
-            continue
-    return out
-
-
 def two_branch_chord(tr: ConicTriad, pair_index: int) -> LineEq:
     """Chord through the opposite-branch intersections of a hyperbola pair.
 
@@ -336,7 +313,7 @@ def two_branch_chord(tr: ConicTriad, pair_index: int) -> LineEq:
     scale = tr.t.scale()
     best = None
     best_score = math.inf
-    for g, h in _pencil_degenerate_lines(ci, cj):
+    for g, h in pencil_degenerate_lines(ci, cj):
         for soddy_line, chord in ((g, h), (h, g)):
             score = _line_contains(soddy_line, x176)
             if x175 is not None:

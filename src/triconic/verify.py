@@ -69,6 +69,7 @@ from .geom import (
     signed_area,
 )
 from .loci import (
+    bisect_sign_changes,
     covertex_conic_check,
     equilateral_ostar_locus_check,
     find_phyp_circle_points,
@@ -285,26 +286,6 @@ def _detn_v_ellipse(ax, ay, bx, by, cx, cy) -> float:
     return math.nan if status else detn
 
 
-def _bisect_sign_change(f, lo: float, hi: float, steps: int = 60) -> float | None:
-    """First sign change of f on [lo, hi]: scan then bisect to ~1e-13."""
-    prev_s, prev_f = lo, f(lo)
-    for k in range(1, steps + 1):
-        s = lo + (hi - lo) * k / steps
-        v = f(s)
-        if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
-            a, b, fa = prev_s, s, prev_f
-            for _ in range(80):
-                m = (a + b) / 2.0
-                fm = f(m)
-                if (fa < 0.0) != (fm < 0.0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            return (a + b) / 2.0
-        prev_s, prev_f = s, v
-    return None
-
-
 def _chk_degenerate_iff_right(cfg) -> float:
     (ax, ay), (bx, by) = cfg["ab"]
     ang = cfg["angle"]
@@ -318,7 +299,7 @@ def _chk_degenerate_iff_right(cfg) -> float:
         c = Point2(m.x + s * r * d.x, m.y + s * r * d.y)
         return _detn_v_ellipse(A.x, A.y, B.x, B.y, c.x, c.y)
 
-    s = _bisect_sign_change(detn, 0.8, 1.2)
+    s = next(bisect_sign_changes(detn, 0.8, 1.2), None)
     if s is None:
         return 1.0
     C = Point2(m.x + s * r * d.x, m.y + s * r * d.y)
@@ -351,10 +332,10 @@ def _deg8_root_on_ray(A: Point2, B: Point2, ang: float) -> float | None:
         c = Point2(m.x + s * r * d.x, m.y + s * r * d.y)
         try:
             return parabola_deg8_V(*Triangle(A, B, c).sides())
-        except Exception:
+        except DegenerateTriangle:
             return math.nan
 
-    return _bisect_sign_change(deg8, 1.05, 6.0, steps=240)
+    return next(bisect_sign_changes(deg8, 1.05, 6.0, steps=240), None)
 
 
 def _chk_type_regions_V(cfg) -> float:
@@ -384,9 +365,7 @@ def _chk_type_regions_V(cfg) -> float:
     )
     if status:
         return 1.0
-    Acf, Bcf, Ccf = co[0], co[1], co[2]
-    nrm = kernels.frobenius(co)
-    worst = max(worst, abs(Acf / nrm * (Ccf / nrm) - (Bcf / (2 * nrm)) ** 2))
+    worst = max(worst, abs(kernels.classify_code(co)[2]))
     # (iii) generic interior C -> ellipse or hyperbola.
     status, code, _, _, _ = kernels.six_point(
         A.x, A.y, B.x, B.y, t.c.x, t.c.y, kernels.KIND_V_ELLIPSE, 0.0, 0.0
@@ -472,23 +451,7 @@ def _chk_degenerate_on_circumcircle(cfg) -> float:
         return math.nan if st else dd
 
     on = abs(detn(1.0))
-    crossings = []
-    lo, hi, steps = 0.97, 1.03, 60
-    prev_s, prev_f = lo, detn(lo)
-    for k in range(1, steps + 1):
-        s = lo + (hi - lo) * k / steps
-        f = detn(s)
-        if math.isfinite(prev_f) and math.isfinite(f) and (prev_f < 0.0) != (f < 0.0):
-            a, b, fa = prev_s, s, prev_f
-            for _ in range(80):
-                m = (a + b) / 2.0
-                fm = detn(m)
-                if (fa < 0.0) != (fm < 0.0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            crossings.append((a + b) / 2.0)
-        prev_s, prev_f = s, f
+    crossings = list(bisect_sign_changes(detn, 0.97, 1.03))
     if not crossings:
         return 1.0
     nearest = min(abs(s - 1.0) for s in crossings)
@@ -665,23 +628,8 @@ def _chk_soddy_intersections(cfg) -> float:
 
 
 def _sextic_root_on_vertical(x: float) -> Point2 | None:
-    lo, hi, n = 0.25, 1.4, 280
-    prev = halftangent_sextic(x, lo)
-    for k in range(1, n + 1):
-        y = lo + (hi - lo) * k / n
-        v = halftangent_sextic(x, y)
-        if (prev < 0.0) != (v < 0.0):
-            a, b, fa = y - (hi - lo) / n, y, prev
-            for _ in range(80):
-                m = (a + b) / 2.0
-                fm = halftangent_sextic(x, m)
-                if (fa < 0.0) != (fm < 0.0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            return Point2(x, (a + b) / 2.0)
-        prev = v
-    return None
+    y = next(bisect_sign_changes(lambda y: halftangent_sextic(x, y), 0.25, 1.4, steps=280), None)
+    return None if y is None else Point2(x, y)
 
 
 def _chk_halftangent_sextic(cfg) -> float:
@@ -692,22 +640,13 @@ def _chk_halftangent_sextic(cfg) -> float:
     t = Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), c)
     worst = abs(half_tangent_sum(t) - 2.0)
     # Converse: bisect the half-tangent condition itself; roots must agree.
-    lo, hi = 0.25, 1.4
     g = lambda y: half_tangent_sum(
         Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y))
     ) - 2.0
-    fa, fb = g(lo), g(hi)
-    if (fa < 0.0) == (fb < 0.0):
+    y = next(bisect_sign_changes(g, 0.25, 1.4, steps=1), None)
+    if y is None:
         return 1.0
-    a, b = lo, hi
-    for _ in range(80):
-        m = (a + b) / 2.0
-        fm = g(m)
-        if (fa < 0.0) != (fm < 0.0):
-            b = m
-        else:
-            a, fa = m, fm
-    return max(worst, abs((a + b) / 2.0 - c.y))
+    return max(worst, abs(y - c.y))
 
 
 def _chk_vhyp_through_vell(cfg) -> float:
@@ -888,12 +827,9 @@ def _phyp_parabola_root(t: Triangle, ang: float) -> float | None:
 
     def cond(s):
         p = Point2(cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y)
-        try:
-            return phyp_parabola_condition(*t.sides(), *_lambdas(t, p))
-        except Exception:
-            return math.nan
+        return phyp_parabola_condition(*t.sides(), *_lambdas(t, p))
 
-    return _bisect_sign_change(cond, 0.08, 2.4, steps=300)
+    return next(bisect_sign_changes(cond, 0.08, 2.4, steps=300), None)
 
 
 def _chk_phyp_parabola(cfg) -> float:
@@ -918,12 +854,9 @@ def _chk_phyp_parabola(cfg) -> float:
             t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y,
             kernels.KIND_P_HYPERBOLA, p.x, p.y,
         )
-        if st:
-            return math.nan
-        nrm = kernels.frobenius(co)
-        return (co[0] / nrm) * (co[2] / nrm) - (co[1] / (2.0 * nrm)) ** 2
+        return math.nan if st else kernels.classify_code(co)[2]
 
-    s_disc = _bisect_sign_change(discn, found - 2e-3, found + 2e-3, steps=40)
+    s_disc = next(bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40), None)
     if s_disc is None:
         return 1.0
     # offset tolerance 1e-6 scaled into the 1e-9 threshold

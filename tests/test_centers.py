@@ -208,6 +208,10 @@ def test_cevian_anticevian(t_generic, rng):
     back = cevian_triangle(anti, q_in_anti)
     for v, w in zip(back.vertices(), t_generic.vertices()):
         assert distance(v, w) < 1e-9
+    # A vertex has no cevian triangle, a sideline point a collinear one.
+    for q in (BaryCoords(1.0, 0.0, 0.0), BaryCoords(0.3, 0.7, 0.0)):
+        with pytest.raises(DegenerateResult):
+            cevian_triangle(t_generic, q)
 
 
 def test_reflection_triangle(t345):

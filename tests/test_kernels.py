@@ -45,7 +45,52 @@ def test_classify_code_matches_module(rng):
         if kernels.frobenius(co) < 1e-9:
             continue
         want = classify(Conic.from_coeffs(co)).value
-        assert kernels.classify_code(co) == _CLASS_TO_NAME[want]
+        assert kernels.classify_code(co)[0] == _CLASS_TO_NAME[want]
+
+
+def _threshold_cases():
+    """(coefficients, code) just inside and just outside each threshold of
+    classify_code.  Normalized values scale with 1/n: n = sqrt(2) for
+    diag(1, -1, f) up to O(f^2), sqrt(1.5) for the parabola family, sqrt(3)
+    for the circle and rectangular families and 1 for diag(1, d, 0)."""
+    k = kernels
+    tol = 1e-10  # DET_DEGENERATE_TOL and DISC_PARABOLA_TOL
+    det = tol * 2.0**1.5  # |det| of diag(1, -1, f) / n^3 is about f / 2^1.5
+    disc = tol * 1.5  # disc of (1, 0, d, 0, 1, 0) / n^2 is d / 1.5
+    axes = tol * math.sqrt(3.0)  # A - C, B and A + C of the circle and rectangular families
+    return [
+        ((1.0, 0.0, -1.0, 0.0, 0.0, 0.5 * det), k.CLASS_DEGENERATE_TWO_LINES),
+        ((1.0, 0.0, -1.0, 0.0, 0.0, 2.0 * det), k.CLASS_RECTANGULAR_HYPERBOLA),
+        ((1.0, 0.0, 0.5 * tol, 0.0, 0.0, 0.0), k.CLASS_DEGENERATE_PARALLEL_LINES),
+        ((1.0, 0.0, 2.0 * tol, 0.0, 0.0, 0.0), k.CLASS_DEGENERATE_POINT),
+        ((1.0, 0.0, -2.0 * tol, 0.0, 0.0, 0.0), k.CLASS_DEGENERATE_TWO_LINES),
+        ((1.0, 0.0, 0.5 * disc, 0.0, 1.0, 0.0), k.CLASS_PARABOLA),
+        ((1.0, 0.0, -0.5 * disc, 0.0, 1.0, 0.0), k.CLASS_PARABOLA),
+        ((1.0, 0.0, 2.0 * disc, 0.0, 1.0, 0.0), k.CLASS_ELLIPSE),
+        ((1.0, 0.0, -2.0 * disc, 0.0, 1.0, 0.0), k.CLASS_HYPERBOLA),
+        ((1.0, 0.0, 1.0 + 0.5 * axes, 0.0, 0.0, -1.0), k.CLASS_CIRCLE),
+        ((1.0, 0.0, 1.0 + 2.0 * axes, 0.0, 0.0, -1.0), k.CLASS_ELLIPSE),
+        ((1.0, axes, 1.0, 0.0, 0.0, -1.0), k.CLASS_CIRCLE),
+        ((1.0, 4.0 * axes, 1.0, 0.0, 0.0, -1.0), k.CLASS_ELLIPSE),
+        ((1.0, 0.0, -1.0 + 0.5 * axes, 0.0, 0.0, -1.0), k.CLASS_RECTANGULAR_HYPERBOLA),
+        ((1.0, 0.0, -1.0 + 2.0 * axes, 0.0, 0.0, -1.0), k.CLASS_HYPERBOLA),
+        ((0.0,) * 6, k.CLASS_FAILED),
+        ((1.0, 0.0, math.nan, 0.0, 0.0, -1.0), k.CLASS_FAILED),
+        ((1.0, 0.0, math.inf, 0.0, 0.0, -1.0), k.CLASS_FAILED),
+    ]
+
+
+def test_classify_code_thresholds_agree_on_floats_scalars_and_arrays():
+    cases = _threshold_cases()
+    with np.errstate(all="ignore"):
+        codes, dets, discs = kernels.classify_code(np.array([co for co, _ in cases]).T)
+        scalars = [kernels.classify_code(tuple(np.float64(t) for t in co)) for co, _ in cases]
+    assert codes.tolist() == [want for _, want in cases]
+    for (co, want), scalar, det, disc in zip(cases, scalars, dets, discs):
+        got = kernels.classify_code(co)
+        assert type(got[0]) is int and got[0] == want and scalar[0] == want, co
+        if want != kernels.CLASS_FAILED:
+            assert got[1:] == scalar[1:] == (det, disc), co
 
 
 def test_six_point_matches_module(rng, t_generic):

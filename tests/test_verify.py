@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from triconic import config, verify
+from triconic import centers, conic, config, render, triads, verify
+from triconic.conic import Conic
 from triconic.errors import DegenerateTriangle, UnknownProposition
+from triconic.geom import BaryCoords, Point2, Triangle
 from triconic.verify import (
     MANIFEST,
     PROPOSITION_IDS,
@@ -61,6 +63,56 @@ def test_random_triangle_redraws_only_degenerate(monkeypatch):
     with pytest.raises(TypeError):
         random_triangle(rng)
     assert not errors
+
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("bug")
+
+
+def _tri():
+    return Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))
+
+
+def _lines():
+    return Conic.from_coeffs([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+
+
+# (module holding the name, name to break, call that reaches its handler)
+_HANDLERS = {
+    "deg8_root_on_ray": (
+        verify, "parabola_deg8_V",
+        lambda: verify._deg8_root_on_ray(Point2(-1.0, 0.0), Point2(1.0, 0.0), 1.2),
+    ),
+    "phyp_parabola_root": (
+        verify, "phyp_parabola_condition", lambda: verify._phyp_parabola_root(_tri(), 0.7),
+    ),
+    "conic_samples": (
+        render, "split_degenerate", lambda: render._conic_samples(_lines(), (-1, 1, -1, 1)),
+    ),
+    "cevian_triangle": (
+        centers, "bary_to_cartesian",
+        lambda: centers.cevian_triangle(_tri(), BaryCoords(1.0, 1.0, 1.0)),
+    ),
+    "anticevian_triangle": (
+        centers, "bary_to_cartesian",
+        lambda: centers.anticevian_triangle(_tri(), BaryCoords(1.0, 1.0, 1.0)),
+    ),
+    "two_branch_chord": (
+        conic, "split_degenerate",
+        lambda: triads.two_branch_chord(triads.build_triad(_tri(), "v_hyperbola"), 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("handler", sorted(_HANDLERS))
+def test_programming_errors_surface_through_handlers(handler, monkeypatch):
+    # Each handler catches only the library errors its call can raise; an
+    # injected TypeError must not turn into a nan, an empty result or a
+    # library error.
+    module, name, call = _HANDLERS[handler]
+    monkeypatch.setattr(module, name, _raise_type_error)
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
