@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np

@@ -56,7 +56,7 @@ class Conic:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"conic matrix must be 3x3, got {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
+        if not np.abs(m - m.T).max() <= 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError("conic matrix must be symmetric")
         norm = np.linalg.norm(m)
         if norm == 0.0:
@@ -322,20 +322,6 @@ def conic_bary_to_cartesian(c: Conic, t: Triangle) -> Conic:
     return Conic(T.T @ c.m @ T, "cartesian")
 
 
-def conic_cartesian_to_bary(c: Conic, t: Triangle) -> Conic:
-    """Inverse frame change of conic_bary_to_cartesian."""
-    if c.frame != "cartesian":
-        raise ValueError("conic is not in the cartesian frame")
-    V = np.array(
-        [
-            [t.a.x, t.b.x, t.c.x],
-            [t.a.y, t.b.y, t.c.y],
-            [1.0, 1.0, 1.0],
-        ]
-    )
-    return Conic(V.T @ c.m @ V, "bary")
-
-
 def split_degenerate(c: Conic) -> tuple[LineEq, LineEq]:
     """Split a degenerate conic into its two (possibly equal) real lines.
 
@@ -371,15 +357,13 @@ def split_degenerate(c: Conic) -> tuple[LineEq, LineEq]:
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
+    rows = m.tolist()
     out = np.empty((3, 3))
     for i in range(3):
+        r0, r1 = (rows[k] for k in range(3) if k != i)
         for j in range(3):
-            r = [k for k in range(3) if k != i]
-            s = [k for k in range(3) if k != j]
-            minor = m[np.ix_(r, s)]
-            out[j, i] = ((-1) ** (i + j)) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
+            c0, c1 = (k for k in range(3) if k != j)
+            out[j, i] = ((-1) ** (i + j)) * (r0[c0] * r1[c1] - r0[c1] * r1[c0])
     return out
 
 

@@ -49,10 +49,6 @@ class PointOffSideline(TriconicError):
     """A point expected on a sideline is not on it."""
 
 
-class NoRealIntersection(TriconicError):
-    """A conic pair has no real intersection (reported per pair)."""
-
-
 class NotFound(TriconicError):
     """A required construction point could not be located."""
 

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateTriangle,
     ParallelLines,
     PointAtInfinity,
-    PointOffSideline,
 )
 
 
@@ -258,13 +257,3 @@ def reflect_about_line(p: Point2, line: LineEq) -> Point2:
     d = line.eval_point(p) / (line.l * line.l + line.m * line.m)
     return Point2(p.x - 2.0 * d * line.l, p.y - 2.0 * d * line.m)
 
-
-def foot_on_line(p: Point2, line: LineEq) -> Point2:
-    d = line.eval_point(p) / (line.l * line.l + line.m * line.m)
-    return Point2(p.x - d * line.l, p.y - d * line.m)
-
-
-def require_on_sideline(p: Point2, end1: Point2, end2: Point2) -> None:
-    """Raise unless p is on the (infinite) line through end1, end2."""
-    if not collinear(p, end1, end2):
-        raise PointOffSideline(f"{p} not on line through {end1}, {end2}")

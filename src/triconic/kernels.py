@@ -3,9 +3,11 @@
 These are the inner-loop primitives used by region maps and the verifier:
 construct a triad's six vertices, fit the conic through five of them by
 cofactor expansion, classify, and evaluate residuals.  The scalar functions
-serve one-off calls (the bisection loops of the verifier) and are the
-reference in tests; `six_point_batch` runs the same arithmetic, in the same
-order, on whole grids of driver points.
+serve one-off calls (the Brent polish of the verifier's sign scans) and are
+the reference in tests; `six_point_batch` runs the same arithmetic, in the
+same order, on whole grids of driver points (region maps and the verifier's
+scan grids), and returns the normalized determinant and discriminant beside
+the class codes, bit for bit the scalar values.
 
 `classify_code` holds the conic-type policy for the whole package: one
 threshold ladder on the Frobenius-normalized coefficients, applied to
@@ -363,26 +365,38 @@ _BATCH_CHUNK = 4096
 
 
 def six_point_batch(ax, ay, bx, by, cx, cy, kind, px, py):
-    """Class codes of six_point over broadcastable arrays of the inputs.
+    """six_point over broadcastable arrays of the inputs: the class codes,
+    and the normalized determinant and discriminant of classify_code.
 
-    `kind` is one KIND_* code for the whole batch.  The result has the
-    broadcast shape and holds CLASS_FAILED wherever six_point reports a
-    failure: a member degenerates, or the fit is zero or not finite.
+    `kind` is one KIND_* code for the whole batch.  Each result has the
+    broadcast shape.  Wherever six_point reports a failure (a member
+    degenerates, or the fit is zero or not finite) the code is
+    CLASS_FAILED and det and disc are NaN; elsewhere they are bit for bit
+    six_point's det_normalized and classify_code's disc.
     """
     args = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, px, py))
     )
     flat = [v.ravel() for v in args]
     codes = np.empty(flat[0].size, dtype=np.intp)
+    det = np.empty(flat[0].size)
+    disc = np.empty(flat[0].size)
     for lo in range(0, codes.size, _BATCH_CHUNK):
-        part = [v[lo : lo + _BATCH_CHUNK] for v in flat]
-        codes[lo : lo + _BATCH_CHUNK] = _codes(*part[:6], kind, *part[6:])
-    return codes.reshape(args[0].shape)
+        cut = slice(lo, lo + _BATCH_CHUNK)
+        part = [v[cut] for v in flat]
+        codes[cut], det[cut], disc[cut] = _codes(*part[:6], kind, *part[6:])
+    shape = args[0].shape
+    return codes.reshape(shape), det.reshape(shape), disc.reshape(shape)
 
 
 def _codes(ax, ay, bx, by, cx, cy, kind, px, py):
     """six_point_batch on 1-d arrays of equal length."""
     with np.errstate(all="ignore"):
         xs, ys, failed = _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
-        codes, _, _ = classify_code(_fit5_batch(xs[:5], ys[:5]))
-    return np.where(failed, CLASS_FAILED, codes)
+        codes, det, disc = classify_code(_fit5_batch(xs[:5], ys[:5]))
+    failed |= codes == CLASS_FAILED
+    return (
+        np.where(failed, CLASS_FAILED, codes),
+        np.where(failed, math.nan, det),
+        np.where(failed, math.nan, disc),
+    )

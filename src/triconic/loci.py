@@ -623,9 +623,9 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
     }[kind]
     if kind == "v_ellipse_over_C":
-        codes = kernels.six_point_batch(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)
+        codes, _, _ = kernels.six_point_batch(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)
     else:
-        codes = kernels.six_point_batch(ax, ay, bx, by, cx, cy, kcode, xs, ys)
+        codes, _, _ = kernels.six_point_batch(ax, ay, bx, by, cx, cy, kcode, xs, ys)
     rows = [tuple(kernels.CLASS_NAMES[c] for c in row) for row in codes.tolist()]
     return RegionGrid(tuple(bbox), nx, ny, tuple(rows))
 
@@ -739,32 +739,36 @@ def covertex_conconic_V(x: float, y: float) -> float:
     return float(np.linalg.det(m))
 
 
-def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60):
+def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     """Sign changes of f on [lo, hi], in order, as a generator.
 
-    Scans `steps` equal cells and bisects each one whose end values are
-    finite and of opposite sign to ~1e-13 (80 halvings); the first root is
-    next(bisect_sign_changes(...), None) and costs no further evaluations.
+    Scans the grid lo + (hi - lo) * k / steps, k = 0..steps, and polishes
+    each cell whose end values are finite and of opposite sign with Brent's
+    method (scipy.optimize.brentq, to about 4 ulp).  A value of exactly 0
+    counts as positive in the scan, and Brent returns a cell end where f is
+    0 as the root itself: a grid zero that f touches from below is reported
+    by both of its cells, one it touches from above by neither.  Cells with
+    a NaN or infinite end are skipped.
+
+    f_grid, when given, is an array evaluator of f: called once with the
+    grid as an array, it returns f at every grid point, bit for bit f's
+    values, and replaces the scalar scan.  Without it the scan is lazy: the
+    first root is next(bisect_sign_changes(...), None), and no cell past it
+    is evaluated.  Brent always polishes with the scalar f.
     """
-    prev_s, prev_f = lo, f(lo)
-    for k in range(1, steps + 1):
-        s = lo + (hi - lo) * k / steps
-        v = f(s)
+    grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
+    values = map(f, grid) if f_grid is None else f_grid(np.array(grid)).tolist()
+    cells = zip(grid, values)
+    prev_s, prev_f = next(cells)
+    for s, v in cells:
         if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
-            a, b, fa = prev_s, s, prev_f
-            for _ in range(80):
-                m = (a + b) / 2.0
-                fm = f(m)
-                if (fa < 0.0) != (fm < 0.0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            yield (a + b) / 2.0
+            yield optimize.brentq(f, prev_s, s, xtol=1e-300, rtol=8.9e-16)
         prev_s, prev_f = s, v
 
 
 def _bisect_along_ray(g, lo: float, hi: float) -> float:
-    """First root of g on [lo, hi], scanned in 400 cells."""
+    """First root of g on [lo, hi]: the first sign change of a 400-cell
+    scan, polished by Brent's method."""
     r = next(bisect_sign_changes(g, lo, hi, steps=400), None)
     if r is None:
         raise DriverNotOnLocus("no sign change along the scan ray")

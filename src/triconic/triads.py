@@ -24,7 +24,6 @@ from .conic import (
     fit_conic_5pts,
     pencil_degenerate_lines,
     residual,
-    vertices_of_focal_conic,
     covertices_of_focal_conic,
 )
 from .errors import (

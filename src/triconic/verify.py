@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .appendix import BLOCK_NAMES, check_appendix
+from .appendix import check_appendix
 from .centers import (
     anticevian_triangle,
     center_bary,
@@ -31,7 +31,6 @@ from .centers import (
     classic_center,
     excircle_tangency_points,
     half_tangent_sum,
-    incircle,
     intouch_extouch,
     soddy,
     soddy_centers,
@@ -39,10 +38,8 @@ from .centers import (
 from .conic import (
     Conic,
     ConicClass,
-    classify,
     conic_bary_to_cartesian,
     conic_from_foci,
-    fit_conic_5pts,
     residual,
     residual_bary,
     tangency_discriminant,
@@ -56,12 +53,10 @@ from .errors import (
 )
 from .geom import (
     BaryCoords,
-    LineEq,
     Point2,
     Triangle,
     bary_to_cartesian,
     cartesian_to_bary,
-    collinear,
     distance,
     line_through,
     midpoint,
@@ -81,14 +76,12 @@ from .loci import (
     pstar_circle_functional,
     region_map,
     sample_locus_ostar,
-    sample_locus_x478,
     x478_quartic,
     _deltas,
     _lambdas,
 )
 from .triads import (
     build_triad,
-    carnot_product,
     concurrency_theorems,
     equal_area_check,
     pairwise_intersections,
@@ -295,15 +288,21 @@ def _chk_degenerate_iff_right(cfg) -> float:
     r = distance(A, B) / 2.0
     d = Point2(math.cos(ang), math.sin(ang))
 
-    def detn(s):
-        c = Point2(m.x + s * r * d.x, m.y + s * r * d.y)
-        return _detn_v_ellipse(A.x, A.y, B.x, B.y, c.x, c.y)
+    def ray(s):
+        return m.x + s * r * d.x, m.y + s * r * d.y
 
-    s = next(bisect_sign_changes(detn, 0.8, 1.2), None)
+    def detn(s):
+        return _detn_v_ellipse(A.x, A.y, B.x, B.y, *ray(s))
+
+    def detn_grid(s):
+        return kernels.six_point_batch(
+            A.x, A.y, B.x, B.y, *ray(s), kernels.KIND_V_ELLIPSE, 0.0, 0.0
+        )[1]
+
+    s = next(bisect_sign_changes(detn, 0.8, 1.2, f_grid=detn_grid), None)
     if s is None:
         return 1.0
-    C = Point2(m.x + s * r * d.x, m.y + s * r * d.y)
-    t = Triangle(A, B, C)
+    t = Triangle(A, B, Point2(*ray(s)))
     # Some angle is right at any det-sign crossing (the degenerate locus in C
     # is the diameter circle plus the two tangent lines at A and B).
     aa, bb, cc = t.sides()
@@ -443,15 +442,22 @@ def _chk_degenerate_on_circumcircle(cfg) -> float:
     ang = cfg["angle"]
     d = Point2(math.cos(ang), math.sin(ang))
 
+    def ray(s):
+        return cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
+
     def detn(s):
-        p = Point2(cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y)
         st, _, _, dd, _ = kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, p.x, p.y
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, *ray(s)
         )
         return math.nan if st else dd
 
+    def detn_grid(s):
+        return kernels.six_point_batch(
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, *ray(s)
+        )[1]
+
     on = abs(detn(1.0))
-    crossings = list(bisect_sign_changes(detn, 0.97, 1.03))
+    crossings = list(bisect_sign_changes(detn, 0.97, 1.03, f_grid=detn_grid))
     if not crossings:
         return 1.0
     nearest = min(abs(s - 1.0) for s in crossings)
@@ -846,17 +852,24 @@ def _chk_phyp_parabola(cfg) -> float:
     if found is None:
         return 1.0
 
+    def ray(s):
+        return cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
+
     def discn(s):
-        p = Point2(
-            cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
-        )
         st, _, _, _, co = kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y,
-            kernels.KIND_P_HYPERBOLA, p.x, p.y,
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, *ray(s)
         )
         return math.nan if st else kernels.classify_code(co)[2]
 
-    s_disc = next(bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40), None)
+    def discn_grid(s):
+        return kernels.six_point_batch(
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, *ray(s)
+        )[2]
+
+    s_disc = next(
+        bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40, f_grid=discn_grid),
+        None,
+    )
     if s_disc is None:
         return 1.0
     # offset tolerance 1e-6 scaled into the 1e-9 threshold

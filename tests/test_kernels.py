@@ -188,3 +188,37 @@ def test_backend_is_py():
     assert kernels.BACKEND == "py"
     assert kernels.KIND_CODES["v_ellipse"] == kernels.KIND_V_ELLIPSE
     assert kernels.CLASS_NAMES[kernels.CLASS_FAILED] == "degenerate"
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (10.0, 10.0), (100.0, 100.0)])
+@pytest.mark.parametrize(
+    "kind", [kernels.KIND_V_ELLIPSE, kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA]
+)
+def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
+    # det and disc of the batch kernel are six_point's det_normalized and
+    # classify_code's disc to the last bit; failed columns are NaN.
+    ox, oy = offset
+    ax, ay, bx, by, cx, cy = 0.0 + ox, 3.0 + oy, 4.0 + ox, 0.0 + oy, 0.0 + ox, 0.0 + oy
+    # Random drivers, plus drivers on the line x = ox through side CA (a
+    # P-triad member degenerates there) and on vertex A (side b vanishes
+    # when C is driven onto it).
+    xs = np.concatenate([rng.uniform(-2.0, 6.0, 300) + ox, np.full(15, ox), [ax]])
+    ys = np.concatenate([rng.uniform(-2.0, 5.0, 300) + oy, np.linspace(-2.0, 5.0, 15) + oy, [ay]])
+    if kind == kernels.KIND_V_ELLIPSE:
+        args = (ax, ay, bx, by, xs, ys, kind, 0.0, 0.0)
+    else:
+        args = (ax, ay, bx, by, cx, cy, kind, xs, ys)
+    codes, det, disc = kernels.six_point_batch(*args)
+    failed = 0
+    for i in range(xs.size):
+        one = [v if np.isscalar(v) else float(v[i]) for v in args]
+        status, code, _, detn, co = kernels.six_point(*one)
+        if status:
+            failed += 1
+            assert codes[i] == kernels.CLASS_FAILED
+            assert math.isnan(det[i]) and math.isnan(disc[i])
+        else:
+            assert codes[i] == code
+            assert det[i].item() == detn
+            assert disc[i].item() == kernels.classify_code(co)[2]
+    assert failed > 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triconic import loci
+from triconic import kernels, loci
 from triconic.centers import circumcircle, classic_center, incircle
 from triconic.conic import ConicClass, classify, residual
 from triconic.errors import NotConverged, RadicalDomainError
@@ -447,3 +447,83 @@ def test_covertex_branch_split_reported():
     assert rep.branch_split is not None
     assert sum(rep.branch_split) == 6
     assert rep.branch_split in ((3, 3), (5, 1))
+
+
+def _cubic(s):
+    return (s - 0.3) * (s - 1.1) * (s - 2.05)
+
+
+def test_bisect_sign_changes_array_evaluator_same_roots(t_generic):
+    # A polynomial with three crossings, and the P-ellipse determinant along
+    # a ray through the circumcircle, each scanned by scalar calls and by
+    # one array call.
+    assert list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=50)) == list(
+        loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=50, f_grid=_cubic)
+    )
+    t = t_generic
+    cc = circumcircle(t)
+    d = (math.cos(0.7), math.sin(0.7))
+
+    def args(s):
+        return (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE,
+                cc.center.x + s * cc.radius * d[0], cc.center.y + s * cc.radius * d[1])
+
+    def detn(s):
+        st, _, _, dd, _ = kernels.six_point(*args(s))
+        return math.nan if st else dd
+
+    scalar = list(loci.bisect_sign_changes(detn, 0.5, 1.5))
+    batched = list(loci.bisect_sign_changes(
+        detn, 0.5, 1.5, f_grid=lambda s: kernels.six_point_batch(*args(s))[1]
+    ))
+    assert scalar == batched and any(abs(s - 1.0) < 1e-9 for s in scalar)
+
+
+def test_bisect_sign_changes_brent_root_within_4_ulp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = float(mpmath.findroot(lambda x: x**3 - 2 * x - 5, 2.1))
+    for lo, hi, steps in ((1.0, 3.0, 60), (0.0, 4.0, 7), (-3.0, 5.0, 13)):
+        (got,) = loci.bisect_sign_changes(lambda s: s * s * s - 2.0 * s - 5.0, lo, hi, steps)
+        assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_bisect_sign_changes_exact_zero_and_nan_cells():
+    # A grid zero ending a bracketed cell is the root itself, in either
+    # direction of the crossing.
+    assert list(loci.bisect_sign_changes(lambda s: s - 0.5, 0.0, 1.0, steps=2)) == [0.5]
+    assert list(loci.bisect_sign_changes(lambda s: 0.5 - s, 0.0, 1.0, steps=2)) == [0.5]
+    # Zero counts as positive: a grid zero touched from below is reported by
+    # both of its cells, one touched from above by neither.
+    assert list(loci.bisect_sign_changes(lambda s: -(s - 0.5) ** 2, 0.0, 1.0, steps=2)) == [0.5, 0.5]
+    assert list(loci.bisect_sign_changes(lambda s: (s - 0.5) ** 2, 0.0, 1.0, steps=2)) == []
+
+    # Cells with a NaN or infinite end are skipped: the crossing at 0.5
+    # sits beside the NaN grid point, the one at 0.75 beside the infinite
+    # one, and only the crossing at 0.25 is found.
+    def f(s):
+        if s == 0.5:
+            return math.nan
+        if s == 0.8:
+            return math.inf
+        return -(s - 0.25) * (s - 0.5) * (s - 0.75)
+
+    def f_grid(s):
+        return np.array([f(v) for v in s.tolist()])
+
+    for kw in ({}, {"f_grid": f_grid}):
+        (root,) = loci.bisect_sign_changes(f, 0.0, 1.0, steps=10, **kw)
+        assert root == pytest.approx(0.25, abs=1e-15)
+
+
+def test_bisect_sign_changes_scalar_scan_is_lazy():
+    seen = []
+
+    def f(s):
+        seen.append(s)
+        return (s - 0.26) * (s - 0.74)
+
+    root = next(loci.bisect_sign_changes(f, 0.0, 1.0, steps=20))
+    assert root == pytest.approx(0.26, abs=1e-15)
+    # No grid point past the first bracketed cell [0.25, 0.3] was evaluated.
+    assert max(seen) == 0.3
