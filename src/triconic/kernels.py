@@ -1,13 +1,17 @@
 """Six-point kernels, scalar and numpy batch, and the one conic classifier.
 
-These are the inner-loop primitives used by region maps and the verifier:
-construct a triad's six vertices, fit the conic through five of them by
-cofactor expansion, classify, and evaluate residuals.  The scalar functions
-serve one-off calls (the Brent polish of the verifier's sign scans) and are
-the reference in tests; `six_point_batch` runs the same arithmetic, in the
-same order, on whole grids of driver points (region maps and the verifier's
-scan grids), and returns the normalized determinant and discriminant beside
-the class codes, bit for bit the scalar values.
+These are the inner-loop primitives used by region maps, the verifier and
+the O* locus sweep: construct a triad's six vertices, fit the conic through
+five of them by cofactor expansion, classify, and evaluate residuals.  The
+scalar functions serve one-off calls (the Brent polish of the verifier's
+sign scans) and are the reference in tests; `six_point_batch` runs the same
+arithmetic, in the same order, on whole grids of driver points (region maps
+and the verifier's scan grids), and returns the normalized determinant and
+discriminant beside the class codes, bit for bit the scalar values.
+`loci.sample_locus_ostar` calls the batch pieces directly: the vertices of
+every driver on the circumcircle from `_vertices_batch`, and `_fit5_batch`
+on five of them moved into their own frame (centroid and RMS spread, the
+frame of `conic.fit_conic_5pts`), where it finds each conic's center.
 
 `classify_code` holds the conic-type policy for the whole package: one
 threshold ladder on the Frobenius-normalized coefficients, applied to
@@ -16,9 +20,9 @@ verifier's parabola checks call it.
 
 The cofactor five-point fit depends polynomially on the input points, so
 the determinant of the fitted matrix varies continuously along parameter
-sweeps (needed for sign-bracketing of degeneracy boundaries).  The public
-object-level API in triconic.conic uses the SVD route instead; the two are
-compared in tests.
+sweeps (needed for sign-bracketing of degeneracy boundaries).  The object
+API's `conic.fit_conic_5pts` fits by SVD instead, in the same frame;
+tests/test_kernels.py checks that the two fits agree.
 """
 
 import itertools
@@ -272,8 +276,9 @@ _math_hypot = np.frompyfunc(math.hypot, 2, 1)
 def _hypot(x, y):
     # math.hypot, not np.hypot: the two differ in the last bit on about 1%
     # of inputs, and with math.hypot the batch kernel's vertices and fits
-    # are bit for bit those of the scalar kernel.
-    return _math_hypot(x, y).astype(float)
+    # are bit for bit those of the scalar kernel.  Scalars give a float.
+    h = _math_hypot(x, y)
+    return h.astype(float) if isinstance(h, np.ndarray) else float(h)
 
 
 def _det5_batch(m):

@@ -10,6 +10,7 @@ positive branch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from . import kernels
 from .centers import (
     circumcircle,
     classic_center,
-    excircle_tangency_points,
     incircle,
     reflection_triangle,
 )
@@ -33,16 +33,19 @@ from .conic import (
     residual,
     tangency_discriminant,
 )
+from .config import DISC_PARABOLA_TOL, get_tol
 from .errors import (
     DegenerateMember,
+    DegenerateTriangle,
     DriverNotOnLocus,
     NotConverged,
+    ParallelLines,
     RadicalDomainError,
+    RankDeficient,
     TriconicError,
 )
 from .geom import (
     BaryCoords,
-    LineEq,
     Point2,
     Triangle,
     bary_to_cartesian,
@@ -188,20 +191,25 @@ def phyp_circle_functional(a, b, c, la, lb, lc) -> float:
     return f1 * f1 + f2 * f2 + f3 * f3
 
 
-def phyp_parabola_condition(a, b, c, la, lb, lc) -> float:
-    """Zero iff the P-hyperbola six-point conic is a parabola."""
+def phyp_parabola_condition(a, b, c, la, lb, lc):
+    """Zero iff the P-hyperbola six-point conic is a parabola; floats or
+    arrays, bit for bit alike."""
     a2, b2, c2 = a * a, b * b, c * c
     la2, lb2, lc2 = la * la, lb * lb, lc * lc
-    mu = (a * b * c) ** 2
+    # Squares as products, not ** 2: on floats ** goes through libm's pow,
+    # which differs from numpy's exact square in the last bit.
+    abc = a * b * c
+    q1, q2, q3 = c2 * la2 * lb2, b2 * la2 * lc2, a2 * lb2 * lc2
+    mu = abc * abc
     t = (
-        (c2 * la2 * lb2) ** 2
-        + (b2 * la2 * lc2) ** 2
-        + (a2 * lb2 * lc2) ** 2
+        q1 * q1
+        + q2 * q2
+        + q3 * q3
         + mu
         * (
             mu * (-3.0 + 4.0 * (la2 / a2 + lb2 / b2 + lc2 / c2))
             + 2.0 * la2 * lb2 * lc2 * (6.0 - la2 / a2 - lb2 / b2 - lc2 / c2)
-            - 6.0 * (c2 * la2 * lb2 + b2 * la2 * lc2 + a2 * lb2 * lc2)
+            - 6.0 * (q1 + q2 + q3)
         )
     )
     return t
@@ -250,47 +258,73 @@ class LocusSample:
     implicit_residual: float
 
 
-def x478_center_for_theta(theta: float) -> tuple[Point2, Point2]:
+def x478_center_for_theta(theta):
     """(C, degenerate-conic center) for C = (cos, sin)*(1/2) on the
     semicircle over AB, A=(1/2,0), B=(-1/2,0).
 
-    The six tangency points fall on two lines; the center is their
-    intersection, which stays well conditioned near the sweep endpoints.
+    A float theta gives two Point2s; an array of angles gives two (x, y)
+    pairs of arrays by the same arithmetic, each bit for bit the float call
+    on its angle.  The six excircle tangency points of ABC fall on two
+    lines, through {A1, B1, C2} and {A2, B2, C1} (right angle at C); each
+    line is drawn through the farthest pair of its triple, and the center
+    is their intersection, which stays well conditioned near the sweep
+    endpoints.
     """
-    A = Point2(0.5, 0.0)
-    B = Point2(-0.5, 0.0)
-    C = Point2(0.5 * math.cos(theta), 0.5 * math.sin(theta))
-    t = Triangle(A, B, C)
-    A1, A2, B1, B2, C1, C2 = excircle_tangency_points(t)
-    # Collinear triples of the degenerate six-point conic (right angle at C):
-    # {A1, B1, C2} and {A2, B2, C1}; use the farthest pair per triple.
-    l1 = _line_far_pair((A1, B1, C2))
-    l2 = _line_far_pair((A2, B2, C1))
-    return C, line_intersection(l1, l2)
+    cx, cy = 0.5 * np.cos(theta), 0.5 * np.sin(theta)
+    # Sides a = |BC|, b = |CA|, c = |AB| = 1 and the area test of Triangle.
+    a = kernels._hypot(-0.5 - cx, 0.0 - cy)
+    b = kernels._hypot(cx - 0.5, cy - 0.0)
+    c = 1.0
+    scale = np.maximum(np.maximum(a, b), c)
+    if np.any(np.abs(0.5 * cy) <= get_tol() * scale * scale):
+        raise DegenerateTriangle(f"C on the line AB at theta {theta}")
 
+    def cartesian(u, v, w):
+        # bary_to_cartesian on A, B, C.
+        s = u + v + w
+        return (u * 0.5 + v * -0.5 + w * cx) / s, (u * 0.0 + v * 0.0 + w * cy) / s
 
-def _line_far_pair(pts) -> LineEq:
-    best = None
-    dmax = -1.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = distance(pts[i], pts[j])
-            if d > dmax:
-                dmax = d
-                best = (pts[i], pts[j])
-    return line_through(*best)
+    # excircle_tangency_points.
+    L = a + b + c
+    ta, tb, tc = a - b - c, b - c - a, c - a - b
+    A1, A2, B1, B2, C1, C2 = (
+        cartesian(*uvw)
+        for uvw in (
+            (0.0, L, ta), (0.0, ta, L), (tb, 0.0, L), (L, 0.0, tb), (L, tc, 0.0), (tc, L, 0.0)
+        )
+    )
+    lines = []
+    for triple in ((A1, B1, C2), (A2, B2, C1)):
+        # line_through the farthest pair; argmax keeps the first of equal
+        # distances, as a scan with a strict comparison does.
+        pairs = list(itertools.combinations(triple, 2))
+        dist = [kernels._hypot(px - qx, py - qy) for (px, py), (qx, qy) in pairs]
+        far = np.argmax(dist, axis=0)
+        through = [(py - qy, qx - px, px * qy - qx * py) for (px, py), (qx, qy) in pairs]
+        lines.append(tuple(np.choose(far, coef) for coef in zip(*through)))
+    # line_intersection, with its parallel test.
+    (l1, m1, n1), (l2, m2, n2) = lines
+    det = l1 * m2 - l2 * m1
+    scale = np.maximum(abs(l1), abs(m1)) * np.maximum(abs(l2), abs(m2))
+    if np.any(abs(det) <= get_tol() * scale):
+        raise ParallelLines(f"tangency lines parallel at theta {theta}")
+    x = (m1 * n2 - m2 * n1) / det
+    y = (l2 * n1 - l1 * n2) / det
+    if np.ndim(theta) == 0:
+        return Point2(cx, cy), Point2(x, y)
+    return (cx, cy), (x, y)
 
 
 def sample_locus_x478(n: int, eps: float = 0.05) -> list[LocusSample]:
     """Sweep C over the open upper semicircle (minus eps at the ends)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    out = []
-    for k in range(n):
-        theta = eps + (math.pi - 2.0 * eps) * k / (n - 1)
-        C, cen = x478_center_for_theta(theta)
-        out.append(LocusSample(theta, C, cen, abs(x478_quartic(cen.x, cen.y))))
-    return out
+    theta = eps + (math.pi - 2.0 * eps) * np.arange(n) / (n - 1)
+    (cx, cy), (x, y) = x478_center_for_theta(theta)
+    return [
+        LocusSample(th, Point2(px, py), Point2(ox, oy), abs(x478_quartic(ox, oy)))
+        for th, px, py, ox, oy in zip(*(v.tolist() for v in (theta, cx, cy, x, y)))
+    ]
 
 
 _ARC_VERTEX_BARYS = {
@@ -325,61 +359,72 @@ def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
     return out
 
 
-def _arc_of_point(t: Triangle, p: Point2) -> str:
-    """Which circumcircle third contains p (by angle between vertex angles)."""
-    cc = circumcircle(t)
-    ang = {
-        "A": math.atan2(t.a.y - cc.center.y, t.a.x - cc.center.x),
-        "B": math.atan2(t.b.y - cc.center.y, t.b.x - cc.center.x),
-        "C": math.atan2(t.c.y - cc.center.y, t.c.x - cc.center.x),
-    }
-    ap = math.atan2(p.y - cc.center.y, p.x - cc.center.x)
-
-    def between(lo, hi, x):
-        width = (hi - lo) % (2.0 * math.pi)
-        return (x - lo) % (2.0 * math.pi) <= width
-
-    # Arc between B and C not containing A is the "a" arc, etc.
-    for arc, (u, v, other) in (
-        ("a", ("B", "C", "A")),
-        ("b", ("C", "A", "B")),
-        ("c", ("A", "B", "C")),
-    ):
-        lo, hi = ang[u], ang[v]
-        if between(lo, hi, ap) != between(lo, hi, ang[other]):
-            return arc
-    # Numerical tie: nearest vertex decides against its own arc.
-    d = {k: abs((ap - v) % (2 * math.pi)) for k, v in ang.items()}
-    nearest = min(d, key=d.get)
-    return {"A": "b", "B": "c", "C": "a"}[nearest]
-
-
 def sample_locus_ostar(
     t: Triangle, n: int, eps: float = 0.03
 ) -> tuple[list[LocusSample], dict[str, Conic]]:
     """Sweep P over the circumcircle; report each degenerate center O*
-    against the locus ellipse of P's arc."""
+    against the locus ellipse of P's arc.
+
+    P runs over the angles 2*pi*k/n, k < n, less those within eps of a
+    vertex, in one array pass.  The batch kernel gives every P's P-ellipse
+    vertices; the conic through A1 A2 B1 B2 C1 is fitted in the frame of
+    those five points (their centroid and RMS spread, as fit_conic_5pts
+    frames them), and its center comes from the gradient system in that
+    frame, where conic.center's no-finite-center test skips the sample.
+    P's arc is the one between the two vertex angles around P's angle.  A
+    degenerate triad member raises DegenerateMember and a vanishing fit
+    RankDeficient, as on the object path.
+    """
     cc = circumcircle(t)
     arcs = ostar_arc_ellipses(t)
+    # (angle about the circumcenter, index) per vertex, by angle; arcs
+    # "abc" are indexed as their opposite vertices.
     vertex_angles = sorted(
-        math.atan2(v.y - cc.center.y, v.x - cc.center.x) % (2 * math.pi)
-        for v in t.vertices()
+        (math.atan2(v.y - cc.center.y, v.x - cc.center.x) % (2 * math.pi), k)
+        for k, v in enumerate(t.vertices())
     )
-    samples = []
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n
-        if any(
-            min(abs(theta - va), 2 * math.pi - abs(theta - va)) < eps
-            for va in vertex_angles
-        ):
-            continue
-        p = cc.point_at(theta)
-        rep = six_point_conic(build_triad(t, "p_ellipse", p))
-        if rep.center is None:
-            continue
-        arc = _arc_of_point(t, p)
-        res = residual(arcs[arc], rep.center)
-        samples.append(LocusSample(theta, p, rep.center, res))
+    va = np.array([ang for ang, _ in vertex_angles])
+    theta = 2.0 * math.pi * np.arange(n) / n
+    gap = np.abs(theta[:, None] - va)
+    theta = theta[(np.minimum(gap, 2 * math.pi - gap) >= eps).all(axis=1)]
+    px = cc.center.x + cc.radius * np.cos(theta)
+    py = cc.center.y + cc.radius * np.sin(theta)
+    (ax, ay), (bx, by), (cx, cy) = (v.as_tuple() for v in t.vertices())
+    # A zero spread or discriminant is caught by the tests below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs, ys, bad = kernels._vertices_batch(
+            ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py
+        )
+        if bad.any():
+            raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
+        xs, ys = xs[:5], ys[:5]
+        ox, oy = xs.sum(axis=0) / 5.0, ys.sum(axis=0) / 5.0
+        spread = np.sqrt(((xs - ox) ** 2 + (ys - oy) ** 2).sum(axis=0) / 5.0)
+        co = kernels._fit5_batch((xs - ox) / spread, (ys - oy) / spread)
+        norm = kernels.frobenius(co)
+        vanished = ~((norm > 0.0) & (norm < math.inf))
+        if vanished.any():
+            raise RankDeficient(f"no unique six-point conic at P angle {theta[vanished][0]}")
+        A, B, C, D, E, _ = (c / norm for c in co)
+        disc = A * C - B * B / 4.0
+        has_center = abs(disc) > DISC_PARABOLA_TOL
+        x = ox + spread * (-D / 2.0 * C + E / 2.0 * B / 2.0) / disc
+        y = oy + spread * (-E / 2.0 * A + D / 2.0 * B / 2.0) / disc
+    # conic.residual against all three arc ellipses, read at P's arc: the
+    # arc between sorted angles k-1 and k is opposite vertex angle k+1.
+    m = np.stack([arcs[arc].m for arc in "abc"])
+    v = np.stack([x, y, np.ones_like(x)])
+    res = abs(np.einsum("is,kij,js->ks", v, m, v)) / (
+        np.linalg.norm(m, axis=(1, 2))[:, None] * (v * v).sum(axis=0)
+    )
+    opposite = np.array([k for _, k in vertex_angles])[(np.searchsorted(va, theta) + 1) % 3]
+    res = res[opposite, np.arange(theta.size)]
+    samples = [
+        LocusSample(th, Point2(p0, p1), Point2(c0, c1), r)
+        for th, p0, p1, c0, c1, r in zip(
+            *(w[has_center].tolist() for w in (theta, px, py, x, y, res))
+        )
+    ]
     return samples, arcs
 
 

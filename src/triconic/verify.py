@@ -827,15 +827,28 @@ def _chk_phyp_through_pell(cfg) -> float:
     return worst
 
 
-def _phyp_parabola_root(t: Triangle, ang: float) -> float | None:
+def _phyp_parabola_on_ray(t: Triangle, ang: float):
+    """phyp_parabola_condition at P = O + s*R*(cos ang, sin ang), O and R
+    the circumcenter and circumradius, as a function of s: a float, or an
+    array such as a whole scan grid, bit for bit alike.  The distances to
+    the vertices are loci._lambdas' math.hypot."""
     cc = circumcircle(t)
-    d = Point2(math.cos(ang), math.sin(ang))
+    dx, dy = math.cos(ang), math.sin(ang)
+    sides = t.sides()
+    verts = [v.as_tuple() for v in t.vertices()]
 
     def cond(s):
-        p = Point2(cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y)
-        return phyp_parabola_condition(*t.sides(), *_lambdas(t, p))
+        px = cc.center.x + s * cc.radius * dx
+        py = cc.center.y + s * cc.radius * dy
+        pa, pb, pc = (kernels._hypot(px - vx, py - vy) for vx, vy in verts)
+        return phyp_parabola_condition(*sides, pb - pc, pc - pa, pa - pb)
 
-    return next(bisect_sign_changes(cond, 0.08, 2.4, steps=300), None)
+    return cond
+
+
+def _phyp_parabola_root(t: Triangle, ang: float) -> float | None:
+    cond = _phyp_parabola_on_ray(t, ang)
+    return next(bisect_sign_changes(cond, 0.08, 2.4, steps=300, f_grid=cond), None)
 
 
 def _chk_phyp_parabola(cfg) -> float:

@@ -6,7 +6,7 @@ import pytest
 from triconic import kernels, loci
 from triconic.centers import circumcircle, classic_center, incircle
 from triconic.conic import ConicClass, classify, residual
-from triconic.errors import NotConverged, RadicalDomainError
+from triconic.errors import DegenerateMember, NotConverged, RadicalDomainError
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
 from triconic.loci import (
     covertex_conconic_V,
@@ -114,6 +114,92 @@ def test_ostar_locus(t_generic):
     for con in arcs.values():
         for m in mids:
             assert residual(con, m) <= 1e-8
+
+
+def _object_path_ostar(t, n, eps=0.03):
+    """The O* sweep one P at a time through the object path: (theta,
+    center) for every P whose six-point conic has a finite center."""
+    cc = circumcircle(t)
+    vertex_angles = [
+        math.atan2(v.y - cc.center.y, v.x - cc.center.x) % (2 * math.pi) for v in t.vertices()
+    ]
+    out = []
+    for k in range(n):
+        theta = 2.0 * math.pi * k / n
+        if any(min(abs(theta - va), 2 * math.pi - abs(theta - va)) < eps for va in vertex_angles):
+            continue
+        rep = six_point_conic(build_triad(t, "p_ellipse", cc.point_at(theta)))
+        if rep.center is not None:
+            out.append((theta, rep.center))
+    return out
+
+
+def _seeded_triangles(seed, n):
+    rng = np.random.default_rng(seed)
+    return [random_triangle(rng) for _ in range(n)] + [random_flat_triangle(rng) for _ in range(n)]
+
+
+def test_ostar_sweep_matches_object_path():
+    for t in _seeded_triangles(7, 4):
+        samples, _ = sample_locus_ostar(t, 90)
+        ref = _object_path_ostar(t, 90)
+        assert [s.parameter for s in samples] == [theta for theta, _ in ref]
+        r = circumcircle(t).radius
+        for s, (_, center) in zip(samples, ref):
+            assert distance(s.center, center) <= 1e-9 * r
+            assert s.implicit_residual <= 1e-8
+
+
+def _arc_distance(con, p):
+    """|f| / |grad f| of the conic at p: its distance to the curve, to
+    first order."""
+    v = np.array([p.x, p.y, 1.0])
+    return abs(v @ con.m @ v) / (2.0 * math.hypot(*(con.m @ v)[:2]))
+
+
+@pytest.mark.parametrize(
+    "scale, shift", [(1e-3, 0.0), (1.0, 0.0), (1e3, 0.0), (1.0, 10.0), (1e3, 10.0)]
+)
+def test_ostar_sweep_moves_with_the_triangle(scale, shift):
+    # The finite-center test reads the conic in the frame of its fit
+    # points, so scaling or moving the triangle keeps every sample.
+    for t in _seeded_triangles(11, 1):
+        base, _ = sample_locus_ostar(t, 60)
+        moved = Triangle(
+            *(Point2(scale * v.x + shift, scale * v.y + shift) for v in t.vertices())
+        )
+        samples, arcs = sample_locus_ostar(moved, 60)
+        assert [s.parameter for s in samples] == [s.parameter for s in base]
+        r = circumcircle(moved).radius
+        for s, s0 in zip(samples, base):
+            assert min(_arc_distance(con, s.center) for con in arcs.values()) <= 1e-8 * r
+            expected = Point2(scale * s0.center.x + shift, scale * s0.center.y + shift)
+            assert distance(s.center, expected) <= 1e-8 * r
+
+
+def test_ostar_sweep_raises_on_a_degenerate_member(t_generic, monkeypatch):
+    # A column whose triad member collapses raises, as build_triad does,
+    # instead of dropping the sample.
+    real = kernels._vertices_batch
+
+    def collapsed(*args):
+        xs, ys, bad = real(*args)
+        bad[3] = True
+        return xs, ys, bad
+
+    monkeypatch.setattr(kernels, "_vertices_batch", collapsed)
+    with pytest.raises(DegenerateMember):
+        sample_locus_ostar(t_generic, 60)
+
+
+def test_x478_sweep_matches_scalar_calls():
+    samples = sample_locus_x478(240)
+    (cx, cy), (x, y) = x478_center_for_theta(np.array([s.parameter for s in samples]))
+    for k, s in enumerate(samples):
+        c, cen = x478_center_for_theta(s.parameter)
+        assert (s.driver, s.center) == (c, cen)
+        assert (cx[k], cy[k], x[k], y[k]) == (c.x, c.y, cen.x, cen.y)
+        assert s.implicit_residual == abs(x478_quartic(cen.x, cen.y))
 
 
 def test_ostar_endpoint_vertex_limit(t_generic):

@@ -6,10 +6,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from triconic.conic import Conic
+from triconic.conic import Conic, residual
 from triconic.errors import EmptyScene
 from triconic.geom import Point2, Triangle, distance
-from triconic.loci import region_map
+from triconic.loci import region_map, sample_locus_ostar
 from triconic.render import PALETTE, emit_ppm, emit_svg
 from triconic.scene import Scene, scene_for_triad
 
@@ -215,6 +215,25 @@ def test_cli_locus(tmp_path, cli_env):
     assert r.returncode == 0
     polys = json.loads((tmp_path / "z.json").read_text())
     assert polys
+
+
+def test_cli_locus_ostar(tmp_path, cli_env):
+    tri = "0.1,0.2 1.3,0.15 0.5,1.1"
+    r = run_cli(
+        ["locus", "--kind", "ostar", "--triangle", tri, "--samples", "60", "--out", "o.json"],
+        tmp_path,
+        cli_env,
+    )
+    assert r.returncode == 0, r.stderr
+    data = json.loads((tmp_path / "o.json").read_text())
+    t = Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))
+    samples, arcs = sample_locus_ostar(t, 60)
+    # 60 angles, one of them within 0.03 rad of each vertex.
+    assert len(data) == len(samples) == 57
+    for s in data:
+        c = Point2(*s["center"])
+        assert s["implicit_residual"] <= 1e-8
+        assert min(residual(con, c) for con in arcs.values()) <= 1e-8
 
 
 def test_render_pure_function_of_scene(tmp_path, cli_env):

@@ -175,3 +175,26 @@ def test_format_report_lines():
     assert len(text.splitlines()) == len(MANIFEST) + 2
     for pid in PROPOSITION_IDS:
         assert pid in text
+
+
+def test_phyp_parabola_scan_grid_matches_scalar_condition():
+    # The P5.7 scan reads its whole grid in one array call; Brent's polish
+    # and witness replay need those values bit for bit the scalar ones.
+    from triconic.loci import _lambdas, bisect_sign_changes, phyp_parabola_condition
+
+    rng = np.random.default_rng(5)
+    grid = [0.08 + (2.4 - 0.08) * k / 300 for k in range(301)]
+    for _ in range(10):
+        t = random_triangle(rng)
+        cc = centers.circumcircle(t)
+        for ang in rng.uniform(0.0, 2 * math.pi, 5):
+            dx, dy = math.cos(ang), math.sin(ang)
+            ray = [Point2(cc.center.x + s * cc.radius * dx, cc.center.y + s * cc.radius * dy)
+                   for s in grid]
+            scalar = [phyp_parabola_condition(*t.sides(), *_lambdas(t, p)) for p in ray]
+            cond = verify._phyp_parabola_on_ray(t, ang)
+            assert cond(np.array(grid)).tolist() == scalar
+            assert [cond(s) for s in grid] == scalar
+            assert verify._phyp_parabola_root(t, ang) == next(
+                bisect_sign_changes(cond, 0.08, 2.4, steps=300), None
+            )
