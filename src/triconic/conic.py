@@ -401,11 +401,13 @@ def _real_lines(m: np.ndarray) -> tuple[LineEq, LineEq] | None:
 
 
 def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
-    """Real intersections of two conics by pencil degeneration.
+    """Real intersections of two general conics by pencil degeneration.
 
     Splits the degenerate members of the pencil c1 + lambda*c2 into lines,
     intersects those with c1 and keeps candidates lying on both conics
-    after one Newton polish.
+    after a Newton polish (common_points).  This is the general two-conic
+    route; the focal pairs of a triad share a focus and have their line
+    pair in closed form (triads.pairwise_intersections).
     """
     m1, m2 = _normalized(c1.m), _normalized(c2.m)
     members = [(c1, lines) for lines in pencil_degenerate_lines(c1, c2)]
@@ -421,20 +423,24 @@ def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
             except LineOnConic:
                 continue
             candidates.extend(pts)
-    return _dedupe_on_both(candidates, m1, m2)
+    return common_points(candidates, m1, m2)
 
 
-def _dedupe_on_both(candidates: list[Point2], m1: np.ndarray, m2: np.ndarray) -> list[Point2]:
+def common_points(candidates: list[Point2], m1: np.ndarray, m2: np.ndarray) -> list[Point2]:
+    """Candidates Newton-polished toward the intersections of the conics m1
+    and m2 (unit Frobenius norm), kept when on both to 1e-7 and distinct to
+    1e-7 * (1 + their largest coordinate), in order."""
+    q1, q2 = m1.tolist(), m2.tolist()
     out: list[Point2] = []
     scale = 1.0 + max((max(abs(p.x), abs(p.y)) for p in candidates), default=0.0)
     for p in candidates:
-        p = _newton_polish(p, m1, m2)
+        p = _newton_polish(p, q1, q2)
         if p is None:
             continue
-        v = np.array([p.x, p.y, 1.0])
-        n2 = float(v @ v)
-        r1 = abs(float(v @ m1 @ v)) / n2
-        r2 = abs(float(v @ m2 @ v)) / n2
+        x, y = p.x, p.y
+        n2 = x * x + y * y + 1.0
+        r1 = abs(_quad_grad(q1, x, y)[0]) / n2
+        r2 = abs(_quad_grad(q2, x, y)[0]) / n2
         if max(r1, r2) > 1e-7:
             continue
         if any(distance(p, q) <= 1e-7 * scale for q in out):
@@ -443,20 +449,25 @@ def _dedupe_on_both(candidates: list[Point2], m1: np.ndarray, m2: np.ndarray) ->
     return out
 
 
-def _newton_polish(p: Point2, m1: np.ndarray, m2: np.ndarray, iters: int = 3):
+def _quad_grad(m: list, x: float, y: float) -> tuple[float, float, float]:
+    """(v m v, d/dx, d/dy) at v = (x, y, 1) for a symmetric m as nested lists."""
+    (a, b, d), (_, c, e), (_, _, f) = m
+    gx = a * x + b * y + d
+    gy = b * x + c * y + e
+    gw = d * x + e * y + f
+    return x * gx + y * gy + gw, 2.0 * gx, 2.0 * gy
+
+
+def _newton_polish(p: Point2, m1: list, m2: list, iters: int = 3):
     x, y = p.x, p.y
     for _ in range(iters):
-        v = np.array([x, y, 1.0])
-        f1 = float(v @ m1 @ v)
-        f2 = float(v @ m2 @ v)
-        g1 = 2.0 * (m1 @ v)
-        g2 = 2.0 * (m2 @ v)
-        J = np.array([[g1[0], g1[1]], [g2[0], g2[1]]])
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+        f1, j00, j01 = _quad_grad(m1, x, y)
+        f2, j10, j11 = _quad_grad(m2, x, y)
+        det = j00 * j11 - j01 * j10
         if abs(det) < 1e-14:
             break
-        dx = (-f1 * J[1, 1] + f2 * J[0, 1]) / det
-        dy = (-f2 * J[0, 0] + f1 * J[1, 0]) / det
+        dx = (-f1 * j11 + f2 * j01) / det
+        dy = (-f2 * j00 + f1 * j10) / det
         x, y = x + dx, y + dy
         if not (math.isfinite(x) and math.isfinite(y)):
             return None

@@ -799,7 +799,9 @@ def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     grid as an array, it returns f at every grid point, bit for bit f's
     values, and replaces the scalar scan.  Without it the scan is lazy: the
     first root is next(bisect_sign_changes(...), None), and no cell past it
-    is evaluated.  Brent always polishes with the scalar f.
+    is evaluated.  Brent always polishes with the scalar f, and reads the
+    cell's two end values from the scan instead of evaluating them again,
+    so no grid point is evaluated twice.
     """
     grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
     values = map(f, grid) if f_grid is None else f_grid(np.array(grid)).tolist()
@@ -807,7 +809,10 @@ def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     prev_s, prev_f = next(cells)
     for s, v in cells:
         if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
-            yield optimize.brentq(f, prev_s, s, xtol=1e-300, rtol=8.9e-16)
+            held = {prev_s: prev_f, s: v}
+            yield optimize.brentq(
+                lambda x: held[x] if x in held else f(x), prev_s, s, xtol=1e-300, rtol=8.9e-16
+            )
         prev_s, prev_f = s, v
 
 

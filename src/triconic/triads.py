@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import conic as conics
 from .centers import soddy_centers
 from .conic import (
@@ -19,15 +21,15 @@ from .conic import (
     ConicClass,
     FocalConic,
     classify,
-    conic_conic_intersections,
-    conic_from_foci,
+    common_points,
+    conic_line_intersection,
     fit_conic_5pts,
-    pencil_degenerate_lines,
     residual,
     covertices_of_focal_conic,
 )
 from .errors import (
     DegenerateMember,
+    LineOnConic,
     NoFiniteCenter,
     NotFound,
     PointOffSideline,
@@ -270,18 +272,90 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     )
 
 
+_PAIRS = ((1, 2), (2, 0), (0, 1))
+
+
+def _triangle_frame(t: Triangle) -> tuple[Point2, float]:
+    """Centroid g and scale s of the frame q' = (q - g) / s."""
+    return Point2((t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0), t.scale()
+
+
+def _focal_pair(tr: ConicTriad, pair_index: int) -> tuple[Conic, Conic, tuple[LineEq, LineEq]]:
+    """Members i, j of a pair and the two lines their difference splits into,
+    in the frame q' = (q - g) / s of the triangle (g its centroid, s its
+    scale).
+
+    The members share a focus F: member i's focus2, member j's focus1 (A for
+    pair 0).  A member with focus F, other focus G and axis length L is
+    |q - F|^2 = ell(q)^2 with ell(q) = p - k.(q - F), k = (F - G) / L and
+    p = (L^2 - |F - G|^2) / (2L): the focus-directrix form, a - e x' with x'
+    the coordinate along the axis toward F, for ellipses and both branches
+    of hyperbolas alike.  The difference of the two members is therefore
+    (ell_i - ell_j)(ell_i + ell_j) = 0, and every common point lies on one
+    of these two lines (the pair chords of the paper).  Returns member i and
+    member j as framed conics and the lines ell_i - ell_j = 0 and
+    ell_i + ell_j = 0.
+    """
+    g, s = _triangle_frame(tr.t)
+    i, j = _PAIRS[pair_index]
+    mi, mj = tr.members[i], tr.members[j]
+    f = mi.focus2
+    fx, fy = (f.x - g.x) / s, (f.y - g.y) / s
+    ells = []
+    for other, length in ((mi.focus1, mi.axis_length), (mj.focus2, mj.axis_length)):
+        kx, ky = (f.x - other.x) / length, (f.y - other.y) / length
+        d = distance(f, other)
+        p = (length - d) * (length + d) / (2.0 * length * s)
+        # ell(q') = c0 - k.q' in the frame.
+        ells.append((p + kx * fx + ky * fy, kx, ky))
+
+    def member(c0: float, kx: float, ky: float) -> Conic:
+        # |q' - F'|^2 - ell(q')^2.
+        return Conic(
+            np.array(
+                [
+                    [1.0 - kx * kx, -kx * ky, c0 * kx - fx],
+                    [-kx * ky, 1.0 - ky * ky, c0 * ky - fy],
+                    [c0 * kx - fx, c0 * ky - fy, fx * fx + fy * fy - c0 * c0],
+                ]
+            )
+        )
+
+    (ci, kix, kiy), (cj, kjx, kjy) = ells
+    lines = (
+        LineEq(kjx - kix, kjy - kiy, ci - cj),
+        LineEq(-(kix + kjx), -(kiy + kjy), ci + cj),
+    )
+    return member(*ells[0]), member(*ells[1]), lines
+
+
 def pairwise_intersections(tr: ConicTriad) -> list[list[Point2]]:
     """Real intersections for the pairs (b,c), (c,a), (a,b).
 
     Index 0 is the "A" pair (members with foci (C,A) and (A,B)), matching
-    the naming A', A'' for the intersections of the b- and c-members.
-    An empty list means no real intersection was found for that pair.
+    the naming A', A'' for the intersections of the b- and c-members.  The
+    two members of a pair share a focus, so their common points lie on the
+    closed-form line pair of _focal_pair; each line is met with member i,
+    and the candidates are Newton-polished on both members, kept when they
+    lie on both and deduplicated, all in the frame of the triangle, then
+    mapped back.  A pair has at most 4 points; an empty list means no real
+    intersection.
     """
     if tr.has_degenerate_member():
         raise DegenerateMember("pairwise intersections need nondegenerate members")
-    cs = [conic_from_foci(m) for m in tr.members]
-    pairs = ((1, 2), (2, 0), (0, 1))
-    return [conic_conic_intersections(cs[i], cs[j]) for i, j in pairs]
+    g, s = _triangle_frame(tr.t)
+    out = []
+    for pair_index in range(3):
+        ci, cj, lines = _focal_pair(tr, pair_index)
+        candidates: list[Point2] = []
+        for line in lines:
+            try:
+                candidates.extend(conic_line_intersection(ci, line))
+            except LineOnConic:
+                continue
+        pts = common_points(candidates, ci.m, cj.m)
+        out.append([Point2(g.x + s * q.x, g.y + s * q.y) for q in pts])
+    return out
 
 
 def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
@@ -291,38 +365,25 @@ def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
     )
 
 
-def _line_contains(line: LineEq, p: Point2) -> float:
-    return line.distance_to(p)
-
-
 def two_branch_chord(tr: ConicTriad, pair_index: int) -> LineEq:
     """Chord through the opposite-branch intersections of a hyperbola pair.
 
-    The pencil of the pair degenerates into line pairs; the member that has
-    the Soddy line (through X175/X176) as one component has the sought chord
-    as the other.  Works even when the chord's endpoints are complex.
+    Of the pair's two lines from _focal_pair, the one through the Soddy
+    centers X175/X176 is the Soddy line; the other is the sought chord.
+    Works even when the chord's endpoints are complex.
     """
     if tr.kind != "v_hyperbola":
         raise ValueError("two_branch_chord applies to V-hyperbola triads")
-    x175, x176 = soddy_centers(tr.t)
-    pairs = ((1, 2), (2, 0), (0, 1))
-    i, j = pairs[pair_index]
-    ci = conic_from_foci(tr.members[i])
-    cj = conic_from_foci(tr.members[j])
-    scale = tr.t.scale()
-    best = None
-    best_score = math.inf
-    for g, h in pencil_degenerate_lines(ci, cj):
-        for soddy_line, chord in ((g, h), (h, g)):
-            score = _line_contains(soddy_line, x176)
-            if x175 is not None:
-                score = max(score, _line_contains(soddy_line, x175))
-            if score < best_score:
-                best_score = score
-                best = chord
-    if best is None or best_score > 1e-6 * scale:
-        raise NotFound("no pencil member pairs the Soddy line with a chord")
-    return best
+    g, s = _triangle_frame(tr.t)
+    centers = [q for q in soddy_centers(tr.t) if q is not None]
+    framed = [Point2((q.x - g.x) / s, (q.y - g.y) / s) for q in centers]
+    _, _, (l1, l2) = _focal_pair(tr, pair_index)
+    scores = [max(line.distance_to(q) for q in framed) for line in (l1, l2)]
+    soddy = 0 if scores[0] <= scores[1] else 1
+    if scores[soddy] > 1e-6:
+        raise NotFound("neither line of the pair is the Soddy line")
+    chord = (l2, l1)[soddy]
+    return LineEq(chord.l, chord.m, chord.n * s - chord.l * g.x - chord.m * g.y)
 
 
 @dataclass(frozen=True)

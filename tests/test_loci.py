@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -613,3 +614,21 @@ def test_bisect_sign_changes_scalar_scan_is_lazy():
     assert root == pytest.approx(0.26, abs=1e-15)
     # No grid point past the first bracketed cell [0.25, 0.3] was evaluated.
     assert max(seen) == 0.3
+
+
+def test_bisect_sign_changes_evaluates_no_grid_point_twice():
+    # Brent reads each bracketed cell's end values from the scan: the
+    # scalar scan evaluates every grid point once, the array scan none.
+    steps = 47
+    grid = [0.0 + (3.0 - 0.0) * k / steps for k in range(steps + 1)]
+    for kw in ({}, {"f_grid": _cubic}):
+        calls = collections.Counter()
+
+        def f(s):
+            calls[s] += 1
+            return _cubic(s)
+
+        roots = list(loci.bisect_sign_changes(f, 0.0, 3.0, steps=steps, **kw))
+        assert roots == list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=steps))
+        assert len(roots) == 3
+        assert [calls[s] for s in grid] == [0 if kw else 1] * len(grid)

@@ -97,9 +97,15 @@ _HANDLERS = {
         centers, "bary_to_cartesian",
         lambda: centers.anticevian_triangle(_tri(), BaryCoords(1.0, 1.0, 1.0)),
     ),
-    "two_branch_chord": (
+    "conic_conic_intersections": (
         conic, "split_degenerate",
-        lambda: triads.two_branch_chord(triads.build_triad(_tri(), "v_hyperbola"), 0),
+        lambda: conic.conic_conic_intersections(
+            *(conic.conic_from_foci(m) for m in triads.build_triad(_tri(), "v_hyperbola").members[1:])
+        ),
+    ),
+    "pairwise_intersections": (
+        triads, "conic_line_intersection",
+        lambda: triads.pairwise_intersections(triads.build_triad(_tri(), "v_hyperbola")),
     ),
 }
 
