@@ -136,11 +136,12 @@ def classic_center(t: Triangle, center_id: str) -> Point2:
         return x175
     if center_id in ("X478", "X5452"):
         from .triads import build_triad, six_point_conic
-        from .conic import center as conic_center
 
         kind = "v_ellipse" if center_id == "X478" else "v_hyperbola"
         report = six_point_conic(build_triad(t, kind))
-        return conic_center(report.conic)
+        if report.center is None:
+            raise DegenerateResult(f"{center_id}: the six-point conic has no finite center")
+        return report.center
     return bary_to_cartesian(t, center_bary(t, center_id))
 
 

@@ -69,25 +69,27 @@ def _cmd_construct(args) -> int:
 def _cmd_classify(args) -> int:
     from .conic import center as conic_center, classify
     from .errors import NoFiniteCenter
-    from .scene import Scene, _conic_from_json
+    from .scene import Scene
 
     with open(args.scene) as fh:
         scene = Scene.loads(fh.read())
-    conic = None
     if scene.triads:
-        conic = _conic_from_json(scene.triads[0]["six_point_conic"])
+        # The class and center stored with a triad were decided in the
+        # frame of its fit; its plane coefficients would be reclassified.
+        triad = scene.triads[0]
+        print(triad["six_point_class"])
+        cen = triad["six_point_center"]
     elif scene.conics:
         conic = scene.conics[0]
-    if conic is None:
+        print(classify(conic).value)
+        try:
+            cen = conic_center(conic).as_tuple()
+        except NoFiniteCenter:
+            cen = None
+    else:
         print("error: scene has no conic to classify", file=sys.stderr)
         return 2
-    kind = classify(conic)
-    print(kind.value)
-    try:
-        cen = conic_center(conic)
-        print(f"center ({cen.x:.12g},{cen.y:.12g})")
-    except NoFiniteCenter:
-        print("center none")
+    print("center none" if cen is None else f"center ({cen[0]:.12g},{cen[1]:.12g})")
     return 0
 
 

@@ -5,7 +5,7 @@ A conic is stored as a symmetric 3x3 matrix m with p^T m p = 0 for
 homogeneous p.  Cartesian frame uses p = (x, y, 1); barycentric frame uses
 p = (u, v, w) relative to a reference triangle.  Matrices are normalized to
 unit Frobenius norm on construction, so the fixed algebraic thresholds in
-config apply uniformly.
+config apply uniformly; a fitted conic is classified in its fit's frame.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DISC_PARABOLA_TOL, RANK_REL_TOL
+from .config import DET_DEGENERATE_TOL
 from .errors import (
     InvalidAxisLength,
     LineOnConic,
@@ -24,7 +24,7 @@ from .errors import (
     RankDeficient,
 )
 from .geom import LineEq, Point2, Triangle, distance, midpoint
-from .kernels import CLASS_NAMES, classify_code
+from .kernels import CLASS_NAMES, classify_code, fit5, frame_center, frobenius
 
 
 class ConicClass(enum.Enum):
@@ -171,67 +171,77 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 def classify(c: Conic, triangle: Triangle | None = None) -> ConicClass:
     """Classify a conic by kernels.classify_code; barycentric conics are
-    converted to Cartesian first."""
+    converted to Cartesian first.  A fitted conic is classified in the frame
+    of its fit instead (FramedFit.conic_class)."""
     if c.frame == "bary":
         if triangle is None:
             raise ValueError("classification of a barycentric conic needs its triangle")
         c = conic_bary_to_cartesian(c, triangle)
-    code, _, _ = classify_code(c.coeffs())
-    return ConicClass(CLASS_NAMES[code])
+    return _conic_class(c.coeffs())
+
+
+def _conic_class(coeffs) -> ConicClass:
+    return ConicClass(CLASS_NAMES[classify_code(coeffs)[0]])
 
 
 def center(c: Conic) -> Point2:
-    """Finite center: gradient solution for central conics, singular point
-    for a crossing line pair."""
-    m = _normalized(c.m)
-    A, C = m[0, 0], m[1, 1]
-    Bh = m[0, 1]
-    disc = A * C - Bh * Bh
-    if abs(disc) > DISC_PARABOLA_TOL:
-        x = (-m[0, 2] * C + m[1, 2] * Bh) / disc
-        y = (-m[1, 2] * A + m[0, 2] * Bh) / disc
-        return Point2(float(x), float(y))
-    # Quadratic part singular: only a line pair crossing at infinity or a
-    # parabola remains; neither has a finite center.
-    raise NoFiniteCenter("conic has no finite center")
+    """Finite center (kernels.frame_center): gradient solution for central
+    conics, singular point for a crossing line pair."""
+    x, y, has_center = frame_center(c.coeffs(), (0.0, 0.0, 1.0))
+    if not has_center:
+        # Quadratic part singular: only a line pair crossing at infinity or
+        # a parabola remains; neither has a finite center.
+        raise NoFiniteCenter("conic has no finite center")
+    return Point2(x, y)
 
 
-def fit_conic_5pts(pts, frame: str = "cartesian") -> Conic:
-    """Unique conic through 5 points via the nullspace of the design matrix.
+@dataclass(frozen=True)
+class FramedFit:
+    """A five-point fit in the frame of its points (kernels.fit5): the
+    coefficients (xx, xy, yy, x, y, 1) of u = (x - ox) / s, v = (y - oy) / s,
+    and the frame (ox, oy, s).  Class and center are decided in the frame,
+    so they do not change when the points are moved, rotated or scaled."""
 
-    Points are centered and scaled before building the monomial rows (the
-    raw basis is badly conditioned for small clusters away from the origin);
-    the nullspace conic is mapped back through the normalizing frame.
+    coeffs: tuple[float, float, float, float, float, float]
+    frame: tuple[float, float, float]
+
+    def conic(self) -> Conic:
+        """The fitted conic in plane coordinates."""
+        ox, oy, s = self.frame
+        n = np.array([[1.0 / s, 0.0, -ox / s], [0.0, 1.0 / s, -oy / s], [0.0, 0.0, 1.0]])
+        return Conic(n.T @ Conic.from_coeffs(self.coeffs).m @ n)
+
+    def conic_class(self) -> ConicClass:
+        return _conic_class(self.coeffs)
+
+    def center(self) -> Point2 | None:
+        """Finite center as in conic.center, None without one."""
+        x, y, has_center = frame_center(self.coeffs, self.frame)
+        return Point2(x, y) if has_center else None
+
+
+def fit_framed(pts) -> FramedFit:
+    """kernels.fit5 of five Point2s.
+
+    RankDeficient when the points do not determine a unique conic: then all
+    six cofactors vanish.  In the frame the design matrix has Frobenius norm
+    between sqrt(15) and sqrt(35) whatever the points, so the cofactor norm
+    (the product of its singular values) is compared with the absolute
+    DET_DEGENERATE_TOL.
     """
     pts = list(pts)
     if len(pts) != 5:
         raise ValueError(f"need exactly 5 points, got {len(pts)}")
-    xy = []
-    for p in pts:
-        x, y = (p.x, p.y) if isinstance(p, Point2) else (float(p[0]), float(p[1]))
-        xy.append((x, y))
-    cx = sum(x for x, _ in xy) / 5.0
-    cy = sum(y for _, y in xy) / 5.0
-    spread = math.sqrt(sum((x - cx) ** 2 + (y - cy) ** 2 for x, y in xy) / 5.0)
-    if spread == 0.0:
-        raise RankDeficient("coincident points")
-    rows = []
-    for x, y in xy:
-        u, v = (x - cx) / spread, (y - cy) / spread
-        rows.append([u * u, u * v, v * v, u, v, 1.0])
-    M = np.array(rows)
-    _, s, Vh = np.linalg.svd(M)
-    if s[0] == 0.0 or s[4] <= RANK_REL_TOL * s[0]:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs, frame = fit5([p.x for p in pts], [p.y for p in pts])
+    if not frobenius(coeffs) > DET_DEGENERATE_TOL:
         raise RankDeficient("five points do not determine a unique conic")
-    mn = Conic.from_coeffs(Vh[-1], frame).m
-    N = np.array(
-        [
-            [1.0 / spread, 0.0, -cx / spread],
-            [0.0, 1.0 / spread, -cy / spread],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return Conic(N.T @ mn @ N, frame)
+    return FramedFit(coeffs, frame)
+
+
+def fit_conic_5pts(pts) -> Conic:
+    """Unique conic through 5 points: fit_framed, mapped back to the plane."""
+    return fit_framed(pts).conic()
 
 
 def residual(c: Conic, p: Point2) -> float:

@@ -1,28 +1,30 @@
-"""Six-point kernels, scalar and numpy batch, and the one conic classifier.
+"""Six-point kernels, scalar and numpy batch, the one five-point fit and
+the one conic classifier.
 
 These are the inner-loop primitives used by region maps, the verifier and
 the O* locus sweep: construct a triad's six vertices, fit the conic through
-five of them by cofactor expansion, classify, and evaluate residuals.  The
-scalar functions serve one-off calls (the Brent polish of the verifier's
-sign scans) and are the reference in tests; `six_point_batch` runs the same
-arithmetic, in the same order, on whole grids of driver points (region maps
-and the verifier's scan grids), and returns the normalized determinant and
-discriminant beside the class codes, bit for bit the scalar values.
-`loci.sample_locus_ostar` calls the batch pieces directly: the vertices of
-every driver on the circumcircle from `_vertices_batch`, and `_fit5_batch`
-on five of them moved into their own frame (centroid and RMS spread, the
-frame of `conic.fit_conic_5pts`), where it finds each conic's center.
+five of them, classify, and evaluate residuals.  The scalar functions serve
+one-off calls (the Brent polish of the verifier's sign scans) and are the
+reference in tests; `six_point_batch` runs the same arithmetic, in the same
+order, on whole grids of driver points (region maps and the verifier's scan
+grids), and returns the normalized determinant and discriminant beside the
+class codes, bit for bit the scalar values.  `loci.sample_locus_ostar`
+calls the batch pieces directly: the vertices of every driver on the
+circumcircle from `_vertices_batch`, then `fit5` and `frame_center`.
+
+`fit5` is the package's only five-point fit: the cofactor expansion of the
+design matrix in the frame of the five points (centroid and RMS spread,
+after Hartley's normalization).  Every fitted conic is classified in that
+frame, so its class does not change when the points are moved, rotated or
+scaled.  The cofactors depend polynomially on the framed points and the
+frame continuously on the points, so the determinant of the fitted matrix
+varies continuously along parameter sweeps (needed for sign-bracketing of
+degeneracy boundaries).
 
 `classify_code` holds the conic-type policy for the whole package: one
 threshold ladder on the Frobenius-normalized coefficients, applied to
 floats and arrays alike.  `conic.classify`, both six-point kernels and the
 verifier's parabola checks call it.
-
-The cofactor five-point fit depends polynomially on the input points, so
-the determinant of the fitted matrix varies continuously along parameter
-sweeps (needed for sign-bracketing of degeneracy boundaries).  The object
-API's `conic.fit_conic_5pts` fits by SVD instead, in the same frame;
-tests/test_kernels.py checks that the two fits agree.
 """
 
 import itertools
@@ -71,48 +73,40 @@ CLASS_NAMES = {
 }
 
 
-def det5(m):
-    """Determinant of a 5x5 row-major nested list, partial pivoting."""
-    a = [row[:] for row in m]
-    det = 1.0
-    for col in range(5):
-        piv = col
-        best = abs(a[col][col])
-        for r in range(col + 1, 5):
-            v = abs(a[r][col])
-            if v > best:
-                best = v
-                piv = r
-        if best == 0.0:
-            return 0.0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, 5):
-            f = a[r][col] * inv
-            if f != 0.0:
-                for cc in range(col, 5):
-                    a[r][cc] -= f * a[col][cc]
-    return det
+_MINOR_COLUMNS = np.array([[k for k in range(6) if k != j] for j in range(6)])
+_COFACTOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
-def fit5_cofactor(xs, ys):
-    """Conic coefficients (xx, xy, yy, x, y, 1) through 5 points.
+def fit5(xs, ys):
+    """The conic through five points, in the frame of those points.
 
-    coeff_j = (-1)^j det(design matrix with column j removed).
+    xs and ys hold five coordinates each, as a 5-vector or a (5, n) array
+    of n point sets.  The frame is u = (x - ox) / s, v = (y - oy) / s with
+    (ox, oy) the centroid of the points and s their RMS distance from it.
+    Returns (coeffs, (ox, oy, s)): the coefficients (xx, xy, yy, x, y, 1)
+    in the frame, coeff_j = (-1)^j det(framed design matrix less column j),
+    all six minors of every point set in one np.linalg.det call.  A
+    5-vector gives floats, a (5, n) array arrays of shape (n,).  Both run
+    the same arithmetic, and np.linalg.det factors each matrix of the stack
+    alone, so a point set gives the same bits alone and in a batch.
     """
-    rows = []
-    for x, y in zip(xs, ys):
-        rows.append([x * x, x * y, y * y, x, y, 1.0])
-    coeffs = []
-    sign = 1.0
-    for j in range(6):
-        sub = [[row[k] for k in range(6) if k != j] for row in rows]
-        coeffs.append(sign * det5(sub))
-        sign = -sign
-    return tuple(coeffs)
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x, y = x[:, None], y[:, None]
+    # Written-out sums: the same additions in the same order for any n.
+    ox = (x[0] + x[1] + x[2] + x[3] + x[4]) / 5.0
+    oy = (y[0] + y[1] + y[2] + y[3] + y[4]) / 5.0
+    u, v = x - ox, y - oy
+    r2 = u * u + v * v
+    s = np.sqrt((r2[0] + r2[1] + r2[2] + r2[3] + r2[4]) / 5.0)
+    u, v = (u / s).T, (v / s).T
+    rows = np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)], axis=-1)
+    co = np.linalg.det(rows[:, :, _MINOR_COLUMNS].swapaxes(1, 2)) * _COFACTOR_SIGNS
+    if single:
+        return tuple(co[0].tolist()), (ox.item(), oy.item(), s.item())
+    return tuple(co.T), (ox, oy, s)
 
 
 def frobenius(co):
@@ -194,6 +188,27 @@ def classify_code(co):
     return table[index], det, disc
 
 
+def frame_center(co, frame):
+    """Center of the conic co, given in the frame (ox, oy, s) of fit5, in
+    plane coordinates: (x, y, has_center).
+
+    The center solves the gradient system of the Frobenius-normalized
+    coefficients; it is finite where |A*C - B^2/4| > DISC_PARABOLA_TOL,
+    and has_center is false elsewhere (parabolas, parallel line pairs).
+    Floats give floats (x and y NaN without a center), arrays give arrays.
+    """
+    n = frobenius(co)
+    A, B, C, D, E, _ = (t / n for t in co)
+    disc = A * C - B * B / 4.0
+    has_center = abs(disc) > DISC_PARABOLA_TOL
+    if not isinstance(disc, np.ndarray) and not has_center:
+        return math.nan, math.nan, False
+    ox, oy, s = frame
+    x = ox + s * (-D / 2.0 * C + E / 2.0 * B / 2.0) / disc
+    y = oy + s * (-E / 2.0 * A + D / 2.0 * B / 2.0) / disc
+    return x, y, has_center
+
+
 def triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py):
     """Twelve vertex coordinates (A1 A2 B1 B2 C1 C2) or None if a member
     degenerates, coincident vertices included."""
@@ -249,20 +264,19 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     Returns (status, class_code, residual6, det_normalized, coeffs):
     status 0 on success, 1 when a member degenerates or the fit is zero or
     not finite (coeffs then None).
-    residual6 is the incidence residual of the sixth vertex on the conic
-    fitted through the first five; det_normalized is det of the
+    All are taken in the frame of fit5 through the first five vertices:
+    coeffs are the framed coefficients, residual6 is the incidence residual
+    of the framed sixth vertex, and det_normalized is det of the
     Frobenius-normalized matrix (its sign brackets degeneracy boundaries).
     """
     v = triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py)
     if v is None:
         return (1, CLASS_FAILED, math.inf, 0.0, None)
-    xs = v[0::2]
-    ys = v[1::2]
-    co = fit5_cofactor(xs[:5], ys[:5])
+    co, (ox, oy, s) = fit5(v[0:10:2], v[1:10:2])
     code, detn, _ = classify_code(co)
     if code == CLASS_FAILED:
         return (1, CLASS_FAILED, math.inf, 0.0, None)
-    return (0, code, conic_residual(co, xs[5], ys[5]), detn, co)
+    return (0, code, conic_residual(co, (v[10] - ox) / s, (v[11] - oy) / s), detn, co)
 
 
 # ---------------------------------------------------------------------------
@@ -279,42 +293,6 @@ def _hypot(x, y):
     # are bit for bit those of the scalar kernel.  Scalars give a float.
     h = _math_hypot(x, y)
     return h.astype(float) if isinstance(h, np.ndarray) else float(h)
-
-
-def _det5_batch(m):
-    """det5 of each matrix in a stack of shape (5, 5, n), same pivoting.
-
-    The stack runs along the last axis so that every step works on
-    contiguous rows of n values.
-    """
-    a = m.copy()
-    n = a.shape[2]
-    det = np.ones(n)
-    zero = np.zeros(n, dtype=bool)
-    for col in range(5):
-        # argmax picks the first largest, as det5's strict comparison does.
-        piv = col + np.argmax(np.abs(a[col:, col]), axis=0)
-        top = np.take_along_axis(a, np.broadcast_to(piv, (1, 5, n)), axis=0)[0]
-        for r in range(col + 1, 5):
-            a[r] = np.where(piv == r, a[col], a[r])
-        a[col] = top
-        zero |= top[col] == 0.0
-        det = np.where(piv != col, -det, det)
-        det *= a[col, col]
-        inv = 1.0 / a[col, col]
-        f = a[col + 1 :, col] * inv
-        a[col + 1 :, col:] -= f[:, None, :] * a[col, col:]
-    det[zero] = 0.0
-    return det
-
-
-def _fit5_batch(xs, ys):
-    """fit5_cofactor of each column of five points (xs, ys of shape (5, n))."""
-    rows = np.stack([xs * xs, xs * ys, ys * ys, xs, ys, np.ones_like(xs)], axis=1)
-    # The six 5x5 minors of every design matrix go through one det call.
-    minors = np.concatenate([np.delete(rows, j, axis=1) for j in range(6)], axis=2)
-    dets = _det5_batch(minors).reshape(6, xs.shape[1])
-    return tuple(sign * d for sign, d in zip((1.0, -1.0) * 3, dets))
 
 
 def _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py):
@@ -363,9 +341,9 @@ def _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py):
     return np.stack(xs), np.stack(ys), bad
 
 
-# Points per chunk of six_point_batch.  A point takes about 4 KB of
-# temporaries (six 5x5 minors and their elimination), so the working set
-# stays near 20 MB however large the grid.
+# Points per chunk of six_point_batch.  A point takes under 2 KB of
+# temporaries (its design rows and six 5x5 minors), so the working set
+# stays near 7 MB however large the grid.
 _BATCH_CHUNK = 4096
 
 
@@ -398,7 +376,7 @@ def _codes(ax, ay, bx, by, cx, cy, kind, px, py):
     """six_point_batch on 1-d arrays of equal length."""
     with np.errstate(all="ignore"):
         xs, ys, failed = _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
-        codes, det, disc = classify_code(_fit5_batch(xs[:5], ys[:5]))
+        codes, det, disc = classify_code(fit5(xs[:5], ys[:5])[0])
     failed |= codes == CLASS_FAILED
     return (
         np.where(failed, CLASS_FAILED, codes),

@@ -27,17 +27,19 @@ from .centers import (
 from .conic import (
     Conic,
     ConicClass,
+    FramedFit,
     center as conic_center,
-    classify,
     fit_conic_5pts,
+    fit_framed,
     residual,
     tangency_discriminant,
 )
-from .config import DISC_PARABOLA_TOL, get_tol
+from .config import get_tol
 from .errors import (
     DegenerateMember,
     DegenerateTriangle,
     DriverNotOnLocus,
+    NoFiniteCenter,
     NotConverged,
     ParallelLines,
     RadicalDomainError,
@@ -55,7 +57,13 @@ from .geom import (
     midpoint,
     signed_area,
 )
-from .triads import build_triad, six_point_conic, second_common_point, triad_covertices
+from .triads import (
+    _triangle_frame,
+    build_triad,
+    second_common_point,
+    six_point_conic,
+    triad_covertices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +375,9 @@ def sample_locus_ostar(
 
     P runs over the angles 2*pi*k/n, k < n, less those within eps of a
     vertex, in one array pass.  The batch kernel gives every P's P-ellipse
-    vertices; the conic through A1 A2 B1 B2 C1 is fitted in the frame of
-    those five points (their centroid and RMS spread, as fit_conic_5pts
-    frames them), and its center comes from the gradient system in that
-    frame, where conic.center's no-finite-center test skips the sample.
+    vertices; kernels.fit5 fits the conic through A1 A2 B1 B2 C1 in the
+    frame of those five points, and kernels.frame_center finds its center
+    there, skipping the sample where conic.center finds none.
     P's arc is the one between the two vertex angles around P's angle.  A
     degenerate triad member raises DegenerateMember and a vanishing fit
     RankDeficient, as on the object path.
@@ -397,19 +404,12 @@ def sample_locus_ostar(
         )
         if bad.any():
             raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
-        xs, ys = xs[:5], ys[:5]
-        ox, oy = xs.sum(axis=0) / 5.0, ys.sum(axis=0) / 5.0
-        spread = np.sqrt(((xs - ox) ** 2 + (ys - oy) ** 2).sum(axis=0) / 5.0)
-        co = kernels._fit5_batch((xs - ox) / spread, (ys - oy) / spread)
+        co, frame = kernels.fit5(xs[:5], ys[:5])
         norm = kernels.frobenius(co)
         vanished = ~((norm > 0.0) & (norm < math.inf))
         if vanished.any():
             raise RankDeficient(f"no unique six-point conic at P angle {theta[vanished][0]}")
-        A, B, C, D, E, _ = (c / norm for c in co)
-        disc = A * C - B * B / 4.0
-        has_center = abs(disc) > DISC_PARABOLA_TOL
-        x = ox + spread * (-D / 2.0 * C + E / 2.0 * B / 2.0) / disc
-        y = oy + spread * (-E / 2.0 * A + D / 2.0 * B / 2.0) / disc
+        x, y, has_center = kernels.frame_center(co, frame)
     # conic.residual against all three arc ellipses, read at P's arc: the
     # arc between sorted angles k-1 and k is opposite vertex angle k+1.
     m = np.stack([arcs[arc].m for arc in "abc"])
@@ -554,7 +554,8 @@ def _circle_points(t: Triangle, kind: str, seeds):
     its zeros are where u_a = u_b = u_c: the common zeros of two brackets.
     A root counts when the functional meets its target and the conic
     validates; the functional also vanishes at the vertices, where the
-    conic is no circle.
+    conic is no circle.  Both run in the frame of the triangle (centroid,
+    scale), wherever it lies; seeds, roots and values are in the plane.
     """
     # Per kind: the focal quantities, the functional, two independent
     # brackets and the dedupe radius over s.
@@ -566,11 +567,15 @@ def _circle_points(t: Triangle, kind: str, seeds):
             _lambdas, phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
         ),
     }[kind]
+    o, s = _triangle_frame(t)
+    t = Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices()))
     sides = t.sides()
-    s = t.scale()
 
     def g(q):
         return brackets(*(a * a - x * x for a, x in zip(sides, focal(t, Point2(q[0], q[1])))))
+
+    def plane(xy, val):
+        return (o.x + s * xy[0], o.y + s * xy[1]), val * s**8
 
     roots = []
     best = (None, math.inf)
@@ -578,19 +583,20 @@ def _circle_points(t: Triangle, kind: str, seeds):
         # Powell's hybrid method (MINPACK).  Its success flag is not read: at
         # this xtol it reports no progress even on an exact root, so the
         # point is judged by the functional.
-        xy = tuple(optimize.root(g, seed, method="hybr", options={"xtol": 1e-14}).x)
+        start = ((seed[0] - o.x) / s, (seed[1] - o.y) / s)
+        xy = tuple(optimize.root(g, start, method="hybr", options={"xtol": 1e-14}).x)
         val = functional(*sides, *focal(t, Point2(*xy)))
         if val < best[1]:
             best = (xy, val)
-        if val <= _CIRCLE_TARGET * s**8 and _is_circle_at(t, Point2(*xy), kind):
+        if val <= _CIRCLE_TARGET and _is_circle_at(t, Point2(*xy), kind):
             roots.append((xy, val))
     if not roots:
-        raise NotConverged(f"{kind} circle functional did not reach its target", *best)
+        raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*best))
     hits: list[tuple[tuple[float, float], float]] = []
     for xy, val in sorted(roots, key=lambda h: h[1]):
-        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius * s for h in hits):
+        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius for h in hits):
             hits.append((xy, val))
-    return hits
+    return [plane(*h) for h in hits]
 
 
 def find_pstar_candidates(t: Triangle):
@@ -837,10 +843,10 @@ class CovertexReport:
     branch_split: tuple[int, int] | None = None
 
 
-def _branch_split(con: Conic, pts) -> tuple[int, int] | None:
-    if not classify(con) in (ConicClass.HYPERBOLA, ConicClass.RECTANGULAR_HYPERBOLA):
+def _branch_split(fit: FramedFit, con: Conic, pts) -> tuple[int, int] | None:
+    if fit.conic_class() not in (ConicClass.HYPERBOLA, ConicClass.RECTANGULAR_HYPERBOLA):
         return None
-    cen = conic_center(con)
+    cen = fit.center()
     m = con.m
     Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
     vh = np.array([cen.x, cen.y, 1.0])
@@ -875,11 +881,12 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
         t = Triangle(A, B, C)
         tr = build_triad(t, "v_ellipse")
         cov = triad_covertices(tr)
-        con = fit_conic_5pts(cov[:5])
+        fit = fit_framed(cov[:5])
+        con = fit.conic()
         res = max(residual(con, p) for p in cov)
         return CovertexReport(
-            C, covertex_locus_V(C.x, C.y), res, classify(con), None,
-            _branch_split(con, cov),
+            C, covertex_locus_V(C.x, C.y), res, fit.conic_class(), None,
+            _branch_split(fit, con, cov),
         )
     if kind == "p_equilateral":
         verts = [
@@ -896,12 +903,17 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
         P = Point2(r * math.cos(ray_angle), r * math.sin(ray_angle))
         tr = build_triad(t, "p_ellipse", P)
         cov = triad_covertices(tr)
-        con = fit_conic_5pts(cov[:5])
+        fit = fit_framed(cov[:5])
+        con = fit.conic()
         res = max(residual(con, p) for p in cov)
-        odag = conic_center(con)
+        odag = fit.center()
+        if odag is None:
+            raise NoFiniteCenter("co-vertex conic has no finite center")
         inc = incircle(t)
         err = abs(distance(odag, inc.center) - inc.radius)
-        return CovertexReport(P, g(r), res, classify(con), err, _branch_split(con, cov))
+        return CovertexReport(
+            P, g(r), res, fit.conic_class(), err, _branch_split(fit, con, cov)
+        )
     raise ValueError(f"unknown covertex check kind {kind!r}")
 
 

@@ -14,23 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conic as conics
 from .centers import soddy_centers
 from .conic import (
     Conic,
     ConicClass,
     FocalConic,
-    classify,
     common_points,
     conic_line_intersection,
-    fit_conic_5pts,
+    fit_framed,
     residual,
     covertices_of_focal_conic,
 )
 from .errors import (
     DegenerateMember,
     LineOnConic,
-    NoFiniteCenter,
     NotFound,
     PointOffSideline,
     RankDeficient,
@@ -235,7 +232,8 @@ def menelaus_check(t: Triangle, p1: Point2, p2: Point2, p3: Point2) -> float:
 
 
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
-    """Fit the conic on five triad vertices and report the sixth residual.
+    """Fit the conic on five triad vertices and report the sixth residual;
+    class and center are decided in the frame of the fit (FramedFit).
 
     The five fit points are chosen by farthest-point selection so that a
     nearly coincident vertex pair (degenerate or near-degenerate member)
@@ -257,17 +255,13 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
         distance(pts[i], pts[j]) for i in sel for j in sel if i < j
     ) <= 1e-9 * tr.t.scale():
         raise RankDeficient("fewer than 5 distinct triad vertices")
-    c = fit_conic_5pts([pts[i] for i in sel])
-    residual6 = max(residual(c, p) for p in six)
-    try:
-        cen = conics.center(c)
-    except NoFiniteCenter:
-        cen = None
+    fit = fit_framed([pts[i] for i in sel])
+    c = fit.conic()
     return SixPointConicReport(
         conic=c,
-        conic_class=classify(c),
-        residual6=residual6,
-        center=cen,
+        conic_class=fit.conic_class(),
+        residual6=max(residual(c, p) for p in six),
+        center=fit.center(),
         carnot_product=carnot_product(tr.t, six),
     )
 

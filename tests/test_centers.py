@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,3 +252,23 @@ def test_classic_center_constructed_ids(t456):
     x175, x176 = soddy_centers(t456)
     assert distance(classic_center(t456, "X175"), x175) < 1e-12
     assert distance(classic_center(t456, "X176"), x176) < 1e-12
+
+
+@pytest.mark.parametrize("center_id", ["X478", "X5452"])
+def test_six_point_centers_move_with_the_triangle(center_id):
+    # The six-point conic's center comes from the frame of its fit, so it
+    # survives scaling by 1e3 and translation by (1e4, 1e4).
+    t = random_triangle(np.random.default_rng(5))
+    base = classic_center(t, center_id)
+    for move in (lambda p: Point2(1e3 * p.x, 1e3 * p.y), lambda p: Point2(p.x + 1e4, p.y + 1e4)):
+        moved = Triangle(*(move(v) for v in t.vertices()))
+        assert distance(classic_center(moved, center_id), move(base)) <= 1e-9 * moved.scale()
+
+
+def test_six_point_center_without_finite_center_is_degenerate_result(t456, monkeypatch):
+    from triconic import triads
+
+    rep = triads.six_point_conic(triads.build_triad(t456, "v_ellipse"))
+    monkeypatch.setattr(triads, "six_point_conic", lambda tr: replace(rep, center=None))
+    with pytest.raises(DegenerateResult):
+        classic_center(t456, "X478")

@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import mpmath
 import pytest
 
 from triconic import kernels
-from triconic.conic import Conic, classify, fit_conic_5pts
+from triconic.conic import Conic, classify
 from triconic.geom import Point2, Triangle
 from triconic.loci import REGION_KINDS, region_map
 
@@ -20,23 +21,44 @@ _CLASS_TO_NAME = {
 }
 
 
-def test_det5_matches_numpy(rng):
-    for _ in range(200):
-        m = rng.uniform(-2, 2, (5, 5))
-        assert kernels.det5(m.tolist()) == pytest.approx(np.linalg.det(m), rel=1e-9, abs=1e-12)
+def _mp_null_vector(xs, ys, frame):
+    """Unit null vector of the framed design matrix at 50 digits, from the
+    float points and the float frame taken as exact."""
+    with mpmath.workdps(50):
+        ox, oy, s = (mpmath.mpf(t) for t in frame)
+        rows = []
+        for x, y in zip(xs, ys):
+            u, v = (mpmath.mpf(x) - ox) / s, (mpmath.mpf(y) - oy) / s
+            rows.append([u * u, u * v, v * v, u, v, 1])
+        co = [
+            (-1) ** j * mpmath.det([[r[k] for k in range(6) if k != j] for r in rows])
+            for j in range(6)
+        ]
+        n = mpmath.sqrt(sum(c * c for c in co))
+        return [float(c / n) for c in co]
 
 
-def test_fit5_cofactor_matches_svd(rng):
-    for _ in range(100):
-        pts = rng.uniform(-1, 2, (5, 2))
-        co = kernels.fit5_cofactor(pts[:, 0], pts[:, 1])
-        if kernels.frobenius(co) < 1e-12:
-            continue
-        svd = fit_conic_5pts([Point2(*p) for p in pts])
-        cof = Conic.from_coeffs(co)
-        assert np.allclose(cof.m, svd.m, atol=1e-8) or np.allclose(
-            cof.m, -svd.m, atol=1e-8
-        )
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e4, -1e4)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_fit5_matches_mpmath_null_vector(offset, scale, rng):
+    # fit5 frames the points at their centroid and RMS spread and returns
+    # the cofactor null vector of the framed design matrix.  On these
+    # well-conditioned sets it agrees with 50 digits to a few ulp.
+    for _ in range(40):
+        pts = rng.uniform(-1.0, 1.0, (5, 2)) * scale + offset
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+        co, frame = kernels.fit5(xs, ys)
+        with mpmath.workdps(50):
+            mx = [mpmath.mpf(x) for x in xs]
+            my = [mpmath.mpf(y) for y in ys]
+            cx, cy = sum(mx) / 5, sum(my) / 5
+            spread = mpmath.sqrt(sum((x - cx) ** 2 + (y - cy) ** 2 for x, y in zip(mx, my)) / 5)
+            want_frame = [float(cx), float(cy), float(spread)]
+        assert frame == pytest.approx(want_frame, rel=1e-15, abs=1e-15 * scale)
+        got = np.array(co) / np.linalg.norm(co)
+        want = np.array(_mp_null_vector(xs, ys, frame))
+        err = min(np.abs(got - want).max(), np.abs(got + want).max())
+        assert err <= 1e-12, (pts, err)
 
 
 def test_classify_code_matches_module(rng):
@@ -170,7 +192,7 @@ def test_batch_fit_is_bit_identical(rng):
         for kind in range(4):
             vals = rng.uniform(-1.0, 2.0, (8, 300)) + offset
             xs, ys, bad = kernels._vertices_batch(*vals[:6], kind, vals[6], vals[7])
-            coeffs = np.array(kernels._fit5_batch(xs[:5], ys[:5]))
+            coeffs = np.array(kernels.fit5(xs[:5], ys[:5])[0])
             for i in range(vals.shape[1]):
                 args = vals[:, i].tolist()
                 v = kernels.triad_vertices12(*args[:6], kind, *args[6:])
@@ -180,7 +202,7 @@ def test_batch_fit_is_bit_identical(rng):
                 assert xs[:, i].tolist() == list(v[0::2])
                 assert ys[:, i].tolist() == list(v[1::2])
                 assert coeffs[:, i].tolist() == list(
-                    kernels.fit5_cofactor(v[0:10:2], v[1:10:2])
+                    kernels.fit5(v[0:10:2], v[1:10:2])[0]
                 )
 
 

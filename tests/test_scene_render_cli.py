@@ -151,6 +151,22 @@ def test_cli_construct_classify_345(tmp_path, cli_env):
     assert lines[1] == "center (-3.6,-4.8)"
 
 
+def test_cli_classify_prints_the_stored_triad_class(tmp_path, cli_env):
+    # The 3-4-5 triangle moved to (1000, 1000): the class and center are
+    # those decided in the frame of the fit, not a reclassification of the
+    # plane coefficients (which read degenerate_parallel_lines).
+    r = run_cli(
+        ["construct", "--triangle", "1000,1003 1004,1000 1000,1000", "--triad", "v-ell",
+         "--out", "s.json"],
+        tmp_path,
+        cli_env,
+    )
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["classify", "--scene", "s.json"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines() == ["degenerate_two_lines", "center (996.4,995.2)"]
+
+
 def test_cli_usage_error(tmp_path, cli_env):
     r = run_cli(
         ["construct", "--triangle", "0,3 4,0 0,0", "--triad", "nope", "--out", "x"],
