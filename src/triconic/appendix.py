@@ -35,29 +35,54 @@ BLOCK_NAMES = (
 )
 
 
+class TermList(list):
+    """A term list, rows [coeff, e1, ..., en], with the arrays eval_terms
+    reads: the highest exponent of each variable, and for each variable
+    (after the coefficients) the index of every row's factor in a flat
+    table [coeffs, v1**0 .. v1**top1, v2**0 .. v2**top2, ...]."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        table = np.array(self, dtype=float).reshape(len(self), -1)
+        exps = table[:, 1:].astype(np.intp)
+        self.coeffs = table[:, 0]
+        self.tops = [int(col.max(initial=0)) for col in exps.T]
+        starts = np.cumsum([len(self)] + [top + 1 for top in self.tops])[:-1]
+        self.index = np.vstack([np.arange(len(self)), (exps + starts).T])
+
+
 @functools.lru_cache(maxsize=None)
 def load_block(name: str) -> dict:
     if name not in BLOCK_NAMES:
         raise KeyError(f"unknown appendix block {name!r}")
     path = resources.files("triconic").joinpath(f"data/appendix/{name}.json")
-    return json.loads(path.read_text())
+    block = json.loads(path.read_text())
+    block["polys"] = {poly: TermList(rows) for poly, rows in block["polys"].items()}
+    return block
 
 
 def eval_terms(rows, variables, values: dict) -> tuple[float, float]:
-    """(sum, max |term|) of a term list at the given variable values."""
-    vals = [float(values[v]) for v in variables]
-    total = 0.0
-    biggest = 0.0
-    for row in rows:
-        term = float(row[0])
-        for v, e in zip(vals, row[1:]):
-            if e:
-                term *= v**e
-        total += term
-        a = abs(term)
-        if a > biggest:
-            biggest = a
-    return total, biggest
+    """(sum, max |term|) of a term list at the given variable values.
+
+    A term is its coefficient times the variables' powers, multiplied in
+    variable order; each power comes from a table of Python `v ** e`, and
+    a zero exponent multiplies by exactly 1.0.  The terms are added in row
+    order (np.cumsum, which does not pair), so the result is bit for bit
+    that of a loop over the rows.  Term lists from load_block carry their
+    arrays; any other list of rows is converted on each call.
+    """
+    terms = rows if isinstance(rows, TermList) else TermList(rows)
+    powers = [
+        float(values[var]) ** e
+        for var, top in zip(variables, terms.tops)
+        for e in range(top + 1)
+    ]
+    factors = np.concatenate((terms.coeffs, powers))[terms.index]
+    # Reducing over the outer axis multiplies each row's factors in order.
+    products = np.multiply.reduce(factors, axis=0)
+    # The leading 0.0 is the loop's start: it turns an all -0.0 sum into 0.0.
+    total = np.cumsum(np.concatenate(([0.0], products)))[-1]
+    return float(total), float(np.fmax.reduce(np.abs(products), initial=0.0))
 
 
 def eval_block_poly(name: str, poly: str, values: dict) -> tuple[float, float]:

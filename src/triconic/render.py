@@ -48,26 +48,44 @@ def emit_ppm(grid: RegionGrid) -> str:
 
 
 def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
-    """Sampled branch polylines of a Cartesian conic, clipped to bbox."""
-    kind = classify(c)
+    """Sampled branch polylines of a Cartesian conic, clipped to bbox.
+
+    The conic is classified, split and sampled in a frame at the center
+    (ox, oy) of bbox, u = (x - ox) / s and v = (y - oy) / s, so a scene
+    draws the same curves wherever it sits in the plane.  s is half the
+    span of bbox, or the conic's own reach from (ox, oy) where that is
+    larger (sqrt of its value there over its largest quadratic
+    coefficient), so a conic much larger than the view keeps its class.
+    """
     xmin, xmax, ymin, ymax = bbox
-    span = max(xmax - xmin, ymax - ymin)
+    ox, oy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+    half = max(xmax - xmin, ymax - ymin) / 2.0
+    quad = np.abs(c.m[:2, :2]).max()
+    s = max(half, math.sqrt(abs(c(Point2(ox, oy))) / quad)) if quad > 0.0 else half
+    to_plane = np.array([[s, 0.0, ox], [0.0, s, oy], [0.0, 0.0, 1.0]])
+    framed = Conic(to_plane.T @ c.m @ to_plane)
+
+    def plane(u, v):
+        return Point2(ox + s * u, oy + s * v)
+
+    kind = classify(framed)
     if kind.is_degenerate():
         try:
-            g, h = split_degenerate(c)
+            g, h = split_degenerate(framed)
         except LineOnConic:
             return []
-        return [seg for line in (g, h) for seg in _clip_line(line, bbox)]
-    m = c.m
+        lines = (LineEq(ln.l, ln.m, ln.n * s - ln.l * ox - ln.m * oy) for ln in (g, h))
+        return [seg for line in lines for seg in _clip_line(line, bbox)]
+    m = framed.m
     Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
     if kind == ConicClass.PARABOLA:
         polys = trace_zero_set(
-            lambda x, y: float(np.array([x, y, 1.0]) @ m @ np.array([x, y, 1.0])),
+            lambda x, y: framed(Point2((x - ox) / s, (y - oy) / s)),
             bbox,
             n_seeds=128,
         )
         return [p for p in polys if len(p) >= 2]
-    cen = conic_center(c)
+    cen = conic_center(framed)
     evals, evecs = np.linalg.eigh(Q)
     vh = np.array([cen.x, cen.y, 1.0])
     k = -float(vh @ m @ vh)
@@ -79,7 +97,7 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
             u = semis[0] * math.cos(ang)
             v = semis[1] * math.sin(ang)
             pts.append(
-                Point2(
+                plane(
                     cen.x + u * evecs[0, 0] + v * evecs[0, 1],
                     cen.y + u * evecs[1, 0] + v * evecs[1, 1],
                 )
@@ -91,7 +109,7 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
     io = 1 - it
     a = math.sqrt(ratios[it])
     b = math.sqrt(-ratios[io])
-    reach = 4.0 * span / a + 2.0
+    reach = 4.0 * (2.0 * half / s) / a + 2.0
     umax = math.log(reach + math.sqrt(reach * reach + 1.0))
     branches = []
     for sgn in (1.0, -1.0):
@@ -101,7 +119,7 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
             x1 = sgn * a * math.cosh(u)
             x2 = b * math.sinh(u)
             pts.append(
-                Point2(
+                plane(
                     cen.x + x1 * evecs[0, it] + x2 * evecs[0, io],
                     cen.y + x1 * evecs[1, it] + x2 * evecs[1, io],
                 )

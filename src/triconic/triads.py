@@ -78,23 +78,47 @@ class SixPointConicReport:
     carnot_product: float
 
 
+def driver_fault(t: Triangle, kind: str, p: Point2) -> str | None:
+    """Why the P-kind triad of t with driver p degenerates, or None when
+    build_triad(t, kind, p) builds all three members: the guard it raises
+    DegenerateMember on, for callers that only need to know."""
+    scale = t.scale()
+    for v in t.vertices():
+        if distance(p, v) <= _MEMBER_GUARD * scale:
+            return f"P coincides with vertex {v}"
+    for d, s in zip(_p_deltas(t, kind, p), t.sides()):
+        if kind == "p_ellipse":
+            if d <= s + _MEMBER_GUARD * scale:
+                return "P on a side segment: ellipse member collapses"
+        elif abs(d) <= _MEMBER_GUARD * scale:
+            return "P on a perpendicular bisector: lambda = 0"
+        elif abs(d) >= s - _MEMBER_GUARD * scale:
+            return "P on a sideline extension: hyperbola collapses"
+    return None
+
+
+def _p_deltas(t: Triangle, kind: str, p: Point2) -> tuple[float, float, float]:
+    pa, pb, pc = distance(p, t.a), distance(p, t.b), distance(p, t.c)
+    if kind == "p_ellipse":
+        return (pb + pc, pc + pa, pa + pb)
+    return (pb - pc, pc - pa, pa - pb)
+
+
 def build_triad(t: Triangle, kind: str, p: Point2 | None = None) -> ConicTriad:
     if kind not in TRIAD_KINDS:
         raise ValueError(f"unknown triad kind {kind!r}")
     if kind.startswith("p_"):
         if p is None:
             raise ValueError(f"{kind} needs a point P")
-        for v in t.vertices():
-            if distance(p, v) <= _MEMBER_GUARD * t.scale():
-                raise DegenerateMember(f"P coincides with vertex {v}")
+        fault = driver_fault(t, kind, p)
+        if fault is not None:
+            raise DegenerateMember(fault)
     else:
         p = None
 
     a, bb, cc = t.sides()
     A, B, C = t.a, t.b, t.c
     foci = ((B, C), (C, A), (A, B))
-    sides = (a, bb, cc)
-    scale = t.scale()
 
     if kind == "v_ellipse":
         deltas = (bb + cc, cc + a, a + bb)
@@ -104,14 +128,7 @@ def build_triad(t: Triangle, kind: str, p: Point2 | None = None) -> ConicTriad:
         return ConicTriad(kind, t, None, deltas, members)
 
     if kind == "p_ellipse":
-        deltas = (
-            distance(p, B) + distance(p, C),
-            distance(p, C) + distance(p, A),
-            distance(p, A) + distance(p, B),
-        )
-        for d, s in zip(deltas, sides):
-            if d <= s + _MEMBER_GUARD * scale:
-                raise DegenerateMember("P on a side segment: ellipse member collapses")
+        deltas = _p_deltas(t, kind, p)
         members = tuple(
             FocalConic(f1, f2, d, "ellipse") for (f1, f2), d in zip(foci, deltas)
         )
@@ -121,8 +138,8 @@ def build_triad(t: Triangle, kind: str, p: Point2 | None = None) -> ConicTriad:
         deltas = (cc - bb, a - cc, bb - a)
         members: list[FocalConic | None] = []
         deglines: list[LineEq | None] = []
-        for (f1, f2), lam, s in zip(foci, deltas, sides):
-            if abs(lam) <= _MEMBER_GUARD * scale:
+        for (f1, f2), lam in zip(foci, deltas):
+            if abs(lam) <= _MEMBER_GUARD * t.scale():
                 members.append(None)
                 deglines.append(_perp_bisector(f1, f2))
             else:
@@ -131,16 +148,7 @@ def build_triad(t: Triangle, kind: str, p: Point2 | None = None) -> ConicTriad:
         return ConicTriad(kind, t, None, deltas, tuple(members), tuple(deglines))
 
     # p_hyperbola
-    deltas = (
-        distance(p, B) - distance(p, C),
-        distance(p, C) - distance(p, A),
-        distance(p, A) - distance(p, B),
-    )
-    for lam, s in zip(deltas, sides):
-        if abs(lam) <= _MEMBER_GUARD * scale:
-            raise DegenerateMember("P on a perpendicular bisector: lambda = 0")
-        if abs(lam) >= s - _MEMBER_GUARD * scale:
-            raise DegenerateMember("P on a sideline extension: hyperbola collapses")
+    deltas = _p_deltas(t, kind, p)
     members = tuple(
         FocalConic(f1, f2, abs(lam), "hyperbola") for (f1, f2), lam in zip(foci, deltas)
     )

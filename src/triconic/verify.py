@@ -2,10 +2,18 @@
 
 Every theorem-like statement of the four triad sections plus the six
 appendix polynomial blocks has exactly one named check here.  A check is a
-pure function from a JSON-serializable configuration to a residual; the
-runner draws seeded random configurations, reports the worst residual and
-its witness configuration, and replaying the witness reproduces the
-residual.
+pure function from JSON-serializable configurations to residuals.  The
+runner first draws all of a proposition's seeded random configurations,
+then checks them in one call of its `run`; it reports the worst residual
+and its witness configuration, the number of crashed trials by exception
+type, and the margin of the worst residual against the bound.  Replaying
+the witness (`run` on that one configuration) reproduces the residual.
+
+Most checks take one configuration and run trial by trial through
+`_per_trial`, which turns a crash into a failed trial.  P3.8 runs as one
+batch: all its configurations go through a single
+`kernels.six_point_batch` call, whose codes are those of the scalar
+kernel.
 
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
@@ -17,8 +25,9 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +55,6 @@ from .conic import (
 )
 from .errors import (
     ConstructionFailed,
-    DegenerateMember,
     DegenerateTriangle,
     RankDeficient,
     UnknownProposition,
@@ -83,6 +91,7 @@ from .loci import (
 from .triads import (
     build_triad,
     concurrency_theorems,
+    driver_fault,
     equal_area_check,
     pairwise_intersections,
     second_common_point,
@@ -175,19 +184,16 @@ def _gen_tri(rng) -> dict:
 
 
 def _gen_tri_point(rng) -> dict:
+    """A triangle and a driver P for which both P-triads have all members."""
     while True:
         t = random_triangle(rng)
         p = random_point_near(t, rng)
-        try:
-            build_triad(t, "p_ellipse", p)
-            build_triad(t, "p_hyperbola", p)
-        except DegenerateMember:
-            continue
-        return {"triangle": _tri_cfg(t), "p": [p.x, p.y]}
+        if driver_fault(t, "p_ellipse", p) is None and driver_fault(t, "p_hyperbola", p) is None:
+            return {"triangle": _tri_cfg(t), "p": [p.x, p.y]}
 
 
 # ---------------------------------------------------------------------------
-# Check implementations (cfg -> residual)
+# Check implementations (cfg -> residual; P3.8 checks all its cfgs at once)
 # ---------------------------------------------------------------------------
 
 def _chk_yiu_vertices(cfg) -> float:
@@ -500,15 +506,14 @@ def _chk_equilateral_regions(cfg) -> float:
     return 0.0 if (wanted_any_ellipse and wanted_any_hyp) else 1.0
 
 
-def _chk_never_rectangular(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p = Point2(*cfg["p"])
-    st, code, _, _, _ = kernels.six_point(
-        t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, p.x, p.y
-    )
-    if st:
-        return 0.0
-    return 1.0 if code == kernels.CLASS_RECTANGULAR_HYPERBOLA else 0.0
+def _chk_never_rectangular(cfgs) -> list[float]:
+    """All trials in one six_point_batch call: 1.0 where the P-ellipse
+    six-point conic is a rectangular hyperbola, else 0.0 (a failed
+    construction included), trial by trial the scalar six_point's class."""
+    tri = np.array([cfg["triangle"] for cfg in cfgs], dtype=float).reshape(-1, 6)
+    p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
+    codes = kernels.six_point_batch(*tri.T, kernels.KIND_P_ELLIPSE, *p.T)[0]
+    return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0).tolist()
 
 
 def _chk_covertex_equilateral_P(cfg) -> float:
@@ -902,11 +907,8 @@ def _sideline_extension_residual(t: Triangle, u01: float) -> float:
     nn = math.hypot(nvec.x, nvec.y)
     nvec = Point2(nvec.x / nn, nvec.y / nn)
     base = Point2(t.b.x + u * dvec.x, t.b.y + u * dvec.y)
-    try:
-        build_triad(t, "p_hyperbola", base)
+    if driver_fault(t, "p_hyperbola", base) is None:
         return 1.0
-    except DegenerateMember:
-        pass
     w = 3e-6 * t.scale()
     floor = 1e-9 * t.scale()
     best = 1.0
@@ -949,9 +951,7 @@ def _gen_appendix(name):
             cfg = {"triangle": _tri_cfg(t)}
             if needs_p:
                 p = random_point_near(t, rng)
-                try:
-                    build_triad(t, "p_hyperbola", p)
-                except DegenerateMember:
+                if driver_fault(t, "p_hyperbola", p) is not None:
                     continue
                 cfg["p"] = [p.x, p.y]
             try:
@@ -1095,59 +1095,76 @@ class Proposition:
     prop_id: str
     title: str
     gen: callable
+    # run(cfgs) -> one residual per configuration, or the exception that
+    # crashed its trial.
     run: callable
     threshold: float
     default_trials: int
     evidence: bool = False
 
 
+def _per_trial(check):
+    """A proposition's run from a check of one configuration."""
+
+    def run(cfgs) -> list:
+        out = []
+        for cfg in cfgs:
+            try:
+                out.append(check(cfg))
+            except Exception as exc:  # a crashed check is a failed trial
+                out.append(exc)
+        return out
+
+    return run
+
+
 MANIFEST: tuple[Proposition, ...] = (
     # -- V-ellipses --------------------------------------------------------
-    Proposition("P2.1-yiu-vertices", "vertices at excircle tangency points, on one conic", _gen_tri, _chk_yiu_vertices, 1e-8, 200),
-    Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _chk_yiu_never_circle, 0.5, 200),
-    Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _chk_tangent_excentral, 1e-8, 100),
-    Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _chk_chords_x20, 1e-8, 100),
-    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _chk_right_triangle_x20, 1e-8, 200),
-    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _chk_degenerate_iff_right, 1e-6, 40),
-    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _chk_x478_quartic, 1e-8, 120),
-    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _chk_type_regions_V, 1e-9, 25),
-    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _chk_covertex_locus_V, 1e-7, 4),
+    Proposition("P2.1-yiu-vertices", "vertices at excircle tangency points, on one conic", _gen_tri, _per_trial(_chk_yiu_vertices), 1e-8, 200),
+    Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _per_trial(_chk_yiu_never_circle), 0.5, 200),
+    Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _per_trial(_chk_tangent_excentral), 1e-8, 100),
+    Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _per_trial(_chk_chords_x20), 1e-8, 100),
+    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _per_trial(_chk_right_triangle_x20), 1e-8, 200),
+    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _per_trial(_chk_degenerate_iff_right), 1e-6, 40),
+    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _per_trial(_chk_x478_quartic), 1e-8, 120),
+    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _per_trial(_chk_type_regions_V), 1e-9, 25),
+    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
-    Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _chk_pell_incidence, 1e-8, 300),
-    Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _chk_pstar, 1e-6, 6),
-    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _chk_anticevian_needle, 1e-6, 60),
-    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _chk_degenerate_on_circumcircle, 1e-9, 60),
-    Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _chk_ostar_arcs, 1e-8, 3),
-    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _chk_equilateral_arcs, 1e-8, 1),
-    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _chk_equilateral_regions, 0.5, 1),
+    Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _per_trial(_chk_pell_incidence), 1e-8, 300),
+    Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _per_trial(_chk_pstar), 1e-6, 6),
+    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _per_trial(_chk_anticevian_needle), 1e-6, 60),
+    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _per_trial(_chk_degenerate_on_circumcircle), 1e-9, 60),
+    Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
+    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _per_trial(_chk_equilateral_arcs), 1e-8, 1),
+    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _per_trial(_chk_equilateral_regions), 0.5, 1),
     Proposition("P3.8-never-rectangular", "hyperbolic six-point conic is never rectangular", _gen_tri_point, _chk_never_rectangular, 0.5, 2000),
-    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _chk_covertex_equilateral_P, 1e-7, 3),
+    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
     # -- V-hyperbolas ------------------------------------------------------
-    Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _chk_vhyp_vertex_barys, 1e-9, 200),
-    Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _chk_intouch_extouch, 1e-9, 200),
-    Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _chk_privalov, 1e-8, 100),
-    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _gen_isosceles, _chk_isosceles_degenerate, 1e-8, 50),
-    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _gen_soddy_regimes, _chk_soddy_intersections, 1e-8, 100),
-    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _gen_sextic_abscissa, _chk_halftangent_sextic, 1e-9, 30),
-    Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _chk_vhyp_through_vell, 1e-8, 60),
-    Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _chk_chords_x8, 1e-8, 60),
-    Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _chk_fifteen_point_cubic, 1e-9, 100),
-    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _gen_sextic_abscissa, _chk_soddy_line_tangent, 1e-7, 12),
+    Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _per_trial(_chk_vhyp_vertex_barys), 1e-9, 200),
+    Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _per_trial(_chk_intouch_extouch), 1e-9, 200),
+    Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _per_trial(_chk_privalov), 1e-8, 100),
+    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _gen_isosceles, _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
+    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _gen_soddy_regimes, _per_trial(_chk_soddy_intersections), 1e-8, 100),
+    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _gen_sextic_abscissa, _per_trial(_chk_halftangent_sextic), 1e-9, 30),
+    Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _per_trial(_chk_vhyp_through_vell), 1e-8, 60),
+    Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _per_trial(_chk_chords_x8), 1e-8, 60),
+    Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _per_trial(_chk_fifteen_point_cubic), 1e-9, 100),
+    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _gen_sextic_abscissa, _per_trial(_chk_soddy_line_tangent), 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
-    Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
-    Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _chk_phyp_incidence, 1e-8, 300),
-    Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _chk_equal_areas, 1e-9, 300),
-    Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _chk_circle_pair, 1e-6, 6),
-    Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _chk_x55, 1e-6, 40, evidence=True),
-    Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _chk_phyp_through_pell, 1e-8, 60),
-    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _chk_phyp_parabola, 1e-9, 25),
+    Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _per_trial(_chk_second_point), 1e-8, 100),
+    Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _per_trial(_chk_phyp_incidence), 1e-8, 300),
+    Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _per_trial(_chk_equal_areas), 1e-9, 300),
+    Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
+    Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
+    Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _per_trial(_chk_phyp_through_pell), 1e-8, 60),
+    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _per_trial(_chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
-    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_appendix("a_ellipse"), _mk_appendix_check("a_ellipse"), 1e-6, 10),
-    Proposition("A2-major-vertices", "closed-form major vertices", _gen_appendix("major_vertices"), _mk_appendix_check("major_vertices"), 1e-7, 10),
-    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _gen_appendix("x3prime_center"), _mk_appendix_check("x3prime_center"), 1e-7, 10),
-    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _gen_appendix("phyp_member"), _mk_appendix_check("phyp_member"), 1e-6, 10),
-    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _gen_appendix("pstar_conic"), _mk_appendix_check("pstar_conic"), 1e-6, 10),
-    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _gen_appendix("x5452_coordinate"), _mk_appendix_check("x5452_coordinate"), 1e-7, 10),
+    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_appendix("a_ellipse"), _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
+    Proposition("A2-major-vertices", "closed-form major vertices", _gen_appendix("major_vertices"), _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),
+    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _gen_appendix("x3prime_center"), _per_trial(_mk_appendix_check("x3prime_center")), 1e-7, 10),
+    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _gen_appendix("phyp_member"), _per_trial(_mk_appendix_check("phyp_member")), 1e-6, 10),
+    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _gen_appendix("pstar_conic"), _per_trial(_mk_appendix_check("pstar_conic")), 1e-6, 10),
+    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _gen_appendix("x5452_coordinate"), _per_trial(_mk_appendix_check("x5452_coordinate")), 1e-7, 10),
 )
 
 _BY_ID = {p.prop_id: p for p in MANIFEST}
@@ -1169,6 +1186,10 @@ class CheckResult:
     evidence: bool
     witness: dict | None
     note: str = ""
+    crashed: int = 0
+    # exception type name -> number of trials it crashed, sorted by name
+    errors: dict = field(default_factory=dict)
+    margin: float = 0.0  # max_residual over the bound it passes below
 
     def to_json(self) -> dict:
         return {
@@ -1181,6 +1202,9 @@ class CheckResult:
             "evidence": self.evidence,
             "witness": self.witness,
             "note": self.note,
+            "crashed": self.crashed,
+            "errors": self.errors,
+            "margin": self.margin,
         }
 
 
@@ -1194,17 +1218,31 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     prop = _BY_ID[prop_id]
     n = prop.default_trials if trials is None else max(1, trials)
     rng = _prop_rng(prop_id, seed)
+    # Draw every configuration, then check them all in one call.  No check
+    # touches the rng, so the stream is that of drawing and checking in
+    # turn.  A crashed draw is a failed trial without a witness.
+    drawn = []
+    for _ in range(n):
+        try:
+            drawn.append(prop.gen(rng))
+        except Exception as exc:
+            drawn.append(exc)
+    cfgs = [d for d in drawn if not isinstance(d, Exception)]
+    try:
+        checked = prop.run(cfgs)
+    except Exception as exc:  # a crashed batch check fails all its trials
+        checked = [exc] * len(cfgs)
+    results = iter(checked)
     worst = -1.0
     witness = None
     note = ""
-    for _ in range(n):
-        cfg = None
-        try:
-            cfg = prop.gen(rng)
-            r = prop.run(cfg)
-        except Exception as exc:  # a crashed check is a failed check
+    errors = Counter()
+    for d in drawn:
+        cfg, r = (None, d) if isinstance(d, Exception) else (d, next(results))
+        if isinstance(r, Exception):
+            errors[type(r).__name__] += 1
+            note = f"{type(r).__name__}: {r}"
             r = math.inf
-            note = f"{type(exc).__name__}: {exc}"
         if r > worst:
             worst = r
             witness = cfg
@@ -1219,13 +1257,19 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
         evidence=prop.evidence,
         witness=witness,
         note=note,
+        crashed=sum(errors.values()),
+        errors=dict(sorted(errors.items())),
+        margin=float(worst) / bound,
     )
 
 
 def replay_witness(prop_id: str, witness: dict) -> float:
     if prop_id not in _BY_ID:
         raise UnknownProposition(prop_id)
-    return _BY_ID[prop_id].run(witness)
+    (r,) = _BY_ID[prop_id].run([witness])
+    if isinstance(r, Exception):
+        raise r
+    return r
 
 
 def run_all(seed: int = 42, trials: int | None = None, threads: int = 1) -> dict:

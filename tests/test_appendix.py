@@ -73,6 +73,54 @@ def test_term_list_self_consistency():
             assert val == pytest.approx(float(exact), rel=1e-10, abs=1e-9)
 
 
+def _eval_terms_reference(rows, variables, values):
+    """eval_terms as a loop over the rows."""
+    vals = [float(values[v]) for v in variables]
+    total = 0.0
+    biggest = 0.0
+    for row in rows:
+        term = float(row[0])
+        for v, e in zip(vals, row[1:]):
+            if e:
+                term *= v**e
+        total += term
+        a = abs(term)
+        if a > biggest:
+            biggest = a
+    return total, biggest
+
+
+def test_eval_terms_is_bit_identical_to_the_row_loop(rng):
+    # Values from seeded triangles: the sides, barycentrics of a point near
+    # the triangle, twice the area, and signed axis quantities; one case
+    # per variable sets it to 0.0, where its zero exponents must still
+    # multiply by exactly 1.0.
+    names = {"x", "y", "z", "p", "q", "r", "S", "rt", "La", "Lb", "Lc"}
+    samples = []
+    for _ in range(20):
+        t = random_triangle(rng)
+        a, b, c = t.sides()
+        u, v = rng.uniform(-0.5, 1.5, 2)
+        values = dict(zip(sorted(names), rng.uniform(-1.0, 1.0, len(names))))
+        values.update(a=a, b=b, c=c, x=u, y=v, z=1.0 - u - v, S=2.0 * t.area)
+        samples.append(values)
+    for name in BLOCK_NAMES:
+        block = load_block(name)
+        variables = block["variables"]
+        for poly, rows in block["polys"].items():
+            cases = list(samples)
+            for var in variables:
+                cases.append({**samples[0], var: 0.0})
+            # Columns of exponent 0 only, and a plain list of rows.
+            padded = [list(row) + [0] for row in rows]
+            for values in cases:
+                want = _eval_terms_reference(rows, variables, values)
+                assert eval_terms(rows, variables, values) == want, (name, poly)
+                assert eval_terms([list(row) for row in rows], variables, values) == want
+                got = eval_terms(padded, variables + ["pad"], {**values, "pad": 3.5})
+                assert got == want
+
+
 def test_every_block_checks_on_random_triangles(rng):
     p_needed = {"phyp_member", "pstar_conic"}
     for name in BLOCK_NAMES:

@@ -98,6 +98,53 @@ def test_svg_vhyp_structure(t345):
     assert len(member_paths) >= 3
 
 
+def _scene_conic_samples(dx, dy):
+    """render._conic_samples of every conic of the four triad scenes of the
+    (0.1,0.2) (1.3,0.15) (0.5,1.1) triangle moved by (dx, dy), P at (1, 1)
+    moved alike: per kind, (conic kind, polylines) for the three members
+    and then the six-point conic."""
+    from triconic.conic import FocalConic, conic_from_foci
+    from triconic.render import _conic_samples, _scene_bbox
+    from triconic.scene import _conic_from_json
+
+    t = Triangle(Point2(0.1 + dx, 0.2 + dy), Point2(1.3 + dx, 0.15 + dy), Point2(0.5 + dx, 1.1 + dy))
+    out = {}
+    for kind in ("v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"):
+        p = Point2(1.0 + dx, 1.0 + dy) if kind.startswith("p_") else None
+        sc = scene_for_triad(t, kind, p)
+        bbox = _scene_bbox(sc)
+        trj = sc.triads[0]
+        conics = [
+            (m["kind"], conic_from_foci(
+                FocalConic(Point2(*m["focus1"]), Point2(*m["focus2"]), m["axis_length"], m["kind"])
+            ))
+            for m in trj["members"]
+        ]
+        conics.append((trj["six_point_class"], _conic_from_json(trj["six_point_conic"])))
+        out[kind] = [(cls, _conic_samples(con, bbox)) for cls, con in conics]
+    return out
+
+
+def test_render_samples_move_with_the_scene():
+    # A scene moved by (100, 100) draws the same curves, moved: the same
+    # number of polylines and samples, each sample moved by the offset, and
+    # each curve drawn as its class (an ellipse one closed polyline, a
+    # hyperbola two branches).
+    from triconic.render import MIN_CONIC_SAMPLES
+
+    here, moved = _scene_conic_samples(0.0, 0.0), _scene_conic_samples(100.0, 100.0)
+    for kind in here:
+        for (cls, polys), (_, polys_moved) in zip(here[kind], moved[kind]):
+            assert [len(q) for q in polys] == [len(q) for q in polys_moved], (kind, cls)
+            if cls == "ellipse":
+                assert [len(q) for q in polys] == [MIN_CONIC_SAMPLES + 1], kind
+            else:
+                assert cls == "hyperbola" and len(polys) == 2, kind
+            for q, q_moved in zip(polys, polys_moved):
+                for u, v in zip(q, q_moved):
+                    assert abs(v.x - u.x - 100.0) < 1e-9 and abs(v.y - u.y - 100.0) < 1e-9
+
+
 def test_ppm_format_and_palette(t_generic):
     grid = region_map(t_generic, "p_ellipse_over_P", (12, 10))
     ppm = emit_ppm(grid)

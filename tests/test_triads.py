@@ -5,6 +5,7 @@ import pytest
 
 from triconic import kernels
 from triconic.centers import (
+    circumcircle,
     classic_center,
     excircle_tangency_points,
     intouch_extouch,
@@ -344,6 +345,71 @@ def test_degenerate_member_errors(t_generic):
         build_triad(t_generic, "p_hyperbola", far)
     with pytest.raises(DegenerateMember):
         build_triad(t_generic, "p_hyperbola", t_generic.a)
+
+
+def _guard_points(t):
+    """Drivers on and about the P-triad guards: the vertices, points of the
+    sidelines inside and beyond the sides, the circumcenter and points of
+    the perpendicular bisectors, each also moved along and across its
+    side by 1e-13 and 1e-11 of the scale (either side of the 1e-12 guard),
+    and across it by 1e-6 and 2e-6 (where a P-ellipse axis sum passes the
+    side length by about the guard)."""
+    s = t.scale()
+    pts = [circumcircle(t).center]
+    for u, v in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
+        d = Point2(v.x - u.x, v.y - u.y)
+        e = Point2(d.x / d.norm(), d.y / d.norm())
+        n = Point2(-e.y, e.x)
+        on_line = [Point2(u.x + k * d.x, u.y + k * d.y) for k in (0.0, 1.0, 0.3, 0.5, -0.6, 1.6)]
+        mid = midpoint(u, v)
+        on_bisector = [Point2(mid.x + k * s * n.x, mid.y + k * s * n.y) for k in (-0.7, 0.4, 1.3)]
+        for q in on_line + on_bisector:
+            pts.append(q)
+            for off in (1e-13, 1e-11, -1e-13, -1e-11):
+                pts.append(Point2(q.x + off * s * n.x, q.y + off * s * n.y))
+                pts.append(Point2(q.x + off * s * e.x, q.y + off * s * e.y))
+            for off in (1e-6, 2e-6, -1e-6, -2e-6):
+                pts.append(Point2(q.x + off * s * n.x, q.y + off * s * n.y))
+    return pts
+
+
+def _guard_reference(t, kind, p):
+    """The P-kind guard as build_triad wrote it inline: True when the triad
+    of driver p has all three members."""
+    g = 1e-12 * t.scale()
+    if any(distance(p, v) <= g for v in t.vertices()):
+        return False
+    pa, pb, pc = distance(p, t.a), distance(p, t.b), distance(p, t.c)
+    if kind == "p_ellipse":
+        return all(d > s + g for d, s in zip((pb + pc, pc + pa, pa + pb), t.sides()))
+    return all(g < abs(d) < s - g for d, s in zip((pb - pc, pc - pa, pa - pb), t.sides()))
+
+
+def test_driver_fault_is_the_build_triad_guard(t_generic, rng):
+    # driver_fault names a fault exactly where build_triad raises
+    # DegenerateMember with that message, and exactly where the inline
+    # guard it replaced failed; without a fault all three members are built.
+    cases = [(t, p) for t in (t_generic, random_triangle(rng)) for p in _guard_points(t)]
+    for _ in range(300):
+        t = random_triangle(rng)
+        cases.append((t, random_point_near(t, rng)))
+        cases.append((t, Point2(*rng.uniform(-0.5, 1.5, 2))))
+    faults = {"p_ellipse": 0, "p_hyperbola": 0}
+    for t, p in cases:
+        for kind in faults:
+            fault = triads.driver_fault(t, kind, p)
+            assert (fault is None) == _guard_reference(t, kind, p)
+            try:
+                tr = build_triad(t, kind, p)
+            except DegenerateMember as exc:
+                assert str(exc) == fault
+                faults[kind] += 1
+                continue
+            assert fault is None
+            assert not tr.has_degenerate_member()
+    # The cases reach every guard, and not only from one side.
+    assert 0 < faults["p_ellipse"] < len(cases)
+    assert 0 < faults["p_hyperbola"] < len(cases)
 
 
 def test_vhyp_contains_vell_intersections(t456):

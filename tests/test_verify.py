@@ -1,17 +1,19 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from triconic import centers, conic, config, render, triads, verify
+from triconic import centers, conic, config, kernels, render, triads, verify
 from triconic.conic import Conic
-from triconic.errors import DegenerateTriangle, UnknownProposition
+from triconic.errors import DegenerateMember, DegenerateTriangle, UnknownProposition
 from triconic.geom import BaryCoords, Point2, Triangle
 from triconic.verify import (
     MANIFEST,
     PROPOSITION_IDS,
     format_report,
+    random_point_near,
     random_triangle,
     replay_witness,
     run_all,
@@ -161,6 +163,154 @@ def test_negative_control_tolerance():
         assert not r.passed
     finally:
         config.set_tol(old)
+
+
+def _flaky(check, crash_at):
+    """check, raising the exceptions of crash_at (trial index -> exception)
+    in those trials; the configurations it saw are kept in .seen."""
+
+    def run(cfg):
+        run.seen.append(cfg)
+        exc = crash_at.get(len(run.seen) - 1)
+        if exc is not None:
+            raise exc
+        return check(cfg)
+
+    run.seen = []
+    return run
+
+
+def test_crashed_trials_are_counted_by_type(monkeypatch):
+    pid = "P2.1-yiu-vertices"
+    prop = verify._BY_ID[pid]
+    clean = run_proposition(pid, seed=42, trials=5)
+    assert (clean.crashed, clean.errors) == (0, {})
+    assert clean.margin == clean.max_residual / clean.threshold
+    assert clean.note == ""
+
+    check = _flaky(verify._chk_yiu_vertices, {2: TypeError("injected")})
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=verify._per_trial(check)))
+    r = run_proposition(pid, seed=42, trials=5)
+    assert r.crashed == 1
+    assert r.errors == {"TypeError": 1}
+    assert r.note == "TypeError: injected"
+    assert (r.max_residual, r.margin, r.passed) == (math.inf, math.inf, False)
+    assert r.witness == check.seen[2]
+    js = r.to_json()
+    assert (js["crashed"], js["errors"], js["margin"]) == (1, {"TypeError": 1}, math.inf)
+
+    # Several types: counted apart, keys sorted, the note from the last crash.
+    check = _flaky(
+        verify._chk_yiu_vertices,
+        {0: ZeroDivisionError("first"), 1: TypeError("a"), 3: TypeError("last")},
+    )
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=verify._per_trial(check)))
+    r = run_proposition(pid, seed=42, trials=5)
+    assert r.crashed == 3
+    assert list(r.errors.items()) == [("TypeError", 2), ("ZeroDivisionError", 1)]
+    assert r.note == "TypeError: last"
+    assert r.witness == check.seen[0]  # the first strict maximum
+
+
+def _gen_tri_point_reference(rng):
+    """The shared driver generator as it was, building both P-triads."""
+    while True:
+        t = random_triangle(rng)
+        p = random_point_near(t, rng)
+        try:
+            triads.build_triad(t, "p_ellipse", p)
+            triads.build_triad(t, "p_hyperbola", p)
+        except DegenerateMember:
+            continue
+        return {"triangle": verify._tri_cfg(t), "p": [p.x, p.y]}
+
+
+def _never_rectangular_reference(cfg):
+    """P3.8's check of one configuration through the scalar kernel."""
+    (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
+    st, code, _, _, _ = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, *cfg["p"])
+    if st:
+        return 0.0
+    return 1.0 if code == kernels.CLASS_RECTANGULAR_HYPERBOLA else 0.0
+
+
+def _interleaved_report(pid, seed):
+    """run_proposition's report from one loop that draws and checks each
+    trial in turn, P3.8 through the scalar kernel."""
+    prop = verify._BY_ID[pid]
+    gen = _gen_tri_point_reference if prop.gen is verify._gen_tri_point else prop.gen
+
+    def check(cfg):
+        if pid == "P3.8-never-rectangular":
+            return _never_rectangular_reference(cfg)
+        (r,) = prop.run([cfg])
+        if isinstance(r, Exception):
+            raise r
+        return r
+
+    rng = verify._prop_rng(pid, seed)
+    worst, witness, note, errors = -1.0, None, "", {}
+    for _ in range(prop.default_trials):
+        cfg = None
+        try:
+            cfg = gen(rng)
+            r = check(cfg)
+        except Exception as exc:
+            r = math.inf
+            note = f"{type(exc).__name__}: {exc}"
+            errors[type(exc).__name__] = errors.get(type(exc).__name__, 0) + 1
+        if r > worst:
+            worst, witness = r, cfg
+    bound = verify.EVIDENCE_BOUND if prop.evidence else prop.threshold
+    return {
+        "id": pid,
+        "title": prop.title,
+        "pass": bool(worst <= bound),
+        "max_residual": float(worst),
+        "threshold": prop.threshold,
+        "trials": prop.default_trials,
+        "evidence": prop.evidence,
+        "witness": witness,
+        "note": note,
+        "crashed": sum(errors.values()),
+        "errors": dict(sorted(errors.items())),
+        "margin": float(worst) / bound,
+    }
+
+
+@pytest.mark.parametrize(
+    "pid,seed",
+    [(pid, 42) for pid in PROPOSITION_IDS]
+    + [("P3.8-never-rectangular", seed) for seed in range(1, 9)],
+)
+def test_two_phase_runner_matches_interleaved_loop(pid, seed):
+    r = run_proposition(pid, seed)
+    assert r.to_json() == _interleaved_report(pid, seed)
+    assert replay_witness(pid, r.witness) == r.max_residual
+
+
+_RECTANGULAR = kernels.CLASS_RECTANGULAR_HYPERBOLA
+
+
+@pytest.mark.parametrize("target", [_RECTANGULAR, kernels.CLASS_HYPERBOLA, kernels.CLASS_ELLIPSE])
+def test_never_rectangular_batch_matches_scalar_kernel(target, monkeypatch):
+    # The class P3.8 flags is swapped for common ones, so the batch must
+    # agree with the scalar kernel on flagged trials too.  The hand-made
+    # configurations put P on a side, where the construction fails.
+    monkeypatch.setattr(kernels, "CLASS_RECTANGULAR_HYPERBOLA", target)
+    rng = np.random.default_rng(8)
+    cfgs = [verify._gen_tri_point(rng) for _ in range(400)]
+    t = _tri()
+    for u in (0.25, 0.5):
+        for f1, f2 in ((t.b, t.c), (t.c, t.a)):
+            q = [f1.x + u * (f2.x - f1.x), f1.y + u * (f2.y - f1.y)]
+            cfgs.append({"triangle": verify._tri_cfg(t), "p": q})
+    batch = verify._chk_never_rectangular(cfgs)
+    assert batch == [_never_rectangular_reference(cfg) for cfg in cfgs]
+    assert 0.0 in batch
+    assert (1.0 in batch) == (target != _RECTANGULAR)
+    r = run_proposition("P3.8-never-rectangular", seed=3, trials=300)
+    assert replay_witness("P3.8-never-rectangular", r.witness) == r.max_residual
 
 
 def test_determinism_same_seed():
