@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import kernels
 from .centers import (
@@ -543,6 +542,80 @@ def _seeds(t: Triangle) -> list[tuple[float, float]]:
     return seeds
 
 
+# Damped Newton on the two brackets, in frame units: at most _NEWTON_STEPS
+# steps, each no longer than the distance to the nearest vertex and halved
+# at most _NEWTON_HALVINGS times until it lowers |g|^2.  A start leaves
+# once |g|^2 falls to _NEWTON_G2, its step to _NEWTON_STEP times |q|, no
+# step lowers |g|^2, or it runs past _NEWTON_REACH.
+_NEWTON_STEPS = 50
+_NEWTON_HALVINGS = 10
+_NEWTON_G2 = 1e-30
+_NEWTON_STEP = 1e-15
+_NEWTON_REACH = 20.0
+
+
+def _bracket_newton(t: Triangle, sign: float, brackets, q: np.ndarray) -> np.ndarray:
+    """Damped Newton from every start in q (complex, x + iy) at once toward
+    a common zero of the two brackets; returns where each start stopped.
+
+    x_i = d_j + sign * d_k over the distances d from q to the other two
+    vertices j, k of vertex i, u_i = s_i^2 - x_i^2 over the sides s, and
+    the brackets are differences of the u_i, so their Jacobian is closed
+    form: grad u_i = -2 x_i (unit(q - V_j) + sign * unit(q - V_k)).  The
+    distances are not smooth at the vertices, hence the step cap there.
+    """
+    v = np.array([complex(p.x, p.y) for p in t.vertices()])[:, None]
+    s2 = np.array([a * a for a in t.sides()])[:, None]
+    j, k = [1, 2, 0], [2, 0, 1]
+
+    def system(q):
+        # The brackets (2, n) and their gradients as complex x + iy.
+        dq = q - v
+        d = np.abs(dq)
+        x = d[j] + sign * d[k]
+        e = dq / d
+        grad = -2.0 * x * (e[j] + sign * e[k])
+        return np.array(brackets(*(s2 - x * x))), np.array(brackets(*grad))
+
+    q = q.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g, dg = system(q)
+        g2 = (g * g).sum(axis=0)
+        active = np.isfinite(g2) & (g2 > _NEWTON_G2)
+        for _ in range(_NEWTON_STEPS):
+            live = np.flatnonzero(active)
+            if live.size == 0:
+                break
+            active[live] = False
+            # The step solving Re(grad) dx + Im(grad) dy = -g for both brackets.
+            a, b = dg[:, live]
+            step = -1j * (g[1, live] * a - g[0, live] * b) / (a.conj() * b).imag
+            finite = np.isfinite(step)
+            live, ql, step = live[finite], q[live[finite]], step[finite]
+            step *= np.minimum(1.0, np.abs(ql - v).min(axis=0) / np.abs(step))
+            size, tol = np.abs(step), _NEWTON_STEP * np.abs(ql)
+            lam = 1.0
+            for _ in range(_NEWTON_HALVINGS):
+                if live.size == 0:
+                    break
+                trial = ql + lam * step
+                tg, tdg = system(trial)
+                tg2 = (tg * tg).sum(axis=0)
+                ok = tg2 < g2[live]
+                small = lam * size <= tol
+                moved = live[ok]
+                q[moved], g[:, moved], dg[:, moved] = trial[ok], tg[:, ok], tdg[:, ok]
+                g2[moved] = tg2[ok]
+                active[moved] = (
+                    ~small[ok] & (tg2[ok] > _NEWTON_G2) & (np.abs(trial[ok]) <= _NEWTON_REACH)
+                )
+                # A step below the tolerance is not halved further.
+                keep = ~ok & ~small
+                live, ql, step, size, tol = live[keep], ql[keep], step[keep], size[keep], tol[keep]
+                lam /= 2.0
+    return q
+
+
 def _circle_points(t: Triangle, kind: str, seeds):
     """Distinct points whose `kind` six-point conic is a circle concentric
     with the circumcircle, as (xy, functional value) pairs, smallest value
@@ -552,51 +625,58 @@ def _circle_points(t: Triangle, kind: str, seeds):
     or differences ("p_hyperbola") x, the functional is a sum of squared
     products u_i * (u_j - u_k).  Off the sidelines, where some u_i vanishes,
     its zeros are where u_a = u_b = u_c: the common zeros of two brackets.
-    A root counts when the functional meets its target and the conic
-    validates; the functional also vanishes at the vertices, where the
-    conic is no circle.  Both run in the frame of the triangle (centroid,
-    scale), wherever it lies; seeds, roots and values are in the plane.
+    _bracket_newton runs from all seeds at once; the functional is then
+    evaluated at each point it reached.  The points that meet the target
+    are clustered best first at the per-kind radius, and each cluster gives
+    one root: its best point that validates, tried in order.  The functional
+    also vanishes at the vertices, where the conic is no circle.  All of it
+    runs in the frame of the triangle (centroid, scale), wherever it lies;
+    seeds, roots and values are in the plane.
     """
-    # Per kind: the focal quantities, the functional, two independent
-    # brackets and the dedupe radius over s.
-    focal, functional, brackets, radius = {
+    # Per kind: the focal quantities and their sign, the functional, two
+    # independent brackets and the dedupe radius over s.
+    focal, sign, functional, brackets, radius = {
         "p_ellipse": (
-            _deltas, pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
+            _deltas, 1.0, pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
         ),
         "p_hyperbola": (
-            _lambdas, phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
+            _lambdas, -1.0, phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
         ),
     }[kind]
     o, s = _triangle_frame(t)
     t = Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices()))
     sides = t.sides()
 
-    def g(q):
-        return brackets(*(a * a - x * x for a, x in zip(sides, focal(t, Point2(q[0], q[1])))))
-
     def plane(xy, val):
         return (o.x + s * xy[0], o.y + s * xy[1]), val * s**8
 
-    roots = []
-    best = (None, math.inf)
-    for seed in seeds:
-        # Powell's hybrid method (MINPACK).  Its success flag is not read: at
-        # this xtol it reports no progress even on an exact root, so the
-        # point is judged by the functional.
-        start = ((seed[0] - o.x) / s, (seed[1] - o.y) / s)
-        xy = tuple(optimize.root(g, start, method="hybr", options={"xtol": 1e-14}).x)
-        val = functional(*sides, *focal(t, Point2(*xy)))
-        if val < best[1]:
-            best = (xy, val)
-        if val <= _CIRCLE_TARGET and _is_circle_at(t, Point2(*xy), kind):
-            roots.append((xy, val))
-    if not roots:
-        raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*best))
-    hits: list[tuple[tuple[float, float], float]] = []
-    for xy, val in sorted(roots, key=lambda h: h[1]):
-        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius for h in hits):
-            hits.append((xy, val))
-    return [plane(*h) for h in hits]
+    starts = np.array([complex((x - o.x) / s, (y - o.y) / s) for x, y in seeds])
+    stops = _bracket_newton(t, sign, brackets, starts)
+    found = sorted(
+        (
+            ((x, y), functional(*sides, *focal(t, Point2(x, y))))
+            for x, y in zip(stops.real.tolist(), stops.imag.tolist())
+        ),
+        key=lambda h: h[1],
+    )
+    clusters: list[list[tuple[tuple[float, float], float]]] = []
+    for xy, val in found:
+        if val > _CIRCLE_TARGET:
+            break
+        for c in clusters:
+            if math.hypot(xy[0] - c[0][0][0], xy[1] - c[0][0][1]) <= radius:
+                c.append((xy, val))
+                break
+        else:
+            clusters.append([(xy, val)])
+    hits = []
+    for c in clusters:
+        root = next((h for h in c if _is_circle_at(t, Point2(*h[0]), kind)), None)
+        if root is not None:
+            hits.append(root)
+    if not hits:
+        raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*found[0]))
+    return [plane(*h) for h in sorted(hits, key=lambda h: h[1])]
 
 
 def find_pstar_candidates(t: Triangle):
@@ -790,24 +870,89 @@ def covertex_conconic_V(x: float, y: float) -> float:
     return float(np.linalg.det(m))
 
 
+_BRENT_XTOL = 1e-300
+_BRENT_RTOL = 8.9e-16  # just above 4 * eps, the least the method can hold
+_BRENT_MAXITER = 100
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b] by Brent's method, from the end values
+    fa = f(a) and fb = f(b), which differ in sign or include a 0.
+
+    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 4, step for step as scipy's brentq.c runs it (xtol 1e-300, rtol
+    8.9e-16, at most 100 iterations): the same iterates and the same root
+    to the last bit.  An end where f is 0 is the root itself.  Raises
+    NotConverged, with the last iterate and its value, when f returns NaN or
+    the iterations run out.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({a}) and f({b}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # Secant.
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # Inverse quadratic interpolation.
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN here, and bisects
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NotConverged(f"Brent's method met NaN at {xcur}", xcur, fcur)
+    raise NotConverged(
+        f"Brent's method did not converge in {_BRENT_MAXITER} iterations", xcur, fcur
+    )
+
+
 def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     """Sign changes of f on [lo, hi], in order, as a generator.
 
     Scans the grid lo + (hi - lo) * k / steps, k = 0..steps, and polishes
     each cell whose end values are finite and of opposite sign with Brent's
-    method (scipy.optimize.brentq, to about 4 ulp).  A value of exactly 0
-    counts as positive in the scan, and Brent returns a cell end where f is
-    0 as the root itself: a grid zero that f touches from below is reported
-    by both of its cells, one it touches from above by neither.  Cells with
-    a NaN or infinite end are skipped.
+    method (_brent, to about 4 ulp).  A value of exactly 0 counts as
+    positive in the scan, and Brent returns a cell end where f is 0 as the
+    root itself: a grid zero that f touches from below is reported by both
+    of its cells, one it touches from above by neither.  Cells with a NaN or
+    infinite end are skipped.
 
     f_grid, when given, is an array evaluator of f: called once with the
     grid as an array, it returns f at every grid point, bit for bit f's
     values, and replaces the scalar scan.  Without it the scan is lazy: the
     first root is next(bisect_sign_changes(...), None), and no cell past it
-    is evaluated.  Brent always polishes with the scalar f, and reads the
-    cell's two end values from the scan instead of evaluating them again,
-    so no grid point is evaluated twice.
+    is evaluated.  Brent always polishes with the scalar f, and is handed
+    the cell's two end values from the scan, so no grid point is evaluated
+    twice.
     """
     grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
     values = map(f, grid) if f_grid is None else f_grid(np.array(grid)).tolist()
@@ -815,10 +960,7 @@ def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     prev_s, prev_f = next(cells)
     for s, v in cells:
         if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
-            held = {prev_s: prev_f, s: v}
-            yield optimize.brentq(
-                lambda x: held[x] if x in held else f(x), prev_s, s, xtol=1e-300, rtol=8.9e-16
-            )
+            yield _brent(f, prev_s, s, prev_f, v)
         prev_s, prev_f = s, v
 
 

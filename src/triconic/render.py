@@ -172,6 +172,28 @@ def _clip_line(line: LineEq, bbox) -> list[list[Point2]]:
     return []
 
 
+def _ellipse_box(c: Conic) -> list[tuple[float, float]]:
+    """Two opposite corners of the axis-aligned box of a real ellipse or
+    circle; no corners for any other conic.
+
+    With the quadratic part Q, the linear part b and the constant f, the
+    center is -Q^-1 b and the curve is (p - center)^T Q (p - center) = k,
+    k = -(b . center + f); its half-widths are sqrt(k (Q^-1)_xx) and
+    sqrt(k (Q^-1)_yy).  Only signs are tested, so the box does not depend
+    on where the conic lies or on the scale of its coefficients.
+    """
+    m = c.m
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if not det > 0.0:
+        return []
+    cx, cy = np.linalg.solve(m[:2, :2], -m[:2, 2])
+    k = -(m[0, 2] * cx + m[1, 2] * cy + m[2, 2])
+    if not k * m[0, 0] > 0.0:
+        return []
+    hx, hy = math.sqrt(k * m[1, 1] / det), math.sqrt(k * m[0, 0] / det)
+    return [(cx - hx, cy - hy), (cx + hx, cy + hy)]
+
+
 def _scene_bbox(scene: Scene):
     xs, ys = [], []
 
@@ -197,6 +219,10 @@ def _scene_bbox(scene: Scene):
     for line in scene.polylines:
         for q in line:
             add((q.x, q.y))
+    for con in scene.conics:
+        if con.frame == "cartesian":
+            for corner in _ellipse_box(con):
+                add(corner)
     if not xs:
         raise EmptyScene("nothing to render")
     xmin, xmax = min(xs), max(xs)

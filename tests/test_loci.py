@@ -632,3 +632,17 @@ def test_bisect_sign_changes_evaluates_no_grid_point_twice():
         assert roots == list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=steps))
         assert len(roots) == 3
         assert [calls[s] for s in grid] == [0 if kw else 1] * len(grid)
+
+
+def test_brent_raises_not_converged_with_its_last_iterate():
+    # A ninefold root: Brent's interpolation creeps toward it, and 100
+    # iterations do not reach its 4-ulp tolerance.
+    f = lambda x: (x - 0.3) ** 9  # noqa: E731
+    with pytest.raises(NotConverged) as err:
+        loci._brent(f, -1.0, 1.2, f(-1.0), f(1.2))
+    assert -1.0 <= err.value.best <= 1.2 and err.value.value == f(err.value.best)
+    # A NaN met inside the cell stops the polish the same way.
+    g = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5  # noqa: E731
+    with pytest.raises(NotConverged) as err:
+        loci._brent(g, 0.0, 1.0, -0.5, 0.5)
+    assert math.isnan(err.value.value)

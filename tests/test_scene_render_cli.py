@@ -358,3 +358,17 @@ def test_env_tolerance_override(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert r.stdout.strip() == "1e-05"
+
+
+def test_svg_view_box_covers_a_scene_conic():
+    # The view of a scene holding a raw conic covers the conic, not only
+    # the scene's points.
+    sc = Scene()
+    sc.conics.append(Conic.from_coeffs([1, 0, 1, 0, 0, -1]))
+    sc.add_point("O", Point2(0, 0))
+    root = ET.fromstring(emit_svg(sc))
+    xmin, top, w, h = (float(v) for v in root.attrib["viewBox"].split())
+    # The y axis points up: the view spans x in [xmin, xmin + w] and
+    # y in [-top - h, -top].
+    assert xmin <= -1.0 and xmin + w >= 1.0
+    assert -top - h <= -1.0 and -top >= 1.0

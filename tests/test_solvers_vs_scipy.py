@@ -1,0 +1,158 @@
+"""The package's own root-finders against the scipy routines they replace.
+
+loci._brent must give scipy.optimize.brentq's root bit for bit, so every
+verifier residual and witness stays what it was; loci._circle_points must
+find the roots that the former MINPACK ``hybr`` search found.  Skipped
+where scipy is not installed: the package itself does not need it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from triconic import loci, verify
+from triconic.errors import NotConverged
+from triconic.geom import Point2, Triangle
+from triconic.triads import _triangle_frame
+
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def _brentq(f, a, b, fa, fb):
+    # scipy's Brent on the cell, reading the two end values the scan holds.
+    held = {a: fa, b: fb}
+    return optimize.brentq(
+        lambda x: held[x] if x in held else f(x), a, b, xtol=1e-300, rtol=8.9e-16
+    )
+
+
+def test_brent_matches_brentq_on_every_seed42_bracket(monkeypatch):
+    brackets = []
+    own = loci._brent
+
+    def recording(f, a, b, fa, fb):
+        root = own(f, a, b, fa, fb)
+        brackets.append((root, _brentq(f, a, b, fa, fb)))
+        return root
+
+    monkeypatch.setattr(loci, "_brent", recording)
+    assert verify.run_all(42)["all_pass"]
+    assert len(brackets) > 300
+    assert [ours for ours, _ in brackets] == [theirs for _, theirs in brackets]
+
+
+def test_brent_matches_brentq_on_synthetic_brackets():
+    rng = np.random.default_rng(11)
+    fns = [
+        lambda x: x * x * x - 2.0 * x - 5.0,
+        lambda x: math.tan(x) - x,
+        lambda x: math.exp(x) - 3.0,
+        lambda x: (x - 0.3) * (1.0 + x * x),
+        lambda x: math.atan(1e6 * (x - 0.7)),
+        lambda x: 1e-200 * (x - 0.1),
+    ]
+    cells = [(1.5, 3.0), (4.3, 4.6), (-1.0, 2.0), (-2.0, 1.7), (0.5, 0.9), (-3.0, 3.0)]
+    n = 0
+    for f, (lo, hi) in zip(fns, cells):
+        for _ in range(40):
+            a, b = sorted(rng.uniform(lo, hi, 2))
+            fa, fb = f(a), f(b)
+            if (fa < 0.0) == (fb < 0.0):
+                continue
+            assert loci._brent(f, a, b, fa, fb) == _brentq(f, a, b, fa, fb)
+            n += 1
+    assert n > 100
+    # A cell end that is exactly 0 is the root itself, on either side.
+    line = lambda x: x - 0.5  # noqa: E731
+    for a, b in ((0.5, 1.0), (0.0, 0.5)):
+        assert loci._brent(line, a, b, line(a), line(b)) == 0.5
+        assert _brentq(line, a, b, line(a), line(b)) == 0.5
+
+
+def _hybr_circle_points(t, kind, seeds):
+    """The former search: MINPACK's hybr from each seed, every root that
+    meets the target validated, then deduped best first."""
+    focal, functional, brackets, radius = {
+        "p_ellipse": (
+            loci._deltas, loci.pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
+        ),
+        "p_hyperbola": (
+            loci._lambdas, loci.phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
+        ),
+    }[kind]
+    o, s = _triangle_frame(t)
+    t = Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices()))
+    sides = t.sides()
+
+    def g(q):
+        return brackets(*(a * a - x * x for a, x in zip(sides, focal(t, Point2(q[0], q[1])))))
+
+    def plane(xy, val):
+        return (o.x + s * xy[0], o.y + s * xy[1]), val * s**8
+
+    roots = []
+    best = (None, math.inf)
+    for seed in seeds:
+        start = ((seed[0] - o.x) / s, (seed[1] - o.y) / s)
+        xy = tuple(optimize.root(g, start, method="hybr", options={"xtol": 1e-14}).x)
+        val = functional(*sides, *focal(t, Point2(*xy)))
+        if val < best[1]:
+            best = (xy, val)
+        if val <= loci._CIRCLE_TARGET and loci._is_circle_at(t, Point2(*xy), kind):
+            roots.append((xy, val))
+    if not roots:
+        raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*best))
+    hits = []
+    for xy, val in sorted(roots, key=lambda h: h[1]):
+        if not any(math.hypot(xy[0] - h[0][0], xy[1] - h[0][1]) <= radius for h in hits):
+            hits.append((xy, val))
+    return [plane(*h) for h in hits]
+
+
+def _agreement_triangle(draw):
+    kind, i = draw
+    if kind == "obtuse":
+        # Angle at C about 165 degrees (tests/test_loci.py).
+        return Triangle(
+            Point2(0.7751131641779292, 0.29089325912672925),
+            Point2(0.4204307459590436, 0.0042869212385614475),
+            Point2(0.6259889257552741, 0.13306675605752827),
+        )
+    if kind == "near_vertex":
+        # Zeros on either side of C along its bisector (tests/test_loci.py).
+        return Triangle(
+            Point2(0.0, 0.0),
+            Point2(1.483727388938172, 0.0),
+            Point2(0.7378315713690614, 0.09869291364934368),
+        )
+    draw_fn = verify.random_triangle if kind == "random" else verify.random_flat_triangle
+    return draw_fn(np.random.default_rng([2026, i]))
+
+
+def _search(fn, t, kind):
+    try:
+        return fn(t, kind, loci._seeds(t))
+    except NotConverged:
+        return None
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [("random", i) for i in range(24)]
+    + [("flat", i) for i in range(24)]
+    + [("obtuse", 0), ("near_vertex", 0)],
+    ids=str,
+)
+def test_newton_search_finds_the_hybr_roots(draw):
+    t = _agreement_triangle(draw)
+    s = t.scale()
+    for kind in ("p_ellipse", "p_hyperbola"):
+        want = _search(_hybr_circle_points, t, kind)
+        got = _search(loci._circle_points, t, kind)
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        assert len(got) == len(want)
+        for xy, _ in got:
+            assert min(math.dist(xy, w) for w, _ in want) <= 1e-8 * s
