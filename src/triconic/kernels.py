@@ -1,16 +1,28 @@
-"""Six-point kernels, scalar and numpy batch, the one five-point fit and
-the one conic classifier.
+"""Six-point kernels, scalar and numpy batch: the one vertex formula, the
+one five-point fit and fit rule, and the one conic classifier.
 
-These are the inner-loop primitives used by region maps, the verifier and
-the O* locus sweep: construct a triad's six vertices, fit the conic through
-five of them, classify, and evaluate residuals.  The scalar functions serve
-one-off calls (the Brent polish of the verifier's sign scans) and are the
-reference in tests; `six_point_batch` runs the same arithmetic, in the same
-order, on whole grids of driver points (region maps and the verifier's scan
-grids), and returns the normalized determinant and discriminant beside the
-class codes, bit for bit the scalar values.  `loci.sample_locus_ostar`
-calls the batch pieces directly: the vertices of every driver on the
-circumcircle from `_vertices_batch`, then `fit5` and `frame_center`.
+These are the primitives of every six-point conic in the package: construct
+a triad's six vertices, fit the conic through five of them, classify, and
+take the residual of the sixth.  The scalar functions serve one-off calls
+(`triads.six_point_conic`, the Brent polish of the verifier's sign scans);
+`six_point_batch` runs the same arithmetic, in the same order, on whole
+grids of driver points (region maps, the verifier's scan grids and its
+P2.2, P3.1, P3.8 and P5.2 trials), and returns bit for bit the scalar
+values.  `loci.sample_locus_ostar` calls the batch pieces directly: the
+vertices of every driver on the circumcircle from `_vertices_batch`, then
+`fit_six` and `frame_center`.
+
+`vertex_coords` is the vertex formula (side midpoint +- delta / 2 along the
+side) on floats and arrays alike, with distances as sqrt(dx*dx + dy*dy)
+(`_hypot`): math.sqrt and np.sqrt both round correctly, so a float and an
+array entry give the same bits.
+
+`fit_six` is the fit rule: leave out the later vertex of the closest vertex
+pair (an argmin over the 15 pairs, so it runs on arrays too) and fit the
+other five; residual6 is the left-out vertex's residual in the fit's frame.
+The rule drops one copy of a degenerate member's vertex pair and one of two
+vertices that meet at a triangle corner, where a fit through both would be
+ill conditioned.
 
 `fit5` is the package's only five-point fit: the cofactor expansion of the
 design matrix in the frame of the five points (centroid and RMS spread,
@@ -19,7 +31,10 @@ frame, so its class does not change when the points are moved, rotated or
 scaled.  The cofactors depend polynomially on the framed points and the
 frame continuously on the points, so the determinant of the fitted matrix
 varies continuously along parameter sweeps (needed for sign-bracketing of
-degeneracy boundaries).
+degeneracy boundaries) as long as the left-out vertex stays the same.
+Where it changes, the fitted coefficients can change sign: this happens on
+P-hyperbola sweeps, never on the V- and P-ellipse sweeps the verifier
+brackets det on (none in 400 seeded rays of each).
 
 `classify_code` holds the conic-type policy for the whole package: one
 threshold ladder on the Frobenius-normalized coefficients, applied to
@@ -129,8 +144,10 @@ def conic_eval(co, x, y):
 
 
 def conic_residual(co, x, y):
+    """|conic(x, y)| / (Frobenius norm * (x^2 + y^2 + 1)), on floats or
+    arrays; inf for a zero norm on floats."""
     n = frobenius(co)
-    if n == 0.0:
+    if not isinstance(n, np.ndarray) and n == 0.0:
         return math.inf
     return abs(conic_eval(co, x, y)) / (n * (x * x + y * y + 1.0))
 
@@ -209,53 +226,131 @@ def frame_center(co, frame):
     return x, y, has_center
 
 
-def triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py):
-    """Twelve vertex coordinates (A1 A2 B1 B2 C1 C2) or None if a member
-    degenerates, coincident vertices included."""
-    a = math.hypot(bx - cx, by - cy)
-    b = math.hypot(cx - ax, cy - ay)
-    c = math.hypot(ax - bx, ay - by)
-    if min(a, b, c) == 0.0:
-        return None
-    scale = max(a, b, c)
+def _hypot(x, y):
+    """sqrt(x*x + y*y), on floats (math.sqrt) or arrays (np.sqrt).
+
+    Both square roots round correctly, so a float and an array entry give
+    the same bits, and the batch kernel's vertices and fits are bit for bit
+    those of the scalar kernel.  (np.hypot and math.hypot differ in the last
+    bit on about 1% of inputs.)  Coordinates beyond about 1e150 overflow.
+    """
+    sq = x * x + y * y
+    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+
+
+def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
+    """Side lengths (a, b, c), the signed axis quantities (d1, d2, d3) of
+    the triad's members, and whether a member degenerates, on floats or on
+    arrays of one shape (then the flag is a bool array).
+
+    A P-triad member degenerates when it collapses (within 1e-12 of the
+    largest side), and any triad when two triangle vertices coincide.  A
+    V-hyperbola member of an isosceles triangle (lambda = 0) does not: it
+    contributes its side's midpoint twice, and the fit rule leaves out one
+    copy.
+    """
+    a = _hypot(bx - cx, by - cy)
+    b = _hypot(cx - ax, cy - ay)
+    c = _hypot(ax - bx, ay - by)
+    if isinstance(a, np.ndarray):
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    else:
+        lo, hi = min(a, b, c), max(a, b, c)
+    eps = 1e-12 * hi
+    bad = lo == 0.0
     if kind == KIND_V_ELLIPSE:
-        d1, d2, d3 = b + c, c + a, a + b
-    elif kind == KIND_P_ELLIPSE:
-        pb = math.hypot(px - bx, py - by)
-        pc = math.hypot(px - cx, py - cy)
-        pa = math.hypot(px - ax, py - ay)
-        d1, d2, d3 = pb + pc, pc + pa, pa + pb
-        if d1 <= a + 1e-12 * scale or d2 <= b + 1e-12 * scale or d3 <= c + 1e-12 * scale:
-            return None
+        d = (b + c, c + a, a + b)
     elif kind == KIND_V_HYPERBOLA:
-        d1, d2, d3 = c - b, a - c, b - a
-        if (
-            abs(d1) <= 1e-12 * scale
-            or abs(d2) <= 1e-12 * scale
-            or abs(d3) <= 1e-12 * scale
-        ):
-            return None
-    elif kind == KIND_P_HYPERBOLA:
-        pb = math.hypot(px - bx, py - by)
-        pc = math.hypot(px - cx, py - cy)
-        pa = math.hypot(px - ax, py - ay)
-        d1, d2, d3 = pb - pc, pc - pa, pa - pb
-        for d, s in ((d1, a), (d2, b), (d3, c)):
-            if abs(d) <= 1e-12 * scale or abs(d) >= s - 1e-12 * scale:
-                return None
+        d = (c - b, a - c, b - a)
+    elif kind in (KIND_P_ELLIPSE, KIND_P_HYPERBOLA):
+        pa = _hypot(px - ax, py - ay)
+        pb = _hypot(px - bx, py - by)
+        pc = _hypot(px - cx, py - cy)
+        if kind == KIND_P_ELLIPSE:
+            d = (pb + pc, pc + pa, pa + pb)
+            for di, s in zip(d, (a, b, c)):
+                bad = bad | (di <= s + eps)
+        else:
+            d = (pb - pc, pc - pa, pa - pb)
+            for di, s in zip(d, (a, b, c)):
+                bad = bad | (abs(di) <= eps) | (abs(di) >= s - eps)
     else:
         raise ValueError(f"unknown kind code {kind}")
-    out = []
-    for (f1x, f1y, f2x, f2y), d, s in (
-        ((bx, by, cx, cy), d1, a),
-        ((cx, cy, ax, ay), d2, b),
-        ((ax, ay, bx, by), d3, c),
+    return (a, b, c), d, bad
+
+
+def vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas):
+    """The package's one vertex formula: the xs and ys of the six vertices
+    A1 A2 B1 B2 C1 C2, on floats or arrays.
+
+    The members have foci (B, C), (C, A), (A, B); member k's vertices sit at
+    the midpoint of its foci +- (delta_k / 2) along the unit vector from its
+    second focus to its first, with the signed delta_k, so that (A1, B1, C1)
+    is the extouch triangle for V-hyperbolas and the excircle tangency
+    labels hold for V-ellipses.  A zero delta gives the midpoint twice.
+    """
+    xs, ys = [], []
+    for (f1x, f1y, f2x, f2y), d, s in zip(
+        ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)), deltas, sides
     ):
         mx, my = (f1x + f2x) / 2.0, (f1y + f2y) / 2.0
         ux, uy = (f1x - f2x) / s, (f1y - f2y) / s
         h = d / 2.0
-        out.extend((mx + h * ux, my + h * uy, mx - h * ux, my - h * uy))
-    return tuple(out)
+        xs.extend((mx + h * ux, mx - h * ux))
+        ys.extend((my + h * uy, my - h * uy))
+    return xs, ys
+
+
+def triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py):
+    """Twelve vertex coordinates (A1 A2 B1 B2 C1 C2) or None if a member
+    degenerates, coincident vertices included."""
+    sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    if bad:
+        return None
+    v = [0.0] * 12
+    v[0::2], v[1::2] = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
+    return tuple(v)
+
+
+# The fit rule: the 15 vertex pairs (i, j), i < j, in order, and for each
+# left-out vertex the five kept, in order.
+_PAIRS = tuple(itertools.combinations(range(6), 2))
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_KEPT = tuple(tuple(k for k in range(6) if k != j) for j in range(6))
+_KEPT_ARRAY = np.array(_KEPT)
+
+
+def fit_six(xs, ys):
+    """The conic through five of a triad's six vertices, by the package's
+    one fit rule: leave out the later vertex of the closest pair (by squared
+    distance; the first pair on ties), and fit5 the other five in order.
+
+    The rule drops one copy of a degenerate or near-degenerate member's
+    vertex pair, and one of two vertices that meet at a triangle corner.
+    xs and ys hold six coordinates each: six floats, or (6, n) arrays.
+    Returns (coeffs, frame, out, residual6): fit5's coefficients and frame,
+    the index of the left-out vertex, and its conic_residual in the frame.
+    Floats give floats and an int, arrays arrays of shape (n,).  The
+    squared distances, the first minimum, fit5 and the residual are the
+    same IEEE operations in both, so a column gives the bits of its floats.
+    """
+    if isinstance(xs, np.ndarray):
+        dx, dy = xs[_PAIR_I] - xs[_PAIR_J], ys[_PAIR_I] - ys[_PAIR_J]
+        out = _PAIR_J[np.argmin(dx * dx + dy * dy, axis=0)]
+        cols = np.arange(xs.shape[1])
+        kept = _KEPT_ARRAY[out].T
+        xo, yo = xs[out, cols], ys[out, cols]
+        co, (ox, oy, s) = fit5(xs[kept, cols], ys[kept, cols])
+    else:
+        d2 = [
+            (xs[i] - xs[j]) * (xs[i] - xs[j]) + (ys[i] - ys[j]) * (ys[i] - ys[j])
+            for i, j in _PAIRS
+        ]
+        out = _PAIRS[d2.index(min(d2))][1]
+        kept = _KEPT[out]
+        xo, yo = xs[out], ys[out]
+        co, (ox, oy, s) = fit5([xs[k] for k in kept], [ys[k] for k in kept])
+    return co, (ox, oy, s), out, conic_residual(co, (xo - ox) / s, (yo - oy) / s)
 
 
 def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
@@ -264,19 +359,19 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     Returns (status, class_code, residual6, det_normalized, coeffs):
     status 0 on success, 1 when a member degenerates or the fit is zero or
     not finite (coeffs then None).
-    All are taken in the frame of fit5 through the first five vertices:
-    coeffs are the framed coefficients, residual6 is the incidence residual
-    of the framed sixth vertex, and det_normalized is det of the
-    Frobenius-normalized matrix (its sign brackets degeneracy boundaries).
+    All are taken in the frame of fit_six's five vertices: coeffs are the
+    framed coefficients, residual6 is the incidence residual of the framed
+    left-out vertex, and det_normalized is det of the Frobenius-normalized
+    matrix (its sign brackets degeneracy boundaries).
     """
     v = triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py)
     if v is None:
         return (1, CLASS_FAILED, math.inf, 0.0, None)
-    co, (ox, oy, s) = fit5(v[0:10:2], v[1:10:2])
+    co, _, _, res6 = fit_six(v[0::2], v[1::2])
     code, detn, _ = classify_code(co)
     if code == CLASS_FAILED:
         return (1, CLASS_FAILED, math.inf, 0.0, None)
-    return (0, code, conic_residual(co, (v[10] - ox) / s, (v[11] - oy) / s), detn, co)
+    return (0, code, res6, detn, co)
 
 
 # ---------------------------------------------------------------------------
@@ -284,60 +379,12 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
 # ---------------------------------------------------------------------------
 
 
-_math_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
-def _hypot(x, y):
-    # math.hypot, not np.hypot: the two differ in the last bit on about 1%
-    # of inputs, and with math.hypot the batch kernel's vertices and fits
-    # are bit for bit those of the scalar kernel.  Scalars give a float.
-    h = _math_hypot(x, y)
-    return h.astype(float) if isinstance(h, np.ndarray) else float(h)
-
-
 def _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py):
     """triad_vertices12 on 1-d arrays: vertex xs and ys of shape (6, n) in
     the order A1 A2 B1 B2 C1 C2, and the mask of columns where a member
     degenerates."""
-    a = _hypot(bx - cx, by - cy)
-    b = _hypot(cx - ax, cy - ay)
-    c = _hypot(ax - bx, ay - by)
-    scale = np.maximum(np.maximum(a, b), c)
-    eps = 1e-12 * scale
-    if kind == KIND_V_ELLIPSE:
-        d1, d2, d3 = b + c, c + a, a + b
-        bad = np.zeros(a.shape, dtype=bool)
-    elif kind == KIND_P_ELLIPSE:
-        pb = _hypot(px - bx, py - by)
-        pc = _hypot(px - cx, py - cy)
-        pa = _hypot(px - ax, py - ay)
-        d1, d2, d3 = pb + pc, pc + pa, pa + pb
-        bad = (d1 <= a + eps) | (d2 <= b + eps) | (d3 <= c + eps)
-    elif kind == KIND_V_HYPERBOLA:
-        d1, d2, d3 = c - b, a - c, b - a
-        bad = (np.abs(d1) <= eps) | (np.abs(d2) <= eps) | (np.abs(d3) <= eps)
-    elif kind == KIND_P_HYPERBOLA:
-        pb = _hypot(px - bx, py - by)
-        pc = _hypot(px - cx, py - cy)
-        pa = _hypot(px - ax, py - ay)
-        d1, d2, d3 = pb - pc, pc - pa, pa - pb
-        bad = np.zeros(a.shape, dtype=bool)
-        for d, s in ((d1, a), (d2, b), (d3, c)):
-            bad |= (np.abs(d) <= eps) | (np.abs(d) >= s - eps)
-    else:
-        raise ValueError(f"unknown kind code {kind}")
-    bad |= np.minimum(np.minimum(a, b), c) == 0.0
-    xs, ys = [], []
-    for (f1x, f1y, f2x, f2y), d, s in (
-        ((bx, by, cx, cy), d1, a),
-        ((cx, cy, ax, ay), d2, b),
-        ((ax, ay, bx, by), d3, c),
-    ):
-        mx, my = (f1x + f2x) / 2.0, (f1y + f2y) / 2.0
-        ux, uy = (f1x - f2x) / s, (f1y - f2y) / s
-        h = d / 2.0
-        xs.extend((mx + h * ux, mx - h * ux))
-        ys.extend((my + h * uy, my - h * uy))
+    sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    xs, ys = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
     return np.stack(xs), np.stack(ys), bad
 
 
@@ -349,37 +396,40 @@ _BATCH_CHUNK = 4096
 
 def six_point_batch(ax, ay, bx, by, cx, cy, kind, px, py):
     """six_point over broadcastable arrays of the inputs: the class codes,
-    and the normalized determinant and discriminant of classify_code.
+    the normalized determinant and discriminant of classify_code, and
+    residual6.
 
     `kind` is one KIND_* code for the whole batch.  Each result has the
     broadcast shape.  Wherever six_point reports a failure (a member
     degenerates, or the fit is zero or not finite) the code is
-    CLASS_FAILED and det and disc are NaN; elsewhere they are bit for bit
-    six_point's det_normalized and classify_code's disc.
+    CLASS_FAILED, det and disc are NaN and residual6 is inf; elsewhere they
+    are bit for bit six_point's det_normalized, classify_code's disc and
+    six_point's residual6.
     """
     args = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, px, py))
     )
     flat = [v.ravel() for v in args]
     codes = np.empty(flat[0].size, dtype=np.intp)
-    det = np.empty(flat[0].size)
-    disc = np.empty(flat[0].size)
+    det, disc, res6 = (np.empty(flat[0].size) for _ in range(3))
     for lo in range(0, codes.size, _BATCH_CHUNK):
         cut = slice(lo, lo + _BATCH_CHUNK)
         part = [v[cut] for v in flat]
-        codes[cut], det[cut], disc[cut] = _codes(*part[:6], kind, *part[6:])
+        codes[cut], det[cut], disc[cut], res6[cut] = _codes(*part[:6], kind, *part[6:])
     shape = args[0].shape
-    return codes.reshape(shape), det.reshape(shape), disc.reshape(shape)
+    return tuple(w.reshape(shape) for w in (codes, det, disc, res6))
 
 
 def _codes(ax, ay, bx, by, cx, cy, kind, px, py):
     """six_point_batch on 1-d arrays of equal length."""
     with np.errstate(all="ignore"):
         xs, ys, failed = _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
-        codes, det, disc = classify_code(fit5(xs[:5], ys[:5])[0])
+        co, _, _, res6 = fit_six(xs, ys)
+        codes, det, disc = classify_code(co)
     failed |= codes == CLASS_FAILED
     return (
         np.where(failed, CLASS_FAILED, codes),
         np.where(failed, math.nan, det),
         np.where(failed, math.nan, disc),
+        np.where(failed, math.inf, res6),
     )

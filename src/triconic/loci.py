@@ -374,9 +374,10 @@ def sample_locus_ostar(
 
     P runs over the angles 2*pi*k/n, k < n, less those within eps of a
     vertex, in one array pass.  The batch kernel gives every P's P-ellipse
-    vertices; kernels.fit5 fits the conic through A1 A2 B1 B2 C1 in the
-    frame of those five points, and kernels.frame_center finds its center
-    there, skipping the sample where conic.center finds none.
+    vertices; kernels.fit_six fits the conic through five of them by the
+    package's fit rule, in the frame of those five points, and
+    kernels.frame_center finds its center there, skipping the sample where
+    conic.center finds none.
     P's arc is the one between the two vertex angles around P's angle.  A
     degenerate triad member raises DegenerateMember and a vanishing fit
     RankDeficient, as on the object path.
@@ -403,7 +404,7 @@ def sample_locus_ostar(
         )
         if bad.any():
             raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
-        co, frame = kernels.fit5(xs[:5], ys[:5])
+        co, frame, _, _ = kernels.fit_six(xs, ys)
         norm = kernels.frobenius(co)
         vanished = ~((norm > 0.0) & (norm < math.inf))
         if vanished.any():
@@ -754,9 +755,9 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
     }[kind]
     if kind == "v_ellipse_over_C":
-        codes, _, _ = kernels.six_point_batch(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)
+        codes = kernels.six_point_batch(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)[0]
     else:
-        codes, _, _ = kernels.six_point_batch(ax, ay, bx, by, cx, cy, kcode, xs, ys)
+        codes = kernels.six_point_batch(ax, ay, bx, by, cx, cy, kcode, xs, ys)[0]
     rows = [tuple(kernels.CLASS_NAMES[c] for c in row) for row in codes.tolist()]
     return RegionGrid(tuple(bbox), nx, ny, tuple(rows))
 
@@ -1075,24 +1076,19 @@ def x55_conjecture_check(t: Triangle) -> X55Report:
     triad of T' through Q; report how circular the six-point conic is, how
     concentric it is with T''s circumcircle, and how close T''s circumcenter
     is to X7 of t.  Vertices are computed directly from the signed focal
-    differences so the fully symmetric (equilateral) limit, where the triad
-    members degenerate, still reports; the second common point is omitted
-    there.
+    differences (kernels.vertex_coords) so the fully symmetric
+    (equilateral) limit, where the triad members degenerate, still reports;
+    the second common point is omitted there.
     """
     q = classic_center(t, "X55")
     tprime = reflection_triangle(t, q)
     cc = circumcircle(tprime)
-    lams = _lambdas(tprime, q)
-    foci = ((tprime.b, tprime.c), (tprime.c, tprime.a), (tprime.a, tprime.b))
-    six = []
-    for (f1, f2), lam in zip(foci, lams):
-        mid = midpoint(f1, f2)
-        d = f1 - f2
-        n = d.norm()
-        u = Point2(d.x / n, d.y / n)
-        six.append(mid + (lam / 2.0) * u)
-        six.append(mid + (-lam / 2.0) * u)
-    dists = [distance(p, cc.center) for p in six]
+    xs, ys = kernels.vertex_coords(
+        *(w for v in tprime.vertices() for w in v.as_tuple()),
+        tprime.sides(),
+        _lambdas(tprime, q),
+    )
+    dists = [math.hypot(x - cc.center.x, y - cc.center.y) for x, y in zip(xs, ys)]
     rmean = sum(dists) / 6.0
     spread = max(abs(d - rmean) for d in dists)
     x7 = classic_center(t, "X7")

@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from . import kernels
 from .centers import soddy_centers
+from .config import DET_DEGENERATE_TOL, get_tol
 from .conic import (
     Conic,
     ConicClass,
     FocalConic,
+    FramedFit,
     common_points,
     conic_line_intersection,
-    fit_framed,
-    residual,
     covertices_of_focal_conic,
 )
 from .errors import (
@@ -71,11 +73,16 @@ class ConicTriad:
 
 @dataclass(frozen=True)
 class SixPointConicReport:
-    conic: Conic
+    fit: FramedFit
     conic_class: ConicClass
     residual6: float
     center: Point2 | None
     carnot_product: float
+
+    @property
+    def conic(self) -> Conic:
+        """The fitted conic in plane coordinates, built when read."""
+        return self.fit.conic()
 
 
 def driver_fault(t: Triangle, kind: str, p: Point2) -> str | None:
@@ -162,28 +169,18 @@ def _perp_bisector(p: Point2, q: Point2) -> LineEq:
 
 
 def triad_vertices(tr: ConicTriad) -> tuple[Point2, ...]:
-    """(A1, A2, B1, B2, C1, C2).
+    """(A1, A2, B1, B2, C1, C2), by kernels.vertex_coords from the triad's
+    sides and signed deltas.
 
-    The first vertex of each pair sits at center + (delta/2) * unit(f1 - f2)
-    with the *signed* delta, which makes (A1, B1, C1) the extouch triangle
-    for V-hyperbolas and matches the excircle tangency labels for V-ellipses.
-    A degenerate member contributes its midpoint twice.
+    The signed delta makes (A1, B1, C1) the extouch triangle for
+    V-hyperbolas and matches the excircle tangency labels for V-ellipses.
+    A degenerate member (lambda = 0) contributes its midpoint twice.
     """
     t = tr.t
-    foci = ((t.b, t.c), (t.c, t.a), (t.a, t.b))
-    out: list[Point2] = []
-    for (f1, f2), delta, member in zip(foci, tr.deltas, tr.members):
-        cen = midpoint(f1, f2)
-        if member is None:
-            out.extend([cen, cen])
-            continue
-        d = f1 - f2
-        n = d.norm()
-        u = Point2(d.x / n, d.y / n)
-        half = delta / 2.0
-        out.append(cen + half * u)
-        out.append(cen + (-half) * u)
-    return tuple(out)
+    xs, ys = kernels.vertex_coords(
+        t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, t.sides(), tr.deltas
+    )
+    return tuple(Point2(x, y) for x, y in zip(xs, ys))
 
 
 def triad_covertices(tr: ConicTriad) -> tuple[Point2, ...]:
@@ -202,25 +199,26 @@ def carnot_product(t: Triangle, six) -> float:
 
     Expects (A1, A2) on line BC, (B1, B2) on CA, (C1, C2) on AB.
     """
-    A1, A2, B1, B2, C1, C2 = six
-    for p, (e1, e2) in (
-        (A1, (t.b, t.c)),
-        (A2, (t.b, t.c)),
-        (B1, (t.c, t.a)),
-        (B2, (t.c, t.a)),
-        (C1, (t.a, t.b)),
-        (C2, (t.a, t.b)),
-    ):
-        if not collinear(p, e1, e2):
-            raise PointOffSideline(f"{p} off its sideline")
-    return (
-        (distance(t.a, C1) / distance(t.b, C1))
-        * (distance(t.a, C2) / distance(t.b, C2))
-        * (distance(t.b, A1) / distance(t.c, A1))
-        * (distance(t.b, A2) / distance(t.c, A2))
-        * (distance(t.c, B1) / distance(t.a, B1))
-        * (distance(t.c, B2) / distance(t.a, B2))
-    )
+    return _carnot([v.as_tuple() for v in t.vertices()], [p.as_tuple() for p in six])
+
+
+def _carnot(corners, six) -> float:
+    """carnot_product on (x, y) tuples: each vertex p on its sideline
+    through (e1, e2) by geom.collinear's test, and the ratios
+    |e1 p| / |e2 p| multiplied."""
+    a, b, c = corners
+    tol = get_tol()
+    product = 1.0
+    sidelines = ((b, c), (b, c), (c, a), (c, a), (a, b), (a, b))
+    for (x, y), ((x1, y1), (x2, y2)) in zip(six, sidelines):
+        d1 = math.hypot(x - x1, y - y1)
+        d2 = math.hypot(x - x2, y - y2)
+        scale = max(d1, math.hypot(x1 - x2, y1 - y2), d2)
+        area = 0.5 * ((x1 - x) * (y2 - y) - (y1 - y) * (x2 - x))
+        if abs(area) > tol * scale * scale:
+            raise PointOffSideline(f"{Point2(x, y)} off its sideline")
+        product *= d1 / d2
+    return product
 
 
 def menelaus_check(t: Triangle, p1: Point2, p2: Point2, p3: Point2) -> float:
@@ -240,38 +238,57 @@ def menelaus_check(t: Triangle, p1: Point2, p2: Point2, p3: Point2) -> float:
 
 
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
-    """Fit the conic on five triad vertices and report the sixth residual;
-    class and center are decided in the frame of the fit (FramedFit).
+    """The conic through the triad's six vertices, on the scalar kernel's
+    floats: kernels.triad_vertices12, then kernels.fit_six, which leaves out
+    the later vertex of the closest vertex pair and fits the other five.
 
-    The five fit points are chosen by farthest-point selection so that a
-    nearly coincident vertex pair (degenerate or near-degenerate member)
-    does not poison the design matrix.
+    Class (kernels.classify_code), center (kernels.frame_center) and
+    residual6 (the left-out vertex's residual) are all taken in the frame of
+    the fit; they are bit for bit those of kernels.six_point.  The Carnot
+    product and its sideline test run on vertices built in the frame of the
+    triangle (centroid, scale).  RankDeficient when the five kept vertices
+    are not distinct (within 1e-9 of the triangle's scale) or their fit
+    vanishes.
     """
-    six = triad_vertices(tr)
-    pts = list(six)
-    sel = [0]
-    while len(sel) < 5:
-        best, best_d = None, -1.0
-        for i, p in enumerate(pts):
-            if i in sel:
-                continue
-            d = min(distance(p, pts[j]) for j in sel)
-            if d > best_d:
-                best, best_d = i, d
-        sel.append(best)
-    if min(
-        distance(pts[i], pts[j]) for i in sel for j in sel if i < j
-    ) <= 1e-9 * tr.t.scale():
-        raise RankDeficient("fewer than 5 distinct triad vertices")
-    fit = fit_framed([pts[i] for i in sel])
-    c = fit.conic()
-    return SixPointConicReport(
-        conic=c,
-        conic_class=fit.conic_class(),
-        residual6=max(residual(c, p) for p in six),
-        center=fit.center(),
-        carnot_product=carnot_product(tr.t, six),
+    t, p = tr.t, tr.p or Point2(0.0, 0.0)
+    v = kernels.triad_vertices12(
+        t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_CODES[tr.kind], p.x, p.y
     )
+    if v is None:
+        raise DegenerateMember("a triad member degenerates")
+    xs, ys = v[0::2], v[1::2]
+    co, frame, out, res6 = kernels.fit_six(xs, ys)
+    kept = [k for k in range(6) if k != out]
+    gap = min(math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i, j in combinations(kept, 2))
+    if gap <= 1e-9 * t.scale():
+        raise RankDeficient("fewer than 5 distinct triad vertices")
+    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
+        raise RankDeficient("five points do not determine a unique conic")
+    code = kernels.classify_code(co)[0]
+    x, y, has_center = kernels.frame_center(co, frame)
+    return SixPointConicReport(
+        fit=FramedFit(co, frame),
+        conic_class=ConicClass(kernels.CLASS_NAMES[code]),
+        residual6=res6,
+        center=Point2(x, y) if has_center else None,
+        carnot_product=_framed_carnot(tr),
+    )
+
+
+def _framed_carnot(tr: ConicTriad) -> float:
+    """carnot_product of the triad's vertices, triangle and vertices both
+    in the frame q' = (q - g) / s of the triangle: the sideline test then
+    sees the triangle's shape to its own precision wherever it lies."""
+    g, s = _triangle_frame(tr.t)
+    framed = [
+        ((q.x - g.x) / s, (q.y - g.y) / s)
+        for q in (*tr.t.vertices(), tr.p or g)
+    ]
+    (ax, ay), (bx, by), (cx, cy), (px, py) = framed
+    v = kernels.triad_vertices12(ax, ay, bx, by, cx, cy, kernels.KIND_CODES[tr.kind], px, py)
+    if v is None:
+        raise DegenerateMember("a triad member degenerates")
+    return _carnot(framed[:3], list(zip(v[0::2], v[1::2])))
 
 
 _PAIRS = ((1, 2), (2, 0), (0, 1))

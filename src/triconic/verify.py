@@ -10,10 +10,10 @@ type, and the margin of the worst residual against the bound.  Replaying
 the witness (`run` on that one configuration) reproduces the residual.
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  P3.8 runs as one
-batch: all its configurations go through a single
-`kernels.six_point_batch` call, whose codes are those of the scalar
-kernel.
+`_per_trial`, which turns a crash into a failed trial.  P2.2, P3.1, P3.8
+and P5.2 each run as one batch: all their configurations go through a
+single `kernels.six_point_batch` call, whose codes and residuals are those
+of the scalar kernel.
 
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
@@ -193,7 +193,7 @@ def _gen_tri_point(rng) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Check implementations (cfg -> residual; P3.8 checks all its cfgs at once)
+# Check implementations (cfg -> residual; the batch checks take all cfgs)
 # ---------------------------------------------------------------------------
 
 def _chk_yiu_vertices(cfg) -> float:
@@ -209,10 +209,40 @@ def _chk_yiu_vertices(cfg) -> float:
     return max(res, rep.residual6)
 
 
-def _chk_yiu_never_circle(cfg) -> float:
-    t = _cfg_tri(cfg)
-    rep = six_point_conic(build_triad(t, "v_ellipse"))
-    return 0.0 if rep.conic_class != ConicClass.CIRCLE else 1.0
+def _six_point_batch(cfgs, kind: int) -> tuple:
+    """kernels.six_point_batch over the configurations' triangles (and
+    drivers P, for the P-kinds), in one call."""
+    tri = np.array([cfg["triangle"] for cfg in cfgs], dtype=float).reshape(-1, 6)
+    if kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA):
+        p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
+    else:
+        p = np.zeros((len(cfgs), 2))
+    return kernels.six_point_batch(*tri.T, kind, *p.T)
+
+
+def _batch_check(kind: int, score):
+    """A proposition's run from score(class code, residual6), all its
+    configurations in one _six_point_batch call; a configuration the kernel
+    fails on crashes its trial with ConstructionFailed."""
+
+    def run(cfgs) -> list:
+        codes, _, _, res6 = _six_point_batch(cfgs, kind)
+        return [
+            ConstructionFailed("a triad member degenerates or the fit vanishes")
+            if code == kernels.CLASS_FAILED
+            else score(code, r)
+            for code, r in zip(codes.tolist(), res6.tolist())
+        ]
+
+    return run
+
+
+def _not_circle(code: int, res6: float) -> float:
+    return 1.0 if code == kernels.CLASS_CIRCLE else 0.0
+
+
+def _incidence(code: int, res6: float) -> float:
+    return res6
 
 
 def _chk_tangent_excentral(cfg) -> float:
@@ -395,13 +425,6 @@ def _chk_covertex_locus_V(cfg) -> float:
     return rep.residual6 if ok_class else 1.0
 
 
-def _chk_pell_incidence(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p = Point2(*cfg["p"])
-    rep = six_point_conic(build_triad(t, "p_ellipse", p))
-    return rep.residual6
-
-
 def _chk_pstar(cfg) -> float:
     # Existence plus the circle/concentricity postconditions are the hard
     # claims.  Strict uniqueness is an open question and genuine secondary
@@ -510,9 +533,7 @@ def _chk_never_rectangular(cfgs) -> list[float]:
     """All trials in one six_point_batch call: 1.0 where the P-ellipse
     six-point conic is a rectangular hyperbola, else 0.0 (a failed
     construction included), trial by trial the scalar six_point's class."""
-    tri = np.array([cfg["triangle"] for cfg in cfgs], dtype=float).reshape(-1, 6)
-    p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
-    codes = kernels.six_point_batch(*tri.T, kernels.KIND_P_ELLIPSE, *p.T)[0]
+    codes = _six_point_batch(cfgs, kernels.KIND_P_ELLIPSE)[0]
     return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0).tolist()
 
 
@@ -766,12 +787,6 @@ def _chk_second_point(cfg) -> float:
     return worst
 
 
-def _chk_phyp_incidence(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p = Point2(*cfg["p"])
-    return six_point_conic(build_triad(t, "p_hyperbola", p)).residual6
-
-
 def _chk_equal_areas(cfg) -> float:
     t = _cfg_tri(cfg)
     p = Point2(*cfg["p"])
@@ -832,6 +847,11 @@ def _chk_phyp_through_pell(cfg) -> float:
     return worst
 
 
+# math.hypot on floats and arrays alike (not np.hypot, which differs from
+# it in the last bit on about 1% of inputs).
+_math_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
 def _phyp_parabola_on_ray(t: Triangle, ang: float):
     """phyp_parabola_condition at P = O + s*R*(cos ang, sin ang), O and R
     the circumcenter and circumradius, as a function of s: a float, or an
@@ -845,7 +865,9 @@ def _phyp_parabola_on_ray(t: Triangle, ang: float):
     def cond(s):
         px = cc.center.x + s * cc.radius * dx
         py = cc.center.y + s * cc.radius * dy
-        pa, pb, pc = (kernels._hypot(px - vx, py - vy) for vx, vy in verts)
+        pa, pb, pc = (_math_hypot(px - vx, py - vy) for vx, vy in verts)
+        if isinstance(pa, np.ndarray):
+            pa, pb, pc = (d.astype(float) for d in (pa, pb, pc))
         return phyp_parabola_condition(*sides, pb - pc, pc - pa, pa - pb)
 
     return cond
@@ -1121,7 +1143,7 @@ def _per_trial(check):
 MANIFEST: tuple[Proposition, ...] = (
     # -- V-ellipses --------------------------------------------------------
     Proposition("P2.1-yiu-vertices", "vertices at excircle tangency points, on one conic", _gen_tri, _per_trial(_chk_yiu_vertices), 1e-8, 200),
-    Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _per_trial(_chk_yiu_never_circle), 0.5, 200),
+    Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _batch_check(kernels.KIND_V_ELLIPSE, _not_circle), 0.5, 200),
     Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _per_trial(_chk_tangent_excentral), 1e-8, 100),
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _per_trial(_chk_chords_x20), 1e-8, 100),
     Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _per_trial(_chk_right_triangle_x20), 1e-8, 200),
@@ -1130,7 +1152,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _per_trial(_chk_type_regions_V), 1e-9, 25),
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
-    Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _per_trial(_chk_pell_incidence), 1e-8, 300),
+    Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _per_trial(_chk_pstar), 1e-6, 6),
     Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _per_trial(_chk_anticevian_needle), 1e-6, 60),
     Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _per_trial(_chk_degenerate_on_circumcircle), 1e-9, 60),
@@ -1152,7 +1174,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _gen_sextic_abscissa, _per_trial(_chk_soddy_line_tangent), 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _per_trial(_chk_second_point), 1e-8, 100),
-    Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _per_trial(_chk_phyp_incidence), 1e-8, 300),
+    Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
     Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _per_trial(_chk_equal_areas), 1e-9, 300),
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),

@@ -134,14 +134,6 @@ def test_region_map_classes_move_with_the_triangle(seed, kind, move):
 @invariance
 @given(st.integers(0, 2**32 - 1), st.sampled_from(TRIAD_KINDS), moves)
 def test_six_point_class_and_center_move_with_the_triangle(seed, kind, move):
-    # The report's Carnot product tests its vertices against the sidelines
-    # at the global tolerance 1e-9, so the triangle is kept within 1e4 of
-    # its sizes from the origin, where its coordinates hold its shape to
-    # about 2e-12 (a 1e-3 triangle at 2048 holds it to 4.5e-10 and raises
-    # PointOffSideline).
-    tx, ty, angle, log_scale = move
-    k = min(1.0, 1e4 * 10.0**log_scale / max(abs(tx), abs(ty), 1.0))
-    move = (k * tx, k * ty, angle, log_scale)
     rng = np.random.default_rng(seed)
     t = random_triangle(rng)
     p = random_point_near(t, rng) if kind.startswith("p_") else None
@@ -161,6 +153,18 @@ def test_six_point_class_and_center_move_with_the_triangle(seed, kind, move):
         # of the coordinates' precision.
         reach = 1.0 + distance(base.center, t.a)
         assert distance(moved.center, f(base.center)) <= 1e6 * _precision(move) * s * reach
+
+
+def test_carnot_product_of_a_small_triangle_far_from_the_origin():
+    # A 1e-3 triangle at (0, 2048): one ulp of its coordinates is 4.5e-10
+    # of its size, so plane-coordinate vertices miss the global 1e-9
+    # sideline test; the Carnot product is taken in the triangle's frame.
+    t = random_triangle(np.random.default_rng(1486))
+    f, _ = _mover((0.0, 2048.0, 0.0, -3.0))
+    base = six_point_conic(build_triad(t, "v_hyperbola"))
+    rep = six_point_conic(build_triad(_moved(t, f), "v_hyperbola"))
+    assert rep.conic_class is base.conic_class
+    assert abs(rep.carnot_product - 1.0) <= 1e-10
 
 
 def _same_points(got, want, tol):

@@ -217,8 +217,9 @@ def test_backend_is_py():
     "kind", [kernels.KIND_V_ELLIPSE, kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA]
 )
 def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
-    # det and disc of the batch kernel are six_point's det_normalized and
-    # classify_code's disc to the last bit; failed columns are NaN.
+    # det, disc and residual6 of the batch kernel are six_point's
+    # det_normalized, classify_code's disc and residual6 to the last bit;
+    # failed columns are NaN (residual6 inf).
     ox, oy = offset
     ax, ay, bx, by, cx, cy = 0.0 + ox, 3.0 + oy, 4.0 + ox, 0.0 + oy, 0.0 + ox, 0.0 + oy
     # Random drivers, plus drivers on the line x = ox through side CA (a
@@ -230,17 +231,95 @@ def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
         args = (ax, ay, bx, by, xs, ys, kind, 0.0, 0.0)
     else:
         args = (ax, ay, bx, by, cx, cy, kind, xs, ys)
-    codes, det, disc = kernels.six_point_batch(*args)
+    codes, det, disc, res6 = kernels.six_point_batch(*args)
     failed = 0
     for i in range(xs.size):
         one = [v if np.isscalar(v) else float(v[i]) for v in args]
-        status, code, _, detn, co = kernels.six_point(*one)
+        status, code, r6, detn, co = kernels.six_point(*one)
         if status:
             failed += 1
             assert codes[i] == kernels.CLASS_FAILED
             assert math.isnan(det[i]) and math.isnan(disc[i])
+            assert res6[i] == math.inf
         else:
             assert codes[i] == code
             assert det[i].item() == detn
             assert disc[i].item() == kernels.classify_code(co)[2]
+            assert res6[i].item() == r6
     assert failed > 0
+
+
+def _seeded_kernel_args(kind, offset, n=30):
+    """Kernel arguments of n seeded triads of this kind, moved by offset."""
+    from triconic.verify import _gen_tri_point
+
+    rng = np.random.default_rng([2026, kernels.KIND_CODES[kind]])
+    ox, oy = offset
+    rows = []
+    for _ in range(n):
+        cfg = _gen_tri_point(rng)
+        (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
+        px, py = cfg["p"] if kind.startswith("p_") else (0.0, 0.0)
+        rows.append(
+            (ax + ox, ay + oy, bx + ox, by + oy, cx + ox, cy + oy,
+             kernels.KIND_CODES[kind], px + ox, py + oy)
+        )
+    return rows
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -1e3)])
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
+    # six_point_conic runs the scalar kernel's floats, and the batch kernel
+    # the same arithmetic on arrays: class, residual6 and the left-out
+    # vertex are the same bits on all three paths.
+    from triconic.triads import build_triad, six_point_conic
+
+    rows = _seeded_kernel_args(kind, offset)
+    cols = np.array(rows).T
+    kcode = kernels.KIND_CODES[kind]
+    codes, _, _, res6 = kernels.six_point_batch(*cols[:6], kcode, *cols[7:])
+    xs, ys, bad = kernels._vertices_batch(*cols[:6], kcode, *cols[7:])
+    _, _, outs, fit_res = kernels.fit_six(xs, ys)
+    assert not bad.any()
+    for i, args in enumerate(rows):
+        status, code, r6, _, _ = kernels.six_point(*args)
+        assert status == 0
+        t = Triangle(Point2(*args[0:2]), Point2(*args[2:4]), Point2(*args[4:6]))
+        p = Point2(*args[7:]) if kind.startswith("p_") else None
+        rep = six_point_conic(build_triad(t, kind, p))
+        assert rep.conic_class.value == kernels.CLASS_NAMES[code], i
+        assert rep.residual6 == r6, i
+        v = kernels.triad_vertices12(*args)
+        _, _, out, res = kernels.fit_six(v[0::2], v[1::2])
+        assert (codes[i], res6[i].item()) == (code, r6), i
+        assert (outs[i], fit_res[i].item()) == (out, r6), i
+        assert res == r6
+
+
+def test_fit_rule_leaves_out_a_near_coincident_vertex():
+    # P 1e-7 of the scale off the perpendicular bisector of BC: the a-member
+    # nearly degenerates, and its vertices A1, A2 nearly meet.  A fit
+    # through both is ill conditioned (residual6 3.6e-11 to 3.2e-10 through
+    # the first five vertices); the rule leaves A2 out.
+    from triconic.geom import midpoint
+    from triconic.triads import build_triad, driver_fault, six_point_conic
+    from triconic.verify import random_triangle
+
+    for i in range(5):
+        t = random_triangle(np.random.default_rng([2026, i]))
+        s = t.scale()
+        m = midpoint(t.b, t.c)
+        ux, uy = (t.b.x - t.c.x) / t.side_a, (t.b.y - t.c.y) / t.side_a
+        for side in (0.6, -0.6):
+            p = Point2(m.x - side * s * uy + 1e-7 * s * ux, m.y + side * s * ux + 1e-7 * s * uy)
+            if driver_fault(t, "p_hyperbola", p) is None:
+                break
+        args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, p.x, p.y)
+        status, _, res6, _, _ = kernels.six_point(*args)
+        batch_res6 = kernels.six_point_batch(*args[:6], args[6], [p.x], [p.y])[3]
+        rep = six_point_conic(build_triad(t, "p_hyperbola", p))
+        assert status == 0
+        assert max(res6, batch_res6[0], rep.residual6) <= 1e-14, i
+        v = kernels.triad_vertices12(*args)
+        assert kernels.fit_six(v[0::2], v[1::2])[2] == 1
