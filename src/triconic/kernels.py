@@ -24,13 +24,37 @@ The rule drops one copy of a degenerate member's vertex pair and one of two
 vertices that meet at a triangle corner, where a fit through both would be
 ill conditioned.
 
-`fit5` is the package's only five-point fit: the cofactor expansion of the
-design matrix in the frame of the five points (centroid and RMS spread,
-after Hartley's normalization).  Every fitted conic is classified in that
-frame, so its class does not change when the points are moved, rotated or
-scaled.  The cofactors depend polynomially on the framed points and the
-frame continuously on the points, so the determinant of the fitted matrix
-varies continuously along parameter sweeps (needed for sign-bracketing of
+`fit5` is the package's only five-point fit, in the frame of the five
+points (centroid and RMS spread, after Hartley's normalization).  Every
+fitted conic is classified in that frame, so its class does not change when
+the points are moved, rotated or scaled.  Its coefficients are the cofactor
+vector of the framed 5x6 design matrix, coeff_j = (-1)^j det(rows less
+column j), computed as the bracket form of the conic through five points
+(Pascal's condition as Turnbull's bracket identity, Richter-Gebert,
+Perspectives on Projective Geometry, 2011, ch. 10) with the sixth point X
+left free:
+
+    C(X) = [123][145] L24(X) L35(X) - [124][135] L23(X) L45(X),
+
+where [ijk] is the 3x3 determinant of framed points i, j, k (twice their
+signed area) and Lij(X) = [ijX] the line through points i and j.  This is
+the cofactor polynomial itself, sign and scale included, in about 90
+floating-point operations and no factorization.  The labels 1..5 follow
+one rule: point 1 is the first point of the closest of the ten pairs (ties
+to the first pair in itertools.combinations order), points 3 and 4 the
+closest pair among the other four, and points 2 and 5 the remaining two in
+index order.  No line then passes through point 1 or joins points 3 and 4, and
+the brackets, which all hold point 1, are taken as differences from it and
+keep their relative accuracy when small.  This keeps the form accurate when
+two points nearly meet; with fixed labels it rounds badly there.  The
+result is multiplied by the parity of the relabelling, so the orientation
+is that of the cofactors of the points in their given order.  The
+expression is elementwise: five floats run it in plain Python, a (5, n)
+array in numpy, with the same bits.
+
+The cofactors depend polynomially on the framed points and the frame
+continuously on the points, so the determinant of the fitted matrix varies
+continuously along parameter sweeps (needed for sign-bracketing of
 degeneracy boundaries) as long as the left-out vertex stays the same.
 Where it changes, the fitted coefficients can change sign: this happens on
 P-hyperbola sweeps, never on the V- and P-ellipse sweeps the verifier
@@ -88,40 +112,132 @@ CLASS_NAMES = {
 }
 
 
-_MINOR_COLUMNS = np.array([[k for k in range(6) if k != j] for j in range(6)])
-_COFACTOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# fit5's labelling rule, as a table built once: for each point i that can
+# be point 1 (the first point of the closest of the ten pairs _PAIRS5), the
+# six pairs of the other four points, each with the labels (1, 2, 3, 4, 5)
+# it gives (points 3 and 4 the pair, 2 and 5 the other two, in index order)
+# and the parity of that permutation.
+_PAIRS5 = tuple(itertools.combinations(range(5), 2))
+_P5_I, _P5_J = np.array(_PAIRS5).T
+
+
+def _parity(order):
+    """+1.0 for an even permutation of range(len(order)), -1.0 for an odd."""
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    return -1.0 if inversions % 2 else 1.0
+
+
+def _labels(i, pair):
+    r2, r5 = (k for k in range(5) if k != i and k not in _PAIRS5[pair])
+    order = (i, r2, *_PAIRS5[pair], r5)
+    return pair, order, _parity(order)
+
+
+_LABELS = tuple(
+    tuple(_labels(i, pair) for pair in range(10) if i not in _PAIRS5[pair])
+    for i in range(5)
+)
+_LABEL_PAIRS = np.array([[pair for pair, _, _ in row] for row in _LABELS])
+_LABEL_ORDERS = np.array([[order for _, order, _ in row] for row in _LABELS])
+_LABEL_PARITY = np.array([[sign for _, _, sign in row] for row in _LABELS])
+
+
+def _bracket_conic(u1, v1, u2, v2, u3, v3, u4, v4, u5, v5, parity):
+    """Coefficients (xx, xy, yy, x, y, 1) of
+    parity * ([123][145] L24 L35 - [124][135] L23 L45), with [ijk] the
+    determinant of points i, j, k (twice their signed area) and Lij(X) =
+    [ijX] the line through points i and j.  Elementwise: floats and arrays
+    of one shape alike, with the same bits."""
+
+    def bracket(ui, vi, uj, vj, uk, vk):
+        return (uj - ui) * (vk - vi) - (uk - ui) * (vj - vi)
+
+    def line(ui, vi, uj, vj):
+        return vi - vj, uj - ui, ui * vj - uj * vi
+
+    def product(p, q):
+        a1, b1, c1 = p
+        a2, b2, c2 = q
+        return (
+            a1 * a2, a1 * b2 + a2 * b1, b1 * b2, a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2
+        )
+
+    k1 = bracket(u1, v1, u2, v2, u3, v3) * bracket(u1, v1, u4, v4, u5, v5) * parity
+    k2 = bracket(u1, v1, u2, v2, u4, v4) * bracket(u1, v1, u3, v3, u5, v5) * parity
+    p = product(line(u2, v2, u4, v4), line(u3, v3, u5, v5))
+    q = product(line(u2, v2, u3, v3), line(u4, v4, u5, v5))
+    return tuple(k1 * a - k2 * b for a, b in zip(p, q))
 
 
 def fit5(xs, ys):
     """The conic through five points, in the frame of those points.
 
-    xs and ys hold five coordinates each, as a 5-vector or a (5, n) array
+    xs and ys hold five coordinates each, as five floats or a (5, n) array
     of n point sets.  The frame is u = (x - ox) / s, v = (y - oy) / s with
     (ox, oy) the centroid of the points and s their RMS distance from it.
     Returns (coeffs, (ox, oy, s)): the coefficients (xx, xy, yy, x, y, 1)
-    in the frame, coeff_j = (-1)^j det(framed design matrix less column j),
-    all six minors of every point set in one np.linalg.det call.  A
-    5-vector gives floats, a (5, n) array arrays of shape (n,).  Both run
-    the same arithmetic, and np.linalg.det factors each matrix of the stack
-    alone, so a point set gives the same bits alone and in a batch.
+    in the frame, coeff_j = (-1)^j det(framed design matrix less column j).
+    They are computed as the bracket form
+
+        [123][145] L24(X) L35(X) - [124][135] L23(X) L45(X)
+
+    (_bracket_conic) of the framed points under the labels 1..5: point 1
+    the first point of the closest pair, 3 and 4 the closest pair of the
+    other four, 2 and 5 the other two in index order, ties to the first
+    pair in itertools.combinations order (the table _LABELS).  The form is
+    multiplied by the parity of that relabelling, which gives the
+    cofactors' sign for the points in their given order.
+
+    Five floats (or a 1-d array) give floats, from plain Python arithmetic
+    with no numpy call; a (5, n) array gives arrays of shape (n,).  Both
+    run the same IEEE operations in the same order, so a point set gives
+    the same bits alone and in a batch.  Five coincident points give NaN
+    coefficients.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x, y = x[:, None], y[:, None]
-    # Written-out sums: the same additions in the same order for any n.
+    if isinstance(xs, np.ndarray):
+        if xs.ndim == 2:
+            return _fit5_batch(xs, np.asarray(ys, dtype=float))
+        xs, ys = xs.tolist(), np.asarray(ys).tolist()
+    x0, x1, x2, x3, x4 = xs
+    y0, y1, y2, y3, y4 = ys
+    ox = (x0 + x1 + x2 + x3 + x4) / 5.0
+    oy = (y0 + y1 + y2 + y3 + y4) / 5.0
+    u = [x0 - ox, x1 - ox, x2 - ox, x3 - ox, x4 - ox]
+    v = [y0 - oy, y1 - oy, y2 - oy, y3 - oy, y4 - oy]
+    r2 = [a * a + b * b for a, b in zip(u, v)]
+    s = math.sqrt((r2[0] + r2[1] + r2[2] + r2[3] + r2[4]) / 5.0)
+    if s == 0.0:
+        return (math.nan,) * 6, (ox, oy, s)
+    u = [a / s for a in u]
+    v = [b / s for b in v]
+    d2 = [(u[i] - u[j]) * (u[i] - u[j]) + (v[i] - v[j]) * (v[i] - v[j]) for i, j in _PAIRS5]
+    row = _LABELS[_PAIRS5[d2.index(min(d2))][0]]
+    rest = [d2[pair] for pair, _, _ in row]
+    _, order, parity = row[rest.index(min(rest))]
+    framed = [t for k in order for t in (u[k], v[k])]
+    return _bracket_conic(*framed, parity), (ox, oy, s)
+
+
+def _fit5_batch(x, y):
+    """fit5 on (5, n) arrays: the float path's arithmetic, column by
+    column, with argmin for list.index(min)."""
+    # Written-out sums: the same additions in the same order as on floats.
     ox = (x[0] + x[1] + x[2] + x[3] + x[4]) / 5.0
     oy = (y[0] + y[1] + y[2] + y[3] + y[4]) / 5.0
     u, v = x - ox, y - oy
     r2 = u * u + v * v
     s = np.sqrt((r2[0] + r2[1] + r2[2] + r2[3] + r2[4]) / 5.0)
-    u, v = (u / s).T, (v / s).T
-    rows = np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)], axis=-1)
-    co = np.linalg.det(rows[:, :, _MINOR_COLUMNS].swapaxes(1, 2)) * _COFACTOR_SIGNS
-    if single:
-        return tuple(co[0].tolist()), (ox.item(), oy.item(), s.item())
-    return tuple(co.T), (ox, oy, s)
+    u, v = u / s, v / s
+    du, dv = u[_P5_I] - u[_P5_J], v[_P5_I] - v[_P5_J]
+    d2 = du * du + dv * dv
+    cols = np.arange(x.shape[1])
+    first = _P5_I[np.argmin(d2, axis=0)]
+    rest = d2[_LABEL_PAIRS[first].T, cols]
+    k = np.argmin(rest, axis=0)
+    order = _LABEL_ORDERS[first, k].T
+    u, v = u[order, cols], v[order, cols]
+    framed = [t for i in range(5) for t in (u[i], v[i])]
+    return _bracket_conic(*framed, _LABEL_PARITY[first, k]), (ox, oy, s)
 
 
 def frobenius(co):
@@ -389,8 +505,8 @@ def _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py):
 
 
 # Points per chunk of six_point_batch.  A point takes under 2 KB of
-# temporaries (its design rows and six 5x5 minors), so the working set
-# stays near 7 MB however large the grid.
+# temporaries (its vertex pair distances, labels and bracket terms), so the
+# working set stays under 8 MB however large the grid.
 _BATCH_CHUNK = 4096
 
 

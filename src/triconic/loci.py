@@ -29,11 +29,10 @@ from .conic import (
     FramedFit,
     center as conic_center,
     fit_conic_5pts,
-    fit_framed,
     residual,
     tangency_discriminant,
 )
-from .config import get_tol
+from .config import DET_DEGENERATE_TOL, get_tol
 from .errors import (
     DegenerateMember,
     DegenerateTriangle,
@@ -986,11 +985,11 @@ class CovertexReport:
     branch_split: tuple[int, int] | None = None
 
 
-def _branch_split(fit: FramedFit, con: Conic, pts) -> tuple[int, int] | None:
+def _branch_split(fit: FramedFit, pts) -> tuple[int, int] | None:
     if fit.conic_class() not in (ConicClass.HYPERBOLA, ConicClass.RECTANGULAR_HYPERBOLA):
         return None
     cen = fit.center()
-    m = con.m
+    m = fit.conic().m
     Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
     vh = np.array([cen.x, cen.y, 1.0])
     k = -float(vh @ m @ vh)
@@ -1004,9 +1003,21 @@ def _branch_split(fit: FramedFit, con: Conic, pts) -> tuple[int, int] | None:
     return (max(counts), min(counts))
 
 
+def _covertex_fit(cov) -> tuple[FramedFit, float]:
+    """kernels.fit_six of the six co-vertices: the fit in its frame and
+    residual6, the left-out co-vertex's residual in that frame.
+    RankDeficient when the fit vanishes, as in conic.fit_framed."""
+    co, frame, _, res6 = kernels.fit_six([p.x for p in cov], [p.y for p in cov])
+    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
+        raise RankDeficient("the co-vertices do not determine a unique conic")
+    return FramedFit(co, frame), res6
+
+
 def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
     """Locate a driver point on the co-vertex conconic locus and verify the
-    six co-vertices lie on one conic.
+    six co-vertices lie on one conic: kernels.fit_six fits five of them,
+    and the report's residual6 is the left-out one's residual in the frame
+    of the fit.
 
     kind "v_ellipse": C on the locus, A=(-1,0), B=(1,0); the driver is
     located on the determinant condition (the displayed radical equation
@@ -1022,14 +1033,11 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
         r = _bisect_along_ray(g, 0.35, 3.0)
         C = Point2(r * dx, r * dy)
         t = Triangle(A, B, C)
-        tr = build_triad(t, "v_ellipse")
-        cov = triad_covertices(tr)
-        fit = fit_framed(cov[:5])
-        con = fit.conic()
-        res = max(residual(con, p) for p in cov)
+        cov = triad_covertices(build_triad(t, "v_ellipse"))
+        fit, res = _covertex_fit(cov)
         return CovertexReport(
             C, covertex_locus_V(C.x, C.y), res, fit.conic_class(), None,
-            _branch_split(fit, con, cov),
+            _branch_split(fit, cov),
         )
     if kind == "p_equilateral":
         verts = [
@@ -1044,18 +1052,15 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
 
         r = _bisect_along_ray(g, 0.05, 1.4)
         P = Point2(r * math.cos(ray_angle), r * math.sin(ray_angle))
-        tr = build_triad(t, "p_ellipse", P)
-        cov = triad_covertices(tr)
-        fit = fit_framed(cov[:5])
-        con = fit.conic()
-        res = max(residual(con, p) for p in cov)
+        cov = triad_covertices(build_triad(t, "p_ellipse", P))
+        fit, res = _covertex_fit(cov)
         odag = fit.center()
         if odag is None:
             raise NoFiniteCenter("co-vertex conic has no finite center")
         inc = incircle(t)
         err = abs(distance(odag, inc.center) - inc.radius)
         return CovertexReport(
-            P, g(r), res, fit.conic_class(), err, _branch_split(fit, con, cov)
+            P, g(r), res, fit.conic_class(), err, _branch_split(fit, cov)
         )
     raise ValueError(f"unknown covertex check kind {kind!r}")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,16 +39,24 @@ def _mp_null_vector(xs, ys, frame):
         return [float(c / n) for c in co]
 
 
+def _mp_error(xs, ys):
+    """Largest coefficient error of fit5's unit coefficient vector against
+    _mp_null_vector, signs compared as they are."""
+    co, frame = kernels.fit5(xs, ys)
+    got = np.array(co) / np.linalg.norm(co)
+    return np.abs(got - np.array(_mp_null_vector(xs, ys, frame))).max()
+
+
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e4, -1e4)])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_fit5_matches_mpmath_null_vector(offset, scale, rng):
     # fit5 frames the points at their centroid and RMS spread and returns
-    # the cofactor null vector of the framed design matrix.  On these
-    # well-conditioned sets it agrees with 50 digits to a few ulp.
+    # the cofactor null vector of the framed design matrix, with its sign.
+    # On these well-conditioned sets it agrees with 50 digits to a few ulp.
     for _ in range(40):
         pts = rng.uniform(-1.0, 1.0, (5, 2)) * scale + offset
         xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-        co, frame = kernels.fit5(xs, ys)
+        frame = kernels.fit5(xs, ys)[1]
         with mpmath.workdps(50):
             mx = [mpmath.mpf(x) for x in xs]
             my = [mpmath.mpf(y) for y in ys]
@@ -55,10 +64,169 @@ def test_fit5_matches_mpmath_null_vector(offset, scale, rng):
             spread = mpmath.sqrt(sum((x - cx) ** 2 + (y - cy) ** 2 for x, y in zip(mx, my)) / 5)
             want_frame = [float(cx), float(cy), float(spread)]
         assert frame == pytest.approx(want_frame, rel=1e-15, abs=1e-15 * scale)
-        got = np.array(co) / np.linalg.norm(co)
-        want = np.array(_mp_null_vector(xs, ys, frame))
-        err = min(np.abs(got - want).max(), np.abs(got + want).max())
+        err = _mp_error(xs, ys)
         assert err <= 1e-12, (pts, err)
+
+
+# The five kept vertices of the P-hyperbola triads of both P5.4 circle
+# points of the near-collinear triangle of
+# test_frame_invariance::test_circle_pair_of_a_near_collinear_triangle
+# (verify --prop P5.4-circle-pair --seed 2 --trials 200): two pairs of
+# them lie 2.8e-4 and 7.5e-5 apart.  LU cofactors are off by 3.2e-12 here.
+_P54_WITNESS_SETS = [
+    (
+        [0.7004830592928877, 0.567853524494675, 0.8125945704461561,
+         0.8125252772541318, 0.7007338809913624],
+        [0.4566367711684858, 0.487800637418787, 0.416722161117403,
+         0.416750958015662, 0.4565618456769711],
+    ),
+    (
+        [0.567853524494675, 0.7004830592928877, 0.8125945704461561,
+         0.7007338809913624, 0.8125252772541318],
+        [0.487800637418787, 0.4566367711684858, 0.416722161117403,
+         0.4565618456769711, 0.416750958015662],
+    ),
+]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_fit5_matches_mpmath_null_vector_at_near_collinear_witnesses(which):
+    xs, ys = _P54_WITNESS_SETS[which]
+    assert _mp_error(xs, ys) <= 1e-12
+
+
+_MINOR_COLUMNS = np.array([[k for k in range(6) if k != j] for j in range(6)])
+_COFACTOR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def _lu_cofactors(xs, ys):
+    """The oracle: fit5's cofactors as six 5x5 minors of the framed design
+    matrix, each factored by np.linalg.det, coeff_j = (-1)^j det(rows less
+    column j), in fit5's frame.  (5, n) arrays in, a (6, n) array out."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    ox = (x[0] + x[1] + x[2] + x[3] + x[4]) / 5.0
+    oy = (y[0] + y[1] + y[2] + y[3] + y[4]) / 5.0
+    u, v = x - ox, y - oy
+    r2 = u * u + v * v
+    s = np.sqrt((r2[0] + r2[1] + r2[2] + r2[3] + r2[4]) / 5.0)
+    u, v = (u / s).T, (v / s).T
+    rows = np.stack([u * u, u * v, v * v, u, v, np.ones_like(u)], axis=-1)
+    return (np.linalg.det(rows[:, :, _MINOR_COLUMNS].swapaxes(1, 2)) * _COFACTOR_SIGNS).T
+
+
+def _relative_to_lu(xs, ys):
+    """Per point set, the largest difference between fit5's and the LU
+    cofactors over the norm of the LU ones (signs as they are)."""
+    got = np.array(kernels.fit5(xs, ys)[0])
+    want = _lu_cofactors(xs, ys)
+    return np.abs(got - want).max(axis=0) / np.linalg.norm(want, axis=0)
+
+
+def _permuted(pts):
+    """(5, 120) xs and ys of the 120 orders of five (x, y) points."""
+    orders = np.array(list(itertools.permutations(range(5)))).T
+    return pts[orders, 0], pts[orders, 1]
+
+
+def test_fit5_matches_lu_cofactors_with_their_sign(rng):
+    # The bracket form is the cofactor polynomial itself, not a multiple of
+    # it: same scale and same sign, on floats and on arrays.
+    pts = rng.uniform(-1.0, 1.0, (5, 2, 400)) * 10.0 ** rng.uniform(-3, 3, 400)
+    pts += rng.uniform(-100.0, 100.0, (2, 400))
+    assert _relative_to_lu(pts[:, 0], pts[:, 1]).max() <= 1e-12
+    for i in range(20):
+        xs, ys = pts[:, 0, i].tolist(), pts[:, 1, i].tolist()
+        got = np.array(kernels.fit5(xs, ys)[0])
+        want = _lu_cofactors(np.array(xs)[:, None], np.array(ys)[:, None])[:, 0]
+        assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(want), i
+
+
+def test_fit5_sign_follows_the_order_of_the_points(rng):
+    # All 120 orders of each set: every labelling the closest-pair rule can
+    # pick, each with its parity, against the LU cofactors of that order.
+    for _ in range(10):
+        xs, ys = _permuted(rng.uniform(-1.0, 1.0, (5, 2)))
+        assert _relative_to_lu(xs, ys).max() <= 1e-12
+
+
+def test_fit5_on_near_degenerate_sets(rng):
+    # Two close pairs and five points within 1e-6 of a line pair, each in
+    # all 120 orders: fit5 matches the LU cofactors with their sign.  With
+    # pairs `gap` apart both fits lose about 1e-16 / gap to the rounding of
+    # the framed points (up to 6e-16 / gap in 150 seeded sets of 1e-2 to
+    # 1e-7), so the bound is 1e-14 / gap: 1e-12 at 1e-2.
+    for gap in (1e-2, 1e-4, 1e-7):
+        for _ in range(5):
+            pts = rng.uniform(-1.0, 1.0, (5, 2))
+            pts[1] = pts[0] + gap * rng.normal(size=2)
+            pts[3] = pts[2] + gap * rng.normal(size=2)
+            assert _relative_to_lu(*_permuted(pts)).max() <= 1e-14 / gap, (gap, pts)
+    for _ in range(5):
+        t = rng.uniform(-1.0, 1.0, 5)
+        pts = np.stack([t, 0.3 * t + 0.1], axis=1)
+        pts[3:, 1] = 0.5 - 2.0 * pts[3:, 0]
+        pts += 1e-6 * rng.normal(size=(5, 2))
+        assert _relative_to_lu(*_permuted(pts)).max() <= 1e-12, pts
+
+
+def _tied_sets():
+    """Five-point sets with exactly or nearly tied pair distances."""
+    k = np.arange(5)
+    pentagon = np.stack([np.cos(2 * np.pi * k / 5), np.sin(2 * np.pi * k / 5)], axis=1)
+    sets = [
+        pentagon,
+        pentagon * 1e3 + (1e4, -1e4),
+        pentagon[::-1],
+        np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)]),
+        np.array([(0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+        np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (0.0, 2.0), (2.0, 2.0)]),
+        np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 1.0)]),
+        np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
+    ]
+    return sets
+
+
+def test_fit5_tied_distances_same_bits_on_floats_and_arrays():
+    sets = _tied_sets()
+    stack = np.stack(sets, axis=-1)
+    co, frame = kernels.fit5(stack[:, 0], stack[:, 1])
+    for i, pts in enumerate(sets):
+        one_co, one_frame = kernels.fit5(pts[:, 0].tolist(), pts[:, 1].tolist())
+        assert [c[i].item() for c in co] == list(one_co), i
+        assert [f[i].item() for f in frame] == list(one_frame), i
+    # The sets that determine a conic also match the LU cofactors.
+    rel = _relative_to_lu(stack[:, 0, :-1], stack[:, 1, :-1])
+    assert rel.max() <= 1e-12
+
+
+def test_fit5_of_five_coincident_points_is_nan():
+    # Zero spread: NaN coefficients on floats (no ZeroDivisionError) and
+    # on arrays alike, which fit_framed reports as RankDeficient.
+    from triconic.conic import fit_framed
+    from triconic.errors import RankDeficient
+
+    co, frame = kernels.fit5([0.5] * 5, [-2.0] * 5)
+    assert all(math.isnan(c) for c in co) and frame == (0.5, -2.0, 0.0)
+    with np.errstate(all="ignore"):
+        batch = kernels.fit5(np.full((5, 2), 0.5), np.full((5, 2), -2.0))[0]
+    assert np.isnan(np.array(batch)).all()
+    with pytest.raises(RankDeficient):
+        fit_framed([Point2(0.5, -2.0)] * 5)
+
+
+def test_fit5_on_floats_runs_no_numpy(monkeypatch):
+    class NoNumpy:
+        ndarray = np.ndarray
+
+        def __getattr__(self, name):
+            raise AssertionError(f"fit5 used np.{name}")
+
+    xs, ys = [0.1, 1.3, 0.5, 0.9, 0.2], [0.2, 0.15, 1.1, 0.7, 0.8]
+    want = kernels.fit5(xs, ys)
+    monkeypatch.setattr(kernels, "np", NoNumpy())
+    got = kernels.fit5(xs, ys)
+    assert got == want
+    assert all(type(t) is float for t in (*got[0], *got[1]))
 
 
 def test_classify_code_matches_module(rng):
@@ -323,3 +491,108 @@ def test_fit_rule_leaves_out_a_near_coincident_vertex():
         assert max(res6, batch_res6[0], rep.residual6) <= 1e-14, i
         v = kernels.triad_vertices12(*args)
         assert kernels.fit_six(v[0::2], v[1::2])[2] == 1
+
+
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_nan_or_inf_coordinate_fails_cleanly(kind):
+    # A NaN or infinite coordinate of the triangle or the driver gives
+    # CLASS_FAILED from both kernels, and leaves the other columns alone.
+    good = _seeded_kernel_args(kind, (0.0, 0.0), n=1)[0]
+    used = [0, 1, 2, 3, 4, 5] + ([7, 8] if kind.startswith("p_") else [])
+    rows = [good]
+    for k in used:
+        for bad in (math.nan, math.inf, -math.inf):
+            row = list(good)
+            row[k] = bad
+            rows.append(tuple(row))
+    cols = np.array(rows).T
+    kcode = kernels.KIND_CODES[kind]
+    codes, det, disc, res6 = kernels.six_point_batch(*cols[:6], kcode, *cols[7:])
+    status, code, r6, detn, _ = kernels.six_point(*good)
+    assert status == 0
+    assert (codes[0], det[0].item(), res6[0].item()) == (code, detn, r6)
+    for i, row in enumerate(rows[1:], start=1):
+        assert kernels.six_point(*row) == (1, kernels.CLASS_FAILED, math.inf, 0.0, None), row
+        assert codes[i] == kernels.CLASS_FAILED, row
+        assert math.isnan(det[i]) and math.isnan(disc[i]) and res6[i] == math.inf, row
+
+
+# Thresholds of classify_code's tests, with the quantity each compares.
+_THRESHOLDS = (("det", 1e-10), ("disc", -1e-10), ("disc", 1e-10), ("disc", 0.0),
+               ("a_minus_c", 1e-10), ("a_minus_c", -1e-10), ("half_b", 1e-10),
+               ("half_b", -1e-10), ("a_plus_c", 1e-10), ("a_plus_c", -1e-10),
+               ("det", -1e-10))
+
+
+def _near_a_threshold(co, window):
+    """Where any normalized test quantity of classify_code is within window
+    of one of its thresholds."""
+    A, B, C, D, E, F = co / np.linalg.norm(co * [[1.0], [0.5**0.5], [1.0], [0.5**0.5],
+                                                   [0.5**0.5], [1.0]], axis=0)
+    q = {
+        "det": kernels.mat_det((A, B, C, D, E, F)),
+        "disc": A * C - B * B / 4.0,
+        "a_minus_c": A - C,
+        "half_b": B / 2.0,
+        "a_plus_c": A + C,
+    }
+    near = np.zeros(A.shape, dtype=bool)
+    for name, tau in _THRESHOLDS:
+        near |= np.abs(q[name] - tau) <= window
+    return near
+
+
+def _sweep_configs(rng, n):
+    """n seeded triangles, half random and half near-collinear (C within
+    1e-3 to 1e-1 of the line AB, relative to |AB|), and n drivers, half
+    near a vertex and half near a sideline (1e-4 to 1e-2 of the scale
+    away): arrays ax, ay, bx, by, cx, cy, px, py.  Thinner triangles make
+    the LU oracle itself misclassify."""
+    a, b = rng.uniform(0.0, 1.0, (2, 2, n))
+    c = rng.uniform(0.0, 1.0, (2, n))
+    ab = b - a
+    normal = np.stack([-ab[1], ab[0]])
+    t = rng.uniform(-0.5, 1.5, n)
+    h = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, -1, n)
+    thin = np.arange(n) % 2 == 1
+    c = np.where(thin, a + t * ab + h * normal, c)
+    corners = np.stack([a, b, c])
+    scale = np.abs(corners - corners.mean(axis=0)).max(axis=(0, 1))
+    pick = rng.integers(0, 3, n)
+    cols = np.arange(n)
+    first, second = corners[pick, :, cols].T, corners[(pick + 1) % 3, :, cols].T
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    off = 10.0 ** rng.uniform(-4, -2, n) * scale
+    near_vertex = first + off * np.stack([np.cos(angle), np.sin(angle)])
+    side = second - first
+    side_normal = np.stack([-side[1], side[0]]) / np.hypot(*side)
+    s = rng.uniform(-0.5, 1.5, n)
+    near_side = first + s * side + np.sign(angle - np.pi) * off * side_normal
+    p = np.where(np.arange(n) % 4 < 2, near_vertex, near_side)
+    return (*a, *b, *c, *p)
+
+
+@pytest.mark.slow
+def test_bracket_fit_classes_match_the_lu_oracle():
+    # 2,000 seeded triads, 500 of each kind, on random and near-collinear
+    # triangles with drivers near vertices and near sidelines: the kernel's
+    # class codes are those of the LU cofactors of the same five kept
+    # vertices, except where one of the oracle's normalized test quantities
+    # lies within 1e-9 of a classify_code threshold (582 of the 2,000).
+    rng = np.random.default_rng(2026)
+    compared = 0
+    for kind in range(4):
+        ax, ay, bx, by, cx, cy, px, py = _sweep_configs(rng, 500)
+        with np.errstate(all="ignore"):
+            xs, ys, bad = kernels._vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
+            co, _, out, _ = kernels.fit_six(xs, ys)
+            kept = kernels._KEPT_ARRAY[out].T
+            cols = np.arange(out.size)
+            lu = _lu_cofactors(xs[kept, cols], ys[kept, cols])
+            codes = kernels.classify_code(co)[0]
+            lu_codes = kernels.classify_code(tuple(lu))[0]
+            judged = ~bad & np.isfinite(lu).all(axis=0) & ~_near_a_threshold(lu, 1e-9)
+        assert (codes[judged] == lu_codes[judged]).all(), kind
+        assert (codes[judged] != kernels.CLASS_FAILED).all(), kind
+        compared += judged.sum()
+    assert compared >= 1200
