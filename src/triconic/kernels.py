@@ -12,10 +12,17 @@ values.  `loci.sample_locus_ostar` calls the batch pieces directly: the
 vertices of every driver on the circumcircle from `_vertices_batch`, then
 `fit_six` and `frame_center`.
 
-`vertex_coords` is the vertex formula (side midpoint +- delta / 2 along the
-side) on floats and arrays alike, with distances as sqrt(dx*dx + dy*dy)
-(`_hypot`): math.sqrt and np.sqrt both round correctly, so a float and an
-array entry give the same bits.
+`_sides_deltas` is the triad rule: it takes a triangle and a driver to the
+side lengths, the signed focal sums delta or differences lambda of the
+three members, and the flag that a member degenerates (a focal sum or
+difference within MEMBER_GUARD of the largest side from its collapse).
+`triads.build_triad`, `triads.driver_fault`, `triads.triad_vertices`, the
+loci's focal quantities and the kernels below all read it, so they agree on
+every driver bit for bit.  `vertex_coords` is the vertex formula (side
+midpoint +- delta / 2 along the side).  Both run on floats and arrays
+alike, with distances as sqrt(dx*dx + dy*dy) (`_hypot`): math.sqrt and
+np.sqrt both round correctly, so a float and an array entry give the same
+bits.
 
 `fit_six` is the fit rule: leave out the later vertex of the closest vertex
 pair (an argmin over the 15 pairs, so it runs on arrays too) and fit the
@@ -354,16 +361,25 @@ def _hypot(x, y):
     return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
 
 
+# The member guard, relative to the largest side: a P-ellipse member whose
+# focal sum is within it of its side collapses onto the side, a P-hyperbola
+# member whose focal difference is within it of 0 or of its side onto a
+# bisector or a sideline, and an isosceles V-hyperbola member (|lambda|
+# within it of 0) is a perpendicular bisector.
+MEMBER_GUARD = 1e-12
+
+
 def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
     """Side lengths (a, b, c), the signed axis quantities (d1, d2, d3) of
     the triad's members, and whether a member degenerates, on floats or on
     arrays of one shape (then the flag is a bool array).
 
-    A P-triad member degenerates when it collapses (within 1e-12 of the
-    largest side), and any triad when two triangle vertices coincide.  A
-    V-hyperbola member of an isosceles triangle (lambda = 0) does not: it
-    contributes its side's midpoint twice, and the fit rule leaves out one
-    copy.
+    A P-triad member degenerates when it collapses (within MEMBER_GUARD of
+    the largest side), and any triad when two triangle vertices coincide;
+    a driver on a vertex collapses two members.  A V-hyperbola member of
+    an isosceles triangle (lambda = 0) does not: it contributes its side's
+    midpoint twice, and the fit rule leaves out one copy.  V-kinds ignore
+    (px, py).
     """
     a = _hypot(bx - cx, by - cy)
     b = _hypot(cx - ax, cy - ay)
@@ -372,7 +388,7 @@ def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
         lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
     else:
         lo, hi = min(a, b, c), max(a, b, c)
-    eps = 1e-12 * hi
+    eps = MEMBER_GUARD * hi
     bad = lo == 0.0
     if kind == KIND_V_ELLIPSE:
         d = (b + c, c + a, a + b)

@@ -56,6 +56,7 @@ from .geom import (
     signed_area,
 )
 from .triads import (
+    _kernel_args,
     _triangle_frame,
     build_triad,
     second_common_point,
@@ -222,19 +223,13 @@ def phyp_parabola_condition(a, b, c, la, lb, lc):
 
 
 def _deltas(t: Triangle, p: Point2):
-    return (
-        distance(p, t.b) + distance(p, t.c),
-        distance(p, t.c) + distance(p, t.a),
-        distance(p, t.a) + distance(p, t.b),
-    )
+    """The focal sums of the P-ellipse triad of t with driver p."""
+    return kernels._sides_deltas(*_kernel_args(t, "p_ellipse", p))[1]
 
 
 def _lambdas(t: Triangle, p: Point2):
-    return (
-        distance(p, t.b) - distance(p, t.c),
-        distance(p, t.c) - distance(p, t.a),
-        distance(p, t.a) - distance(p, t.b),
-    )
+    """The signed focal differences of the P-hyperbola triad of t with driver p."""
+    return kernels._sides_deltas(*_kernel_args(t, "p_hyperbola", p))[1]
 
 
 # The plane curves by name, each a function of (x, y).
@@ -1088,11 +1083,8 @@ def x55_conjecture_check(t: Triangle) -> X55Report:
     q = classic_center(t, "X55")
     tprime = reflection_triangle(t, q)
     cc = circumcircle(tprime)
-    xs, ys = kernels.vertex_coords(
-        *(w for v in tprime.vertices() for w in v.as_tuple()),
-        tprime.sides(),
-        _lambdas(tprime, q),
-    )
+    args = _kernel_args(tprime, "p_hyperbola", q)
+    xs, ys = kernels.vertex_coords(*args[:6], *kernels._sides_deltas(*args)[:2])
     dists = [math.hypot(x - cc.center.x, y - cc.center.y) for x, y in zip(xs, ys)]
     rmean = sum(dists) / 6.0
     spread = max(abs(d - rmean) for d in dists)

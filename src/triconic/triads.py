@@ -47,25 +47,19 @@ from .geom import (
 
 TRIAD_KINDS = ("v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola")
 
-_MEMBER_GUARD = 1e-12
-
-
 @dataclass(frozen=True)
 class ConicTriad:
     kind: str
     t: Triangle
     p: Point2 | None
     # Signed per-side axis quantities: sums delta for ellipse kinds,
-    # differences lambda for hyperbola kinds.
+    # differences lambda for hyperbola kinds, as kernels._sides_deltas
+    # computes them (the kernels' vertices follow from these bits).
     deltas: tuple[float, float, float]
     members: tuple[FocalConic | None, FocalConic | None, FocalConic | None]
     # Perpendicular-bisector line standing in for a degenerate member
     # (isosceles V-hyperbola).
-    degenerate_lines: tuple[LineEq | None, LineEq | None, LineEq | None] = (
-        None,
-        None,
-        None,
-    )
+    degenerate_lines: tuple[LineEq | None, LineEq | None, LineEq | None]
 
     def has_degenerate_member(self) -> bool:
         return any(m is None for m in self.members)
@@ -85,81 +79,61 @@ class SixPointConicReport:
         return self.fit.conic()
 
 
+# Why a member of a P-kind triad degenerates, by kind: kernels._sides_deltas
+# flags it (a driver on a vertex collapses two members of either kind).
+_FAULTS = {
+    "p_ellipse": "P on a side segment: an ellipse member collapses",
+    "p_hyperbola": "P on a sideline extension or a perpendicular bisector: "
+    "a hyperbola member collapses",
+}
+
+
+def _kernel_args(t: Triangle, kind: str, p: Point2 | None) -> tuple:
+    """The arguments (ax, ay, bx, by, cx, cy, kind code, px, py) of the
+    scalar kernels for the triad of t with driver p (the origin without)."""
+    p = p or Point2(0.0, 0.0)
+    return (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_CODES[kind], p.x, p.y)
+
+
 def driver_fault(t: Triangle, kind: str, p: Point2) -> str | None:
     """Why the P-kind triad of t with driver p degenerates, or None when
-    build_triad(t, kind, p) builds all three members: the guard it raises
+    build_triad(t, kind, p) builds all three members: the kernel's member
+    guard (kernels._sides_deltas), which build_triad raises
     DegenerateMember on, for callers that only need to know."""
-    scale = t.scale()
-    for v in t.vertices():
-        if distance(p, v) <= _MEMBER_GUARD * scale:
-            return f"P coincides with vertex {v}"
-    for d, s in zip(_p_deltas(t, kind, p), t.sides()):
-        if kind == "p_ellipse":
-            if d <= s + _MEMBER_GUARD * scale:
-                return "P on a side segment: ellipse member collapses"
-        elif abs(d) <= _MEMBER_GUARD * scale:
-            return "P on a perpendicular bisector: lambda = 0"
-        elif abs(d) >= s - _MEMBER_GUARD * scale:
-            return "P on a sideline extension: hyperbola collapses"
-    return None
-
-
-def _p_deltas(t: Triangle, kind: str, p: Point2) -> tuple[float, float, float]:
-    pa, pb, pc = distance(p, t.a), distance(p, t.b), distance(p, t.c)
-    if kind == "p_ellipse":
-        return (pb + pc, pc + pa, pa + pb)
-    return (pb - pc, pc - pa, pa - pb)
+    return _FAULTS[kind] if kernels._sides_deltas(*_kernel_args(t, kind, p))[2] else None
 
 
 def build_triad(t: Triangle, kind: str, p: Point2 | None = None) -> ConicTriad:
+    """The triad of t of the given kind, with driver p for the P-kinds.
+
+    Sides, signed deltas and the member guard are kernels._sides_deltas';
+    DegenerateMember where it flags a member.  An isosceles V-hyperbola
+    member (|lambda| <= kernels.MEMBER_GUARD times the largest side) is
+    None, with its perpendicular bisector in degenerate_lines.
+    """
     if kind not in TRIAD_KINDS:
         raise ValueError(f"unknown triad kind {kind!r}")
     if kind.startswith("p_"):
         if p is None:
             raise ValueError(f"{kind} needs a point P")
-        fault = driver_fault(t, kind, p)
-        if fault is not None:
-            raise DegenerateMember(fault)
     else:
         p = None
-
-    a, bb, cc = t.sides()
+    sides, deltas, bad = kernels._sides_deltas(*_kernel_args(t, kind, p))
+    if bad:
+        raise DegenerateMember(_FAULTS[kind])
+    guard = kernels.MEMBER_GUARD * max(sides)
+    shape = "ellipse" if kind.endswith("ellipse") else "hyperbola"
     A, B, C = t.a, t.b, t.c
-    foci = ((B, C), (C, A), (A, B))
-
-    if kind == "v_ellipse":
-        deltas = (bb + cc, cc + a, a + bb)
-        members = tuple(
-            FocalConic(f1, f2, d, "ellipse") for (f1, f2), d in zip(foci, deltas)
-        )
-        return ConicTriad(kind, t, None, deltas, members)
-
-    if kind == "p_ellipse":
-        deltas = _p_deltas(t, kind, p)
-        members = tuple(
-            FocalConic(f1, f2, d, "ellipse") for (f1, f2), d in zip(foci, deltas)
-        )
-        return ConicTriad(kind, t, p, deltas, members)
-
-    if kind == "v_hyperbola":
-        deltas = (cc - bb, a - cc, bb - a)
-        members: list[FocalConic | None] = []
-        deglines: list[LineEq | None] = []
-        for (f1, f2), lam in zip(foci, deltas):
-            if abs(lam) <= _MEMBER_GUARD * t.scale():
-                members.append(None)
-                deglines.append(_perp_bisector(f1, f2))
-            else:
-                members.append(FocalConic(f1, f2, abs(lam), "hyperbola"))
-                deglines.append(None)
-        return ConicTriad(kind, t, None, deltas, tuple(members), tuple(deglines))
-
-    # p_hyperbola
-    deltas = _p_deltas(t, kind, p)
-    members = tuple(
-        FocalConic(f1, f2, abs(lam), "hyperbola") for (f1, f2), lam in zip(foci, deltas)
-    )
-    return ConicTriad(kind, t, p, deltas, members)
+    members: list[FocalConic | None] = []
+    deglines: list[LineEq | None] = []
+    for (f1, f2), d in zip(((B, C), (C, A), (A, B)), deltas):
+        if kind == "v_hyperbola" and abs(d) <= guard:
+            members.append(None)
+            deglines.append(_perp_bisector(f1, f2))
+        else:
+            members.append(FocalConic(f1, f2, abs(d), shape))
+            deglines.append(None)
+    return ConicTriad(kind, t, p, deltas, tuple(members), tuple(deglines))
 
 
 def _perp_bisector(p: Point2, q: Point2) -> LineEq:
@@ -169,17 +143,17 @@ def _perp_bisector(p: Point2, q: Point2) -> LineEq:
 
 
 def triad_vertices(tr: ConicTriad) -> tuple[Point2, ...]:
-    """(A1, A2, B1, B2, C1, C2), by kernels.vertex_coords from the triad's
-    sides and signed deltas.
+    """(A1, A2, B1, B2, C1, C2), by kernels.vertex_coords from the kernel's
+    sides and the triad's signed deltas: bit for bit the vertices
+    six_point_conic fits.
 
     The signed delta makes (A1, B1, C1) the extouch triangle for
     V-hyperbolas and matches the excircle tangency labels for V-ellipses.
     A degenerate member (lambda = 0) contributes its midpoint twice.
     """
-    t = tr.t
-    xs, ys = kernels.vertex_coords(
-        t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, t.sides(), tr.deltas
-    )
+    args = _kernel_args(tr.t, tr.kind, tr.p)
+    sides, _, _ = kernels._sides_deltas(*args)
+    xs, ys = kernels.vertex_coords(*args[:6], sides, tr.deltas)
     return tuple(Point2(x, y) for x, y in zip(xs, ys))
 
 
@@ -250,10 +224,8 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     are not distinct (within 1e-9 of the triangle's scale) or their fit
     vanishes.
     """
-    t, p = tr.t, tr.p or Point2(0.0, 0.0)
-    v = kernels.triad_vertices12(
-        t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_CODES[tr.kind], p.x, p.y
-    )
+    t = tr.t
+    v = kernels.triad_vertices12(*_kernel_args(t, tr.kind, tr.p))
     if v is None:
         raise DegenerateMember("a triad member degenerates")
     xs, ys = v[0::2], v[1::2]
@@ -493,10 +465,9 @@ def second_common_point(tr: ConicTriad) -> Point2:
         raise ValueError("second_common_point applies to P-hyperbola triads")
     t, p = tr.t, tr.p
     scale = t.scale()
-    foci = ((t.b, t.c), (t.c, t.a), (t.a, t.b))
 
     def lam_signs(q: Point2) -> tuple[float, ...]:
-        return tuple(distance(q, f1) - distance(q, f2) for f1, f2 in foci)
+        return kernels._sides_deltas(*_kernel_args(t, tr.kind, q))[1]
 
     best = None
     best_res = math.inf

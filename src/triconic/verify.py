@@ -89,6 +89,7 @@ from .loci import (
     _lambdas,
 )
 from .triads import (
+    _focal_diff_residual,
     build_triad,
     concurrency_theorems,
     driver_fault,
@@ -260,9 +261,6 @@ def _chk_tangent_excentral(cfg) -> float:
         con = conic_from_foci(tr.members[idx])
         worst = max(worst, residual(con, vertex), abs(tangency_discriminant(con, side)))
     return worst
-
-
-_CHORD_LINE_SCALE = 1e-8
 
 
 def _vell_chord_line_bary(a, b, c):
@@ -647,15 +645,9 @@ def _chk_soddy_intersections(cfg) -> float:
     x175, x176 = soddy_centers(t)
     worst = 0.0
     for m in tr.members:
-        worst = max(
-            worst,
-            abs(abs(distance(x176, m.focus1) - distance(x176, m.focus2)) - m.axis_length) / diam,
-        )
+        worst = max(worst, _focal_diff_residual(x176, m) / diam)
         if x175 is not None:
-            worst = max(
-                worst,
-                abs(abs(distance(x175, m.focus1) - distance(x175, m.focus2)) - m.axis_length) / diam,
-            )
+            worst = max(worst, _focal_diff_residual(x175, m) / diam)
     return worst
 
 
@@ -696,10 +688,7 @@ def _chk_vhyp_through_vell(cfg) -> float:
             return 1.0
         m = trh.members[i]
         for q in pts:
-            worst = max(
-                worst,
-                abs(abs(distance(q, m.focus1) - distance(q, m.focus2)) - m.axis_length) / s,
-            )
+            worst = max(worst, _focal_diff_residual(q, m) / s)
     return worst
 
 
@@ -777,10 +766,7 @@ def _chk_second_point(cfg) -> float:
     s = t.scale()
     worst = 0.0
     for m in tr.members:
-        worst = max(
-            worst,
-            abs(abs(distance(q, m.focus1) - distance(q, m.focus2)) - m.axis_length) / s,
-        )
+        worst = max(worst, _focal_diff_residual(q, m) / s)
     gaps = sorted((abs(l) for l in tr.deltas), reverse=True)
     # Gap identity tolerance 1e-10 scaled into the 1e-8 threshold.
     worst = max(worst, abs(gaps[0] - gaps[1] - gaps[2]) / s * 100.0)
@@ -810,10 +796,7 @@ def _chk_circle_pair(cfg) -> float:
     # Mutual membership: each point on the other's triad members
     tr1 = build_triad(t, "p_hyperbola", p1)
     for m in tr1.members:
-        worst = max(
-            worst,
-            abs(abs(distance(p2, m.focus1) - distance(p2, m.focus2)) - m.axis_length) / s * 1e2,
-        )
+        worst = max(worst, _focal_diff_residual(p2, m) / s * 1e2)
     return worst
 
 
@@ -840,35 +823,24 @@ def _chk_phyp_through_pell(cfg) -> float:
             return 1.0
         m = trh.members[i]
         for q in pts:
-            worst = max(
-                worst,
-                abs(abs(distance(q, m.focus1) - distance(q, m.focus2)) - m.axis_length) / s,
-            )
+            worst = max(worst, _focal_diff_residual(q, m) / s)
     return worst
-
-
-# math.hypot on floats and arrays alike (not np.hypot, which differs from
-# it in the last bit on about 1% of inputs).
-_math_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def _phyp_parabola_on_ray(t: Triangle, ang: float):
     """phyp_parabola_condition at P = O + s*R*(cos ang, sin ang), O and R
     the circumcenter and circumradius, as a function of s: a float, or an
-    array such as a whole scan grid, bit for bit alike.  The distances to
-    the vertices are loci._lambdas' math.hypot."""
+    array such as a whole scan grid, bit for bit alike.  Sides and focal
+    differences are kernels._sides_deltas', as loci._lambdas reads them."""
     cc = circumcircle(t)
     dx, dy = math.cos(ang), math.sin(ang)
-    sides = t.sides()
-    verts = [v.as_tuple() for v in t.vertices()]
+    corners = [w for v in t.vertices() for w in v.as_tuple()]
 
     def cond(s):
         px = cc.center.x + s * cc.radius * dx
         py = cc.center.y + s * cc.radius * dy
-        pa, pb, pc = (_math_hypot(px - vx, py - vy) for vx, vy in verts)
-        if isinstance(pa, np.ndarray):
-            pa, pb, pc = (d.astype(float) for d in (pa, pb, pc))
-        return phyp_parabola_condition(*sides, pb - pc, pc - pa, pa - pb)
+        sides, lams, _ = kernels._sides_deltas(*corners, kernels.KIND_P_HYPERBOLA, px, py)
+        return phyp_parabola_condition(*sides, *lams)
 
     return cond
 

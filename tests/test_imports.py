@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package."""
 
 import ast
 import subprocess
@@ -33,6 +34,55 @@ def test_package_modules_have_no_unused_imports():
     assert len(modules) > 10
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_definitions(stmt) -> list[str]:
+    """The private names (_x, not __x__) a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(stmt) -> set[str]:
+    """Names a statement reads, bare (x) or as an attribute (module.x)."""
+    refs = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _unused_privates(sources: dict[str, str]) -> list[str]:
+    """module:name for each module-level private name that no other
+    module-level statement of any of the sources reads."""
+    stmts = [(mod, stmt) for mod, src in sources.items() for stmt in ast.parse(src).body]
+    refs = [_references(stmt) for _, stmt in stmts]
+    unused = []
+    for k, (mod, stmt) in enumerate(stmts):
+        for name in _private_definitions(stmt):
+            if not any(name in r for j, r in enumerate(refs) if j != k):
+                unused.append(f"{mod}:{name}")
+    return sorted(unused)
+
+
+def test_scan_finds_unused_private_names():
+    sources = {
+        "a.py": "_A = 1\n_B, (_C, d) = 2, (3, 4)\n__all__ = []\ndef _f():\n    return _f()\n",
+        "b.py": "import a\nfrom a import _B\nx = a._A + _g()\ndef _g():\n    return _B\n",
+    }
+    assert _unused_privates(sources) == ["a.py:_C", "a.py:_f"]
+
+
+def test_package_has_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unused_privates(sources) == []
 
 
 def test_package_runs_without_scipy(cli_env):

@@ -417,20 +417,30 @@ def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
     assert failed > 0
 
 
-def _seeded_kernel_args(kind, offset, n=30):
-    """Kernel arguments of n seeded triads of this kind, moved by offset."""
-    from triconic.verify import _gen_tri_point
+def _seeded_kernel_args(kind, offset, n=30, flat=False):
+    """Kernel arguments of n seeded triads of this kind, moved by offset;
+    with flat, on verify.random_flat_triangle's obtuse flat triangles."""
+    from triconic.triads import driver_fault
+    from triconic.verify import _gen_tri_point, _tri_cfg, random_flat_triangle, random_point_near
 
-    rng = np.random.default_rng([2026, kernels.KIND_CODES[kind]])
+    def flat_cfg(rng):
+        while True:
+            t = random_flat_triangle(rng)
+            p = random_point_near(t, rng)
+            if all(driver_fault(t, k, p) is None for k in ("p_ellipse", "p_hyperbola")):
+                return {"triangle": _tri_cfg(t), "p": [p.x, p.y]}
+
+    code = kernels.KIND_CODES[kind]
+    rng = np.random.default_rng([2026, code, 1] if flat else [2026, code])
     ox, oy = offset
     rows = []
     for _ in range(n):
-        cfg = _gen_tri_point(rng)
+        cfg = flat_cfg(rng) if flat else _gen_tri_point(rng)
         (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
         px, py = cfg["p"] if kind.startswith("p_") else (0.0, 0.0)
         rows.append(
             (ax + ox, ay + oy, bx + ox, by + oy, cx + ox, cy + oy,
-             kernels.KIND_CODES[kind], px + ox, py + oy)
+             code, px + ox, py + oy)
         )
     return rows
 
@@ -440,10 +450,12 @@ def _seeded_kernel_args(kind, offset, n=30):
 def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
     # six_point_conic runs the scalar kernel's floats, and the batch kernel
     # the same arithmetic on arrays: class, residual6 and the left-out
-    # vertex are the same bits on all three paths.
-    from triconic.triads import build_triad, six_point_conic
+    # vertex are the same bits on all three paths.  The triad's deltas are
+    # the triad rule's (kernels._sides_deltas), and triad_vertices gives the
+    # vertices six_point_conic fits, bit for bit.
+    from triconic.triads import build_triad, six_point_conic, triad_vertices
 
-    rows = _seeded_kernel_args(kind, offset)
+    rows = _seeded_kernel_args(kind, offset) + _seeded_kernel_args(kind, offset, flat=True)
     cols = np.array(rows).T
     kcode = kernels.KIND_CODES[kind]
     codes, _, _, res6 = kernels.six_point_batch(*cols[:6], kcode, *cols[7:])
@@ -455,10 +467,13 @@ def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
         assert status == 0
         t = Triangle(Point2(*args[0:2]), Point2(*args[2:4]), Point2(*args[4:6]))
         p = Point2(*args[7:]) if kind.startswith("p_") else None
-        rep = six_point_conic(build_triad(t, kind, p))
+        tr = build_triad(t, kind, p)
+        rep = six_point_conic(tr)
         assert rep.conic_class.value == kernels.CLASS_NAMES[code], i
         assert rep.residual6 == r6, i
         v = kernels.triad_vertices12(*args)
+        assert tr.deltas == kernels._sides_deltas(*args)[1], i
+        assert [c for q in triad_vertices(tr) for c in q.as_tuple()] == list(v), i
         _, _, out, res = kernels.fit_six(v[0::2], v[1::2])
         assert (codes[i], res6[i].item()) == (code, r6), i
         assert (outs[i], fit_res[i].item()) == (out, r6), i

@@ -374,31 +374,61 @@ def _guard_points(t):
 
 
 def _guard_reference(t, kind, p):
-    """The P-kind guard as build_triad wrote it inline: True when the triad
-    of driver p has all three members."""
-    g = 1e-12 * t.scale()
-    if any(distance(p, v) <= g for v in t.vertices()):
-        return False
-    pa, pb, pc = distance(p, t.a), distance(p, t.b), distance(p, t.c)
+    """The P-kind member guard written out: True when the triad of driver
+    p has all three members.  Sides and distances are the kernel's
+    sqrt(dx*dx + dy*dy); a driver on a vertex fails the sum or difference
+    test of the two members with a focus there, so it needs no clause."""
+
+    def dist(u, v):
+        return math.sqrt((u.x - v.x) * (u.x - v.x) + (u.y - v.y) * (u.y - v.y))
+
+    sides = (dist(t.b, t.c), dist(t.c, t.a), dist(t.a, t.b))
+    g = 1e-12 * max(sides)
+    pa, pb, pc = dist(p, t.a), dist(p, t.b), dist(p, t.c)
     if kind == "p_ellipse":
-        return all(d > s + g for d, s in zip((pb + pc, pc + pa, pa + pb), t.sides()))
-    return all(g < abs(d) < s - g for d, s in zip((pb - pc, pc - pa, pa - pb), t.sides()))
+        return all(d > s + g for d, s in zip((pb + pc, pc + pa, pa + pb), sides))
+    return all(g < abs(d) < s - g for d, s in zip((pb - pc, pc - pa, pa - pb), sides))
+
+
+def _near_guard_drivers(t, rng):
+    """Drivers 1e-14 to 1e-10 of the scale from the vertices, from points of
+    the sidelines (inside and beyond the sides) and from points of the
+    perpendicular bisectors, in random directions."""
+    s = t.scale()
+    bases = list(t.vertices()) * 40
+    for u, v in ((t.b, t.c), (t.c, t.a), (t.a, t.b)):
+        d = Point2(v.x - u.x, v.y - u.y)
+        n = Point2(-d.y / d.norm(), d.x / d.norm())
+        mid = midpoint(u, v)
+        bases += [Point2(u.x + k * d.x, u.y + k * d.y) for k in (0.3, 0.5, -0.6, 1.6)]
+        bases += [Point2(mid.x + k * s * n.x, mid.y + k * s * n.y) for k in (-0.7, 0.4, 1.3)]
+    out = []
+    for q in bases:
+        r = s * 10.0 ** rng.uniform(-14.0, -10.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        out.append(Point2(q.x + r * math.cos(phi), q.y + r * math.sin(phi)))
+    return out
 
 
 def test_driver_fault_is_the_build_triad_guard(t_generic, rng):
     # driver_fault names a fault exactly where build_triad raises
-    # DegenerateMember with that message, and exactly where the inline
-    # guard it replaced failed; without a fault all three members are built.
+    # DegenerateMember with that message, exactly where the kernel's triad
+    # rule (kernels._sides_deltas) flags a member, and exactly where the
+    # written-out guard fails; without a fault all three members are built.
     cases = [(t, p) for t in (t_generic, random_triangle(rng)) for p in _guard_points(t)]
+    for t in [random_triangle(rng) for _ in range(10)] + [random_flat_triangle(rng)]:
+        cases += [(t, p) for p in _near_guard_drivers(t, rng)]
     for _ in range(300):
         t = random_triangle(rng)
         cases.append((t, random_point_near(t, rng)))
         cases.append((t, Point2(*rng.uniform(-0.5, 1.5, 2))))
     faults = {"p_ellipse": 0, "p_hyperbola": 0}
     for t, p in cases:
+        corners = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y)
         for kind in faults:
             fault = triads.driver_fault(t, kind, p)
-            assert (fault is None) == _guard_reference(t, kind, p)
+            flagged = kernels._sides_deltas(*corners, kernels.KIND_CODES[kind], p.x, p.y)[2]
+            assert (fault is None) == (not flagged) == _guard_reference(t, kind, p)
             try:
                 tr = build_triad(t, kind, p)
             except DegenerateMember as exc:

@@ -335,7 +335,8 @@ def test_format_report_lines():
 
 def test_phyp_parabola_scan_grid_matches_scalar_condition():
     # The P5.7 scan reads its whole grid in one array call; Brent's polish
-    # and witness replay need those values bit for bit the scalar ones.
+    # and witness replay need those values bit for bit the scalar ones,
+    # with the sides and differences of the triad rule (kernels._sides_deltas).
     from triconic.loci import _lambdas, bisect_sign_changes, phyp_parabola_condition
 
     rng = np.random.default_rng(5)
@@ -347,7 +348,8 @@ def test_phyp_parabola_scan_grid_matches_scalar_condition():
             dx, dy = math.cos(ang), math.sin(ang)
             ray = [Point2(cc.center.x + s * cc.radius * dx, cc.center.y + s * cc.radius * dy)
                    for s in grid]
-            scalar = [phyp_parabola_condition(*t.sides(), *_lambdas(t, p)) for p in ray]
+            sides = kernels._sides_deltas(*triads._kernel_args(t, "p_hyperbola", ray[0]))[0]
+            scalar = [phyp_parabola_condition(*sides, *_lambdas(t, p)) for p in ray]
             cond = verify._phyp_parabola_on_ray(t, ang)
             assert cond(np.array(grid)).tolist() == scalar
             assert [cond(s) for s in grid] == scalar
