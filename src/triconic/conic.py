@@ -468,9 +468,13 @@ def _quad_grad(m: list, x: float, y: float) -> tuple[float, float, float]:
     return x * gx + y * gy + gw, 2.0 * gx, 2.0 * gy
 
 
-def _newton_polish(p: Point2, m1: list, m2: list, iters: int = 3):
+# Newton steps _newton_polish takes from each candidate.
+_POLISH_STEPS = 3
+
+
+def _newton_polish(p: Point2, m1: list, m2: list):
     x, y = p.x, p.y
-    for _ in range(iters):
+    for _ in range(_POLISH_STEPS):
         f1, j00, j01 = _quad_grad(m1, x, y)
         f2, j10, j11 = _quad_grad(m2, x, y)
         det = j00 * j11 - j01 * j10

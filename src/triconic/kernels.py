@@ -1,16 +1,18 @@
-"""Six-point kernels, scalar and numpy batch: the one vertex formula, the
-one five-point fit and fit rule, and the one conic classifier.
+"""The six-point kernel: the one vertex formula, the one five-point fit
+and fit rule, and the one conic classifier, each elementwise on floats
+and numpy arrays alike.
 
 These are the primitives of every six-point conic in the package: construct
-a triad's six vertices, fit the conic through five of them, classify, and
-take the residual of the sixth.  The scalar functions serve one-off calls
+a triad's six vertices (`vertices`), fit the conic through five of them
+(`fit_six`), classify (`classify_code`), and take the residual of the
+sixth.  `six_point` runs the whole pipeline.  On floats it is plain Python
 (`triads.six_point_conic`, the Brent polish of the verifier's sign scans);
-`six_point_batch` runs the same arithmetic, in the same order, on whole
-grids of driver points (region maps, the verifier's scan grids and its
-P2.2, P3.1, P3.8 and P5.2 trials), and returns bit for bit the scalar
-values.  `loci.sample_locus_ostar` calls the batch pieces directly: the
-vertices of every driver on the circumcircle from `_vertices_batch`, then
-`fit_six` and `frame_center`.
+given arrays it runs the same arithmetic, in the same order, on whole grids
+of driver points (region maps, the verifier's scan grids and its P2.2,
+P3.1, P3.8 and P5.2 trials), and returns bit for bit the float values.
+`loci.sample_locus_ostar` calls the pieces directly: the vertices of every
+driver on the circumcircle from `vertices`, then `fit_six` and
+`frame_center`.
 
 `_sides_deltas` is the triad rule: it takes a triangle and a driver to the
 side lengths, the signed focal sums delta or differences lambda of the
@@ -69,8 +71,8 @@ brackets det on (none in 400 seeded rays of each).
 
 `classify_code` holds the conic-type policy for the whole package: one
 threshold ladder on the Frobenius-normalized coefficients, applied to
-floats and arrays alike.  `conic.classify`, both six-point kernels and the
-verifier's parabola checks call it.
+floats and arrays alike.  `conic.classify`, `six_point` and the object
+path call it.
 """
 
 import itertools
@@ -80,8 +82,8 @@ import numpy as np
 
 from .config import DET_DEGENERATE_TOL, DISC_PARABOLA_TOL
 
-# Reported as the verify report's kernel_backend; the scalar and batch
-# kernels are both plain Python + numpy.
+# Reported as the verify report's kernel_backend; six_point is plain
+# Python on floats and numpy on arrays.
 BACKEND = "py"
 
 CLASS_CIRCLE = 0
@@ -353,8 +355,8 @@ def _hypot(x, y):
     """sqrt(x*x + y*y), on floats (math.sqrt) or arrays (np.sqrt).
 
     Both square roots round correctly, so a float and an array entry give
-    the same bits, and the batch kernel's vertices and fits are bit for bit
-    those of the scalar kernel.  (np.hypot and math.hypot differ in the last
+    the same bits, and vertices and fits on arrays are bit for bit those
+    on floats.  (np.hypot and math.hypot differ in the last
     bit on about 1% of inputs.)  Coordinates beyond about 1e150 overflow.
     """
     sq = x * x + y * y
@@ -433,15 +435,23 @@ def vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas):
     return xs, ys
 
 
-def triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py):
-    """Twelve vertex coordinates (A1 A2 B1 B2 C1 C2) or None if a member
-    degenerates, coincident vertices included."""
+def vertices(ax, ay, bx, by, cx, cy, kind, px, py):
+    """The six vertices of the triad and whether a member degenerates:
+    (xs, ys, bad), by _sides_deltas and vertex_coords.
+
+    Floats give two lists of six floats (A1 A2 B1 B2 C1 C2) and a bool;
+    a degenerate triad gives (None, None, True), since coincident triangle
+    vertices leave a side to divide by zero.  1-d arrays of n drivers or
+    triangles give (6, n) arrays and the mask of degenerate columns, whose
+    vertices may be non-finite.
+    """
     sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    if isinstance(bad, np.ndarray):
+        xs, ys = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
+        return np.stack(xs), np.stack(ys), bad
     if bad:
-        return None
-    v = [0.0] * 12
-    v[0::2], v[1::2] = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
-    return tuple(v)
+        return None, None, True
+    return (*vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas), False)
 
 
 # The fit rule: the 15 vertex pairs (i, j), i < j, in order, and for each
@@ -485,83 +495,51 @@ def fit_six(xs, ys):
     return co, (ox, oy, s), out, conic_residual(co, (xo - ox) / s, (yo - oy) / s)
 
 
-def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
-    """Fused triad -> five-point fit -> classification.
-
-    Returns (status, class_code, residual6, det_normalized, coeffs):
-    status 0 on success, 1 when a member degenerates or the fit is zero or
-    not finite (coeffs then None).
-    All are taken in the frame of fit_six's five vertices: coeffs are the
-    framed coefficients, residual6 is the incidence residual of the framed
-    left-out vertex, and det_normalized is det of the Frobenius-normalized
-    matrix (its sign brackets degeneracy boundaries).
-    """
-    v = triad_vertices12(ax, ay, bx, by, cx, cy, kind, px, py)
-    if v is None:
-        return (1, CLASS_FAILED, math.inf, 0.0, None)
-    co, _, _, res6 = fit_six(v[0::2], v[1::2])
-    code, detn, _ = classify_code(co)
-    if code == CLASS_FAILED:
-        return (1, CLASS_FAILED, math.inf, 0.0, None)
-    return (0, code, res6, detn, co)
-
-
-# ---------------------------------------------------------------------------
-# Batch kernel: the scalar arithmetic above, in the same order, on arrays
-# ---------------------------------------------------------------------------
-
-
-def _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py):
-    """triad_vertices12 on 1-d arrays: vertex xs and ys of shape (6, n) in
-    the order A1 A2 B1 B2 C1 C2, and the mask of columns where a member
-    degenerates."""
-    sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
-    xs, ys = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
-    return np.stack(xs), np.stack(ys), bad
-
-
-# Points per chunk of six_point_batch.  A point takes under 2 KB of
+# Points per chunk of six_point on arrays.  A point takes under 2 KB of
 # temporaries (its vertex pair distances, labels and bracket terms), so the
 # working set stays under 8 MB however large the grid.
 _BATCH_CHUNK = 4096
 
+_FAILED = (CLASS_FAILED, math.nan, math.nan, math.inf)
 
-def six_point_batch(ax, ay, bx, by, cx, cy, kind, px, py):
-    """six_point over broadcastable arrays of the inputs: the class codes,
-    the normalized determinant and discriminant of classify_code, and
-    residual6.
 
-    `kind` is one KIND_* code for the whole batch.  Each result has the
-    broadcast shape.  Wherever six_point reports a failure (a member
-    degenerates, or the fit is zero or not finite) the code is
-    CLASS_FAILED, det and disc are NaN and residual6 is inf; elsewhere they
-    are bit for bit six_point's det_normalized, classify_code's disc and
-    six_point's residual6.
+def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
+    """Fused triad -> five-point fit -> classification: (code, det, disc,
+    residual6).
+
+    The class code, the determinant and the discriminant A*C - B^2/4 of
+    classify_code, and residual6, all taken in the frame of fit_six's five
+    vertices: det and disc are those of the Frobenius-normalized framed
+    coefficients (det's sign brackets degeneracy boundaries), residual6 the
+    incidence residual of the framed left-out vertex.  Where a member
+    degenerates or the fit is zero or not finite, the code is CLASS_FAILED,
+    det and disc are NaN and residual6 is inf.
+
+    Elementwise, with one KIND_* code for all.  Floats give a Python int
+    and floats, from plain Python with no numpy call, returning early when
+    a member degenerates.  If any argument is an ndarray, the arguments are
+    broadcast and run in chunks of _BATCH_CHUNK points, and each result is
+    an array of the broadcast shape, bit for bit the float values.
     """
-    args = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, px, py))
-    )
+    args = (ax, ay, bx, by, cx, cy, px, py)
+    if not any(isinstance(v, np.ndarray) for v in args):
+        xs, ys, bad = vertices(ax, ay, bx, by, cx, cy, kind, px, py)
+        if bad:
+            return _FAILED
+        co, _, _, res6 = fit_six(xs, ys)
+        code, det, disc = classify_code(co)
+        return _FAILED if code == CLASS_FAILED else (code, det, disc, res6)
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
     flat = [v.ravel() for v in args]
-    codes = np.empty(flat[0].size, dtype=np.intp)
-    det, disc, res6 = (np.empty(flat[0].size) for _ in range(3))
-    for lo in range(0, codes.size, _BATCH_CHUNK):
+    out = (np.empty(flat[0].size, dtype=np.intp), *(np.empty(flat[0].size) for _ in range(3)))
+    for lo in range(0, flat[0].size, _BATCH_CHUNK):
         cut = slice(lo, lo + _BATCH_CHUNK)
         part = [v[cut] for v in flat]
-        codes[cut], det[cut], disc[cut], res6[cut] = _codes(*part[:6], kind, *part[6:])
-    shape = args[0].shape
-    return tuple(w.reshape(shape) for w in (codes, det, disc, res6))
-
-
-def _codes(ax, ay, bx, by, cx, cy, kind, px, py):
-    """six_point_batch on 1-d arrays of equal length."""
-    with np.errstate(all="ignore"):
-        xs, ys, failed = _vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
-        co, _, _, res6 = fit_six(xs, ys)
-        codes, det, disc = classify_code(co)
-    failed |= codes == CLASS_FAILED
-    return (
-        np.where(failed, CLASS_FAILED, codes),
-        np.where(failed, math.nan, det),
-        np.where(failed, math.nan, disc),
-        np.where(failed, math.inf, res6),
-    )
+        with np.errstate(all="ignore"):
+            xs, ys, failed = vertices(*part[:6], kind, *part[6:])
+            co, _, _, res6 = fit_six(xs, ys)
+            codes, det, disc = classify_code(co)
+        failed |= codes == CLASS_FAILED
+        for w, v, fail in zip(out, (codes, det, disc, res6), _FAILED):
+            w[cut] = np.where(failed, fail, v)
+    return tuple(w.reshape(args[0].shape) for w in out)

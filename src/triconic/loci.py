@@ -367,7 +367,7 @@ def sample_locus_ostar(
     against the locus ellipse of P's arc.
 
     P runs over the angles 2*pi*k/n, k < n, less those within eps of a
-    vertex, in one array pass.  The batch kernel gives every P's P-ellipse
+    vertex, in one array pass.  kernels.vertices gives every P's P-ellipse
     vertices; kernels.fit_six fits the conic through five of them by the
     package's fit rule, in the frame of those five points, and
     kernels.frame_center finds its center there, skipping the sample where
@@ -393,9 +393,7 @@ def sample_locus_ostar(
     (ax, ay), (bx, by), (cx, cy) = (v.as_tuple() for v in t.vertices())
     # A zero spread or discriminant is caught by the tests below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        xs, ys, bad = kernels._vertices_batch(
-            ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py
-        )
+        xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py)
         if bad.any():
             raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
         co, frame, _, _ = kernels.fit_six(xs, ys)
@@ -506,9 +504,14 @@ def find_pstar(t: Triangle) -> Point2:
     return Point2(*find_pstar_candidates(t)[0][0])
 
 
-def _is_circle_at(t: Triangle, p: Point2, kind: str, rel_tol: float = 1e-4) -> bool:
+# How far, relative to the circumradius, a circle's center may lie from
+# the circumcenter and still count as concentric.
+_CONCENTRIC_TOL = 1e-4
+
+
+def _is_circle_at(t: Triangle, p: Point2, kind: str) -> bool:
     """Does the six-point conic of the (t, p) triad come out as a circle
-    concentric with the circumcircle?"""
+    concentric with the circumcircle (within _CONCENTRIC_TOL)?"""
     try:
         rep = six_point_conic(build_triad(t, kind, p))
     except TriconicError:
@@ -516,7 +519,7 @@ def _is_circle_at(t: Triangle, p: Point2, kind: str, rel_tol: float = 1e-4) -> b
     if rep.conic_class is not ConicClass.CIRCLE or rep.center is None:
         return False
     cc = circumcircle(t)
-    return distance(rep.center, cc.center) <= rel_tol * cc.radius
+    return distance(rep.center, cc.center) <= _CONCENTRIC_TOL * cc.radius
 
 
 def _seeds(t: Triangle) -> list[tuple[float, float]]:
@@ -749,9 +752,9 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
     }[kind]
     if kind == "v_ellipse_over_C":
-        codes = kernels.six_point_batch(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)[0]
+        codes = kernels.six_point(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)[0]
     else:
-        codes = kernels.six_point_batch(ax, ay, bx, by, cx, cy, kcode, xs, ys)[0]
+        codes = kernels.six_point(ax, ay, bx, by, cx, cy, kcode, xs, ys)[0]
     rows = [tuple(kernels.CLASS_NAMES[c] for c in row) for row in codes.tolist()]
     return RegionGrid(tuple(bbox), nx, ny, tuple(rows))
 

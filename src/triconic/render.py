@@ -128,11 +128,16 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
     return branches
 
 
-def _clip_polyline(pts: list[Point2], bbox, margin: float = 0.25) -> list[list[Point2]]:
-    """Split a polyline into runs inside the (margin-expanded) bbox."""
+# Conic branches run this fraction of the view's width and height past
+# its edges before they are cut.
+_CLIP_MARGIN = 0.25
+
+
+def _clip_polyline(pts: list[Point2], bbox) -> list[list[Point2]]:
+    """Split a polyline into runs inside the bbox expanded by _CLIP_MARGIN."""
     xmin, xmax, ymin, ymax = bbox
-    mx = margin * (xmax - xmin)
-    my = margin * (ymax - ymin)
+    mx = _CLIP_MARGIN * (xmax - xmin)
+    my = _CLIP_MARGIN * (ymax - ymin)
     runs: list[list[Point2]] = []
     cur: list[Point2] = []
     for p in pts:

@@ -90,7 +90,7 @@ _FAULTS = {
 
 def _kernel_args(t: Triangle, kind: str, p: Point2 | None) -> tuple:
     """The arguments (ax, ay, bx, by, cx, cy, kind code, px, py) of the
-    scalar kernels for the triad of t with driver p (the origin without)."""
+    kernels on floats for the triad of t with driver p (the origin without)."""
     p = p or Point2(0.0, 0.0)
     return (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_CODES[kind], p.x, p.y)
 
@@ -212,23 +212,22 @@ def menelaus_check(t: Triangle, p1: Point2, p2: Point2, p3: Point2) -> float:
 
 
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
-    """The conic through the triad's six vertices, on the scalar kernel's
-    floats: kernels.triad_vertices12, then kernels.fit_six, which leaves out
-    the later vertex of the closest vertex pair and fits the other five.
+    """The conic through the triad's six vertices, on the kernel's floats:
+    kernels.vertices, then kernels.fit_six, which leaves out the later
+    vertex of the closest vertex pair and fits the other five.
 
     Class (kernels.classify_code), center (kernels.frame_center) and
     residual6 (the left-out vertex's residual) are all taken in the frame of
-    the fit; they are bit for bit those of kernels.six_point.  The Carnot
-    product and its sideline test run on vertices built in the frame of the
-    triangle (centroid, scale).  RankDeficient when the five kept vertices
-    are not distinct (within 1e-9 of the triangle's scale) or their fit
-    vanishes.
+    the fit; class and residual6 are bit for bit kernels.six_point's.  The
+    Carnot product and its sideline test run on vertices built in the frame
+    of the triangle (centroid, scale).  RankDeficient when the five kept
+    vertices are not distinct (within 1e-9 of the triangle's scale) or their
+    fit vanishes.
     """
     t = tr.t
-    v = kernels.triad_vertices12(*_kernel_args(t, tr.kind, tr.p))
-    if v is None:
+    xs, ys, bad = kernels.vertices(*_kernel_args(t, tr.kind, tr.p))
+    if bad:
         raise DegenerateMember("a triad member degenerates")
-    xs, ys = v[0::2], v[1::2]
     co, frame, out, res6 = kernels.fit_six(xs, ys)
     kept = [k for k in range(6) if k != out]
     gap = min(math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i, j in combinations(kept, 2))
@@ -257,10 +256,10 @@ def _framed_carnot(tr: ConicTriad) -> float:
         for q in (*tr.t.vertices(), tr.p or g)
     ]
     (ax, ay), (bx, by), (cx, cy), (px, py) = framed
-    v = kernels.triad_vertices12(ax, ay, bx, by, cx, cy, kernels.KIND_CODES[tr.kind], px, py)
-    if v is None:
+    xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_CODES[tr.kind], px, py)
+    if bad:
         raise DegenerateMember("a triad member degenerates")
-    return _carnot(framed[:3], list(zip(v[0::2], v[1::2])))
+    return _carnot(framed[:3], list(zip(xs, ys)))
 
 
 _PAIRS = ((1, 2), (2, 0), (0, 1))

@@ -12,8 +12,11 @@ the witness (`run` on that one configuration) reproduces the residual.
 Most checks take one configuration and run trial by trial through
 `_per_trial`, which turns a crash into a failed trial.  P2.2, P3.1, P3.8
 and P5.2 each run as one batch: all their configurations go through a
-single `kernels.six_point_batch` call, whose codes and residuals are those
-of the scalar kernel.
+single `kernels.six_point` call on arrays, whose codes and residuals are
+bit for bit those of its float path.  The sign scans of P2.6, P3.4 and
+P5.7 hand one evaluator to `bisect_sign_changes` as both f and f_grid:
+`kernels.six_point` on the scan grid's array, and on the floats of the
+Brent polish.
 
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
@@ -108,6 +111,12 @@ from .triads import (
 
 MIN_ANGLE = 0.05  # radians
 MAX_ASPECT = 50.0
+# random_point_near draws from the triangle's bounding box scaled by
+# NEAR_EXPAND about its center, and gives up after NEAR_DRAWS draws all
+# rejected.  On random_triangle and random_flat_triangle draws at least
+# about 40% of the box is accepted, so the cap is never reached there.
+NEAR_EXPAND = 2.0
+NEAR_DRAWS = 1000
 
 
 def random_triangle(rng: np.random.Generator) -> Triangle:
@@ -146,29 +155,33 @@ def random_flat_triangle(rng: np.random.Generator) -> Triangle:
             return t
 
 
-def random_point_near(t: Triangle, rng: np.random.Generator, expand: float = 2.0) -> Point2:
-    """Uniform driver point in the expanded bounding box of the triangle.
+def random_point_near(t: Triangle, rng: np.random.Generator) -> Point2:
+    """Uniform driver point in the bounding box of the triangle expanded by
+    NEAR_EXPAND.
 
     Points within 1e-2 * scale of a sideline are rejected: two triad
     vertices then approach a triangle vertex quadratically in that distance
     and the unsigned sideline-ratio products lose double precision (the
     boundary behavior itself is covered by the dedicated degeneracy sweeps).
+    ConstructionFailed when NEAR_DRAWS draws are all rejected, as on a
+    triangle too thin for any point of the box to clear its sidelines.
     """
     xs = [t.a.x, t.b.x, t.c.x]
     ys = [t.a.y, t.b.y, t.c.y]
     cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-    hx = (max(xs) - min(xs)) / 2.0 * expand
-    hy = (max(ys) - min(ys)) / 2.0 * expand
+    hx = (max(xs) - min(xs)) / 2.0 * NEAR_EXPAND
+    hy = (max(ys) - min(ys)) / 2.0 * NEAR_EXPAND
     guard = 1e-2 * t.scale()
     sidelines = (
         line_through(t.b, t.c),
         line_through(t.c, t.a),
         line_through(t.a, t.b),
     )
-    while True:
+    for _ in range(NEAR_DRAWS):
         p = Point2(rng.uniform(cx - hx, cx + hx), rng.uniform(cy - hy, cy + hy))
         if min(ln.distance_to(p) for ln in sidelines) >= guard:
             return p
+    raise ConstructionFailed(f"no driver point clears the sidelines of {t} in {NEAR_DRAWS} draws")
 
 
 def _tri_cfg(t: Triangle) -> list:
@@ -210,24 +223,24 @@ def _chk_yiu_vertices(cfg) -> float:
     return max(res, rep.residual6)
 
 
-def _six_point_batch(cfgs, kind: int) -> tuple:
-    """kernels.six_point_batch over the configurations' triangles (and
-    drivers P, for the P-kinds), in one call."""
+def _six_point_cfgs(cfgs, kind: int) -> tuple:
+    """kernels.six_point over the configurations' triangles (and drivers
+    P, for the P-kinds), in one call on arrays."""
     tri = np.array([cfg["triangle"] for cfg in cfgs], dtype=float).reshape(-1, 6)
     if kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA):
         p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
     else:
         p = np.zeros((len(cfgs), 2))
-    return kernels.six_point_batch(*tri.T, kind, *p.T)
+    return kernels.six_point(*tri.T, kind, *p.T)
 
 
 def _batch_check(kind: int, score):
     """A proposition's run from score(class code, residual6), all its
-    configurations in one _six_point_batch call; a configuration the kernel
+    configurations in one _six_point_cfgs call; a configuration the kernel
     fails on crashes its trial with ConstructionFailed."""
 
     def run(cfgs) -> list:
-        codes, _, _, res6 = _six_point_batch(cfgs, kind)
+        codes, _, _, res6 = _six_point_cfgs(cfgs, kind)
         return [
             ConstructionFailed("a triad member degenerates or the fit vanishes")
             if code == kernels.CLASS_FAILED
@@ -306,11 +319,10 @@ def _chk_right_triangle_x20(cfg) -> float:
     return worst
 
 
-def _detn_v_ellipse(ax, ay, bx, by, cx, cy) -> float:
-    status, _, _, detn, _ = kernels.six_point(
-        ax, ay, bx, by, cx, cy, kernels.KIND_V_ELLIPSE, 0.0, 0.0
-    )
-    return math.nan if status else detn
+def _detn_v_ellipse(ax, ay, bx, by, cx, cy):
+    """The V-ellipse six-point det, NaN where the kernel fails: a float, or
+    an array for an array C."""
+    return kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[1]
 
 
 def _chk_degenerate_iff_right(cfg) -> float:
@@ -328,12 +340,7 @@ def _chk_degenerate_iff_right(cfg) -> float:
     def detn(s):
         return _detn_v_ellipse(A.x, A.y, B.x, B.y, *ray(s))
 
-    def detn_grid(s):
-        return kernels.six_point_batch(
-            A.x, A.y, B.x, B.y, *ray(s), kernels.KIND_V_ELLIPSE, 0.0, 0.0
-        )[1]
-
-    s = next(bisect_sign_changes(detn, 0.8, 1.2, f_grid=detn_grid), None)
+    s = next(bisect_sign_changes(detn, 0.8, 1.2, f_grid=detn), None)
     if s is None:
         return 1.0
     t = Triangle(A, B, Point2(*ray(s)))
@@ -393,16 +400,16 @@ def _chk_type_regions_V(cfg) -> float:
     if found is None:
         return 1.0
     c_p = Point2(m.x + found * r * d.x, m.y + found * r * d.y)
-    status, code, _, _, co = kernels.six_point(
+    code, _, disc, _ = kernels.six_point(
         A.x, A.y, B.x, B.y, c_p.x, c_p.y, kernels.KIND_V_ELLIPSE, 0.0, 0.0
     )
-    if status:
+    if code == kernels.CLASS_FAILED:
         return 1.0
-    worst = max(worst, abs(kernels.classify_code(co)[2]))
+    worst = max(worst, abs(disc))
     # (iii) generic interior C -> ellipse or hyperbola.
-    status, code, _, _, _ = kernels.six_point(
+    code = kernels.six_point(
         A.x, A.y, B.x, B.y, t.c.x, t.c.y, kernels.KIND_V_ELLIPSE, 0.0, 0.0
-    )
+    )[0]
     if code not in (
         kernels.CLASS_ELLIPSE,
         kernels.CLASS_HYPERBOLA,
@@ -473,18 +480,12 @@ def _chk_degenerate_on_circumcircle(cfg) -> float:
         return cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
 
     def detn(s):
-        st, _, _, dd, _ = kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, *ray(s)
-        )
-        return math.nan if st else dd
-
-    def detn_grid(s):
-        return kernels.six_point_batch(
+        return kernels.six_point(
             t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, *ray(s)
         )[1]
 
     on = abs(detn(1.0))
-    crossings = list(bisect_sign_changes(detn, 0.97, 1.03, f_grid=detn_grid))
+    crossings = list(bisect_sign_changes(detn, 0.97, 1.03, f_grid=detn))
     if not crossings:
         return 1.0
     nearest = min(abs(s - 1.0) for s in crossings)
@@ -528,10 +529,10 @@ def _chk_equilateral_regions(cfg) -> float:
 
 
 def _chk_never_rectangular(cfgs) -> list[float]:
-    """All trials in one six_point_batch call: 1.0 where the P-ellipse
+    """All trials in one _six_point_cfgs call: 1.0 where the P-ellipse
     six-point conic is a rectangular hyperbola, else 0.0 (a failed
-    construction included), trial by trial the scalar six_point's class."""
-    codes = _six_point_batch(cfgs, kernels.KIND_P_ELLIPSE)[0]
+    construction included)."""
+    codes = _six_point_cfgs(cfgs, kernels.KIND_P_ELLIPSE)[0]
     return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0).tolist()
 
 
@@ -868,19 +869,12 @@ def _chk_phyp_parabola(cfg) -> float:
         return cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
 
     def discn(s):
-        st, _, _, _, co = kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, *ray(s)
-        )
-        return math.nan if st else kernels.classify_code(co)[2]
-
-    def discn_grid(s):
-        return kernels.six_point_batch(
+        return kernels.six_point(
             t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, *ray(s)
         )[2]
 
     s_disc = next(
-        bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40, f_grid=discn_grid),
-        None,
+        bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40, f_grid=discn), None
     )
     if s_disc is None:
         return 1.0
@@ -910,12 +904,12 @@ def _sideline_extension_residual(t: Triangle, u01: float) -> float:
         cur = 0.0
         ok = True
         for sgn in (1.0, -1.0):
-            st, _, _, detn, _ = kernels.six_point(
+            code, detn, _, _ = kernels.six_point(
                 t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y,
                 kernels.KIND_P_HYPERBOLA,
                 base.x + sgn * w * nvec.x, base.y + sgn * w * nvec.y,
             )
-            if st:
+            if code == kernels.CLASS_FAILED:
                 ok = False
                 break
             cur = max(cur, abs(detn))

@@ -152,11 +152,10 @@ def test_criterion_03_degeneracy_equivalences():
         d = Point2(math.cos(ang), math.sin(ang))
 
         def detn_v(s):
-            st, _, _, dd, _ = kernels.six_point(
+            return kernels.six_point(
                 A.x, A.y, B.x, B.y, m.x + s * r * d.x, m.y + s * r * d.y,
                 kernels.KIND_V_ELLIPSE, 0.0, 0.0,
-            )
-            return math.nan if st else dd
+            )[1]
 
         s_star = _bisect(detn_v, 0.8, 1.2)
         assert s_star is not None
@@ -184,12 +183,11 @@ def test_criterion_03_degeneracy_equivalences():
         pd = Point2(math.cos(pang), math.sin(pang))
 
         def detn_pe(s):
-            st, _, _, dd, _ = kernels.six_point(
+            return kernels.six_point(
                 t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE,
                 cc_c.center.x + s * cc_c.radius * pd.x,
                 cc_c.center.y + s * cc_c.radius * pd.y,
-            )
-            return math.nan if st else dd
+            )[1]
 
         crossings = []
         prev_s, prev_f = 0.97, detn_pe(0.97)

@@ -229,6 +229,25 @@ def test_fit5_on_floats_runs_no_numpy(monkeypatch):
     assert all(type(t) is float for t in (*got[0], *got[1]))
 
 
+@pytest.mark.parametrize("kind", range(4))
+def test_six_point_on_floats_runs_no_numpy(kind, monkeypatch):
+    class NoNumpy:
+        ndarray = np.ndarray
+
+        def __getattr__(self, name):
+            raise AssertionError(f"six_point used np.{name}")
+
+    good = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, kind, 0.9, 0.7)
+    degenerate = (0.1, 0.2, 1.3, 0.15, 0.1, 0.2, kind, 0.9, 0.7)  # C on A
+    want = [kernels.six_point(*args) for args in (good, degenerate)]
+    monkeypatch.setattr(kernels, "np", NoNumpy())
+    got = [kernels.six_point(*args) for args in (good, degenerate)]
+    assert got[0] == want[0] and got[0][0] != kernels.CLASS_FAILED
+    _assert_failed(got[1])
+    for code, *values in got:
+        assert type(code) is int and all(type(v) is float for v in values)
+
+
 def test_classify_code_matches_module(rng):
     for _ in range(300):
         co = tuple(rng.uniform(-1, 1, 6))
@@ -289,27 +308,36 @@ def test_six_point_matches_module(rng, t_generic):
     t = t_generic
     for _ in range(50):
         px, py = rng.uniform(-0.5, 1.5, 2)
-        st, code, res6, detn, co = kernels.six_point(
+        code, _, _, res6 = kernels.six_point(
             t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, px, py
         )
-        if st:
+        if code == kernels.CLASS_FAILED:
             continue
         rep = six_point_conic(build_triad(t, "p_ellipse", Point2(px, py)))
         assert code == _CLASS_TO_NAME[rep.conic_class.value]
         assert res6 <= 1e-10
 
 
+def _assert_failed(result):
+    """six_point's failure: CLASS_FAILED, det and disc NaN, residual6 inf."""
+    code, det, disc, res6 = result
+    assert code == kernels.CLASS_FAILED and res6 == math.inf
+    assert math.isnan(det) and math.isnan(disc)
+
+
 def test_six_point_coincident_vertices_fail_cleanly():
     # C on A: side b has length zero, so the V-ellipse triad has no member
-    # through it; the kernel reports a failed construction.
+    # through it; the kernel reports a failed construction, on floats and
+    # in an array column alike.
     args = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-    assert kernels.triad_vertices12(*args) is None
-    status, code, res6, _, coeffs = kernels.six_point(*args)
-    assert (status, code, res6, coeffs) == (1, kernels.CLASS_FAILED, math.inf, None)
+    assert kernels.vertices(*args) == (None, None, True)
+    _assert_failed(kernels.six_point(*args))
+    column = kernels.six_point(*args[:4], np.array([0.0]), np.array([0.0]), *args[6:])
+    _assert_failed([w[0].item() for w in column])
 
 
 def _scalar_region_classes(t, kind, grid):
-    """Per-cell six_point classes of region_map, one scalar call a cell."""
+    """Per-cell six_point classes of region_map, one call on floats a cell."""
     kcode = {
         "v_ellipse_over_C": kernels.KIND_V_ELLIPSE,
         "p_ellipse_over_P": kernels.KIND_P_ELLIPSE,
@@ -324,8 +352,7 @@ def _scalar_region_classes(t, kind, grid):
                 args = (t.a.x, t.a.y, t.b.x, t.b.y, x, y, kcode, 0.0, 0.0)
             else:
                 args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kcode, x, y)
-            status, code, _, _, _ = kernels.six_point(*args)
-            row.append(kernels.CLASS_NAMES[kernels.CLASS_FAILED if status else code])
+            row.append(kernels.CLASS_NAMES[kernels.six_point(*args)[0]])
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -355,23 +382,21 @@ def test_region_map_batch_matches_scalar(offset, monkeypatch):
 
 def test_batch_fit_is_bit_identical(rng):
     # Same arithmetic in the same order: vertices and cofactor fits agree
-    # with the scalar kernel to the last bit, translated inputs included.
+    # with those on floats to the last bit, translated inputs included.
     for offset in (0.0, 100.0):
         for kind in range(4):
             vals = rng.uniform(-1.0, 2.0, (8, 300)) + offset
-            xs, ys, bad = kernels._vertices_batch(*vals[:6], kind, vals[6], vals[7])
+            xs, ys, bad = kernels.vertices(*vals[:6], kind, vals[6], vals[7])
             coeffs = np.array(kernels.fit5(xs[:5], ys[:5])[0])
             for i in range(vals.shape[1]):
                 args = vals[:, i].tolist()
-                v = kernels.triad_vertices12(*args[:6], kind, *args[6:])
-                assert bad[i] == (v is None)
-                if v is None:
+                vx, vy, vbad = kernels.vertices(*args[:6], kind, *args[6:])
+                assert bad[i] == vbad
+                if vbad:
                     continue
-                assert xs[:, i].tolist() == list(v[0::2])
-                assert ys[:, i].tolist() == list(v[1::2])
-                assert coeffs[:, i].tolist() == list(
-                    kernels.fit5(v[0:10:2], v[1:10:2])[0]
-                )
+                assert xs[:, i].tolist() == vx
+                assert ys[:, i].tolist() == vy
+                assert coeffs[:, i].tolist() == list(kernels.fit5(vx[:5], vy[:5])[0])
 
 
 def test_backend_is_py():
@@ -385,9 +410,9 @@ def test_backend_is_py():
     "kind", [kernels.KIND_V_ELLIPSE, kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA]
 )
 def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
-    # det, disc and residual6 of the batch kernel are six_point's
-    # det_normalized, classify_code's disc and residual6 to the last bit;
-    # failed columns are NaN (residual6 inf).
+    # Code, det, disc and residual6 of six_point on arrays are its values
+    # on each column's floats to the last bit, and disc is classify_code's;
+    # failed entries are NaN (residual6 inf) on both paths.
     ox, oy = offset
     ax, ay, bx, by, cx, cy = 0.0 + ox, 3.0 + oy, 4.0 + ox, 0.0 + oy, 0.0 + ox, 0.0 + oy
     # Random drivers, plus drivers on the line x = ox through side CA (a
@@ -399,20 +424,23 @@ def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
         args = (ax, ay, bx, by, xs, ys, kind, 0.0, 0.0)
     else:
         args = (ax, ay, bx, by, cx, cy, kind, xs, ys)
-    codes, det, disc, res6 = kernels.six_point_batch(*args)
+    codes, det, disc, res6 = kernels.six_point(*args)
     failed = 0
     for i in range(xs.size):
         one = [v if np.isscalar(v) else float(v[i]) for v in args]
-        status, code, r6, detn, co = kernels.six_point(*one)
-        if status:
+        code, detn, dsc, r6 = kernels.six_point(*one)
+        if code == kernels.CLASS_FAILED:
             failed += 1
+            _assert_failed((code, detn, dsc, r6))
             assert codes[i] == kernels.CLASS_FAILED
             assert math.isnan(det[i]) and math.isnan(disc[i])
             assert res6[i] == math.inf
         else:
+            xv, yv, _ = kernels.vertices(*one)
+            assert dsc == kernels.classify_code(kernels.fit_six(xv, yv)[0])[2]
             assert codes[i] == code
             assert det[i].item() == detn
-            assert disc[i].item() == kernels.classify_code(co)[2]
+            assert disc[i].item() == dsc
             assert res6[i].item() == r6
     assert failed > 0
 
@@ -448,8 +476,8 @@ def _seeded_kernel_args(kind, offset, n=30, flat=False):
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -1e3)])
 @pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
 def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
-    # six_point_conic runs the scalar kernel's floats, and the batch kernel
-    # the same arithmetic on arrays: class, residual6 and the left-out
+    # six_point_conic runs the kernel's floats, and six_point the same
+    # arithmetic on floats and on arrays: class, residual6 and the left-out
     # vertex are the same bits on all three paths.  The triad's deltas are
     # the triad rule's (kernels._sides_deltas), and triad_vertices gives the
     # vertices six_point_conic fits, bit for bit.
@@ -458,23 +486,23 @@ def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
     rows = _seeded_kernel_args(kind, offset) + _seeded_kernel_args(kind, offset, flat=True)
     cols = np.array(rows).T
     kcode = kernels.KIND_CODES[kind]
-    codes, _, _, res6 = kernels.six_point_batch(*cols[:6], kcode, *cols[7:])
-    xs, ys, bad = kernels._vertices_batch(*cols[:6], kcode, *cols[7:])
+    codes, _, _, res6 = kernels.six_point(*cols[:6], kcode, *cols[7:])
+    xs, ys, bad = kernels.vertices(*cols[:6], kcode, *cols[7:])
     _, _, outs, fit_res = kernels.fit_six(xs, ys)
     assert not bad.any()
     for i, args in enumerate(rows):
-        status, code, r6, _, _ = kernels.six_point(*args)
-        assert status == 0
+        code, _, _, r6 = kernels.six_point(*args)
+        assert code != kernels.CLASS_FAILED
         t = Triangle(Point2(*args[0:2]), Point2(*args[2:4]), Point2(*args[4:6]))
         p = Point2(*args[7:]) if kind.startswith("p_") else None
         tr = build_triad(t, kind, p)
         rep = six_point_conic(tr)
         assert rep.conic_class.value == kernels.CLASS_NAMES[code], i
         assert rep.residual6 == r6, i
-        v = kernels.triad_vertices12(*args)
+        vx, vy, _ = kernels.vertices(*args)
         assert tr.deltas == kernels._sides_deltas(*args)[1], i
-        assert [c for q in triad_vertices(tr) for c in q.as_tuple()] == list(v), i
-        _, _, out, res = kernels.fit_six(v[0::2], v[1::2])
+        assert [q.as_tuple() for q in triad_vertices(tr)] == list(zip(vx, vy)), i
+        _, _, out, res = kernels.fit_six(vx, vy)
         assert (codes[i], res6[i].item()) == (code, r6), i
         assert (outs[i], fit_res[i].item()) == (out, r6), i
         assert res == r6
@@ -499,19 +527,20 @@ def test_fit_rule_leaves_out_a_near_coincident_vertex():
             if driver_fault(t, "p_hyperbola", p) is None:
                 break
         args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, p.x, p.y)
-        status, _, res6, _, _ = kernels.six_point(*args)
-        batch_res6 = kernels.six_point_batch(*args[:6], args[6], [p.x], [p.y])[3]
+        code, _, _, res6 = kernels.six_point(*args)
+        column_res6 = kernels.six_point(*args[:6], args[6], np.array([p.x]), np.array([p.y]))[3]
         rep = six_point_conic(build_triad(t, "p_hyperbola", p))
-        assert status == 0
-        assert max(res6, batch_res6[0], rep.residual6) <= 1e-14, i
-        v = kernels.triad_vertices12(*args)
-        assert kernels.fit_six(v[0::2], v[1::2])[2] == 1
+        assert code != kernels.CLASS_FAILED
+        assert max(res6, column_res6[0], rep.residual6) <= 1e-14, i
+        vx, vy, _ = kernels.vertices(*args)
+        assert kernels.fit_six(vx, vy)[2] == 1
 
 
 @pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
 def test_nan_or_inf_coordinate_fails_cleanly(kind):
     # A NaN or infinite coordinate of the triangle or the driver gives
-    # CLASS_FAILED from both kernels, and leaves the other columns alone.
+    # CLASS_FAILED on floats and in its array column, and leaves the other
+    # columns alone.
     good = _seeded_kernel_args(kind, (0.0, 0.0), n=1)[0]
     used = [0, 1, 2, 3, 4, 5] + ([7, 8] if kind.startswith("p_") else [])
     rows = [good]
@@ -522,12 +551,12 @@ def test_nan_or_inf_coordinate_fails_cleanly(kind):
             rows.append(tuple(row))
     cols = np.array(rows).T
     kcode = kernels.KIND_CODES[kind]
-    codes, det, disc, res6 = kernels.six_point_batch(*cols[:6], kcode, *cols[7:])
-    status, code, r6, detn, _ = kernels.six_point(*good)
-    assert status == 0
+    codes, det, disc, res6 = kernels.six_point(*cols[:6], kcode, *cols[7:])
+    code, detn, _, r6 = kernels.six_point(*good)
+    assert code != kernels.CLASS_FAILED
     assert (codes[0], det[0].item(), res6[0].item()) == (code, detn, r6)
     for i, row in enumerate(rows[1:], start=1):
-        assert kernels.six_point(*row) == (1, kernels.CLASS_FAILED, math.inf, 0.0, None), row
+        _assert_failed(kernels.six_point(*row))
         assert codes[i] == kernels.CLASS_FAILED, row
         assert math.isnan(det[i]) and math.isnan(disc[i]) and res6[i] == math.inf, row
 
@@ -599,15 +628,15 @@ def test_bracket_fit_classes_match_the_lu_oracle():
     for kind in range(4):
         ax, ay, bx, by, cx, cy, px, py = _sweep_configs(rng, 500)
         with np.errstate(all="ignore"):
-            xs, ys, bad = kernels._vertices_batch(ax, ay, bx, by, cx, cy, kind, px, py)
+            xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kind, px, py)
             co, _, out, _ = kernels.fit_six(xs, ys)
             kept = kernels._KEPT_ARRAY[out].T
             cols = np.arange(out.size)
             lu = _lu_cofactors(xs[kept, cols], ys[kept, cols])
             codes = kernels.classify_code(co)[0]
-            lu_codes = kernels.classify_code(tuple(lu))[0]
+            lu_classes = kernels.classify_code(tuple(lu))[0]
             judged = ~bad & np.isfinite(lu).all(axis=0) & ~_near_a_threshold(lu, 1e-9)
-        assert (codes[judged] == lu_codes[judged]).all(), kind
+        assert (codes[judged] == lu_classes[judged]).all(), kind
         assert (codes[judged] != kernels.CLASS_FAILED).all(), kind
         compared += judged.sum()
     assert compared >= 1200

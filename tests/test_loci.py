@@ -181,14 +181,14 @@ def test_ostar_sweep_moves_with_the_triangle(scale, shift):
 def test_ostar_sweep_raises_on_a_degenerate_member(t_generic, monkeypatch):
     # A column whose triad member collapses raises, as build_triad does,
     # instead of dropping the sample.
-    real = kernels._vertices_batch
+    real = kernels.vertices
 
     def collapsed(*args):
         xs, ys, bad = real(*args)
         bad[3] = True
         return xs, ys, bad
 
-    monkeypatch.setattr(kernels, "_vertices_batch", collapsed)
+    monkeypatch.setattr(kernels, "vertices", collapsed)
     with pytest.raises(DegenerateMember):
         sample_locus_ostar(t_generic, 60)
 
@@ -407,11 +407,11 @@ def test_region_map_circumcircle_boundary(t_generic):
     prev = None
     for i in range(n):
         x, _ = grid.cell_center(i, j)
-        st, _, _, detn, _ = kernels.six_point(
+        code, detn, _, _ = kernels.six_point(
             t_generic.a.x, t_generic.a.y, t_generic.b.x, t_generic.b.y,
             t_generic.c.x, t_generic.c.y, kernels.KIND_P_ELLIPSE, x, y,
         )
-        if st:
+        if code == kernels.CLASS_FAILED:
             prev = None
             continue
         sgn = detn > 0
@@ -556,13 +556,10 @@ def test_bisect_sign_changes_array_evaluator_same_roots(t_generic):
                 cc.center.x + s * cc.radius * d[0], cc.center.y + s * cc.radius * d[1])
 
     def detn(s):
-        st, _, _, dd, _ = kernels.six_point(*args(s))
-        return math.nan if st else dd
+        return kernels.six_point(*args(s))[1]
 
     scalar = list(loci.bisect_sign_changes(detn, 0.5, 1.5))
-    batched = list(loci.bisect_sign_changes(
-        detn, 0.5, 1.5, f_grid=lambda s: kernels.six_point_batch(*args(s))[1]
-    ))
+    batched = list(loci.bisect_sign_changes(detn, 0.5, 1.5, f_grid=detn))
     assert scalar == batched and any(abs(s - 1.0) < 1e-9 for s in scalar)
 
 

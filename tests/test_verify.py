@@ -7,7 +7,12 @@ import pytest
 
 from triconic import centers, conic, config, kernels, render, triads, verify
 from triconic.conic import Conic
-from triconic.errors import DegenerateMember, DegenerateTriangle, UnknownProposition
+from triconic.errors import (
+    ConstructionFailed,
+    DegenerateMember,
+    DegenerateTriangle,
+    UnknownProposition,
+)
 from triconic.geom import BaryCoords, Point2, Triangle
 from triconic.verify import (
     MANIFEST,
@@ -65,6 +70,19 @@ def test_random_triangle_redraws_only_degenerate(monkeypatch):
     with pytest.raises(TypeError):
         random_triangle(rng)
     assert not errors
+
+
+def test_random_point_near_gives_up_on_a_thin_triangle():
+    # No point of the doubled bounding box clears the sidelines by 1e-2 of
+    # the scale; the draw raises after NEAR_DRAWS tries instead of looping.
+    t = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.4, 1e-3))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConstructionFailed, match="clears the sidelines"):
+        random_point_near(t, rng)
+    # It took exactly NEAR_DRAWS draws of two coordinates each.
+    rest = np.random.default_rng(0)
+    rest.uniform(size=2 * verify.NEAR_DRAWS)
+    assert rng.uniform() == rest.uniform()
 
 
 def _raise_type_error(*args, **kwargs):
@@ -226,17 +244,17 @@ def _gen_tri_point_reference(rng):
 
 
 def _never_rectangular_reference(cfg):
-    """P3.8's check of one configuration through the scalar kernel."""
+    """P3.8's check of one configuration through kernels.six_point on floats."""
     (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
-    st, code, _, _, _ = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, *cfg["p"])
-    if st:
+    code = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, *cfg["p"])[0]
+    if code == kernels.CLASS_FAILED:
         return 0.0
     return 1.0 if code == kernels.CLASS_RECTANGULAR_HYPERBOLA else 0.0
 
 
 def _interleaved_report(pid, seed):
     """run_proposition's report from one loop that draws and checks each
-    trial in turn, P3.8 through the scalar kernel."""
+    trial in turn, P3.8 through kernels.six_point on floats."""
     prop = verify._BY_ID[pid]
     gen = _gen_tri_point_reference if prop.gen is verify._gen_tri_point else prop.gen
 
@@ -295,8 +313,8 @@ _RECTANGULAR = kernels.CLASS_RECTANGULAR_HYPERBOLA
 @pytest.mark.parametrize("target", [_RECTANGULAR, kernels.CLASS_HYPERBOLA, kernels.CLASS_ELLIPSE])
 def test_never_rectangular_batch_matches_scalar_kernel(target, monkeypatch):
     # The class P3.8 flags is swapped for common ones, so the batch must
-    # agree with the scalar kernel on flagged trials too.  The hand-made
-    # configurations put P on a side, where the construction fails.
+    # agree with kernels.six_point on floats on flagged trials too.  The
+    # hand-made configurations put P on a side, where the construction fails.
     monkeypatch.setattr(kernels, "CLASS_RECTANGULAR_HYPERBOLA", target)
     rng = np.random.default_rng(8)
     cfgs = [verify._gen_tri_point(rng) for _ in range(400)]
