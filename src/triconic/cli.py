@@ -221,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
         "loci, region maps and the proposition suite.",
     )
     ap.add_argument("--tol", type=float, default=None, help="global relative tolerance")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for batches")
+    ap.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads for verify --prop all: the same report, not faster "
+        "today (the checks hold the GIL)",
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a triad scene")

@@ -3,11 +3,18 @@
 Every theorem-like statement of the four triad sections plus the six
 appendix polynomial blocks has exactly one named check here.  A check is a
 pure function from JSON-serializable configurations to residuals.  The
-runner first draws all of a proposition's seeded random configurations,
-then checks them in one call of its `run`; it reports the worst residual
-and its witness configuration, the number of crashed trials by exception
-type, and the margin of the worst residual against the bound.  Replaying
-the witness (`run` on that one configuration) reproduces the residual.
+runner first draws all of a proposition's seeded random configurations in
+one call of its `draw`, then checks them in one call of its `run`; it
+reports the worst residual and its witness configuration, the number of
+crashed trials by exception type, and the margin of the worst residual
+against the bound.  Replaying the witness (`run` on that one
+configuration) reproduces the residual.
+
+The draws run on floats (`_tri_floats`, `_near_floats`) with the
+arithmetic of the object path and numpy's `uniform` formula, so every
+stream and configuration is that of `random_triangle` and
+`random_point_near`; the `_gen_tri` and `_gen_tri_point` propositions read
+their rng in blocks.
 
 Most checks take one configuration and run trial by trial through
 `_per_trial`, which turns a crash into a failed trial.  P2.2, P3.1, P3.8
@@ -47,6 +54,7 @@ from .centers import (
     soddy,
     soddy_centers,
 )
+from .config import get_tol
 from .conic import (
     Conic,
     ConicClass,
@@ -117,22 +125,32 @@ MAX_ASPECT = 50.0
 # about 40% of the box is accepted, so the cap is never reached there.
 NEAR_EXPAND = 2.0
 NEAR_DRAWS = 1000
+# Doubles a block draw reads from the rng at a time.
+_BLOCK = 512
+
+# The draws run on floats: u is a source of doubles in [0, 1), such as
+# rng.random or _doubles(rng).__next__, and rng.uniform(lo, hi) is
+# lo + (hi - lo) * u(), numpy's own formula, so either source gives the
+# stream and the bits of the rng.uniform calls.
 
 
-def random_triangle(rng: np.random.Generator) -> Triangle:
-    """Vertices uniform in the unit square, rejecting thin/sliver shapes."""
+def _tri_floats(u) -> tuple:
+    """random_triangle's vertices (ax, ay, bx, by, cx, cy) from u: uniform
+    in the unit square, drawn again while collinear (Triangle's test), more
+    than MAX_ASPECT thin or with an angle below MIN_ANGLE."""
+    tol = get_tol()
     while True:
-        pts = rng.uniform(0.0, 1.0, (3, 2))
-        try:
-            t = Triangle(*(Point2(*p) for p in pts))
-        except DegenerateTriangle:
+        ax, ay, bx, by, cx, cy = u(), u(), u(), u(), u(), u()
+        a = math.hypot(bx - cx, by - cy)
+        b = math.hypot(cx - ax, cy - ay)
+        c = math.hypot(ax - bx, ay - by)
+        hi = max(a, b, c)
+        area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        if hi == 0.0 or abs(area) <= tol * hi * hi:
             continue
-        a, b, c = t.sides()
-        if max(a, b, c) / min(a, b, c) > MAX_ASPECT:
+        if hi / min(a, b, c) > MAX_ASPECT or _min_angle(a, b, c) < MIN_ANGLE:
             continue
-        if _min_angle(a, b, c) < MIN_ANGLE:
-            continue
-        return t
+        return ax, ay, bx, by, cx, cy
 
 
 def _min_angle(a, b, c):
@@ -140,6 +158,51 @@ def _min_angle(a, b, c):
         return math.acos(max(-1.0, min(1.0, (v * v + w * w - u * u) / (2 * v * w))))
 
     return min(ang(a, b, c), ang(b, c, a), ang(c, a, b))
+
+
+def _near_floats(ax, ay, bx, by, cx, cy, u) -> tuple:
+    """random_point_near's driver (px, py) for the triangle of these
+    vertices, from u; the same tests in the same arithmetic (sidelines as
+    line_through's LineEq, the guard from the math.hypot sides)."""
+    x0, x1 = min(ax, bx, cx), max(ax, bx, cx)
+    y0, y1 = min(ay, by, cy), max(ay, by, cy)
+    mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    hx = (x1 - x0) / 2.0 * NEAR_EXPAND
+    hy = (y1 - y0) / 2.0 * NEAR_EXPAND
+    xlo, ylo = mx - hx, my - hy
+    xw, yw = (mx + hx) - xlo, (my + hy) - ylo
+    guard = 1e-2 * max(
+        math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
+    )
+    # line_through(p, q) is l x + m y + n = 0 with these coefficients.
+    (l1, m1, n1), (l2, m2, n2), (l3, m3, n3) = (
+        (py - qy, qx - px, px * qy - qx * py)
+        for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
+    )
+    h1, h2, h3 = math.hypot(l1, m1), math.hypot(l2, m2), math.hypot(l3, m3)
+    for _ in range(NEAR_DRAWS):
+        px = xlo + xw * u()
+        py = ylo + yw * u()
+        if min(
+            abs(l1 * px + m1 * py + n1) / h1,
+            abs(l2 * px + m2 * py + n2) / h2,
+            abs(l3 * px + m3 * py + n3) / h3,
+        ) >= guard:
+            return px, py
+    t = Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
+    raise ConstructionFailed(f"no driver point clears the sidelines of {t} in {NEAR_DRAWS} draws")
+
+
+def _doubles(rng):
+    """The doubles of rng.random() calls, read from rng in blocks."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+def random_triangle(rng: np.random.Generator) -> Triangle:
+    """Vertices uniform in the unit square, rejecting thin/sliver shapes."""
+    ax, ay, bx, by, cx, cy = _tri_floats(rng.random)
+    return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
 
 def random_flat_triangle(rng: np.random.Generator) -> Triangle:
@@ -166,26 +229,15 @@ def random_point_near(t: Triangle, rng: np.random.Generator) -> Point2:
     ConstructionFailed when NEAR_DRAWS draws are all rejected, as on a
     triangle too thin for any point of the box to clear its sidelines.
     """
-    xs = [t.a.x, t.b.x, t.c.x]
-    ys = [t.a.y, t.b.y, t.c.y]
-    cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-    hx = (max(xs) - min(xs)) / 2.0 * NEAR_EXPAND
-    hy = (max(ys) - min(ys)) / 2.0 * NEAR_EXPAND
-    guard = 1e-2 * t.scale()
-    sidelines = (
-        line_through(t.b, t.c),
-        line_through(t.c, t.a),
-        line_through(t.a, t.b),
-    )
-    for _ in range(NEAR_DRAWS):
-        p = Point2(rng.uniform(cx - hx, cx + hx), rng.uniform(cy - hy, cy + hy))
-        if min(ln.distance_to(p) for ln in sidelines) >= guard:
-            return p
-    raise ConstructionFailed(f"no driver point clears the sidelines of {t} in {NEAR_DRAWS} draws")
+    return Point2(*_near_floats(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, rng.random))
+
+
+def _corners_cfg(ax, ay, bx, by, cx, cy) -> list:
+    return [[ax, ay], [bx, by], [cx, cy]]
 
 
 def _tri_cfg(t: Triangle) -> list:
-    return [[t.a.x, t.a.y], [t.b.x, t.b.y], [t.c.x, t.c.y]]
+    return _corners_cfg(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y)
 
 
 def _cfg_tri(cfg) -> Triangle:
@@ -193,17 +245,47 @@ def _cfg_tri(cfg) -> Triangle:
     return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
 
-def _gen_tri(rng) -> dict:
-    return {"triangle": _tri_cfg(random_triangle(rng))}
+def _gen_tri(rng, n) -> list:
+    """n random_triangle configurations, read from rng in blocks."""
+    u = _doubles(rng).__next__
+    return [{"triangle": _corners_cfg(*_tri_floats(u))} for _ in range(n)]
 
 
-def _gen_tri_point(rng) -> dict:
-    """A triangle and a driver P for which both P-triads have all members."""
-    while True:
-        t = random_triangle(rng)
-        p = random_point_near(t, rng)
-        if driver_fault(t, "p_ellipse", p) is None and driver_fault(t, "p_hyperbola", p) is None:
-            return {"triangle": _tri_cfg(t), "p": [p.x, p.y]}
+def _gen_tri_point(rng, n) -> list:
+    """n configurations of a triangle and a driver P for which both
+    P-triads have all members, read from rng in blocks; a driver draw that
+    gives up is its trial's ConstructionFailed.
+
+    One configuration is the first of a run of (triangle, P) candidates
+    that passes the member guard of both P-triads (kernels._sides_deltas).
+    The guard never touches the rng, so the configurations are the passing
+    members of a fixed candidate sequence: the candidates are drawn in
+    rounds, the guard runs on arrays over a round, and the passing ones
+    are kept in order until there are n.
+    """
+    u = _doubles(rng).__next__
+    out = []
+    while len(out) < n:
+        cands = []
+        for _ in range(n - len(out)):
+            tri = _tri_floats(u)
+            try:
+                cands.append((*tri, *_near_floats(*tri, u)))
+            except ConstructionFailed as exc:
+                cands.append(exc)
+        drawn = [c for c in cands if not isinstance(c, Exception)]
+        cols = np.array(drawn, dtype=float).reshape(-1, 8).T
+        bad = (
+            kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
+            | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2]
+        )
+        passed = iter((~bad).tolist())
+        for c in cands:
+            if isinstance(c, Exception):
+                out.append(c)
+            elif next(passed):
+                out.append({"triangle": _corners_cfg(*c[:6]), "p": [c[6], c[7]]})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -935,13 +1017,13 @@ def _gen_appendix(name):
 
     def gen(rng):
         while True:
-            t = random_triangle(rng)
-            cfg = {"triangle": _tri_cfg(t)}
+            tri = _tri_floats(rng.random)
+            cfg = {"triangle": _corners_cfg(*tri)}
             if needs_p:
-                p = random_point_near(t, rng)
-                if driver_fault(t, "p_hyperbola", p) is not None:
+                px, py = _near_floats(*tri, rng.random)
+                if kernels._sides_deltas(*tri, kernels.KIND_P_HYPERBOLA, px, py)[2]:
                     continue
-                cfg["p"] = [p.x, p.y]
+                cfg["p"] = [px, py]
             try:
                 _mk_appendix_check(name)(cfg)
             except (ConstructionFailed, RankDeficient):
@@ -969,10 +1051,10 @@ def _gen_right_triangle(rng) -> dict:
 
 
 def _gen_ab_angle(rng) -> dict:
-    t = random_triangle(rng)
-    ang0 = math.atan2(t.b.y - t.a.y, t.b.x - t.a.x)
+    ax, ay, bx, by, _, _ = _tri_floats(rng.random)
+    ang0 = math.atan2(by - ay, bx - ax)
     ang = ang0 + rng.uniform(0.35, math.pi - 0.35)
-    return {"ab": [[t.a.x, t.a.y], [t.b.x, t.b.y]], "angle": ang}
+    return {"ab": [[ax, ay], [bx, by]], "angle": ang}
 
 
 def _gen_theta(rng) -> dict:
@@ -1023,7 +1105,7 @@ def _gen_isosceles(rng) -> dict:
 def _gen_soddy_regimes(rng) -> dict:
     # Alternate the containment and external regimes.
     if rng.uniform() < 0.5:
-        return {"triangle": _tri_cfg(random_triangle(rng))}
+        return {"triangle": _corners_cfg(*_tri_floats(rng.random))}
     return {"triangle": _tri_cfg(random_flat_triangle(rng))}
 
 
@@ -1047,12 +1129,12 @@ def _gen_needle(rng) -> dict:
 
 def _gen_deg8_ray(rng) -> dict:
     while True:
-        t = random_triangle(rng)
+        ax, ay, bx, by, cx, cy = _tri_floats(rng.random)
         ang = rng.uniform(0.0, 2 * math.pi)
-        if _deg8_root_on_ray(t.a, t.b, ang) is None:
+        if _deg8_root_on_ray(Point2(ax, ay), Point2(bx, by), ang) is None:
             continue
         return {
-            "triangle": _tri_cfg(t),
+            "triangle": _corners_cfg(ax, ay, bx, by, cx, cy),
             "angle": ang,
             "u": rng.uniform(0.1, 1.2),
         }
@@ -1082,13 +1164,30 @@ def _gen_fixed(rng) -> dict:
 class Proposition:
     prop_id: str
     title: str
-    gen: callable
+    # draw(rng, n) -> n configurations, or for a trial whose draw crashed
+    # its exception.  A block draw reads rng ahead of what it returns.
+    draw: callable
     # run(cfgs) -> one residual per configuration, or the exception that
     # crashed its trial.
     run: callable
     threshold: float
     default_trials: int
     evidence: bool = False
+
+
+def _per_draw(gen):
+    """A proposition's draw from a generator of one configuration."""
+
+    def draw(rng, n) -> list:
+        out = []
+        for _ in range(n):
+            try:
+                out.append(gen(rng))
+            except Exception as exc:  # a crashed draw is a failed trial
+                out.append(exc)
+        return out
+
+    return draw
 
 
 def _per_trial(check):
@@ -1112,32 +1211,32 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _batch_check(kernels.KIND_V_ELLIPSE, _not_circle), 0.5, 200),
     Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _per_trial(_chk_tangent_excentral), 1e-8, 100),
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _per_trial(_chk_chords_x20), 1e-8, 100),
-    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _per_trial(_chk_right_triangle_x20), 1e-8, 200),
-    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _per_trial(_chk_degenerate_iff_right), 1e-6, 40),
-    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _per_trial(_chk_x478_quartic), 1e-8, 120),
-    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _per_trial(_chk_type_regions_V), 1e-9, 25),
-    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
+    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _per_trial(_chk_right_triangle_x20), 1e-8, 200),
+    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _per_trial(_chk_degenerate_iff_right), 1e-6, 40),
+    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _per_trial(_chk_x478_quartic), 1e-8, 120),
+    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _per_trial(_chk_type_regions_V), 1e-9, 25),
+    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _per_draw(_gen_ray_angle_v), _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _per_trial(_chk_pstar), 1e-6, 6),
-    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _per_trial(_chk_anticevian_needle), 1e-6, 60),
-    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _per_trial(_chk_degenerate_on_circumcircle), 1e-9, 60),
+    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _per_draw(_gen_needle), _per_trial(_chk_anticevian_needle), 1e-6, 60),
+    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _per_draw(_gen_tri_angle), _per_trial(_chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
-    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _per_trial(_chk_equilateral_arcs), 1e-8, 1),
-    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _per_trial(_chk_equilateral_regions), 0.5, 1),
+    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_arcs), 1e-8, 1),
+    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_regions), 0.5, 1),
     Proposition("P3.8-never-rectangular", "hyperbolic six-point conic is never rectangular", _gen_tri_point, _chk_never_rectangular, 0.5, 2000),
-    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
+    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _per_draw(_gen_ray_angle_p), _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
     # -- V-hyperbolas ------------------------------------------------------
     Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _per_trial(_chk_vhyp_vertex_barys), 1e-9, 200),
     Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _per_trial(_chk_intouch_extouch), 1e-9, 200),
     Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _per_trial(_chk_privalov), 1e-8, 100),
-    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _gen_isosceles, _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
-    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _gen_soddy_regimes, _per_trial(_chk_soddy_intersections), 1e-8, 100),
-    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _gen_sextic_abscissa, _per_trial(_chk_halftangent_sextic), 1e-9, 30),
+    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
+    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _per_trial(_chk_soddy_intersections), 1e-8, 100),
+    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _per_trial(_chk_halftangent_sextic), 1e-9, 30),
     Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _per_trial(_chk_vhyp_through_vell), 1e-8, 60),
     Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _per_trial(_chk_chords_x8), 1e-8, 60),
     Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _per_trial(_chk_fifteen_point_cubic), 1e-9, 100),
-    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _gen_sextic_abscissa, _per_trial(_chk_soddy_line_tangent), 1e-7, 12),
+    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _per_trial(_chk_soddy_line_tangent), 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _per_trial(_chk_second_point), 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
@@ -1145,14 +1244,14 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _per_trial(_chk_phyp_through_pell), 1e-8, 60),
-    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _per_trial(_chk_phyp_parabola), 1e-9, 25),
+    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _per_draw(_gen_tri_phyp_angle), _per_trial(_chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
-    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_appendix("a_ellipse"), _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
-    Proposition("A2-major-vertices", "closed-form major vertices", _gen_appendix("major_vertices"), _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),
-    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _gen_appendix("x3prime_center"), _per_trial(_mk_appendix_check("x3prime_center")), 1e-7, 10),
-    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _gen_appendix("phyp_member"), _per_trial(_mk_appendix_check("phyp_member")), 1e-6, 10),
-    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _gen_appendix("pstar_conic"), _per_trial(_mk_appendix_check("pstar_conic")), 1e-6, 10),
-    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _gen_appendix("x5452_coordinate"), _per_trial(_mk_appendix_check("x5452_coordinate")), 1e-7, 10),
+    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _per_draw(_gen_appendix("a_ellipse")), _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
+    Proposition("A2-major-vertices", "closed-form major vertices", _per_draw(_gen_appendix("major_vertices")), _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),
+    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _per_draw(_gen_appendix("x3prime_center")), _per_trial(_mk_appendix_check("x3prime_center")), 1e-7, 10),
+    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _per_draw(_gen_appendix("phyp_member")), _per_trial(_mk_appendix_check("phyp_member")), 1e-6, 10),
+    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _per_draw(_gen_appendix("pstar_conic")), _per_trial(_mk_appendix_check("pstar_conic")), 1e-6, 10),
+    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _per_draw(_gen_appendix("x5452_coordinate")), _per_trial(_mk_appendix_check("x5452_coordinate")), 1e-7, 10),
 )
 
 _BY_ID = {p.prop_id: p for p in MANIFEST}
@@ -1206,15 +1305,16 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     prop = _BY_ID[prop_id]
     n = prop.default_trials if trials is None else max(1, trials)
     rng = _prop_rng(prop_id, seed)
-    # Draw every configuration, then check them all in one call.  No check
-    # touches the rng, so the stream is that of drawing and checking in
-    # turn.  A crashed draw is a failed trial without a witness.
-    drawn = []
-    for _ in range(n):
-        try:
-            drawn.append(prop.gen(rng))
-        except Exception as exc:
-            drawn.append(exc)
+    # Draw every configuration in one call, then check them all in one
+    # call.  No check touches the rng, so the stream is that of drawing and
+    # checking in turn.  The block draws (_gen_tri, _gen_tri_point) read the
+    # rng ahead of the configurations they return; the rng is this
+    # proposition's own and dropped after drawing, so that changes nothing.
+    # A crashed draw is a failed trial without a witness.
+    try:
+        drawn = prop.draw(rng, n)
+    except Exception as exc:  # a crashed batch draw fails all its trials
+        drawn = [exc] * n
     cfgs = [d for d in drawn if not isinstance(d, Exception)]
     try:
         checked = prop.run(cfgs)

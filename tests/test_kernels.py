@@ -462,8 +462,7 @@ def _seeded_kernel_args(kind, offset, n=30, flat=False):
     rng = np.random.default_rng([2026, code, 1] if flat else [2026, code])
     ox, oy = offset
     rows = []
-    for _ in range(n):
-        cfg = flat_cfg(rng) if flat else _gen_tri_point(rng)
+    for cfg in [flat_cfg(rng) for _ in range(n)] if flat else _gen_tri_point(rng, n):
         (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
         px, py = cfg["p"] if kind.startswith("p_") else (0.0, 0.0)
         rows.append(

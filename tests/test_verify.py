@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from triconic.errors import (
     DegenerateTriangle,
     UnknownProposition,
 )
-from triconic.geom import BaryCoords, Point2, Triangle
+from triconic.geom import BaryCoords, Point2, Triangle, line_through
 from triconic.verify import (
     MANIFEST,
     PROPOSITION_IDS,
@@ -54,22 +55,156 @@ def test_random_triangle_constraints(rng):
         assert min(ang(a, b, c), ang(b, c, a), ang(c, a, b)) >= 0.05
 
 
-def test_random_triangle_redraws_only_degenerate(monkeypatch):
-    real = verify.Triangle
-    errors = [DegenerateTriangle("collinear"), TypeError("bug")]
+def test_random_triangle_redraws_only_degenerate():
+    collinear = [0.1, 0.1, 0.5, 0.5, 0.9, 0.9]
+    good = [0.1, 0.2, 0.9, 0.15, 0.5, 0.8]
+    # A collinear draw is drawn again, and the next draw kept.
+    assert verify._tri_floats(iter(collinear + good).__next__) == tuple(good)
+    # A programming error in the second draw surfaces instead of being
+    # drawn again.
+    source = iter(collinear)
 
-    def flaky(*pts):
-        if errors:
-            raise errors.pop(0)
-        return real(*pts)
+    def u():
+        for v in source:
+            return v
+        raise TypeError("bug")
 
-    monkeypatch.setattr(verify, "Triangle", flaky)
-    rng = np.random.default_rng(0)
-    # The first draw is degenerate and drawn again; the second raises a
-    # programming error, which must surface instead of being redrawn.
     with pytest.raises(TypeError):
-        random_triangle(rng)
-    assert not errors
+        verify._tri_floats(u)
+    assert next(source, None) is None
+
+
+def _random_triangle_reference(rng):
+    """random_triangle on the object path: Triangle decides collinearity."""
+    while True:
+        pts = rng.uniform(0.0, 1.0, (3, 2))
+        try:
+            t = Triangle(*(Point2(*p) for p in pts))
+        except DegenerateTriangle:
+            continue
+        a, b, c = t.sides()
+        if max(a, b, c) / min(a, b, c) > verify.MAX_ASPECT:
+            continue
+        if verify._min_angle(a, b, c) < verify.MIN_ANGLE:
+            continue
+        return t
+
+
+def _random_point_near_reference(t, rng):
+    """random_point_near on the object path: line_through sidelines and
+    LineEq.distance_to, drawn with rng.uniform."""
+    xs = [t.a.x, t.b.x, t.c.x]
+    ys = [t.a.y, t.b.y, t.c.y]
+    cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
+    hx = (max(xs) - min(xs)) / 2.0 * verify.NEAR_EXPAND
+    hy = (max(ys) - min(ys)) / 2.0 * verify.NEAR_EXPAND
+    guard = 1e-2 * t.scale()
+    sidelines = (line_through(t.b, t.c), line_through(t.c, t.a), line_through(t.a, t.b))
+    for _ in range(verify.NEAR_DRAWS):
+        p = Point2(rng.uniform(cx - hx, cx + hx), rng.uniform(cy - hy, cy + hy))
+        if min(ln.distance_to(p) for ln in sidelines) >= guard:
+            return p
+    raise ConstructionFailed(
+        f"no driver point clears the sidelines of {t} in {verify.NEAR_DRAWS} draws"
+    )
+
+
+def _corners(t):
+    return (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y)
+
+
+def test_float_draws_match_the_object_path():
+    # Every generator draws its triangles and drivers through the float
+    # core: it must take the object path's decisions on the same doubles
+    # and leave the rng where the object path leaves it.
+    for seed in range(300):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        t = _random_triangle_reference(ref)
+        flat = verify.random_flat_triangle(ref)
+        assert verify._tri_floats(rng.random) == _corners(t)
+        assert verify.random_flat_triangle(rng) == flat
+        for s in (t, flat):
+            p = _random_point_near_reference(s, ref)
+            assert verify._near_floats(*_corners(s), rng.random) == p.as_tuple()
+        assert rng.random() == ref.random()
+
+
+def test_public_draws_keep_their_streams():
+    # The benchmark's fixed loci triangles and the loci workload's seeded
+    # ones are drawn through random_triangle and random_flat_triangle;
+    # these are their first draws at default_rng(0), then a driver and the
+    # next triangle of the same stream.
+    rng = np.random.default_rng(0)
+    drawn = [random_triangle(rng), random_triangle(rng), verify.random_flat_triangle(rng)]
+    p = random_point_near(drawn[0], rng)
+    drawn.append(random_triangle(rng))
+    assert [[v.hex() for v in _corners(t)] for t in drawn] == [
+        ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5",
+         "0x1.0ec9ed84d0bc0p-6", "0x1.a064f4f059bcap-1", "0x1.d354b2f34c803p-1"],
+        ["0x1.b6fdb17ec9cdep-1", "0x1.13220e71bcf20p-5", "0x1.7595660f879fap-1",
+         "0x1.67be224ec5c90p-3", "0x1.b9f296742db6fp-1", "0x1.153a67b20b50fp-1"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0e7fea7ace754p-1",
+         "0x0.0p+0", "0x1.20b97dfd4fa76p-2", "0x1.644af86988ffep-6"],
+        ["0x1.4b5c6c750d1dcp-1", "0x1.3b13c1e083bccp-1", "0x1.88e2c4cf0e646p-2",
+         "0x1.fe924cfaebfdep-1", "0x1.f6300cad9c278p-1", "0x1.5eff5be6c250ep-1"],
+    ]
+    assert [p.x.hex(), p.y.hex()] == ["-0x1.39c4f5944a680p-3", "0x1.8a7c2325acfd0p-1"]
+
+
+def test_guard_drops_candidates_in_order(monkeypatch):
+    # Random drivers clear the sidelines by 1e-2 of the scale, so the
+    # member guard never fires on them; here two candidates in three put P
+    # where a member collapses.  The batch must keep the candidates that
+    # build both P-triads, in order, drawing more until it has n.
+    real = verify._near_floats
+
+    def near(ax, ay, bx, by, cx, cy, u):
+        px, py = real(ax, ay, bx, by, cx, cy, u)
+        near.k += 1
+        if near.k % 3 == 1:  # on side BC: a P-ellipse member collapses
+            return bx + 0.25 * (cx - bx), by + 0.25 * (cy - by)
+        if near.k % 3 == 2:  # on BC's perpendicular bisector: a P-hyperbola member
+            return (bx + cx) / 2.0 + (by - cy), (by + cy) / 2.0 + (cx - bx)
+        return px, py
+
+    near.k = 0
+    monkeypatch.setattr(verify, "_near_floats", near)
+    batch = verify._gen_tri_point(np.random.default_rng(4), 300)
+
+    near.k = 0
+    u = verify._doubles(np.random.default_rng(4)).__next__
+    ref, faults = [], Counter()
+    while len(ref) < 300:
+        tri = verify._tri_floats(u)
+        p = Point2(*near(*tri, u))
+        t = Triangle(Point2(*tri[:2]), Point2(*tri[2:4]), Point2(*tri[4:]))
+        try:
+            for kind in ("p_ellipse", "p_hyperbola"):
+                triads.build_triad(t, kind, p)
+        except DegenerateMember:
+            faults[kind] += 1
+            continue
+        ref.append({"triangle": verify._tri_cfg(t), "p": [p.x, p.y]})
+    assert batch == ref
+    assert faults["p_ellipse"] > 100 and faults["p_hyperbola"] > 100
+
+
+def test_hot_draws_build_no_objects(monkeypatch):
+    counts = Counter()
+    for name in ("Triangle", "Point2"):
+
+        def counted(*args, _real=getattr(verify, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    rng = np.random.default_rng(3)
+    assert len(verify._gen_tri_point(rng, 2000)) == 2000
+    assert len(verify._gen_tri(rng, 200)) == 200
+    assert counts == {}
+    # The counters are live: the public draw builds its accepted triangle.
+    random_triangle(rng)
+    assert counts == {"Triangle": 1, "Point2": 3}
 
 
 def test_random_point_near_gives_up_on_a_thin_triangle():
@@ -230,11 +365,29 @@ def test_crashed_trials_are_counted_by_type(monkeypatch):
     assert r.witness == check.seen[0]  # the first strict maximum
 
 
+def test_a_crashed_batch_draw_fails_every_trial(monkeypatch):
+    pid = "P2.1-yiu-vertices"
+
+    def draw(rng, n):
+        raise TypeError("injected")
+
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(verify._BY_ID[pid], draw=draw))
+    r = run_proposition(pid, seed=42, trials=5)
+    assert (r.crashed, r.errors, r.note) == (5, {"TypeError": 5}, "TypeError: injected")
+    assert (r.witness, r.passed) == (None, False)
+
+
+def _gen_tri_reference(rng):
+    """One _gen_tri configuration on the object path."""
+    return {"triangle": verify._tri_cfg(_random_triangle_reference(rng))}
+
+
 def _gen_tri_point_reference(rng):
-    """The shared driver generator as it was, building both P-triads."""
+    """One _gen_tri_point configuration on the object path, building both
+    P-triads."""
     while True:
-        t = random_triangle(rng)
-        p = random_point_near(t, rng)
+        t = _random_triangle_reference(rng)
+        p = _random_point_near_reference(t, rng)
         try:
             triads.build_triad(t, "p_ellipse", p)
             triads.build_triad(t, "p_hyperbola", p)
@@ -252,11 +405,26 @@ def _never_rectangular_reference(cfg):
     return 1.0 if code == kernels.CLASS_RECTANGULAR_HYPERBOLA else 0.0
 
 
+_REFERENCE_DRAWS = {
+    verify._gen_tri: _gen_tri_reference,
+    verify._gen_tri_point: _gen_tri_point_reference,
+}
+
+
 def _interleaved_report(pid, seed):
     """run_proposition's report from one loop that draws and checks each
-    trial in turn, P3.8 through kernels.six_point on floats."""
+    trial in turn: the block draws through their object-path references,
+    the per-draw families one configuration at a time, and P3.8 through
+    kernels.six_point on floats."""
     prop = verify._BY_ID[pid]
-    gen = _gen_tri_point_reference if prop.gen is verify._gen_tri_point else prop.gen
+
+    def gen(rng):
+        if prop.draw in _REFERENCE_DRAWS:
+            return _REFERENCE_DRAWS[prop.draw](rng)
+        (d,) = prop.draw(rng, 1)
+        if isinstance(d, Exception):
+            raise d
+        return d
 
     def check(cfg):
         if pid == "P3.8-never-rectangular":
@@ -299,12 +467,28 @@ def _interleaved_report(pid, seed):
 @pytest.mark.parametrize(
     "pid,seed",
     [(pid, 42) for pid in PROPOSITION_IDS]
-    + [("P3.8-never-rectangular", seed) for seed in range(1, 9)],
+    + [
+        (pid, seed)
+        for pid in ("P2.1-yiu-vertices", "P3.8-never-rectangular", "P5.3-equal-areas")
+        for seed in range(1, 9)
+    ],
 )
 def test_two_phase_runner_matches_interleaved_loop(pid, seed):
     r = run_proposition(pid, seed)
     assert r.to_json() == _interleaved_report(pid, seed)
     assert replay_witness(pid, r.witness) == r.max_residual
+
+
+@pytest.mark.parametrize("pid", ["P3.8-never-rectangular", "P5.3-equal-areas"])
+def test_crashed_driver_draws_keep_their_trials(pid, monkeypatch):
+    # With one try per driver, about 7% of the candidates give up with
+    # ConstructionFailed: each takes one trial, in the batch draw as in the
+    # interleaved loop.
+    monkeypatch.setattr(verify, "NEAR_DRAWS", 1)
+    r = run_proposition(pid, 42)
+    assert r.crashed > 0
+    assert r.errors == {"ConstructionFailed": r.crashed}
+    assert r.to_json() == _interleaved_report(pid, 42)
 
 
 _RECTANGULAR = kernels.CLASS_RECTANGULAR_HYPERBOLA
@@ -317,7 +501,7 @@ def test_never_rectangular_batch_matches_scalar_kernel(target, monkeypatch):
     # hand-made configurations put P on a side, where the construction fails.
     monkeypatch.setattr(kernels, "CLASS_RECTANGULAR_HYPERBOLA", target)
     rng = np.random.default_rng(8)
-    cfgs = [verify._gen_tri_point(rng) for _ in range(400)]
+    cfgs = verify._gen_tri_point(rng, 400)
     t = _tri()
     for u in (0.25, 0.5):
         for f1, f2 in ((t.b, t.c), (t.c, t.a)):
