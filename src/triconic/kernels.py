@@ -1,80 +1,30 @@
-"""The six-point kernel: the one vertex formula, the one five-point fit
-and fit rule, and the one conic classifier, each elementwise on floats
-and numpy arrays alike.
+"""The kernels: the package's one triad rule, vertex formula, five-point
+fit and fit rule, conic classifier and focal-pair solver, each elementwise
+on floats (plain Python, no numpy call) and on numpy arrays, with the same
+bits: distances are sqrt(dx*dx + dy*dy) (`_hypot`), and math.sqrt and
+np.sqrt both round correctly.
 
-These are the primitives of every six-point conic in the package: construct
-a triad's six vertices (`vertices`), fit the conic through five of them
-(`fit_six`), classify (`classify_code`), and take the residual of the
-sixth.  `six_point` runs the whole pipeline.  On floats it is plain Python
-(`triads.six_point_conic`, the Brent polish of the verifier's sign scans);
-given arrays it runs the same arithmetic, in the same order, on whole grids
-of driver points (region maps, the verifier's scan grids and its P2.2,
-P3.1, P3.8 and P5.2 trials), and returns bit for bit the float values.
-`loci.sample_locus_ostar` calls the pieces directly: the vertices of every
-driver on the circumcircle from `vertices`, then `fit_six` and
-`frame_center`.
+`_sides_deltas` (sides, signed focal sums or differences, member flag) is
+read by `triads.build_triad`, `driver_fault`, `triad_vertices`, the loci
+and the kernels below, so they agree on every driver bit for bit.
+`six_point` runs the six-point pipeline: `vertices`, `fit_six` (with
+`fit5`, the only five-point fit, in the frame of its points after Hartley,
+so a class does not change when the points are moved, rotated or scaled)
+and `classify_code` (the conic-type policy, also behind `conic.classify`).
+On floats it serves `triads.six_point_conic` and the Brent polish of the
+verifier's sign scans; on arrays region maps, scan grids and the P2.2,
+P3.1, P3.8 and P5.2 trials.  `loci.sample_locus_ostar` calls `vertices`,
+`fit_six` and `frame_center` directly.
 
-`_sides_deltas` is the triad rule: it takes a triangle and a driver to the
-side lengths, the signed focal sums delta or differences lambda of the
-three members, and the flag that a member degenerates (a focal sum or
-difference within MEMBER_GUARD of the largest side from its collapse).
-`triads.build_triad`, `triads.driver_fault`, `triads.triad_vertices`, the
-loci's focal quantities and the kernels below all read it, so they agree on
-every driver bit for bit.  `vertex_coords` is the vertex formula (side
-midpoint +- delta / 2 along the side).  Both run on floats and arrays
-alike, with distances as sqrt(dx*dx + dy*dy) (`_hypot`): math.sqrt and
-np.sqrt both round correctly, so a float and an array entry give the same
-bits.
-
-`fit_six` is the fit rule: leave out the later vertex of the closest vertex
-pair (an argmin over the 15 pairs, so it runs on arrays too) and fit the
-other five; residual6 is the left-out vertex's residual in the fit's frame.
-The rule drops one copy of a degenerate member's vertex pair and one of two
-vertices that meet at a triangle corner, where a fit through both would be
-ill conditioned.
-
-`fit5` is the package's only five-point fit, in the frame of the five
-points (centroid and RMS spread, after Hartley's normalization).  Every
-fitted conic is classified in that frame, so its class does not change when
-the points are moved, rotated or scaled.  Its coefficients are the cofactor
-vector of the framed 5x6 design matrix, coeff_j = (-1)^j det(rows less
-column j), computed as the bracket form of the conic through five points
-(Pascal's condition as Turnbull's bracket identity, Richter-Gebert,
-Perspectives on Projective Geometry, 2011, ch. 10) with the sixth point X
-left free:
-
-    C(X) = [123][145] L24(X) L35(X) - [124][135] L23(X) L45(X),
-
-where [ijk] is the 3x3 determinant of framed points i, j, k (twice their
-signed area) and Lij(X) = [ijX] the line through points i and j.  This is
-the cofactor polynomial itself, sign and scale included, in about 90
-floating-point operations and no factorization.  The labels 1..5 follow
-one rule: point 1 is the first point of the closest of the ten pairs (ties
-to the first pair in itertools.combinations order), points 3 and 4 the
-closest pair among the other four, and points 2 and 5 the remaining two in
-index order.  No line then passes through point 1 or joins points 3 and 4, and
-the brackets, which all hold point 1, are taken as differences from it and
-keep their relative accuracy when small.  This keeps the form accurate when
-two points nearly meet; with fixed labels it rounds badly there.  The
-result is multiplied by the parity of the relabelling, so the orientation
-is that of the cofactors of the points in their given order.  The
-expression is elementwise: five floats run it in plain Python, a (5, n)
-array in numpy, with the same bits.
-
-The cofactors depend polynomially on the framed points and the frame
-continuously on the points, so the determinant of the fitted matrix varies
-continuously along parameter sweeps (needed for sign-bracketing of
-degeneracy boundaries) as long as the left-out vertex stays the same.
-Where it changes, the fitted coefficients can change sign: this happens on
-P-hyperbola sweeps, never on the V- and P-ellipse sweeps the verifier
-brackets det on (none in 400 seeded rays of each).
-
-`classify_code` holds the conic-type policy for the whole package: one
-threshold ladder on the Frobenius-normalized coefficients, applied to
-floats and arrays alike.  `conic.classify`, `six_point` and the object
-path call it.
+`pair_points` gives the common points of a triad's three focal pairs, on
+the closed-form line pair of each (`focal_pairs`, whose lines
+`triads.two_branch_chord` reads for P4.8): on floats for
+`triads.pairwise_intersections` (P2.4's chords), on arrays for the P4.7
+and P5.6 trials and, through `second_point` (a P-hyperbola triad's second
+common point), the P5.1 trials.
 """
 
+import contextlib
 import itertools
 import math
 
@@ -121,11 +71,9 @@ CLASS_NAMES = {
 }
 
 
-# fit5's labelling rule, as a table built once: for each point i that can
-# be point 1 (the first point of the closest of the ten pairs _PAIRS5), the
-# six pairs of the other four points, each with the labels (1, 2, 3, 4, 5)
-# it gives (points 3 and 4 the pair, 2 and 5 the other two, in index order)
-# and the parity of that permutation.
+# fit5's labelling rule, as a table: for each point i that can be point 1,
+# the six pairs of the other four, each with the labels (1, 2, 3, 4, 5) it
+# gives (3 and 4 the pair, 2 and 5 the others in index order) and their parity.
 _PAIRS5 = tuple(itertools.combinations(range(5), 2))
 _P5_I, _P5_J = np.array(_PAIRS5).T
 
@@ -190,10 +138,16 @@ def fit5(xs, ys):
 
         [123][145] L24(X) L35(X) - [124][135] L23(X) L45(X)
 
-    (_bracket_conic) of the framed points under the labels 1..5: point 1
-    the first point of the closest pair, 3 and 4 the closest pair of the
-    other four, 2 and 5 the other two in index order, ties to the first
-    pair in itertools.combinations order (the table _LABELS).  The form is
+    (_bracket_conic: Pascal's condition as Turnbull's bracket identity,
+    Richter-Gebert, Perspectives on Projective Geometry, 2011, ch. 10; about
+    90 floating-point operations and no factorization) of the framed points
+    under the labels 1..5: point 1 the first point of the closest pair, 3
+    and 4 the closest pair of the other four, 2 and 5 the other two in index
+    order, ties to the first pair in itertools.combinations order (the table
+    _LABELS).  No line then passes through point 1 or joins points 3 and 4,
+    and the brackets, all holding point 1, are differences from it that
+    keep their relative accuracy when small: the form stays accurate when
+    two points nearly meet, where fixed labels round badly.  The form is
     multiplied by the parity of that relabelling, which gives the
     cofactors' sign for the points in their given order.
 
@@ -253,8 +207,7 @@ def frobenius(co):
     """Frobenius norm of the conic matrix of (xx, xy, yy, x, y, 1): a float
     for scalar coefficients, an array for array ones."""
     A, B, C, D, E, F = co
-    sq = A * A + C * C + F * F + (B * B + D * D + E * E) / 2.0
-    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+    return _sqrt(A * A + C * C + F * F + (B * B + D * D + E * E) / 2.0)
 
 
 def mat_det(co):
@@ -351,16 +304,19 @@ def frame_center(co, frame):
     return x, y, has_center
 
 
-def _hypot(x, y):
-    """sqrt(x*x + y*y), on floats (math.sqrt) or arrays (np.sqrt).
+def _sqrt(x):
+    """The square root on floats (math.sqrt) or arrays (np.sqrt).  Both
+    round correctly, so a float and an array entry give the same bits."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
-    Both square roots round correctly, so a float and an array entry give
-    the same bits, and vertices and fits on arrays are bit for bit those
-    on floats.  (np.hypot and math.hypot differ in the last
-    bit on about 1% of inputs.)  Coordinates beyond about 1e150 overflow.
+
+def _hypot(x, y):
+    """sqrt(x*x + y*y), on floats or arrays with the same bits, so vertices
+    and fits on arrays are bit for bit those on floats.  (np.hypot and
+    math.hypot differ in the last bit on about 1% of inputs.)  Coordinates
+    beyond about 1e150 overflow.
     """
-    sq = x * x + y * y
-    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+    return _sqrt(x * x + y * y)
 
 
 # The member guard, relative to the largest side: a P-ellipse member whose
@@ -386,12 +342,8 @@ def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
     a = _hypot(bx - cx, by - cy)
     b = _hypot(cx - ax, cy - ay)
     c = _hypot(ax - bx, ay - by)
-    if isinstance(a, np.ndarray):
-        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    else:
-        lo, hi = min(a, b, c), max(a, b, c)
-    eps = MEMBER_GUARD * hi
-    bad = lo == 0.0
+    eps = MEMBER_GUARD * _largest((a, b, c))
+    bad = (a == 0.0) | (b == 0.0) | (c == 0.0)
     if kind == KIND_V_ELLIPSE:
         d = (b + c, c + a, a + b)
     elif kind == KIND_V_HYPERBOLA:
@@ -468,7 +420,12 @@ def fit_six(xs, ys):
     distance; the first pair on ties), and fit5 the other five in order.
 
     The rule drops one copy of a degenerate or near-degenerate member's
-    vertex pair, and one of two vertices that meet at a triangle corner.
+    vertex pair, and one of two vertices that meet at a triangle corner,
+    where a fit through both would be ill conditioned.  The fitted det
+    varies continuously along a sweep while the left-out vertex stays the
+    same; where it changes, the coefficients can change sign (on P-hyperbola
+    sweeps; on none of 400 seeded V- and P-ellipse rays each, the sweeps the
+    verifier brackets det on).
     xs and ys hold six coordinates each: six floats, or (6, n) arrays.
     Returns (coeffs, frame, out, residual6): fit5's coefficients and frame,
     the index of the left-out vertex, and its conic_residual in the frame.
@@ -507,19 +464,14 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     """Fused triad -> five-point fit -> classification: (code, det, disc,
     residual6).
 
-    The class code, the determinant and the discriminant A*C - B^2/4 of
-    classify_code, and residual6, all taken in the frame of fit_six's five
-    vertices: det and disc are those of the Frobenius-normalized framed
-    coefficients (det's sign brackets degeneracy boundaries), residual6 the
-    incidence residual of the framed left-out vertex.  Where a member
-    degenerates or the fit is zero or not finite, the code is CLASS_FAILED,
-    det and disc are NaN and residual6 is inf.
-
-    Elementwise, with one KIND_* code for all.  Floats give a Python int
-    and floats, from plain Python with no numpy call, returning early when
-    a member degenerates.  If any argument is an ndarray, the arguments are
-    broadcast and run in chunks of _BATCH_CHUNK points, and each result is
-    an array of the broadcast shape, bit for bit the float values.
+    classify_code's class, det and disc A*C - B^2/4 of the normalized
+    coefficients in the frame of fit_six's five vertices (det's sign
+    brackets degeneracy boundaries), and fit_six's residual6; CLASS_FAILED,
+    NaN, NaN and inf where a member degenerates or the fit is zero or not
+    finite.  Elementwise, with one KIND_* code for all: floats give an int
+    and floats from plain Python, returning early when a member
+    degenerates; if any argument is an ndarray, they are broadcast and run
+    in chunks of _BATCH_CHUNK points, bit for bit the float values.
     """
     args = (ax, ay, bx, by, cx, cy, px, py)
     if not any(isinstance(v, np.ndarray) for v in args):
@@ -543,3 +495,177 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         for w, v, fail in zip(out, (codes, det, disc, res6), _FAILED):
             w[cut] = np.where(failed, fail, v)
     return tuple(w.reshape(args[0].shape) for w in out)
+
+
+# Pair k of a triad: members i, j, sharing the focus at corner k.
+_PAIR_MEMBERS = ((1, 2), (2, 0), (0, 1))
+# conic.conic_line_intersection's and common_points' rules on unit-norm
+# conics: a linear root where |qa| <= _TINY (none if |qb| is too), a double
+# root down to a discriminant of -_DOUBLE_ROOT, Newton while the Jacobian's
+# det is above _TINY, points on both to _ON_BOTH, apart by _ON_BOTH * (1 +
+# the largest candidate coordinate).
+_TINY = 1e-14
+_DOUBLE_ROOT = 1e-24 + 1e-30
+_POLISH_STEPS = 3
+_ON_BOTH = 1e-7
+
+
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _div(a, b):
+    """a / b, NaN on floats for b == 0: for quotients dropped where b is 0."""
+    return a / b if isinstance(b, np.ndarray) or b != 0.0 else math.nan
+
+
+def _largest(v):
+    return np.maximum(np.maximum(v[0], v[1]), v[2]) if isinstance(v[0], np.ndarray) else max(v)
+
+
+def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
+    """The triad's focal pairs in the frame q' = (q - g) / s (g the
+    centroid, s the largest side): ((gx, gy, s), pairs, bad).
+
+    A member with foci F, G and axis L = |delta| is |q - F|^2 = ell(q)^2,
+    ell(q) = p - k.(q - F), k = (F - G) / L, p = (L^2 - |F - G|^2) / (2L),
+    for ellipses and both branches of hyperbolas.  Pair k's members share
+    F, so they differ by (ell_i - ell_j)(ell_i + ell_j) and meet on those
+    lines, the paper's pair chords.  pairs[k] is (mi, mj, lines): the unit
+    norm coefficients (xx, xy, yy, x, y, 1) and the lines (l, m, n).  bad:
+    _sides_deltas' flag or a zero axis; on floats then the rest is None.
+    """
+    sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    lengths, s = [abs(d) for d in deltas], _largest(sides)
+    for length in lengths:
+        bad = bad | (length <= MEMBER_GUARD * s)
+    if not isinstance(bad, np.ndarray) and bad:
+        return (None, None, None), None, True
+    gx, gy = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
+    corners = ((ax, ay), (bx, by), (cx, cy))
+    pairs = []
+    for k, (i, j) in enumerate(_PAIR_MEMBERS):
+        ux, uy = (corners[k][0] - gx) / s, (corners[k][1] - gy) / s
+        ells, members = [], []
+        # Member i's other focus is corner j, member j's corner i.
+        for (ox, oy), m in ((corners[j], i), (corners[i], j)):
+            side, length = sides[m], lengths[m]
+            kx, ky = (corners[k][0] - ox) / length, (corners[k][1] - oy) / length
+            c0 = (length - side) * (length + side) / (2.0 * length * s) + kx * ux + ky * uy
+            ells.append((c0, kx, ky))
+            # |q' - F'|^2 - (c0 - k.q')^2.
+            co = (1.0 - kx * kx, -2.0 * kx * ky, 1.0 - ky * ky, 2.0 * (c0 * kx - ux),
+                  2.0 * (c0 * ky - uy), ux * ux + uy * uy - c0 * c0)
+            n = frobenius(co)
+            members.append(tuple(t / n for t in co))
+        (ci, kix, kiy), (cj, kjx, kjy) = ells
+        lines = ((kjx - kix, kjy - kiy, ci - cj), (-(kix + kjx), -(kiy + kjy), ci + cj))
+        pairs.append((*members, lines))
+    return (gx, gy, s), pairs, bad
+
+
+def _value_grad(co, x, y):
+    # conic_eval's sum and the gradient.
+    A, B, C, D, E, F = co
+    value = A * x * x + B * x * y + C * y * y + D * x + E * y + F
+    return value, 2.0 * A * x + B * y + D, B * x + 2.0 * C * y + E
+
+
+def _line_roots(co, l, m, n):
+    """Two candidates (x, y, ok) of the unit-norm conic co on l x + m y + n = 0."""
+    nrm2 = l * l + m * m
+    x0, y0 = _div(-l * n, nrm2), _div(-m * n, nrm2)
+    dx, dy = _div(-m, _sqrt(nrm2)), _div(l, _sqrt(nrm2))
+    qc, gx, gy = _value_grad(co, x0, y0)
+    qa = co[0] * dx * dx + co[1] * dx * dy + co[2] * dy * dy
+    qb = gx * dx + gy * dy
+    disc = qb * qb - 4.0 * qa * qc
+    q = -(qb + _where(qb < 0.0, -1.0, 1.0) * _sqrt(_where(disc > 0.0, disc, 0.0))) / 2.0
+    double = _div(-qb, 2.0 * qa)
+    t0 = _where(abs(qa) <= _TINY, _div(-qc, qb), _where(disc < 0.0, double, _div(q, qa)))
+    t1 = _where(q != 0.0, _div(qc, q), double)
+    ok0 = ((abs(qa) <= _TINY) & (abs(qb) > _TINY)) | ((abs(qa) > _TINY) & (disc > -_DOUBLE_ROOT))
+    ok1 = (abs(qa) > _TINY) & (disc >= 0.0)
+    return (x0 + t0 * dx, y0 + t0 * dy, ok0), (x0 + t1 * dx, y0 + t1 * dy, ok1)
+
+
+def _polish(mi, mj, x, y, ok):
+    """Newton steps from (x, y) on the unit-norm mi and mj; ok if it ends on both."""
+    live = ok
+    for _ in range(_POLISH_STEPS):
+        fi, ix, iy = _value_grad(mi, x, y)
+        fj, jx, jy = _value_grad(mj, x, y)
+        det = ix * jy - iy * jx
+        live = live & (abs(det) >= _TINY)
+        if live is False:
+            break
+        x = _where(live, x + (-fi * jy + fj * iy) / det, x)
+        y = _where(live, y + (-fj * ix + fi * jx) / det, y)
+    n2 = x * x + y * y + 1.0
+    on_i = abs(_value_grad(mi, x, y)[0]) / n2 <= _ON_BOTH
+    on_j = abs(_value_grad(mj, x, y)[0]) / n2 <= _ON_BOTH
+    return x, y, ok & on_i & on_j & (abs(x) < math.inf) & (abs(y) < math.inf)
+
+
+def pair_points(ax, ay, bx, by, cx, cy, kind, px, py):
+    """The common points of the triad's focal pairs: (xs, ys, keep, bad),
+    pair 0 the "A" pair of the members with foci (C, A) and (A, B).
+
+    Each focal_pairs line meets member i in two candidates, Newton-polished
+    on both members in the frame; keep marks those on both and apart from
+    the kept ones before them.  Floats give 3 x 4 nested lists, (None, None,
+    None, True) for a bad triad; arrays of one shape give arrays of shape
+    (3, 4) + that shape, the floats' bits where kept, keep false where bad.
+    """
+    arrays = isinstance(ax, np.ndarray)
+    with np.errstate(all="ignore") if arrays else contextlib.nullcontext():
+        (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+        if pairs is None:
+            return None, None, None, True
+        xs, ys, keep = [], [], []
+        for mi, mj, lines in pairs:
+            cands = [root for line in lines for root in _line_roots(mi, *line)]
+            big = 0.0
+            for x, y, ok in cands:
+                size = _where(abs(x) > abs(y), abs(x), abs(y))
+                big = _where(ok & (size > big), size, big)
+            near, kept = _ON_BOTH * (1.0 + big), []
+            for x, y, ok in cands:
+                x, y, ok = _polish(mi, mj, x, y, ok)
+                for x2, y2, ok2 in kept:
+                    ok = _where(ok2 & (_hypot(x - x2, y - y2) <= near), False, ok)
+                kept.append((x, y, ok))
+            xs.append([gx + s * x for x, _, _ in kept])
+            ys.append([gy + s * y for _, y, _ in kept])
+            keep.append([ok for _, _, ok in kept])
+    if arrays:
+        return np.array(xs), np.array(ys), np.array(keep) & ~bad, bad
+    return xs, ys, keep, bad
+
+
+def second_point(ax, ay, bx, by, cx, cy, px, py):
+    """The second common point P' of the P-hyperbola triad with driver P,
+    elementwise as pair_points: (x, y, found), NaN where not found.  A
+    triple-common point has P's signed focal differences or their
+    negatives (mixed signs force one to vanish), on the branches opposite P
+    or, as in the external Soddy regime, on P's.  P' is the first pair point
+    beyond 1e-7 s of P (s the largest side) least off either pattern in its
+    largest gap, found where that is <= 1e-6 s.
+    """
+    xs, ys, keep, bad = pair_points(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
+    if keep is None:
+        return math.nan, math.nan, False
+    sides, lam, _ = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
+    s, best_x, best_y, best = _largest(sides), math.nan, math.nan, math.inf
+    for x, y, ok in (q for row in zip(xs, ys, keep) for q in zip(*row)):
+        if ok is False:
+            continue
+        got = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, x, y)[1]
+        same = _largest([abs(g - l) for g, l in zip(got, lam)])
+        opposite = _largest([abs(g + l) for g, l in zip(got, lam)])
+        res = _where(opposite < same, opposite, same)
+        better = ok & (_hypot(x - px, y - py) > 1e-7 * s) & (res < best)
+        best_x, best_y = _where(better, x, best_x), _where(better, y, best_y)
+        best = _where(better, res, best)
+    found = best <= 1e-6 * s
+    return _where(found, best_x, math.nan), _where(found, best_y, math.nan), found

@@ -13,23 +13,18 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from . import kernels
-from .centers import soddy_centers
+from .centers import classic_center, soddy_centers
 from .config import DET_DEGENERATE_TOL, get_tol
 from .conic import (
     Conic,
     ConicClass,
     FocalConic,
     FramedFit,
-    common_points,
-    conic_line_intersection,
     covertices_of_focal_conic,
 )
 from .errors import (
     DegenerateMember,
-    LineOnConic,
     NotFound,
     PointOffSideline,
     RankDeficient,
@@ -38,7 +33,6 @@ from .geom import (
     LineEq,
     Point2,
     Triangle,
-    collinear,
     distance,
     line_through,
     midpoint,
@@ -195,22 +189,6 @@ def _carnot(corners, six) -> float:
     return product
 
 
-def menelaus_check(t: Triangle, p1: Point2, p2: Point2, p3: Point2) -> float:
-    """Unsigned Menelaus ratio product for p1 on BC, p2 on CA, p3 on AB.
-
-    Equals 1 for collinear triples; the caller applies the signed convention
-    (midpoints also give 1 without being collinear).
-    """
-    for p, (e1, e2) in ((p1, (t.b, t.c)), (p2, (t.c, t.a)), (p3, (t.a, t.b))):
-        if not collinear(p, e1, e2):
-            raise PointOffSideline(f"{p} off its sideline")
-    return (
-        (distance(p1, t.c) / distance(p1, t.b))
-        * (distance(p3, t.b) / distance(p3, t.a))
-        * (distance(p2, t.a) / distance(p2, t.c))
-    )
-
-
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     """The conic through the triad's six vertices, on the kernel's floats:
     kernels.vertices, then kernels.fit_six, which leaves out the later
@@ -262,90 +240,22 @@ def _framed_carnot(tr: ConicTriad) -> float:
     return _carnot(framed[:3], list(zip(xs, ys)))
 
 
-_PAIRS = ((1, 2), (2, 0), (0, 1))
-
-
 def _triangle_frame(t: Triangle) -> tuple[Point2, float]:
     """Centroid g and scale s of the frame q' = (q - g) / s."""
     return Point2((t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0), t.scale()
 
 
-def _focal_pair(tr: ConicTriad, pair_index: int) -> tuple[Conic, Conic, tuple[LineEq, LineEq]]:
-    """Members i, j of a pair and the two lines their difference splits into,
-    in the frame q' = (q - g) / s of the triangle (g its centroid, s its
-    scale).
-
-    The members share a focus F: member i's focus2, member j's focus1 (A for
-    pair 0).  A member with focus F, other focus G and axis length L is
-    |q - F|^2 = ell(q)^2 with ell(q) = p - k.(q - F), k = (F - G) / L and
-    p = (L^2 - |F - G|^2) / (2L): the focus-directrix form, a - e x' with x'
-    the coordinate along the axis toward F, for ellipses and both branches
-    of hyperbolas alike.  The difference of the two members is therefore
-    (ell_i - ell_j)(ell_i + ell_j) = 0, and every common point lies on one
-    of these two lines (the pair chords of the paper).  Returns member i and
-    member j as framed conics and the lines ell_i - ell_j = 0 and
-    ell_i + ell_j = 0.
-    """
-    g, s = _triangle_frame(tr.t)
-    i, j = _PAIRS[pair_index]
-    mi, mj = tr.members[i], tr.members[j]
-    f = mi.focus2
-    fx, fy = (f.x - g.x) / s, (f.y - g.y) / s
-    ells = []
-    for other, length in ((mi.focus1, mi.axis_length), (mj.focus2, mj.axis_length)):
-        kx, ky = (f.x - other.x) / length, (f.y - other.y) / length
-        d = distance(f, other)
-        p = (length - d) * (length + d) / (2.0 * length * s)
-        # ell(q') = c0 - k.q' in the frame.
-        ells.append((p + kx * fx + ky * fy, kx, ky))
-
-    def member(c0: float, kx: float, ky: float) -> Conic:
-        # |q' - F'|^2 - ell(q')^2.
-        return Conic(
-            np.array(
-                [
-                    [1.0 - kx * kx, -kx * ky, c0 * kx - fx],
-                    [-kx * ky, 1.0 - ky * ky, c0 * ky - fy],
-                    [c0 * kx - fx, c0 * ky - fy, fx * fx + fy * fy - c0 * c0],
-                ]
-            )
-        )
-
-    (ci, kix, kiy), (cj, kjx, kjy) = ells
-    lines = (
-        LineEq(kjx - kix, kjy - kiy, ci - cj),
-        LineEq(-(kix + kjx), -(kiy + kjy), ci + cj),
-    )
-    return member(*ells[0]), member(*ells[1]), lines
-
-
 def pairwise_intersections(tr: ConicTriad) -> list[list[Point2]]:
-    """Real intersections for the pairs (b,c), (c,a), (a,b).
+    """Real intersections for the pairs (b,c), (c,a), (a,b), by
+    kernels.pair_points on the triad's floats: at most 4 a pair.
 
     Index 0 is the "A" pair (members with foci (C,A) and (A,B)), matching
-    the naming A', A'' for the intersections of the b- and c-members.  The
-    two members of a pair share a focus, so their common points lie on the
-    closed-form line pair of _focal_pair; each line is met with member i,
-    and the candidates are Newton-polished on both members, kept when they
-    lie on both and deduplicated, all in the frame of the triangle, then
-    mapped back.  A pair has at most 4 points; an empty list means no real
-    intersection.
+    the naming A', A'' for the intersections of the b- and c-members.
     """
-    if tr.has_degenerate_member():
+    xs, ys, keep, bad = kernels.pair_points(*_kernel_args(tr.t, tr.kind, tr.p))
+    if bad:
         raise DegenerateMember("pairwise intersections need nondegenerate members")
-    g, s = _triangle_frame(tr.t)
-    out = []
-    for pair_index in range(3):
-        ci, cj, lines = _focal_pair(tr, pair_index)
-        candidates: list[Point2] = []
-        for line in lines:
-            try:
-                candidates.extend(conic_line_intersection(ci, line))
-            except LineOnConic:
-                continue
-        pts = common_points(candidates, ci.m, cj.m)
-        out.append([Point2(g.x + s * q.x, g.y + s * q.y) for q in pts])
-    return out
+    return [[Point2(x, y) for x, y, ok in zip(*row) if ok] for row in zip(xs, ys, keep)]
 
 
 def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
@@ -358,22 +268,25 @@ def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
 def two_branch_chord(tr: ConicTriad, pair_index: int) -> LineEq:
     """Chord through the opposite-branch intersections of a hyperbola pair.
 
-    Of the pair's two lines from _focal_pair, the one through the Soddy
-    centers X175/X176 is the Soddy line; the other is the sought chord.
-    Works even when the chord's endpoints are complex.
+    Of the pair's two lines from kernels.focal_pairs, the one through the
+    Soddy centers X175/X176 is the Soddy line; the other is the sought
+    chord.  Works even when the chord's endpoints are complex.
     """
     if tr.kind != "v_hyperbola":
         raise ValueError("two_branch_chord applies to V-hyperbola triads")
-    g, s = _triangle_frame(tr.t)
+    (gx, gy, s), pairs, bad = kernels.focal_pairs(*_kernel_args(tr.t, tr.kind, tr.p))
+    if bad:
+        raise DegenerateMember("two-branch chords need nondegenerate members")
     centers = [q for q in soddy_centers(tr.t) if q is not None]
-    framed = [Point2((q.x - g.x) / s, (q.y - g.y) / s) for q in centers]
-    _, _, (l1, l2) = _focal_pair(tr, pair_index)
-    scores = [max(line.distance_to(q) for q in framed) for line in (l1, l2)]
+    framed = [((q.x - gx) / s, (q.y - gy) / s) for q in centers]
+    lines = pairs[pair_index][2]
+    scores = [max(abs(l * x + m * y + n) for x, y in framed) / math.hypot(l, m)
+              for l, m, n in lines]
     soddy = 0 if scores[0] <= scores[1] else 1
     if scores[soddy] > 1e-6:
         raise NotFound("neither line of the pair is the Soddy line")
-    chord = (l2, l1)[soddy]
-    return LineEq(chord.l, chord.m, chord.n * s - chord.l * g.x - chord.m * g.y)
+    l, m, n = lines[1 - soddy]
+    return LineEq(l, m, n * s - l * gx - m * gy)
 
 
 @dataclass(frozen=True)
@@ -387,6 +300,8 @@ class ClaimResult:
 class ConcurrencyReport:
     kind: str
     claims: tuple[ClaimResult, ...]
+    # V-ellipse: the pairwise_intersections the chords are drawn through.
+    points: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -404,8 +319,6 @@ def concurrency_theorems(tr: ConicTriad, tol: float = 1e-8) -> ConcurrencyReport
     the excenters and concur at X20.  V-hyperbola: the triad passes through
     both Soddy centers, and the two-branch chords concur at X8.
     """
-    from .centers import classic_center
-
     t = tr.t
     diam = 2.0 * (t.side_a * t.side_b * t.side_c) / (4.0 * t.area)
     claims: list[ClaimResult] = []
@@ -413,22 +326,15 @@ def concurrency_theorems(tr: ConicTriad, tol: float = 1e-8) -> ConcurrencyReport
     if tr.kind == "v_ellipse":
         inters = pairwise_intersections(tr)
         x20 = classic_center(t, "X20")
-        exc = [
-            classic_center(t, "excenterA"),
-            classic_center(t, "excenterB"),
-            classic_center(t, "excenterC"),
-        ]
-        for idx, label in enumerate("ABC"):
-            pts = inters[idx]
+        for pts, label in zip(inters, "ABC"):
             if len(pts) < 2:
                 claims.append(ClaimResult(f"chord {label} exists", False, math.inf))
                 continue
             chord = line_through(pts[0], pts[1])
-            r_exc = chord.distance_to(exc[idx]) / diam
-            claims.append(ClaimResult(f"chord {label} through excenter", r_exc <= tol, r_exc))
-            r_x20 = chord.distance_to(x20) / diam
-            claims.append(ClaimResult(f"chord {label} through X20", r_x20 <= tol, r_x20))
-        return ConcurrencyReport(tr.kind, tuple(claims))
+            for name, q in (("excenter", classic_center(t, f"excenter{label}")), ("X20", x20)):
+                r = chord.distance_to(q) / diam
+                claims.append(ClaimResult(f"chord {label} through {name}", r <= tol, r))
+        return ConcurrencyReport(tr.kind, tuple(claims), tuple(map(tuple, inters)))
 
     if tr.kind == "v_hyperbola":
         if tr.has_degenerate_member():
@@ -452,39 +358,15 @@ def concurrency_theorems(tr: ConicTriad, tol: float = 1e-8) -> ConcurrencyReport
 
 
 def second_common_point(tr: ConicTriad) -> Point2:
-    """Second common point P' of a P-hyperbola triad.
-
-    A triple-common point carries signed focal differences (+l_a, +l_b, +l_c)
-    or (-l_a, -l_b, -l_c); mixed patterns would force some l to vanish.  P'
-    usually sits on the branches opposite P, but the same-branch double
-    intersection also occurs (the analog of the external Soddy regime), so
-    both coherent patterns are accepted.
-    """
+    """Second common point P' of a P-hyperbola triad, by
+    kernels.second_point on the triad's floats; NotFound without one."""
     if tr.kind != "p_hyperbola":
         raise ValueError("second_common_point applies to P-hyperbola triads")
-    t, p = tr.t, tr.p
-    scale = t.scale()
-
-    def lam_signs(q: Point2) -> tuple[float, ...]:
-        return kernels._sides_deltas(*_kernel_args(t, tr.kind, q))[1]
-
-    best = None
-    best_res = math.inf
-    for pair in pairwise_intersections(tr):
-        for q in pair:
-            if distance(q, p) <= 1e-7 * scale:
-                continue
-            got = lam_signs(q)
-            res = min(
-                max(abs(g - lam) for g, lam in zip(got, tr.deltas)),
-                max(abs(g + lam) for g, lam in zip(got, tr.deltas)),
-            )
-            if res < best_res:
-                best_res = res
-                best = q
-    if best is None or best_res > 1e-6 * scale:
+    args = _kernel_args(tr.t, tr.kind, tr.p)
+    x, y, found = kernels.second_point(*args[:6], *args[7:])
+    if not found:
         raise NotFound("no second triple-common point found")
-    return best
+    return Point2(x, y)
 
 
 def equal_area_check(tr: ConicTriad) -> tuple[float, float]:

@@ -17,13 +17,13 @@ stream and configuration is that of `random_triangle` and
 their rng in blocks.
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  P2.2, P3.1, P3.8
-and P5.2 each run as one batch: all their configurations go through a
-single `kernels.six_point` call on arrays, whose codes and residuals are
-bit for bit those of its float path.  The sign scans of P2.6, P3.4 and
-P5.7 hand one evaluator to `bisect_sign_changes` as both f and f_grid:
-`kernels.six_point` on the scan grid's array, and on the floats of the
-Brent polish.
+`_per_trial`, which turns a crash into a failed trial.  Seven run as one
+batch on arrays, bit for bit the kernels' float paths: P2.2, P3.1, P3.8
+and P5.2 in one `kernels.six_point` call, P4.7 and P5.6 in one
+`kernels.pair_points` call, P5.1 in one `kernels.second_point` call.  The
+sign scans of P2.6, P3.4 and P5.7 hand `kernels.six_point` to
+`bisect_sign_changes` as both f (the floats of the Brent polish) and
+f_grid (the scan grid's array).
 
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
@@ -67,6 +67,7 @@ from .conic import (
 from .errors import (
     ConstructionFailed,
     DegenerateTriangle,
+    NotFound,
     RankDeficient,
     UnknownProposition,
 )
@@ -105,8 +106,6 @@ from .triads import (
     concurrency_theorems,
     driver_fault,
     equal_area_check,
-    pairwise_intersections,
-    second_common_point,
     six_point_conic,
     triad_vertices,
     two_branch_chord,
@@ -305,24 +304,40 @@ def _chk_yiu_vertices(cfg) -> float:
     return max(res, rep.residual6)
 
 
-def _six_point_cfgs(cfgs, kind: int) -> tuple:
-    """kernels.six_point over the configurations' triangles (and drivers
-    P, for the P-kinds), in one call on arrays."""
+def _cfg_args(cfgs, kind: int) -> tuple:
+    """The configurations' kernel arguments for a kind, as arrays: the six
+    triangle coordinates, the kind, and P (zeros for the V-kinds)."""
     tri = np.array([cfg["triangle"] for cfg in cfgs], dtype=float).reshape(-1, 6)
     if kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA):
         p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
     else:
         p = np.zeros((len(cfgs), 2))
-    return kernels.six_point(*tri.T, kind, *p.T)
+    return (*tri.T, kind, *p.T)
+
+
+def _member_residuals(args, xs, ys) -> tuple:
+    """||q - F1| - |q - F2|| - L| / s of each member i of the triads of
+    args (axis L, s the largest side) at (xs[i], ys[i]) on arrays, with
+    the focal differences at q of the P-hyperbola rule: (residuals, axes,
+    s, _sides_deltas' flag)."""
+    sides, lam, bad = kernels._sides_deltas(*args)
+    at = [kernels._sides_deltas(*args[:6], kernels.KIND_P_HYPERBOLA, x, y)[1][i]
+          for i, (x, y) in enumerate(zip(xs, ys))]
+    s = kernels._largest(sides)
+    return np.array([abs(abs(d) - abs(l)) / s for d, l in zip(at, lam)]), np.abs(lam), s, bad
+
+
+def _fail_or(failed, values, exc=ConstructionFailed("a triad member degenerates")) -> list:
+    return [exc if f else v for f, v in zip(failed.tolist(), values.tolist())]
 
 
 def _batch_check(kind: int, score):
     """A proposition's run from score(class code, residual6), all its
-    configurations in one _six_point_cfgs call; a configuration the kernel
+    configurations in one kernels.six_point call; a configuration the kernel
     fails on crashes its trial with ConstructionFailed."""
 
     def run(cfgs) -> list:
-        codes, _, _, res6 = _six_point_cfgs(cfgs, kind)
+        codes, _, _, res6 = kernels.six_point(*_cfg_args(cfgs, kind))
         return [
             ConstructionFailed("a triad member degenerates or the fit vanishes")
             if code == kernels.CLASS_FAILED
@@ -370,22 +385,17 @@ def _vell_chord_line_bary(a, b, c):
 
 def _chk_chords_x20(cfg) -> float:
     t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_ellipse")
-    rep = concurrency_theorems(tr)
-    worst = rep.max_residual if rep.claims else 1.0
-    if not rep.passed:
-        worst = max(worst, 1.0)
-    # Cross-check the first chord against its closed-form line.
-    inters = pairwise_intersections(tr)[0]
-    if len(inters) == 2:
-        a, b, c = t.sides()
-        lco = _vell_chord_line_bary(a, b, c)
-        m = max(abs(v) for v in lco)
-        for q in inters:
-            u = cartesian_to_bary(t, q).normalized()
-            worst = max(worst, abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w) / m)
-    else:
-        worst = max(worst, 1.0)
+    rep = concurrency_theorems(build_triad(t, "v_ellipse"))
+    worst = rep.max_residual if rep.passed else max(rep.max_residual, 1.0)
+    # Cross-check the first chord, through the report's pair points,
+    # against its closed-form line.
+    if len(rep.points[0]) != 2:
+        return max(worst, 1.0)
+    lco = _vell_chord_line_bary(*t.sides())
+    m = max(abs(v) for v in lco)
+    for q in rep.points[0]:
+        u = cartesian_to_bary(t, q).normalized()
+        worst = max(worst, abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w) / m)
     return worst
 
 
@@ -611,10 +621,10 @@ def _chk_equilateral_regions(cfg) -> float:
 
 
 def _chk_never_rectangular(cfgs) -> list[float]:
-    """All trials in one _six_point_cfgs call: 1.0 where the P-ellipse
+    """All trials in one kernels.six_point call: 1.0 where the P-ellipse
     six-point conic is a rectangular hyperbola, else 0.0 (a failed
     construction included)."""
-    codes = _six_point_cfgs(cfgs, kernels.KIND_P_ELLIPSE)[0]
+    codes = kernels.six_point(*_cfg_args(cfgs, kernels.KIND_P_ELLIPSE))[0]
     return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0).tolist()
 
 
@@ -756,23 +766,26 @@ def _chk_halftangent_sextic(cfg) -> float:
     return max(worst, abs(y - c.y))
 
 
-def _chk_vhyp_through_vell(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tre = build_triad(t, "v_ellipse")
-    trh = build_triad(t, "v_hyperbola")
-    if trh.has_degenerate_member():
-        return 0.0
-    s = t.scale()
-    worst = 0.0
-    inters = pairwise_intersections(tre)
-    for i in range(3):
-        pts = inters[i]
-        if len(pts) < 2:
-            return 1.0
-        m = trh.members[i]
-        for q in pts:
-            worst = max(worst, _focal_diff_residual(q, m) / s)
-    return worst
+def _through_pair_points(ellipse: int, hyperbola: int):
+    """P4.7 (V-triads) or P5.6 (P-triads) on all configurations at once:
+    the hyperbola members' focal residuals at the ellipse pair points
+    (kernels.pair_points on arrays), other than the driver P; 1 where a
+    pair has fewer than two such points (P4.7) or none (P5.6), 0 where a
+    V-hyperbola member is a perpendicular bisector."""
+    driver = ellipse == kernels.KIND_P_ELLIPSE
+
+    def run(cfgs) -> list:
+        args = _cfg_args(cfgs, hyperbola)
+        xs, ys, keep, bad = kernels.pair_points(*args[:6], ellipse, *args[7:])
+        res, lengths, s, bad_h = _member_residuals(args, xs, ys)
+        if driver:
+            keep &= kernels._hypot(xs - args[7], ys - args[8]) > 1e-7 * s
+        short = (keep.sum(axis=1) < (1 if driver else 2)).any(axis=0)
+        worst = np.where(short, 1.0, np.where(keep, res, 0.0).max(axis=(0, 1)))
+        bisector = lengths.min(axis=0) <= kernels.MEMBER_GUARD * s
+        return _fail_or(bad | bad_h, np.where(bisector, 0.0, worst))
+
+    return run
 
 
 def _vhyp_chord_line_bary(a, b, c):
@@ -841,19 +854,16 @@ def _chk_soddy_line_tangent(cfg) -> float:
     return worst
 
 
-def _chk_second_point(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p = Point2(*cfg["p"])
-    tr = build_triad(t, "p_hyperbola", p)
-    q = second_common_point(tr)
-    s = t.scale()
-    worst = 0.0
-    for m in tr.members:
-        worst = max(worst, _focal_diff_residual(q, m) / s)
-    gaps = sorted((abs(l) for l in tr.deltas), reverse=True)
+def _chk_second_point(cfgs) -> list:
+    """P5.1 on all configurations at once: P' (kernels.second_point) on all
+    three members, and the vertex-gap identity; NotFound without a P'."""
+    args = _cfg_args(cfgs, kernels.KIND_P_HYPERBOLA)
+    x, y, found = kernels.second_point(*args[:6], *args[7:])
+    res, lengths, s, _ = _member_residuals(args, [x] * 3, [y] * 3)
+    gaps = np.sort(lengths, axis=0)
     # Gap identity tolerance 1e-10 scaled into the 1e-8 threshold.
-    worst = max(worst, abs(gaps[0] - gaps[1] - gaps[2]) / s * 100.0)
-    return worst
+    worst = np.maximum(res.max(axis=0), abs(gaps[2] - gaps[1] - gaps[0]) / s * 100.0)
+    return _fail_or(~found, worst, NotFound("no second triple-common point found"))
 
 
 def _chk_equal_areas(cfg) -> float:
@@ -890,24 +900,6 @@ def _chk_x55(cfg) -> float:
     rep = x55_conjecture_check(t)
     r = rep.circumradius
     return max(rep.circle_spread / r, rep.concentricity_error / r, rep.x7_match_error / r)
-
-
-def _chk_phyp_through_pell(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p = Point2(*cfg["p"])
-    tre = build_triad(t, "p_ellipse", p)
-    trh = build_triad(t, "p_hyperbola", p)
-    s = t.scale()
-    worst = 0.0
-    inters = pairwise_intersections(tre)
-    for i in range(3):
-        pts = [q for q in inters[i] if distance(q, p) > 1e-7 * s]
-        if not pts:
-            return 1.0
-        m = trh.members[i]
-        for q in pts:
-            worst = max(worst, _focal_diff_residual(q, m) / s)
-    return worst
 
 
 def _phyp_parabola_on_ray(t: Triangle, ang: float):
@@ -1233,17 +1225,17 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
     Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _per_trial(_chk_soddy_intersections), 1e-8, 100),
     Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _per_trial(_chk_halftangent_sextic), 1e-9, 30),
-    Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _per_trial(_chk_vhyp_through_vell), 1e-8, 60),
+    Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _through_pair_points(kernels.KIND_V_ELLIPSE, kernels.KIND_V_HYPERBOLA), 1e-8, 60),
     Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _per_trial(_chk_chords_x8), 1e-8, 60),
     Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _per_trial(_chk_fifteen_point_cubic), 1e-9, 100),
     Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _per_trial(_chk_soddy_line_tangent), 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
-    Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _per_trial(_chk_second_point), 1e-8, 100),
+    Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
     Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _per_trial(_chk_equal_areas), 1e-9, 300),
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
-    Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _per_trial(_chk_phyp_through_pell), 1e-8, 60),
+    Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
     Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _per_draw(_gen_tri_phyp_angle), _per_trial(_chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
     Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _per_draw(_gen_appendix("a_ellipse")), _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),

@@ -639,3 +639,151 @@ def test_bracket_fit_classes_match_the_lu_oracle():
         assert (codes[judged] != kernels.CLASS_FAILED).all(), kind
         compared += judged.sum()
     assert compared >= 1200
+
+
+def _pair_rows(kind, n):
+    """Kernel arguments of 2n seeded triads of this kind, n on ordinary and
+    n on flat obtuse triangles."""
+    return _seeded_kernel_args(kind, (0.0, 0.0), n) + _seeded_kernel_args(kind, (0.0, 0.0), n, flat=True)
+
+
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_pair_points_same_bits_on_floats_and_arrays(kind):
+    # 400 seeded triads: the mask, and every kept point, are the same bits
+    # alone on floats and in one call on arrays; so is P' of the P-hyperbolas.
+    rows = _pair_rows(kind, 200)
+    cols = np.array(rows).T
+    code = kernels.KIND_CODES[kind]
+    xs, ys, keep, bad = kernels.pair_points(*cols[:6], code, *cols[7:])
+    assert xs.shape == ys.shape == keep.shape == (3, 4, len(rows))
+    assert not bad.any()
+    for i, args in enumerate(rows):
+        fx, fy, fkeep, fbad = kernels.pair_points(*args)
+        assert fbad is False
+        assert keep[:, :, i].tolist() == fkeep, i
+        got = [(x, y) for x, y, ok in zip(xs[:, :, i].ravel().tolist(), ys[:, :, i].ravel().tolist(), keep[:, :, i].ravel()) if ok]
+        want = [(x, y) for rx, ry, rk in zip(fx, fy, fkeep) for x, y, ok in zip(rx, ry, rk) if ok]
+        assert got == want, i
+    assert keep.sum(axis=(0, 1)).min() >= 2
+    if code == kernels.KIND_P_HYPERBOLA:
+        px, py, found = kernels.second_point(*cols[:6], *cols[7:])
+        assert found.all()
+        for i, args in enumerate(rows):
+            assert kernels.second_point(*args[:6], *args[7:]) == (px[i], py[i], True), i
+
+
+def test_pair_points_on_floats_runs_no_numpy(monkeypatch):
+    class NoNumpy:
+        ndarray = np.ndarray
+
+        def __getattr__(self, name):
+            raise AssertionError(f"pair_points used np.{name}")
+
+    good = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, kernels.KIND_P_HYPERBOLA, 0.9, 0.7)
+    want = kernels.pair_points(*good), kernels.second_point(*good[:6], *good[7:])
+    monkeypatch.setattr(kernels, "np", NoNumpy())
+    got = kernels.pair_points(*good), kernels.second_point(*good[:6], *good[7:])
+    assert got == want
+    xs, ys, keep, bad = got[0]
+    assert all(type(v) is float for row in xs + ys for v in row)
+    assert all(type(v) is bool for row in keep for v in row) and bad is False
+    # C on A: no sides to divide by, on floats and arrays alike.
+    degenerate = (0.1, 0.2, 1.3, 0.15, 0.1, 0.2, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    assert kernels.pair_points(*degenerate) == (None, None, None, True)
+
+
+def test_pair_points_flag_degenerate_columns():
+    # An isosceles V-hyperbola has a perpendicular bisector for a member,
+    # and C on A leaves a side of length 0: both columns are bad, with no
+    # point kept, beside a good column.
+    cols = np.array([
+        (0.0, 1.2, 0.7, 0.0, -0.7, 0.0),
+        (0.1, 0.2, 1.3, 0.15, 0.1, 0.2),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1),
+    ]).T
+    _, _, keep, bad = kernels.pair_points(*cols, kernels.KIND_V_HYPERBOLA, 0.0, 0.0)
+    assert bad.tolist() == [True, True, False]
+    assert not keep[:, :, :2].any() and keep[:, :, 2].any()
+    assert kernels.pair_points(*cols[:, 0].tolist(), kernels.KIND_V_HYPERBOLA, 0.0, 0.0)[3] is True
+
+
+def _mp_pair_points(args):
+    """Each pair's real common points at 50 digits, from the float triangle
+    and driver taken as exact: the two lines ell_i = +-ell_j of the pair
+    met with member i, |q - F|^2 = ell_i(q)^2, as a quadratic."""
+    ax, ay, bx, by, cx, cy, kind, px, py = args
+    with mpmath.workdps(50):
+        corners = [tuple(mpmath.mpf(v) for v in q) for q in ((ax, ay), (bx, by), (cx, cy))]
+        p = (mpmath.mpf(px), mpmath.mpf(py))
+
+        def dist(q, r):
+            return mpmath.sqrt((q[0] - r[0]) ** 2 + (q[1] - r[1]) ** 2)
+
+        a, b, c = dist(corners[1], corners[2]), dist(corners[2], corners[0]), dist(corners[0], corners[1])
+        pa, pb, pc = (dist(p, q) for q in corners)
+        lengths = [abs(v) for v in {
+            kernels.KIND_V_ELLIPSE: (b + c, c + a, a + b),
+            kernels.KIND_P_ELLIPSE: (pb + pc, pc + pa, pa + pb),
+            kernels.KIND_V_HYPERBOLA: (c - b, a - c, b - a),
+            kernels.KIND_P_HYPERBOLA: (pb - pc, pc - pa, pa - pb),
+        }[kind]]
+        out = []
+        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            f = corners[k]
+            ells = []
+            for other, side, length in ((corners[j], (a, b, c)[i], lengths[i]), (corners[i], (a, b, c)[j], lengths[j])):
+                ells.append(((length - side) * (length + side) / (2 * length),
+                             ((f[0] - other[0]) / length, (f[1] - other[1]) / length)))
+            (pi, ki), (pj, kj) = ells
+            pts = []
+            for sign in (1, -1):
+                # (pi - sign pj) - (ki - sign kj).(q - f) = 0, from its
+                # closest point q0 to f along the unit direction d.
+                lx, ly = ki[0] - sign * kj[0], ki[1] - sign * kj[1]
+                n2 = lx * lx + ly * ly
+                r = (pi - sign * pj) / n2
+                q0 = (f[0] + lx * r, f[1] + ly * r)
+                d = (-ly / mpmath.sqrt(n2), lx / mpmath.sqrt(n2))
+
+                def member(t):
+                    q = (q0[0] + t * d[0] - f[0], q0[1] + t * d[1] - f[1])
+                    e = pi - ki[0] * q[0] - ki[1] * q[1]
+                    return q[0] ** 2 + q[1] ** 2 - e * e
+
+                f0, f1, fm = member(0), member(1), member(-1)
+                qa, qb = (f1 + fm) / 2 - f0, (f1 - fm) / 2
+                disc = qb * qb - 4 * qa * f0
+                if disc >= 0:
+                    for t in ((-qb + mpmath.sqrt(disc)) / (2 * qa), (-qb - mpmath.sqrt(disc)) / (2 * qa)):
+                        pts.append((float(q0[0] + t * d[0]), float(q0[1] + t * d[1])))
+            out.append(pts)
+        return out
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e4, -1e4)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_pair_points_match_mpmath(offset, scale):
+    # 120 seeded triads, moved and scaled: each pair has the oracle's number
+    # of points, each within 1e-11 of the largest side, times (r / s)^2 for
+    # a point r from the centroid beyond s (the rounding of the framed
+    # members moves a far crossing by O(r^2)), plus the ulp of its
+    # coordinates.  Measured: 2.1e-12, and 0 where the ulp dominates.
+    ox, oy = offset
+    compared = 0
+    for kind in ("v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"):
+        for row in _pair_rows(kind, 15):
+            args = [v * scale + (ox, oy)[k % 2] for k, v in enumerate(row[:6])]
+            args += [row[6], row[7] * scale + ox, row[8] * scale + oy]
+            xs, ys, keep, _ = kernels.pair_points(*args)
+            a, b, c = kernels._sides_deltas(*args)[0]
+            s = max(a, b, c)
+            gx, gy = (args[0] + args[2] + args[4]) / 3.0, (args[1] + args[3] + args[5]) / 3.0
+            for want, rx, ry, rk in zip(_mp_pair_points(args), xs, ys, keep):
+                got = [(x, y) for x, y, ok in zip(rx, ry, rk) if ok]
+                assert len(got) == len(want), (kind, args)
+                for x, y in want:
+                    r = math.hypot(x - gx, y - gy) / s
+                    tol = 1e-11 * s * max(1.0, r) ** 2 + math.ulp(max(abs(x), abs(y)))
+                    assert min(math.hypot(x - u, y - v) for u, v in got) <= tol, (kind, args)
+                    compared += 1
+    assert compared >= 800

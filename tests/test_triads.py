@@ -22,6 +22,7 @@ from triconic.conic import (
 from triconic.errors import DegenerateMember, PointOffSideline, TriconicError
 from triconic.geom import (
     BaryCoords,
+    LineEq,
     Point2,
     Triangle,
     bary_to_cartesian,
@@ -36,7 +37,6 @@ from triconic.triads import (
     carnot_product,
     concurrency_theorems,
     equal_area_check,
-    menelaus_check,
     pairwise_intersections,
     second_common_point,
     six_point_conic,
@@ -144,48 +144,6 @@ def test_carnot_product(t345, rng):
     bad[0] = Point2(bad[0].x, bad[0].y + 0.5)
     with pytest.raises(PointOffSideline):
         carnot_product(t345, bad)
-
-
-def test_menelaus_345(t345):
-    # The right-triangle collinear triple: ratios (x/p)(p/z)(y/p) with
-    # x = p-a, y = p-b, z = p-c telescoping to 1.
-    A2 = Point2(-2, 0)
-    B2 = Point2(0, 6)
-    C1 = Point2(-0.8, 3.6)
-    assert menelaus_check(t345, A2, B2, C1) == pytest.approx(1.0, abs=1e-12)
-    from triconic.geom import collinear
-
-    assert collinear(A2, B2, C1)
-
-
-def test_menelaus_non_right():
-    # 2-3-4 triangle: (p-a)(p-b) != p(p-c).
-    a, b, c = 2.0, 3.0, 4.0
-    cx = (c * c + a * a - b * b) / (2 * c)  # foot from B along AB? place B=(0,0), A=(4,0)
-    # Place B=(0,0), A=(c,0); C with |BC| = a, |CA| = b.
-    x = (a * a - b * b + c * c) / (2 * c)
-    y = math.sqrt(a * a - x * x)
-    t = Triangle(Point2(c, 0.0), Point2(0.0, 0.0), Point2(x, y))
-    assert t.sides() == pytest.approx((a, b, c))
-    p = t.semiperimeter
-    # Same construction as the right-triangle case.
-    tr = build_triad(t, "v_ellipse")
-    A1, A2, B1, B2, C1, C2 = triad_vertices(tr)
-    val = menelaus_check(t, A2, B2, C1)
-    assert abs(val - 1.0) > 1e-3
-    assert val == pytest.approx((p - a) * (p - b) / (p * (p - c)), rel=1e-9)
-
-
-def test_menelaus_midpoints_caution(t345):
-    # Midpoints give an unsigned product of 1 without being collinear; the
-    # caller owns the signed convention.
-    m1 = midpoint(t345.b, t345.c)
-    m2 = midpoint(t345.c, t345.a)
-    m3 = midpoint(t345.a, t345.b)
-    assert menelaus_check(t345, m1, m2, m3) == pytest.approx(1.0)
-    from triconic.geom import collinear
-
-    assert not collinear(m1, m2, m3)
 
 
 def test_pairwise_intersections_residuals(t456):
@@ -637,8 +595,9 @@ def test_two_branch_chord_matches_pencil_chord():
         n += 1
         centers = [q for q in soddy_centers(t) if q is not None]
         x8 = classic_center(t, "X8")
-        g, s = triads._triangle_frame(t)
-        framed = [Point2((q.x - g.x) / s, (q.y - g.y) / s) for q in centers]
+        args = triads._kernel_args(t, "v_hyperbola", None)
+        (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+        framed = [Point2((q.x - gx) / s, (q.y - gy) / s) for q in centers]
         cs = [conic_from_foci(m) for m in tr.members]
         for idx, (i, j) in enumerate(_PAIRS):
             chord = two_branch_chord(tr, idx)
@@ -652,7 +611,25 @@ def test_two_branch_chord_matches_pencil_chord():
             if score <= 1e-6 * s:
                 compared += 1
                 assert np.abs(_unit_line(chord) - _unit_line(pencil_chord)).max() <= 1e-9
-            lines = triads._focal_pair(tr, idx)[2]
+            lines = [LineEq(*line) for line in pairs[idx][2]]
             soddy = min(lines, key=lambda line: max(line.distance_to(q) for q in framed))
             assert max(soddy.distance_to(q) for q in framed) <= 1e-9
     assert compared >= 2990
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_pair_propositions_pass_at_seeds_1_to_8(seed):
+    # The propositions that rest on the pair points, at their default
+    # trials: every trial checked, none crashed, each below its bound.
+    from triconic.verify import run_proposition
+
+    for prop in (
+        "P2.4-chords-x20",
+        "P4.7-vhyp-through-vell-intersections",
+        "P4.8-chords-x8",
+        "P5.1-second-point",
+        "P5.6-phyp-through-pell-intersections",
+    ):
+        r = run_proposition(prop, seed=seed)
+        assert r.passed and r.crashed == 0, (prop, r.note)

@@ -258,10 +258,6 @@ _HANDLERS = {
             *(conic.conic_from_foci(m) for m in triads.build_triad(_tri(), "v_hyperbola").members[1:])
         ),
     ),
-    "pairwise_intersections": (
-        triads, "conic_line_intersection",
-        lambda: triads.pairwise_intersections(triads.build_triad(_tri(), "v_hyperbola")),
-    ),
 }
 
 
