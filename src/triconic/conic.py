@@ -2,10 +2,12 @@
 five-point fitting, degenerate splitting and conic-conic intersection.
 
 A conic is stored as a symmetric 3x3 matrix m with p^T m p = 0 for
-homogeneous p.  Cartesian frame uses p = (x, y, 1); barycentric frame uses
-p = (u, v, w) relative to a reference triangle.  Matrices are normalized to
-unit Frobenius norm on construction, so the fixed algebraic thresholds in
-config apply uniformly; a fitted conic is classified in its fit's frame.
+p = (x, y, 1).  Matrices are normalized to unit Frobenius norm on
+construction, so the fixed algebraic thresholds in config apply uniformly;
+a fitted conic is classified in its fit's frame.  A conic given in
+barycentrics (p = (u, v, w) relative to a reference triangle) is a bare
+matrix, read by residual_bary and mapped to a Conic by
+conic_bary_to_cartesian.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ class ConicClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Conic:
-    """Symmetric coefficient matrix plus frame tag."""
+    """Symmetric coefficient matrix of a Cartesian conic."""
 
     m: np.ndarray
-    frame: str = "cartesian"
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
@@ -63,11 +64,9 @@ class Conic:
             raise ValueError("zero conic matrix")
         m = (m + m.T) / (2.0 * norm)
         object.__setattr__(self, "m", m)
-        if self.frame not in ("cartesian", "bary"):
-            raise ValueError(f"unknown frame {self.frame!r}")
 
     @classmethod
-    def from_coeffs(cls, coeffs, frame: str = "cartesian") -> "Conic":
+    def from_coeffs(cls, coeffs) -> "Conic":
         """Coefficients in the order [xx, xy, yy, x, y, 1]."""
         A, B, C, D, E, F = (float(t) for t in coeffs)
         m = np.array(
@@ -77,7 +76,7 @@ class Conic:
                 [D / 2.0, E / 2.0, F],
             ]
         )
-        return cls(m, frame)
+        return cls(m)
 
     def coeffs(self) -> tuple[float, float, float, float, float, float]:
         (a, b, d), (_, c, e), (_, _, f) = self.m.tolist()
@@ -149,7 +148,7 @@ def conic_from_foci(fc: FocalConic) -> Conic:
     )
     s = 1.0 if fc.kind == "ellipse" else -1.0
     D = np.diag([1.0 / (alpha * alpha), s / (beta * beta), -1.0])
-    return Conic(H.T @ D @ H, "cartesian")
+    return Conic(H.T @ D @ H)
 
 
 def vertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
@@ -169,14 +168,9 @@ def _normalized(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m)
 
 
-def classify(c: Conic, triangle: Triangle | None = None) -> ConicClass:
-    """Classify a conic by kernels.classify_code; barycentric conics are
-    converted to Cartesian first.  A fitted conic is classified in the frame
-    of its fit instead (FramedFit.conic_class)."""
-    if c.frame == "bary":
-        if triangle is None:
-            raise ValueError("classification of a barycentric conic needs its triangle")
-        c = conic_bary_to_cartesian(c, triangle)
+def classify(c: Conic) -> ConicClass:
+    """Classify a conic by kernels.classify_code.  A fitted conic is
+    classified in the frame of its fit instead (FramedFit.conic_class)."""
     return _conic_class(c.coeffs())
 
 
@@ -251,18 +245,17 @@ def residual(c: Conic, p: Point2) -> float:
     return val / (float(np.linalg.norm(c.m)) * float(v @ v))
 
 
-def residual_bary(c: Conic, b) -> float:
-    """Barycentric-frame incidence residual for a homogeneous triple."""
+def residual_bary(m: np.ndarray, b) -> float:
+    """Incidence residual of the homogeneous triple b on the conic with
+    barycentric matrix m."""
     v = np.array([b.u, b.v, b.w], dtype=float)
     v = v / np.abs(v).max()
-    val = abs(float(v @ c.m @ v))
-    return val / (float(np.linalg.norm(c.m)) * float(v @ v))
+    val = abs(float(v @ m @ v))
+    return val / (float(np.linalg.norm(m)) * float(v @ v))
 
 
 def conic_line_intersection(c: Conic, line: LineEq) -> list[Point2]:
     """Real intersection points, stable quadratic handling."""
-    if c.frame != "cartesian" or line.frame != "cartesian":
-        raise ValueError("conic_line_intersection expects cartesian frame")
     # Parametrize the line as p0 + t*d.
     nrm2 = line.l * line.l + line.m * line.m
     p0 = Point2(-line.l * line.n / nrm2, -line.m * line.n / nrm2)
@@ -314,10 +307,9 @@ def tangency_discriminant(c: Conic, line: LineEq) -> float:
     return qb * qb - 4.0 * qa * qc
 
 
-def conic_bary_to_cartesian(c: Conic, t: Triangle) -> Conic:
-    """Congruent Cartesian conic via the linear barycentric change of frame."""
-    if c.frame != "bary":
-        raise ValueError("conic is not in a barycentric frame")
+def conic_bary_to_cartesian(m: np.ndarray, t: Triangle) -> Conic:
+    """The Cartesian conic of the barycentric matrix m relative to t, by
+    the linear change of coordinates."""
     # Rows of T give barycentric coordinates (up to common scale) of (x, y, 1).
     ax, ay = t.a.x, t.a.y
     bx, by = t.b.x, t.b.y
@@ -329,7 +321,7 @@ def conic_bary_to_cartesian(c: Conic, t: Triangle) -> Conic:
             [ay - by, bx - ax, ax * by - bx * ay],
         ]
     )
-    return Conic(T.T @ c.m @ T, "cartesian")
+    return Conic(T.T @ m @ T)
 
 
 def split_degenerate(c: Conic) -> tuple[LineEq, LineEq]:
@@ -405,7 +397,7 @@ def _real_lines(m: np.ndarray) -> tuple[LineEq, LineEq] | None:
     if np.linalg.norm(m) <= 1e-13:
         return None
     try:
-        return split_degenerate(Conic(m, "cartesian"))
+        return split_degenerate(Conic(m))
     except LineOnConic:
         return None
 

@@ -160,33 +160,23 @@ class BaryCoords:
 
 @dataclass(frozen=True)
 class LineEq:
-    """Line l*x + m*y + n = 0 (cartesian) or l*u + m*v + n*w = 0 (bary)."""
+    """Line l*x + m*y + n = 0."""
 
     l: float
     m: float
     n: float
-    frame: str = "cartesian"
 
     def __post_init__(self):
         if self.l == 0.0 and self.m == 0.0 and self.n == 0.0:
             raise ValueError("zero line")
-        if self.frame not in ("cartesian", "bary"):
-            raise ValueError(f"unknown frame {self.frame!r}")
 
     def eval_point(self, p: Point2) -> float:
-        assert self.frame == "cartesian"
         return self.l * p.x + self.m * p.y + self.n
 
-    def eval_bary(self, b: BaryCoords) -> float:
-        assert self.frame == "bary"
-        return self.l * b.u + self.m * b.v + self.n * b.w
-
     def distance_to(self, p: Point2) -> float:
-        assert self.frame == "cartesian"
         return abs(self.eval_point(p)) / math.hypot(self.l, self.m)
 
     def direction(self) -> Point2:
-        assert self.frame == "cartesian"
         return Point2(-self.m, self.l)
 
 
@@ -253,7 +243,6 @@ def reflect_about_point(p: Point2, center: Point2) -> Point2:
 
 
 def reflect_about_line(p: Point2, line: LineEq) -> Point2:
-    assert line.frame == "cartesian"
     d = line.eval_point(p) / (line.l * line.l + line.m * line.m)
     return Point2(p.x - 2.0 * d * line.l, p.y - 2.0 * d * line.m)
 

@@ -18,7 +18,7 @@ P3.1, P3.8 and P5.2 trials.  `loci.sample_locus_ostar` calls `vertices`,
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines
-`triads.two_branch_chord` reads for P4.8): on floats for
+`triads.two_branch_chords` reads in one call for P4.8): on floats for
 `triads.pairwise_intersections` (P2.4's chords), on arrays for the P4.7
 and P5.6 trials and, through `second_point` (a P-hyperbola triad's second
 common point), the P5.1 trials.

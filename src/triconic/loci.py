@@ -240,13 +240,6 @@ PLANE_CURVES = {
 }
 
 
-def eval_implicit(curve_id: str, context: dict) -> float:
-    """Evaluate one of PLANE_CURVES at {"x", "y"}; KeyError if unknown."""
-    if curve_id not in PLANE_CURVES:
-        raise KeyError(f"unknown implicit curve {curve_id!r}")
-    return PLANE_CURVES[curve_id](context["x"], context["y"])
-
-
 # ---------------------------------------------------------------------------
 # Degenerate-center loci
 # ---------------------------------------------------------------------------
@@ -489,19 +482,6 @@ def equilateral_ostar_locus_check() -> EquilateralOstarReport:
 # ---------------------------------------------------------------------------
 
 _CIRCLE_TARGET = 1e-16  # times s**8: the circle functionals have degree 8 in lengths
-
-
-def find_pstar(t: Triangle) -> Point2:
-    """The principal point whose P-ellipse six-point conic is a circle
-    concentric with the circumcircle.
-
-    The circle functional can vanish at additional genuine points very
-    close to a vertex (verified counterexamples to strict uniqueness, which
-    is an open question); of the validated bracket roots, the one with the
-    largest clearance from the vertices is returned, matching the central
-    solution of the level-curve picture.
-    """
-    return Point2(*find_pstar_candidates(t)[0][0])
 
 
 # How far, relative to the circumradius, a circle's center may lie from

@@ -225,9 +225,8 @@ def _scene_bbox(scene: Scene):
         for q in line:
             add((q.x, q.y))
     for con in scene.conics:
-        if con.frame == "cartesian":
-            for corner in _ellipse_box(con):
-                add(corner)
+        for corner in _ellipse_box(con):
+            add(corner)
     if not xs:
         raise EmptyScene("nothing to render")
     xmin, xmax = min(xs), max(xs)
@@ -286,14 +285,11 @@ def emit_svg(scene: Scene) -> str:
                 )
         spc = trj.get("six_point_conic")
         if spc:
-            con = _conic_from_json(spc)
-            if con.frame == "cartesian":
-                for branch in _conic_samples(con, bbox):
-                    out.append(_path(branch, "#aa3377", stroke_w, dashed=True))
+            for branch in _conic_samples(_conic_from_json(spc), bbox):
+                out.append(_path(branch, "#aa3377", stroke_w, dashed=True))
     for con in scene.conics:
-        if con.frame == "cartesian":
-            for branch in _conic_samples(con, bbox):
-                out.append(_path(branch, "#aa3377", stroke_w))
+        for branch in _conic_samples(con, bbox):
+            out.append(_path(branch, "#aa3377", stroke_w))
     for c in scene.circles:
         out.append(
             f'<circle cx="{c.center.x:.6g}" cy="{-c.center.y:.6g}" r="{c.radius:.6g}" '

@@ -90,6 +90,9 @@ class Scene:
         if data.get("p"):
             sc.p = Point2(*data["p"])
         sc.triads = list(data.get("triads", []))
+        for trj in sc.triads:
+            if trj.get("six_point_conic"):
+                _conic_from_json(trj["six_point_conic"])
         sc.conics = [_conic_from_json(cj) for cj in data.get("conics", [])]
         sc.circles = [
             Circle(Point2(cj["cx"], cj["cy"]), cj["r"]) for cj in data.get("circles", [])
@@ -120,11 +123,16 @@ class Scene:
 
 
 def _conic_json(c: Conic) -> dict:
-    return {"coeffs": list(c.coeffs()), "frame": c.frame}
+    return {"coeffs": list(c.coeffs()), "frame": "cartesian"}
 
 
 def _conic_from_json(data: dict) -> Conic:
-    return Conic.from_coeffs(data["coeffs"], data.get("frame", "cartesian"))
+    """The Conic of a scene's conic entry; ValueError unless its frame is
+    Cartesian, the only one scenes hold."""
+    frame = data.get("frame", "cartesian")
+    if frame != "cartesian":
+        raise ValueError(f"scene conic in frame {frame!r}: only 'cartesian' is supported")
+    return Conic.from_coeffs(data["coeffs"])
 
 
 def scene_for_triad(t: Triangle, kind: str, p: Point2 | None = None) -> Scene:

@@ -2,9 +2,10 @@
 
 A triad attaches one conic to each side: foci at (B,C), (C,A), (A,B).
 V-kinds pass through the opposite vertex, P-kinds through a chosen point P.
-Each triad is centered at the side midpoints, its six vertices lie on a
-conic, and the per-kind concurrency/incidence statements are exposed as
-checkable reports.
+Each triad is centered at the side midpoints and its six vertices lie on a
+conic.  The per-kind concurrency and incidence claims are checked in
+verify, each in its proposition, from pairwise_intersections and
+two_branch_chords.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
-from .centers import classic_center, soddy_centers
+from .centers import soddy_centers
 from .config import DET_DEGENERATE_TOL, get_tol
 from .conic import (
     Conic,
@@ -34,7 +35,6 @@ from .geom import (
     Point2,
     Triangle,
     distance,
-    line_through,
     midpoint,
     signed_area,
 )
@@ -265,96 +265,30 @@ def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
     )
 
 
-def two_branch_chord(tr: ConicTriad, pair_index: int) -> LineEq:
-    """Chord through the opposite-branch intersections of a hyperbola pair.
+def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
+    """Chords through the opposite-branch intersections of the hyperbola
+    pairs (b,c), (c,a), (a,b), from one kernels.focal_pairs call.
 
-    Of the pair's two lines from kernels.focal_pairs, the one through the
-    Soddy centers X175/X176 is the Soddy line; the other is the sought
-    chord.  Works even when the chord's endpoints are complex.
+    Of each pair's two lines, the one through the Soddy centers X175/X176
+    is the Soddy line; the other is the sought chord.  Works even when a
+    chord's endpoints are complex.
     """
     if tr.kind != "v_hyperbola":
-        raise ValueError("two_branch_chord applies to V-hyperbola triads")
+        raise ValueError("two_branch_chords applies to V-hyperbola triads")
     (gx, gy, s), pairs, bad = kernels.focal_pairs(*_kernel_args(tr.t, tr.kind, tr.p))
     if bad:
         raise DegenerateMember("two-branch chords need nondegenerate members")
-    centers = [q for q in soddy_centers(tr.t) if q is not None]
-    framed = [((q.x - gx) / s, (q.y - gy) / s) for q in centers]
-    lines = pairs[pair_index][2]
-    scores = [max(abs(l * x + m * y + n) for x, y in framed) / math.hypot(l, m)
-              for l, m, n in lines]
-    soddy = 0 if scores[0] <= scores[1] else 1
-    if scores[soddy] > 1e-6:
-        raise NotFound("neither line of the pair is the Soddy line")
-    l, m, n = lines[1 - soddy]
-    return LineEq(l, m, n * s - l * gx - m * gy)
-
-
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class ConcurrencyReport:
-    kind: str
-    claims: tuple[ClaimResult, ...]
-    # V-ellipse: the pairwise_intersections the chords are drawn through.
-    points: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.claims)
-
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.claims), default=0.0)
-
-
-def concurrency_theorems(tr: ConicTriad, tol: float = 1e-8) -> ConcurrencyReport:
-    """Per-kind concurrency/incidence claims with residuals.
-
-    V-ellipse: the chords through the pairwise intersections pass through
-    the excenters and concur at X20.  V-hyperbola: the triad passes through
-    both Soddy centers, and the two-branch chords concur at X8.
-    """
-    t = tr.t
-    diam = 2.0 * (t.side_a * t.side_b * t.side_c) / (4.0 * t.area)
-    claims: list[ClaimResult] = []
-
-    if tr.kind == "v_ellipse":
-        inters = pairwise_intersections(tr)
-        x20 = classic_center(t, "X20")
-        for pts, label in zip(inters, "ABC"):
-            if len(pts) < 2:
-                claims.append(ClaimResult(f"chord {label} exists", False, math.inf))
-                continue
-            chord = line_through(pts[0], pts[1])
-            for name, q in (("excenter", classic_center(t, f"excenter{label}")), ("X20", x20)):
-                r = chord.distance_to(q) / diam
-                claims.append(ClaimResult(f"chord {label} through {name}", r <= tol, r))
-        return ConcurrencyReport(tr.kind, tuple(claims), tuple(map(tuple, inters)))
-
-    if tr.kind == "v_hyperbola":
-        if tr.has_degenerate_member():
-            raise DegenerateMember("concurrency theorems need nondegenerate members")
-        x175, x176 = soddy_centers(t)
-        for idx, label in enumerate("abc"):
-            member = tr.members[idx]
-            r176 = _focal_diff_residual(x176, member) / diam
-            claims.append(ClaimResult(f"H_{label} through X176", r176 <= tol, r176))
-            if x175 is not None:
-                r175 = _focal_diff_residual(x175, member) / diam
-                claims.append(ClaimResult(f"H_{label} through X175", r175 <= tol, r175))
-        x8 = classic_center(t, "X8")
-        for idx, label in enumerate("ABC"):
-            chord = two_branch_chord(tr, idx)
-            r = chord.distance_to(x8) / diam
-            claims.append(ClaimResult(f"two-branch chord {label} through X8", r <= tol, r))
-        return ConcurrencyReport(tr.kind, tuple(claims))
-
-    raise ValueError(f"no concurrency theorems registered for {tr.kind}")
+    framed = [((q.x - gx) / s, (q.y - gy) / s) for q in soddy_centers(tr.t) if q is not None]
+    chords = []
+    for _, _, lines in pairs:
+        scores = [max(abs(l * x + m * y + n) for x, y in framed) / math.hypot(l, m)
+                  for l, m, n in lines]
+        soddy = 0 if scores[0] <= scores[1] else 1
+        if scores[soddy] > 1e-6:
+            raise NotFound("neither line of the pair is the Soddy line")
+        l, m, n = lines[1 - soddy]
+        chords.append(LineEq(l, m, n * s - l * gx - m * gy))
+    return tuple(chords)
 
 
 def second_common_point(tr: ConicTriad) -> Point2:

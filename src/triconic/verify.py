@@ -25,6 +25,12 @@ sign scans of P2.6, P3.4 and P5.7 hand `kernels.six_point` to
 `bisect_sign_changes` as both f (the floats of the Brent polish) and
 f_grid (the scan grid's array).
 
+Each claim of the paper is checked in its one proposition, on the
+triads' own constructions: P2.4 draws its chords through
+`triads.pairwise_intersections`, P4.8 reads `triads.two_branch_chords`,
+and P4.3 and P4.4 take the closed-form six-point conic as a barycentric
+matrix (`privalov_conic`).
+
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
 into the primary one (noted inline).  Conjecture checks are marked as
@@ -56,7 +62,6 @@ from .centers import (
 )
 from .config import get_tol
 from .conic import (
-    Conic,
     ConicClass,
     conic_bary_to_cartesian,
     conic_from_foci,
@@ -103,12 +108,12 @@ from .loci import (
 from .triads import (
     _focal_diff_residual,
     build_triad,
-    concurrency_theorems,
     driver_fault,
     equal_area_check,
+    pairwise_intersections,
     six_point_conic,
     triad_vertices,
-    two_branch_chord,
+    two_branch_chords,
 )
 
 
@@ -384,16 +389,27 @@ def _vell_chord_line_bary(a, b, c):
 
 
 def _chk_chords_x20(cfg) -> float:
+    """The chords through the V-ellipse pair points pass through the
+    excenters and X20: the worst distance over the circumdiameter, inf
+    where a pair has fewer than two points."""
     t = _cfg_tri(cfg)
-    rep = concurrency_theorems(build_triad(t, "v_ellipse"))
-    worst = rep.max_residual if rep.passed else max(rep.max_residual, 1.0)
-    # Cross-check the first chord, through the report's pair points,
-    # against its closed-form line.
-    if len(rep.points[0]) != 2:
+    inters = pairwise_intersections(build_triad(t, "v_ellipse"))
+    diam = 2.0 * (t.side_a * t.side_b * t.side_c) / (4.0 * t.area)
+    x20 = classic_center(t, "X20")
+    worst = 0.0
+    for pts, label in zip(inters, "ABC"):
+        if len(pts) < 2:
+            return math.inf
+        chord = line_through(pts[0], pts[1])
+        for q in (classic_center(t, f"excenter{label}"), x20):
+            worst = max(worst, chord.distance_to(q) / diam)
+    # Cross-check the first chord, through its pair points, against its
+    # closed-form line.
+    if len(inters[0]) != 2:
         return max(worst, 1.0)
     lco = _vell_chord_line_bary(*t.sides())
     m = max(abs(v) for v in lco)
-    for q in rep.points[0]:
+    for q in inters[0]:
         u = cartesian_to_bary(t, q).normalized()
         worst = max(worst, abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w) / m)
     return worst
@@ -678,8 +694,9 @@ def _chk_intouch_extouch(cfg) -> float:
     return max(worst, abs(a1 - a2) / max(a1, a2))
 
 
-def privalov_conic(t: Triangle) -> Conic:
-    """Barycentric six-point conic of the V-hyperbola triad (closed form)."""
+def privalov_conic(t: Triangle) -> np.ndarray:
+    """Barycentric matrix, of unit Frobenius norm, of the six-point conic of
+    the V-hyperbola triad (closed form)."""
     a, b, c = t.sides()
     k1, k2, k3 = a - b - c, a + b - c, a - b + c
     k4 = a * a + b * b + c * c
@@ -691,7 +708,7 @@ def privalov_conic(t: Triangle) -> Conic:
             [k3 * (k4 - 2 * a * c), -k1 * (k4 - 2 * b * c), d],
         ]
     )
-    return Conic(m, "bary")
+    return m / np.linalg.norm(m)
 
 
 def _chk_privalov(cfg) -> float:
@@ -699,13 +716,13 @@ def _chk_privalov(cfg) -> float:
     tr = build_triad(t, "v_hyperbola")
     if tr.has_degenerate_member():
         return 0.0
-    con = privalov_conic(t)
+    mb = privalov_conic(t)
     worst = max(
-        residual_bary(con, cartesian_to_bary(t, v).normalized())
+        residual_bary(mb, cartesian_to_bary(t, v).normalized())
         for v in triad_vertices(tr)
     )
     fitted = six_point_conic(tr).conic
-    mc = conic_bary_to_cartesian(con, t).m
+    mc = conic_bary_to_cartesian(mb, t).m
     mf = fitted.m
     diff = min(float(np.abs(mc - mf).max()), float(np.abs(mc + mf).max()))
     return max(worst, diff)
@@ -804,10 +821,7 @@ def _chk_chords_x8(cfg) -> float:
         return 0.0
     diam = 2.0 * circumcircle(t).radius
     x8 = classic_center(t, "X8")
-    worst = 0.0
-    for i in range(3):
-        chord = two_branch_chord(tr, i)
-        worst = max(worst, chord.distance_to(x8) / diam)
+    worst = max(chord.distance_to(x8) / diam for chord in two_branch_chords(tr))
     # Closed-form cross-check: the bary line for the A-chord contains X8.
     a, b, c = t.sides()
     lco = _vhyp_chord_line_bary(a, b, c)

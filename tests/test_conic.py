@@ -154,7 +154,7 @@ def test_conic_bary_to_cartesian_circumcircle(t345):
             [b * b / 2, a * a / 2, 0.0],
         ]
     )
-    con = conic_bary_to_cartesian(Conic(m, "bary"), t345)
+    con = conic_bary_to_cartesian(m, t345)
     assert classify(con) is ConicClass.CIRCLE
     assert distance(center(con), Point2(2, 1.5)) < 1e-12
     assert residual(con, Point2(0, 3)) < 1e-14
@@ -169,11 +169,10 @@ def test_bary_frame_vertex_check(t345):
             [b * b / 2, a * a / 2, 0.0],
         ]
     )
-    bary = Conic(m, "bary")
-    cart = conic_bary_to_cartesian(bary, t345)
+    cart = conic_bary_to_cartesian(m, t345)
     # Vertex A = [1,0,0]: both frames must agree the point is on the conic.
     v = np.array([1.0, 0.0, 0.0])
-    assert abs(v @ bary.m @ v) < 1e-15
+    assert abs(v @ m @ v) < 1e-15
     assert residual(cart, t345.a) < 1e-14
 
 
@@ -283,20 +282,3 @@ def test_line_on_conic_component():
     crossing = Conic.from_coeffs([0, 1, 0, 0, 0, 0])  # xy = 0
     with pytest.raises(LineOnConic):
         conic_line_intersection(crossing, LineEq(1, 0, 0))  # x = 0
-
-
-def test_classify_barycentric_frame(t345):
-    import numpy as np
-
-    a, b, c = t345.sides()
-    m = np.array(
-        [
-            [0.0, c * c / 2, b * b / 2],
-            [c * c / 2, 0.0, a * a / 2],
-            [b * b / 2, a * a / 2, 0.0],
-        ]
-    )
-    bary = Conic(m, "bary")
-    assert classify(bary, t345) is ConicClass.CIRCLE
-    with pytest.raises(ValueError):
-        classify(bary)

@@ -15,9 +15,7 @@ from triconic.loci import (
     covertex_condition_equilateral_P,
     covertex_locus_V,
     equilateral_ostar_locus_check,
-    eval_implicit,
     find_phyp_circle_points,
-    find_pstar,
     find_pstar_candidates,
     halftangent_sextic,
     ostar_arc_ellipses,
@@ -41,7 +39,6 @@ from triconic.verify import random_flat_triangle, random_triangle
 def test_x478_quartic_values():
     assert x478_quartic(0.5, 1.0) == pytest.approx(0.0, abs=1e-14)
     assert x478_quartic(0.0, 0.0) == 0.0
-    assert eval_implicit("x478_quartic", {"x": 0.5, "y": 1.0}) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_halftangent_sextic_value():
@@ -240,7 +237,7 @@ def test_equilateral_ostar_corollary():
 
 
 def test_find_pstar_equilateral(equilateral):
-    p = find_pstar(equilateral)
+    p = Point2(*find_pstar_candidates(equilateral)[0][0])
     assert distance(p, Point2(0.0, math.sqrt(3) / 6)) < 1e-7
 
 
@@ -522,11 +519,6 @@ def test_x55_conjecture(t_generic, equilateral):
     assert rep.x7_match_error <= 1e-7 * rep.circumradius
     rep_eq = x55_conjecture_check(equilateral)
     assert rep_eq.circle_spread <= 1e-9
-
-
-def test_eval_implicit_unknown():
-    with pytest.raises(KeyError):
-        eval_implicit("nope", {})
 
 
 def test_covertex_branch_split_reported():

@@ -372,3 +372,30 @@ def test_svg_view_box_covers_a_scene_conic():
     # y in [-top - h, -top].
     assert xmin <= -1.0 and xmin + w >= 1.0
     assert -top - h <= -1.0 and -top >= 1.0
+
+
+@pytest.mark.parametrize("entry", ["conic", "triad"])
+def test_scene_rejects_a_non_cartesian_conic(entry, tmp_path, t345, cli_env):
+    # Scenes hold Cartesian conics only: a raw conic or a triad's six-point
+    # conic in another frame is refused on load, not skipped or classified.
+    if entry == "conic":
+        sc = Scene()
+        sc.conics.append(Conic.from_coeffs([1, 0, 1, 0, 0, -1]))
+        sc.add_point("O", Point2(0, 0))
+        data = sc.to_json()
+        con = data["conics"][0]
+    else:
+        data = scene_for_triad(t345, "v_ellipse").to_json()
+        con = data["triads"][0]["six_point_conic"]
+    assert con["frame"] == "cartesian"
+    con["frame"] = "bary"
+    text = json.dumps(data)
+    with pytest.raises(ValueError, match="bary"):
+        Scene.loads(text)
+    (tmp_path / "s.json").write_text(text)
+    for cmd in (["render", "--scene", "s.json", "--out", "s.svg"],
+                ["classify", "--scene", "s.json"]):
+        r = run_cli(cmd, tmp_path, cli_env)
+        assert r.returncode == 2, r.stdout
+        assert "'bary'" in r.stderr
+    assert not (tmp_path / "s.svg").exists()

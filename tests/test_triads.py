@@ -35,14 +35,13 @@ from triconic.triads import (
     TRIAD_KINDS,
     build_triad,
     carnot_product,
-    concurrency_theorems,
     equal_area_check,
     pairwise_intersections,
     second_common_point,
     six_point_conic,
     triad_covertices,
     triad_vertices,
-    two_branch_chord,
+    two_branch_chords,
 )
 from triconic.verify import random_flat_triangle, random_point_near, random_triangle
 
@@ -179,14 +178,30 @@ def test_chord_line_hand_values(t345):
 
 
 def test_concurrency_v_ellipse(t456):
-    rep = concurrency_theorems(build_triad(t456, "v_ellipse"))
-    assert rep.passed
-    assert rep.max_residual <= 1e-9
+    # The chords through the pair points pass through the excenters and X20.
+    diam = 2.0 * circumcircle(t456).radius
+    x20 = classic_center(t456, "X20")
+    worst = 0.0
+    for pts, label in zip(pairwise_intersections(build_triad(t456, "v_ellipse")), "ABC"):
+        assert len(pts) >= 2
+        chord = line_through(pts[0], pts[1])
+        for q in (classic_center(t456, f"excenter{label}"), x20):
+            worst = max(worst, chord.distance_to(q) / diam)
+    assert worst <= 1e-9
 
 
 def test_concurrency_v_hyperbola(t345):
-    rep = concurrency_theorems(build_triad(t345, "v_hyperbola"))
-    assert rep.passed
+    # The triad passes through both Soddy centers, and the two-branch
+    # chords concur at X8.
+    tr = build_triad(t345, "v_hyperbola")
+    diam = 2.0 * circumcircle(t345).radius
+    centers = [q for q in soddy_centers(t345) if q is not None]
+    for member in tr.members:
+        for q in centers:
+            assert triads._focal_diff_residual(q, member) / diam <= 1e-8
+    x8 = classic_center(t345, "X8")
+    for chord in two_branch_chords(tr):
+        assert chord.distance_to(x8) / diam <= 1e-8
     # X8 chord for the (b,c) pair reduces to x - y + z = 0 for the 3-4-5:
     # contains X8 = [2,3,1].
     a, b, c = t345.sides()
@@ -599,8 +614,9 @@ def test_two_branch_chord_matches_pencil_chord():
         (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
         framed = [Point2((q.x - gx) / s, (q.y - gy) / s) for q in centers]
         cs = [conic_from_foci(m) for m in tr.members]
+        chords = two_branch_chords(tr)
         for idx, (i, j) in enumerate(_PAIRS):
-            chord = two_branch_chord(tr, idx)
+            chord = chords[idx]
             assert chord.distance_to(x8) <= 1e-9 * s
             score, pencil_chord = min(
                 ((max(a.distance_to(q) for q in centers), b)
@@ -615,6 +631,26 @@ def test_two_branch_chord_matches_pencil_chord():
             soddy = min(lines, key=lambda line: max(line.distance_to(q) for q in framed))
             assert max(soddy.distance_to(q) for q in framed) <= 1e-9
     assert compared >= 2990
+
+
+def test_two_branch_chords_solve_the_pairs_once(t345, monkeypatch):
+    # All three chords come from one focal-pair solve and one Soddy-center
+    # computation.
+    calls = {"focal_pairs": 0, "soddy_centers": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "focal_pairs", counted("focal_pairs", kernels.focal_pairs))
+    monkeypatch.setattr(triads, "soddy_centers", counted("soddy_centers", triads.soddy_centers))
+    rng = np.random.default_rng(11)
+    for t in (t345, random_triangle(rng), random_flat_triangle(rng)):
+        before = dict(calls)
+        assert len(two_branch_chords(build_triad(t, "v_hyperbola"))) == 3
+        assert {k: calls[k] - before[k] for k in calls} == {"focal_pairs": 1, "soddy_centers": 1}
 
 
 @pytest.mark.slow

@@ -314,6 +314,24 @@ def test_negative_control_tolerance():
         config.set_tol(old)
 
 
+def test_chords_x20_reports_its_residual(monkeypatch):
+    # P2.4 returns its worst chord distance over the circumdiameter, not a
+    # flag: with X20 moved by 1e-6 of the circumdiameter, the check reads
+    # the largest distance of a chord to the moved point.
+    t = _tri()
+    diam = 2.0 * centers.circumcircle(t).radius
+    x20 = centers.classic_center(t, "X20")
+    moved = Point2(x20.x + 1e-6 * diam, x20.y)
+    real = verify.classic_center
+    monkeypatch.setattr(
+        verify, "classic_center", lambda t, cid: moved if cid == "X20" else real(t, cid)
+    )
+    pairs = triads.pairwise_intersections(triads.build_triad(t, "v_ellipse"))
+    expected = max(line_through(*pts[:2]).distance_to(moved) for pts in pairs) / diam
+    assert 1e-8 < expected <= 1e-6
+    assert verify._chk_chords_x20({"triangle": verify._tri_cfg(t)}) == pytest.approx(expected, rel=1e-9)
+
+
 def _flaky(check, crash_at):
     """check, raising the exceptions of crash_at (trial index -> exception)
     in those trials; the configurations it saw are kept in .seen."""
