@@ -124,7 +124,10 @@ def anticevian_a_ellipse(t: Triangle) -> FocalConic:
     )
 
 
-def check_a_ellipse(t: Triangle, n_samples: int = 12) -> float:
+A_ELLIPSE_SAMPLES = 12  # points of the A-ellipse at which the polynomial is checked
+
+
+def check_a_ellipse(t: Triangle) -> float:
     """Max normalized residual of sampled ellipse points on the polynomial."""
     fc = anticevian_a_ellipse(t)
     alpha, beta = fc.semi_axes()
@@ -133,8 +136,8 @@ def check_a_ellipse(t: Triangle, n_samples: int = 12) -> float:
     o = fc.center
     a, b, c = t.sides()
     worst = 0.0
-    for k in range(n_samples):
-        ang = 2.0 * math.pi * (k + 0.37) / n_samples
+    for k in range(A_ELLIPSE_SAMPLES):
+        ang = 2.0 * math.pi * (k + 0.37) / A_ELLIPSE_SAMPLES
         p = Point2(
             o.x + alpha * math.cos(ang) * u.x + beta * math.sin(ang) * v.x,
             o.y + alpha * math.cos(ang) * u.y + beta * math.sin(ang) * v.y,

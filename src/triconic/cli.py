@@ -125,6 +125,9 @@ def _cmd_locus(args) -> int:
         trace_zero_set,
     )
 
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, not {args.samples}", file=sys.stderr)
+        return 2
     if args.kind == "x478":
         samples = sample_locus_x478(args.samples)
         payload = [

@@ -309,11 +309,15 @@ def x478_center_for_theta(theta):
     return (cx, cy), (x, y)
 
 
-def sample_locus_x478(n: int, eps: float = 0.05) -> list[LocusSample]:
-    """Sweep C over the open upper semicircle (minus eps at the ends)."""
+X478_EPS = 0.05  # radians left out at either end of the x478 sweep
+OSTAR_EPS = 0.03  # radians about each vertex left out of the O* sweep
+
+
+def sample_locus_x478(n: int) -> list[LocusSample]:
+    """Sweep C over the open upper semicircle (minus X478_EPS at the ends)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    theta = eps + (math.pi - 2.0 * eps) * np.arange(n) / (n - 1)
+    theta = X478_EPS + (math.pi - 2.0 * X478_EPS) * np.arange(n) / (n - 1)
     (cx, cy), (x, y) = x478_center_for_theta(theta)
     return [
         LocusSample(th, Point2(px, py), Point2(ox, oy), abs(x478_quartic(ox, oy)))
@@ -353,14 +357,12 @@ def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
     return out
 
 
-def sample_locus_ostar(
-    t: Triangle, n: int, eps: float = 0.03
-) -> tuple[list[LocusSample], dict[str, Conic]]:
+def sample_locus_ostar(t: Triangle, n: int) -> tuple[list[LocusSample], dict[str, Conic]]:
     """Sweep P over the circumcircle; report each degenerate center O*
     against the locus ellipse of P's arc.
 
-    P runs over the angles 2*pi*k/n, k < n, less those within eps of a
-    vertex, in one array pass.  kernels.vertices gives every P's P-ellipse
+    P runs over the angles 2*pi*k/n, k < n, less those within OSTAR_EPS
+    of a vertex, in one array pass.  kernels.vertices gives every P's P-ellipse
     vertices; kernels.fit_six fits the conic through five of them by the
     package's fit rule, in the frame of those five points, and
     kernels.frame_center finds its center there, skipping the sample where
@@ -380,7 +382,7 @@ def sample_locus_ostar(
     va = np.array([ang for ang, _ in vertex_angles])
     theta = 2.0 * math.pi * np.arange(n) / n
     gap = np.abs(theta[:, None] - va)
-    theta = theta[(np.minimum(gap, 2 * math.pi - gap) >= eps).all(axis=1)]
+    theta = theta[(np.minimum(gap, 2 * math.pi - gap) >= OSTAR_EPS).all(axis=1)]
     px = cc.center.x + cc.radius * np.cos(theta)
     py = cc.center.y + cc.radius * np.sin(theta)
     (ax, ay), (bx, by), (cx, cy) = (v.as_tuple() for v in t.vertices())
@@ -1048,7 +1050,6 @@ class X55Report:
     circle_spread: float
     concentricity_error: float
     x7_match_error: float
-    second_point: Point2 | None
     circumradius: float
 
 
@@ -1060,8 +1061,7 @@ def x55_conjecture_check(t: Triangle) -> X55Report:
     concentric it is with T''s circumcircle, and how close T''s circumcenter
     is to X7 of t.  Vertices are computed directly from the signed focal
     differences (kernels.vertex_coords) so the fully symmetric
-    (equilateral) limit, where the triad members degenerate, still reports;
-    the second common point is omitted there.
+    (equilateral) limit, where the triad members degenerate, still reports.
     """
     q = classic_center(t, "X55")
     tprime = reflection_triangle(t, q)
@@ -1073,18 +1073,14 @@ def x55_conjecture_check(t: Triangle) -> X55Report:
     spread = max(abs(d - rmean) for d in dists)
     x7 = classic_center(t, "X7")
     try:
-        tr = build_triad(tprime, "p_hyperbola", q)
-        rep = six_point_conic(tr)
+        rep = six_point_conic(build_triad(tprime, "p_hyperbola", q))
         conc = distance(rep.center, cc.center) if rep.center is not None else math.inf
-        second = second_common_point(tr)
     except DegenerateMember:
         # Symmetric limit: the six vertices collapse to the side midpoints.
         conc = spread
-        second = None
     return X55Report(
         circle_spread=spread,
         concentricity_error=conc,
         x7_match_error=distance(cc.center, x7),
-        second_point=second,
         circumradius=cc.radius,
     )

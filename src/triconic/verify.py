@@ -13,8 +13,11 @@ configuration) reproduces the residual.
 The draws run on floats (`_tri_floats`, `_near_floats`) with the
 arithmetic of the object path and numpy's `uniform` formula, so every
 stream and configuration is that of `random_triangle` and
-`random_point_near`; the `_gen_tri` and `_gen_tri_point` propositions read
-their rng in blocks.
+`random_point_near`; the `_gen_tri` propositions, A1, A2 and A6 among
+them, and the `_gen_tri_point` ones, A4 and A5 among them, read their rng
+in blocks.  Only the draws of A3, P2.8 and P5.7 run a search, as only it
+decides their family: A3's runs its check, P2.8's and P5.7's the root scan
+their checks repeat.
 
 Most checks take one configuration and run trial by trial through
 `_per_trial`, which turns a crash into a failed trial.  Seven run as one
@@ -1011,32 +1014,21 @@ def _sideline_extension_residual(t: Triangle, u01: float) -> float:
 
 def _mk_appendix_check(name):
     def chk(cfg):
-        t = _cfg_tri(cfg)
-        p = Point2(*cfg["p"]) if cfg.get("p") else None
-        return check_appendix(name, t, p)
+        return check_appendix(name, _cfg_tri(cfg), Point2(*cfg["p"]) if cfg.get("p") else None)
 
     return chk
 
 
-def _gen_appendix(name):
-    needs_p = name in ("phyp_member", "pstar_conic")
-
-    def gen(rng):
-        while True:
-            tri = _tri_floats(rng.random)
-            cfg = {"triangle": _corners_cfg(*tri)}
-            if needs_p:
-                px, py = _near_floats(*tri, rng.random)
-                if kernels._sides_deltas(*tri, kernels.KIND_P_HYPERBOLA, px, py)[2]:
-                    continue
-                cfg["p"] = [px, py]
-            try:
-                _mk_appendix_check(name)(cfg)
-            except (ConstructionFailed, RankDeficient):
-                continue
-            return cfg
-
-    return gen
+def _gen_x3prime_center(rng) -> dict:
+    """A random_triangle whose X3-anticevian six-point conic has a center:
+    near-right triangles make its fit rank deficient, and only the check can tell."""
+    while True:
+        cfg = {"triangle": _corners_cfg(*_tri_floats(rng.random))}
+        try:
+            _mk_appendix_check("x3prime_center")(cfg)
+        except (ConstructionFailed, RankDeficient):
+            continue
+        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -1116,10 +1108,8 @@ def _gen_soddy_regimes(rng) -> dict:
 
 
 def _gen_sextic_abscissa(rng) -> dict:
-    while True:
-        x = rng.uniform(-0.45, 0.45)
-        if _sextic_root_on_vertical(x) is not None:
-            return {"x": x}
+    # _sextic_root_on_vertical finds a root for every |x| <= 0.45.
+    return {"x": rng.uniform(-0.45, 0.45)}
 
 
 def _gen_needle(rng) -> dict:
@@ -1252,12 +1242,12 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
     Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _per_draw(_gen_tri_phyp_angle), _per_trial(_chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
-    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _per_draw(_gen_appendix("a_ellipse")), _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
-    Proposition("A2-major-vertices", "closed-form major vertices", _per_draw(_gen_appendix("major_vertices")), _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),
-    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _per_draw(_gen_appendix("x3prime_center")), _per_trial(_mk_appendix_check("x3prime_center")), 1e-7, 10),
-    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _per_draw(_gen_appendix("phyp_member")), _per_trial(_mk_appendix_check("phyp_member")), 1e-6, 10),
-    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _per_draw(_gen_appendix("pstar_conic")), _per_trial(_mk_appendix_check("pstar_conic")), 1e-6, 10),
-    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _per_draw(_gen_appendix("x5452_coordinate")), _per_trial(_mk_appendix_check("x5452_coordinate")), 1e-7, 10),
+    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_tri, _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
+    Proposition("A2-major-vertices", "closed-form major vertices", _gen_tri, _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),
+    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _per_draw(_gen_x3prime_center), _per_trial(_mk_appendix_check("x3prime_center")), 1e-7, 10),
+    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _gen_tri_point, _per_trial(_mk_appendix_check("phyp_member")), 1e-6, 10),
+    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _gen_tri_point, _per_trial(_mk_appendix_check("pstar_conic")), 1e-6, 10),
+    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _gen_tri, _per_trial(_mk_appendix_check("x5452_coordinate")), 1e-7, 10),
 )
 
 _BY_ID = {p.prop_id: p for p in MANIFEST}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from triconic import kernels, loci
-from triconic.centers import circumcircle, classic_center, incircle
+from triconic.centers import circumcircle, classic_center, incircle, reflection_triangle
 from triconic.conic import ConicClass, classify, residual
 from triconic.errors import DegenerateMember, NotConverged, RadicalDomainError
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
@@ -46,6 +46,14 @@ def test_halftangent_sextic_value():
     # Sign change bracketing the quintic root on x = 0.
     assert halftangent_sextic(0.0, 0.7) < 0.0
     assert halftangent_sextic(0.0, 0.9) > 0.0
+
+
+def test_halftangent_sextic_brackets_its_root_on_every_vertical():
+    # P4.6 and P4.10 draw x uniform in [-0.45, 0.45] and take the sextic's
+    # root on x = const in [0.25, 1.4]; the sign change at the ends of that
+    # interval is what lets the draw skip the root search.
+    for x in np.linspace(-0.45, 0.45, 10001).tolist():
+        assert halftangent_sextic(x, 0.25) < 0.0 < halftangent_sextic(x, 1.4), x
 
 
 def test_parabola_deg8_equilateral():
@@ -519,6 +527,22 @@ def test_x55_conjecture(t_generic, equilateral):
     assert rep.x7_match_error <= 1e-7 * rep.circumradius
     rep_eq = x55_conjecture_check(equilateral)
     assert rep_eq.circle_spread <= 1e-9
+
+
+def test_x55_conjecture_solves_no_second_point(t_generic, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(*args, _real=loci.second_common_point):
+        calls["second_common_point"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(loci, "second_common_point", counted)
+    x55_conjecture_check(t_generic)
+    assert calls == {}
+    # The counter is live on the triad the check builds.
+    q = classic_center(t_generic, "X55")
+    loci.second_common_point(build_triad(reflection_triangle(t_generic, q), "p_hyperbola", q))
+    assert calls == {"second_common_point": 1}
 
 
 def test_covertex_branch_split_reported():

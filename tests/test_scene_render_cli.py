@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from triconic.cli import main
 from triconic.conic import Conic, residual
 from triconic.errors import EmptyScene
 from triconic.geom import Point2, Triangle, distance
@@ -297,6 +298,18 @@ def test_cli_locus_ostar(tmp_path, cli_env):
         c = Point2(*s["center"])
         assert s["implicit_residual"] <= 1e-8
         assert min(residual(con, c) for con in arcs.values()) <= 1e-8
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize(
+    "kind", [["x478"], ["ostar", "--triangle", "0,3 4,0 0,0"], ["zero-set:x478_quartic"]]
+)
+def test_cli_locus_rejects_samples_below_one(kind, samples, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["locus", "--kind", *kind, f"--samples={samples}", "--out", "l.json"])
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "l.json").exists()
 
 
 def test_render_pure_function_of_scene(tmp_path, cli_env):

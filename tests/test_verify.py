@@ -272,6 +272,37 @@ def test_programming_errors_surface_through_handlers(handler, monkeypatch):
         call()
 
 
+def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
+    # A draw that runs its check, or the check's root search, does the
+    # check's work twice.  Only A3's family (a centered X3-anticevian
+    # six-point conic) and the rays of P2.8 and P5.7 that cross their loci
+    # need it.
+    calls = Counter()
+    for name in ("check_appendix", "_sextic_root_on_vertical", "bisect_sign_changes"):
+
+        def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    callers = {}
+    for prop in MANIFEST:
+        before = calls.copy()
+        prop.draw(verify._prop_rng(prop.prop_id, 42), prop.default_trials)
+        callers[prop.prop_id] = set(calls - before)
+    assert {pid: names for pid, names in callers.items() if names} == {
+        "A3-x3prime-center": {"check_appendix"},
+        "P2.8-type-regions": {"bisect_sign_changes"},
+        "P5.7-parabola-condition": {"bisect_sign_changes"},
+    }
+    # The counters are live: the checks of A1 and P4.6 reach them.
+    calls.clear()
+    for pid in ("A1-aellipse-polynomial", "P4.6-halftangent-sextic"):
+        prop = verify._BY_ID[pid]
+        prop.run(prop.draw(verify._prop_rng(pid, 42), 1))
+    assert set(calls) == {"check_appendix", "_sextic_root_on_vertical", "bisect_sign_changes"}
+
+
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_appendix_generator_skips_rank_deficient_configurations(seed):
     # At these seeds the A3 generator draws triangles whose five-point fit

@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Write and compare `triconic verify --prop all` reports.
+
+    python tools/verify_reports.py write DIR
+    python tools/verify_reports.py diff DIR_A DIR_B
+
+`write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json) and at seed 42
+with `--tol 1e-8` (DIR/tol8.json), with the caller's PYTHONPATH, so the
+reports of another checkout come from pointing PYTHONPATH at its `src`.
+A CLI exit of 1 (some proposition failed) is a report like any other; an
+exit of 2 is an error.
+
+`diff` compares the reports of the same name in two directories and prints
+each proposition entry that differs: its id, both max_residual values and
+whether the witness moved.  It exits 1 if any entry or report differs.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+SEEDS = (42, 1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def _runs():
+    for seed in SEEDS:
+        yield f"seed{seed}.json", ["verify", "--prop", "all", "--seed", str(seed)]
+    yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42"]
+
+
+def write(out: pathlib.Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, args in _runs():
+        cmd = [sys.executable, "-m", "triconic.cli", *args, "--report", str(out / name)]
+        code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
+        if code not in (0, 1):
+            print(f"error: {' '.join(cmd)} exited {code}", file=sys.stderr)
+            return 2
+        print(f"wrote {out / name} (exit {code})")
+    return 0
+
+
+def diff(a: pathlib.Path, b: pathlib.Path) -> int:
+    differ = False
+    for name, _ in _runs():
+        ra = json.loads((a / name).read_text())
+        rb = json.loads((b / name).read_text())
+        ea = {r["id"]: r for r in ra["results"]}
+        eb = {r["id"]: r for r in rb["results"]}
+        for pid in sorted(ea.keys() | eb.keys()):
+            x, y = ea.get(pid), eb.get(pid)
+            if json.dumps(x) == json.dumps(y):
+                continue
+            differ = True
+            res = [r["max_residual"] if r else None for r in (x, y)]
+            moved = (x or {}).get("witness") != (y or {}).get("witness")
+            print(f"{name} {pid}: max_residual {res[0]!r} -> {res[1]!r}, witness moved: {moved}")
+        rest_a = {k: v for k, v in ra.items() if k != "results"}
+        rest_b = {k: v for k, v in rb.items() if k != "results"}
+        if json.dumps(rest_a) != json.dumps(rest_b):
+            differ = True
+            print(f"{name}: report fields differ: {rest_a} -> {rest_b}")
+    print("reports differ" if differ else "reports agree")
+    return 1 if differ else 0
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "write":
+        return write(pathlib.Path(argv[1]))
+    if len(argv) == 3 and argv[0] == "diff":
+        return diff(pathlib.Path(argv[1]), pathlib.Path(argv[2]))
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
