@@ -96,6 +96,9 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import PROPOSITION_IDS, format_report, run_all, run_proposition
 
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, not {args.threads}", file=sys.stderr)
+        return 2
     if args.prop == "all":
         report = run_all(seed=args.seed, trials=args.trials, threads=args.threads)
     else:
@@ -128,23 +131,14 @@ def _cmd_locus(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, not {args.samples}", file=sys.stderr)
         return 2
-    if args.kind == "x478":
-        samples = sample_locus_x478(args.samples)
-        payload = [
-            {
-                "parameter": s.parameter,
-                "driver": [s.driver.x, s.driver.y],
-                "center": [s.center.x, s.center.y],
-                "implicit_residual": s.implicit_residual,
-            }
-            for s in samples
-        ]
-    elif args.kind == "ostar":
-        if not args.triangle:
+    if args.kind in ("x478", "ostar"):
+        if args.kind == "x478":
+            samples = sample_locus_x478(args.samples)
+        elif not args.triangle:
             print("error: --triangle required for the ostar locus", file=sys.stderr)
             return 2
-        t = _parse_triangle(args.triangle)
-        samples, _ = sample_locus_ostar(t, args.samples)
+        else:
+            samples, _ = sample_locus_ostar(_parse_triangle(args.triangle), args.samples)
         payload = [
             {
                 "parameter": s.parameter,
@@ -288,9 +282,6 @@ def main(argv=None) -> int:
     # --threads is honored by batch commands; parsing it globally keeps the
     # interface uniform.
     try:
-        if args.func is _cmd_verify:
-            args.threads = max(1, args.threads)
-            return args.func(args)
         return args.func(args)
     except (TriconicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

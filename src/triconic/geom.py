@@ -40,12 +40,6 @@ class Point2:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Point2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> float:
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -111,9 +105,6 @@ class Triangle:
         """Unsigned area."""
         return abs(signed_area(self.a, self.b, self.c))
 
-    def orientation(self) -> float:
-        return 1.0 if signed_area(self.a, self.b, self.c) > 0 else -1.0
-
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return (self.a, self.b, self.c)
 
@@ -175,9 +166,6 @@ class LineEq:
 
     def distance_to(self, p: Point2) -> float:
         return abs(self.eval_point(p)) / math.hypot(self.l, self.m)
-
-    def direction(self) -> Point2:
-        return Point2(-self.m, self.l)
 
 
 def bary_to_cartesian(t: Triangle, b: BaryCoords) -> Point2:

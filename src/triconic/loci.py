@@ -10,7 +10,6 @@ positive branch.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from . import kernels
 from .centers import (
     circumcircle,
     classic_center,
+    excircle_tangency_points,
     incircle,
     reflection_triangle,
 )
@@ -32,23 +32,19 @@ from .conic import (
     residual,
     tangency_discriminant,
 )
-from .config import DET_DEGENERATE_TOL, get_tol
+from .config import DET_DEGENERATE_TOL
 from .errors import (
     DegenerateMember,
-    DegenerateTriangle,
     DriverNotOnLocus,
     NoFiniteCenter,
     NotConverged,
-    ParallelLines,
     RadicalDomainError,
     RankDeficient,
     TriconicError,
 )
 from .geom import (
-    BaryCoords,
     Point2,
     Triangle,
-    bary_to_cartesian,
     distance,
     line_intersection,
     line_through,
@@ -254,59 +250,21 @@ class LocusSample:
 
 def x478_center_for_theta(theta):
     """(C, degenerate-conic center) for C = (cos, sin)*(1/2) on the
-    semicircle over AB, A=(1/2,0), B=(-1/2,0).
+    semicircle over AB, A=(1/2,0), B=(-1/2,0), theta in [0, pi].
 
     A float theta gives two Point2s; an array of angles gives two (x, y)
     pairs of arrays by the same arithmetic, each bit for bit the float call
     on its angle.  The six excircle tangency points of ABC fall on two
-    lines, through {A1, B1, C2} and {A2, B2, C1} (right angle at C); each
-    line is drawn through the farthest pair of its triple, and the center
-    is their intersection, which stays well conditioned near the sweep
-    endpoints.
+    lines, through {A1, B1, C2} and {A2, B2, C1} (right angle at C), and
+    the center is where they meet: on C's altitude, (a + b)(a + b + c)/(2c)
+    above AB.  With c = 1 and (a + b)^2 = 1 + 2ab = 1 + sin(theta) that is
+    (1 + sin + sqrt(1 + sin))/2; the endpoints give the limits (+-1/2, 1).
     """
     cx, cy = 0.5 * np.cos(theta), 0.5 * np.sin(theta)
-    # Sides a = |BC|, b = |CA|, c = |AB| = 1 and the area test of Triangle.
-    a = kernels._hypot(-0.5 - cx, 0.0 - cy)
-    b = kernels._hypot(cx - 0.5, cy - 0.0)
-    c = 1.0
-    scale = np.maximum(np.maximum(a, b), c)
-    if np.any(np.abs(0.5 * cy) <= get_tol() * scale * scale):
-        raise DegenerateTriangle(f"C on the line AB at theta {theta}")
-
-    def cartesian(u, v, w):
-        # bary_to_cartesian on A, B, C.
-        s = u + v + w
-        return (u * 0.5 + v * -0.5 + w * cx) / s, (u * 0.0 + v * 0.0 + w * cy) / s
-
-    # excircle_tangency_points.
-    L = a + b + c
-    ta, tb, tc = a - b - c, b - c - a, c - a - b
-    A1, A2, B1, B2, C1, C2 = (
-        cartesian(*uvw)
-        for uvw in (
-            (0.0, L, ta), (0.0, ta, L), (tb, 0.0, L), (L, 0.0, tb), (L, tc, 0.0), (tc, L, 0.0)
-        )
-    )
-    lines = []
-    for triple in ((A1, B1, C2), (A2, B2, C1)):
-        # line_through the farthest pair; argmax keeps the first of equal
-        # distances, as a scan with a strict comparison does.
-        pairs = list(itertools.combinations(triple, 2))
-        dist = [kernels._hypot(px - qx, py - qy) for (px, py), (qx, qy) in pairs]
-        far = np.argmax(dist, axis=0)
-        through = [(py - qy, qx - px, px * qy - qx * py) for (px, py), (qx, qy) in pairs]
-        lines.append(tuple(np.choose(far, coef) for coef in zip(*through)))
-    # line_intersection, with its parallel test.
-    (l1, m1, n1), (l2, m2, n2) = lines
-    det = l1 * m2 - l2 * m1
-    scale = np.maximum(abs(l1), abs(m1)) * np.maximum(abs(l2), abs(m2))
-    if np.any(abs(det) <= get_tol() * scale):
-        raise ParallelLines(f"tangency lines parallel at theta {theta}")
-    x = (m1 * n2 - m2 * n1) / det
-    y = (l2 * n1 - l1 * n2) / det
+    y = 0.5 + cy + 0.5 * np.sqrt(1.0 + 2.0 * cy)
     if np.ndim(theta) == 0:
-        return Point2(cx, cy), Point2(x, y)
-    return (cx, cy), (x, y)
+        return Point2(cx, cy), Point2(cx, y)
+    return (cx, cy), (cx, y)
 
 
 X478_EPS = 0.05  # radians left out at either end of the x478 sweep
@@ -325,36 +283,20 @@ def sample_locus_x478(n: int) -> list[LocusSample]:
     ]
 
 
-_ARC_VERTEX_BARYS = {
-    # Arc opposite A (between B and C): locus ellipse endpoints are the
-    # "x-heavy" vertices of the b- and c-members; cyclic for the others.
-    "a": ((1.0, 0.0, -1.0), (1.0, -1.0, 0.0)),
-    "b": ((-1.0, 1.0, 0.0), (0.0, 1.0, -1.0)),
-    "c": ((0.0, -1.0, 1.0), (-1.0, 0.0, 1.0)),
-}
-
-
 def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
     """The three locus ellipses, each through the three side midpoints and
-    two V-ellipse vertices."""
-    a, b, c = t.sides()
-    L = a + b + c
+    two V-ellipse vertices.
+
+    Those vertices are excircle tangency points: arc a, between B and C,
+    takes B2 and C1, the points past A on CA and on AB; arc b takes C2 and
+    A1, arc c A2 and B1.
+    """
+    A1, A2, B1, B2, C1, C2 = excircle_tangency_points(t)
     mids = [midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b)]
-    diff = (a - b - c, b - c - a, c - a - b)
-    out = {}
-    for arc, (w1, w2) in _ARC_VERTEX_BARYS.items():
-        pts = list(mids)
-        for w in (w1, w2):
-            # V-ellipse vertex: L in the positive slot, the difference of the
-            # owning member (the slot left empty) in the negative slot.
-            u = [0.0, 0.0, 0.0]
-            pos = w.index(1.0)
-            neg = w.index(-1.0)
-            u[pos] = L
-            u[neg] = diff[3 - pos - neg]
-            pts.append(bary_to_cartesian(t, BaryCoords(*u)))
-        out[arc] = fit_conic_5pts(pts)
-    return out
+    return {
+        arc: fit_conic_5pts([*mids, p, q])
+        for arc, p, q in (("a", B2, C1), ("b", C2, A1), ("c", A2, B1))
+    }
 
 
 def sample_locus_ostar(t: Triangle, n: int) -> tuple[list[LocusSample], dict[str, Conic]]:

@@ -468,9 +468,11 @@ def _chk_degenerate_iff_right(cfg) -> float:
 
 
 def _chk_x478_quartic(cfg) -> float:
-    from .loci import x478_center_for_theta
-
-    _, cen = x478_center_for_theta(cfg["theta"])
+    # The quartic at the center of the six-point conic itself, not at the
+    # closed form loci.x478_center_for_theta.
+    th = cfg["theta"]
+    c = Point2(0.5 * math.cos(th), 0.5 * math.sin(th))
+    cen = classic_center(Triangle(Point2(0.5, 0.0), Point2(-0.5, 0.0), c), "X478")
     return abs(x478_quartic(cen.x, cen.y))
 
 
@@ -564,9 +566,10 @@ def _chk_anticevian_needle(cfg) -> float:
     p = classic_center(t, "X3")
     s = max(t.scale(), tac.scale())
     fval = pstar_circle_functional(*tac.sides(), *_deltas(tac, p))
-    rep = six_point_conic(build_triad(tac, "p_ellipse", p))
+    triad = build_triad(tac, "p_ellipse", p)
+    rep = six_point_conic(triad)
     cc = circumcircle(tac)
-    verts = triad_vertices(build_triad(tac, "p_ellipse", p))
+    verts = triad_vertices(triad)
     rmean = sum(distance(v, cc.center) for v in verts) / 6.0
     spread = max(abs(distance(v, cc.center) - rmean) for v in verts) / cc.radius
     conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
@@ -1299,7 +1302,9 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     if prop_id not in _BY_ID:
         raise UnknownProposition(prop_id)
     prop = _BY_ID[prop_id]
-    n = prop.default_trials if trials is None else max(1, trials)
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
+    n = prop.default_trials if trials is None else trials
     rng = _prop_rng(prop_id, seed)
     # Draw every configuration in one call, then check them all in one
     # call.  No check touches the rng, so the stream is that of drawing and

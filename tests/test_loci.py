@@ -92,6 +92,13 @@ def test_sample_locus_x478():
     assert c1.y == pytest.approx(c2.y, abs=1e-12)
 
 
+def test_x478_closed_form_is_the_six_point_conic_center():
+    a, b = Point2(0.5, 0.0), Point2(-0.5, 0.0)
+    for theta in np.linspace(0.05, math.pi - 0.05, 401).tolist():
+        c, cen = x478_center_for_theta(theta)
+        assert distance(cen, classic_center(Triangle(a, b, c), "X478")) <= 1e-12
+
+
 def test_x478_endpoint_limits():
     _, cen = x478_center_for_theta(1e-5)
     assert distance(cen, Point2(0.5, 1.0)) <= 1e-4

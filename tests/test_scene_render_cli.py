@@ -312,6 +312,19 @@ def test_cli_locus_rejects_samples_below_one(kind, samples, tmp_path, monkeypatc
     assert not (tmp_path / "l.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [(["verify", "--trials=0"], "trials"), (["verify", "--trials=-5"], "trials"),
+     (["--threads=0", "verify"], "--threads")],
+)
+def test_cli_verify_rejects_counts_below_one(args, name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([*args, "--report", "r.json"])
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_render_pure_function_of_scene(tmp_path, cli_env):
     r = run_cli(
         ["construct", "--triangle", "0.1,0.2 1.3,0.15 0.5,1.1", "--triad", "p-hyp",

@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Write and compare `triconic verify --prop all` reports.
+"""Write and compare `triconic verify --prop all` reports and locus outputs.
 
     python tools/verify_reports.py write DIR
     python tools/verify_reports.py diff DIR_A DIR_B
 
 `write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json) and at seed 42
-with `--tol 1e-8` (DIR/tol8.json), with the caller's PYTHONPATH, so the
-reports of another checkout come from pointing PYTHONPATH at its `src`.
-A CLI exit of 1 (some proposition failed) is a report like any other; an
-exit of 2 is an error.
+with `--tol 1e-8` (DIR/tol8.json), and the README's x478 and O* loci
+(DIR/locus_x478.json, DIR/locus_ostar.json), with the caller's PYTHONPATH,
+so the outputs of another checkout come from pointing PYTHONPATH at its
+`src`.  A CLI exit of 1 (some proposition failed) is a report like any
+other; an exit of 2 is an error.
 
-`diff` compares the reports of the same name in two directories and prints
-each proposition entry that differs: its id, both max_residual values and
-whether the witness moved.  It exits 1 if any entry or report differs.
+`diff` compares the files of the same name in two directories.  For the
+reports it prints each proposition entry that differs: its id, both
+max_residual values and whether the witness moved.  It names each locus
+output that is not byte-identical.  It exits 1 if anything differs.
 """
 
 import json
@@ -21,18 +23,25 @@ import subprocess
 import sys
 
 SEEDS = (42, 1, 2, 3, 4, 5, 6, 7, 8)
+LOCI = (
+    ("locus_x478.json", ["locus", "--kind", "x478", "--samples", "120", "--out"]),
+    (
+        "locus_ostar.json",
+        ["locus", "--kind", "ostar", "--triangle", "0.1,0.2 1.3,0.15 0.5,1.1", "--out"],
+    ),
+)
 
 
-def _runs():
+def _reports():
     for seed in SEEDS:
-        yield f"seed{seed}.json", ["verify", "--prop", "all", "--seed", str(seed)]
-    yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42"]
+        yield f"seed{seed}.json", ["verify", "--prop", "all", "--seed", str(seed), "--report"]
+    yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42", "--report"]
 
 
 def write(out: pathlib.Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    for name, args in _runs():
-        cmd = [sys.executable, "-m", "triconic.cli", *args, "--report", str(out / name)]
+    for name, args in [*_reports(), *LOCI]:
+        cmd = [sys.executable, "-m", "triconic.cli", *args, str(out / name)]
         code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
         if code not in (0, 1):
             print(f"error: {' '.join(cmd)} exited {code}", file=sys.stderr)
@@ -43,7 +52,7 @@ def write(out: pathlib.Path) -> int:
 
 def diff(a: pathlib.Path, b: pathlib.Path) -> int:
     differ = False
-    for name, _ in _runs():
+    for name, _ in _reports():
         ra = json.loads((a / name).read_text())
         rb = json.loads((b / name).read_text())
         ea = {r["id"]: r for r in ra["results"]}
@@ -61,7 +70,11 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
         if json.dumps(rest_a) != json.dumps(rest_b):
             differ = True
             print(f"{name}: report fields differ: {rest_a} -> {rest_b}")
-    print("reports differ" if differ else "reports agree")
+    for name, _ in LOCI:
+        if (a / name).read_bytes() != (b / name).read_bytes():
+            differ = True
+            print(f"{name}: locus outputs differ")
+    print("outputs differ" if differ else "outputs agree")
     return 1 if differ else 0
 
 
