@@ -28,6 +28,18 @@ def _parse_triangle(text: str) -> Triangle:
     return Triangle(*pts)
 
 
+def _parse_bbox(text: str) -> tuple[float, float, float, float]:
+    """"xmin,xmax,ymin,ymax": four finite numbers, xmin < xmax, ymin < ymax."""
+    try:
+        xmin, xmax, ymin, ymax = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--bbox needs four numbers xmin,xmax,ymin,ymax, got {text!r}") from None
+    # False for nan too.
+    if not (-math.inf < xmin < xmax < math.inf and -math.inf < ymin < ymax < math.inf):
+        raise ValueError(f"--bbox needs finite xmin < xmax and ymin < ymax, got {text!r}")
+    return xmin, xmax, ymin, ymax
+
+
 def _parse_point(text: str) -> Point2:
     x, y = text.split(",")
     return Point2(float(x), float(y))
@@ -153,7 +165,7 @@ def _cmd_locus(args) -> int:
         if curve not in PLANE_CURVES:
             print(f"error: zero-set tracing supports plane curves, not {curve!r}", file=sys.stderr)
             return 2
-        bbox = tuple(float(v) for v in args.bbox.split(",")) if args.bbox else (-1.5, 1.5, -1.5, 1.5)
+        bbox = _parse_bbox(args.bbox) if args.bbox else (-1.5, 1.5, -1.5, 1.5)
         polys = trace_zero_set(
             PLANE_CURVES[curve],
             bbox,
@@ -183,7 +195,7 @@ def _cmd_regions(args) -> int:
         return 2
     t = _parse_triangle(args.triangle)
     nx, ny = (int(v) for v in args.grid.lower().split("x"))
-    bbox = tuple(float(v) for v in args.bbox.split(",")) if args.bbox else None
+    bbox = _parse_bbox(args.bbox) if args.bbox else None
     grid = region_map(t, kind, (nx, ny), bbox)
     with open(args.out, "w") as fh:
         fh.write(emit_ppm(grid))
@@ -278,7 +290,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.tol is not None:
-        config.set_tol(args.tol)
+        try:
+            config.set_tol(args.tol)
+        except ValueError as exc:
+            print(f"error: --tol: {exc}", file=sys.stderr)
+            return 2
     # --threads is honored by batch commands; parsing it globally keeps the
     # interface uniform.
     try:

@@ -732,7 +732,12 @@ def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:
                 if v1 == 0.0 and v2 == 0.0:
                     continue
                 if (v1 < 0.0) != (v2 < 0.0) or v1 == 0.0 or v2 == 0.0:
-                    crossings.append(edge_root(x1, y1, v1, x2, y2, v2))
+                    root = edge_root(x1, y1, v1, x2, y2, v2)
+                    # A zero corner is reported by both edges that meet there.
+                    if not crossings or root != crossings[-1]:
+                        crossings.append(root)
+            if len(crossings) >= 2 and crossings[-1] == crossings[0]:
+                crossings.pop()
             if len(crossings) >= 2:
                 for k in range(0, len(crossings) - 1, 2):
                     segments.append((crossings[k], crossings[k + 1]))

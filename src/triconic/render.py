@@ -1,7 +1,7 @@
 """SVG figure emission and PPM region maps.
 
 Rendering is a pure function of the scene: conics are sampled into paths
-(parametric for central conics, implicit tracing for parabolas, clipped
+(one parametric grid for ellipses, hyperbolas and parabolas, clipped
 segments for line pairs), circles and labeled points map to native SVG
 elements.  Region maps are written as plain P3 ASCII with the palette
 below.
@@ -13,10 +13,18 @@ import math
 
 import numpy as np
 
-from .conic import Conic, ConicClass, classify, center as conic_center, split_degenerate
+from .conic import (
+    Conic,
+    ConicClass,
+    FocalConic,
+    center as conic_center,
+    classify,
+    conic_from_foci,
+    split_degenerate,
+)
 from .errors import EmptyScene, LineOnConic
 from .geom import LineEq, Point2
-from .loci import RegionGrid, trace_zero_set
+from .loci import RegionGrid
 from .scene import Scene, _conic_from_json
 
 # class name -> RGB for PPM maps ("degenerate" marks failed constructions).
@@ -47,8 +55,8 @@ def emit_ppm(grid: RegionGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
-    """Sampled branch polylines of a Cartesian conic, clipped to bbox.
+def _conic_samples(c: Conic, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sampled branches (xs, ys) of a Cartesian conic, clipped to bbox.
 
     The conic is classified, split and sampled in a frame at the center
     (ox, oy) of bbox, u = (x - ox) / s and v = (y - oy) / s, so a scene
@@ -56,6 +64,13 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
     span of bbox, or the conic's own reach from (ox, oy) where that is
     larger (sqrt of its value there over its largest quadratic
     coefficient), so a conic much larger than the view keeps its class.
+
+    Every curve is sampled at the MIN_CONIC_SAMPLES + 1 steps i of one
+    grid, in the eigenframe of the framed quadratic part: an ellipse by
+    angle, each hyperbola branch by hyperbolic angle, and a parabola
+    along its non-null eigendirection q in [-2, 2], which spans the view
+    and its margin, taking at each q the root in p along the near-null
+    direction that stays finite as its quadratic coefficient goes to 0.
     """
     xmin, xmax, ymin, ymax = bbox
     ox, oy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
@@ -64,9 +79,6 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
     s = max(half, math.sqrt(abs(c(Point2(ox, oy))) / quad)) if quad > 0.0 else half
     to_plane = np.array([[s, 0.0, ox], [0.0, s, oy], [0.0, 0.0, 1.0]])
     framed = Conic(to_plane.T @ c.m @ to_plane)
-
-    def plane(u, v):
-        return Point2(ox + s * u, oy + s * v)
 
     kind = classify(framed)
     if kind.is_degenerate():
@@ -78,54 +90,46 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
         return [seg for line in lines for seg in _clip_line(line, bbox)]
     m = framed.m
     Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
-    if kind == ConicClass.PARABOLA:
-        polys = trace_zero_set(
-            lambda x, y: framed(Point2((x - ox) / s, (y - oy) / s)),
-            bbox,
-            n_seeds=128,
-        )
-        return [p for p in polys if len(p) >= 2]
-    cen = conic_center(framed)
     evals, evecs = np.linalg.eigh(Q)
-    vh = np.array([cen.x, cen.y, 1.0])
-    k = -float(vh @ m @ vh)
-    if kind in (ConicClass.CIRCLE, ConicClass.ELLIPSE):
-        semis = [math.sqrt(k / e) for e in evals]
-        pts = []
-        for i in range(MIN_CONIC_SAMPLES + 1):
+    i = np.arange(MIN_CONIC_SAMPLES + 1)
+    if kind == ConicClass.PARABOLA:
+        # a p^2 + b p + c(q) = 0 along the near-null eigenvector e_p.
+        ip = int(np.argmin(np.abs(evals)))
+        iq = 1 - ip
+        a = evals[ip]
+        b = 2.0 * float(m[:2, 2] @ evecs[:, ip])
+        q = -2.0 + 4.0 * i / MIN_CONIC_SAMPLES
+        cq = evals[iq] * q * q + 2.0 * float(m[:2, 2] @ evecs[:, iq]) * q + m[2, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = -2.0 * cq / (b + math.copysign(1.0, b) * np.sqrt(b * b - 4.0 * a * cq))
+        cen, axes, branches = Point2(0.0, 0.0), (ip, iq), [(p, q)]
+    else:
+        cen = conic_center(framed)
+        vh = np.array([cen.x, cen.y, 1.0])
+        k = -float(vh @ m @ vh)
+        if kind in (ConicClass.CIRCLE, ConicClass.ELLIPSE):
+            semis = [math.sqrt(k / e) for e in evals]
             ang = 2.0 * math.pi * i / MIN_CONIC_SAMPLES
-            u = semis[0] * math.cos(ang)
-            v = semis[1] * math.sin(ang)
-            pts.append(
-                plane(
-                    cen.x + u * evecs[0, 0] + v * evecs[0, 1],
-                    cen.y + u * evecs[1, 0] + v * evecs[1, 1],
-                )
-            )
-        return [pts]
-    # Hyperbola: k/evals has one positive (transverse) and one negative entry.
-    ratios = k / evals
-    it = int(np.argmax(ratios))
-    io = 1 - it
-    a = math.sqrt(ratios[it])
-    b = math.sqrt(-ratios[io])
-    reach = 4.0 * (2.0 * half / s) / a + 2.0
-    umax = math.log(reach + math.sqrt(reach * reach + 1.0))
-    branches = []
-    for sgn in (1.0, -1.0):
-        pts = []
-        for i in range(MIN_CONIC_SAMPLES + 1):
+            axes, branches = (0, 1), [(semis[0] * np.cos(ang), semis[1] * np.sin(ang))]
+        else:
+            # k/evals has one positive (transverse) and one negative entry.
+            ratios = k / evals
+            it = int(np.argmax(ratios))
+            a = math.sqrt(ratios[it])
+            b = math.sqrt(-ratios[1 - it])
+            reach = 4.0 * (2.0 * half / s) / a + 2.0
+            umax = math.log(reach + math.sqrt(reach * reach + 1.0))
             u = -umax + 2.0 * umax * i / MIN_CONIC_SAMPLES
-            x1 = sgn * a * math.cosh(u)
-            x2 = b * math.sinh(u)
-            pts.append(
-                plane(
-                    cen.x + x1 * evecs[0, it] + x2 * evecs[0, io],
-                    cen.y + x1 * evecs[1, it] + x2 * evecs[1, io],
-                )
-            )
-        branches.extend(_clip_polyline(pts, bbox))
-    return branches
+            x2 = b * np.sinh(u)
+            axes, branches = (it, 1 - it), [(sgn * a * np.cosh(u), x2) for sgn in (1.0, -1.0)]
+    e1, e2 = evecs[:, axes[0]], evecs[:, axes[1]]
+    curves = [
+        (ox + s * (cen.x + w1 * e1[0] + w2 * e2[0]), oy + s * (cen.y + w1 * e1[1] + w2 * e2[1]))
+        for w1, w2 in branches
+    ]
+    if kind in (ConicClass.CIRCLE, ConicClass.ELLIPSE):
+        return curves
+    return [run for xs, ys in curves for run in _clip_runs(xs, ys, bbox)]
 
 
 # Conic branches run this fraction of the view's width and height past
@@ -133,48 +137,35 @@ def _conic_samples(c: Conic, bbox) -> list[list[Point2]]:
 _CLIP_MARGIN = 0.25
 
 
-def _clip_polyline(pts: list[Point2], bbox) -> list[list[Point2]]:
-    """Split a polyline into runs inside the bbox expanded by _CLIP_MARGIN."""
+def _clip_runs(xs, ys, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The runs of two or more samples inside bbox expanded by _CLIP_MARGIN."""
     xmin, xmax, ymin, ymax = bbox
     mx = _CLIP_MARGIN * (xmax - xmin)
     my = _CLIP_MARGIN * (ymax - ymin)
-    runs: list[list[Point2]] = []
-    cur: list[Point2] = []
-    for p in pts:
-        if xmin - mx <= p.x <= xmax + mx and ymin - my <= p.y <= ymax + my:
-            cur.append(p)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-    return [r for r in runs if len(r) >= 2]
+    inside = (xmin - mx <= xs) & (xs <= xmax + mx) & (ymin - my <= ys) & (ys <= ymax + my)
+    # Run starts and ends alternate among the steps of the padded mask.
+    bounds = np.flatnonzero(np.diff(np.concatenate(([False], inside, [False]))))
+    return [(xs[j:k], ys[j:k]) for j, k in zip(bounds[::2], bounds[1::2]) if k - j >= 2]
 
 
-def _clip_line(line: LineEq, bbox) -> list[list[Point2]]:
+def _clip_line(line: LineEq, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The segment of a line inside bbox, from its first two distinct
+    crossings of the bbox edges (bottom, right, top, left); none if it
+    misses the box."""
     xmin, xmax, ymin, ymax = bbox
-    pts = []
-    for (x1, y1, x2, y2) in (
-        (xmin, ymin, xmax, ymin),
-        (xmax, ymin, xmax, ymax),
-        (xmax, ymax, xmin, ymax),
-        (xmin, ymax, xmin, ymin),
-    ):
-        # Intersect with each bbox edge.
-        ex, ey = x2 - x1, y2 - y1
-        den = line.l * ex + line.m * ey
-        if den == 0.0:
-            continue
+    x1 = np.array([xmin, xmax, xmax, xmin])
+    y1 = np.array([ymin, ymin, ymax, ymax])
+    ex, ey = np.roll(x1, -1) - x1, np.roll(y1, -1) - y1
+    den = line.l * ex + line.m * ey
+    with np.errstate(divide="ignore", invalid="ignore"):
         tpar = -(line.l * x1 + line.m * y1 + line.n) / den
-        if -1e-12 <= tpar <= 1.0 + 1e-12:
-            pts.append(Point2(x1 + tpar * ex, y1 + tpar * ey))
-    uniq = []
-    for p in pts:
-        if not any(abs(p.x - q.x) + abs(p.y - q.y) < 1e-12 * (1 + abs(p.x) + abs(p.y)) for q in uniq):
-            uniq.append(p)
-    if len(uniq) >= 2:
-        return [[uniq[0], uniq[1]]]
-    return []
+        hit = (den != 0.0) & (-1e-12 <= tpar) & (tpar <= 1.0 + 1e-12)
+        xs, ys = (x1 + tpar * ex)[hit], (y1 + tpar * ey)[hit]
+    distinct = np.abs(xs - xs[:1]) + np.abs(ys - ys[:1]) >= 1e-12 * (1 + np.abs(xs) + np.abs(ys))
+    if not distinct.any():
+        return []
+    j = int(np.argmax(distinct))
+    return [(np.array([xs[0], xs[j]]), np.array([ys[0], ys[j]]))]
 
 
 def _ellipse_box(c: Conic) -> list[tuple[float, float]]:
@@ -236,8 +227,9 @@ def _scene_bbox(scene: Scene):
     return (xmin - pad, xmax + pad, ymin - pad, ymax + pad)
 
 
-def _path(points, stroke, width, dashed=False) -> str:
-    d = "M " + " L ".join(f"{p.x:.6g} {-p.y:.6g}" for p in points)
+def _path(xs, ys, stroke, width, dashed=False) -> str:
+    pts = zip(np.asarray(xs).tolist(), (-np.asarray(ys)).tolist())
+    d = "M " + " L ".join(f"{x:.6g} {y:.6g}" for x, y in pts)
     dash = ' stroke-dasharray="0.02 0.012"' if dashed else ""
     return (
         f'<path d="{d}" fill="none" stroke="{stroke}" '
@@ -265,31 +257,27 @@ def emit_svg(scene: Scene) -> str:
     if scene.triangle is not None:
         t = scene.triangle
         pts = [t.a, t.b, t.c, t.a]
-        out.append(_path(pts, "#000000", stroke_w * 1.2))
+        out.append(_path([p.x for p in pts], [p.y for p in pts], "#000000", stroke_w * 1.2))
     for trj in scene.triads:
         members = trj.get("members", [])
         for idx, mj in enumerate(members):
             if mj is None:
                 continue
-            from .conic import FocalConic, conic_from_foci
-
             fc = FocalConic(
                 Point2(*mj["focus1"]),
                 Point2(*mj["focus2"]),
                 mj["axis_length"],
                 mj["kind"],
             )
-            for branch in _conic_samples(conic_from_foci(fc), bbox):
-                out.append(
-                    _path(branch, _TRIAD_COLORS[idx % 3], stroke_w)
-                )
+            for xs, ys in _conic_samples(conic_from_foci(fc), bbox):
+                out.append(_path(xs, ys, _TRIAD_COLORS[idx % 3], stroke_w))
         spc = trj.get("six_point_conic")
         if spc:
-            for branch in _conic_samples(_conic_from_json(spc), bbox):
-                out.append(_path(branch, "#aa3377", stroke_w, dashed=True))
+            for xs, ys in _conic_samples(_conic_from_json(spc), bbox):
+                out.append(_path(xs, ys, "#aa3377", stroke_w, dashed=True))
     for con in scene.conics:
-        for branch in _conic_samples(con, bbox):
-            out.append(_path(branch, "#aa3377", stroke_w))
+        for xs, ys in _conic_samples(con, bbox):
+            out.append(_path(xs, ys, "#aa3377", stroke_w))
     for c in scene.circles:
         out.append(
             f'<circle cx="{c.center.x:.6g}" cy="{-c.center.y:.6g}" r="{c.radius:.6g}" '
@@ -297,7 +285,7 @@ def emit_svg(scene: Scene) -> str:
         )
     for line in scene.polylines:
         if len(line) >= 2:
-            out.append(_path(line, "#bb9900", stroke_w))
+            out.append(_path([q.x for q in line], [q.y for q in line], "#bb9900", stroke_w))
     for label, p in scene.points:
         out.append(
             f'<circle cx="{p.x:.6g}" cy="{-p.y:.6g}" r="{stroke_w * 2.5:.6g}" '

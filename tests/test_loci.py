@@ -511,6 +511,15 @@ def test_trace_zero_set_sextic_axis_crossing():
         assert 0.7 < p.y < 0.9  # the single quintic root at y = 3/4
 
 
+def test_trace_zero_set_counts_a_zero_grid_node_once():
+    # y = x^2 is exactly 0 at the grid nodes (0, 0), (1, 1) and (-1, 1) of
+    # this box: each is one crossing of its cells, and the curve one polyline.
+    polys = trace_zero_set(lambda x, y: y - x * x, (-2, 2, -1, 3), 64)
+    assert len(polys) == 1
+    # Edge roots are bisected to 1e-10 of the edge.
+    assert max(abs(p.y - p.x * p.x) for p in polys[0]) <= 1e-9
+
+
 def test_covertex_check_v():
     rep = covertex_conic_check("v_ellipse")
     assert rep.residual6 <= 1e-7

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from triconic.cli import main
@@ -102,8 +103,8 @@ def test_svg_vhyp_structure(t345):
 def _scene_conic_samples(dx, dy):
     """render._conic_samples of every conic of the four triad scenes of the
     (0.1,0.2) (1.3,0.15) (0.5,1.1) triangle moved by (dx, dy), P at (1, 1)
-    moved alike: per kind, (conic kind, polylines) for the three members
-    and then the six-point conic."""
+    moved alike: per kind, (conic kind, [(xs, ys) arrays of each branch])
+    for the three members and then the six-point conic."""
     from triconic.conic import FocalConic, conic_from_foci
     from triconic.render import _conic_samples, _scene_bbox
     from triconic.scene import _conic_from_json
@@ -136,14 +137,27 @@ def test_render_samples_move_with_the_scene():
     here, moved = _scene_conic_samples(0.0, 0.0), _scene_conic_samples(100.0, 100.0)
     for kind in here:
         for (cls, polys), (_, polys_moved) in zip(here[kind], moved[kind]):
-            assert [len(q) for q in polys] == [len(q) for q in polys_moved], (kind, cls)
+            assert [len(xs) for xs, _ in polys] == [len(xs) for xs, _ in polys_moved], (kind, cls)
             if cls == "ellipse":
-                assert [len(q) for q in polys] == [MIN_CONIC_SAMPLES + 1], kind
+                assert [len(xs) for xs, _ in polys] == [MIN_CONIC_SAMPLES + 1], kind
             else:
                 assert cls == "hyperbola" and len(polys) == 2, kind
-            for q, q_moved in zip(polys, polys_moved):
-                for u, v in zip(q, q_moved):
-                    assert abs(v.x - u.x - 100.0) < 1e-9 and abs(v.y - u.y - 100.0) < 1e-9
+            for (xs, ys), (xs_moved, ys_moved) in zip(polys, polys_moved):
+                assert np.all(np.abs(xs_moved - xs - 100.0) < 1e-9)
+                assert np.all(np.abs(ys_moved - ys - 100.0) < 1e-9)
+
+
+def test_render_samples_a_parabola_as_one_run():
+    # y = x^2 in a view its vertex and the edges x = -2, 2 frame: one run
+    # on the curve that crosses the whole view.
+    from triconic.render import _conic_samples
+
+    con = Conic.from_coeffs((1, 0, 0, 0, -1, 0))
+    runs = _conic_samples(con, (-2, 2, -1, 3))
+    assert len(runs) == 1
+    xs, ys = runs[0]
+    assert max(residual(con, Point2(x, y)) for x, y in zip(xs, ys)) <= 1e-12
+    assert xs.min() <= -2.0 and xs.max() >= 2.0
 
 
 def test_ppm_format_and_palette(t_generic):
@@ -384,6 +398,47 @@ def test_env_tolerance_override(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert r.stdout.strip() == "1e-05"
+    # The variable takes set_tol's check.
+    env["TRICONIC_TOL"] = "nan"
+    r = subprocess.run(
+        [sys.executable, "-c", "import triconic"], capture_output=True, text=True, env=env,
+    )
+    assert r.returncode != 0 and "TRICONIC_TOL must be a finite number" in r.stderr
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, 1.0])
+def test_set_tol_rejects_values_outside_its_range(value, monkeypatch):
+    from triconic import config
+
+    old = config.get_tol()
+    # Restored after the test even where set_tol accepts the value.
+    monkeypatch.setattr(config, "_tol", old)
+    with pytest.raises(ValueError, match="finite number"):
+        config.set_tol(value)
+    assert config.get_tol() == old
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_cli_rejects_a_bad_tol(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([f"--tol={value}", "verify", "--prop", "P2.1-yiu-vertices", "--report", "r.json"])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("bbox", ["1,-1,0,1", "0,0,0,1", "0,1,1,1", "nan,1,0,1", "0,inf,0,1", "0,1,0"])
+@pytest.mark.parametrize(
+    "command",
+    [["locus", "--kind", "zero-set:x478_quartic"],
+     ["regions", "--kind", "p-ell", "--triangle", "0,3 4,0 0,0", "--grid", "4x4"]],
+)
+def test_cli_rejects_a_bad_bbox(command, bbox, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, f"--bbox={bbox}", "--out", "o.out"])
+    assert code == 2
+    assert "--bbox" in capsys.readouterr().err
+    assert not (tmp_path / "o.out").exists()
 
 
 def test_svg_view_box_covers_a_scene_conic():

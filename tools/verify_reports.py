@@ -5,16 +5,19 @@
     python tools/verify_reports.py diff DIR_A DIR_B
 
 `write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json) and at seed 42
-with `--tol 1e-8` (DIR/tol8.json), and the README's x478 and O* loci
-(DIR/locus_x478.json, DIR/locus_ostar.json), with the caller's PYTHONPATH,
-so the outputs of another checkout come from pointing PYTHONPATH at its
-`src`.  A CLI exit of 1 (some proposition failed) is a report like any
-other; an exit of 2 is an error.
+with `--tol 1e-8` (DIR/tol8.json), the README's x478 and O* loci
+(DIR/locus_x478.json, DIR/locus_ostar.json), and builds and renders the
+README's two scenes on the triangle "0,3 4,0 0,0" (DIR/scene_v_ell.svg,
+DIR/scene_soddy.svg, each from the scene JSON beside it), with the
+caller's PYTHONPATH, so the outputs of another checkout come from
+pointing PYTHONPATH at its `src`.  A CLI exit of 1 (some proposition
+failed) is a report like any other; an exit of 2 is an error.
 
 `diff` compares the files of the same name in two directories.  For the
 reports it prints each proposition entry that differs: its id, both
 max_residual values and whether the witness moved.  It names each locus
-output that is not byte-identical.  It exits 1 if anything differs.
+output and each SVG that is not byte-identical.  It exits 1 if anything
+differs.
 """
 
 import json
@@ -31,6 +34,12 @@ LOCI = (
     ),
 )
 
+README_TRIANGLE = "0,3 4,0 0,0"
+SVGS = (
+    ("scene_v_ell.svg", ["--triad", "v-ell"]),
+    ("scene_soddy.svg", ["--triad", "v-hyp", "--center", "X20"]),
+)
+
 
 def _reports():
     for seed in SEEDS:
@@ -38,15 +47,25 @@ def _reports():
     yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42", "--report"]
 
 
+def _runs(out: pathlib.Path):
+    """(output file, CLI arguments) of each run, in order."""
+    for name, args in [*_reports(), *LOCI]:
+        yield out / name, [*args, str(out / name)]
+    for name, args in SVGS:
+        scene, svg = out / name.replace(".svg", ".json"), out / name
+        yield scene, ["construct", "--triangle", README_TRIANGLE, *args, "--out", str(scene)]
+        yield svg, ["render", "--scene", str(scene), "--out", str(svg)]
+
+
 def write(out: pathlib.Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    for name, args in [*_reports(), *LOCI]:
-        cmd = [sys.executable, "-m", "triconic.cli", *args, str(out / name)]
+    for path, args in _runs(out):
+        cmd = [sys.executable, "-m", "triconic.cli", *args]
         code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
         if code not in (0, 1):
             print(f"error: {' '.join(cmd)} exited {code}", file=sys.stderr)
             return 2
-        print(f"wrote {out / name} (exit {code})")
+        print(f"wrote {path} (exit {code})")
     return 0
 
 
@@ -74,6 +93,10 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
         if (a / name).read_bytes() != (b / name).read_bytes():
             differ = True
             print(f"{name}: locus outputs differ")
+    for name, _ in SVGS:
+        if (a / name).read_bytes() != (b / name).read_bytes():
+            differ = True
+            print(f"{name}: SVG outputs differ")
     print("outputs differ" if differ else "outputs agree")
     return 1 if differ else 0
 
