@@ -295,6 +295,11 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: --tol: {exc}", file=sys.stderr)
             return 2
+    try:
+        config.get_tol()  # without --tol, reads and checks TRICONIC_TOL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # --threads is honored by batch commands; parsing it globally keeps the
     # interface uniform.
     try:

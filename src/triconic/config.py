@@ -3,7 +3,7 @@
 All geometric predicates compare *normalized* quantities against a single
 relative tolerance.  The default (1e-9) can be overridden globally through
 set_tol() or the TRICONIC_TOL environment variable, to a finite value in
-(0, MAX_TOL].
+(0, MAX_TOL]; the variable is read on the first get_tol(), not at import.
 
 A few algebraic thresholds are fixed constants, independent of the global
 tolerance: they gate exact algebraic sign conditions (conic degeneracy,
@@ -38,10 +38,16 @@ def _checked(value, name: str = "tolerance") -> float:
     return value
 
 
-_tol = _checked(os.environ.get("TRICONIC_TOL", DEFAULT_TOL), "TRICONIC_TOL")
+# None until the first get_tol() or set_tol().
+_tol = None
 
 
 def get_tol() -> float:
+    """The tolerance: set_tol's value, else TRICONIC_TOL's, read and checked
+    on the first call (ValueError naming the variable), else DEFAULT_TOL."""
+    global _tol
+    if _tol is None:
+        _tol = _checked(os.environ.get("TRICONIC_TOL", DEFAULT_TOL), "TRICONIC_TOL")
     return _tol
 
 

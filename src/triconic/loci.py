@@ -802,9 +802,9 @@ _BRENT_RTOL = 8.9e-16  # just above 4 * eps, the least the method can hold
 _BRENT_MAXITER = 100
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of f in [a, b] by Brent's method, from the end values
-    fa = f(a) and fb = f(b), which differ in sign or include a 0.
+def _brent_cell(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in the cell [a, b] by Brent's method on floats, from the
+    end values fa = f(a) and fb = f(b), which differ in sign or include a 0.
 
     R. P. Brent, Algorithms for Minimization without Derivatives (1973),
     ch. 4, step for step as scipy's brentq.c runs it (xtol 1e-300, rtol
@@ -862,6 +862,59 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     )
 
 
+class _Unknown(Exception):
+    """A replayed cell asks for f at an iterate where it is not known yet."""
+
+
+def _brent(f, a, b, fa, fb):
+    """A root of f in each cell [a, b] by Brent's method (_brent_cell), from
+    the end values fa = f(a) and fb = f(b), which differ in sign or include
+    a 0.
+
+    Elementwise on floats or on arrays of cells, with the same bits: every
+    cell runs _brent_cell in Python floats, and only f is called on arrays.
+    On floats this is _brent_cell itself: f(x) takes a float, and the root
+    is returned or NotConverged raised.  On arrays each round replays every
+    running cell from its start, reading the values of f it has been given,
+    up to the first iterate where f is not known yet; one call f(x, i) then
+    evaluates those iterates x of the cells i (an index array into a).  The
+    result is (roots, failed): roots NaN at each cell that failed, and
+    failed the NotConverged that the float call raises for it.  Replaying
+    costs Python steps quadratic in a cell's iterations (5050 at most),
+    against one f call a round, and leaves the float path as it was.
+    """
+    if not isinstance(a, np.ndarray):
+        return _brent_cell(f, a, b, fa, fb)
+    cells = list(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()))
+    known = [[] for _ in cells]
+    roots = np.full(len(cells), math.nan)
+    failed = {}
+    running = range(len(cells))
+    while running:
+        xs, asked = [], []
+        for i in running:
+            values = iter(known[i])
+
+            def replay(x, values=values):
+                v = next(values, None)
+                if v is None:
+                    raise _Unknown(x)
+                return v
+
+            try:
+                roots[i] = _brent_cell(replay, *cells[i])
+            except _Unknown as ask:
+                xs.append(ask.args[0])
+                asked.append(i)
+            except NotConverged as exc:
+                failed[i] = exc
+        if asked:
+            for i, v in zip(asked, np.asarray(f(np.array(xs), np.array(asked))).tolist()):
+                known[i].append(v)
+        running = asked
+    return roots, failed
+
+
 def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     """Sign changes of f on [lo, hi], in order, as a generator.
 
@@ -877,9 +930,10 @@ def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
     grid as an array, it returns f at every grid point, bit for bit f's
     values, and replaces the scalar scan.  Without it the scan is lazy: the
     first root is next(bisect_sign_changes(...), None), and no cell past it
-    is evaluated.  Brent always polishes with the scalar f, and is handed
-    the cell's two end values from the scan, so no grid point is evaluated
-    twice.
+    is evaluated.  Brent always polishes with f on floats (_brent_cell),
+    and is handed the cell's two end values from the scan, so no grid
+    point is evaluated twice.  batch_sign_changes runs many scans at
+    once, with one array Brent over all their cells.
     """
     grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
     values = map(f, grid) if f_grid is None else f_grid(np.array(grid)).tolist()
@@ -889,6 +943,43 @@ def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
         if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
             yield _brent(f, prev_s, s, prev_f, v)
         prev_s, prev_f = s, v
+
+
+def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
+    """bisect_sign_changes of many scans in one pass: scan k runs on
+    [lo[k], hi[k]], and f(s, k) evaluates its function elementwise on
+    arrays, bit for bit the floats that bisect_sign_changes would read.
+
+    One f call reads every scan's grid, and one array _brent polishes
+    every bracketed cell.  Returns, for each scan, its roots in order (with
+    first, as next(bisect_sign_changes(...), None) gives it, its first root
+    or None, and only each scan's first bracketed cell is polished), or the
+    NotConverged of its first cell whose polish failed.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    grid = lo[:, None] + (hi - lo)[:, None] * np.arange(steps + 1) / steps
+    values = np.asarray(f(grid.ravel(), np.repeat(np.arange(lo.size), steps + 1)))
+    values = values.reshape(grid.shape)
+    finite, neg = np.isfinite(values), values < 0.0
+    bracketed = finite[:, :-1] & finite[:, 1:] & (neg[:, :-1] != neg[:, 1:])
+    if first:
+        bracketed &= np.cumsum(bracketed, axis=1) == 1
+    scan, k = np.nonzero(bracketed)
+    roots, failed = _brent(
+        lambda x, i: f(x, scan[i]), grid[scan, k], grid[scan, k + 1], values[scan, k],
+        values[scan, k + 1],
+    )
+    out = [[] for _ in range(lo.size)]
+    for i, (j, root) in enumerate(zip(scan.tolist(), roots.tolist())):
+        if not isinstance(out[j], list):
+            continue  # an earlier cell of scan j failed
+        if i in failed:
+            out[j] = failed[i]
+        else:
+            out[j].append(root)
+    if first:
+        return [r if isinstance(r, NotConverged) else next(iter(r), None) for r in out]
+    return out
 
 
 def _bisect_along_ray(g, lo: float, hi: float) -> float:

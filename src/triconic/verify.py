@@ -20,13 +20,17 @@ decides their family: A3's runs its check, P2.8's and P5.7's the root scan
 their checks repeat.
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  Seven run as one
+`_per_trial`, which turns a crash into a failed trial.  Ten run as one
 batch on arrays, bit for bit the kernels' float paths: P2.2, P3.1, P3.8
 and P5.2 in one `kernels.six_point` call, P4.7 and P5.6 in one
-`kernels.pair_points` call, P5.1 in one `kernels.second_point` call.  The
-sign scans of P2.6, P3.4 and P5.7 hand `kernels.six_point` to
-`bisect_sign_changes` as both f (the floats of the Brent polish) and
-f_grid (the scan grid's array).
+`kernels.pair_points` call, P5.1 in one `kernels.second_point` call, and
+the sign scans of P2.6, P3.4 and P5.7 (both of its scans) in one
+`loci.batch_sign_changes` each: one `kernels.six_point` (or parabola
+condition) call on every trial's grid, then one array Brent over every
+bracketed cell.  A crash there still fails only its own trial.  The
+scans of P2.8, P4.6 and P4.10 run trial by trial through
+`bisect_sign_changes` on floats: their functions take powers with `**`,
+whose last bits differ on numpy arrays.
 
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through
@@ -42,6 +46,7 @@ evidence and never fail the suite below the evidence bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from collections import Counter
@@ -92,6 +97,7 @@ from .geom import (
     signed_area,
 )
 from .loci import (
+    batch_sign_changes,
     bisect_sign_changes,
     covertex_conic_check,
     equilateral_ostar_locus_check,
@@ -436,25 +442,59 @@ def _detn_v_ellipse(ax, ay, bx, by, cx, cy):
     return kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[1]
 
 
-def _chk_degenerate_iff_right(cfg) -> float:
+def _on_ray(s, ox, oy, r, dx, dy):
+    """The point O + s*r*(dx, dy) of a ray, on floats or arrays."""
+    return ox + s * r * dx, oy + s * r * dy
+
+
+def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
+    """loci.batch_sign_changes of fn(s, *ray) along each ray of rays, a
+    list of tuples of floats; lo and hi are floats or one per ray."""
+    if not rays:
+        return []
+    cols = np.array(rays).T
+    n = len(rays)
+    return batch_sign_changes(
+        lambda s, k: fn(s, *(c[k] for c in cols)),
+        np.broadcast_to(lo, n), np.broadcast_to(hi, n), steps, first,
+    )
+
+
+def _at_rays(fn, rays, s) -> list:
+    """fn(s, *ray) on every ray of rays in one array call, as floats."""
+    return fn(np.full(len(rays), s), *np.array(rays).T).tolist()
+
+
+def _ab_ray(cfg) -> tuple:
+    """P2.6's A and B, then the ray M + s*r*(cos, sin) of its angle from
+    the midpoint M of AB, r = |AB| / 2."""
     (ax, ay), (bx, by) = cfg["ab"]
-    ang = cfg["angle"]
     A = Point2(ax, ay)
     B = Point2(bx, by)
     m = midpoint(A, B)
-    r = distance(A, B) / 2.0
-    d = Point2(math.cos(ang), math.sin(ang))
+    ang = cfg["angle"]
+    return (A.x, A.y, B.x, B.y, m.x, m.y, distance(A, B) / 2.0, math.cos(ang), math.sin(ang))
 
-    def ray(s):
-        return m.x + s * r * d.x, m.y + s * r * d.y
 
-    def detn(s):
-        return _detn_v_ellipse(A.x, A.y, B.x, B.y, *ray(s))
+def _ab_ray_det(s, ax, ay, bx, by, *ray):
+    return _detn_v_ellipse(ax, ay, bx, by, *_on_ray(s, *ray))
 
-    s = next(bisect_sign_changes(detn, 0.8, 1.2, f_grid=detn), None)
+
+def _chk_degenerate_iff_right(rays) -> list:
+    """P2.6 on all rays (_ab_ray) at once: one batch scan for the first
+    sign change of the V-ellipse det as C runs along each ray."""
+    roots = _scan_rays(_ab_ray_det, rays, 0.8, 1.2, first=True)
+    at_one = _at_rays(_ab_ray_det, rays, 1.0)
+    return _each(_right_angle_residual, zip(rays, roots, at_one))
+
+
+def _right_angle_residual(item) -> float:
+    (ax, ay, bx, by, *ray), s, det_right = item
+    if isinstance(s, Exception):
+        raise s
     if s is None:
         return 1.0
-    t = Triangle(A, B, Point2(*ray(s)))
+    t = Triangle(Point2(ax, ay), Point2(bx, by), Point2(*_on_ray(s, *ray)))
     # Some angle is right at any det-sign crossing (the degenerate locus in C
     # is the diameter circle plus the two tangent lines at A and B).
     aa, bb, cc = t.sides()
@@ -463,8 +503,7 @@ def _chk_degenerate_iff_right(cfg) -> float:
         abs(bb * bb + cc * cc - aa * aa),
         abs(cc * cc + aa * aa - bb * bb),
     ) / max(aa, bb, cc) ** 2
-    det_right = abs(detn(1.0))
-    return max(pyth, det_right * 100.0)
+    return max(pyth, abs(det_right) * 100.0)
 
 
 def _chk_x478_quartic(cfg) -> float:
@@ -580,31 +619,52 @@ def _chk_anticevian_needle(cfg) -> float:
     return max(fval / s**8 * 1e6, spread, conc * 1e2, lin * 1e2)
 
 
-def _chk_degenerate_on_circumcircle(cfg) -> float:
+def _circumcircle_ray(t: Triangle, ang: float) -> tuple:
+    """The corners of t, then the ray O + s*R*(cos ang, sin ang) from its
+    circumcenter O, R the circumradius."""
+    cc = circumcircle(t)
+    corners = (w for v in t.vertices() for w in v.as_tuple())
+    return (*corners, cc.center.x, cc.center.y, cc.radius, math.cos(ang), math.sin(ang))
+
+
+def _cfg_ray(cfg) -> tuple:
+    return _circumcircle_ray(_cfg_tri(cfg), cfg["angle"])
+
+
+def _p_ellipse_det(s, ax, ay, bx, by, cx, cy, *ray):
+    return kernels.six_point(
+        ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, *_on_ray(s, *ray)
+    )[1]
+
+
+def _p_hyperbola_disc(s, ax, ay, bx, by, cx, cy, *ray):
+    return kernels.six_point(
+        ax, ay, bx, by, cx, cy, kernels.KIND_P_HYPERBOLA, *_on_ray(s, *ray)
+    )[2]
+
+
+def _chk_degenerate_on_circumcircle(rays) -> list:
+    """P3.4 on all rays (_cfg_ray) at once: one batch scan for every sign
+    change of the P-ellipse det as P runs along each ray from the
+    circumcenter."""
+    on = _at_rays(_p_ellipse_det, rays, 1.0)
+    crossings = _scan_rays(_p_ellipse_det, rays, 0.97, 1.03)
+    return _each(_circumcircle_residual, zip(on, crossings))
+
+
+def _circumcircle_residual(item) -> float:
     # The degeneracy locus of the driver P contains the circumcircle plus
     # interior branches (a deltoid for the equilateral), so the sweep can
     # cross several sign changes; the one nearest the circle must localize
     # the circle itself.
-    t = _cfg_tri(cfg)
-    cc = circumcircle(t)
-    ang = cfg["angle"]
-    d = Point2(math.cos(ang), math.sin(ang))
-
-    def ray(s):
-        return cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
-
-    def detn(s):
-        return kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, *ray(s)
-        )[1]
-
-    on = abs(detn(1.0))
-    crossings = list(bisect_sign_changes(detn, 0.97, 1.03, f_grid=detn))
+    on, crossings = item
+    if isinstance(crossings, Exception):
+        raise crossings
     if not crossings:
         return 1.0
     nearest = min(abs(s - 1.0) for s in crossings)
     # bracket offset tolerance 1e-6 scaled into the 1e-9 threshold
-    return max(on, nearest * 1e-3)
+    return max(abs(on), nearest * 1e-3)
 
 
 def _chk_ostar_arcs(cfg) -> float:
@@ -922,22 +982,21 @@ def _chk_x55(cfg) -> float:
     return max(rep.circle_spread / r, rep.concentricity_error / r, rep.x7_match_error / r)
 
 
+def _phyp_condition(s, ax, ay, bx, by, cx, cy, *ray):
+    """phyp_parabola_condition with P at the ray point, the sides and
+    focal differences kernels._sides_deltas', as loci._lambdas reads them."""
+    sides, lams, _ = kernels._sides_deltas(
+        ax, ay, bx, by, cx, cy, kernels.KIND_P_HYPERBOLA, *_on_ray(s, *ray)
+    )
+    return phyp_parabola_condition(*sides, *lams)
+
+
 def _phyp_parabola_on_ray(t: Triangle, ang: float):
     """phyp_parabola_condition at P = O + s*R*(cos ang, sin ang), O and R
     the circumcenter and circumradius, as a function of s: a float, or an
-    array such as a whole scan grid, bit for bit alike.  Sides and focal
-    differences are kernels._sides_deltas', as loci._lambdas reads them."""
-    cc = circumcircle(t)
-    dx, dy = math.cos(ang), math.sin(ang)
-    corners = [w for v in t.vertices() for w in v.as_tuple()]
-
-    def cond(s):
-        px = cc.center.x + s * cc.radius * dx
-        py = cc.center.y + s * cc.radius * dy
-        sides, lams, _ = kernels._sides_deltas(*corners, kernels.KIND_P_HYPERBOLA, px, py)
-        return phyp_parabola_condition(*sides, *lams)
-
-    return cond
+    array such as a whole scan grid, bit for bit alike."""
+    ray = _circumcircle_ray(t, ang)
+    return lambda s: _phyp_condition(s, *ray)
 
 
 def _phyp_parabola_root(t: Triangle, ang: float) -> float | None:
@@ -945,37 +1004,41 @@ def _phyp_parabola_root(t: Triangle, ang: float) -> float | None:
     return next(bisect_sign_changes(cond, 0.08, 2.4, steps=300, f_grid=cond), None)
 
 
-def _chk_phyp_parabola(cfg) -> float:
+def _cfg_and_ray(cfg) -> tuple:
+    return cfg, _cfg_ray(cfg)
+
+
+def _chk_phyp_parabola(items) -> list:
+    """P5.7 on all (configuration, ray) pairs at once: one batch scan for
+    the root of the parabola condition along each ray, then one for the
+    fitted conic's disc around each root found."""
+    cfgs, rays = zip(*items)
+    found = _scan_rays(_phyp_condition, rays, 0.08, 2.4, steps=300, first=True)
+    hit = [i for i, s in enumerate(found) if isinstance(s, float)]
+    s_disc = [None] * len(found)
+    lo = [found[i] - 2e-3 for i in hit]
+    hi = [found[i] + 2e-3 for i in hit]
+    discs = _scan_rays(_p_hyperbola_disc, [rays[i] for i in hit], lo, hi, steps=40, first=True)
+    for i, s in zip(hit, discs):
+        s_disc[i] = s
+    return _each(_parabola_residual, zip(cfgs, rays, found, s_disc))
+
+
+def _parabola_residual(item) -> float:
     # The printed parabola condition reaches its evaluation noise floor well
     # before the geometric boundary is resolved, so the check verifies that
     # the fitted conic's own quadratic discriminant changes sign within
     # 1e-6 of the condition root (scaled into the 1e-9 threshold), and that
     # the conic at the disc root classifies as a parabola.
-    t = _cfg_tri(cfg)
-    cc = circumcircle(t)
-    ang = cfg["angle"]
-    d = Point2(math.cos(ang), math.sin(ang))
-    found = _phyp_parabola_root(t, ang)
-    if found is None:
-        return 1.0
-
-    def ray(s):
-        return cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y
-
-    def discn(s):
-        return kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, *ray(s)
-        )[2]
-
-    s_disc = next(
-        bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40, f_grid=discn), None
-    )
-    if s_disc is None:
+    cfg, ray, found, s_disc = item
+    for r in (found, s_disc):
+        if isinstance(r, Exception):
+            raise r
+    if found is None or s_disc is None:
         return 1.0
     # offset tolerance 1e-6 scaled into the 1e-9 threshold
-    worst = max(abs(s_disc - found) * 1e-3, abs(discn(s_disc)))
-    worst = max(worst, _sideline_extension_residual(t, cfg["u"]))
-    return worst
+    worst = max(abs(s_disc - found) * 1e-3, abs(_p_hyperbola_disc(s_disc, *ray)))
+    return max(worst, _sideline_extension_residual(_cfg_tri(cfg), cfg["u"]))
 
 
 def _sideline_extension_residual(t: Triangle, u01: float) -> float:
@@ -1189,19 +1252,39 @@ def _per_draw(gen):
     return draw
 
 
-def _per_trial(check):
-    """A proposition's run from a check of one configuration."""
+def _each(fn, items) -> list:
+    """fn of each item, or the exception it raised: a crashed trial.  An
+    item that is already an exception is kept."""
+    out = []
+    for item in items:
+        if isinstance(item, Exception):
+            out.append(item)
+            continue
+        try:
+            out.append(fn(item))
+        except Exception as exc:  # a crashed check is a failed trial
+            out.append(exc)
+    return out
+
+
+def _batch_run(setup, check):
+    """A proposition's run from setup(cfg), run on each configuration, and
+    check(every setup that did not crash), one residual or exception each;
+    a crashed setup fails its own trial."""
 
     def run(cfgs) -> list:
-        out = []
-        for cfg in cfgs:
-            try:
-                out.append(check(cfg))
-            except Exception as exc:  # a crashed check is a failed trial
-                out.append(exc)
+        out = _each(setup, cfgs)
+        live = [i for i, item in enumerate(out) if not isinstance(item, Exception)]
+        for i, r in zip(live, check([out[i] for i in live]) if live else ()):
+            out[i] = r
         return out
 
     return run
+
+
+def _per_trial(check):
+    """A proposition's run from a check of one configuration."""
+    return functools.partial(_each, check)
 
 
 MANIFEST: tuple[Proposition, ...] = (
@@ -1211,7 +1294,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _per_trial(_chk_tangent_excentral), 1e-8, 100),
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _per_trial(_chk_chords_x20), 1e-8, 100),
     Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _per_trial(_chk_right_triangle_x20), 1e-8, 200),
-    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _per_trial(_chk_degenerate_iff_right), 1e-6, 40),
+    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
     Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _per_trial(_chk_x478_quartic), 1e-8, 120),
     Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _per_trial(_chk_type_regions_V), 1e-9, 25),
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _per_draw(_gen_ray_angle_v), _per_trial(_chk_covertex_locus_V), 1e-7, 4),
@@ -1219,7 +1302,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _per_trial(_chk_pstar), 1e-6, 6),
     Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _per_draw(_gen_needle), _per_trial(_chk_anticevian_needle), 1e-6, 60),
-    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _per_draw(_gen_tri_angle), _per_trial(_chk_degenerate_on_circumcircle), 1e-9, 60),
+    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _per_draw(_gen_tri_angle), _batch_run(_cfg_ray, _chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
     Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_arcs), 1e-8, 1),
     Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_regions), 0.5, 1),
@@ -1243,7 +1326,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
-    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _per_draw(_gen_tri_phyp_angle), _per_trial(_chk_phyp_parabola), 1e-9, 25),
+    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _per_draw(_gen_tri_phyp_angle), _batch_run(_cfg_and_ray, _chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
     Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_tri, _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
     Proposition("A2-major-vertices", "closed-form major vertices", _gen_tri, _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),

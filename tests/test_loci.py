@@ -663,6 +663,62 @@ def test_bisect_sign_changes_evaluates_no_grid_point_twice():
         assert [calls[s] for s in grid] == [0 if kw else 1] * len(grid)
 
 
+def test_batch_sign_changes_match_the_scans_one_by_one():
+    # Scans with three crossings, exact grid zeros touched from either side,
+    # and NaN and infinite grid values, as one batch: each scan gets the
+    # roots of its own bisect_sign_changes, and with first the first root.
+    def bumpy(s):
+        if s == 0.5:
+            return math.nan
+        if s == 0.8:
+            return math.inf
+        return -(s - 0.25) * (s - 0.5) * (s - 0.75)
+
+    scans = [
+        (_cubic, 0.0, 3.0, 47),
+        (lambda s: s - 0.5, 0.0, 1.0, 2),
+        (lambda s: 0.5 - s, 0.0, 1.0, 2),
+        (lambda s: -(s - 0.5) * (s - 0.5), 0.0, 1.0, 2),
+        (lambda s: (s - 0.5) * (s - 0.5), 0.0, 1.0, 2),
+        (bumpy, 0.0, 1.0, 10),
+        (_cubic, 1.2, 1.9, 5),
+    ]
+    for steps in (2, 10, 47):
+        batch = [sc for sc in scans if sc[3] == steps]
+        lo, hi = (np.array([sc[k] for sc in batch]) for k in (1, 2))
+
+        def f(s, k, batch=batch):
+            return np.array([batch[j][0](v) for v, j in zip(s.tolist(), k.tolist())])
+
+        want = [list(loci.bisect_sign_changes(g, a, b, n)) for g, a, b, n in batch]
+        assert loci.batch_sign_changes(f, lo, hi, steps) == want
+        assert loci.batch_sign_changes(f, lo, hi, steps, first=True) == [
+            next(iter(w), None) for w in want
+        ]
+
+
+def test_batch_sign_changes_fail_only_their_own_scan():
+    # The second bracketed cell of scan 0 meets a NaN inside: scan 0 fails
+    # with the float NotConverged, scan 1 keeps its root, and with first
+    # only each scan's first cell is polished, so scan 0 keeps its first root.
+    def f0(s):
+        return math.nan if 1.09 < s < 1.14 else _cubic(s)
+
+    fns = [f0, _cubic]
+
+    def f(s, k):
+        return np.array([fns[j](v) for v, j in zip(s.tolist(), k.tolist())])
+
+    lo, hi = np.array([0.0, 0.0]), np.array([3.0, 3.0])
+    every = loci.batch_sign_changes(f, lo, hi, 47)
+    with pytest.raises(NotConverged) as err:
+        list(loci.bisect_sign_changes(f0, 0.0, 3.0, 47))
+    assert isinstance(every[0], NotConverged) and str(every[0]) == str(err.value)
+    assert every[1] == list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, 47))
+    first = loci.batch_sign_changes(f, lo, hi, 47, first=True)
+    assert first == [next(loci.bisect_sign_changes(f0, 0.0, 3.0, 47))] * 2
+
+
 def test_brent_raises_not_converged_with_its_last_iterate():
     # A ninefold root: Brent's interpolation creeps toward it, and 100
     # iterations do not reach its 4-ulp tolerance.

@@ -388,22 +388,30 @@ def test_cli_exit_1_on_verification_failure(tmp_path, cli_env):
     assert "[FAIL] P2.1-yiu-vertices" in r.stdout, r.stdout + r.stderr
 
 
-def test_env_tolerance_override(tmp_path):
-    import os
-
-    env = dict(os.environ)
+def test_env_tolerance_override(tmp_path, cli_env):
+    env = dict(cli_env)
     env["TRICONIC_TOL"] = "1e-5"
     r = subprocess.run(
         [sys.executable, "-c", "import triconic; print(triconic.get_tol())"],
         capture_output=True, text=True, env=env,
     )
     assert r.stdout.strip() == "1e-05"
-    # The variable takes set_tol's check.
+    # The variable takes set_tol's check on the first get_tol(), not at
+    # import, and the CLI reports it as a usage error.
     env["TRICONIC_TOL"] = "nan"
     r = subprocess.run(
-        [sys.executable, "-c", "import triconic"], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", "import triconic\ntry:\n    triconic.get_tol()\n"
+         "except ValueError as exc:\n    print(exc)"],
+        capture_output=True, text=True, env=env,
     )
-    assert r.returncode != 0 and "TRICONIC_TOL must be a finite number" in r.stderr
+    assert r.returncode == 0 and "TRICONIC_TOL must be a finite number" in r.stdout, r.stderr
+    r = run_cli(["verify", "--prop", "P2.1-yiu-vertices", "--trials", "1"], tmp_path, env)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: TRICONIC_TOL must be a finite number"), r.stderr
+    # --tol overrides the variable.
+    r = run_cli(["--tol", "1e-9", "verify", "--prop", "P2.1-yiu-vertices", "--trials", "1"],
+                tmp_path, env)
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, 1.0])

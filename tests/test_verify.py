@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from triconic import centers, conic, config, kernels, render, triads, verify
+from triconic import centers, conic, config, kernels, loci, render, triads, verify
 from triconic.conic import Conic
 from triconic.errors import (
     ConstructionFailed,
@@ -14,7 +14,7 @@ from triconic.errors import (
     DegenerateTriangle,
     UnknownProposition,
 )
-from triconic.geom import BaryCoords, Point2, Triangle, line_through
+from triconic.geom import BaryCoords, Point2, Triangle, distance, line_through, midpoint
 from triconic.verify import (
     MANIFEST,
     PROPOSITION_IDS,
@@ -514,7 +514,14 @@ def _interleaved_report(pid, seed):
     [(pid, 42) for pid in PROPOSITION_IDS]
     + [
         (pid, seed)
-        for pid in ("P2.1-yiu-vertices", "P3.8-never-rectangular", "P5.3-equal-areas")
+        for pid in (
+            "P2.1-yiu-vertices",
+            "P2.6-degenerate-iff-right",
+            "P3.4-degenerate-on-circumcircle",
+            "P3.8-never-rectangular",
+            "P5.3-equal-areas",
+            "P5.7-parabola-condition",
+        )
         for seed in range(1, 9)
     ],
 )
@@ -578,6 +585,92 @@ def test_format_report_lines():
     assert len(text.splitlines()) == len(MANIFEST) + 2
     for pid in PROPOSITION_IDS:
         assert pid in text
+
+
+def _right_angle_reference(cfg):
+    """P2.6 on one configuration with the float scan and Brent."""
+    (ax, ay), (bx, by) = cfg["ab"]
+    A, B = Point2(ax, ay), Point2(bx, by)
+    m = midpoint(A, B)
+    r = distance(A, B) / 2.0
+    d = Point2(math.cos(cfg["angle"]), math.sin(cfg["angle"]))
+
+    def ray(s):
+        return m.x + s * r * d.x, m.y + s * r * d.y
+
+    def detn(s):
+        return verify._detn_v_ellipse(A.x, A.y, B.x, B.y, *ray(s))
+
+    s = next(loci.bisect_sign_changes(detn, 0.8, 1.2, f_grid=detn), None)
+    if s is None:
+        return 1.0
+    aa, bb, cc = Triangle(A, B, Point2(*ray(s))).sides()
+    pyth = min(
+        abs(aa * aa + bb * bb - cc * cc),
+        abs(bb * bb + cc * cc - aa * aa),
+        abs(cc * cc + aa * aa - bb * bb),
+    ) / max(aa, bb, cc) ** 2
+    return max(pyth, abs(detn(1.0)) * 100.0)
+
+
+def _circumcircle_reference(cfg):
+    """P3.4 on one configuration with the float scan and Brent."""
+    t = verify._cfg_tri(cfg)
+    cc = centers.circumcircle(t)
+    d = Point2(math.cos(cfg["angle"]), math.sin(cfg["angle"]))
+
+    def detn(s):
+        return kernels.six_point(
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE,
+            cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y,
+        )[1]
+
+    on = abs(detn(1.0))
+    crossings = list(loci.bisect_sign_changes(detn, 0.97, 1.03, f_grid=detn))
+    if not crossings:
+        return 1.0
+    return max(on, min(abs(s - 1.0) for s in crossings) * 1e-3)
+
+
+def _parabola_reference(cfg):
+    """P5.7 on one configuration with the float scans and Brent."""
+    t = verify._cfg_tri(cfg)
+    cc = centers.circumcircle(t)
+    d = Point2(math.cos(cfg["angle"]), math.sin(cfg["angle"]))
+    found = verify._phyp_parabola_root(t, cfg["angle"])
+    if found is None:
+        return 1.0
+
+    def discn(s):
+        return kernels.six_point(
+            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA,
+            cc.center.x + s * cc.radius * d.x, cc.center.y + s * cc.radius * d.y,
+        )[2]
+
+    s_disc = next(
+        loci.bisect_sign_changes(discn, found - 2e-3, found + 2e-3, steps=40, f_grid=discn), None
+    )
+    if s_disc is None:
+        return 1.0
+    worst = max(abs(s_disc - found) * 1e-3, abs(discn(s_disc)))
+    return max(worst, verify._sideline_extension_residual(t, cfg["u"]))
+
+
+@pytest.mark.parametrize(
+    "pid,reference",
+    [
+        ("P2.6-degenerate-iff-right", _right_angle_reference),
+        ("P3.4-degenerate-on-circumcircle", _circumcircle_reference),
+        ("P5.7-parabola-condition", _parabola_reference),
+    ],
+)
+@pytest.mark.parametrize("seed", [42, 3])
+def test_batch_scans_match_float_scans(pid, reference, seed):
+    # The batch scans give each trial the residual of one float scan per
+    # trial, polished by the float Brent, bit for bit.
+    prop = verify._BY_ID[pid]
+    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+    assert prop.run(cfgs) == [reference(cfg) for cfg in cfgs]
 
 
 def test_phyp_parabola_scan_grid_matches_scalar_condition():
