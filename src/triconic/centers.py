@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import kernels
 from .errors import (
     DegenerateResult,
     DegenerateTriangle,
@@ -48,21 +49,14 @@ class Circle:
 
 # Barycentric coordinate functions for the catalog centers.  Each entry maps
 # (a, b, c) to the first coordinate; the other two follow by cycling both the
-# arguments and the coordinate slots.  Sources: standard ETC forms.
+# arguments and the coordinate slots (kernels.cyclic).  Sources: standard ETC
+# forms; X3, X4 and X20 are the kernels', which the verifier reads on arrays.
 def _x2(a, b, c):
     return 1.0
 
 
 def _x1(a, b, c):
     return a
-
-
-def _x3(a, b, c):
-    return a * a * (b * b + c * c - a * a)
-
-
-def _x4(a, b, c):
-    return (a * a + b * b - c * c) * (c * c + a * a - b * b)
 
 
 def _x6(a, b, c):
@@ -78,10 +72,6 @@ def _x8(a, b, c):
     return b + c - a
 
 
-def _x20(a, b, c):
-    return -3.0 * a**4 + 2.0 * a * a * (b * b + c * c) + (b * b - c * c) ** 2
-
-
 def _x55(a, b, c):
     return a * a * (b + c - a)
 
@@ -91,32 +81,26 @@ _CYCLIC_CENTERS = {
     "incenter": _x1,
     "X2": _x2,
     "centroid": _x2,
-    "X3": _x3,
-    "X4": _x4,
+    "X3": kernels.center_x3,
+    "X4": kernels.center_x4,
     "X6": _x6,
     "X7": _x7,
     "X8": _x8,
-    "X20": _x20,
+    "X20": kernels.center_x20,
     "X55": _x55,
 }
 
-CENTER_IDS = sorted(
-    set(_CYCLIC_CENTERS)
-    | {"excenterA", "excenterB", "excenterC", "X175", "X176", "X478", "X5452"}
-)
+_EXCENTERS = ("excenterA", "excenterB", "excenterC")
+
+CENTER_IDS = sorted(set(_CYCLIC_CENTERS) | set(_EXCENTERS) | {"X175", "X176", "X478", "X5452"})
 
 
 def center_bary(t: Triangle, center_id: str) -> BaryCoords:
     a, b, c = t.sides()
     if center_id in _CYCLIC_CENTERS:
-        f = _CYCLIC_CENTERS[center_id]
-        return BaryCoords(f(a, b, c), f(b, c, a), f(c, a, b))
-    if center_id == "excenterA":
-        return BaryCoords(-a, b, c)
-    if center_id == "excenterB":
-        return BaryCoords(a, -b, c)
-    if center_id == "excenterC":
-        return BaryCoords(a, b, -c)
+        return BaryCoords(*kernels.cyclic(_CYCLIC_CENTERS[center_id], a, b, c))
+    if center_id in _EXCENTERS:
+        return BaryCoords(*kernels.excenters(a, b, c)[_EXCENTERS.index(center_id)])
     raise KeyError(f"no barycentric formula for {center_id!r}")
 
 
@@ -153,13 +137,11 @@ def incircle(t: Triangle) -> Circle:
 
 def excircles(t: Triangle) -> tuple[Circle, Circle, Circle]:
     """Excircles opposite A, B, C."""
-    a, b, c = t.sides()
     s = t.semiperimeter
     area = t.area
-    return (
-        Circle(bary_to_cartesian(t, BaryCoords(-a, b, c)), area / (s - a)),
-        Circle(bary_to_cartesian(t, BaryCoords(a, -b, c)), area / (s - b)),
-        Circle(bary_to_cartesian(t, BaryCoords(a, b, -c)), area / (s - c)),
+    return tuple(
+        Circle(bary_to_cartesian(t, BaryCoords(*uvw)), area / (s - side))
+        for uvw, side in zip(kernels.excenters(*t.sides()), t.sides())
     )
 
 
@@ -170,41 +152,20 @@ def circumcircle(t: Triangle) -> Circle:
 
 
 def excircle_tangency_points(t: Triangle):
-    """The six external tangency points (A1, A2, B1, B2, C1, C2).
-
-    On each sideline the two points are at tangent-length distances p and
-    p - side from the endpoints; e.g. |C A1| = p and |B A1| = p - a.
-    """
-    a, b, c = t.sides()
-    L = a + b + c
+    """The six external tangency points (A1, A2, B1, B2, C1, C2), from
+    kernels.excircle_tangency."""
     return tuple(
-        bary_to_cartesian(t, BaryCoords(*coords))
-        for coords in (
-            (0.0, L, a - b - c),
-            (0.0, a - b - c, L),
-            (b - c - a, 0.0, L),
-            (L, 0.0, b - c - a),
-            (L, c - a - b, 0.0),
-            (c - a - b, L, 0.0),
-        )
+        bary_to_cartesian(t, BaryCoords(*uvw)) for uvw in kernels.excircle_tangency(*t.sides())
     )
 
 
 def intouch_extouch(t: Triangle):
-    """((intouch points), (extouch points)), each ordered by opposite vertex."""
-    a, b, c = t.sides()
-    s = t.semiperimeter
-    intouch = (
-        bary_to_cartesian(t, BaryCoords(0.0, s - c, s - b)),
-        bary_to_cartesian(t, BaryCoords(s - c, 0.0, s - a)),
-        bary_to_cartesian(t, BaryCoords(s - b, s - a, 0.0)),
+    """((intouch points), (extouch points)), each ordered by opposite
+    vertex, from kernels.intouch_extouch."""
+    return tuple(
+        tuple(bary_to_cartesian(t, BaryCoords(*uvw)) for uvw in points)
+        for points in kernels.intouch_extouch(*t.sides())
     )
-    extouch = (
-        bary_to_cartesian(t, BaryCoords(0.0, s - b, s - c)),
-        bary_to_cartesian(t, BaryCoords(s - a, 0.0, s - c)),
-        bary_to_cartesian(t, BaryCoords(s - a, s - b, 0.0)),
-    )
-    return intouch, extouch
 
 
 def kissing_circles(t: Triangle) -> tuple[Circle, Circle, Circle]:

@@ -14,7 +14,6 @@ import sys
 from . import config
 from .errors import TriconicError
 from .geom import Point2, Triangle
-from .kernels import BACKEND
 
 
 def _parse_triangle(text: str) -> Triangle:
@@ -106,29 +105,36 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import PROPOSITION_IDS, format_report, run_all, run_proposition
+    from .verify import (
+        PROPOSITION_IDS,
+        format_report,
+        make_report,
+        run_proposition,
+        run_results,
+        timings,
+    )
 
     if args.threads < 1:
         print(f"error: --threads must be at least 1, not {args.threads}", file=sys.stderr)
         return 2
     if args.prop == "all":
-        report = run_all(seed=args.seed, trials=args.trials, threads=args.threads)
+        results = run_results(seed=args.seed, trials=args.trials, threads=args.threads)
     else:
         if args.prop not in PROPOSITION_IDS:
             print(f"error: unknown proposition {args.prop!r}", file=sys.stderr)
             return 2
-        res = run_proposition(args.prop, seed=args.seed, trials=args.trials)
-        report = {
-            "seed": args.seed,
-            "kernel_backend": BACKEND,
-            "all_pass": res.passed,
-            "results": [res.to_json()],
-        }
+        results = [run_proposition(args.prop, seed=args.seed, trials=args.trials)]
+    report = make_report(args.seed, results)
     print(format_report(report))
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=1)
         print(f"report written to {args.report}")
+    if args.timings:
+        sidecar = {"seed": args.seed, "threads": args.threads, "timings": timings(results)}
+        with open(args.timings, "w") as fh:
+            json.dump(sidecar, fh, indent=1)
+        print(f"timings written to {args.timings}")
     return 0 if report["all_pass"] else 1
 
 
@@ -257,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--report", default=None, help="write the JSON report here")
+    p.add_argument(
+        "--timings", default=None,
+        help="write each proposition's draw and check seconds here (JSON); "
+        "the report itself carries no timings",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("locus", help="sample a locus or trace a zero set")

@@ -16,6 +16,7 @@ from .errors import (
     ParallelLines,
     PointAtInfinity,
 )
+from .kernels import bary_point
 
 
 @dataclass(frozen=True)
@@ -169,14 +170,12 @@ class LineEq:
 
 
 def bary_to_cartesian(t: Triangle, b: BaryCoords) -> Point2:
-    s = b.u + b.v + b.w
-    m = max(abs(b.u), abs(b.v), abs(b.w))
-    if abs(s) <= get_tol() * m:
+    """The point of b by kernels.bary_point; PointAtInfinity where
+    |u + v + w| <= get_tol() * max(|u|, |v|, |w|)."""
+    x, y, far = bary_point(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, b.u, b.v, b.w)
+    if far:
         raise PointAtInfinity(f"u+v+w ~ 0 for {b}")
-    return Point2(
-        (b.u * t.a.x + b.v * t.b.x + b.w * t.c.x) / s,
-        (b.u * t.a.y + b.v * t.b.y + b.w * t.c.y) / s,
-    )
+    return Point2(x, y)
 
 
 def cartesian_to_bary(t: Triangle, p: Point2) -> BaryCoords:

@@ -19,9 +19,19 @@ P3.1, P3.8 and P5.2 trials.  `loci.sample_locus_ostar` calls `vertices`,
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines
 `triads.two_branch_chords` reads in one call for P4.8): on floats for
-`triads.pairwise_intersections` (P2.4's chords), on arrays for the P4.7
-and P5.6 trials and, through `second_point` (a P-hyperbola triad's second
-common point), the P5.1 trials.
+`triads.pairwise_intersections`, on arrays for the P2.4, P4.7 and P5.6
+trials and, through `second_point` (a P-hyperbola triad's second common
+point), the P5.1 trials.  `members` picks each member's unit-norm
+coefficients out of `focal_pairs`, for `conic_residual` and
+`tangency_disc` (P2.3, P2.5).
+
+The catalog barycentrics (`cyclic` of `center_x3`, `center_x4` and
+`center_x20`; `excenters`, `excircle_tangency`, `intouch_extouch`) are
+functions of the sides, and `bary_point` maps barycentrics to points with
+`geom.bary_to_cartesian`'s rule; `centers` and `geom` read them on
+floats, P2.1-P2.5, P4.1 and P4.2 on arrays.  `carnot` and `kept_gap` are
+the sideline and distinct-vertex rules of `triads.six_point_conic`, which
+P2.1 applies on arrays.
 """
 
 import contextlib
@@ -30,7 +40,7 @@ import math
 
 import numpy as np
 
-from .config import DET_DEGENERATE_TOL, DISC_PARABOLA_TOL
+from .config import DET_DEGENERATE_TOL, DISC_PARABOLA_TOL, get_tol
 
 # Reported as the verify report's kernel_backend; six_point is plain
 # Python on floats and numpy on arrays.
@@ -406,6 +416,91 @@ def vertices(ax, ay, bx, by, cx, cy, kind, px, py):
     return (*vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas), False)
 
 
+# Catalog barycentrics from the sides (a, b, c), on floats or arrays.  The
+# center_* functions give a cyclic center's first coordinate, `cyclic` all
+# three.  Powers are written as products: numpy's power and Python's pow
+# can round differently in the last bit.
+
+
+def center_x3(a, b, c):
+    return a * a * (b * b + c * c - a * a)
+
+
+def center_x4(a, b, c):
+    return (a * a + b * b - c * c) * (c * c + a * a - b * b)
+
+
+def center_x20(a, b, c):
+    aa, d = a * a, b * b - c * c
+    return -3.0 * (aa * aa) + 2.0 * aa * (b * b + c * c) + d * d
+
+
+def cyclic(f, a, b, c):
+    """The barycentrics (f(a, b, c), f(b, c, a), f(c, a, b))."""
+    return f(a, b, c), f(b, c, a), f(c, a, b)
+
+
+def excenters(a, b, c):
+    """The excenters opposite A, B and C."""
+    return (-a, b, c), (a, -b, c), (a, b, -c)
+
+
+def excircle_tangency(a, b, c):
+    """The six external tangency points (A1, A2, B1, B2, C1, C2): on each
+    sideline at distances p and p - side from its ends, p the semiperimeter
+    (|C A1| = p, |B A1| = p - a)."""
+    L = a + b + c
+    return (
+        (0.0, L, a - b - c), (0.0, a - b - c, L),
+        (b - c - a, 0.0, L), (L, 0.0, b - c - a),
+        (L, c - a - b, 0.0), (c - a - b, L, 0.0),
+    )
+
+
+def intouch_extouch(a, b, c):
+    """((intouch points), (extouch points)), each ordered by opposite vertex."""
+    s = (a + b + c) / 2.0
+    sa, sb, sc = s - a, s - b, s - c
+    return (
+        ((0.0, sc, sb), (sc, 0.0, sa), (sb, sa, 0.0)),
+        ((0.0, sb, sc), (sa, 0.0, sc), (sa, sb, 0.0)),
+    )
+
+
+def bary_point(ax, ay, bx, by, cx, cy, u, v, w):
+    """The point of barycentrics (u, v, w): (x, y, far), far where
+    |u + v + w| <= get_tol() * max(|u|, |v|, |w|), geom.bary_to_cartesian's
+    PointAtInfinity rule; the point is then meaningless (NaN on floats for
+    a zero sum).  Floats, or arrays and floats that broadcast."""
+    s = u + v + w
+    far = abs(s) <= get_tol() * _largest((abs(u), abs(v), abs(w)))
+    return _div(u * ax + v * bx + w * cx, s), _div(u * ay + v * by + w * cy, s), far
+
+
+# The sideline of each vertex A1 A2 B1 B2 C1 C2, by the indices of its ends.
+_SIDELINES = ((1, 2), (1, 2), (2, 0), (2, 0), (0, 1), (0, 1))
+
+
+def carnot(ax, ay, bx, by, cx, cy, xs, ys):
+    """Carnot's criterion on six vertices, (A1, A2) on BC, (B1, B2) on CA
+    and (C1, C2) on AB: (product, off), the product of the unsigned ratios
+    |e1 p| / |e2 p| of each vertex p to the ends of its sideline, and for
+    each vertex whether it is off the sideline by geom.collinear's test
+    under get_tol().  Floats, or arrays of one shape."""
+    corners = ((ax, ay), (bx, by), (cx, cy))
+    tol = get_tol()
+    product, off = 1.0, []
+    for x, y, (i, j) in zip(xs, ys, _SIDELINES):
+        (x1, y1), (x2, y2) = corners[i], corners[j]
+        d1 = _hypot(x - x1, y - y1)
+        d2 = _hypot(x - x2, y - y2)
+        scale = _largest((d1, _hypot(x1 - x2, y1 - y2), d2))
+        area = 0.5 * ((x1 - x) * (y2 - y) - (y1 - y) * (x2 - x))
+        off.append(abs(area) > tol * scale * scale)
+        product = product * (d1 / d2)
+    return product, off
+
+
 # The fit rule: the 15 vertex pairs (i, j), i < j, in order, and for each
 # left-out vertex the five kept, in order.
 _PAIRS = tuple(itertools.combinations(range(6), 2))
@@ -450,6 +545,19 @@ def fit_six(xs, ys):
         xo, yo = xs[out], ys[out]
         co, (ox, oy, s) = fit5([xs[k] for k in kept], [ys[k] for k in kept])
     return co, (ox, oy, s), out, conic_residual(co, (xo - ox) / s, (yo - oy) / s)
+
+
+def kept_gap(xs, ys, out):
+    """The least distance between two of the five vertices fit_six keeps
+    when it leaves out vertex out: floats and an int, or (6, n) arrays and
+    fit_six's array of left-out indices."""
+    if isinstance(xs, np.ndarray):
+        cols = np.arange(xs.shape[1])
+        kept = _KEPT_ARRAY[out].T
+        kx, ky = xs[kept, cols], ys[kept, cols]
+        return _hypot(kx[_P5_I] - kx[_P5_J], ky[_P5_I] - ky[_P5_J]).min(axis=0)
+    kept = _KEPT[out]
+    return min(_hypot(xs[kept[i]] - xs[kept[j]], ys[kept[i]] - ys[kept[j]]) for i, j in _PAIRS5)
 
 
 # Points per chunk of six_point on arrays.  A point takes under 2 KB of
@@ -520,7 +628,11 @@ def _div(a, b):
 
 
 def _largest(v):
-    return np.maximum(np.maximum(v[0], v[1]), v[2]) if isinstance(v[0], np.ndarray) else max(v)
+    """The largest of three floats, or elementwise of arrays and floats."""
+    a, b, c = v
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
+        return np.maximum(np.maximum(a, b), c)
+    return max(a, b, c)
 
 
 def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
@@ -564,6 +676,12 @@ def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
     return (gx, gy, s), pairs, bad
 
 
+def members(pairs):
+    """The unit-norm coefficients of members 0, 1 and 2 in focal_pairs'
+    frame, from its pairs: each from the pair it comes first in."""
+    return tuple(pairs[(m + 2) % 3][0] for m in range(3))
+
+
 def _value_grad(co, x, y):
     # conic_eval's sum and the gradient.
     A, B, C, D, E, F = co
@@ -571,14 +689,29 @@ def _value_grad(co, x, y):
     return value, 2.0 * A * x + B * y + D, B * x + 2.0 * C * y + E
 
 
-def _line_roots(co, l, m, n):
-    """Two candidates (x, y, ok) of the unit-norm conic co on l x + m y + n = 0."""
+def _on_line(co, l, m, n):
+    """The conic co on the line l x + m y + n = 0, parametrized from the
+    foot (x0, y0) of the origin along the unit direction (dx, dy):
+    (x0, y0, dx, dy, qa, qb, qc), co(x0 + t dx, y0 + t dy) = qa t^2 +
+    qb t + qc."""
     nrm2 = l * l + m * m
     x0, y0 = _div(-l * n, nrm2), _div(-m * n, nrm2)
     dx, dy = _div(-m, _sqrt(nrm2)), _div(l, _sqrt(nrm2))
     qc, gx, gy = _value_grad(co, x0, y0)
     qa = co[0] * dx * dx + co[1] * dx * dy + co[2] * dy * dy
-    qb = gx * dx + gy * dy
+    return x0, y0, dx, dy, qa, gx * dx + gy * dy, qc
+
+
+def tangency_disc(co, l, m, n):
+    """qb^2 - 4 qa qc of the unit-norm conic co on the line l x + m y + n
+    = 0 (_on_line): 0 where the line touches co.  Floats or arrays."""
+    *_, qa, qb, qc = _on_line(co, l, m, n)
+    return qb * qb - 4.0 * qa * qc
+
+
+def _line_roots(co, l, m, n):
+    """Two candidates (x, y, ok) of the unit-norm conic co on l x + m y + n = 0."""
+    x0, y0, dx, dy, qa, qb, qc = _on_line(co, l, m, n)
     disc = qb * qb - 4.0 * qa * qc
     q = -(qb + _where(qb < 0.0, -1.0, 1.0) * _sqrt(_where(disc > 0.0, disc, 0.0))) / 2.0
     double = _div(-qb, 2.0 * qa)

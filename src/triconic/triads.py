@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import kernels
 from .centers import soddy_centers
-from .config import DET_DEGENERATE_TOL, get_tol
+from .config import DET_DEGENERATE_TOL
 from .conic import (
     Conic,
     ConicClass,
@@ -167,25 +166,18 @@ def carnot_product(t: Triangle, six) -> float:
 
     Expects (A1, A2) on line BC, (B1, B2) on CA, (C1, C2) on AB.
     """
-    return _carnot([v.as_tuple() for v in t.vertices()], [p.as_tuple() for p in six])
+    corners = [w for v in t.vertices() for w in v.as_tuple()]
+    return _carnot(corners, [p.x for p in six], [p.y for p in six])
 
 
-def _carnot(corners, six) -> float:
-    """carnot_product on (x, y) tuples: each vertex p on its sideline
-    through (e1, e2) by geom.collinear's test, and the ratios
-    |e1 p| / |e2 p| multiplied."""
-    a, b, c = corners
-    tol = get_tol()
-    product = 1.0
-    sidelines = ((b, c), (b, c), (c, a), (c, a), (a, b), (a, b))
-    for (x, y), ((x1, y1), (x2, y2)) in zip(six, sidelines):
-        d1 = math.hypot(x - x1, y - y1)
-        d2 = math.hypot(x - x2, y - y2)
-        scale = max(d1, math.hypot(x1 - x2, y1 - y2), d2)
-        area = 0.5 * ((x1 - x) * (y2 - y) - (y1 - y) * (x2 - x))
-        if abs(area) > tol * scale * scale:
-            raise PointOffSideline(f"{Point2(x, y)} off its sideline")
-        product *= d1 / d2
+def _carnot(corners, xs, ys) -> float:
+    """kernels.carnot's product for the corners (ax, ay, bx, by, cx, cy)
+    and the vertices' floats; PointOffSideline for the first vertex off its
+    sideline."""
+    product, off = kernels.carnot(*corners, xs, ys)
+    if any(off):
+        k = off.index(True)
+        raise PointOffSideline(f"{Point2(xs[k], ys[k])} off its sideline")
     return product
 
 
@@ -207,9 +199,7 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     if bad:
         raise DegenerateMember("a triad member degenerates")
     co, frame, out, res6 = kernels.fit_six(xs, ys)
-    kept = [k for k in range(6) if k != out]
-    gap = min(math.hypot(xs[i] - xs[j], ys[i] - ys[j]) for i, j in combinations(kept, 2))
-    if gap <= 1e-9 * t.scale():
+    if kernels.kept_gap(xs, ys, out) <= 1e-9 * t.scale():
         raise RankDeficient("fewer than 5 distinct triad vertices")
     if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
         raise RankDeficient("five points do not determine a unique conic")
@@ -237,7 +227,7 @@ def _framed_carnot(tr: ConicTriad) -> float:
     xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_CODES[tr.kind], px, py)
     if bad:
         raise DegenerateMember("a triad member degenerates")
-    return _carnot(framed[:3], list(zip(xs, ys)))
+    return _carnot((ax, ay, bx, by, cx, cy), xs, ys)
 
 
 def _triangle_frame(t: Triangle) -> tuple[Point2, float]:

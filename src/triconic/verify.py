@@ -20,22 +20,27 @@ decides their family: A3's runs its check, P2.8's and P5.7's the root scan
 their checks repeat.
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  Ten run as one
-batch on arrays, bit for bit the kernels' float paths: P2.2, P3.1, P3.8
-and P5.2 in one `kernels.six_point` call, P4.7 and P5.6 in one
-`kernels.pair_points` call, P5.1 in one `kernels.second_point` call, and
-the sign scans of P2.6, P3.4 and P5.7 (both of its scans) in one
+`_per_trial`, which turns a crash into a failed trial.  Sixteen run as
+one batch on arrays, each trial's bits those of a batch of one: P2.2,
+P3.1, P3.8 and P5.2 in one `kernels.six_point` call; P2.1 on
+`kernels.vertices` and `fit_six`, with `six_point_conic`'s rules; P2.3
+and P2.5 on the members of one `kernels.focal_pairs` call; P2.4, P4.7
+and P5.6 in one `kernels.pair_points` call; P4.1 and P4.2 on
+`kernels.vertex_coords`; P5.1 in one `kernels.second_point` call; the
+catalog points these compare with from `kernels.bary_point`; and the
+sign scans of P2.6, P3.4 and P5.7 (both of its scans) in one
 `loci.batch_sign_changes` each: one `kernels.six_point` (or parabola
 condition) call on every trial's grid, then one array Brent over every
-bracketed cell.  A crash there still fails only its own trial.  The
-scans of P2.8, P4.6 and P4.10 run trial by trial through
+bracketed cell.  A crash there still fails only its own trial (`_fail_or`
+gives each trial the exception of the first fault that holds there).
+The scans of P2.8, P4.6 and P4.10 run trial by trial through
 `bisect_sign_changes` on floats: their functions take powers with `**`,
 whose last bits differ on numpy arrays.
 
 Each claim of the paper is checked in its one proposition, on the
-triads' own constructions: P2.4 draws its chords through
-`triads.pairwise_intersections`, P4.8 reads `triads.two_branch_chords`,
-and P4.3 and P4.4 take the closed-form six-point conic as a barycentric
+triads' own constructions: P2.4 draws its chords through the pair points
+of `kernels.pair_points`, P4.8 reads `triads.two_branch_chords`, and
+P4.3 and P4.4 take the closed-form six-point conic as a barycentric
 matrix (`privalov_conic`).
 
 Residuals are normalized so that one threshold per proposition applies;
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -62,17 +68,14 @@ from .centers import (
     center_bary,
     circumcircle,
     classic_center,
-    excircle_tangency_points,
     half_tangent_sum,
-    intouch_extouch,
     soddy,
     soddy_centers,
 )
-from .config import get_tol
+from .config import DET_DEGENERATE_TOL, get_tol
 from .conic import (
     ConicClass,
     conic_bary_to_cartesian,
-    conic_from_foci,
     residual,
     residual_bary,
     tangency_discriminant,
@@ -81,19 +84,18 @@ from .errors import (
     ConstructionFailed,
     DegenerateTriangle,
     NotFound,
+    PointAtInfinity,
+    PointOffSideline,
     RankDeficient,
     UnknownProposition,
 )
 from .geom import (
-    BaryCoords,
     Point2,
     Triangle,
-    bary_to_cartesian,
     cartesian_to_bary,
     distance,
     line_through,
     midpoint,
-    reflect_about_point,
     signed_area,
 )
 from .loci import (
@@ -119,7 +121,6 @@ from .triads import (
     build_triad,
     driver_fault,
     equal_area_check,
-    pairwise_intersections,
     six_point_conic,
     triad_vertices,
     two_branch_chords,
@@ -305,19 +306,6 @@ def _gen_tri_point(rng, n) -> list:
 # Check implementations (cfg -> residual; the batch checks take all cfgs)
 # ---------------------------------------------------------------------------
 
-def _chk_yiu_vertices(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_ellipse")
-    verts = triad_vertices(tr)
-    tang = excircle_tangency_points(t)
-    s = t.scale()
-    res = max(distance(v, q) / s for v, q in zip(verts, tang))
-    mids = (midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b))
-    res = max(res, max(distance(m.center, q) / s for m, q in zip(tr.members, mids)))
-    rep = six_point_conic(tr)
-    return max(res, rep.residual6)
-
-
 def _cfg_args(cfgs, kind: int) -> tuple:
     """The configurations' kernel arguments for a kind, as arrays: the six
     triangle coordinates, the kind, and P (zeros for the V-kinds)."""
@@ -341,8 +329,80 @@ def _member_residuals(args, xs, ys) -> tuple:
     return np.array([abs(abs(d) - abs(l)) / s for d, l in zip(at, lam)]), np.abs(lam), s, bad
 
 
-def _fail_or(failed, values, exc=ConstructionFailed("a triad member degenerates")) -> list:
-    return [exc if f else v for f, v in zip(failed.tolist(), values.tolist())]
+_DEGENERATE = ConstructionFailed("a triad member degenerates")
+
+
+def _fail_or(values, *faults) -> list:
+    """values as floats, but where faults, pairs (mask, exception), hold
+    the exception of the first that does; an exception may be given as a
+    function of the trial's index."""
+    out = values.tolist()
+    for mask, exc in reversed(faults):
+        for i in np.flatnonzero(mask).tolist():
+            out[i] = exc(i) if callable(exc) else exc
+    return out
+
+
+def _framed(corners, s) -> tuple:
+    """The corners (ax, ay, bx, by, cx, cy) in the frame q' = (q - g) / s,
+    g their centroid: the frame of kernels.focal_pairs for s the largest
+    side, and of triads._framed_carnot."""
+    ax, ay, bx, by, cx, cy = corners
+    gx, gy = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
+    return tuple(v / s for v in (ax - gx, ay - gy, bx - gx, by - gy, cx - gx, cy - gy))
+
+
+def _signed_area(px, py, qx, qy, rx, ry):
+    """geom.signed_area of pqr, on floats or arrays."""
+    return 0.5 * ((qx - px) * (ry - py) - (qy - py) * (rx - px))
+
+
+def _at_infinity(what: str) -> PointAtInfinity:
+    return PointAtInfinity(f"u+v+w ~ 0 for {what}")
+
+
+def _bary_gaps(corners, xs, ys, barys, s) -> tuple:
+    """The worst distance of each vertex (xs[k], ys[k]) from the point of
+    barycentrics barys[k] (kernels.bary_point), over s, and where one of
+    those points is at infinity."""
+    worst, far = 0.0, False
+    for x, y, uvw in zip(xs, ys, barys):
+        qx, qy, f = kernels.bary_point(*corners, *uvw)
+        worst, far = np.maximum(worst, kernels._hypot(x - qx, y - qy) / s), far | f
+    return worst, far
+
+
+def _chk_excircle_tangency_vertices(cfgs) -> list:
+    """P2.1 on all configurations at once: the V-ellipse vertices
+    (kernels.vertices) at the excircle tangency points, their worst
+    distance over the largest side, and kernels.fit_six's residual6.  With
+    six_point_conic's rules: RankDeficient where two kept vertices are
+    within 1e-9 of the largest side or the fit vanishes, PointOffSideline
+    where a vertex, in the frame of the triangle, fails kernels.carnot's
+    test."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    corners = args[:6]
+    sides, _, bad = kernels._sides_deltas(*args)
+    s = kernels._largest(sides)
+    with np.errstate(all="ignore"):
+        xs, ys, _ = kernels.vertices(*args)
+        worst, far = _bary_gaps(corners, xs, ys, kernels.excircle_tangency(*sides), s)
+        co, _, out, res6 = kernels.fit_six(xs, ys)
+        gap = kernels.kept_gap(xs, ys, out)
+        framed = _framed(corners, s)
+        fxs, fys, _ = kernels.vertices(*framed, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+        off = np.array(kernels.carnot(*framed, fxs, fys)[1])
+    first = off.argmax(axis=0)
+    return _fail_or(
+        np.maximum(worst, res6),
+        (bad, _DEGENERATE),
+        (far, _at_infinity("an excircle tangency point")),
+        (gap <= 1e-9 * s, RankDeficient("fewer than 5 distinct triad vertices")),
+        (~(kernels.frobenius(co) > DET_DEGENERATE_TOL),
+         RankDeficient("five points do not determine a unique conic")),
+        (off.any(axis=0), lambda i: PointOffSideline(
+            f"{Point2(fxs[first[i], i], fys[first[i], i])} off its sideline")),
+    )
 
 
 def _batch_check(kind: int, score):
@@ -370,21 +430,25 @@ def _incidence(code: int, res6: float) -> float:
     return res6
 
 
-def _chk_tangent_excentral(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_ellipse")
-    exc = [
-        classic_center(t, "excenterA"),
-        classic_center(t, "excenterB"),
-        classic_center(t, "excenterC"),
-    ]
-    worst = 0.0
-    for idx, vertex in enumerate(t.vertices()):
-        others = [exc[k] for k in range(3) if k != idx]
-        side = line_through(others[0], others[1])
-        con = conic_from_foci(tr.members[idx])
-        worst = max(worst, residual(con, vertex), abs(tangency_discriminant(con, side)))
-    return worst
+def _chk_excentral_tangents(cfgs) -> list:
+    """P2.3 on all configurations at once, in kernels.focal_pairs' frame:
+    each V-ellipse member passes through its vertex (kernels.conic_residual)
+    and touches there the excentral side, the line through the other two
+    excenters (kernels.tangency_disc)."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    sides = kernels._sides_deltas(*args)[0]
+    with np.errstate(all="ignore"):
+        (_, _, s), pairs, bad = kernels.focal_pairs(*args)
+        framed = _framed(args[:6], s)
+        exc = [kernels.bary_point(*framed, *uvw) for uvw in kernels.excenters(*sides)]
+        worst = 0.0
+        for m, co in enumerate(kernels.members(pairs)):
+            (x1, y1, _), (x2, y2, _) = (q for k, q in enumerate(exc) if k != m)
+            side = (y1 - y2, x2 - x1, x1 * y2 - x2 * y1)  # geom.line_through
+            on = kernels.conic_residual(co, framed[2 * m], framed[2 * m + 1])
+            worst = np.maximum(worst, np.maximum(on, abs(kernels.tangency_disc(co, *side))))
+    far = exc[0][2] | exc[1][2] | exc[2][2]
+    return _fail_or(worst, (bad, _DEGENERATE), (far, _at_infinity("an excenter")))
 
 
 def _vell_chord_line_bary(a, b, c):
@@ -397,43 +461,68 @@ def _vell_chord_line_bary(a, b, c):
     )
 
 
-def _chk_chords_x20(cfg) -> float:
-    """The chords through the V-ellipse pair points pass through the
-    excenters and X20: the worst distance over the circumdiameter, inf
-    where a pair has fewer than two points."""
-    t = _cfg_tri(cfg)
-    inters = pairwise_intersections(build_triad(t, "v_ellipse"))
-    diam = 2.0 * (t.side_a * t.side_b * t.side_c) / (4.0 * t.area)
-    x20 = classic_center(t, "X20")
-    worst = 0.0
-    for pts, label in zip(inters, "ABC"):
-        if len(pts) < 2:
-            return math.inf
-        chord = line_through(pts[0], pts[1])
-        for q in (classic_center(t, f"excenter{label}"), x20):
-            worst = max(worst, chord.distance_to(q) / diam)
-    # Cross-check the first chord, through its pair points, against its
-    # closed-form line.
-    if len(inters[0]) != 2:
-        return max(worst, 1.0)
-    lco = _vell_chord_line_bary(*t.sides())
-    m = max(abs(v) for v in lco)
-    for q in inters[0]:
-        u = cartesian_to_bary(t, q).normalized()
-        worst = max(worst, abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w) / m)
-    return worst
+def _chk_pair_chords_x20(cfgs) -> list:
+    """P2.4 on all configurations at once: the chord through the first two
+    points of each V-ellipse pair (kernels.pair_points on arrays) passes
+    through its excenter and X20, the worst distance over the
+    circumdiameter, inf where a pair has fewer than two points.  Both points
+    of pair A are also checked on the chord's closed-form barycentric line,
+    1.0 where that pair has more than two."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    corners = args[:6]
+    ax, ay, bx, by, cx, cy = corners
+    sides, _, bad = kernels._sides_deltas(*args)
+    a, b, c = sides
+    with np.errstate(all="ignore"):
+        xs, ys, keep, _ = kernels.pair_points(*args)
+        # The first two kept points of each pair: the kept ones first, in order.
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :2]
+        px, py = (np.take_along_axis(v, first, axis=1) for v in (xs, ys))
+        diam = 2.0 * (a * b * c) / (4.0 * abs(_signed_area(*corners)))
+        x20 = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x20, *sides))
+        exc = [kernels.bary_point(*corners, *uvw) for uvw in kernels.excenters(*sides)]
+        chords = 0.0
+        for (x0, x1), (y0, y1), q in zip(px, py, exc):
+            l, m, n = y0 - y1, x1 - x0, x0 * y1 - x1 * y0  # geom.line_through
+            for qx, qy, _ in (q, x20):
+                chords = np.maximum(chords, abs(l * qx + m * qy + n) / kernels._hypot(l, m) / diam)
+        line = _vell_chord_line_bary(a, b, c)
+        line_top = kernels._largest([abs(v) for v in line])
+        worst = chords
+        for x, y in zip(px[0], py[0]):
+            # geom.cartesian_to_bary, scaled to unit max-abs component.
+            u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
+                 _signed_area(ax, ay, bx, by, x, y))
+            top = kernels._largest([abs(v) for v in u])
+            on = abs(line[0] * (u[0] / top) + line[1] * (u[1] / top) + line[2] * (u[2] / top))
+            worst = np.maximum(worst, on / line_top)
+    count = keep.sum(axis=1)
+    worst = np.where(count[0] != 2, np.maximum(chords, 1.0), worst)
+    return _fail_or(
+        np.where((count < 2).any(axis=0), math.inf, worst),
+        (bad, _DEGENERATE),
+        (x20[2], _at_infinity("X20")),
+        (exc[0][2] | exc[1][2] | exc[2][2], _at_infinity("an excenter")),
+    )
 
 
-def _chk_right_triangle_x20(cfg) -> float:
-    t = _cfg_tri(cfg)
-    x20 = classic_center(t, "X20")
-    x4 = classic_center(t, "X4")
-    x3 = classic_center(t, "X3")
-    s = t.scale()
-    worst = distance(x20, reflect_about_point(x4, x3)) / s
-    for m in build_triad(t, "v_ellipse").members:
-        worst = max(worst, residual(conic_from_foci(m), x20))
-    return worst
+def _chk_x20_on_members(cfgs) -> list:
+    """P2.5 on all configurations at once, in kernels.focal_pairs' frame:
+    X20 is the reflection of X4 about X3 (their distance), and each
+    V-ellipse member passes through it (kernels.conic_residual)."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    sides = kernels._sides_deltas(*args)[0]
+    with np.errstate(all="ignore"):
+        (_, _, s), pairs, bad = kernels.focal_pairs(*args)
+        framed = _framed(args[:6], s)
+        (x20, y20, f20), (x4, y4, f4), (x3, y3, f3) = (
+            kernels.bary_point(*framed, *kernels.cyclic(f, *sides))
+            for f in (kernels.center_x20, kernels.center_x4, kernels.center_x3)
+        )
+        worst = kernels._hypot(x20 - (2.0 * x3 - x4), y20 - (2.0 * y3 - y4))
+        for co in kernels.members(pairs):
+            worst = np.maximum(worst, kernels.conic_residual(co, x20, y20))
+    return _fail_or(worst, (f20 | f4 | f3, _at_infinity("X20, X4 or X3")), (bad, _DEGENERATE))
 
 
 def _detn_v_ellipse(ax, ay, bx, by, cx, cy):
@@ -715,49 +804,58 @@ def _chk_covertex_equilateral_P(cfg) -> float:
     return max(rep.residual6, rep.center_on_incircle_error)
 
 
-def _chk_vhyp_vertex_barys(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_hyperbola")
-    if tr.has_degenerate_member():
-        return 0.0
-    a, b, c = t.sides()
-    lams = tr.deltas
-    verts = triad_vertices(tr)
-    sides = (a, b, c)
-    s = t.scale()
-    worst = 0.0
-    for i in range(3):
-        lam = lams[i]
-        side = sides[i]
-        b1 = [0.0, 0.0, 0.0]
-        b2 = [0.0, 0.0, 0.0]
-        j, k = (i + 1) % 3, (i + 2) % 3
-        b1[j], b1[k] = side + lam, side - lam
-        b2[j], b2[k] = side - lam, side + lam
-        p1 = bary_to_cartesian(t, BaryCoords(*b1))
-        p2 = bary_to_cartesian(t, BaryCoords(*b2))
-        worst = max(
-            worst,
-            distance(p1, verts[2 * i]) / s,
-            distance(p2, verts[2 * i + 1]) / s,
-        )
-    return worst
+def _v_hyperbola(cfgs) -> tuple:
+    """The V-hyperbola triads of cfgs on arrays: (corners, sides, lambdas,
+    largest side, vertex xs, vertex ys, bad, bisector), bisector where a
+    member is a perpendicular bisector (build_triad's None member)."""
+    args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
+    sides, lams, bad = kernels._sides_deltas(*args)
+    s = kernels._largest(sides)
+    xs, ys = kernels.vertex_coords(*args[:6], sides, lams)
+    bisector = (np.abs(lams) <= kernels.MEMBER_GUARD * s).any(axis=0)
+    return args[:6], sides, lams, s, xs, ys, bad, bisector
 
 
-def _chk_intouch_extouch(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_hyperbola")
-    if tr.has_degenerate_member():
-        return 0.0
-    verts = triad_vertices(tr)
-    ins, exts = intouch_extouch(t)
-    s = t.scale()
-    worst = 0.0
-    for i in range(3):
-        worst = max(worst, distance(verts[2 * i], exts[i]) / s)
-        worst = max(worst, distance(verts[2 * i + 1], ins[i]) / s)
-    a1, a2 = equal_area_check(tr)
-    return max(worst, abs(a1 - a2) / max(a1, a2))
+def _chk_vhyp_vertex_barys(cfgs) -> list:
+    """P4.1 on all configurations at once: vertices A1 and A2 of the
+    V-hyperbola triad at the barycentrics (0, a + lambda, a - lambda) and
+    (0, a - lambda, a + lambda), and their cycles, the worst distance over
+    the largest side; 0.0 where a member is a perpendicular bisector."""
+    with np.errstate(all="ignore"):
+        corners, sides, lams, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+        barys = []
+        for i, (side, lam) in enumerate(zip(sides, lams)):
+            for uj, uk in ((side + lam, side - lam), (side - lam, side + lam)):
+                uvw = [0.0, 0.0, 0.0]
+                uvw[(i + 1) % 3], uvw[(i + 2) % 3] = uj, uk
+                barys.append(uvw)
+        worst, far = _bary_gaps(corners, xs, ys, barys, s)
+    return _fail_or(
+        np.where(bisector, 0.0, worst),
+        (bad, _DEGENERATE),
+        (far & ~bisector, _at_infinity("a vertex")),
+    )
+
+
+def _chk_intouch_extouch(cfgs) -> list:
+    """P4.2 on all configurations at once: vertices A1 B1 C1 of the
+    V-hyperbola triad at the extouch points and A2 B2 C2 at the intouch
+    points, the worst distance over the largest side, and the two vertex
+    triangles' equal areas; 0.0 where a member is a perpendicular
+    bisector."""
+    with np.errstate(all="ignore"):
+        corners, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+        ins, exts = kernels.intouch_extouch(*sides)
+        barys = [uvw for pair in zip(exts, ins) for uvw in pair]
+        worst, far = _bary_gaps(corners, xs, ys, barys, s)
+        a1, a2 = (abs(_signed_area(xs[k], ys[k], xs[k + 2], ys[k + 2], xs[k + 4], ys[k + 4]))
+                  for k in (0, 1))
+        worst = np.maximum(worst, abs(a1 - a2) / np.maximum(a1, a2))
+    return _fail_or(
+        np.where(bisector, 0.0, worst),
+        (bad, _DEGENERATE),
+        (far & ~bisector, _at_infinity("an intouch or extouch point")),
+    )
 
 
 def privalov_conic(t: Triangle) -> np.ndarray:
@@ -866,7 +964,7 @@ def _through_pair_points(ellipse: int, hyperbola: int):
         short = (keep.sum(axis=1) < (1 if driver else 2)).any(axis=0)
         worst = np.where(short, 1.0, np.where(keep, res, 0.0).max(axis=(0, 1)))
         bisector = lengths.min(axis=0) <= kernels.MEMBER_GUARD * s
-        return _fail_or(bad | bad_h, np.where(bisector, 0.0, worst))
+        return _fail_or(np.where(bisector, 0.0, worst), (bad | bad_h, _DEGENERATE))
 
     return run
 
@@ -943,7 +1041,7 @@ def _chk_second_point(cfgs) -> list:
     gaps = np.sort(lengths, axis=0)
     # Gap identity tolerance 1e-10 scaled into the 1e-8 threshold.
     worst = np.maximum(res.max(axis=0), abs(gaps[2] - gaps[1] - gaps[0]) / s * 100.0)
-    return _fail_or(~found, worst, NotFound("no second triple-common point found"))
+    return _fail_or(worst, (~found, NotFound("no second triple-common point found")))
 
 
 def _chk_equal_areas(cfg) -> float:
@@ -1289,11 +1387,11 @@ def _per_trial(check):
 
 MANIFEST: tuple[Proposition, ...] = (
     # -- V-ellipses --------------------------------------------------------
-    Proposition("P2.1-yiu-vertices", "vertices at excircle tangency points, on one conic", _gen_tri, _per_trial(_chk_yiu_vertices), 1e-8, 200),
+    Proposition("P2.1-yiu-vertices", "vertices at excircle tangency points, on one conic", _gen_tri, _chk_excircle_tangency_vertices, 1e-8, 200),
     Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _batch_check(kernels.KIND_V_ELLIPSE, _not_circle), 0.5, 200),
-    Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _per_trial(_chk_tangent_excentral), 1e-8, 100),
-    Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _per_trial(_chk_chords_x20), 1e-8, 100),
-    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _per_trial(_chk_right_triangle_x20), 1e-8, 200),
+    Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _chk_excentral_tangents, 1e-8, 100),
+    Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _chk_pair_chords_x20, 1e-8, 100),
+    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _chk_x20_on_members, 1e-8, 200),
     Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
     Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _per_trial(_chk_x478_quartic), 1e-8, 120),
     Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _per_trial(_chk_type_regions_V), 1e-9, 25),
@@ -1309,8 +1407,8 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P3.8-never-rectangular", "hyperbolic six-point conic is never rectangular", _gen_tri_point, _chk_never_rectangular, 0.5, 2000),
     Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _per_draw(_gen_ray_angle_p), _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
     # -- V-hyperbolas ------------------------------------------------------
-    Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _per_trial(_chk_vhyp_vertex_barys), 1e-9, 200),
-    Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _per_trial(_chk_intouch_extouch), 1e-9, 200),
+    Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _chk_vhyp_vertex_barys, 1e-9, 200),
+    Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _chk_intouch_extouch, 1e-9, 200),
     Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _per_trial(_chk_privalov), 1e-8, 100),
     Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
     Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _per_trial(_chk_soddy_intersections), 1e-8, 100),
@@ -1359,6 +1457,10 @@ class CheckResult:
     # exception type name -> number of trials it crashed, sorted by name
     errors: dict = field(default_factory=dict)
     margin: float = 0.0  # max_residual over the bound it passes below
+    # Wall seconds of the draw and of the check, as timed where they ran;
+    # not part of the report (to_json), which stays the same run to run.
+    draw_s: float = field(default=0.0, compare=False)
+    check_s: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -1395,15 +1497,19 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     # rng ahead of the configurations they return; the rng is this
     # proposition's own and dropped after drawing, so that changes nothing.
     # A crashed draw is a failed trial without a witness.
+    start = time.perf_counter()
     try:
         drawn = prop.draw(rng, n)
     except Exception as exc:  # a crashed batch draw fails all its trials
         drawn = [exc] * n
+    draw_s = time.perf_counter() - start
     cfgs = [d for d in drawn if not isinstance(d, Exception)]
+    start = time.perf_counter()
     try:
         checked = prop.run(cfgs)
     except Exception as exc:  # a crashed batch check fails all its trials
         checked = [exc] * len(cfgs)
+    check_s = time.perf_counter() - start
     results = iter(checked)
     worst = -1.0
     witness = None
@@ -1432,6 +1538,8 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
         crashed=sum(errors.values()),
         errors=dict(sorted(errors.items())),
         margin=float(worst) / bound,
+        draw_s=draw_s,
+        check_s=check_s,
     )
 
 
@@ -1444,23 +1552,34 @@ def replay_witness(prop_id: str, witness: dict) -> float:
     return r
 
 
-def run_all(seed: int = 42, trials: int | None = None, threads: int = 1) -> dict:
-    """Run the whole manifest; deterministic for a fixed seed regardless of
-    thread count."""
+def run_results(seed: int = 42, trials: int | None = None, threads: int = 1) -> list[CheckResult]:
+    """The results of the whole manifest, in its order; deterministic for a
+    fixed seed regardless of thread count, but for their timings."""
     if threads <= 1:
-        results = [run_proposition(p.prop_id, seed, trials) for p in MANIFEST]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [
-                ex.submit(run_proposition, p.prop_id, seed, trials) for p in MANIFEST
-            ]
-            results = [f.result() for f in futures]
+        return [run_proposition(p.prop_id, seed, trials) for p in MANIFEST]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        futures = [ex.submit(run_proposition, p.prop_id, seed, trials) for p in MANIFEST]
+        return [f.result() for f in futures]
+
+
+def make_report(seed: int, results: list[CheckResult]) -> dict:
+    """The report of results run at seed: the same for the same results."""
     return {
         "seed": seed,
         "kernel_backend": kernels.BACKEND,
         "all_pass": all(r.passed for r in results),
         "results": [r.to_json() for r in results],
     }
+
+
+def run_all(seed: int = 42, trials: int | None = None, threads: int = 1) -> dict:
+    """The report of the whole manifest (run_results)."""
+    return make_report(seed, run_results(seed, trials, threads))
+
+
+def timings(results: list[CheckResult]) -> dict:
+    """Each result's draw and check seconds, by proposition id."""
+    return {r.prop_id: {"draw_s": r.draw_s, "check_s": r.check_s} for r in results}
 
 
 def format_report(report: dict) -> str:

@@ -672,6 +672,65 @@ def test_pair_points_same_bits_on_floats_and_arrays(kind):
             assert kernels.second_point(*args[:6], *args[7:]) == (px[i], py[i], True), i
 
 
+def _catalog(sides):
+    """Every barycentric triple the verifier's catalog points are read from."""
+    return [
+        *(kernels.cyclic(f, *sides) for f in (kernels.center_x3, kernels.center_x4, kernels.center_x20)),
+        *kernels.excenters(*sides),
+        *kernels.excircle_tangency(*sides),
+        *(uvw for points in kernels.intouch_extouch(*sides) for uvw in points),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["v_ellipse", "v_hyperbola"])
+def test_triangle_helpers_same_bits_on_floats_and_arrays(kind):
+    # The catalog points, the Carnot test of the vertices, the kept-vertex
+    # gap and each member's residual and tangency discriminant on a line:
+    # alone on floats, the bits of one call on arrays.
+    rows = _pair_rows(kind, 100)
+    cols = np.array(rows).T
+    corners, code = cols[:6], kernels.KIND_CODES[kind]
+    sides = kernels._sides_deltas(*cols[:6], code, *cols[7:])[0]
+    points = [kernels.bary_point(*corners, *uvw) for uvw in _catalog(sides)]
+    xs, ys, _ = kernels.vertices(*cols[:6], code, *cols[7:])
+    product, off = kernels.carnot(*corners, xs, ys)
+    gap = kernels.kept_gap(xs, ys, kernels.fit_six(xs, ys)[2])
+    (_, _, s), pairs, _ = kernels.focal_pairs(*cols[:6], code, *cols[7:])
+    members = kernels.members(pairs)
+    lines = [(ys[0] - ys[3], xs[3] - xs[0], xs[0] * ys[3] - xs[3] * ys[0])]
+    res = [kernels.conic_residual(co, xs[0], ys[0]) for co in members]
+    discs = [kernels.tangency_disc(co, *lines[0]) for co in members]
+    assert not np.array([f for _, _, f in points]).any() and not np.array(off).any()
+    for i, args in enumerate(rows):
+        fsides = kernels._sides_deltas(*args)[0]
+        assert [kernels.bary_point(*args[:6], *uvw) for uvw in _catalog(fsides)] == [
+            (x[i], y[i], False) for x, y, _ in points
+        ], i
+        fxs, fys, _ = kernels.vertices(*args)
+        assert kernels.carnot(*args[:6], fxs, fys) == (product[i], [False] * 6), i
+        assert kernels.kept_gap(fxs, fys, kernels.fit_six(fxs, fys)[2]) == gap[i], i
+        fpairs = kernels.focal_pairs(*args)[1]
+        fline = (fys[0] - fys[3], fxs[3] - fxs[0], fxs[0] * fys[3] - fxs[3] * fys[0])
+        for co, r, d in zip(kernels.members(fpairs), res, discs):
+            assert kernels.conic_residual(co, fxs[0], fys[0]) == r[i], i
+            assert kernels.tangency_disc(co, *fline) == d[i], i
+
+
+def test_members_are_the_triad_members():
+    # Each member, read from the pair it comes first in, vanishes on both
+    # of its own vertices, and the sideline through its foci crosses it
+    # twice: a positive tangency discriminant.
+    args = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+    xs, ys, _ = kernels.vertices(*args)
+    corners = [((x - gx) / s, (y - gy) / s) for x, y in zip(args[:6:2], args[1:6:2])]
+    for m, co in enumerate(kernels.members(pairs)):
+        for k in (2 * m, 2 * m + 1):
+            assert kernels.conic_residual(co, (xs[k] - gx) / s, (ys[k] - gy) / s) < 1e-15
+        (x1, y1), (x2, y2) = (q for j, q in enumerate(corners) if j != m)
+        assert kernels.tangency_disc(co, y1 - y2, x2 - x1, x1 * y2 - x2 * y1) > 0.1
+
+
 def test_pair_points_on_floats_runs_no_numpy(monkeypatch):
     class NoNumpy:
         ndarray = np.ndarray

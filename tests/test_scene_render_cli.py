@@ -339,6 +339,29 @@ def test_cli_verify_rejects_counts_below_one(args, name, tmp_path, monkeypatch, 
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_verify_writes_a_timing_sidecar(tmp_path, monkeypatch):
+    # The sidecar holds each proposition's draw and check seconds; the
+    # report beside it carries none and is byte-identical at 1 and 8 threads.
+    from triconic.verify import PROPOSITION_IDS
+
+    monkeypatch.chdir(tmp_path)
+    for threads in (1, 8):
+        code = main([f"--threads={threads}", "verify", "--trials", "2",
+                     "--report", f"r{threads}.json", "--timings", f"t{threads}.json"])
+        assert code == 0
+        sidecar = json.loads((tmp_path / f"t{threads}.json").read_text())
+        assert (sidecar["seed"], sidecar["threads"]) == (42, threads)
+        assert list(sidecar["timings"]) == list(PROPOSITION_IDS)
+        for entry in sidecar["timings"].values():
+            assert set(entry) == {"draw_s", "check_s"}
+            assert all(0.0 <= v < 60.0 for v in entry.values())
+    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r8.json").read_bytes()
+    assert "draw_s" not in (tmp_path / "r1.json").read_text()
+    code = main(["verify", "--prop", "P2.4-chords-x20", "--trials", "3", "--timings", "one.json"])
+    assert code == 0
+    assert list(json.loads((tmp_path / "one.json").read_text())["timings"]) == ["P2.4-chords-x20"]
+
+
 def test_render_pure_function_of_scene(tmp_path, cli_env):
     r = run_cli(
         ["construct", "--triangle", "0.1,0.2 1.3,0.15 0.5,1.1", "--triad", "p-hyp",

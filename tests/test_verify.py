@@ -14,7 +14,17 @@ from triconic.errors import (
     DegenerateTriangle,
     UnknownProposition,
 )
-from triconic.geom import BaryCoords, Point2, Triangle, distance, line_through, midpoint
+from triconic.geom import (
+    BaryCoords,
+    Point2,
+    Triangle,
+    bary_to_cartesian,
+    cartesian_to_bary,
+    distance,
+    line_through,
+    midpoint,
+    reflect_about_point,
+)
 from triconic.verify import (
     MANIFEST,
     PROPOSITION_IDS,
@@ -353,14 +363,17 @@ def test_chords_x20_reports_its_residual(monkeypatch):
     diam = 2.0 * centers.circumcircle(t).radius
     x20 = centers.classic_center(t, "X20")
     moved = Point2(x20.x + 1e-6 * diam, x20.y)
-    real = verify.classic_center
-    monkeypatch.setattr(
-        verify, "classic_center", lambda t, cid: moved if cid == "X20" else real(t, cid)
-    )
+    # The check reads X20 as kernels.cyclic(kernels.center_x20, a, b, c) of
+    # the kernel's sides; this triangle is scalene, so each call's first
+    # side tells which coordinate of the moved point it asks for.
+    cfg = {"triangle": verify._tri_cfg(t)}
+    sides = kernels._sides_deltas(*verify._cfg_args([cfg], kernels.KIND_V_ELLIPSE))[0]
+    coords = dict(zip((float(v[0]) for v in sides), cartesian_to_bary(t, moved).as_tuple()))
+    monkeypatch.setattr(kernels, "center_x20", lambda a, b, c: np.full_like(a, coords[float(a[0])]))
     pairs = triads.pairwise_intersections(triads.build_triad(t, "v_ellipse"))
     expected = max(line_through(*pts[:2]).distance_to(moved) for pts in pairs) / diam
     assert 1e-8 < expected <= 1e-6
-    assert verify._chk_chords_x20({"triangle": verify._tri_cfg(t)}) == pytest.approx(expected, rel=1e-9)
+    assert verify._chk_pair_chords_x20([cfg]) == [pytest.approx(expected, rel=1e-9)]
 
 
 def _flaky(check, crash_at):
@@ -379,14 +392,14 @@ def _flaky(check, crash_at):
 
 
 def test_crashed_trials_are_counted_by_type(monkeypatch):
-    pid = "P2.1-yiu-vertices"
+    pid = "P4.5-soddy-intersections"
     prop = verify._BY_ID[pid]
     clean = run_proposition(pid, seed=42, trials=5)
     assert (clean.crashed, clean.errors) == (0, {})
     assert clean.margin == clean.max_residual / clean.threshold
     assert clean.note == ""
 
-    check = _flaky(verify._chk_yiu_vertices, {2: TypeError("injected")})
+    check = _flaky(verify._chk_soddy_intersections, {2: TypeError("injected")})
     monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=verify._per_trial(check)))
     r = run_proposition(pid, seed=42, trials=5)
     assert r.crashed == 1
@@ -399,7 +412,7 @@ def test_crashed_trials_are_counted_by_type(monkeypatch):
 
     # Several types: counted apart, keys sorted, the note from the last crash.
     check = _flaky(
-        verify._chk_yiu_vertices,
+        verify._chk_soddy_intersections,
         {0: ZeroDivisionError("first"), 1: TypeError("a"), 3: TypeError("last")},
     )
     monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=verify._per_trial(check)))
@@ -696,3 +709,176 @@ def test_phyp_parabola_scan_grid_matches_scalar_condition():
             assert verify._phyp_parabola_root(t, ang) == next(
                 bisect_sign_changes(cond, 0.08, 2.4, steps=300), None
             )
+
+
+# The trial-by-trial float checks P2.1, P2.3, P2.4, P2.5, P4.1 and P4.2 ran
+# before they became array calls, on the object path, kept as references.
+
+
+def _yiu_vertices_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    tr = triads.build_triad(t, "v_ellipse")
+    verts = triads.triad_vertices(tr)
+    tang = centers.excircle_tangency_points(t)
+    s = t.scale()
+    res = max(distance(v, q) / s for v, q in zip(verts, tang))
+    mids = (midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b))
+    res = max(res, max(distance(m.center, q) / s for m, q in zip(tr.members, mids)))
+    rep = triads.six_point_conic(tr)
+    return max(res, rep.residual6)
+
+
+def _tangent_excentral_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    tr = triads.build_triad(t, "v_ellipse")
+    exc = [centers.classic_center(t, f"excenter{label}") for label in "ABC"]
+    worst = 0.0
+    for idx, vertex in enumerate(t.vertices()):
+        others = [exc[k] for k in range(3) if k != idx]
+        side = line_through(others[0], others[1])
+        con = conic.conic_from_foci(tr.members[idx])
+        worst = max(worst, conic.residual(con, vertex), abs(conic.tangency_discriminant(con, side)))
+    return worst
+
+
+def _chords_x20_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    inters = triads.pairwise_intersections(triads.build_triad(t, "v_ellipse"))
+    diam = 2.0 * (t.side_a * t.side_b * t.side_c) / (4.0 * t.area)
+    x20 = centers.classic_center(t, "X20")
+    worst = 0.0
+    for pts, label in zip(inters, "ABC"):
+        if len(pts) < 2:
+            return math.inf
+        chord = line_through(pts[0], pts[1])
+        for q in (centers.classic_center(t, f"excenter{label}"), x20):
+            worst = max(worst, chord.distance_to(q) / diam)
+    if len(inters[0]) != 2:
+        return max(worst, 1.0)
+    lco = verify._vell_chord_line_bary(*t.sides())
+    m = max(abs(v) for v in lco)
+    for q in inters[0]:
+        u = cartesian_to_bary(t, q).normalized()
+        worst = max(worst, abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w) / m)
+    return worst
+
+
+def _right_triangle_x20_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    x20, x4, x3 = (centers.classic_center(t, cid) for cid in ("X20", "X4", "X3"))
+    worst = distance(x20, reflect_about_point(x4, x3)) / t.scale()
+    for m in triads.build_triad(t, "v_ellipse").members:
+        worst = max(worst, conic.residual(conic.conic_from_foci(m), x20))
+    return worst
+
+
+def _vhyp_vertex_barys_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    tr = triads.build_triad(t, "v_hyperbola")
+    if tr.has_degenerate_member():
+        return 0.0
+    verts = triads.triad_vertices(tr)
+    s = t.scale()
+    worst = 0.0
+    for i, (side, lam) in enumerate(zip(t.sides(), tr.deltas)):
+        b1, b2 = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        j, k = (i + 1) % 3, (i + 2) % 3
+        b1[j], b1[k] = side + lam, side - lam
+        b2[j], b2[k] = side - lam, side + lam
+        p1 = bary_to_cartesian(t, BaryCoords(*b1))
+        p2 = bary_to_cartesian(t, BaryCoords(*b2))
+        worst = max(worst, distance(p1, verts[2 * i]) / s, distance(p2, verts[2 * i + 1]) / s)
+    return worst
+
+
+def _intouch_extouch_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    tr = triads.build_triad(t, "v_hyperbola")
+    if tr.has_degenerate_member():
+        return 0.0
+    verts = triads.triad_vertices(tr)
+    ins, exts = centers.intouch_extouch(t)
+    s = t.scale()
+    worst = 0.0
+    for i in range(3):
+        worst = max(worst, distance(verts[2 * i], exts[i]) / s)
+        worst = max(worst, distance(verts[2 * i + 1], ins[i]) / s)
+    a1, a2 = triads.equal_area_check(tr)
+    return max(worst, abs(a1 - a2) / max(a1, a2))
+
+
+_TRIANGLE_REFERENCES = {
+    "P2.1-yiu-vertices": _yiu_vertices_reference,
+    "P2.3-tangent-excentral": _tangent_excentral_reference,
+    "P2.4-chords-x20": _chords_x20_reference,
+    "P2.5-right-triangle-x20": _right_triangle_x20_reference,
+    "P4.1-vhyp-vertex-barycentrics": _vhyp_vertex_barys_reference,
+    "P4.2-intouch-extouch": _intouch_extouch_reference,
+}
+
+
+def _reference_run(reference, cfgs):
+    out = []
+    for cfg in cfgs:
+        try:
+            out.append(reference(cfg))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_residuals_agree(batch, ref):
+    # The batch runs take sides and distances as sqrt(x*x + y*y)
+    # (kernels._hypot), where the float checks took math.hypot, and P2.3 and
+    # P2.5 evaluate the members in focal_pairs' frame: residuals at rounding
+    # level differ absolutely, larger ones only relatively.
+    assert [type(r) for r in batch] == [type(r) for r in ref]
+    for b, r in zip(batch, ref):
+        if isinstance(r, Exception):
+            continue
+        if r > 1e-14:
+            assert b == pytest.approx(r, rel=1e-6)
+        else:
+            assert b == pytest.approx(r, abs=1e-14)
+
+
+@pytest.mark.parametrize("pid", sorted(_TRIANGLE_REFERENCES))
+@pytest.mark.parametrize("seed", [42, 3])
+def test_batch_triangle_checks_match_float_checks(pid, seed):
+    prop = verify._BY_ID[pid]
+    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+    ref = _reference_run(_TRIANGLE_REFERENCES[pid], cfgs)
+    assert not any(isinstance(r, Exception) for r in ref)
+    _assert_residuals_agree(prop.run(cfgs), ref)
+
+
+@pytest.mark.parametrize("pid", sorted(_TRIANGLE_REFERENCES))
+def test_batch_triangle_checks_crash_where_float_checks_do(pid):
+    # At a tolerance of 1e-20, the sideline test of P2.1's six-point conic
+    # rejects honest vertices (PointOffSideline) in most trials, and only
+    # there.  The isosceles triangles give P4.1 and P4.2 a
+    # perpendicular-bisector member, which they read as 0.0.  (These are not
+    # right triangles, so P2.5's residuals, on different scales in the two
+    # frames, are not compared.)
+    cfgs = verify._gen_tri(np.random.default_rng(9), 30)
+    cfgs += [{"triangle": [[0.0, 0.9], [-0.4, 0.0], [0.4, 0.0]]},
+             {"triangle": [[0.3, 0.2], [0.3, 1.1], [-0.5, 0.65]]}]
+    old = config.get_tol()
+    try:
+        config.set_tol(1e-20)
+        batch = verify._BY_ID[pid].run(cfgs)
+        ref = _reference_run(_TRIANGLE_REFERENCES[pid], cfgs)
+    finally:
+        config.set_tol(old)
+    assert [type(r) for r in batch] == [type(r) for r in ref]
+    crashed = sum(isinstance(r, Exception) for r in ref)
+    assert crashed > 10 if pid == "P2.1-yiu-vertices" else crashed == 0
+    if pid.startswith("P4."):
+        assert batch[-2:] == [0.0, 0.0]
+
+
+def test_circumcircle_residual_reads_the_crossing_nearest_the_circle():
+    # P3.4's ray can cross an interior branch of the degeneracy locus before
+    # the circumcircle: the crossing nearest s = 1 decides, not the first.
+    assert verify._circumcircle_residual((0.0, [0.985, 1.0 + 1e-7])) == pytest.approx(1e-10, rel=1e-6)
+    assert verify._circumcircle_residual((0.0, [1.0 - 1e-7, 1.02])) == pytest.approx(1e-10, rel=1e-6)

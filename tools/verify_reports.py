@@ -4,8 +4,9 @@
     python tools/verify_reports.py write DIR
     python tools/verify_reports.py diff DIR_A DIR_B
 
-`write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json) and at seed 42
-with `--tol 1e-8` (DIR/tol8.json), the README's x478 and O* loci
+`write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json), at seed 42
+with `--tol 1e-8` (DIR/tol8.json) and at seed 42 with `--threads 2`
+(DIR/threads2.json), the README's x478 and O* loci
 (DIR/locus_x478.json, DIR/locus_ostar.json), and builds and renders the
 README's two scenes on the triangle "0,3 4,0 0,0" (DIR/scene_v_ell.svg,
 DIR/scene_soddy.svg, each from the scene JSON beside it), with the
@@ -16,8 +17,9 @@ failed) is a report like any other; an exit of 2 is an error.
 `diff` compares the files of the same name in two directories.  For the
 reports it prints each proposition entry that differs: its id, both
 max_residual values and whether the witness moved.  It names each locus
-output and each SVG that is not byte-identical.  It exits 1 if anything
-differs.
+output and each SVG that is not byte-identical, and each directory whose
+threads2.json is not byte-identical to its seed42.json (the thread count
+must not change the report).  It exits 1 if anything differs.
 """
 
 import json
@@ -45,6 +47,7 @@ def _reports():
     for seed in SEEDS:
         yield f"seed{seed}.json", ["verify", "--prop", "all", "--seed", str(seed), "--report"]
     yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42", "--report"]
+    yield "threads2.json", ["--threads", "2", "verify", "--prop", "all", "--seed", "42", "--report"]
 
 
 def _runs(out: pathlib.Path):
@@ -97,6 +100,10 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
         if (a / name).read_bytes() != (b / name).read_bytes():
             differ = True
             print(f"{name}: SVG outputs differ")
+    for d in (a, b):
+        if (d / "threads2.json").read_bytes() != (d / "seed42.json").read_bytes():
+            differ = True
+            print(f"{d}: threads2.json differs from seed42.json")
     print("outputs differ" if differ else "outputs agree")
     return 1 if differ else 0
 
