@@ -191,11 +191,8 @@ class SoddyConfig:
 
 
 def half_tangent_sum(t: Triangle) -> float:
-    """tan(A/2) + tan(B/2) + tan(C/2) = r/(s-a) + r/(s-b) + r/(s-c)."""
-    a, b, c = t.sides()
-    s = t.semiperimeter
-    r = t.area / s
-    return r / (s - a) + r / (s - b) + r / (s - c)
+    """tan(A/2) + tan(B/2) + tan(C/2) of t (kernels.half_tangent_sum)."""
+    return kernels.half_tangent_sum(*t.sides(), t.area)
 
 
 def _circle_circle_points(c1: Point2, r1: float, c2: Point2, r2: float) -> list[Point2]:

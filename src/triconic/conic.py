@@ -26,7 +26,9 @@ from .errors import (
     RankDeficient,
 )
 from .geom import LineEq, Point2, Triangle, distance, midpoint
-from .kernels import CLASS_NAMES, classify_code, fit5, frame_center, frobenius
+from .kernels import (
+    CLASS_NAMES, classify_code, conic_residual, fit5, frame_center, frobenius, tangency_disc,
+)
 
 
 class ConicClass(enum.Enum):
@@ -239,10 +241,9 @@ def fit_conic_5pts(pts) -> Conic:
 
 
 def residual(c: Conic, p: Point2) -> float:
-    """|p^T m p| / (||m||_F * ||p_hom||^2); <= tol means incidence."""
-    v = np.array([p.x, p.y, 1.0])
-    val = abs(float(v @ c.m @ v))
-    return val / (float(np.linalg.norm(c.m)) * float(v @ v))
+    """|p^T m p| / (||m||_F * ||p_hom||^2); <= tol means incidence
+    (kernels.conic_residual)."""
+    return conic_residual(c.coeffs(), p.x, p.y)
 
 
 def residual_bary(m: np.ndarray, b) -> float:
@@ -291,20 +292,12 @@ def conic_line_intersection(c: Conic, line: LineEq) -> list[Point2]:
 
 
 def tangency_discriminant(c: Conic, line: LineEq) -> float:
-    """Normalized discriminant of the restriction of c to the line.
+    """Normalized discriminant of the restriction of c to the line
+    (kernels.tangency_disc on c's unit-norm coefficients).
 
     ~0 means the line meets the conic in a double point (tangency).
     """
-    nrm2 = line.l * line.l + line.m * line.m
-    p0 = Point2(-line.l * line.n / nrm2, -line.m * line.n / nrm2)
-    d = Point2(-line.m / math.sqrt(nrm2), line.l / math.sqrt(nrm2))
-    m = _normalized(c.m)
-    v0 = np.array([p0.x, p0.y, 1.0])
-    vd = np.array([d.x, d.y, 0.0])
-    qa = float(vd @ m @ vd)
-    qb = 2.0 * float(v0 @ m @ vd)
-    qc = float(v0 @ m @ v0)
-    return qb * qb - 4.0 * qa * qc
+    return tangency_disc(c.coeffs(), line.l, line.m, line.n)
 
 
 def conic_bary_to_cartesian(m: np.ndarray, t: Triangle) -> Conic:

@@ -467,6 +467,14 @@ def intouch_extouch(a, b, c):
     )
 
 
+def half_tangent_sum(a, b, c, area):
+    """tan(A/2) + tan(B/2) + tan(C/2) = r/(s-a) + r/(s-b) + r/(s-c), from
+    the sides and the unsigned area."""
+    s = (a + b + c) / 2.0
+    r = area / s
+    return r / (s - a) + r / (s - b) + r / (s - c)
+
+
 def bary_point(ax, ay, bx, by, cx, cy, u, v, w):
     """The point of barycentrics (u, v, w): (x, y, far), far where
     |u + v + w| <= get_tol() * max(|u|, |v|, |w|), geom.bary_to_cartesian's

@@ -78,31 +78,20 @@ def x478_quartic(x: float, y: float) -> float:
     return 4.0 * r2 * r2 - 8.0 * y**3 - x * x + 2.0 * y * y
 
 
-def parabola_deg8_V(a: float, b: float, c: float) -> float:
+def parabola_deg8_V(a, b, c):
     """Degree-8 sidelength condition for the V-ellipse six-point conic to be
-    a parabola."""
+    a parabola; floats or arrays, bit for bit alike."""
+    # Powers as products, not **: on floats ** goes through libm's pow,
+    # which differs from numpy's power in the last bit.
+    a2, b2, c2 = a * a, b * b, c * c
+    a4, b4, c4 = a2 * a2, b2 * b2, c2 * c2
     return (
-        a**8
-        + b**8
-        + c**8
-        - 2.0 * (a**4 * b**4 + a**4 * c**4 + b**4 * c**4)
-        + 4.0
-        * a
-        * b
-        * c
-        * (
-            a**5
-            + b**5
-            + c**5
-            - a**4 * b
-            - a * b**4
-            - a**4 * c
-            - a * c**4
-            - b * c**4
-            - b**4 * c
-            + a**3 * b * c
-            + a * b**3 * c
-            + a * b * c**3
+        a4 * a4 + b4 * b4 + c4 * c4
+        - 2.0 * (a4 * b4 + a4 * c4 + b4 * c4)
+        + 4.0 * a * b * c * (
+            a4 * a + b4 * b + c4 * c
+            - a4 * b - a * b4 - a4 * c - a * c4 - b * c4 - b4 * c
+            + a2 * a * b * c + a * (b2 * b) * c + a * b * (c2 * c)
         )
     )
 
@@ -148,19 +137,17 @@ def covertex_locus_V(x: float, y: float) -> float:
     return t1 * rho1 * rho2 + t2 * (rho1 + rho2) + 2.0 * x * t3 * (rho1 - rho2) + t4
 
 
-def halftangent_sextic(x: float, y: float) -> float:
+def halftangent_sextic(x, y):
     """Locus of C with half-tangent sum 2 (outer Soddy circle degenerates to
-    a line), A=(-1,0), B=(1,0); the stated component, its mirror is y -> -y."""
+    a line), A=(-1,0), B=(1,0); the stated component, its mirror is y -> -y.
+    Floats or arrays, bit for bit alike (powers as products)."""
+    x2, y2 = x * x, y * y
+    x4, y4 = x2 * x2, y2 * y2
     return (
-        -4.0 * x**6
-        - 4.0 * x**4 * (2.0 * y * y + 2.0 * y + 1.0)
-        - 4.0 * x * x * (y**4 + y**3 - 4.0 * y - 5.0)
-        + 4.0 * y**5
-        + 13.0 * y**4
-        + 20.0 * y**3
-        + 8.0 * y * y
-        - 8.0 * y
-        - 12.0
+        -4.0 * (x4 * x2)
+        - 4.0 * x4 * (2.0 * y * y + 2.0 * y + 1.0)
+        - 4.0 * x * x * (y4 + y2 * y - 4.0 * y - 5.0)
+        + 4.0 * (y4 * y) + 13.0 * y4 + 20.0 * (y2 * y) + 8.0 * y * y - 8.0 * y - 12.0
     )
 
 
@@ -783,18 +770,29 @@ def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:
 # Co-vertex conic checks and the reflection-triangle conjecture
 # ---------------------------------------------------------------------------
 
-def covertex_conconic_V(x: float, y: float) -> float:
+def covertex_conconic_V(x, y):
     """Determinant form of the V-ellipse co-vertex conconic condition,
-    A=(-1,0), B=(1,0): the 6x6 design determinant of the six co-vertices.
+    A=(-1,0), B=(1,0): the 6x6 design determinant of the six co-vertices
+    of C = (x, y) (conic.covertices_of_focal_conic's, from the sides and
+    axes of kernels._sides_deltas), on floats or arrays.
 
     This is the independent oracle for the co-vertex locus; the displayed
     radical equation (covertex_locus_V) does not reproduce it and is kept
     only as the verbatim evaluation.
     """
-    t = Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y))
-    cov = triad_covertices(build_triad(t, "v_ellipse"))
-    m = np.array([[p.x**2, p.x * p.y, p.y**2, p.x, p.y, 1.0] for p in cov])
-    return float(np.linalg.det(m))
+    corners = (-1.0, 0.0, 1.0, 0.0, x, y)
+    sides, axes, _ = kernels._sides_deltas(*corners, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    rows = []
+    for (i, j), f, d in zip(kernels._PAIR_MEMBERS, sides, axes):
+        (x1, y1), (x2, y2) = corners[2 * i:2 * i + 2], corners[2 * j:2 * j + 2]
+        beta = kernels._sqrt(abs((d / 2.0) * (d / 2.0) - (f / 2.0) * (f / 2.0)))
+        # From the center along the unit axis (F1 - F2) / f turned a quarter.
+        for k in (beta, -beta):
+            px, py = (x1 + x2) / 2.0 + k * -((y1 - y2) / f), (y1 + y2) / 2.0 + k * ((x1 - x2) / f)
+            rows.append((px * px, px * py, py * py, px, py, np.ones_like(px)))
+    # rows[r][col] -> one 6x6 matrix per C.
+    det = np.linalg.det(np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1)))
+    return float(det) if np.ndim(det) == 0 else det
 
 
 _BRENT_XTOL = 1e-300
@@ -867,24 +865,19 @@ class _Unknown(Exception):
 
 
 def _brent(f, a, b, fa, fb):
-    """A root of f in each cell [a, b] by Brent's method (_brent_cell), from
-    the end values fa = f(a) and fb = f(b), which differ in sign or include
-    a 0.
+    """A root of f in each cell [a[i], b[i]] of arrays of cells, by
+    _brent_cell from the end values fa = f(a) and fb = f(b), which differ
+    in sign or include a 0.
 
-    Elementwise on floats or on arrays of cells, with the same bits: every
-    cell runs _brent_cell in Python floats, and only f is called on arrays.
-    On floats this is _brent_cell itself: f(x) takes a float, and the root
-    is returned or NotConverged raised.  On arrays each round replays every
-    running cell from its start, reading the values of f it has been given,
-    up to the first iterate where f is not known yet; one call f(x, i) then
-    evaluates those iterates x of the cells i (an index array into a).  The
-    result is (roots, failed): roots NaN at each cell that failed, and
-    failed the NotConverged that the float call raises for it.  Replaying
+    Every cell runs _brent_cell in Python floats, and only f is called on
+    arrays.  Each round replays every running cell from its start, reading
+    the values of f it has been given, up to the first iterate where f is
+    not known yet; one call f(x, i) then evaluates those iterates x of the
+    cells i (an index array into a).  The result is (roots, failed): roots
+    NaN at each cell that failed, and failed its NotConverged.  Replaying
     costs Python steps quadratic in a cell's iterations (5050 at most),
-    against one f call a round, and leaves the float path as it was.
+    against one f call a round.
     """
-    if not isinstance(a, np.ndarray):
-        return _brent_cell(f, a, b, fa, fb)
     cells = list(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()))
     known = [[] for _ in cells]
     roots = np.full(len(cells), math.nan)
@@ -915,46 +908,20 @@ def _brent(f, a, b, fa, fb):
     return roots, failed
 
 
-def bisect_sign_changes(f, lo: float, hi: float, steps: int = 60, f_grid=None):
-    """Sign changes of f on [lo, hi], in order, as a generator.
-
-    Scans the grid lo + (hi - lo) * k / steps, k = 0..steps, and polishes
-    each cell whose end values are finite and of opposite sign with Brent's
-    method (_brent, to about 4 ulp).  A value of exactly 0 counts as
-    positive in the scan, and Brent returns a cell end where f is 0 as the
-    root itself: a grid zero that f touches from below is reported by both
-    of its cells, one it touches from above by neither.  Cells with a NaN or
-    infinite end are skipped.
-
-    f_grid, when given, is an array evaluator of f: called once with the
-    grid as an array, it returns f at every grid point, bit for bit f's
-    values, and replaces the scalar scan.  Without it the scan is lazy: the
-    first root is next(bisect_sign_changes(...), None), and no cell past it
-    is evaluated.  Brent always polishes with f on floats (_brent_cell),
-    and is handed the cell's two end values from the scan, so no grid
-    point is evaluated twice.  batch_sign_changes runs many scans at
-    once, with one array Brent over all their cells.
-    """
-    grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
-    values = map(f, grid) if f_grid is None else f_grid(np.array(grid)).tolist()
-    cells = zip(grid, values)
-    prev_s, prev_f = next(cells)
-    for s, v in cells:
-        if math.isfinite(prev_f) and math.isfinite(v) and (prev_f < 0.0) != (v < 0.0):
-            yield _brent(f, prev_s, s, prev_f, v)
-        prev_s, prev_f = s, v
-
-
 def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
-    """bisect_sign_changes of many scans in one pass: scan k runs on
-    [lo[k], hi[k]], and f(s, k) evaluates its function elementwise on
-    arrays, bit for bit the floats that bisect_sign_changes would read.
+    """The sign changes of many functions, one scan each: scan k runs on
+    [lo[k], hi[k]], and f(s, k) evaluates function k[i] at s[i] on arrays.
 
-    One f call reads every scan's grid, and one array _brent polishes
-    every bracketed cell.  Returns, for each scan, its roots in order (with
-    first, as next(bisect_sign_changes(...), None) gives it, its first root
-    or None, and only each scan's first bracketed cell is polished), or the
-    NotConverged of its first cell whose polish failed.
+    One f call reads every scan's grid lo + (hi - lo) * j / steps, j =
+    0..steps, and one array _brent (to about 4 ulp) polishes every cell
+    whose end values are finite and of opposite sign, from those two
+    values, so no grid point is evaluated twice.  A value of exactly 0
+    counts as positive, and Brent returns a cell end where f is 0 as the
+    root itself: a grid zero that f touches from below is reported by both
+    of its cells, one it touches from above by neither.  Returns, for each
+    scan, its roots in order (with first, its first root or None, and only
+    its first bracketed cell is polished), or the NotConverged of its first
+    cell whose polish failed.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     grid = lo[:, None] + (hi - lo)[:, None] * np.arange(steps + 1) / steps
@@ -982,10 +949,11 @@ def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
     return out
 
 
-def _bisect_along_ray(g, lo: float, hi: float) -> float:
-    """First root of g on [lo, hi]: the first sign change of a 400-cell
-    scan, polished by Brent's method."""
-    r = next(bisect_sign_changes(g, lo, hi, steps=400), None)
+def _first_root(g, lo: float, hi: float) -> float:
+    """The first root of g on [lo, hi], by a 400-cell batch scan of one."""
+    (r,) = batch_sign_changes(lambda s, k: g(s), [lo], [hi], steps=400, first=True)
+    if isinstance(r, NotConverged):
+        raise r
     if r is None:
         raise DriverNotOnLocus("no sign change along the scan ray")
     return r
@@ -1048,7 +1016,7 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
         A, B = Point2(-1.0, 0.0), Point2(1.0, 0.0)
         dx, dy = math.cos(ray_angle), math.sin(ray_angle)
         g = lambda r: covertex_conconic_V(r * dx, r * dy)
-        r = _bisect_along_ray(g, 0.35, 3.0)
+        r = _first_root(g, 0.35, 3.0)
         C = Point2(r * dx, r * dy)
         t = Triangle(A, B, C)
         cov = triad_covertices(build_triad(t, "v_ellipse"))
@@ -1063,13 +1031,16 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
             for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
         ]
         t = Triangle(*verts)
+        corners = _kernel_args(t, "p_ellipse", None)[:6]
+        dx, dy = math.cos(ray_angle), math.sin(ray_angle)
 
         def g(r):
-            p = Point2(r * math.cos(ray_angle), r * math.sin(ray_angle))
-            return covertex_condition_equilateral_P(*_deltas(t, p))
+            # _deltas(t, P) at P = r * (dx, dy), on floats or arrays.
+            deltas = kernels._sides_deltas(*corners, kernels.KIND_P_ELLIPSE, r * dx, r * dy)[1]
+            return covertex_condition_equilateral_P(*deltas)
 
-        r = _bisect_along_ray(g, 0.05, 1.4)
-        P = Point2(r * math.cos(ray_angle), r * math.sin(ray_angle))
+        r = _first_root(g, 0.05, 1.4)
+        P = Point2(r * dx, r * dy)
         cov = triad_covertices(build_triad(t, "p_ellipse", P))
         fit, res = _covertex_fit(cov)
         odag = fit.center()

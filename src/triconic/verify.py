@@ -17,10 +17,11 @@ stream and configuration is that of `random_triangle` and
 them, and the `_gen_tri_point` ones, A4 and A5 among them, read their rng
 in blocks.  Only the draws of A3, P2.8 and P5.7 run a search, as only it
 decides their family: A3's runs its check, P2.8's and P5.7's the root scan
-their checks repeat.
+their checks repeat, P5.7's for a round of candidates at a time
+(`_draw_rounds`, as `_gen_tri_point` runs its member guard).
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  Sixteen run as
+`_per_trial`, which turns a crash into a failed trial.  Nineteen run as
 one batch on arrays, each trial's bits those of a batch of one: P2.2,
 P3.1, P3.8 and P5.2 in one `kernels.six_point` call; P2.1 on
 `kernels.vertices` and `fit_six`, with `six_point_conic`'s rules; P2.3
@@ -28,14 +29,13 @@ and P2.5 on the members of one `kernels.focal_pairs` call; P2.4, P4.7
 and P5.6 in one `kernels.pair_points` call; P4.1 and P4.2 on
 `kernels.vertex_coords`; P5.1 in one `kernels.second_point` call; the
 catalog points these compare with from `kernels.bary_point`; and the
-sign scans of P2.6, P3.4 and P5.7 (both of its scans) in one
-`loci.batch_sign_changes` each: one `kernels.six_point` (or parabola
-condition) call on every trial's grid, then one array Brent over every
-bracketed cell.  A crash there still fails only its own trial (`_fail_or`
-gives each trial the exception of the first fault that holds there).
-The scans of P2.8, P4.6 and P4.10 run trial by trial through
-`bisect_sign_changes` on floats: their functions take powers with `**`,
-whose last bits differ on numpy arrays.
+root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
+`loci.batch_sign_changes` each: one call of the scanned function (written
+with products, not powers, so floats and arrays give the same bits) on
+every trial's grid, then one array Brent over every bracketed cell; P2.8,
+P4.6 and P4.10 finish each trial's other checks on floats.  A crash still
+fails only its own trial (`_fail_or` gives each trial the exception of
+the first fault that holds there).
 
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through the pair points
@@ -82,7 +82,6 @@ from .conic import (
 )
 from .errors import (
     ConstructionFailed,
-    DegenerateTriangle,
     NotFound,
     PointAtInfinity,
     PointOffSideline,
@@ -100,7 +99,6 @@ from .geom import (
 )
 from .loci import (
     batch_sign_changes,
-    bisect_sign_changes,
     covertex_conic_check,
     equilateral_ostar_locus_check,
     find_phyp_circle_points,
@@ -265,23 +263,28 @@ def _gen_tri(rng, n) -> list:
     return [{"triangle": _corners_cfg(*_tri_floats(u))} for _ in range(n)]
 
 
-def _gen_tri_point(rng, n) -> list:
-    """n configurations of a triangle and a driver P for which both
-    P-triads have all members, read from rng in blocks; a driver draw that
-    gives up is its trial's ConstructionFailed.
-
-    One configuration is the first of a run of (triangle, P) candidates
-    that passes the member guard of both P-triads (kernels._sides_deltas).
-    The guard never touches the rng, so the configurations are the passing
-    members of a fixed candidate sequence: the candidates are drawn in
-    rounds, the guard runs on arrays over a round, and the passing ones
-    are kept in order until there are n.
-    """
-    u = _doubles(rng).__next__
+def _draw_rounds(n, draw_round) -> list:
+    """n configurations from rounds: draw_round(k) draws k candidates and
+    judges them in one call, each as its configuration, None (drop it) or
+    its trial's exception.  With one candidate per missing configuration a
+    round, the rng is read as drawing one at a time reads it."""
     out = []
     while len(out) < n:
+        out += [c for c in draw_round(n - len(out)) if c is not None]
+    return out
+
+
+def _gen_tri_point(rng, n) -> list:
+    """n configurations of a triangle and a driver P for which both
+    P-triads have all members (kernels._sides_deltas' member guard, on
+    arrays over each round of candidates, _draw_rounds), read from rng in
+    blocks; a driver draw that gives up is its trial's ConstructionFailed.
+    """
+    u = _doubles(rng).__next__
+
+    def draw_round(k) -> list:
         cands = []
-        for _ in range(n - len(out)):
+        for _ in range(k):
             tri = _tri_floats(u)
             try:
                 cands.append((*tri, *_near_floats(*tri, u)))
@@ -289,17 +292,14 @@ def _gen_tri_point(rng, n) -> list:
                 cands.append(exc)
         drawn = [c for c in cands if not isinstance(c, Exception)]
         cols = np.array(drawn, dtype=float).reshape(-1, 8).T
-        bad = (
+        bad = iter((
             kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
             | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2]
-        )
-        passed = iter((~bad).tolist())
-        for c in cands:
-            if isinstance(c, Exception):
-                out.append(c)
-            elif next(passed):
-                out.append({"triangle": _corners_cfg(*c[:6]), "p": [c[6], c[7]]})
-    return out
+        ).tolist())
+        return [c if isinstance(c, Exception) else None if next(bad)
+                else {"triangle": _corners_cfg(*c[:6]), "p": [c[6], c[7]]} for c in cands]
+
+    return _draw_rounds(n, draw_round)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +544,7 @@ def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
     cols = np.array(rays).T
     n = len(rays)
     return batch_sign_changes(
-        lambda s, k: fn(s, *(c[k] for c in cols)),
+        lambda s, k: fn(s, *cols[:, k]),
         np.broadcast_to(lo, n), np.broadcast_to(hi, n), steps, first,
     )
 
@@ -554,15 +554,16 @@ def _at_rays(fn, rays, s) -> list:
     return fn(np.full(len(rays), s), *np.array(rays).T).tolist()
 
 
-def _ab_ray(cfg) -> tuple:
-    """P2.6's A and B, then the ray M + s*r*(cos, sin) of its angle from
-    the midpoint M of AB, r = |AB| / 2."""
-    (ax, ay), (bx, by) = cfg["ab"]
-    A = Point2(ax, ay)
-    B = Point2(bx, by)
+def _midpoint_ray(a, b, ang) -> tuple:
+    """A and B, given as [x, y], then the ray M + s*r*(cos ang, sin ang)
+    from the midpoint M of AB, r = |AB| / 2."""
+    A, B = Point2(*a), Point2(*b)
     m = midpoint(A, B)
-    ang = cfg["angle"]
     return (A.x, A.y, B.x, B.y, m.x, m.y, distance(A, B) / 2.0, math.cos(ang), math.sin(ang))
+
+
+def _ab_ray(cfg) -> tuple:
+    return _midpoint_ray(*cfg["ab"], cfg["angle"])
 
 
 def _ab_ray_det(s, ax, ay, bx, by, *ray):
@@ -604,53 +605,54 @@ def _chk_x478_quartic(cfg) -> float:
     return abs(x478_quartic(cen.x, cen.y))
 
 
-def _deg8_root_on_ray(A: Point2, B: Point2, ang: float) -> float | None:
-    m = midpoint(A, B)
-    r = distance(A, B) / 2.0
-    d = Point2(math.cos(ang), math.sin(ang))
-
-    def deg8(s):
-        c = Point2(m.x + s * r * d.x, m.y + s * r * d.y)
-        try:
-            return parabola_deg8_V(*Triangle(A, B, c).sides())
-        except DegenerateTriangle:
-            return math.nan
-
-    return next(bisect_sign_changes(deg8, 1.05, 6.0, steps=240), None)
+def _deg8_on_ray(s, ax, ay, bx, by, *ray):
+    """parabola_deg8_V of ABC, C the ray point, on arrays (sides by
+    kernels._hypot), NaN where Triangle refuses ABC as collinear."""
+    cx, cy = _on_ray(s, *ray)
+    sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
+             kernels._hypot(ax - bx, ay - by))
+    scale = kernels._largest(sides)
+    flat = (scale == 0.0) | (abs(_signed_area(ax, ay, bx, by, cx, cy)) <= get_tol() * scale * scale)
+    return np.where(flat, math.nan, parabola_deg8_V(*sides))
 
 
-def _chk_type_regions_V(cfg) -> float:
-    t = _cfg_tri(cfg)
-    A, B = t.a, t.b
-    rngval = cfg["u"]
-    m = midpoint(A, B)
-    r = distance(A, B) / 2.0
-    ang = cfg["angle"]
-    d = Point2(math.cos(ang), math.sin(ang))
-    worst = 0.0
-    # (i) C on the circle with diameter AB -> degenerate.
-    c_on = Point2(m.x + r * d.x, m.y + r * d.y)
-    worst = max(worst, abs(_detn_v_ellipse(A.x, A.y, B.x, B.y, c_on.x, c_on.y)))
-    # (i') C on the perpendicular to AB at A (tangent line) -> degenerate.
-    u = Point2(B.x - A.x, B.y - A.y)
-    n = Point2(-u.y / (2 * r), u.x / (2 * r))
-    c_t = Point2(A.x + (0.5 + rngval) * n.x, A.y + (0.5 + rngval) * n.y)
-    worst = max(worst, abs(_detn_v_ellipse(A.x, A.y, B.x, B.y, c_t.x, c_t.y)))
+def _deg8_roots(rays) -> list:
+    """The degree-8 condition's first root, s in [1.05, 6], on each ray."""
+    return _scan_rays(_deg8_on_ray, rays, 1.05, 6.0, steps=240, first=True)
+
+
+def _chk_type_regions_V(cfgs) -> list:
+    """P2.8 on all configurations at once: one batch scan for the degree-8
+    root along each ray, then each trial's remaining checks."""
+    rays = [_midpoint_ray(*cfg["triangle"][:2], cfg["angle"]) for cfg in cfgs]
+    return _each(_type_regions_residual, zip(cfgs, rays, _deg8_roots(rays)))
+
+
+def _type_regions_residual(item) -> float:
+    cfg, (ax, ay, bx, by, *ray), found = item
+    cx, cy = _cfg_tri(cfg).c.as_tuple()
+    r, u = ray[2], 0.5 + cfg["u"]
+    # (i) C on the circle with diameter AB, and (i') on the perpendicular
+    # to AB at A (tangent line) -> degenerate.
+    tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
+    worst = max(
+        0.0,
+        abs(_detn_v_ellipse(ax, ay, bx, by, *_on_ray(1.0, *ray))),
+        abs(_detn_v_ellipse(ax, ay, bx, by, *tangent)),
+    )
     # (ii) C on the degree-8 root along the ray -> parabola.
-    found = _deg8_root_on_ray(A, B, ang)
+    if isinstance(found, Exception):
+        raise found
     if found is None:
         return 1.0
-    c_p = Point2(m.x + found * r * d.x, m.y + found * r * d.y)
     code, _, disc, _ = kernels.six_point(
-        A.x, A.y, B.x, B.y, c_p.x, c_p.y, kernels.KIND_V_ELLIPSE, 0.0, 0.0
+        ax, ay, bx, by, *_on_ray(found, *ray), kernels.KIND_V_ELLIPSE, 0.0, 0.0
     )
     if code == kernels.CLASS_FAILED:
         return 1.0
     worst = max(worst, abs(disc))
     # (iii) generic interior C -> ellipse or hyperbola.
-    code = kernels.six_point(
-        A.x, A.y, B.x, B.y, t.c.x, t.c.y, kernels.KIND_V_ELLIPSE, 0.0, 0.0
-    )[0]
+    code = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
     if code not in (
         kernels.CLASS_ELLIPSE,
         kernels.CLASS_HYPERBOLA,
@@ -925,26 +927,45 @@ def _chk_soddy_intersections(cfg) -> float:
     return worst
 
 
-def _sextic_root_on_vertical(x: float) -> Point2 | None:
-    y = next(bisect_sign_changes(lambda y: halftangent_sextic(x, y), 0.25, 1.4, steps=280), None)
-    return None if y is None else Point2(x, y)
+def _sextic_triangles(xs) -> list:
+    """A=(-1,0), B=(1,0) and C=(x, y) at the half-tangent sextic's first
+    root y in [0.25, 1.4] over each x: None without a root, the
+    NotConverged of a failed scan."""
+    ys = _scan_rays(lambda y, x: halftangent_sextic(x, y), [(x,) for x in xs], 0.25, 1.4,
+                    steps=280, first=True)
+    return [y if y is None or isinstance(y, Exception)
+            else Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) for x, y in zip(xs, ys)]
 
 
-def _chk_halftangent_sextic(cfg) -> float:
-    x = cfg["x"]
-    c = _sextic_root_on_vertical(x)
-    if c is None:
+def _half_tangent_gap(y, x):
+    """The half-tangent sum of A=(-1,0), B=(1,0), C=(x, y) less 2, on
+    arrays (the sides of kernels._sides_deltas)."""
+    corners = (-1.0, 0.0, 1.0, 0.0, x, y)
+    sides = kernels._sides_deltas(*corners, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
+    return kernels.half_tangent_sum(*sides, abs(_signed_area(*corners))) - 2.0
+
+
+def _chk_halftangent_sextic(cfgs) -> list:
+    """P4.6 on all configurations at once: one batch scan for the sextic
+    root on each vertical, and one for the root of the half-tangent
+    condition itself, [0.25, 1.4] as one cell; the roots must agree."""
+    xs = [cfg["x"] for cfg in cfgs]
+    converse = _scan_rays(_half_tangent_gap, [(x,) for x in xs], 0.25, 1.4, steps=1, first=True)
+    return _each(_halftangent_residual, zip(_sextic_triangles(xs), converse))
+
+
+def _halftangent_residual(item) -> float:
+    t, y = item
+    if isinstance(t, Exception):
+        raise t
+    if t is None:
         return 1.0
-    t = Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), c)
     worst = abs(half_tangent_sum(t) - 2.0)
-    # Converse: bisect the half-tangent condition itself; roots must agree.
-    g = lambda y: half_tangent_sum(
-        Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y))
-    ) - 2.0
-    y = next(bisect_sign_changes(g, 0.25, 1.4, steps=1), None)
+    if isinstance(y, Exception):
+        raise y
     if y is None:
         return 1.0
-    return max(worst, abs(y - c.y))
+    return max(worst, abs(y - t.c.y))
 
 
 def _through_pair_points(ellipse: int, hyperbola: int):
@@ -1014,12 +1035,15 @@ def _chk_fifteen_point_cubic(cfg) -> float:
     return max(min(ln.distance_to(p) for ln in sidelines) / s for p in pts)
 
 
-def _chk_soddy_line_tangent(cfg) -> float:
-    x = cfg["x"]
-    c = _sextic_root_on_vertical(x)
-    if c is None:
+def _chk_soddy_line_tangent(cfgs) -> list:
+    """P4.10 on all configurations at once: one batch scan for the sextic
+    root on each vertical, then each trial's Soddy line checks."""
+    return _each(_soddy_line_residual, _sextic_triangles([cfg["x"] for cfg in cfgs]))
+
+
+def _soddy_line_residual(t) -> float:
+    if t is None:
         return 1.0
-    t = Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), c)
     cfg_s = soddy(t)
     if cfg_s.regime != "line":
         return 1.0
@@ -1089,17 +1113,9 @@ def _phyp_condition(s, ax, ay, bx, by, cx, cy, *ray):
     return phyp_parabola_condition(*sides, *lams)
 
 
-def _phyp_parabola_on_ray(t: Triangle, ang: float):
-    """phyp_parabola_condition at P = O + s*R*(cos ang, sin ang), O and R
-    the circumcenter and circumradius, as a function of s: a float, or an
-    array such as a whole scan grid, bit for bit alike."""
-    ray = _circumcircle_ray(t, ang)
-    return lambda s: _phyp_condition(s, *ray)
-
-
-def _phyp_parabola_root(t: Triangle, ang: float) -> float | None:
-    cond = _phyp_parabola_on_ray(t, ang)
-    return next(bisect_sign_changes(cond, 0.08, 2.4, steps=300, f_grid=cond), None)
+def _phyp_roots(rays) -> list:
+    """The parabola condition's first root, s in [0.08, 2.4], on each ray."""
+    return _scan_rays(_phyp_condition, rays, 0.08, 2.4, steps=300, first=True)
 
 
 def _cfg_and_ray(cfg) -> tuple:
@@ -1111,7 +1127,7 @@ def _chk_phyp_parabola(items) -> list:
     the root of the parabola condition along each ray, then one for the
     fitted conic's disc around each root found."""
     cfgs, rays = zip(*items)
-    found = _scan_rays(_phyp_condition, rays, 0.08, 2.4, steps=300, first=True)
+    found = _phyp_roots(rays)
     hit = [i for i, s in enumerate(found) if isinstance(s, float)]
     s_disc = [None] * len(found)
     lo = [found[i] - 2e-3 for i in hit]
@@ -1272,7 +1288,7 @@ def _gen_soddy_regimes(rng) -> dict:
 
 
 def _gen_sextic_abscissa(rng) -> dict:
-    # _sextic_root_on_vertical finds a root for every |x| <= 0.45.
+    # _sextic_triangles finds a root for every |x| <= 0.45.
     return {"x": rng.uniform(-0.45, 0.45)}
 
 
@@ -1288,10 +1304,15 @@ def _gen_needle(rng) -> dict:
 
 
 def _gen_deg8_ray(rng) -> dict:
+    # u is drawn only for a ray that crosses the degree-8 locus, so each
+    # candidate is scanned on its own: a batch of one.
     while True:
         ax, ay, bx, by, cx, cy = _tri_floats(rng.random)
         ang = rng.uniform(0.0, 2 * math.pi)
-        if _deg8_root_on_ray(Point2(ax, ay), Point2(bx, by), ang) is None:
+        (found,) = _deg8_roots([_midpoint_ray([ax, ay], [bx, by], ang)])
+        if isinstance(found, Exception):
+            raise found
+        if found is None:
             continue
         return {
             "triangle": _corners_cfg(ax, ay, bx, by, cx, cy),
@@ -1300,16 +1321,25 @@ def _gen_deg8_ray(rng) -> dict:
         }
 
 
-def _gen_tri_phyp_angle(rng) -> dict:
-    while True:
-        t = random_triangle(rng)
-        u = rng.uniform(0.1, 0.9)
-        if abs(u - 0.5) < 0.05:
-            continue
-        ang = rng.uniform(0.0, 2 * math.pi)
-        if _phyp_parabola_root(t, ang) is None:
-            continue
-        return {"triangle": _tri_cfg(t), "angle": ang, "u": u}
+def _gen_tri_phyp_angle(rng, n) -> list:
+    """n P5.7 configurations, in rounds (_draw_rounds) of one batch scan:
+    a candidate reads the rng the same way whether it is kept or not."""
+
+    def candidate():
+        while True:
+            t = random_triangle(rng)
+            u = rng.uniform(0.1, 0.9)
+            if abs(u - 0.5) >= 0.05:
+                return t, u, rng.uniform(0.0, 2 * math.pi)
+
+    def draw_round(k) -> list:
+        cands = [candidate() for _ in range(k)]
+        roots = _phyp_roots([_circumcircle_ray(t, ang) for t, _, ang in cands])
+        return [s if s is None or isinstance(s, Exception)
+                else {"triangle": _tri_cfg(t), "angle": ang, "u": u}
+                for (t, u, ang), s in zip(cands, roots)]
+
+    return _draw_rounds(n, draw_round)
 
 
 def _gen_fixed(rng) -> dict:
@@ -1394,7 +1424,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _chk_x20_on_members, 1e-8, 200),
     Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
     Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _per_trial(_chk_x478_quartic), 1e-8, 120),
-    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _per_trial(_chk_type_regions_V), 1e-9, 25),
+    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _chk_type_regions_V, 1e-9, 25),
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _per_draw(_gen_ray_angle_v), _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
@@ -1412,11 +1442,11 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _per_trial(_chk_privalov), 1e-8, 100),
     Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
     Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _per_trial(_chk_soddy_intersections), 1e-8, 100),
-    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _per_trial(_chk_halftangent_sextic), 1e-9, 30),
+    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _chk_halftangent_sextic, 1e-9, 30),
     Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _through_pair_points(kernels.KIND_V_ELLIPSE, kernels.KIND_V_HYPERBOLA), 1e-8, 60),
     Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _per_trial(_chk_chords_x8), 1e-8, 60),
     Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _per_trial(_chk_fifteen_point_cubic), 1e-9, 100),
-    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _per_trial(_chk_soddy_line_tangent), 1e-7, 12),
+    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _chk_soddy_line_tangent, 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
@@ -1424,7 +1454,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
-    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _per_draw(_gen_tri_phyp_angle), _batch_run(_cfg_and_ray, _chk_phyp_parabola), 1e-9, 25),
+    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _batch_run(_cfg_and_ray, _chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
     Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_tri, _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
     Proposition("A2-major-vertices", "closed-form major vertices", _gen_tri, _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),

@@ -57,7 +57,7 @@ from triconic.triads import (
     two_branch_chords,
 )
 from triconic.verify import (
-    _sextic_root_on_vertical,
+    _sextic_triangles,
     random_flat_triangle,
     random_point_near,
     random_triangle,
@@ -308,10 +308,8 @@ def test_criterion_07_soddy():
                 )
     # Line regime at triangles on the half-tangent sextic.
     worst_line = 0.0
-    for x in np.linspace(-0.4, 0.4, 12):
-        c = _sextic_root_on_vertical(float(x))
-        assert c is not None
-        t = Triangle(Point2(-1, 0), Point2(1, 0), c)
+    for t in _sextic_triangles(np.linspace(-0.4, 0.4, 12).tolist()):
+        assert isinstance(t, Triangle)
         scfg = soddy(t)
         assert scfg.regime == "line"
         for (u, v) in ((t.a, t.b), (t.b, t.c), (t.c, t.a)):

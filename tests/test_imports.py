@@ -95,7 +95,7 @@ def test_package_runs_without_scipy(cli_env):
         "t = Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))\n"
         "assert triconic.loci.find_pstar_candidates(t)\n"
         "assert len(triconic.loci.find_phyp_circle_points(t)) == 2\n"
-        "assert list(triconic.loci.bisect_sign_changes(lambda s: s * s - 2.0, 1.0, 2.0, steps=3))\n"
+        "assert triconic.loci.batch_sign_changes(lambda s, k: s * s - 2.0, [1.0], [2.0], 3)[0]\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run(

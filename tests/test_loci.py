@@ -572,27 +572,29 @@ def _cubic(s):
     return (s - 0.3) * (s - 1.1) * (s - 2.05)
 
 
-def test_bisect_sign_changes_array_evaluator_same_roots(t_generic):
-    # A polynomial with three crossings, and the P-ellipse determinant along
-    # a ray through the circumcircle, each scanned by scalar calls and by
-    # one array call.
-    assert list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=50)) == list(
-        loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=50, f_grid=_cubic)
-    )
-    t = t_generic
-    cc = circumcircle(t)
-    d = (math.cos(0.7), math.sin(0.7))
+def _scan_one(g, lo, hi, steps):
+    # batch_sign_changes of the one scalar function g, as a batch of one.
+    def f(s, k):
+        return np.array([g(v) for v in s.tolist()])
 
-    def args(s):
-        return (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE,
-                cc.center.x + s * cc.radius * d[0], cc.center.y + s * cc.radius * d[1])
+    return loci.batch_sign_changes(f, [lo], [hi], steps)[0]
 
-    def detn(s):
-        return kernels.six_point(*args(s))[1]
 
-    scalar = list(loci.bisect_sign_changes(detn, 0.5, 1.5))
-    batched = list(loci.bisect_sign_changes(detn, 0.5, 1.5, f_grid=detn))
-    assert scalar == batched and any(abs(s - 1.0) < 1e-9 for s in scalar)
+def _reference_scan(g, lo, hi, steps):
+    # g's sign changes on the scan grid, each bracketed cell polished by
+    # scipy's brentq (the tolerances of loci._brent_cell) from the two end
+    # values of the scan.
+    optimize = pytest.importorskip("scipy.optimize")
+    grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
+    values = [g(s) for s in grid]
+    roots = []
+    for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
+        if math.isfinite(fa) and math.isfinite(fb) and (fa < 0.0) != (fb < 0.0):
+            held = {a: fa, b: fb}
+            roots.append(optimize.brentq(
+                lambda x: held[x] if x in held else g(x), a, b, xtol=1e-300, rtol=8.9e-16
+            ))
+    return roots
 
 
 def test_bisect_sign_changes_brent_root_within_4_ulp():
@@ -600,19 +602,19 @@ def test_bisect_sign_changes_brent_root_within_4_ulp():
     with mpmath.workdps(50):
         want = float(mpmath.findroot(lambda x: x**3 - 2 * x - 5, 2.1))
     for lo, hi, steps in ((1.0, 3.0, 60), (0.0, 4.0, 7), (-3.0, 5.0, 13)):
-        (got,) = loci.bisect_sign_changes(lambda s: s * s * s - 2.0 * s - 5.0, lo, hi, steps)
+        (got,) = _scan_one(lambda s: s * s * s - 2.0 * s - 5.0, lo, hi, steps)
         assert abs(got - want) <= 4 * math.ulp(want)
 
 
 def test_bisect_sign_changes_exact_zero_and_nan_cells():
     # A grid zero ending a bracketed cell is the root itself, in either
     # direction of the crossing.
-    assert list(loci.bisect_sign_changes(lambda s: s - 0.5, 0.0, 1.0, steps=2)) == [0.5]
-    assert list(loci.bisect_sign_changes(lambda s: 0.5 - s, 0.0, 1.0, steps=2)) == [0.5]
+    assert _scan_one(lambda s: s - 0.5, 0.0, 1.0, 2) == [0.5]
+    assert _scan_one(lambda s: 0.5 - s, 0.0, 1.0, 2) == [0.5]
     # Zero counts as positive: a grid zero touched from below is reported by
     # both of its cells, one touched from above by neither.
-    assert list(loci.bisect_sign_changes(lambda s: -(s - 0.5) ** 2, 0.0, 1.0, steps=2)) == [0.5, 0.5]
-    assert list(loci.bisect_sign_changes(lambda s: (s - 0.5) ** 2, 0.0, 1.0, steps=2)) == []
+    assert _scan_one(lambda s: -(s - 0.5) ** 2, 0.0, 1.0, 2) == [0.5, 0.5]
+    assert _scan_one(lambda s: (s - 0.5) ** 2, 0.0, 1.0, 2) == []
 
     # Cells with a NaN or infinite end are skipped: the crossing at 0.5
     # sits beside the NaN grid point, the one at 0.75 beside the infinite
@@ -624,49 +626,30 @@ def test_bisect_sign_changes_exact_zero_and_nan_cells():
             return math.inf
         return -(s - 0.25) * (s - 0.5) * (s - 0.75)
 
-    def f_grid(s):
-        return np.array([f(v) for v in s.tolist()])
-
-    for kw in ({}, {"f_grid": f_grid}):
-        (root,) = loci.bisect_sign_changes(f, 0.0, 1.0, steps=10, **kw)
-        assert root == pytest.approx(0.25, abs=1e-15)
-
-
-def test_bisect_sign_changes_scalar_scan_is_lazy():
-    seen = []
-
-    def f(s):
-        seen.append(s)
-        return (s - 0.26) * (s - 0.74)
-
-    root = next(loci.bisect_sign_changes(f, 0.0, 1.0, steps=20))
-    assert root == pytest.approx(0.26, abs=1e-15)
-    # No grid point past the first bracketed cell [0.25, 0.3] was evaluated.
-    assert max(seen) == 0.3
+    (root,) = _scan_one(f, 0.0, 1.0, 10)
+    assert root == pytest.approx(0.25, abs=1e-15)
 
 
 def test_bisect_sign_changes_evaluates_no_grid_point_twice():
-    # Brent reads each bracketed cell's end values from the scan: the
-    # scalar scan evaluates every grid point once, the array scan none.
+    # Brent reads each bracketed cell's end values from the scan, so every
+    # grid point is evaluated once, in the scan's one call.
     steps = 47
     grid = [0.0 + (3.0 - 0.0) * k / steps for k in range(steps + 1)]
-    for kw in ({}, {"f_grid": _cubic}):
-        calls = collections.Counter()
+    calls = collections.Counter()
 
-        def f(s):
-            calls[s] += 1
-            return _cubic(s)
+    def f(s):
+        calls[s] += 1
+        return _cubic(s)
 
-        roots = list(loci.bisect_sign_changes(f, 0.0, 3.0, steps=steps, **kw))
-        assert roots == list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, steps=steps))
-        assert len(roots) == 3
-        assert [calls[s] for s in grid] == [0 if kw else 1] * len(grid)
+    roots = _scan_one(f, 0.0, 3.0, steps)
+    assert len(roots) == 3
+    assert [calls[s] for s in grid] == [1] * len(grid)
 
 
 def test_batch_sign_changes_match_the_scans_one_by_one():
     # Scans with three crossings, exact grid zeros touched from either side,
     # and NaN and infinite grid values, as one batch: each scan gets the
-    # roots of its own bisect_sign_changes, and with first the first root.
+    # roots of its own reference scan, and with first the first root.
     def bumpy(s):
         if s == 0.5:
             return math.nan
@@ -690,7 +673,7 @@ def test_batch_sign_changes_match_the_scans_one_by_one():
         def f(s, k, batch=batch):
             return np.array([batch[j][0](v) for v, j in zip(s.tolist(), k.tolist())])
 
-        want = [list(loci.bisect_sign_changes(g, a, b, n)) for g, a, b, n in batch]
+        want = [_reference_scan(g, a, b, n) for g, a, b, n in batch]
         assert loci.batch_sign_changes(f, lo, hi, steps) == want
         assert loci.batch_sign_changes(f, lo, hi, steps, first=True) == [
             next(iter(w), None) for w in want
@@ -699,8 +682,9 @@ def test_batch_sign_changes_match_the_scans_one_by_one():
 
 def test_batch_sign_changes_fail_only_their_own_scan():
     # The second bracketed cell of scan 0 meets a NaN inside: scan 0 fails
-    # with the float NotConverged, scan 1 keeps its root, and with first
-    # only each scan's first cell is polished, so scan 0 keeps its first root.
+    # with _brent_cell's NotConverged on that cell, scan 1 keeps its roots,
+    # and with first only each scan's first cell is polished, so scan 0
+    # keeps its first root.
     def f0(s):
         return math.nan if 1.09 < s < 1.14 else _cubic(s)
 
@@ -711,12 +695,14 @@ def test_batch_sign_changes_fail_only_their_own_scan():
 
     lo, hi = np.array([0.0, 0.0]), np.array([3.0, 3.0])
     every = loci.batch_sign_changes(f, lo, hi, 47)
+    grid = [3.0 * k / 47 for k in range(48)]
+    k = next(k for k in range(47) if grid[k] < 1.1 < grid[k + 1])
     with pytest.raises(NotConverged) as err:
-        list(loci.bisect_sign_changes(f0, 0.0, 3.0, 47))
+        loci._brent_cell(f0, grid[k], grid[k + 1], f0(grid[k]), f0(grid[k + 1]))
     assert isinstance(every[0], NotConverged) and str(every[0]) == str(err.value)
-    assert every[1] == list(loci.bisect_sign_changes(_cubic, 0.0, 3.0, 47))
+    assert every[1] == _reference_scan(_cubic, 0.0, 3.0, 47)
     first = loci.batch_sign_changes(f, lo, hi, 47, first=True)
-    assert first == [next(loci.bisect_sign_changes(f0, 0.0, 3.0, 47))] * 2
+    assert first == [_reference_scan(_cubic, 0.0, 3.0, 47)[0]] * 2
 
 
 def test_brent_raises_not_converged_with_its_last_iterate():
@@ -724,10 +710,10 @@ def test_brent_raises_not_converged_with_its_last_iterate():
     # iterations do not reach its 4-ulp tolerance.
     f = lambda x: (x - 0.3) ** 9  # noqa: E731
     with pytest.raises(NotConverged) as err:
-        loci._brent(f, -1.0, 1.2, f(-1.0), f(1.2))
+        loci._brent_cell(f, -1.0, 1.2, f(-1.0), f(1.2))
     assert -1.0 <= err.value.best <= 1.2 and err.value.value == f(err.value.best)
     # A NaN met inside the cell stops the polish the same way.
     g = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5  # noqa: E731
     with pytest.raises(NotConverged) as err:
-        loci._brent(g, 0.0, 1.0, -0.5, 0.5)
+        loci._brent_cell(g, 0.0, 1.0, -0.5, 0.5)
     assert math.isnan(err.value.value)

@@ -92,11 +92,11 @@ def test_brent_matches_brentq_on_synthetic_brackets():
     assert len(cells) > 100
     for j, *cell in cells:
         f = _SYNTHETIC[j][0]
-        assert loci._brent(f, *cell) == _brentq(f, *cell)
+        assert loci._brent_cell(f, *cell) == _brentq(f, *cell)
     # A cell end that is exactly 0 is the root itself, on either side.
     line = lambda x: x - 0.5  # noqa: E731
     for a, b in ((0.5, 1.0), (0.0, 0.5)):
-        assert loci._brent(line, a, b, line(a), line(b)) == 0.5
+        assert loci._brent_cell(line, a, b, line(a), line(b)) == 0.5
         assert _brentq(line, a, b, line(a), line(b)) == 0.5
 
 
@@ -128,13 +128,13 @@ def test_array_brent_fails_only_the_cells_that_fail_alone():
     assert sorted(failed) == [1, 3]
     for i, exc in failed.items():
         with pytest.raises(NotConverged) as err:
-            loci._brent(fns[i], *ends[i], fa[i], fb[i])
+            loci._brent_cell(fns[i], *ends[i], fa[i], fb[i])
         assert str(exc) == str(err.value)
         assert exc.best == err.value.best
         assert exc.value == err.value.value or math.isnan(exc.value) and math.isnan(err.value.value)
         assert math.isnan(roots[i])
     for i in (0, 2, 4):
-        assert roots[i] == loci._brent(cubic, *ends[i], fa[i], fb[i])
+        assert roots[i] == loci._brent_cell(cubic, *ends[i], fa[i], fb[i])
         assert roots[i] == _brentq(cubic, *ends[i], fa[i], fb[i])
 
 
