@@ -6,8 +6,7 @@ p = (x, y, 1).  Matrices are normalized to unit Frobenius norm on
 construction, so the fixed algebraic thresholds in config apply uniformly;
 a fitted conic is classified in its fit's frame.  A conic given in
 barycentrics (p = (u, v, w) relative to a reference triangle) is a bare
-matrix, read by residual_bary and mapped to a Conic by
-conic_bary_to_cartesian.
+matrix, mapped to a Conic by conic_bary_to_cartesian.
 """
 
 from __future__ import annotations
@@ -244,15 +243,6 @@ def residual(c: Conic, p: Point2) -> float:
     """|p^T m p| / (||m||_F * ||p_hom||^2); <= tol means incidence
     (kernels.conic_residual)."""
     return conic_residual(c.coeffs(), p.x, p.y)
-
-
-def residual_bary(m: np.ndarray, b) -> float:
-    """Incidence residual of the homogeneous triple b on the conic with
-    barycentric matrix m."""
-    v = np.array([b.u, b.v, b.w], dtype=float)
-    v = v / np.abs(v).max()
-    val = abs(float(v @ m @ v))
-    return val / (float(np.linalg.norm(m)) * float(v @ v))
 
 
 def conic_line_intersection(c: Conic, line: LineEq) -> list[Point2]:

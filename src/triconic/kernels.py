@@ -13,8 +13,10 @@ so a class does not change when the points are moved, rotated or scaled)
 and `classify_code` (the conic-type policy, also behind `conic.classify`).
 On floats it serves `triads.six_point_conic` and the Brent polish of the
 verifier's sign scans; on arrays region maps, scan grids and the P2.2,
-P3.1, P3.8 and P5.2 trials.  `loci.sample_locus_ostar` calls `vertices`,
-`fit_six` and `frame_center` directly.
+P3.1, P3.8 and P5.2 trials.  `loci.sample_locus_ostar` and the P2.7 and
+P3.3 trials call `vertices`, `fit_six` and `frame_center` directly, and
+the P2.1 and P4.3 trials `fit_six` on the vertices of `vertices` and
+`vertex_coords`.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines
@@ -23,15 +25,18 @@ the closed-form line pair of each (`focal_pairs`, whose lines
 trials and, through `second_point` (a P-hyperbola triad's second common
 point), the P5.1 trials.  `members` picks each member's unit-norm
 coefficients out of `focal_pairs`, for `conic_residual` and
-`tangency_disc` (P2.3, P2.5).
+`tangency_disc` (P2.3, P2.5); `conic_residual` is also `conic.residual`
+and the O* locus's incidence rule.
 
 The catalog barycentrics (`cyclic` of `center_x3`, `center_x4` and
 `center_x20`; `excenters`, `excircle_tangency`, `intouch_extouch`) are
 functions of the sides, and `bary_point` maps barycentrics to points with
 `geom.bary_to_cartesian`'s rule; `centers` and `geom` read them on
-floats, P2.1-P2.5, P4.1 and P4.2 on arrays.  `carnot` and `kept_gap` are
-the sideline and distinct-vertex rules of `triads.six_point_conic`, which
-P2.1 applies on arrays.
+floats, P2.1-P2.5, P3.3, P4.1 and P4.2 on arrays.  So is `privalov`,
+Privalov's barycentric matrix of the V-hyperbola six-point conic:
+`verify.privalov_conic` (P4.4) reads it on floats, P4.3 on arrays.
+`carnot` and `kept_gap` are the sideline and distinct-vertex rules of
+`triads.six_point_conic`, which P2.1, P2.7, P3.3 and P4.3 apply on arrays.
 """
 
 import contextlib
@@ -473,6 +478,16 @@ def half_tangent_sum(a, b, c, area):
     s = (a + b + c) / 2.0
     r = area / s
     return r / (s - a) + r / (s - b) + r / (s - c)
+
+
+def privalov(a, b, c):
+    """The barycentric matrix, as three rows, of the six-point conic of the
+    V-hyperbola triad (Privalov's closed form), not normalized."""
+    k1, k2, k3 = a - b - c, a + b - c, a - b + c
+    k4 = a * a + b * b + c * c
+    d = k1 * k2 * k3
+    ab, ac, bc = k2 * (k4 - 2 * a * b), k3 * (k4 - 2 * a * c), -k1 * (k4 - 2 * b * c)
+    return (d, ab, ac), (ab, d, bc), (ac, bc, d)
 
 
 def bary_point(ax, ay, bx, by, cx, cy, u, v, w):

@@ -71,11 +71,12 @@ def _sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
-def x478_quartic(x: float, y: float) -> float:
+def x478_quartic(x, y):
     """Center locus of the degenerate V-ellipse six-point conic,
-    A=(1/2,0), B=(-1/2,0)."""
+    A=(1/2,0), B=(-1/2,0); floats or arrays, bit for bit alike (powers
+    as products)."""
     r2 = x * x + y * y
-    return 4.0 * r2 * r2 - 8.0 * y**3 - x * x + 2.0 * y * y
+    return 4.0 * r2 * r2 - 8.0 * (y * y * y) - x * x + 2.0 * y * y
 
 
 def parabola_deg8_V(a, b, c):
@@ -265,8 +266,10 @@ def sample_locus_x478(n: int) -> list[LocusSample]:
     theta = X478_EPS + (math.pi - 2.0 * X478_EPS) * np.arange(n) / (n - 1)
     (cx, cy), (x, y) = x478_center_for_theta(theta)
     return [
-        LocusSample(th, Point2(px, py), Point2(ox, oy), abs(x478_quartic(ox, oy)))
-        for th, px, py, ox, oy in zip(*(v.tolist() for v in (theta, cx, cy, x, y)))
+        LocusSample(th, Point2(px, py), Point2(ox, oy), r)
+        for th, px, py, ox, oy, r in zip(
+            *(v.tolist() for v in (theta, cx, cy, x, y, abs(x478_quartic(x, y))))
+        )
     ]
 
 
@@ -326,20 +329,15 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[list[LocusSample], dict[str
         if vanished.any():
             raise RankDeficient(f"no unique six-point conic at P angle {theta[vanished][0]}")
         x, y, has_center = kernels.frame_center(co, frame)
-    # conic.residual against all three arc ellipses, read at P's arc: the
-    # arc between sorted angles k-1 and k is opposite vertex angle k+1.
-    m = np.stack([arcs[arc].m for arc in "abc"])
-    v = np.stack([x, y, np.ones_like(x)])
-    res = abs(np.einsum("is,kij,js->ks", v, m, v)) / (
-        np.linalg.norm(m, axis=(1, 2))[:, None] * (v * v).sum(axis=0)
-    )
+    theta, px, py, x, y = (w[has_center] for w in (theta, px, py, x, y))
+    # conic.residual against the ellipse of P's arc: the arc between sorted
+    # angles k-1 and k is opposite vertex angle k+1.
     opposite = np.array([k for _, k in vertex_angles])[(np.searchsorted(va, theta) + 1) % 3]
-    res = res[opposite, np.arange(theta.size)]
+    coeffs = np.array([arcs[arc].coeffs() for arc in "abc"])[opposite].T
+    res = kernels.conic_residual(coeffs, x, y)
     samples = [
         LocusSample(th, Point2(p0, p1), Point2(c0, c1), r)
-        for th, p0, p1, c0, c1, r in zip(
-            *(w[has_center].tolist() for w in (theta, px, py, x, y, res))
-        )
+        for th, p0, p1, c0, c1, r in zip(*(w.tolist() for w in (theta, px, py, x, y, res)))
     ]
     return samples, arcs
 
@@ -908,20 +906,17 @@ def _brent(f, a, b, fa, fb):
     return roots, failed
 
 
-def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
-    """The sign changes of many functions, one scan each: scan k runs on
-    [lo[k], hi[k]], and f(s, k) evaluates function k[i] at s[i] on arrays.
+def bracket_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> tuple:
+    """The grid step of batch_sign_changes: the cells where many functions
+    change sign, one scan each.  Scan k runs on [lo[k], hi[k]], and f(s,
+    k) evaluates function k[i] at s[i] on arrays.
 
     One f call reads every scan's grid lo + (hi - lo) * j / steps, j =
-    0..steps, and one array _brent (to about 4 ulp) polishes every cell
-    whose end values are finite and of opposite sign, from those two
-    values, so no grid point is evaluated twice.  A value of exactly 0
-    counts as positive, and Brent returns a cell end where f is 0 as the
-    root itself: a grid zero that f touches from below is reported by both
-    of its cells, one it touches from above by neither.  Returns, for each
-    scan, its roots in order (with first, its first root or None, and only
-    its first bracketed cell is polished), or the NotConverged of its first
-    cell whose polish failed.
+    0..steps; a cell is bracketed where its end values are finite and of
+    opposite sign, a value of exactly 0 counting as positive (with first,
+    only each scan's first bracketed cell).  Returns (scan, a, b, fa, fb):
+    for each bracketed cell, by scan and then by s, its scan's index, its
+    ends and f's values there.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     grid = lo[:, None] + (hi - lo)[:, None] * np.arange(steps + 1) / steps
@@ -932,11 +927,21 @@ def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
     if first:
         bracketed &= np.cumsum(bracketed, axis=1) == 1
     scan, k = np.nonzero(bracketed)
-    roots, failed = _brent(
-        lambda x, i: f(x, scan[i]), grid[scan, k], grid[scan, k + 1], values[scan, k],
-        values[scan, k + 1],
-    )
-    out = [[] for _ in range(lo.size)]
+    return scan, grid[scan, k], grid[scan, k + 1], values[scan, k], values[scan, k + 1]
+
+
+def polish_sign_changes(f, n: int, cells, first: bool = False) -> list:
+    """The polish of batch_sign_changes: one array _brent (to about 4 ulp)
+    over the cells of bracket_sign_changes for n scans, from their end
+    values, so no grid point is evaluated twice.  Brent returns a cell end
+    where f is 0 as the root itself: a grid zero that f touches from below
+    is reported by both of its cells, one it touches from above by neither.
+    Returns, for each scan, its roots in order (with first, its root or
+    None), or the NotConverged of its first cell whose polish failed.
+    """
+    scan, a, b, fa, fb = cells
+    roots, failed = _brent(lambda x, i: f(x, scan[i]), a, b, fa, fb)
+    out = [[] for _ in range(n)]
     for i, (j, root) in enumerate(zip(scan.tolist(), roots.tolist())):
         if not isinstance(out[j], list):
             continue  # an earlier cell of scan j failed
@@ -947,6 +952,14 @@ def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
     if first:
         return [r if isinstance(r, NotConverged) else next(iter(r), None) for r in out]
     return out
+
+
+def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
+    """The sign changes of many functions, one scan each: the cells of
+    bracket_sign_changes, polished by polish_sign_changes (with first, only
+    each scan's first bracketed cell)."""
+    cells = bracket_sign_changes(f, lo, hi, steps, first)
+    return polish_sign_changes(f, np.size(lo), cells, first)
 
 
 def _first_root(g, lo: float, hi: float) -> float:

@@ -16,20 +16,23 @@ stream and configuration is that of `random_triangle` and
 `random_point_near`; the `_gen_tri` propositions, A1, A2 and A6 among
 them, and the `_gen_tri_point` ones, A4 and A5 among them, read their rng
 in blocks.  Only the draws of A3, P2.8 and P5.7 run a search, as only it
-decides their family: A3's runs its check, P2.8's and P5.7's the root scan
-their checks repeat, P5.7's for a round of candidates at a time
-(`_draw_rounds`, as `_gen_tri_point` runs its member guard).
+decides their family: A3's runs its check, P2.8's and P5.7's the grid
+step of the root scan their checks run (`loci.bracket_sign_changes`: a
+bracketed sign change, with no polish), P5.7's for a round of candidates
+at a time (`_draw_rounds`, as `_gen_tri_point` runs its member guard).
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  Nineteen run as
+`_per_trial`, which turns a crash into a failed trial.  Twenty-four run as
 one batch on arrays, each trial's bits those of a batch of one: P2.2,
-P3.1, P3.8 and P5.2 in one `kernels.six_point` call; P2.1 on
-`kernels.vertices` and `fit_six`, with `six_point_conic`'s rules; P2.3
-and P2.5 on the members of one `kernels.focal_pairs` call; P2.4, P4.7
-and P5.6 in one `kernels.pair_points` call; P4.1 and P4.2 on
-`kernels.vertex_coords`; P5.1 in one `kernels.second_point` call; the
-catalog points these compare with from `kernels.bary_point`; and the
-root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
+P3.1, P3.8 and P5.2 in one `kernels.six_point` call; P2.1, P2.7 and P3.3
+on `kernels.vertices` and `fit_six`, with `six_point_conic`'s rules
+(`_six_point_fit`); P2.3 and P2.5 on the members of one
+`kernels.focal_pairs` call; P2.4, P4.7 and P5.6 in one
+`kernels.pair_points` call; P4.1, P4.2, P4.3 and P4.9 on
+`kernels.vertex_coords` (`_v_hyperbola`), P4.3 with `six_point_conic`'s
+rules too; P5.3 on `kernels.vertices`; P5.1 in one `kernels.second_point`
+call; the catalog points these compare with from `kernels.bary_point`;
+and the root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
 `loci.batch_sign_changes` each: one call of the scanned function (written
 with products, not powers, so floats and arrays give the same bits) on
 every trial's grid, then one array Brent over every bracketed cell; P2.8,
@@ -64,7 +67,6 @@ import numpy as np
 from . import kernels
 from .appendix import check_appendix
 from .centers import (
-    anticevian_triangle,
     center_bary,
     circumcircle,
     classic_center,
@@ -77,11 +79,12 @@ from .conic import (
     ConicClass,
     conic_bary_to_cartesian,
     residual,
-    residual_bary,
     tangency_discriminant,
 )
 from .errors import (
     ConstructionFailed,
+    DegenerateMember,
+    DegenerateResult,
     NotFound,
     PointAtInfinity,
     PointOffSideline,
@@ -89,16 +92,16 @@ from .errors import (
     UnknownProposition,
 )
 from .geom import (
+    BaryCoords,
     Point2,
     Triangle,
-    cartesian_to_bary,
     distance,
     line_through,
     midpoint,
-    signed_area,
 )
 from .loci import (
     batch_sign_changes,
+    bracket_sign_changes,
     covertex_conic_check,
     equilateral_ostar_locus_check,
     find_phyp_circle_points,
@@ -111,16 +114,15 @@ from .loci import (
     region_map,
     sample_locus_ostar,
     x478_quartic,
-    _deltas,
+    x55_conjecture_check,
     _lambdas,
 )
 from .triads import (
+    _FAULTS as _TRIAD_FAULTS,
     _focal_diff_residual,
     build_triad,
     driver_fault,
-    equal_area_check,
     six_point_conic,
-    triad_vertices,
     two_branch_chords,
 )
 
@@ -337,19 +339,22 @@ def _fail_or(values, *faults) -> list:
     the exception of the first that does; an exception may be given as a
     function of the trial's index."""
     out = values.tolist()
-    for mask, exc in reversed(faults):
-        for i in np.flatnonzero(mask).tolist():
+    taken = np.zeros(len(out), dtype=bool)
+    for mask, exc in faults:
+        for i in np.flatnonzero(mask & ~taken).tolist():
             out[i] = exc(i) if callable(exc) else exc
+        taken |= mask
     return out
 
 
-def _framed(corners, s) -> tuple:
-    """The corners (ax, ay, bx, by, cx, cy) in the frame q' = (q - g) / s,
-    g their centroid: the frame of kernels.focal_pairs for s the largest
-    side, and of triads._framed_carnot."""
-    ax, ay, bx, by, cx, cy = corners
-    gx, gy = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
-    return tuple(v / s for v in (ax - gx, ay - gy, bx - gx, by - gy, cx - gx, cy - gy))
+def _framed(points, s) -> tuple:
+    """The points (ax, ay, bx, by, cx, cy, ...), the corners first, in the
+    frame q' = (q - g) / s, g the corners' centroid: the frame of
+    kernels.focal_pairs for s the largest side, and of
+    triads._framed_carnot."""
+    ax, ay, bx, by, cx, cy = points[:6]
+    g = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
+    return tuple((v - g[k % 2]) / s for k, v in enumerate(points))
 
 
 def _signed_area(px, py, qx, qy, rx, ry):
@@ -372,36 +377,46 @@ def _bary_gaps(corners, xs, ys, barys, s) -> tuple:
     return worst, far
 
 
-def _chk_excircle_tangency_vertices(cfgs) -> list:
-    """P2.1 on all configurations at once: the V-ellipse vertices
-    (kernels.vertices) at the excircle tangency points, their worst
-    distance over the largest side, and kernels.fit_six's residual6.  With
-    six_point_conic's rules: RankDeficient where two kept vertices are
-    within 1e-9 of the largest side or the fit vanishes, PointOffSideline
-    where a vertex, in the frame of the triangle, fails kernels.carnot's
-    test."""
-    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    corners = args[:6]
-    sides, _, bad = kernels._sides_deltas(*args)
-    s = kernels._largest(sides)
-    with np.errstate(all="ignore"):
-        xs, ys, _ = kernels.vertices(*args)
-        worst, far = _bary_gaps(corners, xs, ys, kernels.excircle_tangency(*sides), s)
-        co, _, out, res6 = kernels.fit_six(xs, ys)
-        gap = kernels.kept_gap(xs, ys, out)
-        framed = _framed(corners, s)
-        fxs, fys, _ = kernels.vertices(*framed, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-        off = np.array(kernels.carnot(*framed, fxs, fys)[1])
+def _six_point_fit(args, xs, ys, s) -> tuple:
+    """triads.six_point_conic on arrays, for the triads of args (P-kinds
+    with their drivers) with vertices xs, ys, (6, n) arrays, and largest
+    side s: kernels.fit_six's coefficients, frame and residual6, and
+    six_point_conic's rules as _fail_or pairs, in its order: RankDeficient
+    where two kept vertices are within 1e-9 of s or the fit vanishes,
+    PointOffSideline where a vertex, in the frame of the triangle, fails
+    kernels.carnot's test."""
+    co, frame, out, res6 = kernels.fit_six(xs, ys)
+    gap = kernels.kept_gap(xs, ys, out)
+    framed = _framed((*args[:6], *args[7:]), s)
+    fxs, fys, _ = kernels.vertices(*framed[:6], args[6], *framed[6:])
+    off = np.array(kernels.carnot(*framed[:6], fxs, fys)[1])
     first = off.argmax(axis=0)
-    return _fail_or(
-        np.maximum(worst, res6),
-        (bad, _DEGENERATE),
-        (far, _at_infinity("an excircle tangency point")),
+    return co, frame, res6, [
         (gap <= 1e-9 * s, RankDeficient("fewer than 5 distinct triad vertices")),
         (~(kernels.frobenius(co) > DET_DEGENERATE_TOL),
          RankDeficient("five points do not determine a unique conic")),
         (off.any(axis=0), lambda i: PointOffSideline(
             f"{Point2(fxs[first[i], i], fys[first[i], i])} off its sideline")),
+    ]
+
+
+def _chk_excircle_tangency_vertices(cfgs) -> list:
+    """P2.1 on all configurations at once: the V-ellipse vertices
+    (kernels.vertices) at the excircle tangency points, their worst
+    distance over the largest side, and kernels.fit_six's residual6, with
+    six_point_conic's rules (_six_point_fit)."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    sides, _, bad = kernels._sides_deltas(*args)
+    s = kernels._largest(sides)
+    with np.errstate(all="ignore"):
+        xs, ys, _ = kernels.vertices(*args)
+        worst, far = _bary_gaps(args[:6], xs, ys, kernels.excircle_tangency(*sides), s)
+        _, _, res6, rules = _six_point_fit(args, xs, ys, s)
+    return _fail_or(
+        np.maximum(worst, res6),
+        (bad, _DEGENERATE),
+        (far, _at_infinity("an excircle tangency point")),
+        *rules,
     )
 
 
@@ -536,17 +551,26 @@ def _on_ray(s, ox, oy, r, dx, dy):
     return ox + s * r * dx, oy + s * r * dy
 
 
-def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
-    """loci.batch_sign_changes of fn(s, *ray) along each ray of rays, a
-    list of tuples of floats; lo and hi are floats or one per ray."""
-    if not rays:
-        return []
+def _ray_scans(fn, rays, lo, hi) -> tuple:
+    """The (f, lo, hi) of a batch scan of fn(s, *ray) along each ray of
+    rays, a list of tuples of floats; lo and hi are floats or one per ray."""
     cols = np.array(rays).T
     n = len(rays)
-    return batch_sign_changes(
-        lambda s, k: fn(s, *cols[:, k]),
-        np.broadcast_to(lo, n), np.broadcast_to(hi, n), steps, first,
-    )
+    return lambda s, k: fn(s, *cols[:, k]), np.broadcast_to(lo, n), np.broadcast_to(hi, n)
+
+
+def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
+    """loci.batch_sign_changes of fn(s, *ray) along each ray of rays."""
+    if not rays:
+        return []
+    return batch_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first)
+
+
+def _crossed(rays, fn, lo, hi, steps: int) -> list:
+    """Whether fn(s, *ray) changes sign on the scan grid along each ray of
+    rays: loci.bracket_sign_changes, no polish."""
+    scan = bracket_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first=True)[0]
+    return np.isin(np.arange(len(rays)), scan).tolist()
 
 
 def _at_rays(fn, rays, s) -> list:
@@ -596,13 +620,30 @@ def _right_angle_residual(item) -> float:
     return max(pyth, abs(det_right) * 100.0)
 
 
-def _chk_x478_quartic(cfg) -> float:
-    # The quartic at the center of the six-point conic itself, not at the
-    # closed form loci.x478_center_for_theta.
-    th = cfg["theta"]
-    c = Point2(0.5 * math.cos(th), 0.5 * math.sin(th))
-    cen = classic_center(Triangle(Point2(0.5, 0.0), Point2(-0.5, 0.0), c), "X478")
-    return abs(x478_quartic(cen.x, cen.y))
+def _chk_x478_quartic(cfgs) -> list:
+    """P2.7 on all configurations at once: the quartic at X478, the center
+    (kernels.frame_center) of the V-ellipse six-point conic of A=(1/2,0),
+    B=(-1/2,0) and C=(cos theta, sin theta)/2, with six_point_conic's
+    rules (_six_point_fit), not at the closed form
+    loci.x478_center_for_theta; DegenerateResult without a center."""
+    n = len(cfgs)
+    cx, cy = np.array([(0.5 * math.cos(cfg["theta"]), 0.5 * math.sin(cfg["theta"]))
+                       for cfg in cfgs]).reshape(-1, 2).T
+    zero = np.zeros(n)
+    args = (np.full(n, 0.5), zero, np.full(n, -0.5), zero, cx, cy,
+            kernels.KIND_V_ELLIPSE, zero, zero)
+    sides, _, bad = kernels._sides_deltas(*args)
+    with np.errstate(all="ignore"):
+        xs, ys, _ = kernels.vertices(*args)
+        co, frame, _, rules = _six_point_fit(args, xs, ys, kernels._largest(sides))
+        x, y, has_center = kernels.frame_center(co, frame)
+        res = abs(x478_quartic(x, y))
+    return _fail_or(
+        res,
+        (bad, _DEGENERATE),
+        *rules,
+        (~has_center, DegenerateResult("X478: the six-point conic has no finite center")),
+    )
 
 
 def _deg8_on_ray(s, ax, ay, bx, by, *ray):
@@ -616,9 +657,14 @@ def _deg8_on_ray(s, ax, ay, bx, by, *ray):
     return np.where(flat, math.nan, parabola_deg8_V(*sides))
 
 
+# The degree-8 condition's scan: s in [1.05, 6] in 240 cells.
+_DEG8_SCAN = (_deg8_on_ray, 1.05, 6.0, 240)
+
+
 def _deg8_roots(rays) -> list:
-    """The degree-8 condition's first root, s in [1.05, 6], on each ray."""
-    return _scan_rays(_deg8_on_ray, rays, 1.05, 6.0, steps=240, first=True)
+    """The degree-8 condition's first root on each ray."""
+    fn, lo, hi, steps = _DEG8_SCAN
+    return _scan_rays(fn, rays, lo, hi, steps, first=True)
 
 
 def _chk_type_regions_V(cfgs) -> list:
@@ -690,24 +736,76 @@ def _chk_pstar(cfg) -> float:
     return max(fnorm, conc, 0.0 if ok_class else 1.0)
 
 
-def _chk_anticevian_needle(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tac = anticevian_triangle(t, center_bary(t, "X3"))
-    p = classic_center(t, "X3")
-    s = max(t.scale(), tac.scale())
-    fval = pstar_circle_functional(*tac.sides(), *_deltas(tac, p))
-    triad = build_triad(tac, "p_ellipse", p)
-    rep = six_point_conic(triad)
-    cc = circumcircle(tac)
-    verts = triad_vertices(triad)
-    rmean = sum(distance(v, cc.center) for v in verts) / 6.0
-    spread = max(abs(distance(v, cc.center) - rmean) for v in verts) / cc.radius
-    conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
-    x4 = classic_center(t, "X4")
-    x6 = classic_center(t, "X6")
-    lin = abs(signed_area(x4, x6, rep.center)) / (distance(x4, x6) ** 2 + s * s)
-    # functional tolerance 1e-12 scaled into the 1e-6 threshold
-    return max(fval / s**8 * 1e6, spread, conc * 1e2, lin * 1e2)
+def _triangle_sides(corners) -> tuple:
+    """The sides (a, b, c) of each column of the corners (ax, ay, bx, by,
+    cx, cy) as Triangle takes them, by math.hypot, as arrays."""
+    ax, ay, bx, by, cx, cy = (v.tolist() for v in corners)
+    return tuple(
+        np.array([math.hypot(px - qx, py - qy) for px, py, qx, qy in zip(*ends)], dtype=float)
+        for ends in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
+    )
+
+
+def _chk_anticevian_needle(cfgs) -> list:
+    """P3.3 on all configurations at once: with P = X3 of ABC, the
+    P-ellipse six-point conic of the X3-anticevian (corners and P from
+    kernels.bary_point) is a circle: the circle functional
+    (pstar_circle_functional), the spread of the six vertices' distances
+    from the anticevian's circumcenter, and the conic's center
+    (_six_point_fit, kernels.frame_center) on that circumcenter and on the
+    line X4 X6 of ABC.  DegenerateResult where anticevian_triangle refuses
+    the X3-anticevian.  The catalog points, the circle functional and the
+    scales take Triangle's sides (_triangle_sides), as on the object path:
+    the residual is rounding noise of the conic's center, which moves by
+    up to 60 times when a side's last bit does."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    sides = _triangle_sides(args[:6])
+    x3 = kernels.cyclic(kernels.center_x3, *sides)
+    with np.errstate(all="ignore"):
+        anti = [kernels.bary_point(*args[:6], *(-q if k == i else q for k, q in enumerate(x3)))
+                for i in range(3)]
+        corners = tuple(v for x, y, _ in anti for v in (x, y))
+        px, py, far_p = kernels.bary_point(*args[:6], *x3)
+        targs = (*corners, kernels.KIND_P_ELLIPSE, px, py)
+        _, deltas, bad = kernels._sides_deltas(*targs)
+        tsides = _triangle_sides(corners)
+        ts = kernels._largest(tsides)
+        area = abs(_signed_area(*corners))
+        s = np.maximum(kernels._largest(sides), ts)
+        s4 = (s * s) * (s * s)
+        # functional tolerance 1e-12 scaled into the 1e-6 threshold
+        fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
+        xs, ys, _ = kernels.vertices(*targs)
+        co, frame, _, rules = _six_point_fit(targs, xs, ys, ts)
+        x, y, has_center = kernels.frame_center(co, frame)
+        ox, oy, far_o = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x3, *tsides))
+        radius = tsides[0] * tsides[1] * tsides[2] / (4.0 * area)
+        dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
+        rmean = sum(dist) / 6.0
+        spread = functools.reduce(np.maximum, [abs(d - rmean) for d in dist]) / radius
+        conc = np.where(has_center, kernels._hypot(x - ox, y - oy) / radius, 1.0)
+        x4, y4, far4 = kernels.bary_point(*args[:6], *kernels.cyclic(kernels.center_x4, *sides))
+        x6, y6, far6 = kernels.bary_point(*args[:6], *(v * v for v in sides))
+        dx, dy = x6 - x4, y6 - y4
+        lin = np.where(
+            has_center, abs(_signed_area(x4, y4, x6, y6, x, y)) / (dx * dx + dy * dy + s * s), 0.0
+        )
+        worst = functools.reduce(np.maximum, (fval, spread, conc * 1e2, lin * 1e2))
+    u, v, w = x3
+    return _fail_or(
+        worst,
+        ((u == 0.0) | (v == 0.0) | (w == 0.0),
+         DegenerateResult("anticevian undefined for a point on a sideline")),
+        # Triangle's refusal of collinear corners, as anticevian_triangle meets it.
+        (anti[0][2] | anti[1][2] | anti[2][2] | (area <= get_tol() * ts * ts),
+         lambda i: DegenerateResult(
+             f"anticevian triangle of {BaryCoords(u[i], v[i], w[i])} degenerates")),
+        (far_p, _at_infinity("X3")),
+        (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])),
+        *rules,
+        (far_o, _at_infinity("the anticevian's X3")),
+        (far4 | far6, _at_infinity("X4 or X6")),
+    )
 
 
 def _circumcircle_ray(t: Triangle, ang: float) -> tuple:
@@ -807,15 +905,16 @@ def _chk_covertex_equilateral_P(cfg) -> float:
 
 
 def _v_hyperbola(cfgs) -> tuple:
-    """The V-hyperbola triads of cfgs on arrays: (corners, sides, lambdas,
-    largest side, vertex xs, vertex ys, bad, bisector), bisector where a
-    member is a perpendicular bisector (build_triad's None member)."""
+    """The V-hyperbola triads of cfgs on arrays: (args, sides, lambdas,
+    largest side, vertex xs, vertex ys, bad, bisector), args _cfg_args',
+    the vertices (6, n) arrays, bisector where a member is a perpendicular
+    bisector (build_triad's None member)."""
     args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
     sides, lams, bad = kernels._sides_deltas(*args)
     s = kernels._largest(sides)
-    xs, ys = kernels.vertex_coords(*args[:6], sides, lams)
+    xs, ys = (np.stack(v) for v in kernels.vertex_coords(*args[:6], sides, lams))
     bisector = (np.abs(lams) <= kernels.MEMBER_GUARD * s).any(axis=0)
-    return args[:6], sides, lams, s, xs, ys, bad, bisector
+    return args, sides, lams, s, xs, ys, bad, bisector
 
 
 def _chk_vhyp_vertex_barys(cfgs) -> list:
@@ -824,14 +923,14 @@ def _chk_vhyp_vertex_barys(cfgs) -> list:
     (0, a - lambda, a + lambda), and their cycles, the worst distance over
     the largest side; 0.0 where a member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
-        corners, sides, lams, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+        args, sides, lams, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
         barys = []
         for i, (side, lam) in enumerate(zip(sides, lams)):
             for uj, uk in ((side + lam, side - lam), (side - lam, side + lam)):
                 uvw = [0.0, 0.0, 0.0]
                 uvw[(i + 1) % 3], uvw[(i + 2) % 3] = uj, uk
                 barys.append(uvw)
-        worst, far = _bary_gaps(corners, xs, ys, barys, s)
+        worst, far = _bary_gaps(args[:6], xs, ys, barys, s)
     return _fail_or(
         np.where(bisector, 0.0, worst),
         (bad, _DEGENERATE),
@@ -846,13 +945,11 @@ def _chk_intouch_extouch(cfgs) -> list:
     triangles' equal areas; 0.0 where a member is a perpendicular
     bisector."""
     with np.errstate(all="ignore"):
-        corners, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+        args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
         ins, exts = kernels.intouch_extouch(*sides)
         barys = [uvw for pair in zip(exts, ins) for uvw in pair]
-        worst, far = _bary_gaps(corners, xs, ys, barys, s)
-        a1, a2 = (abs(_signed_area(xs[k], ys[k], xs[k + 2], ys[k + 2], xs[k + 4], ys[k + 4]))
-                  for k in (0, 1))
-        worst = np.maximum(worst, abs(a1 - a2) / np.maximum(a1, a2))
+        worst, far = _bary_gaps(args[:6], xs, ys, barys, s)
+        worst = np.maximum(worst, _area_gap(xs, ys))
     return _fail_or(
         np.where(bisector, 0.0, worst),
         (bad, _DEGENERATE),
@@ -862,36 +959,68 @@ def _chk_intouch_extouch(cfgs) -> list:
 
 def privalov_conic(t: Triangle) -> np.ndarray:
     """Barycentric matrix, of unit Frobenius norm, of the six-point conic of
-    the V-hyperbola triad (closed form)."""
-    a, b, c = t.sides()
-    k1, k2, k3 = a - b - c, a + b - c, a - b + c
-    k4 = a * a + b * b + c * c
-    d = k1 * k2 * k3
-    m = np.array(
-        [
-            [d, k2 * (k4 - 2 * a * b), k3 * (k4 - 2 * a * c)],
-            [k2 * (k4 - 2 * a * b), d, -k1 * (k4 - 2 * b * c)],
-            [k3 * (k4 - 2 * a * c), -k1 * (k4 - 2 * b * c), d],
-        ]
-    )
+    the V-hyperbola triad (closed form, kernels.privalov)."""
+    m = np.array(kernels.privalov(*t.sides()))
     return m / np.linalg.norm(m)
 
 
-def _chk_privalov(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_hyperbola")
-    if tr.has_degenerate_member():
-        return 0.0
-    mb = privalov_conic(t)
-    worst = max(
-        residual_bary(mb, cartesian_to_bary(t, v).normalized())
-        for v in triad_vertices(tr)
+def _entries(m) -> list:
+    """The nine entries of a 3x3 matrix given as rows."""
+    return [v for row in m for v in row]
+
+
+def _unit(m) -> list:
+    """The 3x3 matrix m, as rows, over its Frobenius norm, on floats or
+    arrays."""
+    n = kernels._sqrt(sum(v * v for v in _entries(m)))
+    return [[v / n for v in row] for row in m]
+
+
+def _congruent(m, t) -> list:
+    """t^T m t of 3x3 matrices given as rows, entry by entry on floats or
+    arrays."""
+    mt = [[m[i][0] * t[0][j] + m[i][1] * t[1][j] + m[i][2] * t[2][j] for j in range(3)]
+          for i in range(3)]
+    return [[t[0][i] * mt[0][j] + t[1][i] * mt[1][j] + t[2][i] * mt[2][j] for j in range(3)]
+            for i in range(3)]
+
+
+def _chk_privalov(cfgs) -> list:
+    """P4.3 on all configurations at once: the V-hyperbola vertices
+    (_v_hyperbola) on Privalov's conic (kernels.privalov), each vertex's
+    barycentrics (geom.cartesian_to_bary's signed areas, over the largest)
+    in its unit-norm matrix, and the fitted six-point conic
+    (_six_point_fit, with its rules) in the plane against the closed form
+    mapped by conic_bary_to_cartesian, both of unit norm, up to sign; 0.0
+    where a member is a perpendicular bisector."""
+    with np.errstate(all="ignore"):
+        args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+        ax, ay, bx, by, cx, cy = args[:6]
+        mb = _unit(kernels.privalov(*sides))
+        worst = 0.0
+        for x, y in zip(xs, ys):
+            u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
+                 _signed_area(ax, ay, bx, by, x, y))
+            top = kernels._largest([abs(v) for v in u])
+            u = [v / top for v in u]
+            form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
+            worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
+        co, (ox, oy, fs), _, rules = _six_point_fit(args, xs, ys, s)
+        # Rows of T give the barycentrics of (x, y, 1); n maps (x, y, 1) to the fit's frame.
+        T = ((by - cy, cx - bx, bx * cy - cx * by), (cy - ay, ax - cx, cx * ay - ax * cy),
+             (ay - by, bx - ax, ax * by - bx * ay))
+        A, B, C, D, E, F = co
+        n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
+        mc = _entries(_unit(_congruent(mb, T)))
+        mf = _entries(_unit(_congruent(((A, B / 2.0, D / 2.0), (B / 2.0, C, E / 2.0),
+                                        (D / 2.0, E / 2.0, F)), n)))
+        diff = np.minimum(functools.reduce(np.maximum, [abs(p - q) for p, q in zip(mc, mf)]),
+                          functools.reduce(np.maximum, [abs(p + q) for p, q in zip(mc, mf)]))
+    return _fail_or(
+        np.where(bisector, 0.0, np.maximum(worst, diff)),
+        (bad, _DEGENERATE),
+        *((mask & ~bisector, exc) for mask, exc in rules),
     )
-    fitted = six_point_conic(tr).conic
-    mc = conic_bary_to_cartesian(mb, t).m
-    mf = fitted.m
-    diff = min(float(np.abs(mc - mf).max()), float(np.abs(mc + mf).max()))
-    return max(worst, diff)
 
 
 def _chk_isosceles_degenerate(cfg) -> float:
@@ -1019,20 +1148,27 @@ def _chk_chords_x8(cfg) -> float:
     return worst
 
 
-def _chk_fifteen_point_cubic(cfg) -> float:
-    t = _cfg_tri(cfg)
-    sidelines = (
-        line_through(t.b, t.c),
-        line_through(t.c, t.a),
-        line_through(t.a, t.b),
-    )
-    pts = list(t.vertices())
-    pts += list(triad_vertices(build_triad(t, "v_ellipse")))
-    trh = build_triad(t, "v_hyperbola")
-    if not trh.has_degenerate_member():
-        pts += list(triad_vertices(trh))
-    s = t.scale()
-    return max(min(ln.distance_to(p) for ln in sidelines) / s for p in pts)
+def _chk_fifteen_point_cubic(cfgs) -> list:
+    """P4.9 on all configurations at once: the corners and the vertices of
+    the V-ellipse and V-hyperbola triads (kernels.vertices, _v_hyperbola),
+    each one's distance to its nearest sideline, the worst over the largest
+    side; without the V-hyperbola vertices where a member is a
+    perpendicular bisector."""
+    with np.errstate(all="ignore"):
+        args, _, _, s, hxs, hys, bad, bisector = _v_hyperbola(cfgs)
+        exs, eys, _ = kernels.vertices(*args[:6], kernels.KIND_V_ELLIPSE, *args[7:])
+        ax, ay, bx, by, cx, cy = args[:6]
+        lines = [(y1 - y2, x2 - x1, x1 * y2 - x2 * y1)  # geom.line_through
+                 for x1, y1, x2, y2 in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))]
+
+        def gaps(x, y):
+            return functools.reduce(
+                np.minimum, [abs(l * x + m * y + n) / kernels._hypot(l, m) for l, m, n in lines]
+            ).max(axis=0) / s
+
+        worst = np.maximum(gaps(np.stack(args[:6:2]), np.stack(args[1:6:2])), gaps(exs, eys))
+        worst = np.maximum(worst, np.where(bisector, 0.0, gaps(hxs, hys)))
+    return _fail_or(worst, (bad, _DEGENERATE))
 
 
 def _chk_soddy_line_tangent(cfgs) -> list:
@@ -1068,11 +1204,21 @@ def _chk_second_point(cfgs) -> list:
     return _fail_or(worst, (~found, NotFound("no second triple-common point found")))
 
 
-def _chk_equal_areas(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p = Point2(*cfg["p"])
-    a1, a2 = equal_area_check(build_triad(t, "p_hyperbola", p))
-    return abs(a1 - a2) / max(a1, a2)
+def _area_gap(xs, ys):
+    """|a1 - a2| / max(a1, a2), a1 and a2 the areas of the vertex triangles
+    (A1, B1, C1) and (A2, B2, C2) (triads.equal_area_check), on arrays."""
+    a1, a2 = (abs(_signed_area(xs[k], ys[k], xs[k + 2], ys[k + 2], xs[k + 4], ys[k + 4]))
+              for k in (0, 1))
+    return abs(a1 - a2) / np.maximum(a1, a2)
+
+
+def _chk_equal_areas(cfgs) -> list:
+    """P5.3 on all configurations at once: the vertex triangles of the
+    P-hyperbola triad (kernels.vertices) have equal areas."""
+    with np.errstate(all="ignore"):
+        xs, ys, bad = kernels.vertices(*_cfg_args(cfgs, kernels.KIND_P_HYPERBOLA))
+        gap = _area_gap(xs, ys)
+    return _fail_or(gap, (bad, DegenerateMember(_TRIAD_FAULTS["p_hyperbola"])))
 
 
 def _chk_circle_pair(cfg) -> float:
@@ -1096,8 +1242,6 @@ def _chk_circle_pair(cfg) -> float:
 
 
 def _chk_x55(cfg) -> float:
-    from .loci import x55_conjecture_check
-
     t = _cfg_tri(cfg)
     rep = x55_conjecture_check(t)
     r = rep.circumradius
@@ -1113,9 +1257,14 @@ def _phyp_condition(s, ax, ay, bx, by, cx, cy, *ray):
     return phyp_parabola_condition(*sides, *lams)
 
 
+# The parabola condition's scan: s in [0.08, 2.4] in 300 cells.
+_PHYP_SCAN = (_phyp_condition, 0.08, 2.4, 300)
+
+
 def _phyp_roots(rays) -> list:
-    """The parabola condition's first root, s in [0.08, 2.4], on each ray."""
-    return _scan_rays(_phyp_condition, rays, 0.08, 2.4, steps=300, first=True)
+    """The parabola condition's first root on each ray."""
+    fn, lo, hi, steps = _PHYP_SCAN
+    return _scan_rays(fn, rays, lo, hi, steps, first=True)
 
 
 def _cfg_and_ray(cfg) -> tuple:
@@ -1305,14 +1454,12 @@ def _gen_needle(rng) -> dict:
 
 def _gen_deg8_ray(rng) -> dict:
     # u is drawn only for a ray that crosses the degree-8 locus, so each
-    # candidate is scanned on its own: a batch of one.
+    # candidate is scanned on its own: a batch of one.  A bracketed sign
+    # change decides; the check polishes the root.
     while True:
         ax, ay, bx, by, cx, cy = _tri_floats(rng.random)
         ang = rng.uniform(0.0, 2 * math.pi)
-        (found,) = _deg8_roots([_midpoint_ray([ax, ay], [bx, by], ang)])
-        if isinstance(found, Exception):
-            raise found
-        if found is None:
+        if not _crossed([_midpoint_ray([ax, ay], [bx, by], ang)], *_DEG8_SCAN)[0]:
             continue
         return {
             "triangle": _corners_cfg(ax, ay, bx, by, cx, cy),
@@ -1322,8 +1469,9 @@ def _gen_deg8_ray(rng) -> dict:
 
 
 def _gen_tri_phyp_angle(rng, n) -> list:
-    """n P5.7 configurations, in rounds (_draw_rounds) of one batch scan:
-    a candidate reads the rng the same way whether it is kept or not."""
+    """n P5.7 configurations, in rounds (_draw_rounds) of one batch scan
+    for a bracketed sign change (the check polishes the root): a candidate
+    reads the rng the same way whether it is kept or not."""
 
     def candidate():
         while True:
@@ -1334,10 +1482,9 @@ def _gen_tri_phyp_angle(rng, n) -> list:
 
     def draw_round(k) -> list:
         cands = [candidate() for _ in range(k)]
-        roots = _phyp_roots([_circumcircle_ray(t, ang) for t, _, ang in cands])
-        return [s if s is None or isinstance(s, Exception)
-                else {"triangle": _tri_cfg(t), "angle": ang, "u": u}
-                for (t, u, ang), s in zip(cands, roots)]
+        crossed = _crossed([_circumcircle_ray(t, ang) for t, _, ang in cands], *_PHYP_SCAN)
+        return [{"triangle": _tri_cfg(t), "angle": ang, "u": u} if hit else None
+                for (t, u, ang), hit in zip(cands, crossed)]
 
     return _draw_rounds(n, draw_round)
 
@@ -1423,13 +1570,13 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _chk_pair_chords_x20, 1e-8, 100),
     Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _chk_x20_on_members, 1e-8, 200),
     Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
-    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _per_trial(_chk_x478_quartic), 1e-8, 120),
+    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _chk_x478_quartic, 1e-8, 120),
     Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _chk_type_regions_V, 1e-9, 25),
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _per_draw(_gen_ray_angle_v), _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _per_trial(_chk_pstar), 1e-6, 6),
-    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _per_draw(_gen_needle), _per_trial(_chk_anticevian_needle), 1e-6, 60),
+    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _per_draw(_gen_needle), _chk_anticevian_needle, 1e-6, 60),
     Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _per_draw(_gen_tri_angle), _batch_run(_cfg_ray, _chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
     Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_arcs), 1e-8, 1),
@@ -1439,18 +1586,18 @@ MANIFEST: tuple[Proposition, ...] = (
     # -- V-hyperbolas ------------------------------------------------------
     Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _chk_vhyp_vertex_barys, 1e-9, 200),
     Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _chk_intouch_extouch, 1e-9, 200),
-    Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _per_trial(_chk_privalov), 1e-8, 100),
+    Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _chk_privalov, 1e-8, 100),
     Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
     Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _per_trial(_chk_soddy_intersections), 1e-8, 100),
     Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _chk_halftangent_sextic, 1e-9, 30),
     Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _through_pair_points(kernels.KIND_V_ELLIPSE, kernels.KIND_V_HYPERBOLA), 1e-8, 60),
     Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _per_trial(_chk_chords_x8), 1e-8, 60),
-    Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _per_trial(_chk_fifteen_point_cubic), 1e-9, 100),
+    Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _chk_fifteen_point_cubic, 1e-9, 100),
     Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _chk_soddy_line_tangent, 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
-    Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _per_trial(_chk_equal_areas), 1e-9, 300),
+    Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _chk_equal_areas, 1e-9, 300),
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),

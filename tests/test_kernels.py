@@ -716,6 +716,16 @@ def test_triangle_helpers_same_bits_on_floats_and_arrays(kind):
             assert kernels.tangency_disc(co, *fline) == d[i], i
 
 
+def test_privalov_same_bits_on_floats_and_arrays():
+    # Privalov's matrix of 200 seeded triangles' sides: alone on floats, the
+    # bits of one call on arrays.
+    cols = np.array(_pair_rows("v_hyperbola", 100)).T
+    sides = kernels._sides_deltas(*cols[:6], kernels.KIND_V_HYPERBOLA, 0.0, 0.0)[0]
+    rows = kernels.privalov(*sides)
+    for i, abc in enumerate(zip(*(v.tolist() for v in sides))):
+        assert kernels.privalov(*abc) == tuple(tuple(v[i] for v in row) for row in rows), i
+
+
 def test_members_are_the_triad_members():
     # Each member, read from the pair it comes first in, vanishes on both
     # of its own vertices, and the sideline through its foci crosses it

@@ -24,6 +24,7 @@ from triconic.geom import (
     line_through,
     midpoint,
     reflect_about_point,
+    signed_area,
 )
 from triconic.verify import (
     MANIFEST,
@@ -286,10 +287,11 @@ def test_programming_errors_surface_through_handlers(handler, monkeypatch):
 def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
     # A draw that runs its check, or the check's root search, does the
     # check's work twice.  Only A3's family (a centered X3-anticevian
-    # six-point conic) and the rays of P2.8 and P5.7 that cross their loci
-    # need it.
+    # six-point conic) needs it; the rays of P2.8 and P5.7 that cross their
+    # loci need only the scan's bracketed cells, not its polished roots.
     calls = Counter()
-    for name in ("check_appendix", "_sextic_triangles", "batch_sign_changes"):
+    for name in ("check_appendix", "_sextic_triangles", "batch_sign_changes",
+                 "bracket_sign_changes"):
 
         def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -303,8 +305,8 @@ def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
         callers[prop.prop_id] = set(calls - before)
     assert {pid: names for pid, names in callers.items() if names} == {
         "A3-x3prime-center": {"check_appendix"},
-        "P2.8-type-regions": {"batch_sign_changes"},
-        "P5.7-parabola-condition": {"batch_sign_changes"},
+        "P2.8-type-regions": {"bracket_sign_changes"},
+        "P5.7-parabola-condition": {"bracket_sign_changes"},
     }
     # The counters are live: the checks of A1 and P4.6 reach them.
     calls.clear()
@@ -890,6 +892,81 @@ def _intouch_extouch_reference(cfg):
     return max(worst, abs(a1 - a2) / max(a1, a2))
 
 
+# The trial-by-trial float checks P2.7, P3.3, P4.3, P4.9 and P5.3 ran
+# before they became array calls, on the object path, kept as references.
+
+
+def _x478_quartic_reference(cfg):
+    th = cfg["theta"]
+    c = Point2(0.5 * math.cos(th), 0.5 * math.sin(th))
+    cen = centers.classic_center(Triangle(Point2(0.5, 0.0), Point2(-0.5, 0.0), c), "X478")
+    return abs(loci.x478_quartic(cen.x, cen.y))
+
+
+def _anticevian_needle_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    tac = centers.anticevian_triangle(t, centers.center_bary(t, "X3"))
+    p = centers.classic_center(t, "X3")
+    s = max(t.scale(), tac.scale())
+    fval = loci.pstar_circle_functional(*tac.sides(), *loci._deltas(tac, p))
+    triad = triads.build_triad(tac, "p_ellipse", p)
+    rep = triads.six_point_conic(triad)
+    cc = centers.circumcircle(tac)
+    verts = triads.triad_vertices(triad)
+    rmean = sum(distance(v, cc.center) for v in verts) / 6.0
+    spread = max(abs(distance(v, cc.center) - rmean) for v in verts) / cc.radius
+    conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
+    x4 = centers.classic_center(t, "X4")
+    x6 = centers.classic_center(t, "X6")
+    lin = abs(signed_area(x4, x6, rep.center)) / (distance(x4, x6) ** 2 + s * s)
+    return max(fval / s**8 * 1e6, spread, conc * 1e2, lin * 1e2)
+
+
+def _residual_bary(m, b):
+    # The incidence residual of the homogeneous triple b on the conic with
+    # barycentric matrix m, as conic.residual_bary read it.
+    v = np.array([b.u, b.v, b.w], dtype=float)
+    v = v / np.abs(v).max()
+    val = abs(float(v @ m @ v))
+    return val / (float(np.linalg.norm(m)) * float(v @ v))
+
+
+def _privalov_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    tr = triads.build_triad(t, "v_hyperbola")
+    if tr.has_degenerate_member():
+        return 0.0
+    mb = verify.privalov_conic(t)
+    worst = max(
+        _residual_bary(mb, cartesian_to_bary(t, v).normalized())
+        for v in triads.triad_vertices(tr)
+    )
+    fitted = triads.six_point_conic(tr).conic
+    mc = conic.conic_bary_to_cartesian(mb, t).m
+    mf = fitted.m
+    diff = min(float(np.abs(mc - mf).max()), float(np.abs(mc + mf).max()))
+    return max(worst, diff)
+
+
+def _fifteen_point_cubic_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    sidelines = (line_through(t.b, t.c), line_through(t.c, t.a), line_through(t.a, t.b))
+    pts = list(t.vertices())
+    pts += list(triads.triad_vertices(triads.build_triad(t, "v_ellipse")))
+    trh = triads.build_triad(t, "v_hyperbola")
+    if not trh.has_degenerate_member():
+        pts += list(triads.triad_vertices(trh))
+    s = t.scale()
+    return max(min(ln.distance_to(p) for ln in sidelines) / s for p in pts)
+
+
+def _equal_areas_reference(cfg):
+    t = verify._cfg_tri(cfg)
+    p = Point2(*cfg["p"])
+    a1, a2 = triads.equal_area_check(triads.build_triad(t, "p_hyperbola", p))
+    return abs(a1 - a2) / max(a1, a2)
+
+
 _TRIANGLE_REFERENCES = {
     "P2.1-yiu-vertices": _yiu_vertices_reference,
     "P2.3-tangent-excentral": _tangent_excentral_reference,
@@ -897,6 +974,14 @@ _TRIANGLE_REFERENCES = {
     "P2.5-right-triangle-x20": _right_triangle_x20_reference,
     "P4.1-vhyp-vertex-barycentrics": _vhyp_vertex_barys_reference,
     "P4.2-intouch-extouch": _intouch_extouch_reference,
+}
+
+_BATCH_REFERENCES = {
+    "P2.7-x478-quartic": _x478_quartic_reference,
+    "P3.3-anticevian-needle": _anticevian_needle_reference,
+    "P4.3-privalov-conic": _privalov_reference,
+    "P4.9-fifteen-point-cubic": _fifteen_point_cubic_reference,
+    "P5.3-equal-areas": _equal_areas_reference,
 }
 
 
@@ -1002,3 +1087,84 @@ def test_circumcircle_residual_reads_the_crossing_nearest_the_circle():
     # the circumcircle: the crossing nearest s = 1 decides, not the first.
     assert verify._circumcircle_residual((0.0, [0.985, 1.0 + 1e-7])) == pytest.approx(1e-10, rel=1e-6)
     assert verify._circumcircle_residual((0.0, [1.0 - 1e-7, 1.02])) == pytest.approx(1e-10, rel=1e-6)
+
+
+def _assert_within_unit_rounding(batch, ref):
+    # P4.3's residuals compare unit-norm matrices and barycentric triples,
+    # so they are rounding noise of entries of size 1: the two evaluations,
+    # in different orders, differ by a few ulps of 1 at any size (at most
+    # 17.9 of them over the 3,000 trials at seeds 1-29 and 42).
+    assert [type(r) for r in batch] == [type(r) for r in ref]
+    for b, r in zip(batch, ref):
+        assert isinstance(r, Exception) or abs(b - r) <= 32 * 2.0**-52
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("pid", sorted(_BATCH_REFERENCES))
+def test_batch_checks_match_float_checks(seed, pid):
+    # P5.3 reads the vertices the float check read, bit for bit.  P2.7 and
+    # P3.3 also agree exactly at these seeds, but the P-ellipse vertices'
+    # distances (kernels._hypot against math.hypot) may move P3.3's spread.
+    prop = verify._BY_ID[pid]
+    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+    ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
+    assert not any(isinstance(r, Exception) for r in ref)
+    if pid == "P5.3-equal-areas":
+        assert prop.run(cfgs) == ref
+    elif pid == "P4.3-privalov-conic":
+        _assert_within_unit_rounding(prop.run(cfgs), ref)
+    else:
+        _assert_residuals_agree(prop.run(cfgs), ref)
+
+
+_ISOSCELES = [{"triangle": [[0.0, 0.9], [-0.4, 0.0], [0.4, 0.0]]},
+              {"triangle": [[0.3, 0.2], [0.3, 1.1], [-0.5, 0.65]]}]
+
+
+def _crash_cases(pid):
+    """Configurations on which P2.7, P3.3, P4.3, P4.9 and P5.3 crash or
+    hold exactly where their float checks do."""
+    rng = np.random.default_rng(9)
+    if pid == "P2.7-x478-quartic":
+        return verify._BY_ID[pid].draw(rng, 30)
+    if pid == "P5.3-equal-areas":
+        # P on the perpendicular bisector of BC, and on BC beyond C: a
+        # P-hyperbola member collapses.
+        tri = [[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]
+        return verify._gen_tri_point(rng, 30) + [
+            {"triangle": tri, "p": [0.0, 0.3]}, {"triangle": tri, "p": [1.5, 0.0]}
+        ]
+    # A right triangle puts X3 on the hypotenuse, where anticevian_triangle
+    # refuses it.
+    return verify._gen_tri(rng, 30) + [{"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}] + _ISOSCELES
+
+
+@pytest.mark.parametrize("pid", sorted(_BATCH_REFERENCES))
+def test_batch_checks_crash_where_float_checks_do(pid):
+    # At a tolerance of 1e-20, six_point_conic's sideline test rejects
+    # honest vertices (PointOffSideline) in most trials of P2.7, P3.3 and
+    # P4.3, and only there; the other trials keep their residuals.  P4.3
+    # reads an isosceles triangle's perpendicular-bisector member as 0.0.
+    cfgs = _crash_cases(pid)
+    old = config.get_tol()
+    try:
+        config.set_tol(1e-20)
+        batch = verify._BY_ID[pid].run(cfgs)
+        ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
+    finally:
+        config.set_tol(old)
+    if pid == "P4.3-privalov-conic":
+        _assert_within_unit_rounding(batch, ref)
+    else:
+        _assert_residuals_agree(batch, ref)
+    crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))
+    if pid == "P4.9-fifteen-point-cubic":
+        assert not crashed
+    elif pid == "P5.3-equal-areas":
+        assert crashed == {"DegenerateMember": 2}
+    else:
+        assert crashed["PointOffSideline"] > 10
+    if pid == "P3.3-anticevian-needle":
+        assert type(batch[30]).__name__ == "DegenerateResult"
+    if pid == "P4.3-privalov-conic":
+        assert batch[-2:] == [0.0, 0.0]

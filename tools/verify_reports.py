@@ -7,8 +7,9 @@
 `write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json), at seed 42
 with `--tol 1e-8` (DIR/tol8.json) and at seed 42 with `--threads 2`
 (DIR/threads2.json), the README's x478 and O* loci
-(DIR/locus_x478.json, DIR/locus_ostar.json), the zero set of the
-half-tangent sextic (DIR/locus_sextic.json), and builds and renders the
+(DIR/locus_x478.json, DIR/locus_ostar.json), the zero sets of the
+half-tangent sextic and of the x478 quartic (DIR/locus_sextic.json,
+DIR/locus_x478_zero_set.json), and builds and renders the
 README's two scenes on the triangle "0,3 4,0 0,0" (DIR/scene_v_ell.svg,
 DIR/scene_soddy.svg, each from the scene JSON beside it), with the
 caller's PYTHONPATH, so the outputs of another checkout come from
@@ -39,6 +40,11 @@ LOCI = (
         "locus_sextic.json",
         ["locus", "--kind", "zero-set:halftangent_sextic", "--samples", "400",
          "--bbox=-1,1,0.3,1.2", "--out"],
+    ),
+    (
+        "locus_x478_zero_set.json",
+        ["locus", "--kind", "zero-set:x478_quartic", "--samples", "400",
+         "--bbox=-0.8,0.8,-0.3,1.3", "--out"],
     ),
 )
 
