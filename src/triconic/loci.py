@@ -52,6 +52,7 @@ from .geom import (
     signed_area,
 )
 from .triads import (
+    _checked_fit,
     _kernel_args,
     _triangle_frame,
     build_triad,
@@ -418,17 +419,27 @@ _CIRCLE_TARGET = 1e-16  # times s**8: the circle functionals have degree 8 in le
 _CONCENTRIC_TOL = 1e-4
 
 
-def _is_circle_at(t: Triangle, p: Point2, kind: str) -> bool:
-    """Does the six-point conic of the (t, p) triad come out as a circle
-    concentric with the circumcircle (within _CONCENTRIC_TOL)?"""
+def _circle_center(args, scale) -> tuple:
+    """Class code and center (x, y, has_center) of the six-point conic of
+    the kernel arguments args, on floats: six_point_conic's kernels and
+    rules (triads._checked_fit) but its Carnot sideline test, which says
+    nothing of the conic."""
+    co, frame, _ = _checked_fit(args, scale)
+    return kernels.classify_code(co)[0], *kernels.frame_center(co, frame)
+
+
+def _is_circle(args, scale, cc) -> bool:
+    """Is the six-point conic of args (_circle_center) a circle concentric
+    with the circle cc (within _CONCENTRIC_TOL)?"""
     try:
-        rep = six_point_conic(build_triad(t, kind, p))
+        code, x, y, has_center = _circle_center(args, scale)
     except TriconicError:
         return False
-    if rep.conic_class is not ConicClass.CIRCLE or rep.center is None:
-        return False
-    cc = circumcircle(t)
-    return distance(rep.center, cc.center) <= _CONCENTRIC_TOL * cc.radius
+    return (
+        code == kernels.CLASS_CIRCLE
+        and has_center
+        and math.hypot(x - cc.center.x, y - cc.center.y) <= _CONCENTRIC_TOL * cc.radius
+    )
 
 
 def _seeds(t: Triangle) -> list[tuple[float, float]]:
@@ -459,34 +470,46 @@ _NEWTON_HALVINGS = 10
 _NEWTON_G2 = 1e-30
 _NEWTON_STEP = 1e-15
 _NEWTON_REACH = 20.0
+# The other two vertices j, k of each vertex i.
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+# Per kind: the sign of the focal quantities, two independent brackets as
+# index pairs, (uc - ub, ua - uc) and (ub - ua, uc - ua), and the dedupe
+# radius over the scale.
+_CIRCLE_KINDS = {
+    "p_ellipse": (1.0, (np.array([2, 0]), np.array([1, 2])), 1e-7),
+    "p_hyperbola": (-1.0, (np.array([1, 2]), np.array([0, 0])), 1e-6),
+}
 
 
-def _bracket_newton(t: Triangle, sign: float, brackets, q: np.ndarray) -> np.ndarray:
+def _bracket_newton(v: np.ndarray, s2: np.ndarray, sign: float, brackets, q: np.ndarray):
     """Damped Newton from every start in q (complex, x + iy) at once toward
     a common zero of the two brackets; returns where each start stopped.
+    Column i of v and s2 holds the vertices (complex) and squared sides of
+    start i's triangle, so starts of many triangles run as they run alone.
 
     x_i = d_j + sign * d_k over the distances d from q to the other two
     vertices j, k of vertex i, u_i = s_i^2 - x_i^2 over the sides s, and
-    the brackets are differences of the u_i, so their Jacobian is closed
-    form: grad u_i = -2 x_i (unit(q - V_j) + sign * unit(q - V_k)).  The
-    distances are not smooth at the vertices, hence the step cap there.
+    the brackets are differences of the u_i, u[p] - u[r] for the index
+    arrays (p, r) = brackets, so their Jacobian is closed form: grad u_i =
+    -2 x_i (unit(q - V_j) + sign * unit(q - V_k)).  The distances are not
+    smooth at the vertices, hence the step cap there.
     """
-    v = np.array([complex(p.x, p.y) for p in t.vertices()])[:, None]
-    s2 = np.array([a * a for a in t.sides()])[:, None]
-    j, k = [1, 2, 0], [2, 0, 1]
+    # a + sign * b as one operation, with the same bits.
+    combine, (p, r) = np.add if sign > 0 else np.subtract, brackets
 
-    def system(q):
+    def system(z, cols):
         # The brackets (2, n) and their gradients as complex x + iy.
-        dq = q - v
-        d = np.abs(dq)
-        x = d[j] + sign * d[k]
-        e = dq / d
-        grad = -2.0 * x * (e[j] + sign * e[k])
-        return np.array(brackets(*(s2 - x * x))), np.array(brackets(*grad))
+        dz = z - v[:, cols]
+        d = np.abs(dz)
+        x = combine(d[_NEXT], d[_LAST])
+        e = dz / d
+        grad = -2.0 * x * combine(e[_NEXT], e[_LAST])
+        u = s2[:, cols] - x * x
+        return u[p] - u[r], grad[p] - grad[r]
 
     q = q.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, dg = system(q)
+        g, dg = system(q, slice(None))
         g2 = (g * g).sum(axis=0)
         active = np.isfinite(g2) & (g2 > _NEWTON_G2)
         for _ in range(_NEWTON_STEPS):
@@ -499,14 +522,12 @@ def _bracket_newton(t: Triangle, sign: float, brackets, q: np.ndarray) -> np.nda
             step = -1j * (g[1, live] * a - g[0, live] * b) / (a.conj() * b).imag
             finite = np.isfinite(step)
             live, ql, step = live[finite], q[live[finite]], step[finite]
-            step *= np.minimum(1.0, np.abs(ql - v).min(axis=0) / np.abs(step))
+            step *= np.minimum(1.0, np.abs(ql - v[:, live]).min(axis=0) / np.abs(step))
             size, tol = np.abs(step), _NEWTON_STEP * np.abs(ql)
             lam = 1.0
             for _ in range(_NEWTON_HALVINGS):
-                if live.size == 0:
-                    break
                 trial = ql + lam * step
-                tg, tdg = system(trial)
+                tg, tdg = system(trial, live)
                 tg2 = (tg * tg).sum(axis=0)
                 ok = tg2 < g2[live]
                 small = lam * size <= tol
@@ -517,55 +538,84 @@ def _bracket_newton(t: Triangle, sign: float, brackets, q: np.ndarray) -> np.nda
                     ~small[ok] & (tg2[ok] > _NEWTON_G2) & (np.abs(trial[ok]) <= _NEWTON_REACH)
                 )
                 # A step below the tolerance is not halved further.
-                keep = ~ok & ~small
+                keep = ~(ok | small)
+                if not keep.any():
+                    break
                 live, ql, step, size, tol = live[keep], ql[keep], step[keep], size[keep], tol[keep]
                 lam /= 2.0
     return q
 
 
-def _circle_points(t: Triangle, kind: str, seeds):
-    """Distinct points whose `kind` six-point conic is a circle concentric
-    with the circumcircle, as (xy, functional value) pairs, smallest value
-    first, found by a root-find from each seed.
+def _attempt(fn, *args):
+    """fn(*args), or the library error it raised."""
+    try:
+        return fn(*args)
+    except TriconicError as exc:
+        return exc
+
+
+def _in_frame(t: Triangle) -> tuple:
+    """t in its frame q' = (q - o) / s (triads._triangle_frame), o and s."""
+    o, s = _triangle_frame(t)
+    return Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices())), o, s
+
+
+def _circle_points(ts, kind: str, seeds) -> list:
+    """For each triangle of ts and its seeds (or their library error): the
+    distinct points whose `kind` six-point conic is a circle concentric
+    with its circumcircle, as (xy, functional value) pairs, smallest value
+    first, found by a root-find from each seed; or the search's library
+    error.
 
     With u_i = s_i^2 - x_i^2 over the sides s and the focal sums ("p_ellipse")
     or differences ("p_hyperbola") x, the functional is a sum of squared
     products u_i * (u_j - u_k).  Off the sidelines, where some u_i vanishes,
     its zeros are where u_a = u_b = u_c: the common zeros of two brackets.
-    _bracket_newton runs from all seeds at once; the functional is then
-    evaluated at each point it reached.  The points that meet the target
-    are clustered best first at the per-kind radius, and each cluster gives
-    one root: its best point that validates, tried in order.  The functional
-    also vanishes at the vertices, where the conic is no circle.  All of it
-    runs in the frame of the triangle (centroid, scale), wherever it lies;
-    seeds, roots and values are in the plane.
+    One _bracket_newton runs from every seed of every triangle, and the
+    functional, written with products, is evaluated at every point it
+    reached in one array call with a float call's bits; _roots then takes
+    each triangle's points.  All of it runs in the frame of each triangle
+    (centroid, scale), wherever it lies; seeds, roots and values are in the
+    plane.  A triangle gets the same bits alone as in a batch.
     """
-    # Per kind: the focal quantities and their sign, the functional, two
-    # independent brackets and the dedupe radius over s.
-    focal, sign, functional, brackets, radius = {
-        "p_ellipse": (
-            _deltas, 1.0, pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
-        ),
-        "p_hyperbola": (
-            _lambdas, -1.0, phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
-        ),
-    }[kind]
-    o, s = _triangle_frame(t)
-    t = Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices()))
-    sides = t.sides()
+    functional = {"p_ellipse": pstar_circle_functional, "p_hyperbola": phyp_circle_functional}[kind]
+    sign, brackets, _ = _CIRCLE_KINDS[kind]
+    out = [sd if isinstance(sd, Exception) else _attempt(_in_frame, t) for t, sd in zip(ts, seeds)]
+    live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
+    framed = [out[i][0] for i in live]
+    # Column k holds seed k's triangle: its vertices and its sides.
+    col = np.repeat(np.arange(len(live)), [len(seeds[i]) for i in live])
+    v = np.array([[complex(p.x, p.y) for p in f.vertices()] for f in framed]).reshape(-1, 3)[col].T
+    sides = np.array([f.sides() for f in framed]).reshape(-1, 3)[col].T
+    starts = np.array(
+        [complex((x - o.x) / s, (y - o.y) / s)
+         for i in live for _, o, s in [out[i]] for x, y in seeds[i]],
+        dtype=complex,
+    )
+    stops = _bracket_newton(v, sides * sides, sign, brackets, starts)
+    corners = (v.real[0], v.imag[0], v.real[1], v.imag[1], v.real[2], v.imag[2])
+    focal = kernels._sides_deltas(*corners, kernels.KIND_CODES[kind], stops.real, stops.imag)[1]
+    values = functional(*sides, *focal)
+    points = list(zip(zip(stops.real.tolist(), stops.imag.tolist()), values.tolist()))
+    at = 0
+    for i in live:
+        found = sorted(points[at:at + len(seeds[i])], key=lambda h: h[1])
+        at += len(seeds[i])
+        out[i] = _attempt(_roots, kind, *out[i], found)
+    return out
+
+
+def _roots(kind: str, t: Triangle, o: Point2, s: float, found) -> list:
+    """The roots, in the plane, among the (xy, value) points found in t's
+    frame (o, s), best first: those that meet the target, clustered best
+    first at the per-kind radius, each cluster giving its best point that
+    validates (the functional also vanishes at the vertices, where the
+    conic is no circle), tried in order; NotConverged without one."""
+    radius = _CIRCLE_KINDS[kind][2]
 
     def plane(xy, val):
         return (o.x + s * xy[0], o.y + s * xy[1]), val * s**8
 
-    starts = np.array([complex((x - o.x) / s, (y - o.y) / s) for x, y in seeds])
-    stops = _bracket_newton(t, sign, brackets, starts)
-    found = sorted(
-        (
-            ((x, y), functional(*sides, *focal(t, Point2(x, y))))
-            for x, y in zip(stops.real.tolist(), stops.imag.tolist())
-        ),
-        key=lambda h: h[1],
-    )
     clusters: list[list[tuple[tuple[float, float], float]]] = []
     for xy, val in found:
         if val > _CIRCLE_TARGET:
@@ -576,14 +626,36 @@ def _circle_points(t: Triangle, kind: str, seeds):
                 break
         else:
             clusters.append([(xy, val)])
+    args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_CODES[kind])
+    scale, cc = t.scale(), circumcircle(t)
     hits = []
     for c in clusters:
-        root = next((h for h in c if _is_circle_at(t, Point2(*h[0]), kind)), None)
+        root = next((h for h in c if _is_circle((*args, *h[0]), scale, cc)), None)
         if root is not None:
             hits.append(root)
     if not hits:
         raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*found[0]))
     return [plane(*h) for h in sorted(hits, key=lambda h: h[1])]
+
+
+def _only(results):
+    """The one result of a batch of one, raised if it is an exception."""
+    (r,) = results
+    if isinstance(r, Exception):
+        raise r
+    return r
+
+
+def pstar_candidates_batch(ts) -> list:
+    """find_pstar_candidates of each triangle of ts, from one search over
+    them all: its candidates, or the library error of its search."""
+    found = _circle_points(ts, "p_ellipse", [_attempt(_seeds, t) for t in ts])
+    return [
+        h if isinstance(h, Exception) else sorted(
+            h, key=lambda h: -min(distance(Point2(*h[0]), v) for v in t.vertices())
+        )
+        for t, h in zip(ts, found)
+    ]
 
 
 def find_pstar_candidates(t: Triangle):
@@ -593,28 +665,41 @@ def find_pstar_candidates(t: Triangle):
     The genuine zero can sit close to a vertex for thin triangles, where the
     functional also vanishes; candidates are therefore validated by the
     circle postcondition rather than filtered by distance.  They are ordered
-    by clearance from the vertices.
+    by clearance from the vertices.  A batch of one of pstar_candidates_batch.
     """
-    return sorted(
-        _circle_points(t, "p_ellipse", _seeds(t)),
-        key=lambda h: -min(distance(Point2(*h[0]), v) for v in t.vertices()),
-    )
+    return _only(pstar_candidates_batch([t]))
+
+
+def _partner_seeds(t: Triangle, xy) -> list:
+    """xy and the second common point of its P-hyperbola triad of t: the
+    pair are common intersections of each other's triads, so a lone
+    point's partner comes out of these seeds validated and deduped against
+    it like any other root."""
+    return [xy, second_common_point(build_triad(t, "p_hyperbola", Point2(*xy))).as_tuple()]
+
+
+def phyp_circle_points_batch(ts) -> list:
+    """find_phyp_circle_points of each triangle of ts, from one search over
+    them all and one more over those where it found one point: the pair,
+    or the library error of a search that did not find it."""
+    hits = _circle_points(ts, "p_hyperbola", [_attempt(_seeds, t) for t in ts])
+    lone = [i for i, h in enumerate(hits) if not isinstance(h, Exception) and len(h) == 1]
+    if lone:
+        seeds = [_attempt(_partner_seeds, ts[i], hits[i][0][0]) for i in lone]
+        for i, h in zip(lone, _circle_points([ts[i] for i in lone], "p_hyperbola", seeds)):
+            lost = not isinstance(h, Exception) and len(h) == 1
+            hits[i] = NotConverged("second circle point did not converge", *h[0]) if lost else h
+    return [
+        h if isinstance(h, Exception)
+        else tuple(sorted((Point2(*xy) for xy, _ in h[:2]), key=lambda p: (p.x, p.y)))
+        for h in hits
+    ]
 
 
 def find_phyp_circle_points(t: Triangle) -> tuple[Point2, Point2]:
     """The pair of points whose P-hyperbola six-point conic is a circle,
-    sorted by (x, y)."""
-    hits = _circle_points(t, "p_hyperbola", _seeds(t))
-    if len(hits) == 1:
-        # The pair are common intersections of each other's triads: recover
-        # the partner from the second common point, validated and deduped
-        # against the first like any other root.
-        q = second_common_point(build_triad(t, "p_hyperbola", Point2(*hits[0][0])))
-        hits = _circle_points(t, "p_hyperbola", [hits[0][0], q.as_tuple()])
-        if len(hits) == 1:
-            raise NotConverged("second circle point did not converge", *hits[0])
-    pts = sorted((Point2(*h[0]) for h in hits[:2]), key=lambda p: (p.x, p.y))
-    return (pts[0], pts[1])
+    sorted by (x, y).  A batch of one of phyp_circle_points_batch."""
+    return _only(phyp_circle_points_batch([t]))
 
 
 # ---------------------------------------------------------------------------

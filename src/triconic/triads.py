@@ -194,15 +194,7 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     vertices are not distinct (within 1e-9 of the triangle's scale) or their
     fit vanishes.
     """
-    t = tr.t
-    xs, ys, bad = kernels.vertices(*_kernel_args(t, tr.kind, tr.p))
-    if bad:
-        raise DegenerateMember("a triad member degenerates")
-    co, frame, out, res6 = kernels.fit_six(xs, ys)
-    if kernels.kept_gap(xs, ys, out) <= 1e-9 * t.scale():
-        raise RankDeficient("fewer than 5 distinct triad vertices")
-    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
-        raise RankDeficient("five points do not determine a unique conic")
+    co, frame, res6 = _checked_fit(_kernel_args(tr.t, tr.kind, tr.p), tr.t.scale())
     code = kernels.classify_code(co)[0]
     x, y, has_center = kernels.frame_center(co, frame)
     return SixPointConicReport(
@@ -212,6 +204,23 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
         center=Point2(x, y) if has_center else None,
         carnot_product=_framed_carnot(tr),
     )
+
+
+def _checked_fit(args, scale) -> tuple:
+    """kernels.fit_six on the vertices of the triad of the kernel arguments
+    args (_kernel_args), with six_point_conic's rules: (coefficients,
+    frame, residual6); DegenerateMember where a member degenerates,
+    RankDeficient where the five kept vertices are not distinct (within
+    1e-9 of scale, the triangle's largest side) or their fit vanishes."""
+    xs, ys, bad = kernels.vertices(*args)
+    if bad:
+        raise DegenerateMember("a triad member degenerates")
+    co, frame, out, res6 = kernels.fit_six(xs, ys)
+    if kernels.kept_gap(xs, ys, out) <= 1e-9 * scale:
+        raise RankDeficient("fewer than 5 distinct triad vertices")
+    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
+        raise RankDeficient("five points do not determine a unique conic")
+    return co, frame, res6
 
 
 def _framed_carnot(tr: ConicTriad) -> float:

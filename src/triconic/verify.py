@@ -15,20 +15,24 @@ arithmetic of the object path and numpy's `uniform` formula, so every
 stream and configuration is that of `random_triangle` and
 `random_point_near`; the `_gen_tri` propositions, A1, A2 and A6 among
 them, and the `_gen_tri_point` ones, A4 and A5 among them, read their rng
-in blocks.  Only the draws of A3, P2.8 and P5.7 run a search, as only it
-decides their family: A3's runs its check, P2.8's and P5.7's the grid
-step of the root scan their checks run (`loci.bracket_sign_changes`: a
-bracketed sign change, with no polish), P5.7's for a round of candidates
-at a time (`_draw_rounds`, as `_gen_tri_point` runs its member guard).
+in blocks, and `_gen_tri` tests a block's attempts as one mask
+(`_tri_mask`, which leaves an attempt at a bound to `_tri_ok`).  Only the
+draws of A3, P2.8 and P5.7 run a search, as only it decides their family:
+A3's runs its check, P2.8's and P5.7's the grid step of the root scan
+their checks run (`loci.bracket_sign_changes`: a bracketed sign change,
+with no polish), P5.7's for a round of candidates at a time
+(`_draw_rounds`, as `_gen_tri_point` runs its member guard).
 
 Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  Twenty-four run as
-one batch on arrays, each trial's bits those of a batch of one: P2.2,
-P3.1, P3.8 and P5.2 in one `kernels.six_point` call; P2.1, P2.7 and P3.3
-on `kernels.vertices` and `fit_six`, with `six_point_conic`'s rules
-(`_six_point_fit`); P2.3 and P2.5 on the members of one
-`kernels.focal_pairs` call; P2.4, P4.7 and P5.6 in one
-`kernels.pair_points` call; P4.1, P4.2, P4.3 and P4.9 on
+`_per_trial`, which turns a crash into a failed trial.  Twenty-six run as
+one batch, each trial's bits those of a batch of one: P3.2 and P5.4 in
+one circle-point search each (`loci.pstar_candidates_batch`,
+`loci.phyp_circle_points_batch`), each trial's postconditions then on
+floats (`loci._circle_center`); and on arrays P2.2, P3.1, P3.8 and P5.2
+in one `kernels.six_point` call; P2.1, P2.7 and P3.3 on `kernels.vertices`
+and `fit_six`, with `six_point_conic`'s rules (`_six_point_fit`); P2.3
+and P2.5 on the members of one `kernels.focal_pairs` call; P2.4, P4.7 and
+P5.6 in one `kernels.pair_points` call; P4.1, P4.2, P4.3 and P4.9 on
 `kernels.vertex_coords` (`_v_hyperbola`), P4.3 with `six_point_conic`'s
 rules too; P5.3 on `kernels.vertices`; P5.1 in one `kernels.second_point`
 call; the catalog points these compare with from `kernels.bary_point`;
@@ -104,25 +108,27 @@ from .loci import (
     bracket_sign_changes,
     covertex_conic_check,
     equilateral_ostar_locus_check,
-    find_phyp_circle_points,
-    find_pstar_candidates,
     halftangent_sextic,
     parabola_deg8_V,
     phyp_circle_functional,
+    phyp_circle_points_batch,
     phyp_parabola_condition,
+    pstar_candidates_batch,
     pstar_circle_functional,
     region_map,
     sample_locus_ostar,
     x478_quartic,
     x55_conjecture_check,
+    _circle_center,
+    _deltas,
     _lambdas,
 )
 from .triads import (
     _FAULTS as _TRIAD_FAULTS,
     _focal_diff_residual,
+    _kernel_args,
     build_triad,
     driver_fault,
-    six_point_conic,
     two_branch_chords,
 )
 
@@ -154,17 +160,21 @@ def _tri_floats(u) -> tuple:
     than MAX_ASPECT thin or with an angle below MIN_ANGLE."""
     tol = get_tol()
     while True:
-        ax, ay, bx, by, cx, cy = u(), u(), u(), u(), u(), u()
-        a = math.hypot(bx - cx, by - cy)
-        b = math.hypot(cx - ax, cy - ay)
-        c = math.hypot(ax - bx, ay - by)
-        hi = max(a, b, c)
-        area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-        if hi == 0.0 or abs(area) <= tol * hi * hi:
-            continue
-        if hi / min(a, b, c) > MAX_ASPECT or _min_angle(a, b, c) < MIN_ANGLE:
-            continue
-        return ax, ay, bx, by, cx, cy
+        tri = u(), u(), u(), u(), u(), u()
+        if _tri_ok(*tri, tol):
+            return tri
+
+
+def _tri_ok(ax, ay, bx, by, cx, cy, tol) -> bool:
+    """_tri_floats' test of one attempt, under the tolerance tol."""
+    a = math.hypot(bx - cx, by - cy)
+    b = math.hypot(cx - ax, cy - ay)
+    c = math.hypot(ax - bx, ay - by)
+    hi = max(a, b, c)
+    area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    if hi == 0.0 or abs(area) <= tol * hi * hi:
+        return False
+    return not (hi / min(a, b, c) > MAX_ASPECT or _min_angle(a, b, c) < MIN_ANGLE)
 
 
 def _min_angle(a, b, c):
@@ -260,9 +270,36 @@ def _cfg_tri(cfg) -> Triangle:
 
 
 def _gen_tri(rng, n) -> list:
-    """n random_triangle configurations, read from rng in blocks."""
-    u = _doubles(rng).__next__
-    return [{"triangle": _corners_cfg(*_tri_floats(u))} for _ in range(n)]
+    """n random_triangle configurations: _tri_floats' attempts, six doubles
+    each, read from rng in blocks and tested as one mask (_tri_mask)."""
+    tol, u = get_tol(), np.empty(0)
+    while True:
+        u = np.concatenate((u, rng.random(8 * n + 64)))
+        rows = u[: u.size // 6 * 6].reshape(-1, 6)
+        keep = np.flatnonzero(_tri_mask(rows, tol))[:n]
+        if keep.size == n:
+            return [{"triangle": _corners_cfg(*row)} for row in rows[keep].tolist()]
+
+
+def _tri_mask(rows, tol):
+    """_tri_ok of each row (ax, ay, bx, by, cx, cy) of rows, on arrays.
+    np.hypot and np.arccos may differ from math's in the last bit, so a row
+    whose area, aspect or least angle is within 1e-9 of its bound is
+    decided by _tri_ok itself."""
+    ax, ay, bx, by, cx, cy = rows.T
+    a, b, c = np.hypot(bx - cx, by - cy), np.hypot(cx - ax, cy - ay), np.hypot(ax - bx, ay - by)
+    hi = np.maximum(np.maximum(a, b), c)
+    area, flat = abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))), tol * hi * hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aspect = hi / np.minimum(np.minimum(a, b), c)
+        cos = [(v * v + w * w - x * x) / (2 * v * w)
+               for x, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+        angle = np.arccos(np.clip(cos, -1.0, 1.0)).min(axis=0)
+    ok = (area > flat) & ~(aspect > MAX_ASPECT) & ~(angle < MIN_ANGLE)
+    bounds = ((area, flat), (aspect, MAX_ASPECT), (angle, MIN_ANGLE))
+    for i in np.flatnonzero(np.logical_or.reduce([abs(x - y) <= 1e-9 * y for x, y in bounds])):
+        ok[i] = _tri_ok(*rows[i].tolist(), tol)
+    return ok
 
 
 def _draw_rounds(n, draw_round) -> list:
@@ -719,21 +756,40 @@ def _chk_covertex_locus_V(cfg) -> float:
     return rep.residual6 if ok_class else 1.0
 
 
-def _chk_pstar(cfg) -> float:
+def _circle_residual(t: Triangle, p: Point2, kind: str) -> float:
+    """The worst of the circle functional at p over s**8 (1e-12 scaled to
+    1e-6), 1.0 unless t's `kind` six-point conic at p is a circle, and its
+    center's distance from the circumcenter over the circumradius."""
+    functional, focal = {
+        "p_ellipse": (pstar_circle_functional, _deltas),
+        "p_hyperbola": (phyp_circle_functional, _lambdas),
+    }[kind]
+    s = t.scale()
+    code, x, y, has_center = _circle_center(_kernel_args(t, kind, p), s)
+    cc = circumcircle(t)
+    conc = math.hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
+    fval = functional(*t.sides(), *focal(t, p)) / s**8 * 1e6
+    return max(fval, conc, 0.0 if code == kernels.CLASS_CIRCLE else 1.0)
+
+
+def _pstar_residual(t: Triangle, hits) -> float:
     # Existence plus the circle/concentricity postconditions are the hard
     # claims.  Strict uniqueness is an open question and genuine secondary
     # zeros near a vertex exist (verified counterexample); only the principal
     # candidate, the one farthest from the vertices, is checked.
-    t = _cfg_tri(cfg)
-    hits = find_pstar_candidates(t)
-    p = Point2(*hits[0][0])
-    rep = six_point_conic(build_triad(t, "p_ellipse", p))
-    cc = circumcircle(t)
-    conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
-    ok_class = rep.conic_class == ConicClass.CIRCLE
-    # functional tolerance 1e-12 scaled into the 1e-6 threshold.
-    fnorm = hits[0][1] / t.scale() ** 8 * 1e6
-    return max(fnorm, conc, 0.0 if ok_class else 1.0)
+    return _circle_residual(t, Point2(*hits[0][0]), "p_ellipse")
+
+
+def _searched(search, residual):
+    """A proposition's run from search(triangles), one circle-point search
+    over every configuration's triangle, then residual(t, result) of each
+    result on floats; a crash fails only its own trial."""
+
+    def check(ts) -> list:
+        found = [r if isinstance(r, Exception) else (t, r) for t, r in zip(ts, search(ts))]
+        return _each(lambda item: residual(*item), found)
+
+    return _batch_run(_cfg_tri, check)
 
 
 def _triangle_sides(corners) -> tuple:
@@ -1221,23 +1277,11 @@ def _chk_equal_areas(cfgs) -> list:
     return _fail_or(gap, (bad, DegenerateMember(_TRIAD_FAULTS["p_hyperbola"])))
 
 
-def _chk_circle_pair(cfg) -> float:
-    t = _cfg_tri(cfg)
-    p1, p2 = find_phyp_circle_points(t)
-    s = t.scale()
-    cc = circumcircle(t)
-    worst = 0.0
-    for p in (p1, p2):
-        fval = phyp_circle_functional(*t.sides(), *_lambdas(t, p))
-        # functional tolerance 1e-12 scaled into the 1e-6 threshold
-        worst = max(worst, fval / s**8 * 1e6)
-        rep = six_point_conic(build_triad(t, "p_hyperbola", p))
-        worst = max(worst, 0.0 if rep.conic_class == ConicClass.CIRCLE else 1.0)
-        worst = max(worst, distance(rep.center, cc.center) / cc.radius if rep.center else 1.0)
-    # Mutual membership: each point on the other's triad members
-    tr1 = build_triad(t, "p_hyperbola", p1)
-    for m in tr1.members:
-        worst = max(worst, _focal_diff_residual(p2, m) / s * 1e2)
+def _circle_pair_residual(t: Triangle, pair) -> float:
+    worst = max(_circle_residual(t, p, "p_hyperbola") for p in pair)
+    # Mutual membership: p2 on the members of p1's triad.
+    for m in build_triad(t, "p_hyperbola", pair[0]).members:
+        worst = max(worst, _focal_diff_residual(pair[1], m) / t.scale() * 1e2)
     return worst
 
 
@@ -1575,7 +1619,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _per_draw(_gen_ray_angle_v), _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
-    Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _per_trial(_chk_pstar), 1e-6, 6),
+    Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, _pstar_residual), 1e-6, 6),
     Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _per_draw(_gen_needle), _chk_anticevian_needle, 1e-6, 60),
     Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _per_draw(_gen_tri_angle), _batch_run(_cfg_ray, _chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
@@ -1598,7 +1642,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
     Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _chk_equal_areas, 1e-9, 300),
-    Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _per_trial(_chk_circle_pair), 1e-6, 6),
+    Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _searched(phyp_circle_points_batch, _circle_pair_residual), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
     Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _batch_run(_cfg_and_ray, _chk_phyp_parabola), 1e-9, 25),

@@ -7,7 +7,7 @@ import pytest
 from triconic import kernels, loci
 from triconic.centers import circumcircle, classic_center, incircle, reflection_triangle
 from triconic.conic import ConicClass, classify, residual
-from triconic.errors import DegenerateMember, NotConverged, RadicalDomainError
+from triconic.errors import DegenerateMember, NotConverged, RadicalDomainError, TriconicError
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
 from triconic.loci import (
     covertex_conconic_V,
@@ -32,7 +32,13 @@ from triconic.loci import (
     _deltas,
     _lambdas,
 )
-from triconic.triads import build_triad, second_common_point, six_point_conic, triad_vertices
+from triconic.triads import (
+    _kernel_args,
+    build_triad,
+    second_common_point,
+    six_point_conic,
+    triad_vertices,
+)
 from triconic.verify import random_flat_triangle, random_triangle
 
 
@@ -385,12 +391,105 @@ def test_find_phyp_circle_points_recovers_partner(t_generic, monkeypatch):
 def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
     # Only library errors mean "no circle here"; a bug inside the
     # validation must not turn into a failed search.
-    def broken(tr):
+    def broken(*args):
         raise TypeError("injected")
 
-    monkeypatch.setattr(loci, "six_point_conic", broken)
+    monkeypatch.setattr(loci, "_circle_center", broken)
     with pytest.raises(TypeError, match="injected"):
         find_pstar_candidates(t_generic)
+
+
+# Per kind: the sign of the focal quantities and the two brackets.
+_BRACKETS = {kind: loci._CIRCLE_KINDS[kind][:2] for kind in ("p_ellipse", "p_hyperbola")}
+
+
+def _newton_stops(ts, seeds, kind):
+    """loci._bracket_newton's stops from the seeds of each triangle of ts,
+    each triangle in its frame, in one call."""
+    v, s2, q = [], [], []
+    for t, sd in zip(ts, seeds):
+        f, o, s = loci._in_frame(t)
+        for x, y in sd:
+            v.append([complex(p.x, p.y) for p in f.vertices()])
+            s2.append([a * a for a in f.sides()])
+            q.append(complex((x - o.x) / s, (y - o.y) / s))
+    return loci._bracket_newton(np.array(v).T, np.array(s2).T, *_BRACKETS[kind], np.array(q))
+
+
+def _outcome(r):
+    if isinstance(r, Exception):
+        return type(r).__name__, str(r), getattr(r, "best", None), getattr(r, "value", None)
+    return r
+
+
+# Thin triangles whose searches fail: NotConverged, or PointAtInfinity
+# from the circumcenter of the seeds.
+_FAILING = [
+    Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.4, 1e-3)),
+    Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(-0.5, 1e-3)),
+    Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.4, 1e-5)),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+def test_stacked_searches_match_one_search_per_triangle(kind):
+    # Every triangle's Newton stops, and so its roots or its failure, are
+    # bit for bit those of a search of its own.
+    rng = np.random.default_rng(2027)
+    ts = [random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
+    seeds = [loci._seeds(t) for t in ts]
+    alone = [_newton_stops([t], [sd], kind) for t, sd in zip(ts, seeds)]
+    assert _newton_stops(ts, seeds, kind).tobytes() == np.concatenate(alone).tobytes()
+    ts += _FAILING
+    seeds = [loci._attempt(loci._seeds, t) for t in ts]
+    batch = loci._circle_points(ts, kind, seeds)
+    assert [_outcome(r) for r in batch] == [
+        _outcome(loci._circle_points([t], kind, [sd])[0]) for t, sd in zip(ts, seeds)
+    ]
+    assert sum(isinstance(r, Exception) for r in batch) == len(_FAILING)
+
+
+def _is_circle_at(t, p, kind):
+    """The search's former validation (reference): the (t, p) triad's
+    six-point conic on the object path is a circle concentric with the
+    circumcircle."""
+    try:
+        rep = six_point_conic(build_triad(t, kind, p))
+    except TriconicError:
+        return False
+    if rep.conic_class is not ConicClass.CIRCLE or rep.center is None:
+        return False
+    cc = circumcircle(t)
+    return distance(rep.center, cc.center) <= loci._CONCENTRIC_TOL * cc.radius
+
+
+@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+def test_float_validation_matches_the_object_path(kind):
+    # Every Newton stop that meets the target, and every stop and vertex of
+    # the first 30 triangles, gets the answer of the object path's six-point
+    # conic.  (The functional also vanishes at the vertices, where the conic
+    # is no circle.)
+    functional, focal = {
+        "p_ellipse": (pstar_circle_functional, _deltas),
+        "p_hyperbola": (phyp_circle_functional, _lambdas),
+    }[kind]
+    rng = np.random.default_rng(7)
+    ts = [random_triangle(rng) for _ in range(300)]
+    seeds = [loci._seeds(t) for t in ts]
+    stops = iter(_newton_stops(ts, seeds, kind).tolist())
+    answers = collections.Counter()
+    for i, (t, sd) in enumerate(zip(ts, seeds)):
+        f, _, _ = loci._in_frame(t)
+        cc = circumcircle(f)
+        points = [Point2(z.real, z.imag) for z in (next(stops) for _ in sd)]
+        for p in points + list(f.vertices()):
+            if i < 30 or functional(*f.sides(), *focal(f, p)) <= loci._CIRCLE_TARGET:
+                got = loci._is_circle(_kernel_args(f, kind, p), f.scale(), cc)
+                assert got == _is_circle_at(f, p, kind)
+                answers[got] += 1
+    assert answers[True] > 1000 and answers[False] > 10
+    if kind == "p_ellipse":
+        assert sum(len(h) == 3 for h in loci.pstar_candidates_batch(ts)) == 26
 
 
 def test_region_map_circumcircle_boundary(t_generic):

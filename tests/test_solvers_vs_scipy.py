@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from triconic import loci, verify
+from triconic.centers import circumcircle
 from triconic.errors import NotConverged
 from triconic.geom import Point2, Triangle
-from triconic.triads import _triangle_frame
+from triconic.triads import _kernel_args, _triangle_frame
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -167,7 +168,8 @@ def _hybr_circle_points(t, kind, seeds):
         val = functional(*sides, *focal(t, Point2(*xy)))
         if val < best[1]:
             best = (xy, val)
-        if val <= loci._CIRCLE_TARGET and loci._is_circle_at(t, Point2(*xy), kind):
+        args = _kernel_args(t, kind, Point2(*xy))
+        if val <= loci._CIRCLE_TARGET and loci._is_circle(args, t.scale(), circumcircle(t)):
             roots.append((xy, val))
     if not roots:
         raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*best))
@@ -198,6 +200,10 @@ def _agreement_triangle(draw):
     return draw_fn(np.random.default_rng([2026, i]))
 
 
+def _newton_circle_points(t, kind, seeds):
+    return loci._only(loci._circle_points([t], kind, [seeds]))
+
+
 def _search(fn, t, kind):
     try:
         return fn(t, kind, loci._seeds(t))
@@ -217,7 +223,7 @@ def test_newton_search_finds_the_hybr_roots(draw):
     s = t.scale()
     for kind in ("p_ellipse", "p_hyperbola"):
         want = _search(_hybr_circle_points, t, kind)
-        got = _search(loci._circle_points, t, kind)
+        got = _search(_newton_circle_points, t, kind)
         assert (got is None) == (want is None)
         if want is None:
             continue

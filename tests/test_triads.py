@@ -469,17 +469,16 @@ def test_statistical_never_rectangular(rng):
     count = 0
     hits = 0
     while count < n:
-        pts = rng.uniform(0, 1, (3, 2))
-        ax, ay = pts[0]
-        bx, by = pts[1]
-        cx, cy = pts[2]
-        px, py = rng.uniform(-0.5, 1.5, 2)
+        # One kernels.six_point call a round of n - count candidates, each
+        # read from rng as drawing it alone reads it: the corners
+        # rng.uniform(0, 1, (3, 2)), then P rng.uniform(-0.5, 1.5, 2).
+        u = rng.random((n - count, 8))
+        ax, ay, bx, by, cx, cy = u[:, :6].T
+        px, py = (-0.5 + 2.0 * u[:, 6:]).T
         code = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py)[0]
-        if code == kernels.CLASS_FAILED:
-            continue
-        count += 1
-        if code == kernels.CLASS_RECTANGULAR_HYPERBOLA:
-            hits += 1
+        kept = code != kernels.CLASS_FAILED
+        count += int(kept.sum())
+        hits += int((code[kept] == kernels.CLASS_RECTANGULAR_HYPERBOLA).sum())
     assert hits == 0
 
 

@@ -438,6 +438,46 @@ def test_a_crashed_batch_draw_fails_every_trial(monkeypatch):
     assert (r.witness, r.passed) == (None, False)
 
 
+def test_gen_tri_matches_the_float_draw():
+    # _gen_tri tests the attempts of a block of doubles as one mask; it must
+    # keep the configurations of _tri_floats reading the same stream.
+    for seed in range(30):
+        u = verify._doubles(np.random.default_rng(seed)).__next__
+        want = [{"triangle": verify._corners_cfg(*verify._tri_floats(u))} for _ in range(2000)]
+        assert verify._gen_tri(np.random.default_rng(seed), 2000) == want
+
+
+class _Prefixed:
+    """A source of doubles for _gen_tri: head, then default_rng(seed)'s."""
+
+    def __init__(self, head, seed):
+        self.head, self.rng = list(head), np.random.default_rng(seed)
+
+    def random(self, k):
+        out, self.head = self.head[:k], self.head[k:]
+        return np.array(out + self.rng.random(k - len(out)).tolist())
+
+
+def test_gen_tri_decides_bound_cases_on_floats(monkeypatch):
+    # The first attempt's least angle is MIN_ANGLE to rounding, where
+    # np.arccos and math.acos may disagree: _tri_ok decides it on floats,
+    # and the draw is the float draw's.
+    ang = verify.MIN_ANGLE
+    head = [0.05, 0.1, 0.95, 0.1, 0.05 + 0.5 * math.cos(ang), 0.1 + 0.5 * math.sin(ang)]
+    src = _Prefixed(head, 1)
+    want = [verify._tri_floats(lambda: float(src.random(1)[0])) for _ in range(5)]
+    calls = []
+
+    def counted(*args, _real=verify._tri_ok):
+        calls.append(args[:6])
+        return _real(*args)
+
+    monkeypatch.setattr(verify, "_tri_ok", counted)
+    got = verify._gen_tri(_Prefixed(head, 1), 5)
+    assert got == [{"triangle": verify._corners_cfg(*tri)} for tri in want]
+    assert calls == [tuple(head)]
+
+
 def _gen_tri_reference(rng):
     """One _gen_tri configuration on the object path."""
     return {"triangle": verify._tri_cfg(_random_triangle_reference(rng))}
@@ -1168,3 +1208,85 @@ def test_batch_checks_crash_where_float_checks_do(pid):
         assert type(batch[30]).__name__ == "DegenerateResult"
     if pid == "P4.3-privalov-conic":
         assert batch[-2:] == [0.0, 0.0]
+
+
+def _pstar_reference(cfg):
+    """P3.2's former check of one configuration: find_pstar_candidates and
+    the principal candidate's six-point conic on the object path."""
+    t = verify._cfg_tri(cfg)
+    hits = loci.find_pstar_candidates(t)
+    p = Point2(*hits[0][0])
+    rep = triads.six_point_conic(triads.build_triad(t, "p_ellipse", p))
+    cc = centers.circumcircle(t)
+    conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
+    ok_class = rep.conic_class == conic.ConicClass.CIRCLE
+    fnorm = hits[0][1] / t.scale() ** 8 * 1e6
+    return max(fnorm, conc, 0.0 if ok_class else 1.0)
+
+
+def _circle_pair_reference(cfg):
+    """P5.4's former check of one configuration: find_phyp_circle_points,
+    each point's six-point conic on the object path, and p2 on the members
+    of p1's triad."""
+    t = verify._cfg_tri(cfg)
+    p1, p2 = loci.find_phyp_circle_points(t)
+    s = t.scale()
+    cc = centers.circumcircle(t)
+    worst = 0.0
+    for p in (p1, p2):
+        fval = loci.phyp_circle_functional(*t.sides(), *loci._lambdas(t, p))
+        worst = max(worst, fval / s**8 * 1e6)
+        rep = triads.six_point_conic(triads.build_triad(t, "p_hyperbola", p))
+        worst = max(worst, 0.0 if rep.conic_class == conic.ConicClass.CIRCLE else 1.0)
+        worst = max(worst, distance(rep.center, cc.center) / cc.radius if rep.center else 1.0)
+    for m in triads.build_triad(t, "p_hyperbola", p1).members:
+        worst = max(worst, triads._focal_diff_residual(p2, m) / s * 1e2)
+    return worst
+
+
+def _failure(exc):
+    """An exception's message and, for a NotConverged, its best point and value."""
+    return str(exc), getattr(exc, "best", None), getattr(exc, "value", None)
+
+
+_SEARCH_REFERENCES = {
+    "P3.2-pstar-unique-circle": _pstar_reference,
+    "P5.4-circle-pair": _circle_pair_reference,
+}
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
+def test_search_checks_match_float_checks(seed, pid):
+    prop = verify._BY_ID[pid]
+    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+    ref = _reference_run(_SEARCH_REFERENCES[pid], cfgs)
+    assert not any(isinstance(r, Exception) for r in ref)
+    _assert_residuals_agree(prop.run(cfgs), ref)
+
+
+@pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
+def test_search_checks_crash_where_float_checks_do(pid):
+    # A collinear triangle fails to build; on thin triangles the search
+    # finds no circle point (NotConverged) or its seeds no circumcenter
+    # (PointAtInfinity), and the P-hyperbola search fails on the isosceles
+    # and equilateral triangles.  Each fails its own trial only.
+    cfgs = verify._gen_tri(np.random.default_rng(9), 30) + [
+        {"triangle": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]},
+        {"triangle": [[0.0, 0.0], [1.0, 0.0], [0.4, 1e-3]]},
+        {"triangle": [[0.0, 0.0], [1.0, 0.0], [-0.5, 1e-3]]},
+        {"triangle": [[0.0, 0.0], [1.0, 0.0], [0.4, 1e-5]]},
+        *_ISOSCELES,
+        {"triangle": [[-0.5, 0.0], [0.5, 0.0], [0.0, math.sqrt(3.0) / 2.0]]},
+    ]
+    batch = verify._BY_ID[pid].run(cfgs)
+    ref = _reference_run(_SEARCH_REFERENCES[pid], cfgs)
+    _assert_residuals_agree(batch, ref)
+    crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))
+    assert crashed == {
+        "P3.2-pstar-unique-circle": {"DegenerateTriangle": 1, "NotConverged": 2, "PointAtInfinity": 1},
+        "P5.4-circle-pair": {"DegenerateTriangle": 1, "NotConverged": 5, "PointAtInfinity": 1},
+    }[pid]
+    assert [_failure(r) for r in batch if isinstance(r, Exception)] == [
+        _failure(r) for r in ref if isinstance(r, Exception)
+    ]
