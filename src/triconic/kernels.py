@@ -13,11 +13,11 @@ so a class does not change when the points are moved, rotated or scaled)
 and `classify_code` (the conic-type policy, also behind `conic.classify`).
 On floats it serves `triads.six_point_conic` (and through its rules,
 `triads._checked_fit`, the circle searches' validation) and the Brent
-polish of the verifier's sign scans; on arrays region maps, scan grids and the P2.2,
-P3.1, P3.8 and P5.2 trials.  `loci.sample_locus_ostar` and the P2.7 and
-P3.3 trials call `vertices`, `fit_six` and `frame_center` directly, and
-the P2.1 and P4.3 trials `fit_six` on the vertices of `vertices` and
-`vertex_coords`.
+polish of the P2.6, P3.4 and P5.7 sign scans; on arrays region maps, the
+grids of those scans and the P2.2, P3.1, P3.8 and P5.2 trials.
+`loci.sample_locus_ostar` and the P2.7 and P3.3 trials call `vertices`,
+`fit_six` and `frame_center` directly, and the P2.1 and P4.3 trials
+`fit_six` on the vertices of `vertices` and `vertex_coords`.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines

@@ -943,54 +943,6 @@ def _brent_cell(f, a: float, b: float, fa: float, fb: float) -> float:
     )
 
 
-class _Unknown(Exception):
-    """A replayed cell asks for f at an iterate where it is not known yet."""
-
-
-def _brent(f, a, b, fa, fb):
-    """A root of f in each cell [a[i], b[i]] of arrays of cells, by
-    _brent_cell from the end values fa = f(a) and fb = f(b), which differ
-    in sign or include a 0.
-
-    Every cell runs _brent_cell in Python floats, and only f is called on
-    arrays.  Each round replays every running cell from its start, reading
-    the values of f it has been given, up to the first iterate where f is
-    not known yet; one call f(x, i) then evaluates those iterates x of the
-    cells i (an index array into a).  The result is (roots, failed): roots
-    NaN at each cell that failed, and failed its NotConverged.  Replaying
-    costs Python steps quadratic in a cell's iterations (5050 at most),
-    against one f call a round.
-    """
-    cells = list(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()))
-    known = [[] for _ in cells]
-    roots = np.full(len(cells), math.nan)
-    failed = {}
-    running = range(len(cells))
-    while running:
-        xs, asked = [], []
-        for i in running:
-            values = iter(known[i])
-
-            def replay(x, values=values):
-                v = next(values, None)
-                if v is None:
-                    raise _Unknown(x)
-                return v
-
-            try:
-                roots[i] = _brent_cell(replay, *cells[i])
-            except _Unknown as ask:
-                xs.append(ask.args[0])
-                asked.append(i)
-            except NotConverged as exc:
-                failed[i] = exc
-        if asked:
-            for i, v in zip(asked, np.asarray(f(np.array(xs), np.array(asked))).tolist()):
-                known[i].append(v)
-        running = asked
-    return roots, failed
-
-
 def bracket_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> tuple:
     """The grid step of batch_sign_changes: the cells where many functions
     change sign, one scan each.  Scan k runs on [lo[k], hi[k]], and f(s,
@@ -1015,36 +967,30 @@ def bracket_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> tup
     return scan, grid[scan, k], grid[scan, k + 1], values[scan, k], values[scan, k + 1]
 
 
-def polish_sign_changes(f, n: int, cells, first: bool = False) -> list:
-    """The polish of batch_sign_changes: one array _brent (to about 4 ulp)
-    over the cells of bracket_sign_changes for n scans, from their end
-    values, so no grid point is evaluated twice.  Brent returns a cell end
-    where f is 0 as the root itself: a grid zero that f touches from below
-    is reported by both of its cells, one it touches from above by neither.
-    Returns, for each scan, its roots in order (with first, its root or
-    None), or the NotConverged of its first cell whose polish failed.
+def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
+    """The sign changes of many functions, one scan each: the cells of
+    bracket_sign_changes (with first, only each scan's first bracketed
+    cell), each polished by _brent_cell (to about 4 ulp) from its end
+    values, so no grid point is evaluated twice.  f(s, k) evaluates
+    function k: on arrays for the grid, and on a float s and the scan's
+    int index k for the polish.  Brent returns a cell end where f is 0 as
+    the root itself: a grid zero that f touches from below is reported by
+    both of its cells, one it touches from above by neither.  Returns, for
+    each scan, its roots in order (with first, its root or None), or the
+    NotConverged of its first cell whose polish failed, after which the
+    scan polishes no further cell.
     """
-    scan, a, b, fa, fb = cells
-    roots, failed = _brent(lambda x, i: f(x, scan[i]), a, b, fa, fb)
-    out = [[] for _ in range(n)]
-    for i, (j, root) in enumerate(zip(scan.tolist(), roots.tolist())):
-        if not isinstance(out[j], list):
-            continue  # an earlier cell of scan j failed
-        if i in failed:
-            out[j] = failed[i]
-        else:
-            out[j].append(root)
+    scan, a, b, fa, fb = bracket_sign_changes(f, lo, hi, steps, first)
+    out = [[] for _ in range(np.size(lo))]
+    for k, *cell in zip(scan.tolist(), a.tolist(), b.tolist(), fa.tolist(), fb.tolist()):
+        if isinstance(out[k], list):
+            try:
+                out[k].append(_brent_cell(lambda x, k=k: f(x, k), *cell))
+            except NotConverged as exc:
+                out[k] = exc
     if first:
         return [r if isinstance(r, NotConverged) else next(iter(r), None) for r in out]
     return out
-
-
-def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
-    """The sign changes of many functions, one scan each: the cells of
-    bracket_sign_changes, polished by polish_sign_changes (with first, only
-    each scan's first bracketed cell)."""
-    cells = bracket_sign_changes(f, lo, hi, steps, first)
-    return polish_sign_changes(f, np.size(lo), cells, first)
 
 
 def _first_root(g, lo: float, hi: float) -> float:

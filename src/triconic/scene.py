@@ -81,27 +81,31 @@ class Scene:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scene":
+        """The scene of a JSON object; ValueError naming the first field
+        that is missing or of the wrong type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a scene must be a JSON object, not {type(data).__name__}")
         sc = cls()
         if data.get("triangle"):
-            td = data["triangle"]
-            sc.triangle = Triangle(
-                Point2(*td["a"]), Point2(*td["b"]), Point2(*td["c"])
-            )
+            td = _need(data["triangle"], dict, "triangle")
+            sc.triangle = Triangle(*(_point(_key(td, v, "triangle"), f"triangle.{v}")
+                                     for v in "abc"))
         if data.get("p"):
-            sc.p = Point2(*data["p"])
-        sc.triads = list(data.get("triads", []))
-        for trj in sc.triads:
+            sc.p = _point(data["p"], "p")
+        for where, trj in _entries(data, "triads"):
             if trj.get("six_point_conic"):
-                _conic_from_json(trj["six_point_conic"])
-        sc.conics = [_conic_from_json(cj) for cj in data.get("conics", [])]
-        sc.circles = [
-            Circle(Point2(cj["cx"], cj["cy"]), cj["r"]) for cj in data.get("circles", [])
-        ]
-        for pj in data.get("points", []):
-            sc.add_point(pj["label"], Point2(*pj["xy"]))
-        sc.polylines = [
-            [Point2(*q) for q in line] for line in data.get("polylines", [])
-        ]
+                _conic_from_json(trj["six_point_conic"], f"{where}.six_point_conic")
+            sc.triads.append(trj)
+        sc.conics = [_conic_from_json(cj, where) for where, cj in _entries(data, "conics")]
+        for where, cj in _entries(data, "circles"):
+            cx, cy, r = (_need(_key(cj, k, where), _NUMBER, f"{where}.{k}")
+                         for k in ("cx", "cy", "r"))
+            sc.circles.append(Circle(Point2(cx, cy), r))
+        for where, pj in _entries(data, "points"):
+            label = _need(_key(pj, "label", where), str, f"{where}.label")
+            sc.add_point(label, _point(_key(pj, "xy", where), f"{where}.xy"))
+        for where, line in _entries(data, "polylines", list):
+            sc.polylines.append([_point(q, f"{where}[{i}]") for i, q in enumerate(line)])
         return sc
 
     def dumps(self) -> str:
@@ -126,13 +130,49 @@ def _conic_json(c: Conic) -> dict:
     return {"coeffs": list(c.coeffs()), "frame": "cartesian"}
 
 
-def _conic_from_json(data: dict) -> Conic:
-    """The Conic of a scene's conic entry; ValueError unless its frame is
-    Cartesian, the only one scenes hold."""
-    frame = data.get("frame", "cartesian")
+def _conic_from_json(data: dict, where: str = "conic") -> Conic:
+    """The Conic of a scene's conic entry, the field `where`; ValueError
+    unless its frame is Cartesian, the only one scenes hold, and it has six
+    coefficients."""
+    frame = _need(data, dict, where).get("frame", "cartesian")
     if frame != "cartesian":
         raise ValueError(f"scene conic in frame {frame!r}: only 'cartesian' is supported")
-    return Conic.from_coeffs(data["coeffs"])
+    coeffs = _need(_key(data, "coeffs", where), list, f"{where}.coeffs")
+    if len(coeffs) != 6:
+        raise ValueError(f"scene field {where}.coeffs must hold six numbers")
+    return Conic.from_coeffs([_need(c, _NUMBER, f"{where}.coeffs") for c in coeffs])
+
+
+_NUMBER = (int, float)
+_KINDS = {dict: "an object", list: "a list", str: "a string", _NUMBER: "a number"}
+
+
+def _need(value, kind, where: str):
+    """value, the scene field `where`; ValueError unless it is a kind (of
+    _KINDS; JSON's true and false are none)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"scene field {where} must be {_KINDS[kind]}")
+    return value
+
+
+def _key(obj: dict, key: str, where: str):
+    """obj[key], of the scene object `where`; ValueError if it is missing."""
+    if key not in obj:
+        raise ValueError(f"scene field {where}.{key} is missing")
+    return obj[key]
+
+
+def _entries(data: dict, key: str, kind: type = dict) -> list:
+    """(field name, entry) of each entry, a kind, of the scene list data[key]."""
+    entries = _need(data.get(key, []), list, key)
+    return [(f"{key}[{i}]", _need(e, kind, f"{key}[{i}]")) for i, e in enumerate(entries)]
+
+
+def _point(value, where: str) -> Point2:
+    """The point of the scene field `where`, an [x, y] pair of numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"scene field {where} must be an [x, y] pair")
+    return Point2(*(_need(v, _NUMBER, where) for v in value))
 
 
 def scene_for_triad(t: Triangle, kind: str, p: Point2 | None = None) -> Scene:

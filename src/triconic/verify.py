@@ -39,7 +39,7 @@ call; the catalog points these compare with from `kernels.bary_point`;
 and the root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
 `loci.batch_sign_changes` each: one call of the scanned function (written
 with products, not powers, so floats and arrays give the same bits) on
-every trial's grid, then one array Brent over every bracketed cell; P2.8,
+every trial's grid, then Brent on floats in each bracketed cell; P2.8,
 P4.6 and P4.10 finish each trial's other checks on floats.  A crash still
 fails only its own trial (`_fail_or` gives each trial the exception of
 the first fault that holds there).
@@ -590,10 +590,13 @@ def _on_ray(s, ox, oy, r, dx, dy):
 
 def _ray_scans(fn, rays, lo, hi) -> tuple:
     """The (f, lo, hi) of a batch scan of fn(s, *ray) along each ray of
-    rays, a list of tuples of floats; lo and hi are floats or one per ray."""
+    rays, a list of tuples of floats; lo and hi are floats or one per ray.
+    f reads the rays' columns for the grid's index array k, and ray k's own
+    floats for the polish's int k."""
     cols = np.array(rays).T
     n = len(rays)
-    return lambda s, k: fn(s, *cols[:, k]), np.broadcast_to(lo, n), np.broadcast_to(hi, n)
+    return (lambda s, k: fn(s, *(rays[k] if isinstance(k, int) else cols[:, k])),
+            np.broadcast_to(lo, n), np.broadcast_to(hi, n))
 
 
 def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:

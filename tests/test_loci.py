@@ -671,12 +671,20 @@ def _cubic(s):
     return (s - 0.3) * (s - 1.1) * (s - 2.05)
 
 
+def _by_scan(fns):
+    # The f(s, k) of a batch scan whose scan k runs fns[k]: on arrays for
+    # the grid, on a float s and an int k for the polish.
+    def f(s, k):
+        if isinstance(k, int):
+            return fns[k](s)
+        return np.array([fns[j](v) for v, j in zip(s.tolist(), k.tolist())])
+
+    return f
+
+
 def _scan_one(g, lo, hi, steps):
     # batch_sign_changes of the one scalar function g, as a batch of one.
-    def f(s, k):
-        return np.array([g(v) for v in s.tolist()])
-
-    return loci.batch_sign_changes(f, [lo], [hi], steps)[0]
+    return loci.batch_sign_changes(_by_scan([g]), [lo], [hi], steps)[0]
 
 
 def _reference_scan(g, lo, hi, steps):
@@ -731,18 +739,28 @@ def test_bisect_sign_changes_exact_zero_and_nan_cells():
 
 def test_bisect_sign_changes_evaluates_no_grid_point_twice():
     # Brent reads each bracketed cell's end values from the scan, so every
-    # grid point is evaluated once, in the scan's one call.
+    # grid point is evaluated once, in the scan's one call; the polish calls
+    # f on a float s and an int k.
     steps = 47
     grid = [0.0 + (3.0 - 0.0) * k / steps for k in range(steps + 1)]
     calls = collections.Counter()
+    polish = []
 
-    def f(s):
+    def g(s):
         calls[s] += 1
         return _cubic(s)
 
-    roots = _scan_one(f, 0.0, 3.0, steps)
+    by_scan = _by_scan([g])
+
+    def f(s, k):
+        if not isinstance(s, np.ndarray):
+            polish.append((type(s), type(k)))
+        return by_scan(s, k)
+
+    (roots,) = loci.batch_sign_changes(f, [0.0], [3.0], steps)
     assert len(roots) == 3
     assert [calls[s] for s in grid] == [1] * len(grid)
+    assert len(polish) > 3 and set(polish) == {(float, int)}
 
 
 def test_batch_sign_changes_match_the_scans_one_by_one():
@@ -768,10 +786,7 @@ def test_batch_sign_changes_match_the_scans_one_by_one():
     for steps in (2, 10, 47):
         batch = [sc for sc in scans if sc[3] == steps]
         lo, hi = (np.array([sc[k] for sc in batch]) for k in (1, 2))
-
-        def f(s, k, batch=batch):
-            return np.array([batch[j][0](v) for v, j in zip(s.tolist(), k.tolist())])
-
+        f = _by_scan([sc[0] for sc in batch])
         want = [_reference_scan(g, a, b, n) for g, a, b, n in batch]
         assert loci.batch_sign_changes(f, lo, hi, steps) == want
         assert loci.batch_sign_changes(f, lo, hi, steps, first=True) == [
@@ -783,16 +798,17 @@ def test_batch_sign_changes_fail_only_their_own_scan():
     # The second bracketed cell of scan 0 meets a NaN inside: scan 0 fails
     # with _brent_cell's NotConverged on that cell, scan 1 keeps its roots,
     # and with first only each scan's first cell is polished, so scan 0
-    # keeps its first root.
+    # keeps its first root.  Scan 2's one cell runs out of iterations on a
+    # ninefold root: it fails with _brent_cell's NotConverged, last iterate
+    # and value, with first too.
     def f0(s):
         return math.nan if 1.09 < s < 1.14 else _cubic(s)
 
-    fns = [f0, _cubic]
+    def ninefold(s):
+        return (s - 0.3) ** 9
 
-    def f(s, k):
-        return np.array([fns[j](v) for v, j in zip(s.tolist(), k.tolist())])
-
-    lo, hi = np.array([0.0, 0.0]), np.array([3.0, 3.0])
+    f = _by_scan([f0, _cubic, ninefold])
+    lo, hi = np.array([0.0, 0.0, -1.0]), np.array([3.0, 3.0, 93.0])
     every = loci.batch_sign_changes(f, lo, hi, 47)
     grid = [3.0 * k / 47 for k in range(48)]
     k = next(k for k in range(47) if grid[k] < 1.1 < grid[k + 1])
@@ -801,7 +817,13 @@ def test_batch_sign_changes_fail_only_their_own_scan():
     assert isinstance(every[0], NotConverged) and str(every[0]) == str(err.value)
     assert every[1] == _reference_scan(_cubic, 0.0, 3.0, 47)
     first = loci.batch_sign_changes(f, lo, hi, 47, first=True)
-    assert first == [_reference_scan(_cubic, 0.0, 3.0, 47)[0]] * 2
+    assert first[:2] == [_reference_scan(_cubic, 0.0, 3.0, 47)[0]] * 2
+    # Scan 2's grid steps by 2: its cell is [-1, 1].
+    with pytest.raises(NotConverged) as err:
+        loci._brent_cell(ninefold, -1.0, 1.0, ninefold(-1.0), ninefold(1.0))
+    for got in (every[2], first[2]):
+        assert isinstance(got, NotConverged) and str(got) == str(err.value)
+        assert (got.best, got.value) == (err.value.best, err.value.value)
 
 
 def test_brent_raises_not_converged_with_its_last_iterate():

@@ -511,3 +511,26 @@ def test_scene_rejects_a_non_cartesian_conic(entry, tmp_path, t345, cli_env):
         assert r.returncode == 2, r.stdout
         assert "'bary'" in r.stderr
     assert not (tmp_path / "s.svg").exists()
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"triangle": {"a": [0,0], "c": [1,1]}}', "triangle.b is missing"),
+    ("[]", "a scene must be a JSON object, not list"),
+    ('{"conics": [{"frame": "cartesian"}]}', "conics[0].coeffs is missing"),
+    ('{"points": [{"label": "O", "xy": [0]}]}', "points[0].xy must be an [x, y] pair"),
+    ('{"circles": [{"cx": 0, "cy": "0", "r": 1}]}', "circles[0].cy must be a number"),
+])
+def test_scene_rejects_a_malformed_file(text, field, tmp_path, monkeypatch, capsys):
+    # A scene missing a field or holding one of the wrong type is refused
+    # on load with a ValueError naming the field: render and classify print
+    # an error line and exit 2, the usage-error code.
+    with pytest.raises(ValueError) as err:
+        Scene.loads(text)
+    assert field in str(err.value)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(text)
+    for cmd in (["render", "--scene", "s.json", "--out", "s.svg"],
+                ["classify", "--scene", "s.json"]):
+        assert main(cmd) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "s.svg").exists()

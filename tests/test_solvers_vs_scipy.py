@@ -1,9 +1,9 @@
 """The package's own root-finders against the scipy routines they replace.
 
-loci._brent must give scipy.optimize.brentq's root bit for bit, so every
-verifier residual and witness stays what it was; loci._circle_points must
-find the roots that the former MINPACK ``hybr`` search found.  Skipped
-where scipy is not installed: the package itself does not need it.
+loci._brent_cell must give scipy.optimize.brentq's root bit for bit, so
+every verifier residual and witness stays what it was; loci._circle_points
+must find the roots that the former MINPACK ``hybr`` search found.
+Skipped where scipy is not installed: the package itself does not need it.
 """
 
 import math
@@ -28,35 +28,26 @@ def _brentq(f, a, b, fa, fb):
     )
 
 
-def _cell(f, i):
-    # Cell i's function on floats, from the f(x, i) of an array _brent call.
-    return lambda x: f(np.array([x]), np.array([i])).tolist()[0]
-
-
 def test_brent_matches_brentq_on_every_seed42_bracket(monkeypatch):
-    # Every float call, and every cell of every array call (the batch scans
-    # of P2.6, P3.4 and P5.7), against brentq on the same cell.
-    brackets = []
-    cells = 0
-    own = loci._brent
+    # Every cell polished in the seed-42 manifest (the batch scans of P2.6,
+    # P3.4, P2.8, P4.6, P4.10, P5.7, P2.9 and P3.9) against brentq on the
+    # same cell.
+    brackets, failed = [], []
+    own = loci._brent_cell
 
     def recording(f, a, b, fa, fb):
-        nonlocal cells
-        out = own(f, a, b, fa, fb)
-        if not isinstance(a, np.ndarray):
-            brackets.append((out, _brentq(f, a, b, fa, fb)))
-            return out
-        roots, failed = out
-        assert failed == {}
-        for i, (root, *cell) in enumerate(zip(*(v.tolist() for v in (roots, a, b, fa, fb)))):
-            brackets.append((root, _brentq(_cell(f, i), *cell)))
-        cells += len(roots)
+        try:
+            out = own(f, a, b, fa, fb)
+        except NotConverged as exc:
+            failed.append(exc)
+            raise
+        brackets.append((out, _brentq(f, a, b, fa, fb)))
         return out
 
-    monkeypatch.setattr(loci, "_brent", recording)
+    monkeypatch.setattr(loci, "_brent_cell", recording)
     assert verify.run_all(42)["all_pass"]
+    assert failed == []
     assert len(brackets) > 200
-    assert cells > 100
     assert [ours for ours, _ in brackets] == [theirs for _, theirs in brackets]
 
 
@@ -83,11 +74,6 @@ def _synthetic_cells():
     return out
 
 
-def _by_cell(fns):
-    # The f(x, i) of an array _brent call whose cell i runs fns[i].
-    return lambda x, i: np.array([fns[k](v) for v, k in zip(x.tolist(), i.tolist())])
-
-
 def test_brent_matches_brentq_on_synthetic_brackets():
     cells = _synthetic_cells()
     assert len(cells) > 100
@@ -99,44 +85,6 @@ def test_brent_matches_brentq_on_synthetic_brackets():
     for a, b in ((0.5, 1.0), (0.0, 0.5)):
         assert loci._brent_cell(line, a, b, line(a), line(b)) == 0.5
         assert _brentq(line, a, b, line(a), line(b)) == 0.5
-
-
-def test_array_brent_matches_brentq_on_synthetic_brackets():
-    # The same cells, and the two zero ends, as one array call.
-    line = lambda x: x - 0.5  # noqa: E731
-    cells = _synthetic_cells() + [(None, 0.5, 1.0, 0.0, 0.5), (None, 0.0, 0.5, -0.5, 0.0)]
-    fns = [line if j is None else _SYNTHETIC[j][0] for j, *_ in cells]
-    columns = [np.array(v) for v in zip(*(cell for _, *cell in cells))]
-    roots, failed = loci._brent(_by_cell(fns), *columns)
-    assert failed == {}
-    assert roots.tolist() == [_brentq(f, *cell) for f, (_, *cell) in zip(fns, cells)]
-    assert roots.tolist()[-2:] == [0.5, 0.5]
-
-
-def test_array_brent_fails_only_the_cells_that_fail_alone():
-    # One cell meets a NaN and one runs out of iterations on a ninefold
-    # root: each fails with the NotConverged, last iterate and value of
-    # the float call, and the cells beside them keep their roots.
-    cubic = lambda x: x * x * x - 2.0 * x - 5.0  # noqa: E731
-    nan_inside = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5  # noqa: E731
-    ninefold = lambda x: (x - 0.3) ** 9  # noqa: E731
-    fns = [cubic, nan_inside, cubic, ninefold, cubic]
-    ends = [(1.5, 3.0), (0.0, 1.0), (2.0, 2.2), (-1.0, 1.2), (1.9, 2.5)]
-    a, b = (np.array(v) for v in zip(*ends))
-    fa = np.array([f(x) for f, x in zip(fns, a.tolist())])
-    fb = np.array([f(x) for f, x in zip(fns, b.tolist())])
-    roots, failed = loci._brent(_by_cell(fns), a, b, fa, fb)
-    assert sorted(failed) == [1, 3]
-    for i, exc in failed.items():
-        with pytest.raises(NotConverged) as err:
-            loci._brent_cell(fns[i], *ends[i], fa[i], fb[i])
-        assert str(exc) == str(err.value)
-        assert exc.best == err.value.best
-        assert exc.value == err.value.value or math.isnan(exc.value) and math.isnan(err.value.value)
-        assert math.isnan(roots[i])
-    for i in (0, 2, 4):
-        assert roots[i] == loci._brent_cell(cubic, *ends[i], fa[i], fb[i])
-        assert roots[i] == _brentq(cubic, *ends[i], fa[i], fb[i])
 
 
 def _hybr_circle_points(t, kind, seeds):
