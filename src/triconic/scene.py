@@ -92,10 +92,7 @@ class Scene:
                                      for v in "abc"))
         if data.get("p"):
             sc.p = _point(data["p"], "p")
-        for where, trj in _entries(data, "triads"):
-            if trj.get("six_point_conic"):
-                _conic_from_json(trj["six_point_conic"], f"{where}.six_point_conic")
-            sc.triads.append(trj)
+        sc.triads = [_triad_record(trj, where) for where, trj in _entries(data, "triads")]
         sc.conics = [_conic_from_json(cj, where) for where, cj in _entries(data, "conics")]
         for where, cj in _entries(data, "circles"):
             cx, cy, r = (_need(_key(cj, k, where), _NUMBER, f"{where}.{k}")
@@ -166,6 +163,28 @@ def _entries(data: dict, key: str, kind: type = dict) -> list:
     """(field name, entry) of each entry, a kind, of the scene list data[key]."""
     entries = _need(data.get(key, []), list, key)
     return [(f"{key}[{i}]", _need(e, kind, f"{key}[{i}]")) for i, e in enumerate(entries)]
+
+
+def _triad_record(trj: dict, where: str) -> dict:
+    """The triad record `where`; ValueError naming the first field that
+    render or classify reads and that is missing or of the wrong type."""
+    for i, v in enumerate(_need(_key(trj, "vertices", where), list, f"{where}.vertices")):
+        _point(v, f"{where}.vertices[{i}]")
+    if trj.get("p"):
+        _point(trj["p"], f"{where}.p")
+    for i, mj in enumerate(_need(trj.get("members", []), list, f"{where}.members")):
+        at = f"{where}.members[{i}]"
+        if mj is not None:
+            for k in ("focus1", "focus2"):
+                _point(_key(_need(mj, dict, at), k, at), f"{at}.{k}")
+            _need(_key(mj, "axis_length", at), _NUMBER, f"{at}.axis_length")
+            _need(_key(mj, "kind", at), str, f"{at}.kind")
+    if trj.get("six_point_conic"):
+        _conic_from_json(trj["six_point_conic"], f"{where}.six_point_conic")
+    _need(_key(trj, "six_point_class", where), str, f"{where}.six_point_class")
+    if _key(trj, "six_point_center", where) is not None:
+        _point(trj["six_point_center"], f"{where}.six_point_center")
+    return trj
 
 
 def _point(value, where: str) -> Point2:

@@ -13,15 +13,15 @@ configuration) reproduces the residual.
 The draws run on floats (`_tri_floats`, `_near_floats`) with the
 arithmetic of the object path and numpy's `uniform` formula, so every
 stream and configuration is that of `random_triangle` and
-`random_point_near`; the `_gen_tri` propositions, A1, A2 and A6 among
-them, and the `_gen_tri_point` ones, A4 and A5 among them, read their rng
-in blocks, and `_gen_tri` tests a block's attempts as one mask
-(`_tri_mask`, which leaves an attempt at a bound to `_tri_ok`).  Only the
-draws of A3, P2.8 and P5.7 run a search, as only it decides their family:
-A3's runs its check, P2.8's and P5.7's the grid step of the root scan
-their checks run (`loci.bracket_sign_changes`: a bracketed sign change,
-with no polish), P5.7's for a round of candidates at a time
-(`_draw_rounds`, as `_gen_tri_point` runs its member guard).
+`random_point_near`.  The block draws read their rng in blocks and, from
+`_FLOAT_DRAWS` configurations on, test them on arrays: `_gen_tri` as one
+mask (`_tri_mask`, leaving an attempt at a bound to `_tri_ok`),
+`_gen_tri_point` by a pointer chase (`_chase`'s tests at every offset,
+then a list index a candidate; a driver at its guard is left to floats).
+Only the draws of A3, P2.8 and P5.7 run a search, as only it decides
+their family: A3's runs its check, P2.8's and P5.7's the grid step of the
+root scan of their checks (`loci.bracket_sign_changes`), P5.7's a round
+at a time (`_draw_rounds`, as `_gen_tri_point` runs its member guard).
 
 Most checks take one configuration and run trial by trial through
 `_per_trial`, which turns a crash into a failed trial.  Twenty-six run as
@@ -147,6 +147,9 @@ NEAR_EXPAND = 2.0
 NEAR_DRAWS = 1000
 # Doubles a block draw reads from the rng at a time.
 _BLOCK = 512
+# Block draws of fewer configurations run on floats, faster there (below
+# about 15 triangles, 32 points); _chase tests the first _CHASE_PAIRS pairs.
+_FLOAT_DRAWS, _CHASE_PAIRS = 30, 3
 
 # The draws run on floats: u is a source of doubles in [0, 1), such as
 # rng.random or _doubles(rng).__next__, and rng.uniform(lo, hi) is
@@ -271,7 +274,11 @@ def _cfg_tri(cfg) -> Triangle:
 
 def _gen_tri(rng, n) -> list:
     """n random_triangle configurations: _tri_floats' attempts, six doubles
-    each, read from rng in blocks and tested as one mask (_tri_mask)."""
+    each, read from rng in blocks and tested as one mask (_tri_mask), or
+    below _FLOAT_DRAWS configurations on floats."""
+    if n < _FLOAT_DRAWS:
+        u = _doubles(rng).__next__
+        return [{"triangle": _corners_cfg(*_tri_floats(u))} for _ in range(n)]
     tol, u = get_tol(), np.empty(0)
     while True:
         u = np.concatenate((u, rng.random(8 * n + 64)))
@@ -283,17 +290,18 @@ def _gen_tri(rng, n) -> list:
 
 def _tri_mask(rows, tol):
     """_tri_ok of each row (ax, ay, bx, by, cx, cy) of rows, on arrays.
-    np.hypot and np.arccos may differ from math's in the last bit, so a row
-    whose area, aspect or least angle is within 1e-9 of its bound is
-    decided by _tri_ok itself."""
+    Sides from their squares (math.hypot's in _tri_ok) and np.arccos may
+    differ from _tri_ok's in the last bits, so a row whose area, aspect or
+    least angle is within 1e-9 of its bound is decided by _tri_ok itself."""
     ax, ay, bx, by, cx, cy = rows.T
-    a, b, c = np.hypot(bx - cx, by - cy), np.hypot(cx - ax, cy - ay), np.hypot(ax - bx, ay - by)
+    sq = [x * x + y * y for x, y in ((bx - cx, by - cy), (cx - ax, cy - ay), (ax - bx, ay - by))]
+    a, b, c = np.sqrt(sq)
     hi = np.maximum(np.maximum(a, b), c)
     area, flat = abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))), tol * hi * hi
     with np.errstate(divide="ignore", invalid="ignore"):
         aspect = hi / np.minimum(np.minimum(a, b), c)
-        cos = [(v * v + w * w - x * x) / (2 * v * w)
-               for x, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+        cos = [(sq[j] + sq[k] - sq[i]) / (2 * v * w)  # at the angle opposite side i
+               for (i, j, k), v, w in (((0, 1, 2), b, c), ((1, 2, 0), c, a), ((2, 0, 1), a, b))]
         angle = np.arccos(np.clip(cos, -1.0, 1.0)).min(axis=0)
     ok = (area > flat) & ~(aspect > MAX_ASPECT) & ~(angle < MIN_ANGLE)
     bounds = ((area, flat), (aspect, MAX_ASPECT), (angle, MIN_ANGLE))
@@ -315,30 +323,93 @@ def _draw_rounds(n, draw_round) -> list:
 
 def _gen_tri_point(rng, n) -> list:
     """n configurations of a triangle and a driver P for which both
-    P-triads have all members (kernels._sides_deltas' member guard, on
-    arrays over each round of candidates, _draw_rounds), read from rng in
-    blocks; a driver draw that gives up is its trial's ConstructionFailed.
-    """
-    u = _doubles(rng).__next__
+    P-triads have all members (_p_configs, once a round of _draw_rounds);
+    a driver draw that gives up is its trial's ConstructionFailed.  A
+    candidate comes from _chase's tables where they decide it, else floats."""
+    at = 0  # with tables, the offset in the stream of the next candidate
+    if n < _FLOAT_DRAWS:
+        rows, chase, u = np.empty((0, 8)), [], _doubles(rng).__next__
+    else:
+        d = rng.random(-(-(9 * n + 64) // _BLOCK) * _BLOCK)
+        (rows, chase), vals = _chase(d, get_tol()), []  # vals: the doubles read on floats
+
+        def u() -> float:
+            nonlocal at
+            at += 1
+            try:
+                return vals[at - 1]
+            except IndexError:  # read on: the rest of d, then the rng's next block
+                vals.extend((d[len(vals):] if len(vals) < d.size else rng.random(_BLOCK)).tolist())
+                at -= 1
+                return u()
 
     def draw_round(k) -> list:
-        cands = []
-        for _ in range(k):
-            tri = _tri_floats(u)
-            try:
-                cands.append((*tri, *_near_floats(*tri, u)))
-            except ConstructionFailed as exc:
-                cands.append(exc)
-        drawn = [c for c in cands if not isinstance(c, Exception)]
-        cols = np.array(drawn, dtype=float).reshape(-1, 8).T
-        bad = iter((
-            kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
-            | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2]
-        ).tolist())
-        return [c if isinstance(c, Exception) else None if next(bad)
-                else {"triangle": _corners_cfg(*c[:6]), "p": [c[6], c[7]]} for c in cands]
+        nonlocal at
+        picks, extra, failed = [], [], []
+        for i in range(k):
+            if (e := at >> 1) < len(chase) and chase[e] >= 0:
+                picks.append(e)
+                at = chase[e]
+            else:
+                tri = _tri_floats(u)
+                try:
+                    extra.append((*tri, *_near_floats(*tri, u)))
+                    picks.append(len(rows) + len(extra) - 1)
+                except ConstructionFailed as exc:
+                    failed.append((i, exc))
+        if len(rows):
+            configs = _p_configs((np.concatenate((rows, extra)) if extra else rows)[picks])
+        else:  # every candidate was drawn on floats, in order
+            configs = _p_configs(np.array(extra).reshape(-1, 8))
+        for i, exc in failed:  # in order, so each lands at its own place
+            configs.insert(i, exc)
+        return configs
 
     return _draw_rounds(n, draw_round)
+
+
+def _chase(d, tol) -> tuple:
+    """For the candidate at each offset 2e of d that fits an attempt and
+    _CHASE_PAIRS driver pairs: its row (ax, ay, bx, by, cx, cy, px, py),
+    and the next one's offset, -1 where floats decide (no attempt accepted
+    in d, no pair among the first, or one within 1e-9 of the guard)."""
+    k = min(_CHASE_PAIRS, NEAR_DRAWS)
+    w = np.lib.stride_tricks.sliding_window_view(d, 6 + 2 * k)[::2]
+    m, tri, pairs = len(w), w[:, :6].T, w[:, 6:].T
+    # first[e]: the first accepted attempt of 2e, 2e + 6, ..., else m.
+    first, ok = np.full(m + -m % 3, m), np.flatnonzero(_tri_mask(w[:, :6], tol))
+    first[ok] = ok
+    first = np.minimum.accumulate(first.reshape(-1, 3)[::-1])[::-1].ravel()[:m]
+    # _near_floats' box, and its sidelines BC, CA, AB (a x + b y + c = 0,
+    # norm h) and guard, on arrays (each (x, y) pair or side a column).
+    corners = tri.reshape(3, 2, m)
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0 * NEAR_EXPAND
+    base = mid - half
+    p, q = corners[[1, 2, 0]], corners[[2, 0, 1]]
+    a, b, c = p[:, 1] - q[:, 1], q[:, 0] - p[:, 0], p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    h = kernels._hypot(a, b)
+    guard = 1e-2 * h.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends, drivers = np.full(m, -1), np.zeros((2, m))
+        for j in reversed(range(k)):  # so the first pair that decides is kept
+            px, py = base + ((mid + half) - base) * pairs[2 * j:2 * j + 2]
+            dist = (abs(a * px + b * py + c) / h).min(axis=0)
+            hit, near = dist >= guard, abs(dist - guard) <= 1e-9 * guard
+            ends = np.where(near, -1, np.where(hit, 2 * np.arange(m) + 8 + 2 * j, ends))
+            drivers = np.where(hit, (px, py), drivers)
+    at = np.minimum(first, m - 1)
+    return np.column_stack((*tri, *drivers))[at], np.where(first < m, ends[at], -1).tolist()
+
+
+def _p_configs(rows) -> list:
+    """The configurations of candidate rows (ax, ay, bx, by, cx, cy, px,
+    py), None where the member guard of kernels._sides_deltas drops one."""
+    cols = rows.T
+    bad = (kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
+           | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2])
+    return [None if b else {"triangle": [[ax, ay], [bx, by], [cx, cy]], "p": [px, py]}
+            for b, (ax, ay, bx, by, cx, cy, px, py) in zip(bad.tolist(), rows.tolist())]
 
 
 # ---------------------------------------------------------------------------

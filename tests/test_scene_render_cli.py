@@ -534,3 +534,32 @@ def test_scene_rejects_a_malformed_file(text, field, tmp_path, monkeypatch, caps
         assert main(cmd) == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
     assert not (tmp_path / "s.svg").exists()
+
+
+def _strip_members_axis(triad):
+    del triad["members"][1]["axis_length"]
+
+
+@pytest.mark.parametrize("cmd", [["render", "--scene", "s.json", "--out", "s.svg"],
+                                 ["classify", "--scene", "s.json"]], ids=["render", "classify"])
+@pytest.mark.parametrize("damage, field", [
+    (lambda triad: triad.clear(), "triads[0].vertices is missing"),
+    (lambda triad: triad.pop("six_point_class"), "triads[0].six_point_class is missing"),
+    (lambda triad: triad.update(six_point_center=[1.0]),
+     "triads[0].six_point_center must be an [x, y] pair"),
+    (_strip_members_axis, "triads[0].members[1].axis_length is missing"),
+    (lambda triad: triad["vertices"].append("A"), "triads[0].vertices[6] must be an [x, y] pair"),
+], ids=["empty", "class", "center", "member", "vertex"])
+def test_scene_rejects_a_malformed_triad(cmd, damage, field, tmp_path, t345, monkeypatch,
+                                         capsys):
+    # A built scene whose triad record lacks a field that render or
+    # classify reads (the record {} among them) is refused on load with a
+    # ValueError naming the field: both commands exit 2, not with a
+    # KeyError traceback.
+    data = scene_for_triad(t345, "v_ellipse").to_json()
+    damage(data["triads"][0])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(data))
+    assert main(cmd) == 2
+    assert capsys.readouterr().err == f"error: scene field {field}\n"
+    assert not (tmp_path / "s.svg").exists()

@@ -165,12 +165,10 @@ def test_public_draws_keep_their_streams():
 def test_guard_drops_candidates_in_order(monkeypatch):
     # Random drivers clear the sidelines by 1e-2 of the scale, so the
     # member guard never fires on them; here two candidates in three put P
-    # where a member collapses.  The batch must keep the candidates that
-    # build both P-triads, in order, drawing more until it has n.
-    real = verify._near_floats
-
-    def near(ax, ay, bx, by, cx, cy, u):
-        px, py = real(ax, ay, bx, by, cx, cy, u)
+    # where a member collapses (moved on their way into _p_configs, which
+    # judges every candidate in order).  The batch must keep the candidates
+    # that build both P-triads, in order, drawing more until it has n.
+    def near(ax, ay, bx, by, cx, cy, px, py):
         near.k += 1
         if near.k % 3 == 1:  # on side BC: a P-ellipse member collapses
             return bx + 0.25 * (cx - bx), by + 0.25 * (cy - by)
@@ -178,8 +176,11 @@ def test_guard_drops_candidates_in_order(monkeypatch):
             return (bx + cx) / 2.0 + (by - cy), (by + cy) / 2.0 + (cx - bx)
         return px, py
 
+    def configs(rows, _real=verify._p_configs):
+        return _real(np.array([[*r[:6], *near(*r)] for r in rows.tolist()]).reshape(-1, 8))
+
     near.k = 0
-    monkeypatch.setattr(verify, "_near_floats", near)
+    monkeypatch.setattr(verify, "_p_configs", configs)
     batch = verify._gen_tri_point(np.random.default_rng(4), 300)
 
     near.k = 0
@@ -187,7 +188,7 @@ def test_guard_drops_candidates_in_order(monkeypatch):
     ref, faults = [], Counter()
     while len(ref) < 300:
         tri = verify._tri_floats(u)
-        p = Point2(*near(*tri, u))
+        p = Point2(*near(*tri, *verify._near_floats(*tri, u)))
         t = Triangle(Point2(*tri[:2]), Point2(*tri[2:4]), Point2(*tri[4:]))
         try:
             for kind in ("p_ellipse", "p_hyperbola"):
@@ -448,12 +449,14 @@ def test_gen_tri_matches_the_float_draw():
 
 
 class _Prefixed:
-    """A source of doubles for _gen_tri: head, then default_rng(seed)'s."""
+    """A source of doubles for the block draws: head, then
+    default_rng(seed)'s; sizes records each read."""
 
     def __init__(self, head, seed):
-        self.head, self.rng = list(head), np.random.default_rng(seed)
+        self.head, self.rng, self.sizes = list(head), np.random.default_rng(seed), []
 
     def random(self, k):
+        self.sizes.append(k)
         out, self.head = self.head[:k], self.head[k:]
         return np.array(out + self.rng.random(k - len(out)).tolist())
 
@@ -461,7 +464,9 @@ class _Prefixed:
 def test_gen_tri_decides_bound_cases_on_floats(monkeypatch):
     # The first attempt's least angle is MIN_ANGLE to rounding, where
     # np.arccos and math.acos may disagree: _tri_ok decides it on floats,
-    # and the draw is the float draw's.
+    # and the draw is the float draw's.  Five configurations would be
+    # drawn on floats (_FLOAT_DRAWS); this draws them through the mask.
+    monkeypatch.setattr(verify, "_FLOAT_DRAWS", 0)
     ang = verify.MIN_ANGLE
     head = [0.05, 0.1, 0.95, 0.1, 0.05 + 0.5 * math.cos(ang), 0.1 + 0.5 * math.sin(ang)]
     src = _Prefixed(head, 1)
@@ -476,6 +481,97 @@ def test_gen_tri_decides_bound_cases_on_floats(monkeypatch):
     got = verify._gen_tri(_Prefixed(head, 1), 5)
     assert got == [{"triangle": verify._corners_cfg(*tri)} for tri in want]
     assert calls == [tuple(head)]
+
+
+def _float_point_draw(u, n):
+    """n _gen_tri_point configurations from the doubles of u, one candidate
+    at a time on floats, the member guard on floats too."""
+    out = []
+    while len(out) < n:
+        tri = verify._tri_floats(u)
+        try:
+            px, py = verify._near_floats(*tri, u)
+        except ConstructionFailed as exc:
+            out.append(exc)
+            continue
+        if not any(kernels._sides_deltas(*tri, kind, px, py)[2]
+                   for kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA)):
+            out.append({"triangle": verify._corners_cfg(*tri), "p": [px, py]})
+    return out
+
+
+def test_gen_tri_point_matches_the_float_draw():
+    # _gen_tri_point looks its candidates up in _chase's tables over a
+    # block of doubles, and draws those they leave, and every candidate
+    # below _FLOAT_DRAWS configurations, on floats: either way it must keep
+    # the configurations of the float draw reading the same stream.
+    old = config.get_tol()
+    try:
+        for tol in (old, 1e-8):
+            config.set_tol(tol)
+            for seed in range(30):
+                for n in (2000, 300, 25, 10, 3):
+                    u = verify._doubles(np.random.default_rng(seed)).__next__
+                    got = verify._gen_tri_point(np.random.default_rng(seed), n)
+                    assert got == _float_point_draw(u, n), (tol, seed, n)
+    finally:
+        config.set_tol(old)
+
+
+# A triangle _tri_ok accepts, and driver pairs for it: the box is
+# [-0.3, 1.3] x [-0.25, 1.15] and the guard 1e-2 * |AC|.
+_TRI = [0.1, 0.1, 0.9, 0.1, 0.5, 0.8]
+_ON_AB = [0.5, 0.35 / 1.4]  # P on side AB: rejected
+_INSIDE = [0.5, 0.58 / 1.4]  # P = (0.5, 0.33): accepted
+
+
+def _chased(head, n, monkeypatch, seed=1):
+    """_gen_tri_point(n) on head and then default_rng(seed)'s doubles,
+    against the float draw on the same stream: the triangles _near_floats
+    was called for (the candidates drawn on floats), and the reads."""
+    src = _Prefixed(head, seed)
+    want = _float_point_draw(lambda: float(src.random(1)[0]), n)
+    calls = []
+
+    def counted(*args, _real=verify._near_floats):
+        calls.append(args[:6])
+        return _real(*args)
+
+    monkeypatch.setattr(verify, "_near_floats", counted)
+    src = _Prefixed(head, seed)
+    assert n >= verify._FLOAT_DRAWS
+    assert verify._gen_tri_point(src, n) == want
+    return calls, src.sizes
+
+
+def test_chase_leaves_rejected_pairs_to_floats(monkeypatch):
+    # The first candidate's first _CHASE_PAIRS driver pairs put P on a
+    # side; its next pair is accepted, on floats.
+    head = _TRI + _ON_AB * verify._CHASE_PAIRS + _INSIDE
+    rest = iter(head[6:])
+    verify._near_floats(*_TRI, rest.__next__)
+    assert next(rest, None) is None  # the floats accept the last pair
+    calls, _ = _chased(head, 100, monkeypatch)
+    assert calls == [tuple(_TRI)]
+
+
+def test_chase_leaves_a_driver_on_the_guard_to_floats(monkeypatch):
+    # The first pair puts P at the guard's distance from side AB, to
+    # rounding, where kernels._hypot and math.hypot may disagree.
+    guard = 1e-2 * math.hypot(0.4, 0.7)
+    pair = [0.5, (0.35 + guard) / 1.4]
+    assert abs((-0.25 + 1.4 * pair[1]) - 0.1 - guard) < 1e-15
+    calls, _ = _chased(_TRI + pair + _INSIDE, 100, monkeypatch)
+    assert calls == [tuple(_TRI)]
+
+
+def test_chase_runs_past_its_first_block(monkeypatch):
+    # 300 zeros (rejected attempts) push the 100 candidates past the first
+    # block of 1024 doubles: the tables give the first ones, the floats
+    # the rest, reading on from the rng.
+    calls, sizes = _chased([0.0] * 300, 100, monkeypatch)
+    assert sizes[0] == 1024 and len(sizes) > 1
+    assert 0 < len(calls) < 100
 
 
 def _gen_tri_reference(rng):
