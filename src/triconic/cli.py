@@ -158,13 +158,11 @@ def _cmd_locus(args) -> int:
         else:
             samples, _ = sample_locus_ostar(_parse_triangle(args.triangle), args.samples)
         payload = [
-            {
-                "parameter": s.parameter,
-                "driver": [s.driver.x, s.driver.y],
-                "center": [s.center.x, s.center.y],
-                "implicit_residual": s.implicit_residual,
-            }
-            for s in samples
+            {"parameter": th, "driver": [px, py], "center": [cx, cy], "implicit_residual": r}
+            for th, px, py, cx, cy, r in zip(
+                samples.parameter, samples.driver_x, samples.driver_y,
+                samples.center_x, samples.center_y, samples.implicit_residual,
+            )
         ]
     elif args.kind.startswith("zero-set:"):
         curve = args.kind.split(":", 1)[1]

@@ -11,6 +11,7 @@ positive branch.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +238,28 @@ class LocusSample:
     implicit_residual: float
 
 
+@dataclass(frozen=True)
+class LocusSweep(Sequence[LocusSample]):
+    """The samples of a sweep as columns, each the float list of one
+    tolist(); an index builds its LocusSample, a slice is a LocusSweep."""
+
+    parameter: list
+    driver_x: list
+    driver_y: list
+    center_x: list
+    center_y: list
+    implicit_residual: list
+
+    def __len__(self) -> int:
+        return len(self.parameter)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LocusSweep(*(col[i] for col in vars(self).values()))
+        th, px, py, cx, cy, r = (col[i] for col in vars(self).values())
+        return LocusSample(th, Point2(px, py), Point2(cx, cy), r)
+
+
 def x478_center_for_theta(theta):
     """(C, degenerate-conic center) for C = (cos, sin)*(1/2) on the
     semicircle over AB, A=(1/2,0), B=(-1/2,0), theta in [0, pi].
@@ -260,18 +283,14 @@ X478_EPS = 0.05  # radians left out at either end of the x478 sweep
 OSTAR_EPS = 0.03  # radians about each vertex left out of the O* sweep
 
 
-def sample_locus_x478(n: int) -> list[LocusSample]:
-    """Sweep C over the open upper semicircle (minus X478_EPS at the ends)."""
+def sample_locus_x478(n: int) -> LocusSweep:
+    """Sweep C over the open upper semicircle (minus X478_EPS at the ends):
+    columns of theta, C, its center and |quartic|; samples built when indexed."""
     if n < 2:
         raise ValueError("need n >= 2")
     theta = X478_EPS + (math.pi - 2.0 * X478_EPS) * np.arange(n) / (n - 1)
     (cx, cy), (x, y) = x478_center_for_theta(theta)
-    return [
-        LocusSample(th, Point2(px, py), Point2(ox, oy), r)
-        for th, px, py, ox, oy, r in zip(
-            *(v.tolist() for v in (theta, cx, cy, x, y, abs(x478_quartic(x, y))))
-        )
-    ]
+    return LocusSweep(*(v.tolist() for v in (theta, cx, cy, x, y, abs(x478_quartic(x, y)))))
 
 
 def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
@@ -290,9 +309,10 @@ def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
     }
 
 
-def sample_locus_ostar(t: Triangle, n: int) -> tuple[list[LocusSample], dict[str, Conic]]:
+def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic]]:
     """Sweep P over the circumcircle; report each degenerate center O*
-    against the locus ellipse of P's arc.
+    against the locus ellipse of P's arc: the columns of P's angle, P, O*
+    and its residual, each sample built only when indexed, and the arcs.
 
     P runs over the angles 2*pi*k/n, k < n, less those within OSTAR_EPS
     of a vertex, in one array pass.  kernels.vertices gives every P's P-ellipse
@@ -336,11 +356,7 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[list[LocusSample], dict[str
     opposite = np.array([k for _, k in vertex_angles])[(np.searchsorted(va, theta) + 1) % 3]
     coeffs = np.array([arcs[arc].coeffs() for arc in "abc"])[opposite].T
     res = kernels.conic_residual(coeffs, x, y)
-    samples = [
-        LocusSample(th, Point2(p0, p1), Point2(c0, c1), r)
-        for th, p0, p1, c0, c1, r in zip(*(w.tolist() for w in (theta, px, py, x, y, res)))
-    ]
-    return samples, arcs
+    return LocusSweep(*(w.tolist() for w in (theta, px, py, x, y, res))), arcs
 
 
 @dataclass(frozen=True)

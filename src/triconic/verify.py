@@ -63,7 +63,6 @@ import math
 import time
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -405,9 +404,7 @@ def _chase(d, tol) -> tuple:
 def _p_configs(rows) -> list:
     """The configurations of candidate rows (ax, ay, bx, by, cx, cy, px,
     py), None where the member guard of kernels._sides_deltas drops one."""
-    cols = rows.T
-    bad = (kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
-           | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2])
+    bad = kernels._p_guard(*rows.T)
     return [None if b else {"triangle": [[ax, ay], [bx, by], [cx, cy]], "p": [px, py]}
             for b, (ax, ay, bx, by, cx, cy, px, py) in zip(bad.tolist(), rows.tolist())]
 
@@ -991,7 +988,7 @@ def _chk_ostar_arcs(cfg) -> float:
     samples, arcs = sample_locus_ostar(t, 40)
     if len(samples) < 20:
         return 1.0
-    worst = max(s.implicit_residual for s in samples)
+    worst = max(samples.implicit_residual)
     mids = (midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b))
     for con in arcs.values():
         worst = max(worst, max(residual(con, m) for m in mids))
@@ -1852,6 +1849,9 @@ def run_results(seed: int = 42, trials: int | None = None, threads: int = 1) -> 
     fixed seed regardless of thread count, but for their timings."""
     if threads <= 1:
         return [run_proposition(p.prop_id, seed, trials) for p in MANIFEST]
+    # Imported here, since concurrent.futures imports logging, which a CLI start need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         futures = [ex.submit(run_proposition, p.prop_id, seed, trials) for p in MANIFEST]
         return [f.result() for f in futures]

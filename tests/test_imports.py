@@ -103,3 +103,18 @@ def test_package_runs_without_scipy(cli_env):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_thread_pool(cli_env):
+    # Every CLI start imports these; concurrent.futures (and through it
+    # logging) is imported only when verify runs on more than one thread.
+    code = (
+        "import sys\n"
+        "import triconic, triconic.cli, triconic.verify, triconic.loci, triconic.render\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,13 +1,21 @@
 import collections
+import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from triconic import kernels, loci
+from triconic import cli, kernels, loci, verify
 from triconic.centers import circumcircle, classic_center, incircle, reflection_triangle
 from triconic.conic import ConicClass, classify, residual
-from triconic.errors import DegenerateMember, NotConverged, RadicalDomainError, TriconicError
+from triconic.errors import (
+    DegenerateMember,
+    NotConverged,
+    RadicalDomainError,
+    RankDeficient,
+    TriconicError,
+)
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
 from triconic.loci import (
     covertex_conconic_V,
@@ -23,6 +31,8 @@ from triconic.loci import (
     phyp_circle_functional,
     pstar_circle_functional,
     region_map,
+    LocusSample,
+    LocusSweep,
     sample_locus_ostar,
     sample_locus_x478,
     trace_zero_set,
@@ -219,6 +229,140 @@ def test_x478_sweep_matches_scalar_calls():
         assert (s.driver, s.center) == (c, cen)
         assert (cx[k], cy[k], x[k], y[k]) == (c.x, c.y, cen.x, cen.y)
         assert s.implicit_residual == abs(x478_quartic(cen.x, cen.y))
+
+
+def _reference_x478(n):
+    """The x478 sweep as a list of LocusSample, one built per angle."""
+    theta = loci.X478_EPS + (math.pi - 2.0 * loci.X478_EPS) * np.arange(n) / (n - 1)
+    (cx, cy), (x, y) = x478_center_for_theta(theta)
+    return [
+        LocusSample(th, Point2(px, py), Point2(ox, oy), r)
+        for th, px, py, ox, oy, r in zip(
+            *(v.tolist() for v in (theta, cx, cy, x, y, abs(x478_quartic(x, y))))
+        )
+    ]
+
+
+def _reference_ostar(t, n):
+    """The O* sweep as a list of LocusSample, one built per kept angle."""
+    cc = circumcircle(t)
+    arcs = ostar_arc_ellipses(t)
+    vertex_angles = sorted(
+        (math.atan2(v.y - cc.center.y, v.x - cc.center.x) % (2 * math.pi), k)
+        for k, v in enumerate(t.vertices())
+    )
+    va = np.array([ang for ang, _ in vertex_angles])
+    theta = 2.0 * math.pi * np.arange(n) / n
+    gap = np.abs(theta[:, None] - va)
+    theta = theta[(np.minimum(gap, 2 * math.pi - gap) >= loci.OSTAR_EPS).all(axis=1)]
+    px = cc.center.x + cc.radius * np.cos(theta)
+    py = cc.center.y + cc.radius * np.sin(theta)
+    (ax, ay), (bx, by), (cx, cy) = (v.as_tuple() for v in t.vertices())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py)
+        if bad.any():
+            raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
+        co, frame, _, _ = kernels.fit_six(xs, ys)
+        norm = kernels.frobenius(co)
+        vanished = ~((norm > 0.0) & (norm < math.inf))
+        if vanished.any():
+            raise RankDeficient(f"no unique six-point conic at P angle {theta[vanished][0]}")
+        x, y, has_center = kernels.frame_center(co, frame)
+    theta, px, py, x, y = (w[has_center] for w in (theta, px, py, x, y))
+    opposite = np.array([k for _, k in vertex_angles])[(np.searchsorted(va, theta) + 1) % 3]
+    coeffs = np.array([arcs[arc].coeffs() for arc in "abc"])[opposite].T
+    res = kernels.conic_residual(coeffs, x, y)
+    return [
+        LocusSample(th, Point2(p0, p1), Point2(c0, c1), r)
+        for th, p0, p1, c0, c1, r in zip(*(w.tolist() for w in (theta, px, py, x, y, res)))
+    ]
+
+
+def _same_samples(sweep, ref):
+    """astuple of every sample equal, bit for bit: Python floats of the
+    same hex."""
+    def bits(s):
+        th, (px, py), (cx, cy), r = astuple(s)
+        return tuple((type(v), v.hex()) for v in (th, px, py, cx, cy, r))
+
+    return len(sweep) == len(ref) and [bits(s) for s in sweep] == [bits(s) for s in ref]
+
+
+@pytest.mark.parametrize("n", [2, 120, 720])
+def test_x478_sweep_samples_match_the_reference(n):
+    sweep = sample_locus_x478(n)
+    assert isinstance(sweep, LocusSweep)
+    assert _same_samples(sweep, _reference_x478(n))
+
+
+def test_ostar_sweep_samples_match_the_reference():
+    for t in _seeded_triangles(7, 4):
+        sweep, _ = sample_locus_ostar(t, 90)
+        assert _same_samples(sweep, _reference_ostar(t, 90))
+
+
+def test_sweep_indexes_like_a_list():
+    sweep, ref = sample_locus_x478(9), _reference_x478(9)
+    assert len(sweep) == 9
+    for i in range(-9, 9):
+        assert sweep[i] == ref[i]
+    for i in (9, 100, -10):
+        with pytest.raises(IndexError):
+            sweep[i]
+    for sl in (slice(2, 5), slice(None, None, -1), slice(-3, None), slice(1, 8, 3), slice(7, 2)):
+        part = sweep[sl]
+        assert isinstance(part, LocusSweep)
+        assert len(part) == len(ref[sl])
+        assert list(part) == ref[sl]
+    assert list(reversed(sweep)) == ref[::-1]
+    assert sweep.index(ref[4]) == 4 and ref[4] in sweep
+
+
+def test_ostar_sweep_with_every_angle_left_out_is_empty():
+    # The only angle, 0, falls on vertex A's angle about the circumcenter.
+    t = Triangle(*(Point2(math.cos(a), math.sin(a)) for a in (0.0, 2.0, 4.0)))
+    sweep, arcs = sample_locus_ostar(t, 1)
+    assert len(sweep) == 0 and list(sweep) == [] and set(arcs) == {"a", "b", "c"}
+    with pytest.raises(IndexError):
+        sweep[0]
+
+
+def _payload(samples):
+    """The locus JSON of a list of LocusSample, as the CLI writes it."""
+    return [
+        {
+            "parameter": s.parameter,
+            "driver": [s.driver.x, s.driver.y],
+            "center": [s.center.x, s.center.y],
+            "implicit_residual": s.implicit_residual,
+        }
+        for s in samples
+    ]
+
+
+def test_in_package_consumers_build_no_samples(tmp_path, monkeypatch, capsys):
+    built = []
+
+    class Counted(LocusSample):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(loci, "LocusSample", Counted)
+    tri = "0.1,0.2 1.3,0.15 0.5,1.1"
+    assert cli.main(["locus", "--kind", "x478", "--samples", "120", "--out", "x.json"]) == 0
+    assert cli.main(["locus", "--kind", "ostar", "--triangle", tri, "--samples", "90",
+                     "--out", "o.json"]) == 0
+    assert verify.run_proposition("P3.5-ostar-three-arcs", 42).passed
+    assert built == []
+    assert loci.sample_locus_x478(3)[0] and len(built) == 1  # the counter counts
+    t = Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))
+    for name, ref in (("x.json", _reference_x478(120)), ("o.json", _reference_ostar(t, 90))):
+        with open(tmp_path / f"ref_{name}", "w") as fh:
+            json.dump(_payload(ref), fh, indent=1)
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
+    capsys.readouterr()
 
 
 def test_ostar_endpoint_vertex_limit(t_generic):
