@@ -365,35 +365,20 @@ def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
     elif kind == KIND_V_HYPERBOLA:
         d = (c - b, a - c, b - a)
     elif kind in (KIND_P_ELLIPSE, KIND_P_HYPERBOLA):
-        pa, pb, pc = _hypot(px - ax, py - ay), _hypot(px - bx, py - by), _hypot(px - cx, py - cy)
-        d, bad = _p_members(kind, (a, b, c), eps, pa, pb, pc, bad)
+        pa = _hypot(px - ax, py - ay)
+        pb = _hypot(px - bx, py - by)
+        pc = _hypot(px - cx, py - cy)
+        if kind == KIND_P_ELLIPSE:
+            d = (pb + pc, pc + pa, pa + pb)
+            for di, s in zip(d, (a, b, c)):
+                bad = bad | (di <= s + eps)
+        else:
+            d = (pb - pc, pc - pa, pa - pb)
+            for di, s in zip(d, (a, b, c)):
+                bad = bad | (abs(di) <= eps) | (abs(di) >= s - eps)
     else:
         raise ValueError(f"unknown kind code {kind}")
     return (a, b, c), d, bad
-
-
-def _p_members(kind, sides, eps, pa, pb, pc, bad):
-    """A P-triad's signed focal sums or differences from the driver
-    distances, and bad or'ed with whether a member collapses (within eps)."""
-    if kind == KIND_P_ELLIPSE:
-        d = (pb + pc, pc + pa, pa + pb)
-        for di, s in zip(d, sides):
-            bad = bad | (di <= s + eps)
-    else:
-        d = (pb - pc, pc - pa, pa - pb)
-        for di, s in zip(d, sides):
-            bad = bad | (abs(di) <= eps) | (abs(di) >= s - eps)
-    return d, bad
-
-
-def _p_guard(ax, ay, bx, by, cx, cy, px, py):
-    """_sides_deltas' flag of the P-ellipse or of the P-hyperbola triad at
-    (px, py), the sides (the V-ellipse call's) and distances found once."""
-    sides, _, bad = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_V_ELLIPSE, px, py)
-    eps = MEMBER_GUARD * _largest(sides)
-    dists = _hypot(px - ax, py - ay), _hypot(px - bx, py - by), _hypot(px - cx, py - cy)
-    bad = _p_members(KIND_P_ELLIPSE, sides, eps, *dists, bad)[1]
-    return _p_members(KIND_P_HYPERBOLA, sides, eps, *dists, bad)[1]
 
 
 def vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas):

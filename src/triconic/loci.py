@@ -238,10 +238,12 @@ class LocusSample:
     implicit_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocusSweep(Sequence[LocusSample]):
     """The samples of a sweep as columns, each the float list of one
-    tolist(); an index builds its LocusSample, a slice is a LocusSweep."""
+    tolist().  An index or a loop builds its LocusSamples anew each time, a
+    slice is a LocusSweep.  Not a list: no +, sort or append, and == is
+    identity; list(sweep) is the list of samples."""
 
     parameter: list
     driver_x: list
@@ -258,6 +260,10 @@ class LocusSweep(Sequence[LocusSample]):
             return LocusSweep(*(col[i] for col in vars(self).values()))
         th, px, py, cx, cy, r = (col[i] for col in vars(self).values())
         return LocusSample(th, Point2(px, py), Point2(cx, cy), r)
+
+    def __iter__(self):
+        for th, px, py, cx, cy, r in zip(*vars(self).values()):
+            yield LocusSample(th, Point2(px, py), Point2(cx, cy), r)
 
 
 def x478_center_for_theta(theta):
@@ -285,7 +291,8 @@ OSTAR_EPS = 0.03  # radians about each vertex left out of the O* sweep
 
 def sample_locus_x478(n: int) -> LocusSweep:
     """Sweep C over the open upper semicircle (minus X478_EPS at the ends):
-    columns of theta, C, its center and |quartic|; samples built when indexed."""
+    the columns of theta, C, its center and |quartic| as a LocusSweep,
+    whose samples are built when indexed."""
     if n < 2:
         raise ValueError("need n >= 2")
     theta = X478_EPS + (math.pi - 2.0 * X478_EPS) * np.arange(n) / (n - 1)
@@ -312,7 +319,8 @@ def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
 def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic]]:
     """Sweep P over the circumcircle; report each degenerate center O*
     against the locus ellipse of P's arc: the columns of P's angle, P, O*
-    and its residual, each sample built only when indexed, and the arcs.
+    and its residual as a LocusSweep, whose samples are built when indexed,
+    and the arcs.
 
     P runs over the angles 2*pi*k/n, k < n, less those within OSTAR_EPS
     of a vertex, in one array pass.  kernels.vertices gives every P's P-ellipse

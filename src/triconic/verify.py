@@ -404,7 +404,9 @@ def _chase(d, tol) -> tuple:
 def _p_configs(rows) -> list:
     """The configurations of candidate rows (ax, ay, bx, by, cx, cy, px,
     py), None where the member guard of kernels._sides_deltas drops one."""
-    bad = kernels._p_guard(*rows.T)
+    cols = rows.T
+    bad = (kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
+           | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2])
     return [None if b else {"triangle": [[ax, ay], [bx, by], [cx, cy]], "p": [px, py]}
             for b, (ax, ay, bx, by, cx, cy, px, py) in zip(bad.tolist(), rows.tolist())]
 
@@ -1849,7 +1851,7 @@ def run_results(seed: int = 42, trials: int | None = None, threads: int = 1) -> 
     fixed seed regardless of thread count, but for their timings."""
     if threads <= 1:
         return [run_proposition(p.prop_id, seed, trials) for p in MANIFEST]
-    # Imported here, since concurrent.futures imports logging, which a CLI start need not pay.
+    # Keeps logging out of CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as ex:

@@ -960,51 +960,3 @@ def test_pair_points_keep_a_near_tangent_pair():
     q = (-0.17232800940357693, 0.9234619020167736)
     assert len(_mp_pair_points((*row, *q))[0]) == 2
     assert _kept(row, q, 0)
-
-
-def _guard_rows(rng):
-    """Rows (ax, ay, bx, by, cx, cy, px, py): random drivers, drivers on a
-    vertex, and for each side families of drivers that cross each member
-    bound of the P-kinds by 0 to 3 guards (MEMBER_GUARD times the largest
-    side): focal sum at the side, focal difference at 0 and at the side."""
-    rows = [np.concatenate([rng.uniform(-1.0, 2.0, 6), rng.uniform(-2.0, 3.0, 2)]) for _ in range(40)]
-    families = []
-    for _ in range(4):
-        tri = rng.uniform(0.0, 1.0, (3, 2))
-        rows += [np.concatenate([tri.ravel(), v]) for v in tri]
-        eps = kernels.MEMBER_GUARD * max(
-            math.dist(tri[i], tri[j]) for i, j in ((0, 1), (1, 2), (2, 0))
-        )
-        for k in range(3):
-            f1, f2 = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            a = math.dist(f1, f2)
-            u = (f2 - f1) / a
-            n = np.array([-u[1], u[0]])
-            f = np.linspace(0.0, 3.0, 31)[:, None]
-            # |PF1| + |PF2| - a ~ h^2 (1/(0.3 a) + 1/(0.7 a)) / 2 near F1 + 0.3 a u.
-            h = np.sqrt(f * eps * 2.0 / (1.0 / (0.3 * a) + 1.0 / (0.7 * a)))
-            sums = f1 + 0.3 * a * u + h * n
-            # |PF1| - |PF2| ~ 2 d / sqrt(5) a unit off the bisector at its midpoint.
-            zero = (f1 + f2) / 2 + a * n + f * eps * math.sqrt(5.0) / 2.0 * u
-            # a - (|PF1| - |PF2|) ~ 2 h^2 / (3 a) half a side past F2.
-            h = np.sqrt(f * eps * 1.5 * a)
-            side = f2 + 0.5 * a * u + h * n
-            families += [np.column_stack([np.tile(tri.ravel(), (31, 1)), p]) for p in (sums, zero, side)]
-    return np.array(rows), families
-
-
-def test_p_guard_is_the_or_of_both_p_kinds():
-    rows, families = _guard_rows(np.random.default_rng(3))
-
-    def reference(cols):
-        return (kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
-                | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2])
-
-    for block in [rows, *families]:
-        ref = reference(block.T)
-        assert np.array_equal(kernels._p_guard(*block.T), ref)
-        assert [kernels._p_guard(*r) for r in block.tolist()] == ref.tolist()
-    # Each family crosses its bound: flagged at 0 guards, not at 3.
-    for fam in families:
-        flags = kernels._p_guard(*fam.T)
-        assert flags[0] and not flags[-1]

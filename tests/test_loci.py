@@ -318,6 +318,17 @@ def test_sweep_indexes_like_a_list():
     assert sweep.index(ref[4]) == 4 and ref[4] in sweep
 
 
+def test_sweep_builds_its_samples_on_every_loop():
+    sweep, ref = sample_locus_x478(30), _reference_x478(30)
+    first, second = list(sweep), list(sweep)
+    assert first == ref and second == ref
+    assert all(a is not b for a, b in zip(first, second))
+    # Not a list: == is identity, so a sweep equals neither its samples'
+    # list nor a sweep of the same columns; it hashes.
+    assert sweep == sweep and sweep != ref and sweep != sample_locus_x478(30)
+    assert hash(sweep) == hash(sweep)
+
+
 def test_ostar_sweep_with_every_angle_left_out_is_empty():
     # The only angle, 0, falls on vertex A's angle about the circumcenter.
     t = Triangle(*(Point2(math.cos(a), math.sin(a)) for a in (0.0, 2.0, 4.0)))
