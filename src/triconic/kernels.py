@@ -15,13 +15,13 @@ On floats it serves `triads.six_point_conic` (and through its rules,
 `triads._checked_fit`, the circle searches' validation) and the Brent
 polish of the P2.6, P3.4 and P5.7 sign scans; on arrays region maps, the
 grids of those scans and the P2.2, P3.1, P3.8 and P5.2 trials.
-`loci.sample_locus_ostar` and the P2.7 and P3.3 trials call `vertices`,
-`fit_six` and `frame_center` directly, and the P2.1 and P4.3 trials
-`fit_six` on the vertices of `vertices` and `vertex_coords`.
+`loci.sample_locus_ostar` and the P2.7, P3.3, A3, A6 and P5.5 trials
+call `vertices`, `fit_six` and `frame_center` directly, and the P2.1 and
+P4.3 trials `fit_six` on the vertices of `vertices` and `vertex_coords`.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines
-`triads.two_branch_chords` reads in one call for P4.8): on floats for
+`triads.two_branch_chords` and the P4.8 trials read): on floats for
 `triads.pairwise_intersections`, on arrays for the P2.4, P4.7 and P5.6
 trials and, through `second_point` (a P-hyperbola triad's second common
 point), the P5.1 trials.  `members` picks each member's unit-norm
@@ -34,8 +34,8 @@ The catalog barycentrics (`cyclic` of `center_x3`, `center_x4` and
 functions of the sides, and `bary_point` maps barycentrics to points with
 `geom.bary_to_cartesian`'s rule; `centers` and `geom` read them on
 floats, P2.1-P2.5, P3.3, P4.1 and P4.2 on arrays.  So is `privalov`,
-Privalov's barycentric matrix of the V-hyperbola six-point conic:
-`verify.privalov_conic` (P4.4) reads it on floats, P4.3 on arrays.
+Privalov's barycentric matrix of the V-hyperbola six-point conic, which
+P4.3 and P4.4 read on arrays.
 `carnot` and `kept_gap` are the sideline and distinct-vertex rules of
 `triads.six_point_conic`, which P2.1, P2.7, P3.3 and P4.3 apply on arrays.
 """

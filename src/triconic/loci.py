@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .centers import (
-    circumcircle,
-    classic_center,
-    excircle_tangency_points,
-    incircle,
-    reflection_triangle,
-)
+from .centers import circumcircle, excircle_tangency_points, incircle
 from .conic import (
     Conic,
     ConicClass,
@@ -58,7 +52,6 @@ from .triads import (
     _triangle_frame,
     build_triad,
     second_common_point,
-    six_point_conic,
     triad_covertices,
 )
 
@@ -1120,44 +1113,3 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
             P, g(r), res, fit.conic_class(), err, _branch_split(fit, cov)
         )
     raise ValueError(f"unknown covertex check kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class X55Report:
-    circle_spread: float
-    concentricity_error: float
-    x7_match_error: float
-    circumradius: float
-
-
-def x55_conjecture_check(t: Triangle) -> X55Report:
-    """Numerical evidence for the reflection-triangle circle conjecture.
-
-    Build Q = X55 of t, the Q-reflection triangle T', and the P-hyperbola
-    triad of T' through Q; report how circular the six-point conic is, how
-    concentric it is with T''s circumcircle, and how close T''s circumcenter
-    is to X7 of t.  Vertices are computed directly from the signed focal
-    differences (kernels.vertex_coords) so the fully symmetric
-    (equilateral) limit, where the triad members degenerate, still reports.
-    """
-    q = classic_center(t, "X55")
-    tprime = reflection_triangle(t, q)
-    cc = circumcircle(tprime)
-    args = _kernel_args(tprime, "p_hyperbola", q)
-    xs, ys = kernels.vertex_coords(*args[:6], *kernels._sides_deltas(*args)[:2])
-    dists = [math.hypot(x - cc.center.x, y - cc.center.y) for x, y in zip(xs, ys)]
-    rmean = sum(dists) / 6.0
-    spread = max(abs(d - rmean) for d in dists)
-    x7 = classic_center(t, "X7")
-    try:
-        rep = six_point_conic(build_triad(tprime, "p_hyperbola", q))
-        conc = distance(rep.center, cc.center) if rep.center is not None else math.inf
-    except DegenerateMember:
-        # Symmetric limit: the six vertices collapse to the side midpoints.
-        conc = spread
-    return X55Report(
-        circle_spread=spread,
-        concentricity_error=conc,
-        x7_match_error=distance(cc.center, x7),
-        circumradius=cc.radius,
-    )

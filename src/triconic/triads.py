@@ -4,8 +4,9 @@ A triad attaches one conic to each side: foci at (B,C), (C,A), (A,B).
 V-kinds pass through the opposite vertex, P-kinds through a chosen point P.
 Each triad is centered at the side midpoints and its six vertices lie on a
 conic.  The per-kind concurrency and incidence claims are checked in
-verify, each in its proposition, from pairwise_intersections and
-two_branch_chords.
+verify, each in its proposition, on the kernels that
+pairwise_intersections and two_branch_chords read (kernels.pair_points,
+kernels.focal_pairs).
 """
 
 from __future__ import annotations

@@ -20,35 +20,36 @@ mask (`_tri_mask`, leaving an attempt at a bound to `_tri_ok`),
 then a list index a candidate; a driver at its guard is left to floats).
 Only the draws of A3, P2.8 and P5.7 run a search, as only it decides
 their family: A3's runs its check, P2.8's and P5.7's the grid step of the
-root scan of their checks (`loci.bracket_sign_changes`), P5.7's a round
-at a time (`_draw_rounds`, as `_gen_tri_point` runs its member guard).
+root scan of their checks (`loci.bracket_sign_changes`), A3's and P5.7's a
+round at a time (`_draw_rounds`, as `_gen_tri_point` runs its guard).
 
-Most checks take one configuration and run trial by trial through
-`_per_trial`, which turns a crash into a failed trial.  Twenty-six run as
-one batch, each trial's bits those of a batch of one: P3.2 and P5.4 in
-one circle-point search each (`loci.pstar_candidates_batch`,
+Thirty-six checks run as one batch, each trial's bits those of a batch of
+one; the five of at most four trials (P2.9, P3.5, P3.6, P3.7 and P3.9)
+run trial by trial (`_per_trial`).  P3.2 and P5.4 run one circle-point
+search each (`loci.pstar_candidates_batch`,
 `loci.phyp_circle_points_batch`), each trial's postconditions then on
-floats (`loci._circle_center`); and on arrays P2.2, P3.1, P3.8 and P5.2
-in one `kernels.six_point` call; P2.1, P2.7 and P3.3 on `kernels.vertices`
-and `fit_six`, with `six_point_conic`'s rules (`_six_point_fit`); P2.3
-and P2.5 on the members of one `kernels.focal_pairs` call; P2.4, P4.7 and
-P5.6 in one `kernels.pair_points` call; P4.1, P4.2, P4.3 and P4.9 on
-`kernels.vertex_coords` (`_v_hyperbola`), P4.3 with `six_point_conic`'s
-rules too; P5.3 on `kernels.vertices`; P5.1 in one `kernels.second_point`
-call; the catalog points these compare with from `kernels.bary_point`;
-and the root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
-`loci.batch_sign_changes` each: one call of the scanned function (written
-with products, not powers, so floats and arrays give the same bits) on
-every trial's grid, then Brent on floats in each bracketed cell; P2.8,
-P4.6 and P4.10 finish each trial's other checks on floats.  A crash still
-fails only its own trial (`_fail_or` gives each trial the exception of
-the first fault that holds there).
+floats.  On arrays: P2.2, P3.1, P3.8 and P5.2 in one `kernels.six_point`
+call; P2.1, P2.7, P3.3, A3, A6 and P5.5 on `kernels.vertices` and
+`fit_six`, with `six_point_conic`'s rules (`_six_point_fit`); P2.3, P2.5
+and P4.8 on one `kernels.focal_pairs` call; P2.4, P4.7 and P5.6 in one
+`kernels.pair_points` call; P4.1-P4.5 and P4.9 on `kernels.vertex_coords`
+(`_v_hyperbola`); P5.3, A4 and A5 on `kernels.vertices`; P5.1 in one
+`kernels.second_point` call; the catalog points, Soddy centers among
+them, from `kernels.bary_point`; A1-A6's polynomials in one
+`appendix.eval_terms` call over every trial's points; and the root scans
+of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one `loci.batch_sign_changes`
+each: one call of the scanned function (written with products, not
+powers, so floats and arrays give the same bits) on every trial's grid,
+then Brent on floats in each bracketed cell; P2.8, P4.6 and P4.10 finish
+each trial's other checks on floats.  A crash still fails only its own
+trial (`_fail_or` gives each trial the exception of the first fault that
+holds there).
 
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through the pair points
-of `kernels.pair_points`, P4.8 reads `triads.two_branch_chords`, and
-P4.3 and P4.4 take the closed-form six-point conic as a barycentric
-matrix (`privalov_conic`).
+of `kernels.pair_points`, P4.8 takes the lines of `kernels.focal_pairs`
+(`triads.two_branch_chords`' rule), and P4.3 and P4.4 take the
+closed-form six-point conic as a barycentric matrix (`kernels.privalov`).
 
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
@@ -68,26 +69,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .appendix import check_appendix
+from .appendix import eval_terms, load_block
 from .centers import (
+    _x7,
+    _x8,
+    _x55,
     center_bary,
     circumcircle,
-    classic_center,
     half_tangent_sum,
     soddy,
-    soddy_centers,
 )
 from .config import DET_DEGENERATE_TOL, get_tol
-from .conic import (
-    ConicClass,
-    conic_bary_to_cartesian,
-    residual,
-    tangency_discriminant,
-)
+from .conic import ConicClass, residual
 from .errors import (
     ConstructionFailed,
     DegenerateMember,
     DegenerateResult,
+    InvalidAxisLength,
     NotFound,
     PointAtInfinity,
     PointOffSideline,
@@ -99,7 +97,6 @@ from .geom import (
     Point2,
     Triangle,
     distance,
-    line_through,
     midpoint,
 )
 from .loci import (
@@ -117,7 +114,6 @@ from .loci import (
     region_map,
     sample_locus_ostar,
     x478_quartic,
-    x55_conjecture_check,
     _circle_center,
     _deltas,
     _lambdas,
@@ -128,9 +124,7 @@ from .triads import (
     _kernel_args,
     build_triad,
     driver_fault,
-    two_branch_chords,
 )
-
 
 # ---------------------------------------------------------------------------
 # Seeded configuration sampling
@@ -484,6 +478,28 @@ def _bary_gaps(corners, xs, ys, barys, s) -> tuple:
     return worst, far
 
 
+def _unit_bary(corners, x, y) -> list:
+    """geom.cartesian_to_bary(t, (x, y)).normalized() on arrays, t the
+    triangle of the corners: signed areas over the largest, made positive
+    at the first nonzero one."""
+    ax, ay, bx, by, cx, cy = corners
+    u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
+         _signed_area(ax, ay, bx, by, x, y))
+    top = kernels._largest([abs(v) for v in u])
+    u = [v / top for v in u]
+    first = np.where(u[0] != 0.0, u[0], np.where(u[1] != 0.0, u[1], u[2]))
+    return [np.where(first < 0.0, -v, v) for v in u]
+
+
+def _proj_errors(u, v):
+    """|u x v| / (|u| |v|) of the 3-vectors (u[0], u[1], u[2]) and v, their
+    projective mismatch, entry by entry; each norm the root of its squares
+    summed in order, so an entry's bits do not hang on the others."""
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    norm = lambda w: np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    return norm(cross) / (norm(u) * norm(v))
+
+
 def _six_point_fit(args, xs, ys, s) -> tuple:
     """triads.six_point_conic on arrays, for the triads of args (P-kinds
     with their drivers) with vertices xs, ys, (6, n) arrays, and largest
@@ -592,7 +608,6 @@ def _chk_pair_chords_x20(cfgs) -> list:
     1.0 where that pair has more than two."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
-    ax, ay, bx, by, cx, cy = corners
     sides, _, bad = kernels._sides_deltas(*args)
     a, b, c = sides
     with np.errstate(all="ignore"):
@@ -612,11 +627,8 @@ def _chk_pair_chords_x20(cfgs) -> list:
         line_top = kernels._largest([abs(v) for v in line])
         worst = chords
         for x, y in zip(px[0], py[0]):
-            # geom.cartesian_to_bary, scaled to unit max-abs component.
-            u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
-                 _signed_area(ax, ay, bx, by, x, y))
-            top = kernels._largest([abs(v) for v in u])
-            on = abs(line[0] * (u[0] / top) + line[1] * (u[1] / top) + line[2] * (u[2] / top))
+            u = _unit_bary(corners, x, y)
+            on = abs(line[0] * u[0] + line[1] * u[1] + line[2] * u[2])
             worst = np.maximum(worst, on / line_top)
     count = keep.sum(axis=1)
     worst = np.where(count[0] != 2, np.maximum(chords, 1.0), worst)
@@ -865,14 +877,42 @@ def _searched(search, residual):
     return _batch_run(_cfg_tri, check)
 
 
+def _dist(dx, dy):
+    """math.hypot of each entry of dx and dy: geom.distance's bits, which
+    kernels._hypot's differ from in the last bit on about 1% of inputs."""
+    dx, dy = np.broadcast_arrays(dx, dy)
+    return np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))).reshape(dx.shape)
+
+
 def _triangle_sides(corners) -> tuple:
     """The sides (a, b, c) of each column of the corners (ax, ay, bx, by,
-    cx, cy) as Triangle takes them, by math.hypot, as arrays."""
-    ax, ay, bx, by, cx, cy = (v.tolist() for v in corners)
-    return tuple(
-        np.array([math.hypot(px - qx, py - qy) for px, py, qx, qy in zip(*ends)], dtype=float)
-        for ends in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
-    )
+    cx, cy) as Triangle takes them (_dist), as arrays."""
+    ax, ay, bx, by, cx, cy = corners
+    return _dist(bx - cx, by - cy), _dist(cx - ax, cy - ay), _dist(ax - bx, ay - by)
+
+
+def _x3_anticevian(corners) -> tuple:
+    """The X3-anticevian of each triangle of the corners, as
+    centers.anticevian_triangle builds it: (sides, the kernel arguments of
+    its P-ellipse triad with driver X3, its sides, and the faults as
+    _fail_or pairs in the object path's order); Triangle's sides."""
+    sides = _triangle_sides(corners)
+    x3 = u, v, w = kernels.cyclic(kernels.center_x3, *sides)
+    anti = [kernels.bary_point(*corners, *(-q if k == i else q for k, q in enumerate(x3)))
+            for i in range(3)]
+    tcorners = tuple(c for x, y, _ in anti for c in (x, y))
+    tsides = _triangle_sides(tcorners)
+    ts = kernels._largest(tsides)
+    px, py, far = kernels.bary_point(*corners, *x3)
+    return sides, (*tcorners, kernels.KIND_P_ELLIPSE, px, py), tsides, [
+        ((u == 0.0) | (v == 0.0) | (w == 0.0),
+         DegenerateResult("anticevian undefined for a point on a sideline")),
+        # Triangle's refusal of collinear corners, as anticevian_triangle meets it.
+        (anti[0][2] | anti[1][2] | anti[2][2] | (abs(_signed_area(*tcorners)) <= get_tol() * ts * ts),
+         lambda i: DegenerateResult(
+             f"anticevian triangle of {BaryCoords(u[i], v[i], w[i])} degenerates")),
+        (far, _at_infinity("X3")),
+    ]
 
 
 def _chk_anticevian_needle(cfgs) -> list:
@@ -888,16 +928,10 @@ def _chk_anticevian_needle(cfgs) -> list:
     the residual is rounding noise of the conic's center, which moves by
     up to 60 times when a side's last bit does."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    sides = _triangle_sides(args[:6])
-    x3 = kernels.cyclic(kernels.center_x3, *sides)
     with np.errstate(all="ignore"):
-        anti = [kernels.bary_point(*args[:6], *(-q if k == i else q for k, q in enumerate(x3)))
-                for i in range(3)]
-        corners = tuple(v for x, y, _ in anti for v in (x, y))
-        px, py, far_p = kernels.bary_point(*args[:6], *x3)
-        targs = (*corners, kernels.KIND_P_ELLIPSE, px, py)
+        sides, targs, tsides, faults = _x3_anticevian(args[:6])
+        corners = targs[:6]
         _, deltas, bad = kernels._sides_deltas(*targs)
-        tsides = _triangle_sides(corners)
         ts = kernels._largest(tsides)
         area = abs(_signed_area(*corners))
         s = np.maximum(kernels._largest(sides), ts)
@@ -920,16 +954,9 @@ def _chk_anticevian_needle(cfgs) -> list:
             has_center, abs(_signed_area(x4, y4, x6, y6, x, y)) / (dx * dx + dy * dy + s * s), 0.0
         )
         worst = functools.reduce(np.maximum, (fval, spread, conc * 1e2, lin * 1e2))
-    u, v, w = x3
     return _fail_or(
         worst,
-        ((u == 0.0) | (v == 0.0) | (w == 0.0),
-         DegenerateResult("anticevian undefined for a point on a sideline")),
-        # Triangle's refusal of collinear corners, as anticevian_triangle meets it.
-        (anti[0][2] | anti[1][2] | anti[2][2] | (area <= get_tol() * ts * ts),
-         lambda i: DegenerateResult(
-             f"anticevian triangle of {BaryCoords(u[i], v[i], w[i])} degenerates")),
-        (far_p, _at_infinity("X3")),
+        *faults,
         (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])),
         *rules,
         (far_o, _at_infinity("the anticevian's X3")),
@@ -1086,13 +1113,6 @@ def _chk_intouch_extouch(cfgs) -> list:
     )
 
 
-def privalov_conic(t: Triangle) -> np.ndarray:
-    """Barycentric matrix, of unit Frobenius norm, of the six-point conic of
-    the V-hyperbola triad (closed form, kernels.privalov)."""
-    m = np.array(kernels.privalov(*t.sides()))
-    return m / np.linalg.norm(m)
-
-
 def _entries(m) -> list:
     """The nine entries of a 3x3 matrix given as rows."""
     return [v for row in m for v in row]
@@ -1114,6 +1134,16 @@ def _congruent(m, t) -> list:
             for i in range(3)]
 
 
+def _bary_to_plane(m, corners) -> list:
+    """conic.conic_bary_to_cartesian of the barycentric matrix m, given as
+    rows, for the triangle of the corners: T^T m T of unit norm, T's rows
+    the barycentrics of (x, y, 1), on floats or arrays."""
+    ax, ay, bx, by, cx, cy = corners
+    T = ((by - cy, cx - bx, bx * cy - cx * by), (cy - ay, ax - cx, cx * ay - ax * cy),
+         (ay - by, bx - ax, ax * by - bx * ay))
+    return _unit(_congruent(m, T))
+
+
 def _chk_privalov(cfgs) -> list:
     """P4.3 on all configurations at once: the V-hyperbola vertices
     (_v_hyperbola) on Privalov's conic (kernels.privalov), each vertex's
@@ -1124,23 +1154,17 @@ def _chk_privalov(cfgs) -> list:
     where a member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
         args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
-        ax, ay, bx, by, cx, cy = args[:6]
         mb = _unit(kernels.privalov(*sides))
         worst = 0.0
         for x, y in zip(xs, ys):
-            u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
-                 _signed_area(ax, ay, bx, by, x, y))
-            top = kernels._largest([abs(v) for v in u])
-            u = [v / top for v in u]
+            u = _unit_bary(args[:6], x, y)
             form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
             worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
         co, (ox, oy, fs), _, rules = _six_point_fit(args, xs, ys, s)
-        # Rows of T give the barycentrics of (x, y, 1); n maps (x, y, 1) to the fit's frame.
-        T = ((by - cy, cx - bx, bx * cy - cx * by), (cy - ay, ax - cx, cx * ay - ax * cy),
-             (ay - by, bx - ax, ax * by - bx * ay))
+        # n maps (x, y, 1) to the fit's frame.
         A, B, C, D, E, F = co
         n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
-        mc = _entries(_unit(_congruent(mb, T)))
+        mc = _entries(_bary_to_plane(mb, args[:6]))
         mf = _entries(_unit(_congruent(((A, B / 2.0, D / 2.0), (B / 2.0, C, E / 2.0),
                                         (D / 2.0, E / 2.0, F)), n)))
         diff = np.minimum(functools.reduce(np.maximum, [abs(p - q) for p, q in zip(mc, mf)]),
@@ -1152,37 +1176,57 @@ def _chk_privalov(cfgs) -> list:
     )
 
 
-def _chk_isosceles_degenerate(cfg) -> float:
-    apex = cfg["apex"]
-    half = cfg["half_base"]
-    t = Triangle(Point2(0.0, apex), Point2(half, 0.0), Point2(-half, 0.0))
-    tr = build_triad(t, "v_hyperbola")
-    if tr.members[0] is not None or tr.degenerate_lines[0] is None:
-        return 1.0
-    line = tr.degenerate_lines[0]
-    base_mid = midpoint(t.b, t.c)
-    worst = line.distance_to(base_mid) / t.scale()
-    worst = max(worst, line.distance_to(Point2(0.0, apex)) / t.scale())
-    con = conic_bary_to_cartesian(privalov_conic(t), t)
-    base = line_through(t.b, t.c)
-    worst = max(worst, residual(con, base_mid))
-    worst = max(worst, abs(tangency_discriminant(con, base)))
-    return worst
+def _chk_isosceles_degenerate(cfgs) -> list:
+    """P4.4 on all configurations at once: for A=(0, apex), B=(h, 0),
+    C=(-h, 0), the V-hyperbola a-member is BC's perpendicular bisector (else
+    1.0), through BC's midpoint M and A (over the largest side), and
+    Privalov's conic (_bary_to_plane) passes through M and touches BC there
+    (kernels.conic_residual, kernels.tangency_disc)."""
+    apex, h = (np.array([cfg[k] for cfg in cfgs], dtype=float) for k in ("apex", "half_base"))
+    zero = np.zeros(len(cfgs))
+    corners = ax, ay, bx, by, cx, cy = (zero, apex, h, zero, -h, zero)
+    sides, lams, bad = kernels._sides_deltas(*corners, kernels.KIND_V_HYPERBOLA, zero, zero)
+    tsides = _triangle_sides(corners)
+    with np.errstate(all="ignore"):
+        mx, my = (bx + cx) / 2.0, (by + cy) / 2.0
+        l, m = cx - bx, cy - by  # triads._perp_bisector
+        n = -(l * mx + m * my)
+        line = np.maximum(abs(l * mx + m * my + n), abs(l * ax + m * ay + n)) / _dist(l, m)
+        (A, B, D), (_, C, E), (_, _, F) = _bary_to_plane(_unit(kernels.privalov(*tsides)), corners)
+        co = (A, 2.0 * B, C, 2.0 * D, 2.0 * E, F)
+        touch = abs(kernels.tangency_disc(co, by - cy, cx - bx, bx * cy - cx * by))
+        worst = functools.reduce(np.maximum, (
+            line / kernels._largest(tsides), kernels.conic_residual(co, mx, my), touch))
+    bisector = abs(lams[0]) <= kernels.MEMBER_GUARD * kernels._largest(sides)
+    return _fail_or(np.where(bisector, worst, 1.0), (bad, _DEGENERATE))
 
 
-def _chk_soddy_intersections(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_hyperbola")
-    if tr.has_degenerate_member():
-        return 0.0
-    diam = 2.0 * circumcircle(t).radius
-    x175, x176 = soddy_centers(t)
-    worst = 0.0
-    for m in tr.members:
-        worst = max(worst, _focal_diff_residual(x176, m) / diam)
-        if x175 is not None:
-            worst = max(worst, _focal_diff_residual(x175, m) / diam)
-    return worst
+def _soddy_centers(corners, sides) -> list:
+    """The inner and outer Soddy centers X176 and X175, (x, y, far) each:
+    kernels.bary_point of a + area / (s - a) and a - area / (s - a), s the
+    semiperimeter; X175 is at infinity in the Soddy-line regime."""
+    area = abs(_signed_area(*corners))
+    p = (sides[0] + sides[1] + sides[2]) / 2.0
+    return [kernels.bary_point(*corners, *(v + sign * area / (p - v) for v in sides))
+            for sign in (1.0, -1.0)]
+
+
+def _chk_soddy_intersections(cfgs) -> list:
+    """P4.5 on all configurations at once: each V-hyperbola member passes
+    through the Soddy centers (_soddy_centers, X175 where finite), its
+    focal-difference residual there over the circumdiameter; 0.0 where a
+    member is a perpendicular bisector."""
+    with np.errstate(all="ignore"):
+        args, _, lams, _, _, _, bad, bisector = _v_hyperbola(cfgs)
+        corners = args[:6]
+        a, b, c = sides = _triangle_sides(corners)
+        diam = 2.0 * (a * b * c / (4.0 * abs(_signed_area(*corners))))
+        worst = 0.0
+        for x, y, far in _soddy_centers(corners, sides):
+            at = kernels._sides_deltas(*corners, kernels.KIND_P_HYPERBOLA, x, y)[1]
+            res = functools.reduce(np.maximum, [abs(abs(d) - abs(l)) for d, l in zip(at, lams)])
+            worst = np.maximum(worst, np.where(far, 0.0, res / diam))
+    return _fail_or(np.where(bisector, 0.0, worst), (bad, _DEGENERATE))
 
 
 def _sextic_triangles(xs) -> list:
@@ -1257,24 +1301,42 @@ def _vhyp_chord_line_bary(a, b, c):
     )
 
 
-def _chk_chords_x8(cfg) -> float:
-    t = _cfg_tri(cfg)
-    tr = build_triad(t, "v_hyperbola")
-    if tr.has_degenerate_member():
-        return 0.0
-    diam = 2.0 * circumcircle(t).radius
-    x8 = classic_center(t, "X8")
-    worst = max(chord.distance_to(x8) / diam for chord in two_branch_chords(tr))
-    # Closed-form cross-check: the bary line for the A-chord contains X8.
-    a, b, c = t.sides()
-    lco = _vhyp_chord_line_bary(a, b, c)
-    u = center_bary(t, "X8")
-    worst = max(
-        worst,
-        abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w)
-        / (max(abs(v) for v in lco) * max(abs(u.u), abs(u.v), abs(u.w))),
+def _chk_chords_x8(cfgs) -> list:
+    """P4.8 on all configurations at once: of each focal pair's two lines
+    (kernels.focal_pairs), the chord, the one not through the Soddy centers
+    (triads.two_branch_chords' rule; NotFound if neither is theirs), passes
+    through X8 (distance over the circumdiameter), and X8 lies on the
+    A-chord's closed form; 0.0 where a member is a perpendicular bisector."""
+    with np.errstate(all="ignore"):
+        args, _, _, _, _, _, bad, bisector = _v_hyperbola(cfgs)
+        corners = args[:6]
+        a, b, c = sides = _triangle_sides(corners)
+        diam = 2.0 * (a * b * c / (4.0 * abs(_signed_area(*corners))))
+        (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+        (x176, y176, _), (x175, y175, far175) = (((x - gx) / s, (y - gy) / s, far)
+                                                 for x, y, far in _soddy_centers(corners, sides))
+        u = kernels.cyclic(_x8, *sides)
+        x8, y8, _ = kernels.bary_point(*corners, *u)
+        worst, missed = 0.0, False
+        for _, _, lines in pairs:
+            scores, chords = [], []
+            for l, m, n in lines:
+                hyp = _dist(l, m)
+                at = [abs(l * x + m * y + n) for x, y in ((x176, y176), (x175, y175))]
+                scores.append(np.where(far175, at[0], np.maximum(*at)) / hyp)
+                chords.append((l, m, n * s - l * gx - m * gy, hyp))  # in the plane
+            soddy = scores[0] <= scores[1]  # the Soddy line is the first; the chord the other
+            missed = missed | (np.where(soddy, scores[0], scores[1]) > 1e-6)
+            l, m, n, hyp = (np.where(soddy, q1, q0) for q0, q1 in zip(*chords))
+            worst = np.maximum(worst, abs(l * x8 + m * y8 + n) / hyp / diam)
+        lco = _vhyp_chord_line_bary(a, b, c)
+        on = abs(lco[0] * u[0] + lco[1] * u[1] + lco[2] * u[2]) / (
+            kernels._largest([abs(v) for v in lco]) * kernels._largest([abs(v) for v in u]))
+    return _fail_or(
+        np.where(bisector, 0.0, np.maximum(worst, on)),
+        (bad, _DEGENERATE),
+        (missed & ~bisector, NotFound("neither line of the pair is the Soddy line")),
     )
-    return worst
 
 
 def _chk_fifteen_point_cubic(cfgs) -> list:
@@ -1358,11 +1420,45 @@ def _circle_pair_residual(t: Triangle, pair) -> float:
     return worst
 
 
-def _chk_x55(cfg) -> float:
-    t = _cfg_tri(cfg)
-    rep = x55_conjecture_check(t)
-    r = rep.circumradius
-    return max(rep.circle_spread / r, rep.concentricity_error / r, rep.x7_match_error / r)
+def _chk_x55(cfgs) -> list:
+    """P5.5 on all configurations at once: the evidence that, with Q = X55
+    and T' its reflection triangle, the six-point conic of T''s P-hyperbola
+    triad through Q is a circle about T''s circumcenter O', which is X7.
+    The spread of the six vertices about O', the distance of their conic's
+    center from O' (inf without one; the spread where a member degenerates,
+    as in the equilateral limit) and |O' X7|, over the circumradius of T'."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    corners = ax, ay, bx, by, cx, cy = args[:6]
+    sides = _triangle_sides(corners)
+    with np.errstate(all="ignore"):
+        qx, qy, far_q = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
+        refl = []
+        for x1, y1, x2, y2 in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
+            l, m, n = y1 - y2, x2 - x1, x1 * y2 - x2 * y1  # geom.line_through
+            d = (l * qx + m * qy + n) / (l * l + m * m)  # geom.reflect_about_line
+            refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
+        tsides = _triangle_sides(refl)
+        ts, area = kernels._largest(tsides), abs(_signed_area(*refl))
+        ox, oy, far_o = kernels.bary_point(*refl, *kernels.cyclic(kernels.center_x3, *tsides))
+        r = tsides[0] * tsides[1] * tsides[2] / (4.0 * area)
+        targs = (*refl, kernels.KIND_P_HYPERBOLA, qx, qy)
+        xs, ys, bad = kernels.vertices(*targs)
+        dists = _dist(xs - ox, ys - oy)
+        spread = abs(dists - sum(dists) / 6.0).max(axis=0)
+        co, frame, _, rules = _six_point_fit(targs, xs, ys, ts)
+        x, y, has_center = kernels.frame_center(co, frame)
+        conc = np.where(bad, spread, np.where(has_center, _dist(x - ox, y - oy), math.inf))
+        x7, y7, far7 = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
+        worst = functools.reduce(np.maximum, (spread / r, conc / r, _dist(ox - x7, oy - y7) / r))
+    return _fail_or(
+        worst,
+        (far_q, _at_infinity("X55")),
+        # Triangle's refusal of collinear corners, as reflection_triangle meets it.
+        (~(area > get_tol() * ts * ts), DegenerateResult("the reflection triangle of X55 degenerates")),
+        (far_o, _at_infinity("the reflection triangle's X3")),
+        (far7, _at_infinity("X7")),
+        *((mask & ~bad, exc) for mask, exc in rules),
+    )
 
 
 def _phyp_condition(s, ax, ay, bx, by, cx, cy, *ray):
@@ -1391,16 +1487,20 @@ def _cfg_and_ray(cfg) -> tuple:
 def _chk_phyp_parabola(items) -> list:
     """P5.7 on all (configuration, ray) pairs at once: one batch scan for
     the root of the parabola condition along each ray, then one for the
-    fitted conic's disc around each root found."""
+    fitted conic's disc around each root found, whose root nearest it is
+    compared."""
     cfgs, rays = zip(*items)
     found = _phyp_roots(rays)
     hit = [i for i, s in enumerate(found) if isinstance(s, float)]
     s_disc = [None] * len(found)
     lo = [found[i] - 2e-3 for i in hit]
     hi = [found[i] + 2e-3 for i in hit]
-    discs = _scan_rays(_p_hyperbola_disc, [rays[i] for i in hit], lo, hi, steps=40, first=True)
-    for i, s in zip(hit, discs):
-        s_disc[i] = s
+    # The cell can hold more than one root of both: keep the disc's root
+    # nearest the condition's, so that the two compared are the same root.
+    discs = _scan_rays(_p_hyperbola_disc, [rays[i] for i in hit], lo, hi, steps=40)
+    for i, roots in zip(hit, discs):
+        s_disc[i] = roots if isinstance(roots, Exception) else min(
+            roots, key=lambda s: abs(s - found[i]), default=None)
     return _each(_parabola_residual, zip(cfgs, rays, found, s_disc))
 
 
@@ -1458,23 +1558,148 @@ def _sideline_extension_residual(t: Triangle, u01: float) -> float:
     return best
 
 
-def _mk_appendix_check(name):
-    def chk(cfg):
-        return check_appendix(name, _cfg_tri(cfg), Point2(*cfg["p"]) if cfg.get("p") else None)
+# ---------------------------------------------------------------------------
+# Appendix blocks (A1-A6): each block's object built on arrays, its
+# polynomial evaluated at every trial's points in one eval_terms call
+# ---------------------------------------------------------------------------
 
-    return chk
+def _block(name: str, poly: str, values: dict, normalized: bool = False):
+    """A block's polynomial at the columns of values: its sums, or with
+    normalized |sum| / max |term| (|sum| where every term is 0)."""
+    block = load_block(name)
+    total, biggest = eval_terms(block["polys"][poly], block["variables"], values)
+    return abs(total) / np.where(biggest == 0.0, 1.0, biggest) if normalized else total
 
 
-def _gen_x3prime_center(rng) -> dict:
-    """A random_triangle whose X3-anticevian six-point conic has a center:
-    near-right triangles make its fit rank deficient, and only the check can tell."""
-    while True:
-        cfg = {"triangle": _corners_cfg(*_tri_floats(rng.random))}
-        try:
-            _mk_appendix_check("x3prime_center")(cfg)
-        except (ConstructionFailed, RankDeficient):
-            continue
-        return cfg
+def _a_ellipse(corners) -> tuple:
+    """The A-ellipse of each triangle of the corners: foci B', C' of the
+    X3-anticevian, through X3 (through the cevian foot A it would
+    degenerate when A falls inside the focal segment).  (sides, center,
+    axis unit, semi axes, faults), as conic.FocalConic computes them."""
+    sides, targs, _, faults = _x3_anticevian(corners)
+    bx, by, cx, cy, _, px, py = targs[2:]
+    axis = _dist(px - bx, py - by) + _dist(px - cx, py - cy)
+    dx, dy = bx - cx, by - cy
+    f = _dist(dx, dy)
+    alpha, chalf = axis / 2.0, f / 2.0
+    faults.append((~(axis > f), lambda i: InvalidAxisLength(
+        f"ellipse needs axis_length > focal distance ({axis[i]} <= {f[i]})")))
+    return (sides, ((bx + cx) / 2.0, (by + cy) / 2.0), (dx / f, dy / f),
+            (alpha, np.sqrt(abs(alpha * alpha - chalf * chalf))), faults)
+
+
+def _chk_a_ellipse(cfgs) -> list:
+    """A1 on all configurations at once: the block's worst normalized
+    residual at 12 points of each A-ellipse (_a_ellipse)."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    with np.errstate(all="ignore"):
+        (a, b, c), (ox, oy), (ux, uy), (alpha, beta), faults = _a_ellipse(args[:6])
+        cos, sin = (np.array([[f(2.0 * math.pi * (k + 0.37) / 12)] for k in range(12)])
+                    for f in (math.cos, math.sin))
+        x, y, z = _unit_bary(args[:6], ox + alpha * cos * ux + beta * sin * -uy,
+                             oy + alpha * cos * uy + beta * sin * ux)
+        res = _block("a_ellipse", "main", {"a": a, "b": b, "c": c, "x": x, "y": y, "z": z}, True)
+    return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0), *faults)
+
+
+def _chk_major_vertices(cfgs) -> list:
+    """A2 on all configurations at once: the block's major vertices (num,
+    den * second, den * third) against the nearer A-ellipse vertex,
+    projectively, the worse; ConstructionFailed for a negative radicand."""
+    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
+    corners = args[:6]
+    with np.errstate(all="ignore"):
+        (a, b, c), (ox, oy), (ux, uy), (alpha, _), faults = _a_ellipse(corners)
+        values = {"a": a, "b": b, "c": c, "S": 0.0, "rt": 0.0}
+        rad = _block("major_vertices", "rt_radicand", values)
+        values.update(S=2.0 * abs(_signed_area(*corners)), rt=np.sqrt(rad))
+        second, third = (_block("major_vertices", poly, values) for poly in ("second", "third"))
+        ends = _unit_bary(corners, np.stack((ox + ux * alpha, ox + ux * -alpha)),
+                          np.stack((oy + uy * alpha, oy + uy * -alpha)))
+        worst = 0.0
+        for sign in ("plus", "minus"):
+            num, den = (_block("major_vertices", f"{poly}_{sign}", values) for poly in ("num", "den"))
+            formula = (num, den * second, den * third)
+            worst = np.maximum(worst, np.minimum(*(_proj_errors(formula, [w[k] for w in ends])
+                                                  for k in (0, 1))))
+    return _fail_or(
+        worst, (rad < 0.0, ConstructionFailed("vertex radical is negative for this triangle")), *faults
+    )
+
+
+def _center_gap(corners, args, s, name: str, poly: str, values: dict) -> tuple:
+    """The center (kernels.frame_center) of the triads' six-point conic
+    (_six_point_fit; args, largest side s) against a block's closed form at
+    each value's three columns, projectively: (gap, member flag, rules)."""
+    xs, ys, bad = kernels.vertices(*args)
+    co, frame, _, rules = _six_point_fit(args, xs, ys, s)
+    x, y, has_center = kernels.frame_center(co, frame)
+    gap = _proj_errors(_block(name, poly, values), _unit_bary(corners, x, y))
+    return gap, bad, [*rules, (~has_center, ConstructionFailed("six-point conic has no center"))]
+
+
+def _chk_x3prime_center(cfgs) -> list:
+    """A3 on all configurations at once: the center of P3.3's circle (the
+    P-ellipse six-point conic of the X3-anticevian with driver X3) against
+    the block's f(a, b, c), f(b, c, a), f(c, a, b) (_center_gap)."""
+    corners = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)[:6]
+    with np.errstate(all="ignore"):
+        (a, b, c), targs, tsides, faults = _x3_anticevian(corners)
+        gap, bad, rules = _center_gap(corners, targs, kernels._largest(tsides), "x3prime_center", "f",
+                                      {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b]})
+    return _fail_or(gap, *faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules)
+
+
+def _phyp_block(name: str):
+    """A4 (phyp_member: P and the a-member's vertices A1, A2) or A5
+    (pstar_conic: all six vertices) on all configurations at once: the
+    block's worst normalized residual at those points of the triad."""
+
+    def run(cfgs) -> list:
+        args = _cfg_args(cfgs, kernels.KIND_P_HYPERBOLA)
+        corners, (px, py) = args[:6], args[7:]
+        a, b, c = _triangle_sides(corners)
+        with np.errstate(all="ignore"):
+            xs, ys, bad = kernels.vertices(*args)
+            la, lb, lc = kernels._sides_deltas(*args)[1]
+            values = {"a": a, "b": b, "c": c, "La": la, "Lb": lb, "Lc": lc}
+            if name == "phyp_member":
+                values.update(zip("pqr", _unit_bary(corners, px, py)))
+                xs, ys = np.stack((px, xs[0], xs[1])), np.stack((py, ys[0], ys[1]))
+            values.update(zip("xyz", _unit_bary(corners, xs, ys)))
+            res = _block(name, "main", values, True)
+        return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0),
+                        (bad, DegenerateMember(_TRIAD_FAULTS["p_hyperbola"])))
+
+    return run
+
+
+def _chk_x5452_coordinate(cfgs) -> list:
+    """A6 on all configurations at once: the center of the V-hyperbola
+    six-point conic against the block's g at the sides and focal
+    differences, cycled (_center_gap)."""
+    args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
+    a, b, c = sides = _triangle_sides(args[:6])
+    with np.errstate(all="ignore"):
+        la, lb, lc = kernels._sides_deltas(*args)[1]
+        gap, bad, rules = _center_gap(args[:6], args, kernels._largest(sides), "x5452_coordinate", "g", {
+            "a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
+            "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
+    return _fail_or(gap, (bad, _DEGENERATE), *rules)
+
+
+def _gen_x3prime_center(rng, n) -> list:
+    """n random_triangle configurations whose X3-anticevian six-point conic
+    has a center, as only the check can tell (near-right triangles make its
+    fit rank deficient), a round (_draw_rounds) in one call."""
+
+    def draw_round(k) -> list:
+        cfgs = [{"triangle": _corners_cfg(*_tri_floats(rng.random))} for _ in range(k)]
+        return [None if isinstance(r, (ConstructionFailed, RankDeficient))
+                else r if isinstance(r, Exception) else cfg
+                for cfg, r in zip(cfgs, _chk_x3prime_center(cfgs))]
+
+    return _draw_rounds(n, draw_round)
 
 
 # ---------------------------------------------------------------------------
@@ -1704,11 +1929,11 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _chk_vhyp_vertex_barys, 1e-9, 200),
     Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _chk_intouch_extouch, 1e-9, 200),
     Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _chk_privalov, 1e-8, 100),
-    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _per_trial(_chk_isosceles_degenerate), 1e-8, 50),
-    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _per_trial(_chk_soddy_intersections), 1e-8, 100),
+    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _chk_isosceles_degenerate, 1e-8, 50),
+    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _chk_soddy_intersections, 1e-8, 100),
     Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _chk_halftangent_sextic, 1e-9, 30),
     Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _through_pair_points(kernels.KIND_V_ELLIPSE, kernels.KIND_V_HYPERBOLA), 1e-8, 60),
-    Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _per_trial(_chk_chords_x8), 1e-8, 60),
+    Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _chk_chords_x8, 1e-8, 60),
     Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _chk_fifteen_point_cubic, 1e-9, 100),
     Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _chk_soddy_line_tangent, 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
@@ -1716,16 +1941,16 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
     Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _chk_equal_areas, 1e-9, 300),
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _searched(phyp_circle_points_batch, _circle_pair_residual), 1e-6, 6),
-    Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _per_trial(_chk_x55), 1e-6, 40, evidence=True),
+    Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _chk_x55, 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
     Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _batch_run(_cfg_and_ray, _chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
-    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_tri, _per_trial(_mk_appendix_check("a_ellipse")), 1e-6, 10),
-    Proposition("A2-major-vertices", "closed-form major vertices", _gen_tri, _per_trial(_mk_appendix_check("major_vertices")), 1e-7, 10),
-    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _per_draw(_gen_x3prime_center), _per_trial(_mk_appendix_check("x3prime_center")), 1e-7, 10),
-    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _gen_tri_point, _per_trial(_mk_appendix_check("phyp_member")), 1e-6, 10),
-    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _gen_tri_point, _per_trial(_mk_appendix_check("pstar_conic")), 1e-6, 10),
-    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _gen_tri, _per_trial(_mk_appendix_check("x5452_coordinate")), 1e-7, 10),
+    Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_tri, _chk_a_ellipse, 1e-6, 10),
+    Proposition("A2-major-vertices", "closed-form major vertices", _gen_tri, _chk_major_vertices, 1e-7, 10),
+    Proposition("A3-x3prime-center", "anticevian circle center barycentrics", _gen_x3prime_center, _chk_x3prime_center, 1e-7, 10),
+    Proposition("A4-phyp-member", "P-hyperbola member polynomial", _gen_tri_point, _phyp_block("phyp_member"), 1e-6, 10),
+    Proposition("A5-pstar-conic", "P-hyperbola six-point conic polynomial", _gen_tri_point, _phyp_block("pstar_conic"), 1e-6, 10),
+    Proposition("A6-x5452-coordinate", "six-point conic center coordinate", _gen_tri, _chk_x5452_coordinate, 1e-7, 10),
 )
 
 _BY_ID = {p.prop_id: p for p in MANIFEST}

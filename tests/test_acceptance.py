@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from triconic import kernels
-from triconic.appendix import BLOCK_NAMES, check_appendix
+from triconic.appendix import BLOCK_NAMES
 from triconic.centers import (
     anticevian_triangle,
     center_bary,
@@ -43,7 +43,6 @@ from triconic.loci import (
     sample_locus_x478,
     x478_center_for_theta,
     x478_quartic,
-    x55_conjecture_check,
     _deltas,
 )
 from triconic.triads import (
@@ -62,6 +61,8 @@ from triconic.verify import (
     random_point_near,
     random_triangle,
 )
+
+from reference_checks import check_appendix, x55_conjecture_check
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

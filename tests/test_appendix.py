@@ -6,16 +6,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from triconic.appendix import (
-    BLOCK_NAMES,
-    check_appendix,
-    eval_terms,
-    load_block,
-    normalized_residual,
-)
+from triconic.appendix import BLOCK_NAMES, eval_terms, load_block
 from triconic.errors import ConstructionFailed
 from triconic.geom import Point2, Triangle
 from triconic.verify import random_triangle
+
+from reference_checks import check_appendix
 
 def _data_text(name):
     return resources.files("triconic").joinpath(f"data/appendix/{name}.json").read_text()
@@ -119,6 +115,61 @@ def test_eval_terms_is_bit_identical_to_the_row_loop(rng):
                 assert eval_terms([list(row) for row in rows], variables, values) == want
                 got = eval_terms(padded, variables + ["pad"], {**values, "pad": 3.5})
                 assert got == want
+
+
+def _bits(total, biggest):
+    return float(total).hex(), float(biggest).hex()
+
+
+def test_eval_terms_columns_are_one_point_calls(rng):
+    # Seeded columns: the sides of random triangles (raised to powers up to
+    # 20 in some blocks) and uniform values for the other variables, with
+    # one column of zeros, where only the constant rows count.  Each column
+    # of one call has the bits of a one-point call and of the row loop, the
+    # sum's sign of zero included.
+    names = sorted({v for name in BLOCK_NAMES for v in load_block(name)["variables"]})
+    cols = {v: rng.uniform(-1.5, 1.5, 9) for v in names}
+    for i in range(1, 9):
+        cols["a"][i], cols["b"][i], cols["c"][i] = random_triangle(rng).sides()
+    for v in names:
+        cols[v][0] = 0.0
+    tops = []
+    for name in BLOCK_NAMES:
+        block = load_block(name)
+        variables = block["variables"]
+        for poly, rows in block["polys"].items():
+            tops.append(max(rows.tops))
+            total, biggest = eval_terms(rows, variables, cols)
+            assert total.shape == biggest.shape == (9,)
+            for i in range(9):
+                one = {v: float(cols[v][i]) for v in variables}
+                want = _bits(*_eval_terms_reference(rows, variables, one))
+                assert _bits(total[i], biggest[i]) == want == _bits(*eval_terms(rows, variables, one))
+            # A batch of one, lists, and floats broadcast against columns.
+            first = eval_terms(rows, variables, {v: [cols[v][1]] for v in variables})
+            assert _bits(*(x[0] for x in first)) == _bits(total[1], biggest[1])
+            mixed = {v: cols[v][1:].tolist() for v in variables}
+            mixed[variables[0]] = float(cols[variables[0]][4])
+            got = eval_terms(rows, variables, mixed)
+            one = {v: float(cols[v][4]) for v in variables}
+            assert _bits(got[0][3], got[1][3]) == _bits(*eval_terms(rows, variables, one))
+    assert max(tops) >= 3 and min(tops) <= 2
+
+
+def test_eval_terms_reads_any_shape_of_columns(rng):
+    # Sides per triangle (shape (3,)) broadcast against 4 points each
+    # (shape (4, 3)): each entry is the call at its own values.
+    block = load_block("a_ellipse")
+    rows, variables = block["polys"]["main"], block["variables"]
+    sides = [random_triangle(rng).sides() for _ in range(3)]
+    values = {v: np.array([s[k] for s in sides]) for k, v in enumerate("abc")}
+    values.update({v: rng.uniform(-1.0, 1.0, (4, 3)) for v in "xyz"})
+    total, biggest = eval_terms(rows, variables, values)
+    assert total.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            one = {v: float(values[v][j] if v in "abc" else values[v][i, j]) for v in variables}
+            assert _bits(total[i, j], biggest[i, j]) == _bits(*eval_terms(rows, variables, one))
 
 
 def test_every_block_checks_on_random_triangles(rng):

@@ -38,7 +38,6 @@ from triconic.loci import (
     trace_zero_set,
     x478_center_for_theta,
     x478_quartic,
-    x55_conjecture_check,
     _deltas,
     _lambdas,
 )
@@ -50,6 +49,8 @@ from triconic.triads import (
     triad_vertices,
 )
 from triconic.verify import random_flat_triangle, random_triangle
+
+from reference_checks import x55_conjecture_check
 
 
 def test_x478_quartic_values():
@@ -800,19 +801,21 @@ def test_x55_conjecture(t_generic, equilateral):
 
 
 def test_x55_conjecture_solves_no_second_point(t_generic, monkeypatch):
+    # P5.5's check (verify._chk_x55) reads the triad's vertices and fit,
+    # and never runs the second-point solver.
     calls = collections.Counter()
 
-    def counted(*args, _real=loci.second_common_point):
-        calls["second_common_point"] += 1
+    def counted(*args, _real=kernels.second_point):
+        calls["second_point"] += 1
         return _real(*args)
 
-    monkeypatch.setattr(loci, "second_common_point", counted)
-    x55_conjecture_check(t_generic)
+    monkeypatch.setattr(kernels, "second_point", counted)
+    verify._chk_x55([{"triangle": verify._tri_cfg(t_generic)}])
     assert calls == {}
     # The counter is live on the triad the check builds.
     q = classic_center(t_generic, "X55")
     loci.second_common_point(build_triad(reflection_triangle(t_generic, q), "p_hyperbola", q))
-    assert calls == {"second_common_point": 1}
+    assert calls == {"second_point": 1}
 
 
 def test_covertex_branch_split_reported():
