@@ -26,8 +26,6 @@ from .geom import (
     Triangle,
     bary_to_cartesian,
     distance,
-    line_through,
-    reflect_about_line,
 )
 
 
@@ -295,31 +293,3 @@ def cevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
         )
     except (PointAtInfinity, DegenerateTriangle) as exc:
         raise DegenerateResult(f"cevian triangle of {q} degenerates") from exc
-
-
-def anticevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
-    u, v, w = q.u, q.v, q.w
-    if u == 0.0 or v == 0.0 or w == 0.0:
-        raise DegenerateResult("anticevian undefined for a point on a sideline")
-    try:
-        return Triangle(
-            bary_to_cartesian(t, BaryCoords(-u, v, w)),
-            bary_to_cartesian(t, BaryCoords(u, -v, w)),
-            bary_to_cartesian(t, BaryCoords(u, v, -w)),
-        )
-    except (PointAtInfinity, DegenerateTriangle) as exc:
-        raise DegenerateResult(f"anticevian triangle of {q} degenerates") from exc
-
-
-def reflection_triangle(t: Triangle, q: Point2) -> Triangle:
-    """Vertices are the reflections of q over the three sidelines."""
-    lines = (
-        line_through(t.b, t.c),
-        line_through(t.c, t.a),
-        line_through(t.a, t.b),
-    )
-    pts = tuple(reflect_about_line(q, ln) for ln in lines)
-    try:
-        return Triangle(*pts)
-    except DegenerateTriangle as exc:
-        raise DegenerateResult(f"reflection triangle of {q} degenerates") from exc

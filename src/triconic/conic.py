@@ -5,8 +5,9 @@ A conic is stored as a symmetric 3x3 matrix m with p^T m p = 0 for
 p = (x, y, 1).  Matrices are normalized to unit Frobenius norm on
 construction, so the fixed algebraic thresholds in config apply uniformly;
 a fitted conic is classified in its fit's frame.  A conic given in
-barycentrics (p = (u, v, w) relative to a reference triangle) is a bare
-matrix, mapped to a Conic by conic_bary_to_cartesian.
+barycentrics (p = (u, v, w) relative to a reference triangle), such as
+kernels.privalov's, stays a bare matrix; the verifier maps it to the plane
+on arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NoFiniteCenter,
     RankDeficient,
 )
-from .geom import LineEq, Point2, Triangle, distance, midpoint
+from .geom import LineEq, Point2, distance, midpoint
 from .kernels import (
     CLASS_NAMES, classify_code, conic_residual, fit5, frame_center, frobenius, tangency_disc,
 )
@@ -150,12 +151,6 @@ def conic_from_foci(fc: FocalConic) -> Conic:
     s = 1.0 if fc.kind == "ellipse" else -1.0
     D = np.diag([1.0 / (alpha * alpha), s / (beta * beta), -1.0])
     return Conic(H.T @ D @ H)
-
-
-def vertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
-    alpha, _ = fc.semi_axes()
-    o, u = fc.center, fc.axis_unit()
-    return (o + alpha * u, o + (-alpha) * u)
 
 
 def covertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
@@ -288,23 +283,6 @@ def tangency_discriminant(c: Conic, line: LineEq) -> float:
     ~0 means the line meets the conic in a double point (tangency).
     """
     return tangency_disc(c.coeffs(), line.l, line.m, line.n)
-
-
-def conic_bary_to_cartesian(m: np.ndarray, t: Triangle) -> Conic:
-    """The Cartesian conic of the barycentric matrix m relative to t, by
-    the linear change of coordinates."""
-    # Rows of T give barycentric coordinates (up to common scale) of (x, y, 1).
-    ax, ay = t.a.x, t.a.y
-    bx, by = t.b.x, t.b.y
-    cx, cy = t.c.x, t.c.y
-    T = np.array(
-        [
-            [by - cy, cx - bx, bx * cy - cx * by],
-            [cy - ay, ax - cx, cx * ay - ax * cy],
-            [ay - by, bx - ax, ax * by - bx * ay],
-        ]
-    )
-    return Conic(T.T @ m @ T)
 
 
 def split_degenerate(c: Conic) -> tuple[LineEq, LineEq]:

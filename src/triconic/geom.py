@@ -223,13 +223,3 @@ def concurrent(l1: LineEq, l2: LineEq, l3: LineEq) -> bool:
         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
     )
     return abs(det) <= get_tol()
-
-
-def reflect_about_point(p: Point2, center: Point2) -> Point2:
-    return Point2(2.0 * center.x - p.x, 2.0 * center.y - p.y)
-
-
-def reflect_about_line(p: Point2, line: LineEq) -> Point2:
-    d = line.eval_point(p) / (line.l * line.l + line.m * line.m)
-    return Point2(p.x - 2.0 * d * line.l, p.y - 2.0 * d * line.m)
-

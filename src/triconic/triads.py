@@ -4,18 +4,17 @@ A triad attaches one conic to each side: foci at (B,C), (C,A), (A,B).
 V-kinds pass through the opposite vertex, P-kinds through a chosen point P.
 Each triad is centered at the side midpoints and its six vertices lie on a
 conic.  The per-kind concurrency and incidence claims are checked in
-verify, each in its proposition, on the kernels that
-pairwise_intersections and two_branch_chords read (kernels.pair_points,
-kernels.focal_pairs).
+verify, each in its proposition, on the kernels' arrays: the pair points
+pairwise_intersections reads (kernels.pair_points), and the line pairs of
+kernels.focal_pairs, of which the two-branch chords are the lines not
+through the Soddy centers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import kernels
-from .centers import soddy_centers
 from .config import DET_DEGENERATE_TOL
 from .conic import (
     Conic,
@@ -263,32 +262,6 @@ def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
         abs(distance(p, member.focus1) - distance(p, member.focus2))
         - member.axis_length
     )
-
-
-def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
-    """Chords through the opposite-branch intersections of the hyperbola
-    pairs (b,c), (c,a), (a,b), from one kernels.focal_pairs call.
-
-    Of each pair's two lines, the one through the Soddy centers X175/X176
-    is the Soddy line; the other is the sought chord.  Works even when a
-    chord's endpoints are complex.
-    """
-    if tr.kind != "v_hyperbola":
-        raise ValueError("two_branch_chords applies to V-hyperbola triads")
-    (gx, gy, s), pairs, bad = kernels.focal_pairs(*_kernel_args(tr.t, tr.kind, tr.p))
-    if bad:
-        raise DegenerateMember("two-branch chords need nondegenerate members")
-    framed = [((q.x - gx) / s, (q.y - gy) / s) for q in soddy_centers(tr.t) if q is not None]
-    chords = []
-    for _, _, lines in pairs:
-        scores = [max(abs(l * x + m * y + n) for x, y in framed) / math.hypot(l, m)
-                  for l, m, n in lines]
-        soddy = 0 if scores[0] <= scores[1] else 1
-        if scores[soddy] > 1e-6:
-            raise NotFound("neither line of the pair is the Soddy line")
-        l, m, n = lines[1 - soddy]
-        chords.append(LineEq(l, m, n * s - l * gx - m * gy))
-    return tuple(chords)
 
 
 def second_common_point(tr: ConicTriad) -> Point2:

@@ -480,15 +480,14 @@ def _bary_gaps(corners, xs, ys, barys, s) -> tuple:
 
 def _unit_bary(corners, x, y) -> list:
     """geom.cartesian_to_bary(t, (x, y)).normalized() on arrays, t the
-    triangle of the corners: signed areas over the largest, made positive
-    at the first nonzero one."""
+    triangle of the corners, up to sign: the signed areas over the largest.
+    (The sign changes no residual it feeds: projective gaps, and forms even
+    in the barycentrics.)"""
     ax, ay, bx, by, cx, cy = corners
     u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
          _signed_area(ax, ay, bx, by, x, y))
     top = kernels._largest([abs(v) for v in u])
-    u = [v / top for v in u]
-    first = np.where(u[0] != 0.0, u[0], np.where(u[1] != 0.0, u[1], u[2]))
-    return [np.where(first < 0.0, -v, v) for v in u]
+    return [v / top for v in u]
 
 
 def _proj_errors(u, v):
@@ -500,21 +499,23 @@ def _proj_errors(u, v):
     return norm(cross) / (norm(u) * norm(v))
 
 
-def _six_point_fit(args, xs, ys, s) -> tuple:
+def _six_point_fit(args, s) -> tuple:
     """triads.six_point_conic on arrays, for the triads of args (P-kinds
-    with their drivers) with vertices xs, ys, (6, n) arrays, and largest
-    side s: kernels.fit_six's coefficients, frame and residual6, and
-    six_point_conic's rules as _fail_or pairs, in its order: RankDeficient
-    where two kept vertices are within 1e-9 of s or the fit vanishes,
-    PointOffSideline where a vertex, in the frame of the triangle, fails
-    kernels.carnot's test."""
+    with their drivers) and largest side s: the vertices ((6, n) arrays)
+    and member flag of kernels.vertices, kernels.fit_six's coefficients,
+    frame and residual6, the center (kernels.frame_center: x, y,
+    has_center), and six_point_conic's rules as _fail_or pairs, in its
+    order: RankDeficient where two kept vertices are within 1e-9 of s or
+    the fit vanishes, PointOffSideline where a vertex, in the frame of the
+    triangle, fails kernels.carnot's test."""
+    xs, ys, bad = kernels.vertices(*args)
     co, frame, out, res6 = kernels.fit_six(xs, ys)
     gap = kernels.kept_gap(xs, ys, out)
     framed = _framed((*args[:6], *args[7:]), s)
     fxs, fys, _ = kernels.vertices(*framed[:6], args[6], *framed[6:])
     off = np.array(kernels.carnot(*framed[:6], fxs, fys)[1])
     first = off.argmax(axis=0)
-    return co, frame, res6, [
+    return (xs, ys, bad), co, frame, res6, kernels.frame_center(co, frame), [
         (gap <= 1e-9 * s, RankDeficient("fewer than 5 distinct triad vertices")),
         (~(kernels.frobenius(co) > DET_DEGENERATE_TOL),
          RankDeficient("five points do not determine a unique conic")),
@@ -532,9 +533,8 @@ def _chk_excircle_tangency_vertices(cfgs) -> list:
     sides, _, bad = kernels._sides_deltas(*args)
     s = kernels._largest(sides)
     with np.errstate(all="ignore"):
-        xs, ys, _ = kernels.vertices(*args)
+        (xs, ys, _), _, _, res6, _, rules = _six_point_fit(args, s)
         worst, far = _bary_gaps(args[:6], xs, ys, kernels.excircle_tangency(*sides), s)
-        _, _, res6, rules = _six_point_fit(args, xs, ys, s)
     return _fail_or(
         np.maximum(worst, res6),
         (bad, _DEGENERATE),
@@ -756,9 +756,7 @@ def _chk_x478_quartic(cfgs) -> list:
             kernels.KIND_V_ELLIPSE, zero, zero)
     sides, _, bad = kernels._sides_deltas(*args)
     with np.errstate(all="ignore"):
-        xs, ys, _ = kernels.vertices(*args)
-        co, frame, _, rules = _six_point_fit(args, xs, ys, kernels._largest(sides))
-        x, y, has_center = kernels.frame_center(co, frame)
+        *_, (x, y, has_center), rules = _six_point_fit(args, kernels._largest(sides))
         res = abs(x478_quartic(x, y))
     return _fail_or(
         res,
@@ -891,6 +889,13 @@ def _triangle_sides(corners) -> tuple:
     return _dist(bx - cx, by - cy), _dist(cx - ax, cy - ay), _dist(ax - bx, ay - by)
 
 
+def _circumcircle(corners, sides) -> tuple:
+    """centers.circumcircle of the triangle of the corners, from its sides,
+    on arrays: (x, y, center at infinity, radius)."""
+    x, y, far = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x3, *sides))
+    return x, y, far, sides[0] * sides[1] * sides[2] / (4.0 * abs(_signed_area(*corners)))
+
+
 def _x3_anticevian(corners) -> tuple:
     """The X3-anticevian of each triangle of the corners, as
     centers.anticevian_triangle builds it: (sides, the kernel arguments of
@@ -933,16 +938,12 @@ def _chk_anticevian_needle(cfgs) -> list:
         corners = targs[:6]
         _, deltas, bad = kernels._sides_deltas(*targs)
         ts = kernels._largest(tsides)
-        area = abs(_signed_area(*corners))
         s = np.maximum(kernels._largest(sides), ts)
         s4 = (s * s) * (s * s)
         # functional tolerance 1e-12 scaled into the 1e-6 threshold
         fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
-        xs, ys, _ = kernels.vertices(*targs)
-        co, frame, _, rules = _six_point_fit(targs, xs, ys, ts)
-        x, y, has_center = kernels.frame_center(co, frame)
-        ox, oy, far_o = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x3, *tsides))
-        radius = tsides[0] * tsides[1] * tsides[2] / (4.0 * area)
+        (xs, ys, _), _, _, _, (x, y, has_center), rules = _six_point_fit(targs, ts)
+        ox, oy, far_o, radius = _circumcircle(corners, tsides)
         dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
         rmean = sum(dist) / 6.0
         spread = functools.reduce(np.maximum, [abs(d - rmean) for d in dist]) / radius
@@ -1134,14 +1135,19 @@ def _congruent(m, t) -> list:
             for i in range(3)]
 
 
-def _bary_to_plane(m, corners) -> list:
-    """conic.conic_bary_to_cartesian of the barycentric matrix m, given as
-    rows, for the triangle of the corners: T^T m T of unit norm, T's rows
-    the barycentrics of (x, y, 1), on floats or arrays."""
+def _sidelines(corners) -> tuple:
+    """The sidelines BC, CA and AB of the triangle of the corners, each
+    (l, m, n) of l x + m y + n = 0 as geom.line_through gives it."""
     ax, ay, bx, by, cx, cy = corners
-    T = ((by - cy, cx - bx, bx * cy - cx * by), (cy - ay, ax - cx, cx * ay - ax * cy),
-         (ay - by, bx - ax, ax * by - bx * ay))
-    return _unit(_congruent(m, T))
+    return ((by - cy, cx - bx, bx * cy - cx * by), (cy - ay, ax - cx, cx * ay - ax * cy),
+            (ay - by, bx - ax, ax * by - bx * ay))
+
+
+def _bary_to_plane(m, corners) -> list:
+    """The barycentric matrix m, given as rows, of a conic relative to the
+    triangle of the corners in the plane: T^T m T of unit norm, T's rows
+    (the sidelines) the barycentrics of (x, y, 1), on floats or arrays."""
+    return _unit(_congruent(m, _sidelines(corners)))
 
 
 def _chk_privalov(cfgs) -> list:
@@ -1160,7 +1166,7 @@ def _chk_privalov(cfgs) -> list:
             u = _unit_bary(args[:6], x, y)
             form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
             worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
-        co, (ox, oy, fs), _, rules = _six_point_fit(args, xs, ys, s)
+        _, co, (ox, oy, fs), _, _, rules = _six_point_fit(args, s)
         # n maps (x, y, 1) to the fit's frame.
         A, B, C, D, E, F = co
         n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
@@ -1179,26 +1185,30 @@ def _chk_privalov(cfgs) -> list:
 def _chk_isosceles_degenerate(cfgs) -> list:
     """P4.4 on all configurations at once: for A=(0, apex), B=(h, 0),
     C=(-h, 0), the V-hyperbola a-member is BC's perpendicular bisector (else
-    1.0), through BC's midpoint M and A (over the largest side), and
-    Privalov's conic (_bary_to_plane) passes through M and touches BC there
-    (kernels.conic_residual, kernels.tangency_disc)."""
+    1.0), the line x = 0 through A and BC's midpoint M (exactly, in this
+    frame), and Privalov's conic (_bary_to_plane) passes through M and
+    touches BC there (kernels.conic_residual, kernels.tangency_disc)."""
     apex, h = (np.array([cfg[k] for cfg in cfgs], dtype=float) for k in ("apex", "half_base"))
     zero = np.zeros(len(cfgs))
-    corners = ax, ay, bx, by, cx, cy = (zero, apex, h, zero, -h, zero)
+    corners = (zero, apex, h, zero, -h, zero)
     sides, lams, bad = kernels._sides_deltas(*corners, kernels.KIND_V_HYPERBOLA, zero, zero)
-    tsides = _triangle_sides(corners)
     with np.errstate(all="ignore"):
-        mx, my = (bx + cx) / 2.0, (by + cy) / 2.0
-        l, m = cx - bx, cy - by  # triads._perp_bisector
-        n = -(l * mx + m * my)
-        line = np.maximum(abs(l * mx + m * my + n), abs(l * ax + m * ay + n)) / _dist(l, m)
-        (A, B, D), (_, C, E), (_, _, F) = _bary_to_plane(_unit(kernels.privalov(*tsides)), corners)
+        (A, B, D), (_, C, E), (_, _, F) = _bary_to_plane(
+            _unit(kernels.privalov(*_triangle_sides(corners))), corners)
         co = (A, 2.0 * B, C, 2.0 * D, 2.0 * E, F)
-        touch = abs(kernels.tangency_disc(co, by - cy, cx - bx, bx * cy - cx * by))
-        worst = functools.reduce(np.maximum, (
-            line / kernels._largest(tsides), kernels.conic_residual(co, mx, my), touch))
+        # BC's midpoint is the origin.
+        worst = np.maximum(kernels.conic_residual(co, zero, zero),
+                           abs(kernels.tangency_disc(co, *_sidelines(corners)[0])))
     bisector = abs(lams[0]) <= kernels.MEMBER_GUARD * kernels._largest(sides)
     return _fail_or(np.where(bisector, worst, 1.0), (bad, _DEGENERATE))
+
+
+def _v_hyperbola_circle(cfgs) -> tuple:
+    """_v_hyperbola's args, lambdas, flag and bisector, then Triangle's
+    sides and the circumdiameter, as centers.circumcircle takes them."""
+    args, _, lams, _, _, _, bad, bisector = _v_hyperbola(cfgs)
+    sides = _triangle_sides(args[:6])
+    return args, lams, bad, bisector, sides, 2.0 * _circumcircle(args[:6], sides)[3]
 
 
 def _soddy_centers(corners, sides) -> list:
@@ -1217,13 +1227,10 @@ def _chk_soddy_intersections(cfgs) -> list:
     focal-difference residual there over the circumdiameter; 0.0 where a
     member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
-        args, _, lams, _, _, _, bad, bisector = _v_hyperbola(cfgs)
-        corners = args[:6]
-        a, b, c = sides = _triangle_sides(corners)
-        diam = 2.0 * (a * b * c / (4.0 * abs(_signed_area(*corners))))
+        args, lams, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
         worst = 0.0
-        for x, y, far in _soddy_centers(corners, sides):
-            at = kernels._sides_deltas(*corners, kernels.KIND_P_HYPERBOLA, x, y)[1]
+        for x, y, far in _soddy_centers(args[:6], sides):
+            at = kernels._sides_deltas(*args[:6], kernels.KIND_P_HYPERBOLA, x, y)[1]
             res = functools.reduce(np.maximum, [abs(abs(d) - abs(l)) for d, l in zip(at, lams)])
             worst = np.maximum(worst, np.where(far, 0.0, res / diam))
     return _fail_or(np.where(bisector, 0.0, worst), (bad, _DEGENERATE))
@@ -1303,33 +1310,28 @@ def _vhyp_chord_line_bary(a, b, c):
 
 def _chk_chords_x8(cfgs) -> list:
     """P4.8 on all configurations at once: of each focal pair's two lines
-    (kernels.focal_pairs), the chord, the one not through the Soddy centers
-    (triads.two_branch_chords' rule; NotFound if neither is theirs), passes
-    through X8 (distance over the circumdiameter), and X8 lies on the
-    A-chord's closed form; 0.0 where a member is a perpendicular bisector."""
+    (kernels.focal_pairs), the chord, the one farther from the inner Soddy
+    center X176 (the other is the Soddy line; NotFound if neither passes
+    within 1e-6), passes through X8 (distance over the circumdiameter), and
+    X8 lies on the A-chord's closed form; 0.0 where a member is a
+    perpendicular bisector."""
     with np.errstate(all="ignore"):
-        args, _, _, _, _, _, bad, bisector = _v_hyperbola(cfgs)
-        corners = args[:6]
-        a, b, c = sides = _triangle_sides(corners)
-        diam = 2.0 * (a * b * c / (4.0 * abs(_signed_area(*corners))))
+        args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
         (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
-        (x176, y176, _), (x175, y175, far175) = (((x - gx) / s, (y - gy) / s, far)
-                                                 for x, y, far in _soddy_centers(corners, sides))
+        (qx, qy, _), _ = _soddy_centers(args[:6], sides)
+        qx, qy = (qx - gx) / s, (qy - gy) / s
         u = kernels.cyclic(_x8, *sides)
-        x8, y8, _ = kernels.bary_point(*corners, *u)
+        x8, y8, _ = kernels.bary_point(*args[:6], *u)
         worst, missed = 0.0, False
         for _, _, lines in pairs:
-            scores, chords = [], []
-            for l, m, n in lines:
-                hyp = _dist(l, m)
-                at = [abs(l * x + m * y + n) for x, y in ((x176, y176), (x175, y175))]
-                scores.append(np.where(far175, at[0], np.maximum(*at)) / hyp)
-                chords.append((l, m, n * s - l * gx - m * gy, hyp))  # in the plane
-            soddy = scores[0] <= scores[1]  # the Soddy line is the first; the chord the other
-            missed = missed | (np.where(soddy, scores[0], scores[1]) > 1e-6)
-            l, m, n, hyp = (np.where(soddy, q1, q0) for q0, q1 in zip(*chords))
-            worst = np.maximum(worst, abs(l * x8 + m * y8 + n) / hyp / diam)
-        lco = _vhyp_chord_line_bary(a, b, c)
+            h = [_dist(l, m) for l, m, _ in lines]
+            d = [abs(l * qx + m * qy + n) / hk for (l, m, n), hk in zip(lines, h)]
+            # In the plane, each line is l x + m y + (n s - l gx - m gy) = 0.
+            e = [abs(l * x8 + m * y8 + (n * s - l * gx - m * gy)) / hk / diam
+                 for (l, m, n), hk in zip(lines, h)]
+            missed = missed | (np.minimum(*d) > 1e-6)
+            worst = np.maximum(worst, np.where(d[0] <= d[1], e[1], e[0]))
+        lco = _vhyp_chord_line_bary(*sides)
         on = abs(lco[0] * u[0] + lco[1] * u[1] + lco[2] * u[2]) / (
             kernels._largest([abs(v) for v in lco]) * kernels._largest([abs(v) for v in u]))
     return _fail_or(
@@ -1348,9 +1350,7 @@ def _chk_fifteen_point_cubic(cfgs) -> list:
     with np.errstate(all="ignore"):
         args, _, _, s, hxs, hys, bad, bisector = _v_hyperbola(cfgs)
         exs, eys, _ = kernels.vertices(*args[:6], kernels.KIND_V_ELLIPSE, *args[7:])
-        ax, ay, bx, by, cx, cy = args[:6]
-        lines = [(y1 - y2, x2 - x1, x1 * y2 - x2 * y1)  # geom.line_through
-                 for x1, y1, x2, y2 in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))]
+        lines = _sidelines(args[:6])
 
         def gaps(x, y):
             return functools.reduce(
@@ -1428,35 +1428,30 @@ def _chk_x55(cfgs) -> list:
     center from O' (inf without one; the spread where a member degenerates,
     as in the equilateral limit) and |O' X7|, over the circumradius of T'."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    corners = ax, ay, bx, by, cx, cy = args[:6]
+    corners = args[:6]
     sides = _triangle_sides(corners)
     with np.errstate(all="ignore"):
-        qx, qy, far_q = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
+        qx, qy, _ = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
         refl = []
-        for x1, y1, x2, y2 in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)):
-            l, m, n = y1 - y2, x2 - x1, x1 * y2 - x2 * y1  # geom.line_through
-            d = (l * qx + m * qy + n) / (l * l + m * m)  # geom.reflect_about_line
+        for l, m, n in _sidelines(corners):
+            d = (l * qx + m * qy + n) / (l * l + m * m)  # Q reflected in the line
             refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
         tsides = _triangle_sides(refl)
         ts, area = kernels._largest(tsides), abs(_signed_area(*refl))
-        ox, oy, far_o = kernels.bary_point(*refl, *kernels.cyclic(kernels.center_x3, *tsides))
-        r = tsides[0] * tsides[1] * tsides[2] / (4.0 * area)
-        targs = (*refl, kernels.KIND_P_HYPERBOLA, qx, qy)
-        xs, ys, bad = kernels.vertices(*targs)
+        ox, oy, far_o, r = _circumcircle(refl, tsides)
+        (xs, ys, bad), *_, (x, y, has_center), rules = _six_point_fit(
+            (*refl, kernels.KIND_P_HYPERBOLA, qx, qy), ts)
         dists = _dist(xs - ox, ys - oy)
         spread = abs(dists - sum(dists) / 6.0).max(axis=0)
-        co, frame, _, rules = _six_point_fit(targs, xs, ys, ts)
-        x, y, has_center = kernels.frame_center(co, frame)
         conc = np.where(bad, spread, np.where(has_center, _dist(x - ox, y - oy), math.inf))
-        x7, y7, far7 = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
-        worst = functools.reduce(np.maximum, (spread / r, conc / r, _dist(ox - x7, oy - y7) / r))
+        x7, y7, _ = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
+        worst = functools.reduce(np.maximum, (spread, conc, _dist(ox - x7, oy - y7))) / r
+    # X55 and X7 are never at infinity: their barycentrics are all positive.
     return _fail_or(
         worst,
-        (far_q, _at_infinity("X55")),
         # Triangle's refusal of collinear corners, as reflection_triangle meets it.
         (~(area > get_tol() * ts * ts), DegenerateResult("the reflection triangle of X55 degenerates")),
         (far_o, _at_infinity("the reflection triangle's X3")),
-        (far7, _at_infinity("X7")),
         *((mask & ~bad, exc) for mask, exc in rules),
     )
 
@@ -1582,8 +1577,7 @@ def _a_ellipse(corners) -> tuple:
     dx, dy = bx - cx, by - cy
     f = _dist(dx, dy)
     alpha, chalf = axis / 2.0, f / 2.0
-    faults.append((~(axis > f), lambda i: InvalidAxisLength(
-        f"ellipse needs axis_length > focal distance ({axis[i]} <= {f[i]})")))
+    faults.append((~(axis > f), InvalidAxisLength("ellipse needs axis_length > focal distance")))
     return (sides, ((bx + cx) / 2.0, (by + cy) / 2.0), (dx / f, dy / f),
             (alpha, np.sqrt(abs(alpha * alpha - chalf * chalf))), faults)
 
@@ -1614,40 +1608,32 @@ def _chk_major_vertices(cfgs) -> list:
         rad = _block("major_vertices", "rt_radicand", values)
         values.update(S=2.0 * abs(_signed_area(*corners)), rt=np.sqrt(rad))
         second, third = (_block("major_vertices", poly, values) for poly in ("second", "third"))
-        ends = _unit_bary(corners, np.stack((ox + ux * alpha, ox + ux * -alpha)),
-                          np.stack((oy + uy * alpha, oy + uy * -alpha)))
+        alpha = np.stack((alpha, -alpha))  # the two vertices o +- alpha u
+        ends = _unit_bary(corners, ox + ux * alpha, oy + uy * alpha)
         worst = 0.0
         for sign in ("plus", "minus"):
             num, den = (_block("major_vertices", f"{poly}_{sign}", values) for poly in ("num", "den"))
-            formula = (num, den * second, den * third)
-            worst = np.maximum(worst, np.minimum(*(_proj_errors(formula, [w[k] for w in ends])
-                                                  for k in (0, 1))))
+            worst = np.maximum(worst, _proj_errors((num, den * second, den * third), ends).min(axis=0))
     return _fail_or(
         worst, (rad < 0.0, ConstructionFailed("vertex radical is negative for this triangle")), *faults
     )
 
 
-def _center_gap(corners, args, s, name: str, poly: str, values: dict) -> tuple:
-    """The center (kernels.frame_center) of the triads' six-point conic
-    (_six_point_fit; args, largest side s) against a block's closed form at
-    each value's three columns, projectively: (gap, member flag, rules)."""
-    xs, ys, bad = kernels.vertices(*args)
-    co, frame, _, rules = _six_point_fit(args, xs, ys, s)
-    x, y, has_center = kernels.frame_center(co, frame)
-    gap = _proj_errors(_block(name, poly, values), _unit_bary(corners, x, y))
-    return gap, bad, [*rules, (~has_center, ConstructionFailed("six-point conic has no center"))]
+_NO_CENTER = ConstructionFailed("six-point conic has no center")
 
 
 def _chk_x3prime_center(cfgs) -> list:
     """A3 on all configurations at once: the center of P3.3's circle (the
     P-ellipse six-point conic of the X3-anticevian with driver X3) against
-    the block's f(a, b, c), f(b, c, a), f(c, a, b) (_center_gap)."""
+    the block's f(a, b, c), f(b, c, a), f(c, a, b), projectively."""
     corners = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)[:6]
     with np.errstate(all="ignore"):
         (a, b, c), targs, tsides, faults = _x3_anticevian(corners)
-        gap, bad, rules = _center_gap(corners, targs, kernels._largest(tsides), "x3prime_center", "f",
-                                      {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b]})
-    return _fail_or(gap, *faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules)
+        (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(targs, kernels._largest(tsides))
+        f = _block("x3prime_center", "f", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b]})
+        gap = _proj_errors(f, _unit_bary(corners, x, y))
+    return _fail_or(gap, *faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules,
+                    (~has_center, _NO_CENTER))
 
 
 def _phyp_block(name: str):
@@ -1665,7 +1651,7 @@ def _phyp_block(name: str):
             values = {"a": a, "b": b, "c": c, "La": la, "Lb": lb, "Lc": lc}
             if name == "phyp_member":
                 values.update(zip("pqr", _unit_bary(corners, px, py)))
-                xs, ys = np.stack((px, xs[0], xs[1])), np.stack((py, ys[0], ys[1]))
+                xs, ys = np.vstack((px, xs[:2])), np.vstack((py, ys[:2]))
             values.update(zip("xyz", _unit_bary(corners, xs, ys)))
             res = _block(name, "main", values, True)
         return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0),
@@ -1677,15 +1663,16 @@ def _phyp_block(name: str):
 def _chk_x5452_coordinate(cfgs) -> list:
     """A6 on all configurations at once: the center of the V-hyperbola
     six-point conic against the block's g at the sides and focal
-    differences, cycled (_center_gap)."""
+    differences, cycled, projectively."""
     args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
     a, b, c = sides = _triangle_sides(args[:6])
     with np.errstate(all="ignore"):
         la, lb, lc = kernels._sides_deltas(*args)[1]
-        gap, bad, rules = _center_gap(args[:6], args, kernels._largest(sides), "x5452_coordinate", "g", {
-            "a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
-            "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
-    return _fail_or(gap, (bad, _DEGENERATE), *rules)
+        (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(args, kernels._largest(sides))
+        g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
+                                              "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
+        gap = _proj_errors(g, _unit_bary(args[:6], x, y))
+    return _fail_or(gap, (bad, _DEGENERATE), *rules, (~has_center, _NO_CENTER))
 
 
 def _gen_x3prime_center(rng, n) -> list:

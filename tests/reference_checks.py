@@ -1,11 +1,16 @@
-"""Checks of one configuration on the object path: the appendix blocks'
-(A1-A6) and the X55 conjecture's (P5.5).
+"""Checks of one configuration on the object path, and the constructions
+they use that the package no longer needs.
 
-Each appendix check builds the block's object geometrically (the metric
-construction is the oracle), samples it, and evaluates the polynomial at
-the samples' reference-triangle barycentrics.  The verifier runs these
-checks on arrays, every trial at once; these one-configuration versions
-are kept as the references its batched checks are tested against.
+The appendix blocks' checks (A1-A6) and the X55 conjecture's (P5.5) ran
+trial by trial before the verifier ran them on arrays, every trial at
+once; they are kept as the references its batched checks are tested
+against.  Each appendix check builds the block's object geometrically
+(the metric construction is the oracle), samples it, and evaluates the
+polynomial at the samples' reference-triangle barycentrics.  The
+constructions are the object-path versions of what the batched checks
+compute on arrays: the anticevian and reflection triangles, reflections
+in a line and in a point, a focal conic's vertices, a barycentric conic in
+the plane (P4.3, P4.4) and the two-branch chords (P4.8).
 """
 
 from __future__ import annotations
@@ -17,17 +22,119 @@ import numpy as np
 
 from triconic import kernels
 from triconic.appendix import eval_terms, load_block
-from triconic.centers import (
-    anticevian_triangle,
-    center_bary,
-    circumcircle,
-    classic_center,
-    reflection_triangle,
+from triconic.centers import center_bary, circumcircle, classic_center, soddy_centers
+from triconic.conic import Conic, FocalConic
+from triconic.errors import (
+    ConstructionFailed,
+    DegenerateMember,
+    DegenerateResult,
+    DegenerateTriangle,
+    NotFound,
+    PointAtInfinity,
 )
-from triconic.conic import FocalConic, vertices_of_focal_conic
-from triconic.errors import ConstructionFailed, DegenerateMember
-from triconic.geom import Point2, Triangle, cartesian_to_bary, distance
-from triconic.triads import _kernel_args, build_triad, six_point_conic, triad_vertices
+from triconic.geom import (
+    BaryCoords,
+    LineEq,
+    Point2,
+    Triangle,
+    bary_to_cartesian,
+    cartesian_to_bary,
+    distance,
+    line_through,
+)
+from triconic.triads import (
+    ConicTriad,
+    _kernel_args,
+    build_triad,
+    six_point_conic,
+    triad_vertices,
+)
+
+
+def anticevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
+    u, v, w = q.u, q.v, q.w
+    if u == 0.0 or v == 0.0 or w == 0.0:
+        raise DegenerateResult("anticevian undefined for a point on a sideline")
+    try:
+        return Triangle(
+            bary_to_cartesian(t, BaryCoords(-u, v, w)),
+            bary_to_cartesian(t, BaryCoords(u, -v, w)),
+            bary_to_cartesian(t, BaryCoords(u, v, -w)),
+        )
+    except (PointAtInfinity, DegenerateTriangle) as exc:
+        raise DegenerateResult(f"anticevian triangle of {q} degenerates") from exc
+
+
+def reflection_triangle(t: Triangle, q: Point2) -> Triangle:
+    """Vertices are the reflections of q over the three sidelines."""
+    lines = (
+        line_through(t.b, t.c),
+        line_through(t.c, t.a),
+        line_through(t.a, t.b),
+    )
+    pts = tuple(reflect_about_line(q, ln) for ln in lines)
+    try:
+        return Triangle(*pts)
+    except DegenerateTriangle as exc:
+        raise DegenerateResult(f"reflection triangle of {q} degenerates") from exc
+
+
+def reflect_about_point(p: Point2, center: Point2) -> Point2:
+    return Point2(2.0 * center.x - p.x, 2.0 * center.y - p.y)
+
+
+def reflect_about_line(p: Point2, line: LineEq) -> Point2:
+    d = line.eval_point(p) / (line.l * line.l + line.m * line.m)
+    return Point2(p.x - 2.0 * d * line.l, p.y - 2.0 * d * line.m)
+
+
+def vertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
+    alpha, _ = fc.semi_axes()
+    o, u = fc.center, fc.axis_unit()
+    return (o + alpha * u, o + (-alpha) * u)
+
+
+def conic_bary_to_cartesian(m: np.ndarray, t: Triangle) -> Conic:
+    """The Cartesian conic of the barycentric matrix m relative to t, by
+    the linear change of coordinates."""
+    # Rows of T give barycentric coordinates (up to common scale) of (x, y, 1).
+    ax, ay = t.a.x, t.a.y
+    bx, by = t.b.x, t.b.y
+    cx, cy = t.c.x, t.c.y
+    T = np.array(
+        [
+            [by - cy, cx - bx, bx * cy - cx * by],
+            [cy - ay, ax - cx, cx * ay - ax * cy],
+            [ay - by, bx - ax, ax * by - bx * ay],
+        ]
+    )
+    return Conic(T.T @ m @ T)
+
+
+def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
+    """Chords through the opposite-branch intersections of the hyperbola
+    pairs (b,c), (c,a), (a,b), from one kernels.focal_pairs call.
+
+    Of each pair's two lines, the one through the Soddy centers X175/X176
+    is the Soddy line; the other is the sought chord.  Works even when a
+    chord's endpoints are complex.
+    """
+    if tr.kind != "v_hyperbola":
+        raise ValueError("two_branch_chords applies to V-hyperbola triads")
+    (gx, gy, s), pairs, bad = kernels.focal_pairs(*_kernel_args(tr.t, tr.kind, tr.p))
+    if bad:
+        raise DegenerateMember("two-branch chords need nondegenerate members")
+    framed = [((q.x - gx) / s, (q.y - gy) / s) for q in soddy_centers(tr.t) if q is not None]
+    chords = []
+    for _, _, lines in pairs:
+        scores = [max(abs(l * x + m * y + n) for x, y in framed) / math.hypot(l, m)
+                  for l, m, n in lines]
+        soddy = 0 if scores[0] <= scores[1] else 1
+        if scores[soddy] > 1e-6:
+            raise NotFound("neither line of the pair is the Soddy line")
+        l, m, n = lines[1 - soddy]
+        chords.append(LineEq(l, m, n * s - l * gx - m * gy))
+    return tuple(chords)
 
 
 def normalized_residual(name: str, poly: str, values: dict) -> float:

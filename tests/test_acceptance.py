@@ -17,7 +17,6 @@ import pytest
 from triconic import kernels
 from triconic.appendix import BLOCK_NAMES
 from triconic.centers import (
-    anticevian_triangle,
     center_bary,
     circumcircle,
     classic_center,
@@ -53,7 +52,6 @@ from triconic.triads import (
     second_common_point,
     six_point_conic,
     triad_vertices,
-    two_branch_chords,
 )
 from triconic.verify import (
     _sextic_triangles,
@@ -62,7 +60,12 @@ from triconic.verify import (
     random_triangle,
 )
 
-from reference_checks import check_appendix, x55_conjecture_check
+from reference_checks import (
+    anticevian_triangle,
+    check_appendix,
+    two_branch_chords,
+    x55_conjecture_check,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -10,7 +10,6 @@ from triconic.conic import (
     FocalConic,
     center,
     classify,
-    conic_bary_to_cartesian,
     conic_conic_intersections,
     conic_from_foci,
     conic_line_intersection,
@@ -18,10 +17,11 @@ from triconic.conic import (
     fit_conic_5pts,
     residual,
     split_degenerate,
-    vertices_of_focal_conic,
 )
 from triconic.errors import InvalidAxisLength, NoFiniteCenter, RankDeficient
 from triconic.geom import LineEq, Point2, Triangle, distance, line_through
+
+from reference_checks import conic_bary_to_cartesian, vertices_of_focal_conic
 
 
 def unit_circle():
