@@ -1,5 +1,5 @@
 """Triangle centers, incircle/excircles and their tangency points, kissing
-and Soddy circles, and derived triangles.
+and Soddy circles.
 
 Soddy circles are computed metrically (Descartes curvature + trilateration
 from the vertices) rather than from catalog barycentrics: the defining
@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import (
-    DegenerateResult,
-    DegenerateTriangle,
-    PointAtInfinity,
-    TrilaterationInconsistent,
-)
+from .errors import DegenerateResult, TrilaterationInconsistent
 from .geom import (
     BaryCoords,
     LineEq,
@@ -279,17 +274,3 @@ def soddy_centers(t: Triangle) -> tuple[Point2 | None, Point2]:
     if cfg.regime == "line":
         return None, x176
     return cfg.outer_circle.center, x176
-
-
-def cevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
-    u, v, w = q.u, q.v, q.w
-    if (u, v, w).count(0.0) == 2:
-        raise DegenerateResult("cevian undefined at a vertex")
-    try:
-        return Triangle(
-            bary_to_cartesian(t, BaryCoords(0.0, v, w)),
-            bary_to_cartesian(t, BaryCoords(u, 0.0, w)),
-            bary_to_cartesian(t, BaryCoords(u, v, 0.0)),
-        )
-    except (PointAtInfinity, DegenerateTriangle) as exc:
-        raise DegenerateResult(f"cevian triangle of {q} degenerates") from exc

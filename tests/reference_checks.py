@@ -8,9 +8,10 @@ against.  Each appendix check builds the block's object geometrically
 (the metric construction is the oracle), samples it, and evaluates the
 polynomial at the samples' reference-triangle barycentrics.  The
 constructions are the object-path versions of what the batched checks
-compute on arrays: the anticevian and reflection triangles, reflections
-in a line and in a point, a focal conic's vertices, a barycentric conic in
-the plane (P4.3, P4.4) and the two-branch chords (P4.8).
+compute on arrays: the anticevian and reflection triangles, reflection
+in a line, a focal conic's vertices, a barycentric conic in the plane
+(P4.3, P4.4) and the two-branch chords (P4.8); with them the cevian
+triangle and reflection in a point, which no package code used.
 """
 
 from __future__ import annotations
@@ -49,6 +50,20 @@ from triconic.triads import (
     six_point_conic,
     triad_vertices,
 )
+
+
+def cevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
+    u, v, w = q.u, q.v, q.w
+    if (u, v, w).count(0.0) == 2:
+        raise DegenerateResult("cevian undefined at a vertex")
+    try:
+        return Triangle(
+            bary_to_cartesian(t, BaryCoords(0.0, v, w)),
+            bary_to_cartesian(t, BaryCoords(u, 0.0, w)),
+            bary_to_cartesian(t, BaryCoords(u, v, 0.0)),
+        )
+    except (PointAtInfinity, DegenerateTriangle) as exc:
+        raise DegenerateResult(f"cevian triangle of {q} degenerates") from exc
 
 
 def anticevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:

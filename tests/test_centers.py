@@ -6,7 +6,6 @@ import pytest
 
 from triconic.centers import (
     center_bary,
-    cevian_triangle,
     circumcircle,
     classic_center,
     excircle_tangency_points,
@@ -23,7 +22,7 @@ from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, dista
 from triconic.verify import random_triangle
 
 import reference_checks
-from reference_checks import anticevian_triangle, reflection_triangle
+from reference_checks import anticevian_triangle, cevian_triangle, reflection_triangle
 
 
 def test_classic_centers_345(t345):

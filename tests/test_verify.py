@@ -260,8 +260,8 @@ _HANDLERS = {
         render, "split_degenerate", lambda: render._conic_samples(_lines(), (-1, 1, -1, 1)),
     ),
     "cevian_triangle": (
-        centers, "bary_to_cartesian",
-        lambda: centers.cevian_triangle(_tri(), BaryCoords(1.0, 1.0, 1.0)),
+        reference_checks, "bary_to_cartesian",
+        lambda: reference_checks.cevian_triangle(_tri(), BaryCoords(1.0, 1.0, 1.0)),
     ),
     "anticevian_triangle": (
         reference_checks, "bary_to_cartesian",
