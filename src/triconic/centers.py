@@ -21,6 +21,7 @@ from .geom import (
     Triangle,
     bary_to_cartesian,
     distance,
+    signed_area,
 )
 
 
@@ -209,16 +210,22 @@ def _circle_circle_points(c1: Point2, r1: float, c2: Point2, r2: float) -> list[
 
 
 def _trilaterate(t: Triangle, d1: float, d2: float, d3: float) -> Point2:
-    """Point at distances (d1, d2, d3) from (A, B, C); the first two circles
-    give two candidates, the third disambiguates."""
-    cands = _circle_circle_points(t.a, d1, t.b, d2)
-    if not cands:
-        raise TrilaterationInconsistent("first two distance circles do not meet")
-    best = min(cands, key=lambda p: abs(distance(p, t.c) - d3))
-    if abs(distance(best, t.c) - d3) > 1e-6 * t.scale():
-        raise TrilaterationInconsistent(
-            f"third distance off by {abs(distance(best, t.c) - d3):.3e}"
-        )
+    """Point at distances (d1, d2, d3) from (A, B, C): of the candidates
+    of two distance circles the one the third fits best, the two those
+    that cross at the widest angle (2 area(c1 c2 p) / (r1 r2) its sine),
+    as circles that nearly touch fix their points to only the square root
+    of the rounding."""
+    circles = ((t.a, d1), (t.b, d2), (t.c, d3))
+    fits = []
+    for (c1, r1), (c2, r2), (c3, r3) in (circles, circles[1:] + circles[:1], circles[2:] + circles[:2]):
+        if cands := _circle_circle_points(c1, r1, c2, r2):
+            p = min(cands, key=lambda q: abs(distance(q, c3) - r3))
+            fits.append((-2.0 * abs(signed_area(c1, c2, p)) / (r1 * r2), abs(distance(p, c3) - r3), p))
+    if not fits:
+        raise TrilaterationInconsistent("no two distance circles meet")
+    _, off, best = min(fits, key=lambda fit: fit[0])
+    if off > 1e-6 * t.scale():
+        raise TrilaterationInconsistent(f"third distance off by {off:.3e}")
     return best
 
 

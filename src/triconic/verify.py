@@ -10,18 +10,17 @@ crashed trials by exception type, and the margin of the worst residual
 against the bound.  Replaying the witness (`run` on that one
 configuration) reproduces the residual.
 
-The draws run on floats (`_tri_floats`, `_near_floats`) with the
-arithmetic of the object path and numpy's `uniform` formula, so every
-stream and configuration is that of `random_triangle` and
-`random_point_near`.  The block draws read their rng in blocks and, from
-`_FLOAT_DRAWS` configurations on, test them on arrays: `_gen_tri` as one
-mask (`_tri_mask`, leaving an attempt at a bound to `_tri_ok`),
-`_gen_tri_point` by a pointer chase (`_chase`'s tests at every offset,
-then a list index a candidate; a driver at its guard is left to floats).
-Only the draws of A3, P2.8 and P5.7 run a search, as only it decides
-their family: A3's runs its check, P2.8's and P5.7's the grid step of the
-root scan of their checks (`loci.bracket_sign_changes`), A3's and P5.7's a
-round at a time (`_draw_rounds`, as `_gen_tri_point` runs its guard).
+Each proposition's draw is an array sampler on its own rng (`_prop_rng`),
+so no proposition's trials move another's configurations.  It draws a
+block of candidates as columns, tests them as one mask (`_tri_mask`, the
+driver guard of `_drivers`, `_member_guard` and its family's rules), keeps
+the first n accepted in order and draws again only when short (`_sample`);
+it builds no object and emits plain floats.  Only the draws of A3, P2.8
+and P5.7 run a search, as only it decides their family: A3's its check,
+P2.8's and P5.7's the grid step of their checks' root scans
+(`loci.bracket_sign_changes`), a block in one call.  The float draws
+`random_triangle`, `random_flat_triangle` and `random_point_near` are the
+public ones, for callers that draw one shape at a time.
 
 Thirty-six checks run as one batch, each trial's bits those of a batch of
 one; the five of at most four trials (P2.9, P3.5, P3.6, P3.7 and P3.9)
@@ -74,7 +73,6 @@ from .centers import (
     _x7,
     _x8,
     _x55,
-    center_bary,
     circumcircle,
     half_tangent_sum,
     soddy,
@@ -138,16 +136,10 @@ MAX_ASPECT = 50.0
 # about 40% of the box is accepted, so the cap is never reached there.
 NEAR_EXPAND = 2.0
 NEAR_DRAWS = 1000
-# Doubles a block draw reads from the rng at a time.
-_BLOCK = 512
-# Block draws of fewer configurations run on floats, faster there (below
-# about 15 triangles, 32 points); _chase tests the first _CHASE_PAIRS pairs.
-_FLOAT_DRAWS, _CHASE_PAIRS = 30, 3
 
-# The draws run on floats: u is a source of doubles in [0, 1), such as
-# rng.random or _doubles(rng).__next__, and rng.uniform(lo, hi) is
-# lo + (hi - lo) * u(), numpy's own formula, so either source gives the
-# stream and the bits of the rng.uniform calls.
+# The public draws run on floats: u is a source of doubles in [0, 1), such
+# as rng.random, and rng.uniform(lo, hi) is lo + (hi - lo) * u(), numpy's
+# own formula, so they read the stream of the rng.uniform calls.
 
 
 def _tri_floats(u) -> tuple:
@@ -209,14 +201,12 @@ def _near_floats(ax, ay, bx, by, cx, cy, u) -> tuple:
             abs(l3 * px + m3 * py + n3) / h3,
         ) >= guard:
             return px, py
+    raise _no_driver(ax, ay, bx, by, cx, cy)
+
+
+def _no_driver(ax, ay, bx, by, cx, cy) -> ConstructionFailed:
     t = Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
-    raise ConstructionFailed(f"no driver point clears the sidelines of {t} in {NEAR_DRAWS} draws")
-
-
-def _doubles(rng):
-    """The doubles of rng.random() calls, read from rng in blocks."""
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    return ConstructionFailed(f"no driver point clears the sidelines of {t} in {NEAR_DRAWS} draws")
 
 
 def random_triangle(rng: np.random.Generator) -> Triangle:
@@ -252,157 +242,128 @@ def random_point_near(t: Triangle, rng: np.random.Generator) -> Point2:
     return Point2(*_near_floats(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, rng.random))
 
 
-def _corners_cfg(ax, ay, bx, by, cx, cy) -> list:
-    return [[ax, ay], [bx, by], [cx, cy]]
-
-
-def _tri_cfg(t: Triangle) -> list:
-    return _corners_cfg(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y)
-
-
 def _cfg_tri(cfg) -> Triangle:
     (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
     return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
 
-def _gen_tri(rng, n) -> list:
-    """n random_triangle configurations: _tri_floats' attempts, six doubles
-    each, read from rng in blocks and tested as one mask (_tri_mask), or
-    below _FLOAT_DRAWS configurations on floats."""
-    if n < _FLOAT_DRAWS:
-        u = _doubles(rng).__next__
-        return [{"triangle": _corners_cfg(*_tri_floats(u))} for _ in range(n)]
-    tol, u = get_tol(), np.empty(0)
-    while True:
-        u = np.concatenate((u, rng.random(8 * n + 64)))
-        rows = u[: u.size // 6 * 6].reshape(-1, 6)
-        keep = np.flatnonzero(_tri_mask(rows, tol))[:n]
-        if keep.size == n:
-            return [{"triangle": _corners_cfg(*row)} for row in rows[keep].tolist()]
-
-
-def _tri_mask(rows, tol):
-    """_tri_ok of each row (ax, ay, bx, by, cx, cy) of rows, on arrays.
-    Sides from their squares (math.hypot's in _tri_ok) and np.arccos may
-    differ from _tri_ok's in the last bits, so a row whose area, aspect or
-    least angle is within 1e-9 of its bound is decided by _tri_ok itself."""
-    ax, ay, bx, by, cx, cy = rows.T
-    sq = [x * x + y * y for x, y in ((bx - cx, by - cy), (cx - ax, cy - ay), (ax - bx, ay - by))]
-    a, b, c = np.sqrt(sq)
-    hi = np.maximum(np.maximum(a, b), c)
-    area, flat = abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))), tol * hi * hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aspect = hi / np.minimum(np.minimum(a, b), c)
-        cos = [(sq[j] + sq[k] - sq[i]) / (2 * v * w)  # at the angle opposite side i
-               for (i, j, k), v, w in (((0, 1, 2), b, c), ((1, 2, 0), c, a), ((2, 0, 1), a, b))]
-        angle = np.arccos(np.clip(cos, -1.0, 1.0)).min(axis=0)
-    ok = (area > flat) & ~(aspect > MAX_ASPECT) & ~(angle < MIN_ANGLE)
-    bounds = ((area, flat), (aspect, MAX_ASPECT), (angle, MIN_ANGLE))
-    for i in np.flatnonzero(np.logical_or.reduce([abs(x - y) <= 1e-9 * y for x, y in bounds])):
-        ok[i] = _tri_ok(*rows[i].tolist(), tol)
-    return ok
-
-
-def _draw_rounds(n, draw_round) -> list:
-    """n configurations from rounds: draw_round(k) draws k candidates and
-    judges them in one call, each as its configuration, None (drop it) or
-    its trial's exception.  With one candidate per missing configuration a
-    round, the rng is read as drawing one at a time reads it."""
-    out = []
+def _sample(n, block) -> list:
+    """The first n of the configurations block(k) accepts, in order:
+    block(k) draws candidates for k missing ones and returns those it
+    accepts (a configuration, or a trial's exception), as often as it is
+    short."""
+    out = block(n)
     while len(out) < n:
-        out += [c for c in draw_round(n - len(out)) if c is not None]
+        more = block(n - len(out))
+        out = np.concatenate((out, more)) if isinstance(out, np.ndarray) else out + more
+    return out[:n]
+
+
+def _uniform(rng, m, *ranges) -> list:
+    """A column of m draws uniform on each range (lo, hi)."""
+    return [lo + (hi - lo) * u for (lo, hi), u in zip(ranges, rng.random((len(ranges), m)))]
+
+
+def _configs(rows, **cols) -> list:
+    """One configuration per row: the corners (ax, ay, bx, by, cx, cy) of
+    rows as its triangle, and each named column's value."""
+    out = [{"triangle": t} for t in rows.reshape(-1, 3, 2).tolist()]
+    for key, col in cols.items():
+        for cfg, v in zip(out, col.tolist()):
+            cfg[key] = v
     return out
 
 
-def _gen_tri_point(rng, n) -> list:
-    """n configurations of a triangle and a driver P for which both
-    P-triads have all members (_p_configs, once a round of _draw_rounds);
-    a driver draw that gives up is its trial's ConstructionFailed.  A
-    candidate comes from _chase's tables where they decide it, else floats."""
-    at = 0  # with tables, the offset in the stream of the next candidate
-    if n < _FLOAT_DRAWS:
-        rows, chase, u = np.empty((0, 8)), [], _doubles(rng).__next__
-    else:
-        d = rng.random(-(-(9 * n + 64) // _BLOCK) * _BLOCK)
-        (rows, chase), vals = _chase(d, get_tol()), []  # vals: the doubles read on floats
+def _tri_rows(rng, n):
+    """n random triangles as the rows (ax, ay, bx, by, cx, cy) of an
+    array: corners uniform in the unit square, _tri_ok's tests as one mask
+    (_tri_mask)."""
+    tol = get_tol()
 
-        def u() -> float:
-            nonlocal at
-            at += 1
-            try:
-                return vals[at - 1]
-            except IndexError:  # read on: the rest of d, then the rng's next block
-                vals.extend((d[len(vals):] if len(vals) < d.size else rng.random(_BLOCK)).tolist())
-                at -= 1
-                return u()
+    def block(k):
+        rows = rng.random((k * 9 // 8 + 8, 6))  # about 92% are kept
+        return rows[_tri_mask(rows, tol)]
 
-    def draw_round(k) -> list:
-        nonlocal at
-        picks, extra, failed = [], [], []
-        for i in range(k):
-            if (e := at >> 1) < len(chase) and chase[e] >= 0:
-                picks.append(e)
-                at = chase[e]
-            else:
-                tri = _tri_floats(u)
-                try:
-                    extra.append((*tri, *_near_floats(*tri, u)))
-                    picks.append(len(rows) + len(extra) - 1)
-                except ConstructionFailed as exc:
-                    failed.append((i, exc))
-        if len(rows):
-            configs = _p_configs((np.concatenate((rows, extra)) if extra else rows)[picks])
-        else:  # every candidate was drawn on floats, in order
-            configs = _p_configs(np.array(extra).reshape(-1, 8))
-        for i, exc in failed:  # in order, so each lands at its own place
-            configs.insert(i, exc)
-        return configs
-
-    return _draw_rounds(n, draw_round)
+    return _sample(n, block)
 
 
-def _chase(d, tol) -> tuple:
-    """For the candidate at each offset 2e of d that fits an attempt and
-    _CHASE_PAIRS driver pairs: its row (ax, ay, bx, by, cx, cy, px, py),
-    and the next one's offset, -1 where floats decide (no attempt accepted
-    in d, no pair among the first, or one within 1e-9 of the guard)."""
-    k = min(_CHASE_PAIRS, NEAR_DRAWS)
-    w = np.lib.stride_tricks.sliding_window_view(d, 6 + 2 * k)[::2]
-    m, tri, pairs = len(w), w[:, :6].T, w[:, 6:].T
-    # first[e]: the first accepted attempt of 2e, 2e + 6, ..., else m.
-    first, ok = np.full(m + -m % 3, m), np.flatnonzero(_tri_mask(w[:, :6], tol))
-    first[ok] = ok
-    first = np.minimum.accumulate(first.reshape(-1, 3)[::-1])[::-1].ravel()[:m]
-    # _near_floats' box, and its sidelines BC, CA, AB (a x + b y + c = 0,
-    # norm h) and guard, on arrays (each (x, y) pair or side a column).
-    corners = tri.reshape(3, 2, m)
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
+def _tri_mask(rows, tol):
+    """_tri_ok of each row (ax, ay, bx, by, cx, cy) of rows, on arrays, to
+    rounding: the sides from their squares, and the least angle, opposite
+    the shortest side, below MIN_ANGLE where its cosine is above
+    cos(MIN_ANGLE)."""
+    ax, ay, bx, by, cx, cy = rows.T
+    lo, mid, hi = np.sort([x * x + y * y for x, y in ((bx - cx, by - cy), (cx - ax, cy - ay),
+                                                      (ax - bx, ay - by))], axis=0)
+    area = abs(_signed_area(ax, ay, bx, by, cx, cy))
+    with np.errstate(invalid="ignore"):
+        cos = (mid + hi - lo) / (2.0 * np.sqrt(mid * hi))
+    return (area > tol * hi) & (hi <= MAX_ASPECT * MAX_ASPECT * lo) & (cos <= math.cos(MIN_ANGLE))
+
+
+def _gen_tri(rng, n) -> list:
+    """n random triangle configurations (_tri_rows)."""
+    return _configs(_tri_rows(rng, n))
+
+
+def _drivers(rng, rows) -> tuple:
+    """random_point_near's driver (px, py) for the triangle of each row,
+    on arrays: uniform in the box, tries in rounds of up to four a row
+    until one clears the guard; NaN, and True in the give-up mask, where
+    NEAR_DRAWS tries do not."""
+    corners = rows.reshape(-1, 3, 2)
+    lo, hi = corners.min(axis=1).T, corners.max(axis=1).T  # x and y
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0 * NEAR_EXPAND
-    base = mid - half
-    p, q = corners[[1, 2, 0]], corners[[2, 0, 1]]
-    a, b, c = p[:, 1] - q[:, 1], q[:, 0] - p[:, 0], p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-    h = kernels._hypot(a, b)
-    guard = 1e-2 * h.max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ends, drivers = np.full(m, -1), np.zeros((2, m))
-        for j in reversed(range(k)):  # so the first pair that decides is kept
-            px, py = base + ((mid + half) - base) * pairs[2 * j:2 * j + 2]
-            dist = (abs(a * px + b * py + c) / h).min(axis=0)
-            hit, near = dist >= guard, abs(dist - guard) <= 1e-9 * guard
-            ends = np.where(near, -1, np.where(hit, 2 * np.arange(m) + 8 + 2 * j, ends))
-            drivers = np.where(hit, (px, py), drivers)
-    at = np.minimum(first, m - 1)
-    return np.column_stack((*tri, *drivers))[at], np.where(first < m, ends[at], -1).tolist()
+    base, width = mid - half, (mid + half) - (mid - half)
+    # The sidelines BC, CA, AB as l x + m y + n = 0, with norms h.
+    ax, ay, bx, by, cx, cy = np.array(rows.T)
+    lines = [(py - qy, qx - px, px * qy - qx * py, kernels._hypot(py - qy, qx - px))
+             for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))]
+    guard = 1e-2 * kernels._largest([h for *_, h in lines])
+    out, todo, tries = np.full((2, len(rows)), math.nan), np.arange(len(rows)), 0
+    while todo.size and tries < NEAR_DRAWS:
+        k = min(4, NEAR_DRAWS - tries)
+        px, py = base[:, todo, None] + width[:, todo, None] * rng.random((2, todo.size, k))
+        dist = functools.reduce(np.minimum, [
+            abs(l[todo, None] * px + m[todo, None] * py + n[todo, None]) / h[todo, None]
+            for l, m, n, h in lines])
+        hit = dist >= guard[todo, None]
+        got, first = hit.any(axis=1), hit.argmax(axis=1)
+        out[:, todo[got]] = px[got, first[got]], py[got, first[got]]
+        todo, tries = todo[~got], tries + k
+    return out, np.isnan(out[0])
 
 
-def _p_configs(rows) -> list:
-    """The configurations of candidate rows (ax, ay, bx, by, cx, cy, px,
-    py), None where the member guard of kernels._sides_deltas drops one."""
-    cols = rows.T
-    bad = (kernels._sides_deltas(*cols[:6], kernels.KIND_P_ELLIPSE, *cols[6:])[2]
-           | kernels._sides_deltas(*cols[:6], kernels.KIND_P_HYPERBOLA, *cols[6:])[2])
-    return [None if b else {"triangle": [[ax, ay], [bx, by], [cx, cy]], "p": [px, py]}
-            for b, (ax, ay, bx, by, cx, cy, px, py) in zip(bad.tolist(), rows.tolist())]
+def _member_guard(ax, ay, bx, by, cx, cy, px, py):
+    """Where a member of P's P-ellipse or P-hyperbola triad degenerates:
+    kernels._sides_deltas' flag of KIND_P_ELLIPSE or of KIND_P_HYPERBOLA,
+    from one computation of the sides and P's distances."""
+    sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
+             kernels._hypot(ax - bx, ay - by))
+    pa, pb, pc = (kernels._hypot(px - x, py - y) for x, y in ((ax, ay), (bx, by), (cx, cy)))
+    eps = kernels.MEMBER_GUARD * kernels._largest(sides)
+    bad = (sides[0] == 0.0) | (sides[1] == 0.0) | (sides[2] == 0.0)
+    for s, f, g in zip(sides, (pb, pc, pa), (pc, pa, pb)):
+        diff = abs(f - g)
+        bad = bad | (f + g <= s + eps) | (diff <= eps) | (diff >= s - eps)
+    return bad
+
+
+def _gen_tri_point(rng, n) -> list:
+    """n configurations of a random triangle and a driver P near it
+    (_drivers) for which both P-triads have all their members
+    (_member_guard); a driver draw that gives up is its trial's
+    ConstructionFailed."""
+
+    def block(k) -> list:
+        rows = _tri_rows(rng, k)
+        (px, py), gave_up = _drivers(rng, rows)
+        keep = gave_up | ~_member_guard(*rows.T, px, py)
+        cfgs = _configs(rows[keep], p=np.column_stack((px, py))[keep])
+        return [_no_driver(*rows[i].tolist()) if g else cfg
+                for i, g, cfg in zip(np.flatnonzero(keep), gave_up[keep].tolist(), cfgs)]
+
+    return _sample(n, block)
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +649,12 @@ def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
     return batch_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first)
 
 
-def _crossed(rays, fn, lo, hi, steps: int) -> list:
+def _crossed(rays, fn, lo, hi, steps: int):
     """Whether fn(s, *ray) changes sign on the scan grid along each ray of
-    rays: loci.bracket_sign_changes, no polish."""
-    scan = bracket_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first=True)[0]
-    return np.isin(np.arange(len(rays)), scan).tolist()
+    rays, a bool array: loci.bracket_sign_changes, no polish."""
+    hit = np.zeros(len(rays), dtype=bool)
+    hit[bracket_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first=True)[0]] = True
+    return hit
 
 
 def _at_rays(fn, rays, s) -> list:
@@ -702,10 +664,11 @@ def _at_rays(fn, rays, s) -> list:
 
 def _midpoint_ray(a, b, ang) -> tuple:
     """A and B, given as [x, y], then the ray M + s*r*(cos ang, sin ang)
-    from the midpoint M of AB, r = |AB| / 2."""
-    A, B = Point2(*a), Point2(*b)
-    m = midpoint(A, B)
-    return (A.x, A.y, B.x, B.y, m.x, m.y, distance(A, B) / 2.0, math.cos(ang), math.sin(ang))
+    from the midpoint M of AB, r = |AB| / 2 (geom.midpoint's and
+    geom.distance's bits)."""
+    (ax, ay), (bx, by) = a, b
+    return (ax, ay, bx, by, (ax + bx) / 2.0, (ay + by) / 2.0, math.hypot(ax - bx, ay - by) / 2.0,
+            math.cos(ang), math.sin(ang))
 
 
 def _ab_ray(cfg) -> tuple:
@@ -1676,150 +1639,182 @@ def _chk_x5452_coordinate(cfgs) -> list:
 
 
 def _gen_x3prime_center(rng, n) -> list:
-    """n random_triangle configurations whose X3-anticevian six-point conic
+    """n random triangle configurations whose X3-anticevian six-point conic
     has a center, as only the check can tell (near-right triangles make its
-    fit rank deficient), a round (_draw_rounds) in one call."""
+    fit rank deficient): a block's candidates judged in one call."""
 
-    def draw_round(k) -> list:
-        cfgs = [{"triangle": _corners_cfg(*_tri_floats(rng.random))} for _ in range(k)]
-        return [None if isinstance(r, (ConstructionFailed, RankDeficient))
-                else r if isinstance(r, Exception) else cfg
-                for cfg, r in zip(cfgs, _chk_x3prime_center(cfgs))]
+    def block(k) -> list:
+        cfgs = _gen_tri(rng, k + k // 4 + 1)
+        return [r if isinstance(r, Exception) else cfg
+                for cfg, r in zip(cfgs, _chk_x3prime_center(cfgs))
+                if not isinstance(r, (ConstructionFailed, RankDeficient))]
 
-    return _draw_rounds(n, draw_round)
+    return _sample(n, block)
 
 
 # ---------------------------------------------------------------------------
-# Generators for special configuration families
+# Samplers of the special configuration families
 # ---------------------------------------------------------------------------
 
-def _gen_right_triangle(rng) -> dict:
-    p = rng.uniform(0.3, 1.5)
-    q = rng.uniform(0.3, 1.5)
-    phi = rng.uniform(0.0, 2 * math.pi)
-    tx, ty = rng.uniform(-1, 1, 2)
-    cphi, sphi = math.cos(phi), math.sin(phi)
+def _uniforms(**ranges):
+    """The draw of configurations of values uniform on ranges (lo, hi), by
+    key."""
 
-    def rot(x, y):
-        return [x * cphi - y * sphi + tx, x * sphi + y * cphi + ty]
+    def draw(rng, n) -> list:
+        cols = [c.tolist() for c in _uniform(rng, n, *ranges.values())]
+        return [dict(zip(ranges, vals)) for vals in zip(*cols)]
 
-    return {"triangle": [rot(0.0, p), rot(q, 0.0), rot(0.0, 0.0)]}
+    return draw
 
 
-def _gen_ab_angle(rng) -> dict:
-    ax, ay, bx, by, _, _ = _tri_floats(rng.random)
-    ang0 = math.atan2(by - ay, bx - ax)
-    ang = ang0 + rng.uniform(0.35, math.pi - 0.35)
-    return {"ab": [[ax, ay], [bx, by]], "angle": ang}
+_gen_theta = _uniforms(theta=(0.05, math.pi - 0.05))
+# Rays that actually cross the co-vertex locus branch.
+_gen_ray_angle_v = _uniforms(angle=(0.9, math.pi - 0.9))
+_gen_isosceles = _uniforms(apex=(0.4, 1.6), half_base=(0.3, 1.2))
+# _sextic_triangles finds a root for every |x| <= 0.45.
+_gen_sextic_abscissa = _uniforms(x=(-0.45, 0.45))
 
 
-def _gen_theta(rng) -> dict:
-    return {"theta": rng.uniform(0.05, math.pi - 0.05)}
+def _gen_right_triangle(rng, n) -> list:
+    """n right triangles: legs p and q in [0.3, 1.5] from the right angle
+    at C, turned by phi and moved by (tx, ty) in [-1, 1]^2."""
+    p, q, phi, tx, ty = _uniform(rng, n, (0.3, 1.5), (0.3, 1.5), (0.0, 2 * math.pi),
+                                 (-1.0, 1.0), (-1.0, 1.0))
+    c, s = np.cos(phi), np.sin(phi)
+    return _configs(np.column_stack((tx - p * s, ty + p * c, tx + q * c, ty + q * s, tx, ty)))
 
 
-def _gen_tri_angle(rng) -> dict:
-    # The ray from the circumcenter must stay clear of the vertices (they
-    # sit on the circumcircle and break P-driven constructions).
-    while True:
-        t = random_triangle(rng)
-        ang = rng.uniform(0.0, 2 * math.pi)
-        cc = circumcircle(t)
-        vangs = [
-            math.atan2(v.y - cc.center.y, v.x - cc.center.x) for v in t.vertices()
-        ]
-        if min(
-            abs((ang - va + math.pi) % (2 * math.pi) - math.pi) for va in vangs
-        ) < 0.15:
-            continue
-        return {
-            "triangle": _tri_cfg(t),
-            "angle": ang,
-            "u": rng.uniform(0.1, 1.2),
-        }
+def _gen_ab_angle(rng, n) -> list:
+    """n sides AB of random triangles, each with a ray angle 0.35 to
+    pi - 0.35 from AB."""
+    ax, ay, bx, by = _tri_rows(rng, n).T[:4]
+    ang = np.arctan2(by - ay, bx - ax) + _uniform(rng, n, (0.35, math.pi - 0.35))[0]
+    return [{"ab": [[ax, ay], [bx, by]], "angle": a}
+            for ax, ay, bx, by, a in zip(*(v.tolist() for v in (ax, ay, bx, by, ang)))]
 
 
-def _gen_ray_angle_v(rng) -> dict:
-    # Rays that actually cross the co-vertex locus branch.
-    return {"angle": rng.uniform(0.9, math.pi - 0.9)}
+def _gen_deg8_ray(rng, n) -> list:
+    """n random triangles, each with a ray from the midpoint of AB that
+    crosses the degree-8 locus, as the grid step of the check's scan tells
+    (the check polishes the root), and u: a block's rays in one scan."""
+
+    def block(k) -> list:
+        m = k * 4 // 3 + 3  # about 3 rays in 4 cross
+        rows = _tri_rows(rng, m)
+        ang, u = _uniform(rng, m, (0.0, 2 * math.pi), (0.1, 1.2))
+        rays = [_midpoint_ray(r[0:2], r[2:4], a) for r, a in zip(rows.tolist(), ang.tolist())]
+        hit = _crossed(rays, *_DEG8_SCAN)
+        return _configs(rows[hit], angle=ang[hit], u=u[hit])
+
+    return _sample(n, block)
 
 
-def _gen_ray_angle_p(rng) -> dict:
-    # Avoid the vertex directions of the reference equilateral.
-    while True:
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        if min(
-            abs((ang - v + math.pi) % (2 * math.pi) - math.pi)
-            for v in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
-        ) > 0.25:
-            return {"angle": ang}
+def _angle_gap(ang, dirs):
+    """The least angle between ang and each direction of dirs, on arrays."""
+    return functools.reduce(
+        np.minimum, [abs((ang - d + math.pi) % (2 * math.pi) - math.pi) for d in dirs])
 
 
-def _gen_isosceles(rng) -> dict:
-    return {"apex": rng.uniform(0.4, 1.6), "half_base": rng.uniform(0.3, 1.2)}
+def _gen_needle(rng, n) -> list:
+    """n random triangles whose X3-anticevian is well conditioned: with
+    (u, v, w) X3's barycentrics, each of |-u + v + w|, |u - v + w| and
+    |u + v - w| above 0.05 (|u| + |v| + |w|)."""
+
+    def block(k) -> list:
+        rows = _tri_rows(rng, k * 5 // 4 + 4)
+        u, v, w = kernels.cyclic(kernels.center_x3, *_triangle_sides(tuple(rows.T)))
+        spread = np.minimum(np.minimum(abs(-u + v + w), abs(u - v + w)), abs(u + v - w))
+        return _configs(rows[spread > 0.05 * (abs(u) + abs(v) + abs(w))])
+
+    return _sample(n, block)
 
 
-def _gen_soddy_regimes(rng) -> dict:
-    # Alternate the containment and external regimes.
-    if rng.uniform() < 0.5:
-        return {"triangle": _corners_cfg(*_tri_floats(rng.random))}
-    return {"triangle": _tri_cfg(random_flat_triangle(rng))}
+def _gen_tri_angle(rng, n) -> list:
+    """n random triangles, each with a ray angle from its circumcenter at
+    least 0.15 from the directions of its vertices (they sit on the
+    circumcircle and break P-driven constructions), and u."""
+
+    def block(k) -> list:
+        m = k * 5 // 4 + 4
+        rows = _tri_rows(rng, m)
+        ang, u = _uniform(rng, m, (0.0, 2 * math.pi), (0.1, 1.2))
+        corners = tuple(rows.T)
+        ox, oy = _circumcircle(corners, _triangle_sides(corners))[:2]
+        ok = _angle_gap(ang, [np.arctan2(y - oy, x - ox) for x, y in rows.T.reshape(3, 2, -1)]) >= 0.15
+        return _configs(rows[ok], angle=ang[ok], u=u[ok])
+
+    return _sample(n, block)
 
 
-def _gen_sextic_abscissa(rng) -> dict:
-    # _sextic_triangles finds a root for every |x| <= 0.45.
-    return {"x": rng.uniform(-0.45, 0.45)}
+# The directions of the reference equilateral's vertices from its center.
+_EQUILATERAL_DIRS = (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
 
 
-def _gen_needle(rng) -> dict:
-    # Reject triangles whose X3-anticevian is ill conditioned.
-    while True:
-        t = random_triangle(rng)
-        q = center_bary(t, "X3")
-        u, v, w = q.u, q.v, q.w
-        norms = (abs(-u + v + w), abs(u - v + w), abs(u + v - w))
-        if min(norms) > 0.05 * (abs(u) + abs(v) + abs(w)):
-            return {"triangle": _tri_cfg(t)}
+def _gen_ray_angle_p(rng, n) -> list:
+    """n ray angles more than 0.25 from the vertex directions of the
+    reference equilateral."""
+
+    def block(k) -> list:
+        ang = _uniform(rng, k * 3 // 2 + 4, (0.0, 2 * math.pi))[0]
+        return [{"angle": a} for a in ang[_angle_gap(ang, _EQUILATERAL_DIRS) > 0.25].tolist()]
+
+    return _sample(n, block)
 
 
-def _gen_deg8_ray(rng) -> dict:
-    # u is drawn only for a ray that crosses the degree-8 locus, so each
-    # candidate is scanned on its own: a batch of one.  A bracketed sign
-    # change decides; the check polishes the root.
-    while True:
-        ax, ay, bx, by, cx, cy = _tri_floats(rng.random)
-        ang = rng.uniform(0.0, 2 * math.pi)
-        if not _crossed([_midpoint_ray([ax, ay], [bx, by], ang)], *_DEG8_SCAN)[0]:
-            continue
-        return {
-            "triangle": _corners_cfg(ax, ay, bx, by, cx, cy),
-            "angle": ang,
-            "u": rng.uniform(0.1, 1.2),
-        }
+def _flat_rows(rng, n):
+    """n of random_flat_triangle's triangles as rows (ax, ay, bx, by, cx,
+    cy) of an array: obtuse, with a half-tangent sum above 2."""
+
+    def block(k):
+        th1, th2, base = _uniform(rng, k + 2, (MIN_ANGLE, 0.14), (MIN_ANGLE, 0.14), (0.5, 1.5))
+        t1, t2 = np.tan(th1), np.tan(th2)
+        apex_x, zero = base * t2 / (t1 + t2), np.zeros_like(base)
+        corners = (zero, zero, base, zero, apex_x, apex_x * t1)
+        sides, area = _triangle_sides(corners), abs(_signed_area(*corners))
+        return np.column_stack(corners)[kernels.half_tangent_sum(*sides, area) > 2.0]
+
+    return _sample(n, block)
+
+
+def _gen_soddy_regimes(rng, n) -> list:
+    """n triangles of the regime a fair coin picks for each: a random
+    triangle (Soddy containment) or a flat one (external, _flat_rows)."""
+    flat = rng.random(n) >= 0.5
+    rows = np.empty((n, 6))
+    rows[~flat] = _tri_rows(rng, n - int(flat.sum()))
+    rows[flat] = _flat_rows(rng, int(flat.sum()))
+    return _configs(rows)
+
+
+def _circumcircle_rays(rows, ang) -> list:
+    """_circumcircle_ray of the triangle of each row of rows and its angle
+    of ang, in its bits: Triangle's sides and centers.circumcircle's
+    arithmetic, on arrays."""
+    corners = tuple(rows.T)
+    ox, oy, _, r = _circumcircle(corners, _triangle_sides(corners))
+    ang = ang.tolist()
+    return list(zip(*(v.tolist() for v in (*corners, ox, oy, r)), map(math.cos, ang), map(math.sin, ang)))
 
 
 def _gen_tri_phyp_angle(rng, n) -> list:
-    """n P5.7 configurations, in rounds (_draw_rounds) of one batch scan
-    for a bracketed sign change (the check polishes the root): a candidate
-    reads the rng the same way whether it is kept or not."""
+    """n random triangles, each with u in [0.1, 0.9] at least 0.05 from 1/2
+    and a ray angle from the circumcenter whose ray crosses the parabola
+    condition's locus, as the grid step of the check's scan tells (the
+    check polishes the root): a block's rays in one scan."""
 
-    def candidate():
-        while True:
-            t = random_triangle(rng)
-            u = rng.uniform(0.1, 0.9)
-            if abs(u - 0.5) >= 0.05:
-                return t, u, rng.uniform(0.0, 2 * math.pi)
+    def block(k) -> list:
+        m = 2 * k + 3  # about 1 candidate in 2 is kept
+        rows = _tri_rows(rng, m)
+        u, ang = _uniform(rng, m, (0.1, 0.9), (0.0, 2 * math.pi))
+        ok = np.flatnonzero(abs(u - 0.5) >= 0.05)
+        ok = ok[_crossed(_circumcircle_rays(rows[ok], ang[ok]), *_PHYP_SCAN)]
+        return _configs(rows[ok], angle=ang[ok], u=u[ok])
 
-    def draw_round(k) -> list:
-        cands = [candidate() for _ in range(k)]
-        crossed = _crossed([_circumcircle_ray(t, ang) for t, _, ang in cands], *_PHYP_SCAN)
-        return [{"triangle": _tri_cfg(t), "angle": ang, "u": u} if hit else None
-                for (t, u, ang), hit in zip(cands, crossed)]
-
-    return _draw_rounds(n, draw_round)
+    return _sample(n, block)
 
 
-def _gen_fixed(rng) -> dict:
-    return {}
+def _gen_fixed(rng, n) -> list:
+    return [{} for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1831,7 +1826,7 @@ class Proposition:
     prop_id: str
     title: str
     # draw(rng, n) -> n configurations, or for a trial whose draw crashed
-    # its exception.  A block draw reads rng ahead of what it returns.
+    # its exception; it reads rng in blocks, ahead of what it returns.
     draw: callable
     # run(cfgs) -> one residual per configuration, or the exception that
     # crashed its trial.
@@ -1839,21 +1834,6 @@ class Proposition:
     threshold: float
     default_trials: int
     evidence: bool = False
-
-
-def _per_draw(gen):
-    """A proposition's draw from a generator of one configuration."""
-
-    def draw(rng, n) -> list:
-        out = []
-        for _ in range(n):
-            try:
-                out.append(gen(rng))
-            except Exception as exc:  # a crashed draw is a failed trial
-                out.append(exc)
-        return out
-
-    return draw
 
 
 def _each(fn, items) -> list:
@@ -1897,32 +1877,32 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.2-yiu-never-circle", "six-point conic is never a circle (non-equilateral)", _gen_tri, _batch_check(kernels.KIND_V_ELLIPSE, _not_circle), 0.5, 200),
     Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _chk_excentral_tangents, 1e-8, 100),
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _chk_pair_chords_x20, 1e-8, 100),
-    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _per_draw(_gen_right_triangle), _chk_x20_on_members, 1e-8, 200),
-    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _per_draw(_gen_ab_angle), _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
-    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _per_draw(_gen_theta), _chk_x478_quartic, 1e-8, 120),
-    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _per_draw(_gen_deg8_ray), _chk_type_regions_V, 1e-9, 25),
-    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _per_draw(_gen_ray_angle_v), _per_trial(_chk_covertex_locus_V), 1e-7, 4),
+    Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _chk_x20_on_members, 1e-8, 200),
+    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
+    Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _chk_x478_quartic, 1e-8, 120),
+    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _chk_type_regions_V, 1e-9, 25),
+    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, _pstar_residual), 1e-6, 6),
-    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _per_draw(_gen_needle), _chk_anticevian_needle, 1e-6, 60),
-    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _per_draw(_gen_tri_angle), _batch_run(_cfg_ray, _chk_degenerate_on_circumcircle), 1e-9, 60),
+    Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _chk_anticevian_needle, 1e-6, 60),
+    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _batch_run(_cfg_ray, _chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
-    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_arcs), 1e-8, 1),
-    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _per_draw(_gen_fixed), _per_trial(_chk_equilateral_regions), 0.5, 1),
+    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _per_trial(_chk_equilateral_arcs), 1e-8, 1),
+    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _per_trial(_chk_equilateral_regions), 0.5, 1),
     Proposition("P3.8-never-rectangular", "hyperbolic six-point conic is never rectangular", _gen_tri_point, _chk_never_rectangular, 0.5, 2000),
-    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _per_draw(_gen_ray_angle_p), _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
+    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
     # -- V-hyperbolas ------------------------------------------------------
     Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _chk_vhyp_vertex_barys, 1e-9, 200),
     Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _chk_intouch_extouch, 1e-9, 200),
     Proposition("P4.3-privalov-conic", "six vertices on the closed-form conic", _gen_tri, _chk_privalov, 1e-8, 100),
-    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _per_draw(_gen_isosceles), _chk_isosceles_degenerate, 1e-8, 50),
-    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _per_draw(_gen_soddy_regimes), _chk_soddy_intersections, 1e-8, 100),
-    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _per_draw(_gen_sextic_abscissa), _chk_halftangent_sextic, 1e-9, 30),
+    Proposition("P4.4-isosceles-degenerate", "isosceles: one member is the perpendicular bisector", _gen_isosceles, _chk_isosceles_degenerate, 1e-8, 50),
+    Proposition("P4.5-soddy-intersections", "triad passes through both Soddy centers", _gen_soddy_regimes, _chk_soddy_intersections, 1e-8, 100),
+    Proposition("P4.6-halftangent-sextic", "half-tangent-sum-2 locus matches the sextic", _gen_sextic_abscissa, _chk_halftangent_sextic, 1e-9, 30),
     Proposition("P4.7-vhyp-through-vell-intersections", "members pass through the V-ellipse pair intersections", _gen_tri, _through_pair_points(kernels.KIND_V_ELLIPSE, kernels.KIND_V_HYPERBOLA), 1e-8, 60),
     Proposition("P4.8-chords-x8", "two-branch chords concur at the Nagel point", _gen_tri, _chk_chords_x8, 1e-8, 60),
     Proposition("P4.9-fifteen-point-cubic", "sideline union carries all fifteen marked points", _gen_tri, _chk_fifteen_point_cubic, 1e-9, 100),
-    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _per_draw(_gen_sextic_abscissa), _chk_soddy_line_tangent, 1e-7, 12),
+    Proposition("P4.10-soddy-line-tangent", "degenerate Soddy line touches the side-diameter circles", _gen_sextic_abscissa, _chk_soddy_line_tangent, 1e-7, 12),
     # -- P-hyperbolas ------------------------------------------------------
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
@@ -1998,10 +1978,9 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     n = prop.default_trials if trials is None else trials
     rng = _prop_rng(prop_id, seed)
     # Draw every configuration in one call, then check them all in one
-    # call.  No check touches the rng, so the stream is that of drawing and
-    # checking in turn.  The block draws (_gen_tri, _gen_tri_point) read the
-    # rng ahead of the configurations they return; the rng is this
-    # proposition's own and dropped after drawing, so that changes nothing.
+    # call.  The draw reads the rng ahead of the configurations it
+    # returns; the rng is this proposition's own and dropped after
+    # drawing, so no other proposition's draws hang on this one's trials.
     # A crashed draw is a failed trial without a witness.
     start = time.perf_counter()
     try:

@@ -148,6 +148,18 @@ def test_soddy_centers_345(t345):
     assert d == pytest.approx((52 / 23, 75 / 23, 29 / 23), abs=1e-10)
 
 
+def test_soddy_centers_where_two_distance_circles_nearly_touch():
+    # X175 lies about 1e-6 from line AB, where the distance circles about A
+    # and B nearly touch: trilaterated from them it sat 1.1e-10 of the scale
+    # from the point of its barycentrics a - area / (s - a), ...
+    t = Triangle(Point2(0.7998428894682234, 0.13702166299284935),
+                 Point2(0.021329773416469577, 0.41849140906435955),
+                 Point2(0.5331585068509609, 0.8129296235405149))
+    for sign, q in zip((-1.0, 1.0), soddy_centers(t)):
+        bary = BaryCoords(*(v + sign * t.area / (t.semiperimeter - v) for v in t.sides()))
+        assert distance(q, bary_to_cartesian(t, bary)) < 1e-14 * t.scale()
+
+
 def test_equal_detour_at_x176(rng):
     for _ in range(100):
         t = random_triangle(rng)

@@ -449,14 +449,14 @@ def _seeded_kernel_args(kind, offset, n=30, flat=False):
     """Kernel arguments of n seeded triads of this kind, moved by offset;
     with flat, on verify.random_flat_triangle's obtuse flat triangles."""
     from triconic.triads import driver_fault
-    from triconic.verify import _gen_tri_point, _tri_cfg, random_flat_triangle, random_point_near
+    from triconic.verify import _gen_tri_point, random_flat_triangle, random_point_near
 
     def flat_cfg(rng):
         while True:
             t = random_flat_triangle(rng)
             p = random_point_near(t, rng)
             if all(driver_fault(t, k, p) is None for k in ("p_ellipse", "p_hyperbola")):
-                return {"triangle": _tri_cfg(t), "p": [p.x, p.y]}
+                return {"triangle": [list(v.as_tuple()) for v in t.vertices()], "p": [p.x, p.y]}
 
     code = kernels.KIND_CODES[kind]
     rng = np.random.default_rng([2026, code, 1] if flat else [2026, code])

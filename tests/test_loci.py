@@ -811,7 +811,7 @@ def test_x55_conjecture_solves_no_second_point(t_generic, monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(kernels, "second_point", counted)
-    verify._chk_x55([{"triangle": verify._tri_cfg(t_generic)}])
+    verify._chk_x55([{"triangle": [list(v.as_tuple()) for v in t_generic.vertices()]}])
     assert calls == {}
     # The counter is live on the triad the check builds.
     q = classic_center(t_generic, "X55")
