@@ -14,17 +14,18 @@ and `classify_code` (the conic-type policy, also behind `conic.classify`).
 On floats it serves `triads.six_point_conic` (and through its rules,
 `triads._checked_fit`, the circle searches' validation) and the Brent
 polish of the P2.6, P3.4 and P5.7 sign scans; on arrays region maps, the
-grids of those scans and the P2.2, P3.1, P3.8 and P5.2 trials.
+grids of those scans, P2.8's and P5.7's other points and the P2.2, P3.1,
+P3.8 and P5.2 trials.
 `loci.sample_locus_ostar` and the P2.7, P3.3, A3, A6 and P5.5 trials
 call `vertices`, `fit_six` and `frame_center` directly, and the P2.1 and
 P4.3 trials `fit_six` on the vertices of `vertices` and `vertex_coords`.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
-the closed-form line pair of each (`focal_pairs`, whose lines
-`triads.two_branch_chords` and the P4.8 trials read): on floats for
-`triads.pairwise_intersections`, on arrays for the P2.4, P4.7 and P5.6
-trials and, through `second_point` (a P-hyperbola triad's second common
-point), the P5.1 trials.  `members` picks each member's unit-norm
+the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
+trials read): on floats for `triads.pairwise_intersections`, on arrays,
+every pair and candidate at once, for the P2.4, P4.7 and P5.6 trials;
+through `second_point` (a P-hyperbola triad's second common point), for
+`triads.second_common_point` and the P5.1 trials.  `members` picks each member's unit-norm
 coefficients out of `focal_pairs`, for `conic_residual` and
 `tangency_disc` (P2.3, P2.5); `conic_residual` is also `conic.residual`
 and the O* locus's incidence rule.
@@ -40,7 +41,6 @@ P4.3 and P4.4 read on arrays.
 `triads.six_point_conic`, which P2.1, P2.7, P3.3 and P4.3 apply on arrays.
 """
 
-import contextlib
 import itertools
 import math
 
@@ -774,30 +774,50 @@ def pair_points(ax, ay, bx, by, cx, cy, kind, px, py):
     None, True) for a bad triad; arrays of one shape give arrays of shape
     (3, 4) + that shape, the floats' bits where kept, keep false where bad.
     """
-    arrays = isinstance(ax, np.ndarray)
-    with np.errstate(all="ignore") if arrays else contextlib.nullcontext():
-        (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
-        if pairs is None:
-            return None, None, None, True
-        xs, ys, keep = [], [], []
-        for mi, mj, lines in pairs:
-            cands = [root for line in lines for root in _line_roots(mi, *line)]
-            big = 0.0
-            for x, y, ok in cands:
-                size = _where(abs(x) > abs(y), abs(x), abs(y))
-                big = _where(ok & (size > big), size, big)
-            near, kept = _ON_BOTH * (1.0 + big), []
-            for x, y, ok in cands:
-                x, y, ok = _polish(mi, mj, x, y, ok)
-                for x2, y2, ok2 in kept:
-                    ok = _where(ok2 & (_hypot(x - x2, y - y2) <= near), False, ok)
-                kept.append((x, y, ok))
-            xs.append([gx + s * x for x, _, _ in kept])
-            ys.append([gy + s * y for _, y, _ in kept])
-            keep.append([ok for _, _, ok in kept])
-    if arrays:
-        return np.array(xs), np.array(ys), np.array(keep) & ~bad, bad
+    if isinstance(ax, np.ndarray):
+        with np.errstate(all="ignore"):
+            return _pair_points_stacked(ax, ay, bx, by, cx, cy, kind, px, py)
+    (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+    if pairs is None:
+        return None, None, None, True
+    xs, ys, keep = [], [], []
+    for mi, mj, lines in pairs:
+        cands = [root for line in lines for root in _line_roots(mi, *line)]
+        big = 0.0
+        for x, y, ok in cands:
+            size = _where(abs(x) > abs(y), abs(x), abs(y))
+            big = _where(ok & (size > big), size, big)
+        near, kept = _ON_BOTH * (1.0 + big), []
+        for x, y, ok in cands:
+            x, y, ok = _polish(mi, mj, x, y, ok)
+            for x2, y2, ok2 in kept:
+                ok = _where(ok2 & (_hypot(x - x2, y - y2) <= near), False, ok)
+            kept.append((x, y, ok))
+        xs.append([gx + s * x for x, _, _ in kept])
+        ys.append([gy + s * y for _, y, _ in kept])
+        keep.append([ok for _, _, ok in kept])
     return xs, ys, keep, bad
+
+
+def _pair_points_stacked(ax, ay, bx, by, cx, cy, kind, px, py):
+    """pair_points' steps on arrays, one call each for the three pairs and
+    their four candidates stacked as (3, 4) + shape in the floats' order
+    (line 0 root 0, line 0 root 1, line 1 root 0, line 1 root 1)."""
+    (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+    mi, mj = (tuple(np.array([p[m][c] for p in pairs])[:, None] for c in range(6)) for m in (0, 1))
+    lines = (np.array([[line[j] for line in p[2]] for p in pairs]) for j in range(3))
+    roots = _line_roots(mi, *lines)  # two of (x, y, ok), each (3, 2) + shape
+    x, y, ok = (np.stack(v, axis=2).reshape((3, 4) + bad.shape) for v in zip(*roots))
+    big = 0.0
+    for k in range(4):
+        size = np.where(abs(x[:, k]) > abs(y[:, k]), abs(x[:, k]), abs(y[:, k]))
+        big = np.where(ok[:, k] & (size > big), size, big)
+    near = _ON_BOTH * (1.0 + big)
+    x, y, ok = _polish(mi, mj, x, y, ok)
+    for k in range(1, 4):
+        for k2 in range(k):
+            ok[:, k] &= ~(ok[:, k2] & (_hypot(x[:, k] - x[:, k2], y[:, k] - y[:, k2]) <= near))
+    return gx + s * x, gy + s * y, ok & ~bad, bad
 
 
 def second_point(ax, ay, bx, by, cx, cy, px, py):
@@ -807,22 +827,34 @@ def second_point(ax, ay, bx, by, cx, cy, px, py):
     negatives (mixed signs force one to vanish), on the branches opposite P
     or, as in the external Soddy regime, on P's.  P' is the first pair point
     beyond 1e-7 s of P (s the largest side) least off either pattern in its
-    largest gap, found where that is <= 1e-6 s.
+    largest gap, found where that is <= 1e-6 s.  On arrays the twelve pair
+    points are scored in one call and the first least is taken by argmin.
     """
     xs, ys, keep, bad = pair_points(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
     if keep is None:
         return math.nan, math.nan, False
     sides, lam, _ = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
-    s, best_x, best_y, best = _largest(sides), math.nan, math.nan, math.inf
-    for x, y, ok in (q for row in zip(xs, ys, keep) for q in zip(*row)):
-        if ok is False:
-            continue
+    s = _largest(sides)
+
+    def off(x, y):
         got = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, x, y)[1]
         same = _largest([abs(g - l) for g, l in zip(got, lam)])
         opposite = _largest([abs(g + l) for g, l in zip(got, lam)])
-        res = _where(opposite < same, opposite, same)
-        better = ok & (_hypot(x - px, y - py) > 1e-7 * s) & (res < best)
-        best_x, best_y = _where(better, x, best_x), _where(better, y, best_y)
-        best = _where(better, res, best)
-    found = best <= 1e-6 * s
-    return _where(found, best_x, math.nan), _where(found, best_y, math.nan), found
+        return _where(opposite < same, opposite, same)
+
+    if isinstance(keep, np.ndarray):
+        with np.errstate(all="ignore"):
+            x, y, ok = (v.reshape((12,) + v.shape[2:]) for v in (xs, ys, keep))
+            res = off(x, y)
+            # A NaN or infinite score never beats the loop's strict <.
+            res = np.where(ok & (_hypot(x - px, y - py) > 1e-7 * s) & (res < math.inf), res, math.inf)
+            first = np.argmin(res, axis=0)[None]
+            best, x, y = (np.take_along_axis(v, first, axis=0)[0] for v in (res, x, y))
+            found = best <= 1e-6 * s
+            hit = found & (best < math.inf)
+            return np.where(hit, x, math.nan), np.where(hit, y, math.nan), found
+    cands = [(off(x, y), x, y) for row in zip(xs, ys, keep) for x, y, ok in zip(*row)
+             if ok and _hypot(x - px, y - py) > 1e-7 * s]
+    best, x, y = min((q for q in cands if q[0] < math.inf), key=lambda q: q[0],
+                     default=(math.inf, math.nan, math.nan))
+    return (x, y, True) if best <= 1e-6 * s else (math.nan, math.nan, False)

@@ -966,11 +966,12 @@ def bracket_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> tup
     k) evaluates function k[i] at s[i] on arrays.
 
     One f call reads every scan's grid lo + (hi - lo) * j / steps, j =
-    0..steps; a cell is bracketed where its end values are finite and of
-    opposite sign, a value of exactly 0 counting as positive (with first,
-    only each scan's first bracketed cell).  Returns (scan, a, b, fa, fb):
-    for each bracketed cell, by scan and then by s, its scan's index, its
-    ends and f's values there.
+    0..steps, scan by scan (k holds each scan's index steps + 1 times, so
+    f may read s as one row a scan); a cell is bracketed where its end
+    values are finite and of opposite sign, a value of exactly 0 counting
+    as positive (with first, only each scan's first bracketed cell).
+    Returns (scan, a, b, fa, fb): for each bracketed cell, by scan and then
+    by s, its scan's index, its ends and f's values there.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     grid = lo[:, None] + (hi - lo)[:, None] * np.arange(steps + 1) / steps

@@ -39,10 +39,11 @@ them, from `kernels.bary_point`; A1-A6's polynomials in one
 of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one `loci.batch_sign_changes`
 each: one call of the scanned function (written with products, not
 powers, so floats and arrays give the same bits) on every trial's grid,
-then Brent on floats in each bracketed cell; P2.8, P4.6 and P4.10 finish
-each trial's other checks on floats.  A crash still fails only its own
-trial (`_fail_or` gives each trial the exception of the first fault that
-holds there).
+then Brent on floats in each bracketed cell; P2.8's and P5.7's other
+points in one `kernels.six_point` call each, every trial's early exits
+replayed on the values; P2.6, P4.6 and P4.10 finish each trial's other
+checks on floats.  A crash still fails only its own trial (`_fail_or`
+gives each trial the exception of the first fault that holds there).
 
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through the pair points
@@ -121,7 +122,6 @@ from .triads import (
     _focal_diff_residual,
     _kernel_args,
     build_triad,
-    driver_fault,
 )
 
 # ---------------------------------------------------------------------------
@@ -334,13 +334,19 @@ def _drivers(rng, rows) -> tuple:
     return out, np.isnan(out[0])
 
 
+def _distances(ax, ay, bx, by, cx, cy, px, py) -> tuple:
+    """The sides (a, b, c) and P's distances (pa, pb, pc), by
+    kernels._sides_deltas' expressions, on floats or arrays."""
+    sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
+             kernels._hypot(ax - bx, ay - by))
+    return sides, tuple(kernels._hypot(px - x, py - y) for x, y in ((ax, ay), (bx, by), (cx, cy)))
+
+
 def _member_guard(ax, ay, bx, by, cx, cy, px, py):
     """Where a member of P's P-ellipse or P-hyperbola triad degenerates:
     kernels._sides_deltas' flag of KIND_P_ELLIPSE or of KIND_P_HYPERBOLA,
     from one computation of the sides and P's distances."""
-    sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
-             kernels._hypot(ax - bx, ay - by))
-    pa, pb, pc = (kernels._hypot(px - x, py - y) for x, y in ((ax, ay), (bx, by), (cx, cy)))
+    sides, (pa, pb, pc) = _distances(ax, ay, bx, by, cx, cy, px, py)
     eps = kernels.MEMBER_GUARD * kernels._largest(sides)
     bad = (sides[0] == 0.0) | (sides[1] == 0.0) | (sides[2] == 0.0)
     for s, f, g in zip(sides, (pb, pc, pa), (pc, pa, pb)):
@@ -370,10 +376,34 @@ def _gen_tri_point(rng, n) -> list:
 # Check implementations (cfg -> residual; the batch checks take all cfgs)
 # ---------------------------------------------------------------------------
 
+def _cfg_rows(cfgs):
+    """The configurations' triangles as rows (ax, ay, bx, by, cx, cy), each
+    read as one flat tuple: numpy converts nested lists far more slowly."""
+    rows = [(*a, *b, *c) for a, b, c in (cfg["triangle"] for cfg in cfgs)]
+    return np.array(rows, dtype=float).reshape(len(cfgs), 6)
+
+
+def _refused(rows, sides):
+    """Where Triangle refuses the corners of each row of rows, given their
+    sides (_triangle_sides): a corner not finite, or collinear by its test."""
+    scale = kernels._largest(sides)
+    with np.errstate(invalid="ignore"):
+        flat = abs(_signed_area(*rows.T)) <= get_tol() * scale * scale
+    return ~np.isfinite(rows).all(axis=1) | flat
+
+
+def _checked_triangles(cfgs) -> list:
+    """Each configuration, or where Triangle refuses its corners
+    (_refused), the exception _cfg_tri raises on it."""
+    rows = _cfg_rows(cfgs)
+    odd = _refused(rows, _triangle_sides(tuple(rows.T))).tolist()
+    return [_each(_cfg_tri, [cfg])[0] if o else cfg for cfg, o in zip(cfgs, odd)]
+
+
 def _cfg_args(cfgs, kind: int) -> tuple:
     """The configurations' kernel arguments for a kind, as arrays: the six
     triangle coordinates, the kind, and P (zeros for the V-kinds)."""
-    tri = np.array([cfg["triangle"] for cfg in cfgs], dtype=float).reshape(-1, 6)
+    tri = _cfg_rows(cfgs)
     if kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA):
         p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
     else:
@@ -634,11 +664,12 @@ def _on_ray(s, ox, oy, r, dx, dy):
 def _ray_scans(fn, rays, lo, hi) -> tuple:
     """The (f, lo, hi) of a batch scan of fn(s, *ray) along each ray of
     rays, a list of tuples of floats; lo and hi are floats or one per ray.
-    f reads the rays' columns for the grid's index array k, and ray k's own
+    f reads the grid as one row a ray against the rays' columns (so what
+    depends on the ray alone is computed once a ray), and ray k's own
     floats for the polish's int k."""
-    cols = np.array(rays).T
+    cols = np.array(rays).T[:, :, None]
     n = len(rays)
-    return (lambda s, k: fn(s, *(rays[k] if isinstance(k, int) else cols[:, k])),
+    return (lambda s, k: fn(s, *rays[k]) if isinstance(k, int) else np.ravel(fn(s.reshape(n, -1), *cols)),
             np.broadcast_to(lo, n), np.broadcast_to(hi, n))
 
 
@@ -752,45 +783,33 @@ def _deg8_roots(rays) -> list:
 
 def _chk_type_regions_V(cfgs) -> list:
     """P2.8 on all configurations at once: one batch scan for the degree-8
-    root along each ray, then each trial's remaining checks."""
+    root along each ray, then one kernels.six_point call of the V-ellipse
+    conic with C on the circle with diameter AB (s = 1) and on its tangent
+    at A (degenerate), at the root (a parabola; 1.0 where the kernel
+    fails) and at the triangle's own C (an ellipse or a hyperbola)."""
     rays = [_midpoint_ray(*cfg["triangle"][:2], cfg["angle"]) for cfg in cfgs]
-    return _each(_type_regions_residual, zip(cfgs, rays, _deg8_roots(rays)))
-
-
-def _type_regions_residual(item) -> float:
-    cfg, (ax, ay, bx, by, *ray), found = item
-    cx, cy = _cfg_tri(cfg).c.as_tuple()
-    r, u = ray[2], 0.5 + cfg["u"]
-    # (i) C on the circle with diameter AB, and (i') on the perpendicular
-    # to AB at A (tangent line) -> degenerate.
-    tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
-    worst = max(
-        0.0,
-        abs(_detn_v_ellipse(ax, ay, bx, by, *_on_ray(1.0, *ray))),
-        abs(_detn_v_ellipse(ax, ay, bx, by, *tangent)),
-    )
-    # (ii) C on the degree-8 root along the ray -> parabola.
-    if isinstance(found, Exception):
-        raise found
-    if found is None:
-        return 1.0
-    code, _, disc, _ = kernels.six_point(
-        ax, ay, bx, by, *_on_ray(found, *ray), kernels.KIND_V_ELLIPSE, 0.0, 0.0
-    )
-    if code == kernels.CLASS_FAILED:
-        return 1.0
-    worst = max(worst, abs(disc))
-    # (iii) generic interior C -> ellipse or hyperbola.
-    code = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
-    if code not in (
-        kernels.CLASS_ELLIPSE,
-        kernels.CLASS_HYPERBOLA,
-        kernels.CLASS_RECTANGULAR_HYPERBOLA,
-        kernels.CLASS_CIRCLE,
-        kernels.CLASS_DEGENERATE_TWO_LINES,
-    ):
-        worst = max(worst, 1.0)
-    return worst
+    found = _deg8_roots(rays)
+    ax, ay, bx, by, *ray = np.array(rays).T
+    r, u = ray[2], 0.5 + np.array([cfg["u"] for cfg in cfgs])
+    root = np.array([s if isinstance(s, float) else math.nan for s in found])
+    with np.errstate(all="ignore"):
+        tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
+        at = [_on_ray(1.0, *ray), tangent, _on_ray(root, *ray), _cfg_rows(cfgs).T[4:]]
+        code, det, disc, _ = (v.tolist() for v in kernels.six_point(
+            ax, ay, bx, by, *np.array(at).transpose(1, 0, 2), kernels.KIND_V_ELLIPSE, 0.0, 0.0))
+    out = []
+    for i, s in enumerate(found):
+        worst = max(0.0, abs(det[0][i]), abs(det[1][i]))
+        if isinstance(s, Exception):
+            out.append(s)
+        elif s is None or code[2][i] == kernels.CLASS_FAILED:
+            out.append(1.0)
+        else:
+            worst = max(worst, abs(disc[2][i]))
+            interior = code[3][i] in (kernels.CLASS_ELLIPSE, kernels.CLASS_HYPERBOLA, kernels.CLASS_CIRCLE,
+                                      kernels.CLASS_RECTANGULAR_HYPERBOLA, kernels.CLASS_DEGENERATE_TWO_LINES)
+            out.append(worst if interior else max(worst, 1.0))
+    return out
 
 
 def _chk_covertex_locus_V(cfg) -> float:
@@ -835,7 +854,7 @@ def _searched(search, residual):
         found = [r if isinstance(r, Exception) else (t, r) for t, r in zip(ts, search(ts))]
         return _each(lambda item: residual(*item), found)
 
-    return _batch_run(_cfg_tri, check)
+    return _batch_run(functools.partial(_each, _cfg_tri), check)
 
 
 def _dist(dx, dy):
@@ -928,16 +947,17 @@ def _chk_anticevian_needle(cfgs) -> list:
     )
 
 
-def _circumcircle_ray(t: Triangle, ang: float) -> tuple:
-    """The corners of t, then the ray O + s*R*(cos ang, sin ang) from its
-    circumcenter O, R the circumradius."""
-    cc = circumcircle(t)
-    corners = (w for v in t.vertices() for w in v.as_tuple())
-    return (*corners, cc.center.x, cc.center.y, cc.radius, math.cos(ang), math.sin(ang))
-
-
-def _cfg_ray(cfg) -> tuple:
-    return _circumcircle_ray(_cfg_tri(cfg), cfg["angle"])
+def _cfg_rays(cfgs) -> list:
+    """Each configuration with its ray: the corners of its triangle, then
+    O + s*R*(cos angle, sin angle) from its circumcenter O, R the
+    circumradius (_circumcircle_rays); where that flags the triangle, the
+    exception its Triangle or centers.circumcircle raises, if any."""
+    rays, odd = _circumcircle_rays(_cfg_rows(cfgs), np.array([cfg["angle"] for cfg in cfgs]))
+    out = list(zip(cfgs, rays))
+    for i in np.flatnonzero(odd).tolist():
+        fault = _each(lambda cfg: circumcircle(_cfg_tri(cfg)), [cfgs[i]])[0]
+        out[i] = fault if isinstance(fault, Exception) else out[i]
+    return out
 
 
 def _p_ellipse_det(s, ax, ay, bx, by, cx, cy, *ray):
@@ -952,10 +972,11 @@ def _p_hyperbola_disc(s, ax, ay, bx, by, cx, cy, *ray):
     )[2]
 
 
-def _chk_degenerate_on_circumcircle(rays) -> list:
-    """P3.4 on all rays (_cfg_ray) at once: one batch scan for every sign
-    change of the P-ellipse det as P runs along each ray from the
-    circumcenter."""
+def _chk_degenerate_on_circumcircle(items) -> list:
+    """P3.4 on all (configuration, ray) pairs (_cfg_rays) at once: one
+    batch scan for every sign change of the P-ellipse det as P runs along
+    each ray from the circumcenter."""
+    rays = [ray for _, ray in items]
     on = _at_rays(_p_ellipse_det, rays, 1.0)
     crossings = _scan_rays(_p_ellipse_det, rays, 0.97, 1.03)
     return _each(_circumcircle_residual, zip(on, crossings))
@@ -1421,11 +1442,11 @@ def _chk_x55(cfgs) -> list:
 
 def _phyp_condition(s, ax, ay, bx, by, cx, cy, *ray):
     """phyp_parabola_condition with P at the ray point, the sides and
-    focal differences kernels._sides_deltas', as loci._lambdas reads them."""
-    sides, lams, _ = kernels._sides_deltas(
-        ax, ay, bx, by, cx, cy, kernels.KIND_P_HYPERBOLA, *_on_ray(s, *ray)
-    )
-    return phyp_parabola_condition(*sides, *lams)
+    focal differences by kernels._sides_deltas' expressions (_distances),
+    as loci._lambdas reads them: on a scan's grid (_ray_scans), the sides
+    once a ray."""
+    sides, (pa, pb, pc) = _distances(ax, ay, bx, by, cx, cy, *_on_ray(s, *ray))
+    return phyp_parabola_condition(*sides, pb - pc, pc - pa, pa - pb)
 
 
 # The parabola condition's scan: s in [0.08, 2.4] in 300 cells.
@@ -1438,16 +1459,10 @@ def _phyp_roots(rays) -> list:
     return _scan_rays(fn, rays, lo, hi, steps, first=True)
 
 
-def _cfg_and_ray(cfg) -> tuple:
-    return cfg, _cfg_ray(cfg)
-
-
-def _chk_phyp_parabola(items) -> list:
-    """P5.7 on all (configuration, ray) pairs at once: one batch scan for
-    the root of the parabola condition along each ray, then one for the
-    fitted conic's disc around each root found, whose root nearest it is
-    compared."""
-    cfgs, rays = zip(*items)
+def _parabola_roots(rays) -> tuple:
+    """The parabola condition's first root on each ray, and the fitted
+    conic's disc root nearest it, from one batch scan within 2e-3 of every
+    root found: None without a root, or the NotConverged of a failed scan."""
     found = _phyp_roots(rays)
     hit = [i for i, s in enumerate(found) if isinstance(s, float)]
     s_disc = [None] * len(found)
@@ -1459,60 +1474,74 @@ def _chk_phyp_parabola(items) -> list:
     for i, roots in zip(hit, discs):
         s_disc[i] = roots if isinstance(roots, Exception) else min(
             roots, key=lambda s: abs(s - found[i]), default=None)
-    return _each(_parabola_residual, zip(cfgs, rays, found, s_disc))
+    return found, s_disc
 
 
-def _parabola_residual(item) -> float:
-    # The printed parabola condition reaches its evaluation noise floor well
-    # before the geometric boundary is resolved, so the check verifies that
-    # the fitted conic's own quadratic discriminant changes sign within
-    # 1e-6 of the condition root (scaled into the 1e-9 threshold), and that
-    # the conic at the disc root classifies as a parabola.
-    cfg, ray, found, s_disc = item
-    for r in (found, s_disc):
-        if isinstance(r, Exception):
-            raise r
-    if found is None or s_disc is None:
-        return 1.0
-    # offset tolerance 1e-6 scaled into the 1e-9 threshold
-    worst = max(abs(s_disc - found) * 1e-3, abs(_p_hyperbola_disc(s_disc, *ray)))
-    return max(worst, _sideline_extension_residual(_cfg_tri(cfg), cfg["u"]))
+def _chk_phyp_parabola(items) -> list:
+    """P5.7 on all (configuration, ray) pairs at once.  The printed
+    parabola condition reaches its evaluation noise floor well before the
+    geometric boundary is resolved, so the fitted conic's own disc must
+    change sign within 1e-6 of the condition root (_parabola_roots; scaled
+    into the 1e-9 threshold) and vanish there, and the triad degenerate at
+    a sideline extension (_sideline_residual): one kernels.six_point call."""
+    cfgs, rays = zip(*items)
+    found, s_disc = _parabola_roots(rays)
+    cols = np.array(rays).T
+    at = np.array([s if isinstance(s, float) else math.nan for s in s_disc])
+    fault, live, px, py = _sideline_points(cols[:6], np.array([cfg["u"] for cfg in cfgs]))
+    with np.errstate(all="ignore"):
+        dx, dy = _on_ray(at, *cols[6:])
+        codes, dets, discs, _ = (v.T.tolist() for v in kernels.six_point(
+            *cols[:6], kernels.KIND_P_HYPERBOLA, np.vstack((px, dx)), np.vstack((py, dy))))
+    out = []
+    for f, s, flag, on, code, det, disc in zip(
+            found, s_disc, fault.tolist(), live.T.tolist(), codes, dets, discs):
+        if isinstance(f, Exception) or isinstance(s, Exception):
+            out.append(f if isinstance(f, Exception) else s)
+        elif f is None or s is None:
+            out.append(1.0)
+        else:
+            out.append(max(abs(s - f) * 1e-3, abs(disc[-1]), _sideline_residual(flag, on, code, det)))
+    return out
 
 
-def _sideline_extension_residual(t: Triangle, u01: float) -> float:
-    """Degeneracy residual at a sideline extension: the fitted conic's det
-    vanishes to second order approaching the line (no sign change exists),
-    so shrink the transversal offset until it does, and require the member
-    to collapse on the line itself."""
+def _sideline_points(tri, u01) -> tuple:
+    """P5.7's sideline drivers X +- w n on arrays: X = B + u (C - B), u =
+    1 + 0.45 u01, n the unit normal of BC, w = 3e-6 s, w / 4, ... while w
+    > 1e-9 s (s the largest side).  Returns the member guard's flag at X,
+    the mask of those w, and the xs and ys, the + side's rows first."""
+    ax, ay, bx, by, cx, cy = tri
     u = 1.0 + 0.45 * u01
-    dvec = Point2(t.c.x - t.b.x, t.c.y - t.b.y)
-    nvec = Point2(-dvec.y, dvec.x)
-    nn = math.hypot(nvec.x, nvec.y)
-    nvec = Point2(nvec.x / nn, nvec.y / nn)
-    base = Point2(t.b.x + u * dvec.x, t.b.y + u * dvec.y)
-    if driver_fault(t, "p_hyperbola", base) is None:
+    dx, dy = cx - bx, cy - by
+    nn = _dist(-dy, dx)
+    nx, ny = -dy / nn, dx / nn
+    x, y = bx + u * dx, by + u * dy
+    fault = kernels._sides_deltas(*tri, kernels.KIND_P_HYPERBOLA, x, y)[2]
+    scale = kernels._largest(_triangle_sides(tri))
+    w = [3e-6 * scale]
+    while (w[-1] / 4.0 > 1e-9 * scale).any():
+        w.append(w[-1] / 4.0)
+    w, sgn = np.array(w), np.array([1.0, -1.0])[:, None, None]
+    offsets = (x + sgn * w * nx, y + sgn * w * ny)
+    return fault, w > 1e-9 * scale, *(v.reshape(-1, len(u)) for v in offsets)
+
+
+def _sideline_residual(fault, live, codes, dets) -> float:
+    """Degeneracy residual at a sideline extension, from one trial's
+    values at _sideline_points: the det vanishes to second order towards
+    the line (no sign change exists), so shrink the offset until it does,
+    and require the member to collapse on the line itself."""
+    if not fault:
         return 1.0
-    w = 3e-6 * t.scale()
-    floor = 1e-9 * t.scale()
-    best = 1.0
-    while w > floor:
-        cur = 0.0
-        ok = True
-        for sgn in (1.0, -1.0):
-            code, detn, _, _ = kernels.six_point(
-                t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y,
-                kernels.KIND_P_HYPERBOLA,
-                base.x + sgn * w * nvec.x, base.y + sgn * w * nvec.y,
-            )
-            if code == kernels.CLASS_FAILED:
-                ok = False
-                break
-            cur = max(cur, abs(detn))
-        if ok:
-            best = min(best, cur)
-            if best <= 1e-10:
-                break
-        w /= 4.0
+    best, n = 1.0, len(live)
+    for k, on in enumerate(live):
+        if not on:
+            break
+        if kernels.CLASS_FAILED in (codes[k], codes[n + k]):
+            continue
+        best = min(best, max(max(0.0, abs(dets[k])), abs(dets[n + k])))
+        if best <= 1e-10:
+            break
     return best
 
 
@@ -1786,14 +1815,19 @@ def _gen_soddy_regimes(rng, n) -> list:
     return _configs(rows)
 
 
-def _circumcircle_rays(rows, ang) -> list:
-    """_circumcircle_ray of the triangle of each row of rows and its angle
-    of ang, in its bits: Triangle's sides and centers.circumcircle's
-    arithmetic, on arrays."""
+def _circumcircle_rays(rows, ang) -> tuple:
+    """The rays of _cfg_rays for the triangles of rows and the angles of
+    ang, in the bits of Triangle's sides and centers.circumcircle, and
+    where those may raise instead (Triangle refuses the corners, X3 is at
+    infinity, or the ray is not finite)."""
     corners = tuple(rows.T)
-    ox, oy, _, r = _circumcircle(corners, _triangle_sides(corners))
+    sides = _triangle_sides(corners)
+    with np.errstate(all="ignore"):
+        ox, oy, far, r = _circumcircle(corners, sides)
+    odd = _refused(rows, sides) | far | ~np.isfinite(ox + oy + r)
     ang = ang.tolist()
-    return list(zip(*(v.tolist() for v in (*corners, ox, oy, r)), map(math.cos, ang), map(math.sin, ang)))
+    rays = zip(*(v.tolist() for v in (*corners, ox, oy, r)), map(math.cos, ang), map(math.sin, ang))
+    return list(rays), odd
 
 
 def _gen_tri_phyp_angle(rng, n) -> list:
@@ -1807,7 +1841,7 @@ def _gen_tri_phyp_angle(rng, n) -> list:
         rows = _tri_rows(rng, m)
         u, ang = _uniform(rng, m, (0.1, 0.9), (0.0, 2 * math.pi))
         ok = np.flatnonzero(abs(u - 0.5) >= 0.05)
-        ok = ok[_crossed(_circumcircle_rays(rows[ok], ang[ok]), *_PHYP_SCAN)]
+        ok = ok[_crossed(_circumcircle_rays(rows[ok], ang[ok])[0], *_PHYP_SCAN)]
         return _configs(rows[ok], angle=ang[ok], u=u[ok])
 
     return _sample(n, block)
@@ -1852,12 +1886,12 @@ def _each(fn, items) -> list:
 
 
 def _batch_run(setup, check):
-    """A proposition's run from setup(cfg), run on each configuration, and
-    check(every setup that did not crash), one residual or exception each;
-    a crashed setup fails its own trial."""
+    """A proposition's run from setup(cfgs), one item or the exception
+    that crashed its trial a configuration, and check(every item), one
+    residual or exception each."""
 
     def run(cfgs) -> list:
-        out = _each(setup, cfgs)
+        out = setup(cfgs)
         live = [i for i, item in enumerate(out) if not isinstance(item, Exception)]
         for i, r in zip(live, check([out[i] for i in live]) if live else ()):
             out[i] = r
@@ -1878,15 +1912,15 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _chk_excentral_tangents, 1e-8, 100),
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _chk_pair_chords_x20, 1e-8, 100),
     Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _chk_x20_on_members, 1e-8, 200),
-    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _batch_run(_ab_ray, _chk_degenerate_iff_right), 1e-6, 40),
+    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _batch_run(functools.partial(_each, _ab_ray), _chk_degenerate_iff_right), 1e-6, 40),
     Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _chk_x478_quartic, 1e-8, 120),
-    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _chk_type_regions_V, 1e-9, 25),
+    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _batch_run(_checked_triangles, _chk_type_regions_V), 1e-9, 25),
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, _pstar_residual), 1e-6, 6),
     Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _chk_anticevian_needle, 1e-6, 60),
-    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _batch_run(_cfg_ray, _chk_degenerate_on_circumcircle), 1e-9, 60),
+    Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _batch_run(_cfg_rays, _chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
     Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _per_trial(_chk_equilateral_arcs), 1e-8, 1),
     Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _per_trial(_chk_equilateral_regions), 0.5, 1),
@@ -1910,7 +1944,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _searched(phyp_circle_points_batch, _circle_pair_residual), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _chk_x55, 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
-    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _batch_run(_cfg_and_ray, _chk_phyp_parabola), 1e-9, 25),
+    Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _batch_run(_cfg_rays, _chk_phyp_parabola), 1e-9, 25),
     # -- Appendix ----------------------------------------------------------
     Proposition("A1-aellipse-polynomial", "anticevian A-ellipse polynomial", _gen_tri, _chk_a_ellipse, 1e-6, 10),
     Proposition("A2-major-vertices", "closed-form major vertices", _gen_tri, _chk_major_vertices, 1e-7, 10),

@@ -12,6 +12,12 @@ compute on arrays: the anticevian and reflection triangles, reflection
 in a line, a focal conic's vertices, a barycentric conic in the plane
 (P4.3, P4.4) and the two-branch chords (P4.8); with them the cevian
 triangle and reflection in a point, which no package code used.
+
+The tails of P2.8 and P5.7 (type_regions_residual, parabola_residual and
+sideline_extension_residual) finished each trial on floats after the
+batch scans, with one float kernels.six_point call a point, before the
+verifier made one array call of every trial's points; P3.4's and P5.7's
+rays came from each triangle's circumcircle (circumcircle_ray, cfg_ray).
 """
 
 from __future__ import annotations
@@ -47,9 +53,11 @@ from triconic.triads import (
     ConicTriad,
     _kernel_args,
     build_triad,
+    driver_fault,
     six_point_conic,
     triad_vertices,
 )
+from triconic.verify import _cfg_tri, _detn_v_ellipse, _on_ray, _p_hyperbola_disc
 
 
 def cevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
@@ -384,3 +392,104 @@ def x55_reference(cfg) -> float:
     rep = x55_conjecture_check(Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy)))
     r = rep.circumradius
     return max(rep.circle_spread / r, rep.concentricity_error / r, rep.x7_match_error / r)
+
+
+def circumcircle_ray(t: Triangle, ang: float) -> tuple:
+    """The corners of t, then the ray O + s*R*(cos ang, sin ang) from its
+    circumcenter O, R the circumradius."""
+    cc = circumcircle(t)
+    corners = (w for v in t.vertices() for w in v.as_tuple())
+    return (*corners, cc.center.x, cc.center.y, cc.radius, math.cos(ang), math.sin(ang))
+
+
+def cfg_ray(cfg) -> tuple:
+    return circumcircle_ray(_cfg_tri(cfg), cfg["angle"])
+
+
+def type_regions_residual(item) -> float:
+    """P2.8's tail of one trial, from its (configuration, ray, degree-8
+    root) as the verifier ran it trial by trial."""
+    cfg, (ax, ay, bx, by, *ray), found = item
+    cx, cy = _cfg_tri(cfg).c.as_tuple()
+    r, u = ray[2], 0.5 + cfg["u"]
+    # (i) C on the circle with diameter AB, and (i') on the perpendicular
+    # to AB at A (tangent line) -> degenerate.
+    tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
+    worst = max(
+        0.0,
+        abs(_detn_v_ellipse(ax, ay, bx, by, *_on_ray(1.0, *ray))),
+        abs(_detn_v_ellipse(ax, ay, bx, by, *tangent)),
+    )
+    # (ii) C on the degree-8 root along the ray -> parabola.
+    if isinstance(found, Exception):
+        raise found
+    if found is None:
+        return 1.0
+    code, _, disc, _ = kernels.six_point(
+        ax, ay, bx, by, *_on_ray(found, *ray), kernels.KIND_V_ELLIPSE, 0.0, 0.0
+    )
+    if code == kernels.CLASS_FAILED:
+        return 1.0
+    worst = max(worst, abs(disc))
+    # (iii) generic interior C -> ellipse or hyperbola.
+    code = kernels.six_point(ax, ay, bx, by, cx, cy, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
+    if code not in (
+        kernels.CLASS_ELLIPSE,
+        kernels.CLASS_HYPERBOLA,
+        kernels.CLASS_RECTANGULAR_HYPERBOLA,
+        kernels.CLASS_CIRCLE,
+        kernels.CLASS_DEGENERATE_TWO_LINES,
+    ):
+        worst = max(worst, 1.0)
+    return worst
+
+
+def parabola_residual(item) -> float:
+    """P5.7's tail of one trial, from its (configuration, ray, condition
+    root, disc root) as the verifier ran it trial by trial."""
+    cfg, ray, found, s_disc = item
+    for r in (found, s_disc):
+        if isinstance(r, Exception):
+            raise r
+    if found is None or s_disc is None:
+        return 1.0
+    # offset tolerance 1e-6 scaled into the 1e-9 threshold
+    worst = max(abs(s_disc - found) * 1e-3, abs(_p_hyperbola_disc(s_disc, *ray)))
+    return max(worst, sideline_extension_residual(_cfg_tri(cfg), cfg["u"]))
+
+
+def sideline_extension_residual(t: Triangle, u01: float) -> float:
+    """Degeneracy residual at a sideline extension: the fitted conic's det
+    vanishes to second order approaching the line (no sign change exists),
+    so shrink the transversal offset until it does, and require the member
+    to collapse on the line itself."""
+    u = 1.0 + 0.45 * u01
+    dvec = Point2(t.c.x - t.b.x, t.c.y - t.b.y)
+    nvec = Point2(-dvec.y, dvec.x)
+    nn = math.hypot(nvec.x, nvec.y)
+    nvec = Point2(nvec.x / nn, nvec.y / nn)
+    base = Point2(t.b.x + u * dvec.x, t.b.y + u * dvec.y)
+    if driver_fault(t, "p_hyperbola", base) is None:
+        return 1.0
+    w = 3e-6 * t.scale()
+    floor = 1e-9 * t.scale()
+    best = 1.0
+    while w > floor:
+        cur = 0.0
+        ok = True
+        for sgn in (1.0, -1.0):
+            code, detn, _, _ = kernels.six_point(
+                t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y,
+                kernels.KIND_P_HYPERBOLA,
+                base.x + sgn * w * nvec.x, base.y + sgn * w * nvec.y,
+            )
+            if code == kernels.CLASS_FAILED:
+                ok = False
+                break
+            cur = max(cur, abs(detn))
+        if ok:
+            best = min(best, cur)
+            if best <= 1e-10:
+                break
+        w /= 4.0
+    return best

@@ -63,6 +63,7 @@ from triconic.verify import (
 from reference_checks import (
     anticevian_triangle,
     check_appendix,
+    sideline_extension_residual,
     two_branch_chords,
     x55_conjecture_check,
 )
@@ -214,9 +215,7 @@ def test_criterion_03_degeneracy_equivalences():
         # P-hyperbola: det vanishes (to second order, no sign change) as P
         # approaches a sideline extension, and the construction collapses on
         # the line itself.
-        from triconic.verify import _sideline_extension_residual
-
-        worst_ph = max(worst_ph, _sideline_extension_residual(t, rng.uniform(0.1, 0.6)))
+        worst_ph = max(worst_ph, sideline_extension_residual(t, rng.uniform(0.1, 0.6)))
     _report(
         3,
         worst_v <= 1e-6 and worst_pe <= 1e-6 and worst_ph <= 1e-8,

@@ -672,6 +672,90 @@ def test_pair_points_same_bits_on_floats_and_arrays(kind):
             assert kernels.second_point(*args[:6], *args[7:]) == (px[i], py[i], True), i
 
 
+def _pair_points_per_candidate(ax, ay, bx, by, cx, cy, kind, px, py):
+    """pair_points on arrays one pair and one candidate at a time, each
+    step on arrays of one triad a column, as before the stacked branch."""
+    with np.errstate(all="ignore"):
+        (gx, gy, s), pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+        xs, ys, keep = [], [], []
+        for mi, mj, lines in pairs:
+            cands = [root for line in lines for root in kernels._line_roots(mi, *line)]
+            big = 0.0
+            for x, y, ok in cands:
+                size = np.where(abs(x) > abs(y), abs(x), abs(y))
+                big = np.where(ok & (size > big), size, big)
+            near, kept = kernels._ON_BOTH * (1.0 + big), []
+            for x, y, ok in cands:
+                x, y, ok = kernels._polish(mi, mj, x, y, ok)
+                for x2, y2, ok2 in kept:
+                    ok = np.where(ok2 & (kernels._hypot(x - x2, y - y2) <= near), False, ok)
+                kept.append((x, y, ok))
+            xs.append([gx + s * x for x, _, _ in kept])
+            ys.append([gy + s * y for _, y, _ in kept])
+            keep.append([ok for _, _, ok in kept])
+    return np.array(xs), np.array(ys), np.array(keep) & ~bad, bad
+
+
+def _second_point_per_candidate(ax, ay, bx, by, cx, cy, px, py):
+    """second_point on arrays one pair point at a time: the first
+    strictly better point replaces the best so far."""
+    args = (ax, ay, bx, by, cx, cy, kernels.KIND_P_HYPERBOLA)
+    xs, ys, keep, _ = _pair_points_per_candidate(*args, px, py)
+    with np.errstate(all="ignore"):
+        sides, lam, _ = kernels._sides_deltas(*args, px, py)
+        s, best_x, best_y, best = kernels._largest(sides), math.nan, math.nan, math.inf
+        for x, y, ok in zip(xs.reshape(12, -1), ys.reshape(12, -1), keep.reshape(12, -1)):
+            got = kernels._sides_deltas(*args, x, y)[1]
+            same = kernels._largest([abs(g - l) for g, l in zip(got, lam)])
+            opposite = kernels._largest([abs(g + l) for g, l in zip(got, lam)])
+            res = np.where(opposite < same, opposite, same)
+            better = ok & (kernels._hypot(x - px, y - py) > 1e-7 * s) & (res < best)
+            best_x, best_y = np.where(better, x, best_x), np.where(better, y, best_y)
+            best = np.where(better, res, best)
+        found = best <= 1e-6 * s
+    return np.where(found, best_x, math.nan), np.where(found, best_y, math.nan), found
+
+
+def _same_bits(got, want) -> bool:
+    """The same arrays bit for bit, but for the sign and payload of NaNs."""
+    def same(g, w):
+        nan = np.isnan(g) if g.dtype.kind == "f" else np.zeros(g.shape, dtype=bool)
+        return (g.dtype == w.dtype and g.shape == w.shape and (nan == np.isnan(w)).all()
+                and g[~nan].tobytes() == w[~nan].tobytes())
+
+    return all(same(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_stacked_pair_points_are_the_per_candidate_steps(kind):
+    # The stacked branch runs each step once for all pairs and candidates:
+    # every output array, bit for bit (but NaN's sign), that of the steps run
+    # one candidate at a time, on 200 seeded triads and on bad ones: C on
+    # A, an isosceles triangle, P on a vertex and on a sideline, and
+    # columns with a NaN or an infinite coordinate.
+    rows = _pair_rows(kind, 100)
+    code = kernels.KIND_CODES[kind]
+    rows += [
+        (0.1, 0.2, 1.3, 0.15, 0.1, 0.2, code, 0.4, 0.5),
+        (0.0, 1.2, 0.7, 0.0, -0.7, 0.0, code, 0.1, 0.3),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, code, 1.3, 0.15),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, code, 0.7, 0.175),
+        (0.1, math.nan, 1.3, 0.15, 0.5, 1.1, code, 0.4, 0.5),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, code, math.inf, 0.5),
+    ]
+    cols = np.array(rows).T
+    got = kernels.pair_points(*cols[:6], code, *cols[7:])
+    assert _same_bits(got, _pair_points_per_candidate(*cols[:6], code, *cols[7:]))
+    bad = {"v_ellipse": [0], "p_ellipse": [0, 2, 3], "v_hyperbola": [0, 1], "p_hyperbola": [0, 2, 3]}
+    assert np.flatnonzero(got[3]).tolist() == [200 + k for k in bad[kind]]
+    assert not got[2][:, :, 204].any()
+    if code == kernels.KIND_P_HYPERBOLA:
+        with np.errstate(invalid="ignore"):  # the driver at infinity
+            got = kernels.second_point(*cols[:6], *cols[7:])
+        assert _same_bits(got, _second_point_per_candidate(*cols[:6], *cols[7:]))
+        assert np.flatnonzero(~got[2]).tolist() == [200, 202, 203, 204, 205]
+
+
 def _catalog(sides):
     """Every barycentric triple the verifier's catalog points are read from."""
     return [

@@ -12,6 +12,7 @@ from triconic.conic import Conic
 from triconic.errors import (
     ConstructionFailed,
     DegenerateTriangle,
+    NotConverged,
     RankDeficient,
     UnknownProposition,
 )
@@ -225,7 +226,7 @@ def _soddy_regime_ok(cfg) -> bool:
 
 def _phyp_ok(cfg) -> bool:
     return (_triangle_ok(cfg) and 0.1 <= cfg["u"] <= 0.9 and abs(cfg["u"] - 0.5) >= 0.05
-            and _tri_phyp_angle_reference(verify._cfg_ray(cfg)))
+            and _tri_phyp_angle_reference(reference_checks.cfg_ray(cfg)))
 
 
 def _x3prime_ok(cfg) -> bool:
@@ -437,7 +438,7 @@ _HANDLERS = {
     ),
     "phyp_parabola_root": (
         verify, "phyp_parabola_condition",
-        lambda: verify._phyp_roots([verify._circumcircle_ray(_tri(), 0.7)]),
+        lambda: verify._phyp_roots([reference_checks.circumcircle_ray(_tri(), 0.7)]),
     ),
     "conic_samples": (
         render, "split_degenerate", lambda: render._conic_samples(_lines(), (-1, 1, -1, 1)),
@@ -844,7 +845,7 @@ def _parabola_reference(cfg):
     t = verify._cfg_tri(cfg)
     cc = centers.circumcircle(t)
     d = Point2(math.cos(cfg["angle"]), math.sin(cfg["angle"]))
-    ray = verify._circumcircle_ray(t, cfg["angle"])
+    ray = reference_checks.circumcircle_ray(t, cfg["angle"])
     found = next(_float_scan(lambda s: verify._phyp_condition(s, *ray), 0.08, 2.4, 300), None)
     if found is None:
         return 1.0
@@ -861,7 +862,7 @@ def _parabola_reference(cfg):
     if s_disc is None:
         return 1.0
     worst = max(abs(s_disc - found) * 1e-3, abs(discn(s_disc)))
-    return max(worst, verify._sideline_extension_residual(t, cfg["u"]))
+    return max(worst, reference_checks.sideline_extension_residual(t, cfg["u"]))
 
 
 @pytest.mark.parametrize(
@@ -898,10 +899,10 @@ def _deg8_ray_reference(ray) -> bool:
 
 
 def _tri_phyp_angle_reference(ray) -> bool:
-    """Whether P5.7's candidate ray (_circumcircle_ray) crosses the
+    """Whether P5.7's candidate ray (circumcircle_ray) crosses the
     parabola condition's locus, scanned one point at a time on floats."""
     t = Triangle(*(Point2(*ray[k:k + 2]) for k in (0, 2, 4)))
-    assert ray == verify._circumcircle_ray(t, math.atan2(ray[-1], ray[-2]))[:-2] + ray[-2:]
+    assert ray == reference_checks.circumcircle_ray(t, math.atan2(ray[-1], ray[-2]))[:-2] + ray[-2:]
     return next(_float_scan(lambda s: verify._phyp_condition(s, *ray), 0.08, 2.4, 300), None) is not None
 
 
@@ -948,7 +949,7 @@ def test_phyp_parabola_scan_grid_matches_scalar_condition():
                    for s in grid]
             sides = kernels._sides_deltas(*triads._kernel_args(t, "p_hyperbola", ray[0]))[0]
             scalar = [phyp_parabola_condition(*sides, *_lambdas(t, p)) for p in ray]
-            rays = [verify._circumcircle_ray(t, ang)]
+            rays = [reference_checks.circumcircle_ray(t, ang)]
             cond = lambda s: verify._phyp_condition(s, *rays[0])  # noqa: E731
             assert cond(np.array(grid)).tolist() == scalar
             assert [cond(s) for s in grid] == scalar
@@ -1628,3 +1629,123 @@ def test_last_batch_checks_crash_where_their_references_do(pid, tol):
     if pid in ("P4.5-soddy-intersections", "P4.8-chords-x8"):
         assert batch[21:23] == [0.0, 0.0]
 
+
+
+# P2.8's and P5.7's tails ran trial by trial on floats after their batch
+# scans, one float kernels.six_point call a point; the tails are kept in
+# reference_checks, and these runs feed them the scans' own roots.
+
+
+def _type_regions_reference_run(cfgs):
+    rays = [verify._midpoint_ray(*cfg["triangle"][:2], cfg["angle"]) for cfg in cfgs]
+    return verify._each(reference_checks.type_regions_residual, zip(cfgs, rays, verify._deg8_roots(rays)))
+
+
+def _parabola_reference_run(cfgs):
+    out = verify._each(reference_checks.cfg_ray, cfgs)
+    live = [i for i, ray in enumerate(out) if not isinstance(ray, Exception)]
+    rays = [out[i] for i in live]
+    found, s_disc = verify._parabola_roots(rays)
+    items = zip((cfgs[i] for i in live), rays, found, s_disc)
+    for i, r in zip(live, verify._each(reference_checks.parabola_residual, items)):
+        out[i] = r
+    return out
+
+
+_TAIL_REFERENCES = {
+    "P2.8-type-regions": _type_regions_reference_run,
+    "P5.7-parabola-condition": _parabola_reference_run,
+}
+
+
+def _same_results(batch, ref) -> bool:
+    """The same residuals bit for bit, and crashes of the same types."""
+    return [type(r) for r in batch] == [type(r) for r in ref] and all(
+        isinstance(r, Exception) or b == r for b, r in zip(batch, ref))
+
+
+@pytest.mark.parametrize("pid", sorted(_TAIL_REFERENCES))
+def test_batched_tails_match_their_references(pid):
+    # One kernels.six_point call over every trial's points, each trial's
+    # loop replayed on the values: the residuals of the per-trial float
+    # tails, bit for bit, at seeds 42 and 1-8.
+    prop = verify._BY_ID[pid]
+    for seed in (42, *range(1, 9)):
+        cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+        ref = _TAIL_REFERENCES[pid](cfgs)
+        assert not any(isinstance(r, Exception) for r in ref)
+        assert prop.run(cfgs) == ref, seed
+
+
+# Collinear corners (DegenerateTriangle), a corner not finite (Point2's
+# ValueError) and a triangle so flat that X3 is at infinity, which Triangle
+# accepts but circumcircle refuses (PointAtInfinity).
+_REFUSED_TRIANGLES = [
+    [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    [[0.0, 0.0], [1.0, math.nan], [0.3, 0.8]],
+    [[0.0, 0.0], [1.0, 0.0], [0.5, 3e-9]],
+]
+
+
+@pytest.mark.parametrize("pid", sorted(_TAIL_REFERENCES))
+def test_batched_tails_crash_where_their_references_do(pid, monkeypatch):
+    # The refused triangles crash their own trials; so do scans that fail
+    # (NotConverged) or find no root, injected into the roots both runs
+    # read.
+    prop = verify._BY_ID[pid]
+    cfgs = prop.draw(verify._prop_rng(pid, 7), 12)
+    cfgs += [dict(cfgs[0], triangle=tri) for tri in _REFUSED_TRIANGLES]
+    failed = NotConverged("injected")
+
+    def spoiled(roots):
+        return [failed if i % 5 == 1 else None if i % 5 == 3 else r for i, r in enumerate(roots)]
+
+    if pid == "P2.8-type-regions":
+        monkeypatch.setattr(verify, "_deg8_roots", lambda rays, _real=verify._deg8_roots: spoiled(_real(rays)))
+    else:
+        def roots(rays, _real=verify._parabola_roots):
+            found, s_disc = _real(rays)
+            return spoiled(found), s_disc[:2] + spoiled(s_disc[2:])
+
+        monkeypatch.setattr(verify, "_parabola_roots", roots)
+    batch, ref = prop.run(cfgs), _TAIL_REFERENCES[pid](cfgs)
+    assert _same_results(batch, ref)
+    crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))
+    assert crashed["NotConverged"] >= 2 and 1.0 in ref
+    # P2.8 builds no circumcircle: its flat triangle is a trial like any.
+    assert [type(r).__name__ for r in ref[-3:]] == [
+        "DegenerateTriangle", "ValueError", "float" if pid == "P2.8-type-regions" else "PointAtInfinity",
+    ]
+
+
+@pytest.mark.parametrize("pid", ["P3.4-degenerate-on-circumcircle", "P5.7-parabola-condition"])
+def test_circumcircle_rays_are_the_object_rays(pid):
+    # One _circumcircle_rays call gives each configuration the object
+    # path's ray (cfg_ray), bit for bit, or the exception it raises.
+    prop = verify._BY_ID[pid]
+    cfgs = prop.draw(verify._prop_rng(pid, 5), prop.default_trials)
+    cfgs += [dict(cfgs[0], triangle=tri) for tri in _REFUSED_TRIANGLES]
+    items = verify._cfg_rays(cfgs)
+    rays = [item if isinstance(item, Exception) else item[1] for item in items]
+    assert _same_results(rays, verify._each(reference_checks.cfg_ray, cfgs))
+    assert [item[0] for item in items[:-3]] == cfgs[:-3]
+    assert [type(r).__name__ for r in rays[-3:]] == ["DegenerateTriangle", "ValueError", "PointAtInfinity"]
+
+
+def test_manifest_makes_only_the_polish_float_six_point_calls(monkeypatch):
+    # The float kernels.six_point calls left in the seed-42 manifest are
+    # the Brent polish of the P2.6, P3.4 and P5.7 scans; a per-trial float
+    # tail would add to them.
+    calls = Counter()
+    pid = None
+
+    def counted(*args, _real=kernels.six_point):
+        if not any(isinstance(v, np.ndarray) for v in args):
+            calls[pid] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(kernels, "six_point", counted)
+    for pid in PROPOSITION_IDS:
+        run_proposition(pid, 42)
+    assert calls == {"P2.6-degenerate-iff-right": 59, "P3.4-degenerate-on-circumcircle": 163,
+                     "P5.7-parabola-condition": 89}
