@@ -141,9 +141,15 @@ class BaryCoords:
 
     def proj_eq(self, other: "BaryCoords", tol: float | None = None) -> bool:
         tol = get_tol() if tol is None else tol
+        # The sign convention of normalized() flips on the first entry that
+        # is nonzero, so two nearby points can normalize to opposite signs
+        # when that entry is within rounding of zero: compare up to sign.
         p, q = self.normalized(), other.normalized()
-        return (
-            abs(p.u - q.u) <= tol and abs(p.v - q.v) <= tol and abs(p.w - q.w) <= tol
+        return any(
+            abs(p.u - s * q.u) <= tol
+            and abs(p.v - s * q.v) <= tol
+            and abs(p.w - s * q.w) <= tol
+            for s in (1.0, -1.0)
         )
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from triconic.errors import DegenerateTriangle, ParallelLines, PointAtInfinity
 from triconic.geom import (
@@ -133,6 +133,7 @@ def test_collinearity_scale_invariant(rng):
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
+@example(0.0, -5e-324, 2.0)
 def test_projective_normalization(u, v, w):
     if u == 0 and v == 0 and w == 0:
         return
