@@ -238,7 +238,7 @@ def _tangent_line_to_kissing(t: Triangle, radii) -> LineEq:
     det = a11 * a22 - a12 * a21
     nx = ((r1 - r2) * a22 - (r1 - r3) * a12) / det
     ny = (-(r1 - r2) * a21 + (r1 - r3) * a11) / det
-    nn = math.hypot(nx, ny)
+    nn = kernels._hypot(nx, ny)
     nx, ny = nx / nn, ny / nn
     csum = sum(n_dot - r for n_dot, r in zip(
         (nx * p.x + ny * p.y for p in (p1, p2, p3)), (r1, r2, r3)

@@ -2,7 +2,10 @@
 
 All types are immutable values; all operations are pure functions.
 Predicates use scale-aware tolerances so results are invariant under
-uniform scaling of the input coordinates.
+uniform scaling of the input coordinates.  Lengths, signed areas and the
+degenerate-triangle test are the kernels' (`kernels._hypot`,
+`kernels.signed_area`, `kernels.collinear`), so the object path and the
+array checks share their bits.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import kernels
 from .config import get_tol
 from .errors import (
     DegenerateTriangle,
     ParallelLines,
     PointAtInfinity,
 )
-from .kernels import bary_point
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class Point2:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return math.hypot(self.x, self.y)
+        return kernels._hypot(self.x, self.y)
 
     def perp(self) -> "Point2":
         return Point2(-self.y, self.x)
@@ -52,7 +55,7 @@ class Point2:
 
 
 def distance(p: Point2, q: Point2) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
+    return kernels._hypot(p.x - q.x, p.y - q.y)
 
 
 def midpoint(p: Point2, q: Point2) -> Point2:
@@ -61,7 +64,7 @@ def midpoint(p: Point2, q: Point2) -> Point2:
 
 def signed_area(p: Point2, q: Point2, r: Point2) -> float:
     """Signed area of pqr; positive iff counterclockwise."""
-    return 0.5 * ((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+    return kernels.signed_area(p.x, p.y, q.x, q.y, r.x, r.y)
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,9 @@ class Triangle:
     c: Point2
 
     def __post_init__(self):
-        sa = distance(self.b, self.c)
-        sb = distance(self.c, self.a)
-        sc = distance(self.a, self.b)
-        object.__setattr__(self, "_sides", (sa, sb, sc))
-        scale = max(sa, sb, sc)
-        if scale == 0.0 or abs(signed_area(self.a, self.b, self.c)) <= get_tol() * scale * scale:
+        sides = (distance(self.b, self.c), distance(self.c, self.a), distance(self.a, self.b))
+        object.__setattr__(self, "_sides", sides)
+        if kernels.collinear(self.a.x, self.a.y, self.b.x, self.b.y, self.c.x, self.c.y, sides):
             raise DegenerateTriangle(f"collinear vertices {self.a}, {self.b}, {self.c}")
 
     @property
@@ -172,13 +172,13 @@ class LineEq:
         return self.l * p.x + self.m * p.y + self.n
 
     def distance_to(self, p: Point2) -> float:
-        return abs(self.eval_point(p)) / math.hypot(self.l, self.m)
+        return abs(self.eval_point(p)) / kernels._hypot(self.l, self.m)
 
 
 def bary_to_cartesian(t: Triangle, b: BaryCoords) -> Point2:
     """The point of b by kernels.bary_point; PointAtInfinity where
     |u + v + w| <= get_tol() * max(|u|, |v|, |w|)."""
-    x, y, far = bary_point(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, b.u, b.v, b.w)
+    x, y, far = kernels.bary_point(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, b.u, b.v, b.w)
     if far:
         raise PointAtInfinity(f"u+v+w ~ 0 for {b}")
     return Point2(x, y)
@@ -212,10 +212,8 @@ def line_intersection(l1: LineEq, l2: LineEq) -> Point2:
 
 
 def collinear(p: Point2, q: Point2, r: Point2) -> bool:
-    scale = max(distance(p, q), distance(q, r), distance(r, p))
-    if scale == 0.0:
-        return True
-    return abs(signed_area(p, q, r)) <= get_tol() * scale * scale
+    return kernels.collinear(p.x, p.y, q.x, q.y, r.x, r.y,
+                             (distance(q, r), distance(r, p), distance(p, q)))
 
 
 def concurrent(l1: LineEq, l2: LineEq, l3: LineEq) -> bool:

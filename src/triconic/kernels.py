@@ -1,8 +1,11 @@
 """The kernels: the package's one triad rule, vertex formula, five-point
 fit and fit rule, conic classifier and focal-pair solver, each elementwise
 on floats (plain Python, no numpy call) and on numpy arrays, with the same
-bits: distances are sqrt(dx*dx + dy*dy) (`_hypot`), and math.sqrt and
-np.sqrt both round correctly.
+bits: distances are sqrt(dx*dx + dy*dy) (`_hypot`, the package's one
+length rule, which `geom` and every module after it read), and math.sqrt
+and np.sqrt both round correctly.  `collinear` is the one
+degenerate-triangle test, on `signed_area`: `geom.Triangle` and
+`geom.collinear` apply it on floats, the verifier on arrays.
 
 `_sides_deltas` (sides, signed focal sums or differences, member flag) is
 read by `triads.build_triad`, `driver_fault`, `triad_vertices`, the loci
@@ -25,10 +28,10 @@ the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
 trials read): on floats for `triads.pairwise_intersections`, on arrays,
 every pair and candidate at once, for the P2.4, P4.7 and P5.6 trials;
 through `second_point` (a P-hyperbola triad's second common point), for
-`triads.second_common_point` and the P5.1 trials.  `members` picks each member's unit-norm
-coefficients out of `focal_pairs`, for `conic_residual` and
-`tangency_disc` (P2.3, P2.5); `conic_residual` is also `conic.residual`
-and the O* locus's incidence rule.
+`triads.second_common_point` and the P5.1 trials.  `members` picks each
+member's unit-norm coefficients out of `focal_pairs`, for
+`conic_residual` and `tangency_disc` (P2.3, P2.5); `conic_residual` is
+also `conic.residual` and the O* locus's incidence rule.
 
 The catalog barycentrics (`cyclic` of `center_x3`, `center_x4` and
 `center_x20`; `excenters`, `excircle_tangency`, `intouch_extouch`) are
@@ -327,12 +330,29 @@ def _sqrt(x):
 
 
 def _hypot(x, y):
-    """sqrt(x*x + y*y), on floats or arrays with the same bits, so vertices
-    and fits on arrays are bit for bit those on floats.  (np.hypot and
-    math.hypot differ in the last bit on about 1% of inputs.)  Coordinates
-    beyond about 1e150 overflow.
+    """sqrt(x*x + y*y), the package's one length rule, on floats or arrays
+    with the same bits, so vertices and fits on arrays are bit for bit
+    those on floats.  (The hypot functions of math and numpy differ from
+    it in the last bit on about 1% of inputs.)  Coordinates beyond about
+    1e150 overflow.
     """
     return _sqrt(x * x + y * y)
+
+
+def signed_area(px, py, qx, qy, rx, ry):
+    """Signed area of the triangle pqr, positive iff counterclockwise, on
+    floats or arrays."""
+    return 0.5 * ((qx - px) * (ry - py) - (qy - py) * (rx - px))
+
+
+def collinear(ax, ay, bx, by, cx, cy, sides):
+    """The package's one degenerate-triangle test, geom.Triangle's: whether
+    the corners are collinear under get_tol(), given their sides (by
+    `_hypot`): the largest side is 0, or |signed area| is at most
+    get_tol() times its square.  A bool on floats, a bool array on arrays;
+    false where a corner is NaN."""
+    scale = _largest(sides)
+    return (scale == 0.0) | (abs(signed_area(ax, ay, bx, by, cx, cy)) <= get_tol() * scale * scale)
 
 
 # The member guard, relative to the largest side: a P-ellipse member whose
@@ -519,8 +539,7 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
         d1 = _hypot(x - x1, y - y1)
         d2 = _hypot(x - x2, y - y2)
         scale = _largest((d1, _hypot(x1 - x2, y1 - y2), d2))
-        area = 0.5 * ((x1 - x) * (y2 - y) - (y1 - y) * (x2 - x))
-        off.append(abs(area) > tol * scale * scale)
+        off.append(abs(signed_area(x, y, x1, y1, x2, y2)) > tol * scale * scale)
         product = product * (d1 / d2)
     return product, off
 

@@ -455,7 +455,7 @@ def _is_circle(args, scale, cc) -> bool:
     return (
         code == kernels.CLASS_CIRCLE
         and has_center
-        and math.hypot(x - cc.center.x, y - cc.center.y) <= _CONCENTRIC_TOL * cc.radius
+        and kernels._hypot(x - cc.center.x, y - cc.center.y) <= _CONCENTRIC_TOL * cc.radius
     )
 
 
@@ -638,7 +638,7 @@ def _roots(kind: str, t: Triangle, o: Point2, s: float, found) -> list:
         if val > _CIRCLE_TARGET:
             break
         for c in clusters:
-            if math.hypot(xy[0] - c[0][0][0], xy[1] - c[0][0][1]) <= radius:
+            if kernels._hypot(xy[0] - c[0][0][0], xy[1] - c[0][0][1]) <= radius:
                 c.append((xy, val))
                 break
         else:

@@ -48,8 +48,9 @@ gives each trial the exception of the first fault that holds there).
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through the pair points
 of `kernels.pair_points`, P4.8 takes the lines of `kernels.focal_pairs`
-(`triads.two_branch_chords`' rule), and P4.3 and P4.4 take the
-closed-form six-point conic as a barycentric matrix (`kernels.privalov`).
+(of each pair's two, the one that is not the Soddy line), and P4.3 and
+P4.4 take the closed-form six-point conic as a barycentric matrix
+(`kernels.privalov`).
 
 Residuals are normalized so that one threshold per proposition applies;
 where a statement mixes tolerances, the secondary components are rescaled
@@ -146,23 +147,18 @@ def _tri_floats(u) -> tuple:
     """random_triangle's vertices (ax, ay, bx, by, cx, cy) from u: uniform
     in the unit square, drawn again while collinear (Triangle's test), more
     than MAX_ASPECT thin or with an angle below MIN_ANGLE."""
-    tol = get_tol()
     while True:
         tri = u(), u(), u(), u(), u(), u()
-        if _tri_ok(*tri, tol):
+        if _tri_ok(*tri):
             return tri
 
 
-def _tri_ok(ax, ay, bx, by, cx, cy, tol) -> bool:
-    """_tri_floats' test of one attempt, under the tolerance tol."""
-    a = math.hypot(bx - cx, by - cy)
-    b = math.hypot(cx - ax, cy - ay)
-    c = math.hypot(ax - bx, ay - by)
-    hi = max(a, b, c)
-    area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-    if hi == 0.0 or abs(area) <= tol * hi * hi:
+def _tri_ok(ax, ay, bx, by, cx, cy) -> bool:
+    """_tri_floats' test of one attempt."""
+    a, b, c = sides = _distances((ax, ay, bx, by, cx, cy))
+    if kernels.collinear(ax, ay, bx, by, cx, cy, sides):
         return False
-    return not (hi / min(a, b, c) > MAX_ASPECT or _min_angle(a, b, c) < MIN_ANGLE)
+    return not (max(sides) / min(sides) > MAX_ASPECT or _min_angle(a, b, c) < MIN_ANGLE)
 
 
 def _min_angle(a, b, c):
@@ -174,8 +170,8 @@ def _min_angle(a, b, c):
 
 def _near_floats(ax, ay, bx, by, cx, cy, u) -> tuple:
     """random_point_near's driver (px, py) for the triangle of these
-    vertices, from u; the same tests in the same arithmetic (sidelines as
-    line_through's LineEq, the guard from the math.hypot sides)."""
+    vertices, from u; the same tests in the same arithmetic as _drivers
+    (sidelines as line_through's LineEq, the guard from the sides)."""
     x0, x1 = min(ax, bx, cx), max(ax, bx, cx)
     y0, y1 = min(ay, by, cy), max(ay, by, cy)
     mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
@@ -183,15 +179,14 @@ def _near_floats(ax, ay, bx, by, cx, cy, u) -> tuple:
     hy = (y1 - y0) / 2.0 * NEAR_EXPAND
     xlo, ylo = mx - hx, my - hy
     xw, yw = (mx + hx) - xlo, (my + hy) - ylo
-    guard = 1e-2 * max(
-        math.hypot(bx - cx, by - cy), math.hypot(cx - ax, cy - ay), math.hypot(ax - bx, ay - by)
-    )
     # line_through(p, q) is l x + m y + n = 0 with these coefficients.
     (l1, m1, n1), (l2, m2, n2), (l3, m3, n3) = (
         (py - qy, qx - px, px * qy - qx * py)
         for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
     )
-    h1, h2, h3 = math.hypot(l1, m1), math.hypot(l2, m2), math.hypot(l3, m3)
+    # The norms are the sides a, b and c, bit for bit.
+    h1, h2, h3 = kernels._hypot(l1, m1), kernels._hypot(l2, m2), kernels._hypot(l3, m3)
+    guard = 1e-2 * max(h1, h2, h3)
     for _ in range(NEAR_DRAWS):
         px = xlo + xw * u()
         py = ylo + yw * u()
@@ -295,7 +290,7 @@ def _tri_mask(rows, tol):
     ax, ay, bx, by, cx, cy = rows.T
     lo, mid, hi = np.sort([x * x + y * y for x, y in ((bx - cx, by - cy), (cx - ax, cy - ay),
                                                       (ax - bx, ay - by))], axis=0)
-    area = abs(_signed_area(ax, ay, bx, by, cx, cy))
+    area = abs(kernels.signed_area(ax, ay, bx, by, cx, cy))
     with np.errstate(invalid="ignore"):
         cos = (mid + hi - lo) / (2.0 * np.sqrt(mid * hi))
     return (area > tol * hi) & (hi <= MAX_ASPECT * MAX_ASPECT * lo) & (cos <= math.cos(MIN_ANGLE))
@@ -334,11 +329,16 @@ def _drivers(rng, rows) -> tuple:
     return out, np.isnan(out[0])
 
 
-def _distances(ax, ay, bx, by, cx, cy, px, py) -> tuple:
-    """The sides (a, b, c) and P's distances (pa, pb, pc), by
-    kernels._sides_deltas' expressions, on floats or arrays."""
+def _distances(corners, *p) -> tuple:
+    """The sides (a, b, c) of the triangle of the corners (ax, ay, bx, by,
+    cx, cy), by kernels._sides_deltas' expressions, on floats or arrays;
+    given a point (px, py) too, (sides, its distances (pa, pb, pc))."""
+    ax, ay, bx, by, cx, cy = corners
     sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
              kernels._hypot(ax - bx, ay - by))
+    if not p:
+        return sides
+    px, py = p
     return sides, tuple(kernels._hypot(px - x, py - y) for x, y in ((ax, ay), (bx, by), (cx, cy)))
 
 
@@ -346,7 +346,7 @@ def _member_guard(ax, ay, bx, by, cx, cy, px, py):
     """Where a member of P's P-ellipse or P-hyperbola triad degenerates:
     kernels._sides_deltas' flag of KIND_P_ELLIPSE or of KIND_P_HYPERBOLA,
     from one computation of the sides and P's distances."""
-    sides, (pa, pb, pc) = _distances(ax, ay, bx, by, cx, cy, px, py)
+    sides, (pa, pb, pc) = _distances((ax, ay, bx, by, cx, cy), px, py)
     eps = kernels.MEMBER_GUARD * kernels._largest(sides)
     bad = (sides[0] == 0.0) | (sides[1] == 0.0) | (sides[2] == 0.0)
     for s, f, g in zip(sides, (pb, pc, pa), (pc, pa, pb)):
@@ -385,18 +385,17 @@ def _cfg_rows(cfgs):
 
 def _refused(rows, sides):
     """Where Triangle refuses the corners of each row of rows, given their
-    sides (_triangle_sides): a corner not finite, or collinear by its test."""
-    scale = kernels._largest(sides)
+    sides (_distances): a corner not finite, or collinear
+    (kernels.collinear)."""
     with np.errstate(invalid="ignore"):
-        flat = abs(_signed_area(*rows.T)) <= get_tol() * scale * scale
-    return ~np.isfinite(rows).all(axis=1) | flat
+        return ~np.isfinite(rows).all(axis=1) | kernels.collinear(*rows.T, sides)
 
 
 def _checked_triangles(cfgs) -> list:
     """Each configuration, or where Triangle refuses its corners
     (_refused), the exception _cfg_tri raises on it."""
     rows = _cfg_rows(cfgs)
-    odd = _refused(rows, _triangle_sides(tuple(rows.T))).tolist()
+    odd = _refused(rows, _distances(tuple(rows.T))).tolist()
     return [_each(_cfg_tri, [cfg])[0] if o else cfg for cfg, o in zip(cfgs, odd)]
 
 
@@ -449,11 +448,6 @@ def _framed(points, s) -> tuple:
     return tuple((v - g[k % 2]) / s for k, v in enumerate(points))
 
 
-def _signed_area(px, py, qx, qy, rx, ry):
-    """geom.signed_area of pqr, on floats or arrays."""
-    return 0.5 * ((qx - px) * (ry - py) - (qy - py) * (rx - px))
-
-
 def _at_infinity(what: str) -> PointAtInfinity:
     return PointAtInfinity(f"u+v+w ~ 0 for {what}")
 
@@ -475,8 +469,8 @@ def _unit_bary(corners, x, y) -> list:
     (The sign changes no residual it feeds: projective gaps, and forms even
     in the barycentrics.)"""
     ax, ay, bx, by, cx, cy = corners
-    u = (_signed_area(x, y, bx, by, cx, cy), _signed_area(ax, ay, x, y, cx, cy),
-         _signed_area(ax, ay, bx, by, x, y))
+    u = (kernels.signed_area(x, y, bx, by, cx, cy), kernels.signed_area(ax, ay, x, y, cx, cy),
+         kernels.signed_area(ax, ay, bx, by, x, y))
     top = kernels._largest([abs(v) for v in u])
     return [v / top for v in u]
 
@@ -606,7 +600,7 @@ def _chk_pair_chords_x20(cfgs) -> list:
         # The first two kept points of each pair: the kept ones first, in order.
         first = np.argsort(~keep, axis=1, kind="stable")[:, :2]
         px, py = (np.take_along_axis(v, first, axis=1) for v in (xs, ys))
-        diam = 2.0 * (a * b * c) / (4.0 * abs(_signed_area(*corners)))
+        diam = 2.0 * (a * b * c) / (4.0 * abs(kernels.signed_area(*corners)))
         x20 = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x20, *sides))
         exc = [kernels.bary_point(*corners, *uvw) for uvw in kernels.excenters(*sides)]
         chords = 0.0
@@ -698,7 +692,7 @@ def _midpoint_ray(a, b, ang) -> tuple:
     from the midpoint M of AB, r = |AB| / 2 (geom.midpoint's and
     geom.distance's bits)."""
     (ax, ay), (bx, by) = a, b
-    return (ax, ay, bx, by, (ax + bx) / 2.0, (ay + by) / 2.0, math.hypot(ax - bx, ay - by) / 2.0,
+    return (ax, ay, bx, by, (ax + bx) / 2.0, (ay + by) / 2.0, kernels._hypot(ax - bx, ay - by) / 2.0,
             math.cos(ang), math.sin(ang))
 
 
@@ -761,14 +755,11 @@ def _chk_x478_quartic(cfgs) -> list:
 
 
 def _deg8_on_ray(s, ax, ay, bx, by, *ray):
-    """parabola_deg8_V of ABC, C the ray point, on arrays (sides by
-    kernels._hypot), NaN where Triangle refuses ABC as collinear."""
-    cx, cy = _on_ray(s, *ray)
-    sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
-             kernels._hypot(ax - bx, ay - by))
-    scale = kernels._largest(sides)
-    flat = (scale == 0.0) | (abs(_signed_area(ax, ay, bx, by, cx, cy)) <= get_tol() * scale * scale)
-    return np.where(flat, math.nan, parabola_deg8_V(*sides))
+    """parabola_deg8_V of ABC, C the ray point, on arrays, NaN where
+    Triangle refuses ABC as collinear (kernels.collinear)."""
+    corners = (ax, ay, bx, by, *_on_ray(s, *ray))
+    sides = _distances(corners)
+    return np.where(kernels.collinear(*corners, sides), math.nan, parabola_deg8_V(*sides))
 
 
 # The degree-8 condition's scan: s in [1.05, 6] in 240 cells.
@@ -832,7 +823,7 @@ def _circle_residual(t: Triangle, p: Point2, kind: str) -> float:
     s = t.scale()
     code, x, y, has_center = _circle_center(_kernel_args(t, kind, p), s)
     cc = circumcircle(t)
-    conc = math.hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
+    conc = kernels._hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
     fval = functional(*t.sides(), *focal(t, p)) / s**8 * 1e6
     return max(fval, conc, 0.0 if code == kernels.CLASS_CIRCLE else 1.0)
 
@@ -857,45 +848,30 @@ def _searched(search, residual):
     return _batch_run(functools.partial(_each, _cfg_tri), check)
 
 
-def _dist(dx, dy):
-    """math.hypot of each entry of dx and dy: geom.distance's bits, which
-    kernels._hypot's differ from in the last bit on about 1% of inputs."""
-    dx, dy = np.broadcast_arrays(dx, dy)
-    return np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))).reshape(dx.shape)
-
-
-def _triangle_sides(corners) -> tuple:
-    """The sides (a, b, c) of each column of the corners (ax, ay, bx, by,
-    cx, cy) as Triangle takes them (_dist), as arrays."""
-    ax, ay, bx, by, cx, cy = corners
-    return _dist(bx - cx, by - cy), _dist(cx - ax, cy - ay), _dist(ax - bx, ay - by)
-
-
 def _circumcircle(corners, sides) -> tuple:
     """centers.circumcircle of the triangle of the corners, from its sides,
     on arrays: (x, y, center at infinity, radius)."""
     x, y, far = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x3, *sides))
-    return x, y, far, sides[0] * sides[1] * sides[2] / (4.0 * abs(_signed_area(*corners)))
+    return x, y, far, sides[0] * sides[1] * sides[2] / (4.0 * abs(kernels.signed_area(*corners)))
 
 
 def _x3_anticevian(corners) -> tuple:
-    """The X3-anticevian of each triangle of the corners, as
-    centers.anticevian_triangle builds it: (sides, the kernel arguments of
-    its P-ellipse triad with driver X3, its sides, and the faults as
-    _fail_or pairs in the object path's order); Triangle's sides."""
-    sides = _triangle_sides(corners)
+    """The X3-anticevian of each triangle of the corners, the triangle of
+    X3's barycentrics (u, v, w) with one sign flipped in turn: (sides, the
+    kernel arguments of its P-ellipse triad with driver X3, its sides, and
+    the faults as _fail_or pairs in the object path's order)."""
+    sides = _distances(corners)
     x3 = u, v, w = kernels.cyclic(kernels.center_x3, *sides)
     anti = [kernels.bary_point(*corners, *(-q if k == i else q for k, q in enumerate(x3)))
             for i in range(3)]
     tcorners = tuple(c for x, y, _ in anti for c in (x, y))
-    tsides = _triangle_sides(tcorners)
-    ts = kernels._largest(tsides)
+    tsides = _distances(tcorners)
     px, py, far = kernels.bary_point(*corners, *x3)
     return sides, (*tcorners, kernels.KIND_P_ELLIPSE, px, py), tsides, [
         ((u == 0.0) | (v == 0.0) | (w == 0.0),
          DegenerateResult("anticevian undefined for a point on a sideline")),
-        # Triangle's refusal of collinear corners, as anticevian_triangle meets it.
-        (anti[0][2] | anti[1][2] | anti[2][2] | (abs(_signed_area(*tcorners)) <= get_tol() * ts * ts),
+        # Triangle's refusal of collinear corners.
+        (anti[0][2] | anti[1][2] | anti[2][2] | kernels.collinear(*tcorners, tsides),
          lambda i: DegenerateResult(
              f"anticevian triangle of {BaryCoords(u[i], v[i], w[i])} degenerates")),
         (far, _at_infinity("X3")),
@@ -909,11 +885,12 @@ def _chk_anticevian_needle(cfgs) -> list:
     (pstar_circle_functional), the spread of the six vertices' distances
     from the anticevian's circumcenter, and the conic's center
     (_six_point_fit, kernels.frame_center) on that circumcenter and on the
-    line X4 X6 of ABC.  DegenerateResult where anticevian_triangle refuses
-    the X3-anticevian.  The catalog points, the circle functional and the
-    scales take Triangle's sides (_triangle_sides), as on the object path:
-    the residual is rounding noise of the conic's center, which moves by
-    up to 60 times when a side's last bit does."""
+    line X4 X6 of ABC.  DegenerateResult where X3 is on a sideline or
+    Triangle refuses the X3-anticevian (_x3_anticevian).  The catalog
+    points, the circle functional and the scales take the sides of
+    _distances, as on the object path: the residual is rounding noise of
+    the conic's center, which moves by up to 60 times when a side's last
+    bit does."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     with np.errstate(all="ignore"):
         sides, targs, tsides, faults = _x3_anticevian(args[:6])
@@ -933,9 +910,8 @@ def _chk_anticevian_needle(cfgs) -> list:
         x4, y4, far4 = kernels.bary_point(*args[:6], *kernels.cyclic(kernels.center_x4, *sides))
         x6, y6, far6 = kernels.bary_point(*args[:6], *(v * v for v in sides))
         dx, dy = x6 - x4, y6 - y4
-        lin = np.where(
-            has_center, abs(_signed_area(x4, y4, x6, y6, x, y)) / (dx * dx + dy * dy + s * s), 0.0
-        )
+        area = abs(kernels.signed_area(x4, y4, x6, y6, x, y))
+        lin = np.where(has_center, area / (dx * dx + dy * dy + s * s), 0.0)
         worst = functools.reduce(np.maximum, (fval, spread, conc * 1e2, lin * 1e2))
     return _fail_or(
         worst,
@@ -1140,8 +1116,8 @@ def _chk_privalov(cfgs) -> list:
     barycentrics (geom.cartesian_to_bary's signed areas, over the largest)
     in its unit-norm matrix, and the fitted six-point conic
     (_six_point_fit, with its rules) in the plane against the closed form
-    mapped by conic_bary_to_cartesian, both of unit norm, up to sign; 0.0
-    where a member is a perpendicular bisector."""
+    there (_bary_to_plane), both of unit norm, up to sign; 0.0 where a
+    member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
         args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
         mb = _unit(kernels.privalov(*sides))
@@ -1178,7 +1154,7 @@ def _chk_isosceles_degenerate(cfgs) -> list:
     sides, lams, bad = kernels._sides_deltas(*corners, kernels.KIND_V_HYPERBOLA, zero, zero)
     with np.errstate(all="ignore"):
         (A, B, D), (_, C, E), (_, _, F) = _bary_to_plane(
-            _unit(kernels.privalov(*_triangle_sides(corners))), corners)
+            _unit(kernels.privalov(*sides)), corners)
         co = (A, 2.0 * B, C, 2.0 * D, 2.0 * E, F)
         # BC's midpoint is the origin.
         worst = np.maximum(kernels.conic_residual(co, zero, zero),
@@ -1188,10 +1164,9 @@ def _chk_isosceles_degenerate(cfgs) -> list:
 
 
 def _v_hyperbola_circle(cfgs) -> tuple:
-    """_v_hyperbola's args, lambdas, flag and bisector, then Triangle's
-    sides and the circumdiameter, as centers.circumcircle takes them."""
-    args, _, lams, _, _, _, bad, bisector = _v_hyperbola(cfgs)
-    sides = _triangle_sides(args[:6])
+    """_v_hyperbola's args, lambdas, flag and bisector, then the sides
+    and the circumdiameter, as centers.circumcircle takes them."""
+    args, sides, lams, _, _, _, bad, bisector = _v_hyperbola(cfgs)
     return args, lams, bad, bisector, sides, 2.0 * _circumcircle(args[:6], sides)[3]
 
 
@@ -1199,7 +1174,7 @@ def _soddy_centers(corners, sides) -> list:
     """The inner and outer Soddy centers X176 and X175, (x, y, far) each:
     kernels.bary_point of a + area / (s - a) and a - area / (s - a), s the
     semiperimeter; X175 is at infinity in the Soddy-line regime."""
-    area = abs(_signed_area(*corners))
+    area = abs(kernels.signed_area(*corners))
     p = (sides[0] + sides[1] + sides[2]) / 2.0
     return [kernels.bary_point(*corners, *(v + sign * area / (p - v) for v in sides))
             for sign in (1.0, -1.0)]
@@ -1235,7 +1210,7 @@ def _half_tangent_gap(y, x):
     arrays (the sides of kernels._sides_deltas)."""
     corners = (-1.0, 0.0, 1.0, 0.0, x, y)
     sides = kernels._sides_deltas(*corners, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
-    return kernels.half_tangent_sum(*sides, abs(_signed_area(*corners))) - 2.0
+    return kernels.half_tangent_sum(*sides, abs(kernels.signed_area(*corners))) - 2.0
 
 
 def _chk_halftangent_sextic(cfgs) -> list:
@@ -1308,7 +1283,7 @@ def _chk_chords_x8(cfgs) -> list:
         x8, y8, _ = kernels.bary_point(*args[:6], *u)
         worst, missed = 0.0, False
         for _, _, lines in pairs:
-            h = [_dist(l, m) for l, m, _ in lines]
+            h = [kernels._hypot(l, m) for l, m, _ in lines]
             d = [abs(l * qx + m * qy + n) / hk for (l, m, n), hk in zip(lines, h)]
             # In the plane, each line is l x + m y + (n s - l gx - m gy) = 0.
             e = [abs(l * x8 + m * y8 + (n * s - l * gx - m * gy)) / hk / diam
@@ -1382,7 +1357,7 @@ def _chk_second_point(cfgs) -> list:
 def _area_gap(xs, ys):
     """|a1 - a2| / max(a1, a2), a1 and a2 the areas of the vertex triangles
     (A1, B1, C1) and (A2, B2, C2) (triads.equal_area_check), on arrays."""
-    a1, a2 = (abs(_signed_area(xs[k], ys[k], xs[k + 2], ys[k + 2], xs[k + 4], ys[k + 4]))
+    a1, a2 = (abs(kernels.signed_area(xs[k], ys[k], xs[k + 2], ys[k + 2], xs[k + 4], ys[k + 4]))
               for k in (0, 1))
     return abs(a1 - a2) / np.maximum(a1, a2)
 
@@ -1413,28 +1388,29 @@ def _chk_x55(cfgs) -> list:
     as in the equilateral limit) and |O' X7|, over the circumradius of T'."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
-    sides = _triangle_sides(corners)
+    sides = _distances(corners)
     with np.errstate(all="ignore"):
         qx, qy, _ = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
         refl = []
         for l, m, n in _sidelines(corners):
             d = (l * qx + m * qy + n) / (l * l + m * m)  # Q reflected in the line
             refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
-        tsides = _triangle_sides(refl)
-        ts, area = kernels._largest(tsides), abs(_signed_area(*refl))
+        tsides = _distances(refl)
+        ts = kernels._largest(tsides)
         ox, oy, far_o, r = _circumcircle(refl, tsides)
         (xs, ys, bad), *_, (x, y, has_center), rules = _six_point_fit(
             (*refl, kernels.KIND_P_HYPERBOLA, qx, qy), ts)
-        dists = _dist(xs - ox, ys - oy)
+        dists = kernels._hypot(xs - ox, ys - oy)
         spread = abs(dists - sum(dists) / 6.0).max(axis=0)
-        conc = np.where(bad, spread, np.where(has_center, _dist(x - ox, y - oy), math.inf))
+        conc = np.where(bad, spread, np.where(has_center, kernels._hypot(x - ox, y - oy), math.inf))
         x7, y7, _ = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
-        worst = functools.reduce(np.maximum, (spread, conc, _dist(ox - x7, oy - y7))) / r
+        worst = functools.reduce(np.maximum, (spread, conc, kernels._hypot(ox - x7, oy - y7))) / r
     # X55 and X7 are never at infinity: their barycentrics are all positive.
     return _fail_or(
         worst,
-        # Triangle's refusal of collinear corners, as reflection_triangle meets it.
-        (~(area > get_tol() * ts * ts), DegenerateResult("the reflection triangle of X55 degenerates")),
+        # Triangle's refusal of collinear corners, and of corners not finite.
+        (kernels.collinear(*refl, tsides) | ~np.isfinite(ts),
+         DegenerateResult("the reflection triangle of X55 degenerates")),
         (far_o, _at_infinity("the reflection triangle's X3")),
         *((mask & ~bad, exc) for mask, exc in rules),
     )
@@ -1445,7 +1421,7 @@ def _phyp_condition(s, ax, ay, bx, by, cx, cy, *ray):
     focal differences by kernels._sides_deltas' expressions (_distances),
     as loci._lambdas reads them: on a scan's grid (_ray_scans), the sides
     once a ray."""
-    sides, (pa, pb, pc) = _distances(ax, ay, bx, by, cx, cy, *_on_ray(s, *ray))
+    sides, (pa, pb, pc) = _distances((ax, ay, bx, by, cx, cy), *_on_ray(s, *ray))
     return phyp_parabola_condition(*sides, pb - pc, pc - pa, pa - pb)
 
 
@@ -1513,11 +1489,11 @@ def _sideline_points(tri, u01) -> tuple:
     ax, ay, bx, by, cx, cy = tri
     u = 1.0 + 0.45 * u01
     dx, dy = cx - bx, cy - by
-    nn = _dist(-dy, dx)
+    nn = kernels._hypot(-dy, dx)
     nx, ny = -dy / nn, dx / nn
     x, y = bx + u * dx, by + u * dy
-    fault = kernels._sides_deltas(*tri, kernels.KIND_P_HYPERBOLA, x, y)[2]
-    scale = kernels._largest(_triangle_sides(tri))
+    sides, _, fault = kernels._sides_deltas(*tri, kernels.KIND_P_HYPERBOLA, x, y)
+    scale = kernels._largest(sides)
     w = [3e-6 * scale]
     while (w[-1] / 4.0 > 1e-9 * scale).any():
         w.append(w[-1] / 4.0)
@@ -1565,9 +1541,9 @@ def _a_ellipse(corners) -> tuple:
     axis unit, semi axes, faults), as conic.FocalConic computes them."""
     sides, targs, _, faults = _x3_anticevian(corners)
     bx, by, cx, cy, _, px, py = targs[2:]
-    axis = _dist(px - bx, py - by) + _dist(px - cx, py - cy)
+    axis = kernels._hypot(px - bx, py - by) + kernels._hypot(px - cx, py - cy)
     dx, dy = bx - cx, by - cy
-    f = _dist(dx, dy)
+    f = kernels._hypot(dx, dy)
     alpha, chalf = axis / 2.0, f / 2.0
     faults.append((~(axis > f), InvalidAxisLength("ellipse needs axis_length > focal distance")))
     return (sides, ((bx + cx) / 2.0, (by + cy) / 2.0), (dx / f, dy / f),
@@ -1598,7 +1574,7 @@ def _chk_major_vertices(cfgs) -> list:
         (a, b, c), (ox, oy), (ux, uy), (alpha, _), faults = _a_ellipse(corners)
         values = {"a": a, "b": b, "c": c, "S": 0.0, "rt": 0.0}
         rad = _block("major_vertices", "rt_radicand", values)
-        values.update(S=2.0 * abs(_signed_area(*corners)), rt=np.sqrt(rad))
+        values.update(S=2.0 * abs(kernels.signed_area(*corners)), rt=np.sqrt(rad))
         second, third = (_block("major_vertices", poly, values) for poly in ("second", "third"))
         alpha = np.stack((alpha, -alpha))  # the two vertices o +- alpha u
         ends = _unit_bary(corners, ox + ux * alpha, oy + uy * alpha)
@@ -1636,10 +1612,9 @@ def _phyp_block(name: str):
     def run(cfgs) -> list:
         args = _cfg_args(cfgs, kernels.KIND_P_HYPERBOLA)
         corners, (px, py) = args[:6], args[7:]
-        a, b, c = _triangle_sides(corners)
         with np.errstate(all="ignore"):
             xs, ys, bad = kernels.vertices(*args)
-            la, lb, lc = kernels._sides_deltas(*args)[1]
+            (a, b, c), (la, lb, lc), _ = kernels._sides_deltas(*args)
             values = {"a": a, "b": b, "c": c, "La": la, "Lb": lb, "Lc": lc}
             if name == "phyp_member":
                 values.update(zip("pqr", _unit_bary(corners, px, py)))
@@ -1657,9 +1632,9 @@ def _chk_x5452_coordinate(cfgs) -> list:
     six-point conic against the block's g at the sides and focal
     differences, cycled, projectively."""
     args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
-    a, b, c = sides = _triangle_sides(args[:6])
     with np.errstate(all="ignore"):
-        la, lb, lc = kernels._sides_deltas(*args)[1]
+        sides, (la, lb, lc), _ = kernels._sides_deltas(*args)
+        a, b, c = sides
         (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(args, kernels._largest(sides))
         g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
                                               "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
@@ -1751,7 +1726,7 @@ def _gen_needle(rng, n) -> list:
 
     def block(k) -> list:
         rows = _tri_rows(rng, k * 5 // 4 + 4)
-        u, v, w = kernels.cyclic(kernels.center_x3, *_triangle_sides(tuple(rows.T)))
+        u, v, w = kernels.cyclic(kernels.center_x3, *_distances(tuple(rows.T)))
         spread = np.minimum(np.minimum(abs(-u + v + w), abs(u - v + w)), abs(u + v - w))
         return _configs(rows[spread > 0.05 * (abs(u) + abs(v) + abs(w))])
 
@@ -1768,7 +1743,7 @@ def _gen_tri_angle(rng, n) -> list:
         rows = _tri_rows(rng, m)
         ang, u = _uniform(rng, m, (0.0, 2 * math.pi), (0.1, 1.2))
         corners = tuple(rows.T)
-        ox, oy = _circumcircle(corners, _triangle_sides(corners))[:2]
+        ox, oy = _circumcircle(corners, _distances(corners))[:2]
         ok = _angle_gap(ang, [np.arctan2(y - oy, x - ox) for x, y in rows.T.reshape(3, 2, -1)]) >= 0.15
         return _configs(rows[ok], angle=ang[ok], u=u[ok])
 
@@ -1799,7 +1774,7 @@ def _flat_rows(rng, n):
         t1, t2 = np.tan(th1), np.tan(th2)
         apex_x, zero = base * t2 / (t1 + t2), np.zeros_like(base)
         corners = (zero, zero, base, zero, apex_x, apex_x * t1)
-        sides, area = _triangle_sides(corners), abs(_signed_area(*corners))
+        sides, area = _distances(corners), abs(kernels.signed_area(*corners))
         return np.column_stack(corners)[kernels.half_tangent_sum(*sides, area) > 2.0]
 
     return _sample(n, block)
@@ -1821,7 +1796,7 @@ def _circumcircle_rays(rows, ang) -> tuple:
     where those may raise instead (Triangle refuses the corners, X3 is at
     infinity, or the ray is not finite)."""
     corners = tuple(rows.T)
-    sides = _triangle_sides(corners)
+    sides = _distances(corners)
     with np.errstate(all="ignore"):
         ox, oy, far, r = _circumcircle(corners, sides)
     odd = _refused(rows, sides) | far | ~np.isfinite(ox + oy + r)

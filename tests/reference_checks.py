@@ -150,7 +150,7 @@ def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
     framed = [((q.x - gx) / s, (q.y - gy) / s) for q in soddy_centers(tr.t) if q is not None]
     chords = []
     for _, _, lines in pairs:
-        scores = [max(abs(l * x + m * y + n) for x, y in framed) / math.hypot(l, m)
+        scores = [max(abs(l * x + m * y + n) for x, y in framed) / kernels._hypot(l, m)
                   for l, m, n in lines]
         soddy = 0 if scores[0] <= scores[1] else 1
         if scores[soddy] > 1e-6:
@@ -367,7 +367,7 @@ def x55_conjecture_check(t: Triangle) -> X55Report:
     cc = circumcircle(tprime)
     args = _kernel_args(tprime, "p_hyperbola", q)
     xs, ys = kernels.vertex_coords(*args[:6], *kernels._sides_deltas(*args)[:2])
-    dists = [math.hypot(x - cc.center.x, y - cc.center.y) for x, y in zip(xs, ys)]
+    dists = [distance(Point2(x, y), cc.center) for x, y in zip(xs, ys)]
     rmean = sum(dists) / 6.0
     spread = max(abs(d - rmean) for d in dists)
     x7 = classic_center(t, "X7")
@@ -466,7 +466,7 @@ def sideline_extension_residual(t: Triangle, u01: float) -> float:
     u = 1.0 + 0.45 * u01
     dvec = Point2(t.c.x - t.b.x, t.c.y - t.b.y)
     nvec = Point2(-dvec.y, dvec.x)
-    nn = math.hypot(nvec.x, nvec.y)
+    nn = nvec.norm()
     nvec = Point2(nvec.x / nn, nvec.y / nn)
     base = Point2(t.b.x + u * dvec.x, t.b.y + u * dvec.y)
     if driver_fault(t, "p_hyperbola", base) is None:

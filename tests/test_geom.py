@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from triconic import config, kernels, verify
 from triconic.errors import DegenerateTriangle, ParallelLines, PointAtInfinity
 from triconic.geom import (
     BaryCoords,
@@ -130,6 +131,60 @@ def test_collinearity_scale_invariant(rng):
         assert not collinear(*pts)
         on_line = [Point2(s * scale, (2 * s + 1) * scale) for s in (0.0, 0.3, 0.8)]
         assert collinear(*on_line)
+
+
+def _corners(rows):
+    return [Point2(x, y) for x, y in zip(rows[::2], rows[1::2])]
+
+
+def test_object_lengths_are_the_kernel_rule():
+    # geom measures every length with kernels._hypot, so Triangle's sides,
+    # distance, norm and a line's distance are bit for bit the kernels'
+    # (math.hypot differs from it in the last bit on about 1% of inputs).
+    rng = np.random.default_rng(34)
+    rows = rng.uniform(-1.0, 1.0, (10_000, 6)) * 10.0 ** rng.uniform(-6.0, 6.0, (10_000, 1))
+    sides = kernels._sides_deltas(*rows.T, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
+    for row, abc in zip(rows.tolist(), np.transpose(sides).tolist()):
+        a, b, c = _corners(row)
+        assert Triangle(a, b, c).sides() == tuple(abc)
+        assert (distance(b, c), (c - a).norm()) == (abc[0], abc[1])
+        assert Point2(a.x - b.x, a.y - b.y).norm() == kernels._hypot(a.x - b.x, a.y - b.y) == abc[2]
+        line = line_through(b, c)
+        assert line.distance_to(a) == abs(line.eval_point(a)) / kernels._hypot(line.l, line.m)
+
+
+def test_collinear_is_the_triangle_test():
+    # kernels.collinear gives Triangle's verdict on floats and on arrays:
+    # on random triangles, on ones within a factor 2 of the tolerance, with
+    # a zero-length side or all corners at one point.  A corner that is not
+    # finite Point2 refuses first; the verifier tests it apart
+    # (verify._refused).
+    rng = np.random.default_rng(35)
+    a, b = rng.uniform(-1.0, 1.0, (2, 500, 2))
+    d = b - a
+    h = 2.0 * config.get_tol() * 10.0 ** rng.uniform(-0.3, 0.3, (500, 1))
+    near = np.hstack((a, b, (a + b) / 2.0 + h * np.column_stack((-d[:, 1], d[:, 0]))))
+    odd = [[0.0, 0.0, 0.0, 0.0, 1.0, 2.0], [0.5, 0.5] * 3, [0.0] * 6, [0.0, 0.0, 1.0, 1.0, 3.0, 3.0],
+           [math.nan, 0.0, 1.0, 0.0, 0.0, 1.0], [math.inf, 0.0, 1.0, 0.0, 0.0, 1.0],
+           [0.0, 0.0, math.inf, 1.0, math.inf, -1.0], [0.0, math.inf, 1.0, -math.inf, 0.0, 0.0]]
+    rows = np.vstack((rng.uniform(-1.0, 1.0, (500, 6)), near, odd))
+    with np.errstate(invalid="ignore"):
+        sides = kernels._sides_deltas(*rows.T, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
+        on_arrays = kernels.collinear(*rows.T, sides).tolist()
+        refused = verify._refused(rows, sides).tolist()
+    verdicts = []
+    for row, flat, ref in zip(rows.tolist(), on_arrays, refused):
+        try:
+            Triangle(*_corners(row))
+            verdicts.append(False)
+        except (DegenerateTriangle, ValueError):
+            verdicts.append(True)
+        assert ref == verdicts[-1], row
+        if all(map(math.isfinite, row)):
+            abc = kernels._sides_deltas(*row, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
+            assert kernels.collinear(*row, abc) == flat == verdicts[-1] == collinear(*_corners(row)), row
+    assert 100 < sum(verdicts[500:1000]) < 400
+    assert not any(verdicts[:500]) and all(verdicts[1000:])
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))

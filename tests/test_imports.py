@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+module-level private name is used somewhere in the package, and the
+package measures lengths by its one rule."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +85,28 @@ def test_scan_finds_unused_private_names():
 def test_package_has_no_unused_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _unused_privates(sources) == []
+
+
+_LIBRARY_HYPOT = re.compile(r"\b(?:math|np|numpy)\.hypot\b|\bfrom (?:math|numpy) import .*\bhypot\b")
+
+
+def _library_hypots(source: str) -> list[int]:
+    """The lines of source that name math.hypot or np.hypot."""
+    return [k for k, line in enumerate(source.splitlines(), 1) if _LIBRARY_HYPOT.search(line)]
+
+
+def test_scan_finds_library_hypots():
+    src = ("import math\nmath.hypot(1, 2)\nnp.hypot(x, y)\nfrom math import sqrt, hypot\n"
+           "kernels._hypot(1, 2)\n")
+    assert _library_hypots(src) == [2, 3, 4]
+
+
+def test_package_uses_one_length_rule():
+    # kernels._hypot, sqrt(x*x + y*y), is the package's one length rule:
+    # math.hypot and np.hypot differ from it in the last bit on about 1% of
+    # inputs, so the object path and the array checks would part.
+    found = {p.name: _library_hypots(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_package_runs_without_scipy(cli_env):
