@@ -74,6 +74,10 @@ class ConstructionFailed(TriconicError):
     """A geometric construction prerequisite failed."""
 
 
+class NonFiniteResidual(TriconicError):
+    """A check gave a NaN residual, which no bound can pass."""
+
+
 class UnknownProposition(TriconicError):
     """Proposition id is not in the manifest."""
 

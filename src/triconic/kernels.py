@@ -529,8 +529,9 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
     """Carnot's criterion on six vertices, (A1, A2) on BC, (B1, B2) on CA
     and (C1, C2) on AB: (product, off), the product of the unsigned ratios
     |e1 p| / |e2 p| of each vertex p to the ends of its sideline, and for
-    each vertex whether it is off the sideline by geom.collinear's test
-    under get_tol().  Floats, or arrays of one shape."""
+    each vertex whether it is off the sideline: not collinear with its
+    ends by geom.collinear's test under get_tol(), a NaN vertex included.
+    Floats, or arrays of one shape."""
     corners = ((ax, ay), (bx, by), (cx, cy))
     tol = get_tol()
     product, off = 1.0, []
@@ -539,7 +540,8 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
         d1 = _hypot(x - x1, y - y1)
         d2 = _hypot(x - x2, y - y2)
         scale = _largest((d1, _hypot(x1 - x2, y1 - y2), d2))
-        off.append(abs(signed_area(x, y, x1, y1, x2, y2)) > tol * scale * scale)
+        on = abs(signed_area(x, y, x1, y1, x2, y2)) <= tol * scale * scale
+        off.append(~on if isinstance(on, np.ndarray) else not on)
         product = product * (d1 / d2)
     return product, off
 

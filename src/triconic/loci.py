@@ -33,7 +33,6 @@ from .errors import (
     DriverNotOnLocus,
     NoFiniteCenter,
     NotConverged,
-    RadicalDomainError,
     RankDeficient,
     TriconicError,
 )
@@ -59,12 +58,6 @@ from .triads import (
 # ---------------------------------------------------------------------------
 # Implicit curves and functionals
 # ---------------------------------------------------------------------------
-
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise RadicalDomainError(f"negative radical argument {v}")
-    return math.sqrt(v)
-
 
 def x478_quartic(x, y):
     """Center locus of the degenerate V-ellipse six-point conic,
@@ -95,8 +88,8 @@ def parabola_deg8_V(a, b, c):
 def covertex_locus_V(x: float, y: float) -> float:
     """Locus of C such that the six V-ellipse co-vertices are conconic,
     A=(-1,0), B=(1,0)."""
-    rho1 = _sqrt(x * x + y * y + 2.0 * x + 1.0)
-    rho2 = _sqrt(x * x + y * y - 2.0 * x + 1.0)
+    rho1 = kernels._hypot(x + 1.0, y)  # |CA|
+    rho2 = kernels._hypot(x - 1.0, y)  # |CB|
     x2, y2 = x * x, y * y
     t1 = (
         x2**3

@@ -177,8 +177,14 @@ def _carnot(corners, xs, ys) -> float:
     product, off = kernels.carnot(*corners, xs, ys)
     if any(off):
         k = off.index(True)
-        raise PointOffSideline(f"{Point2(xs[k], ys[k])} off its sideline")
+        raise _off_sideline(xs[k], ys[k])
     return product
+
+
+def _off_sideline(x, y) -> PointOffSideline:
+    """The PointOffSideline of the vertex (x, y), named as Point2's repr
+    names it, though a NaN vertex builds no Point2."""
+    return PointOffSideline(f"Point2(x={float(x)!r}, y={float(y)!r}) off its sideline")
 
 
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:

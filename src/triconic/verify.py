@@ -1,47 +1,55 @@
 """Proposition regression suite.
 
 Every theorem-like statement of the four triad sections plus the six
-appendix polynomial blocks has exactly one named check here.  A check is a
-pure function from JSON-serializable configurations to residuals.  The
-runner first draws all of a proposition's seeded random configurations in
-one call of its `draw`, then checks them in one call of its `run`; it
-reports the worst residual and its witness configuration, the number of
-crashed trials by exception type, and the margin of the worst residual
-against the bound.  Replaying the witness (`run` on that one
-configuration) reproduces the residual.
+appendix polynomial blocks has exactly one named check here.  A
+proposition's configurations travel as one table of float columns
+(`ConfigTable`) from the draw through the check to the report.  The runner
+first draws all of a proposition's seeded random configurations in one
+call of its `draw`, which gives the table and the exceptions of the trials
+whose draw failed, by trial; then it checks the table in one call of its
+`run`, which gives a float array of residuals and the exceptions of the
+trials that crashed, by row.  It reduces the residuals with numpy (a crash,
+or a NaN residual as `NonFiniteResidual`, counts as inf) and reports the
+worst residual, the first trial that reaches it as the witness (its row
+as a dict of plain floats, `ConfigTable.row`), the number of crashed
+trials by exception type, and the margin of the worst residual against
+the bound.  Replaying the witness (`run` on its one-row table,
+`ConfigTable.from_dicts`) reproduces the residual.
 
 Each proposition's draw is an array sampler on its own rng (`_prop_rng`),
 so no proposition's trials move another's configurations.  It draws a
 block of candidates as columns, tests them as one mask (`_tri_mask`, the
 driver guard of `_drivers`, `_member_guard` and its family's rules), keeps
 the first n accepted in order and draws again only when short (`_sample`);
-it builds no object and emits plain floats.  Only the draws of A3, P2.8
-and P5.7 run a search, as only it decides their family: A3's its check,
-P2.8's and P5.7's the grid step of their checks' root scans
-(`loci.bracket_sign_changes`), a block in one call.  The float draws
-`random_triangle`, `random_flat_triangle` and `random_point_near` are the
-public ones, for callers that draw one shape at a time.
+it builds no object and no dict.  Only the draws of A3, P2.8 and P5.7 run
+part of their check, as only it decides their family: A3's its fit
+(`_x3prime_fit`, not the block's polynomial), P2.8's and P5.7's the grid
+step of their root scans (`loci.bracket_sign_changes`), a block in one
+call.  The float draws `random_triangle`, `random_flat_triangle` and
+`random_point_near` are the public ones, for callers that draw one shape
+at a time.
 
-Thirty-six checks run as one batch, each trial's bits those of a batch of
-one; the five of at most four trials (P2.9, P3.5, P3.6, P3.7 and P3.9)
-run trial by trial (`_per_trial`).  P3.2 and P5.4 run one circle-point
-search each (`loci.pstar_candidates_batch`,
-`loci.phyp_circle_points_batch`), each trial's postconditions then on
-floats.  On arrays: P2.2, P3.1, P3.8 and P5.2 in one `kernels.six_point`
-call; P2.1, P2.7, P3.3, A3, A6 and P5.5 on `kernels.vertices` and
-`fit_six`, with `six_point_conic`'s rules (`_six_point_fit`); P2.3, P2.5
-and P4.8 on one `kernels.focal_pairs` call; P2.4, P4.7 and P5.6 in one
-`kernels.pair_points` call; P4.1-P4.5 and P4.9 on `kernels.vertex_coords`
-(`_v_hyperbola`); P5.3, A4 and A5 on `kernels.vertices`; P5.1 in one
-`kernels.second_point` call; the catalog points, Soddy centers among
-them, from `kernels.bary_point`; A1-A6's polynomials in one
-`appendix.eval_terms` call over every trial's points; and the root scans
-of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one `loci.batch_sign_changes`
-each: one call of the scanned function (written with products, not
-powers, so floats and arrays give the same bits) on every trial's grid,
-then Brent on floats in each bracketed cell; P2.8's and P5.7's other
-points in one `kernels.six_point` call each, every trial's early exits
-replayed on the values; P2.6, P4.6 and P4.10 finish each trial's other
+Thirty-six checks run as one batch on the table's columns, each trial's
+bits those of a batch of one; the five of at most four trials (P2.9, P3.5,
+P3.6, P3.7 and P3.9) run trial by trial on each row's dict (`_per_trial`).
+P3.2 and P5.4 run one circle-point search each
+(`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`), each
+trial's postconditions then on floats.  On arrays: P2.2, P3.1, P3.8 and
+P5.2 in one `kernels.six_point` call; P2.1, P2.7, P3.3, A3, A6 and P5.5 on
+`kernels.vertices` and `fit_six`, with `six_point_conic`'s rules
+(`_six_point_fit`); P2.3, P2.5 and P4.8 on one `kernels.focal_pairs` call;
+P2.4, P4.7 and P5.6 in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
+on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
+`kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
+points, Soddy centers among them, from `kernels.bary_point`; A1-A6's
+polynomials in one `appendix.eval_terms` call over every trial's points;
+and the root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
+`loci.batch_sign_changes` each: one call of the scanned function (written
+with products, not powers, so floats and arrays give the same bits) on
+every trial's grid, then Brent on floats in each bracketed cell; P2.6's
+triangles at the roots, and P2.8's and P5.7's other points in one
+`kernels.six_point` call each, on arrays, every trial's early exits
+replayed on the values; P3.4, P4.6 and P4.10 finish each trial's other
 checks on floats.  A crash still fails only its own trial (`_fail_or`
 gives each trial the exception of the first fault that holds there).
 
@@ -86,9 +94,9 @@ from .errors import (
     DegenerateMember,
     DegenerateResult,
     InvalidAxisLength,
+    NonFiniteResidual,
     NotFound,
     PointAtInfinity,
-    PointOffSideline,
     RankDeficient,
     UnknownProposition,
 )
@@ -122,6 +130,7 @@ from .triads import (
     _FAULTS as _TRIAD_FAULTS,
     _focal_diff_residual,
     _kernel_args,
+    _off_sideline,
     build_triad,
 )
 
@@ -237,21 +246,81 @@ def random_point_near(t: Triangle, rng: np.random.Generator) -> Point2:
     return Point2(*_near_floats(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, rng.random))
 
 
-def _cfg_tri(cfg) -> Triangle:
-    (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
+def _triangle(ax, ay, bx, by, cx, cy) -> Triangle:
     return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
 
-def _sample(n, block) -> list:
-    """The first n of the configurations block(k) accepts, in order:
-    block(k) draws candidates for k missing ones and returns those it
-    accepts (a configuration, or a trial's exception), as often as it is
-    short."""
-    out = block(n)
-    while len(out) < n:
-        more = block(n - len(out))
-        out = np.concatenate((out, more)) if isinstance(out, np.ndarray) else out + more
-    return out[:n]
+def _cfg_tri(cfg) -> Triangle:
+    (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
+    return _triangle(ax, ay, bx, by, cx, cy)
+
+
+@dataclass(frozen=True)
+class ConfigTable:
+    """A proposition's configurations as one table of float columns, the
+    last axis of each running over the trials: `triangle` (3, 2, n), the
+    corners (x, y) of A, B and C; `p` (2, n); `ab` (2, 2, n); `angle`, `u`,
+    `x`, `theta`, `apex` and `half_base` (n,).  A row is the configuration
+    dict of one trial (`row`), the report's witness; `from_dicts` builds
+    the table back from such dicts."""
+
+    n: int
+    cols: dict = field(default_factory=dict)
+
+    def __getitem__(self, key):
+        return self.cols[key]
+
+    @classmethod
+    def from_dicts(cls, cfgs) -> ConfigTable:
+        """The table of the configuration dicts cfgs (at least one), each
+        with the keys of the first."""
+        return cls(len(cfgs), {k: np.ascontiguousarray(np.moveaxis(
+            np.array([cfg[k] for cfg in cfgs], dtype=float), 0, -1)) for k in cfgs[0]})
+
+    def row(self, i: int) -> dict:
+        """Trial i's configuration: plain floats, nested as its columns."""
+        return {k: v[..., i].tolist() for k, v in self.cols.items()}
+
+    def take(self, rows) -> ConfigTable:
+        """The trials rows (indices, or a mask), in their order."""
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+        return ConfigTable(len(rows), {k: v[..., rows] for k, v in self.cols.items()})
+
+    def with_cols(self, **cols) -> ConfigTable:
+        return ConfigTable(self.n, {**self.cols, **cols})
+
+
+def _corners(cfgs) -> tuple:
+    """The corners (ax, ay, bx, by, cx, cy) of the table's triangles, as
+    arrays."""
+    return tuple(cfgs["triangle"].reshape(6, cfgs.n))
+
+
+def _sample(n, block) -> tuple:
+    """The first n trials block(k) accepts, in order, as (table, draw
+    failures by trial): block(k) draws candidates for k missing trials and
+    returns those it accepts as (table, {trial of the block: exception}),
+    as often as it is short."""
+    tabs, failed, have = [], {}, 0
+    while have < n or not tabs:  # a block even for n = 0, as the streams have always read
+        tab, bad = block(n - have)
+        failed.update((have + i, exc) for i, exc in bad.items())
+        tabs.append(tab)
+        have += tab.n + len(bad)
+    failed = {i: exc for i, exc in failed.items() if i < n}
+    m = n - len(failed)
+    return ConfigTable(m, {k: np.concatenate([t[k] for t in tabs], axis=-1)[..., :m].copy()
+                           for k in tabs[0].cols}), failed
+
+
+def _accepted(tab, keep, fails) -> tuple:
+    """The candidates of tab where keep holds, in order, as _sample's
+    (table, draw failures): those of fails (candidate -> exception) are
+    failed trials."""
+    kept, failed = np.flatnonzero(keep), np.zeros(tab.n, dtype=bool)
+    failed[list(fails)] = True
+    bad = failed[kept]
+    return tab.take(kept[~bad]), dict(zip(np.flatnonzero(bad).tolist(), map(fails.get, kept[bad].tolist())))
 
 
 def _uniform(rng, m, *ranges) -> list:
@@ -259,35 +328,26 @@ def _uniform(rng, m, *ranges) -> list:
     return [lo + (hi - lo) * u for (lo, hi), u in zip(ranges, rng.random((len(ranges), m)))]
 
 
-def _configs(rows, **cols) -> list:
-    """One configuration per row: the corners (ax, ay, bx, by, cx, cy) of
-    rows as its triangle, and each named column's value."""
-    out = [{"triangle": t} for t in rows.reshape(-1, 3, 2).tolist()]
-    for key, col in cols.items():
-        for cfg, v in zip(out, col.tolist()):
-            cfg[key] = v
-    return out
-
-
-def _tri_rows(rng, n):
-    """n random triangles as the rows (ax, ay, bx, by, cx, cy) of an
-    array: corners uniform in the unit square, _tri_ok's tests as one mask
-    (_tri_mask)."""
+def _tri_table(rng, n) -> ConfigTable:
+    """n random triangles: corners uniform in the unit square, _tri_ok's
+    tests as one mask (_tri_mask) on a block of rows (ax, ay, bx, by, cx,
+    cy)."""
     tol = get_tol()
 
     def block(k):
         rows = rng.random((k * 9 // 8 + 8, 6))  # about 92% are kept
-        return rows[_tri_mask(rows, tol)]
+        kept = rows[_tri_mask(rows.T, tol)]
+        return ConfigTable(len(kept), {"triangle": kept.T.reshape(3, 2, -1)}), {}
 
-    return _sample(n, block)
+    return _sample(n, block)[0]
 
 
-def _tri_mask(rows, tol):
-    """_tri_ok of each row (ax, ay, bx, by, cx, cy) of rows, on arrays, to
-    rounding: the sides from their squares, and the least angle, opposite
-    the shortest side, below MIN_ANGLE where its cosine is above
+def _tri_mask(corners, tol):
+    """_tri_ok of each triangle of the corners (ax, ay, bx, by, cx, cy), on
+    arrays, to rounding: the sides from their squares, and the least angle,
+    opposite the shortest side, below MIN_ANGLE where its cosine is above
     cos(MIN_ANGLE)."""
-    ax, ay, bx, by, cx, cy = rows.T
+    ax, ay, bx, by, cx, cy = corners
     lo, mid, hi = np.sort([x * x + y * y for x, y in ((bx - cx, by - cy), (cx - ax, cy - ay),
                                                       (ax - bx, ay - by))], axis=0)
     area = abs(kernels.signed_area(ax, ay, bx, by, cx, cy))
@@ -296,26 +356,25 @@ def _tri_mask(rows, tol):
     return (area > tol * hi) & (hi <= MAX_ASPECT * MAX_ASPECT * lo) & (cos <= math.cos(MIN_ANGLE))
 
 
-def _gen_tri(rng, n) -> list:
-    """n random triangle configurations (_tri_rows)."""
-    return _configs(_tri_rows(rng, n))
+def _gen_tri(rng, n) -> tuple:
+    """n random triangle configurations (_tri_table)."""
+    return _tri_table(rng, n), {}
 
 
-def _drivers(rng, rows) -> tuple:
-    """random_point_near's driver (px, py) for the triangle of each row,
-    on arrays: uniform in the box, tries in rounds of up to four a row
-    until one clears the guard; NaN, and True in the give-up mask, where
-    NEAR_DRAWS tries do not."""
-    corners = rows.reshape(-1, 3, 2)
-    lo, hi = corners.min(axis=1).T, corners.max(axis=1).T  # x and y
+def _drivers(rng, tri) -> tuple:
+    """random_point_near's driver (px, py) for each triangle of tri, the
+    table's (3, 2, n) column, on arrays: uniform in the box, tries in
+    rounds of up to four a triangle until one clears the guard; NaN, and
+    True in the give-up mask, where NEAR_DRAWS tries do not."""
+    lo, hi = tri.min(axis=0), tri.max(axis=0)  # x and y
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0 * NEAR_EXPAND
     base, width = mid - half, (mid + half) - (mid - half)
     # The sidelines BC, CA, AB as l x + m y + n = 0, with norms h.
-    ax, ay, bx, by, cx, cy = np.array(rows.T)
+    ax, ay, bx, by, cx, cy = tri.reshape(6, -1)
     lines = [(py - qy, qx - px, px * qy - qx * py, kernels._hypot(py - qy, qx - px))
              for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))]
     guard = 1e-2 * kernels._largest([h for *_, h in lines])
-    out, todo, tries = np.full((2, len(rows)), math.nan), np.arange(len(rows)), 0
+    out, todo, tries = np.full((2, ax.size), math.nan), np.arange(ax.size), 0
     while todo.size and tries < NEAR_DRAWS:
         k = min(4, NEAR_DRAWS - tries)
         px, py = base[:, todo, None] + width[:, todo, None] * rng.random((2, todo.size, k))
@@ -355,59 +414,49 @@ def _member_guard(ax, ay, bx, by, cx, cy, px, py):
     return bad
 
 
-def _gen_tri_point(rng, n) -> list:
+def _gen_tri_point(rng, n) -> tuple:
     """n configurations of a random triangle and a driver P near it
     (_drivers) for which both P-triads have all their members
     (_member_guard); a driver draw that gives up is its trial's
     ConstructionFailed."""
 
-    def block(k) -> list:
-        rows = _tri_rows(rng, k)
-        (px, py), gave_up = _drivers(rng, rows)
-        keep = gave_up | ~_member_guard(*rows.T, px, py)
-        cfgs = _configs(rows[keep], p=np.column_stack((px, py))[keep])
-        return [_no_driver(*rows[i].tolist()) if g else cfg
-                for i, g, cfg in zip(np.flatnonzero(keep), gave_up[keep].tolist(), cfgs)]
+    def block(k) -> tuple:
+        tab = _tri_table(rng, k)
+        (px, py), gave_up = _drivers(rng, tab["triangle"])
+        keep = gave_up | ~_member_guard(*_corners(tab), px, py)
+        fails = {i: _no_driver(*tab["triangle"][..., i].ravel().tolist())
+                 for i in np.flatnonzero(gave_up).tolist()}
+        return _accepted(tab.with_cols(p=np.array((px, py))), keep, fails)
 
     return _sample(n, block)
 
 
 # ---------------------------------------------------------------------------
-# Check implementations (cfg -> residual; the batch checks take all cfgs)
+# Check implementations (a ConfigTable -> residuals and exceptions; the
+# per-trial checks take one configuration dict)
 # ---------------------------------------------------------------------------
 
-def _cfg_rows(cfgs):
-    """The configurations' triangles as rows (ax, ay, bx, by, cx, cy), each
-    read as one flat tuple: numpy converts nested lists far more slowly."""
-    rows = [(*a, *b, *c) for a, b, c in (cfg["triangle"] for cfg in cfgs)]
-    return np.array(rows, dtype=float).reshape(len(cfgs), 6)
-
-
-def _refused(rows, sides):
-    """Where Triangle refuses the corners of each row of rows, given their
-    sides (_distances): a corner not finite, or collinear
+def _refused(corners, sides):
+    """Where Triangle refuses the corners (ax, ay, bx, by, cx, cy), given
+    their sides (_distances): a corner not finite, or collinear
     (kernels.collinear)."""
     with np.errstate(invalid="ignore"):
-        return ~np.isfinite(rows).all(axis=1) | kernels.collinear(*rows.T, sides)
+        return ~np.isfinite(np.array(corners)).all(axis=0) | kernels.collinear(*corners, sides)
 
 
-def _checked_triangles(cfgs) -> list:
-    """Each configuration, or where Triangle refuses its corners
-    (_refused), the exception _cfg_tri raises on it."""
-    rows = _cfg_rows(cfgs)
-    odd = _refused(rows, _distances(tuple(rows.T))).tolist()
-    return [_each(_cfg_tri, [cfg])[0] if o else cfg for cfg, o in zip(cfgs, odd)]
+def _raised(corners, rows, fn=None) -> dict:
+    """The exception that the Triangle of the corners (ax, ay, bx, by, cx,
+    cy) of each trial of rows (indices), or fn of it, raises, by trial,
+    where one does."""
+    got = _each(lambda c: fn(_triangle(*c)) if fn else _triangle(*c), np.array(corners)[:, rows].T.tolist())
+    return {i: r for i, r in zip(rows.tolist(), got) if isinstance(r, Exception)}
 
 
 def _cfg_args(cfgs, kind: int) -> tuple:
     """The configurations' kernel arguments for a kind, as arrays: the six
     triangle coordinates, the kind, and P (zeros for the V-kinds)."""
-    tri = _cfg_rows(cfgs)
-    if kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA):
-        p = np.array([cfg["p"] for cfg in cfgs], dtype=float).reshape(-1, 2)
-    else:
-        p = np.zeros((len(cfgs), 2))
-    return (*tri.T, kind, *p.T)
+    p = cfgs["p"] if kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA) else np.zeros((2, cfgs.n))
+    return (*_corners(cfgs), kind, *p)
 
 
 def _member_residuals(args, xs, ys) -> tuple:
@@ -425,17 +474,16 @@ def _member_residuals(args, xs, ys) -> tuple:
 _DEGENERATE = ConstructionFailed("a triad member degenerates")
 
 
-def _fail_or(values, *faults) -> list:
-    """values as floats, but where faults, pairs (mask, exception), hold
-    the exception of the first that does; an exception may be given as a
-    function of the trial's index."""
-    out = values.tolist()
-    taken = np.zeros(len(out), dtype=bool)
+def _fail_or(values, *faults) -> tuple:
+    """A batch check's (residuals, exceptions by trial): values, but where
+    faults, pairs (mask, exception), hold, the exception of the first that
+    does; an exception may be given as a function of the trial's index."""
+    errs, taken = {}, False
     for mask, exc in faults:
-        for i in np.flatnonzero(mask & ~taken).tolist():
-            out[i] = exc(i) if callable(exc) else exc
-        taken |= mask
-    return out
+        for i in np.flatnonzero(mask & np.logical_not(taken)).tolist():
+            errs[i] = exc(i) if callable(exc) else exc
+        taken = taken | mask
+    return values, errs
 
 
 def _framed(points, s) -> tuple:
@@ -504,12 +552,11 @@ def _six_point_fit(args, s) -> tuple:
         (gap <= 1e-9 * s, RankDeficient("fewer than 5 distinct triad vertices")),
         (~(kernels.frobenius(co) > DET_DEGENERATE_TOL),
          RankDeficient("five points do not determine a unique conic")),
-        (off.any(axis=0), lambda i: PointOffSideline(
-            f"{Point2(fxs[first[i], i], fys[first[i], i])} off its sideline")),
+        (off.any(axis=0), lambda i: _off_sideline(fxs[first[i], i], fys[first[i], i])),
     ]
 
 
-def _chk_excircle_tangency_vertices(cfgs) -> list:
+def _chk_excircle_tangency_vertices(cfgs) -> tuple:
     """P2.1 on all configurations at once: the V-ellipse vertices
     (kernels.vertices) at the excircle tangency points, their worst
     distance over the largest side, and kernels.fit_six's residual6, with
@@ -529,31 +576,27 @@ def _chk_excircle_tangency_vertices(cfgs) -> list:
 
 
 def _batch_check(kind: int, score):
-    """A proposition's run from score(class code, residual6), all its
+    """A proposition's run from score(class codes, residual6s), all its
     configurations in one kernels.six_point call; a configuration the kernel
     fails on crashes its trial with ConstructionFailed."""
 
-    def run(cfgs) -> list:
+    def run(cfgs) -> tuple:
         codes, _, _, res6 = kernels.six_point(*_cfg_args(cfgs, kind))
-        return [
-            ConstructionFailed("a triad member degenerates or the fit vanishes")
-            if code == kernels.CLASS_FAILED
-            else score(code, r)
-            for code, r in zip(codes.tolist(), res6.tolist())
-        ]
+        return _fail_or(score(codes, res6), (codes == kernels.CLASS_FAILED, ConstructionFailed(
+            "a triad member degenerates or the fit vanishes")))
 
     return run
 
 
-def _not_circle(code: int, res6: float) -> float:
-    return 1.0 if code == kernels.CLASS_CIRCLE else 0.0
+def _not_circle(codes, res6):
+    return np.where(codes == kernels.CLASS_CIRCLE, 1.0, 0.0)
 
 
-def _incidence(code: int, res6: float) -> float:
+def _incidence(codes, res6):
     return res6
 
 
-def _chk_excentral_tangents(cfgs) -> list:
+def _chk_excentral_tangents(cfgs) -> tuple:
     """P2.3 on all configurations at once, in kernels.focal_pairs' frame:
     each V-ellipse member passes through its vertex (kernels.conic_residual)
     and touches there the excentral side, the line through the other two
@@ -584,7 +627,7 @@ def _vell_chord_line_bary(a, b, c):
     )
 
 
-def _chk_pair_chords_x20(cfgs) -> list:
+def _chk_pair_chords_x20(cfgs) -> tuple:
     """P2.4 on all configurations at once: the chord through the first two
     points of each V-ellipse pair (kernels.pair_points on arrays) passes
     through its excenter and X20, the worst distance over the
@@ -625,7 +668,7 @@ def _chk_pair_chords_x20(cfgs) -> list:
     )
 
 
-def _chk_x20_on_members(cfgs) -> list:
+def _chk_x20_on_members(cfgs) -> tuple:
     """P2.5 on all configurations at once, in kernels.focal_pairs' frame:
     X20 is the reflection of X4 about X3 (their distance), and each
     V-ellipse member passes through it (kernels.conic_residual)."""
@@ -657,19 +700,19 @@ def _on_ray(s, ox, oy, r, dx, dy):
 
 def _ray_scans(fn, rays, lo, hi) -> tuple:
     """The (f, lo, hi) of a batch scan of fn(s, *ray) along each ray of
-    rays, a list of tuples of floats; lo and hi are floats or one per ray.
-    f reads the grid as one row a ray against the rays' columns (so what
-    depends on the ray alone is computed once a ray), and ray k's own
-    floats for the polish's int k."""
-    cols = np.array(rays).T[:, :, None]
-    n = len(rays)
-    return (lambda s, k: fn(s, *rays[k]) if isinstance(k, int) else np.ravel(fn(s.reshape(n, -1), *cols)),
+    rays, an (m, n) array of n rays' m floats; lo and hi are floats or one
+    per ray.  f reads the grid as one row a ray against the rays' columns
+    (so what depends on the ray alone is computed once a ray), and ray k's
+    own floats for the polish's int k."""
+    n = rays.shape[1]
+    cols, floats = rays[:, :, None], rays.T.tolist()
+    return (lambda s, k: fn(s, *floats[k]) if isinstance(k, int) else np.ravel(fn(s.reshape(n, -1), *cols)),
             np.broadcast_to(lo, n), np.broadcast_to(hi, n))
 
 
 def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
     """loci.batch_sign_changes of fn(s, *ray) along each ray of rays."""
-    if not rays:
+    if not rays.shape[1]:
         return []
     return batch_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first)
 
@@ -677,68 +720,78 @@ def _scan_rays(fn, rays, lo, hi, steps: int = 60, first: bool = False) -> list:
 def _crossed(rays, fn, lo, hi, steps: int):
     """Whether fn(s, *ray) changes sign on the scan grid along each ray of
     rays, a bool array: loci.bracket_sign_changes, no polish."""
-    hit = np.zeros(len(rays), dtype=bool)
+    hit = np.zeros(rays.shape[1], dtype=bool)
     hit[bracket_sign_changes(*_ray_scans(fn, rays, lo, hi), steps, first=True)[0]] = True
     return hit
 
 
-def _at_rays(fn, rays, s) -> list:
-    """fn(s, *ray) on every ray of rays in one array call, as floats."""
-    return fn(np.full(len(rays), s), *np.array(rays).T).tolist()
+def _at_rays(fn, rays, s):
+    """fn(s, *ray) on every ray of rays in one array call."""
+    return fn(np.full(rays.shape[1], s), *rays)
 
 
-def _midpoint_ray(a, b, ang) -> tuple:
-    """A and B, given as [x, y], then the ray M + s*r*(cos ang, sin ang)
-    from the midpoint M of AB, r = |AB| / 2 (geom.midpoint's and
-    geom.distance's bits)."""
-    (ax, ay), (bx, by) = a, b
-    return (ax, ay, bx, by, (ax + bx) / 2.0, (ay + by) / 2.0, kernels._hypot(ax - bx, ay - by) / 2.0,
-            math.cos(ang), math.sin(ang))
+def _floatwise(fn, x):
+    """fn of each entry of the array x on floats, as an array: the bits of
+    the float path, which numpy's cos, sin and powers need not give."""
+    return np.array(list(map(fn, x.tolist())))
 
 
-def _ab_ray(cfg) -> tuple:
-    return _midpoint_ray(*cfg["ab"], cfg["angle"])
+def _midpoint_rays(ax, ay, bx, by, ang):
+    """The rays of A, B (arrays) and the angles ang: an (9, n) array of A
+    and B, then M + s*r*(cos ang, sin ang) from the midpoint M of AB, r =
+    |AB| / 2 (geom.midpoint's and geom.distance's bits)."""
+    return np.array((ax, ay, bx, by, (ax + bx) / 2.0, (ay + by) / 2.0, kernels._hypot(ax - bx, ay - by) / 2.0,
+                     _floatwise(math.cos, ang), _floatwise(math.sin, ang)))
 
 
 def _ab_ray_det(s, ax, ay, bx, by, *ray):
     return _detn_v_ellipse(ax, ay, bx, by, *_on_ray(s, *ray))
 
 
-def _chk_degenerate_iff_right(rays) -> list:
-    """P2.6 on all rays (_ab_ray) at once: one batch scan for the first
-    sign change of the V-ellipse det as C runs along each ray."""
-    roots = _scan_rays(_ab_ray_det, rays, 0.8, 1.2, first=True)
-    at_one = _at_rays(_ab_ray_det, rays, 1.0)
-    return _each(_right_angle_residual, zip(rays, roots, at_one))
+def _roots(found) -> tuple:
+    """A first-root scan's results (loci.batch_sign_changes) as (roots,
+    exceptions): NaN where a scan found no root or failed, and its
+    NotConverged by scan."""
+    errs = {i: s for i, s in enumerate(found) if isinstance(s, Exception)}
+    return np.array([s if isinstance(s, float) else math.nan for s in found]), errs
 
 
-def _right_angle_residual(item) -> float:
-    (ax, ay, bx, by, *ray), s, det_right = item
-    if isinstance(s, Exception):
-        raise s
-    if s is None:
-        return 1.0
-    t = Triangle(Point2(ax, ay), Point2(bx, by), Point2(*_on_ray(s, *ray)))
-    # Some angle is right at any det-sign crossing (the degenerate locus in C
-    # is the diameter circle plus the two tangent lines at A and B).
-    aa, bb, cc = t.sides()
-    pyth = min(
-        abs(aa * aa + bb * bb - cc * cc),
-        abs(bb * bb + cc * cc - aa * aa),
-        abs(cc * cc + aa * aa - bb * bb),
-    ) / max(aa, bb, cc) ** 2
-    return max(pyth, abs(det_right) * 100.0)
+def _pymax(first, *rest):
+    """Python's max of floats, elementwise on arrays: a NaN after the first
+    value is passed over."""
+    return functools.reduce(lambda m, v: np.where(v > m, v, m), rest, first)
 
 
-def _chk_x478_quartic(cfgs) -> list:
+def _chk_degenerate_iff_right(cfgs) -> tuple:
+    """P2.6 on all configurations at once: one batch scan for the first
+    sign change of the V-ellipse det as C runs along each ray from the
+    midpoint of AB (_midpoint_rays); there some angle of ABC is right (the
+    degenerate locus in C is the diameter circle plus the two tangent lines
+    at A and B), and the det vanishes at s = 1; 1.0 without a root, the
+    exception of a triangle that Triangle refuses."""
+    rays = _midpoint_rays(*cfgs["ab"].reshape(4, cfgs.n), cfgs["angle"])
+    root, errs = _roots(_scan_rays(_ab_ray_det, rays, 0.8, 1.2, first=True))
+    ax, ay, bx, by, *ray = rays
+    corners = (ax, ay, bx, by, *_on_ray(root, *ray))
+    (aa, bb, cc) = sides = _distances(corners)
+    with np.errstate(invalid="ignore"):
+        odd = _refused(corners, sides) & ~np.isnan(root)
+        pyth = functools.reduce(np.minimum, (
+            abs(aa * aa + bb * bb - cc * cc), abs(bb * bb + cc * cc - aa * aa),
+            abs(cc * cc + aa * aa - bb * bb))) / _floatwise(lambda v: v ** 2, kernels._largest(sides))
+    errs.update(_raised(corners, np.flatnonzero(odd)))
+    worst = _pymax(pyth, abs(_at_rays(_ab_ray_det, rays, 1.0)) * 100.0)
+    return np.where(np.isnan(root), 1.0, worst), errs
+
+
+def _chk_x478_quartic(cfgs) -> tuple:
     """P2.7 on all configurations at once: the quartic at X478, the center
     (kernels.frame_center) of the V-ellipse six-point conic of A=(1/2,0),
     B=(-1/2,0) and C=(cos theta, sin theta)/2, with six_point_conic's
     rules (_six_point_fit), not at the closed form
     loci.x478_center_for_theta; DegenerateResult without a center."""
-    n = len(cfgs)
-    cx, cy = np.array([(0.5 * math.cos(cfg["theta"]), 0.5 * math.sin(cfg["theta"]))
-                       for cfg in cfgs]).reshape(-1, 2).T
+    n = cfgs.n
+    cx, cy = 0.5 * _floatwise(math.cos, cfgs["theta"]), 0.5 * _floatwise(math.sin, cfgs["theta"])
     zero = np.zeros(n)
     args = (np.full(n, 0.5), zero, np.full(n, -0.5), zero, cx, cy,
             kernels.KIND_V_ELLIPSE, zero, zero)
@@ -772,35 +825,38 @@ def _deg8_roots(rays) -> list:
     return _scan_rays(fn, rays, lo, hi, steps, first=True)
 
 
-def _chk_type_regions_V(cfgs) -> list:
-    """P2.8 on all configurations at once: one batch scan for the degree-8
-    root along each ray, then one kernels.six_point call of the V-ellipse
-    conic with C on the circle with diameter AB (s = 1) and on its tangent
-    at A (degenerate), at the root (a parabola; 1.0 where the kernel
-    fails) and at the triangle's own C (an ellipse or a hyperbola)."""
-    rays = [_midpoint_ray(*cfg["triangle"][:2], cfg["angle"]) for cfg in cfgs]
-    found = _deg8_roots(rays)
-    ax, ay, bx, by, *ray = np.array(rays).T
-    r, u = ray[2], 0.5 + np.array([cfg["u"] for cfg in cfgs])
-    root = np.array([s if isinstance(s, float) else math.nan for s in found])
+def _ab_rays(cfgs) -> tuple:
+    """P2.8's rays (_midpoint_rays) from the sides AB of the triangles, and
+    the exception of each triangle that Triangle refuses (_refused), by
+    trial."""
+    corners = _corners(cfgs)
+    odd = _refused(corners, _distances(corners))
+    return _midpoint_rays(*corners[:4], cfgs["angle"]), _raised(corners, np.flatnonzero(odd))
+
+
+# The classes of an interior C: a conic through the six vertices.
+_INTERIOR = [kernels.CLASS_ELLIPSE, kernels.CLASS_HYPERBOLA, kernels.CLASS_CIRCLE,
+             kernels.CLASS_RECTANGULAR_HYPERBOLA, kernels.CLASS_DEGENERATE_TWO_LINES]
+
+
+def _chk_type_regions_V(cfgs, rays) -> tuple:
+    """P2.8 on all configurations and their rays (_ab_rays) at once: one
+    batch scan for the degree-8 root along each ray, then one
+    kernels.six_point call of the V-ellipse conic with C on the circle with
+    diameter AB (s = 1) and on its tangent at A (degenerate), at the root
+    (a parabola; 1.0 where the kernel fails or no root is found) and at the
+    triangle's own C (an ellipse or a hyperbola)."""
+    root, errs = _roots(_deg8_roots(rays))
+    ax, ay, bx, by, *ray = rays
+    r, u = ray[2], 0.5 + cfgs["u"]
     with np.errstate(all="ignore"):
         tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
-        at = [_on_ray(1.0, *ray), tangent, _on_ray(root, *ray), _cfg_rows(cfgs).T[4:]]
-        code, det, disc, _ = (v.tolist() for v in kernels.six_point(
-            ax, ay, bx, by, *np.array(at).transpose(1, 0, 2), kernels.KIND_V_ELLIPSE, 0.0, 0.0))
-    out = []
-    for i, s in enumerate(found):
-        worst = max(0.0, abs(det[0][i]), abs(det[1][i]))
-        if isinstance(s, Exception):
-            out.append(s)
-        elif s is None or code[2][i] == kernels.CLASS_FAILED:
-            out.append(1.0)
-        else:
-            worst = max(worst, abs(disc[2][i]))
-            interior = code[3][i] in (kernels.CLASS_ELLIPSE, kernels.CLASS_HYPERBOLA, kernels.CLASS_CIRCLE,
-                                      kernels.CLASS_RECTANGULAR_HYPERBOLA, kernels.CLASS_DEGENERATE_TWO_LINES)
-            out.append(worst if interior else max(worst, 1.0))
-    return out
+        at = [_on_ray(1.0, *ray), tangent, _on_ray(root, *ray), _corners(cfgs)[4:]]
+        code, det, disc, _ = kernels.six_point(
+            ax, ay, bx, by, *np.array(at).transpose(1, 0, 2), kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+        worst = _pymax(np.zeros(cfgs.n), abs(det[0]), abs(det[1]), abs(disc[2]))
+    worst = np.where(np.isin(code[3], _INTERIOR), worst, _pymax(worst, 1.0))
+    return np.where(np.isnan(root) | (code[2] == kernels.CLASS_FAILED), 1.0, worst), errs
 
 
 def _chk_covertex_locus_V(cfg) -> float:
@@ -841,11 +897,14 @@ def _searched(search, residual):
     over every configuration's triangle, then residual(t, result) of each
     result on floats; a crash fails only its own trial."""
 
-    def check(ts) -> list:
-        found = [r if isinstance(r, Exception) else (t, r) for t, r in zip(ts, search(ts))]
-        return _each(lambda item: residual(*item), found)
+    def run(cfgs) -> tuple:
+        ts = _each(lambda c: _triangle(*c), np.transpose(_corners(cfgs)).tolist())
+        live = [t for t in ts if not isinstance(t, Exception)]
+        found = iter(search(live) if live else ())
+        items = [t if isinstance(t, Exception) else (t, next(found)) for t in ts]
+        return _split(_each(lambda tr: tr[1] if isinstance(tr[1], Exception) else residual(*tr), items))
 
-    return _batch_run(functools.partial(_each, _cfg_tri), check)
+    return run
 
 
 def _circumcircle(corners, sides) -> tuple:
@@ -878,7 +937,7 @@ def _x3_anticevian(corners) -> tuple:
     ]
 
 
-def _chk_anticevian_needle(cfgs) -> list:
+def _chk_anticevian_needle(cfgs) -> tuple:
     """P3.3 on all configurations at once: with P = X3 of ABC, the
     P-ellipse six-point conic of the X3-anticevian (corners and P from
     kernels.bary_point) is a circle: the circle functional
@@ -923,17 +982,14 @@ def _chk_anticevian_needle(cfgs) -> list:
     )
 
 
-def _cfg_rays(cfgs) -> list:
-    """Each configuration with its ray: the corners of its triangle, then
-    O + s*R*(cos angle, sin angle) from its circumcenter O, R the
-    circumradius (_circumcircle_rays); where that flags the triangle, the
-    exception its Triangle or centers.circumcircle raises, if any."""
-    rays, odd = _circumcircle_rays(_cfg_rows(cfgs), np.array([cfg["angle"] for cfg in cfgs]))
-    out = list(zip(cfgs, rays))
-    for i in np.flatnonzero(odd).tolist():
-        fault = _each(lambda cfg: circumcircle(_cfg_tri(cfg)), [cfgs[i]])[0]
-        out[i] = fault if isinstance(fault, Exception) else out[i]
-    return out
+def _cfg_rays(cfgs) -> tuple:
+    """Each configuration's ray, the corners of its triangle, then O +
+    s*R*(cos angle, sin angle) from its circumcenter O, R the circumradius
+    (_circumcircle_rays), and where that flags the triangle, the exception
+    its Triangle or centers.circumcircle raises, if any, by trial."""
+    corners = _corners(cfgs)
+    rays, odd = _circumcircle_rays(corners, cfgs["angle"])
+    return rays, _raised(corners, np.flatnonzero(odd), circumcircle)
 
 
 def _p_ellipse_det(s, ax, ay, bx, by, cx, cy, *ray):
@@ -948,14 +1004,13 @@ def _p_hyperbola_disc(s, ax, ay, bx, by, cx, cy, *ray):
     )[2]
 
 
-def _chk_degenerate_on_circumcircle(items) -> list:
-    """P3.4 on all (configuration, ray) pairs (_cfg_rays) at once: one
+def _chk_degenerate_on_circumcircle(cfgs, rays) -> tuple:
+    """P3.4 on all configurations and their rays (_cfg_rays) at once: one
     batch scan for every sign change of the P-ellipse det as P runs along
     each ray from the circumcenter."""
-    rays = [ray for _, ray in items]
-    on = _at_rays(_p_ellipse_det, rays, 1.0)
+    on = _at_rays(_p_ellipse_det, rays, 1.0).tolist()
     crossings = _scan_rays(_p_ellipse_det, rays, 0.97, 1.03)
-    return _each(_circumcircle_residual, zip(on, crossings))
+    return _split(_each(_circumcircle_residual, zip(on, crossings)))
 
 
 def _circumcircle_residual(item) -> float:
@@ -1008,12 +1063,12 @@ def _chk_equilateral_regions(cfg) -> float:
     return 0.0 if (wanted_any_ellipse and wanted_any_hyp) else 1.0
 
 
-def _chk_never_rectangular(cfgs) -> list[float]:
+def _chk_never_rectangular(cfgs) -> tuple:
     """All trials in one kernels.six_point call: 1.0 where the P-ellipse
     six-point conic is a rectangular hyperbola, else 0.0 (a failed
     construction included)."""
     codes = kernels.six_point(*_cfg_args(cfgs, kernels.KIND_P_ELLIPSE))[0]
-    return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0).tolist()
+    return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0), {}
 
 
 def _chk_covertex_equilateral_P(cfg) -> float:
@@ -1034,7 +1089,7 @@ def _v_hyperbola(cfgs) -> tuple:
     return args, sides, lams, s, xs, ys, bad, bisector
 
 
-def _chk_vhyp_vertex_barys(cfgs) -> list:
+def _chk_vhyp_vertex_barys(cfgs) -> tuple:
     """P4.1 on all configurations at once: vertices A1 and A2 of the
     V-hyperbola triad at the barycentrics (0, a + lambda, a - lambda) and
     (0, a - lambda, a + lambda), and their cycles, the worst distance over
@@ -1055,7 +1110,7 @@ def _chk_vhyp_vertex_barys(cfgs) -> list:
     )
 
 
-def _chk_intouch_extouch(cfgs) -> list:
+def _chk_intouch_extouch(cfgs) -> tuple:
     """P4.2 on all configurations at once: vertices A1 B1 C1 of the
     V-hyperbola triad at the extouch points and A2 B2 C2 at the intouch
     points, the worst distance over the largest side, and the two vertex
@@ -1110,7 +1165,7 @@ def _bary_to_plane(m, corners) -> list:
     return _unit(_congruent(m, _sidelines(corners)))
 
 
-def _chk_privalov(cfgs) -> list:
+def _chk_privalov(cfgs) -> tuple:
     """P4.3 on all configurations at once: the V-hyperbola vertices
     (_v_hyperbola) on Privalov's conic (kernels.privalov), each vertex's
     barycentrics (geom.cartesian_to_bary's signed areas, over the largest)
@@ -1142,14 +1197,14 @@ def _chk_privalov(cfgs) -> list:
     )
 
 
-def _chk_isosceles_degenerate(cfgs) -> list:
+def _chk_isosceles_degenerate(cfgs) -> tuple:
     """P4.4 on all configurations at once: for A=(0, apex), B=(h, 0),
     C=(-h, 0), the V-hyperbola a-member is BC's perpendicular bisector (else
     1.0), the line x = 0 through A and BC's midpoint M (exactly, in this
     frame), and Privalov's conic (_bary_to_plane) passes through M and
     touches BC there (kernels.conic_residual, kernels.tangency_disc)."""
-    apex, h = (np.array([cfg[k] for cfg in cfgs], dtype=float) for k in ("apex", "half_base"))
-    zero = np.zeros(len(cfgs))
+    apex, h = cfgs["apex"], cfgs["half_base"]
+    zero = np.zeros(cfgs.n)
     corners = (zero, apex, h, zero, -h, zero)
     sides, lams, bad = kernels._sides_deltas(*corners, kernels.KIND_V_HYPERBOLA, zero, zero)
     with np.errstate(all="ignore"):
@@ -1180,7 +1235,7 @@ def _soddy_centers(corners, sides) -> list:
             for sign in (1.0, -1.0)]
 
 
-def _chk_soddy_intersections(cfgs) -> list:
+def _chk_soddy_intersections(cfgs) -> tuple:
     """P4.5 on all configurations at once: each V-hyperbola member passes
     through the Soddy centers (_soddy_centers, X175 where finite), its
     focal-difference residual there over the circumdiameter; 0.0 where a
@@ -1199,10 +1254,10 @@ def _sextic_triangles(xs) -> list:
     """A=(-1,0), B=(1,0) and C=(x, y) at the half-tangent sextic's first
     root y in [0.25, 1.4] over each x: None without a root, the
     NotConverged of a failed scan."""
-    ys = _scan_rays(lambda y, x: halftangent_sextic(x, y), [(x,) for x in xs], 0.25, 1.4,
-                    steps=280, first=True)
+    xs = np.asarray(xs, dtype=float)
+    ys = _scan_rays(lambda y, x: halftangent_sextic(x, y), xs[None], 0.25, 1.4, steps=280, first=True)
     return [y if y is None or isinstance(y, Exception)
-            else Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) for x, y in zip(xs, ys)]
+            else Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) for x, y in zip(xs.tolist(), ys)]
 
 
 def _half_tangent_gap(y, x):
@@ -1213,13 +1268,13 @@ def _half_tangent_gap(y, x):
     return kernels.half_tangent_sum(*sides, abs(kernels.signed_area(*corners))) - 2.0
 
 
-def _chk_halftangent_sextic(cfgs) -> list:
+def _chk_halftangent_sextic(cfgs) -> tuple:
     """P4.6 on all configurations at once: one batch scan for the sextic
     root on each vertical, and one for the root of the half-tangent
     condition itself, [0.25, 1.4] as one cell; the roots must agree."""
-    xs = [cfg["x"] for cfg in cfgs]
-    converse = _scan_rays(_half_tangent_gap, [(x,) for x in xs], 0.25, 1.4, steps=1, first=True)
-    return _each(_halftangent_residual, zip(_sextic_triangles(xs), converse))
+    xs = cfgs["x"]
+    converse = _scan_rays(_half_tangent_gap, xs[None], 0.25, 1.4, steps=1, first=True)
+    return _split(_each(_halftangent_residual, zip(_sextic_triangles(xs), converse)))
 
 
 def _halftangent_residual(item) -> float:
@@ -1244,7 +1299,7 @@ def _through_pair_points(ellipse: int, hyperbola: int):
     V-hyperbola member is a perpendicular bisector."""
     driver = ellipse == kernels.KIND_P_ELLIPSE
 
-    def run(cfgs) -> list:
+    def run(cfgs) -> tuple:
         args = _cfg_args(cfgs, hyperbola)
         xs, ys, keep, bad = kernels.pair_points(*args[:6], ellipse, *args[7:])
         res, lengths, s, bad_h = _member_residuals(args, xs, ys)
@@ -1267,7 +1322,7 @@ def _vhyp_chord_line_bary(a, b, c):
     )
 
 
-def _chk_chords_x8(cfgs) -> list:
+def _chk_chords_x8(cfgs) -> tuple:
     """P4.8 on all configurations at once: of each focal pair's two lines
     (kernels.focal_pairs), the chord, the one farther from the inner Soddy
     center X176 (the other is the Soddy line; NotFound if neither passes
@@ -1300,7 +1355,7 @@ def _chk_chords_x8(cfgs) -> list:
     )
 
 
-def _chk_fifteen_point_cubic(cfgs) -> list:
+def _chk_fifteen_point_cubic(cfgs) -> tuple:
     """P4.9 on all configurations at once: the corners and the vertices of
     the V-ellipse and V-hyperbola triads (kernels.vertices, _v_hyperbola),
     each one's distance to its nearest sideline, the worst over the largest
@@ -1321,10 +1376,10 @@ def _chk_fifteen_point_cubic(cfgs) -> list:
     return _fail_or(worst, (bad, _DEGENERATE))
 
 
-def _chk_soddy_line_tangent(cfgs) -> list:
+def _chk_soddy_line_tangent(cfgs) -> tuple:
     """P4.10 on all configurations at once: one batch scan for the sextic
     root on each vertical, then each trial's Soddy line checks."""
-    return _each(_soddy_line_residual, _sextic_triangles([cfg["x"] for cfg in cfgs]))
+    return _split(_each(_soddy_line_residual, _sextic_triangles(cfgs["x"])))
 
 
 def _soddy_line_residual(t) -> float:
@@ -1342,7 +1397,7 @@ def _soddy_line_residual(t) -> float:
     return worst
 
 
-def _chk_second_point(cfgs) -> list:
+def _chk_second_point(cfgs) -> tuple:
     """P5.1 on all configurations at once: P' (kernels.second_point) on all
     three members, and the vertex-gap identity; NotFound without a P'."""
     args = _cfg_args(cfgs, kernels.KIND_P_HYPERBOLA)
@@ -1362,7 +1417,7 @@ def _area_gap(xs, ys):
     return abs(a1 - a2) / np.maximum(a1, a2)
 
 
-def _chk_equal_areas(cfgs) -> list:
+def _chk_equal_areas(cfgs) -> tuple:
     """P5.3 on all configurations at once: the vertex triangles of the
     P-hyperbola triad (kernels.vertices) have equal areas."""
     with np.errstate(all="ignore"):
@@ -1379,7 +1434,7 @@ def _circle_pair_residual(t: Triangle, pair) -> float:
     return worst
 
 
-def _chk_x55(cfgs) -> list:
+def _chk_x55(cfgs) -> tuple:
     """P5.5 on all configurations at once: the evidence that, with Q = X55
     and T' its reflection triangle, the six-point conic of T''s P-hyperbola
     triad through Q is a circle about T''s circumcenter O', which is X7.
@@ -1446,39 +1501,29 @@ def _parabola_roots(rays) -> tuple:
     hi = [found[i] + 2e-3 for i in hit]
     # The cell can hold more than one root of both: keep the disc's root
     # nearest the condition's, so that the two compared are the same root.
-    discs = _scan_rays(_p_hyperbola_disc, [rays[i] for i in hit], lo, hi, steps=40)
+    discs = _scan_rays(_p_hyperbola_disc, rays[:, hit], lo, hi, steps=40)
     for i, roots in zip(hit, discs):
         s_disc[i] = roots if isinstance(roots, Exception) else min(
             roots, key=lambda s: abs(s - found[i]), default=None)
     return found, s_disc
 
 
-def _chk_phyp_parabola(items) -> list:
-    """P5.7 on all (configuration, ray) pairs at once.  The printed
-    parabola condition reaches its evaluation noise floor well before the
-    geometric boundary is resolved, so the fitted conic's own disc must
-    change sign within 1e-6 of the condition root (_parabola_roots; scaled
-    into the 1e-9 threshold) and vanish there, and the triad degenerate at
-    a sideline extension (_sideline_residual): one kernels.six_point call."""
-    cfgs, rays = zip(*items)
-    found, s_disc = _parabola_roots(rays)
-    cols = np.array(rays).T
-    at = np.array([s if isinstance(s, float) else math.nan for s in s_disc])
-    fault, live, px, py = _sideline_points(cols[:6], np.array([cfg["u"] for cfg in cfgs]))
+def _chk_phyp_parabola(cfgs, rays) -> tuple:
+    """P5.7 on all configurations and their rays (_cfg_rays) at once.  The
+    printed parabola condition reaches its evaluation noise floor well
+    before the geometric boundary is resolved, so the fitted conic's own
+    disc must change sign within 1e-6 of the condition root
+    (_parabola_roots; scaled into the 1e-9 threshold) and vanish there, and
+    the triad degenerate at a sideline extension (_sideline_residuals): one
+    kernels.six_point call."""
+    (found, errs), (at, disc_errs) = (_roots(v) for v in _parabola_roots(rays))
+    fault, live, px, py = _sideline_points(rays[:6], cfgs["u"])
     with np.errstate(all="ignore"):
-        dx, dy = _on_ray(at, *cols[6:])
-        codes, dets, discs, _ = (v.T.tolist() for v in kernels.six_point(
-            *cols[:6], kernels.KIND_P_HYPERBOLA, np.vstack((px, dx)), np.vstack((py, dy))))
-    out = []
-    for f, s, flag, on, code, det, disc in zip(
-            found, s_disc, fault.tolist(), live.T.tolist(), codes, dets, discs):
-        if isinstance(f, Exception) or isinstance(s, Exception):
-            out.append(f if isinstance(f, Exception) else s)
-        elif f is None or s is None:
-            out.append(1.0)
-        else:
-            out.append(max(abs(s - f) * 1e-3, abs(disc[-1]), _sideline_residual(flag, on, code, det)))
-    return out
+        dx, dy = _on_ray(at, *rays[6:])
+        codes, dets, discs, _ = kernels.six_point(
+            *rays[:6], kernels.KIND_P_HYPERBOLA, np.vstack((px, dx)), np.vstack((py, dy)))
+        worst = _pymax(abs(at - found) * 1e-3, abs(discs[-1]), _sideline_residuals(fault, live, codes, dets))
+    return np.where(np.isnan(found) | np.isnan(at), 1.0, worst), {**disc_errs, **errs}
 
 
 def _sideline_points(tri, u01) -> tuple:
@@ -1502,23 +1547,23 @@ def _sideline_points(tri, u01) -> tuple:
     return fault, w > 1e-9 * scale, *(v.reshape(-1, len(u)) for v in offsets)
 
 
-def _sideline_residual(fault, live, codes, dets) -> float:
-    """Degeneracy residual at a sideline extension, from one trial's
-    values at _sideline_points: the det vanishes to second order towards
-    the line (no sign change exists), so shrink the offset until it does,
-    and require the member to collapse on the line itself."""
-    if not fault:
-        return 1.0
-    best, n = 1.0, len(live)
-    for k, on in enumerate(live):
-        if not on:
-            break
-        if kernels.CLASS_FAILED in (codes[k], codes[n + k]):
-            continue
-        best = min(best, max(max(0.0, abs(dets[k])), abs(dets[n + k])))
-        if best <= 1e-10:
-            break
-    return best
+def _sideline_residuals(fault, live, codes, dets):
+    """Degeneracy residual at a sideline extension, from the values at
+    _sideline_points: the det vanishes to second order towards the line
+    (no sign change exists), so shrink the offset until it does, and
+    require the member to collapse on the line itself.  Offset by offset,
+    for every trial at once: an offset where the kernel fails is passed
+    over, and a trial stops at its first that is not live or brings its
+    best to 1e-10."""
+    m = len(live)  # the offsets; the + side's rows first, then the - side's
+    best, going = np.ones(fault.shape), np.ones(fault.shape, dtype=bool)
+    for k in range(m):
+        going &= live[k]
+        ok = going & (codes[k] != kernels.CLASS_FAILED) & (codes[m + k] != kernels.CLASS_FAILED)
+        cur = _pymax(np.zeros(fault.shape), abs(dets[k]), abs(dets[m + k]))
+        best = np.where(ok & (cur < best), cur, best)
+        going &= ~(ok & (best <= 1e-10))
+    return np.where(fault, best, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1550,7 +1595,7 @@ def _a_ellipse(corners) -> tuple:
             (alpha, np.sqrt(abs(alpha * alpha - chalf * chalf))), faults)
 
 
-def _chk_a_ellipse(cfgs) -> list:
+def _chk_a_ellipse(cfgs) -> tuple:
     """A1 on all configurations at once: the block's worst normalized
     residual at 12 points of each A-ellipse (_a_ellipse)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
@@ -1564,7 +1609,7 @@ def _chk_a_ellipse(cfgs) -> list:
     return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0), *faults)
 
 
-def _chk_major_vertices(cfgs) -> list:
+def _chk_major_vertices(cfgs) -> tuple:
     """A2 on all configurations at once: the block's major vertices (num,
     den * second, den * third) against the nearer A-ellipse vertex,
     projectively, the worse; ConstructionFailed for a negative radicand."""
@@ -1590,18 +1635,26 @@ def _chk_major_vertices(cfgs) -> list:
 _NO_CENTER = ConstructionFailed("six-point conic has no center")
 
 
-def _chk_x3prime_center(cfgs) -> list:
-    """A3 on all configurations at once: the center of P3.3's circle (the
-    P-ellipse six-point conic of the X3-anticevian with driver X3) against
-    the block's f(a, b, c), f(b, c, a), f(c, a, b), projectively."""
-    corners = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)[:6]
+def _x3prime_fit(corners) -> tuple:
+    """The center of P3.3's circle (the P-ellipse six-point conic of the
+    X3-anticevian with driver X3) for the triangles of the corners: (sides,
+    center x and y, and the faults as _fail_or pairs)."""
+    sides, targs, tsides, faults = _x3_anticevian(corners)
+    (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(targs, kernels._largest(tsides))
+    return sides, x, y, [*faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules,
+                         (~has_center, _NO_CENTER)]
+
+
+def _chk_x3prime_center(cfgs) -> tuple:
+    """A3 on all configurations at once: the center of P3.3's circle
+    (_x3prime_fit) against the block's f(a, b, c), f(b, c, a), f(c, a, b),
+    projectively."""
+    corners = _corners(cfgs)
     with np.errstate(all="ignore"):
-        (a, b, c), targs, tsides, faults = _x3_anticevian(corners)
-        (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(targs, kernels._largest(tsides))
+        (a, b, c), x, y, faults = _x3prime_fit(corners)
         f = _block("x3prime_center", "f", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b]})
         gap = _proj_errors(f, _unit_bary(corners, x, y))
-    return _fail_or(gap, *faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules,
-                    (~has_center, _NO_CENTER))
+    return _fail_or(gap, *faults)
 
 
 def _phyp_block(name: str):
@@ -1609,7 +1662,7 @@ def _phyp_block(name: str):
     (pstar_conic: all six vertices) on all configurations at once: the
     block's worst normalized residual at those points of the triad."""
 
-    def run(cfgs) -> list:
+    def run(cfgs) -> tuple:
         args = _cfg_args(cfgs, kernels.KIND_P_HYPERBOLA)
         corners, (px, py) = args[:6], args[7:]
         with np.errstate(all="ignore"):
@@ -1627,7 +1680,7 @@ def _phyp_block(name: str):
     return run
 
 
-def _chk_x5452_coordinate(cfgs) -> list:
+def _chk_x5452_coordinate(cfgs) -> tuple:
     """A6 on all configurations at once: the center of the V-hyperbola
     six-point conic against the block's g at the sides and focal
     differences, cycled, projectively."""
@@ -1642,16 +1695,19 @@ def _chk_x5452_coordinate(cfgs) -> list:
     return _fail_or(gap, (bad, _DEGENERATE), *rules, (~has_center, _NO_CENTER))
 
 
-def _gen_x3prime_center(rng, n) -> list:
+def _gen_x3prime_center(rng, n) -> tuple:
     """n random triangle configurations whose X3-anticevian six-point conic
-    has a center, as only the check can tell (near-right triangles make its
-    fit rank deficient): a block's candidates judged in one call."""
+    has a center, as only its fit can tell (near-right triangles make it
+    rank deficient): a block's candidates judged in one _x3prime_fit call,
+    by the first fault that holds; one the check would crash on for
+    another fault is a failed trial."""
 
-    def block(k) -> list:
-        cfgs = _gen_tri(rng, k + k // 4 + 1)
-        return [r if isinstance(r, Exception) else cfg
-                for cfg, r in zip(cfgs, _chk_x3prime_center(cfgs))
-                if not isinstance(r, (ConstructionFailed, RankDeficient))]
+    def block(k) -> tuple:
+        tab = _tri_table(rng, k + k // 4 + 1)
+        with np.errstate(all="ignore"):
+            errs = _fail_or(None, *_x3prime_fit(_corners(tab))[3])[1]
+        drop = [i for i, exc in errs.items() if isinstance(exc, (ConstructionFailed, RankDeficient))]
+        return _accepted(tab, ~np.isin(np.arange(tab.n), drop), errs)
 
     return _sample(n, block)
 
@@ -1664,9 +1720,8 @@ def _uniforms(**ranges):
     """The draw of configurations of values uniform on ranges (lo, hi), by
     key."""
 
-    def draw(rng, n) -> list:
-        cols = [c.tolist() for c in _uniform(rng, n, *ranges.values())]
-        return [dict(zip(ranges, vals)) for vals in zip(*cols)]
+    def draw(rng, n) -> tuple:
+        return ConfigTable(n, dict(zip(ranges, _uniform(rng, n, *ranges.values())))), {}
 
     return draw
 
@@ -1679,36 +1734,36 @@ _gen_isosceles = _uniforms(apex=(0.4, 1.6), half_base=(0.3, 1.2))
 _gen_sextic_abscissa = _uniforms(x=(-0.45, 0.45))
 
 
-def _gen_right_triangle(rng, n) -> list:
+def _gen_right_triangle(rng, n) -> tuple:
     """n right triangles: legs p and q in [0.3, 1.5] from the right angle
     at C, turned by phi and moved by (tx, ty) in [-1, 1]^2."""
     p, q, phi, tx, ty = _uniform(rng, n, (0.3, 1.5), (0.3, 1.5), (0.0, 2 * math.pi),
                                  (-1.0, 1.0), (-1.0, 1.0))
     c, s = np.cos(phi), np.sin(phi)
-    return _configs(np.column_stack((tx - p * s, ty + p * c, tx + q * c, ty + q * s, tx, ty)))
+    tri = np.array(((tx - p * s, ty + p * c), (tx + q * c, ty + q * s), (tx, ty)))
+    return ConfigTable(n, {"triangle": tri}), {}
 
 
-def _gen_ab_angle(rng, n) -> list:
+def _gen_ab_angle(rng, n) -> tuple:
     """n sides AB of random triangles, each with a ray angle 0.35 to
     pi - 0.35 from AB."""
-    ax, ay, bx, by = _tri_rows(rng, n).T[:4]
+    ab = _tri_table(rng, n)["triangle"][:2].copy()
+    (ax, ay), (bx, by) = ab
     ang = np.arctan2(by - ay, bx - ax) + _uniform(rng, n, (0.35, math.pi - 0.35))[0]
-    return [{"ab": [[ax, ay], [bx, by]], "angle": a}
-            for ax, ay, bx, by, a in zip(*(v.tolist() for v in (ax, ay, bx, by, ang)))]
+    return ConfigTable(n, {"ab": ab, "angle": ang}), {}
 
 
-def _gen_deg8_ray(rng, n) -> list:
+def _gen_deg8_ray(rng, n) -> tuple:
     """n random triangles, each with a ray from the midpoint of AB that
     crosses the degree-8 locus, as the grid step of the check's scan tells
     (the check polishes the root), and u: a block's rays in one scan."""
 
-    def block(k) -> list:
+    def block(k) -> tuple:
         m = k * 4 // 3 + 3  # about 3 rays in 4 cross
-        rows = _tri_rows(rng, m)
+        tab = _tri_table(rng, m)
         ang, u = _uniform(rng, m, (0.0, 2 * math.pi), (0.1, 1.2))
-        rays = [_midpoint_ray(r[0:2], r[2:4], a) for r, a in zip(rows.tolist(), ang.tolist())]
-        hit = _crossed(rays, *_DEG8_SCAN)
-        return _configs(rows[hit], angle=ang[hit], u=u[hit])
+        hit = _crossed(_midpoint_rays(*_corners(tab)[:4], ang), *_DEG8_SCAN)
+        return tab.with_cols(angle=ang, u=u).take(hit), {}
 
     return _sample(n, block)
 
@@ -1719,33 +1774,33 @@ def _angle_gap(ang, dirs):
         np.minimum, [abs((ang - d + math.pi) % (2 * math.pi) - math.pi) for d in dirs])
 
 
-def _gen_needle(rng, n) -> list:
+def _gen_needle(rng, n) -> tuple:
     """n random triangles whose X3-anticevian is well conditioned: with
     (u, v, w) X3's barycentrics, each of |-u + v + w|, |u - v + w| and
     |u + v - w| above 0.05 (|u| + |v| + |w|)."""
 
-    def block(k) -> list:
-        rows = _tri_rows(rng, k * 5 // 4 + 4)
-        u, v, w = kernels.cyclic(kernels.center_x3, *_distances(tuple(rows.T)))
+    def block(k) -> tuple:
+        tab = _tri_table(rng, k * 5 // 4 + 4)
+        u, v, w = kernels.cyclic(kernels.center_x3, *_distances(_corners(tab)))
         spread = np.minimum(np.minimum(abs(-u + v + w), abs(u - v + w)), abs(u + v - w))
-        return _configs(rows[spread > 0.05 * (abs(u) + abs(v) + abs(w))])
+        return tab.take(spread > 0.05 * (abs(u) + abs(v) + abs(w))), {}
 
     return _sample(n, block)
 
 
-def _gen_tri_angle(rng, n) -> list:
+def _gen_tri_angle(rng, n) -> tuple:
     """n random triangles, each with a ray angle from its circumcenter at
     least 0.15 from the directions of its vertices (they sit on the
     circumcircle and break P-driven constructions), and u."""
 
-    def block(k) -> list:
+    def block(k) -> tuple:
         m = k * 5 // 4 + 4
-        rows = _tri_rows(rng, m)
+        tab = _tri_table(rng, m)
         ang, u = _uniform(rng, m, (0.0, 2 * math.pi), (0.1, 1.2))
-        corners = tuple(rows.T)
+        corners = _corners(tab)
         ox, oy = _circumcircle(corners, _distances(corners))[:2]
-        ok = _angle_gap(ang, [np.arctan2(y - oy, x - ox) for x, y in rows.T.reshape(3, 2, -1)]) >= 0.15
-        return _configs(rows[ok], angle=ang[ok], u=u[ok])
+        ok = _angle_gap(ang, [np.arctan2(y - oy, x - ox) for x, y in tab["triangle"]]) >= 0.15
+        return tab.with_cols(angle=ang, u=u).take(ok), {}
 
     return _sample(n, block)
 
@@ -1754,76 +1809,75 @@ def _gen_tri_angle(rng, n) -> list:
 _EQUILATERAL_DIRS = (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
 
 
-def _gen_ray_angle_p(rng, n) -> list:
+def _gen_ray_angle_p(rng, n) -> tuple:
     """n ray angles more than 0.25 from the vertex directions of the
     reference equilateral."""
 
-    def block(k) -> list:
+    def block(k) -> tuple:
         ang = _uniform(rng, k * 3 // 2 + 4, (0.0, 2 * math.pi))[0]
-        return [{"angle": a} for a in ang[_angle_gap(ang, _EQUILATERAL_DIRS) > 0.25].tolist()]
+        ang = ang[_angle_gap(ang, _EQUILATERAL_DIRS) > 0.25]
+        return ConfigTable(ang.size, {"angle": ang}), {}
 
     return _sample(n, block)
 
 
-def _flat_rows(rng, n):
-    """n of random_flat_triangle's triangles as rows (ax, ay, bx, by, cx,
-    cy) of an array: obtuse, with a half-tangent sum above 2."""
+def _flat_table(rng, n) -> ConfigTable:
+    """n of random_flat_triangle's triangles: obtuse, with a half-tangent
+    sum above 2."""
 
-    def block(k):
+    def block(k) -> tuple:
         th1, th2, base = _uniform(rng, k + 2, (MIN_ANGLE, 0.14), (MIN_ANGLE, 0.14), (0.5, 1.5))
         t1, t2 = np.tan(th1), np.tan(th2)
         apex_x, zero = base * t2 / (t1 + t2), np.zeros_like(base)
         corners = (zero, zero, base, zero, apex_x, apex_x * t1)
         sides, area = _distances(corners), abs(kernels.signed_area(*corners))
-        return np.column_stack(corners)[kernels.half_tangent_sum(*sides, area) > 2.0]
+        tab = ConfigTable(base.size, {"triangle": np.reshape(corners, (3, 2, -1))})
+        return tab.take(kernels.half_tangent_sum(*sides, area) > 2.0), {}
 
-    return _sample(n, block)
+    return _sample(n, block)[0]
 
 
-def _gen_soddy_regimes(rng, n) -> list:
+def _gen_soddy_regimes(rng, n) -> tuple:
     """n triangles of the regime a fair coin picks for each: a random
-    triangle (Soddy containment) or a flat one (external, _flat_rows)."""
+    triangle (Soddy containment) or a flat one (external, _flat_table)."""
     flat = rng.random(n) >= 0.5
-    rows = np.empty((n, 6))
-    rows[~flat] = _tri_rows(rng, n - int(flat.sum()))
-    rows[flat] = _flat_rows(rng, int(flat.sum()))
-    return _configs(rows)
+    tri = np.empty((3, 2, n))
+    tri[..., ~flat] = _tri_table(rng, n - int(flat.sum()))["triangle"]
+    tri[..., flat] = _flat_table(rng, int(flat.sum()))["triangle"]
+    return ConfigTable(n, {"triangle": tri}), {}
 
 
-def _circumcircle_rays(rows, ang) -> tuple:
-    """The rays of _cfg_rays for the triangles of rows and the angles of
-    ang, in the bits of Triangle's sides and centers.circumcircle, and
-    where those may raise instead (Triangle refuses the corners, X3 is at
-    infinity, or the ray is not finite)."""
-    corners = tuple(rows.T)
+def _circumcircle_rays(corners, ang) -> tuple:
+    """The rays of _cfg_rays for the triangles of the corners and the
+    angles of ang, an (11, n) array in the bits of Triangle's sides and
+    centers.circumcircle, and where those may raise instead (Triangle
+    refuses the corners, X3 is at infinity, or the ray is not finite)."""
     sides = _distances(corners)
     with np.errstate(all="ignore"):
         ox, oy, far, r = _circumcircle(corners, sides)
-    odd = _refused(rows, sides) | far | ~np.isfinite(ox + oy + r)
-    ang = ang.tolist()
-    rays = zip(*(v.tolist() for v in (*corners, ox, oy, r)), map(math.cos, ang), map(math.sin, ang))
-    return list(rays), odd
+    odd = _refused(corners, sides) | far | ~np.isfinite(ox + oy + r)
+    return np.array((*corners, ox, oy, r, _floatwise(math.cos, ang), _floatwise(math.sin, ang))), odd
 
 
-def _gen_tri_phyp_angle(rng, n) -> list:
+def _gen_tri_phyp_angle(rng, n) -> tuple:
     """n random triangles, each with u in [0.1, 0.9] at least 0.05 from 1/2
     and a ray angle from the circumcenter whose ray crosses the parabola
     condition's locus, as the grid step of the check's scan tells (the
     check polishes the root): a block's rays in one scan."""
 
-    def block(k) -> list:
+    def block(k) -> tuple:
         m = 2 * k + 3  # about 1 candidate in 2 is kept
-        rows = _tri_rows(rng, m)
+        tab = _tri_table(rng, m)
         u, ang = _uniform(rng, m, (0.1, 0.9), (0.0, 2 * math.pi))
         ok = np.flatnonzero(abs(u - 0.5) >= 0.05)
-        ok = ok[_crossed(_circumcircle_rays(rows[ok], ang[ok])[0], *_PHYP_SCAN)]
-        return _configs(rows[ok], angle=ang[ok], u=u[ok])
+        tab = tab.with_cols(angle=ang, u=u).take(ok)
+        return tab.take(_crossed(_circumcircle_rays(_corners(tab), tab["angle"])[0], *_PHYP_SCAN)), {}
 
     return _sample(n, block)
 
 
-def _gen_fixed(rng, n) -> list:
-    return [{} for _ in range(n)]
+def _gen_fixed(rng, n) -> tuple:
+    return ConfigTable(n), {}
 
 
 # ---------------------------------------------------------------------------
@@ -1834,11 +1888,14 @@ def _gen_fixed(rng, n) -> list:
 class Proposition:
     prop_id: str
     title: str
-    # draw(rng, n) -> n configurations, or for a trial whose draw crashed
-    # its exception; it reads rng in blocks, ahead of what it returns.
+    # draw(rng, n) -> (table, failures): n trials, the configurations of
+    # those drawn as a ConfigTable, in order, and the exception of each
+    # trial whose draw failed, by trial; it reads rng in blocks, ahead of
+    # what it returns.
     draw: callable
-    # run(cfgs) -> one residual per configuration, or the exception that
-    # crashed its trial.
+    # run(table) -> (residuals, exceptions): a float array of one residual
+    # a configuration, and the exception that crashed each crashed one, by
+    # row (its residual is then not read).
     run: callable
     threshold: float
     default_trials: int
@@ -1860,24 +1917,36 @@ def _each(fn, items) -> list:
     return out
 
 
-def _batch_run(setup, check):
-    """A proposition's run from setup(cfgs), one item or the exception
-    that crashed its trial a configuration, and check(every item), one
-    residual or exception each."""
+def _split(out) -> tuple:
+    """Per-trial results, a residual or the exception that crashed the
+    trial each, as a run's (residuals, exceptions)."""
+    errs = {i: r for i, r in enumerate(out) if isinstance(r, Exception)}
+    return np.array([math.inf if i in errs else r for i, r in enumerate(out)], dtype=float), errs
 
-    def run(cfgs) -> list:
-        out = setup(cfgs)
-        live = [i for i, item in enumerate(out) if not isinstance(item, Exception)]
-        for i, r in zip(live, check([out[i] for i in live]) if live else ()):
-            out[i] = r
-        return out
+
+def _batch_run(setup, check):
+    """A proposition's run from setup(cfgs), (rays, exceptions): an (m, n)
+    array of each trial's ray and the exception of each trial it refuses,
+    and check(cfgs, rays) of the trials it does not."""
+
+    def run(cfgs) -> tuple:
+        rays, errs = setup(cfgs)
+        if not errs:
+            return check(cfgs, rays)
+        live = np.delete(np.arange(cfgs.n), list(errs))
+        res = np.full(cfgs.n, math.inf)
+        if live.size:
+            res[live], more = check(cfgs.take(live), rays[:, live])
+            errs.update(zip(live[list(more)].tolist(), more.values()))
+        return res, errs
 
     return run
 
 
 def _per_trial(check):
-    """A proposition's run from a check of one configuration."""
-    return functools.partial(_each, check)
+    """A proposition's run from a check of one configuration, given as its
+    dict (ConfigTable.row)."""
+    return lambda cfgs: _split(_each(check, map(cfgs.row, range(cfgs.n))))
 
 
 MANIFEST: tuple[Proposition, ...] = (
@@ -1887,9 +1956,9 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.3-tangent-excentral", "members tangent to the excentral sides at the vertices", _gen_tri, _chk_excentral_tangents, 1e-8, 100),
     Proposition("P2.4-chords-x20", "pair chords pass through the excenters and concur at X20", _gen_tri, _chk_pair_chords_x20, 1e-8, 100),
     Proposition("P2.5-right-triangle-x20", "right triangle: members pass through X20", _gen_right_triangle, _chk_x20_on_members, 1e-8, 200),
-    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _batch_run(functools.partial(_each, _ab_ray), _chk_degenerate_iff_right), 1e-6, 40),
+    Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _chk_degenerate_iff_right, 1e-6, 40),
     Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _chk_x478_quartic, 1e-8, 120),
-    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _batch_run(_checked_triangles, _chk_type_regions_V), 1e-9, 25),
+    Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _batch_run(_ab_rays, _chk_type_regions_V), 1e-9, 25),
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
@@ -1978,6 +2047,14 @@ def _prop_rng(prop_id: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(prop_id.encode())])
 
 
+def _crashes(res, errs) -> dict:
+    """A run's exceptions by row, with NonFiniteResidual where a residual
+    is NaN, which no bound can pass."""
+    nan = np.flatnonzero(np.isnan(res)).tolist()
+    return {**{i: NonFiniteResidual("the check gave a NaN residual") for i in nan if i not in errs},
+            **errs}
+
+
 def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> CheckResult:
     if prop_id not in _BY_ID:
         raise UnknownProposition(prop_id)
@@ -1990,48 +2067,45 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     # call.  The draw reads the rng ahead of the configurations it
     # returns; the rng is this proposition's own and dropped after
     # drawing, so no other proposition's draws hang on this one's trials.
-    # A crashed draw is a failed trial without a witness.
+    # A failed draw is a failed trial without a witness.
     start = time.perf_counter()
     try:
-        drawn = prop.draw(rng, n)
+        cfgs, failed = prop.draw(rng, n)
     except Exception as exc:  # a crashed batch draw fails all its trials
-        drawn = [exc] * n
+        cfgs, failed = ConfigTable(0), dict.fromkeys(range(n), exc)
     draw_s = time.perf_counter() - start
-    cfgs = [d for d in drawn if not isinstance(d, Exception)]
     start = time.perf_counter()
     try:
-        checked = prop.run(cfgs)
+        res, errs = prop.run(cfgs) if cfgs.n else (np.zeros(0), {})
     except Exception as exc:  # a crashed batch check fails all its trials
-        checked = [exc] * len(cfgs)
+        res, errs = np.zeros(cfgs.n), dict.fromkeys(range(cfgs.n), exc)
     check_s = time.perf_counter() - start
-    results = iter(checked)
-    worst = -1.0
-    witness = None
-    note = ""
-    errors = Counter()
-    for d in drawn:
-        cfg, r = (None, d) if isinstance(d, Exception) else (d, next(results))
-        if isinstance(r, Exception):
-            errors[type(r).__name__] += 1
-            note = f"{type(r).__name__}: {r}"
-            r = math.inf
-        if r > worst:
-            worst = r
-            witness = cfg
+    # The trial of each row; a crashed trial counts as inf, and the first
+    # strict maximum above -1 is the witness.
+    trial = np.delete(np.arange(n), list(failed))
+    crashes = {int(trial[i]): exc for i, exc in _crashes(res, errs).items()} | failed
+    full = np.full(n, math.inf)
+    full[trial] = res
+    full[list(crashes)] = math.inf
+    k = int(np.argmax(full))
+    worst = max(float(full[k]), -1.0)
+    witness = None if k in failed or worst == -1.0 else cfgs.row(int(np.searchsorted(trial, k)))
+    errors = Counter(type(exc).__name__ for exc in crashes.values())
+    last = crashes[max(crashes)] if crashes else None
     bound = EVIDENCE_BOUND if prop.evidence else prop.threshold
     return CheckResult(
         prop_id=prop.prop_id,
         title=prop.title,
         passed=bool(worst <= bound),
-        max_residual=float(worst),
+        max_residual=worst,
         threshold=prop.threshold,
         trials=n,
         evidence=prop.evidence,
         witness=witness,
-        note=note,
-        crashed=sum(errors.values()),
+        note=f"{type(last).__name__}: {last}" if crashes else "",
+        crashed=len(crashes),
         errors=dict(sorted(errors.items())),
-        margin=float(worst) / bound,
+        margin=worst / bound,
         draw_s=draw_s,
         check_s=check_s,
     )
@@ -2040,10 +2114,11 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
 def replay_witness(prop_id: str, witness: dict) -> float:
     if prop_id not in _BY_ID:
         raise UnknownProposition(prop_id)
-    (r,) = _BY_ID[prop_id].run([witness])
-    if isinstance(r, Exception):
-        raise r
-    return r
+    res, errs = _BY_ID[prop_id].run(ConfigTable.from_dicts([witness]))
+    crashes = _crashes(res, errs)
+    if crashes:  # a fresh traceback: a check's exception may be one shared instance
+        raise crashes[0].with_traceback(None)
+    return float(res[0])
 
 
 def run_results(seed: int = 42, trials: int | None = None, threads: int = 1) -> list[CheckResult]:

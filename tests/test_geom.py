@@ -171,7 +171,7 @@ def test_collinear_is_the_triangle_test():
     with np.errstate(invalid="ignore"):
         sides = kernels._sides_deltas(*rows.T, kernels.KIND_V_ELLIPSE, 0.0, 0.0)[0]
         on_arrays = kernels.collinear(*rows.T, sides).tolist()
-        refused = verify._refused(rows, sides).tolist()
+        refused = verify._refused(tuple(rows.T), sides).tolist()
     verdicts = []
     for row, flat, ref in zip(rows.tolist(), on_arrays, refused):
         try:

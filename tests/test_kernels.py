@@ -462,7 +462,12 @@ def _seeded_kernel_args(kind, offset, n=30, flat=False):
     rng = np.random.default_rng([2026, code, 1] if flat else [2026, code])
     ox, oy = offset
     rows = []
-    for cfg in [flat_cfg(rng) for _ in range(n)] if flat else _gen_tri_point(rng, n):
+    if flat:
+        cfgs = [flat_cfg(rng) for _ in range(n)]
+    else:
+        drawn = _gen_tri_point(rng, n)[0]
+        cfgs = [drawn.row(i) for i in range(drawn.n)]
+    for cfg in cfgs:
         (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
         px, py = cfg["p"] if kind.startswith("p_") else (0.0, 0.0)
         rows.append(
@@ -764,6 +769,23 @@ def _catalog(sides):
         *kernels.excircle_tangency(*sides),
         *(uvw for points in kernels.intouch_extouch(*sides) for uvw in points),
     ]
+
+
+def test_carnot_reads_a_nan_vertex_as_off_its_sideline():
+    # Vertices of A=(0,0), B=(1,0), C=(0,1) on BC, CA and AB, two each;
+    # column 0 is all NaN, column 2 has the first vertex's x NaN.
+    on_x = [0.5, 0.25, 0.0, 0.0, 0.3, 0.7]
+    on_y = [0.5, 0.75, 0.3, 0.6, 0.0, 0.0]
+    corners = (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+    product, off = kernels.carnot(*corners, [math.nan] * 6, [math.nan] * 6)
+    assert math.isnan(product) and off == [True] * 6
+    assert kernels.carnot(*corners, on_x, on_y)[1] == [False] * 6
+    xs = np.array([[math.nan, x, x] for x in on_x])
+    ys = np.array([[math.nan, y, y] for y in on_y])
+    xs[0, 2] = math.nan
+    off = np.array(kernels.carnot(*corners, xs, ys)[1])
+    assert off[:, 0].all() and not off[:, 1].any()
+    assert off[:, 2].tolist() == [True] + [False] * 5
 
 
 @pytest.mark.parametrize("kind", ["v_ellipse", "v_hyperbola"])

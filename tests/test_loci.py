@@ -811,7 +811,8 @@ def test_x55_conjecture_solves_no_second_point(t_generic, monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(kernels, "second_point", counted)
-    verify._chk_x55([{"triangle": [list(v.as_tuple()) for v in t_generic.vertices()]}])
+    cfg = {"triangle": [list(v.as_tuple()) for v in t_generic.vertices()]}
+    verify._chk_x55(verify.ConfigTable.from_dicts([cfg]))
     assert calls == {}
     # The counter is live on the triad the check builds.
     q = classic_center(t_generic, "X55")
@@ -997,3 +998,30 @@ def test_brent_raises_not_converged_with_its_last_iterate():
     with pytest.raises(NotConverged) as err:
         loci._brent_cell(g, 0.0, 1.0, -0.5, 0.5)
     assert math.isnan(err.value.value)
+
+
+def _covertex_locus_V_reference(x, y):
+    """covertex_locus_V with |CA| and |CB| by the package's one length rule
+    (kernels._hypot)."""
+    rho1, rho2 = kernels._hypot(x + 1.0, y), kernels._hypot(x - 1.0, y)
+    x2, y2 = x * x, y * y
+    t1 = (x2**3 - (2.0 * y2 + 3.0) * x2**2 - (3.0 * y2 * y2 - 8.0 * y2 - 3.0) * x2
+          + 11.0 * y2 * y2 - 6.0 * y2 - 1.0)
+    t2 = (-2.0 * x2**3 - (22.0 * y2 - 6.0) * x2**2 - (14.0 * y2 * y2 - 36.0 * y2 + 6.0) * x2
+          + 6.0 * y2**3 + 22.0 * y2 * y2 - 14.0 * y2 + 2.0)
+    t3 = (x2**3 + (3.0 * y2 - 3.0) * x2**2 + (3.0 * y2 * y2 - 2.0 * y2 + 3.0) * x2
+          + y2**3 - 7.0 * y2 * y2 - y2 - 1.0)
+    t4 = (2.0 * (x2 + y2 - 1.0) * (5.0 * x2 * x2 + 2.0 * (y2 - 5.0) * x2 - 3.0 * y2 * y2 - 14.0 * y2 + 5.0)
+          * (x2 - 1.0))
+    return t1 * rho1 * rho2 + t2 * (rho1 + rho2) + 2.0 * x * t3 * (rho1 - rho2) + t4
+
+
+def test_covertex_locus_measures_with_the_length_rule():
+    # |CA| and |CB| are kernels._hypot's lengths, bit for bit, on floats (as
+    # the zero-set tracer reads it) and on arrays (an expanded x*x + y*y +-
+    # 2x + 1 differs in the last bits on about a fifth of these points).
+    x, y = np.random.default_rng(20).uniform(-2.0, 2.0, (2, 2000))
+    assert covertex_locus_V(x, y).tolist() == _covertex_locus_V_reference(x, y).tolist()
+    points = list(zip(x.tolist(), y.tolist()))
+    want = [_covertex_locus_V_reference(a, b) for a, b in points]
+    assert [covertex_locus_V(a, b) for a, b in points] == want

@@ -145,6 +145,14 @@ def test_carnot_product(t345, rng):
         carnot_product(t345, bad)
 
 
+def test_a_nan_vertex_is_off_its_sideline():
+    # A NaN vertex cannot be shown on its sideline: the Carnot test raises
+    # instead of reporting a NaN product.
+    nan6 = [math.nan] * 6
+    with pytest.raises(PointOffSideline, match=r"Point2\(x=nan, y=nan\) off its sideline"):
+        triads._carnot((0.0, 0.0, 1.0, 0.0, 0.0, 1.0), nan6, nan6)
+
+
 def test_pairwise_intersections_residuals(t456):
     tr = build_triad(t456, "v_ellipse")
     inters = pairwise_intersections(tr)

@@ -12,6 +12,7 @@ from triconic.conic import Conic
 from triconic.errors import (
     ConstructionFailed,
     DegenerateTriangle,
+    NonFiniteResidual,
     NotConverged,
     RankDeficient,
     UnknownProposition,
@@ -40,6 +41,31 @@ from triconic.verify import (
 
 import reference_checks
 from reference_checks import check_appendix, reflect_about_point, x55_reference
+
+
+def _rows(cfgs) -> list:
+    """The configuration dicts of a ConfigTable, in order."""
+    return [cfgs.row(i) for i in range(cfgs.n)]
+
+
+def _trials(drawn) -> list:
+    """A draw's (table, failures) as one entry a trial: its configuration
+    dict, or the exception its draw failed with."""
+    cfgs, failed = drawn
+    rows = iter(_rows(cfgs))
+    return [failed[i] if i in failed else next(rows) for i in range(cfgs.n + len(failed))]
+
+
+def _drawn(prop, seed, n=None) -> list:
+    """_trials of the proposition's draw at seed, of n or its default trials."""
+    return _trials(prop.draw(verify._prop_rng(prop.prop_id, seed), n or prop.default_trials))
+
+
+def _results(run, cfgs) -> list:
+    """run (a proposition's, or a batch check) on the configuration dicts
+    cfgs, through their ConfigTable: one residual or exception a trial."""
+    res, errs = run(verify.ConfigTable.from_dicts(cfgs))
+    return [errs.get(i, r) for i, r in enumerate(res.tolist())]
 
 
 def test_manifest_is_exhaustive():
@@ -200,8 +226,14 @@ def _ab_angle_ok(cfg) -> bool:
     return 0.35 - 1e-12 <= cfg["angle"] - math.atan2(by - ay, bx - ax) <= math.pi - 0.35 + 1e-12
 
 
+def _midpoint_ray(cfg) -> list:
+    """The ray of P2.8's check (verify._midpoint_rays) for one configuration."""
+    (ax, ay), (bx, by) = cfg["triangle"][:2]
+    return verify._midpoint_rays(*np.array([[ax], [ay], [bx], [by]]), np.array([cfg["angle"]]))[:, 0].tolist()
+
+
 def _deg8_ok(cfg) -> bool:
-    ray = verify._midpoint_ray(*cfg["triangle"][:2], cfg["angle"])
+    ray = _midpoint_ray(cfg)
     return _triangle_ok(cfg) and 0.1 <= cfg["u"] <= 1.2 and _deg8_ray_reference(ray)
 
 
@@ -230,7 +262,7 @@ def _phyp_ok(cfg) -> bool:
 
 
 def _x3prime_ok(cfg) -> bool:
-    (r,) = verify._chk_x3prime_center([cfg])
+    (r,) = _results(verify._chk_x3prime_center, [cfg])
     return _triangle_ok(cfg) and not isinstance(r, (ConstructionFailed, RankDeficient))
 
 
@@ -268,11 +300,15 @@ def test_draws_pass_their_family_tests(seed):
     # configuration it keeps must pass its family's tests on floats, and
     # hold plain floats, which JSON gives back bit for bit.
     for prop in MANIFEST:
-        drawn = prop.draw(verify._prop_rng(prop.prop_id, seed), prop.default_trials)
+        drawn = _drawn(prop, seed)
         assert len(drawn) == prop.default_trials
         for cfg in drawn:
             assert _plain(cfg) and json.loads(json.dumps(cfg)) == cfg, (prop.prop_id, cfg)
             assert _FAMILY_TESTS[prop.draw](cfg), (prop.prop_id, cfg)
+        # The table built back from the dicts gives the same dicts, keys in
+        # the same order.
+        back = _rows(verify.ConfigTable.from_dicts(drawn))
+        assert [list(cfg.items()) for cfg in back] == [list(cfg.items()) for cfg in drawn]
     assert set(_FAMILY_TESTS) == {prop.draw for prop in MANIFEST}
 
 
@@ -281,8 +317,7 @@ def test_draws_repeat_and_keep_to_their_own_streams():
     # draws from its own rng, so drawing one with other trials changes no
     # other proposition's configurations.
     def draws(pid=None, n=None):
-        return {p.prop_id: p.draw(verify._prop_rng(p.prop_id, 42), n if p.prop_id == pid else
-                                  p.default_trials) for p in MANIFEST}
+        return {p.prop_id: _drawn(p, 42, n if p.prop_id == pid else None) for p in MANIFEST}
 
     base = draws()
     assert draws() == base
@@ -303,7 +338,7 @@ def test_a_short_block_draws_again(draw):
         shapes.append(shape)
         return np.zeros(shape) if len(shapes) == 1 else rng.random(shape)
 
-    cfgs = draw(SimpleNamespace(random=zeros_first), 40)
+    cfgs = _trials(draw(SimpleNamespace(random=zeros_first), 40))
     assert len(cfgs) == 40 and all(_FAMILY_TESTS[draw](cfg) for cfg in cfgs)
     assert len(shapes) >= 2 and shapes[0][0] > 0
 
@@ -316,7 +351,7 @@ def test_gen_tri_matches_the_float_draw():
         rng = np.random.default_rng(seed)
         want = [{"triangle": [list(v.as_tuple()) for v in random_triangle(rng).vertices()]}
                 for _ in range(2000)]
-        assert verify._gen_tri(np.random.default_rng(seed), 2000) == want
+        assert _trials(verify._gen_tri(np.random.default_rng(seed), 2000)) == want
 
 
 def test_gen_tri_point_matches_the_float_draw(monkeypatch):
@@ -331,7 +366,7 @@ def test_gen_tri_point_matches_the_float_draw(monkeypatch):
         reads.append(rng.random(shape))
         return reads[-1]
 
-    got = verify._gen_tri_point(SimpleNamespace(random=random), 300)
+    got = _trials(verify._gen_tri_point(SimpleNamespace(random=random), 300))
     assert len(reads) == 2  # one block of triangles, one of their drivers' tries
     rows = [row for row in reads[0].tolist() if verify._tri_ok(*row)]
     for row, tries, cfg in zip(rows, reads[1].transpose(1, 2, 0).tolist(), got):
@@ -356,7 +391,7 @@ def test_guard_drops_candidates_in_order(monkeypatch):
         return bad
 
     monkeypatch.setattr(verify, "_member_guard", guard)
-    got = verify._gen_tri_point(np.random.default_rng(4), 300)
+    got = _trials(verify._gen_tri_point(np.random.default_rng(4), 300))
     want = [{"triangle": [[ax, ay], [bx, by], [cx, cy]], "p": [px, py]}
             for i, (ax, ay, bx, by, cx, cy, px, py) in enumerate(seen) if i % 3]
     assert len(seen) > 300 and got == want[:300]
@@ -370,8 +405,9 @@ def test_member_guard_is_the_flag_of_both_p_kinds():
     # - a is about d^2 / a), of BC's perpendicular bisector (a P-hyperbola
     # member's |PB| - |PC| is about d) and of BC beyond C.
     rng = np.random.default_rng(6)
-    rows = verify._tri_rows(rng, 240)
-    (px, py), _ = verify._drivers(rng, rows)
+    tri = verify._tri_table(rng, 240)["triangle"]
+    (px, py), _ = verify._drivers(rng, tri)
+    rows = tri.reshape(6, -1).T
     ax, ay, bx, by, cx, cy = rows.T
     a = np.hypot(cx - bx, cy - by)
     ux, uy, d = (cx - bx) / a, (cy - by) / a, np.geomspace(1e-18, 1e-2, 240) * a
@@ -398,7 +434,8 @@ def test_hot_draws_build_no_objects(monkeypatch):
 
         monkeypatch.setattr(verify, name, counted)
     for prop in MANIFEST:
-        assert len(prop.draw(verify._prop_rng(prop.prop_id, 42), prop.default_trials)) == prop.default_trials
+        cfgs, failed = prop.draw(verify._prop_rng(prop.prop_id, 42), prop.default_trials)
+        assert cfgs.n + len(failed) == prop.default_trials
     assert counts == {}
     # The counters are live: the public draw builds its accepted triangle.
     random_triangle(np.random.default_rng(3))
@@ -434,11 +471,12 @@ def _lines():
 _HANDLERS = {
     "deg8_root_on_ray": (
         verify, "parabola_deg8_V",
-        lambda: verify._deg8_roots([verify._midpoint_ray([-1.0, 0.0], [1.0, 0.0], 1.2)]),
+        lambda: verify._deg8_roots(np.array([_midpoint_ray({"triangle": [[-1.0, 0.0], [1.0, 0.0]],
+                                                            "angle": 1.2})]).T),
     ),
     "phyp_parabola_root": (
         verify, "phyp_parabola_condition",
-        lambda: verify._phyp_roots([reference_checks.circumcircle_ray(_tri(), 0.7)]),
+        lambda: verify._phyp_roots(np.array([reference_checks.circumcircle_ray(_tri(), 0.7)]).T),
     ),
     "conic_samples": (
         render, "split_degenerate", lambda: render._conic_samples(_lines(), (-1, 1, -1, 1)),
@@ -474,11 +512,12 @@ def test_programming_errors_surface_through_handlers(handler, monkeypatch):
 def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
     # A draw that runs its check, or the check's root search, does the
     # check's work twice.  Only A3's family (a centered X3-anticevian
-    # six-point conic) needs it; the rays of P2.8 and P5.7 that cross their
-    # loci need only the scan's bracketed cells, not its polished roots.
+    # six-point conic) needs its check's fit, not the block's polynomial;
+    # the rays of P2.8 and P5.7 that cross their loci need only the scan's
+    # bracketed cells, not its polished roots.
     calls = Counter()
-    for name in ("_chk_x3prime_center", "_sextic_triangles", "batch_sign_changes",
-                 "bracket_sign_changes"):
+    for name in ("_chk_x3prime_center", "_x3prime_fit", "_block", "_sextic_triangles",
+                 "batch_sign_changes", "bracket_sign_changes"):
 
         def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -491,15 +530,40 @@ def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
         prop.draw(verify._prop_rng(prop.prop_id, 42), prop.default_trials)
         callers[prop.prop_id] = set(calls - before)
     assert {pid: names for pid, names in callers.items() if names} == {
-        "A3-x3prime-center": {"_chk_x3prime_center"},
+        "A3-x3prime-center": {"_x3prime_fit"},
         "P2.8-type-regions": {"bracket_sign_changes"},
         "P5.7-parabola-condition": {"bracket_sign_changes"},
     }
-    # The counters are live: the check of P4.6 reaches them.
-    calls.clear()
-    prop = verify._BY_ID["P4.6-halftangent-sextic"]
-    prop.run(prop.draw(verify._prop_rng(prop.prop_id, 42), 1))
-    assert set(calls) == {"_sextic_triangles", "batch_sign_changes"}
+    # The counters are live: the checks of P4.6 and A3 reach them.
+    for pid, names in (("P4.6-halftangent-sextic", {"_sextic_triangles", "batch_sign_changes"}),
+                       ("A3-x3prime-center", {"_x3prime_fit", "_block"})):
+        calls.clear()
+        prop = verify._BY_ID[pid]
+        prop.run(prop.draw(verify._prop_rng(prop.prop_id, 42), 1)[0])
+        assert set(calls) == names
+
+
+@pytest.mark.parametrize("seed", [42, *range(1, 9)])
+def test_x3prime_draw_keeps_the_trials_of_its_check(seed, monkeypatch):
+    # A3's draw judges its candidates by their fit's first fault alone: it
+    # must keep the trials the whole check keeps, a crash the check gives
+    # for another fault as a failed trial, and drop those it fails with
+    # ConstructionFailed or RankDeficient.
+    blocks = []
+
+    def recorded(rng, n, _real=verify._tri_table):
+        blocks.append(_real(rng, n))
+        return blocks[-1]
+
+    monkeypatch.setattr(verify, "_tri_table", recorded)
+    got = _drawn(verify._BY_ID["A3-x3prime-center"], seed)
+    want = []
+    for cfg in (cfg for tab in blocks for cfg in _rows(tab)):
+        (r,) = _results(verify._chk_x3prime_center, [cfg])
+        if not isinstance(r, (ConstructionFailed, RankDeficient)):
+            want.append(r if isinstance(r, Exception) else cfg)
+    assert len(want) >= len(got) == 10
+    assert got == want[:10]
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -524,12 +588,18 @@ def test_unknown_proposition():
 
 
 def test_witness_replay():
-    # Every seed-42 witness, read back from its JSON as the report stores
-    # it, replays to exactly its max_residual: a witness holding numpy
-    # scalars, or a batch whose bits a trial alone does not give, fails.
-    for r in verify.run_results(42):
-        assert r.passed, r.prop_id
-        assert replay_witness(r.prop_id, json.loads(json.dumps(r.witness))) == r.max_residual, r.prop_id
+    # Every witness at seeds 42 and 1-8 (369), read back from its JSON as
+    # the report stores it, replays to exactly its max_residual: a witness
+    # holding numpy scalars, or a batch whose bits a trial alone does not
+    # give, fails.
+    replayed = 0
+    for seed in (42, *range(1, 9)):
+        for r in verify.run_results(seed):
+            assert r.passed, (seed, r.prop_id)
+            witness = json.loads(json.dumps(r.witness))
+            assert replay_witness(r.prop_id, witness) == r.max_residual, (seed, r.prop_id)
+            replayed += 1
+    assert replayed == 369
 
 
 # P5.4's three failures of a 1000-trial sweep (seeds 10, 15 and 36 of
@@ -576,13 +646,14 @@ def test_chords_x20_reports_its_residual(monkeypatch):
     # the kernel's sides; this triangle is scalene, so each call's first
     # side tells which coordinate of the moved point it asks for.
     cfg = {"triangle": [list(v.as_tuple()) for v in t.vertices()]}
-    sides = kernels._sides_deltas(*verify._cfg_args([cfg], kernels.KIND_V_ELLIPSE))[0]
+    sides = kernels._sides_deltas(*verify._cfg_args(verify.ConfigTable.from_dicts([cfg]),
+                                                    kernels.KIND_V_ELLIPSE))[0]
     coords = dict(zip((float(v[0]) for v in sides), cartesian_to_bary(t, moved).as_tuple()))
     monkeypatch.setattr(kernels, "center_x20", lambda a, b, c: np.full_like(a, coords[float(a[0])]))
     pairs = triads.pairwise_intersections(triads.build_triad(t, "v_ellipse"))
     expected = max(line_through(*pts[:2]).distance_to(moved) for pts in pairs) / diam
     assert 1e-8 < expected <= 1e-6
-    assert verify._chk_pair_chords_x20([cfg]) == [pytest.approx(expected, rel=1e-9)]
+    assert _results(verify._chk_pair_chords_x20, [cfg]) == [pytest.approx(expected, rel=1e-9)]
 
 
 def _flaky(check, crash_at):
@@ -602,7 +673,7 @@ def _flaky(check, crash_at):
 
 def _soddy_one(cfg):
     """P4.5's check of one configuration: its batch of one."""
-    (r,) = verify._chk_soddy_intersections([cfg])
+    (r,) = _results(verify._chk_soddy_intersections, [cfg])
     return r
 
 
@@ -650,6 +721,99 @@ def test_a_crashed_batch_draw_fails_every_trial(monkeypatch):
     assert (r.witness, r.passed) == (None, False)
 
 
+def _stub_run(monkeypatch, res, errs=None, failed=None):
+    """run_proposition of P2.2 (bound 0.5) with a stub draw and check: the
+    trials' configurations {"x": trial}, those of failed (trial ->
+    exception) failing their draw, and a check giving res, one residual a
+    configuration, and errs (row -> exception)."""
+    pid, failed = "P2.2-yiu-never-circle", failed or {}
+    n = len(res) + len(failed)
+    x = np.array([i for i in range(n) if i not in failed], dtype=float)
+
+    def draw(rng, k):
+        return verify.ConfigTable(x.size, {"x": x}), dict(failed)
+
+    def run(cfgs):
+        return np.array(res, dtype=float), dict(errs or {})
+
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(verify._BY_ID[pid], draw=draw, run=run))
+    return run_proposition(pid, 42, n)
+
+
+def test_run_proposition_reduces_residuals_in_trial_order(monkeypatch):
+    # The first strict maximum gives the witness.
+    r = _stub_run(monkeypatch, [0.1, 0.3, 0.2, 0.3, 0.0])
+    assert (r.max_residual, r.witness, r.passed, r.margin) == (0.3, {"x": 1.0}, True, 0.3 / 0.5)
+    assert (r.crashed, r.errors, r.note) == (0, {}, "")
+    # A draw failure counts as inf and has no witness, so a later crash
+    # does not take it; the note is the last exception in trial order and
+    # the errors are sorted by name.
+    r = _stub_run(monkeypatch, [0.1, 0.0, 0.2, 0.0], {2: TypeError("check")},
+                  {1: ZeroDivisionError("draw")})
+    assert (r.max_residual, r.witness, r.passed) == (math.inf, None, False)
+    assert (r.crashed, r.note) == (2, "TypeError: check")
+    assert list(r.errors.items()) == [("TypeError", 1), ("ZeroDivisionError", 1)]
+    # A crash before a draw failure is the witness; the draw failure, last
+    # in trial order, gives the note.
+    r = _stub_run(monkeypatch, [0.1, 0.2, 0.0], {1: ValueError("b"), 0: AttributeError("a")},
+                  {3: ZeroDivisionError("draw")})
+    assert (r.max_residual, r.witness, r.note) == (math.inf, {"x": 0.0}, "ZeroDivisionError: draw")
+    assert list(r.errors) == ["AttributeError", "ValueError", "ZeroDivisionError"]
+
+
+def test_a_nan_residual_fails_its_trial(monkeypatch):
+    # A NaN is above no bound: it must not pass as the absence of a
+    # residual, but fail its trial (and a replay of its witness).
+    r = _stub_run(monkeypatch, [0.1, math.nan, 0.2, math.nan])
+    assert (r.max_residual, r.passed, r.witness) == (math.inf, False, {"x": 1.0})
+    assert (r.crashed, r.errors) == (2, {"NonFiniteResidual": 2})
+    assert r.note == "NonFiniteResidual: the check gave a NaN residual"
+    # An exception of the check is the trial's, not a NonFiniteResidual.
+    r = _stub_run(monkeypatch, [math.nan, 0.0], {0: TypeError("check")})
+    assert (r.errors, r.witness) == ({"TypeError": 1}, {"x": 0.0})
+    # With the manifest's draw.
+    prop = next(p for p in MANIFEST if p.prop_id == "P2.2-yiu-never-circle")
+    pid = prop.prop_id
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(
+        prop, run=lambda cfgs: (np.full(cfgs.n, math.nan), {})))
+    r = run_proposition(pid, 42, 3)
+    assert (r.crashed, r.passed, r.max_residual) == (3, False, math.inf)
+    with pytest.raises(NonFiniteResidual):
+        replay_witness(pid, r.witness)
+
+
+def test_a_crashing_replay_raises_with_a_fresh_traceback():
+    # Checks share some exception instances between trials and calls
+    # (verify._DEGENERATE here, for the zero side AB); raising one must not
+    # extend the traceback it kept from the last raise.
+    depths = []
+    for _ in range(3):
+        with pytest.raises(ConstructionFailed) as info:
+            replay_witness("P4.9-fifteen-point-cubic", {"triangle": [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]})
+        assert info.value is verify._DEGENERATE
+        depths.append(len(info.traceback))
+    assert depths[0] == depths[1] == depths[2]
+
+
+def test_manifest_builds_one_dict_a_witness_and_a_per_trial_check(monkeypatch):
+    # The configurations go from the draw through the check to the report
+    # as columns: a seed-42 manifest builds a configuration dict for each
+    # proposition's witness and for each trial of the five per-trial checks.
+    calls = Counter()
+    pid = None
+
+    def counted(self, i, _real=verify.ConfigTable.row):
+        calls[pid] += 1
+        return _real(self, i)
+
+    monkeypatch.setattr(verify.ConfigTable, "row", counted)
+    for pid in PROPOSITION_IDS:
+        run_proposition(pid, 42)
+    per_trial = {"P2.9-covertex-locus": 4, "P3.5-ostar-three-arcs": 3, "P3.6-equilateral-arcs": 1,
+                 "P3.7-equilateral-regions": 1, "P3.9-covertex-equilateral-P": 3}
+    assert calls == {pid: 1 + per_trial.get(pid, 0) for pid in PROPOSITION_IDS}
+
+
 def _never_rectangular_reference(cfg):
     """P3.8's check of one configuration through kernels.six_point on floats."""
     (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
@@ -668,13 +832,13 @@ def _interleaved_report(pid, seed):
     def check(cfg):
         if pid == "P3.8-never-rectangular":
             return _never_rectangular_reference(cfg)
-        (r,) = prop.run([cfg])
+        (r,) = _results(prop.run, [cfg])
         if isinstance(r, Exception):
             raise r
         return r
 
     worst, witness, note, errors = -1.0, None, "", {}
-    for drawn in prop.draw(verify._prop_rng(pid, seed), prop.default_trials):
+    for drawn in _drawn(prop, seed):
         cfg = None
         try:
             if isinstance(drawn, Exception):
@@ -748,13 +912,13 @@ def test_never_rectangular_batch_matches_scalar_kernel(target, monkeypatch):
     # hand-made configurations put P on a side, where the construction fails.
     monkeypatch.setattr(kernels, "CLASS_RECTANGULAR_HYPERBOLA", target)
     rng = np.random.default_rng(8)
-    cfgs = verify._gen_tri_point(rng, 400)
+    cfgs = _trials(verify._gen_tri_point(rng, 400))
     t = _tri()
     for u in (0.25, 0.5):
         for f1, f2 in ((t.b, t.c), (t.c, t.a)):
             q = [f1.x + u * (f2.x - f1.x), f1.y + u * (f2.y - f1.y)]
             cfgs.append({"triangle": [list(v.as_tuple()) for v in t.vertices()], "p": q})
-    batch = verify._chk_never_rectangular(cfgs)
+    batch = _results(verify._chk_never_rectangular, cfgs)
     assert batch == [_never_rectangular_reference(cfg) for cfg in cfgs]
     assert 0.0 in batch
     assert (1.0 in batch) == (target != _RECTANGULAR)
@@ -878,8 +1042,8 @@ def test_batch_scans_match_float_scans(pid, reference, seed):
     # The batch scans give each trial the residual of one float scan per
     # trial, polished by the float Brent, bit for bit.
     prop = verify._BY_ID[pid]
-    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
-    assert prop.run(cfgs) == [reference(cfg) for cfg in cfgs]
+    cfgs = _drawn(prop, seed)
+    assert _results(prop.run, cfgs) == [reference(cfg) for cfg in cfgs]
 
 
 def _deg8_ray_reference(ray) -> bool:
@@ -902,6 +1066,7 @@ def _tri_phyp_angle_reference(ray) -> bool:
     """Whether P5.7's candidate ray (circumcircle_ray) crosses the
     parabola condition's locus, scanned one point at a time on floats."""
     t = Triangle(*(Point2(*ray[k:k + 2]) for k in (0, 2, 4)))
+    ray = tuple(ray)
     assert ray == reference_checks.circumcircle_ray(t, math.atan2(ray[-1], ray[-2]))[:-2] + ray[-2:]
     return next(_float_scan(lambda s: verify._phyp_condition(s, *ray), 0.08, 2.4, 300), None) is not None
 
@@ -921,7 +1086,7 @@ def test_scan_draws_match_one_at_a_time_draws(pid, reference, monkeypatch):
 
     def crossed(rays, *scan, _real=verify._crossed):
         hit = _real(rays, *scan)
-        judged.extend(zip(rays, hit.tolist()))
+        judged.extend(zip(rays.T.tolist(), hit.tolist()))
         return hit
 
     monkeypatch.setattr(verify, "_crossed", crossed)
@@ -953,7 +1118,7 @@ def test_phyp_parabola_scan_grid_matches_scalar_condition():
             cond = lambda s: verify._phyp_condition(s, *rays[0])  # noqa: E731
             assert cond(np.array(grid)).tolist() == scalar
             assert [cond(s) for s in grid] == scalar
-            assert verify._phyp_roots(rays) == [next(_float_scan(cond, 0.08, 2.4, 300), None)]
+            assert verify._phyp_roots(np.array(rays).T) == [next(_float_scan(cond, 0.08, 2.4, 300), None)]
 
 
 # The trial-by-trial float checks P2.1, P2.3, P2.4, P2.5, P4.1 and P4.2 ran
@@ -1208,12 +1373,12 @@ def _assert_residuals_agree(batch, ref, pid=None):
 def test_batch_triangle_checks_match_float_checks(seed, pid):
     prop = verify._BY_ID[pid]
     if seed == "gen_tri_9":
-        cfgs = verify._gen_tri(np.random.default_rng(9), 30)
+        cfgs = _trials(verify._gen_tri(np.random.default_rng(9), 30))
     else:
-        cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+        cfgs = _drawn(prop, seed)
     ref = _reference_run(_TRIANGLE_REFERENCES[pid], cfgs)
     assert not any(isinstance(r, Exception) for r in ref)
-    _assert_residuals_agree(prop.run(cfgs), ref, pid)
+    _assert_residuals_agree(_results(prop.run, cfgs), ref, pid)
 
 
 @pytest.mark.parametrize("pid", sorted(_TRIANGLE_REFERENCES))
@@ -1224,13 +1389,13 @@ def test_batch_triangle_checks_crash_where_float_checks_do(pid):
     # perpendicular-bisector member, which they read as 0.0.  (These are not
     # right triangles, so P2.5's residuals, on different scales in the two
     # frames, are not compared.)
-    cfgs = verify._gen_tri(np.random.default_rng(9), 30)
+    cfgs = _trials(verify._gen_tri(np.random.default_rng(9), 30))
     cfgs += [{"triangle": [[0.0, 0.9], [-0.4, 0.0], [0.4, 0.0]]},
              {"triangle": [[0.3, 0.2], [0.3, 1.1], [-0.5, 0.65]]}]
     old = config.get_tol()
     try:
         config.set_tol(1e-20)
-        batch = verify._BY_ID[pid].run(cfgs)
+        batch = _results(verify._BY_ID[pid].run, cfgs)
         ref = _reference_run(_TRIANGLE_REFERENCES[pid], cfgs)
     finally:
         config.set_tol(old)
@@ -1265,13 +1430,13 @@ def test_batch_checks_match_float_checks(seed, pid):
     # bit, P3.3's spread too; P4.3 maps its conic to the plane in another
     # order.
     prop = verify._BY_ID[pid]
-    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+    cfgs = _drawn(prop, seed)
     ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
     assert not any(isinstance(r, Exception) for r in ref)
     if pid == "P4.3-privalov-conic":
-        _assert_within_unit_rounding(prop.run(cfgs), ref)
+        _assert_within_unit_rounding(_results(prop.run, cfgs), ref)
     else:
-        assert prop.run(cfgs) == ref
+        assert _results(prop.run, cfgs) == ref
 
 
 _ISOSCELES = [{"triangle": [[0.0, 0.9], [-0.4, 0.0], [0.4, 0.0]]},
@@ -1283,7 +1448,7 @@ def _crash_cases(pid):
     hold exactly where their float checks do."""
     rng = np.random.default_rng(9)
     if pid == "P2.7-x478-quartic":
-        return verify._BY_ID[pid].draw(rng, 30)
+        return _trials(verify._BY_ID[pid].draw(rng, 30))
     if pid == "P5.3-equal-areas":
         # P on the perpendicular bisector of BC, and on BC beyond C: a
         # P-hyperbola member collapses.
@@ -1293,7 +1458,8 @@ def _crash_cases(pid):
         ]
     # A right triangle puts X3 on the hypotenuse, where anticevian_triangle
     # refuses it.
-    return verify._gen_tri(rng, 30) + [{"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}] + _ISOSCELES
+    right = {"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}
+    return _trials(verify._gen_tri(rng, 30)) + [right] + _ISOSCELES
 
 
 @pytest.mark.parametrize("pid", sorted(_BATCH_REFERENCES))
@@ -1306,7 +1472,7 @@ def test_batch_checks_crash_where_float_checks_do(pid):
     old = config.get_tol()
     try:
         config.set_tol(1e-20)
-        batch = verify._BY_ID[pid].run(cfgs)
+        batch = _results(verify._BY_ID[pid].run, cfgs)
         ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
     finally:
         config.set_tol(old)
@@ -1376,10 +1542,10 @@ _SEARCH_REFERENCES = {
 @pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
 def test_search_checks_match_float_checks(seed, pid):
     prop = verify._BY_ID[pid]
-    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+    cfgs = _drawn(prop, seed)
     ref = _reference_run(_SEARCH_REFERENCES[pid], cfgs)
     assert not any(isinstance(r, Exception) for r in ref)
-    _assert_residuals_agree(prop.run(cfgs), ref)
+    _assert_residuals_agree(_results(prop.run, cfgs), ref)
 
 
 @pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
@@ -1388,7 +1554,7 @@ def test_search_checks_crash_where_float_checks_do(pid):
     # finds no circle point (NotConverged) or its seeds no circumcenter
     # (PointAtInfinity), and the P-hyperbola search fails on the isosceles
     # and equilateral triangles.  Each fails its own trial only.
-    cfgs = verify._gen_tri(np.random.default_rng(9), 30) + [
+    cfgs = _trials(verify._gen_tri(np.random.default_rng(9), 30)) + [
         {"triangle": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]},
         {"triangle": [[0.0, 0.0], [1.0, 0.0], [0.4, 1e-3]]},
         {"triangle": [[0.0, 0.0], [1.0, 0.0], [-0.5, 1e-3]]},
@@ -1396,7 +1562,7 @@ def test_search_checks_crash_where_float_checks_do(pid):
         *_ISOSCELES,
         {"triangle": [[-0.5, 0.0], [0.5, 0.0], [0.0, math.sqrt(3.0) / 2.0]]},
     ]
-    batch = verify._BY_ID[pid].run(cfgs)
+    batch = _results(verify._BY_ID[pid].run, cfgs)
     ref = _reference_run(_SEARCH_REFERENCES[pid], cfgs)
     _assert_residuals_agree(batch, ref)
     crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))
@@ -1536,15 +1702,15 @@ def _same_outcome(batch, ref, agree) -> bool:
 @pytest.mark.parametrize("pid", sorted(_LAST_BATCH_REFERENCES))
 def test_last_batch_checks_match_their_references(seed, pid):
     prop = verify._BY_ID[pid]
-    cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
-    batch = prop.run(cfgs)
+    cfgs = _drawn(prop, seed)
+    batch = _results(prop.run, cfgs)
     ref = _reference_run(_LAST_BATCH_REFERENCES[pid], cfgs)
     assert not any(isinstance(r, Exception) for r in ref)
     agree = _NOT_BIT_FOR_BIT.get(pid, lambda b, r: b == r)
     assert all(_same_outcome(b, r, agree) for b, r in zip(batch, ref))
     # Each trial alone gives its residual in the batch, which is what lets
     # replay_witness reproduce the report.
-    assert [prop.run([cfg])[0] for cfg in cfgs] == batch
+    assert [_results(prop.run, [cfg])[0] for cfg in cfgs] == batch
 
 
 def _last_batch_crash_cases(pid):
@@ -1552,7 +1718,7 @@ def _last_batch_crash_cases(pid):
     exactly, with those of its family that do not."""
     rng = np.random.default_rng(9)
     if pid == "P4.4-isosceles-degenerate":
-        return verify._BY_ID[pid].draw(rng, 20)
+        return _trials(verify._BY_ID[pid].draw(rng, 20))
     if pid in ("A4-phyp-member", "A5-pstar-conic"):
         # P on the perpendicular bisector of BC, and on BC beyond C: a
         # P-hyperbola member collapses.
@@ -1564,7 +1730,7 @@ def _last_batch_crash_cases(pid):
     # refuses it; the isosceles and equilateral triangles give the
     # V-hyperbola a perpendicular-bisector member and P5.5 degenerate
     # members.
-    return verify._gen_tri(rng, 20) + [
+    return _trials(verify._gen_tri(rng, 20)) + [
         {"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]},
         *_ISOSCELES,
         {"triangle": [[-0.5, 0.0], [0.5, 0.0], [0.0, math.sqrt(3.0) / 2.0]]},
@@ -1585,7 +1751,7 @@ def test_last_batch_checks_crash_where_their_references_do(pid, tol):
     old = config.get_tol()
     try:
         config.set_tol(tol or old)
-        batch = verify._BY_ID[pid].run(cfgs)
+        batch = _results(verify._BY_ID[pid].run, cfgs)
         ref = _reference_run(_LAST_BATCH_REFERENCES[pid], cfgs)
     finally:
         config.set_tol(old)
@@ -1614,15 +1780,16 @@ def test_last_batch_checks_crash_where_their_references_do(pid, tol):
 
 
 def _type_regions_reference_run(cfgs):
-    rays = [verify._midpoint_ray(*cfg["triangle"][:2], cfg["angle"]) for cfg in cfgs]
-    return verify._each(reference_checks.type_regions_residual, zip(cfgs, rays, verify._deg8_roots(rays)))
+    rays = np.array([_midpoint_ray(cfg) for cfg in cfgs]).T
+    return verify._each(reference_checks.type_regions_residual,
+                        zip(cfgs, rays.T.tolist(), verify._deg8_roots(rays)))
 
 
 def _parabola_reference_run(cfgs):
     out = verify._each(reference_checks.cfg_ray, cfgs)
     live = [i for i, ray in enumerate(out) if not isinstance(ray, Exception)]
     rays = [out[i] for i in live]
-    found, s_disc = verify._parabola_roots(rays)
+    found, s_disc = verify._parabola_roots(np.array(rays).reshape(-1, 11).T)
     items = zip((cfgs[i] for i in live), rays, found, s_disc)
     for i, r in zip(live, verify._each(reference_checks.parabola_residual, items)):
         out[i] = r
@@ -1648,10 +1815,10 @@ def test_batched_tails_match_their_references(pid):
     # tails, bit for bit, at seeds 42 and 1-8.
     prop = verify._BY_ID[pid]
     for seed in (42, *range(1, 9)):
-        cfgs = prop.draw(verify._prop_rng(pid, seed), prop.default_trials)
+        cfgs = _drawn(prop, seed)
         ref = _TAIL_REFERENCES[pid](cfgs)
         assert not any(isinstance(r, Exception) for r in ref)
-        assert prop.run(cfgs) == ref, seed
+        assert _results(prop.run, cfgs) == ref, seed
 
 
 # Collinear corners (DegenerateTriangle), a corner not finite (Point2's
@@ -1670,7 +1837,7 @@ def test_batched_tails_crash_where_their_references_do(pid, monkeypatch):
     # (NotConverged) or find no root, injected into the roots both runs
     # read.
     prop = verify._BY_ID[pid]
-    cfgs = prop.draw(verify._prop_rng(pid, 7), 12)
+    cfgs = _drawn(prop, 7, 12)
     cfgs += [dict(cfgs[0], triangle=tri) for tri in _REFUSED_TRIANGLES]
     failed = NotConverged("injected")
 
@@ -1685,7 +1852,7 @@ def test_batched_tails_crash_where_their_references_do(pid, monkeypatch):
             return spoiled(found), s_disc[:2] + spoiled(s_disc[2:])
 
         monkeypatch.setattr(verify, "_parabola_roots", roots)
-    batch, ref = prop.run(cfgs), _TAIL_REFERENCES[pid](cfgs)
+    batch, ref = _results(prop.run, cfgs), _TAIL_REFERENCES[pid](cfgs)
     assert _same_results(batch, ref)
     crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))
     assert crashed["NotConverged"] >= 2 and 1.0 in ref
@@ -1699,13 +1866,11 @@ def test_batched_tails_crash_where_their_references_do(pid, monkeypatch):
 def test_circumcircle_rays_are_the_object_rays(pid):
     # One _circumcircle_rays call gives each configuration the object
     # path's ray (cfg_ray), bit for bit, or the exception it raises.
-    prop = verify._BY_ID[pid]
-    cfgs = prop.draw(verify._prop_rng(pid, 5), prop.default_trials)
+    cfgs = _drawn(verify._BY_ID[pid], 5)
     cfgs += [dict(cfgs[0], triangle=tri) for tri in _REFUSED_TRIANGLES]
-    items = verify._cfg_rays(cfgs)
-    rays = [item if isinstance(item, Exception) else item[1] for item in items]
+    rays, errs = verify._cfg_rays(verify.ConfigTable.from_dicts(cfgs))
+    rays = [errs.get(i, tuple(ray)) for i, ray in enumerate(rays.T.tolist())]
     assert _same_results(rays, verify._each(reference_checks.cfg_ray, cfgs))
-    assert [item[0] for item in items[:-3]] == cfgs[:-3]
     assert [type(r).__name__ for r in rays[-3:]] == ["DegenerateTriangle", "ValueError", "PointAtInfinity"]
 
 
