@@ -92,27 +92,27 @@ def covertex_locus_V(x: float, y: float) -> float:
     rho2 = kernels._hypot(x - 1.0, y)  # |CB|
     x2, y2 = x * x, y * y
     t1 = (
-        x2**3
-        - (2.0 * y2 + 3.0) * x2**2
+        x2 * x2 * x2
+        - (2.0 * y2 + 3.0) * (x2 * x2)
         - (3.0 * y2 * y2 - 8.0 * y2 - 3.0) * x2
         + 11.0 * y2 * y2
         - 6.0 * y2
         - 1.0
     )
     t2 = (
-        -2.0 * x2**3
-        - (22.0 * y2 - 6.0) * x2**2
+        -2.0 * (x2 * x2 * x2)
+        - (22.0 * y2 - 6.0) * (x2 * x2)
         - (14.0 * y2 * y2 - 36.0 * y2 + 6.0) * x2
-        + 6.0 * y2**3
+        + 6.0 * (y2 * y2 * y2)
         + 22.0 * y2 * y2
         - 14.0 * y2
         + 2.0
     )
     t3 = (
-        x2**3
-        + (3.0 * y2 - 3.0) * x2**2
+        x2 * x2 * x2
+        + (3.0 * y2 - 3.0) * (x2 * x2)
         + (3.0 * y2 * y2 - 2.0 * y2 + 3.0) * x2
-        + y2**3
+        + y2 * y2 * y2
         - 7.0 * y2 * y2
         - y2
         - 1.0
@@ -472,22 +472,26 @@ def _seeds(t: Triangle) -> list[tuple[float, float]]:
 
 # Damped Newton on the two brackets, in frame units: at most _NEWTON_STEPS
 # steps, each no longer than the distance to the nearest vertex and halved
-# at most _NEWTON_HALVINGS times until it lowers |g|^2.  A start leaves
-# once |g|^2 falls to _NEWTON_G2, its step to _NEWTON_STEP times |q|, no
-# step lowers |g|^2, or it runs past _NEWTON_REACH.
+# at most _NEWTON_HALVINGS times until it lowers |g|^2.  A step evaluates
+# every live start's full step in one call and the other halvings (exact
+# powers of two) of the starts it did not lower in one more, and each of
+# those takes the first that lowers |g|^2 or falls below the step
+# tolerance, as one halving at a time would.  A start leaves once |g|^2
+# falls to _NEWTON_G2, its step to _NEWTON_STEP times |q|, no step lowers
+# |g|^2, or it runs past _NEWTON_REACH.
 _NEWTON_STEPS = 50
 _NEWTON_HALVINGS = 10
 _NEWTON_G2 = 1e-30
 _NEWTON_STEP = 1e-15
 _NEWTON_REACH = 20.0
-# The other two vertices j, k of each vertex i.
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+# The step lengths 1, 1/2, ..., 2**(1 - _NEWTON_HALVINGS) as a column.
+_LAMBDAS = np.ldexp(1.0, -np.arange(_NEWTON_HALVINGS))[:, None]
 # Per kind: the sign of the focal quantities, two independent brackets as
-# index pairs, (uc - ub, ua - uc) and (ub - ua, uc - ua), and the dedupe
-# radius over the scale.
+# row slices of u, (uc - ub, ua - uc) and (ub - ua, uc - ua), and the
+# dedupe radius over the scale.
 _CIRCLE_KINDS = {
-    "p_ellipse": (1.0, (np.array([2, 0]), np.array([1, 2])), 1e-7),
-    "p_hyperbola": (-1.0, (np.array([1, 2]), np.array([0, 0])), 1e-6),
+    "p_ellipse": (1.0, (slice(2, None, -2), slice(1, 3)), 1e-7),
+    "p_hyperbola": (-1.0, (slice(1, 3), slice(0, 1)), 1e-6),
 }
 
 
@@ -499,61 +503,76 @@ def _bracket_newton(v: np.ndarray, s2: np.ndarray, sign: float, brackets, q: np.
 
     x_i = d_j + sign * d_k over the distances d from q to the other two
     vertices j, k of vertex i, u_i = s_i^2 - x_i^2 over the sides s, and
-    the brackets are differences of the u_i, u[p] - u[r] for the index
-    arrays (p, r) = brackets, so their Jacobian is closed form: grad u_i =
+    the brackets are differences of rows of u, u[p] - u[r] for the slices
+    (p, r) = brackets, so their Jacobian is closed form: grad u_i =
     -2 x_i (unit(q - V_j) + sign * unit(q - V_k)).  The distances are not
     smooth at the vertices, hence the step cap there.
+
+    The starts stay in columns of fixed width under a live mask, compacted
+    only when half of them have left, in two stacked states: complex (q
+    and the brackets' gradients) and real (the brackets, |g|^2 and the
+    distance to the nearest vertex), each taking its accepted trial points
+    in one np.copyto.
     """
     # a + sign * b as one operation, with the same bits.
     combine, (p, r) = np.add if sign > 0 else np.subtract, brackets
+    # The vertices as rows 0, 1, 2, 0, 1: vertex i's other two are rows
+    # i + 1 and i + 2.
+    v = np.concatenate((v, v[:2]))
 
-    def system(z, cols):
-        # The brackets (2, n) and their gradients as complex x + iy.
-        dz = z - v[:, cols]
+    def system(z, v, s2):
+        # The complex rows (z, grad g) and real rows (g, |g|^2, nearest
+        # vertex distance) at the points z.
+        dz = z - v
         d = np.abs(dz)
-        x = combine(d[_NEXT], d[_LAST])
+        x = combine(d[1:4], d[2:5])
         e = dz / d
-        grad = -2.0 * x * combine(e[_NEXT], e[_LAST])
-        u = s2[:, cols] - x * x
-        return u[p] - u[r], grad[p] - grad[r]
+        grad = -2.0 * x * combine(e[1:4], e[2:5])
+        u = s2 - x * x
+        cz, cr = np.empty((3, *z.shape), complex), np.empty((4, *z.shape))
+        cz[0] = z
+        np.subtract(grad[p], grad[r], out=cz[1:])
+        g = np.subtract(u[p], u[r], out=cr[:2])
+        np.add(g[0] * g[0], g[1] * g[1], out=cr[2])
+        np.minimum.reduce(d[:3], out=cr[3])
+        return cz, cr
 
-    q = q.copy()
+    out, cols = q.copy(), np.arange(q.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, dg = system(q, slice(None))
-        g2 = (g * g).sum(axis=0)
-        active = np.isfinite(g2) & (g2 > _NEWTON_G2)
+        sz, sr = system(q, v, s2)
+        live = np.isfinite(sr[2]) & (sr[2] > _NEWTON_G2)
         for _ in range(_NEWTON_STEPS):
-            live = np.flatnonzero(active)
-            if live.size == 0:
+            n = np.count_nonzero(live)
+            if n == 0:
                 break
-            active[live] = False
+            if 2 * n <= live.size:
+                out[cols] = sz[0]
+                cols, sz, sr, v, s2 = cols[live], sz[:, live], sr[:, live], v[:, live], s2[:, live]
+                live = np.ones(n, bool)
+            q, a, b, g2 = sz[0], sz[1], sz[2], sr[2]
             # The step solving Re(grad) dx + Im(grad) dy = -g for both brackets.
-            a, b = dg[:, live]
-            step = -1j * (g[1, live] * a - g[0, live] * b) / (a.conj() * b).imag
-            finite = np.isfinite(step)
-            live, ql, step = live[finite], q[live[finite]], step[finite]
-            step *= np.minimum(1.0, np.abs(ql - v[:, live]).min(axis=0) / np.abs(step))
-            size, tol = np.abs(step), _NEWTON_STEP * np.abs(ql)
-            lam = 1.0
-            for _ in range(_NEWTON_HALVINGS):
-                trial = ql + lam * step
-                tg, tdg = system(trial, live)
-                tg2 = (tg * tg).sum(axis=0)
-                ok = tg2 < g2[live]
-                small = lam * size <= tol
-                moved = live[ok]
-                q[moved], g[:, moved], dg[:, moved] = trial[ok], tg[:, ok], tdg[:, ok]
-                g2[moved] = tg2[ok]
-                active[moved] = (
-                    ~small[ok] & (tg2[ok] > _NEWTON_G2) & (np.abs(trial[ok]) <= _NEWTON_REACH)
-                )
-                # A step below the tolerance is not halved further.
-                keep = ~(ok | small)
-                if not keep.any():
-                    break
-                live, ql, step, size, tol = live[keep], ql[keep], step[keep], size[keep], tol[keep]
-                lam /= 2.0
-    return q
+            step = -1j * (sr[1] * a - sr[0] * b) / (a.conj() * b).imag
+            live &= np.isfinite(step)
+            step *= np.minimum(1.0, sr[3] / np.abs(step))
+            small = _LAMBDAS * np.abs(step) <= _NEWTON_STEP * np.abs(q)
+            tz, tr = system(q + _LAMBDAS[0] * step, v, s2)
+            ok = tr[2] < g2
+            # The other halvings of the live starts the full step did not
+            # lower, as rows, and of each start the first that stops it, as
+            # a flat index into those rows.
+            h = (live & ~(ok | small[0])).nonzero()[0]
+            if h.size:
+                hz, hr = system(q[h] + _LAMBDAS[1:] * step[h], v[:, None, h], s2[:, None, h])
+                lower, tiny = hr[2] < g2[h], small[1:, h]
+                first = (lower | tiny).argmax(axis=0) * h.size + np.arange(h.size)
+                tz[:, h], tr[:, h] = hz.reshape(3, -1).take(first, 1), hr.reshape(4, -1).take(first, 1)
+                ok[h], small[0, h] = lower.take(first), tiny.take(first)
+            ok &= live
+            np.copyto(sz, tz, where=ok)
+            np.copyto(sr, tr, where=ok)
+            live = ok & ~small[0] & (g2 > _NEWTON_G2) & (np.abs(q) <= _NEWTON_REACH)
+        out[cols] = sz[0]
+    return out
 
 
 def _attempt(fn, *args):

@@ -50,7 +50,7 @@ from triconic.triads import (
 )
 from triconic.verify import random_flat_triangle, random_triangle
 
-from reference_checks import reflection_triangle, x55_conjecture_check
+from reference_checks import bracket_newton, reflection_triangle, x55_conjecture_check
 
 
 def test_x478_quartic_values():
@@ -560,9 +560,9 @@ def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
 _BRACKETS = {kind: loci._CIRCLE_KINDS[kind][:2] for kind in ("p_ellipse", "p_hyperbola")}
 
 
-def _newton_stops(ts, seeds, kind):
-    """loci._bracket_newton's stops from the seeds of each triangle of ts,
-    each triangle in its frame, in one call."""
+def _newton_args(ts, seeds, kind):
+    """loci._bracket_newton's arguments for the seeds of each triangle of
+    ts, each triangle in its frame, in one call."""
     v, s2, q = [], [], []
     for t, sd in zip(ts, seeds):
         f, o, s = loci._in_frame(t)
@@ -570,7 +570,12 @@ def _newton_stops(ts, seeds, kind):
             v.append([complex(p.x, p.y) for p in f.vertices()])
             s2.append([a * a for a in f.sides()])
             q.append(complex((x - o.x) / s, (y - o.y) / s))
-    return loci._bracket_newton(np.array(v).T, np.array(s2).T, *_BRACKETS[kind], np.array(q))
+    return np.array(v).T, np.array(s2).T, *_BRACKETS[kind], np.array(q)
+
+
+def _newton_stops(ts, seeds, kind):
+    """loci._bracket_newton's stops from the seeds of each triangle of ts."""
+    return loci._bracket_newton(*_newton_args(ts, seeds, kind))
 
 
 def _outcome(r):
@@ -604,6 +609,45 @@ def test_stacked_searches_match_one_search_per_triangle(kind):
         _outcome(loci._circle_points([t], kind, [sd])[0]) for t, sd in zip(ts, seeds)
     ]
     assert sum(isinstance(r, Exception) for r in batch) == len(_FAILING)
+
+
+@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+def test_newton_stops_match_the_one_halving_at_a_time_reference(kind):
+    # The stacked halvings take each start through the reference's iterates
+    # to the bit, stacked and alone; the reference counts that the stacked
+    # path had work: starts that took two or more halvings, and starts
+    # stopped by the step tolerance.
+    rng = np.random.default_rng(36)
+    ts = [random_triangle(rng) for _ in range(300)] + [random_flat_triangle(rng) for _ in range(100)]
+    ts += _FAILING
+    seeds = [loci._attempt(loci._seeds, t) for t in ts]
+    ts, seeds = zip(*[(t, sd) for t, sd in zip(ts, seeds) if not isinstance(sd, Exception)])
+    seen = {}
+    args = _newton_args(ts, seeds, kind)
+    assert loci._bracket_newton(*args).tobytes() == bracket_newton(*args, seen).tobytes()
+    for t, sd in zip(ts, seeds):
+        args = _newton_args([t], [sd], kind)
+        assert loci._bracket_newton(*args).tobytes() == bracket_newton(*args).tobytes()
+    assert seen["halved"] > 0 and seen["small"] > 0
+
+
+def test_manifest_searches_stop_where_the_reference_stops(monkeypatch):
+    # Every circle-point search of P3.2 and P5.4 at 50 trials, seeds 42 and
+    # 1-8 (and P5.4's partner searches, where it makes any).
+    calls = []
+
+    def spy(*args, newton=loci._bracket_newton):
+        calls.append((args, newton(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(loci, "_bracket_newton", spy)
+    for seed in (42, *range(1, 9)):
+        for pid in ("P3.2-pstar-unique-circle", "P5.4-circle-pair"):
+            verify.run_proposition(pid, seed, 50)
+    seen = {}
+    for args, stops in calls:
+        assert stops.tobytes() == bracket_newton(*args, seen).tobytes()
+    assert len(calls) >= 18 and seen["halved"] > 0 and seen["small"] > 0
 
 
 def _is_circle_at(t, p, kind):
@@ -1002,15 +1046,16 @@ def test_brent_raises_not_converged_with_its_last_iterate():
 
 def _covertex_locus_V_reference(x, y):
     """covertex_locus_V with |CA| and |CB| by the package's one length rule
-    (kernels._hypot)."""
+    (kernels._hypot), its powers written as products."""
     rho1, rho2 = kernels._hypot(x + 1.0, y), kernels._hypot(x - 1.0, y)
     x2, y2 = x * x, y * y
-    t1 = (x2**3 - (2.0 * y2 + 3.0) * x2**2 - (3.0 * y2 * y2 - 8.0 * y2 - 3.0) * x2
+    x4, x6, y6 = x2 * x2, x2 * x2 * x2, y2 * y2 * y2
+    t1 = (x6 - (2.0 * y2 + 3.0) * x4 - (3.0 * y2 * y2 - 8.0 * y2 - 3.0) * x2
           + 11.0 * y2 * y2 - 6.0 * y2 - 1.0)
-    t2 = (-2.0 * x2**3 - (22.0 * y2 - 6.0) * x2**2 - (14.0 * y2 * y2 - 36.0 * y2 + 6.0) * x2
-          + 6.0 * y2**3 + 22.0 * y2 * y2 - 14.0 * y2 + 2.0)
-    t3 = (x2**3 + (3.0 * y2 - 3.0) * x2**2 + (3.0 * y2 * y2 - 2.0 * y2 + 3.0) * x2
-          + y2**3 - 7.0 * y2 * y2 - y2 - 1.0)
+    t2 = (-2.0 * x6 - (22.0 * y2 - 6.0) * x4 - (14.0 * y2 * y2 - 36.0 * y2 + 6.0) * x2
+          + 6.0 * y6 + 22.0 * y2 * y2 - 14.0 * y2 + 2.0)
+    t3 = (x6 + (3.0 * y2 - 3.0) * x4 + (3.0 * y2 * y2 - 2.0 * y2 + 3.0) * x2
+          + y6 - 7.0 * y2 * y2 - y2 - 1.0)
     t4 = (2.0 * (x2 + y2 - 1.0) * (5.0 * x2 * x2 + 2.0 * (y2 - 5.0) * x2 - 3.0 * y2 * y2 - 14.0 * y2 + 5.0)
           * (x2 - 1.0))
     return t1 * rho1 * rho2 + t2 * (rho1 + rho2) + 2.0 * x * t3 * (rho1 - rho2) + t4
@@ -1025,3 +1070,12 @@ def test_covertex_locus_measures_with_the_length_rule():
     points = list(zip(x.tolist(), y.tolist()))
     want = [_covertex_locus_V_reference(a, b) for a, b in points]
     assert [covertex_locus_V(a, b) for a, b in points] == want
+
+
+def test_covertex_locus_gives_floats_the_bits_of_arrays():
+    # Written with products, not powers: numpy's power and the float power
+    # differ in the last bit on some inputs, so the zero-set tracer's floats
+    # and an array scan would part.
+    x, y = np.random.default_rng(21).uniform(-2.0, 2.0, (2, 2000))
+    want = covertex_locus_V(x, y).tolist()
+    assert [covertex_locus_V(a, b) for a, b in zip(x.tolist(), y.tolist())] == want

@@ -1891,3 +1891,30 @@ def test_manifest_makes_only_the_polish_float_six_point_calls(monkeypatch):
         run_proposition(pid, 42)
     assert calls == {"P2.6-degenerate-iff-right": 55, "P3.4-degenerate-on-circumcircle": 165,
                      "P5.7-parabola-condition": 77}
+
+
+def _seed_sweep(monkeypatch):
+    """tools/seed_sweep.py, imported from a path its spawned workers share."""
+    import importlib
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+    return importlib.import_module("seed_sweep")
+
+
+def test_seed_sweep_workers_print_the_serial_lines(capsys, monkeypatch):
+    # The sweep's worker processes print what one loop over the seeds and
+    # propositions would, in that order, but the wall time.
+    pids = ["P2.1-yiu-vertices", "P4.1-vhyp-vertex-barycentrics", "P5.4-circle-pair"]
+    want, failed = [], 0
+    for seed in range(1, 5):
+        for pid in pids:
+            r = verify.run_proposition(pid, seed)
+            if not r.passed:
+                failed += 1
+                want.append(f"seed {seed} {pid}: ")
+    want.append(f"{failed} failing of 12 proposition runs at seeds 1-4 (")
+    code = _seed_sweep(monkeypatch).main(["1", "4", "--prop", *pids])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == (1 if failed else 0)
+    assert [line[:len(w)] for line, w in zip(lines, want)] == want and len(lines) == len(want)
