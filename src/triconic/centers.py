@@ -1,10 +1,9 @@
 """Triangle centers, incircle/excircles and their tangency points, kissing
 and Soddy circles.
 
-Soddy circles are computed metrically (Descartes curvature + trilateration
-from the vertices) rather than from catalog barycentrics: the defining
-equal-detour / isoperimetric distance conditions then double as a built-in
-consistency check.
+Soddy circles take their radii from Descartes' curvatures and their
+centers from the barycentrics of X176 and X175 (kernels.soddy_centers),
+the rule the verifier's P4.5 and P4.8 read on arrays.
 """
 
 from __future__ import annotations
@@ -13,15 +12,13 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import DegenerateResult, TrilaterationInconsistent
+from .errors import DegenerateResult
 from .geom import (
     BaryCoords,
     LineEq,
     Point2,
     Triangle,
     bary_to_cartesian,
-    distance,
-    signed_area,
 )
 
 
@@ -189,46 +186,6 @@ def half_tangent_sum(t: Triangle) -> float:
     return kernels.half_tangent_sum(*t.sides(), t.area)
 
 
-def _circle_circle_points(c1: Point2, r1: float, c2: Point2, r2: float) -> list[Point2]:
-    d = distance(c1, c2)
-    if d == 0.0:
-        return []
-    x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - x * x
-    u = Point2((c2.x - c1.x) / d, (c2.y - c1.y) / d)
-    base = Point2(c1.x + x * u.x, c1.y + x * u.y)
-    if h2 < 0.0:
-        if h2 > -1e-9 * r1 * r1:
-            return [base]
-        return []
-    h = math.sqrt(h2)
-    v = u.perp()
-    return [
-        Point2(base.x + h * v.x, base.y + h * v.y),
-        Point2(base.x - h * v.x, base.y - h * v.y),
-    ]
-
-
-def _trilaterate(t: Triangle, d1: float, d2: float, d3: float) -> Point2:
-    """Point at distances (d1, d2, d3) from (A, B, C): of the candidates
-    of two distance circles the one the third fits best, the two those
-    that cross at the widest angle (2 area(c1 c2 p) / (r1 r2) its sine),
-    as circles that nearly touch fix their points to only the square root
-    of the rounding."""
-    circles = ((t.a, d1), (t.b, d2), (t.c, d3))
-    fits = []
-    for (c1, r1), (c2, r2), (c3, r3) in (circles, circles[1:] + circles[:1], circles[2:] + circles[:2]):
-        if cands := _circle_circle_points(c1, r1, c2, r2):
-            p = min(cands, key=lambda q: abs(distance(q, c3) - r3))
-            fits.append((-2.0 * abs(signed_area(c1, c2, p)) / (r1 * r2), abs(distance(p, c3) - r3), p))
-    if not fits:
-        raise TrilaterationInconsistent("no two distance circles meet")
-    _, off, best = min(fits, key=lambda fit: fit[0])
-    if off > 1e-6 * t.scale():
-        raise TrilaterationInconsistent(f"third distance off by {off:.3e}")
-    return best
-
-
 def _tangent_line_to_kissing(t: Triangle, radii) -> LineEq:
     # Unit normal n with n.P_i - c = r_i for all three circle centers.
     r1, r2, r3 = radii
@@ -248,29 +205,23 @@ def _tangent_line_to_kissing(t: Triangle, radii) -> LineEq:
 
 
 def soddy(t: Triangle) -> SoddyConfig:
-    """Inner and outer Soddy circles of the kissing-circle triple."""
+    """Inner and outer Soddy circles of the kissing-circle triple: radii
+    by Descartes' theorem, centers X176 and X175 from their barycentrics
+    (kernels.soddy_centers); the outer curvature decides the regime."""
     kiss = kissing_circles(t)
     k1, k2, k3 = (1.0 / c.radius for c in kiss)
     root = math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
     k_in = k1 + k2 + k3 + 2.0 * root
     k_out = k1 + k2 + k3 - 2.0 * root
-    r_in = 1.0 / k_in
-    radii = tuple(c.radius for c in kiss)
-    inner = Circle(
-        _trilaterate(t, radii[0] + r_in, radii[1] + r_in, radii[2] + r_in), r_in
-    )
+    corners = [c for v in t.vertices() for c in v.as_tuple()]
+    (xi, yi, _), (xo, yo, _) = kernels.soddy_centers(corners, t.sides())
+    inner = Circle(Point2(xi, yi), 1.0 / k_in)
     hts = half_tangent_sum(t)
     if abs(k_out) < 1e-10 * (k1 + k2 + k3):
+        radii = tuple(c.radius for c in kiss)
         return SoddyConfig(kiss, inner, "line", None, _tangent_line_to_kissing(t, radii), hts)
-    if k_out < 0.0:
-        r_out = -1.0 / k_out
-        center = _trilaterate(
-            t, r_out - radii[0], r_out - radii[1], r_out - radii[2]
-        )
-        return SoddyConfig(kiss, inner, "contains", Circle(center, r_out), None, hts)
-    r_out = 1.0 / k_out
-    center = _trilaterate(t, r_out + radii[0], r_out + radii[1], r_out + radii[2])
-    return SoddyConfig(kiss, inner, "external", Circle(center, r_out), None, hts)
+    regime = "contains" if k_out < 0.0 else "external"
+    return SoddyConfig(kiss, inner, regime, Circle(Point2(xo, yo), 1.0 / abs(k_out)), None, hts)
 
 
 def soddy_centers(t: Triangle) -> tuple[Point2 | None, Point2]:

@@ -41,10 +41,6 @@ class DegenerateResult(TriconicError):
     """A derived triangle came out collinear."""
 
 
-class TrilaterationInconsistent(TriconicError):
-    """Three distance constraints do not meet in a point."""
-
-
 class PointOffSideline(TriconicError):
     """A point expected on a sideline is not on it."""
 
@@ -60,10 +56,6 @@ class NotConverged(TriconicError):
         super().__init__(message)
         self.best = best
         self.value = value
-
-
-class RadicalDomainError(TriconicError):
-    """A square-root argument went negative on the stated domain."""
 
 
 class DriverNotOnLocus(TriconicError):

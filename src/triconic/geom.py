@@ -214,16 +214,3 @@ def line_intersection(l1: LineEq, l2: LineEq) -> Point2:
 def collinear(p: Point2, q: Point2, r: Point2) -> bool:
     return kernels.collinear(p.x, p.y, q.x, q.y, r.x, r.y,
                              (distance(q, r), distance(r, p), distance(p, q)))
-
-
-def concurrent(l1: LineEq, l2: LineEq, l3: LineEq) -> bool:
-    rows = []
-    for ln in (l1, l2, l3):
-        m = max(abs(ln.l), abs(ln.m), abs(ln.n))
-        rows.append((ln.l / m, ln.m / m, ln.n / m))
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return abs(det) <= get_tol()

@@ -42,6 +42,14 @@ Privalov's barycentric matrix of the V-hyperbola six-point conic, which
 P4.3 and P4.4 read on arrays.
 `carnot` and `kept_gap` are the sideline and distinct-vertex rules of
 `triads.six_point_conic`, which P2.1, P2.7, P3.3 and P4.3 apply on arrays.
+`soddy_centers` gives the Soddy centers X176 and X175 by `bary_point`,
+for `centers.soddy` on floats and P4.5 and P4.8 on arrays.
+
+`frame` is the package's one triangle frame, q' = (q - g) / s with g the
+centroid and s the largest side: `focal_pairs` works in it, and so do the
+Carnot test of `triads.six_point_conic`, the circle searches
+(`loci._circle_points`) and, in the verifier, the sideline rule of the
+six-point fits and the P3.2 and P5.4 postconditions.
 """
 
 import itertools
@@ -339,6 +347,18 @@ def _hypot(x, y):
     return _sqrt(x * x + y * y)
 
 
+def frame(ax, ay, bx, by, cx, cy, *points):
+    """The package's one triangle frame, q' = (q - g) / s with g the
+    corners' centroid and s the largest side (by `_hypot`), after Hartley:
+    ((gx, gy, s), framed), framed the corners and then the points, given
+    as (x, y, ...), in the frame.  Floats, or arrays and floats that
+    broadcast."""
+    s = _largest((_hypot(bx - cx, by - cy), _hypot(cx - ax, cy - ay), _hypot(ax - bx, ay - by)))
+    g = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
+    coords = (ax, ay, bx, by, cx, cy, *points)
+    return (*g, s), tuple((v - g[k % 2]) / s for k, v in enumerate(coords))
+
+
 def signed_area(px, py, qx, qy, rx, ry):
     """Signed area of the triangle pqr, positive iff counterclockwise, on
     floats or arrays."""
@@ -521,6 +541,18 @@ def bary_point(ax, ay, bx, by, cx, cy, u, v, w):
     return _div(u * ax + v * bx + w * cx, s), _div(u * ay + v * by + w * cy, s), far
 
 
+def soddy_centers(corners, sides) -> list:
+    """The inner and outer Soddy centers X176 and X175 of the triangle of
+    the corners (ax, ay, bx, by, cx, cy) with sides (a, b, c), (x, y, far)
+    each: bary_point of a + area / (s - a) and a - area / (s - a), s the
+    semiperimeter; X175 is at infinity in the Soddy-line regime.  Floats
+    or arrays."""
+    area = abs(signed_area(*corners))
+    p = (sides[0] + sides[1] + sides[2]) / 2.0
+    return [bary_point(*corners, *(v + sign * area / (p - v) for v in sides))
+            for sign in (1.0, -1.0)]
+
+
 # The sideline of each vertex A1 A2 B1 B2 C1 C2, by the indices of its ends.
 _SIDELINES = ((1, 2), (1, 2), (2, 0), (2, 0), (0, 1), (0, 1))
 
@@ -681,8 +713,8 @@ def _largest(v):
 
 
 def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
-    """The triad's focal pairs in the frame q' = (q - g) / s (g the
-    centroid, s the largest side): ((gx, gy, s), pairs, bad).
+    """The triad's focal pairs in the triangle's frame (`frame`):
+    ((gx, gy, s), pairs, bad).
 
     A member with foci F, G and axis L = |delta| is |q - F|^2 = ell(q)^2,
     ell(q) = p - k.(q - F), k = (F - G) / L, p = (L^2 - |F - G|^2) / (2L),
@@ -698,11 +730,11 @@ def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
         bad = bad | (length <= MEMBER_GUARD * s)
     if not isinstance(bad, np.ndarray) and bad:
         return (None, None, None), None, True
-    gx, gy = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
+    g, framed = frame(ax, ay, bx, by, cx, cy)
     corners = ((ax, ay), (bx, by), (cx, cy))
     pairs = []
     for k, (i, j) in enumerate(_PAIR_MEMBERS):
-        ux, uy = (corners[k][0] - gx) / s, (corners[k][1] - gy) / s
+        ux, uy = framed[2 * k], framed[2 * k + 1]
         ells, members = [], []
         # Member i's other focus is corner j, member j's corner i.
         for (ox, oy), m in ((corners[j], i), (corners[i], j)):
@@ -718,7 +750,7 @@ def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
         (ci, kix, kiy), (cj, kjx, kjy) = ells
         lines = ((kjx - kix, kjy - kiy, ci - cj), (-(kix + kjx), -(kiy + kjy), ci + cj))
         pairs.append((*members, lines))
-    return (gx, gy, s), pairs, bad
+    return g, pairs, bad
 
 
 def members(pairs):

@@ -48,7 +48,6 @@ from .geom import (
 from .triads import (
     _checked_fit,
     _kernel_args,
-    _triangle_frame,
     build_triad,
     second_common_point,
     triad_covertices,
@@ -192,16 +191,6 @@ def phyp_parabola_condition(a, b, c, la, lb, lc):
         )
     )
     return t
-
-
-def _deltas(t: Triangle, p: Point2):
-    """The focal sums of the P-ellipse triad of t with driver p."""
-    return kernels._sides_deltas(*_kernel_args(t, "p_ellipse", p))[1]
-
-
-def _lambdas(t: Triangle, p: Point2):
-    """The signed focal differences of the P-hyperbola triad of t with driver p."""
-    return kernels._sides_deltas(*_kernel_args(t, "p_hyperbola", p))[1]
 
 
 # The plane curves by name, each a function of (x, y).
@@ -583,12 +572,6 @@ def _attempt(fn, *args):
         return exc
 
 
-def _in_frame(t: Triangle) -> tuple:
-    """t in its frame q' = (q - o) / s (triads._triangle_frame), o and s."""
-    o, s = _triangle_frame(t)
-    return Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices())), o, s
-
-
 def _circle_points(ts, kind: str, seeds) -> list:
     """For each triangle of ts and its seeds (or their library error): the
     distinct points whose `kind` six-point conic is a circle concentric
@@ -604,23 +587,26 @@ def _circle_points(ts, kind: str, seeds) -> list:
     functional, written with products, is evaluated at every point it
     reached in one array call with a float call's bits; _roots then takes
     each triangle's points.  All of it runs in the frame of each triangle
-    (centroid, scale), wherever it lies; seeds, roots and values are in the
+    (kernels.frame), wherever it lies; seeds, roots and values are in the
     plane.  A triangle gets the same bits alone as in a batch.
     """
     functional = {"p_ellipse": pstar_circle_functional, "p_hyperbola": phyp_circle_functional}[kind]
     sign, brackets, _ = _CIRCLE_KINDS[kind]
-    out = [sd if isinstance(sd, Exception) else _attempt(_in_frame, t) for t, sd in zip(ts, seeds)]
+    out = list(seeds)
+    for i, (t, sd) in enumerate(zip(ts, seeds)):
+        if not isinstance(sd, Exception):
+            (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()),
+                                           *(c for q in sd for c in q))
+            tf = _attempt(Triangle, Point2(*f[0:2]), Point2(*f[2:4]), Point2(*f[4:6]))
+            starts = [complex(x, y) for x, y in zip(f[6::2], f[7::2])]
+            out[i] = tf if isinstance(tf, Exception) else (tf, gx, gy, s, starts)
     live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
-    framed = [out[i][0] for i in live]
-    # Column k holds seed k's triangle: its vertices and its sides.
+    # Column k holds seed k's triangle, in its frame: its vertices and sides.
     col = np.repeat(np.arange(len(live)), [len(seeds[i]) for i in live])
+    framed = [out[i][0] for i in live]
     v = np.array([[complex(p.x, p.y) for p in f.vertices()] for f in framed]).reshape(-1, 3)[col].T
     sides = np.array([f.sides() for f in framed]).reshape(-1, 3)[col].T
-    starts = np.array(
-        [complex((x - o.x) / s, (y - o.y) / s)
-         for i in live for _, o, s in [out[i]] for x, y in seeds[i]],
-        dtype=complex,
-    )
+    starts = np.array([z for i in live for z in out[i][4]], dtype=complex)
     stops = _bracket_newton(v, sides * sides, sign, brackets, starts)
     corners = (v.real[0], v.imag[0], v.real[1], v.imag[1], v.real[2], v.imag[2])
     focal = kernels._sides_deltas(*corners, kernels.KIND_CODES[kind], stops.real, stops.imag)[1]
@@ -630,20 +616,21 @@ def _circle_points(ts, kind: str, seeds) -> list:
     for i in live:
         found = sorted(points[at:at + len(seeds[i])], key=lambda h: h[1])
         at += len(seeds[i])
-        out[i] = _attempt(_roots, kind, *out[i], found)
+        out[i] = _attempt(_roots, kind, *out[i][:4], found)
     return out
 
 
-def _roots(kind: str, t: Triangle, o: Point2, s: float, found) -> list:
-    """The roots, in the plane, among the (xy, value) points found in t's
-    frame (o, s), best first: those that meet the target, clustered best
-    first at the per-kind radius, each cluster giving its best point that
-    validates (the functional also vanishes at the vertices, where the
-    conic is no circle), tried in order; NotConverged without one."""
+def _roots(kind: str, t: Triangle, gx: float, gy: float, s: float, found) -> list:
+    """The roots, in the plane, among the (xy, value) points found in the
+    frame (gx, gy, s) of kernels.frame, t the framed triangle, best first:
+    those that meet the target, clustered best first at the per-kind
+    radius, each cluster giving its best point that validates (the
+    functional also vanishes at the vertices, where the conic is no
+    circle), tried in order; NotConverged without one."""
     radius = _CIRCLE_KINDS[kind][2]
 
     def plane(xy, val):
-        return (o.x + s * xy[0], o.y + s * xy[1]), val * s**8
+        return (gx + s * xy[0], gy + s * xy[1]), val * s**8
 
     clusters: list[list[tuple[tuple[float, float], float]]] = []
     for xy, val in found:
@@ -1109,7 +1096,7 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
         dx, dy = math.cos(ray_angle), math.sin(ray_angle)
 
         def g(r):
-            # _deltas(t, P) at P = r * (dx, dy), on floats or arrays.
+            # The P-ellipse focal sums at P = r * (dx, dy), on floats or arrays.
             deltas = kernels._sides_deltas(*corners, kernels.KIND_P_ELLIPSE, r * dx, r * dy)[1]
             return covertex_condition_equilateral_P(*deltas)
 

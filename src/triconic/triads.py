@@ -33,7 +33,6 @@ from .geom import (
     LineEq,
     Point2,
     Triangle,
-    distance,
     midpoint,
     signed_area,
 )
@@ -196,11 +195,12 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     residual6 (the left-out vertex's residual) are all taken in the frame of
     the fit; class and residual6 are bit for bit kernels.six_point's.  The
     Carnot product and its sideline test run on vertices built in the frame
-    of the triangle (centroid, scale).  RankDeficient when the five kept
+    of the triangle (kernels.frame).  RankDeficient when the five kept
     vertices are not distinct (within 1e-9 of the triangle's scale) or their
     fit vanishes.
     """
-    co, frame, res6 = _checked_fit(_kernel_args(tr.t, tr.kind, tr.p), tr.t.scale())
+    args = _kernel_args(tr.t, tr.kind, tr.p)
+    co, frame, res6 = _checked_fit(args, tr.t.scale())
     code = kernels.classify_code(co)[0]
     x, y, has_center = kernels.frame_center(co, frame)
     return SixPointConicReport(
@@ -208,7 +208,7 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
         conic_class=ConicClass(kernels.CLASS_NAMES[code]),
         residual6=res6,
         center=Point2(x, y) if has_center else None,
-        carnot_product=_framed_carnot(tr),
+        carnot_product=_framed_carnot(args),
     )
 
 
@@ -229,25 +229,16 @@ def _checked_fit(args, scale) -> tuple:
     return co, frame, res6
 
 
-def _framed_carnot(tr: ConicTriad) -> float:
-    """carnot_product of the triad's vertices, triangle and vertices both
-    in the frame q' = (q - g) / s of the triangle: the sideline test then
-    sees the triangle's shape to its own precision wherever it lies."""
-    g, s = _triangle_frame(tr.t)
-    framed = [
-        ((q.x - g.x) / s, (q.y - g.y) / s)
-        for q in (*tr.t.vertices(), tr.p or g)
-    ]
-    (ax, ay), (bx, by), (cx, cy), (px, py) = framed
-    xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_CODES[tr.kind], px, py)
+def _framed_carnot(args) -> float:
+    """carnot_product of the vertices of the triad of the kernel arguments
+    args (_kernel_args), triangle and vertices both in the triangle's frame
+    (kernels.frame): the sideline test then sees the triangle's shape to
+    its own precision wherever it lies."""
+    _, framed = kernels.frame(*args[:6], *args[7:])
+    xs, ys, bad = kernels.vertices(*framed[:6], args[6], *framed[6:])
     if bad:
         raise DegenerateMember("a triad member degenerates")
-    return _carnot((ax, ay, bx, by, cx, cy), xs, ys)
-
-
-def _triangle_frame(t: Triangle) -> tuple[Point2, float]:
-    """Centroid g and scale s of the frame q' = (q - g) / s."""
-    return Point2((t.a.x + t.b.x + t.c.x) / 3.0, (t.a.y + t.b.y + t.c.y) / 3.0), t.scale()
+    return _carnot(framed[:6], xs, ys)
 
 
 def pairwise_intersections(tr: ConicTriad) -> list[list[Point2]]:
@@ -261,13 +252,6 @@ def pairwise_intersections(tr: ConicTriad) -> list[list[Point2]]:
     if bad:
         raise DegenerateMember("pairwise intersections need nondegenerate members")
     return [[Point2(x, y) for x, y, ok in zip(*row) if ok] for row in zip(xs, ys, keep)]
-
-
-def _focal_diff_residual(p: Point2, member: FocalConic) -> float:
-    return abs(
-        abs(distance(p, member.focus1) - distance(p, member.focus2))
-        - member.axis_length
-    )
 
 
 def second_common_point(tr: ConicTriad) -> Point2:

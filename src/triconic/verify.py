@@ -33,24 +33,27 @@ Thirty-six checks run as one batch on the table's columns, each trial's
 bits those of a batch of one; the five of at most four trials (P2.9, P3.5,
 P3.6, P3.7 and P3.9) run trial by trial on each row's dict (`_per_trial`).
 P3.2 and P5.4 run one circle-point search each
-(`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`), each
-trial's postconditions then on floats.  On arrays: P2.2, P3.1, P3.8 and
+(`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`), then
+every trial's postconditions at once on arrays, in each triangle's frame
+(`kernels.frame`): class, center and circumcircle of the six-point
+conic at its points (`_circle_conditions`), and P5.4's mutual
+membership (`_member_residuals`).  On arrays: P2.2, P3.1, P3.8 and
 P5.2 in one `kernels.six_point` call; P2.1, P2.7, P3.3, A3, A6 and P5.5 on
 `kernels.vertices` and `fit_six`, with `six_point_conic`'s rules
 (`_six_point_fit`); P2.3, P2.5 and P4.8 on one `kernels.focal_pairs` call;
 P2.4, P4.7 and P5.6 in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
 on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
 `kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
-points, Soddy centers among them, from `kernels.bary_point`; A1-A6's
-polynomials in one `appendix.eval_terms` call over every trial's points;
-and the root scans of P2.6, P3.4, P2.8, P4.6, P4.10 and P5.7 in one
-`loci.batch_sign_changes` each: one call of the scanned function (written
-with products, not powers, so floats and arrays give the same bits) on
-every trial's grid, then Brent on floats in each bracketed cell; P2.6's
-triangles at the roots, and P2.8's and P5.7's other points in one
-`kernels.six_point` call each, on arrays, every trial's early exits
-replayed on the values; P3.4, P4.6 and P4.10 finish each trial's other
-checks on floats.  A crash still fails only its own trial (`_fail_or`
+points from `kernels.bary_point`, the Soddy centers by
+`kernels.soddy_centers`; A1-A6's polynomials in one `appendix.eval_terms`
+call over every trial's points; and the root scans of P2.6, P3.4, P2.8,
+P4.6, P4.10 and P5.7 in one `loci.batch_sign_changes` each: one call of
+the scanned function (written with products, not powers, so floats and
+arrays give the same bits) on every trial's grid, then Brent on floats
+in each bracketed cell; P2.6's triangles at the roots, and P2.8's and
+P5.7's other points in one `kernels.six_point` call each, on arrays,
+every trial's early exits replayed on the values; P3.4, P4.6 and P4.10
+finish each trial's other checks on floats.  A crash still fails only its own trial (`_fail_or`
 gives each trial the exception of the first fault that holds there).
 
 Each claim of the paper is checked in its one proposition, on the
@@ -122,16 +125,10 @@ from .loci import (
     region_map,
     sample_locus_ostar,
     x478_quartic,
-    _circle_center,
-    _deltas,
-    _lambdas,
 )
 from .triads import (
     _FAULTS as _TRIAD_FAULTS,
-    _focal_diff_residual,
-    _kernel_args,
     _off_sideline,
-    build_triad,
 )
 
 # ---------------------------------------------------------------------------
@@ -486,16 +483,6 @@ def _fail_or(values, *faults) -> tuple:
     return values, errs
 
 
-def _framed(points, s) -> tuple:
-    """The points (ax, ay, bx, by, cx, cy, ...), the corners first, in the
-    frame q' = (q - g) / s, g the corners' centroid: the frame of
-    kernels.focal_pairs for s the largest side, and of
-    triads._framed_carnot."""
-    ax, ay, bx, by, cx, cy = points[:6]
-    g = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
-    return tuple((v - g[k % 2]) / s for k, v in enumerate(points))
-
-
 def _at_infinity(what: str) -> PointAtInfinity:
     return PointAtInfinity(f"u+v+w ~ 0 for {what}")
 
@@ -532,19 +519,19 @@ def _proj_errors(u, v):
     return norm(cross) / (norm(u) * norm(v))
 
 
-def _six_point_fit(args, s) -> tuple:
+def _six_point_fit(args) -> tuple:
     """triads.six_point_conic on arrays, for the triads of args (P-kinds
-    with their drivers) and largest side s: the vertices ((6, n) arrays)
-    and member flag of kernels.vertices, kernels.fit_six's coefficients,
-    frame and residual6, the center (kernels.frame_center: x, y,
-    has_center), and six_point_conic's rules as _fail_or pairs, in its
-    order: RankDeficient where two kept vertices are within 1e-9 of s or
-    the fit vanishes, PointOffSideline where a vertex, in the frame of the
-    triangle, fails kernels.carnot's test."""
+    with their drivers): the vertices ((6, n) arrays) and member flag of
+    kernels.vertices, kernels.fit_six's coefficients, frame and residual6,
+    the center (kernels.frame_center: x, y, has_center), and
+    six_point_conic's rules as _fail_or pairs, in its order: RankDeficient
+    where two kept vertices are within 1e-9 of the largest side or the fit
+    vanishes, PointOffSideline where a vertex, in the triangle's frame
+    (kernels.frame), fails kernels.carnot's test."""
     xs, ys, bad = kernels.vertices(*args)
     co, frame, out, res6 = kernels.fit_six(xs, ys)
     gap = kernels.kept_gap(xs, ys, out)
-    framed = _framed((*args[:6], *args[7:]), s)
+    (_, _, s), framed = kernels.frame(*args[:6], *args[7:])
     fxs, fys, _ = kernels.vertices(*framed[:6], args[6], *framed[6:])
     off = np.array(kernels.carnot(*framed[:6], fxs, fys)[1])
     first = off.argmax(axis=0)
@@ -565,7 +552,7 @@ def _chk_excircle_tangency_vertices(cfgs) -> tuple:
     sides, _, bad = kernels._sides_deltas(*args)
     s = kernels._largest(sides)
     with np.errstate(all="ignore"):
-        (xs, ys, _), _, _, res6, _, rules = _six_point_fit(args, s)
+        (xs, ys, _), _, _, res6, _, rules = _six_point_fit(args)
         worst, far = _bary_gaps(args[:6], xs, ys, kernels.excircle_tangency(*sides), s)
     return _fail_or(
         np.maximum(worst, res6),
@@ -604,8 +591,8 @@ def _chk_excentral_tangents(cfgs) -> tuple:
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     sides = kernels._sides_deltas(*args)[0]
     with np.errstate(all="ignore"):
-        (_, _, s), pairs, bad = kernels.focal_pairs(*args)
-        framed = _framed(args[:6], s)
+        _, pairs, bad = kernels.focal_pairs(*args)
+        _, framed = kernels.frame(*args[:6])
         exc = [kernels.bary_point(*framed, *uvw) for uvw in kernels.excenters(*sides)]
         worst = 0.0
         for m, co in enumerate(kernels.members(pairs)):
@@ -675,8 +662,8 @@ def _chk_x20_on_members(cfgs) -> tuple:
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     sides = kernels._sides_deltas(*args)[0]
     with np.errstate(all="ignore"):
-        (_, _, s), pairs, bad = kernels.focal_pairs(*args)
-        framed = _framed(args[:6], s)
+        _, pairs, bad = kernels.focal_pairs(*args)
+        _, framed = kernels.frame(*args[:6])
         (x20, y20, f20), (x4, y4, f4), (x3, y3, f3) = (
             kernels.bary_point(*framed, *kernels.cyclic(f, *sides))
             for f in (kernels.center_x20, kernels.center_x4, kernels.center_x3)
@@ -797,7 +784,7 @@ def _chk_x478_quartic(cfgs) -> tuple:
             kernels.KIND_V_ELLIPSE, zero, zero)
     sides, _, bad = kernels._sides_deltas(*args)
     with np.errstate(all="ignore"):
-        *_, (x, y, has_center), rules = _six_point_fit(args, kernels._largest(sides))
+        *_, (x, y, has_center), rules = _six_point_fit(args)
         res = abs(x478_quartic(x, y))
     return _fail_or(
         res,
@@ -868,43 +855,79 @@ def _chk_covertex_locus_V(cfg) -> float:
     return rep.residual6 if ok_class else 1.0
 
 
-def _circle_residual(t: Triangle, p: Point2, kind: str) -> float:
-    """The worst of the circle functional at p over s**8 (1e-12 scaled to
-    1e-6), 1.0 unless t's `kind` six-point conic at p is a circle, and its
-    center's distance from the circumcenter over the circumradius."""
-    functional, focal = {
-        "p_ellipse": (pstar_circle_functional, _deltas),
-        "p_hyperbola": (phyp_circle_functional, _lambdas),
-    }[kind]
-    s = t.scale()
-    code, x, y, has_center = _circle_center(_kernel_args(t, kind, p), s)
-    cc = circumcircle(t)
-    conc = kernels._hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
-    fval = functional(*t.sides(), *focal(t, p)) / s**8 * 1e6
-    return max(fval, conc, 0.0 if code == kernels.CLASS_CIRCLE else 1.0)
-
-
-def _pstar_residual(t: Triangle, hits) -> float:
-    # Existence plus the circle/concentricity postconditions are the hard
-    # claims.  Strict uniqueness is an open question and genuine secondary
-    # zeros near a vertex exist (verified counterexample); only the principal
-    # candidate, the one farthest from the vertices, is checked.
-    return _circle_residual(t, Point2(*hits[0][0]), "p_ellipse")
-
-
-def _searched(search, residual):
+def _searched(search, points, check):
     """A proposition's run from search(triangles), one circle-point search
-    over every configuration's triangle, then residual(t, result) of each
-    result on floats; a crash fails only its own trial."""
+    over every configuration's triangle, then check(corners, xs, ys) on
+    arrays, one call for every trial whose search found its points
+    (points(result): (x, y) pairs, xs[k] and ys[k] the k-th of each
+    trial's), giving residuals and faults as _fail_or pairs; a crash
+    fails only its own trial."""
 
     def run(cfgs) -> tuple:
-        ts = _each(lambda c: _triangle(*c), np.transpose(_corners(cfgs)).tolist())
-        live = [t for t in ts if not isinstance(t, Exception)]
-        found = iter(search(live) if live else ())
-        items = [t if isinstance(t, Exception) else (t, next(found)) for t in ts]
-        return _split(_each(lambda tr: tr[1] if isinstance(tr[1], Exception) else residual(*tr), items))
+        corners = np.array(_corners(cfgs))
+        ts = _each(lambda c: _triangle(*c), corners.T.tolist())
+        errs = {i: t for i, t in enumerate(ts) if isinstance(t, Exception)}
+        live = [i for i in range(cfgs.n) if i not in errs]
+        found = dict(zip(live, search([ts[i] for i in live]) if live else ()))
+        errs.update((i, h) for i, h in found.items() if isinstance(h, Exception))
+        rows = np.array([i for i in live if i not in errs], dtype=int)
+        res = np.full(cfgs.n, math.inf)
+        if rows.size:
+            xs, ys = np.array([points(found[i]) for i in rows]).T
+            with np.errstate(all="ignore"):
+                values, faults = check(corners[:, rows], xs, ys)
+            res[rows], more = _fail_or(values, *faults)
+            errs.update((int(rows[i]), exc) for i, exc in more.items())
+        return res, errs
 
     return run
+
+
+def _circle_conditions(args) -> tuple:
+    """The circle postconditions of P3.2 and P5.4 on arrays, for the
+    P-ellipse or P-hyperbola triads of the kernel arguments args, in their
+    triangles' frame (kernels.frame): the worst of the circle functional
+    over s**8 (1e-12 scaled to 1e-6), 1.0 unless the six-point conic is a
+    circle, and its center's distance from the circumcenter over the
+    circumradius; and the faults as _fail_or pairs: a member degenerates,
+    _six_point_fit's rank rules (not its sideline rule, which says nothing
+    of the conic), and a circumcenter at infinity."""
+    functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
+                  kernels.KIND_P_HYPERBOLA: phyp_circle_functional}[args[6]]
+    sides, focal, bad = kernels._sides_deltas(*args)
+    _, co, _, _, (x, y, has_center), rules = _six_point_fit(args)
+    ox, oy, far, r = _circumcircle(args[:6], sides)
+    s = kernels._largest(sides)
+    s4 = (s * s) * (s * s)
+    worst = functools.reduce(np.maximum, (
+        functional(*sides, *focal) / (s4 * s4) * 1e6,
+        np.where(has_center, kernels._hypot(x - ox, y - oy) / r, 1.0),
+        np.where(kernels.classify_code(co)[0] == kernels.CLASS_CIRCLE, 0.0, 1.0),
+    ))
+    return worst, [(bad, DegenerateMember("a triad member degenerates")), *rules[:2],
+                   (far, _at_infinity("X3"))]
+
+
+def _chk_pstar(corners, xs, ys) -> tuple:
+    """P3.2's postconditions (_circle_conditions) at each trial's principal
+    candidate.  Existence plus the circle and concentricity postconditions
+    are the hard claims.  Strict uniqueness is an open question and
+    genuine secondary zeros near a vertex exist (verified counterexample);
+    only the principal candidate, the one farthest from the vertices, is
+    checked."""
+    _, framed = kernels.frame(*corners, xs[0], ys[0])
+    return _circle_conditions((*framed[:6], kernels.KIND_P_ELLIPSE, *framed[6:]))
+
+
+def _chk_circle_pair(corners, xs, ys) -> tuple:
+    """P5.4's postconditions at each trial's pair (p1, p2): both points'
+    (_circle_conditions), and p2 on the members of p1's triad (its focal
+    residuals over the largest side, _member_residuals, times 1e2)."""
+    _, framed = kernels.frame(*corners, xs[0], ys[0], xs[1], ys[1])
+    args = [(*framed[:6], kernels.KIND_P_HYPERBOLA, *framed[k:k + 2]) for k in (6, 8)]
+    (w1, f1), (w2, f2) = map(_circle_conditions, args)
+    res = _member_residuals(args[0], [framed[8]] * 3, [framed[9]] * 3)[0]
+    return functools.reduce(np.maximum, (w1, w2, res.max(axis=0) * 1e2)), [*f1, *f2]
 
 
 def _circumcircle(corners, sides) -> tuple:
@@ -960,7 +983,7 @@ def _chk_anticevian_needle(cfgs) -> tuple:
         s4 = (s * s) * (s * s)
         # functional tolerance 1e-12 scaled into the 1e-6 threshold
         fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
-        (xs, ys, _), _, _, _, (x, y, has_center), rules = _six_point_fit(targs, ts)
+        (xs, ys, _), _, _, _, (x, y, has_center), rules = _six_point_fit(targs)
         ox, oy, far_o, radius = _circumcircle(corners, tsides)
         dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
         rmean = sum(dist) / 6.0
@@ -1174,14 +1197,14 @@ def _chk_privalov(cfgs) -> tuple:
     there (_bary_to_plane), both of unit norm, up to sign; 0.0 where a
     member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
-        args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+        args, sides, _, _, xs, ys, bad, bisector = _v_hyperbola(cfgs)
         mb = _unit(kernels.privalov(*sides))
         worst = 0.0
         for x, y in zip(xs, ys):
             u = _unit_bary(args[:6], x, y)
             form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
             worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
-        _, co, (ox, oy, fs), _, _, rules = _six_point_fit(args, s)
+        _, co, (ox, oy, fs), _, _, rules = _six_point_fit(args)
         # n maps (x, y, 1) to the fit's frame.
         A, B, C, D, E, F = co
         n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
@@ -1225,25 +1248,15 @@ def _v_hyperbola_circle(cfgs) -> tuple:
     return args, lams, bad, bisector, sides, 2.0 * _circumcircle(args[:6], sides)[3]
 
 
-def _soddy_centers(corners, sides) -> list:
-    """The inner and outer Soddy centers X176 and X175, (x, y, far) each:
-    kernels.bary_point of a + area / (s - a) and a - area / (s - a), s the
-    semiperimeter; X175 is at infinity in the Soddy-line regime."""
-    area = abs(kernels.signed_area(*corners))
-    p = (sides[0] + sides[1] + sides[2]) / 2.0
-    return [kernels.bary_point(*corners, *(v + sign * area / (p - v) for v in sides))
-            for sign in (1.0, -1.0)]
-
-
 def _chk_soddy_intersections(cfgs) -> tuple:
     """P4.5 on all configurations at once: each V-hyperbola member passes
-    through the Soddy centers (_soddy_centers, X175 where finite), its
+    through the Soddy centers (kernels.soddy_centers, X175 where finite), its
     focal-difference residual there over the circumdiameter; 0.0 where a
     member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
         args, lams, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
         worst = 0.0
-        for x, y, far in _soddy_centers(args[:6], sides):
+        for x, y, far in kernels.soddy_centers(args[:6], sides):
             at = kernels._sides_deltas(*args[:6], kernels.KIND_P_HYPERBOLA, x, y)[1]
             res = functools.reduce(np.maximum, [abs(abs(d) - abs(l)) for d, l in zip(at, lams)])
             worst = np.maximum(worst, np.where(far, 0.0, res / diam))
@@ -1332,7 +1345,7 @@ def _chk_chords_x8(cfgs) -> tuple:
     with np.errstate(all="ignore"):
         args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
         (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
-        (qx, qy, _), _ = _soddy_centers(args[:6], sides)
+        (qx, qy, _), _ = kernels.soddy_centers(args[:6], sides)
         qx, qy = (qx - gx) / s, (qy - gy) / s
         u = kernels.cyclic(_x8, *sides)
         x8, y8, _ = kernels.bary_point(*args[:6], *u)
@@ -1426,14 +1439,6 @@ def _chk_equal_areas(cfgs) -> tuple:
     return _fail_or(gap, (bad, DegenerateMember(_TRIAD_FAULTS["p_hyperbola"])))
 
 
-def _circle_pair_residual(t: Triangle, pair) -> float:
-    worst = max(_circle_residual(t, p, "p_hyperbola") for p in pair)
-    # Mutual membership: p2 on the members of p1's triad.
-    for m in build_triad(t, "p_hyperbola", pair[0]).members:
-        worst = max(worst, _focal_diff_residual(pair[1], m) / t.scale() * 1e2)
-    return worst
-
-
 def _chk_x55(cfgs) -> tuple:
     """P5.5 on all configurations at once: the evidence that, with Q = X55
     and T' its reflection triangle, the six-point conic of T''s P-hyperbola
@@ -1454,7 +1459,7 @@ def _chk_x55(cfgs) -> tuple:
         ts = kernels._largest(tsides)
         ox, oy, far_o, r = _circumcircle(refl, tsides)
         (xs, ys, bad), *_, (x, y, has_center), rules = _six_point_fit(
-            (*refl, kernels.KIND_P_HYPERBOLA, qx, qy), ts)
+            (*refl, kernels.KIND_P_HYPERBOLA, qx, qy))
         dists = kernels._hypot(xs - ox, ys - oy)
         spread = abs(dists - sum(dists) / 6.0).max(axis=0)
         conc = np.where(bad, spread, np.where(has_center, kernels._hypot(x - ox, y - oy), math.inf))
@@ -1640,7 +1645,7 @@ def _x3prime_fit(corners) -> tuple:
     X3-anticevian with driver X3) for the triangles of the corners: (sides,
     center x and y, and the faults as _fail_or pairs)."""
     sides, targs, tsides, faults = _x3_anticevian(corners)
-    (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(targs, kernels._largest(tsides))
+    (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(targs)
     return sides, x, y, [*faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules,
                          (~has_center, _NO_CENTER)]
 
@@ -1688,7 +1693,7 @@ def _chk_x5452_coordinate(cfgs) -> tuple:
     with np.errstate(all="ignore"):
         sides, (la, lb, lc), _ = kernels._sides_deltas(*args)
         a, b, c = sides
-        (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(args, kernels._largest(sides))
+        (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(args)
         g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
                                               "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
         gap = _proj_errors(g, _unit_bary(args[:6], x, y))
@@ -1962,7 +1967,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
-    Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, _pstar_residual), 1e-6, 6),
+    Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, lambda hits: [hits[0][0]], _chk_pstar), 1e-6, 6),
     Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _chk_anticevian_needle, 1e-6, 60),
     Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _batch_run(_cfg_rays, _chk_degenerate_on_circumcircle), 1e-9, 60),
     Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
@@ -1985,7 +1990,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P5.1-second-point", "second common point with the vertex-gap identity", _gen_tri_point, _chk_second_point, 1e-8, 100),
     Proposition("P5.2-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_HYPERBOLA, _incidence), 1e-8, 300),
     Proposition("P5.3-equal-areas", "the two vertex triangles have equal areas", _gen_tri_point, _chk_equal_areas, 1e-9, 300),
-    Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _searched(phyp_circle_points_batch, _circle_pair_residual), 1e-6, 6),
+    Proposition("P5.4-circle-pair", "a unique pair of drivers gives concentric circles", _gen_tri, _searched(phyp_circle_points_batch, lambda pair: [p.as_tuple() for p in pair], _chk_circle_pair), 1e-6, 6),
     Proposition("P5.5-x55-conjecture", "reflection-triangle circle conjecture (evidence)", _gen_tri, _chk_x55, 1e-6, 40, evidence=True),
     Proposition("P5.6-phyp-through-pell-intersections", "members pass through the non-P ellipse intersections", _gen_tri_point, _through_pair_points(kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA), 1e-8, 60),
     Proposition("P5.7-parabola-condition", "parabola condition and sideline degeneracy", _gen_tri_phyp_angle, _batch_run(_cfg_rays, _chk_phyp_parabola), 1e-9, 25),

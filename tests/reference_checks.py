@@ -23,6 +23,12 @@ loci._bracket_newton halved its steps one pass at a time, each pass one
 system call over the starts still halving (bracket_newton), before it
 evaluated every halving in one stacked call; the stacked search is
 tested against it bit for bit.
+
+P3.2 and P5.4 checked each trial's circle points on floats in the plane
+(circle_residual, pstar_residual, circle_pair_residual) before the
+verifier checked every trial's points at once on arrays, in each
+triangle's frame; applied to the framed triangle and points (framed),
+they are the references of its column checks.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ from triconic.loci import (
     _NEWTON_REACH,
     _NEWTON_STEP,
     _NEWTON_STEPS,
+    _circle_center,
+    phyp_circle_functional,
+    pstar_circle_functional,
 )
 from triconic.triads import (
     ConicTriad,
@@ -572,3 +581,57 @@ def bracket_newton(v, s2, sign, brackets, q, seen=None):
                 live, ql, step, size, tol = live[keep], ql[keep], step[keep], size[keep], tol[keep]
                 lam /= 2.0
     return q
+
+
+def deltas(t: Triangle, p: Point2):
+    """The focal sums of the P-ellipse triad of t with driver p."""
+    return kernels._sides_deltas(*_kernel_args(t, "p_ellipse", p))[1]
+
+
+def lambdas(t: Triangle, p: Point2):
+    """The signed focal differences of the P-hyperbola triad of t with driver p."""
+    return kernels._sides_deltas(*_kernel_args(t, "p_hyperbola", p))[1]
+
+
+def focal_diff_residual(p: Point2, member: FocalConic) -> float:
+    """||p - F1| - |p - F2|| - L| of a hyperbola member with foci F1, F2
+    and axis L."""
+    return abs(abs(distance(p, member.focus1) - distance(p, member.focus2)) - member.axis_length)
+
+
+def framed(t: Triangle, *points: Point2) -> tuple:
+    """t and the points in t's frame (kernels.frame): the framed triangle
+    and the framed points."""
+    _, f = kernels.frame(*(c for q in (*t.vertices(), *points) for c in q.as_tuple()))
+    return Triangle(Point2(*f[0:2]), Point2(*f[2:4]), Point2(*f[4:6])), [
+        Point2(*f[k:k + 2]) for k in range(6, len(f), 2)]
+
+
+def circle_residual(t: Triangle, p: Point2, kind: str) -> float:
+    """The worst of the circle functional at p over s**8 (1e-12 scaled to
+    1e-6), 1.0 unless t's `kind` six-point conic at p is a circle, and its
+    center's distance from the circumcenter over the circumradius."""
+    functional, focal = {
+        "p_ellipse": (pstar_circle_functional, deltas),
+        "p_hyperbola": (phyp_circle_functional, lambdas),
+    }[kind]
+    s = t.scale()
+    code, x, y, has_center = _circle_center(_kernel_args(t, kind, p), s)
+    cc = circumcircle(t)
+    conc = kernels._hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
+    fval = functional(*t.sides(), *focal(t, p)) / s**8 * 1e6
+    return max(fval, conc, 0.0 if code == kernels.CLASS_CIRCLE else 1.0)
+
+
+def pstar_residual(t: Triangle, hits) -> float:
+    """P3.2's check of the principal candidate of the search's hits."""
+    return circle_residual(t, Point2(*hits[0][0]), "p_ellipse")
+
+
+def circle_pair_residual(t: Triangle, pair) -> float:
+    """P5.4's check of the pair: both points, and the second on the
+    members of the first's triad."""
+    worst = max(circle_residual(t, p, "p_hyperbola") for p in pair)
+    for m in build_triad(t, "p_hyperbola", pair[0]).members:
+        worst = max(worst, focal_diff_residual(pair[1], m) / t.scale() * 1e2)
+    return worst

@@ -42,7 +42,6 @@ from triconic.loci import (
     sample_locus_x478,
     x478_center_for_theta,
     x478_quartic,
-    _deltas,
 )
 from triconic.triads import (
     build_triad,
@@ -63,6 +62,7 @@ from triconic.verify import (
 from reference_checks import (
     anticevian_triangle,
     check_appendix,
+    deltas,
     sideline_extension_residual,
     two_branch_chords,
     x55_conjecture_check,
@@ -382,7 +382,7 @@ def test_criterion_09_anticevian_needle():
         tac = anticevian_triangle(t, q)
         p = classic_center(t, "X3")
         worst_fval = max(
-            worst_fval, pstar_circle_functional(*tac.sides(), *_deltas(tac, p))
+            worst_fval, pstar_circle_functional(*tac.sides(), *deltas(tac, p))
         )
         tr = build_triad(tac, "p_ellipse", p)
         rep = six_point_conic(tr)

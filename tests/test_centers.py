@@ -151,7 +151,8 @@ def test_soddy_centers_345(t345):
 def test_soddy_centers_where_two_distance_circles_nearly_touch():
     # X175 lies about 1e-6 from line AB, where the distance circles about A
     # and B nearly touch: trilaterated from them it sat 1.1e-10 of the scale
-    # from the point of its barycentrics a - area / (s - a), ...
+    # from the point of its barycentrics a - area / (s - a), ...  The
+    # centers now come from those barycentrics (kernels.soddy_centers).
     t = Triangle(Point2(0.7998428894682234, 0.13702166299284935),
                  Point2(0.021329773416469577, 0.41849140906435955),
                  Point2(0.5331585068509609, 0.8129296235405149))

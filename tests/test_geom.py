@@ -13,7 +13,6 @@ from triconic.geom import (
     bary_to_cartesian,
     cartesian_to_bary,
     collinear,
-    concurrent,
     distance,
     line_intersection,
     line_through,
@@ -107,21 +106,6 @@ def test_reflect_about_line():
     assert distance(q, Point2(2.2, 2.6)) < 1e-12
     mid = Point2((1 + q.x) / 2, (1 + q.y) / 2)
     assert abs(line.eval_point(mid)) < 1e-12
-
-
-def test_medians_concurrent(rng):
-    for _ in range(20):
-        pts = rng.uniform(0, 1, (3, 2))
-        try:
-            t = Triangle(*(Point2(*q) for q in pts))
-        except DegenerateTriangle:
-            continue
-        from triconic.geom import midpoint
-
-        m1 = line_through(t.a, midpoint(t.b, t.c))
-        m2 = line_through(t.b, midpoint(t.c, t.a))
-        m3 = line_through(t.c, midpoint(t.a, t.b))
-        assert concurrent(m1, m2, m3)
 
 
 def test_collinearity_scale_invariant(rng):

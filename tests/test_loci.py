@@ -12,7 +12,6 @@ from triconic.conic import ConicClass, classify, residual
 from triconic.errors import (
     DegenerateMember,
     NotConverged,
-    RadicalDomainError,
     RankDeficient,
     TriconicError,
 )
@@ -38,8 +37,6 @@ from triconic.loci import (
     trace_zero_set,
     x478_center_for_theta,
     x478_quartic,
-    _deltas,
-    _lambdas,
 )
 from triconic.triads import (
     _kernel_args,
@@ -50,7 +47,14 @@ from triconic.triads import (
 )
 from triconic.verify import random_flat_triangle, random_triangle
 
-from reference_checks import bracket_newton, reflection_triangle, x55_conjecture_check
+from reference_checks import (
+    bracket_newton,
+    deltas,
+    framed,
+    lambdas,
+    reflection_triangle,
+    x55_conjecture_check,
+)
 
 
 def test_x478_quartic_values():
@@ -79,7 +83,7 @@ def test_parabola_deg8_equilateral():
 
 def test_pstar_functional_equilateral_center(equilateral):
     c = Point2(0.0, math.sqrt(3) / 6)
-    assert pstar_circle_functional(*equilateral.sides(), *_deltas(equilateral, c)) == pytest.approx(
+    assert pstar_circle_functional(*equilateral.sides(), *deltas(equilateral, c)) == pytest.approx(
         0.0, abs=1e-15
     )
 
@@ -91,7 +95,7 @@ def test_covertex_condition_side_sqrt3_centroid():
         for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
     ]
     t = Triangle(*verts)
-    assert covertex_condition_equilateral_P(*_deltas(t, Point2(0.0, 0.0))) == pytest.approx(
+    assert covertex_condition_equilateral_P(*deltas(t, Point2(0.0, 0.0))) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -436,7 +440,7 @@ def test_anticevian_needle(t_generic):
 
     tac = anticevian_triangle(t_generic, center_bary(t_generic, "X3"))
     x3 = classic_center(t_generic, "X3")
-    fval = pstar_circle_functional(*tac.sides(), *_deltas(tac, x3))
+    fval = pstar_circle_functional(*tac.sides(), *deltas(tac, x3))
     assert fval <= 1e-12
     rep = six_point_conic(build_triad(tac, "p_ellipse", x3))
     cc = circumcircle(tac)
@@ -458,7 +462,7 @@ def test_find_phyp_circle_points(t_generic):
     cc = circumcircle(t_generic)
     for p in (p1, p2):
         assert phyp_circle_functional(
-            *t_generic.sides(), *_lambdas(t_generic, p)
+            *t_generic.sides(), *lambdas(t_generic, p)
         ) <= 1e-12
         rep = six_point_conic(build_triad(t_generic, "p_hyperbola", p))
         assert rep.conic_class is ConicClass.CIRCLE
@@ -503,7 +507,7 @@ def test_circle_searches_postconditions(draw):
         check("p_ellipse", Point2(*xy), fval)
     p1, p2 = find_phyp_circle_points(t)
     for p in (p1, p2):
-        check("p_hyperbola", p, phyp_circle_functional(*t.sides(), *_lambdas(t, p)))
+        check("p_hyperbola", p, phyp_circle_functional(*t.sides(), *lambdas(t, p)))
     assert distance(p1, p2) > 1e-6 * s
     q = second_common_point(build_triad(t, "p_hyperbola", p1))
     assert distance(q, p2) <= 1e-7 * s
@@ -565,11 +569,11 @@ def _newton_args(ts, seeds, kind):
     ts, each triangle in its frame, in one call."""
     v, s2, q = [], [], []
     for t, sd in zip(ts, seeds):
-        f, o, s = loci._in_frame(t)
-        for x, y in sd:
+        f, starts = framed(t, *(Point2(*xy) for xy in sd))
+        for z in starts:
             v.append([complex(p.x, p.y) for p in f.vertices()])
             s2.append([a * a for a in f.sides()])
-            q.append(complex((x - o.x) / s, (y - o.y) / s))
+            q.append(complex(z.x, z.y))
     return np.array(v).T, np.array(s2).T, *_BRACKETS[kind], np.array(q)
 
 
@@ -671,8 +675,8 @@ def test_float_validation_matches_the_object_path(kind):
     # conic.  (The functional also vanishes at the vertices, where the conic
     # is no circle.)
     functional, focal = {
-        "p_ellipse": (pstar_circle_functional, _deltas),
-        "p_hyperbola": (phyp_circle_functional, _lambdas),
+        "p_ellipse": (pstar_circle_functional, deltas),
+        "p_hyperbola": (phyp_circle_functional, lambdas),
     }[kind]
     rng = np.random.default_rng(7)
     ts = [random_triangle(rng) for _ in range(300)]
@@ -680,7 +684,7 @@ def test_float_validation_matches_the_object_path(kind):
     stops = iter(_newton_stops(ts, seeds, kind).tolist())
     answers = collections.Counter()
     for i, (t, sd) in enumerate(zip(ts, seeds)):
-        f, _, _ = loci._in_frame(t)
+        f, _ = framed(t)
         cc = circumcircle(f)
         points = [Point2(z.real, z.imag) for z in (next(stops) for _ in sd)]
         for p in points + list(f.vertices()):

@@ -11,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from triconic import loci, verify
+from triconic import kernels, loci, verify
 from triconic.centers import circumcircle
 from triconic.errors import NotConverged
 from triconic.geom import Point2, Triangle
-from triconic.triads import _kernel_args, _triangle_frame
+from triconic.triads import _kernel_args
+
+from reference_checks import deltas, lambdas
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -92,26 +94,27 @@ def _hybr_circle_points(t, kind, seeds):
     meets the target validated, then deduped best first."""
     focal, functional, brackets, radius = {
         "p_ellipse": (
-            loci._deltas, loci.pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
+            deltas, loci.pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
         ),
         "p_hyperbola": (
-            loci._lambdas, loci.phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
+            lambdas, loci.phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
         ),
     }[kind]
-    o, s = _triangle_frame(t)
-    t = Triangle(*(Point2((v.x - o.x) / s, (v.y - o.y) / s) for v in t.vertices()))
+    corners = [c for v in t.vertices() for c in v.as_tuple()]
+    (ox, oy, s), f = kernels.frame(*corners)
+    t = Triangle(Point2(*f[0:2]), Point2(*f[2:4]), Point2(*f[4:6]))
     sides = t.sides()
 
     def g(q):
         return brackets(*(a * a - x * x for a, x in zip(sides, focal(t, Point2(q[0], q[1])))))
 
     def plane(xy, val):
-        return (o.x + s * xy[0], o.y + s * xy[1]), val * s**8
+        return (ox + s * xy[0], oy + s * xy[1]), val * s**8
 
     roots = []
     best = (None, math.inf)
     for seed in seeds:
-        start = ((seed[0] - o.x) / s, (seed[1] - o.y) / s)
+        start = kernels.frame(*corners, *seed)[1][6:]
         xy = tuple(optimize.root(g, start, method="hybr", options={"xtol": 1e-14}).x)
         val = functional(*sides, *focal(t, Point2(*xy)))
         if val < best[1]:

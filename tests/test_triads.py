@@ -206,7 +206,7 @@ def test_concurrency_v_hyperbola(t345):
     centers = [q for q in soddy_centers(t345) if q is not None]
     for member in tr.members:
         for q in centers:
-            assert triads._focal_diff_residual(q, member) / diam <= 1e-8
+            assert reference_checks.focal_diff_residual(q, member) / diam <= 1e-8
     x8 = classic_center(t345, "X8")
     for chord in two_branch_chords(tr):
         assert chord.distance_to(x8) / diam <= 1e-8

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from collections import Counter
@@ -40,7 +41,14 @@ from triconic.verify import (
 )
 
 import reference_checks
-from reference_checks import check_appendix, reflect_about_point, x55_reference
+from reference_checks import (
+    check_appendix,
+    circle_pair_residual,
+    framed,
+    pstar_residual,
+    reflect_about_point,
+    x55_reference,
+)
 
 
 def _rows(cfgs) -> list:
@@ -605,10 +613,9 @@ def test_witness_replay():
 # P5.4's three failures of a 1000-trial sweep (seeds 10, 15 and 36 of
 # `tools/seed_sweep.py 1 40 --trials 1000 --prop P5.4-circle-pair`, drawn
 # one trial at a time on floats): near-degenerate triangles on which the
-# circle-or-ellipse test decides the true circle drivers on rounding, so
-# the check reads 1.0.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the circle-or-ellipse test decides "
-                   "P5.4's circle drivers on rounding on near-degenerate triangles")
+# circle-or-ellipse test, in plane coordinates, decided the true circle
+# drivers on rounding, so the check read 1.0.  In the triangle's frame,
+# where the search validates them, they read at most 2.3e-10.
 @pytest.mark.parametrize("triangle", [
     [[0.7201770717774499, 0.3797812773612991], [0.6918962891379753, 0.3384508215111236],
      [0.10943957262644466, 0.7634527005813122]],
@@ -1101,7 +1108,7 @@ def test_phyp_parabola_scan_grid_matches_scalar_condition():
     # The P5.7 scan reads its whole grid in one array call; Brent's polish
     # and witness replay need those values bit for bit the scalar ones,
     # with the sides and differences of the triad rule (kernels._sides_deltas).
-    from triconic.loci import _lambdas, phyp_parabola_condition
+    from triconic.loci import phyp_parabola_condition
 
     rng = np.random.default_rng(5)
     grid = [0.08 + (2.4 - 0.08) * k / 300 for k in range(301)]
@@ -1113,7 +1120,7 @@ def test_phyp_parabola_scan_grid_matches_scalar_condition():
             ray = [Point2(cc.center.x + s * cc.radius * dx, cc.center.y + s * cc.radius * dy)
                    for s in grid]
             sides = kernels._sides_deltas(*triads._kernel_args(t, "p_hyperbola", ray[0]))[0]
-            scalar = [phyp_parabola_condition(*sides, *_lambdas(t, p)) for p in ray]
+            scalar = [phyp_parabola_condition(*sides, *reference_checks.lambdas(t, p)) for p in ray]
             rays = [reference_checks.circumcircle_ray(t, ang)]
             cond = lambda s: verify._phyp_condition(s, *rays[0])  # noqa: E731
             assert cond(np.array(grid)).tolist() == scalar
@@ -1233,7 +1240,7 @@ def _anticevian_needle_reference(cfg):
     tac = reference_checks.anticevian_triangle(t, centers.center_bary(t, "X3"))
     p = centers.classic_center(t, "X3")
     s = max(t.scale(), tac.scale())
-    fval = loci.pstar_circle_functional(*tac.sides(), *loci._deltas(tac, p))
+    fval = loci.pstar_circle_functional(*tac.sides(), *reference_checks.deltas(tac, p))
     triad = triads.build_triad(tac, "p_ellipse", p)
     rep = triads.six_point_conic(triad)
     cc = centers.circumcircle(tac)
@@ -1495,35 +1502,36 @@ def test_batch_checks_crash_where_float_checks_do(pid):
 
 def _pstar_reference(cfg):
     """P3.2's former check of one configuration: find_pstar_candidates and
-    the principal candidate's six-point conic on the object path."""
+    the principal candidate's six-point conic on the object path, here
+    with the triangle and the candidate in the triangle's frame."""
     t = verify._cfg_tri(cfg)
-    hits = loci.find_pstar_candidates(t)
-    p = Point2(*hits[0][0])
+    t, (p,) = framed(t, Point2(*loci.find_pstar_candidates(t)[0][0]))
     rep = triads.six_point_conic(triads.build_triad(t, "p_ellipse", p))
     cc = centers.circumcircle(t)
     conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
     ok_class = rep.conic_class == conic.ConicClass.CIRCLE
-    fnorm = hits[0][1] / t.scale() ** 8 * 1e6
+    fnorm = loci.pstar_circle_functional(*t.sides(), *reference_checks.deltas(t, p)) / t.scale() ** 8 * 1e6
     return max(fnorm, conc, 0.0 if ok_class else 1.0)
 
 
 def _circle_pair_reference(cfg):
     """P5.4's former check of one configuration: find_phyp_circle_points,
     each point's six-point conic on the object path, and p2 on the members
-    of p1's triad."""
+    of p1's triad, here with the triangle and the points in the triangle's
+    frame."""
     t = verify._cfg_tri(cfg)
-    p1, p2 = loci.find_phyp_circle_points(t)
+    t, (p1, p2) = framed(t, *loci.find_phyp_circle_points(t))
     s = t.scale()
     cc = centers.circumcircle(t)
     worst = 0.0
     for p in (p1, p2):
-        fval = loci.phyp_circle_functional(*t.sides(), *loci._lambdas(t, p))
+        fval = loci.phyp_circle_functional(*t.sides(), *reference_checks.lambdas(t, p))
         worst = max(worst, fval / s**8 * 1e6)
         rep = triads.six_point_conic(triads.build_triad(t, "p_hyperbola", p))
         worst = max(worst, 0.0 if rep.conic_class == conic.ConicClass.CIRCLE else 1.0)
         worst = max(worst, distance(rep.center, cc.center) / cc.radius if rep.center else 1.0)
     for m in triads.build_triad(t, "p_hyperbola", p1).members:
-        worst = max(worst, triads._focal_diff_residual(p2, m) / s * 1e2)
+        worst = max(worst, reference_checks.focal_diff_residual(p2, m) / s * 1e2)
     return worst
 
 
@@ -1548,13 +1556,10 @@ def test_search_checks_match_float_checks(seed, pid):
     _assert_residuals_agree(_results(prop.run, cfgs), ref)
 
 
-@pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
-def test_search_checks_crash_where_float_checks_do(pid):
-    # A collinear triangle fails to build; on thin triangles the search
-    # finds no circle point (NotConverged) or its seeds no circumcenter
-    # (PointAtInfinity), and the P-hyperbola search fails on the isosceles
-    # and equilateral triangles.  Each fails its own trial only.
-    cfgs = _trials(verify._gen_tri(np.random.default_rng(9), 30)) + [
+def _search_crash_cases() -> list:
+    """Random triangles, and those on which the searches fail: a collinear
+    one, thin ones, isosceles ones and the equilateral one."""
+    return _trials(verify._gen_tri(np.random.default_rng(9), 30)) + [
         {"triangle": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]},
         {"triangle": [[0.0, 0.0], [1.0, 0.0], [0.4, 1e-3]]},
         {"triangle": [[0.0, 0.0], [1.0, 0.0], [-0.5, 1e-3]]},
@@ -1562,6 +1567,15 @@ def test_search_checks_crash_where_float_checks_do(pid):
         *_ISOSCELES,
         {"triangle": [[-0.5, 0.0], [0.5, 0.0], [0.0, math.sqrt(3.0) / 2.0]]},
     ]
+
+
+@pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
+def test_search_checks_crash_where_float_checks_do(pid):
+    # A collinear triangle fails to build; on thin triangles the search
+    # finds no circle point (NotConverged) or its seeds no circumcenter
+    # (PointAtInfinity), and the P-hyperbola search fails on the isosceles
+    # and equilateral triangles.  Each fails its own trial only.
+    cfgs = _search_crash_cases()
     batch = _results(verify._BY_ID[pid].run, cfgs)
     ref = _reference_run(_SEARCH_REFERENCES[pid], cfgs)
     _assert_residuals_agree(batch, ref)
@@ -1573,6 +1587,33 @@ def test_search_checks_crash_where_float_checks_do(pid):
     assert [_failure(r) for r in batch if isinstance(r, Exception)] == [
         _failure(r) for r in ref if isinstance(r, Exception)
     ]
+
+
+def _framed_float_check(pid, cfg):
+    """P3.2's or P5.4's former float check of one configuration
+    (reference_checks), on the triangle and the search's points in the
+    triangle's frame."""
+    t = verify._cfg_tri(cfg)
+    if pid == "P3.2-pstar-unique-circle":
+        hits = loci.find_pstar_candidates(t)
+        f, (p,) = framed(t, Point2(*hits[0][0]))
+        return pstar_residual(f, [(p.as_tuple(), hits[0][1])])
+    f, pair = framed(t, *loci.find_phyp_circle_points(t))
+    return circle_pair_residual(f, pair)
+
+
+@pytest.mark.parametrize("pid", sorted(_SEARCH_REFERENCES))
+def test_column_postconditions_match_the_float_checks(pid):
+    # The column postconditions of P3.2 and P5.4 against their former float
+    # checks in the frame, at seeds 42 and 1-8 and on the crash cases:
+    # within 1e-12, crashing on the same trials with the same types.
+    prop = verify._BY_ID[pid]
+    cfgs = [cfg for seed in (42, *range(1, 9)) for cfg in _drawn(prop, seed)] + _search_crash_cases()
+    batch = _results(prop.run, cfgs)
+    ref = _reference_run(functools.partial(_framed_float_check, pid), cfgs)
+    assert [type(r) for r in batch] == [type(r) for r in ref]
+    for b, r in zip(batch, ref):
+        assert isinstance(r, Exception) or abs(b - r) <= 1e-12
 
 
 def test_parabola_check_pairs_the_disc_root_nearest_the_condition_root():
@@ -1624,9 +1665,9 @@ def _soddy_intersections_reference(cfg):
     x175, x176 = centers.soddy_centers(t)
     worst = 0.0
     for m in tr.members:
-        worst = max(worst, triads._focal_diff_residual(x176, m) / diam)
+        worst = max(worst, reference_checks.focal_diff_residual(x176, m) / diam)
         if x175 is not None:
-            worst = max(worst, triads._focal_diff_residual(x175, m) / diam)
+            worst = max(worst, reference_checks.focal_diff_residual(x175, m) / diam)
     return worst
 
 
