@@ -1,11 +1,12 @@
 """The kernels: the package's one triad rule, vertex formula, five-point
 fit and fit rule, conic classifier and focal-pair solver, each elementwise
-on floats (plain Python, no numpy call) and on numpy arrays, with the same
-bits: distances are sqrt(dx*dx + dy*dy) (`_hypot`, the package's one
-length rule, which `geom` and every module after it read), and math.sqrt
-and np.sqrt both round correctly.  `collinear` is the one
-degenerate-triangle test, on `signed_area`: `geom.Triangle` and
-`geom.collinear` apply it on floats, the verifier on arrays.
+on floats (plain Python, no numpy call, but for the pair points) and on
+numpy arrays, with the same bits: distances are sqrt(dx*dx + dy*dy)
+(`_hypot`, the package's one length rule, which `geom` and every module
+after it read), and math.sqrt and np.sqrt both round correctly.
+`collinear` is the one degenerate-triangle test, on `signed_area`:
+`geom.Triangle` and `geom.collinear` apply it on floats, the verifier on
+arrays.
 
 `_sides_deltas` (sides, signed focal sums or differences, member flag) is
 read by `triads.build_triad`, `driver_fault`, `triad_vertices`, the loci
@@ -25,13 +26,14 @@ P4.3 trials `fit_six` on the vertices of `vertices` and `vertex_coords`.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
-trials read): on floats for `triads.pairwise_intersections`, on arrays,
-every pair and candidate at once, for the P2.4, P4.7 and P5.6 trials;
-through `second_point` (a P-hyperbola triad's second common point), for
-`triads.second_common_point` and the P5.1 trials.  `members` picks each
-member's unit-norm coefficients out of `focal_pairs`, for
-`conic_residual` and `tangency_disc` (P2.3, P2.5); `conic_residual` is
-also `conic.residual` and the O* locus's incidence rule.
+trials read), on arrays, every pair and candidate at once, for the P2.4,
+P4.7 and P5.6 trials, and through `second_point` (a P-hyperbola triad's
+second common point) for the P5.1 trials.  A call on floats, from
+`triads.pairwise_intersections` and `triads.second_common_point`, is a
+batch of one.  `members` picks each member's unit-norm coefficients out
+of `focal_pairs`, for `conic_residual` and `tangency_disc` (P2.3, P2.5);
+`conic_residual` is also `conic.residual` and the O* locus's incidence
+rule.
 
 The catalog barycentrics (`cyclic` of `center_x3`, `center_x4` and
 `center_x20`; `excenters`, `excircle_tangency`, `intouch_extouch`) are
@@ -695,10 +697,6 @@ _POLISH_STEPS = 3
 _ON_BOTH = 1e-7
 
 
-def _where(cond, a, b):
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
 def _div(a, b):
     """a / b, NaN on floats for b == 0: for quotients dropped where b is 0."""
     return a / b if isinstance(b, np.ndarray) or b != 0.0 else math.nan
@@ -787,30 +785,30 @@ def tangency_disc(co, l, m, n):
 
 
 def _line_roots(co, l, m, n):
-    """Two candidates (x, y, ok) of the unit-norm conic co on l x + m y + n = 0."""
+    """Two candidates (x, y, ok) of the unit-norm conic co on l x + m y + n
+    = 0, on arrays."""
     x0, y0, dx, dy, qa, qb, qc = _on_line(co, l, m, n)
     disc = qb * qb - 4.0 * qa * qc
-    q = -(qb + _where(qb < 0.0, -1.0, 1.0) * _sqrt(_where(disc > 0.0, disc, 0.0))) / 2.0
-    double = _div(-qb, 2.0 * qa)
-    t0 = _where(abs(qa) <= _TINY, _div(-qc, qb), _where(disc < 0.0, double, _div(q, qa)))
-    t1 = _where(q != 0.0, _div(qc, q), double)
+    q = -(qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(np.where(disc > 0.0, disc, 0.0))) / 2.0
+    double = -qb / (2.0 * qa)
+    t0 = np.where(abs(qa) <= _TINY, -qc / qb, np.where(disc < 0.0, double, q / qa))
+    t1 = np.where(q != 0.0, qc / q, double)
     ok0 = ((abs(qa) <= _TINY) & (abs(qb) > _TINY)) | ((abs(qa) > _TINY) & (disc > -_DOUBLE_ROOT))
     ok1 = (abs(qa) > _TINY) & (disc >= 0.0)
     return (x0 + t0 * dx, y0 + t0 * dy, ok0), (x0 + t1 * dx, y0 + t1 * dy, ok1)
 
 
 def _polish(mi, mj, x, y, ok):
-    """Newton steps from (x, y) on the unit-norm mi and mj; ok if it ends on both."""
+    """Newton steps from (x, y) on the unit-norm mi and mj, on arrays; ok
+    if it ends on both."""
     live = ok
     for _ in range(_POLISH_STEPS):
         fi, ix, iy = _value_grad(mi, x, y)
         fj, jx, jy = _value_grad(mj, x, y)
         det = ix * jy - iy * jx
         live = live & (abs(det) >= _TINY)
-        if live is False:
-            break
-        x = _where(live, x + (-fi * jy + fj * iy) / det, x)
-        y = _where(live, y + (-fj * ix + fi * jx) / det, y)
+        x = np.where(live, x + (-fi * jy + fj * iy) / det, x)
+        y = np.where(live, y + (-fj * ix + fi * jx) / det, y)
     n2 = x * x + y * y + 1.0
     on_i = abs(_value_grad(mi, x, y)[0]) / n2 <= _ON_BOTH
     on_j = abs(_value_grad(mj, x, y)[0]) / n2 <= _ON_BOTH
@@ -823,54 +821,37 @@ def pair_points(ax, ay, bx, by, cx, cy, kind, px, py):
 
     Each focal_pairs line meets member i in two candidates, Newton-polished
     on both members in the frame; keep marks those on both and apart from
-    the kept ones before them.  Floats give 3 x 4 nested lists, (None, None,
-    None, True) for a bad triad; arrays of one shape give arrays of shape
-    (3, 4) + that shape, the floats' bits where kept, keep false where bad.
+    the kept ones before them.  The three pairs' four candidates (line 0
+    root 0, line 0 root 1, line 1 root 0, line 1 root 1) are stacked so
+    each step is one numpy call: arrays of one shape give arrays of shape
+    (3, 4) + that shape, keep false where bad.  Floats are a batch of one,
+    given back as 3 x 4 nested lists of floats and bools, or (None, None,
+    None, True) for a bad triad.
     """
-    if isinstance(ax, np.ndarray):
-        with np.errstate(all="ignore"):
-            return _pair_points_stacked(ax, ay, bx, by, cx, cy, kind, px, py)
-    (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
-    if pairs is None:
-        return None, None, None, True
-    xs, ys, keep = [], [], []
-    for mi, mj, lines in pairs:
-        cands = [root for line in lines for root in _line_roots(mi, *line)]
+    one = not isinstance(ax, np.ndarray)
+    if one:
+        ax, ay, bx, by, cx, cy, px, py = np.array([ax, ay, bx, by, cx, cy, px, py], dtype=float)[:, None]
+    with np.errstate(all="ignore"):
+        (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+        mi, mj = (tuple(np.array([p[m][c] for p in pairs])[:, None] for c in range(6)) for m in (0, 1))
+        lines = (np.array([[line[j] for line in p[2]] for p in pairs]) for j in range(3))
+        roots = _line_roots(mi, *lines)  # two of (x, y, ok), each (3, 2) + shape
+        x, y, ok = (np.stack(v, axis=2).reshape((3, 4) + bad.shape) for v in zip(*roots))
         big = 0.0
-        for x, y, ok in cands:
-            size = _where(abs(x) > abs(y), abs(x), abs(y))
-            big = _where(ok & (size > big), size, big)
-        near, kept = _ON_BOTH * (1.0 + big), []
-        for x, y, ok in cands:
-            x, y, ok = _polish(mi, mj, x, y, ok)
-            for x2, y2, ok2 in kept:
-                ok = _where(ok2 & (_hypot(x - x2, y - y2) <= near), False, ok)
-            kept.append((x, y, ok))
-        xs.append([gx + s * x for x, _, _ in kept])
-        ys.append([gy + s * y for _, y, _ in kept])
-        keep.append([ok for _, _, ok in kept])
-    return xs, ys, keep, bad
-
-
-def _pair_points_stacked(ax, ay, bx, by, cx, cy, kind, px, py):
-    """pair_points' steps on arrays, one call each for the three pairs and
-    their four candidates stacked as (3, 4) + shape in the floats' order
-    (line 0 root 0, line 0 root 1, line 1 root 0, line 1 root 1)."""
-    (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
-    mi, mj = (tuple(np.array([p[m][c] for p in pairs])[:, None] for c in range(6)) for m in (0, 1))
-    lines = (np.array([[line[j] for line in p[2]] for p in pairs]) for j in range(3))
-    roots = _line_roots(mi, *lines)  # two of (x, y, ok), each (3, 2) + shape
-    x, y, ok = (np.stack(v, axis=2).reshape((3, 4) + bad.shape) for v in zip(*roots))
-    big = 0.0
-    for k in range(4):
-        size = np.where(abs(x[:, k]) > abs(y[:, k]), abs(x[:, k]), abs(y[:, k]))
-        big = np.where(ok[:, k] & (size > big), size, big)
-    near = _ON_BOTH * (1.0 + big)
-    x, y, ok = _polish(mi, mj, x, y, ok)
-    for k in range(1, 4):
-        for k2 in range(k):
-            ok[:, k] &= ~(ok[:, k2] & (_hypot(x[:, k] - x[:, k2], y[:, k] - y[:, k2]) <= near))
-    return gx + s * x, gy + s * y, ok & ~bad, bad
+        for k in range(4):
+            size = np.where(abs(x[:, k]) > abs(y[:, k]), abs(x[:, k]), abs(y[:, k]))
+            big = np.where(ok[:, k] & (size > big), size, big)
+        near = _ON_BOTH * (1.0 + big)
+        x, y, ok = _polish(mi, mj, x, y, ok)
+        for k in range(1, 4):
+            for k2 in range(k):
+                ok[:, k] &= ~(ok[:, k2] & (_hypot(x[:, k] - x[:, k2], y[:, k] - y[:, k2]) <= near))
+        x, y, ok = gx + s * x, gy + s * y, ok & ~bad
+    if not one:
+        return x, y, ok, bad
+    if bad[0]:
+        return None, None, None, True
+    return x[..., 0].tolist(), y[..., 0].tolist(), ok[..., 0].tolist(), False
 
 
 def second_point(ax, ay, bx, by, cx, cy, px, py):
@@ -880,34 +861,27 @@ def second_point(ax, ay, bx, by, cx, cy, px, py):
     negatives (mixed signs force one to vanish), on the branches opposite P
     or, as in the external Soddy regime, on P's.  P' is the first pair point
     beyond 1e-7 s of P (s the largest side) least off either pattern in its
-    largest gap, found where that is <= 1e-6 s.  On arrays the twelve pair
-    points are scored in one call and the first least is taken by argmin.
+    largest gap, found where that is <= 1e-6 s.  The twelve pair points are
+    scored in one call and the first least is taken by argmin.  Floats are
+    a batch of one, given back as (float, float, bool).
     """
-    xs, ys, keep, bad = pair_points(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
-    if keep is None:
-        return math.nan, math.nan, False
-    sides, lam, _ = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
-    s = _largest(sides)
-
-    def off(x, y):
+    one = not isinstance(ax, np.ndarray)
+    if one:
+        ax, ay, bx, by, cx, cy, px, py = np.array([ax, ay, bx, by, cx, cy, px, py], dtype=float)[:, None]
+    xs, ys, keep, _ = pair_points(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
+    with np.errstate(all="ignore"):
+        sides, lam, _ = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, px, py)
+        s = _largest(sides)
+        x, y, ok = (v.reshape((12,) + v.shape[2:]) for v in (xs, ys, keep))
         got = _sides_deltas(ax, ay, bx, by, cx, cy, KIND_P_HYPERBOLA, x, y)[1]
         same = _largest([abs(g - l) for g, l in zip(got, lam)])
         opposite = _largest([abs(g + l) for g, l in zip(got, lam)])
-        return _where(opposite < same, opposite, same)
-
-    if isinstance(keep, np.ndarray):
-        with np.errstate(all="ignore"):
-            x, y, ok = (v.reshape((12,) + v.shape[2:]) for v in (xs, ys, keep))
-            res = off(x, y)
-            # A NaN or infinite score never beats the loop's strict <.
-            res = np.where(ok & (_hypot(x - px, y - py) > 1e-7 * s) & (res < math.inf), res, math.inf)
-            first = np.argmin(res, axis=0)[None]
-            best, x, y = (np.take_along_axis(v, first, axis=0)[0] for v in (res, x, y))
-            found = best <= 1e-6 * s
-            hit = found & (best < math.inf)
-            return np.where(hit, x, math.nan), np.where(hit, y, math.nan), found
-    cands = [(off(x, y), x, y) for row in zip(xs, ys, keep) for x, y, ok in zip(*row)
-             if ok and _hypot(x - px, y - py) > 1e-7 * s]
-    best, x, y = min((q for q in cands if q[0] < math.inf), key=lambda q: q[0],
-                     default=(math.inf, math.nan, math.nan))
-    return (x, y, True) if best <= 1e-6 * s else (math.nan, math.nan, False)
+        res = np.where(opposite < same, opposite, same)
+        # A NaN or infinite score never beats a strict <.
+        res = np.where(ok & (_hypot(x - px, y - py) > 1e-7 * s) & (res < math.inf), res, math.inf)
+        first = np.argmin(res, axis=0)[None]
+        best, x, y = (np.take_along_axis(v, first, axis=0)[0] for v in (res, x, y))
+        # best is inf where no point is kept, which 1e-6 s passes if s is.
+        found = (best <= 1e-6 * s) & (best < math.inf)
+        x, y = np.where(found, x, math.nan), np.where(found, y, math.nan)
+    return (float(x[0]), float(y[0]), bool(found[0])) if one else (x, y, found)

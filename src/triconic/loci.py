@@ -304,8 +304,11 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic
     kernels.frame_center finds its center there, skipping the sample where
     conic.center finds none.
     P's arc is the one between the two vertex angles around P's angle.  A
-    degenerate triad member raises DegenerateMember and a vanishing fit
-    RankDeficient, as on the object path.
+    degenerate triad member raises DegenerateMember, and a fit whose norm
+    (kernels.frobenius) is 0 or not finite RankDeficient.  The object
+    path's stricter rules, five kept vertices apart by more than 1e-9 of
+    the triangle's scale and a norm above DET_DEGENERATE_TOL
+    (triads._checked_fit), are not applied.
     """
     cc = circumcircle(t)
     arcs = ostar_arc_ellipses(t)

@@ -197,7 +197,7 @@ def _point(value, where: str) -> Point2:
 def scene_for_triad(t: Triangle, kind: str, p: Point2 | None = None) -> Scene:
     """Standard construction scene: triangle, triad, six-point conic, and the
     kind's decorations (Soddy circles and centers for the V-hyperbola)."""
-    from .centers import soddy, soddy_centers
+    from .centers import soddy
 
     sc = Scene(triangle=t, p=p)
     tr = build_triad(t, kind, p)
@@ -209,10 +209,8 @@ def scene_for_triad(t: Triangle, kind: str, p: Point2 | None = None) -> Scene:
     if kind == "v_hyperbola":
         cfg = soddy(t)
         sc.circles.append(cfg.inner)
-        if cfg.outer_circle is not None:
+        sc.add_point("X176", cfg.inner.center)
+        if cfg.regime != "line":
             sc.circles.append(cfg.outer_circle)
-        x175, x176 = soddy_centers(t)
-        sc.add_point("X176", x176)
-        if x175 is not None:
-            sc.add_point("X175", x175)
+            sc.add_point("X175", cfg.outer_circle.center)
     return sc

@@ -24,6 +24,12 @@ system call over the starts still halving (bracket_newton), before it
 evaluated every halving in one stacked call; the stacked search is
 tested against it bit for bit.
 
+kernels.pair_points and kernels.second_point kept a plain-Python branch
+on floats (pair_points_on_floats, second_point_on_floats, with the float
+arms of kernels' _where, _line_roots and _polish they took) before a
+float call became a batch of one; their float calls are tested against
+it bit for bit, Python types included.
+
 P3.2 and P5.4 checked each trial's circle points on floats in the plane
 (circle_residual, pstar_residual, circle_pair_residual) before the
 verifier checked every trial's points at once on arrays, in each
@@ -635,3 +641,89 @@ def circle_pair_residual(t: Triangle, pair) -> float:
     for m in build_triad(t, "p_hyperbola", pair[0]).members:
         worst = max(worst, focal_diff_residual(pair[1], m) / t.scale() * 1e2)
     return worst
+
+
+def _where(cond, a, b):
+    return a if cond else b
+
+
+def _line_roots(co, l, m, n):
+    """kernels._line_roots on floats."""
+    x0, y0, dx, dy, qa, qb, qc = kernels._on_line(co, l, m, n)
+    disc = qb * qb - 4.0 * qa * qc
+    q = -(qb + _where(qb < 0.0, -1.0, 1.0) * kernels._sqrt(_where(disc > 0.0, disc, 0.0))) / 2.0
+    double = kernels._div(-qb, 2.0 * qa)
+    t0 = _where(abs(qa) <= kernels._TINY, kernels._div(-qc, qb),
+                _where(disc < 0.0, double, kernels._div(q, qa)))
+    t1 = _where(q != 0.0, kernels._div(qc, q), double)
+    ok0 = ((abs(qa) <= kernels._TINY) & (abs(qb) > kernels._TINY)) | (
+        (abs(qa) > kernels._TINY) & (disc > -kernels._DOUBLE_ROOT))
+    ok1 = (abs(qa) > kernels._TINY) & (disc >= 0.0)
+    return (x0 + t0 * dx, y0 + t0 * dy, ok0), (x0 + t1 * dx, y0 + t1 * dy, ok1)
+
+
+def _polish(mi, mj, x, y, ok):
+    """kernels._polish on floats: it stops at the first step that leaves
+    no live start."""
+    live = ok
+    for _ in range(kernels._POLISH_STEPS):
+        fi, ix, iy = kernels._value_grad(mi, x, y)
+        fj, jx, jy = kernels._value_grad(mj, x, y)
+        det = ix * jy - iy * jx
+        live = live & (abs(det) >= kernels._TINY)
+        if live is False:
+            break
+        x = _where(live, x + (-fi * jy + fj * iy) / det, x)
+        y = _where(live, y + (-fj * ix + fi * jx) / det, y)
+    n2 = x * x + y * y + 1.0
+    on_i = abs(kernels._value_grad(mi, x, y)[0]) / n2 <= kernels._ON_BOTH
+    on_j = abs(kernels._value_grad(mj, x, y)[0]) / n2 <= kernels._ON_BOTH
+    return x, y, ok & on_i & on_j & (abs(x) < math.inf) & (abs(y) < math.inf)
+
+
+def pair_points_on_floats(ax, ay, bx, by, cx, cy, kind, px, py):
+    """kernels.pair_points on floats, one pair and one candidate at a time:
+    3 x 4 nested lists, (None, None, None, True) for a bad triad."""
+    (gx, gy, s), pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+    if pairs is None:
+        return None, None, None, True
+    xs, ys, keep = [], [], []
+    for mi, mj, lines in pairs:
+        cands = [root for line in lines for root in _line_roots(mi, *line)]
+        big = 0.0
+        for x, y, ok in cands:
+            size = _where(abs(x) > abs(y), abs(x), abs(y))
+            big = _where(ok & (size > big), size, big)
+        near, kept = kernels._ON_BOTH * (1.0 + big), []
+        for x, y, ok in cands:
+            x, y, ok = _polish(mi, mj, x, y, ok)
+            for x2, y2, ok2 in kept:
+                ok = _where(ok2 & (kernels._hypot(x - x2, y - y2) <= near), False, ok)
+            kept.append((x, y, ok))
+        xs.append([gx + s * x for x, _, _ in kept])
+        ys.append([gy + s * y for _, y, _ in kept])
+        keep.append([ok for _, _, ok in kept])
+    return xs, ys, keep, bad
+
+
+def second_point_on_floats(ax, ay, bx, by, cx, cy, px, py):
+    """kernels.second_point on floats: the least-off kept pair point by
+    min, (x, y, True), or (nan, nan, False)."""
+    kind = kernels.KIND_P_HYPERBOLA
+    xs, ys, keep, bad = pair_points_on_floats(ax, ay, bx, by, cx, cy, kind, px, py)
+    if keep is None:
+        return math.nan, math.nan, False
+    sides, lam, _ = kernels._sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    s = kernels._largest(sides)
+
+    def off(x, y):
+        got = kernels._sides_deltas(ax, ay, bx, by, cx, cy, kind, x, y)[1]
+        same = kernels._largest([abs(g - l) for g, l in zip(got, lam)])
+        opposite = kernels._largest([abs(g + l) for g, l in zip(got, lam)])
+        return _where(opposite < same, opposite, same)
+
+    cands = [(off(x, y), x, y) for row in zip(xs, ys, keep) for x, y, ok in zip(*row)
+             if ok and kernels._hypot(x - px, y - py) > 1e-7 * s]
+    best, x, y = min((q for q in cands if q[0] < math.inf), key=lambda q: q[0],
+                     default=(math.inf, math.nan, math.nan))
+    return (x, y, True) if best <= 1e-6 * s else (math.nan, math.nan, False)

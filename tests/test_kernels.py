@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import mpmath
 import pytest
 
+from reference_checks import pair_points_on_floats, second_point_on_floats
 from triconic import kernels
 from triconic.conic import Conic, classify
 from triconic.geom import Point2, Triangle
@@ -847,24 +849,49 @@ def test_members_are_the_triad_members():
         assert kernels.tangency_disc(co, y1 - y2, x2 - x1, x1 * y2 - x2 * y1) > 0.1
 
 
-def test_pair_points_on_floats_runs_no_numpy(monkeypatch):
-    class NoNumpy:
-        ndarray = np.ndarray
-
-        def __getattr__(self, name):
-            raise AssertionError(f"pair_points used np.{name}")
-
+def test_pair_points_on_floats_give_floats_and_bools():
     good = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, kernels.KIND_P_HYPERBOLA, 0.9, 0.7)
-    want = kernels.pair_points(*good), kernels.second_point(*good[:6], *good[7:])
-    monkeypatch.setattr(kernels, "np", NoNumpy())
-    got = kernels.pair_points(*good), kernels.second_point(*good[:6], *good[7:])
-    assert got == want
-    xs, ys, keep, bad = got[0]
+    xs, ys, keep, bad = kernels.pair_points(*good)
+    assert [len(row) for row in xs + ys + keep] == [4] * 9
     assert all(type(v) is float for row in xs + ys for v in row)
     assert all(type(v) is bool for row in keep for v in row) and bad is False
+    x, y, found = kernels.second_point(*good[:6], *good[7:])
+    assert type(x) is float and type(y) is float and found is True
     # C on A: no sides to divide by, on floats and arrays alike.
     degenerate = (0.1, 0.2, 1.3, 0.15, 0.1, 0.2, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
     assert kernels.pair_points(*degenerate) == (None, None, None, True)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_pair_points_on_floats_are_the_float_branch(kind):
+    # A float call is a batch of one.  On 400 seeded triads (half on flat
+    # obtuse triangles), 400 on random and near-collinear triangles with
+    # drivers near a vertex or a sideline, and 9 bad ones a kind (3,236
+    # calls, and 809 of second_point), it gives the repr of the plain-Python
+    # branch it replaced: the same floats, bools, NaNs and Nones, with
+    # their Python types.
+    code = kernels.KIND_CODES[kind]
+    rows = _pair_rows(kind, 200)
+    cols = _sweep_configs(np.random.default_rng([2027, code]), 400)
+    rows += [(*r[:6], code, *r[6:]) for r in np.array(cols).T.tolist()]
+    rows += [
+        (0.1, 0.2, 1.3, 0.15, 0.1, 0.2, code, 0.4, 0.5),
+        (0.0, 1.2, 0.7, 0.0, -0.7, 0.0, code, 0.1, 0.3),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, code, 1.3, 0.15),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, code, 0.7, 0.175),
+        (0.0, 0.0, 1.0, 0.0, 2.0, 0.0, code, 0.4, 0.5),
+        (0.1, math.nan, 1.3, 0.15, 0.5, 1.1, code, 0.4, 0.5),
+        (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, code, math.inf, 0.5),
+        (math.inf, 0.2, 1.3, 0.15, 0.5, 1.1, code, 0.4, 0.5),
+        (0.0, 3.0, 4.0, 0.0, 0.0, 0.0, code, 1.0, 1.0),
+    ]
+    assert len(rows) == 809
+    for args in rows:
+        assert repr(kernels.pair_points(*args)) == repr(pair_points_on_floats(*args)), args
+        if code == kernels.KIND_P_HYPERBOLA:
+            got, want = (f(*args[:6], *args[7:]) for f in (kernels.second_point, second_point_on_floats))
+            assert repr(got) == repr(want), args
 
 
 def test_pair_points_flag_degenerate_columns():
@@ -964,9 +991,16 @@ def test_pair_points_match_mpmath(offset, scale):
     assert compared >= 800
 
 
+@functools.cache
+def _pair_points_at(row, q):
+    """kernels.pair_points of the triad row at the driver q, one call a
+    driver: the scans below read its three pairs, most drivers twice."""
+    return kernels.pair_points(*row[:7], *q)
+
+
 def _kept(row, q, k):
     """Pair k's kept points at the driver q, None where the triad is bad."""
-    xs, ys, keep, bad = kernels.pair_points(*row[:7], *q)
+    xs, ys, keep, bad = _pair_points_at(tuple(row), tuple(q))
     return None if bad else [(x, y) for x, y, ok in zip(xs[k], ys[k], keep[k]) if ok]
 
 

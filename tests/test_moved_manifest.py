@@ -6,7 +6,8 @@ a translation or all three (the rotation also added to `angle`, the
 direction of a ray), and the check is run again.  A moved point carries an
 ulp of its position, which is |t| / size ulps of the triangle, so the
 bound is scaled by max(1, |t| / size), as `_precision` in
-test_frame_invariance.py scales its tolerance.
+test_frame_invariance.py scales its tolerance.  At seeds 5-8 every case
+passes but P5.4 at seed 5 moved by (1e3, -1e3), a strict xfail.
 """
 
 import functools
@@ -61,21 +62,31 @@ def _with_points(pid):
 MOVED = [pid for pid in verify.PROPOSITION_IDS if _with_points(pid)]
 
 
-@pytest.mark.parametrize("move", sorted(MOVES))
-@pytest.mark.parametrize("pid", MOVED)
-def test_moved_check_stays_within_its_bound(pid, move):
+def _assert_within_bound(pid, move, seeds):
     prop = verify._BY_ID[pid]
     bound = verify.EVIDENCE_BOUND if prop.evidence else prop.threshold
     _, scale, (tx, ty) = MOVES[move]
     # The drawn triangles are of unit size.
     bound *= max(1.0, max(abs(tx), abs(ty)) / scale)
-    for seed in SEEDS:
+    for seed in seeds:
         cfgs = _drawn(pid, seed)
         res, errs = prop.run(cfgs)
         moved, moved_errs = prop.run(_moved(cfgs, MOVES[move]))
         assert {i: type(e) for i, e in moved_errs.items()} == {i: type(e) for i, e in errs.items()}, seed
         live = np.delete(np.arange(cfgs.n), list(errs))
         assert np.all(moved[live] <= bound), (seed, float(np.max(moved[live])), bound)
+
+
+@pytest.mark.parametrize("move", sorted(MOVES))
+@pytest.mark.parametrize("pid", MOVED)
+def test_moved_check_stays_within_its_bound(pid, move):
+    _assert_within_bound(pid, move, SEEDS)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="P5.4 at seed 5 moved by (1e3, -1e3) reads "
+                   "1.0 against a moved bound of 1e-3 (ROADMAP item 8)")
+def test_p54_at_seed_5_moved_by_1e3_stays_within_its_bound():
+    _assert_within_bound("P5.4-circle-pair", "translate1e3", (5,))
 
 
 def test_every_point_table_is_moved():

@@ -100,6 +100,22 @@ def test_svg_vhyp_structure(t345):
     assert len(member_paths) >= 3
 
 
+def test_vhyp_scene_builds_the_soddy_configuration_once(t345, monkeypatch):
+    # The Soddy centers are read from the configuration whose circles the
+    # scene draws: one centers.soddy call, X175 only off the line regime.
+    from triconic import centers
+    from triconic.verify import _sextic_triangles
+
+    for t, regime in ((t345, "contains"), (_sextic_triangles([0.1])[0], "line")):
+        cfg, calls = centers.soddy(t), []
+        monkeypatch.setattr(centers, "soddy", lambda t, _real=centers.soddy: calls.append(t) or _real(t))
+        points = dict(scene_for_triad(t, "v_hyperbola").points)
+        monkeypatch.undo()
+        assert calls == [t] and cfg.regime == regime
+        assert points["X176"] == cfg.inner.center
+        assert points.get("X175") == (None if regime == "line" else cfg.outer_circle.center)
+
+
 def _scene_conic_samples(dx, dy):
     """render._conic_samples of every conic of the four triad scenes of the
     (0.1,0.2) (1.3,0.15) (0.5,1.1) triangle moved by (dx, dy), P at (1, 1)
