@@ -184,14 +184,6 @@ def bary_to_cartesian(t: Triangle, b: BaryCoords) -> Point2:
     return Point2(x, y)
 
 
-def cartesian_to_bary(t: Triangle, p: Point2) -> BaryCoords:
-    # Components proportional to the signed areas of the sub-triangles.
-    u = signed_area(p, t.b, t.c)
-    v = signed_area(t.a, p, t.c)
-    w = signed_area(t.a, t.b, p)
-    return BaryCoords(u, v, w)
-
-
 def line_through(p: Point2, q: Point2) -> LineEq:
     l = p.y - q.y
     m = q.x - p.x

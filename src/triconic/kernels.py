@@ -15,6 +15,10 @@ and the kernels below, so they agree on every driver bit for bit.
 `fit5`, the only five-point fit, in the frame of its points after Hartley,
 so a class does not change when the points are moved, rotated or scaled)
 and `classify_code` (the conic-type policy, also behind `conic.classify`).
+An array call broadcasts only its array arguments and keeps its float
+arguments floats, so the quantities of a triangle given as floats (sides,
+member guard, midpoints and unit vectors) are computed once a call, not
+once a cell; it gathers the fit's vertices and labels by flat index.
 On floats it serves `triads.six_point_conic` (and through its rules,
 `triads._checked_fit`, the circle searches' validation) and the Brent
 polish of the P2.6, P3.4 and P5.7 sign scans; on arrays region maps, the
@@ -123,9 +127,12 @@ _LABELS = tuple(
     tuple(_labels(i, pair) for pair in range(10) if i not in _PAIRS5[pair])
     for i in range(5)
 )
-_LABEL_PAIRS = np.array([[pair for pair, _, _ in row] for row in _LABELS])
-_LABEL_ORDERS = np.array([[order for _, order, _ in row] for row in _LABELS])
-_LABEL_PARITY = np.array([[sign for _, _, sign in row] for row in _LABELS])
+# The batch fit's tables, gathered by flat index: the six pairs' indices
+# (6, 5) by point 1, and the labels (5, 30) and parities (30,) by point 1
+# times 6 plus the pair.
+_LABEL_PAIRS_T = np.array([[pair for pair, _, _ in row] for row in _LABELS]).T.copy()
+_LABEL_ORDERS_T = np.array([order for row in _LABELS for _, order, _ in row]).T.copy()
+_LABEL_PARITY = np.array([sign for row in _LABELS for _, _, sign in row])
 
 
 def _bracket_conic(u1, v1, u2, v2, u3, v3, u4, v4, u5, v5, parity):
@@ -220,16 +227,18 @@ def _fit5_batch(x, y):
     r2 = u * u + v * v
     s = np.sqrt((r2[0] + r2[1] + r2[2] + r2[3] + r2[4]) / 5.0)
     u, v = u / s, v / s
-    du, dv = u[_P5_I] - u[_P5_J], v[_P5_I] - v[_P5_J]
+    du = u.take(_P5_I, axis=0) - u.take(_P5_J, axis=0)
+    dv = v.take(_P5_I, axis=0) - v.take(_P5_J, axis=0)
     d2 = du * du + dv * dv
-    cols = np.arange(x.shape[1])
+    n = x.shape[1]
+    cols = np.arange(n)
     first = _P5_I[np.argmin(d2, axis=0)]
-    rest = d2[_LABEL_PAIRS[first].T, cols]
-    k = np.argmin(rest, axis=0)
-    order = _LABEL_ORDERS[first, k].T
-    u, v = u[order, cols], v[order, cols]
+    rest = d2.ravel().take(_LABEL_PAIRS_T.take(first, axis=1) * n + cols)
+    row = first * 6 + np.argmin(rest, axis=0)
+    at = _LABEL_ORDERS_T.take(row, axis=1) * n + cols
+    u, v = u.ravel().take(at), v.ravel().take(at)
     framed = [t for i in range(5) for t in (u[i], v[i])]
-    return _bracket_conic(*framed, _LABEL_PARITY[first, k]), (ox, oy, s)
+    return _bracket_conic(*framed, _LABEL_PARITY.take(row)), (ox, oy, s)
 
 
 def frobenius(co):
@@ -417,7 +426,8 @@ def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
         else:
             d = (pb - pc, pc - pa, pa - pb)
             for di, s in zip(d, (a, b, c)):
-                bad = bad | (abs(di) <= eps) | (abs(di) >= s - eps)
+                size = abs(di)
+                bad = bad | (size <= eps) | (size >= s - eps)
     else:
         raise ValueError(f"unknown kind code {kind}")
     return (a, b, c), d, bad
@@ -438,10 +448,10 @@ def vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas):
         ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by)), deltas, sides
     ):
         mx, my = (f1x + f2x) / 2.0, (f1y + f2y) / 2.0
-        ux, uy = (f1x - f2x) / s, (f1y - f2y) / s
         h = d / 2.0
-        xs.extend((mx + h * ux, mx - h * ux))
-        ys.extend((my + h * uy, my - h * uy))
+        hx, hy = h * _div(f1x - f2x, s), h * _div(f1y - f2y, s)
+        xs.extend((mx + hx, mx - hx))
+        ys.extend((my + hy, my - hy))
     return xs, ys
 
 
@@ -452,13 +462,17 @@ def vertices(ax, ay, bx, by, cx, cy, kind, px, py):
     Floats give two lists of six floats (A1 A2 B1 B2 C1 C2) and a bool;
     a degenerate triad gives (None, None, True), since coincident triangle
     vertices leave a side to divide by zero.  1-d arrays of n drivers or
-    triangles give (6, n) arrays and the mask of degenerate columns, whose
-    vertices may be non-finite.
+    triangles, the other arguments floats or arrays of that shape, give
+    (6, n) arrays and the mask of degenerate columns, whose vertices may be
+    non-finite; a vertex that depends on float arguments alone fills its
+    row.
     """
     sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
     if isinstance(bad, np.ndarray):
-        xs, ys = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
-        return np.stack(xs), np.stack(ys), bad
+        out = np.empty((2, 6) + bad.shape)
+        for k, (x, y) in enumerate(zip(*vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas))):
+            out[0, k], out[1, k] = x, y
+        return out[0], out[1], bad
     if bad:
         return None, None, True
     return (*vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas), False)
@@ -585,7 +599,15 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
 _PAIRS = tuple(itertools.combinations(range(6), 2))
 _PAIR_I, _PAIR_J = np.array(_PAIRS).T
 _KEPT = tuple(tuple(k for k in range(6) if k != j) for j in range(6))
-_KEPT_ARRAY = np.array(_KEPT)
+_KEPT_T = np.array(_KEPT).T.copy()
+
+
+def _flat_kept(xs, out):
+    """Flat indices into a (6, n) array's ravel of each column's left-out
+    vertex, (n,), and its five kept vertices in order, (5, n)."""
+    n = xs.shape[1]
+    cols = np.arange(n)
+    return out * n + cols, _KEPT_T.take(out, axis=1) * n + cols
 
 
 def fit_six(xs, ys):
@@ -608,12 +630,13 @@ def fit_six(xs, ys):
     same IEEE operations in both, so a column gives the bits of its floats.
     """
     if isinstance(xs, np.ndarray):
-        dx, dy = xs[_PAIR_I] - xs[_PAIR_J], ys[_PAIR_I] - ys[_PAIR_J]
-        out = _PAIR_J[np.argmin(dx * dx + dy * dy, axis=0)]
-        cols = np.arange(xs.shape[1])
-        kept = _KEPT_ARRAY[out].T
-        xo, yo = xs[out, cols], ys[out, cols]
-        co, (ox, oy, s) = fit5(xs[kept, cols], ys[kept, cols])
+        dx = xs.take(_PAIR_I, axis=0) - xs.take(_PAIR_J, axis=0)
+        dy = ys.take(_PAIR_I, axis=0) - ys.take(_PAIR_J, axis=0)
+        out = _PAIR_J.take(np.argmin(dx * dx + dy * dy, axis=0))
+        at, kept = _flat_kept(xs, out)
+        xs, ys = xs.ravel(), ys.ravel()
+        xo, yo = xs.take(at), ys.take(at)
+        co, (ox, oy, s) = fit5(xs.take(kept), ys.take(kept))
     else:
         d2 = [
             (xs[i] - xs[j]) * (xs[i] - xs[j]) + (ys[i] - ys[j]) * (ys[i] - ys[j])
@@ -631,9 +654,8 @@ def kept_gap(xs, ys, out):
     when it leaves out vertex out: floats and an int, or (6, n) arrays and
     fit_six's array of left-out indices."""
     if isinstance(xs, np.ndarray):
-        cols = np.arange(xs.shape[1])
-        kept = _KEPT_ARRAY[out].T
-        kx, ky = xs[kept, cols], ys[kept, cols]
+        kept = _flat_kept(xs, out)[1]
+        kx, ky = xs.ravel().take(kept), ys.ravel().take(kept)
         return _hypot(kx[_P5_I] - kx[_P5_J], ky[_P5_I] - ky[_P5_J]).min(axis=0)
     kept = _KEPT[out]
     return min(_hypot(xs[kept[i]] - xs[kept[j]], ys[kept[i]] - ys[kept[j]]) for i, j in _PAIRS5)
@@ -647,6 +669,13 @@ _BATCH_CHUNK = 4096
 _FAILED = (CLASS_FAILED, math.nan, math.nan, math.inf)
 
 
+def _filled(shape, v):
+    """The array v broadcast to shape, as a new flat float array."""
+    out = np.empty(shape)
+    out[...] = v
+    return out.ravel()
+
+
 def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     """Fused triad -> five-point fit -> classification: (code, det, disc,
     residual6).
@@ -657,8 +686,11 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
     NaN, NaN and inf where a member degenerates or the fit is zero or not
     finite.  Elementwise, with one KIND_* code for all: floats give an int
     and floats from plain Python, returning early when a member
-    degenerates; if any argument is an ndarray, they are broadcast and run
-    in chunks of _BATCH_CHUNK points, bit for bit the float values.
+    degenerates.  If any argument is an ndarray, the outputs are arrays of
+    the arguments' broadcast shape, bit for bit the float values: the array
+    arguments are broadcast and run in chunks of _BATCH_CHUNK points, and
+    the float ones stay floats, so a triangle given as floats has its
+    sides, member guard, midpoints and unit vectors computed once a call.
     """
     args = (ax, ay, bx, by, cx, cy, px, py)
     if not any(isinstance(v, np.ndarray) for v in args):
@@ -668,12 +700,15 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         co, _, _, res6 = fit_six(xs, ys)
         code, det, disc = classify_code(co)
         return _FAILED if code == CLASS_FAILED else (code, det, disc, res6)
-    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
-    flat = [v.ravel() for v in args]
-    out = (np.empty(flat[0].size, dtype=np.intp), *(np.empty(flat[0].size) for _ in range(3)))
-    for lo in range(0, flat[0].size, _BATCH_CHUNK):
+    shape = np.broadcast_shapes(*(np.shape(v) for v in args))
+    flat = [_filled(shape, v) if isinstance(v, np.ndarray) else float(v) for v in args]
+    size = math.prod(shape)
+    if kind in (KIND_V_ELLIPSE, KIND_V_HYPERBOLA) and not any(isinstance(v, np.ndarray) for v in flat[:6]):
+        flat[0] = np.full(size, flat[0])  # V kinds ignore P: corner A carries the shape
+    out = (np.empty(size, dtype=np.intp), *(np.empty(size) for _ in range(3)))
+    for lo in range(0, size, _BATCH_CHUNK):
         cut = slice(lo, lo + _BATCH_CHUNK)
-        part = [v[cut] for v in flat]
+        part = [v[cut] if isinstance(v, np.ndarray) else v for v in flat]
         with np.errstate(all="ignore"):
             xs, ys, failed = vertices(*part[:6], kind, *part[6:])
             co, _, _, res6 = fit_six(xs, ys)
@@ -681,7 +716,7 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         failed |= codes == CLASS_FAILED
         for w, v, fail in zip(out, (codes, det, disc, res6), _FAILED):
             w[cut] = np.where(failed, fail, v)
-    return tuple(w.reshape(args[0].shape) for w in out)
+    return tuple(w.reshape(shape) for w in out)
 
 
 # Pair k of a triad: members i, j, sharing the focus at corner k.
@@ -720,14 +755,14 @@ def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
     F, so they differ by (ell_i - ell_j)(ell_i + ell_j) and meet on those
     lines, the paper's pair chords.  pairs[k] is (mi, mj, lines): the unit
     norm coefficients (xx, xy, yy, x, y, 1) and the lines (l, m, n).  bad:
-    _sides_deltas' flag or a zero axis; on floats then the rest is None.
+    _sides_deltas' flag or an axis within MEMBER_GUARD of the largest side;
+    the rest is meaningless where it is set.  Arrays, or the floats of a
+    triad that is not bad: on floats a zero side or axis divides by zero.
     """
     sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
     lengths, s = [abs(d) for d in deltas], _largest(sides)
     for length in lengths:
         bad = bad | (length <= MEMBER_GUARD * s)
-    if not isinstance(bad, np.ndarray) and bad:
-        return (None, None, None), None, True
     g, framed = frame(ax, ay, bx, by, cx, cy)
     corners = ((ax, ay), (bx, by), (cx, cy))
     pairs = []

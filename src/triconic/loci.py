@@ -726,6 +726,8 @@ def find_phyp_circle_points(t: Triangle) -> tuple[Point2, Point2]:
 # ---------------------------------------------------------------------------
 
 REGION_KINDS = ("v_ellipse_over_C", "p_ellipse_over_P", "p_hyperbola_over_P")
+# The class names, indexed by class code.
+_CLASS_NAMES = np.array([kernels.CLASS_NAMES[c] for c in range(len(kernels.CLASS_NAMES))], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -744,7 +746,15 @@ class RegionGrid:
 
 
 def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> RegionGrid:
-    """Classify the six-point conic per cell, driving C or P over the grid."""
+    """Classify the six-point conic per cell, driving C or P over the grid.
+
+    The cells are classified in one array kernels.six_point call on the
+    cell centres, with the triangle's corners (all six on a P map, A and B
+    on the V map) as floats, so that what depends on them alone is computed
+    once a map; the class codes become names in one gather.  Each cell is
+    bit for bit six_point on its floats.  bbox defaults to the square of
+    side four circumradii about the circumcenter.
+    """
     if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
     nx, ny = grid
@@ -768,8 +778,8 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         codes = kernels.six_point(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)[0]
     else:
         codes = kernels.six_point(ax, ay, bx, by, cx, cy, kcode, xs, ys)[0]
-    rows = [tuple(kernels.CLASS_NAMES[c] for c in row) for row in codes.tolist()]
-    return RegionGrid(tuple(bbox), nx, ny, tuple(rows))
+    rows = tuple(map(tuple, _CLASS_NAMES[codes].tolist()))
+    return RegionGrid(tuple(bbox), nx, ny, rows)
 
 
 def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:

@@ -34,7 +34,6 @@ from .geom import (
     Point2,
     Triangle,
     midpoint,
-    signed_area,
 )
 
 TRIAD_KINDS = ("v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola")
@@ -160,15 +159,6 @@ def triad_covertices(tr: ConicTriad) -> tuple[Point2, ...]:
     return tuple(out)
 
 
-def carnot_product(t: Triangle, six) -> float:
-    """Product of the six unsigned sideline ratios (Carnot's criterion).
-
-    Expects (A1, A2) on line BC, (B1, B2) on CA, (C1, C2) on AB.
-    """
-    corners = [w for v in t.vertices() for w in v.as_tuple()]
-    return _carnot(corners, [p.x for p in six], [p.y for p in six])
-
-
 def _carnot(corners, xs, ys) -> float:
     """kernels.carnot's product for the corners (ax, ay, bx, by, cx, cy)
     and the vertices' floats; PointOffSideline for the first vertex off its
@@ -230,10 +220,10 @@ def _checked_fit(args, scale) -> tuple:
 
 
 def _framed_carnot(args) -> float:
-    """carnot_product of the vertices of the triad of the kernel arguments
-    args (_kernel_args), triangle and vertices both in the triangle's frame
-    (kernels.frame): the sideline test then sees the triangle's shape to
-    its own precision wherever it lies."""
+    """The Carnot product (_carnot) of the vertices of the triad of the
+    kernel arguments args (_kernel_args), triangle and vertices both in the
+    triangle's frame (kernels.frame): the sideline test then sees the
+    triangle's shape to its own precision wherever it lies."""
     _, framed = kernels.frame(*args[:6], *args[7:])
     xs, ys, bad = kernels.vertices(*framed[:6], args[6], *framed[6:])
     if bad:
@@ -264,11 +254,3 @@ def second_common_point(tr: ConicTriad) -> Point2:
     if not found:
         raise NotFound("no second triple-common point found")
     return Point2(x, y)
-
-
-def equal_area_check(tr: ConicTriad) -> tuple[float, float]:
-    """Areas of the two vertex triangles (A1,B1,C1) and (A2,B2,C2)."""
-    A1, A2, B1, B2, C1, C2 = triad_vertices(tr)
-    s1 = abs(signed_area(A1, B1, C1))
-    s2 = abs(signed_area(A2, B2, C2))
-    return s1, s2

@@ -499,8 +499,9 @@ def _bary_gaps(corners, xs, ys, barys, s) -> tuple:
 
 
 def _unit_bary(corners, x, y) -> list:
-    """geom.cartesian_to_bary(t, (x, y)).normalized() on arrays, t the
-    triangle of the corners, up to sign: the signed areas over the largest.
+    """The barycentrics of (x, y) in the triangle of the corners, on
+    arrays: the signed areas of its sub-triangles over the largest, the
+    scaling of geom.BaryCoords.normalized up to sign.
     (The sign changes no residual it feeds: projective gaps, and forms even
     in the barycentrics.)"""
     ax, ay, bx, by, cx, cy = corners
@@ -1191,7 +1192,7 @@ def _bary_to_plane(m, corners) -> list:
 def _chk_privalov(cfgs) -> tuple:
     """P4.3 on all configurations at once: the V-hyperbola vertices
     (_v_hyperbola) on Privalov's conic (kernels.privalov), each vertex's
-    barycentrics (geom.cartesian_to_bary's signed areas, over the largest)
+    barycentrics (_unit_bary's signed areas, over the largest)
     in its unit-norm matrix, and the fitted six-point conic
     (_six_point_fit, with its rules) in the plane against the closed form
     there (_bary_to_plane), both of unit norm, up to sign; 0.0 where a
@@ -1424,7 +1425,7 @@ def _chk_second_point(cfgs) -> tuple:
 
 def _area_gap(xs, ys):
     """|a1 - a2| / max(a1, a2), a1 and a2 the areas of the vertex triangles
-    (A1, B1, C1) and (A2, B2, C2) (triads.equal_area_check), on arrays."""
+    (A1, B1, C1) and (A2, B2, C2), on arrays."""
     a1, a2 = (abs(kernels.signed_area(xs[k], ys[k], xs[k + 2], ys[k + 2], xs[k + 4], ys[k + 4]))
               for k in (0, 1))
     return abs(a1 - a2) / np.maximum(a1, a2)

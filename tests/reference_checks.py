@@ -62,9 +62,9 @@ from triconic.geom import (
     Point2,
     Triangle,
     bary_to_cartesian,
-    cartesian_to_bary,
     distance,
     line_through,
+    signed_area,
 )
 from triconic.loci import (
     _NEWTON_G2,
@@ -85,6 +85,30 @@ from triconic.triads import (
     triad_vertices,
 )
 from triconic.verify import _cfg_tri, _detn_v_ellipse, _on_ray, _p_hyperbola_disc
+
+
+def cartesian_to_bary(t: Triangle, p: Point2) -> BaryCoords:
+    # Components proportional to the signed areas of the sub-triangles.
+    u = signed_area(p, t.b, t.c)
+    v = signed_area(t.a, p, t.c)
+    w = signed_area(t.a, t.b, p)
+    return BaryCoords(u, v, w)
+
+
+def equal_area_check(tr: ConicTriad) -> tuple[float, float]:
+    """Areas of the two vertex triangles (A1,B1,C1) and (A2,B2,C2)."""
+    A1, A2, B1, B2, C1, C2 = triad_vertices(tr)
+    s1 = abs(signed_area(A1, B1, C1))
+    s2 = abs(signed_area(A2, B2, C2))
+    return s1, s2
+
+
+def focal_triad_bad(ax, ay, bx, by, cx, cy, kind, px, py) -> bool:
+    """kernels.focal_pairs' bad flag on floats, without its divisions:
+    _sides_deltas' flag or an axis within MEMBER_GUARD of the largest side."""
+    sides, deltas, bad = kernels._sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    s = kernels._largest(sides)
+    return bad or any(abs(d) <= kernels.MEMBER_GUARD * s for d in deltas)
 
 
 def cevian_triangle(t: Triangle, q: BaryCoords) -> Triangle:
@@ -171,9 +195,10 @@ def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
     """
     if tr.kind != "v_hyperbola":
         raise ValueError("two_branch_chords applies to V-hyperbola triads")
-    (gx, gy, s), pairs, bad = kernels.focal_pairs(*_kernel_args(tr.t, tr.kind, tr.p))
-    if bad:
+    args = _kernel_args(tr.t, tr.kind, tr.p)
+    if focal_triad_bad(*args):
         raise DegenerateMember("two-branch chords need nondegenerate members")
+    (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
     framed = [((q.x - gx) / s, (q.y - gy) / s) for q in soddy_centers(tr.t) if q is not None]
     chords = []
     for _, _, lines in pairs:
@@ -684,9 +709,9 @@ def _polish(mi, mj, x, y, ok):
 def pair_points_on_floats(ax, ay, bx, by, cx, cy, kind, px, py):
     """kernels.pair_points on floats, one pair and one candidate at a time:
     3 x 4 nested lists, (None, None, None, True) for a bad triad."""
-    (gx, gy, s), pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
-    if pairs is None:
+    if focal_triad_bad(ax, ay, bx, by, cx, cy, kind, px, py):
         return None, None, None, True
+    (gx, gy, s), pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
     xs, ys, keep = [], [], []
     for mi, mj, lines in pairs:
         cands = [root for line in lines for root in _line_roots(mi, *line)]

@@ -45,8 +45,6 @@ from triconic.loci import (
 )
 from triconic.triads import (
     build_triad,
-    carnot_product,
-    equal_area_check,
     pairwise_intersections,
     second_common_point,
     six_point_conic,
@@ -63,6 +61,7 @@ from reference_checks import (
     anticevian_triangle,
     check_appendix,
     deltas,
+    equal_area_check,
     sideline_extension_residual,
     two_branch_chords,
     x55_conjecture_check,

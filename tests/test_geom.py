@@ -11,7 +11,6 @@ from triconic.geom import (
     Point2,
     Triangle,
     bary_to_cartesian,
-    cartesian_to_bary,
     collinear,
     distance,
     line_intersection,
@@ -19,7 +18,7 @@ from triconic.geom import (
     signed_area,
 )
 
-from reference_checks import reflect_about_line, reflect_about_point
+from reference_checks import cartesian_to_bary, reflect_about_line, reflect_about_point
 
 
 def test_triangle_sides_and_semiperimeter(t345):

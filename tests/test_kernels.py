@@ -447,6 +447,132 @@ def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
     assert failed > 0
 
 
+_TRI = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1)
+_KINDS = (kernels.KIND_V_ELLIPSE, kernels.KIND_P_ELLIPSE, kernels.KIND_V_HYPERBOLA,
+          kernels.KIND_P_HYPERBOLA)
+_V_KINDS = (kernels.KIND_V_ELLIPSE, kernels.KIND_V_HYPERBOLA)
+
+
+def _mixed_shape_calls():
+    """(name, kernel arguments) of six_point calls mixing floats, 0-d
+    arrays and arrays of shapes that broadcast, with drivers on a vertex,
+    a sideline and far out, coincident corners, NaN and inf."""
+    rng = np.random.default_rng(39)
+    ax, ay, bx, by, cx, cy = _TRI
+    # Random drivers, vertex A, the midpoint of BC, and a far point.
+    qx = np.concatenate([rng.uniform(-1.0, 2.0, 8), [ax, (bx + cx) / 2.0, 40.0]])
+    qy = np.concatenate([rng.uniform(-1.0, 2.0, 8), [ay, (by + cy) / 2.0, -30.0]])
+    gx = np.linspace(-1.0, 2.0, 5)[None, :]
+    gy = np.linspace(-1.0, 1.7, 4)[:, None]
+    calls = []
+    for k in _KINDS:
+        calls += [
+            ("scalar corners, array drivers", (*_TRI, k, qx, qy)),
+            ("scalar A and B, array C", (ax, ay, bx, by, qx, qy, k, 0.4, 0.5)),
+            ("scalar A, array B and C", (ax, ay, qx, qy, qy, qx, k, 0.4, 0.5)),
+            ("0-d arrays", tuple(np.array(v) for v in _TRI) + (k, np.array(0.4), np.array(0.5))),
+            ("0-d arrays and floats", (*_TRI[:4], np.array(cx), cy, k, 0.4, np.array(0.5))),
+            ("0-d corner, array drivers", (np.array(ax), *_TRI[1:], k, qx, qy)),
+            ("(1, n) x (m, 1) drivers", (*_TRI, k, gx, gy)),
+            ("(1, n) x (m, 1) corner C", (ax, ay, bx, by, gx, gy, k, 0.4, 0.5)),
+            ("coincident corners A and B", (ax, ay, ax, ay, cx, cy, k, qx, qy)),
+            ("all corners coincident", (ax, ay, ax, ay, ax, ay, k, qx, qy)),
+            ("NaN corner", (np.array([ax, math.nan, ax]), *_TRI[1:], k, 0.4, 0.5)),
+            ("NaN and inf drivers", (*_TRI, k, np.array([math.nan, 0.4, math.inf, -math.inf]),
+                                     np.array([0.5, math.nan, 0.5, math.inf]))),
+            ("inf corner", (ax, ay, np.array([bx, math.inf]), by, cx, cy, k, 0.4, 0.5)),
+        ]
+    for k in _V_KINDS:
+        calls += [
+            ("every argument scalar but an ignored P", (*_TRI, k, qx, 0.5)),
+            ("scalar corners, ignored (1, n) x (m, 1) P", (*_TRI, k, gx, gy)),
+            ("coincident corners, ignored P", (ax, ay, ax, ay, cx, cy, k, qx, qy)),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize("name, args", _mixed_shape_calls(),
+                         ids=[f"{n}-{a[6]}" for n, a in _mixed_shape_calls()])
+def test_six_point_mixed_shapes_are_the_float_calls(name, args):
+    # An array call gives arrays of the arguments' broadcast shape, and each
+    # entry is the float call on that entry's floats, to the repr of every
+    # field: code, det, disc and residual6, NaNs and infinities included.
+    shape = np.broadcast_shapes(*(np.shape(v) for v in args))
+    with np.errstate(all="ignore"):
+        got = kernels.six_point(*args)
+    assert all(isinstance(v, np.ndarray) and v.shape == shape for v in got)
+    assert got[0].dtype == np.intp and all(v.dtype == float for v in got[1:])
+    full = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else v for v in args]
+    for at in np.ndindex(shape):
+        one = [float(v[at]) if isinstance(v, np.ndarray) else v for v in full]
+        want = kernels.six_point(*one)
+        assert repr(want) == repr((int(got[0][at]), *(float(v[at]) for v in got[1:]))), (name, at)
+
+
+def _fit5_batch_fancy(x, y):
+    """kernels._fit5_batch with the 2-D fancy-indexed gathers it had before
+    the flat takes."""
+    label_pairs = np.array([[pair for pair, _, _ in row] for row in kernels._LABELS])
+    label_orders = np.array([[order for _, order, _ in row] for row in kernels._LABELS])
+    label_parity = np.array([[sign for _, _, sign in row] for row in kernels._LABELS])
+    ox = (x[0] + x[1] + x[2] + x[3] + x[4]) / 5.0
+    oy = (y[0] + y[1] + y[2] + y[3] + y[4]) / 5.0
+    u, v = x - ox, y - oy
+    r2 = u * u + v * v
+    s = np.sqrt((r2[0] + r2[1] + r2[2] + r2[3] + r2[4]) / 5.0)
+    u, v = u / s, v / s
+    du, dv = u[kernels._P5_I] - u[kernels._P5_J], v[kernels._P5_I] - v[kernels._P5_J]
+    d2 = du * du + dv * dv
+    cols = np.arange(x.shape[1])
+    first = kernels._P5_I[np.argmin(d2, axis=0)]
+    rest = d2[label_pairs[first].T, cols]
+    k = np.argmin(rest, axis=0)
+    order = label_orders[first, k].T
+    u, v = u[order, cols], v[order, cols]
+    framed = [t for i in range(5) for t in (u[i], v[i])]
+    return kernels._bracket_conic(*framed, label_parity[first, k]), (ox, oy, s)
+
+
+def _fit_six_fancy(xs, ys):
+    """kernels.fit_six on (6, n) arrays with the fancy-indexed gathers, and
+    kernels.kept_gap's: (coeffs, frame, out, residual6, gap)."""
+    dx, dy = xs[kernels._PAIR_I] - xs[kernels._PAIR_J], ys[kernels._PAIR_I] - ys[kernels._PAIR_J]
+    out = kernels._PAIR_J[np.argmin(dx * dx + dy * dy, axis=0)]
+    cols = np.arange(xs.shape[1])
+    kept = np.array(kernels._KEPT)[out].T
+    xo, yo = xs[out, cols], ys[out, cols]
+    co, (ox, oy, s) = _fit5_batch_fancy(xs[kept, cols], ys[kept, cols])
+    res6 = kernels.conic_residual(co, (xo - ox) / s, (yo - oy) / s)
+    kx, ky = xs[kept, cols], ys[kept, cols]
+    gap = kernels._hypot(kx[kernels._P5_I] - kx[kernels._P5_J], ky[kernels._P5_I] - ky[kernels._P5_J])
+    return co, (ox, oy, s), out, res6, gap.min(axis=0)
+
+
+def test_flat_take_gathers_are_the_fancy_indexed_ones():
+    # fit_six, fit5 and kept_gap on (6, n) arrays gather by flat index;
+    # they give the bits of the fancy-indexed gathers they replaced, on
+    # vertex sets with ties, coincident vertices, NaN and inf.
+    rng = np.random.default_rng(3939)
+    n = 600
+    xs, ys = rng.normal(size=(6, n)), rng.normal(size=(6, n))
+    grid = rng.integers(-2, 3, size=(2, 6, n)).astype(float)
+    xs[:, :150], ys[:, :150] = grid[0, :, :150], grid[1, :, :150]  # many tied distances
+    xs[3, 150:200], ys[3, 150:200] = xs[1, 150:200], ys[1, 150:200]
+    xs[:, 200:210], ys[:, 200:210] = 0.5, -0.25  # all six coincident
+    xs[2, 210:220] = math.nan
+    ys[4, 220:230] = math.inf
+    xs[0, 230:240] = 1e300
+    with np.errstate(all="ignore"):
+        co, frame, out, res6 = kernels.fit_six(xs, ys)
+        gap = kernels.kept_gap(xs, ys, out)
+        want = _fit_six_fancy(xs, ys)
+        for col in (np.arange(5), np.array([4, 0, 3, 1, 2])):
+            a, b = kernels.fit5(xs[col], ys[col]), _fit5_batch_fancy(xs[col], ys[col])
+            assert all(p.tobytes() == q.tobytes() for p, q in zip((*a[0], *a[1]), (*b[0], *b[1])))
+    for a, b in zip((*co, *frame, out, res6, gap), (*want[0], *want[1], *want[2:])):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _seeded_kernel_args(kind, offset, n=30, flat=False):
     """Kernel arguments of n seeded triads of this kind, moved by offset;
     with flat, on verify.random_flat_triangle's obtuse flat triangles."""
@@ -636,7 +762,7 @@ def test_bracket_fit_classes_match_the_lu_oracle():
         with np.errstate(all="ignore"):
             xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kind, px, py)
             co, _, out, _ = kernels.fit_six(xs, ys)
-            kept = kernels._KEPT_ARRAY[out].T
+            kept = np.array(kernels._KEPT)[out].T
             cols = np.arange(out.size)
             lu = _lu_cofactors(xs[kept, cols], ys[kept, cols])
             codes = kernels.classify_code(co)[0]

@@ -23,7 +23,6 @@ from triconic.geom import (
     Point2,
     Triangle,
     bary_to_cartesian,
-    cartesian_to_bary,
     distance,
     line_through,
     midpoint,
@@ -42,6 +41,7 @@ from triconic.verify import (
 
 import reference_checks
 from reference_checks import (
+    cartesian_to_bary,
     check_appendix,
     circle_pair_residual,
     framed,
@@ -1220,7 +1220,7 @@ def _intouch_extouch_reference(cfg):
     for i in range(3):
         worst = max(worst, distance(verts[2 * i], exts[i]) / s)
         worst = max(worst, distance(verts[2 * i + 1], ins[i]) / s)
-    a1, a2 = triads.equal_area_check(tr)
+    a1, a2 = reference_checks.equal_area_check(tr)
     return max(worst, abs(a1 - a2) / max(a1, a2))
 
 
@@ -1302,7 +1302,7 @@ def _fifteen_point_cubic_reference(cfg):
 def _equal_areas_reference(cfg):
     t = verify._cfg_tri(cfg)
     p = Point2(*cfg["p"])
-    a1, a2 = triads.equal_area_check(triads.build_triad(t, "p_hyperbola", p))
+    a1, a2 = reference_checks.equal_area_check(triads.build_triad(t, "p_hyperbola", p))
     return abs(a1 - a2) / max(a1, a2)
 
 
