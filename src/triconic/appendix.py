@@ -49,7 +49,7 @@ class TermList(list):
 def load_block(name: str) -> dict:
     if name not in BLOCK_NAMES:
         raise KeyError(f"unknown appendix block {name!r}")
-    path = resources.files("triconic").joinpath(f"data/appendix/{name}.json")
+    path = resources.files(__package__).joinpath(f"data/appendix/{name}.json")
     block = json.loads(path.read_text())
     block["polys"] = {poly: TermList(rows) for poly, rows in block["polys"].items()}
     return block

@@ -40,8 +40,21 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
 
 
 def _parse_point(text: str) -> Point2:
-    x, y = text.split(",")
-    return Point2(float(x), float(y))
+    """"x,y": two numbers."""
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--point needs two numbers x,y, got {text!r}") from None
+    return Point2(x, y)
+
+
+def _parse_grid(text: str) -> tuple[int, int]:
+    """"NXxNY": two integers."""
+    try:
+        nx, ny = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--grid needs two integers NXxNY, got {text!r}") from None
+    return nx, ny
 
 
 _TRIAD_ALIASES = {
@@ -198,9 +211,8 @@ def _cmd_regions(args) -> int:
         print(f"error: unknown region kind {args.kind!r}", file=sys.stderr)
         return 2
     t = _parse_triangle(args.triangle)
-    nx, ny = (int(v) for v in args.grid.lower().split("x"))
     bbox = _parse_bbox(args.bbox) if args.bbox else None
-    grid = region_map(t, kind, (nx, ny), bbox)
+    grid = region_map(t, kind, _parse_grid(args.grid), bbox)
     with open(args.out, "w") as fh:
         fh.write(emit_ppm(grid))
     if args.json:

@@ -16,7 +16,7 @@ import os
 
 DEFAULT_TOL = 1e-9
 # Largest accepted tolerance.  Random triangles are drawn again while
-# |area| <= tol * (longest side)^2 (verify._tri_floats).  Its angle and
+# |area| <= tol * (longest side)^2 (verify._tri_mask).  Its angle and
 # aspect bounds alone left that ratio at 0.0126 or more over 100k draws,
 # so no tolerance up to this bound changes which are drawn, while one of
 # sqrt(3)/4 or more rejects every triangle.

@@ -1040,27 +1040,6 @@ class CovertexReport:
     residual6: float
     conic_class: ConicClass
     center_on_incircle_error: float | None
-    # Observed split of the six co-vertices over the two hyperbola branches
-    # (3:3 or 5:1 depending on the locus branch); reporting only.
-    branch_split: tuple[int, int] | None = None
-
-
-def _branch_split(fit: FramedFit, pts) -> tuple[int, int] | None:
-    if fit.conic_class() not in (ConicClass.HYPERBOLA, ConicClass.RECTANGULAR_HYPERBOLA):
-        return None
-    cen = fit.center()
-    m = fit.conic().m
-    Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
-    vh = np.array([cen.x, cen.y, 1.0])
-    k = -float(vh @ m @ vh)
-    evals, evecs = np.linalg.eigh(Q)
-    it = int(np.argmax(k / evals))  # transverse direction
-    u = evecs[:, it]
-    counts = [0, 0]
-    for p in pts:
-        s = (p.x - cen.x) * u[0] + (p.y - cen.y) * u[1]
-        counts[0 if s >= 0 else 1] += 1
-    return (max(counts), min(counts))
 
 
 def _covertex_fit(cov) -> tuple[FramedFit, float]:
@@ -1095,10 +1074,7 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
         t = Triangle(A, B, C)
         cov = triad_covertices(build_triad(t, "v_ellipse"))
         fit, res = _covertex_fit(cov)
-        return CovertexReport(
-            C, covertex_locus_V(C.x, C.y), res, fit.conic_class(), None,
-            _branch_split(fit, cov),
-        )
+        return CovertexReport(C, covertex_locus_V(C.x, C.y), res, fit.conic_class(), None)
     if kind == "p_equilateral":
         verts = [
             Point2(math.cos(a), math.sin(a))
@@ -1122,7 +1098,5 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
             raise NoFiniteCenter("co-vertex conic has no finite center")
         inc = incircle(t)
         err = abs(distance(odag, inc.center) - inc.radius)
-        return CovertexReport(
-            P, g(r), res, fit.conic_class(), err, _branch_split(fit, cov)
-        )
+        return CovertexReport(P, g(r), res, fit.conic_class(), err)
     raise ValueError(f"unknown covertex check kind {kind!r}")

@@ -25,9 +25,10 @@ it builds no object and no dict.  Only the draws of A3, P2.8 and P5.7 run
 part of their check, as only it decides their family: A3's its fit
 (`_x3prime_fit`, not the block's polynomial), P2.8's and P5.7's the grid
 step of their root scans (`loci.bracket_sign_changes`), a block in one
-call.  The float draws `random_triangle`, `random_flat_triangle` and
-`random_point_near` are the public ones, for callers that draw one shape
-at a time.
+call.  The public draws `random_triangle`, `random_flat_triangle` and
+`random_point_near`, for callers that draw one shape at a time, are blocks
+of one of these samplers (`_tri_rows`, `_flat_rows`, `_drivers` with one
+try a round), drawn until the mask keeps a candidate.
 
 Thirty-six checks run as one batch on the table's columns, each trial's
 bits those of a batch of one; the five of at most four trials (P2.9, P3.5,
@@ -144,94 +145,30 @@ MAX_ASPECT = 50.0
 NEAR_EXPAND = 2.0
 NEAR_DRAWS = 1000
 
-# The public draws run on floats: u is a source of doubles in [0, 1), such
-# as rng.random, and rng.uniform(lo, hi) is lo + (hi - lo) * u(), numpy's
-# own formula, so they read the stream of the rng.uniform calls.
+
+def _no_driver(*corners) -> ConstructionFailed:
+    return ConstructionFailed(
+        f"no driver point clears the sidelines of {_triangle(*corners)} in {NEAR_DRAWS} draws")
 
 
-def _tri_floats(u) -> tuple:
-    """random_triangle's vertices (ax, ay, bx, by, cx, cy) from u: uniform
-    in the unit square, drawn again while collinear (Triangle's test), more
-    than MAX_ASPECT thin or with an angle below MIN_ANGLE."""
-    while True:
-        tri = u(), u(), u(), u(), u(), u()
-        if _tri_ok(*tri):
-            return tri
-
-
-def _tri_ok(ax, ay, bx, by, cx, cy) -> bool:
-    """_tri_floats' test of one attempt."""
-    a, b, c = sides = _distances((ax, ay, bx, by, cx, cy))
-    if kernels.collinear(ax, ay, bx, by, cx, cy, sides):
-        return False
-    return not (max(sides) / min(sides) > MAX_ASPECT or _min_angle(a, b, c) < MIN_ANGLE)
-
-
-def _min_angle(a, b, c):
-    def ang(u, v, w):
-        return math.acos(max(-1.0, min(1.0, (v * v + w * w - u * u) / (2 * v * w))))
-
-    return min(ang(a, b, c), ang(b, c, a), ang(c, a, b))
-
-
-def _near_floats(ax, ay, bx, by, cx, cy, u) -> tuple:
-    """random_point_near's driver (px, py) for the triangle of these
-    vertices, from u; the same tests in the same arithmetic as _drivers
-    (sidelines as line_through's LineEq, the guard from the sides)."""
-    x0, x1 = min(ax, bx, cx), max(ax, bx, cx)
-    y0, y1 = min(ay, by, cy), max(ay, by, cy)
-    mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    hx = (x1 - x0) / 2.0 * NEAR_EXPAND
-    hy = (y1 - y0) / 2.0 * NEAR_EXPAND
-    xlo, ylo = mx - hx, my - hy
-    xw, yw = (mx + hx) - xlo, (my + hy) - ylo
-    # line_through(p, q) is l x + m y + n = 0 with these coefficients.
-    (l1, m1, n1), (l2, m2, n2), (l3, m3, n3) = (
-        (py - qy, qx - px, px * qy - qx * py)
-        for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
-    )
-    # The norms are the sides a, b and c, bit for bit.
-    h1, h2, h3 = kernels._hypot(l1, m1), kernels._hypot(l2, m2), kernels._hypot(l3, m3)
-    guard = 1e-2 * max(h1, h2, h3)
-    for _ in range(NEAR_DRAWS):
-        px = xlo + xw * u()
-        py = ylo + yw * u()
-        if min(
-            abs(l1 * px + m1 * py + n1) / h1,
-            abs(l2 * px + m2 * py + n2) / h2,
-            abs(l3 * px + m3 * py + n3) / h3,
-        ) >= guard:
-            return px, py
-    raise _no_driver(ax, ay, bx, by, cx, cy)
-
-
-def _no_driver(ax, ay, bx, by, cx, cy) -> ConstructionFailed:
-    t = Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
-    return ConstructionFailed(f"no driver point clears the sidelines of {t} in {NEAR_DRAWS} draws")
-
+# The public draws are blocks of one of the manifest's samplers: they draw
+# one candidate at a time until the sampler's mask keeps one.
 
 def random_triangle(rng: np.random.Generator) -> Triangle:
-    """Vertices uniform in the unit square, rejecting thin/sliver shapes."""
-    ax, ay, bx, by, cx, cy = _tri_floats(rng.random)
-    return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
+    """Vertices uniform in the unit square, rejecting thin/sliver shapes
+    (_tri_rows)."""
+    return _cfg_tri(_rows_table(functools.partial(_tri_rows, rng), 1).row(0))
 
 
 def random_flat_triangle(rng: np.random.Generator) -> Triangle:
-    """Obtuse triangle with half-tangent sum > 2 (external Soddy regime)."""
-    while True:
-        th1 = rng.uniform(MIN_ANGLE, 0.14)
-        th2 = rng.uniform(MIN_ANGLE, 0.14)
-        base = rng.uniform(0.5, 1.5)
-        apex_x = base * math.tan(th2) / (math.tan(th1) + math.tan(th2))
-        apex_y = apex_x * math.tan(th1)
-        t = Triangle(Point2(0.0, 0.0), Point2(base, 0.0), Point2(apex_x, apex_y))
-        if half_tangent_sum(t) > 2.0:
-            return t
+    """Obtuse triangle with half-tangent sum > 2 (external Soddy regime,
+    _flat_rows)."""
+    return _cfg_tri(_rows_table(functools.partial(_flat_rows, rng), 1).row(0))
 
 
 def random_point_near(t: Triangle, rng: np.random.Generator) -> Point2:
     """Uniform driver point in the bounding box of the triangle expanded by
-    NEAR_EXPAND.
+    NEAR_EXPAND (_drivers, one try a round).
 
     Points within 1e-2 * scale of a sideline are rejected: two triad
     vertices then approach a triangle vertex quadratically in that distance
@@ -240,7 +177,11 @@ def random_point_near(t: Triangle, rng: np.random.Generator) -> Point2:
     ConstructionFailed when NEAR_DRAWS draws are all rejected, as on a
     triangle too thin for any point of the box to clear its sidelines.
     """
-    return Point2(*_near_floats(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, rng.random))
+    corners = [v.as_tuple() for v in t.vertices()]
+    p, gave_up = _drivers(rng, np.array(corners)[..., None], 1)
+    if gave_up[0]:
+        raise _no_driver(*(v for xy in corners for v in xy))
+    return Point2(*p[:, 0].tolist())
 
 
 def _triangle(ax, ay, bx, by, cx, cy) -> Triangle:
@@ -325,25 +266,35 @@ def _uniform(rng, m, *ranges) -> list:
     return [lo + (hi - lo) * u for (lo, hi), u in zip(ranges, rng.random((len(ranges), m)))]
 
 
-def _tri_table(rng, n) -> ConfigTable:
-    """n random triangles: corners uniform in the unit square, _tri_ok's
-    tests as one mask (_tri_mask) on a block of rows (ax, ay, bx, by, cx,
-    cy)."""
-    tol = get_tol()
+def _rows_table(rows, n) -> ConfigTable:
+    """n triangles of _sample's blocks of rows (ax, ay, bx, by, cx, cy)."""
 
     def block(k):
-        rows = rng.random((k * 9 // 8 + 8, 6))  # about 92% are kept
-        kept = rows[_tri_mask(rows.T, tol)]
+        kept = rows(k)
         return ConfigTable(len(kept), {"triangle": kept.T.reshape(3, 2, -1)}), {}
 
     return _sample(n, block)[0]
 
 
+def _tri_rows(rng, m):
+    """The rows (ax, ay, bx, by, cx, cy) kept of m random triangles, corners
+    uniform in the unit square: not collinear, at most MAX_ASPECT thin and
+    no angle below MIN_ANGLE (_tri_mask)."""
+    rows = rng.random((m, 6))
+    return rows[_tri_mask(rows.T, get_tol())]
+
+
+def _tri_table(rng, n) -> ConfigTable:
+    """n random triangles (_tri_rows)."""
+    return _rows_table(lambda k: _tri_rows(rng, k * 9 // 8 + 8), n)  # about 92% are kept
+
+
 def _tri_mask(corners, tol):
-    """_tri_ok of each triangle of the corners (ax, ay, bx, by, cx, cy), on
-    arrays, to rounding: the sides from their squares, and the least angle,
-    opposite the shortest side, below MIN_ANGLE where its cosine is above
-    cos(MIN_ANGLE)."""
+    """Whether each triangle of the corners (ax, ay, bx, by, cx, cy), on
+    arrays, is kept, with the sides from their squares: not collinear
+    (kernels.collinear's test, to rounding), at most MAX_ASPECT thin, and
+    its least angle, opposite the shortest side, not below MIN_ANGLE (its
+    cosine at most cos(MIN_ANGLE))."""
     ax, ay, bx, by, cx, cy = corners
     lo, mid, hi = np.sort([x * x + y * y for x, y in ((bx - cx, by - cy), (cx - ax, cy - ay),
                                                       (ax - bx, ay - by))], axis=0)
@@ -358,11 +309,11 @@ def _gen_tri(rng, n) -> tuple:
     return _tri_table(rng, n), {}
 
 
-def _drivers(rng, tri) -> tuple:
+def _drivers(rng, tri, tries) -> tuple:
     """random_point_near's driver (px, py) for each triangle of tri, the
-    table's (3, 2, n) column, on arrays: uniform in the box, tries in
-    rounds of up to four a triangle until one clears the guard; NaN, and
-    True in the give-up mask, where NEAR_DRAWS tries do not."""
+    table's (3, 2, n) column, on arrays: uniform in the box, in rounds of
+    up to tries a triangle until one clears the guard; NaN, and True in the
+    give-up mask, where NEAR_DRAWS tries do not."""
     lo, hi = tri.min(axis=0), tri.max(axis=0)  # x and y
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0 * NEAR_EXPAND
     base, width = mid - half, (mid + half) - (mid - half)
@@ -371,9 +322,9 @@ def _drivers(rng, tri) -> tuple:
     lines = [(py - qy, qx - px, px * qy - qx * py, kernels._hypot(py - qy, qx - px))
              for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))]
     guard = 1e-2 * kernels._largest([h for *_, h in lines])
-    out, todo, tries = np.full((2, ax.size), math.nan), np.arange(ax.size), 0
-    while todo.size and tries < NEAR_DRAWS:
-        k = min(4, NEAR_DRAWS - tries)
+    out, todo, done = np.full((2, ax.size), math.nan), np.arange(ax.size), 0
+    while todo.size and done < NEAR_DRAWS:
+        k = min(tries, NEAR_DRAWS - done)
         px, py = base[:, todo, None] + width[:, todo, None] * rng.random((2, todo.size, k))
         dist = functools.reduce(np.minimum, [
             abs(l[todo, None] * px + m[todo, None] * py + n[todo, None]) / h[todo, None]
@@ -381,7 +332,7 @@ def _drivers(rng, tri) -> tuple:
         hit = dist >= guard[todo, None]
         got, first = hit.any(axis=1), hit.argmax(axis=1)
         out[:, todo[got]] = px[got, first[got]], py[got, first[got]]
-        todo, tries = todo[~got], tries + k
+        todo, done = todo[~got], done + k
     return out, np.isnan(out[0])
 
 
@@ -419,7 +370,7 @@ def _gen_tri_point(rng, n) -> tuple:
 
     def block(k) -> tuple:
         tab = _tri_table(rng, k)
-        (px, py), gave_up = _drivers(rng, tab["triangle"])
+        (px, py), gave_up = _drivers(rng, tab["triangle"], 4)
         keep = gave_up | ~_member_guard(*_corners(tab), px, py)
         fails = {i: _no_driver(*tab["triangle"][..., i].ravel().tolist())
                  for i in np.flatnonzero(gave_up).tolist()}
@@ -1827,20 +1778,22 @@ def _gen_ray_angle_p(rng, n) -> tuple:
     return _sample(n, block)
 
 
+def _flat_rows(rng, m):
+    """The rows (ax, ay, bx, by, cx, cy) kept of m flat triangles: A at 0,
+    B at (base, 0), base angles drawn in [MIN_ANGLE, 0.14], their tangents
+    math.tan's (np.tan's may differ in the last bit); obtuse, and kept with
+    a half-tangent sum above 2."""
+    th1, th2, base = _uniform(rng, m, (MIN_ANGLE, 0.14), (MIN_ANGLE, 0.14), (0.5, 1.5))
+    t1, t2 = _floatwise(math.tan, th1), _floatwise(math.tan, th2)
+    apex_x, zero = base * t2 / (t1 + t2), np.zeros_like(base)
+    corners = (zero, zero, base, zero, apex_x, apex_x * t1)
+    sides, area = _distances(corners), abs(kernels.signed_area(*corners))
+    return np.transpose(corners)[kernels.half_tangent_sum(*sides, area) > 2.0]
+
+
 def _flat_table(rng, n) -> ConfigTable:
-    """n of random_flat_triangle's triangles: obtuse, with a half-tangent
-    sum above 2."""
-
-    def block(k) -> tuple:
-        th1, th2, base = _uniform(rng, k + 2, (MIN_ANGLE, 0.14), (MIN_ANGLE, 0.14), (0.5, 1.5))
-        t1, t2 = np.tan(th1), np.tan(th2)
-        apex_x, zero = base * t2 / (t1 + t2), np.zeros_like(base)
-        corners = (zero, zero, base, zero, apex_x, apex_x * t1)
-        sides, area = _distances(corners), abs(kernels.signed_area(*corners))
-        tab = ConfigTable(base.size, {"triangle": np.reshape(corners, (3, 2, -1))})
-        return tab.take(kernels.half_tangent_sum(*sides, area) > 2.0), {}
-
-    return _sample(n, block)[0]
+    """n of random_flat_triangle's triangles (_flat_rows)."""
+    return _rows_table(lambda k: _flat_rows(rng, k + 2), n)
 
 
 def _gen_soddy_regimes(rng, n) -> tuple:

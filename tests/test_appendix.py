@@ -1,11 +1,16 @@
 import hashlib
+import importlib
 import json
+import pathlib
+import shutil
+import sys
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import triconic
 from triconic.appendix import BLOCK_NAMES, eval_terms, load_block
 from triconic.errors import ConstructionFailed
 from triconic.geom import Point2, Triangle
@@ -33,6 +38,23 @@ def test_data_file_checksums():
     for name, want in PINNED_SHA256.items():
         got = hashlib.sha256(_data_text(name).encode()).hexdigest()
         assert got == want, f"{name}.json changed: sha256 {got}"
+
+
+def test_a_copy_of_the_package_reads_its_own_data(tmp_path, monkeypatch):
+    # load_block finds its data files in its own package: a copy of the
+    # package imported under another name reads the copy's files.
+    pkg = pathlib.Path(triconic.__file__).parent
+    shutil.copytree(pkg, tmp_path / "triconic_copy", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "triconic_copy" / "data" / "appendix" / "a_ellipse.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "notes": "the copy's own file"}))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        copy = importlib.import_module("triconic_copy.appendix")
+        assert copy.load_block("a_ellipse")["notes"] == "the copy's own file"
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "triconic_copy"]:
+            del sys.modules[name]
+    assert load_block("a_ellipse")["notes"] != "the copy's own file"
 
 
 def test_term_list_self_consistency():

@@ -868,13 +868,6 @@ def test_x55_conjecture_solves_no_second_point(t_generic, monkeypatch):
     assert calls == {"second_point": 1}
 
 
-def test_covertex_branch_split_reported():
-    rep = covertex_conic_check("v_ellipse")
-    assert rep.branch_split is not None
-    assert sum(rep.branch_split) == 6
-    assert rep.branch_split in ((3, 3), (5, 1))
-
-
 def _cubic(s):
     return (s - 0.3) * (s - 1.1) * (s - 2.05)
 

@@ -488,6 +488,26 @@ def test_cli_rejects_a_bad_bbox(command, bbox, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o.out").exists()
 
 
+@pytest.mark.parametrize("grid", ["64", "3x", "x4", "4x4x4", "2.5x4", "ax4"])
+def test_cli_rejects_a_bad_grid(grid, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["regions", "--kind", "p-ell", "--triangle", "0,3 4,0 0,0", f"--grid={grid}",
+                 "--out", "o.ppm"])
+    assert code == 2
+    assert f"--grid needs two integers NXxNY, got {grid!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o.ppm").exists()
+
+
+@pytest.mark.parametrize("point", ["1", "1,", "1,2,3", "a,2"])
+def test_cli_rejects_a_bad_point(point, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["construct", "--triad", "p-ell", "--triangle", "0,3 4,0 0,0", f"--point={point}",
+                 "--out", "o.svg"])
+    assert code == 2
+    assert f"--point needs two numbers x,y, got {point!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_svg_view_box_covers_a_scene_conic():
     # The view of a scene holding a raw conic covers the conic, not only
     # the scene's points.

@@ -97,46 +97,78 @@ def test_random_triangle_constraints(rng):
         t = random_triangle(rng)
         a, b, c = t.sides()
         assert max(a, b, c) / min(a, b, c) <= 50.0
+        assert _min_angle(a, b, c) >= 0.05
 
-        def ang(u, v, w):
-            return math.acos(max(-1, min(1, (v * v + w * w - u * u) / (2 * v * w))))
 
-        assert min(ang(a, b, c), ang(b, c, a), ang(c, a, b)) >= 0.05
+def _stub_rng(values):
+    """An rng whose random(shape) gives the next values of values, and
+    raises TypeError when they run out."""
+    source = iter(values)
+
+    def random(shape):
+        block = [v for _, v in zip(range(math.prod(shape)), source)]
+        if len(block) < math.prod(shape):
+            raise TypeError("bug")
+        return np.reshape(block, shape)
+
+    return SimpleNamespace(random=random), source
 
 
 def test_random_triangle_redraws_only_degenerate():
     collinear = [0.1, 0.1, 0.5, 0.5, 0.9, 0.9]
     good = [0.1, 0.2, 0.9, 0.15, 0.5, 0.8]
     # A collinear draw is drawn again, and the next draw kept.
-    assert verify._tri_floats(iter(collinear + good).__next__) == tuple(good)
+    rng, source = _stub_rng(collinear + good)
+    assert _corners(random_triangle(rng)) == tuple(good)
+    assert next(source, None) is None
     # A programming error in the second draw surfaces instead of being
     # drawn again.
-    source = iter(collinear)
-
-    def u():
-        for v in source:
-            return v
-        raise TypeError("bug")
-
+    rng, source = _stub_rng(collinear)
     with pytest.raises(TypeError):
-        verify._tri_floats(u)
+        random_triangle(rng)
     assert next(source, None) is None
 
 
+def _min_angle(a, b, c):
+    """The least angle of the triangle of sides a, b and c."""
+
+    def ang(u, v, w):
+        return math.acos(max(-1.0, min(1.0, (v * v + w * w - u * u) / (2 * v * w))))
+
+    return min(ang(a, b, c), ang(b, c, a), ang(c, a, b))
+
+
+def _reference_keeps(corners) -> bool:
+    """random_triangle's tests of the corners (ax, ay, bx, by, cx, cy) on
+    the object path: Triangle decides collinearity."""
+    try:
+        t = verify._triangle(*corners)
+    except DegenerateTriangle:
+        return False
+    a, b, c = t.sides()
+    return max(a, b, c) / min(a, b, c) <= verify.MAX_ASPECT and _min_angle(a, b, c) >= verify.MIN_ANGLE
+
+
 def _random_triangle_reference(rng):
-    """random_triangle on the object path: Triangle decides collinearity."""
+    """random_triangle on the object path, drawn with rng.uniform."""
     while True:
-        pts = rng.uniform(0.0, 1.0, (3, 2))
-        try:
-            t = Triangle(*(Point2(*p) for p in pts))
-        except DegenerateTriangle:
-            continue
-        a, b, c = t.sides()
-        if max(a, b, c) / min(a, b, c) > verify.MAX_ASPECT:
-            continue
-        if verify._min_angle(a, b, c) < verify.MIN_ANGLE:
-            continue
-        return t
+        corners = rng.uniform(0.0, 1.0, (3, 2)).ravel().tolist()
+        if _reference_keeps(corners):
+            return verify._triangle(*corners)
+
+
+def _random_flat_triangle_reference(rng):
+    """random_flat_triangle on the object path: rng.uniform, math.tan,
+    Triangle and centers.half_tangent_sum."""
+    while True:
+        th1 = rng.uniform(verify.MIN_ANGLE, 0.14)
+        th2 = rng.uniform(verify.MIN_ANGLE, 0.14)
+        base = rng.uniform(0.5, 1.5)
+        apex_x = base * math.tan(th2) / (math.tan(th1) + math.tan(th2))
+        apex_y = apex_x * math.tan(th1)
+        t = Triangle(Point2(0.0, 0.0), Point2(base, 0.0), Point2(apex_x, apex_y))
+        if centers.half_tangent_sum(t) > 2.0:
+            return t
 
 
 def _random_point_near_reference(t, rng):
@@ -163,18 +195,18 @@ def _corners(t):
 
 
 def test_float_draws_match_the_object_path():
-    # Every generator draws its triangles and drivers through the float
-    # core: it must take the object path's decisions on the same doubles
-    # and leave the rng where the object path leaves it.
+    # The public draws are blocks of one of the manifest's array samplers:
+    # they must take the object path's decisions on the same doubles, give
+    # its bits and leave the rng where the object path leaves it.
     for seed in range(300):
         ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         t = _random_triangle_reference(ref)
-        flat = verify.random_flat_triangle(ref)
-        assert verify._tri_floats(rng.random) == _corners(t)
-        assert verify.random_flat_triangle(rng) == flat
+        flat = _random_flat_triangle_reference(ref)
+        assert _corners(random_triangle(rng)) == _corners(t)
+        assert _corners(verify.random_flat_triangle(rng)) == _corners(flat)
         for s in (t, flat):
             p = _random_point_near_reference(s, ref)
-            assert verify._near_floats(*_corners(s), rng.random) == p.as_tuple()
+            assert random_point_near(s, rng).as_tuple() == p.as_tuple()
         assert rng.random() == ref.random()
 
 
@@ -201,7 +233,7 @@ def test_public_draws_keep_their_streams():
 
 
 def _triangle_ok(cfg) -> bool:
-    return verify._tri_ok(*(v for xy in cfg["triangle"] for v in xy))
+    return _reference_keeps([v for xy in cfg["triangle"] for v in xy])
 
 
 def _driver_ok(cfg) -> bool:
@@ -351,13 +383,13 @@ def test_a_short_block_draws_again(draw):
     assert len(shapes) >= 2 and shapes[0][0] > 0
 
 
-def test_gen_tri_matches_the_float_draw():
+def test_gen_tri_matches_the_object_path():
     # _gen_tri tests the attempts of a block of doubles as one mask, read in
-    # the order random_triangle reads them: it keeps the configurations of
-    # the float draw reading the same stream.
+    # the order the object path reads them: it keeps the configurations of
+    # _random_triangle_reference reading the same stream.
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        want = [{"triangle": [list(v.as_tuple()) for v in random_triangle(rng).vertices()]}
+        want = [{"triangle": [list(v.as_tuple()) for v in _random_triangle_reference(rng).vertices()]}
                 for _ in range(2000)]
         assert _trials(verify._gen_tri(np.random.default_rng(seed), 2000)) == want
 
@@ -365,8 +397,9 @@ def test_gen_tri_matches_the_float_draw():
 def test_gen_tri_point_matches_the_float_draw(monkeypatch):
     # _gen_tri_point tests a block of triangles, and NEAR_DRAWS (here two)
     # driver tries a row, as masks: its configurations must be those the
-    # float tests (_tri_ok, _near_floats) take from the same doubles, a
-    # driver that gives up its trial's ConstructionFailed.
+    # object path's tests (_reference_keeps, _random_point_near_reference)
+    # take from the same doubles, a driver that gives up its trial's
+    # ConstructionFailed.
     monkeypatch.setattr(verify, "NEAR_DRAWS", 2)
     rng, reads = np.random.default_rng(5), []
 
@@ -376,11 +409,13 @@ def test_gen_tri_point_matches_the_float_draw(monkeypatch):
 
     got = _trials(verify._gen_tri_point(SimpleNamespace(random=random), 300))
     assert len(reads) == 2  # one block of triangles, one of their drivers' tries
-    rows = [row for row in reads[0].tolist() if verify._tri_ok(*row)]
+    rows = [row for row in reads[0].tolist() if _reference_keeps(row)]
     for row, tries, cfg in zip(rows, reads[1].transpose(1, 2, 0).tolist(), got):
+        u = iter(v for xy in tries for v in xy).__next__
         try:
-            p = verify._near_floats(*row, iter(v for xy in tries for v in xy).__next__)
-            assert cfg == {"triangle": [row[0:2], row[2:4], row[4:6]], "p": list(p)}
+            p = _random_point_near_reference(
+                verify._triangle(*row), SimpleNamespace(uniform=lambda lo, hi: lo + (hi - lo) * u()))
+            assert cfg == {"triangle": [row[0:2], row[2:4], row[4:6]], "p": list(p.as_tuple())}
         except ConstructionFailed as exc:
             assert (type(cfg), str(cfg)) == (ConstructionFailed, str(exc))
     assert 0 < sum(isinstance(cfg, Exception) for cfg in got) < 300
@@ -414,7 +449,7 @@ def test_member_guard_is_the_flag_of_both_p_kinds():
     # member's |PB| - |PC| is about d) and of BC beyond C.
     rng = np.random.default_rng(6)
     tri = verify._tri_table(rng, 240)["triangle"]
-    (px, py), _ = verify._drivers(rng, tri)
+    (px, py), _ = verify._drivers(rng, tri, 4)
     rows = tri.reshape(6, -1).T
     ax, ay, bx, by, cx, cy = rows.T
     a = np.hypot(cx - bx, cy - by)
