@@ -45,6 +45,12 @@ class TermList(list):
         self.index = np.vstack([np.arange(len(self)), (exps + starts).T])
 
 
+# Columns per chunk of eval_terms.  A column takes its rows' gathered factors
+# and products, under 20 KB on the largest block (A1's), so the working set
+# stays under 10 MB however many columns a call has.
+_TERM_CHUNK = 512
+
+
 @functools.lru_cache(maxsize=None)
 def load_block(name: str) -> dict:
     if name not in BLOCK_NAMES:
@@ -65,26 +71,29 @@ def eval_terms(rows, variables, values: dict):
     power can differ in the last bit), and a zero exponent multiplies by
     exactly 1.0.  The terms are added in row order (np.cumsum, which does
     not pair), so each column is bit for bit a loop over the rows at its
-    values, whatever the number of columns.  Term lists from load_block
+    values, whatever the number of columns (they run in chunks of
+    _TERM_CHUNK, to bound the memory).  Term lists from load_block
     carry their arrays; any other list of rows is converted on each call.
     """
     terms = rows if isinstance(rows, TermList) else TermList(rows)
     arrays = [np.asarray(values[var], dtype=float) for var in variables]
     shape = np.broadcast_shapes(*(v.shape for v in arrays))
     n = math.prod(shape)
-    table = [np.repeat(terms.coeffs[:, None], n, axis=1)]
+    table = [np.broadcast_to(terms.coeffs[:, None], (len(terms), n))]
     for v, top in zip(arrays, terms.tops):
         # The powers of a variable's own values, then broadcast to every column.
         flat = v.ravel().tolist()
         powers = np.array([[x ** e for x in flat] for e in range(top + 1)])
         powers = powers.reshape((top + 1,) + (1,) * (len(shape) - v.ndim) + v.shape)
         table.append(np.broadcast_to(powers, (top + 1, *shape)).reshape(top + 1, n))
-    table = np.concatenate(table)
-    # Reducing over the outer axis multiplies each row's factors in order.
-    products = np.multiply.reduce(table[terms.index], axis=0)
-    # The leading 0.0 is the loop's start: it turns an all -0.0 sum into 0.0.
-    total = np.cumsum(np.concatenate((np.zeros((1, products.shape[1])), products)), axis=0)[-1]
-    biggest = np.fmax.reduce(np.abs(products), axis=0, initial=0.0)
+    total, biggest = np.empty(n), np.empty(n)
+    for lo in range(0, n, _TERM_CHUNK):
+        cut = slice(lo, lo + _TERM_CHUNK)
+        # Reducing over the outer axis multiplies each row's factors in order.
+        products = np.multiply.reduce(np.concatenate([t[:, cut] for t in table])[terms.index], axis=0)
+        # The leading 0.0 is the loop's start: it turns an all -0.0 sum into 0.0.
+        total[cut] = np.cumsum(np.concatenate((np.zeros((1, products.shape[1])), products)), axis=0)[-1]
+        biggest[cut] = np.fmax.reduce(np.abs(products), axis=0, initial=0.0)
     if not shape:
         return float(total[0]), float(biggest[0])
     return total.reshape(shape), biggest.reshape(shape)

@@ -31,12 +31,6 @@ class Circle:
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise ValueError(f"bad radius {self.radius}")
 
-    def point_at(self, angle: float) -> Point2:
-        return Point2(
-            self.center.x + self.radius * math.cos(angle),
-            self.center.y + self.radius * math.sin(angle),
-        )
-
 
 # Barycentric coordinate functions for the catalog centers.  Each entry maps
 # (a, b, c) to the first coordinate; the other two follow by cycling both the

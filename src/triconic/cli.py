@@ -17,14 +17,13 @@ from .geom import Point2, Triangle
 
 
 def _parse_triangle(text: str) -> Triangle:
-    parts = text.replace(";", " ").split()
-    if len(parts) != 3:
-        raise ValueError(f"triangle needs three 'x,y' pairs, got {text!r}")
-    pts = []
-    for part in parts:
-        x, y = part.split(",")
-        pts.append(Point2(float(x), float(y)))
-    return Triangle(*pts)
+    """"x1,y1 x2,y2 x3,y3" (or ';' between the points): three points."""
+    try:
+        (ax, ay), (bx, by), (cx, cy) = ((float(v) for v in part.split(","))
+                                        for part in text.replace(";", " ").split())
+    except ValueError:
+        raise ValueError(f"--triangle needs three points x1,y1 x2,y2 x3,y3, got {text!r}") from None
+    return Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
 
 
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:

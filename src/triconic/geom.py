@@ -139,19 +139,6 @@ class BaryCoords:
                 break
         return BaryCoords(u, v, w)
 
-    def proj_eq(self, other: "BaryCoords", tol: float | None = None) -> bool:
-        tol = get_tol() if tol is None else tol
-        # The sign convention of normalized() flips on the first entry that
-        # is nonzero, so two nearby points can normalize to opposite signs
-        # when that entry is within rounding of zero: compare up to sign.
-        p, q = self.normalized(), other.normalized()
-        return any(
-            abs(p.u - s * q.u) <= tol
-            and abs(p.v - s * q.v) <= tol
-            and abs(p.w - s * q.w) <= tol
-            for s in (1.0, -1.0)
-        )
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u, self.v, self.w)
 

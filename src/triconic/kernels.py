@@ -19,14 +19,15 @@ An array call broadcasts only its array arguments and keeps its float
 arguments floats, so the quantities of a triangle given as floats (sides,
 member guard, midpoints and unit vectors) are computed once a call, not
 once a cell; it gathers the fit's vertices and labels by flat index.
-On floats it serves `triads.six_point_conic` (and through its rules,
-`triads._checked_fit`, the circle searches' validation) and the Brent
-polish of the P2.6, P3.4 and P5.7 sign scans; on arrays region maps, the
-grids of those scans, P2.8's and P5.7's other points and the P2.2, P3.1,
-P3.8 and P5.2 trials.
-`loci.sample_locus_ostar` and the P2.7, P3.3, A3, A6 and P5.5 trials
-call `vertices`, `fit_six` and `frame_center` directly, and the P2.1 and
-P4.3 trials `fit_six` on the vertices of `vertices` and `vertex_coords`.
+On floats it serves the Brent polish of the P2.6, P3.4 and P5.7 sign
+scans; on arrays region maps, the grids of those scans, P2.8's and P5.7's
+other points and the P2.2, P3.1, P3.8 and P5.2 trials.
+`triads._six_point_fit` calls `vertices`, `fit_six` and `frame_center`
+itself, on floats or arrays, with the six-point conic's fit rules: it
+serves the circle test (`loci._circle_conditions`) of the circle searches,
+P3.2 and P5.4, and with the sideline rules (`triads._six_point_rules`)
+`triads.six_point_conic` and the P2.1, P2.7, P3.3, P4.3, A3, A6 and P5.5
+trials; `loci.sample_locus_ostar` calls them directly.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
@@ -46,8 +47,11 @@ functions of the sides, and `bary_point` maps barycentrics to points with
 floats, P2.1-P2.5, P3.3, P4.1 and P4.2 on arrays.  So is `privalov`,
 Privalov's barycentric matrix of the V-hyperbola six-point conic, which
 P4.3 and P4.4 read on arrays.
-`carnot` and `kept_gap` are the sideline and distinct-vertex rules of
-`triads.six_point_conic`, which P2.1, P2.7, P3.3 and P4.3 apply on arrays.
+`carnot` and `kept_gap` are the sideline and distinct-vertex rules of the
+six-point conic; only `triads` applies them (`_six_point_fit`,
+`_carnot_rule`), on floats and arrays alike.  `triangle_sides` is the
+sides of a triangle, and `circumcircle` its circumcenter (`bary_point` of
+`center_x3`) and circumradius.
 `soddy_centers` gives the Soddy centers X176 and X175 by `bary_point`,
 for `centers.soddy` on floats and P4.5 and P4.8 on arrays.
 
@@ -328,9 +332,12 @@ def frame_center(co, frame):
     The center solves the gradient system of the Frobenius-normalized
     coefficients; it is finite where |A*C - B^2/4| > DISC_PARABOLA_TOL,
     and has_center is false elsewhere (parabolas, parallel line pairs).
-    Floats give floats (x and y NaN without a center), arrays give arrays.
+    Floats give floats (x and y NaN without a center, as for a zero or
+    NaN norm), arrays give arrays.
     """
     n = frobenius(co)
+    if not isinstance(n, np.ndarray) and not n > 0.0:
+        return math.nan, math.nan, False
     A, B, C, D, E, _ = (t / n for t in co)
     disc = A * C - B * B / 4.0
     has_center = abs(disc) > DISC_PARABOLA_TOL
@@ -358,13 +365,19 @@ def _hypot(x, y):
     return _sqrt(x * x + y * y)
 
 
+def triangle_sides(ax, ay, bx, by, cx, cy):
+    """The sides (a, b, c) = (|BC|, |CA|, |AB|) of the triangle, by
+    `_hypot`, on floats or arrays."""
+    return _hypot(bx - cx, by - cy), _hypot(cx - ax, cy - ay), _hypot(ax - bx, ay - by)
+
+
 def frame(ax, ay, bx, by, cx, cy, *points):
     """The package's one triangle frame, q' = (q - g) / s with g the
     corners' centroid and s the largest side (by `_hypot`), after Hartley:
     ((gx, gy, s), framed), framed the corners and then the points, given
     as (x, y, ...), in the frame.  Floats, or arrays and floats that
     broadcast."""
-    s = _largest((_hypot(bx - cx, by - cy), _hypot(cx - ax, cy - ay), _hypot(ax - bx, ay - by)))
+    s = _largest(triangle_sides(ax, ay, bx, by, cx, cy))
     g = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
     coords = (ax, ay, bx, by, cx, cy, *points)
     return (*g, s), tuple((v - g[k % 2]) / s for k, v in enumerate(coords))
@@ -406,9 +419,7 @@ def _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py):
     midpoint twice, and the fit rule leaves out one copy.  V-kinds ignore
     (px, py).
     """
-    a = _hypot(bx - cx, by - cy)
-    b = _hypot(cx - ax, cy - ay)
-    c = _hypot(ax - bx, ay - by)
+    a, b, c = triangle_sides(ax, ay, bx, by, cx, cy)
     eps = MEMBER_GUARD * _largest((a, b, c))
     bad = (a == 0.0) | (b == 0.0) | (c == 0.0)
     if kind == KIND_V_ELLIPSE:
@@ -459,23 +470,21 @@ def vertices(ax, ay, bx, by, cx, cy, kind, px, py):
     """The six vertices of the triad and whether a member degenerates:
     (xs, ys, bad), by _sides_deltas and vertex_coords.
 
-    Floats give two lists of six floats (A1 A2 B1 B2 C1 C2) and a bool;
-    a degenerate triad gives (None, None, True), since coincident triangle
-    vertices leave a side to divide by zero.  1-d arrays of n drivers or
-    triangles, the other arguments floats or arrays of that shape, give
-    (6, n) arrays and the mask of degenerate columns, whose vertices may be
-    non-finite; a vertex that depends on float arguments alone fills its
-    row.
+    Floats give two lists of six floats (A1 A2 B1 B2 C1 C2) and a bool.
+    1-d arrays of n drivers or triangles, the other arguments floats or
+    arrays of that shape, give (6, n) arrays and the mask of degenerate
+    columns; a vertex that depends on float arguments alone fills its row.
+    A degenerate triad's vertices are those the formula gives, on floats
+    as in an array column: NaN on a side of length zero.
     """
     sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
+    xs, ys = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
     if isinstance(bad, np.ndarray):
         out = np.empty((2, 6) + bad.shape)
-        for k, (x, y) in enumerate(zip(*vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas))):
+        for k, (x, y) in enumerate(zip(xs, ys)):
             out[0, k], out[1, k] = x, y
         return out[0], out[1], bad
-    if bad:
-        return None, None, True
-    return (*vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas), False)
+    return xs, ys, bad
 
 
 # Catalog barycentrics from the sides (a, b, c), on floats or arrays.  The
@@ -557,6 +566,14 @@ def bary_point(ax, ay, bx, by, cx, cy, u, v, w):
     return _div(u * ax + v * bx + w * cx, s), _div(u * ay + v * by + w * cy, s), far
 
 
+def circumcircle(corners, sides):
+    """centers.circumcircle of the triangle of the corners (ax, ay, bx, by,
+    cx, cy) with sides (a, b, c): (x, y, far, radius), far where the
+    center is at infinity (bary_point).  Floats or arrays."""
+    x, y, far = bary_point(*corners, *cyclic(center_x3, *sides))
+    return x, y, far, sides[0] * sides[1] * sides[2] / (4.0 * abs(signed_area(*corners)))
+
+
 def soddy_centers(corners, sides) -> list:
     """The inner and outer Soddy centers X176 and X175 of the triangle of
     the corners (ax, ay, bx, by, cx, cy) with sides (a, b, c), (x, y, far)
@@ -579,7 +596,8 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
     |e1 p| / |e2 p| of each vertex p to the ends of its sideline, and for
     each vertex whether it is off the sideline: not collinear with its
     ends by geom.collinear's test under get_tol(), a NaN vertex included.
-    Floats, or arrays of one shape."""
+    Floats, or arrays of one shape; a vertex on its second end makes the
+    product NaN on floats (_div)."""
     corners = ((ax, ay), (bx, by), (cx, cy))
     tol = get_tol()
     product, off = 1.0, []
@@ -590,7 +608,7 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
         scale = _largest((d1, _hypot(x1 - x2, y1 - y2), d2))
         on = abs(signed_area(x, y, x1, y1, x2, y2)) <= tol * scale * scale
         off.append(~on if isinstance(on, np.ndarray) else not on)
-        product = product * (d1 / d2)
+        product = product * _div(d1, d2)
     return product, off
 
 

@@ -33,6 +33,7 @@ from .errors import (
     DriverNotOnLocus,
     NoFiniteCenter,
     NotConverged,
+    PointAtInfinity,
     RankDeficient,
     TriconicError,
 )
@@ -46,8 +47,8 @@ from .geom import (
     signed_area,
 )
 from .triads import (
-    _checked_fit,
     _kernel_args,
+    _six_point_fit,
     build_triad,
     second_common_point,
     triad_covertices,
@@ -308,7 +309,7 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic
     (kernels.frobenius) is 0 or not finite RankDeficient.  The object
     path's stricter rules, five kept vertices apart by more than 1e-9 of
     the triangle's scale and a norm above DET_DEGENERATE_TOL
-    (triads._checked_fit), are not applied.
+    (triads._six_point_fit), are not applied.
     """
     cc = circumcircle(t)
     arcs = ostar_arc_ellipses(t)
@@ -416,32 +417,34 @@ def equilateral_ostar_locus_check() -> EquilateralOstarReport:
 _CIRCLE_TARGET = 1e-16  # times s**8: the circle functionals have degree 8 in lengths
 
 
-# How far, relative to the circumradius, a circle's center may lie from
-# the circumcenter and still count as concentric.
+# The circle test's bound (_circle_conditions): chiefly how far, relative
+# to the circumradius, a circle's center may lie from the circumcenter and
+# still count as concentric.
 _CONCENTRIC_TOL = 1e-4
 
 
-def _circle_center(args, scale) -> tuple:
-    """Class code and center (x, y, has_center) of the six-point conic of
-    the kernel arguments args, on floats: six_point_conic's kernels and
-    rules (triads._checked_fit) but its Carnot sideline test, which says
-    nothing of the conic."""
-    co, frame, _ = _checked_fit(args, scale)
-    return kernels.classify_code(co)[0], *kernels.frame_center(co, frame)
-
-
-def _is_circle(args, scale, cc) -> bool:
-    """Is the six-point conic of args (_circle_center) a circle concentric
-    with the circle cc (within _CONCENTRIC_TOL)?"""
-    try:
-        code, x, y, has_center = _circle_center(args, scale)
-    except TriconicError:
-        return False
-    return (
-        code == kernels.CLASS_CIRCLE
-        and has_center
-        and kernels._hypot(x - cc.center.x, y - cc.center.y) <= _CONCENTRIC_TOL * cc.radius
-    )
+def _circle_conditions(args) -> tuple:
+    """The circle test of the circle searches and of P3.2 and P5.4, for
+    the P-ellipse or P-hyperbola triads of the kernel arguments args, on
+    floats or elementwise on arrays, with the same bits: the worst of the
+    circle functional over s**8 (1e-12 scaled to 1e-6), 1.0 unless the
+    six-point conic is a circle, and its center's distance from the
+    circumcenter (kernels.circumcircle) over the circumradius; and the
+    faults as (mask, exception) pairs: six_point_conic's fit rules
+    (triads._six_point_fit; not its sideline rules, which say nothing of
+    the conic), then a circumcenter at infinity."""
+    functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
+                  kernels.KIND_P_HYPERBOLA: phyp_circle_functional}[args[6]]
+    sides, focal, _ = kernels._sides_deltas(*args)
+    _, co, *_, (x, y, has_center), rules = _six_point_fit(args)
+    ox, oy, far, r = kernels.circumcircle(args[:6], sides)
+    s = kernels._largest(sides)
+    s4 = (s * s) * (s * s)
+    worst = np.maximum(np.maximum(
+        functional(*sides, *focal) / (s4 * s4) * 1e6,
+        np.where(has_center, kernels._hypot(x - ox, y - oy) / r, 1.0)),
+        (kernels.classify_code(co)[0] != kernels.CLASS_CIRCLE) * 1.0)
+    return worst, [*rules, (far, PointAtInfinity("u+v+w ~ 0 for X3"))]
 
 
 def _seeds(t: Triangle) -> list[tuple[float, float]]:
@@ -600,19 +603,20 @@ def _circle_points(ts, kind: str, seeds) -> list:
         if not isinstance(sd, Exception):
             (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()),
                                            *(c for q in sd for c in q))
-            tf = _attempt(Triangle, Point2(*f[0:2]), Point2(*f[2:4]), Point2(*f[4:6]))
-            starts = [complex(x, y) for x, y in zip(f[6::2], f[7::2])]
-            out[i] = tf if isinstance(tf, Exception) else (tf, gx, gy, s, starts)
+            sides = kernels.triangle_sides(*f[:6])
+            out[i] = (f[:6], gx, gy, s, f[6:], sides)
+            if kernels.collinear(*f[:6], sides):  # Triangle's refusal
+                out[i] = _attempt(Triangle, *(Point2(*f[k:k + 2]) for k in (0, 2, 4)))
     live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
     # Column k holds seed k's triangle, in its frame: its vertices and sides.
+    # (x, y) pairs of floats are viewed as complex x + iy, bit for bit.
     col = np.repeat(np.arange(len(live)), [len(seeds[i]) for i in live])
-    framed = [out[i][0] for i in live]
-    v = np.array([[complex(p.x, p.y) for p in f.vertices()] for f in framed]).reshape(-1, 3)[col].T
-    sides = np.array([f.sides() for f in framed]).reshape(-1, 3)[col].T
-    starts = np.array([z for i in live for z in out[i][4]], dtype=complex)
+    corners = np.array([out[i][0] for i in live], dtype=float).reshape(-1, 6)[col]
+    v = corners.view(complex).T
+    sides = np.array([out[i][5] for i in live]).reshape(-1, 3)[col].T
+    starts = np.array([q for i in live for q in out[i][4]], dtype=float).view(complex)
     stops = _bracket_newton(v, sides * sides, sign, brackets, starts)
-    corners = (v.real[0], v.imag[0], v.real[1], v.imag[1], v.real[2], v.imag[2])
-    focal = kernels._sides_deltas(*corners, kernels.KIND_CODES[kind], stops.real, stops.imag)[1]
+    focal = kernels._sides_deltas(*corners.T, kernels.KIND_CODES[kind], stops.real, stops.imag)[1]
     values = functional(*sides, *focal)
     points = list(zip(zip(stops.real.tolist(), stops.imag.tolist()), values.tolist()))
     at = 0
@@ -623,14 +627,20 @@ def _circle_points(ts, kind: str, seeds) -> list:
     return out
 
 
-def _roots(kind: str, t: Triangle, gx: float, gy: float, s: float, found) -> list:
+def _roots(kind: str, corners, gx: float, gy: float, s: float, found) -> list:
     """The roots, in the plane, among the (xy, value) points found in the
-    frame (gx, gy, s) of kernels.frame, t the framed triangle, best first:
-    those that meet the target, clustered best first at the per-kind
-    radius, each cluster giving its best point that validates (the
-    functional also vanishes at the vertices, where the conic is no
-    circle), tried in order; NotConverged without one."""
+    frame (gx, gy, s) of kernels.frame, corners the framed triangle's,
+    best first: those that meet the target, clustered best first at the
+    per-kind radius, each cluster giving its best point that passes the
+    circle test (_circle_conditions: its worst at most _CONCENTRIC_TOL, no
+    fault; the functional also vanishes at the vertices, where the conic
+    is no circle), tried in order; NotConverged without one."""
     radius = _CIRCLE_KINDS[kind][2]
+    code = kernels.KIND_CODES[kind]
+
+    def is_circle(xy):
+        worst, faults = _circle_conditions((*corners, code, *xy))
+        return worst <= _CONCENTRIC_TOL and not any(mask for mask, _ in faults)
 
     def plane(xy, val):
         return (gx + s * xy[0], gy + s * xy[1]), val * s**8
@@ -645,11 +655,9 @@ def _roots(kind: str, t: Triangle, gx: float, gy: float, s: float, found) -> lis
                 break
         else:
             clusters.append([(xy, val)])
-    args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_CODES[kind])
-    scale, cc = t.scale(), circumcircle(t)
     hits = []
     for c in clusters:
-        root = next((h for h in c if _is_circle((*args, *h[0]), scale, cc)), None)
+        root = next((h for h in c if is_circle(h[0])), None)
         if root is not None:
             hits.append(root)
     if not hits:

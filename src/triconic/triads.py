@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
 from .config import DET_DEGENERATE_TOL
 from .conic import (
@@ -134,17 +136,15 @@ def _perp_bisector(p: Point2, q: Point2) -> LineEq:
 
 
 def triad_vertices(tr: ConicTriad) -> tuple[Point2, ...]:
-    """(A1, A2, B1, B2, C1, C2), by kernels.vertex_coords from the kernel's
-    sides and the triad's signed deltas: bit for bit the vertices
-    six_point_conic fits.
+    """(A1, A2, B1, B2, C1, C2), by kernels.vertices on the triad's floats
+    (the triad's signed deltas): bit for bit the vertices six_point_conic
+    fits.
 
     The signed delta makes (A1, B1, C1) the extouch triangle for
     V-hyperbolas and matches the excircle tangency labels for V-ellipses.
     A degenerate member (lambda = 0) contributes its midpoint twice.
     """
-    args = _kernel_args(tr.t, tr.kind, tr.p)
-    sides, _, _ = kernels._sides_deltas(*args)
-    xs, ys = kernels.vertex_coords(*args[:6], sides, tr.deltas)
+    xs, ys, _ = kernels.vertices(*_kernel_args(tr.t, tr.kind, tr.p))
     return tuple(Point2(x, y) for x, y in zip(xs, ys))
 
 
@@ -159,76 +159,85 @@ def triad_covertices(tr: ConicTriad) -> tuple[Point2, ...]:
     return tuple(out)
 
 
-def _carnot(corners, xs, ys) -> float:
-    """kernels.carnot's product for the corners (ax, ay, bx, by, cx, cy)
-    and the vertices' floats; PointOffSideline for the first vertex off its
-    sideline."""
-    product, off = kernels.carnot(*corners, xs, ys)
-    if any(off):
-        k = off.index(True)
-        raise _off_sideline(xs[k], ys[k])
-    return product
-
-
-def _off_sideline(x, y) -> PointOffSideline:
-    """The PointOffSideline of the vertex (x, y), named as Point2's repr
-    names it, though a NaN vertex builds no Point2."""
-    return PointOffSideline(f"Point2(x={float(x)!r}, y={float(y)!r}) off its sideline")
-
-
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
-    """The conic through the triad's six vertices, on the kernel's floats:
-    kernels.vertices, then kernels.fit_six, which leaves out the later
-    vertex of the closest vertex pair and fits the other five.
+    """The conic through the triad's six vertices, on the kernel's floats
+    (_six_point_rules): kernels.vertices, then kernels.fit_six, which leaves
+    out the later vertex of the closest vertex pair and fits the other five.
 
     Class (kernels.classify_code), center (kernels.frame_center) and
     residual6 (the left-out vertex's residual) are all taken in the frame of
     the fit; class and residual6 are bit for bit kernels.six_point's.  The
     Carnot product and its sideline test run on vertices built in the frame
-    of the triangle (kernels.frame).  RankDeficient when the five kept
-    vertices are not distinct (within 1e-9 of the triangle's scale) or their
-    fit vanishes.
+    of the triangle (kernels.frame).  The first of the rules that holds is
+    raised.
     """
-    args = _kernel_args(tr.t, tr.kind, tr.p)
-    co, frame, res6 = _checked_fit(args, tr.t.scale())
-    code = kernels.classify_code(co)[0]
-    x, y, has_center = kernels.frame_center(co, frame)
+    _, co, frame, res6, (x, y, has_center), product, rules = _six_point_rules(
+        _kernel_args(tr.t, tr.kind, tr.p))
+    for mask, exc in rules:
+        if mask:
+            raise exc(0) if callable(exc) else exc
     return SixPointConicReport(
         fit=FramedFit(co, frame),
-        conic_class=ConicClass(kernels.CLASS_NAMES[code]),
+        conic_class=ConicClass(kernels.CLASS_NAMES[kernels.classify_code(co)[0]]),
         residual6=res6,
         center=Point2(x, y) if has_center else None,
-        carnot_product=_framed_carnot(args),
+        carnot_product=product,
     )
 
 
-def _checked_fit(args, scale) -> tuple:
-    """kernels.fit_six on the vertices of the triad of the kernel arguments
-    args (_kernel_args), with six_point_conic's rules: (coefficients,
-    frame, residual6); DegenerateMember where a member degenerates,
-    RankDeficient where the five kept vertices are not distinct (within
-    1e-9 of scale, the triangle's largest side) or their fit vanishes."""
+def _six_point_fit(args) -> tuple:
+    """The six-point conic of the triads of the kernel arguments args
+    (_kernel_args), on floats or elementwise on arrays, with the same bits:
+    the vertices and member flag (kernels.vertices), kernels.fit_six's
+    coefficients, frame and residual6, the center (kernels.frame_center:
+    x, y, has_center), and six_point_conic's fit rules as (mask,
+    exception) pairs, in its order: DegenerateMember where a member
+    degenerates, RankDeficient where two of the five kept vertices are
+    within 1e-9 of the largest side or their fit's norm is not above
+    DET_DEGENERATE_TOL."""
     xs, ys, bad = kernels.vertices(*args)
-    if bad:
-        raise DegenerateMember("a triad member degenerates")
     co, frame, out, res6 = kernels.fit_six(xs, ys)
-    if kernels.kept_gap(xs, ys, out) <= 1e-9 * scale:
-        raise RankDeficient("fewer than 5 distinct triad vertices")
-    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
-        raise RankDeficient("five points do not determine a unique conic")
-    return co, frame, res6
+    s = kernels._largest(kernels.triangle_sides(*args[:6]))
+    return (xs, ys, bad), co, frame, res6, kernels.frame_center(co, frame), [
+        (bad, DegenerateMember("a triad member degenerates")),
+        (kernels.kept_gap(xs, ys, out) <= 1e-9 * s,
+         RankDeficient("fewer than 5 distinct triad vertices")),
+        (np.logical_not(kernels.frobenius(co) > DET_DEGENERATE_TOL),
+         RankDeficient("five points do not determine a unique conic")),
+    ]
 
 
-def _framed_carnot(args) -> float:
-    """The Carnot product (_carnot) of the vertices of the triad of the
-    kernel arguments args (_kernel_args), triangle and vertices both in the
-    triangle's frame (kernels.frame): the sideline test then sees the
-    triangle's shape to its own precision wherever it lies."""
+def _six_point_rules(args) -> tuple:
+    """_six_point_fit of args with the Carnot product (_carnot_rule) before
+    its rules, and all of six_point_conic's rules: the fit rules, then the
+    sideline rules, on the triangle and vertices both in the triangle's
+    frame (kernels.frame), so that they see the triangle's shape to its own
+    precision wherever it lies: DegenerateMember where a member degenerates
+    there, and _carnot_rule's.  Floats, or elementwise on arrays."""
+    *fit, rules = _six_point_fit(args)
     _, framed = kernels.frame(*args[:6], *args[7:])
     xs, ys, bad = kernels.vertices(*framed[:6], args[6], *framed[6:])
-    if bad:
-        raise DegenerateMember("a triad member degenerates")
-    return _carnot(framed[:6], xs, ys)
+    product, sideline = _carnot_rule(framed[:6], xs, ys)
+    return (*fit, product, [*rules, (bad, DegenerateMember("a triad member degenerates")), sideline])
+
+
+def _carnot_rule(corners, xs, ys) -> tuple:
+    """kernels.carnot's product of the vertices (xs, ys) on the sidelines
+    of the corners (ax, ay, bx, by, cx, cy), and its rule (mask,
+    exception): PointOffSideline for the first vertex off its sideline,
+    as a function of the trial's index.  Floats, or elementwise on (6, n)
+    arrays."""
+    product, off = kernels.carnot(*corners, xs, ys)
+
+    def fault(i):
+        # Column i of the (6, n) arrays, or the floats as one column; the
+        # vertex named as Point2's repr names it, though a NaN vertex
+        # builds no Point2.
+        k = np.reshape(off, (6, -1))[:, i].argmax()
+        x, y = (float(np.reshape(v, (6, -1))[k, i]) for v in (xs, ys))
+        return PointOffSideline(f"Point2(x={x!r}, y={y!r}) off its sideline")
+
+    return product, (np.logical_or.reduce(off), fault)
 
 
 def pairwise_intersections(tr: ConicTriad) -> list[list[Point2]]:

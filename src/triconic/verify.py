@@ -37,11 +37,12 @@ P3.2 and P5.4 run one circle-point search each
 (`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`), then
 every trial's postconditions at once on arrays, in each triangle's frame
 (`kernels.frame`): class, center and circumcircle of the six-point
-conic at its points (`_circle_conditions`), and P5.4's mutual
-membership (`_member_residuals`).  On arrays: P2.2, P3.1, P3.8 and
-P5.2 in one `kernels.six_point` call; P2.1, P2.7, P3.3, A3, A6 and P5.5 on
-`kernels.vertices` and `fit_six`, with `six_point_conic`'s rules
-(`_six_point_fit`); P2.3, P2.5 and P4.8 on one `kernels.focal_pairs` call;
+conic at its points, by the searches' own circle test
+(`loci._circle_conditions`), and P5.4's mutual membership
+(`_member_residuals`).  On arrays: P2.2, P3.1, P3.8 and P5.2 in one
+`kernels.six_point` call; P2.1, P2.7, P3.3, P4.3, A3, A6 and P5.5 on the
+fit and rules that `six_point_conic` reads (`triads._six_point_rules`);
+P2.3, P2.5 and P4.8 on one `kernels.focal_pairs` call;
 P2.4, P4.7 and P5.6 in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
 on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
 `kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
@@ -91,7 +92,7 @@ from .centers import (
     half_tangent_sum,
     soddy,
 )
-from .config import DET_DEGENERATE_TOL, get_tol
+from .config import get_tol
 from .conic import ConicClass, residual
 from .errors import (
     ConstructionFailed,
@@ -112,13 +113,13 @@ from .geom import (
     midpoint,
 )
 from .loci import (
+    _circle_conditions,
     batch_sign_changes,
     bracket_sign_changes,
     covertex_conic_check,
     equilateral_ostar_locus_check,
     halftangent_sextic,
     parabola_deg8_V,
-    phyp_circle_functional,
     phyp_circle_points_batch,
     phyp_parabola_condition,
     pstar_candidates_batch,
@@ -129,7 +130,7 @@ from .loci import (
 )
 from .triads import (
     _FAULTS as _TRIAD_FAULTS,
-    _off_sideline,
+    _six_point_rules,
 )
 
 # ---------------------------------------------------------------------------
@@ -338,15 +339,13 @@ def _drivers(rng, tri, tries) -> tuple:
 
 def _distances(corners, *p) -> tuple:
     """The sides (a, b, c) of the triangle of the corners (ax, ay, bx, by,
-    cx, cy), by kernels._sides_deltas' expressions, on floats or arrays;
-    given a point (px, py) too, (sides, its distances (pa, pb, pc))."""
-    ax, ay, bx, by, cx, cy = corners
-    sides = (kernels._hypot(bx - cx, by - cy), kernels._hypot(cx - ax, cy - ay),
-             kernels._hypot(ax - bx, ay - by))
+    cx, cy) (kernels.triangle_sides), on floats or arrays; given a point
+    (px, py) too, (sides, its distances (pa, pb, pc))."""
+    sides = kernels.triangle_sides(*corners)
     if not p:
         return sides
     px, py = p
-    return sides, tuple(kernels._hypot(px - x, py - y) for x, y in ((ax, ay), (bx, by), (cx, cy)))
+    return sides, tuple(kernels._hypot(px - x, py - y) for x, y in zip(corners[::2], corners[1::2]))
 
 
 def _member_guard(ax, ay, bx, by, cx, cy, px, py):
@@ -471,40 +470,16 @@ def _proj_errors(u, v):
     return norm(cross) / (norm(u) * norm(v))
 
 
-def _six_point_fit(args) -> tuple:
-    """triads.six_point_conic on arrays, for the triads of args (P-kinds
-    with their drivers): the vertices ((6, n) arrays) and member flag of
-    kernels.vertices, kernels.fit_six's coefficients, frame and residual6,
-    the center (kernels.frame_center: x, y, has_center), and
-    six_point_conic's rules as _fail_or pairs, in its order: RankDeficient
-    where two kept vertices are within 1e-9 of the largest side or the fit
-    vanishes, PointOffSideline where a vertex, in the triangle's frame
-    (kernels.frame), fails kernels.carnot's test."""
-    xs, ys, bad = kernels.vertices(*args)
-    co, frame, out, res6 = kernels.fit_six(xs, ys)
-    gap = kernels.kept_gap(xs, ys, out)
-    (_, _, s), framed = kernels.frame(*args[:6], *args[7:])
-    fxs, fys, _ = kernels.vertices(*framed[:6], args[6], *framed[6:])
-    off = np.array(kernels.carnot(*framed[:6], fxs, fys)[1])
-    first = off.argmax(axis=0)
-    return (xs, ys, bad), co, frame, res6, kernels.frame_center(co, frame), [
-        (gap <= 1e-9 * s, RankDeficient("fewer than 5 distinct triad vertices")),
-        (~(kernels.frobenius(co) > DET_DEGENERATE_TOL),
-         RankDeficient("five points do not determine a unique conic")),
-        (off.any(axis=0), lambda i: _off_sideline(fxs[first[i], i], fys[first[i], i])),
-    ]
-
-
 def _chk_excircle_tangency_vertices(cfgs) -> tuple:
     """P2.1 on all configurations at once: the V-ellipse vertices
     (kernels.vertices) at the excircle tangency points, their worst
     distance over the largest side, and kernels.fit_six's residual6, with
-    six_point_conic's rules (_six_point_fit)."""
+    six_point_conic's rules (triads._six_point_rules)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     sides, _, bad = kernels._sides_deltas(*args)
     s = kernels._largest(sides)
     with np.errstate(all="ignore"):
-        (xs, ys, _), _, _, res6, _, rules = _six_point_fit(args)
+        (xs, ys, _), _, _, res6, *_, rules = _six_point_rules(args)
         worst, far = _bary_gaps(args[:6], xs, ys, kernels.excircle_tangency(*sides), s)
     return _fail_or(
         np.maximum(worst, res6),
@@ -727,16 +702,15 @@ def _chk_x478_quartic(cfgs) -> tuple:
     """P2.7 on all configurations at once: the quartic at X478, the center
     (kernels.frame_center) of the V-ellipse six-point conic of A=(1/2,0),
     B=(-1/2,0) and C=(cos theta, sin theta)/2, with six_point_conic's
-    rules (_six_point_fit), not at the closed form
+    rules (_six_point_rules), not at the closed form
     loci.x478_center_for_theta; DegenerateResult without a center."""
     n = cfgs.n
     cx, cy = 0.5 * _floatwise(math.cos, cfgs["theta"]), 0.5 * _floatwise(math.sin, cfgs["theta"])
     zero = np.zeros(n)
     args = (np.full(n, 0.5), zero, np.full(n, -0.5), zero, cx, cy,
             kernels.KIND_V_ELLIPSE, zero, zero)
-    sides, _, bad = kernels._sides_deltas(*args)
     with np.errstate(all="ignore"):
-        *_, (x, y, has_center), rules = _six_point_fit(args)
+        (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(args)
         res = abs(x478_quartic(x, y))
     return _fail_or(
         res,
@@ -835,31 +809,6 @@ def _searched(search, points, check):
     return run
 
 
-def _circle_conditions(args) -> tuple:
-    """The circle postconditions of P3.2 and P5.4 on arrays, for the
-    P-ellipse or P-hyperbola triads of the kernel arguments args, in their
-    triangles' frame (kernels.frame): the worst of the circle functional
-    over s**8 (1e-12 scaled to 1e-6), 1.0 unless the six-point conic is a
-    circle, and its center's distance from the circumcenter over the
-    circumradius; and the faults as _fail_or pairs: a member degenerates,
-    _six_point_fit's rank rules (not its sideline rule, which says nothing
-    of the conic), and a circumcenter at infinity."""
-    functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
-                  kernels.KIND_P_HYPERBOLA: phyp_circle_functional}[args[6]]
-    sides, focal, bad = kernels._sides_deltas(*args)
-    _, co, _, _, (x, y, has_center), rules = _six_point_fit(args)
-    ox, oy, far, r = _circumcircle(args[:6], sides)
-    s = kernels._largest(sides)
-    s4 = (s * s) * (s * s)
-    worst = functools.reduce(np.maximum, (
-        functional(*sides, *focal) / (s4 * s4) * 1e6,
-        np.where(has_center, kernels._hypot(x - ox, y - oy) / r, 1.0),
-        np.where(kernels.classify_code(co)[0] == kernels.CLASS_CIRCLE, 0.0, 1.0),
-    ))
-    return worst, [(bad, DegenerateMember("a triad member degenerates")), *rules[:2],
-                   (far, _at_infinity("X3"))]
-
-
 def _chk_pstar(corners, xs, ys) -> tuple:
     """P3.2's postconditions (_circle_conditions) at each trial's principal
     candidate.  Existence plus the circle and concentricity postconditions
@@ -880,13 +829,6 @@ def _chk_circle_pair(corners, xs, ys) -> tuple:
     (w1, f1), (w2, f2) = map(_circle_conditions, args)
     res = _member_residuals(args[0], [framed[8]] * 3, [framed[9]] * 3)[0]
     return functools.reduce(np.maximum, (w1, w2, res.max(axis=0) * 1e2)), [*f1, *f2]
-
-
-def _circumcircle(corners, sides) -> tuple:
-    """centers.circumcircle of the triangle of the corners, from its sides,
-    on arrays: (x, y, center at infinity, radius)."""
-    x, y, far = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x3, *sides))
-    return x, y, far, sides[0] * sides[1] * sides[2] / (4.0 * abs(kernels.signed_area(*corners)))
 
 
 def _x3_anticevian(corners) -> tuple:
@@ -918,7 +860,7 @@ def _chk_anticevian_needle(cfgs) -> tuple:
     kernels.bary_point) is a circle: the circle functional
     (pstar_circle_functional), the spread of the six vertices' distances
     from the anticevian's circumcenter, and the conic's center
-    (_six_point_fit, kernels.frame_center) on that circumcenter and on the
+    (_six_point_rules, kernels.frame_center) on that circumcenter and on the
     line X4 X6 of ABC.  DegenerateResult where X3 is on a sideline or
     Triangle refuses the X3-anticevian (_x3_anticevian).  The catalog
     points, the circle functional and the scales take the sides of
@@ -935,8 +877,8 @@ def _chk_anticevian_needle(cfgs) -> tuple:
         s4 = (s * s) * (s * s)
         # functional tolerance 1e-12 scaled into the 1e-6 threshold
         fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
-        (xs, ys, _), _, _, _, (x, y, has_center), rules = _six_point_fit(targs)
-        ox, oy, far_o, radius = _circumcircle(corners, tsides)
+        (xs, ys, _), *_, (x, y, has_center), _, rules = _six_point_rules(targs)
+        ox, oy, far_o, radius = kernels.circumcircle(corners, tsides)
         dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
         rmean = sum(dist) / 6.0
         spread = functools.reduce(np.maximum, [abs(d - rmean) for d in dist]) / radius
@@ -1145,7 +1087,7 @@ def _chk_privalov(cfgs) -> tuple:
     (_v_hyperbola) on Privalov's conic (kernels.privalov), each vertex's
     barycentrics (_unit_bary's signed areas, over the largest)
     in its unit-norm matrix, and the fitted six-point conic
-    (_six_point_fit, with its rules) in the plane against the closed form
+    (_six_point_rules, with its rules) in the plane against the closed form
     there (_bary_to_plane), both of unit norm, up to sign; 0.0 where a
     member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
@@ -1156,7 +1098,7 @@ def _chk_privalov(cfgs) -> tuple:
             u = _unit_bary(args[:6], x, y)
             form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
             worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
-        _, co, (ox, oy, fs), _, _, rules = _six_point_fit(args)
+        _, co, (ox, oy, fs), *_, rules = _six_point_rules(args)
         # n maps (x, y, 1) to the fit's frame.
         A, B, C, D, E, F = co
         n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
@@ -1197,7 +1139,7 @@ def _v_hyperbola_circle(cfgs) -> tuple:
     """_v_hyperbola's args, lambdas, flag and bisector, then the sides
     and the circumdiameter, as centers.circumcircle takes them."""
     args, sides, lams, _, _, _, bad, bisector = _v_hyperbola(cfgs)
-    return args, lams, bad, bisector, sides, 2.0 * _circumcircle(args[:6], sides)[3]
+    return args, lams, bad, bisector, sides, 2.0 * kernels.circumcircle(args[:6], sides)[3]
 
 
 def _chk_soddy_intersections(cfgs) -> tuple:
@@ -1409,8 +1351,8 @@ def _chk_x55(cfgs) -> tuple:
             refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
         tsides = _distances(refl)
         ts = kernels._largest(tsides)
-        ox, oy, far_o, r = _circumcircle(refl, tsides)
-        (xs, ys, bad), *_, (x, y, has_center), rules = _six_point_fit(
+        ox, oy, far_o, r = kernels.circumcircle(refl, tsides)
+        (xs, ys, bad), *_, (x, y, has_center), _, rules = _six_point_rules(
             (*refl, kernels.KIND_P_HYPERBOLA, qx, qy))
         dists = kernels._hypot(xs - ox, ys - oy)
         spread = abs(dists - sum(dists) / 6.0).max(axis=0)
@@ -1597,7 +1539,7 @@ def _x3prime_fit(corners) -> tuple:
     X3-anticevian with driver X3) for the triangles of the corners: (sides,
     center x and y, and the faults as _fail_or pairs)."""
     sides, targs, tsides, faults = _x3_anticevian(corners)
-    (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(targs)
+    (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(targs)
     return sides, x, y, [*faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules,
                          (~has_center, _NO_CENTER)]
 
@@ -1645,7 +1587,7 @@ def _chk_x5452_coordinate(cfgs) -> tuple:
     with np.errstate(all="ignore"):
         sides, (la, lb, lc), _ = kernels._sides_deltas(*args)
         a, b, c = sides
-        (_, _, bad), *_, (x, y, has_center), rules = _six_point_fit(args)
+        (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(args)
         g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
                                               "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
         gap = _proj_errors(g, _unit_bary(args[:6], x, y))
@@ -1755,7 +1697,7 @@ def _gen_tri_angle(rng, n) -> tuple:
         tab = _tri_table(rng, m)
         ang, u = _uniform(rng, m, (0.0, 2 * math.pi), (0.1, 1.2))
         corners = _corners(tab)
-        ox, oy = _circumcircle(corners, _distances(corners))[:2]
+        ox, oy = kernels.circumcircle(corners, _distances(corners))[:2]
         ok = _angle_gap(ang, [np.arctan2(y - oy, x - ox) for x, y in tab["triangle"]]) >= 0.15
         return tab.with_cols(angle=ang, u=u).take(ok), {}
 
@@ -1813,7 +1755,7 @@ def _circumcircle_rays(corners, ang) -> tuple:
     refuses the corners, X3 is at infinity, or the ray is not finite)."""
     sides = _distances(corners)
     with np.errstate(all="ignore"):
-        ox, oy, far, r = _circumcircle(corners, sides)
+        ox, oy, far, r = kernels.circumcircle(corners, sides)
     odd = _refused(corners, sides) | far | ~np.isfinite(ox + oy + r)
     return np.array((*corners, ox, oy, r, _floatwise(math.cos, ang), _floatwise(math.sin, ang))), odd
 

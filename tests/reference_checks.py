@@ -35,6 +35,14 @@ P3.2 and P5.4 checked each trial's circle points on floats in the plane
 verifier checked every trial's points at once on arrays, in each
 triangle's frame; applied to the framed triangle and points (framed),
 they are the references of its column checks.
+
+The circle searches validated each candidate on floats against the
+framed triangle's circumcircle (is_circle, with circle_center and its
+copy of six_point_conic's fit rules) before they read the circle test
+that P3.2 and P5.4 read (loci._circle_conditions).
+
+BaryCoords.proj_eq (projective equality) and Circle.point_at were
+methods that only tests called (proj_eq, point_at).
 """
 
 from __future__ import annotations
@@ -46,8 +54,9 @@ import numpy as np
 
 from triconic import kernels
 from triconic.appendix import eval_terms, load_block
-from triconic.centers import center_bary, circumcircle, classic_center, soddy_centers
+from triconic.centers import Circle, center_bary, circumcircle, classic_center, soddy_centers
 from triconic.conic import Conic, FocalConic
+from triconic.config import DET_DEGENERATE_TOL, get_tol
 from triconic.errors import (
     ConstructionFailed,
     DegenerateMember,
@@ -55,6 +64,8 @@ from triconic.errors import (
     DegenerateTriangle,
     NotFound,
     PointAtInfinity,
+    RankDeficient,
+    TriconicError,
 )
 from triconic.geom import (
     BaryCoords,
@@ -67,12 +78,12 @@ from triconic.geom import (
     signed_area,
 )
 from triconic.loci import (
+    _CONCENTRIC_TOL,
     _NEWTON_G2,
     _NEWTON_HALVINGS,
     _NEWTON_REACH,
     _NEWTON_STEP,
     _NEWTON_STEPS,
-    _circle_center,
     phyp_circle_functional,
     pstar_circle_functional,
 )
@@ -638,6 +649,58 @@ def framed(t: Triangle, *points: Point2) -> tuple:
         Point2(*f[k:k + 2]) for k in range(6, len(f), 2)]
 
 
+def circle_center(args, scale) -> tuple:
+    """Class code and center (x, y, has_center) of the six-point conic of
+    the kernel arguments args, on floats: six_point_conic's kernels and fit
+    rules, not its Carnot sideline test, which says nothing of the conic;
+    DegenerateMember or RankDeficient where a rule holds, scale the
+    triangle's largest side."""
+    xs, ys, bad = kernels.vertices(*args)
+    if bad:
+        raise DegenerateMember("a triad member degenerates")
+    co, frame, out, _ = kernels.fit_six(xs, ys)
+    if kernels.kept_gap(xs, ys, out) <= 1e-9 * scale:
+        raise RankDeficient("fewer than 5 distinct triad vertices")
+    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
+        raise RankDeficient("five points do not determine a unique conic")
+    return kernels.classify_code(co)[0], *kernels.frame_center(co, frame)
+
+
+def is_circle(args, scale, cc) -> bool:
+    """Is the six-point conic of args (circle_center) a circle concentric
+    with the circle cc (within loci._CONCENTRIC_TOL)?"""
+    try:
+        code, x, y, has_center = circle_center(args, scale)
+    except TriconicError:
+        return False
+    return (
+        code == kernels.CLASS_CIRCLE
+        and has_center
+        and kernels._hypot(x - cc.center.x, y - cc.center.y) <= _CONCENTRIC_TOL * cc.radius
+    )
+
+
+def proj_eq(p: BaryCoords, q: BaryCoords, tol: float | None = None) -> bool:
+    """Whether p and q are the same point projectively, to tol (get_tol()
+    by default), on their normalized coordinates."""
+    tol = get_tol() if tol is None else tol
+    # The sign convention of normalized() flips on the first entry that
+    # is nonzero, so two nearby points can normalize to opposite signs
+    # when that entry is within rounding of zero: compare up to sign.
+    p, q = p.normalized(), q.normalized()
+    return any(
+        abs(p.u - s * q.u) <= tol
+        and abs(p.v - s * q.v) <= tol
+        and abs(p.w - s * q.w) <= tol
+        for s in (1.0, -1.0)
+    )
+
+
+def point_at(c: Circle, angle: float) -> Point2:
+    """The point of the circle c at the angle."""
+    return Point2(c.center.x + c.radius * math.cos(angle), c.center.y + c.radius * math.sin(angle))
+
+
 def circle_residual(t: Triangle, p: Point2, kind: str) -> float:
     """The worst of the circle functional at p over s**8 (1e-12 scaled to
     1e-6), 1.0 unless t's `kind` six-point conic at p is a circle, and its
@@ -647,7 +710,7 @@ def circle_residual(t: Triangle, p: Point2, kind: str) -> float:
         "p_hyperbola": (phyp_circle_functional, lambdas),
     }[kind]
     s = t.scale()
-    code, x, y, has_center = _circle_center(_kernel_args(t, kind, p), s)
+    code, x, y, has_center = circle_center(_kernel_args(t, kind, p), s)
     cc = circumcircle(t)
     conc = kernels._hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
     fval = functional(*t.sides(), *focal(t, p)) / s**8 * 1e6

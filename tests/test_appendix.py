@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import triconic
+from triconic import appendix
 from triconic.appendix import BLOCK_NAMES, eval_terms, load_block
 from triconic.errors import ConstructionFailed
 from triconic.geom import Point2, Triangle
@@ -192,6 +193,21 @@ def test_eval_terms_reads_any_shape_of_columns(rng):
         for j in range(3):
             one = {v: float(values[v][j] if v in "abc" else values[v][i, j]) for v in variables}
             assert _bits(total[i, j], biggest[i, j]) == _bits(*eval_terms(rows, variables, one))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 12])
+def test_eval_terms_in_chunks_keeps_each_column(chunk, rng, monkeypatch):
+    # Chunks of columns that split the broadcast shape (4, 3) anywhere,
+    # with a last chunk short, give each column the bits of one chunk.
+    block = load_block("a_ellipse")
+    rows, variables = block["polys"]["main"], block["variables"]
+    sides = [random_triangle(rng).sides() for _ in range(3)]
+    values = {v: np.array([s[k] for s in sides]) for k, v in enumerate("abc")}
+    values.update({v: rng.uniform(-1.0, 1.0, (4, 3)) for v in "xyz"})
+    whole = eval_terms(rows, variables, values)
+    monkeypatch.setattr(appendix, "_TERM_CHUNK", chunk)
+    parts = eval_terms(rows, variables, values)
+    assert [w.tobytes() for w in parts] == [w.tobytes() for w in whole]
 
 
 def test_every_block_checks_on_random_triangles(rng):

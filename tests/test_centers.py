@@ -28,7 +28,7 @@ from reference_checks import anticevian_triangle, cevian_triangle, reflection_tr
 def test_classic_centers_345(t345):
     assert distance(classic_center(t345, "X8"), Point2(2, 1)) < 1e-12
     assert distance(classic_center(t345, "X20"), Point2(4, 3)) < 1e-12
-    assert center_bary(t345, "X20").proj_eq(BaryCoords(1, 1, -1), tol=1e-12)
+    assert reference_checks.proj_eq(center_bary(t345, "X20"), BaryCoords(1, 1, -1), tol=1e-12)
 
 
 def test_equilateral_centers_coincide(equilateral):

@@ -27,6 +27,8 @@ from triconic.loci import (
 from triconic.triads import TRIAD_KINDS, build_triad, six_point_conic
 from triconic.verify import random_point_near, random_triangle
 
+from reference_checks import point_at
+
 # Cells within this of a class boundary are not judged (perfbench's
 # REGION_MARGIN): normalized det or discriminant, or a member's relative
 # distance from collapsing.
@@ -209,7 +211,7 @@ def test_circumcircle_drivers_keep_class_and_center_when_scaled(scale):
     big = Triangle(*(Point2(scale * v.x, scale * v.y) for v in t.vertices()))
     cc = circumcircle(t)
     for k in range(60):
-        p = cc.point_at(2.0 * math.pi * k / 60)
+        p = point_at(cc, 2.0 * math.pi * k / 60)
         base = six_point_conic(build_triad(t, "p_ellipse", p))
         rep = six_point_conic(build_triad(big, "p_ellipse", Point2(scale * p.x, scale * p.y)))
         assert base.conic_class is ConicClass.DEGENERATE_TWO_LINES

@@ -109,6 +109,34 @@ def test_package_uses_one_length_rule():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _kernel_readers(source: str, names) -> set[str]:
+    """Which of the kernels' names source reads: as kernels.name, or
+    imported from the kernels module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "kernels" and node.attr in names:
+                found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("kernels"):
+            found.update(a.name for a in node.names if a.name in names)
+    return found
+
+
+def test_scan_finds_kernel_readers():
+    src = "from . import kernels\nfrom .kernels import carnot as c\nkernels.kept_gap(1)\nkernels.fit_six()\n"
+    assert _kernel_readers(src, {"carnot", "kept_gap", "vertices"}) == {"carnot", "kept_gap"}
+
+
+def test_six_point_rules_live_in_triads():
+    # kernels.kept_gap and kernels.carnot are the distinct-vertex and
+    # sideline rules of the six-point conic: only triads applies them
+    # (_six_point_fit, _carnot_rule), so that six_point_conic, the circle
+    # test and the verifier's fits read one rule set.
+    names = {"carnot", "kept_gap"}
+    readers = {p.name: _kernel_readers(p.read_text(), names) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in readers.items() if found} == {"triads.py": names}
+
+
 def test_package_runs_without_scipy(cli_env):
     # The package's root-finders are its own: importing every entry module
     # and running both circle searches and a Brent polish loads no scipy.

@@ -332,7 +332,10 @@ def test_six_point_coincident_vertices_fail_cleanly():
     # through it; the kernel reports a failed construction, on floats and
     # in an array column alike.
     args = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-    assert kernels.vertices(*args) == (None, None, True)
+    xs, ys, bad = kernels.vertices(*args)
+    # The member on side b has no vertices: NaN, as in an array column.
+    assert bad
+    assert [math.isnan(x) for x in xs] == [math.isnan(y) for y in ys] == [False, False, True, True, False, False]
     _assert_failed(kernels.six_point(*args))
     column = kernels.six_point(*args[:4], np.array([0.0]), np.array([0.0]), *args[6:])
     _assert_failed([w[0].item() for w in column])

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import types
 from dataclasses import astuple
 
 import numpy as np
@@ -11,6 +12,7 @@ from triconic.centers import circumcircle, classic_center, incircle
 from triconic.conic import ConicClass, classify, residual
 from triconic.errors import (
     DegenerateMember,
+    DegenerateTriangle,
     NotConverged,
     RankDeficient,
     TriconicError,
@@ -51,7 +53,9 @@ from reference_checks import (
     bracket_newton,
     deltas,
     framed,
+    is_circle,
     lambdas,
+    point_at,
     reflection_triangle,
     x55_conjecture_check,
 )
@@ -162,7 +166,7 @@ def _object_path_ostar(t, n, eps=0.03):
         theta = 2.0 * math.pi * k / n
         if any(min(abs(theta - va), 2 * math.pi - abs(theta - va)) < eps for va in vertex_angles):
             continue
-        rep = six_point_conic(build_triad(t, "p_ellipse", cc.point_at(theta)))
+        rep = six_point_conic(build_triad(t, "p_ellipse", point_at(cc, theta)))
         if rep.center is not None:
             out.append((theta, rep.center))
     return out
@@ -394,7 +398,7 @@ def test_ostar_endpoint_vertex_limit(t_generic):
     best = math.inf
     for eps in (0.03, 0.01, 0.003):
         for sgn in (1.0, -1.0):
-            p = cc.point_at(ang_a + sgn * eps)
+            p = point_at(cc, ang_a + sgn * eps)
             try:
                 rep = six_point_conic(build_triad(t, "p_ellipse", p))
             except Exception:
@@ -555,7 +559,7 @@ def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
     def broken(*args):
         raise TypeError("injected")
 
-    monkeypatch.setattr(loci, "_circle_center", broken)
+    monkeypatch.setattr(loci, "_circle_conditions", broken)
     with pytest.raises(TypeError, match="injected"):
         find_pstar_candidates(t_generic)
 
@@ -668,12 +672,19 @@ def _is_circle_at(t, p, kind):
     return distance(rep.center, cc.center) <= loci._CONCENTRIC_TOL * cc.radius
 
 
+def _passes(args):
+    """The search's rule: the circle test's worst at most _CONCENTRIC_TOL
+    and no fault."""
+    worst, faults = loci._circle_conditions(args)
+    return bool(worst <= loci._CONCENTRIC_TOL) and not any(mask for mask, _ in faults)
+
+
 @pytest.mark.parametrize("kind", sorted(_BRACKETS))
 def test_float_validation_matches_the_object_path(kind):
     # Every Newton stop that meets the target, and every stop and vertex of
     # the first 30 triangles, gets the answer of the object path's six-point
-    # conic.  (The functional also vanishes at the vertices, where the conic
-    # is no circle.)
+    # conic from the circle test on floats.  (The functional also vanishes
+    # at the vertices, where the conic is no circle.)
     functional, focal = {
         "p_ellipse": (pstar_circle_functional, deltas),
         "p_hyperbola": (phyp_circle_functional, lambdas),
@@ -685,16 +696,74 @@ def test_float_validation_matches_the_object_path(kind):
     answers = collections.Counter()
     for i, (t, sd) in enumerate(zip(ts, seeds)):
         f, _ = framed(t)
-        cc = circumcircle(f)
         points = [Point2(z.real, z.imag) for z in (next(stops) for _ in sd)]
         for p in points + list(f.vertices()):
             if i < 30 or functional(*f.sides(), *focal(f, p)) <= loci._CIRCLE_TARGET:
-                got = loci._is_circle(_kernel_args(f, kind, p), f.scale(), cc)
+                got = _passes(_kernel_args(f, kind, p))
                 assert got == _is_circle_at(f, p, kind)
                 answers[got] += 1
     assert answers[True] > 1000 and answers[False] > 10
     if kind == "p_ellipse":
         assert sum(len(h) == 3 for h in loci.pstar_candidates_batch(ts)) == 26
+
+
+@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+def test_circle_points_refuse_collinear_framed_corners(kind):
+    # The search builds no triangle of its framed corners, yet refuses
+    # collinear ones as Triangle does, with Triangle's error.
+    corners = (0.0, 0.0, 1.0, 0.0, 2.0, 0.0)
+    flat = types.SimpleNamespace(vertices=lambda: tuple(Point2(*corners[k:k + 2]) for k in (0, 2, 4)))
+    (got,) = loci._circle_points([flat], kind, [[(0.5, 0.5)]])
+    f = kernels.frame(*corners)[1]
+    with pytest.raises(DegenerateTriangle) as want:
+        Triangle(*(Point2(*f[k:k + 2]) for k in (0, 2, 4)))
+    assert (type(got), str(got)) == (DegenerateTriangle, str(want.value))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+def test_circle_test_on_floats_is_its_array_column_and_the_reference(kind):
+    # The circle test on floats gives the bits of its column in one array
+    # call, worst and faults, and the search's rule on it the answer of the
+    # former float validation (reference_checks.is_circle), at the Newton
+    # stops, at points 1e-9 to 1e-2 off each root and at points within 1e-3
+    # of each vertex, on random and flat triangles, each in its frame.
+    rng = np.random.default_rng(41)
+    ts = [random_triangle(rng) for _ in range(40)] + [random_flat_triangle(rng) for _ in range(20)]
+    seeds = [loci._seeds(t) for t in ts]
+    stops = iter(_newton_stops(ts, seeds, kind).tolist())
+    code, rows = kernels.KIND_CODES[kind], []
+    for t, sd in zip(ts, seeds):
+        corners = [c for v in t.vertices() for c in v.as_tuple()]
+        roots = loci._circle_points([t], kind, [sd])[0]
+        roots = [] if isinstance(roots, Exception) else [xy for xy, _ in roots]
+        f = kernels.frame(*corners, *(c for xy in roots for c in xy))[1]
+        points = [(z.real, z.imag) for z in (next(stops) for _ in sd)]
+        # Eight points about each root, 1e-9 to 1e-2 off, and about each
+        # vertex, 1e-9 to 1e-3 off.
+        about = [(xy, 2.0) for xy in zip(f[6::2], f[7::2])] + [(xy, 3.0) for xy in zip(f[0:6:2], f[1:6:2])]
+        for (x, y), top in about:
+            r, ang = 10.0 ** -rng.uniform(top, 9.0, 8), rng.uniform(0.0, 2.0 * math.pi, 8)
+            points += zip((x + r * np.cos(ang)).tolist(), (y + r * np.sin(ang)).tolist())
+        rows += [(*f[:6], x, y) for x, y in points]
+    cols = np.array(rows).T
+    with np.errstate(all="ignore"):
+        worst, faults = loci._circle_conditions((*cols[:6], code, *cols[6:]))
+    answers = collections.Counter()
+    for i, row in enumerate(rows):
+        args = (*row[:6], code, *row[6:])
+        w, fl = loci._circle_conditions(args)
+        assert _bits(w) == _bits(worst[i])
+        assert [bool(m) for m, _ in fl] == [bool(m[i]) for m, _ in faults]
+        assert [repr(e) for _, e in fl] == [repr(e) for _, e in faults]
+        t = Triangle(*(Point2(*row[k:k + 2]) for k in (0, 2, 4)))
+        got = _passes(args)
+        assert got == is_circle(args, t.scale(), circumcircle(t)), (i, row)
+        answers[got] += 1
+    assert answers[True] > 100 and answers[False] > 1000
 
 
 def test_region_map_circumcircle_boundary(t_generic):

@@ -508,6 +508,20 @@ def test_cli_rejects_a_bad_point(point, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o.svg").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["construct", "--triad", "v-ell", "--out", "o.svg"],
+    ["locus", "--kind", "ostar", "--out", "o.svg"],
+    ["regions", "--kind", "v-ell", "--out", "o.svg"],
+])
+@pytest.mark.parametrize("triangle", ["0,3 4 0,0", "0,3 4,0", "0,3 4,0 0,0 1,1", "0,3 4,0,1 0,0", "0,3 a,0 0,0"])
+def test_cli_rejects_a_bad_triangle(command, triangle, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, f"--triangle={triangle}"])
+    assert code == 2
+    assert f"--triangle needs three points x1,y1 x2,y2 x3,y3, got {triangle!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_svg_view_box_covers_a_scene_conic():
     # The view of a scene holding a raw conic covers the conic, not only
     # the scene's points.

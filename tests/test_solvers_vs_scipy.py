@@ -17,7 +17,7 @@ from triconic.errors import NotConverged
 from triconic.geom import Point2, Triangle
 from triconic.triads import _kernel_args
 
-from reference_checks import deltas, lambdas
+from reference_checks import deltas, is_circle, lambdas
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -120,7 +120,7 @@ def _hybr_circle_points(t, kind, seeds):
         if val < best[1]:
             best = (xy, val)
         args = _kernel_args(t, kind, Point2(*xy))
-        if val <= loci._CIRCLE_TARGET and loci._is_circle(args, t.scale(), circumcircle(t)):
+        if val <= loci._CIRCLE_TARGET and is_circle(args, t.scale(), circumcircle(t)):
             roots.append((xy, val))
     if not roots:
         raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*best))

@@ -134,7 +134,11 @@ def test_carnot_product(t345, rng):
     corners = [w for v in t345.vertices() for w in v.as_tuple()]
 
     def carnot_product(six):
-        return triads._carnot(corners, [p.x for p in six], [p.y for p in six])
+        # The shared sideline rule: its product, and its fault where it holds.
+        product, (off, fault) = triads._carnot_rule(corners, [p.x for p in six], [p.y for p in six])
+        if off:
+            raise fault(0)
+        return product
 
     six = triad_vertices(build_triad(t345, "v_ellipse"))
     assert carnot_product(six) == pytest.approx(1.0, abs=1e-12)
@@ -156,7 +160,27 @@ def test_a_nan_vertex_is_off_its_sideline():
     # instead of reporting a NaN product.
     nan6 = [math.nan] * 6
     with pytest.raises(PointOffSideline, match=r"Point2\(x=nan, y=nan\) off its sideline"):
-        triads._carnot((0.0, 0.0, 1.0, 0.0, 0.0, 1.0), nan6, nan6)
+        off, fault = triads._carnot_rule((0.0, 0.0, 1.0, 0.0, 0.0, 1.0), nan6, nan6)[1]
+        assert off
+        raise fault(0)
+
+
+def test_carnot_rule_names_the_first_vertex_off_its_sideline_in_each_column(t345):
+    # On floats and in each column of an array call, the rule's fault names
+    # the first vertex off its sideline, and holds only where one is.
+    corners = [w for v in t345.vertices() for w in v.as_tuple()]
+    six = triad_vertices(build_triad(t345, "v_ellipse"))
+    cols = np.array([[p.x for p in six], [p.y for p in six]])[:, :, None].repeat(3, axis=2)
+    cols[0, 3, 0] += 0.5  # B2 off CA (x = 0) in column 0
+    cols[1, 5, 1] += 0.5  # C2 off AB in column 1, and
+    cols[1, 4, 1] -= 0.5  # C1 before it
+    off, fault = triads._carnot_rule(corners, cols[0], cols[1])[1]
+    assert off.tolist() == [True, True, False]
+    for i, k in ((0, 3), (1, 4)):
+        x, y = float(cols[0, k, i]), float(cols[1, k, i])
+        assert str(fault(i)) == f"Point2(x={x!r}, y={y!r}) off its sideline"
+        floats = triads._carnot_rule(corners, cols[0, :, i].tolist(), cols[1, :, i].tolist())[1]
+        assert floats[0] and str(floats[1](0)) == str(fault(i))
 
 
 def test_pairwise_intersections_residuals(t456):
