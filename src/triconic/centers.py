@@ -138,9 +138,12 @@ def circumcircle(t: Triangle) -> Circle:
 
 def excircle_tangency_points(t: Triangle):
     """The six external tangency points (A1, A2, B1, B2, C1, C2), from
-    kernels.excircle_tangency."""
+    kernels.excircle_tangency, by kernels.bary_point on the triangle's
+    floats (bary_to_cartesian's point; a tangency point of a triangle is
+    never at infinity)."""
+    corners = [c for v in t.vertices() for c in v.as_tuple()]
     return tuple(
-        bary_to_cartesian(t, BaryCoords(*uvw)) for uvw in kernels.excircle_tangency(*t.sides())
+        Point2(*kernels.bary_point(*corners, *uvw)[:2]) for uvw in kernels.excircle_tangency(*t.sides())
     )
 
 

@@ -3,11 +3,16 @@ five-point fitting, degenerate splitting and conic-conic intersection.
 
 A conic is stored as a symmetric 3x3 matrix m with p^T m p = 0 for
 p = (x, y, 1).  Matrices are normalized to unit Frobenius norm on
-construction, so the fixed algebraic thresholds in config apply uniformly;
-a fitted conic is classified in its fit's frame.  A conic given in
-barycentrics (p = (u, v, w) relative to a reference triangle), such as
-kernels.privalov's, stays a bare matrix; the verifier maps it to the plane
-on arrays.
+construction, by kernels.frobenius of the symmetrized coefficients, so the
+fixed algebraic thresholds in config apply uniformly; a fitted conic is
+classified in its fit's frame.  A change of frame acts on a conic as a
+substitution of coordinates (_substituted, six coefficients in closed
+form), whose constant term is the conic's value at a point (also
+Conic.__call__): no conic is built, normalized or evaluated through BLAS
+(`@`, np.linalg.norm), whose last bits change from machine to machine;
+only the pencil route keeps them.  A conic given in barycentrics (p = (u,
+v, w) relative to a reference triangle), such as kernels.privalov's, stays
+a bare matrix; the verifier maps it to the plane on arrays.
 """
 
 from __future__ import annotations
@@ -61,32 +66,45 @@ class Conic:
             raise ValueError(f"conic matrix must be 3x3, got {m.shape}")
         if not np.abs(m - m.T).max() <= 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError("conic matrix must be symmetric")
-        norm = np.linalg.norm(m)
+        object.__setattr__(self, "m", (m + m.T) / 2.0)
+        norm = frobenius(self.coeffs())
         if norm == 0.0:
             raise ValueError("zero conic matrix")
-        m = (m + m.T) / (2.0 * norm)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", self.m / norm)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Conic":
         """Coefficients in the order [xx, xy, yy, x, y, 1]."""
         A, B, C, D, E, F = (float(t) for t in coeffs)
-        m = np.array(
-            [
-                [A, B / 2.0, D / 2.0],
-                [B / 2.0, C, E / 2.0],
-                [D / 2.0, E / 2.0, F],
-            ]
-        )
-        return cls(m)
+        b, d, e = B / 2.0, D / 2.0, E / 2.0
+        return cls(np.array([[A, b, d], [b, C, e], [d, e, F]]))
 
     def coeffs(self) -> tuple[float, float, float, float, float, float]:
         (a, b, d), (_, c, e), (_, _, f) = self.m.tolist()
         return (a, 2.0 * b, c, 2.0 * d, 2.0 * e, f)
 
     def __call__(self, p: Point2) -> float:
-        v = np.array([p.x, p.y, 1.0])
-        return float(v @ self.m @ v)
+        """The value at p: _substituted's constant term at p."""
+        return _substituted(self.coeffs(), 0.0, 0.0, p.x, p.y)[5]
+
+
+def _substituted(co, a, b, cu, cv) -> tuple:
+    """The coefficients (xx, xy, yy, x, y, 1) in (x, y) of the conic co in
+    (u, v) under the similarity u = a x + b y + cu, v = -b x + a y + cv (a
+    rotation and scaling by (a, b), then a translation): the matrix T^T M T
+    of that change of frame T, written out in closed form.  The linear
+    terms come from co's gradient at (cu, cv), and the constant term is
+    co's value there, in Horner form (Conic.__call__)."""
+    A, B, C, D, E, F = co
+    gu, gv = 2.0 * A * cu + B * cv + D, B * cu + 2.0 * C * cv + E
+    return (
+        (A * a - B * b) * a + C * b * b,
+        2.0 * A * a * b - 2.0 * C * b * a + B * (a * a - b * b),
+        (A * b + B * a) * b + C * a * a,
+        gu * a - gv * b,
+        gu * b + gv * a,
+        (A * cu + B * cv + D) * cu + (C * cv + E) * cv + F,
+    )
 
 
 @dataclass(frozen=True)
@@ -140,17 +158,12 @@ def conic_from_foci(fc: FocalConic) -> Conic:
     o = fc.center
     u = fc.axis_unit()
     v = u.perp()
-    # H maps (x, y, 1) to focal-frame coordinates (X, Y, 1).
-    H = np.array(
-        [
-            [u.x, u.y, -(u.x * o.x + u.y * o.y)],
-            [v.x, v.y, -(v.x * o.x + v.y * o.y)],
-            [0.0, 0.0, 1.0],
-        ]
-    )
     s = 1.0 if fc.kind == "ellipse" else -1.0
-    D = np.diag([1.0 / (alpha * alpha), s / (beta * beta), -1.0])
-    return Conic(H.T @ D @ H)
+    # X^2 / alpha^2 + s Y^2 / beta^2 = 1 in the focal frame: X along u, Y
+    # along its perpendicular v, from the center o.
+    focal = (1.0 / (alpha * alpha), 0.0, s / (beta * beta), 0.0, 0.0, -1.0)
+    return Conic.from_coeffs(
+        _substituted(focal, u.x, u.y, -(u.x * o.x + u.y * o.y), -(v.x * o.x + v.y * o.y)))
 
 
 def covertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
@@ -158,10 +171,6 @@ def covertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
     _, beta = fc.semi_axes()
     o, v = fc.center, fc.axis_unit().perp()
     return (o + beta * v, o + (-beta) * v)
-
-
-def _normalized(m: np.ndarray) -> np.ndarray:
-    return m / np.linalg.norm(m)
 
 
 def classify(c: Conic) -> ConicClass:
@@ -196,10 +205,13 @@ class FramedFit:
     frame: tuple[float, float, float]
 
     def conic(self) -> Conic:
-        """The fitted conic in plane coordinates."""
+        """The fitted conic in plane coordinates: s^2 times the frame
+        coefficients under u = (x - ox) / s, v = (y - oy) / s
+        (_substituted of the coefficients in s u and s v)."""
+        A, B, C, D, E, F = self.coeffs
         ox, oy, s = self.frame
-        n = np.array([[1.0 / s, 0.0, -ox / s], [0.0, 1.0 / s, -oy / s], [0.0, 0.0, 1.0]])
-        return Conic(n.T @ Conic.from_coeffs(self.coeffs).m @ n)
+        scaled = (A, B, C, D * s, E * s, F * s * s)
+        return Conic.from_coeffs(_substituted(scaled, 1.0, 0.0, -ox, -oy))
 
     def conic_class(self) -> ConicClass:
         return _conic_class(self.coeffs)
@@ -292,7 +304,7 @@ def split_degenerate(c: Conic) -> tuple[LineEq, LineEq]:
     matrix to expose a rank-1 dyad, read off the lines.  Rank 1: the matrix
     itself is the dyad of a double line.
     """
-    m = _normalized(c.m)
+    m = c.m
     B = _adjugate(m)
     i = int(np.argmax(np.abs(np.diag(B))))
     bii = B[i, i]
@@ -335,7 +347,7 @@ def pencil_degenerate_lines(c1: Conic, c2: Conic) -> list[tuple[LineEq, LineEq]]
     two conics, one per real root of the cubic det(m1 + lambda*m2) (a
     quadratic when det m2 vanishes).  Members that vanish or have no real
     lines are skipped."""
-    m1, m2 = _normalized(c1.m), _normalized(c2.m)
+    m1, m2 = c1.m, c2.m
     f0 = float(np.linalg.det(m1))
     f3 = float(np.linalg.det(m2))
     fp = float(np.linalg.det(m1 + m2))
@@ -372,7 +384,7 @@ def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
     route; the focal pairs of a triad share a focus and have their line
     pair in closed form (triads.pairwise_intersections).
     """
-    m1, m2 = _normalized(c1.m), _normalized(c2.m)
+    m1, m2 = c1.m, c2.m
     members = [(c1, lines) for lines in pencil_degenerate_lines(c1, c2)]
     # c2 itself is the member at lambda = inf, in case it is degenerate.
     lines = _real_lines(m2)

@@ -13,8 +13,10 @@ read by `triads.build_triad`, `driver_fault`, `triad_vertices`, the loci
 and the kernels below, so they agree on every driver bit for bit.
 `six_point` runs the six-point pipeline: `vertices`, `fit_six` (with
 `fit5`, the only five-point fit, in the frame of its points after Hartley,
-so a class does not change when the points are moved, rotated or scaled)
-and `classify_code` (the conic-type policy, also behind `conic.classify`).
+so a class does not change when the points are moved, rotated or scaled),
+`residual6` (the left-out vertex's residual, apart from the fit, so that
+only its readers pay for it) and `classify_code` (the conic-type policy,
+also behind `conic.classify`).
 An array call broadcasts only its array arguments and keeps its float
 arguments floats, so the quantities of a triangle given as floats (sides,
 member guard, midpoints and unit vectors) are computed once a call, not
@@ -22,12 +24,13 @@ once a cell; it gathers the fit's vertices and labels by flat index.
 On floats it serves the Brent polish of the P2.6, P3.4 and P5.7 sign
 scans; on arrays region maps, the grids of those scans, P2.8's and P5.7's
 other points and the P2.2, P3.1, P3.8 and P5.2 trials.
-`triads._six_point_fit` calls `vertices`, `fit_six` and `frame_center`
-itself, on floats or arrays, with the six-point conic's fit rules: it
-serves the circle test (`loci._circle_conditions`) of the circle searches,
-P3.2 and P5.4, and with the sideline rules (`triads._six_point_rules`)
-`triads.six_point_conic` and the P2.1, P2.7, P3.3, P4.3, A3, A6 and P5.5
-trials; `loci.sample_locus_ostar` calls them directly.
+`triads._six_point_fit` calls `vertex_rows`, `fit_six`, `residual6` and
+`frame_center` itself, on floats or arrays, with the six-point conic's fit
+rules: it serves the circle test (`loci._circle_conditions`) of the circle
+searches, P3.2 and P5.4, and with the sideline rules
+(`triads._six_point_rules`) `triads.six_point_conic` and the P2.1, P2.7,
+P3.3, P4.3, A3, A6 and P5.5 trials; `loci.sample_locus_ostar` calls
+`vertices`, `fit_six` and `frame_center` directly, and reads no residual6.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
@@ -468,7 +471,7 @@ def vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas):
 
 def vertices(ax, ay, bx, by, cx, cy, kind, px, py):
     """The six vertices of the triad and whether a member degenerates:
-    (xs, ys, bad), by _sides_deltas and vertex_coords.
+    (xs, ys, bad), by _sides_deltas and vertex_coords (vertex_rows).
 
     Floats give two lists of six floats (A1 A2 B1 B2 C1 C2) and a bool.
     1-d arrays of n drivers or triangles, the other arguments floats or
@@ -477,8 +480,16 @@ def vertices(ax, ay, bx, by, cx, cy, kind, px, py):
     A degenerate triad's vertices are those the formula gives, on floats
     as in an array column: NaN on a side of length zero.
     """
-    sides, deltas, bad = _sides_deltas(ax, ay, bx, by, cx, cy, kind, px, py)
-    xs, ys = vertex_coords(ax, ay, bx, by, cx, cy, sides, deltas)
+    corners = (ax, ay, bx, by, cx, cy)
+    return vertex_rows(corners, _sides_deltas(*corners, kind, px, py))
+
+
+def vertex_rows(corners, sides_deltas):
+    """vertices of the corners (ax, ay, bx, by, cx, cy), given their
+    triad's _sides_deltas (sides, deltas, bad), for a caller that reads
+    the sides too."""
+    sides, deltas, bad = sides_deltas
+    xs, ys = vertex_coords(*corners, sides, deltas)
     if isinstance(bad, np.ndarray):
         out = np.empty((2, 6) + bad.shape)
         for k, (x, y) in enumerate(zip(xs, ys)):
@@ -620,12 +631,11 @@ _KEPT = tuple(tuple(k for k in range(6) if k != j) for j in range(6))
 _KEPT_T = np.array(_KEPT).T.copy()
 
 
-def _flat_kept(xs, out):
-    """Flat indices into a (6, n) array's ravel of each column's left-out
-    vertex, (n,), and its five kept vertices in order, (5, n)."""
+def _flat_at(xs, rows):
+    """Flat indices into a (6, n) array's ravel of row rows[..., k] of
+    column k: rows of shape (n,) or (m, n)."""
     n = xs.shape[1]
-    cols = np.arange(n)
-    return out * n + cols, _KEPT_T.take(out, axis=1) * n + cols
+    return rows * n + np.arange(n)
 
 
 def fit_six(xs, ys):
@@ -641,20 +651,18 @@ def fit_six(xs, ys):
     sweeps; on none of 400 seeded V- and P-ellipse rays each, the sweeps the
     verifier brackets det on).
     xs and ys hold six coordinates each: six floats, or (6, n) arrays.
-    Returns (coeffs, frame, out, residual6): fit5's coefficients and frame,
-    the index of the left-out vertex, and its conic_residual in the frame.
-    Floats give floats and an int, arrays arrays of shape (n,).  The
-    squared distances, the first minimum, fit5 and the residual are the
-    same IEEE operations in both, so a column gives the bits of its floats.
+    Returns (coeffs, frame, out): fit5's coefficients and frame, and the
+    index of the left-out vertex, whose residual residual6 gives.  Floats
+    give floats and an int, arrays arrays of shape (n,).  The squared
+    distances, the first minimum and fit5 are the same IEEE operations in
+    both, so a column gives the bits of its floats.
     """
     if isinstance(xs, np.ndarray):
         dx = xs.take(_PAIR_I, axis=0) - xs.take(_PAIR_J, axis=0)
         dy = ys.take(_PAIR_I, axis=0) - ys.take(_PAIR_J, axis=0)
         out = _PAIR_J.take(np.argmin(dx * dx + dy * dy, axis=0))
-        at, kept = _flat_kept(xs, out)
-        xs, ys = xs.ravel(), ys.ravel()
-        xo, yo = xs.take(at), ys.take(at)
-        co, (ox, oy, s) = fit5(xs.take(kept), ys.take(kept))
+        kept = _flat_at(xs, _KEPT_T.take(out, axis=1))
+        co, frame = fit5(xs.ravel().take(kept), ys.ravel().take(kept))
     else:
         d2 = [
             (xs[i] - xs[j]) * (xs[i] - xs[j]) + (ys[i] - ys[j]) * (ys[i] - ys[j])
@@ -662,9 +670,18 @@ def fit_six(xs, ys):
         ]
         out = _PAIRS[d2.index(min(d2))][1]
         kept = _KEPT[out]
-        xo, yo = xs[out], ys[out]
-        co, (ox, oy, s) = fit5([xs[k] for k in kept], [ys[k] for k in kept])
-    return co, (ox, oy, s), out, conic_residual(co, (xo - ox) / s, (yo - oy) / s)
+        co, frame = fit5([xs[k] for k in kept], [ys[k] for k in kept])
+    return co, frame, out
+
+
+def residual6(xs, ys, fit):
+    """The conic_residual of the vertex that fit_six's fit (coeffs, frame,
+    out) of the vertices (xs, ys) leaves out, in the frame of the fit: the
+    same IEEE operations on floats and on (6, n) arrays."""
+    co, (ox, oy, s), out = fit
+    if isinstance(xs, np.ndarray):
+        xs, ys, out = xs.ravel(), ys.ravel(), _flat_at(xs, out)
+    return conic_residual(co, (xs[out] - ox) / s, (ys[out] - oy) / s)
 
 
 def kept_gap(xs, ys, out):
@@ -672,7 +689,7 @@ def kept_gap(xs, ys, out):
     when it leaves out vertex out: floats and an int, or (6, n) arrays and
     fit_six's array of left-out indices."""
     if isinstance(xs, np.ndarray):
-        kept = _flat_kept(xs, out)[1]
+        kept = _flat_at(xs, _KEPT_T.take(out, axis=1))
         kx, ky = xs.ravel().take(kept), ys.ravel().take(kept)
         return _hypot(kx[_P5_I] - kx[_P5_J], ky[_P5_I] - ky[_P5_J]).min(axis=0)
     kept = _KEPT[out]
@@ -715,9 +732,9 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         xs, ys, bad = vertices(ax, ay, bx, by, cx, cy, kind, px, py)
         if bad:
             return _FAILED
-        co, _, _, res6 = fit_six(xs, ys)
-        code, det, disc = classify_code(co)
-        return _FAILED if code == CLASS_FAILED else (code, det, disc, res6)
+        fit = fit_six(xs, ys)
+        code, det, disc = classify_code(fit[0])
+        return _FAILED if code == CLASS_FAILED else (code, det, disc, residual6(xs, ys, fit))
     shape = np.broadcast_shapes(*(np.shape(v) for v in args))
     flat = [_filled(shape, v) if isinstance(v, np.ndarray) else float(v) for v in args]
     size = math.prod(shape)
@@ -729,8 +746,9 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         part = [v[cut] if isinstance(v, np.ndarray) else v for v in flat]
         with np.errstate(all="ignore"):
             xs, ys, failed = vertices(*part[:6], kind, *part[6:])
-            co, _, _, res6 = fit_six(xs, ys)
-            codes, det, disc = classify_code(co)
+            fit = fit_six(xs, ys)
+            res6 = residual6(xs, ys, fit)
+            codes, det, disc = classify_code(fit[0])
         failed |= codes == CLASS_FAILED
         for w, v, fail in zip(out, (codes, det, disc, res6), _FAILED):
             w[cut] = np.where(failed, fail, v)

@@ -23,7 +23,7 @@ from .conic import (
     ConicClass,
     FramedFit,
     center as conic_center,
-    fit_conic_5pts,
+    fit_framed,
     residual,
     tangency_discriminant,
 )
@@ -287,7 +287,7 @@ def ostar_arc_ellipses(t: Triangle) -> dict[str, Conic]:
     A1, A2, B1, B2, C1, C2 = excircle_tangency_points(t)
     mids = [midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b)]
     return {
-        arc: fit_conic_5pts([*mids, p, q])
+        arc: fit_framed([*mids, p, q]).conic()
         for arc, p, q in (("a", B2, C1), ("b", C2, A1), ("c", A2, B1))
     }
 
@@ -298,10 +298,13 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic
     and its residual as a LocusSweep, whose samples are built when indexed,
     and the arcs.
 
-    P runs over the angles 2*pi*k/n, k < n, less those within OSTAR_EPS
-    of a vertex, in one array pass.  kernels.vertices gives every P's P-ellipse
-    vertices; kernels.fit_six fits the conic through five of them by the
-    package's fit rule, in the frame of those five points, and
+    The circumcircle is read on the triangle's floats (kernels.circumcircle,
+    with centers.circumcircle's PointAtInfinity).  P runs over the angles
+    2*pi*k/n, k < n,
+    less those within OSTAR_EPS of a vertex, in one array pass.
+    kernels.vertices gives every P's P-ellipse vertices; kernels.fit_six
+    fits the conic through five of them by the package's fit rule, in the
+    frame of those five points (no residual6 is computed), and
     kernels.frame_center finds its center there, skipping the sample where
     conic.center finds none.
     P's arc is the one between the two vertex angles around P's angle.  A
@@ -311,27 +314,28 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic
     the triangle's scale and a norm above DET_DEGENERATE_TOL
     (triads._six_point_fit), are not applied.
     """
-    cc = circumcircle(t)
+    corners = [c for v in t.vertices() for c in v.as_tuple()]
+    ox, oy, far, radius = kernels.circumcircle(corners, t.sides())
+    if far:
+        raise PointAtInfinity("u+v+w ~ 0 for X3")
     arcs = ostar_arc_ellipses(t)
     # (angle about the circumcenter, index) per vertex, by angle; arcs
     # "abc" are indexed as their opposite vertices.
     vertex_angles = sorted(
-        (math.atan2(v.y - cc.center.y, v.x - cc.center.x) % (2 * math.pi), k)
-        for k, v in enumerate(t.vertices())
+        (math.atan2(v.y - oy, v.x - ox) % (2 * math.pi), k) for k, v in enumerate(t.vertices())
     )
     va = np.array([ang for ang, _ in vertex_angles])
     theta = 2.0 * math.pi * np.arange(n) / n
     gap = np.abs(theta[:, None] - va)
     theta = theta[(np.minimum(gap, 2 * math.pi - gap) >= OSTAR_EPS).all(axis=1)]
-    px = cc.center.x + cc.radius * np.cos(theta)
-    py = cc.center.y + cc.radius * np.sin(theta)
-    (ax, ay), (bx, by), (cx, cy) = (v.as_tuple() for v in t.vertices())
+    px = ox + radius * np.cos(theta)
+    py = oy + radius * np.sin(theta)
     # A zero spread or discriminant is caught by the tests below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py)
+        xs, ys, bad = kernels.vertices(*corners, kernels.KIND_P_ELLIPSE, px, py)
         if bad.any():
             raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
-        co, frame, _, _ = kernels.fit_six(xs, ys)
+        co, frame, _ = kernels.fit_six(xs, ys)
         norm = kernels.frobenius(co)
         vanished = ~((norm > 0.0) & (norm < math.inf))
         if vanished.any():
@@ -374,9 +378,8 @@ def equilateral_ostar_locus_check() -> EquilateralOstarReport:
         offsets.append(distance(cen, vertex))
         m = con.m
         Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
-        vh = np.array([cen.x, cen.y, 1.0])
         # Centered form: (p-cen)^T Q (p-cen) = -f(cen)  ->  semi-axes sqrt(k/eig).
-        k = -float(vh @ m @ vh)
+        k = -con(cen)
         eig = np.linalg.eigvalsh(Q)
         semi = sorted((math.sqrt(k / e) for e in eig), reverse=True)
         axes.append(tuple(semi))
@@ -432,11 +435,14 @@ def _circle_conditions(args) -> tuple:
     circumcenter (kernels.circumcircle) over the circumradius; and the
     faults as (mask, exception) pairs: six_point_conic's fit rules
     (triads._six_point_fit; not its sideline rules, which say nothing of
-    the conic), then a circumcenter at infinity."""
+    the conic), then a circumcenter at infinity.  The triangle's sides are
+    computed once a call (kernels._sides_deltas), for the functional, the
+    circumcircle and the fit."""
     functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
                   kernels.KIND_P_HYPERBOLA: phyp_circle_functional}[args[6]]
-    sides, focal, _ = kernels._sides_deltas(*args)
-    _, co, *_, (x, y, has_center), rules = _six_point_fit(args)
+    sides_deltas = kernels._sides_deltas(*args)
+    sides, focal, _ = sides_deltas
+    _, co, *_, (x, y, has_center), rules = _six_point_fit(args, sides_deltas)
     ox, oy, far, r = kernels.circumcircle(args[:6], sides)
     s = kernels._largest(sides)
     s4 = (s * s) * (s * s)
@@ -1054,10 +1060,11 @@ def _covertex_fit(cov) -> tuple[FramedFit, float]:
     """kernels.fit_six of the six co-vertices: the fit in its frame and
     residual6, the left-out co-vertex's residual in that frame.
     RankDeficient when the fit vanishes, as in conic.fit_framed."""
-    co, frame, _, res6 = kernels.fit_six([p.x for p in cov], [p.y for p in cov])
-    if not kernels.frobenius(co) > DET_DEGENERATE_TOL:
+    xs, ys = [p.x for p in cov], [p.y for p in cov]
+    fit = kernels.fit_six(xs, ys)
+    if not kernels.frobenius(fit[0]) > DET_DEGENERATE_TOL:
         raise RankDeficient("the co-vertices do not determine a unique conic")
-    return FramedFit(co, frame), res6
+    return FramedFit(*fit[:2]), kernels.residual6(xs, ys, fit)
 
 
 def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:

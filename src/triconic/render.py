@@ -17,6 +17,7 @@ from .conic import (
     Conic,
     ConicClass,
     FocalConic,
+    _substituted,
     center as conic_center,
     classify,
     conic_from_foci,
@@ -77,8 +78,7 @@ def _conic_samples(c: Conic, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
     half = max(xmax - xmin, ymax - ymin) / 2.0
     quad = np.abs(c.m[:2, :2]).max()
     s = max(half, math.sqrt(abs(c(Point2(ox, oy))) / quad)) if quad > 0.0 else half
-    to_plane = np.array([[s, 0.0, ox], [0.0, s, oy], [0.0, 0.0, 1.0]])
-    framed = Conic(to_plane.T @ c.m @ to_plane)
+    framed = Conic.from_coeffs(_substituted(c.coeffs(), s, 0.0, ox, oy))
 
     kind = classify(framed)
     if kind.is_degenerate():

@@ -185,20 +185,21 @@ def six_point_conic(tr: ConicTriad) -> SixPointConicReport:
     )
 
 
-def _six_point_fit(args) -> tuple:
+def _six_point_fit(args, sides_deltas) -> tuple:
     """The six-point conic of the triads of the kernel arguments args
-    (_kernel_args), on floats or elementwise on arrays, with the same bits:
-    the vertices and member flag (kernels.vertices), kernels.fit_six's
-    coefficients, frame and residual6, the center (kernels.frame_center:
-    x, y, has_center), and six_point_conic's fit rules as (mask,
-    exception) pairs, in its order: DegenerateMember where a member
-    degenerates, RankDeficient where two of the five kept vertices are
-    within 1e-9 of the largest side or their fit's norm is not above
-    DET_DEGENERATE_TOL."""
-    xs, ys, bad = kernels.vertices(*args)
-    co, frame, out, res6 = kernels.fit_six(xs, ys)
-    s = kernels._largest(kernels.triangle_sides(*args[:6]))
-    return (xs, ys, bad), co, frame, res6, kernels.frame_center(co, frame), [
+    (_kernel_args), given their kernels._sides_deltas, on floats or
+    elementwise on arrays, with the same bits: the vertices and member flag
+    (kernels.vertex_rows), kernels.fit_six's coefficients and frame,
+    kernels.residual6, the center (kernels.frame_center: x, y,
+    has_center), and six_point_conic's fit rules as (mask, exception)
+    pairs, in its order: DegenerateMember where a member degenerates,
+    RankDeficient where two of the five kept vertices are within 1e-9 of
+    the largest side or their fit's norm is not above DET_DEGENERATE_TOL."""
+    xs, ys, bad = kernels.vertex_rows(args[:6], sides_deltas)
+    fit = kernels.fit_six(xs, ys)
+    co, frame, out = fit
+    s = kernels._largest(sides_deltas[0])
+    return (xs, ys, bad), co, frame, kernels.residual6(xs, ys, fit), kernels.frame_center(co, frame), [
         (bad, DegenerateMember("a triad member degenerates")),
         (kernels.kept_gap(xs, ys, out) <= 1e-9 * s,
          RankDeficient("fewer than 5 distinct triad vertices")),
@@ -214,7 +215,7 @@ def _six_point_rules(args) -> tuple:
     frame (kernels.frame), so that they see the triangle's shape to its own
     precision wherever it lies: DegenerateMember where a member degenerates
     there, and _carnot_rule's.  Floats, or elementwise on arrays."""
-    *fit, rules = _six_point_fit(args)
+    *fit, rules = _six_point_fit(args, kernels._sides_deltas(*args))
     _, framed = kernels.frame(*args[:6], *args[7:])
     xs, ys, bad = kernels.vertices(*framed[:6], args[6], *framed[6:])
     product, sideline = _carnot_rule(framed[:6], xs, ys)

@@ -658,7 +658,7 @@ def circle_center(args, scale) -> tuple:
     xs, ys, bad = kernels.vertices(*args)
     if bad:
         raise DegenerateMember("a triad member degenerates")
-    co, frame, out, _ = kernels.fit_six(xs, ys)
+    co, frame, out = kernels.fit_six(xs, ys)
     if kernels.kept_gap(xs, ys, out) <= 1e-9 * scale:
         raise RankDeficient("fewer than 5 distinct triad vertices")
     if not kernels.frobenius(co) > DET_DEGENERATE_TOL:

@@ -1,4 +1,7 @@
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +112,80 @@ def test_fit_tangency_points_degenerate(t345):
     con = fit_conic_5pts(pts[:5])
     assert classify(con) is ConicClass.DEGENERATE_TWO_LINES
     assert residual(con, pts[5]) <= 1e-9
+
+
+def _normalized_reference(m):
+    """Conic's normalization in plain Python: the coefficients of the
+    symmetrized matrix over kernels.frobenius's norm of them."""
+    (a, b, d), (b2, c, e), (d2, e2, f) = m
+    A, B, C, D, E, F = a, b + b2, c, d + d2, e + e2, f
+    n = math.sqrt(A * A + C * C + F * F + (B * B + D * D + E * E) / 2.0)
+    b, d, e = B / 2.0 / n, D / 2.0 / n, E / 2.0 / n
+    return [[A / n, b, d], [b, C / n, e], [d, e, F / n]]
+
+
+def test_conic_normalization_is_the_frobenius_rule_on_floats(rng):
+    # Conic normalizes by kernels.frobenius, not by BLAS: every entry is
+    # the bits of the plain-Python rule, on symmetric matrices of scales
+    # 1e-8 to 1e8 and on matrices asymmetric within the symmetry check.
+    def hexes(m):
+        return [v.hex() for row in m for v in row]
+
+    for k in range(600):
+        m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-8.0, 8.0)
+        m = m + m.T
+        if k % 3 == 0:
+            m[0, 1] += 1e-13 * np.abs(m).max()
+        assert hexes(Conic(m).m.tolist()) == hexes(_normalized_reference(m.tolist())), k
+
+
+def _plane_coeffs_exact(fit):
+    """The plane coefficients of a FramedFit, unit Frobenius norm, from the
+    exact substitution u = (x - ox) / s, v = (y - oy) / s (in Fractions,
+    times s^2) normalized in 60-digit decimals, each rounded once."""
+    A, B, C, D, E, F = map(Fraction, fit.coeffs)
+    ox, oy, s = map(Fraction, fit.frame)
+    plane = (A, B, C, D * s - 2 * A * ox - B * oy, E * s - B * ox - 2 * C * oy,
+             A * ox * ox + B * ox * oy + C * oy * oy - s * (D * ox + E * oy) + F * s * s)
+    n2 = plane[0] ** 2 + plane[2] ** 2 + plane[5] ** 2 + (plane[1] ** 2 + plane[3] ** 2 + plane[4] ** 2) / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        n = Decimal(n2.numerator).sqrt() / Decimal(n2.denominator).sqrt()
+        return [float(Decimal(p.numerator) / Decimal(p.denominator) / n) for p in plane]
+
+
+def test_framed_fit_in_the_plane_is_the_exact_substitution():
+    # FramedFit.conic substitutes the frame in closed form: within 4 ulp of
+    # the largest coefficient of the exact substitution of the same
+    # coefficients, for the six-point fits of seeded triads of the four
+    # kinds and the O* arc fits, on random and flat triangles as drawn.
+    # (Far from the origin the plane coefficients cancel: moved by
+    # (10, -10) the worst of 700 such fits read 23 ulp, and 44 with the
+    # former BLAS products.)
+    from triconic.conic import fit_framed
+    from triconic.errors import TriconicError
+    from triconic.geom import midpoint
+    from triconic.triads import TRIAD_KINDS, build_triad, six_point_conic
+    from triconic.verify import random_flat_triangle, random_point_near, random_triangle
+
+    rng = np.random.default_rng(4242)
+    fits = []
+    for k in range(120):
+        t = random_triangle(rng) if k % 2 else random_flat_triangle(rng)
+        A1, A2, B1, B2, C1, C2 = excircle_tangency_points(t)
+        mids = [midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b)]
+        fits += [fit_framed([*mids, p, q]) for p, q in ((B2, C1), (C2, A1), (A2, B1))]
+        for kind in TRIAD_KINDS:
+            p = random_point_near(t, rng) if kind.startswith("p_") else None
+            try:
+                fits.append(six_point_conic(build_triad(t, kind, p)).fit)
+            except TriconicError:
+                pass
+    assert len(fits) > 700
+    for i, fit in enumerate(fits):
+        want = _plane_coeffs_exact(fit)
+        got = fit.conic().coeffs()
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 4 * math.ulp(max(map(abs, want))), i
 
 
 def test_fit_rank_deficient():

@@ -137,6 +137,38 @@ def test_six_point_rules_live_in_triads():
     assert {name: found for name, found in readers.items() if found} == {"triads.py": names}
 
 
+def _blas_users(source: str) -> set:
+    """The top-level functions and classes of source that use @ or
+    np.linalg.norm."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)) or (
+                isinstance(node, ast.Attribute) and node.attr == "norm"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+            ):
+                found.add(top.name)
+    return found
+
+
+def test_scan_finds_blas_users():
+    src = "import numpy as np\ndef f(m):\n    return m @ m\nclass C:\n    def g(self):\n" \
+          "        return np.linalg.norm(self)\ndef h(m):\n    return np.linalg.det(m)\n"
+    assert _blas_users(src) == {"f", "C"}
+
+
+def test_conics_are_built_without_blas():
+    # No @ or np.linalg.norm builds, normalizes or evaluates a Conic, whose
+    # bits would then change with the BLAS build: conic.py uses them only
+    # in the pencil route, and the modules that build plane conics not at
+    # all.  (render samples a conic on its eigenframe, which is left out.)
+    pencil = {"_real_lines", "conic_line_intersection"}
+    found = {name: _blas_users((PACKAGE / name).read_text())
+             for name in ("conic.py", "kernels.py", "triads.py", "loci.py", "scene.py")}
+    assert found == {"conic.py": pencil, "kernels.py": set(), "triads.py": set(), "loci.py": set(),
+                     "scene.py": set()}
+
+
 def test_package_runs_without_scipy(cli_env):
     # The package's root-finders are its own: importing every entry module
     # and running both circle searches and a Brent polish loads no scipy.

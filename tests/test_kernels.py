@@ -566,7 +566,8 @@ def test_flat_take_gathers_are_the_fancy_indexed_ones():
     ys[4, 220:230] = math.inf
     xs[0, 230:240] = 1e300
     with np.errstate(all="ignore"):
-        co, frame, out, res6 = kernels.fit_six(xs, ys)
+        co, frame, out = kernels.fit_six(xs, ys)
+        res6 = kernels.residual6(xs, ys, (co, frame, out))
         gap = kernels.kept_gap(xs, ys, out)
         want = _fit_six_fancy(xs, ys)
         for col in (np.arange(5), np.array([4, 0, 3, 1, 2])):
@@ -574,6 +575,33 @@ def test_flat_take_gathers_are_the_fancy_indexed_ones():
             assert all(p.tobytes() == q.tobytes() for p, q in zip((*a[0], *a[1]), (*b[0], *b[1])))
     for a, b in zip((*co, *frame, out, res6, gap), (*want[0], *want[1], *want[2:])):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fused_residual6(xs, ys):
+    """residual6 as the fit computed it when fit_six returned it, on six
+    floats: the left-out vertex read beside the fit, its conic_residual in
+    the frame of the fit."""
+    pairs = list(itertools.combinations(range(6), 2))
+    d2 = [(xs[i] - xs[j]) * (xs[i] - xs[j]) + (ys[i] - ys[j]) * (ys[i] - ys[j]) for i, j in pairs]
+    out = pairs[d2.index(min(d2))][1]
+    kept = [k for k in range(6) if k != out]
+    co, (ox, oy, s) = kernels.fit5([xs[k] for k in kept], [ys[k] for k in kept])
+    return kernels.conic_residual(co, (xs[out] - ox) / s, (ys[out] - oy) / s)
+
+
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_six_point_residual_is_the_fused_fit_residual(kind):
+    # six_point reads residual6 apart from fit_six: on floats and in each
+    # column of one array call it gives the bits of the residual the fit
+    # computed beside it, on ordinary, flat and moved triads.
+    rows = [*_seeded_kernel_args(kind, (0.0, 0.0)), *_seeded_kernel_args(kind, (0.0, 0.0), flat=True),
+            *_seeded_kernel_args(kind, (1e3, -1e3))]
+    cols = np.array(rows).T
+    res6 = kernels.six_point(*cols[:6], kernels.KIND_CODES[kind], *cols[7:])[3]
+    for i, args in enumerate(rows):
+        xs, ys, _ = kernels.vertices(*args)
+        want = _fused_residual6(xs, ys)
+        assert kernels.six_point(*args)[3].hex() == want.hex() == res6[i].item().hex(), i
 
 
 def _seeded_kernel_args(kind, offset, n=30, flat=False):
@@ -623,7 +651,8 @@ def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
     kcode = kernels.KIND_CODES[kind]
     codes, _, _, res6 = kernels.six_point(*cols[:6], kcode, *cols[7:])
     xs, ys, bad = kernels.vertices(*cols[:6], kcode, *cols[7:])
-    _, _, outs, fit_res = kernels.fit_six(xs, ys)
+    fit = kernels.fit_six(xs, ys)
+    outs, fit_res = fit[2], kernels.residual6(xs, ys, fit)
     assert not bad.any()
     for i, args in enumerate(rows):
         code, _, _, r6 = kernels.six_point(*args)
@@ -637,7 +666,8 @@ def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
         vx, vy, _ = kernels.vertices(*args)
         assert tr.deltas == kernels._sides_deltas(*args)[1], i
         assert [q.as_tuple() for q in triad_vertices(tr)] == list(zip(vx, vy)), i
-        _, _, out, res = kernels.fit_six(vx, vy)
+        fit = kernels.fit_six(vx, vy)
+        out, res = fit[2], kernels.residual6(vx, vy, fit)
         assert (codes[i], res6[i].item()) == (code, r6), i
         assert (outs[i], fit_res[i].item()) == (out, r6), i
         assert res == r6
@@ -764,7 +794,7 @@ def test_bracket_fit_classes_match_the_lu_oracle():
         ax, ay, bx, by, cx, cy, px, py = _sweep_configs(rng, 500)
         with np.errstate(all="ignore"):
             xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kind, px, py)
-            co, _, out, _ = kernels.fit_six(xs, ys)
+            co, _, out = kernels.fit_six(xs, ys)
             kept = np.array(kernels._KEPT)[out].T
             cols = np.arange(out.size)
             lu = _lu_cofactors(xs[kept, cols], ys[kept, cols])

@@ -271,7 +271,7 @@ def _reference_ostar(t, n):
         xs, ys, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kernels.KIND_P_ELLIPSE, px, py)
         if bad.any():
             raise DegenerateMember(f"P-ellipse member collapses at P angle {theta[bad][0]}")
-        co, frame, _, _ = kernels.fit_six(xs, ys)
+        co, frame, _ = kernels.fit_six(xs, ys)
         norm = kernels.frobenius(co)
         vanished = ~((norm > 0.0) & (norm < math.inf))
         if vanished.any():
@@ -308,6 +308,33 @@ def test_ostar_sweep_samples_match_the_reference():
     for t in _seeded_triangles(7, 4):
         sweep, _ = sample_locus_ostar(t, 90)
         assert _same_samples(sweep, _reference_ostar(t, 90))
+
+
+def test_ostar_centers_are_the_float_six_point_centers():
+    # Each O* center is, bit for bit, the center of its driver's six-point
+    # conic on floats (kernels.vertices, kernels.fit_six and
+    # kernels.frame_center), and each arc the object path's fit
+    # (conic.fit_conic_5pts of the side midpoints and two excircle
+    # tangency points), on seeded random and flat triangles.
+    from triconic.centers import excircle_tangency_points
+    from triconic.conic import fit_conic_5pts
+    from triconic.geom import midpoint
+
+    rng = np.random.default_rng(4343)
+    for t in [random_triangle(rng) for _ in range(12)] + [random_flat_triangle(rng) for _ in range(6)]:
+        corners = _kernel_args(t, "p_ellipse", None)[:6]
+        sweep, arcs = sample_locus_ostar(t, 240)
+        assert len(sweep) >= 0.9 * 240
+        for s in sweep:
+            xs, ys, bad = kernels.vertices(*corners, kernels.KIND_P_ELLIPSE, s.driver.x, s.driver.y)
+            co, frame, _ = kernels.fit_six(xs, ys)
+            x, y, has_center = kernels.frame_center(co, frame)
+            assert not bad and has_center
+            assert (s.center.x.hex(), s.center.y.hex()) == (x.hex(), y.hex())
+        A1, A2, B1, B2, C1, C2 = excircle_tangency_points(t)
+        mids = [midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b)]
+        for arc, p, q in (("a", B2, C1), ("b", C2, A1), ("c", A2, B1)):
+            assert arcs[arc].m.tobytes() == fit_conic_5pts([*mids, p, q]).m.tobytes(), arc
 
 
 def test_sweep_indexes_like_a_list():
@@ -764,6 +791,25 @@ def test_circle_test_on_floats_is_its_array_column_and_the_reference(kind):
         assert got == is_circle(args, t.scale(), circumcircle(t)), (i, row)
         answers[got] += 1
     assert answers[True] > 100 and answers[False] > 1000
+
+
+@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+def test_circle_test_names_a_degenerate_member_alone(kind):
+    # P at the midpoint of BC (a P-ellipse member collapses onto BC) or on
+    # its perpendicular bisector (a P-hyperbola member is the bisector):
+    # of the circle test's faults only the member rule holds, on floats and
+    # in P's array column.
+    corners = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1)
+    _, _, bx, by, cx, cy = corners
+    off = 0.0 if kind == "p_ellipse" else 0.3
+    px, py = (bx + cx) / 2.0 + off * (cy - by), (by + cy) / 2.0 - off * (cx - bx)
+    code = kernels.KIND_CODES[kind]
+    worst, faults = loci._circle_conditions((*corners, code, px, py))
+    assert [bool(mask) for mask, _ in faults] == [True, False, False, False]
+    assert isinstance(faults[0][1], DegenerateMember) and worst > loci._CONCENTRIC_TOL
+    column = loci._circle_conditions((*corners, code, np.array([0.7, px]), np.array([0.5, py])))[1]
+    # The circumcenter's rule reads the triangle's floats alone: a bool.
+    assert [bool(np.broadcast_to(mask, 2)[1]) for mask, _ in column] == [True, False, False, False]
 
 
 def test_region_map_circumcircle_boundary(t_generic):

@@ -183,6 +183,24 @@ def test_carnot_rule_names_the_first_vertex_off_its_sideline_in_each_column(t345
         assert floats[0] and str(floats[1](0)) == str(fault(i))
 
 
+def test_member_that_degenerates_only_in_the_frame_fails_the_six_point_conic():
+    # P 8.8e-7 off the midpoint of BC on its normal, where the a-member's
+    # focal sum exceeds |BC| by the member guard to rounding: the guard
+    # holds in the triangle's frame (kernels.frame) but not in the plane, so
+    # only six_point_conic's framed member rule holds, on floats and in the
+    # driver's array column.
+    t = Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))
+    p = Point2(0.9000006717388133, 0.62500056567479)
+    args = triads._kernel_args(t, "p_ellipse", p)
+    assert triads.driver_fault(t, "p_ellipse", p) is None
+    rules = triads._six_point_rules(args)[-1]
+    assert [bool(mask) for mask, _ in rules] == [False, False, False, True, False]
+    column = triads._six_point_rules((*args[:7], np.array([0.0, p.x]), np.array([0.0, p.y])))[-1]
+    assert [bool(mask[1]) for mask, _ in column] == [False, False, False, True, False]
+    with pytest.raises(DegenerateMember, match="a triad member degenerates"):
+        six_point_conic(build_triad(t, "p_ellipse", p))
+
+
 def test_pairwise_intersections_residuals(t456):
     tr = build_triad(t456, "v_ellipse")
     inters = pairwise_intersections(tr)

@@ -663,6 +663,16 @@ def test_circle_pair_on_near_degenerate_triangles(triangle):
     assert replay_witness("P5.4-circle-pair", {"triangle": triangle}) <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="A6 fits the vertices of this obtuse sliver "
+                   "in plane coordinates and reads 1.29e-7 against a bound of 1e-7 (ROADMAP item 13)")
+def test_x5452_coordinate_on_an_obtuse_sliver():
+    # The witness of A6 at seed 31 with 5000 trials (angles about 3.6, 3.6
+    # and 172.8 degrees).  In the triangle's frame it reads 5.0e-10.
+    triangle = [[0.8498924362798843, 0.9822067739782391], [0.5554469232131579, 0.8453282133402632],
+                [0.6986893142565486, 0.9231292119659875]]
+    assert replay_witness("A6-x5452-coordinate", {"triangle": triangle}) <= 1e-7
+
+
 def test_negative_control_tolerance():
     # Forcing the global tolerance to 1e-20 must make the suite fail: the
     # sideline-membership predicates inside the Carnot check reject honest

@@ -18,14 +18,20 @@ failed) is a report like any other; an exit of 2 is an error.
 
 `diff` compares the files of the same name in two directories.  For the
 reports it prints each proposition entry that differs: its id, both
-max_residual values and whether the witness moved.  It names each locus
-output and each SVG that is not byte-identical, and each directory whose
-threads2.json is not byte-identical to its seed42.json (the thread count
-must not change the report).  It exits 1 if anything differs.
+max_residual values and whether the witness moved.  For each locus output
+and each SVG that is not byte-identical it prints how many of its numbers
+changed and the largest change among them, absolute (|a - b|) and
+relative (|a - b| / max(|a|, |b|), which reads 1 or 2 for a value that
+moves from or across 0), or that the text between the numbers differs.
+It names each directory whose threads2.json is not byte-identical to its
+seed42.json (the thread count must not change the report).  It exits 1
+if anything differs.
 """
 
 import json
+import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -84,6 +90,25 @@ def write(out: pathlib.Path) -> int:
     return 0
 
 
+# A number as JSON and the SVG paths write it, or a JSON non-finite.
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
+
+
+def _number_moves(text_a: str, text_b: str) -> str:
+    """How the numbers of two texts differ: how many of them changed
+    value, and the largest change, absolute and relative; or that the text
+    between the numbers differs."""
+    if _NUMBER.sub("#", text_a) != _NUMBER.sub("#", text_b):
+        return "the text between the numbers differs"
+    numbers = _NUMBER.findall(text_a)
+    pairs = [(float(x), float(y)) for x, y in zip(numbers, _NUMBER.findall(text_b))
+             if x != y and float(x) != float(y)]
+    moves = [abs(x - y) if math.isfinite(x - y) else math.inf for x, y in pairs]
+    relative = max((m / max(abs(x), abs(y)) for m, (x, y) in zip(moves, pairs)), default=0.0)
+    return (f"{len(pairs)} of {len(numbers)} numbers changed, the largest by "
+            f"{max(moves, default=0.0):.3g} absolute and {relative:.3g} relative")
+
+
 def diff(a: pathlib.Path, b: pathlib.Path) -> int:
     differ = False
     for name, _ in _reports():
@@ -104,14 +129,12 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
         if json.dumps(rest_a) != json.dumps(rest_b):
             differ = True
             print(f"{name}: report fields differ: {rest_a} -> {rest_b}")
-    for name, _ in LOCI:
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            differ = True
-            print(f"{name}: locus outputs differ")
-    for name, _ in SVGS:
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            differ = True
-            print(f"{name}: SVG outputs differ")
+    for kind, names in (("locus", [name for name, _ in LOCI]), ("SVG", [name for name, _ in SVGS])):
+        for name in names:
+            text_a, text_b = ((d / name).read_text() for d in (a, b))
+            if text_a != text_b:
+                differ = True
+                print(f"{name}: {kind} outputs differ: {_number_moves(text_a, text_b)}")
     for d in (a, b):
         if (d / "threads2.json").read_bytes() != (d / "seed42.json").read_bytes():
             differ = True
