@@ -9,8 +9,10 @@ classified in its fit's frame.  A change of frame acts on a conic as a
 substitution of coordinates (_substituted, six coefficients in closed
 form), whose constant term is the conic's value at a point (also
 Conic.__call__): no conic is built, normalized or evaluated through BLAS
-(`@`, np.linalg.norm), whose last bits change from machine to machine;
-only the pencil route keeps them.  A conic given in barycentrics (p = (u,
+(`@`, np.linalg.norm), whose last bits change from machine to machine.
+The pencil route meets its lines with the conics by kernels' one
+conic-line rule and Newton polish; only its cubic takes LAPACK
+(np.linalg.det, np.roots).  A conic given in barycentrics (p = (u,
 v, w) relative to a reference triangle), such as kernels.privalov's, stays
 a bare matrix; the verifier maps it to the plane on arrays.
 """
@@ -30,6 +32,7 @@ from .errors import (
     NoFiniteCenter,
     RankDeficient,
 )
+from . import kernels
 from .geom import LineEq, Point2, distance, midpoint
 from .kernels import (
     CLASS_NAMES, classify_code, conic_residual, fit5, frame_center, frobenius, tangency_disc,
@@ -252,42 +255,6 @@ def residual(c: Conic, p: Point2) -> float:
     return conic_residual(c.coeffs(), p.x, p.y)
 
 
-def conic_line_intersection(c: Conic, line: LineEq) -> list[Point2]:
-    """Real intersection points, stable quadratic handling."""
-    # Parametrize the line as p0 + t*d.
-    nrm2 = line.l * line.l + line.m * line.m
-    p0 = Point2(-line.l * line.n / nrm2, -line.m * line.n / nrm2)
-    d = Point2(-line.m, line.l)
-    dn = d.norm()
-    d = Point2(d.x / dn, d.y / dn)
-    m = c.m
-    v0 = np.array([p0.x, p0.y, 1.0])
-    vd = np.array([d.x, d.y, 0.0])
-    qa = float(vd @ m @ vd)
-    qb = 2.0 * float(v0 @ m @ vd)
-    qc = float(v0 @ m @ v0)
-    scale = float(np.linalg.norm(m))
-    if abs(qa) <= 1e-14 * scale and abs(qb) <= 1e-14 * scale:
-        if abs(qc) <= 1e-12 * scale:
-            raise LineOnConic("line is a component of the conic")
-        return []
-    if abs(qa) <= 1e-14 * scale:
-        t = -qc / qb
-        return [Point2(p0.x + t * d.x, p0.y + t * d.y)]
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        if disc > -(1e-12 * scale) ** 2 - 1e-30:
-            t = -qb / (2.0 * qa)
-            return [Point2(p0.x + t * d.x, p0.y + t * d.y)]
-        return []
-    sq = math.sqrt(disc)
-    q = -(qb + math.copysign(sq, qb)) / 2.0
-    t1 = q / qa
-    t2 = qc / q if q != 0.0 else -qb / (2.0 * qa)
-    out = [Point2(p0.x + t * d.x, p0.y + t * d.y) for t in (t1, t2)]
-    return out
-
-
 def tangency_discriminant(c: Conic, line: LineEq) -> float:
     """Normalized discriminant of the restriction of c to the line
     (kernels.tangency_disc on c's unit-norm coefficients).
@@ -343,10 +310,11 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
 
 
 def pencil_degenerate_lines(c1: Conic, c2: Conic) -> list[tuple[LineEq, LineEq]]:
-    """Line pairs of the degenerate members m1 + lambda*m2 of the pencil of
-    two conics, one per real root of the cubic det(m1 + lambda*m2) (a
-    quadratic when det m2 vanishes).  Members that vanish or have no real
-    lines are skipped."""
+    """Line pairs of the degenerate members of the pencil of two conics:
+    m1 + lambda*m2, one per real root of the cubic det(m1 + lambda*m2),
+    and where det m2 vanishes, so that the cubic falls to a quadratic, m2
+    itself, the member at lambda = inf.  Members that vanish or have no
+    real lines are skipped."""
     m1, m2 = c1.m, c2.m
     f0 = float(np.linalg.det(m1))
     f3 = float(np.linalg.det(m2))
@@ -354,20 +322,19 @@ def pencil_degenerate_lines(c1: Conic, c2: Conic) -> list[tuple[LineEq, LineEq]]
     fm = float(np.linalg.det(m1 - m2))
     c2_ = (fp + fm) / 2.0 - f0
     c1_ = (fp - fm) / 2.0 - f3
-    roots = np.roots([f3, c2_, c1_, f0]) if abs(f3) > 1e-14 else np.roots([c2_, c1_, f0])
-    out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-7 * (1.0 + abs(r)):
-            lines = _real_lines(m1 + float(r.real) * m2)
-            if lines is not None:
-                out.append(lines)
-    return out
+    at_inf = abs(f3) <= 1e-14
+    roots = np.roots([c2_, c1_, f0] if at_inf else [f3, c2_, c1_, f0])
+    members = [m1 + float(r.real) * m2 for r in roots if abs(r.imag) <= 1e-7 * (1.0 + abs(r))]
+    lines = map(_real_lines, members + [m2] if at_inf else members)
+    return [pair for pair in lines if pair is not None]
 
 
 def _real_lines(m: np.ndarray) -> tuple[LineEq, LineEq] | None:
-    """split_degenerate of a pencil member, None if it vanishes or has no
-    real lines."""
-    if np.linalg.norm(m) <= 1e-13:
+    """split_degenerate of a pencil member, None if it vanishes (its
+    coefficients' kernels.frobenius, the matrix norm) or has no real
+    lines."""
+    (a, b, d), (_, c, e), (_, _, f) = m.tolist()
+    if frobenius((a, 2.0 * b, c, 2.0 * d, 2.0 * e, f)) <= 1e-13:
         return None
     try:
         return split_degenerate(Conic(m))
@@ -378,76 +345,28 @@ def _real_lines(m: np.ndarray) -> tuple[LineEq, LineEq] | None:
 def conic_conic_intersections(c1: Conic, c2: Conic) -> list[Point2]:
     """Real intersections of two general conics by pencil degeneration.
 
-    Splits the degenerate members of the pencil c1 + lambda*c2 into lines,
-    intersects those with c1 and keeps candidates lying on both conics
-    after a Newton polish (common_points).  This is the general two-conic
-    route; the focal pairs of a triad share a focus and have their line
-    pair in closed form (triads.pairwise_intersections).
+    Splits the degenerate members of the pencil c1 + lambda*c2 into lines
+    (pencil_degenerate_lines) and meets each line with c1, the lines
+    stacked into arrays, by kernels._line_roots.  The candidates are
+    Newton-polished on both conics by kernels._polish, twice: the lines
+    are only as good as the roots of the pencil's cubic, so a candidate
+    may start farther from its crossing than kernels.pair_points' from
+    their closed-form lines.  They are kept, in order, where they lie on
+    both and are apart by kernels._ON_BOTH * (1 + the largest candidate
+    coordinate), pair_points' rules.  This is the general two-conic route;
+    the focal pairs of a triad share a focus and have their line pair in
+    closed form (triads.pairwise_intersections).
     """
-    m1, m2 = c1.m, c2.m
-    members = [(c1, lines) for lines in pencil_degenerate_lines(c1, c2)]
-    # c2 itself is the member at lambda = inf, in case it is degenerate.
-    lines = _real_lines(m2)
-    if lines is not None:
-        members.append((c2, lines))
-    candidates: list[Point2] = []
-    for base, pair in members:
-        for line in pair:
-            try:
-                pts = conic_line_intersection(base, line)
-            except LineOnConic:
-                continue
-            candidates.extend(pts)
-    return common_points(candidates, m1, m2)
-
-
-def common_points(candidates: list[Point2], m1: np.ndarray, m2: np.ndarray) -> list[Point2]:
-    """Candidates Newton-polished toward the intersections of the conics m1
-    and m2 (unit Frobenius norm), kept when on both to 1e-7 and distinct to
-    1e-7 * (1 + their largest coordinate), in order."""
-    q1, q2 = m1.tolist(), m2.tolist()
+    lines = [(line.l, line.m, line.n) for pair in pencil_degenerate_lines(c1, c2) for line in pair]
+    co1, co2 = c1.coeffs(), c2.coeffs()
+    with np.errstate(all="ignore"):
+        roots = kernels._line_roots(co1, *np.array(lines, dtype=float).reshape(-1, 3).T)
+        # Line by line, root 0 then root 1.
+        x, y, ok = (np.stack(v, axis=1).ravel() for v in zip(*roots))
+        scale = 1.0 + np.maximum(abs(x), abs(y)).max(initial=0.0, where=ok)
+        x, y, ok = kernels._polish(co1, co2, *kernels._polish(co1, co2, x, y, ok))
     out: list[Point2] = []
-    scale = 1.0 + max((max(abs(p.x), abs(p.y)) for p in candidates), default=0.0)
-    for p in candidates:
-        p = _newton_polish(p, q1, q2)
-        if p is None:
-            continue
-        x, y = p.x, p.y
-        n2 = x * x + y * y + 1.0
-        r1 = abs(_quad_grad(q1, x, y)[0]) / n2
-        r2 = abs(_quad_grad(q2, x, y)[0]) / n2
-        if max(r1, r2) > 1e-7:
-            continue
-        if any(distance(p, q) <= 1e-7 * scale for q in out):
-            continue
-        out.append(p)
+    for p in map(Point2, x[ok].tolist(), y[ok].tolist()):
+        if all(distance(p, q) > kernels._ON_BOTH * scale for q in out):
+            out.append(p)
     return out
-
-
-def _quad_grad(m: list, x: float, y: float) -> tuple[float, float, float]:
-    """(v m v, d/dx, d/dy) at v = (x, y, 1) for a symmetric m as nested lists."""
-    (a, b, d), (_, c, e), (_, _, f) = m
-    gx = a * x + b * y + d
-    gy = b * x + c * y + e
-    gw = d * x + e * y + f
-    return x * gx + y * gy + gw, 2.0 * gx, 2.0 * gy
-
-
-# Newton steps _newton_polish takes from each candidate.
-_POLISH_STEPS = 3
-
-
-def _newton_polish(p: Point2, m1: list, m2: list):
-    x, y = p.x, p.y
-    for _ in range(_POLISH_STEPS):
-        f1, j00, j01 = _quad_grad(m1, x, y)
-        f2, j10, j11 = _quad_grad(m2, x, y)
-        det = j00 * j11 - j01 * j10
-        if abs(det) < 1e-14:
-            break
-        dx = (-f1 * j11 + f2 * j01) / det
-        dy = (-f2 * j00 + f1 * j10) / det
-        x, y = x + dx, y + dy
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return None
-    return Point2(x, y) if math.isfinite(x) and math.isfinite(y) else None

@@ -757,11 +757,12 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
 
 # Pair k of a triad: members i, j, sharing the focus at corner k.
 _PAIR_MEMBERS = ((1, 2), (2, 0), (0, 1))
-# conic.conic_line_intersection's and common_points' rules on unit-norm
-# conics: a linear root where |qa| <= _TINY (none if |qb| is too), a double
-# root down to a discriminant of -_DOUBLE_ROOT, Newton while the Jacobian's
-# det is above _TINY, points on both to _ON_BOTH, apart by _ON_BOTH * (1 +
-# the largest candidate coordinate).
+# The package's one conic-line rule and Newton polish, on unit-norm conics,
+# read by pair_points and conic.conic_conic_intersections: a linear root
+# where |qa| <= _TINY (none if |qb| is too), a double root down to a
+# discriminant of -_DOUBLE_ROOT, Newton while the Jacobian's det is above
+# _TINY, points on both to _ON_BOTH, apart by _ON_BOTH * (1 + the largest
+# candidate coordinate).
 _TINY = 1e-14
 _DOUBLE_ROOT = 1e-24 + 1e-30
 _POLISH_STEPS = 3

@@ -9,6 +9,7 @@ re-serializing a scene is a fixpoint.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .conic import Conic
@@ -146,9 +147,12 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", _NUMBER: "a number
 
 def _need(value, kind, where: str):
     """value, the scene field `where`; ValueError unless it is a kind (of
-    _KINDS; JSON's true and false are none)."""
+    _KINDS; JSON's true and false are none), and a number finite as a
+    float (json reads NaN, Infinity and integers of any size)."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"scene field {where} must be {_KINDS[kind]}")
+    if kind is _NUMBER and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"scene field {where} must be a finite number")
     return value
 
 

@@ -350,15 +350,10 @@ def _distances(corners, *p) -> tuple:
 
 def _member_guard(ax, ay, bx, by, cx, cy, px, py):
     """Where a member of P's P-ellipse or P-hyperbola triad degenerates:
-    kernels._sides_deltas' flag of KIND_P_ELLIPSE or of KIND_P_HYPERBOLA,
-    from one computation of the sides and P's distances."""
-    sides, (pa, pb, pc) = _distances((ax, ay, bx, by, cx, cy), px, py)
-    eps = kernels.MEMBER_GUARD * kernels._largest(sides)
-    bad = (sides[0] == 0.0) | (sides[1] == 0.0) | (sides[2] == 0.0)
-    for s, f, g in zip(sides, (pb, pc, pa), (pc, pa, pb)):
-        diff = abs(f - g)
-        bad = bad | (f + g <= s + eps) | (diff <= eps) | (diff >= s - eps)
-    return bad
+    kernels._sides_deltas' flag of KIND_P_ELLIPSE or of KIND_P_HYPERBOLA."""
+    corners = (ax, ay, bx, by, cx, cy)
+    return (kernels._sides_deltas(*corners, kernels.KIND_P_ELLIPSE, px, py)[2]
+            | kernels._sides_deltas(*corners, kernels.KIND_P_HYPERBOLA, px, py)[2])
 
 
 def _gen_tri_point(rng, n) -> tuple:
@@ -1581,16 +1576,18 @@ def _phyp_block(name: str):
 
 def _chk_x5452_coordinate(cfgs) -> tuple:
     """A6 on all configurations at once: the center of the V-hyperbola
-    six-point conic against the block's g at the sides and focal
-    differences, cycled, projectively."""
+    six-point conic, fitted in the triangle's frame (kernels.frame), whose
+    similarity leaves barycentrics as they are, against the block's g at
+    the plane sides and focal differences, cycled, projectively."""
     args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
     with np.errstate(all="ignore"):
         sides, (la, lb, lc), _ = kernels._sides_deltas(*args)
         a, b, c = sides
-        (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(args)
+        framed = kernels.frame(*args[:6])[1]
+        (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules((*framed, *args[6:]))
         g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
                                               "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
-        gap = _proj_errors(g, _unit_bary(args[:6], x, y))
+        gap = _proj_errors(g, _unit_bary(framed, x, y))
     return _fail_or(gap, (bad, _DEGENERATE), *rules, (~has_center, _NO_CENTER))
 
 

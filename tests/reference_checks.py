@@ -369,9 +369,12 @@ def check_pstar_conic(t: Triangle, p: Point2) -> float:
 
 
 def check_x5452_coordinate(t: Triangle) -> float:
-    """Cleared center coordinates vs the V-hyperbola six-point conic center."""
+    """Cleared center coordinates vs the V-hyperbola six-point conic center,
+    fitted in the triangle's frame (framed): barycentrics do not change
+    under a similarity."""
     tr = build_triad(t, "v_hyperbola")
-    rep = six_point_conic(tr)
+    ft = framed(t)[0]
+    rep = six_point_conic(build_triad(ft, "v_hyperbola"))
     if rep.center is None:
         raise ConstructionFailed("six-point conic has no center")
     a, b, c = t.sides()
@@ -383,7 +386,7 @@ def check_x5452_coordinate(t: Triangle) -> float:
         g({"a": b, "b": c, "c": a, "La": lb, "Lb": lc, "Lc": la}),
         g({"a": c, "b": a, "c": b, "La": lc, "Lb": la, "Lc": lb}),
     )
-    return _proj_error(formula, _norm_bary(t, rep.center))
+    return _proj_error(formula, _norm_bary(ft, rep.center))
 
 
 def check_appendix(name: str, t: Triangle, extra_point: Point2 | None = None) -> float:

@@ -15,14 +15,14 @@ from triconic.conic import (
     classify,
     conic_conic_intersections,
     conic_from_foci,
-    conic_line_intersection,
     covertices_of_focal_conic,
     fit_conic_5pts,
+    pencil_degenerate_lines,
     residual,
     split_degenerate,
 )
 from triconic.errors import InvalidAxisLength, NoFiniteCenter, RankDeficient
-from triconic.geom import LineEq, Point2, Triangle, distance, line_through
+from triconic.geom import Point2, Triangle, distance, line_through
 
 from reference_checks import conic_bary_to_cartesian, vertices_of_focal_conic
 
@@ -211,17 +211,6 @@ def test_focal_vertices_and_covertices():
     assert {(round(v.x, 12), round(v.y, 12)) for v in (v1, v2)} == {(3.0, 0.0), (1.0, 0.0)}
 
 
-def test_conic_line_intersection():
-    con = unit_circle()
-    xs = conic_line_intersection(con, LineEq(0, 1, 0))  # y = 0
-    assert {round(p.x, 12) for p in xs} == {1.0, -1.0}
-    assert conic_line_intersection(con, LineEq(1, 0, -2)) == []  # x = 2
-    ell = conic_from_foci(FocalConic(Point2(4, 0), Point2(0, 0), 8.0, "ellipse"))
-    xs = sorted(conic_line_intersection(ell, LineEq(0, 1, 0)), key=lambda p: p.x)
-    assert distance(xs[0], Point2(-2, 0)) < 1e-9
-    assert distance(xs[1], Point2(6, 0)) < 1e-9
-
-
 def test_conic_bary_to_cartesian_circumcircle(t345):
     a, b, c = t345.sides()
     m = np.array(
@@ -261,6 +250,39 @@ def test_conic_conic_intersections_circles():
     for p in pts:
         assert abs(p.x - 0.5) < 1e-9
         assert abs(abs(p.y) - math.sqrt(3) / 2) < 1e-9
+
+
+def _product(pair) -> np.ndarray:
+    """The unit coefficients of the conic of the line pair."""
+    g, h = (np.array([line.l, line.m, line.n]) for line in pair)
+    return np.array(Conic((np.outer(g, h) + np.outer(h, g)) / 2.0).coeffs())
+
+
+def _pencil_gap(c1, c2, pair) -> float:
+    """How far the line pair's conic is from the pencil of c1 and c2: the
+    least singular value of the three unit coefficient vectors."""
+    return np.linalg.svd(np.array([c1.coeffs(), c2.coeffs(), _product(pair)]), compute_uv=False)[-1]
+
+
+def test_pencil_lines_are_pencil_members():
+    # Each line pair of pencil_degenerate_lines is a degenerate member of
+    # the pencil: never "lines" split off a conic that is not degenerate.
+    # A degenerate second conic is the member at lambda = inf, and its lines
+    # meet the first conic in their common points.
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        f = [Point2(*rng.uniform(-1, 1, 2)) for _ in range(3)]
+        c1 = conic_from_foci(FocalConic(f[0], f[1], 1.5 * distance(f[0], f[1]), "ellipse"))
+        c2 = conic_from_foci(FocalConic(f[0], f[2], 0.5 * distance(f[0], f[2]), "hyperbola"))
+        pairs = pencil_degenerate_lines(c1, c2)
+        assert pairs and all(_pencil_gap(c1, c2, pair) <= 1e-9 for pair in pairs)
+    axes = Conic.from_coeffs([0, 1, 0, 0, 0, 0])  # xy = 0
+    pairs = pencil_degenerate_lines(unit_circle(), axes)
+    assert all(_pencil_gap(unit_circle(), axes, pair) <= 1e-12 for pair in pairs)
+    assert any(min(abs(_product(pair) - sign * np.array(axes.coeffs())).max() for sign in (1, -1)) <= 1e-12
+               for pair in pairs)
+    pts = sorted((round(p.x, 12) + 0.0, round(p.y, 12) + 0.0) for p in conic_conic_intersections(unit_circle(), axes))
+    assert pts == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
 
 def test_classify_focal_random(rng):
@@ -350,12 +372,3 @@ def test_classify_invariance(rng):
 
         got = classify(conic_from_foci(FocalConic(xf(f1), xf(f2), s * axis, kind)))
         assert got == base
-
-
-def test_line_on_conic_component():
-    from triconic.errors import LineOnConic
-    from triconic.geom import LineEq
-
-    crossing = Conic.from_coeffs([0, 1, 0, 0, 0, 0])  # xy = 0
-    with pytest.raises(LineOnConic):
-        conic_line_intersection(crossing, LineEq(1, 0, 0))  # x = 0

@@ -38,16 +38,19 @@ def test_package_modules_have_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _definitions(stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def _private_definitions(stmt) -> list[str]:
     """The private names (_x, not __x__) a module-level statement defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    else:
-        return []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _definitions(stmt) if n.startswith("_") and not n.startswith("__")]
 
 
 def _references(stmt) -> set[str]:
@@ -158,15 +161,25 @@ def test_scan_finds_blas_users():
 
 
 def test_conics_are_built_without_blas():
-    # No @ or np.linalg.norm builds, normalizes or evaluates a Conic, whose
-    # bits would then change with the BLAS build: conic.py uses them only
-    # in the pencil route, and the modules that build plane conics not at
-    # all.  (render samples a conic on its eigenframe, which is left out.)
-    pencil = {"_real_lines", "conic_line_intersection"}
+    # No @ or np.linalg.norm builds, normalizes, evaluates or intersects a
+    # Conic, whose bits would then change with the BLAS build: the modules
+    # that build plane conics use them not at all.  (render samples a conic
+    # on its eigenframe, which is left out.)
     found = {name: _blas_users((PACKAGE / name).read_text())
              for name in ("conic.py", "kernels.py", "triads.py", "loci.py", "scene.py")}
-    assert found == {"conic.py": pencil, "kernels.py": set(), "triads.py": set(), "loci.py": set(),
+    assert found == {"conic.py": set(), "kernels.py": set(), "triads.py": set(), "loci.py": set(),
                      "scene.py": set()}
+
+
+def test_conic_line_rule_lives_in_kernels():
+    # kernels._line_roots and kernels._polish are the package's one
+    # conic-line rule and Newton polish: the pencil route reads them, as
+    # pair_points does, and conic keeps no second copy.
+    body = ast.parse((PACKAGE / "conic.py").read_text()).body
+    copies = {"conic_line_intersection", "common_points", "_quad_grad", "_newton_polish", "_POLISH_STEPS"}
+    assert {name for stmt in body for name in _definitions(stmt)} & copies == set()
+    route = next(stmt for stmt in body if _definitions(stmt) == ["conic_conic_intersections"])
+    assert _kernel_readers(ast.unparse(route), {"_line_roots", "_polish"}) == {"_line_roots", "_polish"}
 
 
 def test_package_runs_without_scipy(cli_env):

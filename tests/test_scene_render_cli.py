@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -584,6 +585,67 @@ def test_scene_rejects_a_malformed_file(text, field, tmp_path, monkeypatch, caps
         assert main(cmd) == 2
         assert capsys.readouterr().err == f"error: {err.value}\n"
     assert not (tmp_path / "s.svg").exists()
+
+
+def _set_at(path, data, value):
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+# A number field of each kind a scene holds, as the path of keys to it in
+# the scene JSON, and the field its error names.
+_NUMBER_FIELDS = {
+    "coeffs": (("conics", 0, "coeffs", 5), "conics[0].coeffs"),
+    "circle": (("circles", 0, "r"), "circles[0].r"),
+    "point": (("points", 0, "xy", 1), "points[0].xy"),
+    "triangle": (("triangle", "b", 0), "triangle.b"),
+    "p": (("p", 0), "p"),
+    "vertex": (("triads", 0, "vertices", 2, 1), "triads[0].vertices[2]"),
+    "triad_p": (("triads", 0, "p", 1), "triads[0].p"),
+    "focus": (("triads", 0, "members", 1, "focus2", 0), "triads[0].members[1].focus2"),
+    "axis": (("triads", 0, "members", 0, "axis_length"), "triads[0].members[0].axis_length"),
+}
+
+
+def _number_scene(t345, value, path) -> str:
+    """A built P-hyperbola scene with a conic, holding value at path."""
+    data = scene_for_triad(t345, "p_hyperbola", Point2(1.0, 1.0)).to_json()
+    data["conics"] = [{"coeffs": [1.0, 0.0, 1.0, 0.0, 0.0, -1.0], "frame": "cartesian"}]
+    data["circles"] = [{"cx": 0.0, "cy": 0.0, "r": 1.0}]
+    _set_at(path, data, value)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge"])
+@pytest.mark.parametrize("kind", sorted(_NUMBER_FIELDS))
+def test_scene_rejects_a_number_that_is_not_finite(kind, value, t345, tmp_path, monkeypatch, capsys):
+    # json reads NaN, Infinity and -Infinity, and an integer of any size,
+    # none a finite float: the scene refuses each on load with a ValueError
+    # naming the field, and render and classify exit 2 with it.
+    path, field = _NUMBER_FIELDS[kind]
+    text = _number_scene(t345, value, path)
+    with pytest.raises(ValueError, match=rf"^scene field {re.escape(field)} must be a finite number$"):
+        Scene.loads(text)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(text)
+    for cmd in (["render", "--scene", "s.json", "--out", "s.svg"],
+                ["classify", "--scene", "s.json"]):
+        assert main(cmd) == 2
+        assert capsys.readouterr().err == f"error: scene field {field} must be a finite number\n"
+    assert not (tmp_path / "s.svg").exists()
+
+
+def test_cli_refuses_an_infinite_coefficient_without_a_warning(t345, tmp_path, cli_env):
+    # An Infinity coefficient must be refused before the conic's symmetry
+    # test, which reads inf - inf as NaN, with numpy's RuntimeWarning on
+    # stderr, and names no field.
+    (tmp_path / "s.json").write_text(_number_scene(t345, math.inf, _NUMBER_FIELDS["coeffs"][0]))
+    r = run_cli(["classify", "--scene", "s.json"], tmp_path, cli_env)
+    assert r.returncode == 2, r.stdout
+    assert r.stderr == "error: scene field conics[0].coeffs must be a finite number\n"
 
 
 def _strip_members_axis(triad):

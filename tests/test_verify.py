@@ -441,9 +441,8 @@ def test_guard_drops_candidates_in_order(monkeypatch):
 
 
 def test_member_guard_is_the_flag_of_both_p_kinds():
-    # _member_guard derives both P-kinds' flags from one computation of the
-    # sides and of P's distances; it must equal kernels._sides_deltas'
-    # flags ORed, on random drivers, on drivers at A, and at offsets d
+    # _member_guard is kernels._sides_deltas' flags of both P-kinds ORed:
+    # it must clear random drivers, flag drivers at A, and straddle offsets d
     # across the guard from a point of BC (a P-ellipse member's |PB| + |PC|
     # - a is about d^2 / a), of BC's perpendicular bisector (a P-hyperbola
     # member's |PB| - |PC| is about d) and of BC beyond C.
@@ -663,11 +662,10 @@ def test_circle_pair_on_near_degenerate_triangles(triangle):
     assert replay_witness("P5.4-circle-pair", {"triangle": triangle}) <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="A6 fits the vertices of this obtuse sliver "
-                   "in plane coordinates and reads 1.29e-7 against a bound of 1e-7 (ROADMAP item 13)")
 def test_x5452_coordinate_on_an_obtuse_sliver():
     # The witness of A6 at seed 31 with 5000 trials (angles about 3.6, 3.6
-    # and 172.8 degrees).  In the triangle's frame it reads 5.0e-10.
+    # and 172.8 degrees).  A fit in plane coordinates reads 1.29e-7 here,
+    # so A6 fits in the triangle's frame, where it reads 2.4e-10.
     triangle = [[0.8498924362798843, 0.9822067739782391], [0.5554469232131579, 0.8453282133402632],
                 [0.6986893142565486, 0.9231292119659875]]
     assert replay_witness("A6-x5452-coordinate", {"triangle": triangle}) <= 1e-7
