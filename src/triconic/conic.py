@@ -269,8 +269,11 @@ def split_degenerate(c: Conic) -> tuple[LineEq, LineEq]:
 
     Rank 2: recover the singular point from the adjugate, add its cross
     matrix to expose a rank-1 dyad, read off the lines.  Rank 1: the matrix
-    itself is the dyad of a double line.
+    itself is the dyad of a double line.  A conic that classify does not
+    call degenerate has no line components and raises LineOnConic.
     """
+    if not classify(c).is_degenerate():
+        raise LineOnConic("conic is not degenerate")
     m = c.m
     B = _adjugate(m)
     i = int(np.argmax(np.abs(np.diag(B))))

@@ -22,15 +22,17 @@ arguments floats, so the quantities of a triangle given as floats (sides,
 member guard, midpoints and unit vectors) are computed once a call, not
 once a cell; it gathers the fit's vertices and labels by flat index.
 On floats it serves the Brent polish of the P2.6, P3.4 and P5.7 sign
-scans; on arrays region maps, the grids of those scans, P2.8's and P5.7's
-other points and the P2.2, P3.1, P3.8 and P5.2 trials.
+scans; on arrays the grids of those scans, P2.8's and P5.7's other points
+and the P2.2, P3.1, P3.8 and P5.2 trials.
 `triads._six_point_fit` calls `vertex_rows`, `fit_six`, `residual6` and
 `frame_center` itself, on floats or arrays, with the six-point conic's fit
 rules: it serves the circle test (`loci._circle_conditions`) of the circle
 searches, P3.2 and P5.4, and with the sideline rules
 (`triads._six_point_rules`) `triads.six_point_conic` and the P2.1, P2.7,
 P3.3, P4.3, A3, A6 and P5.5 trials; `loci.sample_locus_ostar` calls
-`vertices`, `fit_six` and `frame_center` directly, and reads no residual6.
+`vertices`, `fit_six` and `frame_center` directly, and `loci.region_map`
+`vertices`, `fit_six` and `classify_code`, on a row of cell xs and a
+column of cell ys; neither reads residual6.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
@@ -696,9 +698,10 @@ def kept_gap(xs, ys, out):
     return min(_hypot(xs[kept[i]] - xs[kept[j]], ys[kept[i]] - ys[kept[j]]) for i, j in _PAIRS5)
 
 
-# Points per chunk of six_point on arrays.  A point takes under 2 KB of
-# temporaries (its vertex pair distances, labels and bracket terms), so the
-# working set stays under 8 MB however large the grid.
+# Points per chunk of six_point on arrays, and the most cells per tile of
+# loci.region_map.  A point takes under 2 KB of temporaries (its vertex
+# pair distances, labels and bracket terms), so the working set stays under
+# 8 MB however large the grid.
 _BATCH_CHUNK = 4096
 
 _FAILED = (CLASS_FAILED, math.nan, math.nan, math.inf)
@@ -735,7 +738,7 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         fit = fit_six(xs, ys)
         code, det, disc = classify_code(fit[0])
         return _FAILED if code == CLASS_FAILED else (code, det, disc, residual6(xs, ys, fit))
-    shape = np.broadcast_shapes(*(np.shape(v) for v in args))
+    shape = np.broadcast(*args).shape
     flat = [_filled(shape, v) if isinstance(v, np.ndarray) else float(v) for v in args]
     size = math.prod(shape)
     if kind in (KIND_V_ELLIPSE, KIND_V_HYPERBOLA) and not any(isinstance(v, np.ndarray) for v in flat[:6]):

@@ -762,12 +762,18 @@ class RegionGrid:
 def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> RegionGrid:
     """Classify the six-point conic per cell, driving C or P over the grid.
 
-    The cells are classified in one array kernels.six_point call on the
-    cell centres, with the triangle's corners (all six on a P map, A and B
-    on the V map) as floats, so that what depends on them alone is computed
-    once a map; the class codes become names in one gather.  Each cell is
-    bit for bit six_point on its floats.  bbox defaults to the square of
-    side four circumradii about the circumcenter.
+    The cells are classified by the three kernel stages a class reads,
+    kernels.vertices, kernels.fit_six and kernels.classify_code, with the
+    triangle's corners (all six on a P map, A and B on the V map) as
+    floats, so that what depends on them alone is computed once a map, and
+    the cell centres as a row of x and a column of y, so that what depends
+    on one coordinate alone is computed once a column or a row.  The grid
+    runs in tiles of at most kernels._BATCH_CHUNK cells: bands of whole
+    rows, and a row wider than that in pieces of it.  A cell whose triad
+    has a degenerate member or whose fit fails is CLASS_FAILED,
+    six_point's rule, so each cell is bit for bit six_point's class on its
+    floats; the class codes become names in one gather.  bbox defaults to
+    the square of side four circumradii about the circumcenter.
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
@@ -788,12 +794,25 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         "p_ellipse_over_P": kernels.KIND_P_ELLIPSE,
         "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
     }[kind]
-    if kind == "v_ellipse_over_C":
-        codes = kernels.six_point(ax, ay, bx, by, xs, ys, kcode, 0.0, 0.0)[0]
-    else:
-        codes = kernels.six_point(ax, ay, bx, by, cx, cy, kcode, xs, ys)[0]
-    rows = tuple(map(tuple, _CLASS_NAMES[codes].tolist()))
-    return RegionGrid(tuple(bbox), nx, ny, rows)
+    chunk = kernels._BATCH_CHUNK
+    band = max(1, chunk // nx)
+    tiles = [
+        (slice(lo, lo + band), slice(left, left + chunk))
+        for lo in range(0, ny, band)
+        for left in range(0, nx, chunk)
+    ]
+    codes = np.empty((ny, nx), dtype=np.intp)
+    with np.errstate(all="ignore"):
+        for rows, cols in tiles:
+            if kind == "v_ellipse_over_C":
+                vx, vy, bad = kernels.vertices(ax, ay, bx, by, xs[:, cols], ys[rows], kcode, 0.0, 0.0)
+            else:
+                vx, vy, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kcode, xs[:, cols], ys[rows])
+            co = kernels.fit_six(vx.reshape(6, -1), vy.reshape(6, -1))[0]
+            code = kernels.classify_code(co)[0].reshape(bad.shape)
+            codes[rows, cols] = np.where(bad, kernels.CLASS_FAILED, code)
+    cells = tuple(map(tuple, _CLASS_NAMES[codes].tolist()))
+    return RegionGrid(tuple(bbox), nx, ny, cells)
 
 
 def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:

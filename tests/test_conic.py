@@ -21,7 +21,7 @@ from triconic.conic import (
     residual,
     split_degenerate,
 )
-from triconic.errors import InvalidAxisLength, NoFiniteCenter, RankDeficient
+from triconic.errors import InvalidAxisLength, LineOnConic, NoFiniteCenter, RankDeficient
 from triconic.geom import Point2, Triangle, distance, line_through
 
 from reference_checks import conic_bary_to_cartesian, vertices_of_focal_conic
@@ -96,6 +96,23 @@ def test_center_of_degenerate_yiu_345(t345):
     c = center(con)
     assert g.distance_to(c) < 1e-9
     assert h.distance_to(c) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "coeffs, kind",
+    [
+        ([1 / 4, 0, 1 / 3, 0, 0, -1], ConicClass.ELLIPSE),
+        ([1, 0, -1 / 3, -4, 0, 3], ConicClass.HYPERBOLA),
+    ],
+)
+def test_split_degenerate_refuses_a_conic_that_is_not_degenerate(coeffs, kind):
+    # Both have a negative largest diagonal entry of the adjugate, which
+    # the split reads as a real line pair: without the rank test they gave
+    # two "lines" that are not components of the conic.
+    con = Conic.from_coeffs(coeffs)
+    assert classify(con) is kind
+    with pytest.raises(LineOnConic):
+        split_degenerate(con)
 
 
 def test_fit_unit_circle():

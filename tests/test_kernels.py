@@ -363,9 +363,13 @@ def _scalar_region_classes(t, kind, grid):
 
 
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (10.0, 10.0), (100.0, 100.0)])
-def test_region_map_batch_matches_scalar(offset, monkeypatch):
-    # Each 625-cell map then runs in several chunks and a partial last one.
-    monkeypatch.setattr(kernels, "_BATCH_CHUNK", 97)
+@pytest.mark.parametrize("chunk", [97, 20])
+def test_region_map_batch_matches_scalar(offset, chunk, monkeypatch):
+    # A 25x25 map runs in bands of chunk // 25 rows, one row at least: at
+    # 97, eight bands of three rows and a partial last one of one row; at
+    # 20, a row is wider than the chunk, so each band is one row, in a
+    # tile of 20 cells and one of 5.
+    monkeypatch.setattr(kernels, "_BATCH_CHUNK", chunk)
     ox, oy = offset
     # A 25x25 grid on this box puts cell centres exactly on the lines x = ox
     # and y = oy, which hold a side of the 3-4-5 and of the equilateral
@@ -383,6 +387,20 @@ def test_region_map_batch_matches_scalar(offset, monkeypatch):
             assert grid.cells == _scalar_region_classes(t, kind, grid), (verts, kind)
             failed += sum(row.count("degenerate") for row in grid.cells)
     assert failed > 0
+
+
+def test_region_map_reads_the_kernel_stages_not_six_point(monkeypatch):
+    # A map classifies its cells by vertices, fit_six and classify_code,
+    # and computes no residual6, det or disc column through six_point.
+    def refuse(*args):
+        raise AssertionError("region_map called six_point")
+
+    t = Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))
+    # The reference is per-cell six_point on floats, on the map's centres.
+    want = {kind: _scalar_region_classes(t, kind, region_map(t, kind, (9, 7))) for kind in REGION_KINDS}
+    monkeypatch.setattr(kernels, "six_point", refuse)
+    for kind in REGION_KINDS:
+        assert region_map(t, kind, (9, 7)).cells == want[kind]
 
 
 def test_batch_fit_is_bit_identical(rng):

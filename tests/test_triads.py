@@ -628,7 +628,7 @@ def test_pairwise_intersections_move_with_the_triangle(scale, offset):
 
 
 def test_pairwise_intersections_keep_every_pencil_point():
-    # Every point of the general pencil route that lies on both members has
+    # Every point of the general pencil route lies on both members and has
     # a point of the focal route beside it.
     for tr in _seeded_triads(400, 9):
         s = tr.t.scale()
@@ -638,8 +638,7 @@ def test_pairwise_intersections_keep_every_pencil_point():
             for q in got:
                 assert max(_on_member(q, tr.members[i]), _on_member(q, tr.members[j])) <= 1e-10 * s
             for q in conic_conic_intersections(cs[i], cs[j]):
-                if max(_on_member(q, tr.members[i]), _on_member(q, tr.members[j])) > 1e-9 * s:
-                    continue
+                assert max(_on_member(q, tr.members[i]), _on_member(q, tr.members[j])) <= 1e-9 * s
                 tol = 1e-6 * max(s, math.hypot(q.x, q.y))
                 assert min(distance(q, z) for z in got) <= tol
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write and compare `triconic verify --prop all` reports and locus outputs.
+"""Write and compare `triconic verify --prop all` reports, locus outputs and region maps.
 
     python tools/verify_reports.py write DIR
     python tools/verify_reports.py diff DIR_A DIR_B
@@ -9,8 +9,11 @@ with `--tol 1e-8` (DIR/tol8.json) and at seed 42 with `--threads 2`
 (DIR/threads2.json), the README's x478 and O* loci
 (DIR/locus_x478.json, DIR/locus_ostar.json), the zero sets of the
 half-tangent sextic and of the x478 quartic (DIR/locus_sextic.json,
-DIR/locus_x478_zero_set.json), and builds and renders the
-README's two scenes on the triangle "0,3 4,0 0,0" (DIR/scene_v_ell.svg,
+DIR/locus_x478_zero_set.json), the `regions --json` maps of the three
+kinds on the README's triangle "0,3 4,0 0,0" and on its (10, 10)
+translate, and one 80x70 map, of more than 4,096 cells
+(DIR/regions_*.json, each with its PPM beside it), and builds and renders
+the README's two scenes on that triangle (DIR/scene_v_ell.svg,
 DIR/scene_soddy.svg, each from the scene JSON beside it), with the
 caller's PYTHONPATH, so the outputs of another checkout come from
 pointing PYTHONPATH at its `src`.  A CLI exit of 1 (some proposition
@@ -23,6 +26,8 @@ and each SVG that is not byte-identical it prints how many of its numbers
 changed and the largest change among them, absolute (|a - b|) and
 relative (|a - b| / max(|a|, |b|), which reads 1 or 2 for a value that
 moves from or across 0), or that the text between the numbers differs.
+For each region map that is not byte-identical it prints how many cells
+differ, or that the grids differ in their box or size.
 It names each directory whose threads2.json is not byte-identical to its
 seed42.json (the thread count must not change the report).  It exits 1
 if anything differs.
@@ -55,6 +60,16 @@ LOCI = (
 )
 
 README_TRIANGLE = "0,3 4,0 0,0"
+# Each region kind on the README's triangle and on its (10, 10) translate,
+# at the CLI's 64x64 grid, and one map of more than 4,096 cells.
+REGIONS = tuple(
+    (f"regions_{kind}{suffix}.json", ["regions", "--kind", kind, "--triangle", tri])
+    for kind in ("v-ell", "p-ell", "p-hyp")
+    for suffix, tri in (("", README_TRIANGLE), ("_moved", "10,13 14,10 10,10"))
+) + (
+    ("regions_p-ell_80x70.json",
+     ["regions", "--kind", "p-ell", "--triangle", README_TRIANGLE, "--grid", "80x70"]),
+)
 SVGS = (
     ("scene_v_ell.svg", ["--triad", "v-ell"]),
     ("scene_soddy.svg", ["--triad", "v-hyp", "--center", "X20"]),
@@ -72,6 +87,9 @@ def _runs(out: pathlib.Path):
     """(output file, CLI arguments) of each run, in order."""
     for name, args in [*_reports(), *LOCI]:
         yield out / name, [*args, str(out / name)]
+    for name, args in REGIONS:
+        ppm = out / name.replace(".json", ".ppm")
+        yield out / name, [*args, "--out", str(ppm), "--json", str(out / name)]
     for name, args in SVGS:
         scene, svg = out / name.replace(".svg", ".json"), out / name
         yield scene, ["construct", "--triangle", README_TRIANGLE, *args, "--out", str(scene)]
@@ -109,6 +127,15 @@ def _number_moves(text_a: str, text_b: str) -> str:
             f"{max(moves, default=0.0):.3g} absolute and {relative:.3g} relative")
 
 
+def _cell_moves(grid_a: dict, grid_b: dict) -> str:
+    """How two `regions --json` grids differ: the number of cells whose
+    class differs, or that their box or size differs."""
+    if [grid_a[k] for k in ("bbox", "nx", "ny")] != [grid_b[k] for k in ("bbox", "nx", "ny")]:
+        return "the grids differ in their box or size"
+    cells = [(x, y) for ra, rb in zip(grid_a["cells"], grid_b["cells"]) for x, y in zip(ra, rb)]
+    return f"{sum(x != y for x, y in cells)} of {len(cells)} cells differ"
+
+
 def diff(a: pathlib.Path, b: pathlib.Path) -> int:
     differ = False
     for name, _ in _reports():
@@ -135,6 +162,11 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
             if text_a != text_b:
                 differ = True
                 print(f"{name}: {kind} outputs differ: {_number_moves(text_a, text_b)}")
+    for name, _ in REGIONS:
+        text_a, text_b = ((d / name).read_text() for d in (a, b))
+        if text_a != text_b:
+            differ = True
+            print(f"{name}: region maps differ: {_cell_moves(json.loads(text_a), json.loads(text_b))}")
     for d in (a, b):
         if (d / "threads2.json").read_bytes() != (d / "seed42.json").read_bytes():
             differ = True
