@@ -169,13 +169,6 @@ def conic_from_foci(fc: FocalConic) -> Conic:
         _substituted(focal, u.x, u.y, -(u.x * o.x + u.y * o.y), -(v.x * o.x + v.y * o.y)))
 
 
-def covertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
-    """For a hyperbola these are the conjugate-axis endpoints (rendering only)."""
-    _, beta = fc.semi_axes()
-    o, v = fc.center, fc.axis_unit().perp()
-    return (o + beta * v, o + (-beta) * v)
-
-
 def classify(c: Conic) -> ConicClass:
     """Classify a conic by kernels.classify_code.  A fitted conic is
     classified in the frame of its fit instead (FramedFit.conic_class)."""

@@ -52,6 +52,10 @@ functions of the sides, and `bary_point` maps barycentrics to points with
 floats, P2.1-P2.5, P3.3, P4.1 and P4.2 on arrays.  So is `privalov`,
 Privalov's barycentric matrix of the V-hyperbola six-point conic, which
 P4.3 and P4.4 read on arrays.
+`covertices` is the one co-vertex rule, each member's two points across
+its focal axis from its center, from `_sides_deltas`' sides and axes:
+`loci.covertex_conconic_V` reads it, and so do the P2.9 and P3.9 checks
+on arrays, which fit the co-vertices by `fit_six` and `residual6`.
 `carnot` and `kept_gap` are the sideline and distinct-vertex rules of the
 six-point conic; only `triads` applies them (`_six_point_fit`,
 `_carnot_rule`), on floats and arrays alike.  `triangle_sides` is the
@@ -498,6 +502,27 @@ def vertex_rows(corners, sides_deltas):
             out[0, k], out[1, k] = x, y
         return out[0], out[1], bad
     return xs, ys, bad
+
+
+def covertices(corners, sides, axes):
+    """The package's one co-vertex rule: the xs and ys of the members'
+    co-vertices A' A'' B' B'' C' C'', on floats or arrays.
+
+    Member k of the triad of the corners (ax, ay, bx, by, cx, cy), with
+    its side and axis quantity from _sides_deltas, has its two co-vertices
+    at its center +- beta across its focal axis, beta = sqrt(|(d/2)^2 -
+    (f/2)^2|) for its side f and axis quantity d (for a hyperbola, the
+    ends of its conjugate axis).
+    """
+    xs, ys = [], []
+    for (i, j), f, d in zip(_PAIR_MEMBERS, sides, axes):
+        (x1, y1), (x2, y2) = corners[2 * i:2 * i + 2], corners[2 * j:2 * j + 2]
+        beta = _sqrt(abs((d / 2.0) * (d / 2.0) - (f / 2.0) * (f / 2.0)))
+        # From the center along the unit axis (F1 - F2) / f turned a quarter.
+        for k in (beta, -beta):
+            xs.append((x1 + x2) / 2.0 + k * -((y1 - y2) / f))
+            ys.append((y1 + y2) / 2.0 + k * ((x1 - x2) / f))
+    return xs, ys
 
 
 # Catalog barycentrics from the sides (a, b, c), on floats or arrays.  The

@@ -5,7 +5,11 @@ Coordinate conventions for the plane curves follow the source constructions:
 the quartic center locus uses A=(1/2,0), B=(-1/2,0); the co-vertex locus
 and the half-tangent sextic use A=(-1,0), B=(1,0).  The functionals are
 evaluated in (sidelengths, focal sums/differences) form, radicals on the
-positive branch.
+positive branch.  The co-vertex locus has its determinant condition too
+(covertex_conconic_V, on kernels.covertices' co-vertices), which the
+verifier's P2.9 scans for its drivers, as P3.9 scans
+covertex_condition_equilateral_P; the co-vertex conics themselves are
+checked there, on arrays.
 """
 
 from __future__ import annotations
@@ -20,18 +24,13 @@ from . import kernels
 from .centers import circumcircle, excircle_tangency_points, incircle
 from .conic import (
     Conic,
-    ConicClass,
-    FramedFit,
     center as conic_center,
     fit_framed,
     residual,
     tangency_discriminant,
 )
-from .config import DET_DEGENERATE_TOL
 from .errors import (
     DegenerateMember,
-    DriverNotOnLocus,
-    NoFiniteCenter,
     NotConverged,
     PointAtInfinity,
     RankDeficient,
@@ -47,11 +46,9 @@ from .geom import (
     signed_area,
 )
 from .triads import (
-    _kernel_args,
     _six_point_fit,
     build_triad,
     second_common_point,
-    triad_covertices,
 )
 
 
@@ -912,14 +909,14 @@ def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:
 
 
 # ---------------------------------------------------------------------------
-# Co-vertex conic checks and the reflection-triangle conjecture
+# The co-vertex determinant and the sign-change scans
 # ---------------------------------------------------------------------------
 
 def covertex_conconic_V(x, y):
     """Determinant form of the V-ellipse co-vertex conconic condition,
     A=(-1,0), B=(1,0): the 6x6 design determinant of the six co-vertices
-    of C = (x, y) (conic.covertices_of_focal_conic's, from the sides and
-    axes of kernels._sides_deltas), on floats or arrays.
+    of C = (x, y) (kernels.covertices, from the sides and axes of
+    kernels._sides_deltas), on floats or arrays.
 
     This is the independent oracle for the co-vertex locus; the displayed
     radical equation (covertex_locus_V) does not reproduce it and is kept
@@ -927,14 +924,8 @@ def covertex_conconic_V(x, y):
     """
     corners = (-1.0, 0.0, 1.0, 0.0, x, y)
     sides, axes, _ = kernels._sides_deltas(*corners, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-    rows = []
-    for (i, j), f, d in zip(kernels._PAIR_MEMBERS, sides, axes):
-        (x1, y1), (x2, y2) = corners[2 * i:2 * i + 2], corners[2 * j:2 * j + 2]
-        beta = kernels._sqrt(abs((d / 2.0) * (d / 2.0) - (f / 2.0) * (f / 2.0)))
-        # From the center along the unit axis (F1 - F2) / f turned a quarter.
-        for k in (beta, -beta):
-            px, py = (x1 + x2) / 2.0 + k * -((y1 - y2) / f), (y1 + y2) / 2.0 + k * ((x1 - x2) / f)
-            rows.append((px * px, px * py, py * py, px, py, np.ones_like(px)))
+    rows = [(px * px, px * py, py * py, px, py, np.ones_like(px))
+            for px, py in zip(*kernels.covertices(corners, sides, axes))]
     # rows[r][col] -> one 6x6 matrix per C.
     det = np.linalg.det(np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1)))
     return float(det) if np.ndim(det) == 0 else det
@@ -1054,83 +1045,3 @@ def batch_sign_changes(f, lo, hi, steps: int = 60, first: bool = False) -> list:
     if first:
         return [r if isinstance(r, NotConverged) else next(iter(r), None) for r in out]
     return out
-
-
-def _first_root(g, lo: float, hi: float) -> float:
-    """The first root of g on [lo, hi], by a 400-cell batch scan of one."""
-    (r,) = batch_sign_changes(lambda s, k: g(s), [lo], [hi], steps=400, first=True)
-    if isinstance(r, NotConverged):
-        raise r
-    if r is None:
-        raise DriverNotOnLocus("no sign change along the scan ray")
-    return r
-
-
-@dataclass(frozen=True)
-class CovertexReport:
-    driver: Point2
-    implicit_value: float
-    residual6: float
-    conic_class: ConicClass
-    center_on_incircle_error: float | None
-
-
-def _covertex_fit(cov) -> tuple[FramedFit, float]:
-    """kernels.fit_six of the six co-vertices: the fit in its frame and
-    residual6, the left-out co-vertex's residual in that frame.
-    RankDeficient when the fit vanishes, as in conic.fit_framed."""
-    xs, ys = [p.x for p in cov], [p.y for p in cov]
-    fit = kernels.fit_six(xs, ys)
-    if not kernels.frobenius(fit[0]) > DET_DEGENERATE_TOL:
-        raise RankDeficient("the co-vertices do not determine a unique conic")
-    return FramedFit(*fit[:2]), kernels.residual6(xs, ys, fit)
-
-
-def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
-    """Locate a driver point on the co-vertex conconic locus and verify the
-    six co-vertices lie on one conic: kernels.fit_six fits five of them,
-    and the report's residual6 is the left-out one's residual in the frame
-    of the fit.
-
-    kind "v_ellipse": C on the locus, A=(-1,0), B=(1,0); the driver is
-    located on the determinant condition (the displayed radical equation
-    disagrees with it, see covertex_conconic_V) and the report carries the
-    verbatim implicit's value at the driver for reference.
-    kind "p_equilateral": P on the equilateral condition (circumradius 1);
-    additionally checks that the co-vertex conic center lies on the incircle.
-    """
-    if kind == "v_ellipse":
-        A, B = Point2(-1.0, 0.0), Point2(1.0, 0.0)
-        dx, dy = math.cos(ray_angle), math.sin(ray_angle)
-        g = lambda r: covertex_conconic_V(r * dx, r * dy)
-        r = _first_root(g, 0.35, 3.0)
-        C = Point2(r * dx, r * dy)
-        t = Triangle(A, B, C)
-        cov = triad_covertices(build_triad(t, "v_ellipse"))
-        fit, res = _covertex_fit(cov)
-        return CovertexReport(C, covertex_locus_V(C.x, C.y), res, fit.conic_class(), None)
-    if kind == "p_equilateral":
-        verts = [
-            Point2(math.cos(a), math.sin(a))
-            for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
-        ]
-        t = Triangle(*verts)
-        corners = _kernel_args(t, "p_ellipse", None)[:6]
-        dx, dy = math.cos(ray_angle), math.sin(ray_angle)
-
-        def g(r):
-            # The P-ellipse focal sums at P = r * (dx, dy), on floats or arrays.
-            deltas = kernels._sides_deltas(*corners, kernels.KIND_P_ELLIPSE, r * dx, r * dy)[1]
-            return covertex_condition_equilateral_P(*deltas)
-
-        r = _first_root(g, 0.05, 1.4)
-        P = Point2(r * dx, r * dy)
-        cov = triad_covertices(build_triad(t, "p_ellipse", P))
-        fit, res = _covertex_fit(cov)
-        odag = fit.center()
-        if odag is None:
-            raise NoFiniteCenter("co-vertex conic has no finite center")
-        inc = incircle(t)
-        err = abs(distance(odag, inc.center) - inc.radius)
-        return CovertexReport(P, g(r), res, fit.conic_class(), err)
-    raise ValueError(f"unknown covertex check kind {kind!r}")

@@ -23,7 +23,6 @@ from .conic import (
     ConicClass,
     FocalConic,
     FramedFit,
-    covertices_of_focal_conic,
 )
 from .errors import (
     DegenerateMember,
@@ -146,17 +145,6 @@ def triad_vertices(tr: ConicTriad) -> tuple[Point2, ...]:
     """
     xs, ys, _ = kernels.vertices(*_kernel_args(tr.t, tr.kind, tr.p))
     return tuple(Point2(x, y) for x, y in zip(xs, ys))
-
-
-def triad_covertices(tr: ConicTriad) -> tuple[Point2, ...]:
-    """Co-vertices of the three members; for hyperbolas these are the
-    conjugate-axis endpoints (rendering parity only)."""
-    out: list[Point2] = []
-    for member in tr.members:
-        if member is None:
-            raise DegenerateMember("degenerate member has no co-vertices")
-        out.extend(covertices_of_focal_conic(member))
-    return tuple(out)
 
 
 def six_point_conic(tr: ConicTriad) -> SixPointConicReport:

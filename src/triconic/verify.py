@@ -30,9 +30,9 @@ call.  The public draws `random_triangle`, `random_flat_triangle` and
 of one of these samplers (`_tri_rows`, `_flat_rows`, `_drivers` with one
 try a round), drawn until the mask keeps a candidate.
 
-Thirty-six checks run as one batch on the table's columns, each trial's
-bits those of a batch of one; the five of at most four trials (P2.9, P3.5,
-P3.6, P3.7 and P3.9) run trial by trial on each row's dict (`_per_trial`).
+Thirty-eight checks run as one batch on the table's columns, each trial's
+bits those of a batch of one; the three of at most three trials (P3.5,
+P3.6 and P3.7) run trial by trial on each row's dict (`_per_trial`).
 P3.2 and P5.4 run one circle-point search each
 (`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`), then
 every trial's postconditions at once on arrays, in each triangle's frame
@@ -48,15 +48,18 @@ on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
 `kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
 points from `kernels.bary_point`, the Soddy centers by
 `kernels.soddy_centers`; A1-A6's polynomials in one `appendix.eval_terms`
-call over every trial's points; and the root scans of P2.6, P3.4, P2.8,
-P4.6, P4.10 and P5.7 in one `loci.batch_sign_changes` each: one call of
-the scanned function (written with products, not powers, so floats and
-arrays give the same bits) on every trial's grid, then Brent on floats
-in each bracketed cell; P2.6's triangles at the roots, and P2.8's and
-P5.7's other points in one `kernels.six_point` call each, on arrays,
-every trial's early exits replayed on the values; P3.4, P4.6 and P4.10
-finish each trial's other checks on floats.  A crash still fails only its own trial (`_fail_or`
-gives each trial the exception of the first fault that holds there).
+call over every trial's points; and the root scans of P2.6, P2.9, P3.4,
+P3.9, P2.8, P4.6 (two), P4.10 and P5.7 in one `loci.batch_sign_changes`
+each: one call of the scanned function (written with products, not
+powers, so floats and arrays give the same bits) on every trial's grid,
+then Brent on floats in each bracketed cell.  At the roots, on arrays:
+P2.6's triangles; P2.9's and P3.9's co-vertex conics (`_covertex_fits`:
+`kernels.covertices`, `fit_six` and `residual6`); P4.6's half-tangent
+sums; and P2.8's and P5.7's other points, in one `kernels.six_point`
+call each, every trial's early exits replayed on the values.  Only P3.4
+and P4.10 finish each trial's other checks on floats.  A crash still
+fails only its own trial (`_fail_or` gives each trial the exception of
+the first fault that holds there).
 
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through the pair points
@@ -89,16 +92,18 @@ from .centers import (
     _x8,
     _x55,
     circumcircle,
-    half_tangent_sum,
+    incircle,
     soddy,
 )
-from .config import get_tol
-from .conic import ConicClass, residual
+from .config import DET_DEGENERATE_TOL, get_tol
+from .conic import residual
 from .errors import (
     ConstructionFailed,
     DegenerateMember,
     DegenerateResult,
+    DriverNotOnLocus,
     InvalidAxisLength,
+    NoFiniteCenter,
     NonFiniteResidual,
     NotFound,
     PointAtInfinity,
@@ -116,7 +121,8 @@ from .loci import (
     _circle_conditions,
     batch_sign_changes,
     bracket_sign_changes,
-    covertex_conic_check,
+    covertex_conconic_V,
+    covertex_condition_equilateral_P,
     equilateral_ostar_locus_check,
     halftangent_sextic,
     parabola_deg8_V,
@@ -767,13 +773,57 @@ def _chk_type_regions_V(cfgs, rays) -> tuple:
     return np.where(np.isnan(root) | (code[2] == kernels.CLASS_FAILED), 1.0, worst), errs
 
 
-def _chk_covertex_locus_V(cfg) -> float:
-    rep = covertex_conic_check("v_ellipse", ray_angle=cfg["angle"])
-    ok_class = rep.conic_class in (
-        ConicClass.HYPERBOLA,
-        ConicClass.RECTANGULAR_HYPERBOLA,
-    )
-    return rep.residual6 if ok_class else 1.0
+def _covertex_fits(angles, condition, lo, hi, triad, faults) -> tuple:
+    """The co-vertex conics of P2.9 and P3.9 on all configurations at
+    once: one batch scan for the first root s of condition(s, dx, dy),
+    s in [lo, hi] in 400 cells, along each ray (dx, dy) = (cos, sin) of
+    the angles (math.cos's and math.sin's bits); at the roots' points
+    s (dx, dy), triad(x, y), the kernel arguments of a triad, and
+    kernels.fit_six of its co-vertices (kernels.covertices) on arrays.
+    Returns (sides, fit, residual6, faults): the faults as _fail_or pairs
+    in the object path's order: the scan's NotConverged or, without a
+    root, DriverNotOnLocus; faults(args, sides, member flag); and
+    RankDeficient where the fit vanishes."""
+    rays = np.array((_floatwise(math.cos, angles), _floatwise(math.sin, angles)))
+    root, errs = _roots(_scan_rays(condition, rays, lo, hi, steps=400, first=True))
+    args = triad(root * rays[0], root * rays[1])
+    with np.errstate(all="ignore"):
+        sides, axes, bad = kernels._sides_deltas(*args)
+        xs, ys = map(np.array, kernels.covertices(args[:6], sides, axes))
+        fit = kernels.fit_six(xs, ys)
+        return sides, fit, kernels.residual6(xs, ys, fit), [
+            (np.isnan(root), lambda i: errs.get(i, DriverNotOnLocus("no sign change along the scan ray"))),
+            *faults(args, sides, bad),
+            (~(kernels.frobenius(fit[0]) > DET_DEGENERATE_TOL),
+             RankDeficient("the co-vertices do not determine a unique conic")),
+        ]
+
+
+def _covertex_det_on_ray(s, dx, dy):
+    return covertex_conconic_V(s * dx, s * dy)
+
+
+def _refusal(args, sides, bad) -> list:
+    """Triangle's refusal of the collinear corners of args, arrays, as a
+    _fail_or pair."""
+    odd = kernels.collinear(*args[:6], sides)
+    return [(odd, _raised(args[:6], np.flatnonzero(odd)).get)]
+
+
+def _chk_covertex_locus_V(cfgs) -> tuple:
+    """P2.9 on all configurations at once: C on the co-vertex locus of
+    A=(-1,0), B=(1,0), located on the determinant condition
+    (covertex_conconic_V) along each ray from the origin, s in [0.35, 3]
+    (_covertex_fits); the six V-ellipse co-vertices must be conconic
+    (residual6), the conic a hyperbola, else 1.0."""
+    _, fit, res6, faults = _covertex_fits(
+        cfgs["angle"], _covertex_det_on_ray, 0.35, 3.0,
+        lambda x, y: (*np.broadcast_arrays(-1.0, 0.0, 1.0, 0.0, x, y), kernels.KIND_V_ELLIPSE, 0.0, 0.0),
+        _refusal)
+    with np.errstate(all="ignore"):
+        code = kernels.classify_code(fit[0])[0]
+    hyperbola = np.isin(code, (kernels.CLASS_HYPERBOLA, kernels.CLASS_RECTANGULAR_HYPERBOLA))
+    return _fail_or(np.where(hyperbola, res6, 1.0), *faults)
 
 
 def _searched(search, points, check):
@@ -983,9 +1033,29 @@ def _chk_never_rectangular(cfgs) -> tuple:
     return np.where(codes == kernels.CLASS_RECTANGULAR_HYPERBOLA, 1.0, 0.0), {}
 
 
-def _chk_covertex_equilateral_P(cfg) -> float:
-    rep = covertex_conic_check("p_equilateral", ray_angle=cfg["angle"])
-    return max(rep.residual6, rep.center_on_incircle_error)
+def _covertex_condition_on_ray(s, dx, dy):
+    """The equilateral's co-vertex condition at P = s (dx, dy), from the
+    P-ellipse focal sums."""
+    return covertex_condition_equilateral_P(
+        *kernels._sides_deltas(*_EQUILATERAL, kernels.KIND_P_ELLIPSE, s * dx, s * dy)[1])
+
+
+def _chk_covertex_equilateral_P(cfgs) -> tuple:
+    """P3.9 on all configurations at once: P on the co-vertex condition of
+    the reference equilateral along each ray from its center, s in [0.05,
+    1.4] (_covertex_fits); the six P-ellipse co-vertices must be conconic
+    (residual6) and the conic's center (kernels.frame_center) on the
+    incircle (centers.incircle, once a run)."""
+    _, fit, res6, faults = _covertex_fits(
+        cfgs["angle"], _covertex_condition_on_ray, 0.05, 1.4,
+        lambda x, y: (*_EQUILATERAL, kernels.KIND_P_ELLIPSE, x, y),
+        lambda args, sides, bad: [(bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"]))])
+    inc = incircle(_triangle(*_EQUILATERAL))
+    with np.errstate(all="ignore"):
+        x, y, has_center = kernels.frame_center(*fit[:2])
+        err = abs(kernels._hypot(x - inc.center.x, y - inc.center.y) - inc.radius)
+    return _fail_or(_pymax(res6, err), *faults,
+                    (~has_center, NoFiniteCenter("co-vertex conic has no finite center")))
 
 
 def _v_hyperbola(cfgs) -> tuple:
@@ -1152,14 +1222,20 @@ def _chk_soddy_intersections(cfgs) -> tuple:
     return _fail_or(np.where(bisector, 0.0, worst), (bad, _DEGENERATE))
 
 
+def _sextic_roots(xs) -> list:
+    """The half-tangent sextic's first root y in [0.25, 1.4] over each x
+    of the array xs, A=(-1,0), B=(1,0), by one batch scan of 280 cells: a
+    float, None without a root, or the NotConverged of a failed scan."""
+    return _scan_rays(lambda y, x: halftangent_sextic(x, y), xs[None], 0.25, 1.4, steps=280, first=True)
+
+
 def _sextic_triangles(xs) -> list:
-    """A=(-1,0), B=(1,0) and C=(x, y) at the half-tangent sextic's first
-    root y in [0.25, 1.4] over each x: None without a root, the
-    NotConverged of a failed scan."""
+    """A=(-1,0), B=(1,0) and C=(x, y) at the sextic's root y over each x
+    (_sextic_roots): None without a root, the NotConverged of a failed
+    scan."""
     xs = np.asarray(xs, dtype=float)
-    ys = _scan_rays(lambda y, x: halftangent_sextic(x, y), xs[None], 0.25, 1.4, steps=280, first=True)
-    return [y if y is None or isinstance(y, Exception)
-            else Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) for x, y in zip(xs.tolist(), ys)]
+    return [Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) if isinstance(y, float) else y
+            for x, y in zip(xs.tolist(), _sextic_roots(xs))]
 
 
 def _half_tangent_gap(y, x):
@@ -1172,25 +1248,18 @@ def _half_tangent_gap(y, x):
 
 def _chk_halftangent_sextic(cfgs) -> tuple:
     """P4.6 on all configurations at once: one batch scan for the sextic
-    root on each vertical, and one for the root of the half-tangent
-    condition itself, [0.25, 1.4] as one cell; the roots must agree."""
+    root on each vertical (_sextic_roots), where the half-tangent sum must
+    be 2 (_half_tangent_gap), and one for the root of the half-tangent
+    condition itself, [0.25, 1.4] as one cell; the roots must agree.  1.0
+    where either scan finds no root; the second scan's NotConverged counts
+    only where the sextic has a root."""
     xs = cfgs["x"]
-    converse = _scan_rays(_half_tangent_gap, xs[None], 0.25, 1.4, steps=1, first=True)
-    return _split(_each(_halftangent_residual, zip(_sextic_triangles(xs), converse)))
-
-
-def _halftangent_residual(item) -> float:
-    t, y = item
-    if isinstance(t, Exception):
-        raise t
-    if t is None:
-        return 1.0
-    worst = abs(half_tangent_sum(t) - 2.0)
-    if isinstance(y, Exception):
-        raise y
-    if y is None:
-        return 1.0
-    return max(worst, abs(y - t.c.y))
+    y, errs = _roots(_sextic_roots(xs))
+    converse, more = _roots(_scan_rays(_half_tangent_gap, xs[None], 0.25, 1.4, steps=1, first=True))
+    errs.update((i, exc) for i, exc in more.items() if not math.isnan(y[i]))
+    with np.errstate(invalid="ignore"):
+        worst = _pymax(abs(_half_tangent_gap(y, xs)), abs(converse - y))
+    return np.where(np.isnan(y - converse), 1.0, worst), errs
 
 
 def _through_pair_points(ellipse: int, hyperbola: int):
@@ -1703,6 +1772,8 @@ def _gen_tri_angle(rng, n) -> tuple:
 
 # The directions of the reference equilateral's vertices from its center.
 _EQUILATERAL_DIRS = (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
+# Its corners (ax, ay, bx, by, cx, cy), on the unit circle.
+_EQUILATERAL = tuple(v for a in _EQUILATERAL_DIRS for v in (math.cos(a), math.sin(a)))
 
 
 def _gen_ray_angle_p(rng, n) -> tuple:
@@ -1857,7 +1928,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P2.6-degenerate-iff-right", "degeneracy boundary is the right-angle condition", _gen_ab_angle, _chk_degenerate_iff_right, 1e-6, 40),
     Proposition("P2.7-x478-quartic", "degenerate-center locus satisfies the quartic", _gen_theta, _chk_x478_quartic, 1e-8, 120),
     Proposition("P2.8-type-regions", "type regions: circle/tangents degenerate, degree-8 parabola", _gen_deg8_ray, _batch_run(_ab_rays, _chk_type_regions_V), 1e-9, 25),
-    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _per_trial(_chk_covertex_locus_V), 1e-7, 4),
+    Proposition("P2.9-covertex-locus", "co-vertices conconic on the located locus", _gen_ray_angle_v, _chk_covertex_locus_V, 1e-7, 4),
     # -- P-ellipses --------------------------------------------------------
     Proposition("P3.1-six-point-conic", "six vertices on one conic", _gen_tri_point, _batch_check(kernels.KIND_P_ELLIPSE, _incidence), 1e-8, 300),
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, lambda hits: [hits[0][0]], _chk_pstar), 1e-6, 6),
@@ -1867,7 +1938,7 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _per_trial(_chk_equilateral_arcs), 1e-8, 1),
     Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _per_trial(_chk_equilateral_regions), 0.5, 1),
     Proposition("P3.8-never-rectangular", "hyperbolic six-point conic is never rectangular", _gen_tri_point, _chk_never_rectangular, 0.5, 2000),
-    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _per_trial(_chk_covertex_equilateral_P), 1e-7, 3),
+    Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _chk_covertex_equilateral_P, 1e-7, 3),
     # -- V-hyperbolas ------------------------------------------------------
     Proposition("P4.1-vhyp-vertex-barycentrics", "vertex barycentrics (symmetric corrected form)", _gen_tri, _chk_vhyp_vertex_barys, 1e-9, 200),
     Proposition("P4.2-intouch-extouch", "vertex triangles are the extouch and intouch triangles", _gen_tri, _chk_intouch_extouch, 1e-9, 200),

@@ -43,6 +43,14 @@ that P3.2 and P5.4 read (loci._circle_conditions).
 
 BaryCoords.proj_eq (projective equality) and Circle.point_at were
 methods that only tests called (proj_eq, point_at).
+
+P2.9 and P3.9 ran trial by trial on the object path
+(covertex_conic_check: a Triangle, a ConicTriad and its FocalConics a
+trial, the co-vertices from covertices_of_focal_conic and
+triad_covertices), and P4.6 finished each trial on a Triangle, before the
+verifier ran them on arrays; covertex_locus_reference,
+covertex_equilateral_reference and halftangent_reference are those
+checks of one configuration.
 """
 
 from __future__ import annotations
@@ -54,14 +62,25 @@ import numpy as np
 
 from triconic import kernels
 from triconic.appendix import eval_terms, load_block
-from triconic.centers import Circle, center_bary, circumcircle, classic_center, soddy_centers
-from triconic.conic import Conic, FocalConic
+from triconic.centers import (
+    Circle,
+    center_bary,
+    circumcircle,
+    classic_center,
+    half_tangent_sum,
+    incircle,
+    soddy_centers,
+)
+from triconic.conic import Conic, ConicClass, FocalConic, FramedFit
 from triconic.config import DET_DEGENERATE_TOL, get_tol
 from triconic.errors import (
     ConstructionFailed,
     DegenerateMember,
     DegenerateResult,
     DegenerateTriangle,
+    DriverNotOnLocus,
+    NoFiniteCenter,
+    NotConverged,
     NotFound,
     PointAtInfinity,
     RankDeficient,
@@ -84,6 +103,10 @@ from triconic.loci import (
     _NEWTON_REACH,
     _NEWTON_STEP,
     _NEWTON_STEPS,
+    batch_sign_changes,
+    covertex_conconic_V,
+    covertex_condition_equilateral_P,
+    covertex_locus_V,
     phyp_circle_functional,
     pstar_circle_functional,
 )
@@ -95,7 +118,15 @@ from triconic.triads import (
     six_point_conic,
     triad_vertices,
 )
-from triconic.verify import _cfg_tri, _detn_v_ellipse, _on_ray, _p_hyperbola_disc
+from triconic.verify import (
+    _cfg_tri,
+    _detn_v_ellipse,
+    _half_tangent_gap,
+    _on_ray,
+    _p_hyperbola_disc,
+    _scan_rays,
+    _sextic_triangles,
+)
 
 
 def cartesian_to_bary(t: Triangle, p: Point2) -> BaryCoords:
@@ -458,6 +489,141 @@ def x55_reference(cfg) -> float:
     rep = x55_conjecture_check(Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy)))
     r = rep.circumradius
     return max(rep.circle_spread / r, rep.concentricity_error / r, rep.x7_match_error / r)
+
+
+def covertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
+    """For a hyperbola these are the conjugate-axis endpoints (rendering only)."""
+    _, beta = fc.semi_axes()
+    o, v = fc.center, fc.axis_unit().perp()
+    return (o + beta * v, o + (-beta) * v)
+
+
+def triad_covertices(tr: ConicTriad) -> tuple[Point2, ...]:
+    """Co-vertices of the three members; for hyperbolas these are the
+    conjugate-axis endpoints (rendering parity only)."""
+    out: list[Point2] = []
+    for member in tr.members:
+        if member is None:
+            raise DegenerateMember("degenerate member has no co-vertices")
+        out.extend(covertices_of_focal_conic(member))
+    return tuple(out)
+
+
+def _first_root(g, lo: float, hi: float) -> float:
+    """The first root of g on [lo, hi], by a 400-cell batch scan of one."""
+    (r,) = batch_sign_changes(lambda s, k: g(s), [lo], [hi], steps=400, first=True)
+    if isinstance(r, NotConverged):
+        raise r
+    if r is None:
+        raise DriverNotOnLocus("no sign change along the scan ray")
+    return r
+
+
+@dataclass(frozen=True)
+class CovertexReport:
+    driver: Point2
+    implicit_value: float
+    residual6: float
+    conic_class: ConicClass
+    center_on_incircle_error: float | None
+
+
+def _covertex_fit(cov) -> tuple[FramedFit, float]:
+    """kernels.fit_six of the six co-vertices: the fit in its frame and
+    residual6, the left-out co-vertex's residual in that frame.
+    RankDeficient when the fit vanishes, as in conic.fit_framed."""
+    xs, ys = [p.x for p in cov], [p.y for p in cov]
+    fit = kernels.fit_six(xs, ys)
+    if not kernels.frobenius(fit[0]) > DET_DEGENERATE_TOL:
+        raise RankDeficient("the co-vertices do not determine a unique conic")
+    return FramedFit(*fit[:2]), kernels.residual6(xs, ys, fit)
+
+
+def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
+    """Locate a driver point on the co-vertex conconic locus and verify the
+    six co-vertices lie on one conic: kernels.fit_six fits five of them,
+    and the report's residual6 is the left-out one's residual in the frame
+    of the fit.
+
+    kind "v_ellipse": C on the locus, A=(-1,0), B=(1,0); the driver is
+    located on the determinant condition (the displayed radical equation
+    disagrees with it, see covertex_conconic_V) and the report carries the
+    verbatim implicit's value at the driver for reference.
+    kind "p_equilateral": P on the equilateral condition (circumradius 1);
+    additionally checks that the co-vertex conic center lies on the incircle.
+    """
+    if kind == "v_ellipse":
+        A, B = Point2(-1.0, 0.0), Point2(1.0, 0.0)
+        dx, dy = math.cos(ray_angle), math.sin(ray_angle)
+        g = lambda r: covertex_conconic_V(r * dx, r * dy)
+        r = _first_root(g, 0.35, 3.0)
+        C = Point2(r * dx, r * dy)
+        t = Triangle(A, B, C)
+        cov = triad_covertices(build_triad(t, "v_ellipse"))
+        fit, res = _covertex_fit(cov)
+        return CovertexReport(C, covertex_locus_V(C.x, C.y), res, fit.conic_class(), None)
+    if kind == "p_equilateral":
+        verts = [
+            Point2(math.cos(a), math.sin(a))
+            for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
+        ]
+        t = Triangle(*verts)
+        corners = _kernel_args(t, "p_ellipse", None)[:6]
+        dx, dy = math.cos(ray_angle), math.sin(ray_angle)
+
+        def g(r):
+            # The P-ellipse focal sums at P = r * (dx, dy), on floats or arrays.
+            deltas = kernels._sides_deltas(*corners, kernels.KIND_P_ELLIPSE, r * dx, r * dy)[1]
+            return covertex_condition_equilateral_P(*deltas)
+
+        r = _first_root(g, 0.05, 1.4)
+        P = Point2(r * dx, r * dy)
+        cov = triad_covertices(build_triad(t, "p_ellipse", P))
+        fit, res = _covertex_fit(cov)
+        odag = fit.center()
+        if odag is None:
+            raise NoFiniteCenter("co-vertex conic has no finite center")
+        inc = incircle(t)
+        err = abs(distance(odag, inc.center) - inc.radius)
+        return CovertexReport(P, g(r), res, fit.conic_class(), err)
+    raise ValueError(f"unknown covertex check kind {kind!r}")
+
+
+def covertex_locus_reference(cfg) -> float:
+    """P2.9's check of one configuration, as the verifier ran it trial by
+    trial before its batch."""
+    rep = covertex_conic_check("v_ellipse", ray_angle=cfg["angle"])
+    ok_class = rep.conic_class in (
+        ConicClass.HYPERBOLA,
+        ConicClass.RECTANGULAR_HYPERBOLA,
+    )
+    return rep.residual6 if ok_class else 1.0
+
+
+def covertex_equilateral_reference(cfg) -> float:
+    """P3.9's check of one configuration, as the verifier ran it trial by
+    trial before its batch."""
+    rep = covertex_conic_check("p_equilateral", ray_angle=cfg["angle"])
+    return max(rep.residual6, rep.center_on_incircle_error)
+
+
+def halftangent_reference(cfg) -> float:
+    """P4.6's check of one configuration, as the verifier ran it before
+    its tail went to arrays: the triangle at the sextic's root
+    (verify._sextic_triangles) and the converse scan's root, each a batch
+    of one, then the half-tangent sum of the Triangle."""
+    (t,) = _sextic_triangles([cfg["x"]])
+    (y,) = _scan_rays(_half_tangent_gap, np.array([[cfg["x"]]]), 0.25, 1.4, steps=1, first=True)
+    if isinstance(t, Exception):
+        raise t
+    if t is None:
+        return 1.0
+    worst = abs(half_tangent_sum(t) - 2.0)
+    if isinstance(y, Exception):
+        raise y
+    if y is None:
+        return 1.0
+    return max(worst, abs(y - t.c.y))
 
 
 def circumcircle_ray(t: Triangle, ang: float) -> tuple:

@@ -15,7 +15,6 @@ from triconic.conic import (
     classify,
     conic_conic_intersections,
     conic_from_foci,
-    covertices_of_focal_conic,
     fit_conic_5pts,
     pencil_degenerate_lines,
     residual,
@@ -24,7 +23,7 @@ from triconic.conic import (
 from triconic.errors import InvalidAxisLength, LineOnConic, NoFiniteCenter, RankDeficient
 from triconic.geom import Point2, Triangle, distance, line_through
 
-from reference_checks import conic_bary_to_cartesian, vertices_of_focal_conic
+from reference_checks import conic_bary_to_cartesian, covertices_of_focal_conic, vertices_of_focal_conic
 
 
 def unit_circle():

@@ -182,6 +182,26 @@ def test_conic_line_rule_lives_in_kernels():
     assert _kernel_readers(ast.unparse(route), {"_line_roots", "_polish"}) == {"_line_roots", "_polish"}
 
 
+def test_covertex_rule_lives_in_kernels():
+    # kernels.covertices is the package's one co-vertex rule: the co-vertex
+    # locus's determinant condition reads it, and so do the P2.9 and P3.9
+    # checks through their one helper; no module keeps the object path's
+    # co-vertex check or its copies of the rule.
+    copies = {"covertex_conic_check", "triad_covertices", "covertices_of_focal_conic"}
+    defined = {p.name: {node.name for node in ast.walk(ast.parse(p.read_text()))
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))} & copies
+               for p in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in defined.items() if names} == {}
+    functions = {}
+    for module in ("loci.py", "verify.py"):
+        for stmt in ast.parse((PACKAGE / module).read_text()).body:
+            functions.update(dict.fromkeys(_definitions(stmt), stmt))
+    for name in ("covertex_conconic_V", "_covertex_fits"):
+        assert _kernel_readers(ast.unparse(functions[name]), {"covertices"}) == {"covertices"}, name
+    for check in ("_chk_covertex_locus_V", "_chk_covertex_equilateral_P"):
+        assert "_covertex_fits" in _references(functions[check]), check
+
+
 def test_package_runs_without_scipy(cli_env):
     # The package's root-finders are its own: importing every entry module
     # and running both circle searches and a Brent polish loads no scipy.

@@ -6,7 +6,7 @@ import numpy as np
 import mpmath
 import pytest
 
-from reference_checks import pair_points_on_floats, second_point_on_floats
+from reference_checks import covertices_of_focal_conic, pair_points_on_floats, second_point_on_floats
 from triconic import kernels
 from triconic.conic import Conic, classify
 from triconic.geom import Point2, Triangle
@@ -689,6 +689,34 @@ def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
         assert (codes[i], res6[i].item()) == (code, r6), i
         assert (outs[i], fit_res[i].item()) == (out, r6), i
         assert res == r6
+
+
+@pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
+def test_covertices_are_the_focal_conics_covertices(kind):
+    # covertices is the package's one co-vertex rule: on floats and in
+    # array columns, each member's two co-vertices are those of its
+    # FocalConic on the object path (covertices_of_focal_conic), bit for
+    # bit.  A V-hyperbola member that is a perpendicular bisector has none.
+    from triconic.triads import build_triad
+
+    rows = _seeded_kernel_args(kind, (0.0, 0.0)) + _seeded_kernel_args(kind, (0.0, 0.0), flat=True)
+    cols = np.array(rows).T
+    kcode = kernels.KIND_CODES[kind]
+    sides, axes, _ = kernels._sides_deltas(*cols[:6], kcode, *cols[7:])
+    col_xs, col_ys = kernels.covertices(cols[:6], sides, axes)
+    compared = 0
+    for i, args in enumerate(rows):
+        t = Triangle(Point2(*args[0:2]), Point2(*args[2:4]), Point2(*args[4:6]))
+        tr = build_triad(t, kind, Point2(*args[7:]) if kind.startswith("p_") else None)
+        xs, ys = kernels.covertices(args[:6], *kernels._sides_deltas(*args)[:2])
+        for k, member in enumerate(tr.members):
+            if member is None:
+                continue
+            want = [q.as_tuple() for q in covertices_of_focal_conic(member)]
+            assert list(zip(xs[2 * k:2 * k + 2], ys[2 * k:2 * k + 2])) == want, (i, k)
+            assert [(col_xs[j][i].item(), col_ys[j][i].item()) for j in (2 * k, 2 * k + 1)] == want, (i, k)
+            compared += 1
+    assert compared >= 3 * len(rows) - 1
 
 
 def test_fit_rule_leaves_out_a_near_coincident_vertex():

@@ -36,7 +36,6 @@ from triconic.triads import (
     pairwise_intersections,
     second_common_point,
     six_point_conic,
-    triad_covertices,
     triad_vertices,
 )
 from triconic.verify import random_flat_triangle, random_point_near, random_triangle
@@ -45,6 +44,7 @@ import reference_checks
 from reference_checks import (
     conic_bary_to_cartesian,
     equal_area_check,
+    triad_covertices,
     two_branch_chords,
 )
 

@@ -558,7 +558,7 @@ def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
     # the rays of P2.8 and P5.7 that cross their loci need only the scan's
     # bracketed cells, not its polished roots.
     calls = Counter()
-    for name in ("_chk_x3prime_center", "_x3prime_fit", "_block", "_sextic_triangles",
+    for name in ("_chk_x3prime_center", "_x3prime_fit", "_block", "_sextic_roots",
                  "batch_sign_changes", "bracket_sign_changes"):
 
         def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
@@ -577,7 +577,7 @@ def test_draws_run_no_check_but_where_only_the_check_decides(monkeypatch):
         "P5.7-parabola-condition": {"bracket_sign_changes"},
     }
     # The counters are live: the checks of P4.6 and A3 reach them.
-    for pid, names in (("P4.6-halftangent-sextic", {"_sextic_triangles", "batch_sign_changes"}),
+    for pid, names in (("P4.6-halftangent-sextic", {"_sextic_roots", "batch_sign_changes"}),
                        ("A3-x3prime-center", {"_x3prime_fit", "_block"})):
         calls.clear()
         prop = verify._BY_ID[pid]
@@ -848,7 +848,7 @@ def test_a_crashing_replay_raises_with_a_fresh_traceback():
 def test_manifest_builds_one_dict_a_witness_and_a_per_trial_check(monkeypatch):
     # The configurations go from the draw through the check to the report
     # as columns: a seed-42 manifest builds a configuration dict for each
-    # proposition's witness and for each trial of the five per-trial checks.
+    # proposition's witness and for each trial of the three per-trial checks.
     calls = Counter()
     pid = None
 
@@ -859,8 +859,7 @@ def test_manifest_builds_one_dict_a_witness_and_a_per_trial_check(monkeypatch):
     monkeypatch.setattr(verify.ConfigTable, "row", counted)
     for pid in PROPOSITION_IDS:
         run_proposition(pid, 42)
-    per_trial = {"P2.9-covertex-locus": 4, "P3.5-ostar-three-arcs": 3, "P3.6-equilateral-arcs": 1,
-                 "P3.7-equilateral-regions": 1, "P3.9-covertex-equilateral-P": 3}
+    per_trial = {"P3.5-ostar-three-arcs": 3, "P3.6-equilateral-arcs": 1, "P3.7-equilateral-regions": 1}
     assert calls == {pid: 1 + per_trial.get(pid, 0) for pid in PROPOSITION_IDS}
 
 
@@ -1956,6 +1955,113 @@ def test_circumcircle_rays_are_the_object_rays(pid):
     rays = [errs.get(i, tuple(ray)) for i, ray in enumerate(rays.T.tolist())]
     assert _same_results(rays, verify._each(reference_checks.cfg_ray, cfgs))
     assert [type(r).__name__ for r in rays[-3:]] == ["DegenerateTriangle", "ValueError", "PointAtInfinity"]
+
+
+# P2.9 and P3.9 ran trial by trial on the object path, and P4.6 finished
+# each trial on a Triangle; reference_checks keeps those checks of one
+# configuration.
+_OBJECT_REFERENCES = {
+    "P2.9-covertex-locus": reference_checks.covertex_locus_reference,
+    "P3.9-covertex-equilateral-P": reference_checks.covertex_equilateral_reference,
+    "P4.6-halftangent-sextic": reference_checks.halftangent_reference,
+}
+
+
+@pytest.mark.parametrize("trials", [None, 50])
+@pytest.mark.parametrize("pid", sorted(_OBJECT_REFERENCES))
+def test_array_checks_match_their_object_references(pid, trials):
+    # The residuals of the object path bit for bit, and crashes of the same
+    # types, trial by trial at seeds 42 and 1-8, at the default trials and
+    # at 50; each report's witness replays exactly.
+    prop = verify._BY_ID[pid]
+    for seed in (42, *range(1, 9)):
+        cfgs = _drawn(prop, seed, trials)
+        assert _same_results(_results(prop.run, cfgs), _reference_run(_OBJECT_REFERENCES[pid], cfgs)), seed
+        r = run_proposition(pid, seed, trials)
+        assert replay_witness(pid, json.loads(json.dumps(r.witness))) == r.max_residual, seed
+
+
+def _rootless_where(f, on_ray):
+    """f, but |f| + 1 where on_ray of its arguments holds: no sign change
+    along a ray (or vertical) on which it holds throughout."""
+    return lambda *args: np.where(on_ray(*args), abs(f(*args)) + 1.0, f(*args))
+
+
+def _flaky_brent(f, a, b, fa, fb, _real=loci._brent_cell):
+    # Whether a cell fails hangs on its value at a: the same cells fail on
+    # both paths.
+    if hash(fa) % 3 == 0:
+        raise NotConverged("injected", a, fa)
+    return _real(f, a, b, fa, fb)
+
+
+def _vanishing_fit(xs, ys, _real=kernels.fit_six):
+    # Zero coefficients where floor(1e3 y) of the first co-vertex is even.
+    co, frame, out = _real(xs, ys)
+    return tuple(c * (ys[0] * 1e3 // 1.0 % 2.0) for c in co), frame, out
+
+
+def _refusing(ax, ay, bx, by, cx, cy, sides, _real=kernels.collinear):
+    # Triangle (and P2.9) refuse a C above y = 0.365 as collinear.
+    return _real(ax, ay, bx, by, cx, cy, sides) | (cy > 0.365)
+
+
+def _collapsing(*args, _real=kernels._sides_deltas):
+    # A P-ellipse member collapses where P is right of the y axis.
+    sides, deltas, bad = _real(*args)
+    return sides, deltas, bad | ((args[6] == kernels.KIND_P_ELLIPSE) & (args[7] > 0.0))
+
+
+# The injected faults but DriverNotOnLocus, each the function both paths
+# call and its replacement.
+_INJECTED = {
+    "NotConverged": (loci, "_brent_cell", _flaky_brent),
+    "RankDeficient": (kernels, "fit_six", _vanishing_fit),
+    "DegenerateTriangle": (kernels, "collinear", _refusing),
+    "DegenerateMember": (kernels, "_sides_deltas", _collapsing),
+}
+# The conditions both paths scan, by proposition, each with the rays on
+# which the injected fault takes its root away: P2.9's rays into x < 0,
+# P3.9's nearer A than B, and P4.6's sextic on x < 0 and the converse
+# condition on x > 0.2.
+_ROOTLESS = {
+    "P2.9-covertex-locus": {"covertex_conconic_V": lambda x, y: x < 0.0},
+    "P3.9-covertex-equilateral-P": {"covertex_condition_equilateral_P": lambda da, db, dc: da > db},
+    "P4.6-halftangent-sextic": {"halftangent_sextic": lambda x, y: x < 0.0,
+                                "_half_tangent_gap": lambda y, x: x > 0.2},
+}
+_SCAN_FAULTS = (("DriverNotOnLocus",), ("NotConverged",), ("DriverNotOnLocus", "NotConverged"))
+
+
+@pytest.mark.parametrize("pid, faults", [
+    *(("P2.9-covertex-locus", f) for f in (*_SCAN_FAULTS, ("RankDeficient",), ("DegenerateTriangle", "RankDeficient"))),
+    *(("P3.9-covertex-equilateral-P", f) for f in (*_SCAN_FAULTS, ("RankDeficient",), ("DegenerateMember", "RankDeficient"))),
+    *(("P4.6-halftangent-sextic", f) for f in _SCAN_FAULTS),
+])
+def test_array_checks_crash_where_their_object_references_do(pid, faults, monkeypatch):
+    # Injected faults: a condition without a sign change (P4.6 reads 1.0
+    # there), a Brent polish that fails (loci._brent_cell), a vanishing
+    # co-vertex fit (kernels.fit_six), Triangle's refusal (P2.9) and a
+    # collapsing member (P3.9) crash the trials the object path crashes,
+    # with its exception types and in its order, and leave the others'
+    # bits.
+    for fault in faults:
+        if fault == "DriverNotOnLocus":
+            for name, on_ray in _ROOTLESS[pid].items():
+                for module in (verify, reference_checks):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, _rootless_where(getattr(module, name), on_ray))
+        else:
+            monkeypatch.setattr(*_INJECTED[fault])
+    prop = verify._BY_ID[pid]
+    cfgs = _drawn(prop, 7, 20)
+    batch, ref = _results(prop.run, cfgs), _reference_run(_OBJECT_REFERENCES[pid], cfgs)
+    assert _same_results(batch, ref)
+    outcomes = Counter(type(r).__name__ for r in ref)
+    if pid == "P4.6-halftangent-sextic" and "DriverNotOnLocus" in faults:
+        assert 1.0 in ref
+        faults = faults[1:]
+    assert outcomes["float"] and all(outcomes[f] for f in faults), outcomes
 
 
 def test_manifest_makes_only_the_polish_float_six_point_calls(monkeypatch):

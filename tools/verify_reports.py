@@ -5,8 +5,10 @@
     python tools/verify_reports.py diff DIR_A DIR_B
 
 `write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json), at seed 42
-with `--tol 1e-8` (DIR/tol8.json) and at seed 42 with `--threads 2`
-(DIR/threads2.json), the README's x478 and O* loci
+with `--tol 1e-8` (DIR/tol8.json), with `--threads 2`
+(DIR/threads2.json) and with `--trials 50` (DIR/trials50.json, so the
+batched checks are compared at more than their default trials), the
+README's x478 and O* loci
 (DIR/locus_x478.json, DIR/locus_ostar.json), the zero sets of the
 half-tangent sextic and of the x478 quartic (DIR/locus_sextic.json,
 DIR/locus_x478_zero_set.json), the `regions --json` maps of the three
@@ -81,6 +83,7 @@ def _reports():
         yield f"seed{seed}.json", ["verify", "--prop", "all", "--seed", str(seed), "--report"]
     yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42", "--report"]
     yield "threads2.json", ["--threads", "2", "verify", "--prop", "all", "--seed", "42", "--report"]
+    yield "trials50.json", ["verify", "--prop", "all", "--seed", "42", "--trials", "50", "--report"]
 
 
 def _runs(out: pathlib.Path):
