@@ -66,8 +66,9 @@ for `centers.soddy` on floats and P4.5 and P4.8 on arrays.
 
 `frame` is the package's one triangle frame, q' = (q - g) / s with g the
 centroid and s the largest side: `focal_pairs` works in it, and so do the
-Carnot test of `triads.six_point_conic`, the circle searches
-(`loci._circle_points`) and, in the verifier, the sideline rule of the
+Carnot test of `triads.six_point_conic`, the circle searches (their
+trilateration, the P* scan in k and the P-hyperbola pair's closed form,
+`loci._circle_points`) and, in the verifier, the sideline rule of the
 six-point fits and the P3.2 and P5.4 postconditions.
 """
 

@@ -14,6 +14,7 @@ checked there, on arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .centers import circumcircle, excircle_tangency_points, incircle
+from .centers import circumcircle, excircle_tangency_points
 from .conic import (
     Conic,
     center as conic_center,
@@ -45,11 +46,7 @@ from .geom import (
     midpoint,
     signed_area,
 )
-from .triads import (
-    _six_point_fit,
-    build_triad,
-    second_common_point,
-)
+from .triads import _six_point_fit
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +408,8 @@ def equilateral_ostar_locus_check() -> EquilateralOstarReport:
 
 
 # ---------------------------------------------------------------------------
-# Special points as common zeros of two brackets
+# Circle points: the drivers whose six-point conic is a circle
 # ---------------------------------------------------------------------------
-
-_CIRCLE_TARGET = 1e-16  # times s**8: the circle functionals have degree 8 in lengths
-
 
 # The circle test's bound (_circle_conditions): chiefly how far, relative
 # to the circumradius, a circle's center may lie from the circumcenter and
@@ -450,126 +444,178 @@ def _circle_conditions(args) -> tuple:
     return worst, [*rules, (far, PointAtInfinity("u+v+w ~ 0 for X3"))]
 
 
-def _seeds(t: Triangle) -> list[tuple[float, float]]:
-    """Starts for the bracket root-find: the centroid, incenter and
-    circumcenter, 8 points on each of two rings about the centroid, and one
-    point outside each vertex on its bisector, half the vertex-incenter
-    distance beyond the vertex, where the near-vertex zeros sit."""
-    cc = circumcircle(t)
-    inc = incircle(t).center
-    cx = (t.a.x + t.b.x + t.c.x) / 3.0
-    cy = (t.a.y + t.b.y + t.c.y) / 3.0
-    seeds = [(cx, cy), inc.as_tuple(), cc.center.as_tuple()]
-    for r in (0.45 * cc.radius, 1.2 * cc.radius):
-        for k in range(8):
-            ang = math.pi * k / 4.0
-            seeds.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
-    seeds += [(1.5 * v.x - 0.5 * inc.x, 1.5 * v.y - 0.5 * inc.y) for v in t.vertices()]
-    return seeds
+# P*'s scan in sigma = w / (1 + w), k = -w**2, over _PSTAR_CELLS cells of
+# [0, _PSTAR_TOP]: w runs to 42, which puts P about 21 frame units out.
+_PSTAR_CELLS = 200
+_PSTAR_TOP = 42.0 / 43.0
+# The forward difference of _polish's Jacobian, in frame units, and the
+# most steps a candidate takes.
+_POLISH_H = 1e-7
+_POLISH_STEPS = 3
 
 
-# Damped Newton on the two brackets, in frame units: at most _NEWTON_STEPS
-# steps, each no longer than the distance to the nearest vertex and halved
-# at most _NEWTON_HALVINGS times until it lowers |g|^2.  A step evaluates
-# every live start's full step in one call and the other halvings (exact
-# powers of two) of the starts it did not lower in one more, and each of
-# those takes the first that lowers |g|^2 or falls below the step
-# tolerance, as one halving at a time would.  A start leaves once |g|^2
-# falls to _NEWTON_G2, its step to _NEWTON_STEP times |q|, no step lowers
-# |g|^2, or it runs past _NEWTON_REACH.
-_NEWTON_STEPS = 50
-_NEWTON_HALVINGS = 10
-_NEWTON_G2 = 1e-30
-_NEWTON_STEP = 1e-15
-_NEWTON_REACH = 20.0
-# The step lengths 1, 1/2, ..., 2**(1 - _NEWTON_HALVINGS) as a column.
-_LAMBDAS = np.ldexp(1.0, -np.arange(_NEWTON_HALVINGS))[:, None]
-# Per kind: the sign of the focal quantities, two independent brackets as
-# row slices of u, (uc - ub, ua - uc) and (ub - ua, uc - ua), and the
-# dedupe radius over the scale.
-_CIRCLE_KINDS = {
-    "p_ellipse": (1.0, (slice(2, None, -2), slice(1, 3)), 1e-7),
-    "p_hyperbola": (-1.0, (slice(1, 3), slice(0, 1)), 1e-6),
-}
+def _trilaterate(tri, da, db, dc):
+    """The point Q = P - A at distances da, db and dc from the corners A,
+    B and C of a framed triangle, where they agree, from tri (B - A, C -
+    A, a^2, b^2, c^2): (qx, qy, |Q|^2 - da^2), the 2x2 linear solve of
+    |Q|^2 - |Q - X|^2 = da^2 - dx^2 for X = B - A, C - A, and how far Q
+    misses da, zero where the three agree.  Floats, or elementwise on
+    arrays with the same bits."""
+    ex, ey, fx, fy, _, b2, c2 = tri
+    alpha, beta = c2 + da * da - db * db, b2 + da * da - dc * dc
+    det = 2.0 * (ex * fy - ey * fx)
+    qx, qy = (alpha * fy - beta * ey) / det, (beta * ex - alpha * fx) / det
+    return qx, qy, qx * qx + qy * qy - da * da
 
 
-def _bracket_newton(v: np.ndarray, s2: np.ndarray, sign: float, brackets, q: np.ndarray):
-    """Damped Newton from every start in q (complex, x + iy) at once toward
-    a common zero of the two brackets; returns where each start stopped.
-    Column i of v and s2 holds the vertices (complex) and squared sides of
-    start i's triangle, so starts of many triangles run as they run alone.
+def _pstar_distances(sigma, tri):
+    """P*'s distances from A, B and C at k = -w**2, w = sigma / (1 -
+    sigma): with the focal sums x_i = sqrt(s_i^2 + w^2), d_A = (x_b + x_c
+    - x_a) / 2, and cyclically."""
+    w = sigma / (1.0 - sigma)
+    xa, xb, xc = (kernels._sqrt(s2 + w * w) for s2 in tri[4:])
+    return (xb + xc - xa) / 2.0, (xc + xa - xb) / 2.0, (xa + xb - xc) / 2.0
 
-    x_i = d_j + sign * d_k over the distances d from q to the other two
-    vertices j, k of vertex i, u_i = s_i^2 - x_i^2 over the sides s, and
-    the brackets are differences of rows of u, u[p] - u[r] for the slices
-    (p, r) = brackets, so their Jacobian is closed form: grad u_i =
-    -2 x_i (unit(q - V_j) + sign * unit(q - V_k)).  The distances are not
-    smooth at the vertices, hence the step cap there.
 
-    The starts stay in columns of fixed width under a live mask, compacted
-    only when half of them have left, in two stacked states: complex (q
-    and the brackets' gradients) and real (the brackets, |g|^2 and the
-    distance to the nearest vertex), each taking its accepted trial points
-    in one np.copyto.
+def _pstar_candidates(tri) -> tuple:
+    """P*'s candidates on the framed triangles of the columns tri
+    (_trilaterate's): each sign change in sigma of how far the
+    trilaterated point of _pstar_distances misses them, one
+    batch_sign_changes scan a triangle (a scan whose polish fails gives
+    none).  Returns their triangles' indices and distances."""
+    rows = tri.T.tolist()
+
+    def miss(sigma, k):
+        t = rows[k] if isinstance(k, int) else tri[:, k]
+        return _trilaterate(t, *_pstar_distances(sigma, t))[2]
+
+    roots = batch_sign_changes(miss, np.zeros(len(rows)), np.full(len(rows), _PSTAR_TOP), _PSTAR_CELLS)
+    roots = [r if isinstance(r, list) else [] for r in roots]
+    at = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+    return at, _pstar_distances(np.array(sum(roots, [])), tri[:, at])
+
+
+def _phyp_candidates(tri) -> tuple:
+    """The P-hyperbola circle points' candidates on the framed triangles of
+    the columns tri (_trilaterate's), in closed form.  The signed focal
+    differences sum to 0, so x_i = x_j + x_k, i opposite the largest side
+    (x_i^2 = s_i^2 - k is largest there): the triangle of sides x is flat,
+    and by Heron 3k^2 - 2k sum(s^2) + 16 area^2 = 0.  (Squared from x_i =
+    x_j + x_k with m = s_i^2 - s_j^2 - s_k^2, it reads 3k^2 - (2m + 4(s_j^2
+    + s_k^2))k + 4 s_j^2 s_k^2 - m^2 = 0.)  The larger root is at least the
+    mean of the s^2, so only the smaller can be admissible, 0 < k <= min
+    s^2.  With the differences (x_i, -x_j, -x_k) the distances are (t, t
+    + cB, t + cC), and the trilateration's miss is a quadratic in t, read
+    at t = -1, 0 and 1.  The opposite signs negate t and the distances,
+    which trilaterate to the same point, so each root t gives a candidate,
+    its distances times the sign of t.  Returns the candidates' triangle
+    indices and distances."""
+    s2, det = tri[4:], tri[0] * tri[3] - tri[1] * tri[2]
+    k = 4.0 * det * det / (s2.sum(axis=0) + np.sqrt(s2.sum(axis=0) ** 2 - 12.0 * det * det))
+    x = np.where(s2 == s2.max(axis=0), 1.0, -1.0) * np.sqrt(s2 - k)
+    cb, cc = np.where(k <= s2.min(axis=0), (-x[2], x[1]), np.nan)
+    r0, r1, r2 = (_trilaterate(tri, t, t + cb, t + cc)[2] for t in (-1.0, 0.0, 1.0))
+    a, h = (r2 + r0) / 2.0 - r1, (r2 - r0) / 4.0
+    r = -(h + np.copysign(np.sqrt(h * h - a * r1), h))
+    t = np.array([r / a, r1 / r])
+    return np.broadcast_to(np.arange(tri.shape[1]), t.shape), np.sign(t) * np.array([t, t + cb, t + cc])
+
+
+def _polish(args, s2):
+    """One Newton step from the driver (px, py) of each candidate's kernel
+    arguments args toward a common zero of u_b - u_a and u_c - u_a, u_i =
+    s_i^2 - x_i^2 over the squared sides s2 and the focal sums or
+    differences x (kernels._sides_deltas), the Jacobian by forward
+    differences of _POLISH_H.  On flat triangles the trilateration's two
+    lines are near parallel, so the misses it gives, and the t that
+    _phyp_candidates reads off them, lose digits; the step recovers them.
+    A candidate whose step is not finite stays."""
+    *corners, code, px, py = args
+    x = np.square(kernels._sides_deltas(*corners, code, px + [[0.0], [_POLISH_H], [0.0]],
+                                        py + [[0.0], [0.0], [_POLISH_H]])[1])
+    (g1, p1, q1), (g2, p2, q2) = (s2[i] - s2[0] - x[i] + x[0] for i in (1, 2))
+    step = np.array([q1 * g2 - q2 * g1, p2 * g1 - p1 * g2]) / ((p1 - g1) * (q2 - g2) - (q1 - g1) * (p2 - g2))
+    return np.where(np.isfinite(step), _POLISH_H * step, 0.0) + (px, py)
+
+
+def _framed(t) -> tuple:
+    """(gx, gy, s, the framed corners, B - A, C - A and the squared sides)
+    of t in its frame (kernels.frame); Triangle's error for collinear
+    framed corners, and PointAtInfinity for a circumcenter at infinity,
+    where no circle is concentric with the circumcircle."""
+    (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()))
+    Triangle(*map(Point2, f[0::2], f[1::2]))  # its refusal of collinear corners
+    sides = kernels.triangle_sides(*f)
+    if kernels.circumcircle(f, sides)[2]:
+        raise PointAtInfinity("u+v+w ~ 0 for X3")
+    return gx, gy, s, *f, f[2] - f[0], f[3] - f[1], f[4] - f[0], f[5] - f[1], *(a * a for a in sides)
+
+
+def _candidates(cols, kind: str) -> tuple:
+    """The `kind` circle points' candidates on the framed triangles of the
+    columns cols (_framed's rows): those with finite distances, each
+    trilaterated.  (P*'s distances are positive: the x_i, with the sides,
+    make a triangle by Minkowski's inequality.)  Returns their triangles'
+    indices, their distances from the corners and the kernel arguments of
+    their triads, on arrays."""
+    at, d = (_pstar_candidates if kind == "p_ellipse" else _phyp_candidates)(cols[9:])
+    d = np.reshape(d, (3, -1))
+    keep = np.isfinite(d).all(axis=0)
+    at, d = np.ravel(at)[keep], d[:, keep]
+    qx, qy, _ = _trilaterate(cols[9:, at], *d)
+    return at, d, (*cols[3:9, at], kernels.KIND_CODES[kind], cols[3, at] + qx, cols[4, at] + qy)
+
+
+def _circle_points(ts, kind: str, least: int) -> list:
+    """For each triangle of ts: the points whose `kind` six-point conic is
+    a circle concentric with its circumcircle, as (xy, functional value)
+    pairs in the plane, by clearance from the corners, most first; or the
+    search's library error, NotConverged with the candidate of least
+    circle-test worst and that worst (none without a candidate) where
+    fewer than `least` pass.
+
+    Each member's vertices are symmetric about its side's midpoint, so
+    such a circle is centered at the circumcenter, and it exists iff u_i =
+    s_i^2 - x_i^2, over the sides s and the focal sums ("p_ellipse") or
+    |differences| ("p_hyperbola") x, takes one value k for all three
+    members.  Given k, the x_i fix the distances from the corners, up to a
+    common shift t for the differences, and P is their trilateration.  P*
+    (k < 0) is each sign change of a scan in k (_pstar_candidates), the
+    P-hyperbola points (0 < k <= min s^2) come in closed form
+    (_phyp_candidates).  Every candidate of every triangle (_candidates)
+    takes Newton steps (_polish), each followed by the circle test
+    (_circle_conditions: worst at most _CONCENTRIC_TOL, no fault) in one
+    array call, until it passes or has taken _POLISH_STEPS: on a
+    near-degenerate triangle the fit decides "circle" on rounding, so a
+    point that fails may pass one step on.  All of it runs in the frame of
+    each triangle (kernels.frame); a triangle gets the same bits alone as
+    in a batch.
     """
-    # a + sign * b as one operation, with the same bits.
-    combine, (p, r) = np.add if sign > 0 else np.subtract, brackets
-    # The vertices as rows 0, 1, 2, 0, 1: vertex i's other two are rows
-    # i + 1 and i + 2.
-    v = np.concatenate((v, v[:2]))
-
-    def system(z, v, s2):
-        # The complex rows (z, grad g) and real rows (g, |g|^2, nearest
-        # vertex distance) at the points z.
-        dz = z - v
-        d = np.abs(dz)
-        x = combine(d[1:4], d[2:5])
-        e = dz / d
-        grad = -2.0 * x * combine(e[1:4], e[2:5])
-        u = s2 - x * x
-        cz, cr = np.empty((3, *z.shape), complex), np.empty((4, *z.shape))
-        cz[0] = z
-        np.subtract(grad[p], grad[r], out=cz[1:])
-        g = np.subtract(u[p], u[r], out=cr[:2])
-        np.add(g[0] * g[0], g[1] * g[1], out=cr[2])
-        np.minimum.reduce(d[:3], out=cr[3])
-        return cz, cr
-
-    out, cols = q.copy(), np.arange(q.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sz, sr = system(q, v, s2)
-        live = np.isfinite(sr[2]) & (sr[2] > _NEWTON_G2)
-        for _ in range(_NEWTON_STEPS):
-            n = np.count_nonzero(live)
-            if n == 0:
+    out = [_attempt(_framed, t) for t in ts]
+    live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
+    cols = np.array([out[i] for i in live]).reshape(-1, 16).T
+    with np.errstate(all="ignore"):
+        at, d, args = _candidates(cols, kind)
+        failed = np.ones(at.shape, bool)
+        for _ in range(_POLISH_STEPS):
+            args = (*args[:7], *np.where(failed, _polish(args, cols[13:, at]), args[7:]))
+            worst, faults = _circle_conditions(args)
+            failed = functools.reduce(np.logical_or, (m for m, _ in faults), ~(worst <= _CONCENTRIC_TOL))
+            if not failed.any():
                 break
-            if 2 * n <= live.size:
-                out[cols] = sz[0]
-                cols, sz, sr, v, s2 = cols[live], sz[:, live], sr[:, live], v[:, live], s2[:, live]
-                live = np.ones(n, bool)
-            q, a, b, g2 = sz[0], sz[1], sz[2], sr[2]
-            # The step solving Re(grad) dx + Im(grad) dy = -g for both brackets.
-            step = -1j * (sr[1] * a - sr[0] * b) / (a.conj() * b).imag
-            live &= np.isfinite(step)
-            step *= np.minimum(1.0, sr[3] / np.abs(step))
-            small = _LAMBDAS * np.abs(step) <= _NEWTON_STEP * np.abs(q)
-            tz, tr = system(q + _LAMBDAS[0] * step, v, s2)
-            ok = tr[2] < g2
-            # The other halvings of the live starts the full step did not
-            # lower, as rows, and of each start the first that stops it, as
-            # a flat index into those rows.
-            h = (live & ~(ok | small[0])).nonzero()[0]
-            if h.size:
-                hz, hr = system(q[h] + _LAMBDAS[1:] * step[h], v[:, None, h], s2[:, None, h])
-                lower, tiny = hr[2] < g2[h], small[1:, h]
-                first = (lower | tiny).argmax(axis=0) * h.size + np.arange(h.size)
-                tz[:, h], tr[:, h] = hz.reshape(3, -1).take(first, 1), hr.reshape(4, -1).take(first, 1)
-                ok[h], small[0, h] = lower.take(first), tiny.take(first)
-            ok &= live
-            np.copyto(sz, tz, where=ok)
-            np.copyto(sr, tr, where=ok)
-            live = ok & ~small[0] & (g2 > _NEWTON_G2) & (np.abs(q) <= _NEWTON_REACH)
-        out[cols] = sz[0]
+        gx, gy, s = cols[:3, at]
+        sides, focal, _ = kernels._sides_deltas(*args)
+        found = np.array([at, -np.min(d, axis=0), gx + s * args[7], gy + s * args[8],
+                          (pstar_circle_functional if kind == "p_ellipse" else phyp_circle_functional)(
+                              *sides, *focal) * s**8, worst, failed])
+    found = found.T.tolist()
+    for k, i in enumerate(live):
+        mine = sorted(h[1:] for h in found if h[0] == k)
+        hits = [((x, y), v) for _, x, y, v, _, bad in mine if not bad]
+        best = min(mine, key=lambda h: h[4], default=None)
+        out[i] = hits if len(hits) >= least else NotConverged(
+            f"{len(hits)} {kind} circle points pass the circle test, {least} wanted",
+            *(((best[1], best[2]), best[4]) if best else ()))
     return out
 
 
@@ -579,93 +625,6 @@ def _attempt(fn, *args):
         return fn(*args)
     except TriconicError as exc:
         return exc
-
-
-def _circle_points(ts, kind: str, seeds) -> list:
-    """For each triangle of ts and its seeds (or their library error): the
-    distinct points whose `kind` six-point conic is a circle concentric
-    with its circumcircle, as (xy, functional value) pairs, smallest value
-    first, found by a root-find from each seed; or the search's library
-    error.
-
-    With u_i = s_i^2 - x_i^2 over the sides s and the focal sums ("p_ellipse")
-    or differences ("p_hyperbola") x, the functional is a sum of squared
-    products u_i * (u_j - u_k).  Off the sidelines, where some u_i vanishes,
-    its zeros are where u_a = u_b = u_c: the common zeros of two brackets.
-    One _bracket_newton runs from every seed of every triangle, and the
-    functional, written with products, is evaluated at every point it
-    reached in one array call with a float call's bits; _roots then takes
-    each triangle's points.  All of it runs in the frame of each triangle
-    (kernels.frame), wherever it lies; seeds, roots and values are in the
-    plane.  A triangle gets the same bits alone as in a batch.
-    """
-    functional = {"p_ellipse": pstar_circle_functional, "p_hyperbola": phyp_circle_functional}[kind]
-    sign, brackets, _ = _CIRCLE_KINDS[kind]
-    out = list(seeds)
-    for i, (t, sd) in enumerate(zip(ts, seeds)):
-        if not isinstance(sd, Exception):
-            (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()),
-                                           *(c for q in sd for c in q))
-            sides = kernels.triangle_sides(*f[:6])
-            out[i] = (f[:6], gx, gy, s, f[6:], sides)
-            if kernels.collinear(*f[:6], sides):  # Triangle's refusal
-                out[i] = _attempt(Triangle, *(Point2(*f[k:k + 2]) for k in (0, 2, 4)))
-    live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
-    # Column k holds seed k's triangle, in its frame: its vertices and sides.
-    # (x, y) pairs of floats are viewed as complex x + iy, bit for bit.
-    col = np.repeat(np.arange(len(live)), [len(seeds[i]) for i in live])
-    corners = np.array([out[i][0] for i in live], dtype=float).reshape(-1, 6)[col]
-    v = corners.view(complex).T
-    sides = np.array([out[i][5] for i in live]).reshape(-1, 3)[col].T
-    starts = np.array([q for i in live for q in out[i][4]], dtype=float).view(complex)
-    stops = _bracket_newton(v, sides * sides, sign, brackets, starts)
-    focal = kernels._sides_deltas(*corners.T, kernels.KIND_CODES[kind], stops.real, stops.imag)[1]
-    values = functional(*sides, *focal)
-    points = list(zip(zip(stops.real.tolist(), stops.imag.tolist()), values.tolist()))
-    at = 0
-    for i in live:
-        found = sorted(points[at:at + len(seeds[i])], key=lambda h: h[1])
-        at += len(seeds[i])
-        out[i] = _attempt(_roots, kind, *out[i][:4], found)
-    return out
-
-
-def _roots(kind: str, corners, gx: float, gy: float, s: float, found) -> list:
-    """The roots, in the plane, among the (xy, value) points found in the
-    frame (gx, gy, s) of kernels.frame, corners the framed triangle's,
-    best first: those that meet the target, clustered best first at the
-    per-kind radius, each cluster giving its best point that passes the
-    circle test (_circle_conditions: its worst at most _CONCENTRIC_TOL, no
-    fault; the functional also vanishes at the vertices, where the conic
-    is no circle), tried in order; NotConverged without one."""
-    radius = _CIRCLE_KINDS[kind][2]
-    code = kernels.KIND_CODES[kind]
-
-    def is_circle(xy):
-        worst, faults = _circle_conditions((*corners, code, *xy))
-        return worst <= _CONCENTRIC_TOL and not any(mask for mask, _ in faults)
-
-    def plane(xy, val):
-        return (gx + s * xy[0], gy + s * xy[1]), val * s**8
-
-    clusters: list[list[tuple[tuple[float, float], float]]] = []
-    for xy, val in found:
-        if val > _CIRCLE_TARGET:
-            break
-        for c in clusters:
-            if kernels._hypot(xy[0] - c[0][0][0], xy[1] - c[0][0][1]) <= radius:
-                c.append((xy, val))
-                break
-        else:
-            clusters.append([(xy, val)])
-    hits = []
-    for c in clusters:
-        root = next((h for h in c if is_circle(h[0])), None)
-        if root is not None:
-            hits.append(root)
-    if not hits:
-        raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*found[0]))
-    return [plane(*h) for h in sorted(hits, key=lambda h: h[1])]
 
 
 def _only(results):
@@ -679,56 +638,49 @@ def _only(results):
 def pstar_candidates_batch(ts) -> list:
     """find_pstar_candidates of each triangle of ts, from one search over
     them all: its candidates, or the library error of its search."""
-    found = _circle_points(ts, "p_ellipse", [_attempt(_seeds, t) for t in ts])
-    return [
-        h if isinstance(h, Exception) else sorted(
-            h, key=lambda h: -min(distance(Point2(*h[0]), v) for v in t.vertices())
-        )
-        for t, h in zip(ts, found)
-    ]
+    return _circle_points(ts, "p_ellipse", 1)
 
 
 def find_pstar_candidates(t: Triangle):
-    """Validated zeros of the P-ellipse circle functional, as (xy, value)
-    pairs, principal zero first.
+    """The points P* whose P-ellipse six-point conic is a circle concentric
+    with the circumcircle, as (xy, value) pairs, value the P-ellipse circle
+    functional there, principal point first.
 
-    The genuine zero can sit close to a vertex for thin triangles, where the
-    functional also vanishes; candidates are therefore validated by the
-    circle postcondition rather than filtered by distance.  They are ordered
-    by clearance from the vertices.  A batch of one of pstar_candidates_batch.
+    With k = -w^2 < 0 and the focal sums x_i = sqrt(s_i^2 + w^2), the
+    driver at distances d_A = (x_b + x_c - x_a) / 2 (and cyclically) from
+    the corners is trilaterated; P* is each sign change of how far it
+    misses them, scanned in sigma = w / (1 + w) over 0 <= w <= 42 in the
+    triangle's frame (kernels.frame) and found by Brent.  The functional
+    also vanishes at the vertices, and genuine secondary points can sit
+    close to a vertex of a thin triangle, so every candidate must pass the
+    circle test (_circle_conditions), and they are ordered by clearance
+    from the vertices.  A batch of one of pstar_candidates_batch.
     """
     return _only(pstar_candidates_batch([t]))
 
 
-def _partner_seeds(t: Triangle, xy) -> list:
-    """xy and the second common point of its P-hyperbola triad of t: the
-    pair are common intersections of each other's triads, so a lone
-    point's partner comes out of these seeds validated and deduped against
-    it like any other root."""
-    return [xy, second_common_point(build_triad(t, "p_hyperbola", Point2(*xy))).as_tuple()]
-
-
 def phyp_circle_points_batch(ts) -> list:
     """find_phyp_circle_points of each triangle of ts, from one search over
-    them all and one more over those where it found one point: the pair,
-    or the library error of a search that did not find it."""
-    hits = _circle_points(ts, "p_hyperbola", [_attempt(_seeds, t) for t in ts])
-    lone = [i for i, h in enumerate(hits) if not isinstance(h, Exception) and len(h) == 1]
-    if lone:
-        seeds = [_attempt(_partner_seeds, ts[i], hits[i][0][0]) for i in lone]
-        for i, h in zip(lone, _circle_points([ts[i] for i in lone], "p_hyperbola", seeds)):
-            lost = not isinstance(h, Exception) and len(h) == 1
-            hits[i] = NotConverged("second circle point did not converge", *h[0]) if lost else h
+    them all: the pair, or the library error of a search that did not find
+    two points."""
     return [
-        h if isinstance(h, Exception)
-        else tuple(sorted((Point2(*xy) for xy, _ in h[:2]), key=lambda p: (p.x, p.y)))
-        for h in hits
+        h if isinstance(h, Exception) else tuple(Point2(*xy) for xy in sorted(xy for xy, _ in h[:2]))
+        for h in _circle_points(ts, "p_hyperbola", 2)
     ]
 
 
 def find_phyp_circle_points(t: Triangle) -> tuple[Point2, Point2]:
-    """The pair of points whose P-hyperbola six-point conic is a circle,
-    sorted by (x, y).  A batch of one of phyp_circle_points_batch."""
+    """The pair of points whose P-hyperbola six-point conic is a circle
+    concentric with the circumcircle, sorted by (x, y).
+
+    In the triangle's frame (kernels.frame) the focal |differences| x_i =
+    sqrt(s_i^2 - k), 0 < k <= min s^2, must satisfy x_i = x_j + x_k, i
+    opposite the largest side: a quadratic in k, solved in closed form, as
+    is each point of the pair, one for each sign of the differences,
+    trilaterated from its distances (_phyp_candidates).  Each point must
+    pass the circle test (_circle_conditions).  A batch of one of
+    phyp_circle_points_batch.
+    """
     return _only(phyp_circle_points_batch([t]))
 
 

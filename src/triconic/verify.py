@@ -34,10 +34,13 @@ Thirty-eight checks run as one batch on the table's columns, each trial's
 bits those of a batch of one; the three of at most three trials (P3.5,
 P3.6 and P3.7) run trial by trial on each row's dict (`_per_trial`).
 P3.2 and P5.4 run one circle-point search each
-(`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`), then
-every trial's postconditions at once on arrays, in each triangle's frame
-(`kernels.frame`): class, center and circumcircle of the six-point
-conic at its points, by the searches' own circle test
+(`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`: a
+one-variable reduction in k, the value of s_i^2 - x_i^2 the three members
+share, in each triangle's frame; a scan in k < 0 for P*, a closed form
+for the pair at 0 < k <= min s^2), then every trial's postconditions at
+once on arrays, in each triangle's frame (`kernels.frame`): class,
+center and circumcircle of the six-point conic at its points, by the
+searches' own circle test
 (`loci._circle_conditions`), and P5.4's mutual membership
 (`_member_residuals`).  On arrays: P2.2, P3.1, P3.8 and P5.2 in one
 `kernels.six_point` call; P2.1, P2.7, P3.3, P4.3, A3, A6 and P5.5 on the

@@ -19,11 +19,6 @@ batch scans, with one float kernels.six_point call a point, before the
 verifier made one array call of every trial's points; P3.4's and P5.7's
 rays came from each triangle's circumcircle (circumcircle_ray, cfg_ray).
 
-loci._bracket_newton halved its steps one pass at a time, each pass one
-system call over the starts still halving (bracket_newton), before it
-evaluated every halving in one stacked call; the stacked search is
-tested against it bit for bit.
-
 kernels.pair_points and kernels.second_point kept a plain-Python branch
 on floats (pair_points_on_floats, second_point_on_floats, with the float
 arms of kernels' _where, _line_roots and _polish they took) before a
@@ -98,11 +93,6 @@ from triconic.geom import (
 )
 from triconic.loci import (
     _CONCENTRIC_TOL,
-    _NEWTON_G2,
-    _NEWTON_HALVINGS,
-    _NEWTON_REACH,
-    _NEWTON_STEP,
-    _NEWTON_STEPS,
     batch_sign_changes,
     covertex_conconic_V,
     covertex_condition_equilateral_P,
@@ -725,73 +715,6 @@ def sideline_extension_residual(t: Triangle, u01: float) -> float:
                 break
         w /= 4.0
     return best
-
-
-# The other two vertices j, k of each vertex i.
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def bracket_newton(v, s2, sign, brackets, q, seen=None):
-    """loci._bracket_newton as it stepped before it stacked its halvings:
-    each halving pass one system call over the starts still halving, the
-    live starts gathered by index every step.  With a dict seen, it also
-    counts the starts that took two or more halvings ("halved") and those
-    stopped by the step tolerance ("small")."""
-    seen = {} if seen is None else seen
-    seen.setdefault("halved", 0)
-    seen.setdefault("small", 0)
-    # a + sign * b as one operation, with the same bits.
-    combine, (p, r) = np.add if sign > 0 else np.subtract, brackets
-
-    def system(z, cols):
-        # The brackets (2, n) and their gradients as complex x + iy.
-        dz = z - v[:, cols]
-        d = np.abs(dz)
-        x = combine(d[_NEXT], d[_LAST])
-        e = dz / d
-        grad = -2.0 * x * combine(e[_NEXT], e[_LAST])
-        u = s2[:, cols] - x * x
-        return u[p] - u[r], grad[p] - grad[r]
-
-    q = q.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, dg = system(q, slice(None))
-        g2 = (g * g).sum(axis=0)
-        active = np.isfinite(g2) & (g2 > _NEWTON_G2)
-        for _ in range(_NEWTON_STEPS):
-            live = np.flatnonzero(active)
-            if live.size == 0:
-                break
-            active[live] = False
-            # The step solving Re(grad) dx + Im(grad) dy = -g for both brackets.
-            a, b = dg[:, live]
-            step = -1j * (g[1, live] * a - g[0, live] * b) / (a.conj() * b).imag
-            finite = np.isfinite(step)
-            live, ql, step = live[finite], q[live[finite]], step[finite]
-            step *= np.minimum(1.0, np.abs(ql - v[:, live]).min(axis=0) / np.abs(step))
-            size, tol = np.abs(step), _NEWTON_STEP * np.abs(ql)
-            lam = 1.0
-            for halving in range(_NEWTON_HALVINGS):
-                trial = ql + lam * step
-                tg, tdg = system(trial, live)
-                tg2 = (tg * tg).sum(axis=0)
-                ok = tg2 < g2[live]
-                small = lam * size <= tol
-                moved = live[ok]
-                q[moved], g[:, moved], dg[:, moved] = trial[ok], tg[:, ok], tdg[:, ok]
-                g2[moved] = tg2[ok]
-                active[moved] = (
-                    ~small[ok] & (tg2[ok] > _NEWTON_G2) & (np.abs(trial[ok]) <= _NEWTON_REACH)
-                )
-                seen["halved"] += int(np.count_nonzero(ok)) if halving >= 2 else 0
-                seen["small"] += int(np.count_nonzero(small))
-                # A step below the tolerance is not halved further.
-                keep = ~(ok | small)
-                if not keep.any():
-                    break
-                live, ql, step, size, tol = live[keep], ql[keep], step[keep], size[keep], tol[keep]
-                lam /= 2.0
-    return q
 
 
 def deltas(t: Triangle, p: Point2):

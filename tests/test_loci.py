@@ -14,6 +14,7 @@ from triconic.errors import (
     DegenerateMember,
     DegenerateTriangle,
     NotConverged,
+    PointAtInfinity,
     RankDeficient,
     TriconicError,
 )
@@ -49,10 +50,8 @@ from triconic.triads import (
 from triconic.verify import random_flat_triangle, random_triangle
 
 from reference_checks import (
-    bracket_newton,
     covertex_conic_check,
     deltas,
-    framed,
     is_circle,
     lambdas,
     point_at,
@@ -567,19 +566,6 @@ def test_find_pstar_candidates_near_vertex_zeros():
     assert max(distance(below, t.c), distance(above, t.c)) <= 0.05 * s
 
 
-def test_find_phyp_circle_points_recovers_partner(t_generic, monkeypatch):
-    # Seeded with one point of the pair only, the search recovers the
-    # other through the second common point of its triad.
-    p1, p2 = find_phyp_circle_points(t_generic)
-    monkeypatch.setattr(loci, "_seeds", lambda t: [p1.as_tuple()])
-    q1, q2 = find_phyp_circle_points(t_generic)
-    assert max(distance(p1, q1), distance(p2, q2)) <= 1e-9 * t_generic.scale()
-    # A partner that comes back onto the first point is no pair.
-    monkeypatch.setattr(loci, "second_common_point", lambda tr: p1)
-    with pytest.raises(NotConverged):
-        find_phyp_circle_points(t_generic)
-
-
 def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
     # Only library errors mean "no circle here"; a bug inside the
     # validation must not turn into a failed search.
@@ -591,26 +577,9 @@ def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
         find_pstar_candidates(t_generic)
 
 
-# Per kind: the sign of the focal quantities and the two brackets.
-_BRACKETS = {kind: loci._CIRCLE_KINDS[kind][:2] for kind in ("p_ellipse", "p_hyperbola")}
-
-
-def _newton_args(ts, seeds, kind):
-    """loci._bracket_newton's arguments for the seeds of each triangle of
-    ts, each triangle in its frame, in one call."""
-    v, s2, q = [], [], []
-    for t, sd in zip(ts, seeds):
-        f, starts = framed(t, *(Point2(*xy) for xy in sd))
-        for z in starts:
-            v.append([complex(p.x, p.y) for p in f.vertices()])
-            s2.append([a * a for a in f.sides()])
-            q.append(complex(z.x, z.y))
-    return np.array(v).T, np.array(s2).T, *_BRACKETS[kind], np.array(q)
-
-
-def _newton_stops(ts, seeds, kind):
-    """loci._bracket_newton's stops from the seeds of each triangle of ts."""
-    return loci._bracket_newton(*_newton_args(ts, seeds, kind))
+_KINDS = ("p_ellipse", "p_hyperbola")
+# The public batch search of each kind.
+_BATCH = {"p_ellipse": loci.pstar_candidates_batch, "p_hyperbola": loci.phyp_circle_points_batch}
 
 
 def _outcome(r):
@@ -619,8 +588,18 @@ def _outcome(r):
     return r
 
 
-# Thin triangles whose searches fail: NotConverged, or PointAtInfinity
-# from the circumcenter of the seeds.
+def _candidates(ts, kind):
+    """loci._candidates of the triangles ts in their frames (loci._framed),
+    before their Newton steps: each candidate's triangle index and its
+    (corners, x, y) row."""
+    with np.errstate(all="ignore"):
+        at, _, args = loci._candidates(np.array([loci._framed(t) for t in ts]).T, kind)
+    return at.tolist(), np.array([*args[:6], *args[7:]]).T.tolist()
+
+
+# Thin triangles whose searches fail: NotConverged where no candidate
+# passes the circle test, and PointAtInfinity where the circumcenter is at
+# infinity.
 _FAILING = [
     Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.4, 1e-3)),
     Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(-0.5, 1e-3)),
@@ -628,61 +607,101 @@ _FAILING = [
 ]
 
 
-@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_stacked_searches_match_one_search_per_triangle(kind):
-    # Every triangle's Newton stops, and so its roots or its failure, are
+    # Every triangle's candidates, and so its points or its failure, are
     # bit for bit those of a search of its own.
     rng = np.random.default_rng(2027)
     ts = [random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
-    seeds = [loci._seeds(t) for t in ts]
-    alone = [_newton_stops([t], [sd], kind) for t, sd in zip(ts, seeds)]
-    assert _newton_stops(ts, seeds, kind).tobytes() == np.concatenate(alone).tobytes()
+    at, rows = _candidates(ts, kind)
+    for k, t in enumerate(ts):
+        assert [row for i, row in zip(at, rows) if i == k] == _candidates([t], kind)[1]
     ts += _FAILING
-    seeds = [loci._attempt(loci._seeds, t) for t in ts]
-    batch = loci._circle_points(ts, kind, seeds)
-    assert [_outcome(r) for r in batch] == [
-        _outcome(loci._circle_points([t], kind, [sd])[0]) for t, sd in zip(ts, seeds)
-    ]
-    assert sum(isinstance(r, Exception) for r in batch) == len(_FAILING)
+    batch = _BATCH[kind](ts)
+    assert [_outcome(r) for r in batch] == [_outcome(_BATCH[kind]([t])[0]) for t in ts]
+    assert [type(r) for r in batch if isinstance(r, Exception)] == [NotConverged, NotConverged, PointAtInfinity]
 
 
-@pytest.mark.parametrize("kind", sorted(_BRACKETS))
-def test_newton_stops_match_the_one_halving_at_a_time_reference(kind):
-    # The stacked halvings take each start through the reference's iterates
-    # to the bit, stacked and alone; the reference counts that the stacked
-    # path had work: starts that took two or more halvings, and starts
-    # stopped by the step tolerance.
-    rng = np.random.default_rng(36)
-    ts = [random_triangle(rng) for _ in range(300)] + [random_flat_triangle(rng) for _ in range(100)]
-    ts += _FAILING
-    seeds = [loci._attempt(loci._seeds, t) for t in ts]
-    ts, seeds = zip(*[(t, sd) for t, sd in zip(ts, seeds) if not isinstance(sd, Exception)])
-    seen = {}
-    args = _newton_args(ts, seeds, kind)
-    assert loci._bracket_newton(*args).tobytes() == bracket_newton(*args, seen).tobytes()
-    for t, sd in zip(ts, seeds):
-        args = _newton_args([t], [sd], kind)
-        assert loci._bracket_newton(*args).tobytes() == bracket_newton(*args).tobytes()
-    assert seen["halved"] > 0 and seen["small"] > 0
+def test_phyp_closed_form_gives_one_k_and_one_point_per_sign():
+    # On seeded triangles, a quarter of them flat, in their frames: of the
+    # two roots of 3k^2 - 2k sum(s^2) + 16 area^2 = 0 exactly one is
+    # admissible, 0 < k <= min s^2; the closed form gives two candidates,
+    # which are P5.4's pair; and at each point of the pair u_i = s_i^2 -
+    # x_i^2 is k for all three members, to 1e-12 s^2, and the signed focal
+    # differences have one sign pattern at one point, the opposite at the
+    # other.
+    rng = np.random.default_rng(46)
+    ts = [random_triangle(rng) for _ in range(150)] + [random_flat_triangle(rng) for _ in range(50)]
+    at, rows = _candidates(ts, "p_hyperbola")
+    for k, (t, pair) in enumerate(zip(ts, loci.phyp_circle_points_batch(ts))):
+        (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()))
+        s2 = [a * a for a in kernels.triangle_sides(*f)]
+        area = kernels.signed_area(*f)
+        roots = [(sum(s2) + sign * math.sqrt(sum(s2) ** 2 - 48.0 * area * area)) / 3.0 for sign in (1.0, -1.0)]
+        (root,) = [r for r in roots if 0.0 < r <= min(s2)]
+        plane = sorted((gx + s * row[6], gy + s * row[7]) for i, row in zip(at, rows) if i == k)
+        assert len(plane) == 2
+        assert max(math.dist(p.as_tuple(), q) for p, q in zip(pair, plane)) <= 1e-12 * t.scale()
+        signs = set()
+        for p in pair:
+            x, y = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()), *p.as_tuple())[1][6:]
+            delta = kernels._sides_deltas(*f, kernels.KIND_P_HYPERBOLA, x, y)[1]
+            assert max(abs(a2 - d * d - root) for a2, d in zip(s2, delta)) <= 1e-12
+            signs.add(np.sign(delta[int(np.argmax(s2))]))
+        assert signs == {1.0, -1.0}
 
 
-def test_manifest_searches_stop_where_the_reference_stops(monkeypatch):
-    # Every circle-point search of P3.2 and P5.4 at 50 trials, seeds 42 and
-    # 1-8 (and P5.4's partner searches, where it makes any).
-    calls = []
+def test_pstar_scan_gives_points_of_one_negative_k():
+    # On the same triangles, at every P* the scan in k finds, u_i = s_i^2 -
+    # x_i^2 over the focal sums x takes one value for all three members, to
+    # 1e-12 s^2, and that value k is negative.
+    rng = np.random.default_rng(46)
+    ts = [random_triangle(rng) for _ in range(150)] + [random_flat_triangle(rng) for _ in range(50)]
+    found = 0
+    for t, candidates in zip(ts, loci.pstar_candidates_batch(ts)):
+        corners = [c for v in t.vertices() for c in v.as_tuple()]
+        for xy, _ in candidates:
+            f = kernels.frame(*corners, *xy)[1]
+            s2 = [a * a for a in kernels.triangle_sides(*f[:6])]
+            x = kernels._sides_deltas(*f[:6], kernels.KIND_P_ELLIPSE, *f[6:])[1]
+            u = [a2 - d * d for a2, d in zip(s2, x)]
+            assert max(u) - min(u) <= 1e-12 and max(u) < 0.0
+            found += 1
+    assert found >= len(ts)
 
-    def spy(*args, newton=loci._bracket_newton):
-        calls.append((args, newton(*args)))
-        return calls[-1][1]
 
-    monkeypatch.setattr(loci, "_bracket_newton", spy)
-    for seed in (42, *range(1, 9)):
-        for pid in ("P3.2-pstar-unique-circle", "P5.4-circle-pair"):
-            verify.run_proposition(pid, seed, 50)
-    seen = {}
-    for args, stops in calls:
-        assert stops.tobytes() == bracket_newton(*args, seen).tobytes()
-    assert len(calls) >= 18 and seen["halved"] > 0 and seen["small"] > 0
+def test_trilaterate_on_floats_is_its_array_column():
+    # The trilateration gives the bits of its column in one array call, on
+    # random and flat triangles in their frames and random distances.
+    rng = np.random.default_rng(46)
+    ts = [random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
+    tri = np.array([loci._framed(t) for t in ts]).T[9:]
+    d = np.abs(rng.normal(size=(3, len(ts))))
+    columns = loci._trilaterate(tri, *d)
+    for k in range(len(ts)):
+        got = loci._trilaterate(tri[:, k].tolist(), *d[:, k].tolist())
+        assert [_bits(v) for v in got] == [_bits(c[k]) for c in columns]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_polish_step_lowers_the_brackets(kind):
+    # From 1e-4 (frame units) off each candidate of the reduction, on random
+    # and flat triangles, one Newton step brings the brackets u_b - u_a and
+    # u_c - u_a at least tenfold closer to zero.
+    rng = np.random.default_rng(46)
+    ts = [random_triangle(rng) for _ in range(20)] + [random_flat_triangle(rng) for _ in range(5)]
+    cols = np.array([loci._framed(t) for t in ts]).T
+    at, _, args = loci._candidates(cols, kind)
+    s2 = cols[13:, at]
+
+    def brackets(args):
+        x = np.square(kernels._sides_deltas(*args)[1])
+        return np.hypot(*(s2[i] - s2[0] - x[i] + x[0] for i in (1, 2)))
+
+    off = (*args[:7], args[7] + 1e-4, args[8] - 1e-4)
+    with np.errstate(all="ignore"):
+        stepped = (*args[:7], *loci._polish(off, s2))
+        assert at.size >= len(ts) and (brackets(stepped) <= 0.1 * brackets(off)).all()
 
 
 def _is_circle_at(t, p, kind):
@@ -706,41 +725,36 @@ def _passes(args):
     return bool(worst <= loci._CONCENTRIC_TOL) and not any(mask for mask, _ in faults)
 
 
-@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_float_validation_matches_the_object_path(kind):
-    # Every Newton stop that meets the target, and every stop and vertex of
-    # the first 30 triangles, gets the answer of the object path's six-point
-    # conic from the circle test on floats.  (The functional also vanishes
-    # at the vertices, where the conic is no circle.)
-    functional, focal = {
-        "p_ellipse": (pstar_circle_functional, deltas),
-        "p_hyperbola": (phyp_circle_functional, lambdas),
-    }[kind]
+    # Every candidate of the reduction before its Newton steps, kept or
+    # rejected, and every vertex of the first 30 triangles, gets the answer
+    # of the object path's six-point conic from the circle test on floats,
+    # each triangle in its frame.  (The functional also vanishes at the
+    # vertices, where the conic is no circle.)
     rng = np.random.default_rng(7)
     ts = [random_triangle(rng) for _ in range(300)]
-    seeds = [loci._seeds(t) for t in ts]
-    stops = iter(_newton_stops(ts, seeds, kind).tolist())
+    points = [(row[:6], row[6:]) for row in _candidates(ts, kind)[1]]
+    points += [(row[:6], row[k:k + 2]) for row in (loci._framed(t)[3:9] for t in ts[:30]) for k in (0, 2, 4)]
     answers = collections.Counter()
-    for i, (t, sd) in enumerate(zip(ts, seeds)):
-        f, _ = framed(t)
-        points = [Point2(z.real, z.imag) for z in (next(stops) for _ in sd)]
-        for p in points + list(f.vertices()):
-            if i < 30 or functional(*f.sides(), *focal(f, p)) <= loci._CIRCLE_TARGET:
-                got = _passes(_kernel_args(f, kind, p))
-                assert got == _is_circle_at(f, p, kind)
-                answers[got] += 1
-    assert answers[True] > 1000 and answers[False] > 10
+    for corners, xy in points:
+        f, p = Triangle(*map(Point2, corners[0::2], corners[1::2])), Point2(*xy)
+        got = _passes(_kernel_args(f, kind, p))
+        assert got == _is_circle_at(f, p, kind)
+        answers[got] += 1
+    # 347 and 599 candidates pass, 5 and 1 fail, besides the 90 vertices.
+    assert answers[True] >= {"p_ellipse": 340, "p_hyperbola": 590}[kind] and answers[False] > 90
     if kind == "p_ellipse":
         assert sum(len(h) == 3 for h in loci.pstar_candidates_batch(ts)) == 26
 
 
-@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_circle_points_refuse_collinear_framed_corners(kind):
     # The search builds no triangle of its framed corners, yet refuses
     # collinear ones as Triangle does, with Triangle's error.
     corners = (0.0, 0.0, 1.0, 0.0, 2.0, 0.0)
     flat = types.SimpleNamespace(vertices=lambda: tuple(Point2(*corners[k:k + 2]) for k in (0, 2, 4)))
-    (got,) = loci._circle_points([flat], kind, [[(0.5, 0.5)]])
+    (got,) = loci._circle_points([flat], kind, 1)
     f = kernels.frame(*corners)[1]
     with pytest.raises(DegenerateTriangle) as want:
         Triangle(*(Point2(*f[k:k + 2]) for k in (0, 2, 4)))
@@ -751,24 +765,24 @@ def _bits(v):
     return np.float64(v).tobytes()
 
 
-@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_circle_test_on_floats_is_its_array_column_and_the_reference(kind):
     # The circle test on floats gives the bits of its column in one array
     # call, worst and faults, and the search's rule on it the answer of the
-    # former float validation (reference_checks.is_circle), at the Newton
-    # stops, at points 1e-9 to 1e-2 off each root and at points within 1e-3
-    # of each vertex, on random and flat triangles, each in its frame.
+    # former float validation (reference_checks.is_circle), at the
+    # reduction's candidates, kept and rejected, at points 1e-9 to 1e-2 off
+    # each root and at points within 1e-3 of each vertex, on random and
+    # flat triangles, each in its frame.
     rng = np.random.default_rng(41)
     ts = [random_triangle(rng) for _ in range(40)] + [random_flat_triangle(rng) for _ in range(20)]
-    seeds = [loci._seeds(t) for t in ts]
-    stops = iter(_newton_stops(ts, seeds, kind).tolist())
+    at, candidates = _candidates(ts, kind)
     code, rows = kernels.KIND_CODES[kind], []
-    for t, sd in zip(ts, seeds):
+    for k, t in enumerate(ts):
         corners = [c for v in t.vertices() for c in v.as_tuple()]
-        roots = loci._circle_points([t], kind, [sd])[0]
+        roots = loci._circle_points([t], kind, 1)[0]
         roots = [] if isinstance(roots, Exception) else [xy for xy, _ in roots]
         f = kernels.frame(*corners, *(c for xy in roots for c in xy))[1]
-        points = [(z.real, z.imag) for z in (next(stops) for _ in sd)]
+        points = [tuple(row[6:]) for i, row in zip(at, candidates) if i == k]
         # Eight points about each root, 1e-9 to 1e-2 off, and about each
         # vertex, 1e-9 to 1e-3 off.
         about = [(xy, 2.0) for xy in zip(f[6::2], f[7::2])] + [(xy, 3.0) for xy in zip(f[0:6:2], f[1:6:2])]
@@ -793,7 +807,7 @@ def test_circle_test_on_floats_is_its_array_column_and_the_reference(kind):
     assert answers[True] > 100 and answers[False] > 1000
 
 
-@pytest.mark.parametrize("kind", sorted(_BRACKETS))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_circle_test_names_a_degenerate_member_alone(kind):
     # P at the midpoint of BC (a P-ellipse member collapses onto BC) or on
     # its perpendicular bisector (a P-hyperbola member is the bisector):
@@ -995,7 +1009,7 @@ def test_x55_conjecture_solves_no_second_point(t_generic, monkeypatch):
     assert calls == {}
     # The counter is live on the triad the check builds.
     q = classic_center(t_generic, "X55")
-    loci.second_common_point(build_triad(reflection_triangle(t_generic, q), "p_hyperbola", q))
+    second_common_point(build_triad(reflection_triangle(t_generic, q), "p_hyperbola", q))
     assert calls == {"second_point": 1}
 
 

@@ -83,8 +83,9 @@ def test_moved_check_stays_within_its_bound(pid, move):
     _assert_within_bound(pid, move, SEEDS)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="P5.4 at seed 5 moved by (1e3, -1e3) reads "
-                   "1.0 against a moved bound of 1e-3 (ROADMAP item 8)")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="P5.4 at seed 5 moved by (1e3, -1e3): the "
+                   "search finds trial 0's pair, whose check reads 1.0 against a moved bound of 1e-3 "
+                   "(ROADMAP item 8)")
 def test_p54_at_seed_5_moved_by_1e3_stays_within_its_bound():
     _assert_within_bound("P5.4-circle-pair", "translate1e3", (5,))
 

@@ -1,9 +1,12 @@
 """The package's own root-finders against the scipy routines they replace.
 
 loci._brent_cell must give scipy.optimize.brentq's root bit for bit, so
-every verifier residual and witness stays what it was; loci._circle_points
-must find the roots that the former MINPACK ``hybr`` search found.
-Skipped where scipy is not installed: the package itself does not need it.
+every verifier residual and witness stays what it was.  The circle-point
+searches (loci._circle_points), a one-variable reduction in the triangle's
+frame (a scan in k for P*, a closed form for the P-hyperbola pair), must
+find the roots that the former MINPACK ``hybr`` search found from its 22
+starts (_seeds).  Skipped where scipy is not installed: the package itself
+does not need it.
 """
 
 import math
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 from triconic import kernels, loci, verify
-from triconic.centers import circumcircle
+from triconic.centers import circumcircle, incircle
 from triconic.errors import NotConverged
 from triconic.geom import Point2, Triangle
 from triconic.triads import _kernel_args
@@ -89,9 +92,32 @@ def test_brent_matches_brentq_on_synthetic_brackets():
         assert _brentq(line, a, b, line(a), line(b)) == 0.5
 
 
-def _hybr_circle_points(t, kind, seeds):
-    """The former search: MINPACK's hybr from each seed, every root that
-    meets the target validated, then deduped best first."""
+# The former searches' target for the circle functionals, times s**8
+# (they have degree 8 in lengths).
+_CIRCLE_TARGET = 1e-16
+
+
+def _seeds(t: Triangle) -> list[tuple[float, float]]:
+    """The hybr search's starts: the centroid, incenter and circumcenter, 8
+    points on each of two rings about the centroid, and one point outside
+    each vertex on its bisector, half the vertex-incenter distance beyond
+    the vertex, where the near-vertex zeros sit."""
+    cc = circumcircle(t)
+    inc = incircle(t).center
+    cx = (t.a.x + t.b.x + t.c.x) / 3.0
+    cy = (t.a.y + t.b.y + t.c.y) / 3.0
+    seeds = [(cx, cy), inc.as_tuple(), cc.center.as_tuple()]
+    for r in (0.45 * cc.radius, 1.2 * cc.radius):
+        for k in range(8):
+            ang = math.pi * k / 4.0
+            seeds.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
+    seeds += [(1.5 * v.x - 0.5 * inc.x, 1.5 * v.y - 0.5 * inc.y) for v in t.vertices()]
+    return seeds
+
+
+def _hybr_circle_points(t, kind):
+    """The former search: MINPACK's hybr from each seed (_seeds), every
+    root that meets the target validated, then deduped best first."""
     focal, functional, brackets, radius = {
         "p_ellipse": (
             deltas, loci.pstar_circle_functional, lambda ua, ub, uc: (uc - ub, ua - uc), 1e-7
@@ -100,7 +126,7 @@ def _hybr_circle_points(t, kind, seeds):
             lambdas, loci.phyp_circle_functional, lambda ua, ub, uc: (ub - ua, uc - ua), 1e-6
         ),
     }[kind]
-    corners = [c for v in t.vertices() for c in v.as_tuple()]
+    corners, seeds = [c for v in t.vertices() for c in v.as_tuple()], _seeds(t)
     (ox, oy, s), f = kernels.frame(*corners)
     t = Triangle(Point2(*f[0:2]), Point2(*f[2:4]), Point2(*f[4:6]))
     sides = t.sides()
@@ -120,7 +146,7 @@ def _hybr_circle_points(t, kind, seeds):
         if val < best[1]:
             best = (xy, val)
         args = _kernel_args(t, kind, Point2(*xy))
-        if val <= loci._CIRCLE_TARGET and is_circle(args, t.scale(), circumcircle(t)):
+        if val <= _CIRCLE_TARGET and is_circle(args, t.scale(), circumcircle(t)):
             roots.append((xy, val))
     if not roots:
         raise NotConverged(f"{kind} circle functional did not reach its target", *plane(*best))
@@ -151,13 +177,13 @@ def _agreement_triangle(draw):
     return draw_fn(np.random.default_rng([2026, i]))
 
 
-def _newton_circle_points(t, kind, seeds):
-    return loci._only(loci._circle_points([t], kind, [seeds]))
+def _reduction_circle_points(t, kind):
+    return loci._only(loci._circle_points([t], kind, 1))
 
 
 def _search(fn, t, kind):
     try:
-        return fn(t, kind, loci._seeds(t))
+        return fn(t, kind)
     except NotConverged:
         return None
 
@@ -169,12 +195,12 @@ def _search(fn, t, kind):
     + [("obtuse", 0), ("near_vertex", 0)],
     ids=str,
 )
-def test_newton_search_finds_the_hybr_roots(draw):
+def test_reduction_finds_the_hybr_roots(draw):
     t = _agreement_triangle(draw)
     s = t.scale()
     for kind in ("p_ellipse", "p_hyperbola"):
         want = _search(_hybr_circle_points, t, kind)
-        got = _search(_newton_circle_points, t, kind)
+        got = _search(_reduction_circle_points, t, kind)
         assert (got is None) == (want is None)
         if want is None:
             continue
