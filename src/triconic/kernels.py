@@ -39,11 +39,10 @@ the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
 trials read), on arrays, every pair and candidate at once, for the P2.4,
 P4.7 and P5.6 trials, and through `second_point` (a P-hyperbola triad's
 second common point) for the P5.1 trials.  A call on floats, from
-`triads.pairwise_intersections` and `triads.second_common_point`, is a
-batch of one.  `members` picks each member's unit-norm coefficients out
-of `focal_pairs`, for `conic_residual` and `tangency_disc` (P2.3, P2.5);
-`conic_residual` is also `conic.residual` and the O* locus's incidence
-rule.
+`triads.pairwise_intersections`, is a batch of one.  `members` picks each
+member's unit-norm coefficients out of `focal_pairs`, for `conic_residual`
+and `tangency_disc` (P2.3, P2.5); `conic_residual` is also
+`conic.residual` and the O* locus's incidence rule.
 
 The catalog barycentrics (`cyclic` of `center_x3`, `center_x4` and
 `center_x20`; `excenters`, `excircle_tangency`, `intouch_extouch`) are

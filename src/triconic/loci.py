@@ -765,98 +765,96 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
 
 
 def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:
-    """Marching-squares zero tracing with bisected edge roots.
+    """The zero set of fn in bbox as chained polylines, by marching squares
+    on an n x n grid, n = max(8, n_seeds).
 
-    fn maps (x, y) to a float; returns chained polylines (point clouds
-    degrade gracefully at singular points, no topology guarantees).
+    fn has the contract of batch_sign_changes: it is called once on arrays,
+    elementwise, over the grid's (n + 1)^2 nodes, and on floats to polish
+    the roots.  A grid edge is crossed where its end values are finite and
+    of opposite sign, or exactly one of them is 0.  A zero end is the
+    crossing itself; any other crossed edge has one root, found by
+    _brent_cell on floats with the edge as s in [1, 2] (the point start +
+    (end - start) * (s - 1); s - 1 is exact, so Brent's relative tolerance
+    holds along the edge), which both cells beside the edge share.
+    Crossings are keyed exactly, a zero end by its node and a root by its
+    edge's two nodes, and segments chain by those keys.  A cell takes its
+    crossings edge by edge and pairs the first with the second and the
+    third with the fourth; a segment along an edge where fn is 0 is kept
+    once.  Saddle cells and singular points carry no topology guarantee.
+    A polish that meets NaN or runs out of iterations raises NotConverged.
     """
     xmin, xmax, ymin, ymax = bbox
-    nx = ny = max(8, int(n_seeds))
-    xs = [xmin + (xmax - xmin) * i / nx for i in range(nx + 1)]
-    ys = [ymin + (ymax - ymin) * j / ny for j in range(ny + 1)]
-    vals = [[fn(x, y) for x in xs] for y in ys]
+    n = max(8, int(n_seeds))
+    w = n + 1  # node j * w + i is (xs[i], ys[j])
+    xs = xmin + (xmax - xmin) * np.arange(w) / n
+    ys = ymin + (ymax - ymin) * np.arange(w) / n
+    vals = np.asarray(fn(*np.meshgrid(xs, ys)), dtype=float)
+    # An edge is crossed where its ends' signs differ and neither is NaN.
+    sign = np.where(np.isfinite(vals), np.sign(vals), np.nan)
+    row, col = (np.abs(np.diff(sign, axis=k)) > 0.0 for k in (1, 0))
+    cells = np.argwhere(row[:-1] | row[1:] | col[:, :-1] | col[:, 1:]).tolist()
+    xs, ys, v, sign = xs.tolist(), ys.tolist(), vals.ravel().tolist(), sign.ravel().tolist()
 
-    def edge_root(x1, y1, v1, x2, y2, v2):
-        # Bisection along the edge to 1e-10 of its length.
-        if v1 == 0.0:
-            return (x1, y1)
-        if v2 == 0.0:
-            return (x2, y2)
-        a, b = 0.0, 1.0
-        fa = v1
-        for _ in range(60):
-            m = (a + b) / 2.0
-            fm = fn(x1 + (x2 - x1) * m, y1 + (y2 - y1) * m)
-            if fm == 0.0 or (b - a) < 1e-10:
-                a = b = m
-                break
-            if (fa < 0.0) != (fm < 0.0):
-                b = m
-            else:
-                a, fa = m, fm
-        m = (a + b) / 2.0
-        return (x1 + (x2 - x1) * m, y1 + (y2 - y1) * m)
+    def node(p):
+        return xs[p % w], ys[p // w]
 
-    segments = []
-    for j in range(ny):
-        for i in range(nx):
-            corners = (
-                (xs[i], ys[j], vals[j][i]),
-                (xs[i + 1], ys[j], vals[j][i + 1]),
-                (xs[i + 1], ys[j + 1], vals[j + 1][i + 1]),
-                (xs[i], ys[j + 1], vals[j + 1][i]),
-            )
-            crossings = []
-            for k in range(4):
-                x1, y1, v1 = corners[k]
-                x2, y2, v2 = corners[(k + 1) % 4]
-                if v1 == 0.0 and v2 == 0.0:
-                    continue
-                if (v1 < 0.0) != (v2 < 0.0) or v1 == 0.0 or v2 == 0.0:
-                    root = edge_root(x1, y1, v1, x2, y2, v2)
-                    # A zero corner is reported by both edges that meet there.
-                    if not crossings or root != crossings[-1]:
-                        crossings.append(root)
-            if len(crossings) >= 2 and crossings[-1] == crossings[0]:
-                crossings.pop()
-            if len(crossings) >= 2:
-                for k in range(0, len(crossings) - 1, 2):
-                    segments.append((crossings[k], crossings[k + 1]))
+    def along(a, b, t):
+        (x, y), (xe, ye) = node(a), node(b)
+        return x + (xe - x) * t, y + (ye - y) * t
 
-    # Chain segments into polylines by matching rounded endpoints.
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
+    def crossing(a, b):
+        # The key of the crossing on the edge from node a to node b > a.
+        if v[a] == 0.0 or v[b] == 0.0:
+            key = a if v[a] == 0.0 else b
+            points[key] = node(key)
+            return key
+        if (a, b) not in points:
+            s = _brent_cell(lambda s: fn(*along(a, b, s - 1.0)), 1.0, 2.0, v[a], v[b])
+            points[a, b] = along(a, b, s - 1.0)
+        return a, b
 
-    adj: dict[tuple[float, float], list[int]] = {}
-    for idx, (p, q) in enumerate(segments):
-        adj.setdefault(key(p), []).append(idx)
-        adj.setdefault(key(q), []).append(idx)
+    points, segments, seen = {}, [], set()  # points: crossing key -> (x, y)
+    for j, i in cells:
+        c = j * w + i
+        found = []
+        # The cell's edges in turn: bottom, right, top and left.
+        for a, b in ((c, c + 1), (c + 1, c + 1 + w), (c + w, c + 1 + w), (c, c + w)):
+            if abs(sign[a] - sign[b]) > 0.0:
+                key = crossing(a, b)
+                # A zero corner is reported by both edges that meet there.
+                if not found or key != found[-1]:
+                    found.append(key)
+        if len(found) >= 2 and found[-1] == found[0]:
+            found.pop()
+        for k in range(0, len(found) - 1, 2):
+            seg = (found[k], found[k + 1])
+            if seg not in seen:
+                seen.update((seg, seg[::-1]))
+                segments.append(seg)
+
+    adj = {}
+    for idx, seg in enumerate(segments):
+        for key in seg:
+            adj.setdefault(key, []).append(idx)
     used = [False] * len(segments)
     polylines = []
-    for start in range(len(segments)):
+    for start, seg in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        p, q = segments[start]
-        chain = [p, q]
-        for endpick in (1, 0):
+        chain = list(seg)
+        # Walk on from the last crossing, then (reversed) from the first.
+        for _ in range(2):
             while True:
-                endpt = chain[-1] if endpick == 1 else chain[0]
-                nxt = None
-                for idx in adj.get(key(endpt), []):
-                    if not used[idx]:
-                        nxt = idx
-                        break
+                end = chain[-1]
+                nxt = next((idx for idx in adj[end] if not used[idx]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
-                sp, sq = segments[nxt]
-                other = sq if key(sp) == key(endpt) else sp
-                if endpick == 1:
-                    chain.append(other)
-                else:
-                    chain.insert(0, other)
-        polylines.append([Point2(x, y) for (x, y) in chain])
+                p, q = segments[nxt]
+                chain.append(q if p == end else p)
+            chain.reverse()
+        polylines.append([Point2(*points[key]) for key in chain])
     return polylines
 
 

@@ -26,7 +26,6 @@ from .conic import (
 )
 from .errors import (
     DegenerateMember,
-    NotFound,
     PointOffSideline,
     RankDeficient,
 )
@@ -240,15 +239,3 @@ def pairwise_intersections(tr: ConicTriad) -> list[list[Point2]]:
     if bad:
         raise DegenerateMember("pairwise intersections need nondegenerate members")
     return [[Point2(x, y) for x, y, ok in zip(*row) if ok] for row in zip(xs, ys, keep)]
-
-
-def second_common_point(tr: ConicTriad) -> Point2:
-    """Second common point P' of a P-hyperbola triad, by
-    kernels.second_point on the triad's floats; NotFound without one."""
-    if tr.kind != "p_hyperbola":
-        raise ValueError("second_common_point applies to P-hyperbola triads")
-    args = _kernel_args(tr.t, tr.kind, tr.p)
-    x, y, found = kernels.second_point(*args[:6], *args[7:])
-    if not found:
-        raise NotFound("no second triple-common point found")
-    return Point2(x, y)

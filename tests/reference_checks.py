@@ -39,6 +39,11 @@ that P3.2 and P5.4 read (loci._circle_conditions).
 BaryCoords.proj_eq (projective equality) and Circle.point_at were
 methods that only tests called (proj_eq, point_at).
 
+triads.second_common_point (second_common_point), P' of one P-hyperbola
+triad on floats, lost its last package caller when the circle searches
+dropped their partner pass; the verifier's P5.1 reads kernels.second_point
+on arrays.
+
 P2.9 and P3.9 ran trial by trial on the object path
 (covertex_conic_check: a Triangle, a ConicTriad and its FocalConics a
 trial, the co-vertices from covertices_of_focal_conic and
@@ -907,3 +912,15 @@ def second_point_on_floats(ax, ay, bx, by, cx, cy, px, py):
     best, x, y = min((q for q in cands if q[0] < math.inf), key=lambda q: q[0],
                      default=(math.inf, math.nan, math.nan))
     return (x, y, True) if best <= 1e-6 * s else (math.nan, math.nan, False)
+
+
+def second_common_point(tr: ConicTriad) -> Point2:
+    """Second common point P' of a P-hyperbola triad, by
+    kernels.second_point on the triad's floats; NotFound without one."""
+    if tr.kind != "p_hyperbola":
+        raise ValueError("second_common_point applies to P-hyperbola triads")
+    args = _kernel_args(tr.t, tr.kind, tr.p)
+    x, y, found = kernels.second_point(*args[:6], *args[7:])
+    if not found:
+        raise NotFound("no second triple-common point found")
+    return Point2(x, y)

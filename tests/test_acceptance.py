@@ -46,7 +46,6 @@ from triconic.loci import (
 from triconic.triads import (
     build_triad,
     pairwise_intersections,
-    second_common_point,
     six_point_conic,
     triad_vertices,
 )
@@ -62,6 +61,7 @@ from reference_checks import (
     check_appendix,
     deltas,
     equal_area_check,
+    second_common_point,
     sideline_extension_residual,
     two_branch_chords,
     x55_conjecture_check,

@@ -43,7 +43,6 @@ from triconic.loci import (
 from triconic.triads import (
     _kernel_args,
     build_triad,
-    second_common_point,
     six_point_conic,
     triad_vertices,
 )
@@ -56,6 +55,7 @@ from reference_checks import (
     lambdas,
     point_at,
     reflection_triangle,
+    second_common_point,
     x55_conjecture_check,
 )
 
@@ -498,8 +498,6 @@ def test_find_phyp_circle_points(t_generic):
         assert rep.conic_class is ConicClass.CIRCLE
         assert distance(rep.center, cc.center) <= 1e-6 * cc.radius
     # The pair are common intersections of each other's triads.
-    from triconic.triads import second_common_point
-
     q = second_common_point(build_triad(t_generic, "p_hyperbola", p1))
     assert distance(q, p2) <= 1e-7 * s
 
@@ -949,24 +947,42 @@ def test_trace_zero_set_counts_a_zero_grid_node_once():
     # this box: each is one crossing of its cells, and the curve one polyline.
     polys = trace_zero_set(lambda x, y: y - x * x, (-2, 2, -1, 3), 64)
     assert len(polys) == 1
-    # Edge roots are bisected to 1e-10 of the edge.
+    # Edge roots are polished by Brent's method, to about 1e-15 of the edge.
     assert max(abs(p.y - p.x * p.x) for p in polys[0]) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7: segments chain by ends "
-                   "rounded to 9 digits, so two crossings within about 1e-12 of a grid node share a key "
-                   "and leave a two-point polyline about 8e-13 long beside the curve")
 def test_trace_zero_set_leaves_no_sliver_polyline():
-    # Each of these x478_quartic grids leaves polylines shorter than 1e-9
-    # of the box: one on each of the first two grids, two on the third.
-    # The first grid is the CLI's `locus --kind zero-set:x478_quartic
-    # --samples 400 --bbox=-0.8,0.8,-0.3,1.3` (polylines of 334 and 2
-    # points).
+    # On each of these x478_quartic grids the curve passes within about
+    # 1e-12 of a grid node.  Segments chained by their ends rounded to 9
+    # digits left polylines shorter than 1e-9 of the box there: one on each
+    # of the first two grids, two on the third.  The first grid is the
+    # CLI's `locus --kind zero-set:x478_quartic --samples 400
+    # --bbox=-0.8,0.8,-0.3,1.3` (then polylines of 334 and 2 points).
     for bbox, n in (((-0.8, 0.8, -0.3, 1.3), 80), ((-0.8, 0.8, -0.3, 1.3), 160),
                     ((-1.2, 1.2, -1.2, 1.2), 120)):
         size = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
         for poly in trace_zero_set(x478_quartic, bbox, n):
             assert sum(distance(p, q) for p, q in zip(poly, poly[1:])) >= 1e-9 * size, (bbox, n)
+
+
+def test_trace_zero_set_follows_a_curve_along_a_grid_line():
+    # x = 0.25 is the grid column i = 20, where fn is 0 along every edge:
+    # both cells beside each edge give its segment, which is kept once.
+    polys = trace_zero_set(lambda x, y: x - 0.25, (-1, 1, -1, 1), 32)
+    assert [len(poly) for poly in polys] == [33]
+    assert {p.x for p in polys[0]} == {0.25}
+    ys = [p.y for p in polys[0]]
+    assert ys in (sorted(ys), sorted(ys, reverse=True))
+
+
+def test_trace_zero_set_skips_edges_with_a_non_finite_end():
+    # fn is NaN left of x = 0, a grid column here, and 0 on x = 0.25, which
+    # is not one: an edge with a NaN end is no crossing, so no polyline
+    # runs along x = 0.
+    with np.errstate(invalid="ignore"):
+        polys = trace_zero_set(lambda x, y: np.sqrt(x) - 0.5, (-1.0, 1.0, -1.0, 1.0), 30)
+    assert [len(poly) for poly in polys] == [31]
+    assert max(abs(p.x - 0.25) for p in polys[0]) <= 1e-15
 
 
 def test_covertex_check_v():

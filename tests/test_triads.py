@@ -34,7 +34,6 @@ from triconic.triads import (
     TRIAD_KINDS,
     build_triad,
     pairwise_intersections,
-    second_common_point,
     six_point_conic,
     triad_vertices,
 )
@@ -44,6 +43,7 @@ import reference_checks
 from reference_checks import (
     conic_bary_to_cartesian,
     equal_area_check,
+    second_common_point,
     triad_covertices,
     two_branch_chords,
 )
