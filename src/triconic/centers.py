@@ -1,9 +1,10 @@
-"""Triangle centers, incircle/excircles and their tangency points, kissing
-and Soddy circles.
+"""Triangle centers, the incircle, the circumcircle and the excircle
+tangency points, kissing and Soddy circles.
 
-Soddy circles take their radii from Descartes' curvatures and their
-centers from the barycentrics of X176 and X175 (kernels.soddy_centers),
-the rule the verifier's P4.5 and P4.8 read on arrays.
+Soddy circles take their radii from Descartes' curvatures, and their
+centers, the Soddy line and the regime from kernels.soddy, the rule the
+verifier's P4.5, P4.8 and P4.10 read on arrays: the outer circle is the
+Soddy line where X175 is at infinity (kernels.bary_point's rule).
 """
 
 from __future__ import annotations
@@ -120,16 +121,6 @@ def incircle(t: Triangle) -> Circle:
     return Circle(bary_to_cartesian(t, BaryCoords(a, b, c)), t.area / s)
 
 
-def excircles(t: Triangle) -> tuple[Circle, Circle, Circle]:
-    """Excircles opposite A, B, C."""
-    s = t.semiperimeter
-    area = t.area
-    return tuple(
-        Circle(bary_to_cartesian(t, BaryCoords(*uvw)), area / (s - side))
-        for uvw, side in zip(kernels.excenters(*t.sides()), t.sides())
-    )
-
-
 def circumcircle(t: Triangle) -> Circle:
     a, b, c = t.sides()
     center = classic_center(t, "X3")
@@ -144,15 +135,6 @@ def excircle_tangency_points(t: Triangle):
     corners = [c for v in t.vertices() for c in v.as_tuple()]
     return tuple(
         Point2(*kernels.bary_point(*corners, *uvw)[:2]) for uvw in kernels.excircle_tangency(*t.sides())
-    )
-
-
-def intouch_extouch(t: Triangle):
-    """((intouch points), (extouch points)), each ordered by opposite
-    vertex, from kernels.intouch_extouch."""
-    return tuple(
-        tuple(bary_to_cartesian(t, BaryCoords(*uvw)) for uvw in points)
-        for points in kernels.intouch_extouch(*t.sides())
     )
 
 
@@ -183,40 +165,23 @@ def half_tangent_sum(t: Triangle) -> float:
     return kernels.half_tangent_sum(*t.sides(), t.area)
 
 
-def _tangent_line_to_kissing(t: Triangle, radii) -> LineEq:
-    # Unit normal n with n.P_i - c = r_i for all three circle centers.
-    r1, r2, r3 = radii
-    p1, p2, p3 = t.a, t.b, t.c
-    a11, a12 = p1.x - p2.x, p1.y - p2.y
-    a21, a22 = p1.x - p3.x, p1.y - p3.y
-    det = a11 * a22 - a12 * a21
-    nx = ((r1 - r2) * a22 - (r1 - r3) * a12) / det
-    ny = (-(r1 - r2) * a21 + (r1 - r3) * a11) / det
-    nn = kernels._hypot(nx, ny)
-    nx, ny = nx / nn, ny / nn
-    csum = sum(n_dot - r for n_dot, r in zip(
-        (nx * p.x + ny * p.y for p in (p1, p2, p3)), (r1, r2, r3)
-    ))
-    c = csum / 3.0
-    return LineEq(nx, ny, -c)
-
-
 def soddy(t: Triangle) -> SoddyConfig:
     """Inner and outer Soddy circles of the kissing-circle triple: radii
-    by Descartes' theorem, centers X176 and X175 from their barycentrics
-    (kernels.soddy_centers); the outer curvature decides the regime."""
+    by Descartes' theorem, centers X176 and X175 and the Soddy line by
+    kernels.soddy, whose rule decides the regime: "line" where X175 is at
+    infinity, else "contains" or "external" by the sign of the outer
+    curvature."""
     kiss = kissing_circles(t)
     k1, k2, k3 = (1.0 / c.radius for c in kiss)
     root = math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
     k_in = k1 + k2 + k3 + 2.0 * root
     k_out = k1 + k2 + k3 - 2.0 * root
     corners = [c for v in t.vertices() for c in v.as_tuple()]
-    (xi, yi, _), (xo, yo, _) = kernels.soddy_centers(corners, t.sides())
+    (xi, yi, _), (xo, yo, far), line = kernels.soddy(corners, t.sides())
     inner = Circle(Point2(xi, yi), 1.0 / k_in)
     hts = half_tangent_sum(t)
-    if abs(k_out) < 1e-10 * (k1 + k2 + k3):
-        radii = tuple(c.radius for c in kiss)
-        return SoddyConfig(kiss, inner, "line", None, _tangent_line_to_kissing(t, radii), hts)
+    if far:
+        return SoddyConfig(kiss, inner, "line", None, LineEq(*line), hts)
     regime = "contains" if k_out < 0.0 else "external"
     return SoddyConfig(kiss, inner, regime, Circle(Point2(xo, yo), 1.0 / abs(k_out)), None, hts)
 
@@ -225,7 +190,4 @@ def soddy_centers(t: Triangle) -> tuple[Point2 | None, Point2]:
     """(X175, X176); X175 is None in the degenerate-line regime (the outer
     center then lies at infinity, perpendicular to the Soddy line)."""
     cfg = soddy(t)
-    x176 = cfg.inner.center
-    if cfg.regime == "line":
-        return None, x176
-    return cfg.outer_circle.center, x176
+    return None if cfg.regime == "line" else cfg.outer_circle.center, cfg.inner.center

@@ -60,8 +60,10 @@ six-point conic; only `triads` applies them (`_six_point_fit`,
 `_carnot_rule`), on floats and arrays alike.  `triangle_sides` is the
 sides of a triangle, and `circumcircle` its circumcenter (`bary_point` of
 `center_x3`) and circumradius.
-`soddy_centers` gives the Soddy centers X176 and X175 by `bary_point`,
-for `centers.soddy` on floats and P4.5 and P4.8 on arrays.
+`soddy` is the one Soddy rule: the Soddy centers X176 and X175 by
+`bary_point`, and the Soddy line; X175 at infinity is the Soddy-line
+regime.  `centers.soddy` reads it on floats, P4.5, P4.8 and P4.10 on
+arrays.
 
 `frame` is the package's one triangle frame, q' = (q - g) / s with g the
 centroid and s the largest side: `focal_pairs` works in it, and so do the
@@ -612,16 +614,35 @@ def circumcircle(corners, sides):
     return x, y, far, sides[0] * sides[1] * sides[2] / (4.0 * abs(signed_area(*corners)))
 
 
-def soddy_centers(corners, sides) -> list:
-    """The inner and outer Soddy centers X176 and X175 of the triangle of
-    the corners (ax, ay, bx, by, cx, cy) with sides (a, b, c), (x, y, far)
-    each: bary_point of a + area / (s - a) and a - area / (s - a), s the
-    semiperimeter; X175 is at infinity in the Soddy-line regime.  Floats
-    or arrays."""
+def soddy(corners, sides) -> tuple:
+    """The Soddy configuration of the triangle of the corners (ax, ay, bx,
+    by, cx, cy) with sides (a, b, c): the inner and outer Soddy centers
+    X176 and X175, (x, y, far) each by bary_point of a + area / (s - a)
+    and a - area / (s - a), s the semiperimeter, and the Soddy line (l, m,
+    n), the common tangent l x + m y + n = 0, (l, m) a unit normal, of the
+    kissing circles about A, B and C (radii s - a, s - b, s - c).  X175's
+    far flag is the package's one Soddy-regime test: the outer Soddy
+    circle is the Soddy line exactly where X175 is at infinity, and the
+    line means nothing elsewhere (NaN on floats for an equilateral).
+    Floats or arrays."""
+    ax, ay, bx, by, cx, cy = corners
+    a, b, c = sides
     area = abs(signed_area(*corners))
-    p = (sides[0] + sides[1] + sides[2]) / 2.0
-    return [bary_point(*corners, *(v + sign * area / (p - v) for v in sides))
-            for sign in (1.0, -1.0)]
+    p = (a + b + c) / 2.0
+    inner, outer = [bary_point(*corners, *(v + sign * area / (p - v) for v in sides))
+                    for sign in (1.0, -1.0)]
+    # The unit normal (nx, ny) for which nx x + ny y less the radius is one
+    # value at A, B and C (radii r1, r2, r3); the line is nx x + ny y = that
+    # value, taken as the mean of the three.
+    r1, r2, r3 = p - a, p - b, p - c
+    a11, a12, a21, a22 = ax - bx, ay - by, ax - cx, ay - cy
+    det = a11 * a22 - a12 * a21
+    nx = _div((r1 - r2) * a22 - (r1 - r3) * a12, det)
+    ny = _div(-(r1 - r2) * a21 + (r1 - r3) * a11, det)
+    nn = _hypot(nx, ny)
+    nx, ny = _div(nx, nn), _div(ny, nn)
+    mean = ((nx * ax + ny * ay - r1) + (nx * bx + ny * by - r2) + (nx * cx + ny * cy - r3)) / 3.0
+    return inner, outer, (nx, ny, -mean)
 
 
 # The sideline of each vertex A1 A2 B1 B2 C1 C2, by the indices of its ends.

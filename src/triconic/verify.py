@@ -30,9 +30,11 @@ call.  The public draws `random_triangle`, `random_flat_triangle` and
 of one of these samplers (`_tri_rows`, `_flat_rows`, `_drivers` with one
 try a round), drawn until the mask keeps a candidate.
 
-Thirty-eight checks run as one batch on the table's columns, each trial's
-bits those of a batch of one; the three of at most three trials (P3.5,
-P3.6 and P3.7) run trial by trial on each row's dict (`_per_trial`).
+Every check takes the table and runs as one batch on its columns, each
+trial's bits those of a batch of one.  P3.5 runs one O* sweep a triangle
+(`loci.sample_locus_ostar`, which does not batch), then its arcs at the
+side midpoints on arrays; P3.6 and P3.7 check one fixed configuration,
+once a table, for every trial (`_fixed`).
 P3.2 and P5.4 run one circle-point search each
 (`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`: a
 one-variable reduction in k, the value of s_i^2 - x_i^2 the three members
@@ -49,8 +51,8 @@ P2.3, P2.5 and P4.8 on one `kernels.focal_pairs` call;
 P2.4, P4.7 and P5.6 in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
 on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
 `kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
-points from `kernels.bary_point`, the Soddy centers by
-`kernels.soddy_centers`; A1-A6's polynomials in one `appendix.eval_terms`
+points from `kernels.bary_point`, the Soddy centers and the Soddy line
+by `kernels.soddy`; A1-A6's polynomials in one `appendix.eval_terms`
 call over every trial's points; and the root scans of P2.6, P2.9, P3.4,
 P3.9, P2.8, P4.6 (two), P4.10 and P5.7 in one `loci.batch_sign_changes`
 each: one call of the scanned function (written with products, not
@@ -58,11 +60,11 @@ powers, so floats and arrays give the same bits) on every trial's grid,
 then Brent on floats in each bracketed cell.  At the roots, on arrays:
 P2.6's triangles; P2.9's and P3.9's co-vertex conics (`_covertex_fits`:
 `kernels.covertices`, `fit_six` and `residual6`); P4.6's half-tangent
-sums; and P2.8's and P5.7's other points, in one `kernels.six_point`
-call each, every trial's early exits replayed on the values.  Only P3.4
-and P4.10 finish each trial's other checks on floats.  A crash still
-fails only its own trial (`_fail_or` gives each trial the exception of
-the first fault that holds there).
+sums; P3.4's crossing nearest the circumcircle; P4.10's Soddy line
+(`kernels.soddy`); and P2.8's and P5.7's other points, in one
+`kernels.six_point` call each, every trial's early exits replayed on the
+values.  A crash still fails only its own trial (`_fail_or` gives each
+trial the exception of the first fault that holds there).
 
 Each claim of the paper is checked in its one proposition, on the
 triads' own constructions: P2.4 draws its chords through the pair points
@@ -96,10 +98,8 @@ from .centers import (
     _x55,
     circumcircle,
     incircle,
-    soddy,
 )
 from .config import DET_DEGENERATE_TOL, get_tol
-from .conic import residual
 from .errors import (
     ConstructionFailed,
     DegenerateMember,
@@ -117,8 +117,6 @@ from .geom import (
     BaryCoords,
     Point2,
     Triangle,
-    distance,
-    midpoint,
 )
 from .loci import (
     _circle_conditions,
@@ -667,9 +665,9 @@ def _ab_ray_det(s, ax, ay, bx, by, *ray):
 
 
 def _roots(found) -> tuple:
-    """A first-root scan's results (loci.batch_sign_changes) as (roots,
-    exceptions): NaN where a scan found no root or failed, and its
-    NotConverged by scan."""
+    """One root a scan (a first-root scan's results, loci.batch_sign_changes)
+    as (roots, exceptions): NaN where a scan found no root or failed, and
+    its NotConverged by scan."""
     errs = {i: s for i, s in enumerate(found) if isinstance(s, Exception)}
     return np.array([s if isinstance(s, float) else math.nan for s in found]), errs
 
@@ -972,40 +970,40 @@ def _p_hyperbola_disc(s, ax, ay, bx, by, cx, cy, *ray):
 def _chk_degenerate_on_circumcircle(cfgs, rays) -> tuple:
     """P3.4 on all configurations and their rays (_cfg_rays) at once: one
     batch scan for every sign change of the P-ellipse det as P runs along
-    each ray from the circumcenter."""
-    on = _at_rays(_p_ellipse_det, rays, 1.0).tolist()
-    crossings = _scan_rays(_p_ellipse_det, rays, 0.97, 1.03)
-    return _split(_each(_circumcircle_residual, zip(on, crossings)))
-
-
-def _circumcircle_residual(item) -> float:
-    # The degeneracy locus of the driver P contains the circumcircle plus
-    # interior branches (a deltoid for the equilateral), so the sweep can
-    # cross several sign changes; the one nearest the circle must localize
-    # the circle itself.
-    on, crossings = item
-    if isinstance(crossings, Exception):
-        raise crossings
-    if not crossings:
-        return 1.0
-    nearest = min(abs(s - 1.0) for s in crossings)
+    each ray from the circumcenter.  The degeneracy locus of the driver P
+    holds the circumcircle plus interior branches (a deltoid for the
+    equilateral), so a ray can cross several sign changes; the one nearest
+    s = 1 must localize the circle itself.  1.0 without a crossing; a
+    scan's NotConverged is its trial's exception."""
+    on = abs(_at_rays(_p_ellipse_det, rays, 1.0))
+    nearest, errs = _roots([c if isinstance(c, Exception) else min(c, key=lambda s: abs(s - 1.0), default=None)
+                            for c in _scan_rays(_p_ellipse_det, rays, 0.97, 1.03)])
     # bracket offset tolerance 1e-6 scaled into the 1e-9 threshold
-    return max(abs(on), nearest * 1e-3)
+    return np.where(np.isnan(nearest), 1.0, _pymax(on, abs(nearest - 1.0) * 1e-3)), errs
 
 
-def _chk_ostar_arcs(cfg) -> float:
-    t = _cfg_tri(cfg)
-    samples, arcs = sample_locus_ostar(t, 40)
-    if len(samples) < 20:
-        return 1.0
-    worst = max(samples.implicit_residual)
-    mids = (midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b))
-    for con in arcs.values():
-        worst = max(worst, max(residual(con, m) for m in mids))
-    return worst
+def _chk_ostar_arcs(cfgs) -> tuple:
+    """P3.5: one O* sweep of 40 angles a triangle (sample_locus_ostar; a
+    sweep does not batch), a crash failing only its own trial; 1.0 where
+    fewer than 20 samples are left, else the worst sample residual and
+    each arc ellipse's residual at the three side midpoints
+    (kernels.conic_residual), every trial's at once."""
+    corners = np.array(_corners(cfgs))
+    sweeps = _each(lambda c: sample_locus_ostar(_triangle(*c), 40), corners.T.tolist())
+    errs = {i: s for i, s in enumerate(sweeps) if isinstance(s, Exception)}
+    rows = [i for i, s in enumerate(sweeps) if i not in errs and len(s[0]) >= 20]
+    res = np.ones(cfgs.n)
+    if rows:
+        px, py, qx, qy = _side_ends(corners[:, rows])
+        # (coefficient, arc, 1, trial): each arc at each side's midpoint.
+        arcs = np.array([[con.coeffs() for con in sweeps[i][1].values()] for i in rows]).T[:, :, None]
+        near = kernels.conic_residual(arcs, (px + qx) / 2.0, (py + qy) / 2.0)
+        worst = np.array([max(sweeps[i][0].implicit_residual) for i in rows])
+        res[rows] = _pymax(worst, *near.reshape(-1, len(rows)))
+    return res, errs
 
 
-def _chk_equilateral_arcs(cfg) -> float:
+def _chk_equilateral_arcs() -> float:
     rep = equilateral_ostar_locus_check()
     worst = abs(rep.semi_axes[0] - math.sqrt(3.0) / 2.0)
     worst = max(worst, abs(rep.semi_axes[1] - math.sqrt(3.0) / 6.0))
@@ -1018,7 +1016,7 @@ def _chk_equilateral_arcs(cfg) -> float:
     return worst
 
 
-def _chk_equilateral_regions(cfg) -> float:
+def _chk_equilateral_regions() -> float:
     s3 = math.sqrt(3.0)
     t = Triangle(Point2(-0.5, 0.0), Point2(0.5, 0.0), Point2(0.0, s3 / 2.0))
     grid = region_map(t, "p_ellipse_over_P", (30, 30))
@@ -1143,6 +1141,14 @@ def _sidelines(corners) -> tuple:
             (ay - by, bx - ax, ax * by - bx * ay))
 
 
+def _side_ends(corners) -> tuple:
+    """The sides BC, CA and AB of the triangles of the corners (floats or
+    arrays) by their ends (px, py) and (qx, qy): (px, py, qx, qy), each of
+    three rows, one a side."""
+    v = np.array(np.broadcast_arrays(*corners)).reshape(3, 2, -1)
+    return (*np.roll(v, -1, axis=0).transpose(1, 0, 2), *np.roll(v, -2, axis=0).transpose(1, 0, 2))
+
+
 def _bary_to_plane(m, corners) -> list:
     """The barycentric matrix m, given as rows, of a conic relative to the
     triangle of the corners in the plane: T^T m T of unit norm, T's rows
@@ -1212,13 +1218,13 @@ def _v_hyperbola_circle(cfgs) -> tuple:
 
 def _chk_soddy_intersections(cfgs) -> tuple:
     """P4.5 on all configurations at once: each V-hyperbola member passes
-    through the Soddy centers (kernels.soddy_centers, X175 where finite), its
+    through the Soddy centers (kernels.soddy, X175 where finite), its
     focal-difference residual there over the circumdiameter; 0.0 where a
     member is a perpendicular bisector."""
     with np.errstate(all="ignore"):
         args, lams, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
         worst = 0.0
-        for x, y, far in kernels.soddy_centers(args[:6], sides):
+        for x, y, far in kernels.soddy(args[:6], sides)[:2]:
             at = kernels._sides_deltas(*args[:6], kernels.KIND_P_HYPERBOLA, x, y)[1]
             res = functools.reduce(np.maximum, [abs(abs(d) - abs(l)) for d, l in zip(at, lams)])
             worst = np.maximum(worst, np.where(far, 0.0, res / diam))
@@ -1230,15 +1236,6 @@ def _sextic_roots(xs) -> list:
     of the array xs, A=(-1,0), B=(1,0), by one batch scan of 280 cells: a
     float, None without a root, or the NotConverged of a failed scan."""
     return _scan_rays(lambda y, x: halftangent_sextic(x, y), xs[None], 0.25, 1.4, steps=280, first=True)
-
-
-def _sextic_triangles(xs) -> list:
-    """A=(-1,0), B=(1,0) and C=(x, y) at the sextic's root y over each x
-    (_sextic_roots): None without a root, the NotConverged of a failed
-    scan."""
-    xs = np.asarray(xs, dtype=float)
-    return [Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) if isinstance(y, float) else y
-            for x, y in zip(xs.tolist(), _sextic_roots(xs))]
 
 
 def _half_tangent_gap(y, x):
@@ -1306,7 +1303,7 @@ def _chk_chords_x8(cfgs) -> tuple:
     with np.errstate(all="ignore"):
         args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
         (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
-        (qx, qy, _), _ = kernels.soddy_centers(args[:6], sides)
+        (qx, qy, _), *_ = kernels.soddy(args[:6], sides)
         qx, qy = (qx - gx) / s, (qy - gy) / s
         u = kernels.cyclic(_x8, *sides)
         x8, y8, _ = kernels.bary_point(*args[:6], *u)
@@ -1352,23 +1349,20 @@ def _chk_fifteen_point_cubic(cfgs) -> tuple:
 
 def _chk_soddy_line_tangent(cfgs) -> tuple:
     """P4.10 on all configurations at once: one batch scan for the sextic
-    root on each vertical, then each trial's Soddy line checks."""
-    return _split(_each(_soddy_line_residual, _sextic_triangles(cfgs["x"])))
-
-
-def _soddy_line_residual(t) -> float:
-    if t is None:
-        return 1.0
-    cfg_s = soddy(t)
-    if cfg_s.regime != "line":
-        return 1.0
-    line = cfg_s.outer_line
-    worst = 0.0
-    for (u, v) in ((t.a, t.b), (t.b, t.c), (t.c, t.a)):
-        center = midpoint(u, v)
-        radius = distance(u, v) / 2.0
-        worst = max(worst, abs(line.distance_to(center) - radius))
-    return worst
+    root on each vertical (_sextic_roots), then at A=(-1,0), B=(1,0),
+    C=(x, y) the Soddy line (kernels.soddy) touches the circle on each
+    side as diameter: the worst |distance of the side's midpoint from the
+    line - half the side|.  1.0 without a root (where far is false too)
+    or where X175 is finite, the outer Soddy circle no line."""
+    xs = cfgs["x"]
+    y, errs = _roots(_sextic_roots(xs))
+    corners = (-1.0, 0.0, 1.0, 0.0, xs, y)
+    with np.errstate(all="ignore"):
+        _, (_, _, far), (l, m, n) = kernels.soddy(corners, kernels.triangle_sides(*corners))
+        px, py, qx, qy = _side_ends(corners)
+        gaps = abs(abs(l * ((px + qx) / 2.0) + m * ((py + qy) / 2.0) + n) / kernels._hypot(l, m)
+                   - kernels._hypot(px - qx, py - qy) / 2.0)
+    return np.where(far, _pymax(0.0, *gaps), 1.0), errs
 
 
 def _chk_second_point(cfgs) -> tuple:
@@ -1698,7 +1692,7 @@ _gen_theta = _uniforms(theta=(0.05, math.pi - 0.05))
 # Rays that actually cross the co-vertex locus branch.
 _gen_ray_angle_v = _uniforms(angle=(0.9, math.pi - 0.9))
 _gen_isosceles = _uniforms(apex=(0.4, 1.6), half_base=(0.3, 1.2))
-# _sextic_triangles finds a root for every |x| <= 0.45.
+# _sextic_roots finds a root for every |x| <= 0.45.
 _gen_sextic_abscissa = _uniforms(x=(-0.45, 0.45))
 
 
@@ -1875,13 +1869,9 @@ class Proposition:
 
 
 def _each(fn, items) -> list:
-    """fn of each item, or the exception it raised: a crashed trial.  An
-    item that is already an exception is kept."""
+    """fn of each item, or the exception it raised: a crashed trial."""
     out = []
     for item in items:
-        if isinstance(item, Exception):
-            out.append(item)
-            continue
         try:
             out.append(fn(item))
         except Exception as exc:  # a crashed check is a failed trial
@@ -1889,11 +1879,10 @@ def _each(fn, items) -> list:
     return out
 
 
-def _split(out) -> tuple:
-    """Per-trial results, a residual or the exception that crashed the
-    trial each, as a run's (residuals, exceptions)."""
-    errs = {i: r for i, r in enumerate(out) if isinstance(r, Exception)}
-    return np.array([math.inf if i in errs else r for i, r in enumerate(out)], dtype=float), errs
+def _fixed(value):
+    """A proposition's run from value(), the residual of a fixed
+    configuration: computed once a table and given to every trial."""
+    return lambda cfgs: (np.full(cfgs.n, value()), {})
 
 
 def _batch_run(setup, check):
@@ -1915,12 +1904,6 @@ def _batch_run(setup, check):
     return run
 
 
-def _per_trial(check):
-    """A proposition's run from a check of one configuration, given as its
-    dict (ConfigTable.row)."""
-    return lambda cfgs: _split(_each(check, map(cfgs.row, range(cfgs.n))))
-
-
 MANIFEST: tuple[Proposition, ...] = (
     # -- V-ellipses --------------------------------------------------------
     Proposition("P2.1-yiu-vertices", "vertices at excircle tangency points, on one conic", _gen_tri, _chk_excircle_tangency_vertices, 1e-8, 200),
@@ -1937,9 +1920,9 @@ MANIFEST: tuple[Proposition, ...] = (
     Proposition("P3.2-pstar-unique-circle", "unique P* gives a circle concentric with the circumcircle", _gen_tri, _searched(pstar_candidates_batch, lambda hits: [hits[0][0]], _chk_pstar), 1e-6, 6),
     Proposition("P3.3-anticevian-needle", "X3 is the P* of the X3-anticevian", _gen_needle, _chk_anticevian_needle, 1e-6, 60),
     Proposition("P3.4-degenerate-on-circumcircle", "degenerate exactly on the circumcircle", _gen_tri_angle, _batch_run(_cfg_rays, _chk_degenerate_on_circumcircle), 1e-9, 60),
-    Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _per_trial(_chk_ostar_arcs), 1e-8, 3),
-    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _per_trial(_chk_equilateral_arcs), 1e-8, 1),
-    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _per_trial(_chk_equilateral_regions), 0.5, 1),
+    Proposition("P3.5-ostar-three-arcs", "degenerate centers trace three ellipse arcs through the midpoints", _gen_tri, _chk_ostar_arcs, 1e-8, 3),
+    Proposition("P3.6-equilateral-arcs", "equilateral arc ellipses: axes, tangents, area ratio", _gen_fixed, _fixed(_chk_equilateral_arcs), 1e-8, 1),
+    Proposition("P3.7-equilateral-regions", "equilateral type regions contain both conic families", _gen_fixed, _fixed(_chk_equilateral_regions), 0.5, 1),
     Proposition("P3.8-never-rectangular", "hyperbolic six-point conic is never rectangular", _gen_tri_point, _chk_never_rectangular, 0.5, 2000),
     Proposition("P3.9-covertex-equilateral-P", "equilateral co-vertex conic center on the incircle", _gen_ray_angle_p, _chk_covertex_equilateral_P, 1e-7, 3),
     # -- V-hyperbolas ------------------------------------------------------

@@ -51,6 +51,15 @@ triad_covertices), and P4.6 finished each trial on a Triangle, before the
 verifier ran them on arrays; covertex_locus_reference,
 covertex_equilateral_reference and halftangent_reference are those
 checks of one configuration.
+
+P3.5 (ostar_arcs_reference) and P4.10 (soddy_line_reference) finished
+each trial on floats, on the object path, before the verifier ran them
+on arrays; P3.5-P3.7 ran trial by trial on each row's dict (_per_trial,
+with _split), which the crash tests still use to inject a crash into one
+trial.  verify._sextic_triangles (_sextic_triangles), the Triangles of
+P4.10's sextic roots, lost its last package caller then.
+centers.excircles and centers.intouch_extouch (excircles,
+intouch_extouch) were functions that only tests called.
 """
 
 from __future__ import annotations
@@ -69,9 +78,10 @@ from triconic.centers import (
     classic_center,
     half_tangent_sum,
     incircle,
+    soddy,
     soddy_centers,
 )
-from triconic.conic import Conic, ConicClass, FocalConic, FramedFit
+from triconic.conic import Conic, ConicClass, FocalConic, FramedFit, residual
 from triconic.config import DET_DEGENERATE_TOL, get_tol
 from triconic.errors import (
     ConstructionFailed,
@@ -94,6 +104,7 @@ from triconic.geom import (
     bary_to_cartesian,
     distance,
     line_through,
+    midpoint,
     signed_area,
 )
 from triconic.loci import (
@@ -104,6 +115,7 @@ from triconic.loci import (
     covertex_locus_V,
     phyp_circle_functional,
     pstar_circle_functional,
+    sample_locus_ostar,
 )
 from triconic.triads import (
     ConicTriad,
@@ -116,11 +128,12 @@ from triconic.triads import (
 from triconic.verify import (
     _cfg_tri,
     _detn_v_ellipse,
+    _each,
     _half_tangent_gap,
     _on_ray,
     _p_hyperbola_disc,
     _scan_rays,
-    _sextic_triangles,
+    _sextic_roots,
 )
 
 
@@ -241,10 +254,10 @@ def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
     for _, _, lines in pairs:
         scores = [max(abs(l * x + m * y + n) for x, y in framed) / kernels._hypot(l, m)
                   for l, m, n in lines]
-        soddy = 0 if scores[0] <= scores[1] else 1
-        if scores[soddy] > 1e-6:
+        soddy_line = 0 if scores[0] <= scores[1] else 1
+        if scores[soddy_line] > 1e-6:
             raise NotFound("neither line of the pair is the Soddy line")
-        l, m, n = lines[1 - soddy]
+        l, m, n = lines[1 - soddy_line]
         chords.append(LineEq(l, m, n * s - l * gx - m * gy))
     return tuple(chords)
 
@@ -605,7 +618,7 @@ def covertex_equilateral_reference(cfg) -> float:
 def halftangent_reference(cfg) -> float:
     """P4.6's check of one configuration, as the verifier ran it before
     its tail went to arrays: the triangle at the sextic's root
-    (verify._sextic_triangles) and the converse scan's root, each a batch
+    (_sextic_triangles) and the converse scan's root, each a batch
     of one, then the half-tangent sum of the Triangle."""
     (t,) = _sextic_triangles([cfg["x"]])
     (y,) = _scan_rays(_half_tangent_gap, np.array([[cfg["x"]]]), 0.25, 1.4, steps=1, first=True)
@@ -924,3 +937,79 @@ def second_common_point(tr: ConicTriad) -> Point2:
     if not found:
         raise NotFound("no second triple-common point found")
     return Point2(x, y)
+
+
+def _split(out) -> tuple:
+    """Per-trial results, a residual or the exception that crashed the
+    trial each, as a run's (residuals, exceptions)."""
+    errs = {i: r for i, r in enumerate(out) if isinstance(r, Exception)}
+    return np.array([math.inf if i in errs else r for i, r in enumerate(out)], dtype=float), errs
+
+
+def _per_trial(check):
+    """A proposition's run from a check of one configuration, given as its
+    dict (ConfigTable.row)."""
+    return lambda cfgs: _split(_each(check, map(cfgs.row, range(cfgs.n))))
+
+
+def _sextic_triangles(xs) -> list:
+    """A=(-1,0), B=(1,0) and C=(x, y) at the sextic's root y over each x
+    (_sextic_roots): None without a root, the NotConverged of a failed
+    scan."""
+    xs = np.asarray(xs, dtype=float)
+    return [Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(x, y)) if isinstance(y, float) else y
+            for x, y in zip(xs.tolist(), _sextic_roots(xs))]
+
+
+def excircles(t: Triangle) -> tuple[Circle, Circle, Circle]:
+    """Excircles opposite A, B, C."""
+    s = t.semiperimeter
+    area = t.area
+    return tuple(
+        Circle(bary_to_cartesian(t, BaryCoords(*uvw)), area / (s - side))
+        for uvw, side in zip(kernels.excenters(*t.sides()), t.sides())
+    )
+
+
+def intouch_extouch(t: Triangle):
+    """((intouch points), (extouch points)), each ordered by opposite
+    vertex, from kernels.intouch_extouch."""
+    return tuple(
+        tuple(bary_to_cartesian(t, BaryCoords(*uvw)) for uvw in points)
+        for points in kernels.intouch_extouch(*t.sides())
+    )
+
+
+def ostar_arcs_reference(cfg) -> float:
+    """P3.5's check of one configuration, as the verifier ran it trial by
+    trial."""
+    t = _cfg_tri(cfg)
+    samples, arcs = sample_locus_ostar(t, 40)
+    if len(samples) < 20:
+        return 1.0
+    worst = max(samples.implicit_residual)
+    mids = (midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b))
+    for con in arcs.values():
+        worst = max(worst, max(residual(con, m) for m in mids))
+    return worst
+
+
+def soddy_line_reference(cfg) -> float:
+    """P4.10's check of one configuration, as the verifier ran it trial by
+    trial: the Triangle at the sextic's root (_sextic_triangles), a batch
+    of one, then its Soddy configuration (centers.soddy)."""
+    (t,) = _sextic_triangles([cfg["x"]])
+    if isinstance(t, Exception):
+        raise t
+    if t is None:
+        return 1.0
+    cfg_s = soddy(t)
+    if cfg_s.regime != "line":
+        return 1.0
+    line = cfg_s.outer_line
+    worst = 0.0
+    for (u, v) in ((t.a, t.b), (t.b, t.c), (t.c, t.a)):
+        center = midpoint(u, v)
+        radius = distance(u, v) / 2.0
+        worst = max(worst, abs(line.distance_to(center) - radius))
+    return worst

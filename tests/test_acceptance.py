@@ -50,13 +50,13 @@ from triconic.triads import (
     triad_vertices,
 )
 from triconic.verify import (
-    _sextic_triangles,
     random_flat_triangle,
     random_point_near,
     random_triangle,
 )
 
 from reference_checks import (
+    _sextic_triangles,
     anticevian_triangle,
     check_appendix,
     deltas,

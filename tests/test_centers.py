@@ -4,15 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from triconic import kernels
 from triconic.centers import (
     center_bary,
     circumcircle,
     classic_center,
     excircle_tangency_points,
-    excircles,
     half_tangent_sum,
     incircle,
-    intouch_extouch,
     kissing_circles,
     soddy,
     soddy_centers,
@@ -22,7 +21,14 @@ from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, dista
 from triconic.verify import random_triangle
 
 import reference_checks
-from reference_checks import anticevian_triangle, cevian_triangle, reflection_triangle
+from reference_checks import (
+    _sextic_triangles,
+    anticevian_triangle,
+    cevian_triangle,
+    excircles,
+    intouch_extouch,
+    reflection_triangle,
+)
 
 
 def test_classic_centers_345(t345):
@@ -203,6 +209,35 @@ def test_soddy_external_regime():
     for kc in cfg.kissing:
         gap = distance(cfg.outer_circle.center, kc.center)
         assert abs(gap - (cfg.outer_circle.radius + kc.radius)) < 1e-8
+
+
+@pytest.mark.parametrize("x", [-0.4, -0.1, 0.1, 0.35])
+def test_one_soddy_regime_rule_on_and_near_the_sextic(x):
+    # On the half-tangent sextic the outer Soddy circle is the Soddy line.
+    # With C's height moved by a relative 3e-10, X175 is still at infinity
+    # by kernels.bary_point's rule (under the default tolerance), and so
+    # the regime is still "line" and classic_center finds no X175.
+    (t,) = _sextic_triangles([x])
+    moved = [Triangle(t.a, t.b, Point2(t.c.x, t.c.y * (1.0 + rel))) for rel in (0.0, 3e-10, -3e-10)]
+    assert [soddy(m).regime for m in moved] == ["line"] * 3
+    for m in moved:
+        with pytest.raises(DegenerateResult):
+            classic_center(m, "X175")
+        corners = [c for v in m.vertices() for c in v.as_tuple()]
+        _, (_, _, far), _ = kernels.soddy(corners, m.sides())
+        assert far is True
+    # Off the sextic X175 is finite, the outer circle back.
+    assert soddy(Triangle(t.a, t.b, Point2(t.c.x, t.c.y * (1.0 + 1e-8)))).regime != "line"
+
+
+def test_soddy_rule_on_arrays_gives_the_bits_of_its_float_calls():
+    ts = _sextic_triangles(np.linspace(-0.45, 0.45, 19))
+    corners = np.array([[c for v in t.vertices() for c in v.as_tuple()] for t in ts]).T
+    with np.errstate(all="ignore"):  # X175's barycentrics may sum to 0
+        inner, (_, _, far), line = kernels.soddy(tuple(corners), kernels.triangle_sides(*corners))
+    for k, t in enumerate(ts):
+        one_inner, (_, _, one_far), one_line = kernels.soddy(corners[:, k].tolist(), t.sides())
+        assert [v[k].item() for v in (*inner, far, *line)] == [*one_inner, one_far, *one_line]
 
 
 def test_cevian_anticevian(t_generic, rng):

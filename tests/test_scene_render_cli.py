@@ -105,7 +105,7 @@ def test_vhyp_scene_builds_the_soddy_configuration_once(t345, monkeypatch):
     # The Soddy centers are read from the configuration whose circles the
     # scene draws: one centers.soddy call, X175 only off the line regime.
     from triconic import centers
-    from triconic.verify import _sextic_triangles
+    from reference_checks import _sextic_triangles
 
     for t, regime in ((t345, "contains"), (_sextic_triangles([0.1])[0], "line")):
         cfg, calls = centers.soddy(t), []

@@ -9,7 +9,6 @@ from triconic.centers import (
     circumcircle,
     classic_center,
     excircle_tangency_points,
-    intouch_extouch,
     soddy_centers,
 )
 from triconic import triads
@@ -43,6 +42,7 @@ import reference_checks
 from reference_checks import (
     conic_bary_to_cartesian,
     equal_area_check,
+    intouch_extouch,
     second_common_point,
     triad_covertices,
     two_branch_chords,

@@ -736,7 +736,7 @@ def test_crashed_trials_are_counted_by_type(monkeypatch):
     assert clean.note == ""
 
     check = _flaky(_soddy_one, {2: TypeError("injected")})
-    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=verify._per_trial(check)))
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=reference_checks._per_trial(check)))
     r = run_proposition(pid, seed=42, trials=5)
     assert r.crashed == 1
     assert r.errors == {"TypeError": 1}
@@ -751,12 +751,40 @@ def test_crashed_trials_are_counted_by_type(monkeypatch):
         _soddy_one,
         {0: ZeroDivisionError("first"), 1: TypeError("a"), 3: TypeError("last")},
     )
-    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=verify._per_trial(check)))
+    monkeypatch.setitem(verify._BY_ID, pid, dataclasses.replace(prop, run=reference_checks._per_trial(check)))
     r = run_proposition(pid, seed=42, trials=5)
     assert r.crashed == 3
     assert list(r.errors.items()) == [("TypeError", 2), ("ZeroDivisionError", 1)]
     assert r.note == "TypeError: last"
     assert r.witness == check.seen[0]  # the first strict maximum
+
+
+def test_a_crashed_ostar_sweep_fails_only_its_own_trial(monkeypatch):
+    # P3.5 sweeps each triangle alone; the others keep their residuals.
+    prop = verify._BY_ID["P3.5-ostar-three-arcs"]
+    cfgs = _drawn(prop, 42)
+    clean = _results(prop.run, cfgs)
+    failed, sweeps = TypeError("injected"), []
+
+    def sweep(t, n, _real=verify.sample_locus_ostar):
+        sweeps.append(t)
+        if len(sweeps) == 2:
+            raise failed
+        return _real(t, n)
+
+    monkeypatch.setattr(verify, "sample_locus_ostar", sweep)
+    assert _results(prop.run, cfgs) == [clean[0], failed, *clean[2:]]
+
+
+@pytest.mark.parametrize("pid, name", [("P3.6-equilateral-arcs", "equilateral_ostar_locus_check"),
+                                       ("P3.7-equilateral-regions", "region_map")])
+def test_a_fixed_configuration_is_checked_once_a_run(pid, name, monkeypatch):
+    # P3.6 and P3.7 check one fixed configuration: once, for every trial.
+    calls = []
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: calls.append(args) or real(*args))
+    r = run_proposition(pid, seed=42, trials=4)
+    assert len(calls) == 1 and (r.trials, r.crashed, r.witness) == (4, 0, {})
 
 
 def test_a_crashed_batch_draw_fails_every_trial(monkeypatch):
@@ -845,10 +873,10 @@ def test_a_crashing_replay_raises_with_a_fresh_traceback():
     assert depths[0] == depths[1] == depths[2]
 
 
-def test_manifest_builds_one_dict_a_witness_and_a_per_trial_check(monkeypatch):
+def test_manifest_builds_one_dict_a_proposition_its_witness(monkeypatch):
     # The configurations go from the draw through the check to the report
-    # as columns: a seed-42 manifest builds a configuration dict for each
-    # proposition's witness and for each trial of the three per-trial checks.
+    # as columns: a seed-42 manifest builds one configuration dict for each
+    # proposition, its witness's.
     calls = Counter()
     pid = None
 
@@ -859,8 +887,7 @@ def test_manifest_builds_one_dict_a_witness_and_a_per_trial_check(monkeypatch):
     monkeypatch.setattr(verify.ConfigTable, "row", counted)
     for pid in PROPOSITION_IDS:
         run_proposition(pid, 42)
-    per_trial = {"P3.5-ostar-three-arcs": 3, "P3.6-equilateral-arcs": 1, "P3.7-equilateral-regions": 1}
-    assert calls == {pid: 1 + per_trial.get(pid, 0) for pid in PROPOSITION_IDS}
+    assert calls == dict.fromkeys(PROPOSITION_IDS, 1)
 
 
 def _never_rectangular_reference(cfg):
@@ -1256,7 +1283,7 @@ def _intouch_extouch_reference(cfg):
     if tr.has_degenerate_member():
         return 0.0
     verts = triads.triad_vertices(tr)
-    ins, exts = centers.intouch_extouch(t)
+    ins, exts = reference_checks.intouch_extouch(t)
     s = t.scale()
     worst = 0.0
     for i in range(3):
@@ -1455,11 +1482,17 @@ def test_batch_triangle_checks_crash_where_float_checks_do(pid):
         assert batch[-2:] == [0.0, 0.0]
 
 
-def test_circumcircle_residual_reads_the_crossing_nearest_the_circle():
+def test_circumcircle_residual_reads_the_crossing_nearest_the_circle(monkeypatch):
     # P3.4's ray can cross an interior branch of the degeneracy locus before
     # the circumcircle: the crossing nearest s = 1 decides, not the first.
-    assert verify._circumcircle_residual((0.0, [0.985, 1.0 + 1e-7])) == pytest.approx(1e-10, rel=1e-6)
-    assert verify._circumcircle_residual((0.0, [1.0 - 1e-7, 1.02])) == pytest.approx(1e-10, rel=1e-6)
+    # A ray without a crossing reads 1.0, and a failed scan crashes its trial.
+    failed = NotConverged("injected")
+    crossings = [[0.985, 1.0 + 1e-7], [1.0 - 1e-7, 1.02], [], failed]
+    monkeypatch.setattr(verify, "_scan_rays", lambda *args: crossings)
+    monkeypatch.setattr(verify, "_at_rays", lambda *args: np.zeros(4))
+    res, errs = verify._chk_degenerate_on_circumcircle(None, None)
+    assert res[:2].tolist() == pytest.approx([1e-10, 1e-10], rel=1e-6)
+    assert res[2] == 1.0 and errs == {3: failed}
 
 
 def _assert_within_unit_rounding(batch, ref):
@@ -1964,6 +1997,8 @@ _OBJECT_REFERENCES = {
     "P2.9-covertex-locus": reference_checks.covertex_locus_reference,
     "P3.9-covertex-equilateral-P": reference_checks.covertex_equilateral_reference,
     "P4.6-halftangent-sextic": reference_checks.halftangent_reference,
+    "P3.5-ostar-three-arcs": reference_checks.ostar_arcs_reference,
+    "P4.10-soddy-line-tangent": reference_checks.soddy_line_reference,
 }
 
 
@@ -2022,13 +2057,14 @@ _INJECTED = {
 }
 # The conditions both paths scan, by proposition, each with the rays on
 # which the injected fault takes its root away: P2.9's rays into x < 0,
-# P3.9's nearer A than B, and P4.6's sextic on x < 0 and the converse
-# condition on x > 0.2.
+# P3.9's nearer A than B, P4.6's sextic on x < 0 and the converse
+# condition on x > 0.2, and P4.10's sextic on x < 0.
 _ROOTLESS = {
     "P2.9-covertex-locus": {"covertex_conconic_V": lambda x, y: x < 0.0},
     "P3.9-covertex-equilateral-P": {"covertex_condition_equilateral_P": lambda da, db, dc: da > db},
     "P4.6-halftangent-sextic": {"halftangent_sextic": lambda x, y: x < 0.0,
                                 "_half_tangent_gap": lambda y, x: x > 0.2},
+    "P4.10-soddy-line-tangent": {"halftangent_sextic": lambda x, y: x < 0.0},
 }
 _SCAN_FAULTS = (("DriverNotOnLocus",), ("NotConverged",), ("DriverNotOnLocus", "NotConverged"))
 
@@ -2037,10 +2073,11 @@ _SCAN_FAULTS = (("DriverNotOnLocus",), ("NotConverged",), ("DriverNotOnLocus", "
     *(("P2.9-covertex-locus", f) for f in (*_SCAN_FAULTS, ("RankDeficient",), ("DegenerateTriangle", "RankDeficient"))),
     *(("P3.9-covertex-equilateral-P", f) for f in (*_SCAN_FAULTS, ("RankDeficient",), ("DegenerateMember", "RankDeficient"))),
     *(("P4.6-halftangent-sextic", f) for f in _SCAN_FAULTS),
+    *(("P4.10-soddy-line-tangent", f) for f in _SCAN_FAULTS),
 ])
 def test_array_checks_crash_where_their_object_references_do(pid, faults, monkeypatch):
-    # Injected faults: a condition without a sign change (P4.6 reads 1.0
-    # there), a Brent polish that fails (loci._brent_cell), a vanishing
+    # Injected faults: a condition without a sign change (P4.6 and P4.10
+    # read 1.0 there), a Brent polish that fails (loci._brent_cell), a vanishing
     # co-vertex fit (kernels.fit_six), Triangle's refusal (P2.9) and a
     # collapsing member (P3.9) crash the trials the object path crashes,
     # with its exception types and in its order, and leave the others'
@@ -2058,7 +2095,7 @@ def test_array_checks_crash_where_their_object_references_do(pid, faults, monkey
     batch, ref = _results(prop.run, cfgs), _reference_run(_OBJECT_REFERENCES[pid], cfgs)
     assert _same_results(batch, ref)
     outcomes = Counter(type(r).__name__ for r in ref)
-    if pid == "P4.6-halftangent-sextic" and "DriverNotOnLocus" in faults:
+    if pid in ("P4.6-halftangent-sextic", "P4.10-soddy-line-tangent") and "DriverNotOnLocus" in faults:
         assert 1.0 in ref
         faults = faults[1:]
     assert outcomes["float"] and all(outcomes[f] for f in faults), outcomes

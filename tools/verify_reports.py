@@ -16,7 +16,12 @@ kinds on the README's triangle "0,3 4,0 0,0" and on its (10, 10)
 translate, and one 80x70 map, of more than 4,096 cells
 (DIR/regions_*.json, each with its PPM beside it), and builds and renders
 the README's two scenes on that triangle (DIR/scene_v_ell.svg,
-DIR/scene_soddy.svg, each from the scene JSON beside it), with the
+DIR/scene_soddy.svg) and two V-hyperbola scenes that pin the Soddy-line
+regime rule: one on a triangle of the half-tangent sextic, where the
+outer Soddy circle is a line (DIR/scene_soddy_line.svg), and one on the
+same triangle with C's height moved by 3e-10
+(DIR/scene_soddy_line_moved.svg), each from the scene JSON beside it,
+with the
 caller's PYTHONPATH, so the outputs of another checkout come from
 pointing PYTHONPATH at its `src`.  A CLI exit of 1 (some proposition
 failed) is a report like any other; an exit of 2 is an error.
@@ -72,9 +77,17 @@ REGIONS = tuple(
     ("regions_p-ell_80x70.json",
      ["regions", "--kind", "p-ell", "--triangle", README_TRIANGLE, "--grid", "80x70"]),
 )
+# A triangle on the half-tangent sextic (tan(A/2) + tan(B/2) + tan(C/2) =
+# 2, the Soddy-line regime) and the same triangle with C's height moved by
+# 3e-10, each point's floats as their repr.
+SEXTIC_TRIANGLE = "-1.0,0.0 1.0,0.0 0.1,0.7455902263442132"
+SEXTIC_MOVED = "-1.0,0.0 1.0,0.0 0.1,0.7455902265678903"
+# (SVG, triangle, construct arguments) of each scene.
 SVGS = (
-    ("scene_v_ell.svg", ["--triad", "v-ell"]),
-    ("scene_soddy.svg", ["--triad", "v-hyp", "--center", "X20"]),
+    ("scene_v_ell.svg", README_TRIANGLE, ["--triad", "v-ell"]),
+    ("scene_soddy.svg", README_TRIANGLE, ["--triad", "v-hyp", "--center", "X20"]),
+    ("scene_soddy_line.svg", SEXTIC_TRIANGLE, ["--triad", "v-hyp"]),
+    ("scene_soddy_line_moved.svg", SEXTIC_MOVED, ["--triad", "v-hyp"]),
 )
 
 
@@ -93,9 +106,9 @@ def _runs(out: pathlib.Path):
     for name, args in REGIONS:
         ppm = out / name.replace(".json", ".ppm")
         yield out / name, [*args, "--out", str(ppm), "--json", str(out / name)]
-    for name, args in SVGS:
+    for name, triangle, args in SVGS:
         scene, svg = out / name.replace(".svg", ".json"), out / name
-        yield scene, ["construct", "--triangle", README_TRIANGLE, *args, "--out", str(scene)]
+        yield scene, ["construct", f"--triangle={triangle}", *args, "--out", str(scene)]
         yield svg, ["render", "--scene", str(scene), "--out", str(svg)]
 
 
@@ -159,7 +172,7 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
         if json.dumps(rest_a) != json.dumps(rest_b):
             differ = True
             print(f"{name}: report fields differ: {rest_a} -> {rest_b}")
-    for kind, names in (("locus", [name for name, _ in LOCI]), ("SVG", [name for name, _ in SVGS])):
+    for kind, names in (("locus", [name for name, _ in LOCI]), ("SVG", [name for name, *_ in SVGS])):
         for name in names:
             text_a, text_b = ((d / name).read_text() for d in (a, b))
             if text_a != text_b:
