@@ -53,8 +53,9 @@ Privalov's barycentric matrix of the V-hyperbola six-point conic, which
 P4.3 and P4.4 read on arrays.
 `covertices` is the one co-vertex rule, each member's two points across
 its focal axis from its center, from `_sides_deltas`' sides and axes:
-`loci.covertex_conconic_V` reads it, and so do the P2.9 and P3.9 checks
-on arrays, which fit the co-vertices by `fit_six` and `residual6`.
+the P2.9 and P3.9 checks read it on arrays, at drivers located on the
+loci's closed-form conditions, and fit the co-vertices by `fit_six` and
+`residual6`.
 `carnot` and `kept_gap` are the sideline and distinct-vertex rules of the
 six-point conic; only `triads` applies them (`_six_point_fit`,
 `_carnot_rule`), on floats and arrays alike.  `triangle_sides` is the

@@ -5,11 +5,13 @@ Coordinate conventions for the plane curves follow the source constructions:
 the quartic center locus uses A=(1/2,0), B=(-1/2,0); the co-vertex locus
 and the half-tangent sextic use A=(-1,0), B=(1,0).  The functionals are
 evaluated in (sidelengths, focal sums/differences) form, radicals on the
-positive branch.  The co-vertex locus has its determinant condition too
-(covertex_conconic_V, on kernels.covertices' co-vertices), which the
-verifier's P2.9 scans for its drivers, as P3.9 scans
-covertex_condition_equilateral_P; the co-vertex conics themselves are
-checked there, on arrays.
+positive branch.  The co-vertex locus (covertex_locus_V) is the paper's
+displayed radical equation with its lengths taken as rho = 2|CA| and
+2|CB|, the convention under which its zero set is the locus where the six
+co-vertices are conconic (the vanishing of their 6x6 design determinant);
+the verifier's P2.9 scans it for its drivers, as P3.9 scans
+covertex_condition_equilateral_P, and checks the co-vertex conics there
+on kernels.covertices, on arrays.
 """
 
 from __future__ import annotations
@@ -81,9 +83,18 @@ def parabola_deg8_V(a, b, c):
 
 def covertex_locus_V(x: float, y: float) -> float:
     """Locus of C such that the six V-ellipse co-vertices are conconic,
-    A=(-1,0), B=(1,0)."""
-    rho1 = kernels._hypot(x + 1.0, y)  # |CA|
-    rho2 = kernels._hypot(x - 1.0, y)  # |CB|
+    A=(-1,0), B=(1,0); floats or arrays, bit for bit alike (powers as
+    products).
+
+    The displayed equation t1 rho1 rho2 + t2 (rho1 + rho2) + 2x t3 (rho1 -
+    rho2) + t4, evaluated at rho1 = 2|CA| and rho2 = 2|CB|: at that
+    convention, and not at rho = |CA|, |CB|, its zero set is the locus
+    where the 6x6 design determinant of the six co-vertices vanishes (it
+    is 4 times t1 |CA||CB| + t2/2 (|CA| + |CB|) + x t3 (|CA| - |CB|) +
+    t4/4).  The lengths are kernels._hypot's, and doubling is exact.
+    """
+    rho1 = 2.0 * kernels._hypot(x + 1.0, y)  # 2|CA|
+    rho2 = 2.0 * kernels._hypot(x - 1.0, y)  # 2|CB|
     x2, y2 = x * x, y * y
     t1 = (
         x2 * x2 * x2
@@ -859,27 +870,8 @@ def trace_zero_set(fn, bbox, n_seeds: int = 64) -> list[list[Point2]]:
 
 
 # ---------------------------------------------------------------------------
-# The co-vertex determinant and the sign-change scans
+# The sign-change scans
 # ---------------------------------------------------------------------------
-
-def covertex_conconic_V(x, y):
-    """Determinant form of the V-ellipse co-vertex conconic condition,
-    A=(-1,0), B=(1,0): the 6x6 design determinant of the six co-vertices
-    of C = (x, y) (kernels.covertices, from the sides and axes of
-    kernels._sides_deltas), on floats or arrays.
-
-    This is the independent oracle for the co-vertex locus; the displayed
-    radical equation (covertex_locus_V) does not reproduce it and is kept
-    only as the verbatim evaluation.
-    """
-    corners = (-1.0, 0.0, 1.0, 0.0, x, y)
-    sides, axes, _ = kernels._sides_deltas(*corners, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-    rows = [(px * px, px * py, py * py, px, py, np.ones_like(px))
-            for px, py in zip(*kernels.covertices(corners, sides, axes))]
-    # rows[r][col] -> one 6x6 matrix per C.
-    det = np.linalg.det(np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1)))
-    return float(det) if np.ndim(det) == 0 else det
-
 
 _BRENT_XTOL = 1e-300
 _BRENT_RTOL = 8.9e-16  # just above 4 * eps, the least the method can hold

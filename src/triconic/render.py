@@ -86,7 +86,8 @@ def _conic_samples(c: Conic, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
             g, h = split_degenerate(framed)
         except LineOnConic:
             return []
-        lines = (LineEq(ln.l, ln.m, ln.n * s - ln.l * ox - ln.m * oy) for ln in (g, h))
+        lines = (LineEq(ln.l, ln.m, ln.n * s - ln.l * ox - ln.m * oy)
+                 for ln in ((g,) if g == h else (g, h)))
         return [seg for line in lines for seg in _clip_line(line, bbox)]
     m = framed.m
     Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])

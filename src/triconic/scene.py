@@ -12,9 +12,11 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .conic import Conic
 from .centers import Circle
-from .geom import Point2, Triangle
+from .geom import Point2, Triangle, distance, midpoint
 from .triads import ConicTriad, build_triad, six_point_conic, triad_vertices
 
 
@@ -200,7 +202,10 @@ def _point(value, where: str) -> Point2:
 
 def scene_for_triad(t: Triangle, kind: str, p: Point2 | None = None) -> Scene:
     """Standard construction scene: triangle, triad, six-point conic, and the
-    kind's decorations (Soddy circles and centers for the V-hyperbola)."""
+    kind's decorations (Soddy circles and centers for the V-hyperbola; in
+    the Soddy-line regime the line g = (l, m, n) as its double-line conic
+    g g^T, that is (l x + m y + n)^2, with the circles on the sides as
+    diameters, which it touches (P4.10) and which bring it into view)."""
     from .centers import soddy
 
     sc = Scene(triangle=t, p=p)
@@ -217,4 +222,9 @@ def scene_for_triad(t: Triangle, kind: str, p: Point2 | None = None) -> Scene:
         if cfg.regime != "line":
             sc.circles.append(cfg.outer_circle)
             sc.add_point("X175", cfg.outer_circle.center)
+        else:
+            g = (cfg.outer_line.l, cfg.outer_line.m, cfg.outer_line.n)
+            sc.conics.append(Conic(np.outer(g, g)))
+            a, b, c = t.vertices()
+            sc.circles += [Circle(midpoint(u, v), distance(u, v) / 2.0) for u, v in ((a, b), (b, c), (c, a))]
     return sc

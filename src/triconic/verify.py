@@ -122,8 +122,8 @@ from .loci import (
     _circle_conditions,
     batch_sign_changes,
     bracket_sign_changes,
-    covertex_conconic_V,
     covertex_condition_equilateral_P,
+    covertex_locus_V,
     equilateral_ostar_locus_check,
     halftangent_sextic,
     parabola_deg8_V,
@@ -800,8 +800,8 @@ def _covertex_fits(angles, condition, lo, hi, triad, faults) -> tuple:
         ]
 
 
-def _covertex_det_on_ray(s, dx, dy):
-    return covertex_conconic_V(s * dx, s * dy)
+def _covertex_locus_on_ray(s, dx, dy):
+    return covertex_locus_V(s * dx, s * dy)
 
 
 def _refusal(args, sides, bad) -> list:
@@ -813,12 +813,13 @@ def _refusal(args, sides, bad) -> list:
 
 def _chk_covertex_locus_V(cfgs) -> tuple:
     """P2.9 on all configurations at once: C on the co-vertex locus of
-    A=(-1,0), B=(1,0), located on the determinant condition
-    (covertex_conconic_V) along each ray from the origin, s in [0.35, 3]
-    (_covertex_fits); the six V-ellipse co-vertices must be conconic
-    (residual6), the conic a hyperbola, else 1.0."""
+    A=(-1,0), B=(1,0), located on the paper's displayed equation
+    (covertex_locus_V, at rho = 2|CA| and 2|CB|) along each ray from the
+    origin, s in [0.35, 3] (_covertex_fits); there the six V-ellipse
+    co-vertices of kernels.covertices, a rule the scan does not read,
+    must be conconic (residual6), the conic a hyperbola, else 1.0."""
     _, fit, res6, faults = _covertex_fits(
-        cfgs["angle"], _covertex_det_on_ray, 0.35, 3.0,
+        cfgs["angle"], _covertex_locus_on_ray, 0.35, 3.0,
         lambda x, y: (*np.broadcast_arrays(-1.0, 0.0, 1.0, 0.0, x, y), kernels.KIND_V_ELLIPSE, 0.0, 0.0),
         _refusal)
     with np.errstate(all="ignore"):

@@ -60,6 +60,12 @@ trial.  verify._sextic_triangles (_sextic_triangles), the Triangles of
 P4.10's sextic roots, lost its last package caller then.
 centers.excircles and centers.intouch_extouch (excircles,
 intouch_extouch) were functions that only tests called.
+
+loci.covertex_conconic_V (covertex_conconic_V), the 6x6 design
+determinant of the six V-ellipse co-vertices, was the condition P2.9
+scanned until the displayed co-vertex equation (loci.covertex_locus_V)
+took its lengths at rho = 2|CA|, 2|CB| and became the one co-vertex
+locus rule; it is kept as that equation's oracle.
 """
 
 from __future__ import annotations
@@ -110,7 +116,6 @@ from triconic.geom import (
 from triconic.loci import (
     _CONCENTRIC_TOL,
     batch_sign_changes,
-    covertex_conconic_V,
     covertex_condition_equilateral_P,
     covertex_locus_V,
     phyp_circle_functional,
@@ -554,16 +559,15 @@ def covertex_conic_check(kind: str, ray_angle: float = 1.25) -> CovertexReport:
     of the fit.
 
     kind "v_ellipse": C on the locus, A=(-1,0), B=(1,0); the driver is
-    located on the determinant condition (the displayed radical equation
-    disagrees with it, see covertex_conconic_V) and the report carries the
-    verbatim implicit's value at the driver for reference.
+    located on the displayed equation (covertex_locus_V, at rho = 2|CA|
+    and 2|CB|), and the report carries its value at the driver.
     kind "p_equilateral": P on the equilateral condition (circumradius 1);
     additionally checks that the co-vertex conic center lies on the incircle.
     """
     if kind == "v_ellipse":
         A, B = Point2(-1.0, 0.0), Point2(1.0, 0.0)
         dx, dy = math.cos(ray_angle), math.sin(ray_angle)
-        g = lambda r: covertex_conconic_V(r * dx, r * dy)
+        g = lambda r: covertex_locus_V(r * dx, r * dy)
         r = _first_root(g, 0.35, 3.0)
         C = Point2(r * dx, r * dy)
         t = Triangle(A, B, C)
@@ -1013,3 +1017,22 @@ def soddy_line_reference(cfg) -> float:
         radius = distance(u, v) / 2.0
         worst = max(worst, abs(line.distance_to(center) - radius))
     return worst
+
+
+def covertex_conconic_V(x, y):
+    """Determinant form of the V-ellipse co-vertex conconic condition,
+    A=(-1,0), B=(1,0): the 6x6 design determinant of the six co-vertices
+    of C = (x, y) (kernels.covertices, from the sides and axes of
+    kernels._sides_deltas), on floats or arrays.
+
+    This is the independent oracle for the co-vertex locus: the displayed
+    radical equation (covertex_locus_V) has its zero set at rho = 2|CA|
+    and 2|CB|, and not at rho = |CA| and |CB|.
+    """
+    corners = (-1.0, 0.0, 1.0, 0.0, x, y)
+    sides, axes, _ = kernels._sides_deltas(*corners, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    rows = [(px * px, px * py, py * py, px, py, np.ones_like(px))
+            for px, py in zip(*kernels.covertices(corners, sides, axes))]
+    # rows[r][col] -> one 6x6 matrix per C.
+    det = np.linalg.det(np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1)))
+    return float(det) if np.ndim(det) == 0 else det

@@ -183,23 +183,30 @@ def test_conic_line_rule_lives_in_kernels():
 
 
 def test_covertex_rule_lives_in_kernels():
-    # kernels.covertices is the package's one co-vertex rule: the co-vertex
-    # locus's determinant condition reads it, and so do the P2.9 and P3.9
-    # checks through their one helper; no module keeps the object path's
-    # co-vertex check or its copies of the rule.
-    copies = {"covertex_conic_check", "triad_covertices", "covertices_of_focal_conic"}
+    # kernels.covertices is the package's one co-vertex rule, and the P2.9
+    # and P3.9 checks read it through their one helper, its one reader; no
+    # module keeps the object path's co-vertex check or its copies of the
+    # rule, nor the co-vertex determinant, so P2.9 scans the displayed
+    # locus (loci.covertex_locus_V), a rule apart from the co-vertices it
+    # checks.
+    copies = {"covertex_conic_check", "triad_covertices", "covertices_of_focal_conic",
+              "covertex_conconic_V"}
     defined = {p.name: {node.name for node in ast.walk(ast.parse(p.read_text()))
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))} & copies
                for p in PACKAGE.glob("*.py")}
     assert {name: names for name, names in defined.items() if names} == {}
-    functions = {}
-    for module in ("loci.py", "verify.py"):
-        for stmt in ast.parse((PACKAGE / module).read_text()).body:
-            functions.update(dict.fromkeys(_definitions(stmt), stmt))
-    for name in ("covertex_conconic_V", "_covertex_fits"):
-        assert _kernel_readers(ast.unparse(functions[name]), {"covertices"}) == {"covertices"}, name
+    readers, functions = set(), {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(p.read_text()).body:
+            if p.name == "verify.py":
+                functions.update(dict.fromkeys(_definitions(stmt), stmt))
+            if _kernel_readers(ast.unparse(stmt), {"covertices"}):
+                readers.update(f"{p.name}:{name}" for name in _definitions(stmt))
+    assert readers == {"verify.py:_covertex_fits"}
     for check in ("_chk_covertex_locus_V", "_chk_covertex_equilateral_P"):
         assert "_covertex_fits" in _references(functions[check]), check
+    assert "covertex_locus_V" in _references(functions["_covertex_locus_on_ray"])
+    assert "_covertex_locus_on_ray" in _references(functions["_chk_covertex_locus_V"])
 
 
 def test_package_runs_without_scipy(cli_env):

@@ -20,7 +20,6 @@ from triconic.errors import (
 )
 from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, distance
 from triconic.loci import (
-    covertex_conconic_V,
     covertex_condition_equilateral_P,
     covertex_locus_V,
     equilateral_ostar_locus_check,
@@ -49,6 +48,7 @@ from triconic.triads import (
 from triconic.verify import random_flat_triangle, random_triangle
 
 from reference_checks import (
+    covertex_conconic_V,
     covertex_conic_check,
     deltas,
     is_circle,
@@ -1203,9 +1203,9 @@ def test_brent_raises_not_converged_with_its_last_iterate():
 
 
 def _covertex_locus_V_reference(x, y):
-    """covertex_locus_V with |CA| and |CB| by the package's one length rule
-    (kernels._hypot), its powers written as products."""
-    rho1, rho2 = kernels._hypot(x + 1.0, y), kernels._hypot(x - 1.0, y)
+    """covertex_locus_V with 2|CA| and 2|CB| by the package's one length
+    rule (kernels._hypot), its powers written as products."""
+    rho1, rho2 = 2.0 * kernels._hypot(x + 1.0, y), 2.0 * kernels._hypot(x - 1.0, y)
     x2, y2 = x * x, y * y
     x4, x6, y6 = x2 * x2, x2 * x2 * x2, y2 * y2 * y2
     t1 = (x6 - (2.0 * y2 + 3.0) * x4 - (3.0 * y2 * y2 - 8.0 * y2 - 3.0) * x2
@@ -1220,14 +1220,33 @@ def _covertex_locus_V_reference(x, y):
 
 
 def test_covertex_locus_measures_with_the_length_rule():
-    # |CA| and |CB| are kernels._hypot's lengths, bit for bit, on floats (as
-    # the zero-set tracer reads it) and on arrays (an expanded x*x + y*y +-
-    # 2x + 1 differs in the last bits on about a fifth of these points).
+    # 2|CA| and 2|CB| are kernels._hypot's lengths doubled, bit for bit,
+    # on floats (as the zero-set tracer reads it) and on arrays (an
+    # expanded x*x + y*y +- 2x + 1 differs in the last bits on about a
+    # fifth of these points).
     x, y = np.random.default_rng(20).uniform(-2.0, 2.0, (2, 2000))
     assert covertex_locus_V(x, y).tolist() == _covertex_locus_V_reference(x, y).tolist()
     points = list(zip(x.tolist(), y.tolist()))
     want = [_covertex_locus_V_reference(a, b) for a, b in points]
     assert [covertex_locus_V(a, b) for a, b in points] == want
+
+
+def test_covertex_locus_has_the_roots_of_the_covertex_determinant():
+    # The displayed equation at rho = 2|CA|, 2|CB| vanishes where the 6x6
+    # design determinant of the six co-vertices does (covertex_conconic_V,
+    # on kernels.covertices): along five rays from the origin, s in [0.05,
+    # 6], both have the same roots, 4, 3, 2, 2 and 4 of them, to 1e-12.  At
+    # rho = |CA|, |CB| the roots part by up to 0.27.
+    angles = [0.2, 0.9, 1.4, 2.0, 2.8]
+    dx, dy = np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
+
+    def roots(fn):
+        f = lambda s, k: fn(s * dx[k], s * dy[k])  # noqa: E731
+        return loci.batch_sign_changes(f, [0.05] * 5, [6.0] * 5, 600)
+
+    locus, det = roots(covertex_locus_V), roots(covertex_conconic_V)
+    assert [len(r) for r in locus] == [len(r) for r in det] == [4, 3, 2, 2, 4]
+    assert max(abs(a - b) for ra, rb in zip(locus, det) for a, b in zip(ra, rb)) <= 1e-12
 
 
 def test_covertex_locus_gives_floats_the_bits_of_arrays():

@@ -117,6 +117,40 @@ def test_vhyp_scene_builds_the_soddy_configuration_once(t345, monkeypatch):
         assert points.get("X175") == (None if regime == "line" else cfg.outer_circle.center)
 
 
+def test_vhyp_scene_draws_the_soddy_line():
+    # On a triangle of the half-tangent sextic the outer Soddy circle is a
+    # line: the scene holds it as its one conic, the double line (l x + m y
+    # + n)^2, with the three circles on the sides as diameters, which it
+    # touches (P4.10), and the SVG draws it once, as one segment on the
+    # line.
+    from triconic import centers
+    from triconic.conic import ConicClass, classify
+
+    t = Triangle(Point2(-1.0, 0.0), Point2(1.0, 0.0), Point2(0.1, 0.7455902263442132))
+    line = centers.soddy(t).outer_line
+    sc = scene_for_triad(t, "v_hyperbola")
+    assert len(sc.conics) == 1
+    assert classify(sc.conics[0]) == ConicClass.DEGENERATE_PARALLEL_LINES
+    l, m, n = line.l, line.m, line.n
+    want = Conic.from_coeffs((l * l, 2 * l * m, m * m, 2 * l * n, 2 * m * n, n * n))
+    assert np.array_equal(sc.conics[0].m, want.m)
+    assert [c.radius for c in sc.circles[1:]] == [distance(p, q) / 2.0 for p, q in
+                                                 ((t.a, t.b), (t.b, t.c), (t.c, t.a))]
+    assert max(abs(abs(line.eval_point(c.center)) / math.hypot(l, m) - c.radius)
+               for c in sc.circles[1:]) <= 1e-12
+    assert Scene.loads(sc.dumps()).dumps() == sc.dumps()
+    paths = [
+        el.attrib["d"] for el in ET.fromstring(emit_svg(sc)).iter()
+        if el.tag.endswith("path") and el.attrib.get("stroke") == "#aa3377"
+        and "stroke-dasharray" not in el.attrib
+    ]
+    assert len(paths) == 1 and paths[0].count("L") == 1
+    toks = [float(tok) for tok in paths[0].replace("M", " ").replace("L", " ").split()]
+    ends = [Point2(toks[i], -toks[i + 1]) for i in (0, 2)]
+    assert distance(*ends) > 1.0
+    assert max(abs(line.eval_point(p)) for p in ends) <= 1e-5 * math.hypot(l, m)
+
+
 def _scene_conic_samples(dx, dy):
     """render._conic_samples of every conic of the four triad scenes of the
     (0.1,0.2) (1.3,0.15) (0.5,1.1) triangle moved by (dx, dy), P at (1, 1)

@@ -684,6 +684,22 @@ def test_negative_control_tolerance():
         config.set_tol(old)
 
 
+def test_covertex_locus_fails_on_a_moved_covertex(monkeypatch):
+    # A negative control for P2.9: its scan reads the displayed locus
+    # (loci.covertex_locus_V) and its residual the co-vertices
+    # (kernels.covertices), so A' moved by 1e-2 must fail it.  A scan on
+    # the co-vertices' own determinant would move its roots with them and
+    # keep them conconic.
+    def moved(corners, sides, axes, _real=kernels.covertices):
+        xs, ys = _real(corners, sides, axes)
+        return xs, [ys[0] + 1e-2, *ys[1:]]
+
+    assert run_proposition("P2.9-covertex-locus", seed=42).passed
+    monkeypatch.setattr(kernels, "covertices", moved)
+    r = run_proposition("P2.9-covertex-locus", seed=42)
+    assert not r.passed and r.max_residual > 1e-6
+
+
 def test_chords_x20_reports_its_residual(monkeypatch):
     # P2.4 returns its worst chord distance over the circumdiameter, not a
     # flag: with X20 moved by 1e-6 of the circumdiameter, the check reads
@@ -2060,7 +2076,7 @@ _INJECTED = {
 # P3.9's nearer A than B, P4.6's sextic on x < 0 and the converse
 # condition on x > 0.2, and P4.10's sextic on x < 0.
 _ROOTLESS = {
-    "P2.9-covertex-locus": {"covertex_conconic_V": lambda x, y: x < 0.0},
+    "P2.9-covertex-locus": {"covertex_locus_V": lambda x, y: x < 0.0},
     "P3.9-covertex-equilateral-P": {"covertex_condition_equilateral_P": lambda da, db, dc: da > db},
     "P4.6-halftangent-sextic": {"halftangent_sextic": lambda x, y: x < 0.0,
                                 "_half_tangent_gap": lambda y, x: x > 0.2},

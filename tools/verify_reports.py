@@ -10,15 +10,17 @@ with `--tol 1e-8` (DIR/tol8.json), with `--threads 2`
 batched checks are compared at more than their default trials), the
 README's x478 and O* loci
 (DIR/locus_x478.json, DIR/locus_ostar.json), the zero sets of the
-half-tangent sextic and of the x478 quartic (DIR/locus_sextic.json,
-DIR/locus_x478_zero_set.json), the `regions --json` maps of the three
+half-tangent sextic, of the x478 quartic and of the V-ellipse co-vertex
+locus (DIR/locus_sextic.json, DIR/locus_x478_zero_set.json,
+DIR/locus_covertex_zero_set.json), the `regions --json` maps of the three
 kinds on the README's triangle "0,3 4,0 0,0" and on its (10, 10)
 translate, and one 80x70 map, of more than 4,096 cells
 (DIR/regions_*.json, each with its PPM beside it), and builds and renders
 the README's two scenes on that triangle (DIR/scene_v_ell.svg,
 DIR/scene_soddy.svg) and two V-hyperbola scenes that pin the Soddy-line
 regime rule: one on a triangle of the half-tangent sextic, where the
-outer Soddy circle is a line (DIR/scene_soddy_line.svg), and one on the
+outer Soddy circle is a line, drawn with the circles on the sides as
+diameters that it touches (DIR/scene_soddy_line.svg), and one on the
 same triangle with C's height moved by 3e-10
 (DIR/scene_soddy_line_moved.svg), each from the scene JSON beside it,
 with the
@@ -63,6 +65,11 @@ LOCI = (
         "locus_x478_zero_set.json",
         ["locus", "--kind", "zero-set:x478_quartic", "--samples", "400",
          "--bbox=-0.8,0.8,-0.3,1.3", "--out"],
+    ),
+    (
+        "locus_covertex_zero_set.json",
+        ["locus", "--kind", "zero-set:covertex_locus_V", "--samples", "400",
+         "--bbox=-2.5,2.5,-2.5,2.5", "--out"],
     ),
 )
 
