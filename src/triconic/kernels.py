@@ -35,10 +35,11 @@ P3.3, P4.3, A3, A6 and P5.5 trials; `loci.sample_locus_ostar` calls
 column of cell ys; neither reads residual6.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
-the closed-form line pair of each (`focal_pairs`, whose lines the P4.8
-trials read), on arrays, every pair and candidate at once, for the P2.4,
-P4.7 and P5.6 trials, and through `second_point` (a P-hyperbola triad's
-second common point) for the P5.1 trials.  A call on floats, from
+the closed-form line pair of each (`focal_pairs`, whose lines, the pair
+chords, the P2.4 and P4.8 trials read), on arrays, every pair and
+candidate at once, for the P4.7 and P5.6 trials, and through
+`second_point` (a P-hyperbola triad's second common point) for the P5.1
+trials.  A call on floats, from
 `triads.pairwise_intersections`, is a batch of one.  `members` picks each
 member's unit-norm coefficients out of `focal_pairs`, for `conic_residual`
 and `tangency_disc` (P2.3, P2.5); `conic_residual` is also

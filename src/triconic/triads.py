@@ -6,8 +6,8 @@ Each triad is centered at the side midpoints and its six vertices lie on a
 conic.  The per-kind concurrency and incidence claims are checked in
 verify, each in its proposition, on the kernels' arrays: the pair points
 pairwise_intersections reads (kernels.pair_points), and the line pairs of
-kernels.focal_pairs, of which the two-branch chords are the lines not
-through the Soddy centers.
+kernels.focal_pairs, the pair chords: a V-ellipse pair's is its first line,
+and the two-branch chords are the lines not through the Soddy centers.
 """
 
 from __future__ import annotations

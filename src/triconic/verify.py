@@ -47,8 +47,9 @@ searches' own circle test
 (`_member_residuals`).  On arrays: P2.2, P3.1, P3.8 and P5.2 in one
 `kernels.six_point` call; P2.1, P2.7, P3.3, P4.3, A3, A6 and P5.5 on the
 fit and rules that `six_point_conic` reads (`triads._six_point_rules`);
-P2.3, P2.5 and P4.8 on one `kernels.focal_pairs` call;
-P2.4, P4.7 and P5.6 in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
+P2.3, P2.4, P2.5 and P4.8 on one `kernels.focal_pairs` call (P2.4 and P4.8
+on its pair chords, through their one helper `_chord_gaps`); P4.7 and P5.6
+in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
 on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
 `kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
 points from `kernels.bary_point`, the Soddy centers and the Soddy line
@@ -67,9 +68,9 @@ values.  A crash still fails only its own trial (`_fail_or` gives each
 trial the exception of the first fault that holds there).
 
 Each claim of the paper is checked in its one proposition, on the
-triads' own constructions: P2.4 draws its chords through the pair points
-of `kernels.pair_points`, P4.8 takes the lines of `kernels.focal_pairs`
-(of each pair's two, the one that is not the Soddy line), and P4.3 and
+triads' own constructions: P2.4 and P4.8 take their chords from the line
+pairs of `kernels.focal_pairs` (P2.4 each pair's line ell_i = ell_j, P4.8
+of each pair's two the one that is not the Soddy line), and P4.3 and
 P4.4 take the closed-form six-point conic as a barycentric matrix
 (`kernels.privalov`).
 
@@ -543,41 +544,50 @@ def _vell_chord_line_bary(a, b, c):
     )
 
 
+def _chord_gaps(g, chords, points, line, corners, diam) -> tuple:
+    """What P2.4 and P4.8 claim of a triad's pair chords, each a line
+    (l, m, n) of kernels.focal_pairs in its frame g = (gx, gy, s), on
+    arrays: the worst distance of each chord's points (x, y) from it, in
+    the plane, over the circumdiameter diam; and pair A's chord against
+    its closed form, the barycentric line `line`, projectively
+    (_proj_errors), in the frame.  A barycentric line is sum_i line_i s_i
+    there, s_i the framed triangle's sidelines (_sidelines): s_i(q) is
+    twice the signed area opposite corner i."""
+    gx, gy, s = g
+    worst = 0.0
+    for (l, m, n), pts in zip(chords, points):
+        h = kernels._hypot(l, m)
+        for x, y in pts:
+            # In the plane, the chord is l x + m y + (n s - l gx - m gy) = 0.
+            worst = np.maximum(worst, abs(l * x + m * y + (n * s - l * gx - m * gy)) / h / diam)
+    s0, s1, s2 = _sidelines(kernels.frame(*corners)[1])
+    closed = [line[0] * s0[k] + line[1] * s1[k] + line[2] * s2[k] for k in range(3)]
+    return worst, _proj_errors(chords[0], closed)
+
+
 def _chk_pair_chords_x20(cfgs) -> tuple:
-    """P2.4 on all configurations at once: the chord through the first two
-    points of each V-ellipse pair (kernels.pair_points on arrays) passes
-    through its excenter and X20, the worst distance over the
-    circumdiameter, inf where a pair has fewer than two points.  Both points
-    of pair A are also checked on the chord's closed-form barycentric line,
-    1.0 where that pair has more than two."""
+    """P2.4 on all configurations at once: each V-ellipse pair's chord
+    passes through its excenter and X20, and pair A's chord is the closed
+    form _vell_chord_line_bary (_chord_gaps).  The chord is the pair's
+    line ell_i = ell_j of kernels.focal_pairs (its first).  Two members
+    sharing the focus F are |q - F| = ell_i(q) and |q - F| = ell_j(q), each
+    ell positive on its ellipse (the focus-directrix form), so a common
+    point has ell_i = ell_j, and none has ell_i + ell_j = 0.  And they
+    meet twice: in pair A, member b passes through B, a focus of member c,
+    which passes through C, a focus of member b, so neither lies inside
+    the other."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
-    sides, _, bad = kernels._sides_deltas(*args)
-    a, b, c = sides
+    sides = kernels._sides_deltas(*args)[0]
     with np.errstate(all="ignore"):
-        xs, ys, keep, _ = kernels.pair_points(*args)
-        # The first two kept points of each pair: the kept ones first, in order.
-        first = np.argsort(~keep, axis=1, kind="stable")[:, :2]
-        px, py = (np.take_along_axis(v, first, axis=1) for v in (xs, ys))
-        diam = 2.0 * (a * b * c) / (4.0 * abs(kernels.signed_area(*corners)))
+        g, pairs, bad = kernels.focal_pairs(*args)
         x20 = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x20, *sides))
         exc = [kernels.bary_point(*corners, *uvw) for uvw in kernels.excenters(*sides)]
-        chords = 0.0
-        for (x0, x1), (y0, y1), q in zip(px, py, exc):
-            l, m, n = y0 - y1, x1 - x0, x0 * y1 - x1 * y0  # geom.line_through
-            for qx, qy, _ in (q, x20):
-                chords = np.maximum(chords, abs(l * qx + m * qy + n) / kernels._hypot(l, m) / diam)
-        line = _vell_chord_line_bary(a, b, c)
-        line_top = kernels._largest([abs(v) for v in line])
-        worst = chords
-        for x, y in zip(px[0], py[0]):
-            u = _unit_bary(corners, x, y)
-            on = abs(line[0] * u[0] + line[1] * u[1] + line[2] * u[2])
-            worst = np.maximum(worst, on / line_top)
-    count = keep.sum(axis=1)
-    worst = np.where(count[0] != 2, np.maximum(chords, 1.0), worst)
+        far, closed = _chord_gaps(g, [lines[0] for *_, lines in pairs], [(q[:2], x20[:2]) for q in exc],
+                                  _vell_chord_line_bary(*sides), corners,
+                                  2.0 * kernels.circumcircle(corners, sides)[3])
     return _fail_or(
-        np.where((count < 2).any(axis=0), math.inf, worst),
+        np.maximum(far, closed),
         (bad, _DEGENERATE),
         (x20[2], _at_infinity("X20")),
         (exc[0][2] | exc[1][2] | exc[2][2], _at_infinity("an excenter")),
@@ -1286,6 +1296,8 @@ def _through_pair_points(ellipse: int, hyperbola: int):
 
 
 def _vhyp_chord_line_bary(a, b, c):
+    # The two-branch chord of the b- and c-members (not the Soddy line),
+    # barycentric coefficients.
     L = a + b + c
     return (
         -2 * a * a + a * b + b * b + a * c - 2 * b * c + c * c,
@@ -1298,30 +1310,25 @@ def _chk_chords_x8(cfgs) -> tuple:
     """P4.8 on all configurations at once: of each focal pair's two lines
     (kernels.focal_pairs), the chord, the one farther from the inner Soddy
     center X176 (the other is the Soddy line; NotFound if neither passes
-    within 1e-6), passes through X8 (distance over the circumdiameter), and
-    X8 lies on the A-chord's closed form; 0.0 where a member is a
-    perpendicular bisector."""
+    within 1e-6), passes through X8, and pair A's chord is the closed form
+    _vhyp_chord_line_bary (_chord_gaps), so X8 lies on that line too; 0.0
+    where a member is a perpendicular bisector.  Which line is the chord
+    varies from pair to pair, as the branches do."""
     with np.errstate(all="ignore"):
         args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
-        (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+        g, pairs, _ = kernels.focal_pairs(*args)
+        gx, gy, s = g
         (qx, qy, _), *_ = kernels.soddy(args[:6], sides)
         qx, qy = (qx - gx) / s, (qy - gy) / s
-        u = kernels.cyclic(_x8, *sides)
-        x8, y8, _ = kernels.bary_point(*args[:6], *u)
-        worst, missed = 0.0, False
+        x8, y8, _ = kernels.bary_point(*args[:6], *kernels.cyclic(_x8, *sides))
+        chords, missed = [], False
         for _, _, lines in pairs:
-            h = [kernels._hypot(l, m) for l, m, _ in lines]
-            d = [abs(l * qx + m * qy + n) / hk for (l, m, n), hk in zip(lines, h)]
-            # In the plane, each line is l x + m y + (n s - l gx - m gy) = 0.
-            e = [abs(l * x8 + m * y8 + (n * s - l * gx - m * gy)) / hk / diam
-                 for (l, m, n), hk in zip(lines, h)]
+            d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in lines]
             missed = missed | (np.minimum(*d) > 1e-6)
-            worst = np.maximum(worst, np.where(d[0] <= d[1], e[1], e[0]))
-        lco = _vhyp_chord_line_bary(*sides)
-        on = abs(lco[0] * u[0] + lco[1] * u[1] + lco[2] * u[2]) / (
-            kernels._largest([abs(v) for v in lco]) * kernels._largest([abs(v) for v in u]))
+            chords.append(np.where(d[0] <= d[1], lines[1], lines[0]))
+        far, closed = _chord_gaps(g, chords, [[(x8, y8)]] * 3, _vhyp_chord_line_bary(*sides), args[:6], diam)
     return _fail_or(
-        np.where(bisector, 0.0, np.maximum(worst, on)),
+        np.where(bisector, 0.0, np.maximum(far, closed)),
         (bad, _DEGENERATE),
         (missed & ~bisector, NotFound("neither line of the pair is the Soddy line")),
     )

@@ -240,16 +240,17 @@ def conic_bary_to_cartesian(m: np.ndarray, t: Triangle) -> Conic:
     return Conic(T.T @ m @ T)
 
 
-def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
-    """Chords through the opposite-branch intersections of the hyperbola
-    pairs (b,c), (c,a), (a,b), from one kernels.focal_pairs call.
+def two_branch_lines(tr: ConicTriad) -> tuple:
+    """((gx, gy, s), lines): the chords through the opposite-branch
+    intersections of the hyperbola pairs (b,c), (c,a), (a,b), each (l, m, n)
+    in the triangle's frame, from one kernels.focal_pairs call.
 
     Of each pair's two lines, the one through the Soddy centers X175/X176
     is the Soddy line; the other is the sought chord.  Works even when a
     chord's endpoints are complex.
     """
     if tr.kind != "v_hyperbola":
-        raise ValueError("two_branch_chords applies to V-hyperbola triads")
+        raise ValueError("two-branch chords apply to V-hyperbola triads")
     args = _kernel_args(tr.t, tr.kind, tr.p)
     if focal_triad_bad(*args):
         raise DegenerateMember("two-branch chords need nondegenerate members")
@@ -262,9 +263,14 @@ def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
         soddy_line = 0 if scores[0] <= scores[1] else 1
         if scores[soddy_line] > 1e-6:
             raise NotFound("neither line of the pair is the Soddy line")
-        l, m, n = lines[1 - soddy_line]
-        chords.append(LineEq(l, m, n * s - l * gx - m * gy))
-    return tuple(chords)
+        chords.append(lines[1 - soddy_line])
+    return (gx, gy, s), tuple(chords)
+
+
+def two_branch_chords(tr: ConicTriad) -> tuple[LineEq, LineEq, LineEq]:
+    """two_branch_lines' chords in the plane."""
+    (gx, gy, s), lines = two_branch_lines(tr)
+    return tuple(LineEq(l, m, n * s - l * gx - m * gy) for l, m, n in lines)
 
 
 def normalized_residual(name: str, poly: str, values: dict) -> float:

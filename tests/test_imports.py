@@ -242,3 +242,50 @@ def test_package_import_loads_no_thread_pool(cli_env):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _two_point_lines(source: str) -> set[str]:
+    """The top-level definitions of source that build a line (x1 - x2,
+    y1 - y2, x1 * y2 - x2 * y1) through two points, as geom.line_through
+    does: a 3-tuple of two plain differences and a difference of products."""
+    def difference(e, of):
+        return isinstance(e, ast.BinOp) and isinstance(e.op, ast.Sub) and all(
+            of(t) for t in (e.left, e.right))
+
+    def line(node):
+        plain = lambda t: not isinstance(t, ast.BinOp)  # noqa: E731
+        product = lambda t: isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)  # noqa: E731
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 3 and difference(node.elts[0], plain)
+                and difference(node.elts[1], plain) and difference(node.elts[2], product))
+
+    return {name for top in ast.parse(source).body if any(map(line, ast.walk(top)))
+            for name in _definitions(top)}
+
+
+def test_scan_finds_two_point_lines():
+    src = ("def f(p, q):\n    return (p[1] - q[1], q[0] - p[0], p[0] * q[1] - q[0] * p[1])\n"
+           "def g(u, v):\n    return (u[1] * v[2] - u[2] * v[1], 0.0, u[0] * v[1] - u[1] * v[0])\n")
+    assert _two_point_lines(src) == {"f"}
+
+
+def test_chord_rule_lives_in_focal_pairs():
+    # The line pairs of kernels.focal_pairs are the verifier's one source of
+    # pair chords: P2.4 and P4.8 take them from it and test them through
+    # their one helper, _chord_gaps.  Only _through_pair_points (P4.7, P5.6)
+    # reads kernels.pair_points, and no verify function draws a chord
+    # through two points: the only two-point lines are the sidelines and
+    # P2.3's excentral sides, which it tests for tangency.
+    source = (PACKAGE / "verify.py").read_text()
+    functions = {name: stmt for stmt in ast.parse(source).body for name in _definitions(stmt)}
+    readers = {name: _kernel_readers(ast.unparse(stmt), {"pair_points", "focal_pairs"})
+               for name, stmt in functions.items()}
+    assert {name for name, found in readers.items() if "pair_points" in found} == {"_through_pair_points"}
+    helpers = {name for name, stmt in functions.items() if "_chord_gaps" in _references(stmt)}
+    assert helpers == {"_chk_pair_chords_x20", "_chk_chords_x8"}
+    assert all("focal_pairs" in readers[name] for name in helpers)
+    # Their circumdiameter is kernels.circumcircle's, P4.8's through
+    # _v_hyperbola_circle.
+    assert _kernel_readers(ast.unparse(functions["_chk_pair_chords_x20"]), {"circumcircle"})
+    assert _kernel_readers(ast.unparse(functions["_v_hyperbola_circle"]), {"circumcircle"})
+    assert "_v_hyperbola_circle" in _references(functions["_chk_chords_x8"])
+    assert _two_point_lines(source) == {"_sidelines", "_chk_excentral_tangents"}

@@ -20,6 +20,7 @@ from triconic.errors import (
 )
 from triconic.geom import (
     BaryCoords,
+    LineEq,
     Point2,
     Triangle,
     bary_to_cartesian,
@@ -722,6 +723,77 @@ def test_chords_x20_reports_its_residual(monkeypatch):
     assert _results(verify._chk_pair_chords_x20, [cfg]) == [pytest.approx(expected, rel=1e-9)]
 
 
+def test_pair_chords_are_the_focal_pair_lines():
+    # The lemma behind P2.4's and P4.8's one chord rule.  Two V-ellipses of
+    # a focal pair share the focus F and are |q - F| = ell(q) with ell
+    # positive on each, so they meet, twice, on ell_i = ell_j, the first of
+    # kernels.focal_pairs' lines, and never on the second; the Newton
+    # points of kernels.pair_points confirm it.  Pair A's chords are the
+    # closed-form barycentric lines: a line l x + m y + n is, in
+    # barycentrics, its values at the corners.  On 400 random and 400 flat
+    # triangles.
+    rng = np.random.default_rng(1)
+    for tab in (verify._tri_table(rng, 400), verify._flat_table(rng, 400)):
+        corners, zeros = verify._corners(tab), np.zeros(tab.n)
+        sides = kernels.triangle_sides(*corners)
+        _, f = kernels.frame(*corners)
+
+        def bary_gap(lines, closed):
+            l, m, n = lines
+            return verify._proj_errors([l * f[2 * k] + m * f[2 * k + 1] + n for k in range(3)], closed)
+
+        xs, ys, keep, _ = kernels.pair_points(*corners, kernels.KIND_V_ELLIPSE, zeros, zeros)
+        (gx, gy, s), pairs, bad = kernels.focal_pairs(*corners, kernels.KIND_V_ELLIPSE, zeros, zeros)
+        assert not bad.any() and (keep.sum(axis=1) == 2).all()
+        for k, (*_, lines) in enumerate(pairs):
+            x, y = (xs[k] - gx) / s, (ys[k] - gy) / s
+            d0, d1 = (abs(l * x + m * y + n) / kernels._hypot(l, m) for l, m, n in lines)
+            assert d0[keep[k]].max() <= 1e-12 and d1[keep[k]].min() > 1e-2
+        assert bary_gap(pairs[0][2][0], verify._vell_chord_line_bary(*sides)).max() <= 1e-12
+        (gx, gy, s), pairs, bad = kernels.focal_pairs(*corners, kernels.KIND_V_HYPERBOLA, zeros, zeros)
+        (qx, qy, _), *_ = kernels.soddy(corners, sides)
+        qx, qy = (qx - gx) / s, (qy - gy) / s
+        d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in pairs[0][2]]
+        chord = np.where(d[0] <= d[1], pairs[0][2][1], pairs[0][2][0])
+        assert not bad.any() and np.minimum(*d).max() <= 1e-12
+        assert bary_gap(chord, verify._vhyp_chord_line_bary(*sides)).max() <= 1e-12
+
+
+def _line_through_a_and_x8(a, b, c):
+    _, v, w = kernels.cyclic(centers._x8, a, b, c)
+    return 0.0, w, -v
+
+
+def _moved_soddy_line(corners, sides, _real=kernels.soddy):
+    inner, outer, (l, m, n) = _real(corners, sides)
+    return inner, outer, (l, m, n + 1e-6)
+
+
+def _hyperbolas_read_rectangular(co, _real=kernels.classify_code):
+    code, det, disc = _real(co)
+    return np.where(code == kernels.CLASS_HYPERBOLA, kernels.CLASS_RECTANGULAR_HYPERBOLA, code), det, disc
+
+
+_NEGATIVE_CONTROLS = {
+    # X8 lies on the line through A and X8, but pair A's chord is not it:
+    # P4.8 reads 0.99999.
+    "P4.8-chords-x8": (verify, "_vhyp_chord_line_bary", _line_through_a_and_x8),
+    # A Soddy line moved by 1e-6 no longer touches the side circles: P4.10
+    # reads 1.0e-6 against its bound of 1e-7.
+    "P4.10-soddy-line-tangent": (kernels, "soddy", _moved_soddy_line),
+    "P3.8-never-rectangular": (kernels, "classify_code", _hyperbolas_read_rectangular),
+}
+
+
+@pytest.mark.parametrize("pid", sorted(_NEGATIVE_CONTROLS))
+def test_negative_controls_fail_their_propositions(monkeypatch, pid):
+    # Each control breaks the claim its proposition checks, which must
+    # then fail at seed 42.
+    assert run_proposition(pid, seed=42).passed
+    monkeypatch.setattr(*_NEGATIVE_CONTROLS[pid])
+    assert not run_proposition(pid, seed=42).passed
+
+
 def _flaky(check, crash_at):
     """check, raising the exceptions of crash_at (trial index -> exception)
     in those trials; the configurations it saw are kept in .seen."""
@@ -1243,26 +1315,30 @@ def _tangent_excentral_reference(cfg):
     return worst
 
 
+def _closed_form_gap(t, chord, line):
+    # Pair A's chord, a line of kernels.focal_pairs in the triangle's frame,
+    # against the closed-form barycentric line, mapped by the framed
+    # triangle's sidelines.
+    f, _ = framed(t)
+    s0, s1, s2 = (line_through(p, q) for p, q in ((f.b, f.c), (f.c, f.a), (f.a, f.b)))
+    closed = [line[0] * getattr(s0, k) + line[1] * getattr(s1, k) + line[2] * getattr(s2, k)
+              for k in "lmn"]
+    return float(verify._proj_errors(chord, closed))
+
+
 def _chords_x20_reference(cfg):
+    # Each pair's chord is its line ell_i = ell_j, the first of its
+    # kernels.focal_pairs lines, on the triangle's floats.
     t = verify._cfg_tri(cfg)
-    inters = triads.pairwise_intersections(triads.build_triad(t, "v_ellipse"))
-    diam = 2.0 * (t.side_a * t.side_b * t.side_c) / (4.0 * t.area)
+    (gx, gy, s), pairs, _ = kernels.focal_pairs(*triads._kernel_args(t, "v_ellipse", None))
+    diam = 2.0 * centers.circumcircle(t).radius
     x20 = centers.classic_center(t, "X20")
     worst = 0.0
-    for pts, label in zip(inters, "ABC"):
-        if len(pts) < 2:
-            return math.inf
-        chord = line_through(pts[0], pts[1])
+    for (*_, ((l, m, n), _)), label in zip(pairs, "ABC"):
+        chord = LineEq(l, m, n * s - l * gx - m * gy)
         for q in (centers.classic_center(t, f"excenter{label}"), x20):
             worst = max(worst, chord.distance_to(q) / diam)
-    if len(inters[0]) != 2:
-        return max(worst, 1.0)
-    lco = verify._vell_chord_line_bary(*t.sides())
-    m = max(abs(v) for v in lco)
-    for q in inters[0]:
-        u = cartesian_to_bary(t, q).normalized()
-        worst = max(worst, abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w) / m)
-    return worst
+    return max(worst, _closed_form_gap(t, pairs[0][2][0], verify._vell_chord_line_bary(*t.sides())))
 
 
 def _right_triangle_x20_reference(cfg):
@@ -1770,16 +1846,8 @@ def _chords_x8_reference(cfg):
     diam = 2.0 * centers.circumcircle(t).radius
     x8 = centers.classic_center(t, "X8")
     worst = max(chord.distance_to(x8) / diam for chord in reference_checks.two_branch_chords(tr))
-    # Closed-form cross-check: the bary line for the A-chord contains X8.
-    a, b, c = t.sides()
-    lco = verify._vhyp_chord_line_bary(a, b, c)
-    u = centers.center_bary(t, "X8")
-    worst = max(
-        worst,
-        abs(lco[0] * u.u + lco[1] * u.v + lco[2] * u.w)
-        / (max(abs(v) for v in lco) * max(abs(u.u), abs(u.v), abs(u.w))),
-    )
-    return worst
+    chord = reference_checks.two_branch_lines(tr)[1][0]
+    return max(worst, _closed_form_gap(t, chord, verify._vhyp_chord_line_bary(*t.sides())))
 
 
 def _appendix_reference(name):

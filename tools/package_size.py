@@ -6,7 +6,10 @@
 SRC is a directory holding the `triconic` package, such as a checkout's
 `src`.  For each tree the script prints the AST nodes (every node that
 `ast.walk` visits) of each module and their total.  Given two trees, it
-also compiles every module of both in-process with `compile()`, over 60
+also prints each top-level definition (function, class or assignment;
+a module's other statements count as "(other)") whose nodes changed,
+with both counts and the change, the largest change first, and it
+compiles every module of both in-process with `compile()`, over 60
 rounds that alternate which tree goes first, and prints each tree's median
 time a round with its quartiles and the number of rounds SRC2 was faster.
 Standard library only.
@@ -31,6 +34,38 @@ def _modules(src):
 
 def _nodes(source):
     return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+def _definitions(source):
+    """{name: AST nodes} of the top-level statements of source, by the
+    function, class or assignment targets they define; the rest summed
+    under "(other)"."""
+    out = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = stmt.name
+        elif isinstance(stmt, ast.Assign):
+            name = " = ".join(ast.unparse(t) for t in stmt.targets)
+        elif isinstance(stmt, ast.AnnAssign):
+            name = ast.unparse(stmt.target)
+        else:
+            name = "(other)"
+        out[name] = out.get(name, 0) + sum(1 for _ in ast.walk(stmt))
+    return out
+
+
+def _changed_definitions(trees):
+    """(module, name, nodes before, nodes after) of each top-level
+    definition whose nodes differ between the two trees, 0 where it is
+    missing, the largest change first."""
+    rows = []
+    for module in sorted(set(trees[0]) | set(trees[1])):
+        before, after = (_definitions(t[module]) if module in t else {} for t in trees)
+        for name in set(before) | set(after):
+            old, new = before.get(name, 0), after.get(name, 0)
+            if old != new:
+                rows.append((module, name, old, new))
+    return sorted(rows, key=lambda r: (-abs(r[3] - r[2]), r[0], r[1]))
 
 
 def _compile_seconds(modules):
@@ -59,6 +94,10 @@ def main(argv):
         print(f"{name:<16}" + "".join(f"{n:>{width}}" for n in row) + change)
     if len(trees) == 1:
         return
+    changed = _changed_definitions(trees)
+    print(f"top-level definitions changed: {len(changed)}")
+    for module, name, old, new in changed:
+        print(f"  {module:<14} {name:<36} {old:>7} {new:>7} {new - old:>+7}")
     times, won = ([], []), 0
     for k in range(ROUNDS):
         order = (0, 1) if k % 2 == 0 else (1, 0)
