@@ -589,8 +589,11 @@ def _circle_points(ts, kind: str, least: int) -> list:
     such a circle is centered at the circumcenter, and it exists iff u_i =
     s_i^2 - x_i^2, over the sides s and the focal sums ("p_ellipse") or
     |differences| ("p_hyperbola") x, takes one value k for all three
-    members.  Given k, the x_i fix the distances from the corners, up to a
-    common shift t for the differences, and P is their trilateration.  P*
+    members: the circle lemma, which tests/test_certificates.py proves
+    (the vertex distance |OV|^2 = R^2 + (x_i^2 - s_i^2) / 4, and the
+    V-triads' factors of u_a - u_b).
+    Given k, the x_i fix the distances from the corners, up to a common
+    shift t for the differences, and P is their trilateration.  P*
     (k < 0) is each sign change of a scan in k (_pstar_candidates), the
     P-hyperbola points (0 < k <= min s^2) come in closed form
     (_phyp_candidates).  Every candidate of every triangle (_candidates)

@@ -56,6 +56,16 @@ def emit_ppm(grid: RegionGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(c: Conic) -> tuple[LineEq, ...]:
+    """The distinct real lines of a degenerate conic (split_degenerate);
+    none for a conic without line components (LineOnConic)."""
+    try:
+        g, h = split_degenerate(c)
+    except LineOnConic:
+        return ()
+    return (g,) if g == h else (g, h)
+
+
 def _conic_samples(c: Conic, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sampled branches (xs, ys) of a Cartesian conic, clipped to bbox.
 
@@ -82,12 +92,7 @@ def _conic_samples(c: Conic, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
 
     kind = classify(framed)
     if kind.is_degenerate():
-        try:
-            g, h = split_degenerate(framed)
-        except LineOnConic:
-            return []
-        lines = (LineEq(ln.l, ln.m, ln.n * s - ln.l * ox - ln.m * oy)
-                 for ln in ((g,) if g == h else (g, h)))
+        lines = (LineEq(ln.l, ln.m, ln.n * s - ln.l * ox - ln.m * oy) for ln in _lines(framed))
         return [seg for line in lines for seg in _clip_line(line, bbox)]
     m = framed.m
     Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
@@ -192,6 +197,11 @@ def _ellipse_box(c: Conic) -> list[tuple[float, float]]:
 
 
 def _scene_bbox(scene: Scene):
+    """The view box of the scene, padded by 0.08 of its span: its points,
+    circles, polylines, triads and ellipse boxes (_ellipse_box), and for
+    each line of a degenerate scene conic (_lines) the point of
+    the line nearest the centre of that other content, or nearest the
+    origin, which then joins the box too, when there is none."""
     xs, ys = [], []
 
     def add(p):
@@ -219,6 +229,13 @@ def _scene_bbox(scene: Scene):
     for con in scene.conics:
         for corner in _ellipse_box(con):
             add(corner)
+    lines = [np.array((ln.l, ln.m, ln.n)) for con in scene.conics for ln in _lines(con) if ln.l or ln.m]
+    if lines:
+        if not xs:
+            add((0.0, 0.0))
+        o = np.array([min(xs) + max(xs), min(ys) + max(ys), 2.0]) / 2.0
+        for g in lines:
+            add(o[:2] - g[:2] * (g @ o) / (g[:2] @ g[:2]))
     if not xs:
         raise EmptyScene("nothing to render")
     xmin, xmax = min(xs), max(xs)

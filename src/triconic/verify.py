@@ -8,8 +8,14 @@ first draws all of a proposition's seeded random configurations in one
 call of its `draw`, which gives the table and the exceptions of the trials
 whose draw failed, by trial; then it checks the table in one call of its
 `run`, which gives a float array of residuals and the exceptions of the
-trials that crashed, by row.  It reduces the residuals with numpy (a crash,
-or a NaN residual as `NonFiniteResidual`, counts as inf) and reports the
+trials that crashed, by row.  The runner's one floating-point policy:
+the draw and the check (and the replay's check) run with numpy's
+warnings off, as rows that are NaN or inf by design (a degenerate
+member, a point at infinity, a scan with no root) are expected, and a
+NaN residual fails its trial as `NonFiniteResidual` (`_check`).  No
+check, draw or helper sets a policy of its own, but `_tri_mask`, which
+the public draws reach outside the runner.  It reduces the residuals
+with numpy (a crash, or a NaN residual, counts as inf) and reports the
 worst residual, the first trial that reaches it as the witness (its row
 as a dict of plain floats, `ConfigTable.row`), the number of crashed
 trials by exception type, and the margin of the worst residual against
@@ -390,8 +396,7 @@ def _refused(corners, sides):
     """Where Triangle refuses the corners (ax, ay, bx, by, cx, cy), given
     their sides (_distances): a corner not finite, or collinear
     (kernels.collinear)."""
-    with np.errstate(invalid="ignore"):
-        return ~np.isfinite(np.array(corners)).all(axis=0) | kernels.collinear(*corners, sides)
+    return ~np.isfinite(np.array(corners)).all(axis=0) | kernels.collinear(*corners, sides)
 
 
 def _raised(corners, rows, fn=None) -> dict:
@@ -481,9 +486,8 @@ def _chk_excircle_tangency_vertices(cfgs) -> tuple:
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     sides, _, bad = kernels._sides_deltas(*args)
     s = kernels._largest(sides)
-    with np.errstate(all="ignore"):
-        (xs, ys, _), _, _, res6, *_, rules = _six_point_rules(args)
-        worst, far = _bary_gaps(args[:6], xs, ys, kernels.excircle_tangency(*sides), s)
+    (xs, ys, _), _, _, res6, *_, rules = _six_point_rules(args)
+    worst, far = _bary_gaps(args[:6], xs, ys, kernels.excircle_tangency(*sides), s)
     return _fail_or(
         np.maximum(worst, res6),
         (bad, _DEGENERATE),
@@ -520,16 +524,15 @@ def _chk_excentral_tangents(cfgs) -> tuple:
     excenters (kernels.tangency_disc)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     sides = kernels._sides_deltas(*args)[0]
-    with np.errstate(all="ignore"):
-        _, pairs, bad = kernels.focal_pairs(*args)
-        _, framed = kernels.frame(*args[:6])
-        exc = [kernels.bary_point(*framed, *uvw) for uvw in kernels.excenters(*sides)]
-        worst = 0.0
-        for m, co in enumerate(kernels.members(pairs)):
-            (x1, y1, _), (x2, y2, _) = (q for k, q in enumerate(exc) if k != m)
-            side = (y1 - y2, x2 - x1, x1 * y2 - x2 * y1)  # geom.line_through
-            on = kernels.conic_residual(co, framed[2 * m], framed[2 * m + 1])
-            worst = np.maximum(worst, np.maximum(on, abs(kernels.tangency_disc(co, *side))))
+    _, pairs, bad = kernels.focal_pairs(*args)
+    _, framed = kernels.frame(*args[:6])
+    exc = [kernels.bary_point(*framed, *uvw) for uvw in kernels.excenters(*sides)]
+    worst = 0.0
+    for m, co in enumerate(kernels.members(pairs)):
+        (x1, y1, _), (x2, y2, _) = (q for k, q in enumerate(exc) if k != m)
+        side = (y1 - y2, x2 - x1, x1 * y2 - x2 * y1)  # geom.line_through
+        on = kernels.conic_residual(co, framed[2 * m], framed[2 * m + 1])
+        worst = np.maximum(worst, np.maximum(on, abs(kernels.tangency_disc(co, *side))))
     far = exc[0][2] | exc[1][2] | exc[2][2]
     return _fail_or(worst, (bad, _DEGENERATE), (far, _at_infinity("an excenter")))
 
@@ -579,13 +582,12 @@ def _chk_pair_chords_x20(cfgs) -> tuple:
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
     sides = kernels._sides_deltas(*args)[0]
-    with np.errstate(all="ignore"):
-        g, pairs, bad = kernels.focal_pairs(*args)
-        x20 = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x20, *sides))
-        exc = [kernels.bary_point(*corners, *uvw) for uvw in kernels.excenters(*sides)]
-        far, closed = _chord_gaps(g, [lines[0] for *_, lines in pairs], [(q[:2], x20[:2]) for q in exc],
-                                  _vell_chord_line_bary(*sides), corners,
-                                  2.0 * kernels.circumcircle(corners, sides)[3])
+    g, pairs, bad = kernels.focal_pairs(*args)
+    x20 = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x20, *sides))
+    exc = [kernels.bary_point(*corners, *uvw) for uvw in kernels.excenters(*sides)]
+    far, closed = _chord_gaps(g, [lines[0] for *_, lines in pairs], [(q[:2], x20[:2]) for q in exc],
+                              _vell_chord_line_bary(*sides), corners,
+                              2.0 * kernels.circumcircle(corners, sides)[3])
     return _fail_or(
         np.maximum(far, closed),
         (bad, _DEGENERATE),
@@ -600,16 +602,15 @@ def _chk_x20_on_members(cfgs) -> tuple:
     V-ellipse member passes through it (kernels.conic_residual)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     sides = kernels._sides_deltas(*args)[0]
-    with np.errstate(all="ignore"):
-        _, pairs, bad = kernels.focal_pairs(*args)
-        _, framed = kernels.frame(*args[:6])
-        (x20, y20, f20), (x4, y4, f4), (x3, y3, f3) = (
-            kernels.bary_point(*framed, *kernels.cyclic(f, *sides))
-            for f in (kernels.center_x20, kernels.center_x4, kernels.center_x3)
-        )
-        worst = kernels._hypot(x20 - (2.0 * x3 - x4), y20 - (2.0 * y3 - y4))
-        for co in kernels.members(pairs):
-            worst = np.maximum(worst, kernels.conic_residual(co, x20, y20))
+    _, pairs, bad = kernels.focal_pairs(*args)
+    _, framed = kernels.frame(*args[:6])
+    (x20, y20, f20), (x4, y4, f4), (x3, y3, f3) = (
+        kernels.bary_point(*framed, *kernels.cyclic(f, *sides))
+        for f in (kernels.center_x20, kernels.center_x4, kernels.center_x3)
+    )
+    worst = kernels._hypot(x20 - (2.0 * x3 - x4), y20 - (2.0 * y3 - y4))
+    for co in kernels.members(pairs):
+        worst = np.maximum(worst, kernels.conic_residual(co, x20, y20))
     return _fail_or(worst, (f20 | f4 | f3, _at_infinity("X20, X4 or X3")), (bad, _DEGENERATE))
 
 
@@ -700,11 +701,10 @@ def _chk_degenerate_iff_right(cfgs) -> tuple:
     ax, ay, bx, by, *ray = rays
     corners = (ax, ay, bx, by, *_on_ray(root, *ray))
     (aa, bb, cc) = sides = _distances(corners)
-    with np.errstate(invalid="ignore"):
-        odd = _refused(corners, sides) & ~np.isnan(root)
-        pyth = functools.reduce(np.minimum, (
-            abs(aa * aa + bb * bb - cc * cc), abs(bb * bb + cc * cc - aa * aa),
-            abs(cc * cc + aa * aa - bb * bb))) / _floatwise(lambda v: v ** 2, kernels._largest(sides))
+    odd = _refused(corners, sides) & ~np.isnan(root)
+    pyth = functools.reduce(np.minimum, (
+        abs(aa * aa + bb * bb - cc * cc), abs(bb * bb + cc * cc - aa * aa),
+        abs(cc * cc + aa * aa - bb * bb))) / _floatwise(lambda v: v ** 2, kernels._largest(sides))
     errs.update(_raised(corners, np.flatnonzero(odd)))
     worst = _pymax(pyth, abs(_at_rays(_ab_ray_det, rays, 1.0)) * 100.0)
     return np.where(np.isnan(root), 1.0, worst), errs
@@ -721,9 +721,8 @@ def _chk_x478_quartic(cfgs) -> tuple:
     zero = np.zeros(n)
     args = (np.full(n, 0.5), zero, np.full(n, -0.5), zero, cx, cy,
             kernels.KIND_V_ELLIPSE, zero, zero)
-    with np.errstate(all="ignore"):
-        (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(args)
-        res = abs(x478_quartic(x, y))
+    (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(args)
+    res = abs(x478_quartic(x, y))
     return _fail_or(
         res,
         (bad, _DEGENERATE),
@@ -774,12 +773,11 @@ def _chk_type_regions_V(cfgs, rays) -> tuple:
     root, errs = _roots(_deg8_roots(rays))
     ax, ay, bx, by, *ray = rays
     r, u = ray[2], 0.5 + cfgs["u"]
-    with np.errstate(all="ignore"):
-        tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
-        at = [_on_ray(1.0, *ray), tangent, _on_ray(root, *ray), _corners(cfgs)[4:]]
-        code, det, disc, _ = kernels.six_point(
-            ax, ay, bx, by, *np.array(at).transpose(1, 0, 2), kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-        worst = _pymax(np.zeros(cfgs.n), abs(det[0]), abs(det[1]), abs(disc[2]))
+    tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
+    at = [_on_ray(1.0, *ray), tangent, _on_ray(root, *ray), _corners(cfgs)[4:]]
+    code, det, disc, _ = kernels.six_point(
+        ax, ay, bx, by, *np.array(at).transpose(1, 0, 2), kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    worst = _pymax(np.zeros(cfgs.n), abs(det[0]), abs(det[1]), abs(disc[2]))
     worst = np.where(np.isin(code[3], _INTERIOR), worst, _pymax(worst, 1.0))
     return np.where(np.isnan(root) | (code[2] == kernels.CLASS_FAILED), 1.0, worst), errs
 
@@ -798,16 +796,15 @@ def _covertex_fits(angles, condition, lo, hi, triad, faults) -> tuple:
     rays = np.array((_floatwise(math.cos, angles), _floatwise(math.sin, angles)))
     root, errs = _roots(_scan_rays(condition, rays, lo, hi, steps=400, first=True))
     args = triad(root * rays[0], root * rays[1])
-    with np.errstate(all="ignore"):
-        sides, axes, bad = kernels._sides_deltas(*args)
-        xs, ys = map(np.array, kernels.covertices(args[:6], sides, axes))
-        fit = kernels.fit_six(xs, ys)
-        return sides, fit, kernels.residual6(xs, ys, fit), [
-            (np.isnan(root), lambda i: errs.get(i, DriverNotOnLocus("no sign change along the scan ray"))),
-            *faults(args, sides, bad),
-            (~(kernels.frobenius(fit[0]) > DET_DEGENERATE_TOL),
-             RankDeficient("the co-vertices do not determine a unique conic")),
-        ]
+    sides, axes, bad = kernels._sides_deltas(*args)
+    xs, ys = map(np.array, kernels.covertices(args[:6], sides, axes))
+    fit = kernels.fit_six(xs, ys)
+    return sides, fit, kernels.residual6(xs, ys, fit), [
+        (np.isnan(root), lambda i: errs.get(i, DriverNotOnLocus("no sign change along the scan ray"))),
+        *faults(args, sides, bad),
+        (~(kernels.frobenius(fit[0]) > DET_DEGENERATE_TOL),
+         RankDeficient("the co-vertices do not determine a unique conic")),
+    ]
 
 
 def _covertex_locus_on_ray(s, dx, dy):
@@ -832,8 +829,7 @@ def _chk_covertex_locus_V(cfgs) -> tuple:
         cfgs["angle"], _covertex_locus_on_ray, 0.35, 3.0,
         lambda x, y: (*np.broadcast_arrays(-1.0, 0.0, 1.0, 0.0, x, y), kernels.KIND_V_ELLIPSE, 0.0, 0.0),
         _refusal)
-    with np.errstate(all="ignore"):
-        code = kernels.classify_code(fit[0])[0]
+    code = kernels.classify_code(fit[0])[0]
     hyperbola = np.isin(code, (kernels.CLASS_HYPERBOLA, kernels.CLASS_RECTANGULAR_HYPERBOLA))
     return _fail_or(np.where(hyperbola, res6, 1.0), *faults)
 
@@ -857,8 +853,7 @@ def _searched(search, points, check):
         res = np.full(cfgs.n, math.inf)
         if rows.size:
             xs, ys = np.array([points(found[i]) for i in rows]).T
-            with np.errstate(all="ignore"):
-                values, faults = check(corners[:, rows], xs, ys)
+            values, faults = check(corners[:, rows], xs, ys)
             res[rows], more = _fail_or(values, *faults)
             errs.update((int(rows[i]), exc) for i, exc in more.items())
         return res, errs
@@ -925,27 +920,26 @@ def _chk_anticevian_needle(cfgs) -> tuple:
     the conic's center, which moves by up to 60 times when a side's last
     bit does."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    with np.errstate(all="ignore"):
-        sides, targs, tsides, faults = _x3_anticevian(args[:6])
-        corners = targs[:6]
-        _, deltas, bad = kernels._sides_deltas(*targs)
-        ts = kernels._largest(tsides)
-        s = np.maximum(kernels._largest(sides), ts)
-        s4 = (s * s) * (s * s)
-        # functional tolerance 1e-12 scaled into the 1e-6 threshold
-        fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
-        (xs, ys, _), *_, (x, y, has_center), _, rules = _six_point_rules(targs)
-        ox, oy, far_o, radius = kernels.circumcircle(corners, tsides)
-        dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
-        rmean = sum(dist) / 6.0
-        spread = functools.reduce(np.maximum, [abs(d - rmean) for d in dist]) / radius
-        conc = np.where(has_center, kernels._hypot(x - ox, y - oy) / radius, 1.0)
-        x4, y4, far4 = kernels.bary_point(*args[:6], *kernels.cyclic(kernels.center_x4, *sides))
-        x6, y6, far6 = kernels.bary_point(*args[:6], *(v * v for v in sides))
-        dx, dy = x6 - x4, y6 - y4
-        area = abs(kernels.signed_area(x4, y4, x6, y6, x, y))
-        lin = np.where(has_center, area / (dx * dx + dy * dy + s * s), 0.0)
-        worst = functools.reduce(np.maximum, (fval, spread, conc * 1e2, lin * 1e2))
+    sides, targs, tsides, faults = _x3_anticevian(args[:6])
+    corners = targs[:6]
+    _, deltas, bad = kernels._sides_deltas(*targs)
+    ts = kernels._largest(tsides)
+    s = np.maximum(kernels._largest(sides), ts)
+    s4 = (s * s) * (s * s)
+    # functional tolerance 1e-12 scaled into the 1e-6 threshold
+    fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
+    (xs, ys, _), *_, (x, y, has_center), _, rules = _six_point_rules(targs)
+    ox, oy, far_o, radius = kernels.circumcircle(corners, tsides)
+    dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
+    rmean = sum(dist) / 6.0
+    spread = functools.reduce(np.maximum, [abs(d - rmean) for d in dist]) / radius
+    conc = np.where(has_center, kernels._hypot(x - ox, y - oy) / radius, 1.0)
+    x4, y4, far4 = kernels.bary_point(*args[:6], *kernels.cyclic(kernels.center_x4, *sides))
+    x6, y6, far6 = kernels.bary_point(*args[:6], *(v * v for v in sides))
+    dx, dy = x6 - x4, y6 - y4
+    area = abs(kernels.signed_area(x4, y4, x6, y6, x, y))
+    lin = np.where(has_center, area / (dx * dx + dy * dy + s * s), 0.0)
+    worst = functools.reduce(np.maximum, (fval, spread, conc * 1e2, lin * 1e2))
     return _fail_or(
         worst,
         *faults,
@@ -1063,9 +1057,8 @@ def _chk_covertex_equilateral_P(cfgs) -> tuple:
         lambda x, y: (*_EQUILATERAL, kernels.KIND_P_ELLIPSE, x, y),
         lambda args, sides, bad: [(bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"]))])
     inc = incircle(_triangle(*_EQUILATERAL))
-    with np.errstate(all="ignore"):
-        x, y, has_center = kernels.frame_center(*fit[:2])
-        err = abs(kernels._hypot(x - inc.center.x, y - inc.center.y) - inc.radius)
+    x, y, has_center = kernels.frame_center(*fit[:2])
+    err = abs(kernels._hypot(x - inc.center.x, y - inc.center.y) - inc.radius)
     return _fail_or(_pymax(res6, err), *faults,
                     (~has_center, NoFiniteCenter("co-vertex conic has no finite center")))
 
@@ -1088,15 +1081,14 @@ def _chk_vhyp_vertex_barys(cfgs) -> tuple:
     V-hyperbola triad at the barycentrics (0, a + lambda, a - lambda) and
     (0, a - lambda, a + lambda), and their cycles, the worst distance over
     the largest side; 0.0 where a member is a perpendicular bisector."""
-    with np.errstate(all="ignore"):
-        args, sides, lams, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
-        barys = []
-        for i, (side, lam) in enumerate(zip(sides, lams)):
-            for uj, uk in ((side + lam, side - lam), (side - lam, side + lam)):
-                uvw = [0.0, 0.0, 0.0]
-                uvw[(i + 1) % 3], uvw[(i + 2) % 3] = uj, uk
-                barys.append(uvw)
-        worst, far = _bary_gaps(args[:6], xs, ys, barys, s)
+    args, sides, lams, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+    barys = []
+    for i, (side, lam) in enumerate(zip(sides, lams)):
+        for uj, uk in ((side + lam, side - lam), (side - lam, side + lam)):
+            uvw = [0.0, 0.0, 0.0]
+            uvw[(i + 1) % 3], uvw[(i + 2) % 3] = uj, uk
+            barys.append(uvw)
+    worst, far = _bary_gaps(args[:6], xs, ys, barys, s)
     return _fail_or(
         np.where(bisector, 0.0, worst),
         (bad, _DEGENERATE),
@@ -1110,12 +1102,11 @@ def _chk_intouch_extouch(cfgs) -> tuple:
     points, the worst distance over the largest side, and the two vertex
     triangles' equal areas; 0.0 where a member is a perpendicular
     bisector."""
-    with np.errstate(all="ignore"):
-        args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
-        ins, exts = kernels.intouch_extouch(*sides)
-        barys = [uvw for pair in zip(exts, ins) for uvw in pair]
-        worst, far = _bary_gaps(args[:6], xs, ys, barys, s)
-        worst = np.maximum(worst, _area_gap(xs, ys))
+    args, sides, _, s, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+    ins, exts = kernels.intouch_extouch(*sides)
+    barys = [uvw for pair in zip(exts, ins) for uvw in pair]
+    worst, far = _bary_gaps(args[:6], xs, ys, barys, s)
+    worst = np.maximum(worst, _area_gap(xs, ys))
     return _fail_or(
         np.where(bisector, 0.0, worst),
         (bad, _DEGENERATE),
@@ -1175,23 +1166,22 @@ def _chk_privalov(cfgs) -> tuple:
     (_six_point_rules, with its rules) in the plane against the closed form
     there (_bary_to_plane), both of unit norm, up to sign; 0.0 where a
     member is a perpendicular bisector."""
-    with np.errstate(all="ignore"):
-        args, sides, _, _, xs, ys, bad, bisector = _v_hyperbola(cfgs)
-        mb = _unit(kernels.privalov(*sides))
-        worst = 0.0
-        for x, y in zip(xs, ys):
-            u = _unit_bary(args[:6], x, y)
-            form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
-            worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
-        _, co, (ox, oy, fs), *_, rules = _six_point_rules(args)
-        # n maps (x, y, 1) to the fit's frame.
-        A, B, C, D, E, F = co
-        n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
-        mc = _entries(_bary_to_plane(mb, args[:6]))
-        mf = _entries(_unit(_congruent(((A, B / 2.0, D / 2.0), (B / 2.0, C, E / 2.0),
-                                        (D / 2.0, E / 2.0, F)), n)))
-        diff = np.minimum(functools.reduce(np.maximum, [abs(p - q) for p, q in zip(mc, mf)]),
-                          functools.reduce(np.maximum, [abs(p + q) for p, q in zip(mc, mf)]))
+    args, sides, _, _, xs, ys, bad, bisector = _v_hyperbola(cfgs)
+    mb = _unit(kernels.privalov(*sides))
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        u = _unit_bary(args[:6], x, y)
+        form = sum(u[i] * mb[i][j] * u[j] for i in range(3) for j in range(3))
+        worst = np.maximum(worst, abs(form) / (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
+    _, co, (ox, oy, fs), *_, rules = _six_point_rules(args)
+    # n maps (x, y, 1) to the fit's frame.
+    A, B, C, D, E, F = co
+    n = ((1.0 / fs, 0.0, -ox / fs), (0.0, 1.0 / fs, -oy / fs), (0.0, 0.0, 1.0))
+    mc = _entries(_bary_to_plane(mb, args[:6]))
+    mf = _entries(_unit(_congruent(((A, B / 2.0, D / 2.0), (B / 2.0, C, E / 2.0),
+                                    (D / 2.0, E / 2.0, F)), n)))
+    diff = np.minimum(functools.reduce(np.maximum, [abs(p - q) for p, q in zip(mc, mf)]),
+                      functools.reduce(np.maximum, [abs(p + q) for p, q in zip(mc, mf)]))
     return _fail_or(
         np.where(bisector, 0.0, np.maximum(worst, diff)),
         (bad, _DEGENERATE),
@@ -1209,13 +1199,12 @@ def _chk_isosceles_degenerate(cfgs) -> tuple:
     zero = np.zeros(cfgs.n)
     corners = (zero, apex, h, zero, -h, zero)
     sides, lams, bad = kernels._sides_deltas(*corners, kernels.KIND_V_HYPERBOLA, zero, zero)
-    with np.errstate(all="ignore"):
-        (A, B, D), (_, C, E), (_, _, F) = _bary_to_plane(
-            _unit(kernels.privalov(*sides)), corners)
-        co = (A, 2.0 * B, C, 2.0 * D, 2.0 * E, F)
-        # BC's midpoint is the origin.
-        worst = np.maximum(kernels.conic_residual(co, zero, zero),
-                           abs(kernels.tangency_disc(co, *_sidelines(corners)[0])))
+    (A, B, D), (_, C, E), (_, _, F) = _bary_to_plane(
+        _unit(kernels.privalov(*sides)), corners)
+    co = (A, 2.0 * B, C, 2.0 * D, 2.0 * E, F)
+    # BC's midpoint is the origin.
+    worst = np.maximum(kernels.conic_residual(co, zero, zero),
+                       abs(kernels.tangency_disc(co, *_sidelines(corners)[0])))
     bisector = abs(lams[0]) <= kernels.MEMBER_GUARD * kernels._largest(sides)
     return _fail_or(np.where(bisector, worst, 1.0), (bad, _DEGENERATE))
 
@@ -1232,13 +1221,12 @@ def _chk_soddy_intersections(cfgs) -> tuple:
     through the Soddy centers (kernels.soddy, X175 where finite), its
     focal-difference residual there over the circumdiameter; 0.0 where a
     member is a perpendicular bisector."""
-    with np.errstate(all="ignore"):
-        args, lams, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
-        worst = 0.0
-        for x, y, far in kernels.soddy(args[:6], sides)[:2]:
-            at = kernels._sides_deltas(*args[:6], kernels.KIND_P_HYPERBOLA, x, y)[1]
-            res = functools.reduce(np.maximum, [abs(abs(d) - abs(l)) for d, l in zip(at, lams)])
-            worst = np.maximum(worst, np.where(far, 0.0, res / diam))
+    args, lams, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
+    worst = 0.0
+    for x, y, far in kernels.soddy(args[:6], sides)[:2]:
+        at = kernels._sides_deltas(*args[:6], kernels.KIND_P_HYPERBOLA, x, y)[1]
+        res = functools.reduce(np.maximum, [abs(abs(d) - abs(l)) for d, l in zip(at, lams)])
+        worst = np.maximum(worst, np.where(far, 0.0, res / diam))
     return _fail_or(np.where(bisector, 0.0, worst), (bad, _DEGENERATE))
 
 
@@ -1268,8 +1256,7 @@ def _chk_halftangent_sextic(cfgs) -> tuple:
     y, errs = _roots(_sextic_roots(xs))
     converse, more = _roots(_scan_rays(_half_tangent_gap, xs[None], 0.25, 1.4, steps=1, first=True))
     errs.update((i, exc) for i, exc in more.items() if not math.isnan(y[i]))
-    with np.errstate(invalid="ignore"):
-        worst = _pymax(abs(_half_tangent_gap(y, xs)), abs(converse - y))
+    worst = _pymax(abs(_half_tangent_gap(y, xs)), abs(converse - y))
     return np.where(np.isnan(y - converse), 1.0, worst), errs
 
 
@@ -1314,19 +1301,18 @@ def _chk_chords_x8(cfgs) -> tuple:
     _vhyp_chord_line_bary (_chord_gaps), so X8 lies on that line too; 0.0
     where a member is a perpendicular bisector.  Which line is the chord
     varies from pair to pair, as the branches do."""
-    with np.errstate(all="ignore"):
-        args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
-        g, pairs, _ = kernels.focal_pairs(*args)
-        gx, gy, s = g
-        (qx, qy, _), *_ = kernels.soddy(args[:6], sides)
-        qx, qy = (qx - gx) / s, (qy - gy) / s
-        x8, y8, _ = kernels.bary_point(*args[:6], *kernels.cyclic(_x8, *sides))
-        chords, missed = [], False
-        for _, _, lines in pairs:
-            d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in lines]
-            missed = missed | (np.minimum(*d) > 1e-6)
-            chords.append(np.where(d[0] <= d[1], lines[1], lines[0]))
-        far, closed = _chord_gaps(g, chords, [[(x8, y8)]] * 3, _vhyp_chord_line_bary(*sides), args[:6], diam)
+    args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
+    g, pairs, _ = kernels.focal_pairs(*args)
+    gx, gy, s = g
+    (qx, qy, _), *_ = kernels.soddy(args[:6], sides)
+    qx, qy = (qx - gx) / s, (qy - gy) / s
+    x8, y8, _ = kernels.bary_point(*args[:6], *kernels.cyclic(_x8, *sides))
+    chords, missed = [], False
+    for _, _, lines in pairs:
+        d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in lines]
+        missed = missed | (np.minimum(*d) > 1e-6)
+        chords.append(np.where(d[0] <= d[1], lines[1], lines[0]))
+    far, closed = _chord_gaps(g, chords, [[(x8, y8)]] * 3, _vhyp_chord_line_bary(*sides), args[:6], diam)
     return _fail_or(
         np.where(bisector, 0.0, np.maximum(far, closed)),
         (bad, _DEGENERATE),
@@ -1340,18 +1326,17 @@ def _chk_fifteen_point_cubic(cfgs) -> tuple:
     each one's distance to its nearest sideline, the worst over the largest
     side; without the V-hyperbola vertices where a member is a
     perpendicular bisector."""
-    with np.errstate(all="ignore"):
-        args, _, _, s, hxs, hys, bad, bisector = _v_hyperbola(cfgs)
-        exs, eys, _ = kernels.vertices(*args[:6], kernels.KIND_V_ELLIPSE, *args[7:])
-        lines = _sidelines(args[:6])
+    args, _, _, s, hxs, hys, bad, bisector = _v_hyperbola(cfgs)
+    exs, eys, _ = kernels.vertices(*args[:6], kernels.KIND_V_ELLIPSE, *args[7:])
+    lines = _sidelines(args[:6])
 
-        def gaps(x, y):
-            return functools.reduce(
-                np.minimum, [abs(l * x + m * y + n) / kernels._hypot(l, m) for l, m, n in lines]
-            ).max(axis=0) / s
+    def gaps(x, y):
+        return functools.reduce(
+            np.minimum, [abs(l * x + m * y + n) / kernels._hypot(l, m) for l, m, n in lines]
+        ).max(axis=0) / s
 
-        worst = np.maximum(gaps(np.stack(args[:6:2]), np.stack(args[1:6:2])), gaps(exs, eys))
-        worst = np.maximum(worst, np.where(bisector, 0.0, gaps(hxs, hys)))
+    worst = np.maximum(gaps(np.stack(args[:6:2]), np.stack(args[1:6:2])), gaps(exs, eys))
+    worst = np.maximum(worst, np.where(bisector, 0.0, gaps(hxs, hys)))
     return _fail_or(worst, (bad, _DEGENERATE))
 
 
@@ -1365,11 +1350,10 @@ def _chk_soddy_line_tangent(cfgs) -> tuple:
     xs = cfgs["x"]
     y, errs = _roots(_sextic_roots(xs))
     corners = (-1.0, 0.0, 1.0, 0.0, xs, y)
-    with np.errstate(all="ignore"):
-        _, (_, _, far), (l, m, n) = kernels.soddy(corners, kernels.triangle_sides(*corners))
-        px, py, qx, qy = _side_ends(corners)
-        gaps = abs(abs(l * ((px + qx) / 2.0) + m * ((py + qy) / 2.0) + n) / kernels._hypot(l, m)
-                   - kernels._hypot(px - qx, py - qy) / 2.0)
+    _, (_, _, far), (l, m, n) = kernels.soddy(corners, kernels.triangle_sides(*corners))
+    px, py, qx, qy = _side_ends(corners)
+    gaps = abs(abs(l * ((px + qx) / 2.0) + m * ((py + qy) / 2.0) + n) / kernels._hypot(l, m)
+               - kernels._hypot(px - qx, py - qy) / 2.0)
     return np.where(far, _pymax(0.0, *gaps), 1.0), errs
 
 
@@ -1396,9 +1380,8 @@ def _area_gap(xs, ys):
 def _chk_equal_areas(cfgs) -> tuple:
     """P5.3 on all configurations at once: the vertex triangles of the
     P-hyperbola triad (kernels.vertices) have equal areas."""
-    with np.errstate(all="ignore"):
-        xs, ys, bad = kernels.vertices(*_cfg_args(cfgs, kernels.KIND_P_HYPERBOLA))
-        gap = _area_gap(xs, ys)
+    xs, ys, bad = kernels.vertices(*_cfg_args(cfgs, kernels.KIND_P_HYPERBOLA))
+    gap = _area_gap(xs, ys)
     return _fail_or(gap, (bad, DegenerateMember(_TRIAD_FAULTS["p_hyperbola"])))
 
 
@@ -1412,22 +1395,21 @@ def _chk_x55(cfgs) -> tuple:
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
     sides = _distances(corners)
-    with np.errstate(all="ignore"):
-        qx, qy, _ = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
-        refl = []
-        for l, m, n in _sidelines(corners):
-            d = (l * qx + m * qy + n) / (l * l + m * m)  # Q reflected in the line
-            refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
-        tsides = _distances(refl)
-        ts = kernels._largest(tsides)
-        ox, oy, far_o, r = kernels.circumcircle(refl, tsides)
-        (xs, ys, bad), *_, (x, y, has_center), _, rules = _six_point_rules(
-            (*refl, kernels.KIND_P_HYPERBOLA, qx, qy))
-        dists = kernels._hypot(xs - ox, ys - oy)
-        spread = abs(dists - sum(dists) / 6.0).max(axis=0)
-        conc = np.where(bad, spread, np.where(has_center, kernels._hypot(x - ox, y - oy), math.inf))
-        x7, y7, _ = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
-        worst = functools.reduce(np.maximum, (spread, conc, kernels._hypot(ox - x7, oy - y7))) / r
+    qx, qy, _ = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
+    refl = []
+    for l, m, n in _sidelines(corners):
+        d = (l * qx + m * qy + n) / (l * l + m * m)  # Q reflected in the line
+        refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
+    tsides = _distances(refl)
+    ts = kernels._largest(tsides)
+    ox, oy, far_o, r = kernels.circumcircle(refl, tsides)
+    (xs, ys, bad), *_, (x, y, has_center), _, rules = _six_point_rules(
+        (*refl, kernels.KIND_P_HYPERBOLA, qx, qy))
+    dists = kernels._hypot(xs - ox, ys - oy)
+    spread = abs(dists - sum(dists) / 6.0).max(axis=0)
+    conc = np.where(bad, spread, np.where(has_center, kernels._hypot(x - ox, y - oy), math.inf))
+    x7, y7, _ = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
+    worst = functools.reduce(np.maximum, (spread, conc, kernels._hypot(ox - x7, oy - y7))) / r
     # X55 and X7 are never at infinity: their barycentrics are all positive.
     return _fail_or(
         worst,
@@ -1486,11 +1468,10 @@ def _chk_phyp_parabola(cfgs, rays) -> tuple:
     kernels.six_point call."""
     (found, errs), (at, disc_errs) = (_roots(v) for v in _parabola_roots(rays))
     fault, live, px, py = _sideline_points(rays[:6], cfgs["u"])
-    with np.errstate(all="ignore"):
-        dx, dy = _on_ray(at, *rays[6:])
-        codes, dets, discs, _ = kernels.six_point(
-            *rays[:6], kernels.KIND_P_HYPERBOLA, np.vstack((px, dx)), np.vstack((py, dy)))
-        worst = _pymax(abs(at - found) * 1e-3, abs(discs[-1]), _sideline_residuals(fault, live, codes, dets))
+    dx, dy = _on_ray(at, *rays[6:])
+    codes, dets, discs, _ = kernels.six_point(
+        *rays[:6], kernels.KIND_P_HYPERBOLA, np.vstack((px, dx)), np.vstack((py, dy)))
+    worst = _pymax(abs(at - found) * 1e-3, abs(discs[-1]), _sideline_residuals(fault, live, codes, dets))
     return np.where(np.isnan(found) | np.isnan(at), 1.0, worst), {**disc_errs, **errs}
 
 
@@ -1567,13 +1548,12 @@ def _chk_a_ellipse(cfgs) -> tuple:
     """A1 on all configurations at once: the block's worst normalized
     residual at 12 points of each A-ellipse (_a_ellipse)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    with np.errstate(all="ignore"):
-        (a, b, c), (ox, oy), (ux, uy), (alpha, beta), faults = _a_ellipse(args[:6])
-        cos, sin = (np.array([[f(2.0 * math.pi * (k + 0.37) / 12)] for k in range(12)])
-                    for f in (math.cos, math.sin))
-        x, y, z = _unit_bary(args[:6], ox + alpha * cos * ux + beta * sin * -uy,
-                             oy + alpha * cos * uy + beta * sin * ux)
-        res = _block("a_ellipse", "main", {"a": a, "b": b, "c": c, "x": x, "y": y, "z": z}, True)
+    (a, b, c), (ox, oy), (ux, uy), (alpha, beta), faults = _a_ellipse(args[:6])
+    cos, sin = (np.array([[f(2.0 * math.pi * (k + 0.37) / 12)] for k in range(12)])
+                for f in (math.cos, math.sin))
+    x, y, z = _unit_bary(args[:6], ox + alpha * cos * ux + beta * sin * -uy,
+                         oy + alpha * cos * uy + beta * sin * ux)
+    res = _block("a_ellipse", "main", {"a": a, "b": b, "c": c, "x": x, "y": y, "z": z}, True)
     return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0), *faults)
 
 
@@ -1583,18 +1563,17 @@ def _chk_major_vertices(cfgs) -> tuple:
     projectively, the worse; ConstructionFailed for a negative radicand."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
-    with np.errstate(all="ignore"):
-        (a, b, c), (ox, oy), (ux, uy), (alpha, _), faults = _a_ellipse(corners)
-        values = {"a": a, "b": b, "c": c, "S": 0.0, "rt": 0.0}
-        rad = _block("major_vertices", "rt_radicand", values)
-        values.update(S=2.0 * abs(kernels.signed_area(*corners)), rt=np.sqrt(rad))
-        second, third = (_block("major_vertices", poly, values) for poly in ("second", "third"))
-        alpha = np.stack((alpha, -alpha))  # the two vertices o +- alpha u
-        ends = _unit_bary(corners, ox + ux * alpha, oy + uy * alpha)
-        worst = 0.0
-        for sign in ("plus", "minus"):
-            num, den = (_block("major_vertices", f"{poly}_{sign}", values) for poly in ("num", "den"))
-            worst = np.maximum(worst, _proj_errors((num, den * second, den * third), ends).min(axis=0))
+    (a, b, c), (ox, oy), (ux, uy), (alpha, _), faults = _a_ellipse(corners)
+    values = {"a": a, "b": b, "c": c, "S": 0.0, "rt": 0.0}
+    rad = _block("major_vertices", "rt_radicand", values)
+    values.update(S=2.0 * abs(kernels.signed_area(*corners)), rt=np.sqrt(rad))
+    second, third = (_block("major_vertices", poly, values) for poly in ("second", "third"))
+    alpha = np.stack((alpha, -alpha))  # the two vertices o +- alpha u
+    ends = _unit_bary(corners, ox + ux * alpha, oy + uy * alpha)
+    worst = 0.0
+    for sign in ("plus", "minus"):
+        num, den = (_block("major_vertices", f"{poly}_{sign}", values) for poly in ("num", "den"))
+        worst = np.maximum(worst, _proj_errors((num, den * second, den * third), ends).min(axis=0))
     return _fail_or(
         worst, (rad < 0.0, ConstructionFailed("vertex radical is negative for this triangle")), *faults
     )
@@ -1618,10 +1597,9 @@ def _chk_x3prime_center(cfgs) -> tuple:
     (_x3prime_fit) against the block's f(a, b, c), f(b, c, a), f(c, a, b),
     projectively."""
     corners = _corners(cfgs)
-    with np.errstate(all="ignore"):
-        (a, b, c), x, y, faults = _x3prime_fit(corners)
-        f = _block("x3prime_center", "f", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b]})
-        gap = _proj_errors(f, _unit_bary(corners, x, y))
+    (a, b, c), x, y, faults = _x3prime_fit(corners)
+    f = _block("x3prime_center", "f", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b]})
+    gap = _proj_errors(f, _unit_bary(corners, x, y))
     return _fail_or(gap, *faults)
 
 
@@ -1633,15 +1611,14 @@ def _phyp_block(name: str):
     def run(cfgs) -> tuple:
         args = _cfg_args(cfgs, kernels.KIND_P_HYPERBOLA)
         corners, (px, py) = args[:6], args[7:]
-        with np.errstate(all="ignore"):
-            xs, ys, bad = kernels.vertices(*args)
-            (a, b, c), (la, lb, lc), _ = kernels._sides_deltas(*args)
-            values = {"a": a, "b": b, "c": c, "La": la, "Lb": lb, "Lc": lc}
-            if name == "phyp_member":
-                values.update(zip("pqr", _unit_bary(corners, px, py)))
-                xs, ys = np.vstack((px, xs[:2])), np.vstack((py, ys[:2]))
-            values.update(zip("xyz", _unit_bary(corners, xs, ys)))
-            res = _block(name, "main", values, True)
+        xs, ys, bad = kernels.vertices(*args)
+        (a, b, c), (la, lb, lc), _ = kernels._sides_deltas(*args)
+        values = {"a": a, "b": b, "c": c, "La": la, "Lb": lb, "Lc": lc}
+        if name == "phyp_member":
+            values.update(zip("pqr", _unit_bary(corners, px, py)))
+            xs, ys = np.vstack((px, xs[:2])), np.vstack((py, ys[:2]))
+        values.update(zip("xyz", _unit_bary(corners, xs, ys)))
+        res = _block(name, "main", values, True)
         return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0),
                         (bad, DegenerateMember(_TRIAD_FAULTS["p_hyperbola"])))
 
@@ -1654,14 +1631,13 @@ def _chk_x5452_coordinate(cfgs) -> tuple:
     similarity leaves barycentrics as they are, against the block's g at
     the plane sides and focal differences, cycled, projectively."""
     args = _cfg_args(cfgs, kernels.KIND_V_HYPERBOLA)
-    with np.errstate(all="ignore"):
-        sides, (la, lb, lc), _ = kernels._sides_deltas(*args)
-        a, b, c = sides
-        framed = kernels.frame(*args[:6])[1]
-        (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules((*framed, *args[6:]))
-        g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
-                                              "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
-        gap = _proj_errors(g, _unit_bary(framed, x, y))
+    sides, (la, lb, lc), _ = kernels._sides_deltas(*args)
+    a, b, c = sides
+    framed = kernels.frame(*args[:6])[1]
+    (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules((*framed, *args[6:]))
+    g = _block("x5452_coordinate", "g", {"a": [a, b, c], "b": [b, c, a], "c": [c, a, b],
+                                          "La": [la, lb, lc], "Lb": [lb, lc, la], "Lc": [lc, la, lb]})
+    gap = _proj_errors(g, _unit_bary(framed, x, y))
     return _fail_or(gap, (bad, _DEGENERATE), *rules, (~has_center, _NO_CENTER))
 
 
@@ -1674,8 +1650,7 @@ def _gen_x3prime_center(rng, n) -> tuple:
 
     def block(k) -> tuple:
         tab = _tri_table(rng, k + k // 4 + 1)
-        with np.errstate(all="ignore"):
-            errs = _fail_or(None, *_x3prime_fit(_corners(tab))[3])[1]
+        errs = _fail_or(None, *_x3prime_fit(_corners(tab))[3])[1]
         drop = [i for i, exc in errs.items() if isinstance(exc, (ConstructionFailed, RankDeficient))]
         return _accepted(tab, ~np.isin(np.arange(tab.n), drop), errs)
 
@@ -1827,8 +1802,7 @@ def _circumcircle_rays(corners, ang) -> tuple:
     centers.circumcircle, and where those may raise instead (Triangle
     refuses the corners, X3 is at infinity, or the ray is not finite)."""
     sides = _distances(corners)
-    with np.errstate(all="ignore"):
-        ox, oy, far, r = kernels.circumcircle(corners, sides)
+    ox, oy, far, r = kernels.circumcircle(corners, sides)
     odd = _refused(corners, sides) | far | ~np.isfinite(ox + oy + r)
     return np.array((*corners, ox, oy, r, _floatwise(math.cos, ang), _floatwise(math.sin, ang))), odd
 
@@ -2010,12 +1984,13 @@ def _prop_rng(prop_id: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(prop_id.encode())])
 
 
-def _crashes(res, errs) -> dict:
-    """A run's exceptions by row, with NonFiniteResidual where a residual
-    is NaN, which no bound can pass."""
+def _check(prop, cfgs) -> tuple:
+    """prop's residuals on cfgs and its exceptions by row, with
+    NonFiniteResidual where a residual is NaN, which no bound can pass."""
+    res, errs = prop.run(cfgs)
     nan = np.flatnonzero(np.isnan(res)).tolist()
-    return {**{i: NonFiniteResidual("the check gave a NaN residual") for i in nan if i not in errs},
-            **errs}
+    return res, {**{i: NonFiniteResidual("the check gave a NaN residual") for i in nan if i not in errs},
+                 **errs}
 
 
 def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> CheckResult:
@@ -2031,22 +2006,23 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
     # returns; the rng is this proposition's own and dropped after
     # drawing, so no other proposition's draws hang on this one's trials.
     # A failed draw is a failed trial without a witness.
-    start = time.perf_counter()
-    try:
-        cfgs, failed = prop.draw(rng, n)
-    except Exception as exc:  # a crashed batch draw fails all its trials
-        cfgs, failed = ConfigTable(0), dict.fromkeys(range(n), exc)
-    draw_s = time.perf_counter() - start
-    start = time.perf_counter()
-    try:
-        res, errs = prop.run(cfgs) if cfgs.n else (np.zeros(0), {})
-    except Exception as exc:  # a crashed batch check fails all its trials
-        res, errs = np.zeros(cfgs.n), dict.fromkeys(range(cfgs.n), exc)
-    check_s = time.perf_counter() - start
+    with np.errstate(all="ignore"):
+        start = time.perf_counter()
+        try:
+            cfgs, failed = prop.draw(rng, n)
+        except Exception as exc:  # a crashed batch draw fails all its trials
+            cfgs, failed = ConfigTable(0), dict.fromkeys(range(n), exc)
+        draw_s = time.perf_counter() - start
+        start = time.perf_counter()
+        try:
+            res, errs = _check(prop, cfgs) if cfgs.n else (np.zeros(0), {})
+        except Exception as exc:  # a crashed batch check fails all its trials
+            res, errs = np.zeros(cfgs.n), dict.fromkeys(range(cfgs.n), exc)
+        check_s = time.perf_counter() - start
     # The trial of each row; a crashed trial counts as inf, and the first
     # strict maximum above -1 is the witness.
     trial = np.delete(np.arange(n), list(failed))
-    crashes = {int(trial[i]): exc for i, exc in _crashes(res, errs).items()} | failed
+    crashes = {int(trial[i]): exc for i, exc in errs.items()} | failed
     full = np.full(n, math.inf)
     full[trial] = res
     full[list(crashes)] = math.inf
@@ -2077,8 +2053,8 @@ def run_proposition(prop_id: str, seed: int = 42, trials: int | None = None) -> 
 def replay_witness(prop_id: str, witness: dict) -> float:
     if prop_id not in _BY_ID:
         raise UnknownProposition(prop_id)
-    res, errs = _BY_ID[prop_id].run(ConfigTable.from_dicts([witness]))
-    crashes = _crashes(res, errs)
+    with np.errstate(all="ignore"):
+        res, crashes = _check(_BY_ID[prop_id], ConfigTable.from_dicts([witness]))
     if crashes:  # a fresh traceback: a check's exception may be one shared instance
         raise crashes[0].with_traceback(None)
     return float(res[0])

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +174,7 @@ def test_collinear_is_the_triangle_test():
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
 @example(0.0, -5e-324, 2.0)
+@example(0.0, 2.2250738585e-313, 5e-324)
 def test_projective_normalization(u, v, w):
     if u == 0 and v == 0 and w == 0:
         return
@@ -183,4 +186,7 @@ def test_projective_normalization(u, v, w):
             assert t > 0.0
             break
     for k in (2.0, -3.5):
-        assert proj_eq(BaryCoords(k * u, k * v, k * w).normalized(), n, tol=1e-12)
+        scaled = (k * u, k * v, k * w)
+        if any(abs(t) < sys.float_info.min and Fraction(t) != Fraction(k) * Fraction(f) for t, f in zip(scaled, (u, v, w))):
+            continue  # a rounded subnormal product keeps too few bits to be k times its factor
+        assert proj_eq(BaryCoords(*scaled).normalized(), n, tol=1e-12)

@@ -289,3 +289,15 @@ def test_chord_rule_lives_in_focal_pairs():
     assert _kernel_readers(ast.unparse(functions["_v_hyperbola_circle"]), {"circumcircle"})
     assert "_v_hyperbola_circle" in _references(functions["_chk_chords_x8"])
     assert _two_point_lines(source) == {"_sidelines", "_chk_excentral_tangents"}
+
+
+def test_float_policy_lives_in_the_runner():
+    # The verifier's one floating-point policy: run_proposition draws and
+    # checks, and replay_witness checks, under one np.errstate each, both
+    # through _check.  No check, draw or helper sets its own, but
+    # _tri_mask, which the public draws reach outside the runner.
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    functions = {name: stmt for stmt in tree.body for name in _definitions(stmt)}
+    setters = {name for name, stmt in functions.items() if "errstate" in _references(stmt)}
+    assert setters == {"run_proposition", "replay_witness", "_tri_mask"}
+    assert all("_check" in _references(functions[name]) for name in ("run_proposition", "replay_witness"))

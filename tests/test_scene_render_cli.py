@@ -571,6 +571,44 @@ def test_svg_view_box_covers_a_scene_conic():
     assert -top - h <= -1.0 and -top >= 1.0
 
 
+def _line_paths(root) -> list:
+    """The (x, y) ends of each one-segment scene-conic path of an SVG."""
+    out = []
+    for el in root.iter():
+        if el.tag.endswith("path") and el.attrib.get("stroke") == "#aa3377" and el.attrib["d"].count("L") == 1:
+            x0, y0, x1, y1 = map(float, el.attrib["d"].replace("M", "").replace("L", " ").split())
+            out.append(((x0, -y0), (x1, -y1)))
+    return out
+
+
+def test_svg_renders_a_scene_of_only_a_line():
+    # The double line y = 1 alone: its point nearest the origin, with the
+    # origin, spans the view, and the line crosses it.
+    g = (0.0, 1.0, -1.0)
+    sc = Scene()
+    sc.conics.append(Conic(np.outer(g, g)))
+    root = ET.fromstring(emit_svg(sc))
+    xmin, top, w, h = (float(v) for v in root.attrib["viewBox"].split())
+    assert -top - h < 0.0 and -top > 1.0
+    ((x0, y0), (x1, y1)), = _line_paths(root)
+    assert y0 == y1 == 1.0 and sorted((x0, x1)) == pytest.approx([xmin, xmin + w])
+
+
+def test_svg_draws_a_line_outside_the_other_content():
+    # Points (0, 0) and (1, 0) and the double line y = 5: the view reaches
+    # the line's point nearest the centre of the points, (0.5, 5).
+    g = (0.0, 1.0, -5.0)
+    sc = Scene()
+    sc.add_point("O", Point2(0.0, 0.0))
+    sc.add_point("E", Point2(1.0, 0.0))
+    sc.conics.append(Conic(np.outer(g, g)))
+    root = ET.fromstring(emit_svg(sc))
+    xmin, top, w, h = (float(v) for v in root.attrib["viewBox"].split())
+    assert -top > 5.0 and -top - h < 0.0
+    ((x0, y0), (x1, y1)), = _line_paths(root)
+    assert y0 == y1 == 5.0 and sorted((x0, x1)) == pytest.approx([xmin, xmin + w])
+
+
 @pytest.mark.parametrize("entry", ["conic", "triad"])
 def test_scene_rejects_a_non_cartesian_conic(entry, tmp_path, t345, cli_env):
     # Scenes hold Cartesian conics only: a raw conic or a triad's six-point

@@ -72,8 +72,10 @@ def _drawn(prop, seed, n=None) -> list:
 
 def _results(run, cfgs) -> list:
     """run (a proposition's, or a batch check) on the configuration dicts
-    cfgs, through their ConfigTable: one residual or exception a trial."""
-    res, errs = run(verify.ConfigTable.from_dicts(cfgs))
+    cfgs, through their ConfigTable: one residual or exception a trial,
+    under the runner's floating-point policy (numpy's warnings off)."""
+    with np.errstate(all="ignore"):
+        res, errs = run(verify.ConfigTable.from_dicts(cfgs))
     return [errs.get(i, r) for i, r in enumerate(res.tolist())]
 
 
@@ -2068,7 +2070,8 @@ def test_circumcircle_rays_are_the_object_rays(pid):
     # path's ray (cfg_ray), bit for bit, or the exception it raises.
     cfgs = _drawn(verify._BY_ID[pid], 5)
     cfgs += [dict(cfgs[0], triangle=tri) for tri in _REFUSED_TRIANGLES]
-    rays, errs = verify._cfg_rays(verify.ConfigTable.from_dicts(cfgs))
+    with np.errstate(all="ignore"):  # the runner's policy, as in _results
+        rays, errs = verify._cfg_rays(verify.ConfigTable.from_dicts(cfgs))
     rays = [errs.get(i, tuple(ray)) for i, ray in enumerate(rays.T.tolist())]
     assert _same_results(rays, verify._each(reference_checks.cfg_ray, cfgs))
     assert [type(r).__name__ for r in rays[-3:]] == ["DegenerateTriangle", "ValueError", "PointAtInfinity"]
