@@ -25,13 +25,7 @@ import numpy as np
 
 from . import kernels
 from .centers import circumcircle, excircle_tangency_points
-from .conic import (
-    Conic,
-    center as conic_center,
-    fit_framed,
-    residual,
-    tangency_discriminant,
-)
+from .conic import Conic, fit_framed
 from .errors import (
     DegenerateMember,
     NotConverged,
@@ -39,15 +33,7 @@ from .errors import (
     RankDeficient,
     TriconicError,
 )
-from .geom import (
-    Point2,
-    Triangle,
-    distance,
-    line_intersection,
-    line_through,
-    midpoint,
-    signed_area,
-)
+from .geom import Point2, Triangle, midpoint
 from .triads import _six_point_fit
 
 
@@ -146,8 +132,8 @@ def halftangent_sextic(x, y):
 
 
 def pstar_circle_functional(a, b, c, da, db, dc) -> float:
-    """Sum of three squared brackets; zero iff the P-ellipse six-point conic
-    is a circle."""
+    """Sum of three squared brackets; zero where the P-ellipse six-point
+    conic is a circle, and at the vertices (_circle_points)."""
     f1 = (a * a - da * da) * (c * c - b * b + db * db - dc * dc)
     f2 = (b * b - db * db) * (a * a - c * c + dc * dc - da * da)
     f3 = (c * c - dc * dc) * (b * b - a * a + da * da - db * db)
@@ -168,7 +154,8 @@ def covertex_condition_equilateral_P(da, db, dc) -> float:
 
 
 def phyp_circle_functional(a, b, c, la, lb, lc) -> float:
-    """Zero iff the P-hyperbola six-point conic is a circle."""
+    """Zero where the P-hyperbola six-point conic is a circle, and at the
+    vertices (_circle_points)."""
     f1 = (c * c - lc * lc) * (-(a * a) + b * b + la * la - lb * lb)
     f2 = (b * b - lb * lb) * (-(a * a) + c * c + la * la - lc * lc)
     f3 = (a * a - la * la) * (-(b * b) + c * c + lb * lb - lc * lc)
@@ -355,69 +342,6 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic
     return LocusSweep(*(w.tolist() for w in (theta, px, py, x, y, res))), arcs
 
 
-@dataclass(frozen=True)
-class EquilateralOstarReport:
-    semi_axes: tuple[float, float]
-    center_offsets: tuple[float, float, float]
-    midpoint_residuals: tuple[float, ...]
-    endpoint_set_error: float
-    tangency_discriminants: tuple[float, float]
-    top_vertex_error: float
-    area_ratio: float
-
-
-def equilateral_ostar_locus_check() -> EquilateralOstarReport:
-    """Side-1 equilateral: locus ellipses centered on the vertices with
-    semi-axes sqrt(3)/2 and sqrt(3)/6, plus the tangent-line construction."""
-    A = Point2(-0.5, 0.0)
-    B = Point2(0.5, 0.0)
-    C = Point2(0.0, math.sqrt(3.0) / 2.0)
-    t = Triangle(A, B, C)
-    arcs = ostar_arc_ellipses(t)
-    # Semi-axes and center from the quadratic form of each locus ellipse.
-    axes = []
-    offsets = []
-    for arc, vertex in (("a", A), ("b", B), ("c", C)):
-        con = arcs[arc]
-        cen = conic_center(con)
-        offsets.append(distance(cen, vertex))
-        m = con.m
-        Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
-        # Centered form: (p-cen)^T Q (p-cen) = -f(cen)  ->  semi-axes sqrt(k/eig).
-        k = -con(cen)
-        eig = np.linalg.eigvalsh(Q)
-        semi = sorted((math.sqrt(k / e) for e in eig), reverse=True)
-        axes.append(tuple(semi))
-    mid_res = tuple(
-        residual(arcs[arc], midpoint(u, v))
-        for arc in ("a", "b", "c")
-        for (u, v) in ((t.b, t.c), (t.c, t.a), (t.a, t.b))
-    )
-    # Arc "c" endpoints: reflections of the midpoints of AC and BC about C.
-    c_a = Point2(2 * C.x - (B.x + C.x) / 2, 2 * C.y - (B.y + C.y) / 2)
-    c_b = Point2(2 * C.x - (A.x + C.x) / 2, 2 * C.y - (A.y + C.y) / 2)
-    end_err = max(residual(arcs["c"], c_a), residual(arcs["c"], c_b))
-    la = line_through(A, c_a)
-    lb = line_through(B, c_b)
-    disc = (
-        abs(tangency_discriminant(arcs["c"], la)),
-        abs(tangency_discriminant(arcs["c"], lb)),
-    )
-    c_ab = line_intersection(la, lb)
-    top = midpoint(C, c_ab)
-    top_err = residual(arcs["c"], top)
-    area_ratio = abs(signed_area(A, c_ab, B)) / t.area
-    return EquilateralOstarReport(
-        semi_axes=axes[2],
-        center_offsets=tuple(offsets),
-        midpoint_residuals=mid_res,
-        endpoint_set_error=end_err,
-        tangency_discriminants=disc,
-        top_vertex_error=top_err,
-        area_ratio=area_ratio,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Circle points: the drivers whose six-point conic is a circle
 # ---------------------------------------------------------------------------
@@ -591,7 +515,10 @@ def _circle_points(ts, kind: str, least: int) -> list:
     |differences| ("p_hyperbola") x, takes one value k for all three
     members: the circle lemma, which tests/test_certificates.py proves
     (the vertex distance |OV|^2 = R^2 + (x_i^2 - s_i^2) / 4, and the
-    V-triads' factors of u_a - u_b).
+    V-triads' factors of u_a - u_b).  The paper's two functionals are sums
+    of the squares of u_i (u_j - u_k) (test_pstar_functional_is_the_circle_lemma,
+    test_phyp_functional_is_the_circle_lemma): they vanish where the u_i
+    agree and also where two of them vanish, at the vertices.
     Given k, the x_i fix the distances from the corners, up to a common
     shift t for the differences, and P is their trilateration.  P*
     (k < 0) is each sign change of a scan in k (_pstar_candidates), the

@@ -40,7 +40,11 @@ Every check takes the table and runs as one batch on its columns, each
 trial's bits those of a batch of one.  P3.5 runs one O* sweep a triangle
 (`loci.sample_locus_ostar`, which does not batch), then its arcs at the
 side midpoints on arrays; P3.6 and P3.7 check one fixed configuration,
-once a table, for every trial (`_fixed`).
+once a table, for every trial (`_fixed`): P3.6 the side-1 equilateral's
+arcs, built by `loci.ostar_arc_ellipses` as P3.5's are, on arrays (their
+centers, semi-axes and midpoint residuals, and arc c's tangent lines from
+A and B, their meeting point and its area ratio), and P3.7 its
+`loci.region_map`.
 P3.2 and P5.4 run one circle-point search each
 (`loci.pstar_candidates_batch`, `loci.phyp_circle_points_batch`: a
 one-variable reduction in k, the value of s_i^2 - x_i^2 the three members
@@ -131,8 +135,8 @@ from .loci import (
     bracket_sign_changes,
     covertex_condition_equilateral_P,
     covertex_locus_V,
-    equilateral_ostar_locus_check,
     halftangent_sextic,
+    ostar_arc_ellipses,
     parabola_deg8_V,
     phyp_circle_points_batch,
     phyp_parabola_condition,
@@ -1009,16 +1013,40 @@ def _chk_ostar_arcs(cfgs) -> tuple:
 
 
 def _chk_equilateral_arcs() -> float:
-    rep = equilateral_ostar_locus_check()
-    worst = abs(rep.semi_axes[0] - math.sqrt(3.0) / 2.0)
-    worst = max(worst, abs(rep.semi_axes[1] - math.sqrt(3.0) / 6.0))
-    worst = max(worst, max(rep.center_offsets))
-    worst = max(worst, max(rep.midpoint_residuals))
-    worst = max(worst, rep.endpoint_set_error)
-    worst = max(worst, max(rep.tangency_discriminants))
-    worst = max(worst, rep.top_vertex_error)
-    worst = max(worst, abs(rep.area_ratio - 3.0))
-    return worst
+    """P3.6 on the side-1 equilateral's arcs (loci.ostar_arc_ellipses, as
+    P3.5 and the O* sweep build them), on arrays: each arc's center
+    (kernels.frame_center) off its vertex, its residuals at the three side
+    midpoints and its semi-axes, from its quadratic form about the center,
+    against sqrt(3)/6 and sqrt(3)/2; arc c's residuals at the midpoints
+    of BC and CA reflected about C, the tangency discriminants of the lines
+    from A and B through those, and its residual at the midpoint of C and
+    the lines' meeting point T, its top vertex; and the area of ATB against
+    three times ABC's."""
+    s3 = math.sqrt(3.0)
+    corners = (-0.5, 0.0, 0.5, 0.0, 0.0, s3 / 2.0)
+    arcs = list(ostar_arc_ellipses(_triangle(*corners)).values())
+    co = np.array([con.coeffs() for con in arcs]).T
+    x, y, _ = kernels.frame_center(co, (0.0, 0.0, 1.0))
+    # Centered form (p - cen)^T Q (p - cen) = k = -f(cen): semi-axes sqrt(k / eig).
+    k = -np.array([[con(Point2(u, w))] for con, u, w in zip(arcs, x, y)])
+    semi = np.sort(np.sqrt(k / np.linalg.eigvalsh([con.m[:2, :2] for con in arcs])))
+    v = np.array(corners).reshape(3, 2)
+    mids = (v + np.roll(v, -1, 0)) / 2.0  # AB, BC, CA
+    r = 2.0 * v[2] - mids[1:]
+    # The lines from A and B through r: the sides AB of the triangles A r0 C
+    # and B r1 C; T, where they meet, as geom.line_intersection finds it.
+    # ATB and ABC share their base AB (on y = 0), so their areas are as the
+    # heights of T and C.
+    lines = np.array(_sidelines((*v[:2].T, *r.T, *v[2]))[2])
+    t = np.cross(*lines.T)
+    t = t[:2] / t[2]
+    c = co[:, 2]
+    return max(*abs(semi - (s3 / 6.0, s3 / 2.0)).ravel(),
+               *kernels._hypot(x - v[:, 0], y - v[:, 1]),
+               *kernels.conic_residual(co[:, :, None], *mids.T).ravel(),
+               *kernels.conic_residual(c, *r.T), *abs(kernels.tangency_disc(c, *lines)),
+               kernels.conic_residual(c, *(v[2] + t) / 2.0),
+               abs(abs(t[1] / v[2, 1]) - 3.0))
 
 
 def _chk_equilateral_regions() -> float:

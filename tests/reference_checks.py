@@ -52,6 +52,11 @@ verifier ran them on arrays; covertex_locus_reference,
 covertex_equilateral_reference and halftangent_reference are those
 checks of one configuration.
 
+loci.equilateral_ostar_locus_check computed P3.6's quantities on the
+object path, in a report that only the verifier read, before the
+verifier's check computed them on arrays; equilateral_arcs_reference
+computes them as it did.
+
 P3.5 (ostar_arcs_reference) and P4.10 (soddy_line_reference) finished
 each trial on floats, on the object path, before the verifier ran them
 on arrays; P3.5-P3.7 ran trial by trial on each row's dict (_per_trial,
@@ -87,7 +92,15 @@ from triconic.centers import (
     soddy,
     soddy_centers,
 )
-from triconic.conic import Conic, ConicClass, FocalConic, FramedFit, residual
+from triconic.conic import (
+    Conic,
+    ConicClass,
+    FocalConic,
+    FramedFit,
+    center as conic_center,
+    residual,
+    tangency_discriminant,
+)
 from triconic.config import DET_DEGENERATE_TOL, get_tol
 from triconic.errors import (
     ConstructionFailed,
@@ -109,6 +122,7 @@ from triconic.geom import (
     Triangle,
     bary_to_cartesian,
     distance,
+    line_intersection,
     line_through,
     midpoint,
     signed_area,
@@ -118,6 +132,7 @@ from triconic.loci import (
     batch_sign_changes,
     covertex_condition_equilateral_P,
     covertex_locus_V,
+    ostar_arc_ellipses,
     phyp_circle_functional,
     pstar_circle_functional,
     sample_locus_ostar,
@@ -1002,6 +1017,38 @@ def ostar_arcs_reference(cfg) -> float:
     for con in arcs.values():
         worst = max(worst, max(residual(con, m) for m in mids))
     return worst
+
+
+def equilateral_arcs_reference() -> dict:
+    """P3.6's quantities on the object path, as loci computed them before
+    the verifier's check took them on arrays: for the side-1 equilateral's
+    arcs (ostar_arc_ellipses), each arc's semi-axes (major first), from its
+    quadratic form about its center, the center's offset from its vertex
+    and its residuals at the side midpoints; arc c's residuals at the
+    midpoints of BC and CA reflected about C, the tangency discriminants of
+    the lines from A and B through those, its residual at the midpoint of
+    C and their meeting point T, and the area of ATB over ABC's."""
+    A, B, C = Point2(-0.5, 0.0), Point2(0.5, 0.0), Point2(0.0, math.sqrt(3.0) / 2.0)
+    t = Triangle(A, B, C)
+    arcs = ostar_arc_ellipses(t)
+    mids = (midpoint(B, C), midpoint(C, A), midpoint(A, B))
+    out = {"semi_axes": [], "center_offsets": [], "midpoint_residuals": []}
+    for con, vertex in zip(arcs.values(), (A, B, C)):
+        cen = conic_center(con)
+        # Centered form (p - cen)^T Q (p - cen) = -f(cen): semi-axes sqrt(k / eig).
+        k = -con(cen)
+        out["semi_axes"].append(sorted((math.sqrt(k / e) for e in np.linalg.eigvalsh(con.m[:2, :2])),
+                                       reverse=True))
+        out["center_offsets"].append(distance(cen, vertex))
+        out["midpoint_residuals"] += [residual(con, m) for m in mids]
+    ends = [Point2(2 * C.x - m.x, 2 * C.y - m.y) for m in mids[:2]]
+    lines = [line_through(A, ends[0]), line_through(B, ends[1])]
+    top = line_intersection(*lines)
+    out["endpoint_residuals"] = [residual(arcs["c"], e) for e in ends]
+    out["tangency_discriminants"] = [abs(tangency_discriminant(arcs["c"], ln)) for ln in lines]
+    out["top_vertex_residual"] = residual(arcs["c"], midpoint(C, top))
+    out["area_ratio"] = abs(signed_area(A, top, B)) / t.area
+    return out
 
 
 def soddy_line_reference(cfg) -> float:

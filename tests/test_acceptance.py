@@ -35,7 +35,6 @@ from triconic.geom import (
     signed_area,
 )
 from triconic.loci import (
-    equilateral_ostar_locus_check,
     ostar_arc_ellipses,
     pstar_circle_functional,
     sample_locus_ostar,
@@ -61,6 +60,7 @@ from reference_checks import (
     check_appendix,
     deltas,
     equal_area_check,
+    equilateral_arcs_reference,
     second_common_point,
     sideline_extension_residual,
     two_branch_chords,
@@ -261,19 +261,20 @@ def test_criterion_05_ostar_locus():
 
 
 def test_criterion_06_equilateral_corollary():
-    rep = equilateral_ostar_locus_check()
+    # On the construction (ostar_arc_ellipses), on the object path.
+    q = equilateral_arcs_reference()
     ok = (
-        abs(rep.semi_axes[0] - math.sqrt(3) / 2) <= 1e-8
-        and abs(rep.semi_axes[1] - math.sqrt(3) / 6) <= 1e-8
-        and max(rep.center_offsets) <= 1e-8
-        and abs(rep.area_ratio - 3.0) <= 1e-8
+        all(abs(major - math.sqrt(3) / 2) <= 1e-8 and abs(minor - math.sqrt(3) / 6) <= 1e-8
+            for major, minor in q["semi_axes"])
+        and max(q["center_offsets"]) <= 1e-8
+        and abs(q["area_ratio"] - 3.0) <= 1e-8
     )
+    major, minor = q["semi_axes"][2]
     _report(
         6,
         ok,
-        f"equilateral arcs: semi-axes ({rep.semi_axes[0]:.10f}, "
-        f"{rep.semi_axes[1]:.10f}), center offset {max(rep.center_offsets):.2e}, "
-        f"area ratio {rep.area_ratio:.10f}",
+        f"equilateral arcs: arc c semi-axes ({major:.10f}, {minor:.10f}), center offset "
+        f"{max(q['center_offsets']):.2e}, area ratio {q['area_ratio']:.10f}",
     )
 
 

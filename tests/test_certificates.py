@@ -87,3 +87,29 @@ def test_v_hyperbola_circle_factor():
     a, b, c = sympy.symbols("a b c", positive=True)
     u_a, u_b = a * a - (b - c) ** 2, b * b - (c - a) ** 2
     assert sympy.expand(u_a - u_b - 2 * (a - b) * (a + b - c)) == 0
+
+
+def _u():
+    """The sides (a, b, c) and axes (x_a, x_b, x_c) as symbols, and the
+    u_i = s_i^2 - x_i^2."""
+    s, x = sympy.symbols("a b c"), sympy.symbols("x_a x_b x_c")
+    return s, x, [si * si - xi * xi for si, xi in zip(s, x)]
+
+
+def test_pstar_functional_is_the_circle_lemma():
+    # The P-ellipse functional, with the focal sums x_i, is a sum of u_i
+    # times a difference of the others: it vanishes where the u_i agree
+    # (the circle lemma) or where two u_i vanish, that is at P on two
+    # sides, a vertex; those are the extra zeros that
+    # find_pstar_candidates' docstring warns of.
+    s, x, (u_a, u_b, u_c) = _u()
+    lemma = (u_a * (u_c - u_b)) ** 2 + (u_b * (u_a - u_c)) ** 2 + (u_c * (u_b - u_a)) ** 2
+    assert sympy.expand(loci.pstar_circle_functional(*s, *x) - lemma) == 0
+
+
+def test_phyp_functional_is_the_circle_lemma():
+    # The P-hyperbola functional, with the focal |differences| x_i: the
+    # same three products, in another order.
+    s, x, (u_a, u_b, u_c) = _u()
+    lemma = (u_c * (u_b - u_a)) ** 2 + (u_b * (u_c - u_a)) ** 2 + (u_a * (u_c - u_b)) ** 2
+    assert sympy.expand(loci.phyp_circle_functional(*s, *x) - lemma) == 0

@@ -301,3 +301,16 @@ def test_float_policy_lives_in_the_runner():
     setters = {name for name, stmt in functions.items() if "errstate" in _references(stmt)}
     assert setters == {"run_proposition", "replay_witness", "_tri_mask"}
     assert all("_check" in _references(functions[name]) for name in ("run_proposition", "replay_witness"))
+
+
+def test_verifier_owns_the_proposition_checks():
+    # loci holds constructions, loci, searches and maps; the verifier owns
+    # every check.  So loci defines no proposition check and no report
+    # class, and P3.6 reads its arcs from the construction that P3.5 and
+    # the O* sweep use (loci.ostar_arc_ellipses).
+    body = ast.parse((PACKAGE / "loci.py").read_text()).body
+    names = {name for stmt in body for name in _definitions(stmt)}
+    assert {name for name in names if "check" in name or "Report" in name} == set()
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    functions = {name: stmt for stmt in tree.body for name in _definitions(stmt)}
+    assert "ostar_arc_ellipses" in _references(functions["_chk_equilateral_arcs"])

@@ -22,7 +22,6 @@ from triconic.geom import BaryCoords, Point2, Triangle, bary_to_cartesian, dista
 from triconic.loci import (
     covertex_condition_equilateral_P,
     covertex_locus_V,
-    equilateral_ostar_locus_check,
     find_phyp_circle_points,
     find_pstar_candidates,
     halftangent_sextic,
@@ -51,6 +50,7 @@ from reference_checks import (
     covertex_conconic_V,
     covertex_conic_check,
     deltas,
+    equilateral_arcs_reference,
     is_circle,
     lambdas,
     point_at,
@@ -436,15 +436,28 @@ def test_ostar_endpoint_vertex_limit(t_generic):
 
 
 def test_equilateral_ostar_corollary():
-    rep = equilateral_ostar_locus_check()
-    assert rep.semi_axes[0] == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
-    assert rep.semi_axes[1] == pytest.approx(math.sqrt(3) / 6, abs=1e-8)
-    assert max(rep.center_offsets) <= 1e-8
-    assert max(rep.midpoint_residuals) <= 1e-8
-    assert rep.endpoint_set_error <= 1e-8
-    assert max(rep.tangency_discriminants) <= 1e-8
-    assert rep.top_vertex_error <= 1e-8
-    assert rep.area_ratio == pytest.approx(3.0, abs=1e-8)
+    # P3.6 on its construction, ostar_arc_ellipses, on the object path:
+    # every arc has semi-axes sqrt(3)/2 and sqrt(3)/6 about its vertex and
+    # passes through the side midpoints; arc c passes through the reflected
+    # midpoints and touches the lines from A and B through them, whose
+    # meeting point T has its midpoint with C on arc c and ATB three times
+    # ABC's area.
+    q = equilateral_arcs_reference()
+    s3 = math.sqrt(3)
+    for major, minor in q["semi_axes"]:
+        assert major == pytest.approx(s3 / 2, abs=1e-8)
+        assert minor == pytest.approx(s3 / 6, abs=1e-8)
+    assert max(q["center_offsets"]) <= 1e-8
+    assert max(q["midpoint_residuals"]) <= 1e-8
+    assert max(q["endpoint_residuals"]) <= 1e-8
+    assert max(q["tangency_discriminants"]) <= 1e-8
+    assert q["top_vertex_residual"] <= 1e-8
+    assert q["area_ratio"] == pytest.approx(3.0, abs=1e-8)
+    # The verifier's check, on arrays, reads the worst of them, bit for bit.
+    axes = [abs(v - w) for pair in q["semi_axes"] for v, w in zip(pair, (s3 / 2, s3 / 6))]
+    worst = max(*axes, *q["center_offsets"], *q["midpoint_residuals"], *q["endpoint_residuals"],
+                *q["tangency_discriminants"], q["top_vertex_residual"], abs(q["area_ratio"] - 3.0))
+    assert verify._chk_equilateral_arcs() == worst
 
 
 def test_find_pstar_equilateral(equilateral):

@@ -776,7 +776,23 @@ def _hyperbolas_read_rectangular(co, _real=kernels.classify_code):
     return np.where(code == kernels.CLASS_HYPERBOLA, kernels.CLASS_RECTANGULAR_HYPERBOLA, code), det, disc
 
 
+def _arc_c_through_a_moved_b1(t, _real=loci.ostar_arc_ellipses):
+    # Arc c through the side midpoints, A2 and B1 (excircle tangency
+    # points), B1 moved by 1e-5 in x.
+    _, A2, B1, *_ = centers.excircle_tangency_points(t)
+    mids = [midpoint(t.b, t.c), midpoint(t.c, t.a), midpoint(t.a, t.b)]
+    moved = Point2(B1.x + 1e-5, B1.y)
+    return {**_real(t), "c": conic.fit_framed([*mids, A2, moved]).conic()}
+
+
+def _privalov_of_cycled_sides(a, b, c, _real=kernels.privalov):
+    return _real(b, c, a)
+
+
 _NEGATIVE_CONTROLS = {
+    # Arc c through a moved point no longer has the corollary's axes or
+    # tangents: P3.6 reads 1.3e-5 against its bound of 1e-8.
+    "P3.6-equilateral-arcs": (verify, "ostar_arc_ellipses", _arc_c_through_a_moved_b1),
     # X8 lies on the line through A and X8, but pair A's chord is not it:
     # P4.8 reads 0.99999.
     "P4.8-chords-x8": (verify, "_vhyp_chord_line_bary", _line_through_a_and_x8),
@@ -784,6 +800,9 @@ _NEGATIVE_CONTROLS = {
     # reads 1.0e-6 against its bound of 1e-7.
     "P4.10-soddy-line-tangent": (kernels, "soddy", _moved_soddy_line),
     "P3.8-never-rectangular": (kernels, "classify_code", _hyperbolas_read_rectangular),
+    # Privalov's conic of the sides cycled, (b, c, a), is not this
+    # triangle's: on the isosceles triangles (b = c) P4.4 reads 0.12.
+    "P4.4-isosceles-degenerate": (kernels, "privalov", _privalov_of_cycled_sides),
 }
 
 
@@ -866,7 +885,7 @@ def test_a_crashed_ostar_sweep_fails_only_its_own_trial(monkeypatch):
     assert _results(prop.run, cfgs) == [clean[0], failed, *clean[2:]]
 
 
-@pytest.mark.parametrize("pid, name", [("P3.6-equilateral-arcs", "equilateral_ostar_locus_check"),
+@pytest.mark.parametrize("pid, name", [("P3.6-equilateral-arcs", "ostar_arc_ellipses"),
                                        ("P3.7-equilateral-regions", "region_map")])
 def test_a_fixed_configuration_is_checked_once_a_run(pid, name, monkeypatch):
     # P3.6 and P3.7 check one fixed configuration: once, for every trial.
