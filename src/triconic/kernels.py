@@ -27,9 +27,9 @@ and the P2.2, P3.1, P3.8 and P5.2 trials.
 `triads._six_point_fit` calls `vertex_rows`, `fit_six`, `residual6` and
 `frame_center` itself, on floats or arrays, with the six-point conic's fit
 rules: it serves the circle test (`loci._circle_conditions`) of the circle
-searches, P3.2 and P5.4, and with the sideline rules
+searches, P3.2, P3.3, P5.4 and P5.5, and with the sideline rules
 (`triads._six_point_rules`) `triads.six_point_conic` and the P2.1, P2.7,
-P3.3, P4.3, A3, A6 and P5.5 trials; `loci.sample_locus_ostar` calls
+P4.3, A3 and A6 trials; `loci.sample_locus_ostar` calls
 `vertices`, `fit_six` and `frame_center` directly, and `loci.region_map`
 `vertices`, `fit_six` and `classify_code`, on a row of cell xs and a
 column of cell ys; neither reads residual6.
@@ -72,7 +72,8 @@ centroid and s the largest side: `focal_pairs` works in it, and so do the
 Carnot test of `triads.six_point_conic`, the circle searches (their
 trilateration, the P* scan in k and the P-hyperbola pair's closed form,
 `loci._circle_points`) and, in the verifier, the sideline rule of the
-six-point fits and the P3.2 and P5.4 postconditions.
+six-point fits, the P3.2 and P5.4 postconditions and the P3.3 and P5.5
+checks.
 """
 
 import itertools
@@ -835,7 +836,8 @@ def _largest(v):
 
 def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
     """The triad's focal pairs in the triangle's frame (`frame`):
-    ((gx, gy, s), pairs, bad).
+    ((gx, gy, s), framed, sides, pairs, bad), with the frame and the
+    framed corners of `frame` and the sides of `_sides_deltas`.
 
     A member with foci F, G and axis L = |delta| is |q - F|^2 = ell(q)^2,
     ell(q) = p - k.(q - F), k = (F - G) / L, p = (L^2 - |F - G|^2) / (2L),
@@ -871,7 +873,7 @@ def focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py):
         (ci, kix, kiy), (cj, kjx, kjy) = ells
         lines = ((kjx - kix, kjy - kiy, ci - cj), (-(kix + kjx), -(kiy + kjy), ci + cj))
         pairs.append((*members, lines))
-    return g, pairs, bad
+    return g, framed, sides, pairs, bad
 
 
 def members(pairs):
@@ -955,7 +957,7 @@ def pair_points(ax, ay, bx, by, cx, cy, kind, px, py):
     if one:
         ax, ay, bx, by, cx, cy, px, py = np.array([ax, ay, bx, by, cx, cy, px, py], dtype=float)[:, None]
     with np.errstate(all="ignore"):
-        (gx, gy, s), pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+        (gx, gy, s), _, _, pairs, bad = focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
         mi, mj = (tuple(np.array([p[m][c] for p in pairs])[:, None] for c in range(6)) for m in (0, 1))
         lines = (np.array([[line[j] for line in p[2]] for p in pairs]) for j in range(3))
         roots = _line_roots(mi, *lines)  # two of (x, y, ok), each (3, 2) + shape

@@ -353,15 +353,16 @@ _CONCENTRIC_TOL = 1e-4
 
 
 def _circle_conditions(args) -> tuple:
-    """The circle test of the circle searches and of P3.2 and P5.4, for
-    the P-ellipse or P-hyperbola triads of the kernel arguments args, on
-    floats or elementwise on arrays, with the same bits: the worst of the
-    circle functional over s**8 (1e-12 scaled to 1e-6), 1.0 unless the
-    six-point conic is a circle, and its center's distance from the
-    circumcenter (kernels.circumcircle) over the circumradius; and the
+    """The circle test of the circle searches and of P3.2, P3.3, P5.4 and
+    P5.5, for the P-ellipse or P-hyperbola triads of the kernel arguments
+    args, on floats or elementwise on arrays, with the same bits: the
+    worst of the circle functional over s**8 (1e-12 scaled to 1e-6), 1.0
+    unless the six-point conic is a circle, and its center's distance from
+    the circumcenter (kernels.circumcircle) over the circumradius; the
     faults as (mask, exception) pairs: six_point_conic's fit rules
     (triads._six_point_fit; not its sideline rules, which say nothing of
-    the conic), then a circumcenter at infinity.  The triangle's sides are
+    the conic), then a circumcenter at infinity; and the circumcircle (ox,
+    oy, r), for what a claim adds to the circle.  The triangle's sides are
     computed once a call (kernels._sides_deltas), for the functional, the
     circumcircle and the fit."""
     functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
@@ -376,7 +377,7 @@ def _circle_conditions(args) -> tuple:
         functional(*sides, *focal) / (s4 * s4) * 1e6,
         np.where(has_center, kernels._hypot(x - ox, y - oy) / r, 1.0)),
         (kernels.classify_code(co)[0] != kernels.CLASS_CIRCLE) * 1.0)
-    return worst, [*rules, (far, PointAtInfinity("u+v+w ~ 0 for X3"))]
+    return worst, [*rules, (far, PointAtInfinity("u+v+w ~ 0 for X3"))], (ox, oy, r)
 
 
 # P*'s scan in sigma = w / (1 + w), k = -w**2, over _PSTAR_CELLS cells of
@@ -540,7 +541,7 @@ def _circle_points(ts, kind: str, least: int) -> list:
         failed = np.ones(at.shape, bool)
         for _ in range(_POLISH_STEPS):
             args = (*args[:7], *np.where(failed, _polish(args, cols[13:, at]), args[7:]))
-            worst, faults = _circle_conditions(args)
+            worst, faults, _ = _circle_conditions(args)
             failed = functools.reduce(np.logical_or, (m for m, _ in faults), ~(worst <= _CONCENTRIC_TOL))
             if not failed.any():
                 break

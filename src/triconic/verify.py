@@ -54,11 +54,16 @@ once on arrays, in each triangle's frame (`kernels.frame`): class,
 center and circumcircle of the six-point conic at its points, by the
 searches' own circle test
 (`loci._circle_conditions`), and P5.4's mutual membership
-(`_member_residuals`).  On arrays: P2.2, P3.1, P3.8 and P5.2 in one
-`kernels.six_point` call; P2.1, P2.7, P3.3, P4.3, A3, A6 and P5.5 on the
-fit and rules that `six_point_conic` reads (`triads._six_point_rules`);
-P2.3, P2.4, P2.5 and P4.8 on one `kernels.focal_pairs` call (P2.4 and P4.8
-on its pair chords, through their one helper `_chord_gaps`); P4.7 and P5.6
+(`_member_residuals`).  P3.3 and P5.5 make the same circle claim, for
+the X3-anticevian with driver X3 and for X55's reflection triangle
+through X55, and read the same test, in ABC's frame, with only what
+each claims beyond it: P3.3's circumcenter on the line X4 X6 (P3.3
+holds both to 1e2 times its bound), P5.5's circumcenter at X7.  On arrays: P2.2, P3.1, P3.8 and P5.2 in one
+`kernels.six_point` call; P2.1, P2.7, P4.3, A3 and A6 on the fit and
+rules that `six_point_conic` reads (`triads._six_point_rules`); P2.3,
+P2.4, P2.5 and P4.8 on one `kernels.focal_pairs` call, with its frame
+and sides (P2.4 and P4.8 on its pair chords, through their one helper
+`_chord_gaps`); P4.7 and P5.6
 in one `kernels.pair_points` call; P4.1-P4.5 and P4.9
 on `kernels.vertex_coords` (`_v_hyperbola`); P5.3, A4 and A5 on
 `kernels.vertices`; P5.1 in one `kernels.second_point` call; the catalog
@@ -141,7 +146,6 @@ from .loci import (
     phyp_circle_points_batch,
     phyp_parabola_condition,
     pstar_candidates_batch,
-    pstar_circle_functional,
     region_map,
     sample_locus_ostar,
     x478_quartic,
@@ -527,9 +531,7 @@ def _chk_excentral_tangents(cfgs) -> tuple:
     and touches there the excentral side, the line through the other two
     excenters (kernels.tangency_disc)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    sides = kernels._sides_deltas(*args)[0]
-    _, pairs, bad = kernels.focal_pairs(*args)
-    _, framed = kernels.frame(*args[:6])
+    _, framed, sides, pairs, bad = kernels.focal_pairs(*args)
     exc = [kernels.bary_point(*framed, *uvw) for uvw in kernels.excenters(*sides)]
     worst = 0.0
     for m, co in enumerate(kernels.members(pairs)):
@@ -551,15 +553,15 @@ def _vell_chord_line_bary(a, b, c):
     )
 
 
-def _chord_gaps(g, chords, points, line, corners, diam) -> tuple:
+def _chord_gaps(g, chords, points, line, framed, diam) -> tuple:
     """What P2.4 and P4.8 claim of a triad's pair chords, each a line
     (l, m, n) of kernels.focal_pairs in its frame g = (gx, gy, s), on
     arrays: the worst distance of each chord's points (x, y) from it, in
     the plane, over the circumdiameter diam; and pair A's chord against
     its closed form, the barycentric line `line`, projectively
     (_proj_errors), in the frame.  A barycentric line is sum_i line_i s_i
-    there, s_i the framed triangle's sidelines (_sidelines): s_i(q) is
-    twice the signed area opposite corner i."""
+    there, s_i the sidelines (_sidelines) of the framed corners `framed`:
+    s_i(q) is twice the signed area opposite corner i."""
     gx, gy, s = g
     worst = 0.0
     for (l, m, n), pts in zip(chords, points):
@@ -567,7 +569,7 @@ def _chord_gaps(g, chords, points, line, corners, diam) -> tuple:
         for x, y in pts:
             # In the plane, the chord is l x + m y + (n s - l gx - m gy) = 0.
             worst = np.maximum(worst, abs(l * x + m * y + (n * s - l * gx - m * gy)) / h / diam)
-    s0, s1, s2 = _sidelines(kernels.frame(*corners)[1])
+    s0, s1, s2 = _sidelines(framed)
     closed = [line[0] * s0[k] + line[1] * s1[k] + line[2] * s2[k] for k in range(3)]
     return worst, _proj_errors(chords[0], closed)
 
@@ -585,12 +587,11 @@ def _chk_pair_chords_x20(cfgs) -> tuple:
     the other."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
-    sides = kernels._sides_deltas(*args)[0]
-    g, pairs, bad = kernels.focal_pairs(*args)
+    g, framed, sides, pairs, bad = kernels.focal_pairs(*args)
     x20 = kernels.bary_point(*corners, *kernels.cyclic(kernels.center_x20, *sides))
     exc = [kernels.bary_point(*corners, *uvw) for uvw in kernels.excenters(*sides)]
     far, closed = _chord_gaps(g, [lines[0] for *_, lines in pairs], [(q[:2], x20[:2]) for q in exc],
-                              _vell_chord_line_bary(*sides), corners,
+                              _vell_chord_line_bary(*sides), framed,
                               2.0 * kernels.circumcircle(corners, sides)[3])
     return _fail_or(
         np.maximum(far, closed),
@@ -605,9 +606,7 @@ def _chk_x20_on_members(cfgs) -> tuple:
     X20 is the reflection of X4 about X3 (their distance), and each
     V-ellipse member passes through it (kernels.conic_residual)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    sides = kernels._sides_deltas(*args)[0]
-    _, pairs, bad = kernels.focal_pairs(*args)
-    _, framed = kernels.frame(*args[:6])
+    _, framed, sides, pairs, bad = kernels.focal_pairs(*args)
     (x20, y20, f20), (x4, y4, f4), (x3, y3, f3) = (
         kernels.bary_point(*framed, *kernels.cyclic(f, *sides))
         for f in (kernels.center_x20, kernels.center_x4, kernels.center_x3)
@@ -873,7 +872,7 @@ def _chk_pstar(corners, xs, ys) -> tuple:
     only the principal candidate, the one farthest from the vertices, is
     checked."""
     _, framed = kernels.frame(*corners, xs[0], ys[0])
-    return _circle_conditions((*framed[:6], kernels.KIND_P_ELLIPSE, *framed[6:]))
+    return _circle_conditions((*framed[:6], kernels.KIND_P_ELLIPSE, *framed[6:]))[:2]
 
 
 def _chk_circle_pair(corners, xs, ys) -> tuple:
@@ -882,24 +881,26 @@ def _chk_circle_pair(corners, xs, ys) -> tuple:
     residuals over the largest side, _member_residuals, times 1e2)."""
     _, framed = kernels.frame(*corners, xs[0], ys[0], xs[1], ys[1])
     args = [(*framed[:6], kernels.KIND_P_HYPERBOLA, *framed[k:k + 2]) for k in (6, 8)]
-    (w1, f1), (w2, f2) = map(_circle_conditions, args)
+    (w1, f1, _), (w2, f2, _) = map(_circle_conditions, args)
     res = _member_residuals(args[0], [framed[8]] * 3, [framed[9]] * 3)[0]
     return functools.reduce(np.maximum, (w1, w2, res.max(axis=0) * 1e2)), [*f1, *f2]
 
 
-def _x3_anticevian(corners) -> tuple:
+def _x3_anticevian(sides, corners) -> tuple:
     """The X3-anticevian of each triangle of the corners, the triangle of
-    X3's barycentrics (u, v, w) with one sign flipped in turn: (sides, the
-    kernel arguments of its P-ellipse triad with driver X3, its sides, and
-    the faults as _fail_or pairs in the object path's order)."""
-    sides = _distances(corners)
+    X3's barycentrics (u, v, w) with one sign flipped in turn, X3 taken of
+    the sides: those of the corners, or of the plane's triangle where the
+    corners are its frame, whose rounding would move X3 off a sideline it
+    is on.  (The kernel arguments of its P-ellipse triad with driver X3,
+    its sides, and the faults as _fail_or pairs in the object path's
+    order.)"""
     x3 = u, v, w = kernels.cyclic(kernels.center_x3, *sides)
     anti = [kernels.bary_point(*corners, *(-q if k == i else q for k, q in enumerate(x3)))
             for i in range(3)]
     tcorners = tuple(c for x, y, _ in anti for c in (x, y))
     tsides = _distances(tcorners)
     px, py, far = kernels.bary_point(*corners, *x3)
-    return sides, (*tcorners, kernels.KIND_P_ELLIPSE, px, py), tsides, [
+    return (*tcorners, kernels.KIND_P_ELLIPSE, px, py), tsides, [
         ((u == 0.0) | (v == 0.0) | (w == 0.0),
          DegenerateResult("anticevian undefined for a point on a sideline")),
         # Triangle's refusal of collinear corners.
@@ -911,47 +912,29 @@ def _x3_anticevian(corners) -> tuple:
 
 
 def _chk_anticevian_needle(cfgs) -> tuple:
-    """P3.3 on all configurations at once: with P = X3 of ABC, the
-    P-ellipse six-point conic of the X3-anticevian (corners and P from
-    kernels.bary_point) is a circle: the circle functional
-    (pstar_circle_functional), the spread of the six vertices' distances
-    from the anticevian's circumcenter, and the conic's center
-    (_six_point_rules, kernels.frame_center) on that circumcenter and on the
-    line X4 X6 of ABC.  DegenerateResult where X3 is on a sideline or
-    Triangle refuses the X3-anticevian (_x3_anticevian).  The catalog
-    points, the circle functional and the scales take the sides of
-    _distances, as on the object path: the residual is rounding noise of
-    the conic's center, which moves by up to 60 times when a side's last
-    bit does."""
-    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    sides, targs, tsides, faults = _x3_anticevian(args[:6])
-    corners = targs[:6]
-    _, deltas, bad = kernels._sides_deltas(*targs)
-    ts = kernels._largest(tsides)
-    s = np.maximum(kernels._largest(sides), ts)
-    s4 = (s * s) * (s * s)
-    # functional tolerance 1e-12 scaled into the 1e-6 threshold
-    fval = pstar_circle_functional(*tsides, *deltas) / (s4 * s4) * 1e6
-    (xs, ys, _), *_, (x, y, has_center), _, rules = _six_point_rules(targs)
-    ox, oy, far_o, radius = kernels.circumcircle(corners, tsides)
-    dist = [kernels._hypot(vx - ox, vy - oy) for vx, vy in zip(xs, ys)]
-    rmean = sum(dist) / 6.0
-    spread = functools.reduce(np.maximum, [abs(d - rmean) for d in dist]) / radius
-    conc = np.where(has_center, kernels._hypot(x - ox, y - oy) / radius, 1.0)
-    x4, y4, far4 = kernels.bary_point(*args[:6], *kernels.cyclic(kernels.center_x4, *sides))
-    x6, y6, far6 = kernels.bary_point(*args[:6], *(v * v for v in sides))
+    """P3.3 on all configurations at once, in ABC's frame (kernels.frame),
+    the centers taken of the plane's sides: with P = X3 of ABC, the
+    P-ellipse six-point conic of the X3-anticevian (_x3_anticevian) is a
+    circle concentric with the anticevian's circumcircle, by the circle
+    test of P3.2 and P5.4 (_circle_conditions), and that circumcenter lies
+    on the line X4 X6 of ABC (the area it spans with X4 and X6 over
+    |X4 X6|^2 + s^2, s the larger triangle's largest side, ABC's being 1 in
+    the frame); both times 1e2, so that the conic's center is held to the
+    circumcenter within 1e-8 of the radius, as P3.3 always held it.
+    DegenerateResult where X3 is on a sideline or Triangle refuses the
+    X3-anticevian."""
+    corners = _corners(cfgs)
+    sides = _distances(corners)
+    _, framed = kernels.frame(*corners)
+    targs, tsides, faults = _x3_anticevian(sides, framed)
+    worst, rules, (ox, oy, _) = _circle_conditions(targs)
+    x4, y4, far4 = kernels.bary_point(*framed, *kernels.cyclic(kernels.center_x4, *sides))
+    x6, y6, far6 = kernels.bary_point(*framed, *(v * v for v in sides))
     dx, dy = x6 - x4, y6 - y4
-    area = abs(kernels.signed_area(x4, y4, x6, y6, x, y))
-    lin = np.where(has_center, area / (dx * dx + dy * dy + s * s), 0.0)
-    worst = functools.reduce(np.maximum, (fval, spread, conc * 1e2, lin * 1e2))
-    return _fail_or(
-        worst,
-        *faults,
-        (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])),
-        *rules,
-        (far_o, _at_infinity("the anticevian's X3")),
-        (far4 | far6, _at_infinity("X4 or X6")),
-    )
+    s = np.maximum(1.0, kernels._largest(tsides))
+    lin = abs(kernels.signed_area(x4, y4, x6, y6, ox, oy)) / (dx * dx + dy * dy + s * s)
+    return _fail_or(np.maximum(worst, lin) * 1e2, *faults, *rules,
+                    (far4 | far6, _at_infinity("X4 or X6")))
 
 
 def _cfg_rays(cfgs) -> tuple:
@@ -1330,7 +1313,7 @@ def _chk_chords_x8(cfgs) -> tuple:
     where a member is a perpendicular bisector.  Which line is the chord
     varies from pair to pair, as the branches do."""
     args, _, bad, bisector, sides, diam = _v_hyperbola_circle(cfgs)
-    g, pairs, _ = kernels.focal_pairs(*args)
+    g, framed, _, pairs, _ = kernels.focal_pairs(*args)
     gx, gy, s = g
     (qx, qy, _), *_ = kernels.soddy(args[:6], sides)
     qx, qy = (qx - gx) / s, (qy - gy) / s
@@ -1340,7 +1323,7 @@ def _chk_chords_x8(cfgs) -> tuple:
         d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in lines]
         missed = missed | (np.minimum(*d) > 1e-6)
         chords.append(np.where(d[0] <= d[1], lines[1], lines[0]))
-    far, closed = _chord_gaps(g, chords, [[(x8, y8)]] * 3, _vhyp_chord_line_bary(*sides), args[:6], diam)
+    far, closed = _chord_gaps(g, chords, [[(x8, y8)]] * 3, _vhyp_chord_line_bary(*sides), framed, diam)
     return _fail_or(
         np.where(bisector, 0.0, np.maximum(far, closed)),
         (bad, _DEGENERATE),
@@ -1414,14 +1397,16 @@ def _chk_equal_areas(cfgs) -> tuple:
 
 
 def _chk_x55(cfgs) -> tuple:
-    """P5.5 on all configurations at once: the evidence that, with Q = X55
-    and T' its reflection triangle, the six-point conic of T''s P-hyperbola
-    triad through Q is a circle about T''s circumcenter O', which is X7.
-    The spread of the six vertices about O', the distance of their conic's
-    center from O' (inf without one; the spread where a member degenerates,
-    as in the equilateral limit) and |O' X7|, over the circumradius of T'."""
-    args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    corners = args[:6]
+    """P5.5 on all configurations at once, in ABC's frame (kernels.frame):
+    the evidence that, with Q = X55 and T' its reflection triangle, the
+    six-point conic of T''s P-hyperbola triad through Q is a circle about
+    T''s circumcenter O', by the circle test of P3.2 and P5.4
+    (_circle_conditions), and that O' is X7: |O' X7| over the circumradius
+    of T'.  Where ABC is isosceles, Q is on a perpendicular bisector of T'
+    and a member of the triad collapses; the fit leaves out the doubled
+    vertex, so of the circle test's rules only its DegenerateMember is not
+    P5.5's."""
+    _, corners = kernels.frame(*_corners(cfgs))
     sides = _distances(corners)
     qx, qy, _ = kernels.bary_point(*corners, *kernels.cyclic(_x55, *sides))
     refl = []
@@ -1429,23 +1414,15 @@ def _chk_x55(cfgs) -> tuple:
         d = (l * qx + m * qy + n) / (l * l + m * m)  # Q reflected in the line
         refl += [qx - 2.0 * d * l, qy - 2.0 * d * m]
     tsides = _distances(refl)
-    ts = kernels._largest(tsides)
-    ox, oy, far_o, r = kernels.circumcircle(refl, tsides)
-    (xs, ys, bad), *_, (x, y, has_center), _, rules = _six_point_rules(
-        (*refl, kernels.KIND_P_HYPERBOLA, qx, qy))
-    dists = kernels._hypot(xs - ox, ys - oy)
-    spread = abs(dists - sum(dists) / 6.0).max(axis=0)
-    conc = np.where(bad, spread, np.where(has_center, kernels._hypot(x - ox, y - oy), math.inf))
+    worst, rules, (ox, oy, r) = _circle_conditions((*refl, kernels.KIND_P_HYPERBOLA, qx, qy))
     x7, y7, _ = kernels.bary_point(*corners, *kernels.cyclic(_x7, *sides))
-    worst = functools.reduce(np.maximum, (spread, conc, kernels._hypot(ox - x7, oy - y7))) / r
     # X55 and X7 are never at infinity: their barycentrics are all positive.
     return _fail_or(
-        worst,
+        np.maximum(worst, kernels._hypot(ox - x7, oy - y7) / r),
         # Triangle's refusal of collinear corners, and of corners not finite.
-        (kernels.collinear(*refl, tsides) | ~np.isfinite(ts),
+        (kernels.collinear(*refl, tsides) | ~np.isfinite(kernels._largest(tsides)),
          DegenerateResult("the reflection triangle of X55 degenerates")),
-        (far_o, _at_infinity("the reflection triangle's X3")),
-        *((mask & ~bad, exc) for mask, exc in rules),
+        *((mask, exc) for mask, exc in rules if not isinstance(exc, DegenerateMember)),
     )
 
 
@@ -1561,7 +1538,8 @@ def _a_ellipse(corners) -> tuple:
     X3-anticevian, through X3 (through the cevian foot A it would
     degenerate when A falls inside the focal segment).  (sides, center,
     axis unit, semi axes, faults), as conic.FocalConic computes them."""
-    sides, targs, _, faults = _x3_anticevian(corners)
+    sides = _distances(corners)
+    targs, _, faults = _x3_anticevian(sides, corners)
     bx, by, cx, cy, _, px, py = targs[2:]
     axis = kernels._hypot(px - bx, py - by) + kernels._hypot(px - cx, py - cy)
     dx, dy = bx - cx, by - cy
@@ -1614,7 +1592,8 @@ def _x3prime_fit(corners) -> tuple:
     """The center of P3.3's circle (the P-ellipse six-point conic of the
     X3-anticevian with driver X3) for the triangles of the corners: (sides,
     center x and y, and the faults as _fail_or pairs)."""
-    sides, targs, tsides, faults = _x3_anticevian(corners)
+    sides = _distances(corners)
+    targs, _, faults = _x3_anticevian(sides, corners)
     (_, _, bad), *_, (x, y, has_center), _, rules = _six_point_rules(targs)
     return sides, x, y, [*faults, (bad, DegenerateMember(_TRIAD_FAULTS["p_ellipse"])), *rules,
                          (~has_center, _NO_CENTER)]
@@ -1747,16 +1726,22 @@ def _angle_gap(ang, dirs):
         np.minimum, [abs((ang - d + math.pi) % (2 * math.pi) - math.pi) for d in dirs])
 
 
+def _needle_kept(corners):
+    """Where the X3-anticevian of the triangles of the corners is well
+    conditioned: with (u, v, w) X3's barycentrics, each of |-u + v + w|,
+    |u - v + w| and |u + v - w| above 0.05 (|u| + |v| + |w|)."""
+    u, v, w = kernels.cyclic(kernels.center_x3, *_distances(corners))
+    spread = np.minimum(np.minimum(abs(-u + v + w), abs(u - v + w)), abs(u + v - w))
+    return spread > 0.05 * (abs(u) + abs(v) + abs(w))
+
+
 def _gen_needle(rng, n) -> tuple:
-    """n random triangles whose X3-anticevian is well conditioned: with
-    (u, v, w) X3's barycentrics, each of |-u + v + w|, |u - v + w| and
-    |u + v - w| above 0.05 (|u| + |v| + |w|)."""
+    """n random triangles whose X3-anticevian is well conditioned
+    (_needle_kept)."""
 
     def block(k) -> tuple:
         tab = _tri_table(rng, k * 5 // 4 + 4)
-        u, v, w = kernels.cyclic(kernels.center_x3, *_distances(_corners(tab)))
-        spread = np.minimum(np.minimum(abs(-u + v + w), abs(u - v + w)), abs(u + v - w))
-        return tab.take(spread > 0.05 * (abs(u) + abs(v) + abs(w))), {}
+        return tab.take(_needle_kept(_corners(tab))), {}
 
     return _sample(n, block)
 

@@ -1,12 +1,17 @@
 """Checks of one configuration on the object path, and the constructions
 they use that the package no longer needs.
 
-The appendix blocks' checks (A1-A6) and the X55 conjecture's (P5.5) ran
-trial by trial before the verifier ran them on arrays, every trial at
-once; they are kept as the references its batched checks are tested
-against.  Each appendix check builds the block's object geometrically
-(the metric construction is the oracle), samples it, and evaluates the
-polynomial at the samples' reference-triangle barycentrics.  The
+The appendix blocks' checks (A1-A6) ran trial by trial before the
+verifier ran them on arrays, every trial at once; they are kept as the
+references its batched checks are tested against.  The X55 conjecture's
+(P5.5, x55_conjecture_check) measured the six vertices' spread about the
+reflection triangle's circumcenter in the plane, and is kept for the
+spread tests; since the verifier reads the circle test of P3.2 and P5.4
+in the triangle's frame, its reference is that test (x55_reference, on
+circle_residual) applied to the framed triangle.  Each appendix check
+builds the block's object geometrically (the metric construction is the
+oracle), samples it, and evaluates the polynomial at the samples'
+reference-triangle barycentrics.  The
 constructions are the object-path versions of what the batched checks
 compute on arrays: the anticevian and reflection triangles, reflection
 in a line, a focal conic's vertices, a barycentric conic in the plane
@@ -269,7 +274,7 @@ def two_branch_lines(tr: ConicTriad) -> tuple:
     args = _kernel_args(tr.t, tr.kind, tr.p)
     if focal_triad_bad(*args):
         raise DegenerateMember("two-branch chords need nondegenerate members")
-    (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+    (gx, gy, s), _, _, pairs, _ = kernels.focal_pairs(*args)
     framed = [((q.x - gx) / s, (q.y - gy) / s) for q in soddy_centers(tr.t) if q is not None]
     chords = []
     for _, _, lines in pairs:
@@ -517,12 +522,17 @@ def x55_conjecture_check(t: Triangle) -> X55Report:
 
 
 def x55_reference(cfg) -> float:
-    """P5.5's check of one configuration, as the verifier ran it trial by
-    trial before its batch."""
+    """P5.5's check of one configuration, in the triangle's frame (framed):
+    the circle test (circle_residual) of the P-hyperbola six-point conic
+    through Q = X55 of Q's reflection triangle T', a collapsed member
+    fitted as it is, and |O' X7| over the circumradius of T'."""
     (ax, ay), (bx, by), (cx, cy) = cfg["triangle"]
-    rep = x55_conjecture_check(Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy)))
-    r = rep.circumradius
-    return max(rep.circle_spread / r, rep.concentricity_error / r, rep.x7_match_error / r)
+    t, _ = framed(Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy)))
+    q = classic_center(t, "X55")
+    tprime = reflection_triangle(t, q)
+    worst = circle_residual(tprime, q, "p_hyperbola", collapsed=True)
+    cc = circumcircle(tprime)
+    return max(worst, distance(cc.center, classic_center(t, "X7")) / cc.radius)
 
 
 def covertices_of_focal_conic(fc: FocalConic) -> tuple[Point2, Point2]:
@@ -784,14 +794,15 @@ def framed(t: Triangle, *points: Point2) -> tuple:
         Point2(*f[k:k + 2]) for k in range(6, len(f), 2)]
 
 
-def circle_center(args, scale) -> tuple:
+def circle_center(args, scale, collapsed=False) -> tuple:
     """Class code and center (x, y, has_center) of the six-point conic of
     the kernel arguments args, on floats: six_point_conic's kernels and fit
     rules, not its Carnot sideline test, which says nothing of the conic;
     DegenerateMember or RankDeficient where a rule holds, scale the
-    triangle's largest side."""
+    triangle's largest side.  With collapsed, a collapsed member's vertices
+    are fitted as the vertex formula gives them (P5.5), not refused."""
     xs, ys, bad = kernels.vertices(*args)
-    if bad:
+    if bad and not collapsed:
         raise DegenerateMember("a triad member degenerates")
     co, frame, out = kernels.fit_six(xs, ys)
     if kernels.kept_gap(xs, ys, out) <= 1e-9 * scale:
@@ -836,16 +847,17 @@ def point_at(c: Circle, angle: float) -> Point2:
     return Point2(c.center.x + c.radius * math.cos(angle), c.center.y + c.radius * math.sin(angle))
 
 
-def circle_residual(t: Triangle, p: Point2, kind: str) -> float:
+def circle_residual(t: Triangle, p: Point2, kind: str, collapsed=False) -> float:
     """The worst of the circle functional at p over s**8 (1e-12 scaled to
     1e-6), 1.0 unless t's `kind` six-point conic at p is a circle, and its
-    center's distance from the circumcenter over the circumradius."""
+    center's distance from the circumcenter over the circumradius; a
+    collapsed member as circle_center takes it."""
     functional, focal = {
         "p_ellipse": (pstar_circle_functional, deltas),
         "p_hyperbola": (phyp_circle_functional, lambdas),
     }[kind]
     s = t.scale()
-    code, x, y, has_center = circle_center(_kernel_args(t, kind, p), s)
+    code, x, y, has_center = circle_center(_kernel_args(t, kind, p), s, collapsed)
     cc = circumcircle(t)
     conc = kernels._hypot(x - cc.center.x, y - cc.center.y) / cc.radius if has_center else 1.0
     fval = functional(*t.sides(), *focal(t, p)) / s**8 * 1e6
@@ -909,7 +921,7 @@ def pair_points_on_floats(ax, ay, bx, by, cx, cy, kind, px, py):
     3 x 4 nested lists, (None, None, None, True) for a bad triad."""
     if focal_triad_bad(ax, ay, bx, by, cx, cy, kind, px, py):
         return None, None, None, True
-    (gx, gy, s), pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+    (gx, gy, s), _, _, pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
     xs, ys, keep = [], [], []
     for mi, mj, lines in pairs:
         cands = [root for line in lines for root in _line_roots(mi, *line)]

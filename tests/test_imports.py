@@ -314,3 +314,16 @@ def test_verifier_owns_the_proposition_checks():
     tree = ast.parse((PACKAGE / "verify.py").read_text())
     functions = {name: stmt for stmt in tree.body for name in _definitions(stmt)}
     assert "ostar_arc_ellipses" in _references(functions["_chk_equilateral_arcs"])
+
+
+def test_circle_claims_read_one_circle_test():
+    # P3.2, P5.4, P3.3 and P5.5 each claim a six-point conic is a circle
+    # concentric with a circumcircle, and each decides it by the circle
+    # searches' test, loci._circle_conditions; the verifier evaluates no
+    # circle functional of its own.
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    functions = {name: stmt for stmt in tree.body for name in _definitions(stmt)}
+    for check in ("_chk_pstar", "_chk_circle_pair", "_chk_anticevian_needle", "_chk_x55"):
+        assert "_circle_conditions" in _references(functions[check]), check
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"pstar_circle_functional", "phyp_circle_functional"}

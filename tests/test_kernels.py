@@ -888,7 +888,7 @@ def _pair_points_per_candidate(ax, ay, bx, by, cx, cy, kind, px, py):
     """pair_points on arrays one pair and one candidate at a time, each
     step on arrays of one triad a column, as before the stacked branch."""
     with np.errstate(all="ignore"):
-        (gx, gy, s), pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
+        (gx, gy, s), _, _, pairs, bad = kernels.focal_pairs(ax, ay, bx, by, cx, cy, kind, px, py)
         xs, ys, keep = [], [], []
         for mi, mj, lines in pairs:
             cands = [root for line in lines for root in kernels._line_roots(mi, *line)]
@@ -1008,7 +1008,7 @@ def test_triangle_helpers_same_bits_on_floats_and_arrays(kind):
     xs, ys, _ = kernels.vertices(*cols[:6], code, *cols[7:])
     product, off = kernels.carnot(*corners, xs, ys)
     gap = kernels.kept_gap(xs, ys, kernels.fit_six(xs, ys)[2])
-    (_, _, s), pairs, _ = kernels.focal_pairs(*cols[:6], code, *cols[7:])
+    (_, _, s), _, _, pairs, _ = kernels.focal_pairs(*cols[:6], code, *cols[7:])
     members = kernels.members(pairs)
     lines = [(ys[0] - ys[3], xs[3] - xs[0], xs[0] * ys[3] - xs[3] * ys[0])]
     res = [kernels.conic_residual(co, xs[0], ys[0]) for co in members]
@@ -1022,7 +1022,7 @@ def test_triangle_helpers_same_bits_on_floats_and_arrays(kind):
         fxs, fys, _ = kernels.vertices(*args)
         assert kernels.carnot(*args[:6], fxs, fys) == (product[i], [False] * 6), i
         assert kernels.kept_gap(fxs, fys, kernels.fit_six(fxs, fys)[2]) == gap[i], i
-        fpairs = kernels.focal_pairs(*args)[1]
+        fpairs = kernels.focal_pairs(*args)[3]
         fline = (fys[0] - fys[3], fxs[3] - fxs[0], fxs[0] * fys[3] - fxs[3] * fys[0])
         for co, r, d in zip(kernels.members(fpairs), res, discs):
             assert kernels.conic_residual(co, fxs[0], fys[0]) == r[i], i
@@ -1044,7 +1044,7 @@ def test_members_are_the_triad_members():
     # of its own vertices, and the sideline through its foci crosses it
     # twice: a positive tangency discriminant.
     args = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
-    (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+    (gx, gy, s), _, _, pairs, _ = kernels.focal_pairs(*args)
     xs, ys, _ = kernels.vertices(*args)
     corners = [((x - gx) / s, (y - gy) / s) for x, y in zip(args[:6:2], args[1:6:2])]
     for m, co in enumerate(kernels.members(pairs)):
@@ -1221,7 +1221,7 @@ def _second_side(row, q, k):
     pts = _kept(row, q, k)
     if pts is None or len(pts) != 2:
         return _kept_count(row, q, k)
-    l, m, _ = kernels.focal_pairs(*row[:7], *q)[1][k][2][0]
+    l, m, _ = kernels.focal_pairs(*row[:7], *q)[3][k][2][0]
     x, y = max(pts, key=lambda p: math.hypot(p[0] - q[0], p[1] - q[1]))
     return "+" if (y - q[1]) * l - (x - q[0]) * m > 0.0 else "-"
 

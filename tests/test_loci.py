@@ -732,7 +732,7 @@ def _is_circle_at(t, p, kind):
 def _passes(args):
     """The search's rule: the circle test's worst at most _CONCENTRIC_TOL
     and no fault."""
-    worst, faults = loci._circle_conditions(args)
+    worst, faults, _ = loci._circle_conditions(args)
     return bool(worst <= loci._CONCENTRIC_TOL) and not any(mask for mask, _ in faults)
 
 
@@ -803,11 +803,11 @@ def test_circle_test_on_floats_is_its_array_column_and_the_reference(kind):
         rows += [(*f[:6], x, y) for x, y in points]
     cols = np.array(rows).T
     with np.errstate(all="ignore"):
-        worst, faults = loci._circle_conditions((*cols[:6], code, *cols[6:]))
+        worst, faults, _ = loci._circle_conditions((*cols[:6], code, *cols[6:]))
     answers = collections.Counter()
     for i, row in enumerate(rows):
         args = (*row[:6], code, *row[6:])
-        w, fl = loci._circle_conditions(args)
+        w, fl, _ = loci._circle_conditions(args)
         assert _bits(w) == _bits(worst[i])
         assert [bool(m) for m, _ in fl] == [bool(m[i]) for m, _ in faults]
         assert [repr(e) for _, e in fl] == [repr(e) for _, e in faults]
@@ -829,7 +829,7 @@ def test_circle_test_names_a_degenerate_member_alone(kind):
     off = 0.0 if kind == "p_ellipse" else 0.3
     px, py = (bx + cx) / 2.0 + off * (cy - by), (by + cy) / 2.0 - off * (cx - bx)
     code = kernels.KIND_CODES[kind]
-    worst, faults = loci._circle_conditions((*corners, code, px, py))
+    worst, faults, _ = loci._circle_conditions((*corners, code, px, py))
     assert [bool(mask) for mask, _ in faults] == [True, False, False, False]
     assert isinstance(faults[0][1], DegenerateMember) and worst > loci._CONCENTRIC_TOL
     column = loci._circle_conditions((*corners, code, np.array([0.7, px]), np.array([0.5, py])))[1]

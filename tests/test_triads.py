@@ -746,7 +746,7 @@ def test_two_branch_chord_matches_pencil_chord():
         centers = [q for q in soddy_centers(t) if q is not None]
         x8 = classic_center(t, "X8")
         args = triads._kernel_args(t, "v_hyperbola", None)
-        (gx, gy, s), pairs, _ = kernels.focal_pairs(*args)
+        (gx, gy, s), _, _, pairs, _ = kernels.focal_pairs(*args)
         framed = [Point2((q.x - gx) / s, (q.y - gy) / s) for q in centers]
         cs = [conic_from_foci(m) for m in tr.members]
         chords = two_branch_chords(tr)

@@ -745,14 +745,14 @@ def test_pair_chords_are_the_focal_pair_lines():
             return verify._proj_errors([l * f[2 * k] + m * f[2 * k + 1] + n for k in range(3)], closed)
 
         xs, ys, keep, _ = kernels.pair_points(*corners, kernels.KIND_V_ELLIPSE, zeros, zeros)
-        (gx, gy, s), pairs, bad = kernels.focal_pairs(*corners, kernels.KIND_V_ELLIPSE, zeros, zeros)
+        (gx, gy, s), _, _, pairs, bad = kernels.focal_pairs(*corners, kernels.KIND_V_ELLIPSE, zeros, zeros)
         assert not bad.any() and (keep.sum(axis=1) == 2).all()
         for k, (*_, lines) in enumerate(pairs):
             x, y = (xs[k] - gx) / s, (ys[k] - gy) / s
             d0, d1 = (abs(l * x + m * y + n) / kernels._hypot(l, m) for l, m, n in lines)
             assert d0[keep[k]].max() <= 1e-12 and d1[keep[k]].min() > 1e-2
         assert bary_gap(pairs[0][2][0], verify._vell_chord_line_bary(*sides)).max() <= 1e-12
-        (gx, gy, s), pairs, bad = kernels.focal_pairs(*corners, kernels.KIND_V_HYPERBOLA, zeros, zeros)
+        (gx, gy, s), _, _, pairs, bad = kernels.focal_pairs(*corners, kernels.KIND_V_HYPERBOLA, zeros, zeros)
         (qx, qy, _), *_ = kernels.soddy(corners, sides)
         qx, qy = (qx - gx) / s, (qy - gy) / s
         d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in pairs[0][2]]
@@ -789,7 +789,24 @@ def _privalov_of_cycled_sides(a, b, c, _real=kernels.privalov):
     return _real(b, c, a)
 
 
+def _x3_anticevian_moved_driver(sides, corners, _real=verify._x3_anticevian):
+    # The X3-anticevian with its driver X3 moved along x by 1e-5 of the
+    # anticevian's side a.
+    targs, tsides, faults = _real(sides, corners)
+    return (*targs[:7], targs[7] + 1e-5 * tsides[0], targs[8]), tsides, faults
+
+
+def _x6_barycentric(a, b, c):
+    # X6's barycentric a^2, in place of X55's a^2 (b + c - a).
+    return a * a
+
+
 _NEGATIVE_CONTROLS = {
+    # X3 moved off the anticevian's P* by 1e-5 of its side a no longer
+    # gives a circle: P3.3 reads 100 (1.0 times its 1e2).
+    "P3.3-anticevian-needle": (verify, "_x3_anticevian", _x3_anticevian_moved_driver),
+    # X6's reflection triangle gives no circle about X7: P5.5 reads 1.1e6.
+    "P5.5-x55-conjecture": (verify, "_x55", _x6_barycentric),
     # Arc c through a moved point no longer has the corollary's axes or
     # tangents: P3.6 reads 1.3e-5 against its bound of 1e-8.
     "P3.6-equilateral-arcs": (verify, "ostar_arc_ellipses", _arc_c_through_a_moved_b1),
@@ -813,6 +830,32 @@ def test_negative_controls_fail_their_propositions(monkeypatch, pid):
     assert run_proposition(pid, seed=42).passed
     monkeypatch.setattr(*_NEGATIVE_CONTROLS[pid])
     assert not run_proposition(pid, seed=42).passed
+
+
+def _shape_grid() -> verify.ConfigTable:
+    """Triangle shapes up to similarity: A = (0, 0), B = (1, 0) and C on a
+    41 x 36 grid, x even in [-0.5, 1.5] and y geometric in [0.01, 1.5], so
+    that thin triangles are sampled too, kept where the draws keep them
+    (_tri_mask): 1,003 shapes."""
+    x, y = np.meshgrid(np.linspace(-0.5, 1.5, 41), np.geomspace(0.01, 1.5, 36))
+    corners = np.array(np.broadcast_arrays(0.0, 0.0, 1.0, 0.0, x.ravel(), y.ravel()))
+    kept = corners[:, verify._tri_mask(corners, config.get_tol())]
+    return verify.ConfigTable(kept.shape[1], {"triangle": kept.reshape(3, 2, -1)})
+
+
+@pytest.mark.parametrize("pid", ["P3.3-anticevian-needle", "P5.5-x55-conjecture"])
+def test_circle_claims_hold_over_a_shape_grid(pid):
+    # P3.3 and P5.5 hold within their bounds, with no crash, on every shape
+    # of the grid that their draws accept: P3.3's (_needle_kept) keeps
+    # those whose X3-anticevian is well conditioned, 820.
+    cfgs = _shape_grid()
+    if pid == "P3.3-anticevian-needle":
+        cfgs = cfgs.take(verify._needle_kept(verify._corners(cfgs)))
+    prop = verify._BY_ID[pid]
+    with np.errstate(all="ignore"):
+        res, errs = prop.run(cfgs)
+    assert cfgs.n >= 800 and errs == {}
+    assert res.max() <= prop.threshold
 
 
 def _flaky(check, crash_at):
@@ -1351,7 +1394,7 @@ def _chords_x20_reference(cfg):
     # Each pair's chord is its line ell_i = ell_j, the first of its
     # kernels.focal_pairs lines, on the triangle's floats.
     t = verify._cfg_tri(cfg)
-    (gx, gy, s), pairs, _ = kernels.focal_pairs(*triads._kernel_args(t, "v_ellipse", None))
+    (gx, gy, s), _, _, pairs, _ = kernels.focal_pairs(*triads._kernel_args(t, "v_ellipse", None))
     diam = 2.0 * centers.circumcircle(t).radius
     x20 = centers.classic_center(t, "X20")
     worst = 0.0
@@ -1418,22 +1461,20 @@ def _x478_quartic_reference(cfg):
 
 
 def _anticevian_needle_reference(cfg):
-    t = verify._cfg_tri(cfg)
-    tac = reference_checks.anticevian_triangle(t, centers.center_bary(t, "X3"))
-    p = centers.classic_center(t, "X3")
-    s = max(t.scale(), tac.scale())
-    fval = loci.pstar_circle_functional(*tac.sides(), *reference_checks.deltas(tac, p))
-    triad = triads.build_triad(tac, "p_ellipse", p)
-    rep = triads.six_point_conic(triad)
-    cc = centers.circumcircle(tac)
-    verts = triads.triad_vertices(triad)
-    rmean = sum(distance(v, cc.center) for v in verts) / 6.0
-    spread = max(abs(distance(v, cc.center) - rmean) for v in verts) / cc.radius
-    conc = distance(rep.center, cc.center) / cc.radius if rep.center else 1.0
-    x4 = centers.classic_center(t, "X4")
-    x6 = centers.classic_center(t, "X6")
-    lin = abs(signed_area(x4, x6, rep.center)) / (distance(x4, x6) ** 2 + s * s)
-    return max(fval / s**8 * 1e6, spread, conc * 1e2, lin * 1e2)
+    """P3.3's check of one configuration on the object path, in the
+    triangle's frame (framed), the centers' barycentrics taken of the
+    plane's triangle: the circle test (circle_residual) of the
+    X3-anticevian's P-ellipse six-point conic with driver X3, and the
+    anticevian's circumcenter on ABC's line X4 X6."""
+    plane = verify._cfg_tri(cfg)
+    t, _ = framed(plane)
+    x3 = centers.center_bary(plane, "X3")
+    tac = reference_checks.anticevian_triangle(t, x3)
+    worst = reference_checks.circle_residual(tac, bary_to_cartesian(t, x3), "p_ellipse")
+    o = centers.circumcircle(tac).center
+    x4, x6 = (bary_to_cartesian(t, centers.center_bary(plane, c)) for c in ("X4", "X6"))
+    dx, dy, s = x6.x - x4.x, x6.y - x4.y, max(1.0, tac.scale())
+    return max(worst, abs(signed_area(x4, x6, o)) / (dx * dx + dy * dy + s * s)) * 1e2
 
 
 def _residual_bary(m, b):
@@ -1622,8 +1663,8 @@ def _assert_within_unit_rounding(batch, ref):
 @pytest.mark.parametrize("pid", sorted(_BATCH_REFERENCES))
 def test_batch_checks_match_float_checks(seed, pid):
     # Each reads the vertices and distances its float check read, bit for
-    # bit, P3.3's spread too; P4.3 maps its conic to the plane in another
-    # order.
+    # bit, P3.3 in the triangle's frame; P4.3 maps its conic to the plane
+    # in another order.
     prop = verify._BY_ID[pid]
     cfgs = _drawn(prop, seed)
     ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
@@ -1653,16 +1694,22 @@ def _crash_cases(pid):
         ]
     # A right triangle puts X3 on the hypotenuse, where anticevian_triangle
     # refuses it.
-    right = {"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}
-    return _trials(verify._gen_tri(rng, 30)) + [right] + _ISOSCELES
+    return _trials(verify._gen_tri(rng, 30)) + [_RIGHT] + _ISOSCELES
+
+
+_RIGHT = {"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}
 
 
 @pytest.mark.parametrize("pid", sorted(_BATCH_REFERENCES))
 def test_batch_checks_crash_where_float_checks_do(pid):
     # At a tolerance of 1e-20, six_point_conic's sideline test rejects
-    # honest vertices (PointOffSideline) in most trials of P2.7, P3.3 and
-    # P4.3, and only there; the other trials keep their residuals.  P4.3
-    # reads an isosceles triangle's perpendicular-bisector member as 0.0.
+    # honest vertices (PointOffSideline) in most trials of P2.7 and P4.3,
+    # and only there; the other trials keep their residuals.  P4.3 reads an
+    # isosceles triangle's perpendicular-bisector member as 0.0.  P3.3's
+    # circle test has no sideline rule: it refuses the right triangle, X3
+    # on its hypotenuse in the plane, and three near-right triangles, which
+    # its draw drops, leave the fit rank deficient; the isosceles ones hold
+    # to rounding.
     cfgs = _crash_cases(pid)
     old = config.get_tol()
     try:
@@ -1680,6 +1727,9 @@ def test_batch_checks_crash_where_float_checks_do(pid):
         assert not crashed
     elif pid == "P5.3-equal-areas":
         assert crashed == {"DegenerateMember": 2}
+    elif pid == "P3.3-anticevian-needle":
+        assert crashed == {"DegenerateResult": 1, "RankDeficient": 3}
+        assert max(batch[31:]) <= 3e-13
     else:
         assert crashed["PointOffSideline"] > 10
     if pid == "P3.3-anticevian-needle":
@@ -1952,7 +2002,7 @@ def _last_batch_crash_cases(pid):
     # V-hyperbola a perpendicular-bisector member and P5.5 degenerate
     # members.
     return _trials(verify._gen_tri(rng, 20)) + [
-        {"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]},
+        _RIGHT,
         *_ISOSCELES,
         {"triangle": [[-0.5, 0.0], [0.5, 0.0], [0.0, math.sqrt(3.0) / 2.0]]},
     ]
@@ -1962,12 +2012,14 @@ def _last_batch_crash_cases(pid):
 @pytest.mark.parametrize("pid", sorted(_LAST_BATCH_REFERENCES))
 def test_last_batch_checks_crash_where_their_references_do(pid, tol):
     # At a tolerance of 1e-20, six_point_conic's sideline test rejects
-    # honest vertices (PointOffSideline) in most trials of A3, A6 and P5.5,
-    # and only there.  A1-A3 refuse the right triangle (DegenerateResult),
-    # A4 and A5 the collapsed members (DegenerateMember); A3's fit is rank
+    # honest vertices (PointOffSideline) in most trials of A3 and A6, and
+    # only there.  A1-A3 refuse the right triangle (DegenerateResult), A4
+    # and A5 the collapsed members (DegenerateMember); A3's fit is rank
     # deficient on three of the random triangles (those its draw drops), and
-    # A6's on the equilateral one; P4.5 and P4.8 read an isosceles
-    # triangle's bisector member as 0.0.
+    # A6's and P5.5's on the equilateral one; P4.5 and P4.8 read an
+    # isosceles triangle's bisector member as 0.0.  P5.5 reads its circle
+    # test, which has no sideline rule, on a collapsed member too: its
+    # isosceles triangles hold to rounding.
     cfgs = _last_batch_crash_cases(pid)
     old = config.get_tol()
     try:
@@ -1979,7 +2031,10 @@ def test_last_batch_checks_crash_where_their_references_do(pid, tol):
     agree = _NOT_BIT_FOR_BIT.get(pid, lambda b, r: b == r)
     assert all(_same_outcome(b, r, agree) for b, r in zip(batch, ref))
     crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))
-    if tol is None:
+    if pid == "P5.5-x55-conjecture":
+        assert crashed == {"RankDeficient": 1}
+        assert max(batch[21:23]) <= 3e-15
+    elif tol is None:
         assert crashed == {
             "A1-aellipse-polynomial": {"DegenerateResult": 1},
             "A2-major-vertices": {"DegenerateResult": 1},
@@ -1988,7 +2043,7 @@ def test_last_batch_checks_crash_where_their_references_do(pid, tol):
             "A5-pstar-conic": {"DegenerateMember": 2},
             "A6-x5452-coordinate": {"RankDeficient": 1},
         }.get(pid, {})
-    elif pid in ("A3-x3prime-center", "A6-x5452-coordinate", "P5.5-x55-conjecture"):
+    elif pid in ("A3-x3prime-center", "A6-x5452-coordinate"):
         assert crashed["PointOffSideline"] > 10
     if pid in ("P4.5-soddy-intersections", "P4.8-chords-x8"):
         assert batch[21:23] == [0.0, 0.0]
