@@ -115,7 +115,10 @@ class Triangle:
 
 @dataclass(frozen=True)
 class BaryCoords:
-    """Homogeneous barycentric triple; equality is projective."""
+    """Homogeneous barycentric triple, a point up to a nonzero factor.
+    Equality is the dataclass's, field by field, not projective:
+    BaryCoords(1, 1, 1) != BaryCoords(2, 2, 2).  Compare points by their
+    normalized() triples, up to rounding and sign."""
 
     u: float
     v: float

@@ -550,9 +550,11 @@ def _circle_points(ts, kind: str, least: int) -> list:
         found = np.array([at, -np.min(d, axis=0), gx + s * args[7], gy + s * args[8],
                           (pstar_circle_functional if kind == "p_ellipse" else phyp_circle_functional)(
                               *sides, *focal) * s**8, worst, failed])
-    found = found.T.tolist()
-    for k, i in enumerate(live):
-        mine = sorted(h[1:] for h in found if h[0] == k)
+    groups = [[] for _ in live]
+    for h in found.T.tolist():
+        groups[int(h[0])].append(h[1:])
+    for i, mine in zip(live, groups):
+        mine.sort()
         hits = [((x, y), v) for _, x, y, v, _, bad in mine if not bad]
         best = min(mine, key=lambda h: h[4], default=None)
         out[i] = hits if len(hits) >= least else NotConverged(

@@ -335,23 +335,20 @@ def _gen_tri(rng, n) -> tuple:
 def _drivers(rng, tri, tries) -> tuple:
     """random_point_near's driver (px, py) for each triangle of tri, the
     table's (3, 2, n) column, on arrays: uniform in the box, in rounds of
-    up to tries a triangle until one clears the guard; NaN, and True in the
+    up to tries a triangle until one clears the guard, 1e-2 of the largest
+    side from each sideline (_sidelines, _line_gap); NaN, and True in the
     give-up mask, where NEAR_DRAWS tries do not."""
     lo, hi = tri.min(axis=0), tri.max(axis=0)  # x and y
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0 * NEAR_EXPAND
     base, width = mid - half, (mid + half) - (mid - half)
-    # The sidelines BC, CA, AB as l x + m y + n = 0, with norms h.
-    ax, ay, bx, by, cx, cy = tri.reshape(6, -1)
-    lines = [(py - qy, qx - px, px * qy - qx * py, kernels._hypot(py - qy, qx - px))
-             for px, py, qx, qy in ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))]
-    guard = 1e-2 * kernels._largest([h for *_, h in lines])
-    out, todo, done = np.full((2, ax.size), math.nan), np.arange(ax.size), 0
+    corners = tri.reshape(6, -1)
+    lines, guard = _sidelines(corners), 1e-2 * kernels._largest(_distances(corners))
+    out, todo, done = np.full((2, guard.size), math.nan), np.arange(guard.size), 0
     while todo.size and done < NEAR_DRAWS:
         k = min(tries, NEAR_DRAWS - done)
         px, py = base[:, todo, None] + width[:, todo, None] * rng.random((2, todo.size, k))
-        dist = functools.reduce(np.minimum, [
-            abs(l[todo, None] * px + m[todo, None] * py + n[todo, None]) / h[todo, None]
-            for l, m, n, h in lines])
+        dist = functools.reduce(np.minimum, [_line_gap([v[todo, None] for v in line], px, py)
+                                             for line in lines])
         hit = dist >= guard[todo, None]
         got, first = hit.any(axis=1), hit.argmax(axis=1)
         out[:, todo[got]] = px[got, first[got]], py[got, first[got]]
@@ -529,14 +526,14 @@ def _chk_excentral_tangents(cfgs) -> tuple:
     """P2.3 on all configurations at once, in kernels.focal_pairs' frame:
     each V-ellipse member passes through its vertex (kernels.conic_residual)
     and touches there the excentral side, the line through the other two
-    excenters (kernels.tangency_disc)."""
+    excenters: member i's is side i of the excentral triangle (_sidelines;
+    kernels.tangency_disc reads a line of either sign alike)."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     _, framed, sides, pairs, bad = kernels.focal_pairs(*args)
     exc = [kernels.bary_point(*framed, *uvw) for uvw in kernels.excenters(*sides)]
     worst = 0.0
-    for m, co in enumerate(kernels.members(pairs)):
-        (x1, y1, _), (x2, y2, _) = (q for k, q in enumerate(exc) if k != m)
-        side = (y1 - y2, x2 - x1, x1 * y2 - x2 * y1)  # geom.line_through
+    excentral = _sidelines([v for x, y, _ in exc for v in (x, y)])
+    for m, (co, side) in enumerate(zip(kernels.members(pairs), excentral)):
         on = kernels.conic_residual(co, framed[2 * m], framed[2 * m + 1])
         worst = np.maximum(worst, np.maximum(on, abs(kernels.tangency_disc(co, *side))))
     far = exc[0][2] | exc[1][2] | exc[2][2]
@@ -565,10 +562,9 @@ def _chord_gaps(g, chords, points, line, framed, diam) -> tuple:
     gx, gy, s = g
     worst = 0.0
     for (l, m, n), pts in zip(chords, points):
-        h = kernels._hypot(l, m)
         for x, y in pts:
             # In the plane, the chord is l x + m y + (n s - l gx - m gy) = 0.
-            worst = np.maximum(worst, abs(l * x + m * y + (n * s - l * gx - m * gy)) / h / diam)
+            worst = np.maximum(worst, _line_gap((l, m, n * s - l * gx - m * gy), x, y) / diam)
     s0, s1, s2 = _sidelines(framed)
     closed = [line[0] * s0[k] + line[1] * s1[k] + line[2] * s2[k] for k in range(3)]
     return worst, _proj_errors(chords[0], closed)
@@ -1154,6 +1150,13 @@ def _sidelines(corners) -> tuple:
             (ay - by, bx - ax, ax * by - bx * ay))
 
 
+def _line_gap(line, x, y):
+    """The distance of (x, y) from the line (l, m, n) of l x + m y + n = 0,
+    on floats or arrays: the verifier's one point-line distance."""
+    l, m, n = line
+    return abs(l * x + m * y + n) / kernels._hypot(l, m)
+
+
 def _side_ends(corners) -> tuple:
     """The sides BC, CA and AB of the triangles of the corners (floats or
     arrays) by their ends (px, py) and (qx, qy): (px, py, qx, qy), each of
@@ -1320,7 +1323,7 @@ def _chk_chords_x8(cfgs) -> tuple:
     x8, y8, _ = kernels.bary_point(*args[:6], *kernels.cyclic(_x8, *sides))
     chords, missed = [], False
     for _, _, lines in pairs:
-        d = [abs(l * qx + m * qy + n) / kernels._hypot(l, m) for l, m, n in lines]
+        d = [_line_gap(line, qx, qy) for line in lines]
         missed = missed | (np.minimum(*d) > 1e-6)
         chords.append(np.where(d[0] <= d[1], lines[1], lines[0]))
     far, closed = _chord_gaps(g, chords, [[(x8, y8)]] * 3, _vhyp_chord_line_bary(*sides), framed, diam)
@@ -1342,9 +1345,7 @@ def _chk_fifteen_point_cubic(cfgs) -> tuple:
     lines = _sidelines(args[:6])
 
     def gaps(x, y):
-        return functools.reduce(
-            np.minimum, [abs(l * x + m * y + n) / kernels._hypot(l, m) for l, m, n in lines]
-        ).max(axis=0) / s
+        return functools.reduce(np.minimum, [_line_gap(line, x, y) for line in lines]).max(axis=0) / s
 
     worst = np.maximum(gaps(np.stack(args[:6:2]), np.stack(args[1:6:2])), gaps(exs, eys))
     worst = np.maximum(worst, np.where(bisector, 0.0, gaps(hxs, hys)))
@@ -1361,10 +1362,9 @@ def _chk_soddy_line_tangent(cfgs) -> tuple:
     xs = cfgs["x"]
     y, errs = _roots(_sextic_roots(xs))
     corners = (-1.0, 0.0, 1.0, 0.0, xs, y)
-    _, (_, _, far), (l, m, n) = kernels.soddy(corners, kernels.triangle_sides(*corners))
+    _, (_, _, far), line = kernels.soddy(corners, kernels.triangle_sides(*corners))
     px, py, qx, qy = _side_ends(corners)
-    gaps = abs(abs(l * ((px + qx) / 2.0) + m * ((py + qy) / 2.0) + n) / kernels._hypot(l, m)
-               - kernels._hypot(px - qx, py - qy) / 2.0)
+    gaps = abs(_line_gap(line, (px + qx) / 2.0, (py + qy) / 2.0) - kernels._hypot(px - qx, py - qy) / 2.0)
     return np.where(far, _pymax(0.0, *gaps), 1.0), errs
 
 
@@ -1534,31 +1534,35 @@ def _block(name: str, poly: str, values: dict, normalized: bool = False):
 
 
 def _a_ellipse(corners) -> tuple:
-    """The A-ellipse of each triangle of the corners: foci B', C' of the
-    X3-anticevian, through X3 (through the cevian foot A it would
-    degenerate when A falls inside the focal segment).  (sides, center,
-    axis unit, semi axes, faults), as conic.FocalConic computes them."""
+    """The A-ellipse of each triangle of the corners: member a of the
+    P-ellipse triad of the X3-anticevian with driver X3 (_x3_anticevian),
+    foci B', C', through X3 (through the cevian foot A it would degenerate
+    when A falls inside the focal segment).  (ABC's sides, the ellipse's
+    center, its two vertices (kernels.vertex_coords) as rows of x and of
+    y, its first co-vertex (kernels.covertices), and the faults), the
+    last conic.FocalConic's: an axis not longer than the focal segment."""
     sides = _distances(corners)
     targs, _, faults = _x3_anticevian(sides, corners)
-    bx, by, cx, cy, _, px, py = targs[2:]
-    axis = kernels._hypot(px - bx, py - by) + kernels._hypot(px - cx, py - cy)
-    dx, dy = bx - cx, by - cy
-    f = kernels._hypot(dx, dy)
-    alpha, chalf = axis / 2.0, f / 2.0
-    faults.append((~(axis > f), InvalidAxisLength("ellipse needs axis_length > focal distance")))
-    return (sides, ((bx + cx) / 2.0, (by + cy) / 2.0), (dx / f, dy / f),
-            (alpha, np.sqrt(abs(alpha * alpha - chalf * chalf))), faults)
+    tsides, axes, _ = kernels._sides_deltas(*targs)
+    xs, ys = kernels.vertex_coords(*targs[:6], tsides, axes)
+    wx, wy = kernels.covertices(targs[:6], tsides, axes)
+    faults.append((~(axes[0] > tsides[0]), InvalidAxisLength("ellipse needs axis_length > focal distance")))
+    return (sides, ((targs[2] + targs[4]) / 2.0, (targs[3] + targs[5]) / 2.0),
+            np.array((xs[:2], ys[:2])), (wx[0], wy[0]), faults)
 
 
 def _chk_a_ellipse(cfgs) -> tuple:
     """A1 on all configurations at once: the block's worst normalized
-    residual at 12 points of each A-ellipse (_a_ellipse)."""
+    residual at 12 points O + cos t (V - O) + sin t (W - O) of each
+    A-ellipse (_a_ellipse), O its center, V its first vertex and W its
+    first co-vertex."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
-    (a, b, c), (ox, oy), (ux, uy), (alpha, beta), faults = _a_ellipse(args[:6])
+    (a, b, c), (ox, oy), v, (wx, wy), faults = _a_ellipse(args[:6])
+    vx, vy = v[:, 0]
     cos, sin = (np.array([[f(2.0 * math.pi * (k + 0.37) / 12)] for k in range(12)])
                 for f in (math.cos, math.sin))
-    x, y, z = _unit_bary(args[:6], ox + alpha * cos * ux + beta * sin * -uy,
-                         oy + alpha * cos * uy + beta * sin * ux)
+    x, y, z = _unit_bary(args[:6], ox + cos * (vx - ox) + sin * (wx - ox),
+                         oy + cos * (vy - oy) + sin * (wy - oy))
     res = _block("a_ellipse", "main", {"a": a, "b": b, "c": c, "x": x, "y": y, "z": z}, True)
     return _fail_or(np.fmax.reduce(res, axis=0, initial=0.0), *faults)
 
@@ -1569,13 +1573,12 @@ def _chk_major_vertices(cfgs) -> tuple:
     projectively, the worse; ConstructionFailed for a negative radicand."""
     args = _cfg_args(cfgs, kernels.KIND_V_ELLIPSE)
     corners = args[:6]
-    (a, b, c), (ox, oy), (ux, uy), (alpha, _), faults = _a_ellipse(corners)
+    (a, b, c), _, v, _, faults = _a_ellipse(corners)
     values = {"a": a, "b": b, "c": c, "S": 0.0, "rt": 0.0}
     rad = _block("major_vertices", "rt_radicand", values)
     values.update(S=2.0 * abs(kernels.signed_area(*corners)), rt=np.sqrt(rad))
     second, third = (_block("major_vertices", poly, values) for poly in ("second", "third"))
-    alpha = np.stack((alpha, -alpha))  # the two vertices o +- alpha u
-    ends = _unit_bary(corners, ox + ux * alpha, oy + uy * alpha)
+    ends = _unit_bary(corners, *v)
     worst = 0.0
     for sign in ("plus", "minus"):
         num, den = (_block("major_vertices", f"{poly}_{sign}", values) for poly in ("num", "den"))

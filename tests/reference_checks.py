@@ -332,20 +332,20 @@ A_ELLIPSE_SAMPLES = 12  # points of the A-ellipse at which the polynomial is che
 
 
 def check_a_ellipse(t: Triangle) -> float:
-    """Max normalized residual of sampled ellipse points on the polynomial."""
+    """Max normalized residual of sampled ellipse points on the polynomial:
+    o + cos t (v - o) + sin t (w - o), with o the center, v = o + alpha u
+    a vertex and w = o + beta u' a co-vertex, u' the axis unit u turned a
+    quarter."""
     fc = anticevian_a_ellipse(t)
     alpha, beta = fc.semi_axes()
     u = fc.axis_unit()
-    v = u.perp()
     o = fc.center
+    v, w = o + alpha * u, o + beta * u.perp()
     a, b, c = t.sides()
     worst = 0.0
     for k in range(A_ELLIPSE_SAMPLES):
         ang = 2.0 * math.pi * (k + 0.37) / A_ELLIPSE_SAMPLES
-        p = Point2(
-            o.x + alpha * math.cos(ang) * u.x + beta * math.sin(ang) * v.x,
-            o.y + alpha * math.cos(ang) * u.y + beta * math.sin(ang) * v.y,
-        )
+        p = o + math.cos(ang) * (v - o) + math.sin(ang) * (w - o)
         x, y, z = _norm_bary(t, p)
         r = normalized_residual(
             "a_ellipse", "main", {"a": a, "b": b, "c": c, "x": x, "y": y, "z": z}

@@ -183,12 +183,12 @@ def test_conic_line_rule_lives_in_kernels():
 
 
 def test_covertex_rule_lives_in_kernels():
-    # kernels.covertices is the package's one co-vertex rule, and the P2.9
-    # and P3.9 checks read it through their one helper, its one reader; no
-    # module keeps the object path's co-vertex check or its copies of the
-    # rule, nor the co-vertex determinant, so P2.9 scans the displayed
-    # locus (loci.covertex_locus_V), a rule apart from the co-vertices it
-    # checks.
+    # kernels.covertices is the package's one co-vertex rule: the P2.9 and
+    # P3.9 checks read it through their one helper, and A1 and A2 through
+    # _a_ellipse, its two readers; no module keeps the object path's
+    # co-vertex check or its copies of the rule, nor the co-vertex
+    # determinant, so P2.9 scans the displayed locus (loci.covertex_locus_V),
+    # a rule apart from the co-vertices it checks.
     copies = {"covertex_conic_check", "triad_covertices", "covertices_of_focal_conic",
               "covertex_conconic_V"}
     defined = {p.name: {node.name for node in ast.walk(ast.parse(p.read_text()))
@@ -202,7 +202,7 @@ def test_covertex_rule_lives_in_kernels():
                 functions.update(dict.fromkeys(_definitions(stmt), stmt))
             if _kernel_readers(ast.unparse(stmt), {"covertices"}):
                 readers.update(f"{p.name}:{name}" for name in _definitions(stmt))
-    assert readers == {"verify.py:_covertex_fits"}
+    assert readers == {"verify.py:_covertex_fits", "verify.py:_a_ellipse"}
     for check in ("_chk_covertex_locus_V", "_chk_covertex_equilateral_P"):
         assert "_covertex_fits" in _references(functions[check]), check
     assert "covertex_locus_V" in _references(functions["_covertex_locus_on_ray"])
@@ -273,8 +273,8 @@ def test_chord_rule_lives_in_focal_pairs():
     # pair chords: P2.4 and P4.8 take them from it and test them through
     # their one helper, _chord_gaps.  Only _through_pair_points (P4.7, P5.6)
     # reads kernels.pair_points, and no verify function draws a chord
-    # through two points: the only two-point lines are the sidelines and
-    # P2.3's excentral sides, which it tests for tangency.
+    # through two points: the only two-point lines are the sidelines, of
+    # which P2.3's excentral sides are those of the excentral triangle.
     source = (PACKAGE / "verify.py").read_text()
     functions = {name: stmt for stmt in ast.parse(source).body for name in _definitions(stmt)}
     readers = {name: _kernel_readers(ast.unparse(stmt), {"pair_points", "focal_pairs"})
@@ -288,7 +288,46 @@ def test_chord_rule_lives_in_focal_pairs():
     assert _kernel_readers(ast.unparse(functions["_chk_pair_chords_x20"]), {"circumcircle"})
     assert _kernel_readers(ast.unparse(functions["_v_hyperbola_circle"]), {"circumcircle"})
     assert "_v_hyperbola_circle" in _references(functions["_chk_chords_x8"])
-    assert _two_point_lines(source) == {"_sidelines", "_chk_excentral_tangents"}
+    assert _two_point_lines(source) == {"_sidelines"}
+
+
+def _point_line_gaps(source: str) -> set[str]:
+    """The top-level definitions of source that measure a point's distance
+    from a line as |l x + m y + n| / norm: a quotient whose numerator is
+    abs of a sum that holds a product."""
+    def binop(e, op):
+        return isinstance(e, ast.BinOp) and isinstance(e.op, op)
+
+    def gap(node):
+        top = node.left if binop(node, ast.Div) else None
+        return (isinstance(top, ast.Call) and isinstance(top.func, ast.Name) and top.func.id == "abs"
+                and len(top.args) == 1 and binop(top.args[0], ast.Add)
+                and any(binop(e, ast.Mult) for e in ast.walk(top.args[0])))
+
+    return {name for top in ast.parse(source).body if any(map(gap, ast.walk(top)))
+            for name in _definitions(top)}
+
+
+def test_scan_finds_point_line_gaps():
+    src = ("def f(l, m, n, x, y, h):\n    return abs(l * x + m * y + n) / h\n"
+           "def g(a, b, s):\n    return abs(a - b) / s + abs(a + b) / s\n")
+    assert _point_line_gaps(src) == {"f"}
+
+
+def test_verifier_rederives_no_triad_geometry():
+    # The A-ellipse of A1 and A2 is member a of the X3-anticevian's
+    # P-ellipse triad with driver X3, so _a_ellipse reads its vertices and
+    # co-vertex from the kernels' one vertex and co-vertex rules; and
+    # _line_gap is the verifier's one point-line distance, which the
+    # driver guard, the chord gaps, P4.8, P4.9 and P4.10 read.
+    source = (PACKAGE / "verify.py").read_text()
+    functions = {name: stmt for stmt in ast.parse(source).body for name in _definitions(stmt)}
+    assert _kernel_readers(ast.unparse(functions["_a_ellipse"]), {"vertex_coords", "covertices"}) == {
+        "vertex_coords", "covertices"}
+    assert _point_line_gaps(source) == {"_line_gap"}
+    readers = {name for name, stmt in functions.items() if "_line_gap" in _references(stmt)}
+    assert readers == {"_drivers", "_chord_gaps", "_chk_chords_x8", "_chk_fifteen_point_cubic",
+                       "_chk_soddy_line_tangent"}
 
 
 def test_float_policy_lives_in_the_runner():

@@ -12,6 +12,7 @@ from triconic import centers, conic, config, kernels, loci, render, triads, veri
 from triconic.conic import Conic
 from triconic.errors import (
     ConstructionFailed,
+    DegenerateResult,
     DegenerateTriangle,
     NonFiniteResidual,
     NotConverged,
@@ -796,6 +797,12 @@ def _x3_anticevian_moved_driver(sides, corners, _real=verify._x3_anticevian):
     return (*targs[:7], targs[7] + 1e-5 * tsides[0], targs[8]), tsides, faults
 
 
+def _excenters_cycled(a, b, c, _real=kernels.excenters):
+    # (E_B, E_C, E_A) in place of (E_A, E_B, E_C).
+    ea, eb, ec = _real(a, b, c)
+    return eb, ec, ea
+
+
 def _x6_barycentric(a, b, c):
     # X6's barycentric a^2, in place of X55's a^2 (b + c - a).
     return a * a
@@ -805,6 +812,16 @@ _NEGATIVE_CONTROLS = {
     # X3 moved off the anticevian's P* by 1e-5 of its side a no longer
     # gives a circle: P3.3 reads 100 (1.0 times its 1e2).
     "P3.3-anticevian-needle": (verify, "_x3_anticevian", _x3_anticevian_moved_driver),
+    # The same moved driver moves the A-ellipse off the appendix's
+    # polynomial and vertices, and P3.3's circle off its center: A1 reads
+    # 5.0e-6 (bound 1e-6), A2 5.4e-5 (bound 1e-7) and A3 3.5e-4 (bound
+    # 1e-7).
+    "A1-aellipse-polynomial": (verify, "_x3_anticevian", _x3_anticevian_moved_driver),
+    "A2-major-vertices": (verify, "_x3_anticevian", _x3_anticevian_moved_driver),
+    "A3-x3prime-center": (verify, "_x3_anticevian", _x3_anticevian_moved_driver),
+    # With the excenters cycled each member is tested against the next
+    # member's excentral side: P2.3 reads 1.3.
+    "P2.3-tangent-excentral": (kernels, "excenters", _excenters_cycled),
     # X6's reflection triangle gives no circle about X7: P5.5 reads 1.1e6.
     "P5.5-x55-conjecture": (verify, "_x55", _x6_barycentric),
     # Arc c through a moved point no longer has the corollary's axes or
@@ -856,6 +873,27 @@ def test_circle_claims_hold_over_a_shape_grid(pid):
         res, errs = prop.run(cfgs)
     assert cfgs.n >= 800 and errs == {}
     assert res.max() <= prop.threshold
+
+
+@pytest.mark.parametrize("pid", ["P2.3-tangent-excentral", "P2.4-chords-x20", "P4.8-chords-x8",
+                                 "P4.9-fifteen-point-cubic", "A1-aellipse-polynomial", "A2-major-vertices"])
+def test_triad_geometry_checks_hold_over_a_shape_grid(pid):
+    # These hold within their bounds on every shape of the grid, all of
+    # which their draw (_gen_tri) accepts, with no crash but one by design:
+    # on the 48 right-angled shapes (C above A or B) X3 is on a sideline
+    # or its anticevian degenerates, so there is no A-ellipse, and A1 and
+    # A2 raise DegenerateResult.  _needle_kept drops those shapes, so on
+    # the 820 it keeps A1 and A2 raise nothing.
+    cfgs = _shape_grid()
+    prop = verify._BY_ID[pid]
+    with np.errstate(all="ignore"):
+        res, errs = prop.run(cfgs)
+    corners = verify._corners(cfgs)
+    right = ((corners[4] == 0.0) | (corners[4] == 1.0)) & pid.startswith("A")
+    assert sorted(errs) == np.flatnonzero(right).tolist()
+    assert all(isinstance(e, DegenerateResult) for e in errs.values())
+    assert not (right & verify._needle_kept(corners)).any()
+    assert np.delete(res, list(errs)).max() <= prop.threshold
 
 
 def _flaky(check, crash_at):
