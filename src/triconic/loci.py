@@ -352,9 +352,30 @@ def sample_locus_ostar(t: Triangle, n: int) -> tuple[LocusSweep, dict[str, Conic
 _CONCENTRIC_TOL = 1e-4
 
 
+def _circle_test(args, sides_deltas, ox, oy, r) -> tuple:
+    """The circle test of the kernel arguments args (_circle_conditions),
+    given their kernels._sides_deltas and their triangle's circumcircle
+    (ox, oy) and r: its worst, the fit rules (triads._six_point_fit) and the
+    circle functional's value, on floats or elementwise on arrays, with
+    the same bits."""
+    functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
+                  kernels.KIND_P_HYPERBOLA: phyp_circle_functional}[args[6]]
+    sides, focal, _ = sides_deltas
+    _, (co, *_), (x, y, has_center), rules = _six_point_fit(args, sides_deltas)
+    value = functional(*sides, *focal)
+    s = kernels._largest(sides)
+    s4 = (s * s) * (s * s)
+    worst = np.maximum(np.maximum(
+        value / (s4 * s4) * 1e6,
+        np.where(has_center, kernels._hypot(x - ox, y - oy) / r, 1.0)),
+        (kernels.classify_code(co)[0] != kernels.CLASS_CIRCLE) * 1.0)
+    return worst, rules, value
+
+
 def _circle_conditions(args) -> tuple:
-    """The circle test of the circle searches and of P3.2, P3.3, P5.4 and
-    P5.5, for the P-ellipse or P-hyperbola triads of the kernel arguments
+    """The circle test of P3.2, P3.3, P5.4 and P5.5, and on its core
+    (_circle_test) of the circle searches, for the P-ellipse or
+    P-hyperbola triads of the kernel arguments
     args, on floats or elementwise on arrays, with the same bits: the
     worst of the circle functional over s**8 (1e-12 scaled to 1e-6), 1.0
     unless the six-point conic is a circle, and its center's distance from
@@ -364,19 +385,11 @@ def _circle_conditions(args) -> tuple:
     the conic), then a circumcenter at infinity; and the circumcircle (ox,
     oy, r), for what a claim adds to the circle.  The triangle's sides are
     computed once a call (kernels._sides_deltas), for the functional, the
-    circumcircle and the fit."""
-    functional = {kernels.KIND_P_ELLIPSE: pstar_circle_functional,
-                  kernels.KIND_P_HYPERBOLA: phyp_circle_functional}[args[6]]
+    circumcircle and the fit; the searches, which have each triangle's
+    circumcircle already (_framed), call _circle_test with it."""
     sides_deltas = kernels._sides_deltas(*args)
-    sides, focal, _ = sides_deltas
-    _, co, *_, (x, y, has_center), rules = _six_point_fit(args, sides_deltas)
-    ox, oy, far, r = kernels.circumcircle(args[:6], sides)
-    s = kernels._largest(sides)
-    s4 = (s * s) * (s * s)
-    worst = np.maximum(np.maximum(
-        functional(*sides, *focal) / (s4 * s4) * 1e6,
-        np.where(has_center, kernels._hypot(x - ox, y - oy) / r, 1.0)),
-        (kernels.classify_code(co)[0] != kernels.CLASS_CIRCLE) * 1.0)
+    ox, oy, far, r = kernels.circumcircle(args[:6], sides_deltas[0])
+    worst, rules, _ = _circle_test(args, sides_deltas, ox, oy, r)
     return worst, [*rules, (far, PointAtInfinity("u+v+w ~ 0 for X3"))], (ox, oy, r)
 
 
@@ -475,16 +488,19 @@ def _polish(args, s2):
 
 
 def _framed(t) -> tuple:
-    """(gx, gy, s, the framed corners, B - A, C - A and the squared sides)
-    of t in its frame (kernels.frame); Triangle's error for collinear
-    framed corners, and PointAtInfinity for a circumcenter at infinity,
-    where no circle is concentric with the circumcircle."""
+    """(gx, gy, s, the framed corners, B - A, C - A, the squared sides and
+    the circumcircle (ox, oy, r)) of t in its frame (kernels.frame);
+    Triangle's error for collinear framed corners, and PointAtInfinity
+    for a circumcenter at infinity, where no circle is concentric with the
+    circumcircle."""
     (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()))
     Triangle(*map(Point2, f[0::2], f[1::2]))  # its refusal of collinear corners
     sides = kernels.triangle_sides(*f)
-    if kernels.circumcircle(f, sides)[2]:
+    ox, oy, far, r = kernels.circumcircle(f, sides)
+    if far:
         raise PointAtInfinity("u+v+w ~ 0 for X3")
-    return gx, gy, s, *f, f[2] - f[0], f[3] - f[1], f[4] - f[0], f[5] - f[1], *(a * a for a in sides)
+    return (gx, gy, s, *f, f[2] - f[0], f[3] - f[1], f[4] - f[0], f[5] - f[1], *(a * a for a in sides),
+            ox, oy, r)
 
 
 def _candidates(cols, kind: str) -> tuple:
@@ -494,11 +510,11 @@ def _candidates(cols, kind: str) -> tuple:
     make a triangle by Minkowski's inequality.)  Returns their triangles'
     indices, their distances from the corners and the kernel arguments of
     their triads, on arrays."""
-    at, d = (_pstar_candidates if kind == "p_ellipse" else _phyp_candidates)(cols[9:])
+    at, d = (_pstar_candidates if kind == "p_ellipse" else _phyp_candidates)(cols[9:16])
     d = np.reshape(d, (3, -1))
     keep = np.isfinite(d).all(axis=0)
     at, d = np.ravel(at)[keep], d[:, keep]
-    qx, qy, _ = _trilaterate(cols[9:, at], *d)
+    qx, qy, _ = _trilaterate(cols[9:16, at], *d)
     return at, d, (*cols[3:9, at], kernels.KIND_CODES[kind], cols[3, at] + qx, cols[4, at] + qy)
 
 
@@ -526,30 +542,29 @@ def _circle_points(ts, kind: str, least: int) -> list:
     P-hyperbola points (0 < k <= min s^2) come in closed form
     (_phyp_candidates).  Every candidate of every triangle (_candidates)
     takes Newton steps (_polish), each followed by the circle test
-    (_circle_conditions: worst at most _CONCENTRIC_TOL, no fault) in one
-    array call, until it passes or has taken _POLISH_STEPS: on a
-    near-degenerate triangle the fit decides "circle" on rounding, so a
-    point that fails may pass one step on.  All of it runs in the frame of
-    each triangle (kernels.frame); a triangle gets the same bits alone as
-    in a batch.
+    (_circle_test, on its triangle's circumcircle from _framed: worst at
+    most _CONCENTRIC_TOL, no fault) in one array call, until it passes or
+    has taken _POLISH_STEPS: on a near-degenerate triangle the fit decides
+    "circle" on rounding, so a point that fails may pass one step on.  The
+    functional value of each point is the last test's.  All of it runs in
+    the frame of each triangle (kernels.frame); a triangle gets the same
+    bits alone as in a batch.
     """
     out = [_attempt(_framed, t) for t in ts]
     live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
-    cols = np.array([out[i] for i in live]).reshape(-1, 16).T
+    cols = np.array([out[i] for i in live]).reshape(-1, 19).T
     with np.errstate(all="ignore"):
         at, d, args = _candidates(cols, kind)
         failed = np.ones(at.shape, bool)
         for _ in range(_POLISH_STEPS):
-            args = (*args[:7], *np.where(failed, _polish(args, cols[13:, at]), args[7:]))
-            worst, faults, _ = _circle_conditions(args)
+            args = (*args[:7], *np.where(failed, _polish(args, cols[13:16, at]), args[7:]))
+            worst, faults, value = _circle_test(args, kernels._sides_deltas(*args), *cols[16:, at])
             failed = functools.reduce(np.logical_or, (m for m, _ in faults), ~(worst <= _CONCENTRIC_TOL))
             if not failed.any():
                 break
         gx, gy, s = cols[:3, at]
-        sides, focal, _ = kernels._sides_deltas(*args)
-        found = np.array([at, -np.min(d, axis=0), gx + s * args[7], gy + s * args[8],
-                          (pstar_circle_functional if kind == "p_ellipse" else phyp_circle_functional)(
-                              *sides, *focal) * s**8, worst, failed])
+        found = np.array([at, -np.min(d, axis=0), gx + s * args[7], gy + s * args[8], value * s**8,
+                          worst, failed])
     groups = [[] for _ in live]
     for h in found.T.tolist():
         groups[int(h[0])].append(h[1:])

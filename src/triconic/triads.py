@@ -176,8 +176,8 @@ def _six_point_fit(args, sides_deltas) -> tuple:
     """The six-point conic of the triads of the kernel arguments args
     (_kernel_args), given their kernels._sides_deltas, on floats or
     elementwise on arrays, with the same bits: the vertices and member flag
-    (kernels.vertex_rows), kernels.fit_six's coefficients and frame,
-    kernels.residual6, the center (kernels.frame_center: x, y,
+    (kernels.vertex_rows), kernels.fit_six's fit (coefficients, frame,
+    left-out vertex), the center (kernels.frame_center: x, y,
     has_center), and six_point_conic's fit rules as (mask, exception)
     pairs, in its order: DegenerateMember where a member degenerates,
     RankDeficient where two of the five kept vertices are within 1e-9 of
@@ -186,7 +186,7 @@ def _six_point_fit(args, sides_deltas) -> tuple:
     fit = kernels.fit_six(xs, ys)
     co, frame, out = fit
     s = kernels._largest(sides_deltas[0])
-    return (xs, ys, bad), co, frame, kernels.residual6(xs, ys, fit), kernels.frame_center(co, frame), [
+    return (xs, ys, bad), fit, kernels.frame_center(co, frame), [
         (bad, DegenerateMember("a triad member degenerates")),
         (kernels.kept_gap(xs, ys, out) <= 1e-9 * s,
          RankDeficient("fewer than 5 distinct triad vertices")),
@@ -196,17 +196,20 @@ def _six_point_fit(args, sides_deltas) -> tuple:
 
 
 def _six_point_rules(args) -> tuple:
-    """_six_point_fit of args with the Carnot product (_carnot_rule) before
-    its rules, and all of six_point_conic's rules: the fit rules, then the
-    sideline rules, on the triangle and vertices both in the triangle's
-    frame (kernels.frame), so that they see the triangle's shape to its own
-    precision wherever it lies: DegenerateMember where a member degenerates
-    there, and _carnot_rule's.  Floats, or elementwise on arrays."""
-    *fit, rules = _six_point_fit(args, kernels._sides_deltas(*args))
+    """_six_point_fit of args, as the vertices, coefficients, frame,
+    kernels.residual6 (the left-out vertex's residual) and center, with
+    the Carnot product (_carnot_rule) and all of six_point_conic's rules:
+    the fit rules, then the sideline rules, on the triangle and vertices
+    both in the triangle's frame (kernels.frame), so that they see the
+    triangle's shape to its own precision wherever it lies:
+    DegenerateMember where a member degenerates there, and _carnot_rule's.
+    Floats, or elementwise on arrays."""
+    vertices, fit, center, rules = _six_point_fit(args, kernels._sides_deltas(*args))
     _, framed = kernels.frame(*args[:6], *args[7:])
     xs, ys, bad = kernels.vertices(*framed[:6], args[6], *framed[6:])
     product, sideline = _carnot_rule(framed[:6], xs, ys)
-    return (*fit, product, [*rules, (bad, DegenerateMember("a triad member degenerates")), sideline])
+    return (vertices, *fit[:2], kernels.residual6(*vertices[:2], fit), center, product,
+            [*rules, (bad, DegenerateMember("a triad member degenerates")), sideline])
 
 
 def _carnot_rule(corners, xs, ys) -> tuple:

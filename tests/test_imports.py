@@ -358,8 +358,9 @@ def test_verifier_owns_the_proposition_checks():
 def test_circle_claims_read_one_circle_test():
     # P3.2, P5.4, P3.3 and P5.5 each claim a six-point conic is a circle
     # concentric with a circumcircle, and each decides it by the circle
-    # searches' test, loci._circle_conditions; the verifier evaluates no
-    # circle functional of its own.
+    # searches' test, loci._circle_conditions (on the core the searches
+    # call, _circle_test); the verifier evaluates no circle functional of
+    # its own.
     tree = ast.parse((PACKAGE / "verify.py").read_text())
     functions = {name: stmt for stmt in tree.body for name in _definitions(stmt)}
     for check in ("_chk_pstar", "_chk_circle_pair", "_chk_anticevian_needle", "_chk_x55"):

@@ -583,9 +583,35 @@ def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
     def broken(*args):
         raise TypeError("injected")
 
-    monkeypatch.setattr(loci, "_circle_conditions", broken)
+    monkeypatch.setattr(loci, "_circle_test", broken)
     with pytest.raises(TypeError, match="injected"):
         find_pstar_candidates(t_generic)
+
+
+def test_circle_searches_compute_each_quantity_once(t_generic, monkeypatch):
+    # On one triangle each search computes no left-out vertex residual
+    # (the circle test reads none), the sides once a circle test and once
+    # a Newton step, and the circumcircle once; six_point_conic still
+    # reports residual6, kernels.six_point's bits.
+    calls = collections.Counter()
+    for module, name in ((kernels, "residual6"), (kernels, "_sides_deltas"), (kernels, "circumcircle"),
+                         (loci, "_circle_test"), (loci, "_polish")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for search in (find_pstar_candidates, find_phyp_circle_points):
+        calls.clear()
+        search(t_generic)
+        tests = calls["_circle_test"]
+        assert tests >= 1 and calls == {"_circle_test": tests, "_polish": tests, "_sides_deltas": 2 * tests,
+                                        "circumcircle": 1}, search
+    (p, _), *_ = find_pstar_candidates(t_generic)
+    calls.clear()
+    rep = six_point_conic(build_triad(t_generic, "p_ellipse", Point2(*p)))
+    assert calls["residual6"] == 1
+    assert rep.residual6 == kernels.six_point(*_kernel_args(t_generic, "p_ellipse", Point2(*p)))[3]
 
 
 _KINDS = ("p_ellipse", "p_hyperbola")
@@ -686,7 +712,7 @@ def test_trilaterate_on_floats_is_its_array_column():
     # random and flat triangles in their frames and random distances.
     rng = np.random.default_rng(46)
     ts = [random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
-    tri = np.array([loci._framed(t) for t in ts]).T[9:]
+    tri = np.array([loci._framed(t) for t in ts]).T[9:16]
     d = np.abs(rng.normal(size=(3, len(ts))))
     columns = loci._trilaterate(tri, *d)
     for k in range(len(ts)):
@@ -703,7 +729,7 @@ def test_polish_step_lowers_the_brackets(kind):
     ts = [random_triangle(rng) for _ in range(20)] + [random_flat_triangle(rng) for _ in range(5)]
     cols = np.array([loci._framed(t) for t in ts]).T
     at, _, args = loci._candidates(cols, kind)
-    s2 = cols[13:, at]
+    s2 = cols[13:16, at]
 
     def brackets(args):
         x = np.square(kernels._sides_deltas(*args)[1])

@@ -797,6 +797,14 @@ def _x3_anticevian_moved_driver(sides, corners, _real=verify._x3_anticevian):
     return (*targs[:7], targs[7] + 1e-5 * tsides[0], targs[8]), tsides, faults
 
 
+def _first_circle_point_moved(ts, kind, least, _real=loci._circle_points):
+    # Each search's first point, P3.2's principal P* and one point of P5.4's
+    # pair, moved along x by 1e-5 of its triangle's largest side.
+    return [h if isinstance(h, Exception) else [((h[0][0][0] + 1e-5 * t.scale(), h[0][0][1]), h[0][1]),
+                                                *h[1:]]
+            for t, h in zip(ts, _real(ts, kind, least))]
+
+
 def _excenters_cycled(a, b, c, _real=kernels.excenters):
     # (E_B, E_C, E_A) in place of (E_A, E_B, E_C).
     ea, eb, ec = _real(a, b, c)
@@ -809,6 +817,13 @@ def _x6_barycentric(a, b, c):
 
 
 _NEGATIVE_CONTROLS = {
+    # A searched point moved by 1e-5 of the largest side makes its
+    # six-point conic an ellipse, no circle.  P3.2 reads the circle test at
+    # the moved principal P*, P5.4 the circle test at both points of its
+    # pair and the second point's residuals on the first one's members:
+    # both read 1.0 (the class rule) against their bound of 1e-6.
+    "P3.2-pstar-unique-circle": (loci, "_circle_points", _first_circle_point_moved),
+    "P5.4-circle-pair": (loci, "_circle_points", _first_circle_point_moved),
     # X3 moved off the anticevian's P* by 1e-5 of its side a no longer
     # gives a circle: P3.3 reads 100 (1.0 times its 1e2).
     "P3.3-anticevian-needle": (verify, "_x3_anticevian", _x3_anticevian_moved_driver),

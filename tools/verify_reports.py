@@ -25,14 +25,20 @@ same triangle with C's height moved by 3e-10
 (DIR/scene_soddy_line_moved.svg), each from the scene JSON beside it,
 with the
 caller's PYTHONPATH, so the outputs of another checkout come from
-pointing PYTHONPATH at its `src`.  A CLI exit of 1 (some proposition
+pointing PYTHONPATH at its `src`.  It also runs the two circle-point
+searches, which no CLI command reaches, in its own process (the same
+PYTHONPATH) on the README's triangle and on 40 `random_triangle` and 10
+`random_flat_triangle` of a fixed rng, and writes the repr of each
+result, or of its library error with the error's attributes, to
+DIR/circle_points.json.  A CLI exit of 1 (some proposition
 failed) is a report like any other; an exit of 2 is an error.
 
 `diff` compares the files of the same name in two directories.  For the
 reports it prints each proposition entry that differs: its id, both
-max_residual values and whether the witness moved.  For each locus output
-and each SVG that is not byte-identical it prints how many of its numbers
-changed and the largest change among them, absolute (|a - b|) and
+max_residual values and whether the witness moved.  For each locus
+output, the circle points and each SVG that is not byte-identical it
+prints how many of its numbers changed and the largest change among
+them, absolute (|a - b|) and
 relative (|a - b| / max(|a|, |b|), which reads 1 or 2 for a value that
 moves from or across 0), or that the text between the numbers differs.
 For each region map that is not byte-identical it prints how many cells
@@ -97,6 +103,37 @@ SVGS = (
     ("scene_soddy_line_moved.svg", SEXTIC_MOVED, ["--triad", "v-hyp"]),
 )
 
+CIRCLE_POINTS = "circle_points.json"
+# The rng of the circle searches' random triangles.
+CIRCLE_SEED = 7
+
+
+def _circle_points() -> dict:
+    """{triangle: repr of its corners, search: repr of each result} of the
+    circle-point searches on the README's triangle and on 40 random and 10
+    flat triangles of CIRCLE_SEED; a library error as its repr and its
+    attributes."""
+    import numpy as np
+
+    from triconic import loci, verify
+    from triconic.errors import TriconicError
+    from triconic.geom import Point2, Triangle
+
+    rng = np.random.default_rng(CIRCLE_SEED)
+    ts = [Triangle(*(Point2(*map(float, v.split(","))) for v in README_TRIANGLE.split())),
+          *(verify.random_triangle(rng) for _ in range(40)),
+          *(verify.random_flat_triangle(rng) for _ in range(10))]
+
+    def outcome(search, t):
+        try:
+            return repr(search(t))
+        except TriconicError as exc:
+            return f"{exc!r} {vars(exc)!r}"
+
+    return {"triangle": [repr(t.vertices()) for t in ts],
+            **{search.__name__: [outcome(search, t) for t in ts]
+               for search in (loci.find_pstar_candidates, loci.find_phyp_circle_points)}}
+
 
 def _reports():
     for seed in SEEDS:
@@ -128,6 +165,8 @@ def write(out: pathlib.Path) -> int:
             print(f"error: {' '.join(cmd)} exited {code}", file=sys.stderr)
             return 2
         print(f"wrote {path} (exit {code})")
+    (out / CIRCLE_POINTS).write_text(json.dumps(_circle_points(), indent=1))
+    print(f"wrote {out / CIRCLE_POINTS}")
     return 0
 
 
@@ -179,7 +218,8 @@ def diff(a: pathlib.Path, b: pathlib.Path) -> int:
         if json.dumps(rest_a) != json.dumps(rest_b):
             differ = True
             print(f"{name}: report fields differ: {rest_a} -> {rest_b}")
-    for kind, names in (("locus", [name for name, _ in LOCI]), ("SVG", [name for name, *_ in SVGS])):
+    for kind, names in (("locus", [name for name, _ in LOCI]), ("circle point", [CIRCLE_POINTS]),
+                        ("SVG", [name for name, *_ in SVGS])):
         for name in names:
             text_a, text_b = ((d / name).read_text() for d in (a, b))
             if text_a != text_b:
