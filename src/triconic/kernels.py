@@ -26,10 +26,13 @@ scans; on arrays the grids of those scans, P2.8's and P5.7's other points
 and the P2.2, P3.1, P3.8 and P5.2 trials.
 `triads._six_point_fit` calls `vertex_rows`, `fit_six` and `frame_center`
 itself, on floats or arrays, with the six-point conic's fit rules: it
-serves the circle test (`loci._circle_conditions`) of the circle
-searches, P3.2, P3.3, P5.4 and P5.5, and with `residual6` and the
-sideline rules (`triads._six_point_rules`) `triads.six_point_conic` and
-the P2.1, P2.7, P4.3, A3 and A6 trials; `loci.sample_locus_ostar` calls
+serves the circle test (`loci._circle_conditions`) of P3.2, P3.3, P5.4
+and P5.5 and of the circle searches, which run it on floats, a candidate
+at a time, in a search of few candidates (`loci._circle_points`; each
+search on one triangle) and on arrays in a larger one; and with
+`residual6` and the sideline rules (`triads._six_point_rules`)
+`triads.six_point_conic` and the P2.1, P2.7, P4.3, A3 and A6 trials;
+`loci.sample_locus_ostar` calls
 `vertices`, `fit_six` and `frame_center` directly, and `loci.region_map`
 `vertices`, `fit_six` and `classify_code`, on a row of cell xs and a
 column of cell ys; neither reads residual6.

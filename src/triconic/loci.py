@@ -478,13 +478,24 @@ def _polish(args, s2):
     differences of _POLISH_H.  On flat triangles the trilateration's two
     lines are near parallel, so the misses it gives, and the t that
     _phyp_candidates reads off them, lose digits; the step recovers them.
-    A candidate whose step is not finite stays."""
+    A candidate whose step is not finite stays.  Returns the new (px, py):
+    floats, one kernels._sides_deltas call a point, or elementwise on
+    arrays, the three points as the rows of one call, with the same
+    bits."""
     *corners, code, px, py = args
-    x = np.square(kernels._sides_deltas(*corners, code, px + [[0.0], [_POLISH_H], [0.0]],
-                                        py + [[0.0], [0.0], [_POLISH_H]])[1])
-    (g1, p1, q1), (g2, p2, q2) = (s2[i] - s2[0] - x[i] + x[0] for i in (1, 2))
-    step = np.array([q1 * g2 - q2 * g1, p2 * g1 - p1 * g2]) / ((p1 - g1) * (q2 - g2) - (q1 - g1) * (p2 - g2))
-    return np.where(np.isfinite(step), _POLISH_H * step, 0.0) + (px, py)
+    if isinstance(px, np.ndarray):  # the three points as the rows of one call
+        x = np.square(kernels._sides_deltas(*corners, code, px + [[0.0], [_POLISH_H], [0.0]],
+                                            py + [[0.0], [0.0], [_POLISH_H]])[1])
+        (g1, p1, q1), (g2, p2, q2) = (s2[i] - s2[0] - x[i] + x[0] for i in (1, 2))
+    else:
+        x = [[d * d for d in kernels._sides_deltas(*corners, code, *q)[1]]
+             for q in ((px, py), (px + _POLISH_H, py), (px, py + _POLISH_H))]
+        (g1, p1, q1), (g2, p2, q2) = ([s2[i] - s2[0] - xq[i] + xq[0] for xq in x] for i in (1, 2))
+    det = (p1 - g1) * (q2 - g2) - (q1 - g1) * (p2 - g2)
+    step = kernels._div(q1 * g2 - q2 * g1, det), kernels._div(p2 * g1 - p1 * g2, det)
+    if isinstance(det, np.ndarray):
+        return np.where(np.isfinite(step), _POLISH_H * np.array(step), 0.0) + (px, py)
+    return tuple((_POLISH_H * v if math.isfinite(v) else 0.0) + p for v, p in zip(step, (px, py)))
 
 
 def _framed(t) -> tuple:
@@ -518,6 +529,32 @@ def _candidates(cols, kind: str) -> tuple:
     return at, d, (*cols[3:9, at], kernels.KIND_CODES[kind], cols[3, at] + qx, cols[4, at] + qy)
 
 
+# A search of at most this many candidates runs each as its own lane of
+# floats, a larger one all of them as one lane of arrays (_circle_points).
+_FEW_CANDIDATES = 4
+
+
+def _settle(args, circle) -> tuple:
+    """The Newton steps (_polish) and circle tests (_circle_test) of the
+    candidates of the kernel arguments args, given their triangles' squared
+    sides and circumcircles circle (the last six of _framed): each takes a
+    step while it fails (worst above _CONCENTRIC_TOL, or a fault), at most
+    _POLISH_STEPS.  Returns the last (x, y, functional value, worst,
+    failed): one candidate on floats, or elementwise on arrays, with the
+    same bits."""
+    failed = True
+    for _ in range(_POLISH_STEPS):
+        xy = _polish(args, circle[:3])
+        if isinstance(failed, np.ndarray):  # only the failing ones step
+            xy = np.where(failed, xy, args[7:])
+        args = (*args[:7], *xy)
+        worst, faults, value = _circle_test(args, kernels._sides_deltas(*args), *circle[3:])
+        failed = functools.reduce(np.logical_or, (m for m, _ in faults), ~(worst <= _CONCENTRIC_TOL))
+        if not failed.any():
+            break
+    return (*args[7:], value, worst, failed)
+
+
 def _circle_points(ts, kind: str, least: int) -> list:
     """For each triangle of ts: the points whose `kind` six-point conic is
     a circle concentric with its circumcircle, as (xy, functional value)
@@ -543,28 +580,37 @@ def _circle_points(ts, kind: str, least: int) -> list:
     (_phyp_candidates).  Every candidate of every triangle (_candidates)
     takes Newton steps (_polish), each followed by the circle test
     (_circle_test, on its triangle's circumcircle from _framed: worst at
-    most _CONCENTRIC_TOL, no fault) in one array call, until it passes or
-    has taken _POLISH_STEPS: on a near-degenerate triangle the fit decides
+    most _CONCENTRIC_TOL, no fault), until it passes or has taken
+    _POLISH_STEPS (_settle): on a near-degenerate triangle the fit decides
     "circle" on rounding, so a point that fails may pass one step on.  The
-    functional value of each point is the last test's.  All of it runs in
-    the frame of each triangle (kernels.frame); a triangle gets the same
-    bits alone as in a batch.
+    functional value of each point is the last test's.  The steps and
+    tests run in lanes: a search of at most _FEW_CANDIDATES candidates
+    (a search on one triangle has one to three) runs each candidate as a
+    lane of floats, a larger one (P3.2's and P5.4's, six and more) all of
+    them as one lane of arrays, where numpy's cost a call is spread over
+    the candidates.  _FEW_CANDIDATES is the crossover of whole searches
+    measured on a 2-core x86 box (numpy 2.4): floats took about half the
+    time of arrays at one candidate and four fifths at four, and arrays
+    were faster from six on.  The lanes give the same bits.  All of it
+    runs in the frame of each triangle (kernels.frame); a triangle gets
+    the same bits alone as in a batch.
     """
     out = [_attempt(_framed, t) for t in ts]
     live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
     cols = np.array([out[i] for i in live]).reshape(-1, 19).T
     with np.errstate(all="ignore"):
         at, d, args = _candidates(cols, kind)
-        failed = np.ones(at.shape, bool)
-        for _ in range(_POLISH_STEPS):
-            args = (*args[:7], *np.where(failed, _polish(args, cols[13:16, at]), args[7:]))
-            worst, faults, value = _circle_test(args, kernels._sides_deltas(*args), *cols[16:, at])
-            failed = functools.reduce(np.logical_or, (m for m, _ in faults), ~(worst <= _CONCENTRIC_TOL))
-            if not failed.any():
-                break
+        if at.size > _FEW_CANDIDATES:
+            x, y, value, worst, failed = _settle(args, cols[13:, at])
+        else:
+            rows = np.array([*args[:6], *args[7:], *cols[13:, at]]).T.tolist()
+            # Each float lane gives a row of five; the columns are the five.
+            x, y, value, worst, failed = np.reshape(
+                [_settle((*r[:6], args[6], *r[6:8]), r[8:]) for r in rows], (-1, 5)).T
         gx, gy, s = cols[:3, at]
-        found = np.array([at, -np.min(d, axis=0), gx + s * args[7], gy + s * args[8], value * s**8,
-                          worst, failed])
+        # s**8 on arrays: on floats ** goes through libm's pow, which
+        # differs from numpy's power in the last bit.
+        found = np.array([at, -np.min(d, axis=0), gx + s * x, gy + s * y, value * s**8, worst, failed])
     groups = [[] for _ in live]
     for h in found.T.tolist():
         groups[int(h[0])].append(h[1:])

@@ -58,6 +58,7 @@ from reference_checks import (
     second_common_point,
     x55_conjecture_check,
 )
+from test_verify import _shape_grid
 
 
 def test_x478_quartic_values():
@@ -590,9 +591,10 @@ def test_circle_search_surfaces_programming_errors(t_generic, monkeypatch):
 
 def test_circle_searches_compute_each_quantity_once(t_generic, monkeypatch):
     # On one triangle each search computes no left-out vertex residual
-    # (the circle test reads none), the sides once a circle test and once
-    # a Newton step, and the circumcircle once; six_point_conic still
-    # reports residual6, kernels.six_point's bits.
+    # (the circle test reads none), the sides once a circle test and, on
+    # its float lanes, three times a Newton step (once for each point of
+    # the forward differences), and the circumcircle once; six_point_conic
+    # still reports residual6, kernels.six_point's bits.
     calls = collections.Counter()
     for module, name in ((kernels, "residual6"), (kernels, "_sides_deltas"), (kernels, "circumcircle"),
                          (loci, "_circle_test"), (loci, "_polish")):
@@ -605,7 +607,7 @@ def test_circle_searches_compute_each_quantity_once(t_generic, monkeypatch):
         calls.clear()
         search(t_generic)
         tests = calls["_circle_test"]
-        assert tests >= 1 and calls == {"_circle_test": tests, "_polish": tests, "_sides_deltas": 2 * tests,
+        assert tests >= 1 and calls == {"_circle_test": tests, "_polish": tests, "_sides_deltas": 4 * tests,
                                         "circumcircle": 1}, search
     (p, _), *_ = find_pstar_candidates(t_generic)
     calls.clear()
@@ -645,18 +647,35 @@ _FAILING = [
 
 
 @pytest.mark.parametrize("kind", _KINDS)
-def test_stacked_searches_match_one_search_per_triangle(kind):
+def test_stacked_searches_match_one_search_per_triangle(kind, monkeypatch):
     # Every triangle's candidates, and so its points or its failure, are
-    # bit for bit those of a search of its own.
+    # bit for bit those of a search of its own, on seeded triangles and
+    # every 5th shape of the shape grid.  A search of its own has at most
+    # loci._FEW_CANDIDATES candidates and tests each on floats, its own
+    # lane; the batch tests all of them as one lane of arrays.
     rng = np.random.default_rng(2027)
-    ts = [random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
+    grid = _shape_grid()
+    grid = grid.take(np.arange(0, grid.n, 5))
+    ts = ([random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
+          + [Triangle(*(Point2(*v) for v in grid["triangle"][..., i].tolist())) for i in range(grid.n)])
     at, rows = _candidates(ts, kind)
     for k, t in enumerate(ts):
         assert [row for i, row in zip(at, rows) if i == k] == _candidates([t], kind)[1]
     ts += _FAILING
+    lanes = []
+
+    def counted(args, *rest, _real=loci._circle_test):
+        lanes.append(type(args[7]))
+        return _real(args, *rest)
+
+    monkeypatch.setattr(loci, "_circle_test", counted)
     batch = _BATCH[kind](ts)
+    assert 1 <= len(lanes) <= loci._POLISH_STEPS and set(lanes) == {np.ndarray}
+    lanes.clear()
     assert [_outcome(r) for r in batch] == [_outcome(_BATCH[kind]([t])[0]) for t in ts]
-    assert [type(r) for r in batch if isinstance(r, Exception)] == [NotConverged, NotConverged, PointAtInfinity]
+    assert len(lanes) >= len(ts) and set(lanes) == {float}
+    assert not any(isinstance(r, Exception) for r in batch[:40])
+    assert [type(r) for r in batch[-3:]] == [NotConverged, NotConverged, PointAtInfinity]
 
 
 def test_phyp_closed_form_gives_one_k_and_one_point_per_sign():
@@ -718,6 +737,28 @@ def test_trilaterate_on_floats_is_its_array_column():
     for k in range(len(ts)):
         got = loci._trilaterate(tri[:, k].tolist(), *d[:, k].tolist())
         assert [_bits(v) for v in got] == [_bits(c[k]) for c in columns]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_polish_on_floats_is_its_array_column(kind):
+    # The Newton step on one candidate's floats gives floats with the bits
+    # of its column in one array call, on the same triangles in their
+    # frames, at each candidate of the reduction, 1e-4 off it, and at a
+    # NaN driver, whose step is not finite.
+    rng = np.random.default_rng(46)
+    ts = [random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
+    cols = np.array([loci._framed(t) for t in ts]).T
+    with np.errstate(all="ignore"):
+        at, _, args = loci._candidates(cols, kind)
+        at = np.concatenate([at, at, [0]])
+        px = np.concatenate([args[7], args[7] + 1e-4, [math.nan]])
+        py = np.concatenate([args[8], args[8] - 1e-4, [math.nan]])
+        columns = loci._polish((*cols[3:9, at], args[6], px, py), cols[13:16, at])
+    for k, (row, s2) in enumerate(zip(np.array([*cols[3:9, at], px, py]).T.tolist(), cols[13:16, at].T.tolist())):
+        got = loci._polish((*row[:6], args[6], *row[6:]), s2)
+        assert [type(v) for v in got] == [float, float]
+        assert [_bits(v) for v in got] == [_bits(c[k]) for c in columns]
+    assert at.size >= 2 * len(ts) + 1
 
 
 @pytest.mark.parametrize("kind", _KINDS)

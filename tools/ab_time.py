@@ -22,6 +22,9 @@ inputs are read from perfbench/workloads.py, in groups:
               LOCI_TRIANGLES
     pstar     loci.find_pstar_candidates(t) on each of the LOCI_TRIANGLES
     phyp      loci.find_phyp_circle_points(t) on each of the LOCI_TRIANGLES
+    batch     loci.pstar_candidates_batch and loci.phyp_circle_points_batch
+              on BATCH_TRIALS `random_triangle`s of an rng seeded with
+              VERIFY_SEED, as P3.2 and P5.4 search at their default trials
     manifest  verify.run_all(VERIFY_SEED, threads=1)
 
 perfbench/ is the one beside this script's directory; workloads.py is
@@ -45,13 +48,16 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 
 ALIASES = ("triconic_parent", "triconic_change")
-GROUPS = ["maps", "x478", "ostar", "pstar", "phyp", "manifest"]
+GROUPS = ["maps", "x478", "ostar", "pstar", "phyp", "batch", "manifest"]
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # Each round runs every map MAP_REPEATS times, so the maps group is not
 # dwarfed by the timer's resolution and the machine's jitter.
 MAP_REPEATS = 5
+# The batch searches' triangles: P3.2's and P5.4's default trials.
+BATCH_TRIALS = 6
 ROUNDS = 40
 
 
@@ -76,6 +82,8 @@ def _operations(alias, workloads):
     tris = [
         geom.Triangle(*(geom.Point2(v.x, v.y) for v in t.vertices())) for t in workloads.LOCI_TRIANGLES
     ]
+    rng = np.random.default_rng(workloads.VERIFY_SEED)
+    trials = [verify.random_triangle(rng) for _ in range(BATCH_TRIALS)]
 
     def each(fn, *args):
         def run():
@@ -98,6 +106,7 @@ def _operations(alias, workloads):
         "ostar": each(loci.sample_locus_ostar, workloads.OSTAR_SAMPLES),
         "pstar": each(loci.find_pstar_candidates),
         "phyp": each(loci.find_phyp_circle_points),
+        "batch": lambda: (loci.pstar_candidates_batch(trials), loci.phyp_circle_points_batch(trials)),
         "manifest": lambda: verify.run_all(workloads.VERIFY_SEED, threads=1),
     }
 

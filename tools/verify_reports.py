@@ -28,8 +28,9 @@ caller's PYTHONPATH, so the outputs of another checkout come from
 pointing PYTHONPATH at its `src`.  It also runs the two circle-point
 searches, which no CLI command reaches, in its own process (the same
 PYTHONPATH) on the README's triangle and on 40 `random_triangle` and 10
-`random_flat_triangle` of a fixed rng, and writes the repr of each
-result, or of its library error with the error's attributes, to
+`random_flat_triangle` of a fixed rng, each triangle alone and all 51
+in one batch search of each kind, and writes the repr of each result, or
+of its library error with the error's attributes, to
 DIR/circle_points.json.  A CLI exit of 1 (some proposition
 failed) is a report like any other; an exit of 2 is an error.
 
@@ -111,8 +112,8 @@ CIRCLE_SEED = 7
 def _circle_points() -> dict:
     """{triangle: repr of its corners, search: repr of each result} of the
     circle-point searches on the README's triangle and on 40 random and 10
-    flat triangles of CIRCLE_SEED; a library error as its repr and its
-    attributes."""
+    flat triangles of CIRCLE_SEED, each triangle alone and all of them in
+    one batch search; a library error as its repr and its attributes."""
     import numpy as np
 
     from triconic import loci, verify
@@ -124,15 +125,16 @@ def _circle_points() -> dict:
           *(verify.random_triangle(rng) for _ in range(40)),
           *(verify.random_flat_triangle(rng) for _ in range(10))]
 
-    def outcome(search, t):
-        try:
-            return repr(search(t))
-        except TriconicError as exc:
-            return f"{exc!r} {vars(exc)!r}"
+    def shown(result):
+        if isinstance(result, TriconicError):
+            return f"{result!r} {vars(result)!r}"
+        return repr(result)
 
     return {"triangle": [repr(t.vertices()) for t in ts],
-            **{search.__name__: [outcome(search, t) for t in ts]
-               for search in (loci.find_pstar_candidates, loci.find_phyp_circle_points)}}
+            **{search.__name__: [shown(loci._attempt(search, t)) for t in ts]
+               for search in (loci.find_pstar_candidates, loci.find_phyp_circle_points)},
+            **{batch.__name__: [shown(r) for r in batch(ts)]
+               for batch in (loci.pstar_candidates_batch, loci.phyp_circle_points_batch)}}
 
 
 def _reports():
