@@ -1,10 +1,17 @@
 """SVG figure emission and PPM region maps.
 
-Rendering is a pure function of the scene: conics are sampled into paths
-(one parametric grid for ellipses, hyperbolas and parabolas, clipped
-segments for line pairs), circles and labeled points map to native SVG
-elements.  Region maps are written as plain P3 ASCII with the palette
-below.
+Rendering is a pure function of the scene.  Each conic is drawn as the SVG
+primitive of its class (_primitives): an ellipse or circle as one
+<ellipse> with a rotate transform, a parabola as one quadratic Bezier
+(M P0 Q P1 P2), each line of a degenerate conic as one <line> between two
+points beyond the view, and a hyperbola, which no SVG primitive draws
+exactly, as one sampled path a branch.  Triad members are drawn from their
+foci and axis length, and a triad's six-point conic from the fit of its six
+vertices (kernels.fit_six), in the fit's frame; circles and labeled points
+map to native SVG elements.  The root <svg> clips everything to its viewport.  Every number
+is written with the same fixed count of decimals, the fewest that round it
+by at most _ROUNDING of the view's span.  Region maps are written as plain
+P3 ASCII with the palette below.
 """
 
 from __future__ import annotations
@@ -20,13 +27,13 @@ from .conic import (
     _substituted,
     center as conic_center,
     classify,
-    conic_from_foci,
     split_degenerate,
 )
 from .errors import EmptyScene, LineOnConic
 from .geom import LineEq, Point2
+from .kernels import _hypot, fit_six, frame_center
 from .loci import RegionGrid
-from .scene import Scene, _conic_from_json
+from .scene import Scene
 
 # class name -> RGB for PPM maps ("degenerate" marks failed constructions).
 PALETTE = {
@@ -66,142 +73,127 @@ def _lines(c: Conic) -> tuple[LineEq, ...]:
     return (g,) if g == h else (g, h)
 
 
-def _conic_samples(c: Conic, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sampled branches (xs, ys) of a Cartesian conic, clipped to bbox.
+def _framed(c: Conic, ox: float, oy: float, half: float):
+    """The coefficients of c in the frame u = (x - ox) / s, v = (y - oy) / s
+    at a view's center (ox, oy), and the frame (ox, oy, s).
 
-    The conic is classified, split and sampled in a frame at the center
-    (ox, oy) of bbox, u = (x - ox) / s and v = (y - oy) / s, so a scene
-    draws the same curves wherever it sits in the plane.  s is half the
-    span of bbox, or the conic's own reach from (ox, oy) where that is
-    larger (sqrt of its value there over its largest quadratic
-    coefficient), so a conic much larger than the view keeps its class.
-
-    Every curve is sampled at the MIN_CONIC_SAMPLES + 1 steps i of one
-    grid, in the eigenframe of the framed quadratic part: an ellipse by
-    angle, each hyperbola branch by hyperbolic angle, and a parabola
-    along its non-null eigendirection q in [-2, 2], which spans the view
-    and its margin, taking at each q the root in p along the near-null
-    direction that stays finite as its quadratic coefficient goes to 0.
+    s is the view's half span, or the conic's own reach from (ox, oy)
+    where that is larger (sqrt of its value there over its largest
+    quadratic coefficient), so a conic much larger than the view keeps its
+    class, and a scene draws the same curves wherever it sits in the plane;
+    1 where both are 0.
     """
-    xmin, xmax, ymin, ymax = bbox
-    ox, oy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
-    half = max(xmax - xmin, ymax - ymin) / 2.0
     quad = np.abs(c.m[:2, :2]).max()
-    s = max(half, math.sqrt(abs(c(Point2(ox, oy))) / quad)) if quad > 0.0 else half
-    framed = Conic.from_coeffs(_substituted(c.coeffs(), s, 0.0, ox, oy))
-
-    kind = classify(framed)
-    if kind.is_degenerate():
-        lines = (LineEq(ln.l, ln.m, ln.n * s - ln.l * ox - ln.m * oy) for ln in _lines(framed))
-        return [seg for line in lines for seg in _clip_line(line, bbox)]
-    m = framed.m
-    Q = np.array([[m[0, 0], m[0, 1]], [m[0, 1], m[1, 1]]])
-    evals, evecs = np.linalg.eigh(Q)
-    i = np.arange(MIN_CONIC_SAMPLES + 1)
-    if kind == ConicClass.PARABOLA:
-        # a p^2 + b p + c(q) = 0 along the near-null eigenvector e_p.
-        ip = int(np.argmin(np.abs(evals)))
-        iq = 1 - ip
-        a = evals[ip]
-        b = 2.0 * float(m[:2, 2] @ evecs[:, ip])
-        q = -2.0 + 4.0 * i / MIN_CONIC_SAMPLES
-        cq = evals[iq] * q * q + 2.0 * float(m[:2, 2] @ evecs[:, iq]) * q + m[2, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = -2.0 * cq / (b + math.copysign(1.0, b) * np.sqrt(b * b - 4.0 * a * cq))
-        cen, axes, branches = Point2(0.0, 0.0), (ip, iq), [(p, q)]
-    else:
-        cen = conic_center(framed)
-        vh = np.array([cen.x, cen.y, 1.0])
-        k = -float(vh @ m @ vh)
-        if kind in (ConicClass.CIRCLE, ConicClass.ELLIPSE):
-            semis = [math.sqrt(k / e) for e in evals]
-            ang = 2.0 * math.pi * i / MIN_CONIC_SAMPLES
-            axes, branches = (0, 1), [(semis[0] * np.cos(ang), semis[1] * np.sin(ang))]
-        else:
-            # k/evals has one positive (transverse) and one negative entry.
-            ratios = k / evals
-            it = int(np.argmax(ratios))
-            a = math.sqrt(ratios[it])
-            b = math.sqrt(-ratios[1 - it])
-            reach = 4.0 * (2.0 * half / s) / a + 2.0
-            umax = math.log(reach + math.sqrt(reach * reach + 1.0))
-            u = -umax + 2.0 * umax * i / MIN_CONIC_SAMPLES
-            x2 = b * np.sinh(u)
-            axes, branches = (it, 1 - it), [(sgn * a * np.cosh(u), x2) for sgn in (1.0, -1.0)]
-    e1, e2 = evecs[:, axes[0]], evecs[:, axes[1]]
-    curves = [
-        (ox + s * (cen.x + w1 * e1[0] + w2 * e2[0]), oy + s * (cen.y + w1 * e1[1] + w2 * e2[1]))
-        for w1, w2 in branches
-    ]
-    if kind in (ConicClass.CIRCLE, ConicClass.ELLIPSE):
-        return curves
-    return [run for xs, ys in curves for run in _clip_runs(xs, ys, bbox)]
+    s = (max(half, math.sqrt(abs(c(Point2(ox, oy))) / quad)) if quad > 0.0 else half) or 1.0
+    return _substituted(c.coeffs(), s, 0.0, ox, oy), (ox, oy, s)
 
 
-# Conic branches run this fraction of the view's width and height past
-# its edges before they are cut.
-_CLIP_MARGIN = 0.25
+def _primitives(co, frame, view) -> list[tuple]:
+    """The SVG primitives of the conic co, given in frame (ox, oy, s) (the
+    frame of _framed or of a fit), as it is classified there, in plane
+    coordinates, laid out for the view (center x, y, half span) with r =
+    max(s, half span) / s frame units, which span the view from its center:
 
+    - an ellipse, circle or hyperbola: (kind, center, (a, b), u), with kind
+      "ellipse" or "hyperbola", the semi-axes a along the unit vector u (the
+      major or transverse axis) and b across it, as a FocalConic gives them;
+    - a parabola: ("bezier", P0, P1, P2), the curve at q = -2r and 2r from
+      the view's center along the non-null eigenvector of the framed
+      quadratic part, which span the view and its margin, and P1 the pole
+      of that chord, where the tangents at P0 and P2 meet: a weight-1
+      quadratic Bezier is a parabola;
+    - each real line of a degenerate conic: ("line", P, Q), its points 3r
+      before and after its point nearest the view's center, beyond the
+      view.  The line at infinity (l = m = 0) of a conic without quadratic
+      part is no line of the plane and has none.
 
-def _clip_runs(xs, ys, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The runs of two or more samples inside bbox expanded by _CLIP_MARGIN."""
-    xmin, xmax, ymin, ymax = bbox
-    mx = _CLIP_MARGIN * (xmax - xmin)
-    my = _CLIP_MARGIN * (ymax - ymin)
-    inside = (xmin - mx <= xs) & (xs <= xmax + mx) & (ymin - my <= ys) & (ys <= ymax + my)
-    # Run starts and ends alternate among the steps of the padded mask.
-    bounds = np.flatnonzero(np.diff(np.concatenate(([False], inside, [False]))))
-    return [(xs[j:k], ys[j:k]) for j, k in zip(bounds[::2], bounds[1::2]) if k - j >= 2]
-
-
-def _clip_line(line: LineEq, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The segment of a line inside bbox, from its first two distinct
-    crossings of the bbox edges (bottom, right, top, left); none if it
-    misses the box."""
-    xmin, xmax, ymin, ymax = bbox
-    x1 = np.array([xmin, xmax, xmax, xmin])
-    y1 = np.array([ymin, ymin, ymax, ymax])
-    ex, ey = np.roll(x1, -1) - x1, np.roll(y1, -1) - y1
-    den = line.l * ex + line.m * ey
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tpar = -(line.l * x1 + line.m * y1 + line.n) / den
-        hit = (den != 0.0) & (-1e-12 <= tpar) & (tpar <= 1.0 + 1e-12)
-        xs, ys = (x1 + tpar * ex)[hit], (y1 + tpar * ey)[hit]
-    distinct = np.abs(xs - xs[:1]) + np.abs(ys - ys[:1]) >= 1e-12 * (1 + np.abs(xs) + np.abs(ys))
-    if not distinct.any():
-        return []
-    j = int(np.argmax(distinct))
-    return [(np.array([xs[0], xs[j]]), np.array([ys[0], ys[j]]))]
-
-
-def _ellipse_box(c: Conic) -> list[tuple[float, float]]:
-    """Two opposite corners of the axis-aligned box of a real ellipse or
-    circle; no corners for any other conic.
-
-    With the quadratic part Q, the linear part b and the constant f, the
-    center is -Q^-1 b and the curve is (p - center)^T Q (p - center) = k,
-    k = -(b . center + f); its half-widths are sqrt(k (Q^-1)_xx) and
-    sqrt(k (Q^-1)_yy).  Only signs are tested, so the box does not depend
-    on where the conic lies or on the scale of its coefficients.
+    A point conic and an ellipse without real points have none.
     """
-    m = c.m
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if not det > 0.0:
+    ox, oy, s = frame
+    vx, vy, half = view
+    framed = Conic.from_coeffs(co)
+    kind = classify(framed)
+    mid = np.array([(vx - ox) / s, (vy - oy) / s, 1.0])
+    r = max(s, half) / s
+
+    def plane(x):
+        """The plane point of homogeneous frame coordinates x."""
+        return Point2(ox + s * x[0] / x[2], oy + s * x[1] / x[2])
+
+    if kind.is_degenerate():
+        out = []
+        for ln in _lines(framed):
+            if ln.l or ln.m:
+                g = np.array([ln.l, ln.m, 0.0])
+                foot = mid - (g @ mid + ln.n) / (g @ g) * g
+                along = 3.0 * r / math.sqrt(g @ g) * np.array([-ln.m, ln.l, 0.0])
+                out.append(("line", plane(foot - along), plane(foot + along)))
+        return out
+    m = framed.m
+    evals, evecs = np.linalg.eigh(m[:2, :2])
+    if kind == ConicClass.PARABOLA:
+        # The curve meets X + p E, X = mid + q e_q and E = e_p the near-null
+        # eigenvector, where a p^2 + b p + c = 0; its root that stays finite
+        # as a goes to 0.
+        ep, eq = evecs[:, np.argsort(np.abs(evals))].T
+        E = np.array([*ep, 0.0])
+        ends = []
+        for q in (-2.0 * r, 2.0 * r):
+            X = mid + np.array([*(q * eq), 0.0])
+            a, b, c = E @ m @ E, 2.0 * (X @ m @ E), X @ m @ X
+            p = -2.0 * c / (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+            ends.append(X + p * E)
+        return [("bezier", *map(plane, (ends[0], np.cross(m @ ends[0], m @ ends[1]), ends[1])))]
+    cen = conic_center(framed)
+    vh = np.array([cen.x, cen.y, 1.0])
+    # k/evals: both positive for an ellipse, one positive (transverse) for a
+    # hyperbola, none for an ellipse without real points.
+    ratios = -float(vh @ m @ vh) / evals
+    i = int(np.argmax(ratios))
+    if not ratios[i] > 0.0:
         return []
-    cx, cy = np.linalg.solve(m[:2, :2], -m[:2, 2])
-    k = -(m[0, 2] * cx + m[1, 2] * cy + m[2, 2])
-    if not k * m[0, 0] > 0.0:
-        return []
-    hx, hy = math.sqrt(k * m[1, 1] / det), math.sqrt(k * m[0, 0] / det)
-    return [(cx - hx, cy - hy), (cx + hx, cy + hy)]
+    name = "ellipse" if kind in (ConicClass.CIRCLE, ConicClass.ELLIPSE) else "hyperbola"
+    axes = (s * math.sqrt(ratios[i]), s * math.sqrt(abs(ratios[1 - i])))
+    return [(name, plane(vh), axes, Point2(*evecs[:, i]))]
+
+
+def _member(mj: dict) -> tuple:
+    """The primitive of a triad member record, read from its FocalConic:
+    the foci's midpoint, semi-axes axis_length / 2 and across, along the
+    focal axis."""
+    fc = FocalConic(Point2(*mj["focus1"]), Point2(*mj["focus2"]), mj["axis_length"], mj["kind"])
+    return (fc.kind, fc.center, fc.semi_axes(), fc.axis_unit())
+
+
+def _branches(prim, bbox) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both branches (xs, ys) of the hyperbola primitive prim, each sampled
+    at MIN_CONIC_SAMPLES + 1 hyperbolic angles in its own frame, out to
+    about four view spans from its center.  A branch keeps the samples from
+    the one before its first inside bbox to the one after its last, and
+    none if it misses bbox; the viewport clips the rest."""
+    _, c, (a, b), u = prim
+    xmin, xmax, ymin, ymax = bbox
+    umax = math.asinh(4.0 * max(xmax - xmin, ymax - ymin) / a + 2.0)
+    t = -umax + 2.0 * umax * np.arange(MIN_CONIC_SAMPLES + 1) / MIN_CONIC_SAMPLES
+    w1, w2 = a * np.cosh(t), b * np.sinh(t)
+    out = []
+    for sgn in (1.0, -1.0):
+        xs, ys = c.x + sgn * w1 * u.x - w2 * u.y, c.y + sgn * w1 * u.y + w2 * u.x
+        inside = np.flatnonzero((xmin <= xs) & (xs <= xmax) & (ymin <= ys) & (ys <= ymax))
+        if inside.size:
+            keep = slice(max(inside[0] - 1, 0), inside[-1] + 2)
+            out.append((xs[keep], ys[keep]))
+    return out
 
 
 def _scene_bbox(scene: Scene):
     """The view box of the scene, padded by 0.08 of its span: its points,
-    circles, polylines, triads and ellipse boxes (_ellipse_box), and for
-    each line of a degenerate scene conic (_lines) the point of
-    the line nearest the centre of that other content, or nearest the
-    origin, which then joins the box too, when there is none."""
+    circles, polylines and triads, and of each of its conics, framed
+    (_framed) at the centre of that other content, the box of an ellipse
+    and a line's point nearest that centre.  Where there is no other
+    content, a conic is framed at its own center if it has one, which a
+    frame at the origin finds, and otherwise at the origin; the origin
+    joins the box then if there are lines."""
     xs, ys = [], []
 
     def add(p):
@@ -226,16 +218,29 @@ def _scene_bbox(scene: Scene):
     for line in scene.polylines:
         for q in line:
             add((q.x, q.y))
+    view = ((min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0,
+            max(max(xs) - min(xs), max(ys) - min(ys)) / 2.0) if xs else (0.0, 0.0, 0.0)
+
+    def framed(con):
+        if xs:
+            return _framed(con, *view)
+        x, y, has_center = frame_center(*_framed(con, *view))
+        return _framed(con, x, y, 0.0) if has_center else _framed(con, *view)
+
+    prims = []
     for con in scene.conics:
-        for corner in _ellipse_box(con):
-            add(corner)
-    lines = [np.array((ln.l, ln.m, ln.n)) for con in scene.conics for ln in _lines(con) if ln.l or ln.m]
-    if lines:
-        if not xs:
-            add((0.0, 0.0))
-        o = np.array([min(xs) + max(xs), min(ys) + max(ys), 2.0]) / 2.0
-        for g in lines:
-            add(o[:2] - g[:2] * (g @ o) / (g[:2] @ g[:2]))
+        co, frame = framed(con)
+        prims += _primitives(co, frame, frame)
+    if not xs and any(kind == "line" for kind, *_ in prims):
+        add((0.0, 0.0))
+    for kind, c, *rest in prims:
+        if kind == "line":
+            add(((c.x + rest[0].x) / 2.0, (c.y + rest[0].y) / 2.0))
+        elif kind == "ellipse":
+            (a, b), u = rest
+            hx, hy = _hypot(a * u.x, b * u.y), _hypot(a * u.y, b * u.x)
+            add((c.x - hx, c.y - hy))
+            add((c.x + hx, c.y + hy))
     if not xs:
         raise EmptyScene("nothing to render")
     xmin, xmax = min(xs), max(xs)
@@ -245,14 +250,24 @@ def _scene_bbox(scene: Scene):
     return (xmin - pad, xmax + pad, ymin - pad, ymax + pad)
 
 
-def _path(xs, ys, stroke, width, dashed=False) -> str:
-    pts = zip(np.asarray(xs).tolist(), (-np.asarray(ys)).tolist())
-    d = "M " + " L ".join(f"{x:.6g} {y:.6g}" for x, y in pts)
-    dash = ' stroke-dasharray="0.02 0.012"' if dashed else ""
-    return (
-        f'<path d="{d}" fill="none" stroke="{stroke}" '
-        f'stroke-width="{width}"{dash}/>'
-    )
+# Every number of an SVG is rounded by at most this fraction of its view's
+# span: far below a stroke (1/400 of the span), and fine enough that
+# points read back from the SVG lie on their conic to 1e-9.
+_ROUNDING = 1e-12
+
+
+def _decimals(span: float) -> int:
+    """The fewest decimals that round by at most _ROUNDING * span."""
+    return max(0, math.ceil(math.log10(0.5 / (_ROUNDING * span))))
+
+
+def _number(v: float, decimals: int) -> str:
+    """v at a fixed number of decimals, without trailing zeros or a minus
+    sign on zero."""
+    text = f"{v:.{decimals}f}"
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 _TRIAD_COLORS = ("#cc3311", "#117733", "#0077bb")
@@ -266,52 +281,70 @@ def emit_svg(scene: Scene) -> str:
     xmin, xmax, ymin, ymax = bbox
     w = xmax - xmin
     h = ymax - ymin
-    stroke_w = max(w, h) / 400.0
+    span = max(w, h)
+    view = ((xmin + xmax) / 2.0, (ymin + ymax) / 2.0, span / 2.0)
+    decimals = _decimals(span)
+    stroke_w = span / 400.0
+
+    def num(v):
+        return _number(v, decimals)
+
+    def xy(x, y):
+        return f"{num(x)} {num(-y)}"
+
+    def at(p, x="x", y="y"):
+        return f'{x}="{num(p.x)}" {y}="{num(-p.y)}"'
+
+    def drawn(stroke, width=stroke_w, dashed=False):
+        dash = ' stroke-dasharray="0.02 0.012"' if dashed else ""
+        return f'fill="none" stroke="{stroke}" stroke-width="{num(width)}"{dash}'
+
+    def path(xs, ys, style):
+        return f'<path d="M {" ".join(map(xy, xs, ys))}" {style}/>'
+
+    def curve(prim, style) -> list[str]:
+        kind, c, *rest = prim
+        if kind == "line":
+            return [f'<line {at(c, "x1", "y1")} {at(rest[0], "x2", "y2")} {style}/>']
+        if kind == "bezier":
+            return [f'<path d="M {xy(c.x, c.y)} Q {" ".join(xy(p.x, p.y) for p in rest)}" {style}/>']
+        if kind == "hyperbola":
+            return [path(xs, ys, style) for xs, ys in _branches(prim, bbox)]
+        (a, b), u = rest
+        deg = _number(math.degrees(math.atan2(-u.y, u.x)), _decimals(360.0))
+        return [f'<ellipse {at(c, "cx", "cy")} rx="{num(a)}" ry="{num(b)}" '
+                f'transform="rotate({deg} {xy(c.x, c.y)})" {style}/>']
+
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{xmin:.6g} {-ymax:.6g} '
-        f'{w:.6g} {h:.6g}" width="720" height="{720 * h / w:.0f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{num(xmin)} {num(-ymax)} '
+        f'{num(w)} {num(h)}" width="720" height="{720 * h / w:.0f}">',
     ]
     if scene.triangle is not None:
-        t = scene.triangle
-        pts = [t.a, t.b, t.c, t.a]
-        out.append(_path([p.x for p in pts], [p.y for p in pts], "#000000", stroke_w * 1.2))
+        corners = [*scene.triangle.vertices(), scene.triangle.a]
+        out.append(path([p.x for p in corners], [p.y for p in corners], drawn("#000000", stroke_w * 1.2)))
     for trj in scene.triads:
-        members = trj.get("members", [])
-        for idx, mj in enumerate(members):
-            if mj is None:
-                continue
-            fc = FocalConic(
-                Point2(*mj["focus1"]),
-                Point2(*mj["focus2"]),
-                mj["axis_length"],
-                mj["kind"],
-            )
-            for xs, ys in _conic_samples(conic_from_foci(fc), bbox):
-                out.append(_path(xs, ys, _TRIAD_COLORS[idx % 3], stroke_w))
-        spc = trj.get("six_point_conic")
-        if spc:
-            for xs, ys in _conic_samples(_conic_from_json(spc), bbox):
-                out.append(_path(xs, ys, "#aa3377", stroke_w, dashed=True))
+        for stroke, mj in zip(_TRIAD_COLORS, trj.get("members", [])):
+            if mj is not None:
+                out += curve(_member(mj), drawn(stroke))
+        if trj.get("six_point_conic"):
+            # The fit of the stored vertices that gave the stored conic and
+            # class, in its own frame: there the class is the stored one,
+            # and the curve keeps the vertices' precision wherever they lie.
+            co, frame, _ = fit_six(*zip(*trj["vertices"]))
+            for prim in _primitives(co, frame, view):
+                out += curve(prim, drawn("#aa3377", dashed=True))
     for con in scene.conics:
-        for xs, ys in _conic_samples(con, bbox):
-            out.append(_path(xs, ys, "#aa3377", stroke_w))
+        for prim in _primitives(*_framed(con, *view), view):
+            out += curve(prim, drawn("#aa3377"))
     for c in scene.circles:
-        out.append(
-            f'<circle cx="{c.center.x:.6g}" cy="{-c.center.y:.6g}" r="{c.radius:.6g}" '
-            f'fill="none" stroke="#555555" stroke-width="{stroke_w}"/>'
-        )
+        out.append(f'<circle {at(c.center, "cx", "cy")} r="{num(c.radius)}" {drawn("#555555")}/>')
     for line in scene.polylines:
         if len(line) >= 2:
-            out.append(_path([q.x for q in line], [q.y for q in line], "#bb9900", stroke_w))
+            out.append(path([q.x for q in line], [q.y for q in line], drawn("#bb9900")))
     for label, p in scene.points:
-        out.append(
-            f'<circle cx="{p.x:.6g}" cy="{-p.y:.6g}" r="{stroke_w * 2.5:.6g}" '
-            f'fill="#000000"/>'
-        )
-        out.append(
-            f'<text x="{p.x + 3 * stroke_w:.6g}" y="{-p.y - 3 * stroke_w:.6g}" '
-            f'font-size="{12 * stroke_w:.6g}">{label}</text>'
-        )
+        out.append(f'<circle {at(p, "cx", "cy")} r="{num(stroke_w * 2.5)}" fill="#000000"/>')
+        out.append(f'<text {at(p + Point2(3 * stroke_w, 3 * stroke_w))} '
+                   f'font-size="{num(12 * stroke_w)}">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -187,6 +187,9 @@ def _triad_record(trj: dict, where: str) -> dict:
             _need(_key(mj, "kind", at), str, f"{at}.kind")
     if trj.get("six_point_conic"):
         _conic_from_json(trj["six_point_conic"], f"{where}.six_point_conic")
+        # render draws the conic from the fit of the six vertices.
+        if len(trj["vertices"]) != 6:
+            raise ValueError(f"scene field {where}.vertices must hold six points")
     _need(_key(trj, "six_point_class", where), str, f"{where}.six_point_class")
     if _key(trj, "six_point_center", where) is not None:
         _point(trj["six_point_center"], f"{where}.six_point_center")

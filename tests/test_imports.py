@@ -163,8 +163,8 @@ def test_scan_finds_blas_users():
 def test_conics_are_built_without_blas():
     # No @ or np.linalg.norm builds, normalizes, evaluates or intersects a
     # Conic, whose bits would then change with the BLAS build: the modules
-    # that build plane conics use them not at all.  (render samples a conic
-    # on its eigenframe, which is left out.)
+    # that build plane conics use them not at all.  (render reads a conic's
+    # eigenframe, which is left out.)
     found = {name: _blas_users((PACKAGE / name).read_text())
              for name in ("conic.py", "kernels.py", "triads.py", "loci.py", "scene.py")}
     assert found == {"conic.py": set(), "kernels.py": set(), "triads.py": set(), "loci.py": set(),

@@ -14,7 +14,7 @@ from triconic.errors import EmptyScene
 from triconic.geom import Point2, Triangle, distance
 from triconic.loci import region_map, sample_locus_ostar
 from triconic.render import PALETTE, emit_ppm, emit_svg
-from triconic.scene import Scene, scene_for_triad
+from triconic.scene import Scene, _conic_from_json, scene_for_triad
 
 
 def run_cli(args, cwd, env):
@@ -46,42 +46,81 @@ def test_empty_scene_rejected():
         emit_svg(Scene())
 
 
+def _read_back(svg: str) -> list:
+    """(tag, stroke, points, lengths) of the SVG's root and of each element
+    below it, read back in the plane (y up): the root's view corner (xmin,
+    ymax) and its width and height; a path's vertices, or its quadratic
+    Bezier M P0 Q P1 P2 at t = 0, 1/4, 1/2, 3/4 and 1; an ellipse's four
+    axis ends (its rotate transform about its center) and its semi-axes; a
+    line's two ends; a circle's center and radius; a text's anchor and
+    font size."""
+    root = ET.fromstring(svg)
+    xmin, top, w, h = map(float, root.attrib["viewBox"].split())
+    out = [("svg", None, [(xmin, -top)], [w, h])]
+    for el in root:
+        tag, at = el.tag.rsplit("}", 1)[-1], el.attrib
+        lengths = []
+        if tag == "path":
+            toks = at["d"].split()
+            vals = [float(tok) for tok in toks if tok not in ("M", "Q")]
+            pts = list(zip(vals[::2], vals[1::2]))
+            if "Q" in toks:
+                (x0, y0), (x1, y1), (x2, y2) = pts
+                pts = [((1 - t) ** 2 * x0 + 2 * t * (1 - t) * x1 + t * t * x2,
+                        (1 - t) ** 2 * y0 + 2 * t * (1 - t) * y1 + t * t * y2)
+                       for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        elif tag == "ellipse":
+            deg, cx, cy = map(float, re.fullmatch(r"rotate\((\S+) (\S+) (\S+)\)", at["transform"]).groups())
+            assert (cx, cy) == (float(at["cx"]), float(at["cy"]))
+            c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+            lengths = [float(at["rx"]), float(at["ry"])]
+            pts = [(cx + k * r * ux, cy + k * r * uy)
+                   for r, (ux, uy) in zip(lengths, ((c, s), (-s, c))) for k in (1.0, -1.0)]
+        elif tag == "line":
+            pts = [(float(at["x1"]), float(at["y1"])), (float(at["x2"]), float(at["y2"]))]
+        elif tag == "circle":
+            pts, lengths = [(float(at["cx"]), float(at["cy"]))], [float(at["r"])]
+        else:
+            assert tag == "text", tag
+            pts, lengths = [(float(at["x"]), float(at["y"]))], [float(at["font-size"])]
+        out.append((tag, at.get("stroke"), [(x, -y) for x, y in pts], lengths))
+    return out
+
+
+def _drawn(svg: str, stroke: str = "#aa3377") -> list:
+    """The read-back elements (_read_back) of one stroke colour, by default
+    the scene conics'."""
+    return [el for el in _read_back(svg) if el[1] == stroke]
+
+
 def test_svg_unit_circle_bbox():
+    # The unit circle is one <ellipse> whose axis ends are (+-1, 0) and
+    # (0, +-1), whatever its rotation.
     sc = Scene()
     sc.conics.append(Conic.from_coeffs([1, 0, 1, 0, 0, -1]))
     sc.add_point("O", Point2(0, 0))
-    svg = emit_svg(sc)
-    root = ET.fromstring(svg)  # valid XML
-    paths = [el for el in root.iter() if el.tag.endswith("path")]
-    assert paths
-    xs, ys = [], []
-    for el in paths:
-        for tok in el.attrib["d"].replace("M", " ").replace("L", " ").split():
-            pass
-    # Parse the circle path coordinates.
-    coords = []
-    for el in paths:
-        toks = el.attrib["d"].replace("M", "").replace("L", " ").split()
-        coords.extend((float(toks[i]), float(toks[i + 1])) for i in range(0, len(toks), 2))
-    xs = [cx for cx, _ in coords]
-    ys = [cy for _, cy in coords]
-    assert abs(max(xs) - 1.0) < 0.01 and abs(min(xs) + 1.0) < 0.01
-    assert abs(max(ys) - 1.0) < 0.01 and abs(min(ys) + 1.0) < 0.01
+    (tag, _, pts, lengths), = _drawn(emit_svg(sc))
+    assert tag == "ellipse" and lengths == [1.0, 1.0]
+    xs, ys = zip(*pts)
+    assert max(xs) == pytest.approx(1.0, abs=1e-12) and min(xs) == pytest.approx(-1.0, abs=1e-12)
+    assert max(ys) == pytest.approx(1.0, abs=1e-12) and min(ys) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_svg_degenerate_two_segments(t345):
     # The degenerate six-point conic of the 3-4-5 V-ellipse triad renders as
-    # two straight segments.
+    # two <line>s through its center (-3.6, -4.8), the two lines of the
+    # conic, whose ends lie beyond the view.
     sc = scene_for_triad(t345, "v_ellipse")
     svg = emit_svg(sc)
-    root = ET.fromstring(svg)
-    segs = [
-        el
-        for el in root.iter()
-        if el.tag.endswith("path") and el.attrib["d"].count("L") == 1
-        and el.attrib.get("stroke") == "#aa3377"
-    ]
-    assert len(segs) == 2
+    (_, _, (corner,), (w, h)), *_ = _read_back(svg)
+    segs = _drawn(svg)
+    assert [tag for tag, *_ in segs] == ["line", "line"]
+    con = _conic_from_json(sc.triads[0]["six_point_conic"])
+    for _, _, ends, _ in segs:
+        (x0, y0), (x1, y1) = ends
+        assert abs((x1 - x0) * (-4.8 - y0) - (y1 - y0) * (-3.6 - x0)) <= 1e-9 * math.hypot(x1 - x0, y1 - y0)
+        assert max(residual(con, Point2(x, y)) for x, y in ends) <= 1e-9
+        assert all(not (corner[0] <= x <= corner[0] + w and corner[1] - h <= y <= corner[1]) for x, y in ends)
 
 
 def test_svg_vhyp_structure(t345):
@@ -93,12 +132,9 @@ def test_svg_vhyp_structure(t345):
         el for el in root.iter() if el.tag.endswith("circle") and el.attrib.get("fill") == "none"
     ]
     assert len(circles) >= 2  # both Soddy circles
-    member_paths = [
-        el
-        for el in root.iter()
-        if el.tag.endswith("path") and el.attrib.get("stroke") in ("#cc3311", "#117733", "#0077bb")
-    ]
-    assert len(member_paths) >= 3
+    # Each hyperbola member is drawn as its two sampled branches.
+    for stroke in ("#cc3311", "#117733", "#0077bb"):
+        assert [tag for tag, *_ in _drawn(svg, stroke)] == ["path", "path"]
 
 
 def test_vhyp_scene_builds_the_soddy_configuration_once(t345, monkeypatch):
@@ -121,8 +157,8 @@ def test_vhyp_scene_draws_the_soddy_line():
     # On a triangle of the half-tangent sextic the outer Soddy circle is a
     # line: the scene holds it as its one conic, the double line (l x + m y
     # + n)^2, with the three circles on the sides as diameters, which it
-    # touches (P4.10), and the SVG draws it once, as one segment on the
-    # line.
+    # touches (P4.10), and the SVG draws it once, as one <line> whose ends
+    # lie on the line, beyond the view.
     from triconic import centers
     from triconic.conic import ConicClass, classify
 
@@ -139,76 +175,197 @@ def test_vhyp_scene_draws_the_soddy_line():
     assert max(abs(abs(line.eval_point(c.center)) / math.hypot(l, m) - c.radius)
                for c in sc.circles[1:]) <= 1e-12
     assert Scene.loads(sc.dumps()).dumps() == sc.dumps()
-    paths = [
-        el.attrib["d"] for el in ET.fromstring(emit_svg(sc)).iter()
-        if el.tag.endswith("path") and el.attrib.get("stroke") == "#aa3377"
-        and "stroke-dasharray" not in el.attrib
-    ]
-    assert len(paths) == 1 and paths[0].count("L") == 1
-    toks = [float(tok) for tok in paths[0].replace("M", " ").replace("L", " ").split()]
-    ends = [Point2(toks[i], -toks[i + 1]) for i in (0, 2)]
-    assert distance(*ends) > 1.0
-    assert max(abs(line.eval_point(p)) for p in ends) <= 1e-5 * math.hypot(l, m)
+    svg = emit_svg(sc)
+    (_, _, ((xmin, ymax),), (w, h)), *_ = _read_back(svg)
+    ends, = _line_ends(svg)
+    assert min(x for x, _ in ends) < xmin and max(x for x, _ in ends) > xmin + w
+    assert max(abs(line.eval_point(Point2(*p))) for p in ends) <= 1e-9 * math.hypot(l, m)
 
 
-def _scene_conic_samples(dx, dy):
-    """render._conic_samples of every conic of the four triad scenes of the
-    (0.1,0.2) (1.3,0.15) (0.5,1.1) triangle moved by (dx, dy), P at (1, 1)
-    moved alike: per kind, (conic kind, [(xs, ys) arrays of each branch])
-    for the three members and then the six-point conic."""
-    from triconic.conic import FocalConic, conic_from_foci
-    from triconic.render import _conic_samples, _scene_bbox
-    from triconic.scene import _conic_from_json
-
+def _triad_svgs(dx, dy) -> dict:
+    """{kind: (member kinds, six-point class, _read_back of its SVG)} of
+    the four triad scenes of the (0.1,0.2) (1.3,0.15) (0.5,1.1) triangle
+    moved by (dx, dy), P at (1, 1) moved alike."""
     t = Triangle(Point2(0.1 + dx, 0.2 + dy), Point2(1.3 + dx, 0.15 + dy), Point2(0.5 + dx, 1.1 + dy))
     out = {}
     for kind in ("v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"):
         p = Point2(1.0 + dx, 1.0 + dy) if kind.startswith("p_") else None
         sc = scene_for_triad(t, kind, p)
-        bbox = _scene_bbox(sc)
         trj = sc.triads[0]
-        conics = [
-            (m["kind"], conic_from_foci(
-                FocalConic(Point2(*m["focus1"]), Point2(*m["focus2"]), m["axis_length"], m["kind"])
-            ))
-            for m in trj["members"]
-        ]
-        conics.append((trj["six_point_class"], _conic_from_json(trj["six_point_conic"])))
-        out[kind] = [(cls, _conic_samples(con, bbox)) for cls, con in conics]
+        out[kind] = ([m["kind"] for m in trj["members"]], trj["six_point_class"], _read_back(emit_svg(sc)))
     return out
 
 
+_MEMBER_STROKES = ("#cc3311", "#117733", "#0077bb")
+
+
 def test_render_samples_move_with_the_scene():
-    # A scene moved by (100, 100) draws the same curves, moved: the same
-    # number of polylines and samples, each sample moved by the offset, and
-    # each curve drawn as its class (an ellipse one closed polyline, a
-    # hyperbola two branches).
-    from triconic.render import MIN_CONIC_SAMPLES
+    # A scene moved by (100, 100) draws the same elements, moved: each
+    # element of the same tag, colour and number of points, each point
+    # moved by the offset and each length kept, and each curve drawn as its
+    # class (an ellipse one <ellipse>, a hyperbola two sampled branches).
+    # Members are drawn from their foci and six-point conics from the fit
+    # of their vertices, in its own frame: here they move by at most 7.2e-13
+    # and 4.1e-13 of the span, within the SVG's rounding (1e-12 of the span
+    # a number).  Over 160 seeded triads of the four kinds members moved by
+    # at most 5.3e-12, where a thin member's minor semi-axis takes the
+    # foci's rounding.
+    here, moved = _triad_svgs(0.0, 0.0), _triad_svgs(100.0, 100.0)
+    for kind, (members, six_class, els) in here.items():
+        span = max(els[0][3])
+        for cls, stroke in zip(members, _MEMBER_STROKES):
+            tags = [tag for tag, s, *_ in els if s == stroke]
+            assert tags == (["ellipse"] if cls == "ellipse" else ["path", "path"]), (kind, cls)
+        assert [tag for tag, s, *_ in els if s == "#aa3377"] == \
+            (["ellipse"] if six_class == "ellipse" else ["path", "path"]), kind
+        for (tag, stroke, pts, lengths), (*key, pts_moved, lengths_moved) in \
+                zip(els, moved[kind][2], strict=True):
+            assert key == [tag, stroke] and len(pts) == len(pts_moved), (kind, tag, stroke)
+            bound = 3e-12 * span
+            assert np.all(np.abs(np.subtract(pts_moved, pts) - 100.0) <= bound), (kind, tag, stroke)
+            assert np.all(np.abs(np.subtract(lengths_moved, lengths)) <= bound), (kind, tag, stroke)
 
-    here, moved = _scene_conic_samples(0.0, 0.0), _scene_conic_samples(100.0, 100.0)
-    for kind in here:
-        for (cls, polys), (_, polys_moved) in zip(here[kind], moved[kind]):
-            assert [len(xs) for xs, _ in polys] == [len(xs) for xs, _ in polys_moved], (kind, cls)
-            if cls == "ellipse":
-                assert [len(xs) for xs, _ in polys] == [MIN_CONIC_SAMPLES + 1], kind
-            else:
-                assert cls == "hyperbola" and len(polys) == 2, kind
-            for (xs, ys), (xs_moved, ys_moved) in zip(polys, polys_moved):
-                assert np.all(np.abs(xs_moved - xs - 100.0) < 1e-9)
-                assert np.all(np.abs(ys_moved - ys - 100.0) < 1e-9)
 
-
-def test_render_samples_a_parabola_as_one_run():
-    # y = x^2 in a view its vertex and the edges x = -2, 2 frame: one run
-    # on the curve that crosses the whole view.
-    from triconic.render import _conic_samples
+def test_render_draws_a_parabola_as_one_bezier():
+    # y = x^2 in a view its vertex and the edges x = -2, 2 frame: one
+    # quadratic Bezier, on the curve at every parameter, that crosses the
+    # whole view.
+    from triconic.render import _framed, _primitives
 
     con = Conic.from_coeffs((1, 0, 0, 0, -1, 0))
-    runs = _conic_samples(con, (-2, 2, -1, 3))
-    assert len(runs) == 1
-    xs, ys = runs[0]
-    assert max(residual(con, Point2(x, y)) for x, y in zip(xs, ys)) <= 1e-12
-    assert xs.min() <= -2.0 and xs.max() >= 2.0
+    (kind, *ctrl), = _primitives(*_framed(con, 0.0, 1.0, 2.0), (0.0, 1.0, 2.0))
+    assert kind == "bezier"
+    (x0, y0), (x1, y1), (x2, y2) = (p.as_tuple() for p in ctrl)
+    for t in np.linspace(0.0, 1.0, 17):
+        x = (1 - t) ** 2 * x0 + 2 * t * (1 - t) * x1 + t * t * x2
+        y = (1 - t) ** 2 * y0 + 2 * t * (1 - t) * y1 + t * t * y2
+        assert residual(con, Point2(x, y)) <= 1e-12
+    assert min(x0, x2) <= -2.0 and max(x0, x2) >= 2.0
+
+
+@pytest.mark.parametrize("coeffs, frame, kind", [
+    # A parabola along (1, 1), in a frame at the view's edge.
+    ((1.0, -2.0, 1.0, -8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0), 0.0), (3.9, -3.9, 4.0), "bezier"),
+    # Two lines, in a frame much smaller than the view.
+    ((1.0, 0.0, -1.0, -0.5, -0.5, 0.0), (1.0, 1.0, 0.1), "line"),
+])
+def test_primitives_cross_the_view_from_the_frame_they_are_given_in(coeffs, frame, kind):
+    # A conic given in a frame other than the view's, as a six-point
+    # conic is given in its fit's, is laid out about the view: the ends of
+    # each of its primitives lie on the conic and beyond the view [-4, 4]^2.
+    from triconic.conic import _substituted
+    from triconic.render import _primitives
+
+    con = Conic.from_coeffs(coeffs)
+    prims = _primitives(_substituted(coeffs, frame[2], 0.0, frame[0], frame[1]), frame, (0.0, 0.0, 4.0))
+    assert {k for k, *_ in prims} == {kind} and len(prims) == (1 if kind == "bezier" else 2)
+    for _, *pts in prims:
+        for p in (pts[0], pts[-1]):
+            assert residual(con, p) <= 1e-9 and max(abs(p.x), abs(p.y)) > 4.0
+
+
+# A conic of each class and one without real points: its coefficients
+# (xx, xy, yy, x, y, 1), its class, and the elements that draw it.
+_CLASS_CONICS = {
+    "circle": ((1.0, 0.0, 1.0, -0.6, 0.4, -1.07), "circle", ["ellipse"]),
+    "ellipse": ((2.0, 1.0, 3.0, -0.5, 0.7, -4.0), "ellipse", ["ellipse"]),
+    "parabola": ((1.0, 2.0, 1.0, -1.0, 1.0, -1.0), "parabola", ["path"]),
+    "hyperbola": ((1.0, 0.3, -2.0, 0.0, 0.0, -1.0), "hyperbola", ["path", "path"]),
+    "two_lines": ((1.0, 1.0, -2.0, -1.0, 1.0, 0.0), "degenerate_two_lines", ["line", "line"]),
+    "parallel_lines": ((1.0, 2.0, 1.0, 0.0, 0.0, -1.0), "degenerate_parallel_lines", ["line", "line"]),
+    "point": ((1.0, 0.0, 1.0, 0.0, 0.0, 0.0), "degenerate_point", []),
+    "no_real_points": ((1.0, 0.0, 2.0, 0.0, 0.0, 1.0), "ellipse", []),
+    # Without quadratic part a conic is the line at infinity with one real
+    # line, here x = 1, or with none: only real lines are drawn.
+    "one_line": ((0.0, 0.0, 0.0, 1.0, 0.0, -1.0), "degenerate_parallel_lines", ["line"]),
+    "constant": ((0.0, 0.0, 0.0, 0.0, 0.0, 1.0), "degenerate_parallel_lines", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLASS_CONICS))
+def test_svg_elements_read_back_onto_their_conic(case):
+    # Each class is drawn as its own primitive, parsed back from the SVG:
+    # an ellipse's four axis ends, a parabola's Bezier at t = 0, 1/4, 1/2,
+    # 3/4 and 1, each line's two ends and every hyperbola sample lie on the
+    # scene's conic to 1e-9 relative; a point conic and an ellipse without
+    # real points draw nothing.
+    from triconic.conic import classify
+
+    coeffs, cls, tags = _CLASS_CONICS[case]
+    con = Conic.from_coeffs(coeffs)
+    assert classify(con).value == cls
+    sc = Scene()
+    sc.add_point("L", Point2(-3.0, -3.0))
+    sc.add_point("U", Point2(3.0, 3.0))
+    sc.conics.append(con)
+    svg = emit_svg(sc)
+    drawn = _drawn(svg)
+    assert [tag for tag, *_ in drawn] == tags
+    if cls == "parabola":
+        assert " Q " in ET.fromstring(svg).find("{*}path[@stroke='#aa3377']").attrib["d"]
+    if cls == "hyperbola":
+        # Each branch keeps one sample beyond the view at each end, and the
+        # viewport clips them.
+        (_, _, ((xmin, ymax),), (w, h)), *_ = _read_back(svg)
+        for _, _, points, _ in drawn:
+            inside = [xmin <= x <= xmin + w and ymax - h <= y <= ymax for x, y in points]
+            assert inside[1:-1] and inside[0] is inside[-1] is False and inside[1] and inside[-2]
+    pts = [p for _, _, points, _ in drawn for p in points]
+    assert max((residual(con, Point2(*p)) for p in pts), default=0.0) <= 1e-9
+
+
+def test_cli_renders_a_conic_without_quadratic_part(tmp_path, monkeypatch, capsys):
+    # A scene of only the line x = 1 written as a conic draws that one line
+    # and not the line at infinity; a scene of only a constant conic has
+    # nothing to draw, which render reports as an error, exit 2.
+    monkeypatch.chdir(tmp_path)
+    for coeffs in ((0.0, 0.0, 0.0, 1.0, 0.0, -1.0), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)):
+        sc = Scene()
+        sc.conics.append(Conic.from_coeffs(coeffs))
+        (tmp_path / "s.json").write_text(sc.dumps())
+        code = main(["render", "--scene", "s.json", "--out", "s.svg"])
+        if coeffs[3]:
+            assert code == 0
+            ((x0, _), (x1, _)), = _line_ends((tmp_path / "s.svg").read_text())
+            assert x0 == x1 == 1.0
+        else:
+            assert code == 2 and "nothing to render" in capsys.readouterr().err
+            with pytest.raises(EmptyScene):
+                emit_svg(sc)
+
+
+def test_svg_draws_a_lone_conic_far_from_the_origin():
+    # A scene of only the unit circle about (1e5, 1e5): a frame at the
+    # origin finds its center, where it is decided an ellipse, so the view
+    # covers it and one <ellipse> draws it.  Its plane coefficients hold
+    # the radius to about 1e-7 that far out.
+    d = 1e5
+    sc = Scene()
+    sc.conics.append(Conic.from_coeffs((1.0, 0.0, 1.0, -2.0 * d, -2.0 * d, 2.0 * d * d - 1.0)))
+    (_, _, ((xmin, ymax),), (w, h)), (tag, _, _, lengths) = _read_back(emit_svg(sc))
+    assert tag == "ellipse" and lengths == pytest.approx([1.0, 1.0], abs=1e-6)
+    assert xmin < d - 1.0 and xmin + w > d + 1.0 and ymax > d + 1.0 and ymax - h < d - 1.0
+
+
+def test_svg_of_a_far_scene_is_the_scene_moved():
+    # The README's V-ellipse scene moved by (1e5, 1e5) draws the unmoved
+    # scene's elements, moved: the same tags and colours, every point read
+    # back moved by the offset and every length kept, to 1e-6 of the view's
+    # span; the view box too.  Its six-point conic, two lines, is drawn from
+    # the fit of its vertices in the fit's frame, where it is decided two
+    # lines as the scene stores it; its plane coefficients cannot decide
+    # that far out.
+    def read(d):
+        t = Triangle(Point2(d, 3.0 + d), Point2(4.0 + d, d), Point2(d, d))
+        return _read_back(emit_svg(scene_for_triad(t, "v_ellipse")))
+
+    here, far = read(0.0), read(1e5)
+    bound = 1e-6 * max(here[0][3])
+    assert [tag for tag, s, *_ in here if s == "#aa3377"] == ["line", "line"]
+    for (tag, stroke, pts, lengths), (*key, pts_far, lengths_far) in zip(here, far, strict=True):
+        assert key == [tag, stroke] and len(pts) == len(pts_far), (tag, stroke)
+        assert np.all(np.abs(np.subtract(pts_far, pts) - 1e5) <= bound), (tag, stroke)
+        assert np.all(np.abs(np.subtract(lengths_far, lengths)) <= bound), (tag, stroke)
 
 
 def test_ppm_format_and_palette(t_generic):
@@ -571,27 +728,22 @@ def test_svg_view_box_covers_a_scene_conic():
     assert -top - h <= -1.0 and -top >= 1.0
 
 
-def _line_paths(root) -> list:
-    """The (x, y) ends of each one-segment scene-conic path of an SVG."""
-    out = []
-    for el in root.iter():
-        if el.tag.endswith("path") and el.attrib.get("stroke") == "#aa3377" and el.attrib["d"].count("L") == 1:
-            x0, y0, x1, y1 = map(float, el.attrib["d"].replace("M", "").replace("L", " ").split())
-            out.append(((x0, -y0), (x1, -y1)))
-    return out
+def _line_ends(svg: str) -> list:
+    """The (x, y) ends of each scene-conic <line> of an SVG."""
+    return [tuple(ends) for tag, _, ends, _ in _drawn(svg) if tag == "line"]
 
 
 def test_svg_renders_a_scene_of_only_a_line():
     # The double line y = 1 alone: its point nearest the origin, with the
-    # origin, spans the view, and the line crosses it.
+    # origin, spans the view, and the line crosses it, its ends beyond it.
     g = (0.0, 1.0, -1.0)
     sc = Scene()
     sc.conics.append(Conic(np.outer(g, g)))
-    root = ET.fromstring(emit_svg(sc))
-    xmin, top, w, h = (float(v) for v in root.attrib["viewBox"].split())
+    svg = emit_svg(sc)
+    xmin, top, w, h = (float(v) for v in ET.fromstring(svg).attrib["viewBox"].split())
     assert -top - h < 0.0 and -top > 1.0
-    ((x0, y0), (x1, y1)), = _line_paths(root)
-    assert y0 == y1 == 1.0 and sorted((x0, x1)) == pytest.approx([xmin, xmin + w])
+    ((x0, y0), (x1, y1)), = _line_ends(svg)
+    assert y0 == y1 == 1.0 and min(x0, x1) < xmin and max(x0, x1) > xmin + w
 
 
 def test_svg_draws_a_line_outside_the_other_content():
@@ -602,11 +754,11 @@ def test_svg_draws_a_line_outside_the_other_content():
     sc.add_point("O", Point2(0.0, 0.0))
     sc.add_point("E", Point2(1.0, 0.0))
     sc.conics.append(Conic(np.outer(g, g)))
-    root = ET.fromstring(emit_svg(sc))
-    xmin, top, w, h = (float(v) for v in root.attrib["viewBox"].split())
+    svg = emit_svg(sc)
+    xmin, top, w, h = (float(v) for v in ET.fromstring(svg).attrib["viewBox"].split())
     assert -top > 5.0 and -top - h < 0.0
-    ((x0, y0), (x1, y1)), = _line_paths(root)
-    assert y0 == y1 == 5.0 and sorted((x0, x1)) == pytest.approx([xmin, xmin + w])
+    ((x0, y0), (x1, y1)), = _line_ends(svg)
+    assert y0 == y1 == 5.0 and min(x0, x1) < xmin and max(x0, x1) > xmin + w
 
 
 @pytest.mark.parametrize("entry", ["conic", "triad"])
@@ -733,7 +885,8 @@ def _strip_members_axis(triad):
      "triads[0].six_point_center must be an [x, y] pair"),
     (_strip_members_axis, "triads[0].members[1].axis_length is missing"),
     (lambda triad: triad["vertices"].append("A"), "triads[0].vertices[6] must be an [x, y] pair"),
-], ids=["empty", "class", "center", "member", "vertex"])
+    (lambda triad: triad["vertices"].pop(), "triads[0].vertices must hold six points"),
+], ids=["empty", "class", "center", "member", "vertex", "five_vertices"])
 def test_scene_rejects_a_malformed_triad(cmd, damage, field, tmp_path, t345, monkeypatch,
                                          capsys):
     # A built scene whose triad record lacks a field that render or

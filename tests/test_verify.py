@@ -524,8 +524,9 @@ _HANDLERS = {
         verify, "phyp_parabola_condition",
         lambda: verify._phyp_roots(np.array([reference_checks.circumcircle_ray(_tri(), 0.7)]).T),
     ),
-    "conic_samples": (
-        render, "split_degenerate", lambda: render._conic_samples(_lines(), (-1, 1, -1, 1)),
+    "conic_primitives": (
+        render, "split_degenerate",
+        lambda: render._primitives(*render._framed(_lines(), 0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
     ),
     "cevian_triangle": (
         reference_checks, "bary_to_cartesian",

@@ -17,7 +17,10 @@ kinds on the README's triangle "0,3 4,0 0,0" and on its (10, 10)
 translate, and one 80x70 map, of more than 4,096 cells
 (DIR/regions_*.json, each with its PPM beside it), and builds and renders
 the README's two scenes on that triangle (DIR/scene_v_ell.svg,
-DIR/scene_soddy.svg) and two V-hyperbola scenes that pin the Soddy-line
+DIR/scene_soddy.svg), the README's V-ellipse scene moved by (1e5, 1e5)
+(DIR/scene_v_ell_far.svg), the P-ellipse and P-hyperbola scenes of the
+triangle "0,0 4,0 1,3" at P = (1.5, 1) (DIR/scene_p_ell.svg,
+DIR/scene_p_hyp.svg), and two V-hyperbola scenes that pin the Soddy-line
 regime rule: one on a triangle of the half-tangent sextic, where the
 outer Soddy circle is a line, drawn with the circles on the sides as
 diameters that it touches (DIR/scene_soddy_line.svg), and one on the
@@ -96,10 +99,15 @@ REGIONS = tuple(
 # 3e-10, each point's floats as their repr.
 SEXTIC_TRIANGLE = "-1.0,0.0 1.0,0.0 0.1,0.7455902263442132"
 SEXTIC_MOVED = "-1.0,0.0 1.0,0.0 0.1,0.7455902265678903"
+# The triangle of the P-triad scenes, at P = (1.5, 1).
+P_TRIANGLE = "0,0 4,0 1,3"
 # (SVG, triangle, construct arguments) of each scene.
 SVGS = (
     ("scene_v_ell.svg", README_TRIANGLE, ["--triad", "v-ell"]),
     ("scene_soddy.svg", README_TRIANGLE, ["--triad", "v-hyp", "--center", "X20"]),
+    ("scene_v_ell_far.svg", "100000,100003 100004,100000 100000,100000", ["--triad", "v-ell"]),
+    ("scene_p_ell.svg", P_TRIANGLE, ["--triad", "p-ell", "--point", "1.5,1"]),
+    ("scene_p_hyp.svg", P_TRIANGLE, ["--triad", "p-hyp", "--point", "1.5,1"]),
     ("scene_soddy_line.svg", SEXTIC_TRIANGLE, ["--triad", "v-hyp"]),
     ("scene_soddy_line_moved.svg", SEXTIC_MOVED, ["--triad", "v-hyp"]),
 )
