@@ -5,8 +5,8 @@ numpy arrays, with the same bits: distances are sqrt(dx*dx + dy*dy)
 (`_hypot`, the package's one length rule, which `geom` and every module
 after it read), and math.sqrt and np.sqrt both round correctly.
 `collinear` is the one degenerate-triangle test, on `signed_area`:
-`geom.Triangle` and `geom.collinear` apply it on floats, the verifier on
-arrays.
+`geom.Triangle`, `geom.collinear` and the circle searches' frames
+(`loci._framed`) apply it on floats, the verifier on arrays.
 
 `_sides_deltas` (sides, signed focal sums or differences, member flag) is
 read by `triads.build_triad`, `driver_fault`, `triad_vertices`, the loci
@@ -28,10 +28,10 @@ and the P2.2, P3.1, P3.8 and P5.2 trials.
 itself, on floats or arrays, with the six-point conic's fit rules: it
 serves the circle test (`loci._circle_conditions`) of P3.2, P3.3, P5.4
 and P5.5 and of the circle searches, which run it on floats, a candidate
-at a time, in a search of few candidates (`loci._circle_points`; each
-search on one triangle) and on arrays in a larger one; and with
-`residual6` and the sideline rules (`triads._six_point_rules`)
-`triads.six_point_conic` and the P2.1, P2.7, P4.3, A3 and A6 trials;
+at a time, in a search on one triangle (`loci._circle_points`), and on
+arrays in a batch search; and with `residual6` and the sideline rules
+(`triads._six_point_rules`) `triads.six_point_conic` and the P2.1, P2.7,
+P4.3, A3 and A6 trials;
 `loci.sample_locus_ostar` calls
 `vertices`, `fit_six` and `frame_center` directly, and `loci.region_map`
 `vertices`, `fit_six` and `classify_code`, on a row of cell xs and a

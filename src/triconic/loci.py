@@ -28,6 +28,7 @@ from .centers import circumcircle, excircle_tangency_points
 from .conic import Conic, fit_framed
 from .errors import (
     DegenerateMember,
+    DegenerateTriangle,
     NotConverged,
     PointAtInfinity,
     RankDeficient,
@@ -403,6 +404,25 @@ _POLISH_H = 1e-7
 _POLISH_STEPS = 3
 
 
+def _numpy(ufunc, *args):
+    """ufunc(*args) as numpy gives it, quiet NaN and inf included where
+    Python would raise: an array on arrays, a Python float on floats."""
+    out = ufunc(*args)
+    return out if np.ndim(out) else float(out)
+
+
+def _sqrt(x):
+    """kernels._sqrt, with numpy's quiet NaN for a negative float (where
+    _phyp_candidates' k or t is not real or k is inadmissible), where
+    math.sqrt would raise."""
+    return kernels._sqrt(x) if isinstance(x, np.ndarray) or x >= 0.0 else _numpy(np.sqrt, x)
+
+
+def _where(cond, a, b):
+    """np.where on arrays, a if cond else b on floats."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
 def _trilaterate(tri, da, db, dc):
     """The point Q = P - A at distances da, db and dc from the corners A,
     B and C of a framed triangle, where they agree, from tri (B - A, C -
@@ -431,15 +451,21 @@ def _pstar_candidates(tri) -> tuple:
     (_trilaterate's): each sign change in sigma of how far the
     trilaterated point of _pstar_distances misses them, one
     batch_sign_changes scan a triangle (a scan whose polish fails gives
-    none).  Returns their triangles' indices and distances."""
-    rows = tri.T.tolist()
+    none).  Returns their triangles' indices and distances, on arrays; on
+    one triangle's floats tri, its candidates' distances, a list of
+    triples of floats with the bits of their array columns (the scan is
+    one array call either way, and Brent polishes on floats)."""
+    one = not isinstance(tri, np.ndarray)
+    rows = [tri] if one else tri.T.tolist()
 
     def miss(sigma, k):
-        t = rows[k] if isinstance(k, int) else tri[:, k]
+        t = rows[k] if isinstance(k, int) else tri if one else tri[:, k]
         return _trilaterate(t, *_pstar_distances(sigma, t))[2]
 
     roots = batch_sign_changes(miss, np.zeros(len(rows)), np.full(len(rows), _PSTAR_TOP), _PSTAR_CELLS)
     roots = [r if isinstance(r, list) else [] for r in roots]
+    if one:
+        return [_pstar_distances(sigma, tri) for sigma in roots[0]]
     at = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     return at, _pstar_distances(np.array(sum(roots, [])), tri[:, at])
 
@@ -458,16 +484,26 @@ def _phyp_candidates(tri) -> tuple:
     at t = -1, 0 and 1.  The opposite signs negate t and the distances,
     which trilaterate to the same point, so each root t gives a candidate,
     its distances times the sign of t.  Returns the candidates' triangle
-    indices and distances."""
-    s2, det = tri[4:], tri[0] * tri[3] - tri[1] * tri[2]
-    k = 4.0 * det * det / (s2.sum(axis=0) + np.sqrt(s2.sum(axis=0) ** 2 - 12.0 * det * det))
-    x = np.where(s2 == s2.max(axis=0), 1.0, -1.0) * np.sqrt(s2 - k)
-    cb, cc = np.where(k <= s2.min(axis=0), (-x[2], x[1]), np.nan)
+    indices and distances, on arrays; on one triangle's floats tri, its
+    two candidates' distances, a list of triples of floats.  Both give the
+    same bits, and NaN or inf in the same places (_numpy), where k is
+    inadmissible or a root's quotient divides by 0, so both drop the same
+    candidates."""
+    ex, ey, fx, fy, *s2 = tri
+    det, total = ex * fy - ey * fx, s2[0] + s2[1] + s2[2]
+    k = 4.0 * det * det / (total + _sqrt(total * total - 12.0 * det * det))
+    top = kernels._largest(s2)
+    xb, xc = (_where(v == top, 1.0, -1.0) * _sqrt(v - k) for v in s2[1:])
+    ok = (k <= s2[0]) & (k <= s2[1]) & (k <= s2[2])
+    cb, cc = _where(ok, -xc, math.nan), _where(ok, xb, math.nan)
     r0, r1, r2 = (_trilaterate(tri, t, t + cb, t + cc)[2] for t in (-1.0, 0.0, 1.0))
     a, h = (r2 + r0) / 2.0 - r1, (r2 - r0) / 4.0
-    r = -(h + np.copysign(np.sqrt(h * h - a * r1), h))
-    t = np.array([r / a, r1 / r])
-    return np.broadcast_to(np.arange(tri.shape[1]), t.shape), np.sign(t) * np.array([t, t + cb, t + cc])
+    r = -(h + _numpy(np.copysign, _sqrt(h * h - a * r1), h))
+    d = [[sign * v for v in (t, t + cb, t + cc)]
+         for t in (_numpy(np.divide, r, a), _numpy(np.divide, r1, r)) for sign in [_numpy(np.sign, t)]]
+    if isinstance(tri, np.ndarray):
+        return np.tile(np.arange(tri.shape[1]), 2), np.hstack(d)
+    return d
 
 
 def _polish(args, s2):
@@ -505,8 +541,9 @@ def _framed(t) -> tuple:
     for a circumcenter at infinity, where no circle is concentric with the
     circumcircle."""
     (gx, gy, s), f = kernels.frame(*(c for v in t.vertices() for c in v.as_tuple()))
-    Triangle(*map(Point2, f[0::2], f[1::2]))  # its refusal of collinear corners
     sides = kernels.triangle_sides(*f)
+    if kernels.collinear(*f, sides):
+        raise DegenerateTriangle("collinear vertices %s, %s, %s" % tuple(map(Point2, f[0::2], f[1::2])))
     ox, oy, far, r = kernels.circumcircle(f, sides)
     if far:
         raise PointAtInfinity("u+v+w ~ 0 for X3")
@@ -520,18 +557,20 @@ def _candidates(cols, kind: str) -> tuple:
     trilaterated.  (P*'s distances are positive: the x_i, with the sides,
     make a triangle by Minkowski's inequality.)  Returns their triangles'
     indices, their distances from the corners and the kernel arguments of
-    their triads, on arrays."""
-    at, d = (_pstar_candidates if kind == "p_ellipse" else _phyp_candidates)(cols[9:16])
+    their triads, on arrays; on one triangle's floats cols (a _framed
+    row), its candidates as (distances, kernel arguments) pairs of floats,
+    with the bits of their array columns."""
+    code = kernels.KIND_CODES[kind]
+    found = (_pstar_candidates if kind == "p_ellipse" else _phyp_candidates)(cols[9:16])
+    if not isinstance(cols, np.ndarray):
+        return [(d, (*cols[3:9], code, *(c + q for c, q in zip(cols[3:5], _trilaterate(cols[9:16], *d)))))
+                for d in found if all(map(math.isfinite, d))]
+    at, d = found
     d = np.reshape(d, (3, -1))
     keep = np.isfinite(d).all(axis=0)
     at, d = np.ravel(at)[keep], d[:, keep]
     qx, qy, _ = _trilaterate(cols[9:16, at], *d)
-    return at, d, (*cols[3:9, at], kernels.KIND_CODES[kind], cols[3, at] + qx, cols[4, at] + qy)
-
-
-# A search of at most this many candidates runs each as its own lane of
-# floats, a larger one all of them as one lane of arrays (_circle_points).
-_FEW_CANDIDATES = 4
+    return at, d, (*cols[3:9, at], code, cols[3, at] + qx, cols[4, at] + qy)
 
 
 def _settle(args, circle) -> tuple:
@@ -583,37 +622,39 @@ def _circle_points(ts, kind: str, least: int) -> list:
     most _CONCENTRIC_TOL, no fault), until it passes or has taken
     _POLISH_STEPS (_settle): on a near-degenerate triangle the fit decides
     "circle" on rounding, so a point that fails may pass one step on.  The
-    functional value of each point is the last test's.  The steps and
-    tests run in lanes: a search of at most _FEW_CANDIDATES candidates
-    (a search on one triangle has one to three) runs each candidate as a
-    lane of floats, a larger one (P3.2's and P5.4's, six and more) all of
-    them as one lane of arrays, where numpy's cost a call is spread over
-    the candidates.  _FEW_CANDIDATES is the crossover of whole searches
-    measured on a 2-core x86 box (numpy 2.4): floats took about half the
-    time of arrays at one candidate and four fifths at four, and arrays
-    were faster from six on.  The lanes give the same bits.  All of it
-    runs in the frame of each triangle (kernels.frame); a triangle gets
-    the same bits alone as in a batch.
+    functional value of each point is the last test's.  The work runs in
+    one of two lanes, chosen by the number of live triangles.  A search on
+    one triangle (P*'s scan aside, one array call) runs on floats: it
+    finds its candidates on floats, and each candidate takes its steps and
+    tests as a lane of floats.  A batch search (P3.2's and P5.4's) runs on
+    arrays, all candidates at once, where numpy's cost a call is spread
+    over the triangles.  The lanes give the same bits.  All of it runs in
+    the frame of each triangle (kernels.frame); a triangle gets the same
+    bits alone as in a batch.
     """
     out = [_attempt(_framed, t) for t in ts]
     live = [i for i, job in enumerate(out) if not isinstance(job, Exception)]
-    cols = np.array([out[i] for i in live]).reshape(-1, 19).T
+    if not live:
+        return out
     with np.errstate(all="ignore"):
-        at, d, args = _candidates(cols, kind)
-        if at.size > _FEW_CANDIDATES:
-            x, y, value, worst, failed = _settle(args, cols[13:, at])
+        # s**8 by numpy's power: on floats ** goes through libm's pow, which
+        # differs from it in the last bit.
+        if len(live) == 1:
+            job = out[live[0]]
+            gx, gy, s = job[:3]
+            s8 = _numpy(np.power, s, 8)
+            groups = [[[-min(d), gx + s * x, gy + s * y, value * s8, float(worst), failed]
+                       for d, args in _candidates(job, kind)
+                       for x, y, value, worst, failed in [_settle(args, job[13:])]]]
         else:
-            rows = np.array([*args[:6], *args[7:], *cols[13:, at]]).T.tolist()
-            # Each float lane gives a row of five; the columns are the five.
-            x, y, value, worst, failed = np.reshape(
-                [_settle((*r[:6], args[6], *r[6:8]), r[8:]) for r in rows], (-1, 5)).T
-        gx, gy, s = cols[:3, at]
-        # s**8 on arrays: on floats ** goes through libm's pow, which
-        # differs from numpy's power in the last bit.
-        found = np.array([at, -np.min(d, axis=0), gx + s * x, gy + s * y, value * s**8, worst, failed])
-    groups = [[] for _ in live]
-    for h in found.T.tolist():
-        groups[int(h[0])].append(h[1:])
+            cols = np.array([out[i] for i in live]).T
+            at, d, args = _candidates(cols, kind)
+            x, y, value, worst, failed = _settle(args, cols[13:, at])
+            gx, gy, s = cols[:3, at]
+            found = np.array([at, -np.min(d, axis=0), gx + s * x, gy + s * y, value * s**8, worst, failed])
+            groups = [[] for _ in live]
+            for h in found.T.tolist():
+                groups[int(h[0])].append(h[1:])
     for i, mine in zip(live, groups):
         mine.sort()
         hits = [((x, y), v) for _, x, y, v, _, bad in mine if not bad]

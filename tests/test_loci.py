@@ -630,8 +630,12 @@ def _outcome(r):
 def _candidates(ts, kind):
     """loci._candidates of the triangles ts in their frames (loci._framed),
     before their Newton steps: each candidate's triangle index and its
-    (corners, x, y) row."""
+    (corners, x, y) row.  As in the searches, one triangle finds its
+    candidates on floats, more find theirs on arrays."""
     with np.errstate(all="ignore"):
+        if len(ts) == 1:
+            found = loci._candidates(loci._framed(ts[0]), kind)
+            return [0] * len(found), [[*args[:6], *args[7:]] for _, args in found]
         at, _, args = loci._candidates(np.array([loci._framed(t) for t in ts]).T, kind)
     return at.tolist(), np.array([*args[:6], *args[7:]]).T.tolist()
 
@@ -646,36 +650,72 @@ _FAILING = [
 ]
 
 
+def _stacked_triangles():
+    """Seeded and flat triangles and every 5th shape of the shape grid."""
+    rng = np.random.default_rng(2027)
+    grid = _shape_grid()
+    grid = grid.take(np.arange(0, grid.n, 5))
+    return ([random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
+            + [Triangle(*(Point2(*v) for v in grid["triangle"][..., i].tolist())) for i in range(grid.n)])
+
+
 @pytest.mark.parametrize("kind", _KINDS)
 def test_stacked_searches_match_one_search_per_triangle(kind, monkeypatch):
     # Every triangle's candidates, and so its points or its failure, are
     # bit for bit those of a search of its own, on seeded triangles and
-    # every 5th shape of the shape grid.  A search of its own has at most
-    # loci._FEW_CANDIDATES candidates and tests each on floats, its own
-    # lane; the batch tests all of them as one lane of arrays.
-    rng = np.random.default_rng(2027)
-    grid = _shape_grid()
-    grid = grid.take(np.arange(0, grid.n, 5))
-    ts = ([random_triangle(rng) for _ in range(30)] + [random_flat_triangle(rng) for _ in range(10)]
-          + [Triangle(*(Point2(*v) for v in grid["triangle"][..., i].tolist())) for i in range(grid.n)])
+    # every 5th shape of the shape grid.  A search of its own finds its
+    # candidates on floats (every trilateration after P*'s scan gets
+    # floats) and tests each on floats, its own lane; a batch, of two
+    # triangles as of all, finds its candidates on arrays and tests all of
+    # them as one lane of arrays.
+    # Either gives a failure's best point and worst as Python floats.
+    ts = _stacked_triangles()
     at, rows = _candidates(ts, kind)
     for k, t in enumerate(ts):
         assert [row for i, row in zip(at, rows) if i == k] == _candidates([t], kind)[1]
     ts += _FAILING
-    lanes = []
+    lanes, stages = [], []
+    scanning = False
 
     def counted(args, *rest, _real=loci._circle_test):
         lanes.append(type(args[7]))
         return _real(args, *rest)
 
+    def trilaterated(tri, da, db, dc, _real=loci._trilaterate):
+        if not scanning:  # db: the closed form passes da = t as a float
+            stages.append(type(db))
+        return _real(tri, da, db, dc)
+
+    def scan(*args, _real=loci.batch_sign_changes):
+        nonlocal scanning
+        scanning = True
+        try:
+            return _real(*args)
+        finally:
+            scanning = False
+
     monkeypatch.setattr(loci, "_circle_test", counted)
+    monkeypatch.setattr(loci, "_trilaterate", trilaterated)
+    monkeypatch.setattr(loci, "batch_sign_changes", scan)
     batch = _BATCH[kind](ts)
     assert 1 <= len(lanes) <= loci._POLISH_STEPS and set(lanes) == {np.ndarray}
+    assert set(stages) == {np.ndarray}
     lanes.clear()
-    assert [_outcome(r) for r in batch] == [_outcome(_BATCH[kind]([t])[0]) for t in ts]
+    stages.clear()
+    _BATCH[kind](ts[:2])
+    assert 1 <= len(lanes) <= loci._POLISH_STEPS and set(lanes) == {np.ndarray}
+    assert set(stages) == {np.ndarray}
+    lanes.clear()
+    stages.clear()
+    alone = [_BATCH[kind]([t])[0] for t in ts]
+    assert [_outcome(r) for r in batch] == [_outcome(r) for r in alone]
     assert len(lanes) >= len(ts) and set(lanes) == {float}
+    assert len(stages) >= len(ts) and set(stages) == {float}
     assert not any(isinstance(r, Exception) for r in batch[:40])
     assert [type(r) for r in batch[-3:]] == [NotConverged, NotConverged, PointAtInfinity]
+    # The P-hyperbola searches of the thin triangles have a best, P*'s none.
+    best = [(*r.best, r.value) for r in batch[-3:] + alone[-3:] if isinstance(r, NotConverged) and r.best]
+    assert {type(v) for b in best for v in b} == ({float} if kind == "p_hyperbola" else set())
 
 
 def test_phyp_closed_form_gives_one_k_and_one_point_per_sign():
@@ -737,6 +777,46 @@ def test_trilaterate_on_floats_is_its_array_column():
     for k in range(len(ts)):
         got = loci._trilaterate(tri[:, k].tolist(), *d[:, k].tolist())
         assert [_bits(v) for v in got] == [_bits(c[k]) for c in columns]
+
+
+# Made-up framed triangles, columns of _trilaterate's tri, whose
+# P-hyperbola candidates are not all finite: the quadratic in t has a = 0
+# (one root's quotient is inf), k > min s^2 (inadmissible, NaN), and
+# 3k^2 - 2k sum(s^2) + 16 area^2 = 0 has no real root (NaN).
+_UNFIT_COLUMNS = [(1.0, 0.0, 0.0, 1.0, 2.75, 0.5, 1.5), (1.0, 0.0, 0.0, 0.1, 1.0, 1.0, 1e-3),
+                  (1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1e-3)]
+
+
+def _floats_are_array_columns(candidates):
+    """Whether candidates (loci._pstar_candidates or _phyp_candidates) on
+    each column's floats give Python floats with the bits of that column's
+    candidates in one array call, on _stacked_triangles and _UNFIT_COLUMNS;
+    returns the array call's distances.  A NaN counts as NaN: its sign bit
+    follows the order in which numpy's loops take their operands."""
+    ts = _stacked_triangles()
+    tri = np.hstack([np.array([loci._framed(t) for t in ts]).T[9:16], np.transpose(_UNFIT_COLUMNS)])
+    with np.errstate(all="ignore"):
+        at, d = candidates(tri)
+        d = np.asarray(d)
+        for k, column in enumerate(tri.T.tolist()):
+            got = candidates(column)
+            assert {type(v) for row in got for v in row} <= {float}
+            assert [[_bits_or_nan(v) for v in row] for row in got] == [
+                [_bits_or_nan(v) for v in d[:, i]] for i in np.flatnonzero(at == k)]
+    return d
+
+
+def test_phyp_candidates_on_floats_is_its_array_column():
+    # Dropped candidates included: besides the made-up columns' 5, 2 of the
+    # 482 candidates of the 241 triangles are not finite.
+    d = _floats_are_array_columns(loci._phyp_candidates)
+    assert np.isinf(d).any() and (~np.isfinite(d).all(axis=0)).sum() == 7
+
+
+def test_pstar_candidates_on_floats_is_its_array_column():
+    # P*'s distances at each Brent root: 321 on the 241 triangles.
+    d = _floats_are_array_columns(loci._pstar_candidates)
+    assert d.shape[1] >= 321
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -841,6 +921,10 @@ def test_circle_points_refuse_collinear_framed_corners(kind):
 
 def _bits(v):
     return np.float64(v).tobytes()
+
+
+def _bits_or_nan(v):
+    return "nan" if math.isnan(v) else _bits(v)
 
 
 @pytest.mark.parametrize("kind", _KINDS)

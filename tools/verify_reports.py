@@ -30,10 +30,11 @@ with the
 caller's PYTHONPATH, so the outputs of another checkout come from
 pointing PYTHONPATH at its `src`.  It also runs the two circle-point
 searches, which no CLI command reaches, in its own process (the same
-PYTHONPATH) on the README's triangle and on 40 `random_triangle` and 10
-`random_flat_triangle` of a fixed rng, each triangle alone and all 51
-in one batch search of each kind, and writes the repr of each result, or
-of its library error with the error's attributes, to
+PYTHONPATH) on the README's triangle, on 40 `random_triangle` and 10
+`random_flat_triangle` of a fixed rng and on three thin triangles whose
+searches fail and a moved and scaled copy of each, each triangle alone
+and all 57 in one batch search of each kind, and writes the repr of each
+result, or of its library error with the error's attributes, to
 DIR/circle_points.json.  A CLI exit of 1 (some proposition
 failed) is a report like any other; an exit of 2 is an error.
 
@@ -115,12 +116,18 @@ SVGS = (
 CIRCLE_POINTS = "circle_points.json"
 # The rng of the circle searches' random triangles.
 CIRCLE_SEED = 7
+# Thin triangles whose circle searches fail, with NotConverged or
+# PointAtInfinity (tests/test_loci.py's _FAILING), and the scale and then
+# the offset of their moved copies.
+FAILING_TRIANGLES = ("0,0 1,0 0.4,1e-3", "0,0 1,0 -0.5,1e-3", "0,0 1,0 0.4,1e-5")
+FAILING_MOVE = (250.0, -1000.0, 3000.0)
 
 
 def _circle_points() -> dict:
     """{triangle: repr of its corners, search: repr of each result} of the
-    circle-point searches on the README's triangle and on 40 random and 10
-    flat triangles of CIRCLE_SEED, each triangle alone and all of them in
+    circle-point searches on the README's triangle, on 40 random and 10
+    flat triangles of CIRCLE_SEED and on the FAILING_TRIANGLES and their
+    copies moved by FAILING_MOVE, each triangle alone and all of them in
     one batch search; a library error as its repr and its attributes."""
     import numpy as np
 
@@ -128,10 +135,16 @@ def _circle_points() -> dict:
     from triconic.errors import TriconicError
     from triconic.geom import Point2, Triangle
 
+    def triangle(text, scale=1.0, dx=0.0, dy=0.0):
+        corners = (map(float, v.split(",")) for v in text.split())
+        return Triangle(*(Point2(x * scale + dx, y * scale + dy) for x, y in corners))
+
     rng = np.random.default_rng(CIRCLE_SEED)
-    ts = [Triangle(*(Point2(*map(float, v.split(","))) for v in README_TRIANGLE.split())),
+    ts = [triangle(README_TRIANGLE),
           *(verify.random_triangle(rng) for _ in range(40)),
-          *(verify.random_flat_triangle(rng) for _ in range(10))]
+          *(verify.random_flat_triangle(rng) for _ in range(10)),
+          *(triangle(text) for text in FAILING_TRIANGLES),
+          *(triangle(text, *FAILING_MOVE) for text in FAILING_TRIANGLES)]
 
     def shown(result):
         if isinstance(result, TriconicError):
