@@ -8,7 +8,7 @@ proposition catalog at desk scale.
 
 __version__ = "0.1.0"
 
-from .config import get_tol, set_tol
+from .config import get_tol
 from .geom import BaryCoords, LineEq, Point2, Triangle
 from .conic import Conic, ConicClass, FocalConic
 from .centers import Circle, SoddyConfig
@@ -28,7 +28,6 @@ __all__ = [
     "Triangle",
     "build_triad",
     "get_tol",
-    "set_tol",
     "six_point_conic",
     "__version__",
 ]

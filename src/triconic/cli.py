@@ -11,7 +11,6 @@ import json
 import math
 import sys
 
-from . import config
 from .errors import TriconicError
 from .geom import Point2, Triangle
 
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle-conic constructions: triads, six-point conics, "
         "loci, region maps and the proposition suite.",
     )
-    ap.add_argument("--tol", type=float, default=None, help="global relative tolerance")
     ap.add_argument(
         "--threads", type=int, default=1,
         help="worker threads for verify --prop all: the same report, not faster "
@@ -309,17 +307,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.tol is not None:
-        try:
-            config.set_tol(args.tol)
-        except ValueError as exc:
-            print(f"error: --tol: {exc}", file=sys.stderr)
-            return 2
-    try:
-        config.get_tol()  # without --tol, reads and checks TRICONIC_TOL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # --threads is honored by batch commands; parsing it globally keeps the
     # interface uniform.
     try:

@@ -167,7 +167,7 @@ class LineEq:
 
 def bary_to_cartesian(t: Triangle, b: BaryCoords) -> Point2:
     """The point of b by kernels.bary_point; PointAtInfinity where
-    |u + v + w| <= get_tol() * max(|u|, |v|, |w|)."""
+    |u + v + w| <= config.TOL * max(|u|, |v|, |w|)."""
     x, y, far = kernels.bary_point(t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, b.u, b.v, b.w)
     if far:
         raise PointAtInfinity(f"u+v+w ~ 0 for {b}")

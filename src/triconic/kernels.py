@@ -408,10 +408,10 @@ def signed_area(px, py, qx, qy, rx, ry):
 
 def collinear(ax, ay, bx, by, cx, cy, sides):
     """The package's one degenerate-triangle test, geom.Triangle's: whether
-    the corners are collinear under get_tol(), given their sides (by
-    `_hypot`): the largest side is 0, or |signed area| is at most
-    get_tol() times its square.  A bool on floats, a bool array on arrays;
-    false where a corner is NaN."""
+    the corners are collinear, given their sides (by `_hypot`): the
+    largest side is 0, or |signed area| is at most config.TOL times its
+    square.  A bool on floats, a bool array on arrays; false where a
+    corner is NaN."""
     scale = _largest(sides)
     return (scale == 0.0) | (abs(signed_area(ax, ay, bx, by, cx, cy)) <= get_tol() * scale * scale)
 
@@ -604,7 +604,7 @@ def privalov(a, b, c):
 
 def bary_point(ax, ay, bx, by, cx, cy, u, v, w):
     """The point of barycentrics (u, v, w): (x, y, far), far where
-    |u + v + w| <= get_tol() * max(|u|, |v|, |w|), geom.bary_to_cartesian's
+    |u + v + w| <= config.TOL * max(|u|, |v|, |w|), geom.bary_to_cartesian's
     PointAtInfinity rule; the point is then meaningless (NaN on floats for
     a zero sum).  Floats, or arrays and floats that broadcast."""
     s = u + v + w
@@ -660,18 +660,16 @@ def carnot(ax, ay, bx, by, cx, cy, xs, ys):
     and (C1, C2) on AB: (product, off), the product of the unsigned ratios
     |e1 p| / |e2 p| of each vertex p to the ends of its sideline, and for
     each vertex whether it is off the sideline: not collinear with its
-    ends by geom.collinear's test under get_tol(), a NaN vertex included.
-    Floats, or arrays of one shape; a vertex on its second end makes the
-    product NaN on floats (_div)."""
+    ends by `collinear` with sides (|e1 p|, |e1 e2|, |e2 p|), a NaN vertex
+    included.  Floats, or arrays of one shape; a vertex on its second end
+    makes the product NaN on floats (_div)."""
     corners = ((ax, ay), (bx, by), (cx, cy))
-    tol = get_tol()
     product, off = 1.0, []
     for x, y, (i, j) in zip(xs, ys, _SIDELINES):
         (x1, y1), (x2, y2) = corners[i], corners[j]
         d1 = _hypot(x - x1, y - y1)
         d2 = _hypot(x - x2, y - y2)
-        scale = _largest((d1, _hypot(x1 - x2, y1 - y2), d2))
-        on = abs(signed_area(x, y, x1, y1, x2, y2)) <= tol * scale * scale
+        on = collinear(x, y, x1, y1, x2, y2, (d1, _hypot(x1 - x2, y1 - y2), d2))
         off.append(~on if isinstance(on, np.ndarray) else not on)
         product = product * _div(d1, d2)
     return product, off

@@ -79,6 +79,11 @@ def covertex_locus_V(x: float, y: float) -> float:
     where the 6x6 design determinant of the six co-vertices vanishes (it
     is 4 times t1 |CA||CB| + t2/2 (|CA| + |CB|) + x t3 (|CA| - |CB|) +
     t4/4).  The lengths are kernels._hypot's, and doubling is exact.
+
+    Provenance: whether the paper itself writes rho = 2|CA|, 2|CB|, or the
+    factor of 2 came in with the transcription of its equation, is open.
+    The repository holds only the paper's abstract (PAPER.md), so it cannot
+    be settled here; the factor is fixed by the determinant, not the text.
     """
     rho1 = 2.0 * kernels._hypot(x + 1.0, y)  # 2|CA|
     rho2 = 2.0 * kernels._hypot(x - 1.0, y)  # 2|CB|

@@ -304,7 +304,7 @@ def _tri_rows(rng, m):
     uniform in the unit square: not collinear, at most MAX_ASPECT thin and
     no angle below MIN_ANGLE (_tri_mask)."""
     rows = rng.random((m, 6))
-    return rows[_tri_mask(rows.T, get_tol())]
+    return rows[_tri_mask(rows.T)]
 
 
 def _tri_table(rng, n) -> ConfigTable:
@@ -312,7 +312,7 @@ def _tri_table(rng, n) -> ConfigTable:
     return _rows_table(lambda k: _tri_rows(rng, k * 9 // 8 + 8), n)  # about 92% are kept
 
 
-def _tri_mask(corners, tol):
+def _tri_mask(corners):
     """Whether each triangle of the corners (ax, ay, bx, by, cx, cy), on
     arrays, is kept, with the sides from their squares: not collinear
     (kernels.collinear's test, to rounding), at most MAX_ASPECT thin, and
@@ -324,7 +324,7 @@ def _tri_mask(corners, tol):
     area = abs(kernels.signed_area(ax, ay, bx, by, cx, cy))
     with np.errstate(invalid="ignore"):
         cos = (mid + hi - lo) / (2.0 * np.sqrt(mid * hi))
-    return (area > tol * hi) & (hi <= MAX_ASPECT * MAX_ASPECT * lo) & (cos <= math.cos(MIN_ANGLE))
+    return (area > get_tol() * hi) & (hi <= MAX_ASPECT * MAX_ASPECT * lo) & (cos <= math.cos(MIN_ANGLE))
 
 
 def _gen_tri(rng, n) -> tuple:

@@ -676,17 +676,13 @@ def test_x5452_coordinate_on_an_obtuse_sliver():
     assert replay_witness("A6-x5452-coordinate", {"triangle": triangle}) <= 1e-7
 
 
-def test_negative_control_tolerance():
-    # Forcing the global tolerance to 1e-20 must make the suite fail: the
+def test_negative_control_tolerance(monkeypatch):
+    # Forcing the tolerance to 1e-20 must make the suite fail: the
     # sideline-membership predicates inside the Carnot check reject honest
     # configurations, proving the checks are live.
-    old = config.get_tol()
-    try:
-        config.set_tol(1e-20)
-        r = run_proposition("P2.1-yiu-vertices", seed=42, trials=5)
-        assert not r.passed
-    finally:
-        config.set_tol(old)
+    monkeypatch.setattr(config, "TOL", 1e-20)
+    r = run_proposition("P2.1-yiu-vertices", seed=42, trials=5)
+    assert not r.passed
 
 
 def test_covertex_locus_fails_on_a_moved_covertex(monkeypatch):
@@ -872,7 +868,7 @@ def _shape_grid() -> verify.ConfigTable:
     (_tri_mask): 1,003 shapes."""
     x, y = np.meshgrid(np.linspace(-0.5, 1.5, 41), np.geomspace(0.01, 1.5, 36))
     corners = np.array(np.broadcast_arrays(0.0, 0.0, 1.0, 0.0, x.ravel(), y.ravel()))
-    kept = corners[:, verify._tri_mask(corners, config.get_tol())]
+    kept = corners[:, verify._tri_mask(corners)]
     return verify.ConfigTable(kept.shape[1], {"triangle": kept.reshape(3, 2, -1)})
 
 
@@ -1666,7 +1662,7 @@ def test_batch_triangle_checks_match_float_checks(seed, pid):
 
 
 @pytest.mark.parametrize("pid", sorted(_TRIANGLE_REFERENCES))
-def test_batch_triangle_checks_crash_where_float_checks_do(pid):
+def test_batch_triangle_checks_crash_where_float_checks_do(pid, monkeypatch):
     # At a tolerance of 1e-20, the sideline test of P2.1's six-point conic
     # rejects honest vertices (PointOffSideline) in most trials, and only
     # there.  The isosceles triangles give P4.1 and P4.2 a
@@ -1676,13 +1672,9 @@ def test_batch_triangle_checks_crash_where_float_checks_do(pid):
     cfgs = _trials(verify._gen_tri(np.random.default_rng(9), 30))
     cfgs += [{"triangle": [[0.0, 0.9], [-0.4, 0.0], [0.4, 0.0]]},
              {"triangle": [[0.3, 0.2], [0.3, 1.1], [-0.5, 0.65]]}]
-    old = config.get_tol()
-    try:
-        config.set_tol(1e-20)
-        batch = _results(verify._BY_ID[pid].run, cfgs)
-        ref = _reference_run(_TRIANGLE_REFERENCES[pid], cfgs)
-    finally:
-        config.set_tol(old)
+    monkeypatch.setattr(config, "TOL", 1e-20)
+    batch = _results(verify._BY_ID[pid].run, cfgs)
+    ref = _reference_run(_TRIANGLE_REFERENCES[pid], cfgs)
     assert [type(r) for r in batch] == [type(r) for r in ref]
     crashed = sum(isinstance(r, Exception) for r in ref)
     assert crashed > 10 if pid == "P2.1-yiu-vertices" else crashed == 0
@@ -1755,7 +1747,7 @@ _RIGHT = {"triangle": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}
 
 
 @pytest.mark.parametrize("pid", sorted(_BATCH_REFERENCES))
-def test_batch_checks_crash_where_float_checks_do(pid):
+def test_batch_checks_crash_where_float_checks_do(pid, monkeypatch):
     # At a tolerance of 1e-20, six_point_conic's sideline test rejects
     # honest vertices (PointOffSideline) in most trials of P2.7 and P4.3,
     # and only there; the other trials keep their residuals.  P4.3 reads an
@@ -1765,13 +1757,9 @@ def test_batch_checks_crash_where_float_checks_do(pid):
     # its draw drops, leave the fit rank deficient; the isosceles ones hold
     # to rounding.
     cfgs = _crash_cases(pid)
-    old = config.get_tol()
-    try:
-        config.set_tol(1e-20)
-        batch = _results(verify._BY_ID[pid].run, cfgs)
-        ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
-    finally:
-        config.set_tol(old)
+    monkeypatch.setattr(config, "TOL", 1e-20)
+    batch = _results(verify._BY_ID[pid].run, cfgs)
+    ref = _reference_run(_BATCH_REFERENCES[pid], cfgs)
     if pid == "P4.3-privalov-conic":
         _assert_within_unit_rounding(batch, ref)
     else:
@@ -2064,7 +2052,7 @@ def _last_batch_crash_cases(pid):
 
 @pytest.mark.parametrize("tol", [None, 1e-20])
 @pytest.mark.parametrize("pid", sorted(_LAST_BATCH_REFERENCES))
-def test_last_batch_checks_crash_where_their_references_do(pid, tol):
+def test_last_batch_checks_crash_where_their_references_do(pid, tol, monkeypatch):
     # At a tolerance of 1e-20, six_point_conic's sideline test rejects
     # honest vertices (PointOffSideline) in most trials of A3 and A6, and
     # only there.  A1-A3 refuse the right triangle (DegenerateResult), A4
@@ -2075,13 +2063,10 @@ def test_last_batch_checks_crash_where_their_references_do(pid, tol):
     # test, which has no sideline rule, on a collapsed member too: its
     # isosceles triangles hold to rounding.
     cfgs = _last_batch_crash_cases(pid)
-    old = config.get_tol()
-    try:
-        config.set_tol(tol or old)
-        batch = _results(verify._BY_ID[pid].run, cfgs)
-        ref = _reference_run(_LAST_BATCH_REFERENCES[pid], cfgs)
-    finally:
-        config.set_tol(old)
+    if tol is not None:
+        monkeypatch.setattr(config, "TOL", tol)
+    batch = _results(verify._BY_ID[pid].run, cfgs)
+    ref = _reference_run(_LAST_BATCH_REFERENCES[pid], cfgs)
     agree = _NOT_BIT_FOR_BIT.get(pid, lambda b, r: b == r)
     assert all(_same_outcome(b, r, agree) for b, r in zip(batch, ref))
     crashed = Counter(type(r).__name__ for r in ref if isinstance(r, Exception))

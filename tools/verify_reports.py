@@ -5,8 +5,7 @@
     python tools/verify_reports.py diff DIR_A DIR_B
 
 `write` runs the CLI at seeds 42 and 1-8 (DIR/seedN.json), at seed 42
-with `--tol 1e-8` (DIR/tol8.json), with `--threads 2`
-(DIR/threads2.json) and with `--trials 50` (DIR/trials50.json, so the
+with `--threads 2` (DIR/threads2.json) and with `--trials 50` (DIR/trials50.json, so the
 batched checks are compared at more than their default trials), the
 README's x478 and O* loci
 (DIR/locus_x478.json, DIR/locus_ostar.json), the zero sets of the
@@ -161,7 +160,6 @@ def _circle_points() -> dict:
 def _reports():
     for seed in SEEDS:
         yield f"seed{seed}.json", ["verify", "--prop", "all", "--seed", str(seed), "--report"]
-    yield "tol8.json", ["--tol", "1e-8", "verify", "--prop", "all", "--seed", "42", "--report"]
     yield "threads2.json", ["--threads", "2", "verify", "--prop", "all", "--seed", "42", "--report"]
     yield "trials50.json", ["verify", "--prop", "all", "--seed", "42", "--trials", "50", "--report"]
 
