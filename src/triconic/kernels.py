@@ -11,19 +11,21 @@ after it read), and math.sqrt and np.sqrt both round correctly.
 `_sides_deltas` (sides, signed focal sums or differences, member flag) is
 read by `triads.build_triad`, `driver_fault`, `triad_vertices`, the loci
 and the kernels below, so they agree on every driver bit for bit.
-`six_point` runs the six-point pipeline: `vertices`, `fit_six` (with
+`six_point` is the one class pipeline: `vertices`, `fit_six` (with
 `fit5`, the only five-point fit, in the frame of its points after Hartley,
-so a class does not change when the points are moved, rotated or scaled),
-`residual6` (the left-out vertex's residual, apart from the fit, so that
-only its readers pay for it) and `classify_code` (the conic-type policy,
-also behind `conic.classify`).
+so a class does not change when the points are moved, rotated or scaled)
+and `classify_code` (the conic-type policy, also behind `conic.classify`).
 An array call broadcasts only its array arguments and keeps its float
 arguments floats, so the quantities of a triangle given as floats (sides,
 member guard, midpoints and unit vectors) are computed once a call, not
 once a cell; it gathers the fit's vertices and labels by flat index.
 On floats it serves the Brent polish of the P2.6, P3.4 and P5.7 sign
-scans; on arrays the grids of those scans, P2.8's and P5.7's other points
-and the P2.2, P3.1, P3.8 and P5.2 trials.
+scans; on arrays the grids of those scans, P2.8's and P5.7's other points,
+the P2.2 and P3.8 trials and every cell of `loci.region_map`.
+`residual6` (the left-out vertex's residual) is apart from the fit, so
+that only its readers pay for it: the P3.1 and P5.2 trials take it of
+their own `vertices` and `fit_six`, and `triads._six_point_rules` of
+`triads._six_point_fit`.
 `triads._six_point_fit` calls `vertex_rows`, `fit_six` and `frame_center`
 itself, on floats or arrays, with the six-point conic's fit rules: it
 serves the circle test (`loci._circle_conditions`) of P3.2, P3.3, P5.4
@@ -31,11 +33,8 @@ and P5.5 and of the circle searches, which run it on floats, a candidate
 at a time, in a search on one triangle (`loci._circle_points`), and on
 arrays in a batch search; and with `residual6` and the sideline rules
 (`triads._six_point_rules`) `triads.six_point_conic` and the P2.1, P2.7,
-P4.3, A3 and A6 trials;
-`loci.sample_locus_ostar` calls
-`vertices`, `fit_six` and `frame_center` directly, and `loci.region_map`
-`vertices`, `fit_six` and `classify_code`, on a row of cell xs and a
-column of cell ys; neither reads residual6.
+P4.3, A3 and A6 trials; `loci.sample_locus_ostar` calls `vertices`,
+`fit_six` and `frame_center` directly, without residual6.
 
 `pair_points` gives the common points of a triad's three focal pairs, on
 the closed-form line pair of each (`focal_pairs`, whose lines, the pair
@@ -748,13 +747,12 @@ def kept_gap(xs, ys, out):
     return min(_hypot(xs[kept[i]] - xs[kept[j]], ys[kept[i]] - ys[kept[j]]) for i, j in _PAIRS5)
 
 
-# Points per chunk of six_point on arrays, and the most cells per tile of
-# loci.region_map.  A point takes under 2 KB of temporaries (its vertex
-# pair distances, labels and bracket terms), so the working set stays under
-# 8 MB however large the grid.
+# Points per chunk of six_point on arrays.  A point takes under 2 KB of
+# temporaries (its vertex pair distances, labels and bracket terms), so the
+# working set stays under 8 MB however large the grid.
 _BATCH_CHUNK = 4096
 
-_FAILED = (CLASS_FAILED, math.nan, math.nan, math.inf)
+_FAILED = (CLASS_FAILED, math.nan, math.nan)
 
 
 def _filled(shape, v):
@@ -765,18 +763,17 @@ def _filled(shape, v):
 
 
 def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
-    """Fused triad -> five-point fit -> classification: (code, det, disc,
-    residual6).
+    """Fused triad -> five-point fit -> classification: (code, det, disc).
 
     classify_code's class, det and disc A*C - B^2/4 of the normalized
     coefficients in the frame of fit_six's five vertices (det's sign
-    brackets degeneracy boundaries), and fit_six's residual6; CLASS_FAILED,
-    NaN, NaN and inf where a member degenerates or the fit is zero or not
-    finite.  Elementwise, with one KIND_* code for all: floats give an int
-    and floats from plain Python, returning early when a member
-    degenerates.  If any argument is an ndarray, the outputs are arrays of
-    the arguments' broadcast shape, bit for bit the float values: the array
-    arguments are broadcast and run in chunks of _BATCH_CHUNK points, and
+    brackets degeneracy boundaries); CLASS_FAILED, NaN and NaN where a
+    member degenerates or the fit is zero or not finite.  Elementwise, with
+    one KIND_* code for all: floats give an int and floats from plain
+    Python, returning early when a member degenerates.  If any argument is
+    an ndarray, the outputs are arrays of the arguments' broadcast shape,
+    bit for bit the float values: the array arguments are broadcast to
+    that shape and run in flat chunks of _BATCH_CHUNK points, and
     the float ones stay floats, so a triangle given as floats has its
     sides, member guard, midpoints and unit vectors computed once a call.
     """
@@ -785,25 +782,22 @@ def six_point(ax, ay, bx, by, cx, cy, kind, px, py):
         xs, ys, bad = vertices(ax, ay, bx, by, cx, cy, kind, px, py)
         if bad:
             return _FAILED
-        fit = fit_six(xs, ys)
-        code, det, disc = classify_code(fit[0])
-        return _FAILED if code == CLASS_FAILED else (code, det, disc, residual6(xs, ys, fit))
+        code, det, disc = classify_code(fit_six(xs, ys)[0])
+        return _FAILED if code == CLASS_FAILED else (code, det, disc)
     shape = np.broadcast(*args).shape
     flat = [_filled(shape, v) if isinstance(v, np.ndarray) else float(v) for v in args]
     size = math.prod(shape)
     if kind in (KIND_V_ELLIPSE, KIND_V_HYPERBOLA) and not any(isinstance(v, np.ndarray) for v in flat[:6]):
         flat[0] = np.full(size, flat[0])  # V kinds ignore P: corner A carries the shape
-    out = (np.empty(size, dtype=np.intp), *(np.empty(size) for _ in range(3)))
+    out = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
     for lo in range(0, size, _BATCH_CHUNK):
         cut = slice(lo, lo + _BATCH_CHUNK)
         part = [v[cut] if isinstance(v, np.ndarray) else v for v in flat]
         with np.errstate(all="ignore"):
             xs, ys, failed = vertices(*part[:6], kind, *part[6:])
-            fit = fit_six(xs, ys)
-            res6 = residual6(xs, ys, fit)
-            codes, det, disc = classify_code(fit[0])
+            codes, det, disc = classify_code(fit_six(xs, ys)[0])
         failed |= codes == CLASS_FAILED
-        for w, v, fail in zip(out, (codes, det, disc, res6), _FAILED):
+        for w, v, fail in zip(out, (codes, det, disc), _FAILED):
             w[cut] = np.where(failed, fail, v)
     return tuple(w.reshape(shape) for w in out)
 
@@ -828,10 +822,13 @@ def _div(a, b):
 
 
 def _largest(v):
-    """The largest of three floats, or elementwise of arrays and floats."""
+    """The largest of three floats, or elementwise of arrays and floats;
+    NaN where one is NaN, on floats as np.maximum gives on arrays."""
     a, b, c = v
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or isinstance(c, np.ndarray):
         return np.maximum(np.maximum(a, b), c)
+    if math.isnan(a) or math.isnan(b) or math.isnan(c):
+        return math.nan  # max skips a NaN that is not first
     return max(a, b, c)
 
 

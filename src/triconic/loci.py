@@ -762,18 +762,14 @@ class RegionGrid:
 def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> RegionGrid:
     """Classify the six-point conic per cell, driving C or P over the grid.
 
-    The cells are classified by the three kernel stages a class reads,
-    kernels.vertices, kernels.fit_six and kernels.classify_code, with the
+    The cells are classified in one kernels.six_point call, with the
     triangle's corners (all six on a P map, A and B on the V map) as
     floats, so that what depends on them alone is computed once a map, and
-    the cell centres as a row of x and a column of y, so that what depends
-    on one coordinate alone is computed once a column or a row.  The grid
-    runs in tiles of at most kernels._BATCH_CHUNK cells: bands of whole
-    rows, and a row wider than that in pieces of it.  A cell whose triad
-    has a degenerate member or whose fit fails is CLASS_FAILED,
-    six_point's rule, so each cell is bit for bit six_point's class on its
-    floats; the class codes become names in one gather.  bbox defaults to
-    the square of side four circumradii about the circumcenter.
+    the cell centres as a row of x and a column of y, which six_point
+    broadcasts to the full grid before it runs the cells in its chunks of
+    kernels._BATCH_CHUNK; so each cell is bit for bit six_point's class on
+    its floats.  The class codes become names in one gather.  bbox
+    defaults to the square of side four circumradii about the circumcenter.
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
@@ -785,32 +781,15 @@ def region_map(t: Triangle, kind: str, grid: tuple[int, int], bbox=None) -> Regi
         r = 2.0 * cc.radius
         bbox = (cc.center.x - r, cc.center.x + r, cc.center.y - r, cc.center.y + r)
     xmin, xmax, ymin, ymax = bbox
-    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
     # Cell centres by RegionGrid.cell_center's expression, x along a row.
     xs = (xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx)[None, :]
     ys = (ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny)[:, None]
-    kcode = {
-        "v_ellipse_over_C": kernels.KIND_V_ELLIPSE,
-        "p_ellipse_over_P": kernels.KIND_P_ELLIPSE,
-        "p_hyperbola_over_P": kernels.KIND_P_HYPERBOLA,
-    }[kind]
-    chunk = kernels._BATCH_CHUNK
-    band = max(1, chunk // nx)
-    tiles = [
-        (slice(lo, lo + band), slice(left, left + chunk))
-        for lo in range(0, ny, band)
-        for left in range(0, nx, chunk)
-    ]
-    codes = np.empty((ny, nx), dtype=np.intp)
-    with np.errstate(all="ignore"):
-        for rows, cols in tiles:
-            if kind == "v_ellipse_over_C":
-                vx, vy, bad = kernels.vertices(ax, ay, bx, by, xs[:, cols], ys[rows], kcode, 0.0, 0.0)
-            else:
-                vx, vy, bad = kernels.vertices(ax, ay, bx, by, cx, cy, kcode, xs[:, cols], ys[rows])
-            co = kernels.fit_six(vx.reshape(6, -1), vy.reshape(6, -1))[0]
-            code = kernels.classify_code(co)[0].reshape(bad.shape)
-            codes[rows, cols] = np.where(bad, kernels.CLASS_FAILED, code)
+    if kind == "v_ellipse_over_C":
+        driven = (xs, ys, kernels.KIND_V_ELLIPSE, 0.0, 0.0)
+    else:
+        kcode = kernels.KIND_P_ELLIPSE if kind == "p_ellipse_over_P" else kernels.KIND_P_HYPERBOLA
+        driven = (t.c.x, t.c.y, kcode, xs, ys)
+    codes = kernels.six_point(t.a.x, t.a.y, t.b.x, t.b.y, *driven)[0]
     cells = tuple(map(tuple, _CLASS_NAMES[codes].tolist()))
     return RegionGrid(tuple(bbox), nx, ny, cells)
 

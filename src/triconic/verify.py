@@ -58,9 +58,10 @@ searches' own circle test
 the X3-anticevian with driver X3 and for X55's reflection triangle
 through X55, and read the same test, in ABC's frame, with only what
 each claims beyond it: P3.3's circumcenter on the line X4 X6 (P3.3
-holds both to 1e2 times its bound), P5.5's circumcenter at X7.  On arrays: P2.2, P3.1, P3.8 and P5.2 in one
-`kernels.six_point` call; P2.1, P2.7, P4.3, A3 and A6 on the fit and
-rules that `six_point_conic` reads (`triads._six_point_rules`); P2.3,
+holds both to 1e2 times its bound), P5.5's circumcenter at X7.  On arrays: P2.2 and P3.8 in one
+`kernels.six_point` call; P3.1 and P5.2 on `kernels.residual6` of one
+`kernels.vertices` and `fit_six` call; P2.1, P2.7, P4.3, A3 and A6 on
+the fit and rules that `six_point_conic` reads (`triads._six_point_rules`); P2.3,
 P2.4, P2.5 and P4.8 on one `kernels.focal_pairs` call, with its frame
 and sides (P2.4 and P4.8 on its pair chords, through their one helper
 `_chord_gaps`); P4.7 and P5.6
@@ -502,24 +503,32 @@ def _chk_excircle_tangency_vertices(cfgs) -> tuple:
 
 
 def _batch_check(kind: int, score):
-    """A proposition's run from score(class codes, residual6s), all its
-    configurations in one kernels.six_point call; a configuration the kernel
-    fails on crashes its trial with ConstructionFailed."""
+    """A proposition's run from score(kernel arguments), the residuals of
+    all its configurations at once and where the kernel fails; a
+    configuration the kernel fails on crashes its trial with
+    ConstructionFailed."""
 
     def run(cfgs) -> tuple:
-        codes, _, _, res6 = kernels.six_point(*_cfg_args(cfgs, kind))
-        return _fail_or(score(codes, res6), (codes == kernels.CLASS_FAILED, ConstructionFailed(
+        res, failed = score(_cfg_args(cfgs, kind))
+        return _fail_or(res, (failed, ConstructionFailed(
             "a triad member degenerates or the fit vanishes")))
 
     return run
 
 
-def _not_circle(codes, res6):
-    return np.where(codes == kernels.CLASS_CIRCLE, 1.0, 0.0)
+def _not_circle(args) -> tuple:
+    """1.0 where kernels.six_point's class is a circle, else 0.0."""
+    codes = kernels.six_point(*args)[0]
+    return np.where(codes == kernels.CLASS_CIRCLE, 1.0, 0.0), codes == kernels.CLASS_FAILED
 
 
-def _incidence(codes, res6):
-    return res6
+def _incidence(args) -> tuple:
+    """kernels.residual6 of the vertices' fit_six, failing where six_point
+    does: a degenerate member, or a fit whose norm is zero or not finite."""
+    xs, ys, bad = kernels.vertices(*args)
+    fit = kernels.fit_six(xs, ys)
+    n = kernels.frobenius(fit[0])
+    return kernels.residual6(xs, ys, fit), bad | (n == 0.0) | ~np.isfinite(n)
 
 
 def _chk_excentral_tangents(cfgs) -> tuple:
@@ -774,7 +783,7 @@ def _chk_type_regions_V(cfgs, rays) -> tuple:
     r, u = ray[2], 0.5 + cfgs["u"]
     tangent = (ax + u * (-(by - ay) / (2 * r)), ay + u * ((bx - ax) / (2 * r)))
     at = [_on_ray(1.0, *ray), tangent, _on_ray(root, *ray), _corners(cfgs)[4:]]
-    code, det, disc, _ = kernels.six_point(
+    code, det, disc = kernels.six_point(
         ax, ay, bx, by, *np.array(at).transpose(1, 0, 2), kernels.KIND_V_ELLIPSE, 0.0, 0.0)
     worst = _pymax(np.zeros(cfgs.n), abs(det[0]), abs(det[1]), abs(disc[2]))
     worst = np.where(np.isin(code[3], _INTERIOR), worst, _pymax(worst, 1.0))
@@ -1474,7 +1483,7 @@ def _chk_phyp_parabola(cfgs, rays) -> tuple:
     (found, errs), (at, disc_errs) = (_roots(v) for v in _parabola_roots(rays))
     fault, live, px, py = _sideline_points(rays[:6], cfgs["u"])
     dx, dy = _on_ray(at, *rays[6:])
-    codes, dets, discs, _ = kernels.six_point(
+    codes, dets, discs = kernels.six_point(
         *rays[:6], kernels.KIND_P_HYPERBOLA, np.vstack((px, dx)), np.vstack((py, dy)))
     worst = _pymax(abs(at - found) * 1e-3, abs(discs[-1]), _sideline_residuals(fault, live, codes, dets))
     return np.where(np.isnan(found) | np.isnan(at), 1.0, worst), {**disc_errs, **errs}

@@ -700,7 +700,7 @@ def type_regions_residual(item) -> float:
         raise found
     if found is None:
         return 1.0
-    code, _, disc, _ = kernels.six_point(
+    code, _, disc = kernels.six_point(
         ax, ay, bx, by, *_on_ray(found, *ray), kernels.KIND_V_ELLIPSE, 0.0, 0.0
     )
     if code == kernels.CLASS_FAILED:
@@ -753,7 +753,7 @@ def sideline_extension_residual(t: Triangle, u01: float) -> float:
         cur = 0.0
         ok = True
         for sgn in (1.0, -1.0):
-            code, detn, _, _ = kernels.six_point(
+            code, detn, _ = kernels.six_point(
                 t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y,
                 kernels.KIND_P_HYPERBOLA,
                 base.x + sgn * w * nvec.x, base.y + sgn * w * nvec.y,

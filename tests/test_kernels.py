@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from reference_checks import covertices_of_focal_conic, pair_points_on_floats, second_point_on_floats
-from triconic import kernels
+from triconic import kernels, verify
 from triconic.conic import Conic, classify
 from triconic.geom import Point2, Triangle
 from triconic.loci import REGION_KINDS, region_map
@@ -310,20 +310,26 @@ def test_six_point_matches_module(rng, t_generic):
     t = t_generic
     for _ in range(50):
         px, py = rng.uniform(-0.5, 1.5, 2)
-        code, _, _, res6 = kernels.six_point(
-            t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, px, py
-        )
+        args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_ELLIPSE, px, py)
+        code = kernels.six_point(*args)[0]
         if code == kernels.CLASS_FAILED:
             continue
         rep = six_point_conic(build_triad(t, "p_ellipse", Point2(px, py)))
         assert code == _CLASS_TO_NAME[rep.conic_class.value]
-        assert res6 <= 1e-10
+        assert _residual6(*args) <= 1e-10
+
+
+def _residual6(*args):
+    """kernels.residual6 of the triad's vertices and their fit_six, on
+    floats or 1-d arrays."""
+    xs, ys, _ = kernels.vertices(*args)
+    return kernels.residual6(xs, ys, kernels.fit_six(xs, ys))
 
 
 def _assert_failed(result):
-    """six_point's failure: CLASS_FAILED, det and disc NaN, residual6 inf."""
-    code, det, disc, res6 = result
-    assert code == kernels.CLASS_FAILED and res6 == math.inf
+    """six_point's failure: CLASS_FAILED, det and disc NaN."""
+    code, det, disc = result
+    assert code == kernels.CLASS_FAILED
     assert math.isnan(det) and math.isnan(disc)
 
 
@@ -339,6 +345,20 @@ def test_six_point_coincident_vertices_fail_cleanly():
     _assert_failed(kernels.six_point(*args))
     column = kernels.six_point(*args[:4], np.array([0.0]), np.array([0.0]), *args[6:])
     _assert_failed([w[0].item() for w in column])
+
+
+def test_largest_and_collinear_read_a_nan_on_floats_as_on_arrays():
+    # On floats _largest is NaN where any of its three is, wherever the NaN
+    # stands, as np.maximum is on arrays; so collinear gives corners with
+    # a NaN side the same verdict, false, on floats and in an array column.
+    for v in {*itertools.permutations((0.0, 1.0, math.nan)), *itertools.permutations((0.0, math.nan, math.nan))}:
+        assert math.isnan(kernels._largest(v)), v
+        assert math.isnan(kernels._largest([np.array([t]) for t in v])[0]), v
+    assert kernels._largest((1.0, 3.0, 2.0)) == 3.0
+    corners = (0.0, 0.0, 0.0, 0.0, math.nan, 0.0)
+    for sides in ((0.0, math.nan, math.nan), (math.nan, math.nan, 0.0)):
+        column = kernels.collinear(*(np.array([v]) for v in corners), [np.array([v]) for v in sides])
+        assert kernels.collinear(*corners, sides) is column[0].item() is False, sides
 
 
 def _scalar_region_classes(t, kind, grid):
@@ -365,10 +385,9 @@ def _scalar_region_classes(t, kind, grid):
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (10.0, 10.0), (100.0, 100.0)])
 @pytest.mark.parametrize("chunk", [97, 20])
 def test_region_map_batch_matches_scalar(offset, chunk, monkeypatch):
-    # A 25x25 map runs in bands of chunk // 25 rows, one row at least: at
-    # 97, eight bands of three rows and a partial last one of one row; at
-    # 20, a row is wider than the chunk, so each band is one row, in a
-    # tile of 20 cells and one of 5.
+    # six_point runs a 25x25 map's 625 cells in flat chunks: at 97, six of
+    # 97 and one of 43, at 20, 31 of 20 and one of 5, so chunks start and
+    # end inside rows, and at 20 a row spans two or three chunks.
     monkeypatch.setattr(kernels, "_BATCH_CHUNK", chunk)
     ox, oy = offset
     # A 25x25 grid on this box puts cell centres exactly on the lines x = ox
@@ -389,18 +408,23 @@ def test_region_map_batch_matches_scalar(offset, chunk, monkeypatch):
     assert failed > 0
 
 
-def test_region_map_reads_the_kernel_stages_not_six_point(monkeypatch):
-    # A map classifies its cells by vertices, fit_six and classify_code,
-    # and computes no residual6, det or disc column through six_point.
-    def refuse(*args):
-        raise AssertionError("region_map called six_point")
-
+def test_region_map_is_one_six_point_call(monkeypatch):
+    # A map classifies all its cells in one kernels.six_point call, and
+    # each cell is six_point's class on that cell's floats.
     t = Triangle(Point2(0.1, 0.2), Point2(1.3, 0.15), Point2(0.5, 1.1))
     # The reference is per-cell six_point on floats, on the map's centres.
     want = {kind: _scalar_region_classes(t, kind, region_map(t, kind, (9, 7))) for kind in REGION_KINDS}
-    monkeypatch.setattr(kernels, "six_point", refuse)
+    calls = []
+
+    def counted(*args, _real=kernels.six_point):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(kernels, "six_point", counted)
     for kind in REGION_KINDS:
+        calls.clear()
         assert region_map(t, kind, (9, 7)).cells == want[kind]
+        assert len(calls) == 1, kind
 
 
 def test_batch_fit_is_bit_identical(rng):
@@ -433,9 +457,10 @@ def test_backend_is_py():
     "kind", [kernels.KIND_V_ELLIPSE, kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA]
 )
 def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
-    # Code, det, disc and residual6 of six_point on arrays are its values
-    # on each column's floats to the last bit, and disc is classify_code's;
-    # failed entries are NaN (residual6 inf) on both paths.
+    # Code, det and disc of six_point on arrays, and the residual6 of the
+    # vertices' fit_six, are their values on each column's floats to the
+    # last bit, and disc is classify_code's; failed entries are NaN on both
+    # paths.
     ox, oy = offset
     ax, ay, bx, by, cx, cy = 0.0 + ox, 3.0 + oy, 4.0 + ox, 0.0 + oy, 0.0 + ox, 0.0 + oy
     # Random drivers, plus drivers on the line x = ox through side CA (a
@@ -447,24 +472,25 @@ def test_six_point_batch_det_disc_match_scalar(kind, offset, rng):
         args = (ax, ay, bx, by, xs, ys, kind, 0.0, 0.0)
     else:
         args = (ax, ay, bx, by, cx, cy, kind, xs, ys)
-    codes, det, disc, res6 = kernels.six_point(*args)
+    codes, det, disc = kernels.six_point(*args)
+    with np.errstate(all="ignore"):
+        res6 = _residual6(*args)
     failed = 0
     for i in range(xs.size):
         one = [v if np.isscalar(v) else float(v[i]) for v in args]
-        code, detn, dsc, r6 = kernels.six_point(*one)
+        code, detn, dsc = kernels.six_point(*one)
         if code == kernels.CLASS_FAILED:
             failed += 1
-            _assert_failed((code, detn, dsc, r6))
+            _assert_failed((code, detn, dsc))
             assert codes[i] == kernels.CLASS_FAILED
             assert math.isnan(det[i]) and math.isnan(disc[i])
-            assert res6[i] == math.inf
         else:
             xv, yv, _ = kernels.vertices(*one)
             assert dsc == kernels.classify_code(kernels.fit_six(xv, yv)[0])[2]
             assert codes[i] == code
             assert det[i].item() == detn
             assert disc[i].item() == dsc
-            assert res6[i].item() == r6
+            assert res6[i].item() == _residual6(*one)
     assert failed > 0
 
 
@@ -517,7 +543,7 @@ def _mixed_shape_calls():
 def test_six_point_mixed_shapes_are_the_float_calls(name, args):
     # An array call gives arrays of the arguments' broadcast shape, and each
     # entry is the float call on that entry's floats, to the repr of every
-    # field: code, det, disc and residual6, NaNs and infinities included.
+    # field: code, det and disc, NaNs and infinities included.
     shape = np.broadcast_shapes(*(np.shape(v) for v in args))
     with np.errstate(all="ignore"):
         got = kernels.six_point(*args)
@@ -609,17 +635,17 @@ def _fused_residual6(xs, ys):
 
 @pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
 def test_six_point_residual_is_the_fused_fit_residual(kind):
-    # six_point reads residual6 apart from fit_six: on floats and in each
-    # column of one array call it gives the bits of the residual the fit
-    # computed beside it, on ordinary, flat and moved triads.
+    # residual6 reads the left-out vertex apart from fit_six: on floats and
+    # in each column of one array call it gives the bits of the residual
+    # the fit computed beside it, on ordinary, flat and moved triads.
     rows = [*_seeded_kernel_args(kind, (0.0, 0.0)), *_seeded_kernel_args(kind, (0.0, 0.0), flat=True),
             *_seeded_kernel_args(kind, (1e3, -1e3))]
     cols = np.array(rows).T
-    res6 = kernels.six_point(*cols[:6], kernels.KIND_CODES[kind], *cols[7:])[3]
+    res6 = _residual6(*cols[:6], kernels.KIND_CODES[kind], *cols[7:])
     for i, args in enumerate(rows):
         xs, ys, _ = kernels.vertices(*args)
         want = _fused_residual6(xs, ys)
-        assert kernels.six_point(*args)[3].hex() == want.hex() == res6[i].item().hex(), i
+        assert _residual6(*args).hex() == want.hex() == res6[i].item().hex(), i
 
 
 def _seeded_kernel_args(kind, offset, n=30, flat=False):
@@ -657,38 +683,38 @@ def _seeded_kernel_args(kind, offset, n=30, flat=False):
 @pytest.mark.parametrize("offset", [(0.0, 0.0), (1e3, -1e3)])
 @pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
 def test_object_scalar_and_batch_six_point_paths_agree(kind, offset):
-    # six_point_conic runs the kernel's floats, and six_point the same
-    # arithmetic on floats and on arrays: class, residual6 and the left-out
-    # vertex are the same bits on all three paths.  The triad's deltas are
-    # the triad rule's (kernels._sides_deltas), and triad_vertices gives the
-    # vertices six_point_conic fits, bit for bit.
+    # six_point_conic runs the kernel's floats, and six_point, vertices,
+    # fit_six and residual6 the same arithmetic on floats and on arrays:
+    # class, residual6 and the left-out vertex are the same bits on all
+    # three paths.  The triad's deltas are the triad rule's
+    # (kernels._sides_deltas), and triad_vertices gives the vertices
+    # six_point_conic fits, bit for bit.
     from triconic.triads import build_triad, six_point_conic, triad_vertices
 
     rows = _seeded_kernel_args(kind, offset) + _seeded_kernel_args(kind, offset, flat=True)
     cols = np.array(rows).T
     kcode = kernels.KIND_CODES[kind]
-    codes, _, _, res6 = kernels.six_point(*cols[:6], kcode, *cols[7:])
+    codes = kernels.six_point(*cols[:6], kcode, *cols[7:])[0]
     xs, ys, bad = kernels.vertices(*cols[:6], kcode, *cols[7:])
     fit = kernels.fit_six(xs, ys)
     outs, fit_res = fit[2], kernels.residual6(xs, ys, fit)
     assert not bad.any()
     for i, args in enumerate(rows):
-        code, _, _, r6 = kernels.six_point(*args)
+        code = kernels.six_point(*args)[0]
         assert code != kernels.CLASS_FAILED
         t = Triangle(Point2(*args[0:2]), Point2(*args[2:4]), Point2(*args[4:6]))
         p = Point2(*args[7:]) if kind.startswith("p_") else None
         tr = build_triad(t, kind, p)
         rep = six_point_conic(tr)
+        vx, vy, _ = kernels.vertices(*args)
+        fit = kernels.fit_six(vx, vy)
+        out, r6 = fit[2], kernels.residual6(vx, vy, fit)
         assert rep.conic_class.value == kernels.CLASS_NAMES[code], i
         assert rep.residual6 == r6, i
-        vx, vy, _ = kernels.vertices(*args)
         assert tr.deltas == kernels._sides_deltas(*args)[1], i
         assert [q.as_tuple() for q in triad_vertices(tr)] == list(zip(vx, vy)), i
-        fit = kernels.fit_six(vx, vy)
-        out, res = fit[2], kernels.residual6(vx, vy, fit)
-        assert (codes[i], res6[i].item()) == (code, r6), i
+        assert codes[i] == code, i
         assert (outs[i], fit_res[i].item()) == (out, r6), i
-        assert res == r6
 
 
 @pytest.mark.parametrize("kind", ["v_ellipse", "p_ellipse", "v_hyperbola", "p_hyperbola"])
@@ -738,8 +764,8 @@ def test_fit_rule_leaves_out_a_near_coincident_vertex():
             if driver_fault(t, "p_hyperbola", p) is None:
                 break
         args = (t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y, kernels.KIND_P_HYPERBOLA, p.x, p.y)
-        code, _, _, res6 = kernels.six_point(*args)
-        column_res6 = kernels.six_point(*args[:6], args[6], np.array([p.x]), np.array([p.y]))[3]
+        code, res6 = kernels.six_point(*args)[0], _residual6(*args)
+        column_res6 = _residual6(*args[:6], args[6], np.array([p.x]), np.array([p.y]))
         rep = six_point_conic(build_triad(t, "p_hyperbola", p))
         assert code != kernels.CLASS_FAILED
         assert max(res6, column_res6[0], rep.residual6) <= 1e-14, i
@@ -751,7 +777,8 @@ def test_fit_rule_leaves_out_a_near_coincident_vertex():
 def test_nan_or_inf_coordinate_fails_cleanly(kind):
     # A NaN or infinite coordinate of the triangle or the driver gives
     # CLASS_FAILED on floats and in its array column, and leaves the other
-    # columns alone.
+    # columns alone; the residual6 check of P3.1 and P5.2
+    # (verify._incidence) fails on the same columns.
     good = _seeded_kernel_args(kind, (0.0, 0.0), n=1)[0]
     used = [0, 1, 2, 3, 4, 5] + ([7, 8] if kind.startswith("p_") else [])
     rows = [good]
@@ -762,14 +789,17 @@ def test_nan_or_inf_coordinate_fails_cleanly(kind):
             rows.append(tuple(row))
     cols = np.array(rows).T
     kcode = kernels.KIND_CODES[kind]
-    codes, det, disc, res6 = kernels.six_point(*cols[:6], kcode, *cols[7:])
-    code, detn, _, r6 = kernels.six_point(*good)
+    codes, det, disc = kernels.six_point(*cols[:6], kcode, *cols[7:])
+    with np.errstate(all="ignore"):
+        res6, failed = verify._incidence((*cols[:6], kcode, *cols[7:]))
+    code, detn, _ = kernels.six_point(*good)
     assert code != kernels.CLASS_FAILED
-    assert (codes[0], det[0].item(), res6[0].item()) == (code, detn, r6)
+    assert (codes[0], det[0].item(), res6[0].item()) == (code, detn, _residual6(*good))
+    assert failed.tolist() == (codes == kernels.CLASS_FAILED).tolist() == [False] + [True] * (len(rows) - 1)
     for i, row in enumerate(rows[1:], start=1):
         _assert_failed(kernels.six_point(*row))
         assert codes[i] == kernels.CLASS_FAILED, row
-        assert math.isnan(det[i]) and math.isnan(disc[i]) and res6[i] == math.inf, row
+        assert math.isnan(det[i]) and math.isnan(disc[i]), row
 
 
 # Thresholds of classify_code's tests, with the quantity each compares.

@@ -594,7 +594,8 @@ def test_circle_searches_compute_each_quantity_once(t_generic, monkeypatch):
     # (the circle test reads none), the sides once a circle test and, on
     # its float lanes, three times a Newton step (once for each point of
     # the forward differences), and the circumcircle once; six_point_conic
-    # still reports residual6, kernels.six_point's bits.
+    # still reports residual6, the bits of kernels.residual6 of the
+    # kernel's vertices and fit_six.
     calls = collections.Counter()
     for module, name in ((kernels, "residual6"), (kernels, "_sides_deltas"), (kernels, "circumcircle"),
                          (loci, "_circle_test"), (loci, "_polish")):
@@ -613,7 +614,8 @@ def test_circle_searches_compute_each_quantity_once(t_generic, monkeypatch):
     calls.clear()
     rep = six_point_conic(build_triad(t_generic, "p_ellipse", Point2(*p)))
     assert calls["residual6"] == 1
-    assert rep.residual6 == kernels.six_point(*_kernel_args(t_generic, "p_ellipse", Point2(*p)))[3]
+    xs, ys, _ = kernels.vertices(*_kernel_args(t_generic, "p_ellipse", Point2(*p)))
+    assert rep.residual6 == kernels.residual6(xs, ys, kernels.fit_six(xs, ys))
 
 
 _KINDS = ("p_ellipse", "p_hyperbola")
@@ -1014,7 +1016,7 @@ def test_region_map_circumcircle_boundary(t_generic):
     prev = None
     for i in range(n):
         x, _ = grid.cell_center(i, j)
-        code, detn, _, _ = kernels.six_point(
+        code, detn, _ = kernels.six_point(
             t_generic.a.x, t_generic.a.y, t_generic.b.x, t_generic.b.y,
             t_generic.c.x, t_generic.c.y, kernels.KIND_P_ELLIPSE, x, y,
         )

@@ -769,9 +769,19 @@ def _moved_soddy_line(corners, sides, _real=kernels.soddy):
     return inner, outer, (l, m, n + 1e-6)
 
 
-def _hyperbolas_read_rectangular(co, _real=kernels.classify_code):
-    code, det, disc = _real(co)
-    return np.where(code == kernels.CLASS_HYPERBOLA, kernels.CLASS_RECTANGULAR_HYPERBOLA, code), det, disc
+def _class_read_as(was, read, _real=kernels.classify_code):
+    # classify_code with class was read as class read.
+    def classify(co):
+        code, det, disc = _real(co)
+        return np.where(code == was, read, code), det, disc
+
+    return classify
+
+
+def _left_out_vertex_moved(xs, ys, fit, _real=kernels.residual6):
+    # The left-out vertex moved along x by 1e-6 of the fit's scale (the
+    # RMS distance of the five fitted vertices from their centroid).
+    return _real(xs + 1e-6 * fit[1][2], ys, fit)
 
 
 def _arc_c_through_a_moved_b1(t, _real=loci.ostar_arc_ellipses):
@@ -845,7 +855,14 @@ _NEGATIVE_CONTROLS = {
     # A Soddy line moved by 1e-6 no longer touches the side circles: P4.10
     # reads 1.0e-6 against its bound of 1e-7.
     "P4.10-soddy-line-tangent": (kernels, "soddy", _moved_soddy_line),
-    "P3.8-never-rectangular": (kernels, "classify_code", _hyperbolas_read_rectangular),
+    "P3.8-never-rectangular": (kernels, "classify_code",
+                               _class_read_as(kernels.CLASS_HYPERBOLA, kernels.CLASS_RECTANGULAR_HYPERBOLA)),
+    # Ellipses read as circles: P2.2 reads 1.0 against its bound of 0.5.
+    "P2.2-yiu-never-circle": (kernels, "classify_code", _class_read_as(kernels.CLASS_ELLIPSE, kernels.CLASS_CIRCLE)),
+    # The left-out vertex moved off the fit by 1e-6 of its scale: P3.1
+    # reads 7.2e-7 and P5.2 6.6e-7 against their bound of 1e-8.
+    "P3.1-six-point-conic": (kernels, "residual6", _left_out_vertex_moved),
+    "P5.2-six-point-conic": (kernels, "residual6", _left_out_vertex_moved),
     # Privalov's conic of the sides cycled, (b, c, a), is not this
     # triangle's: on the isosceles triangles (b = c) P4.4 reads 0.12.
     "P4.4-isosceles-degenerate": (kernels, "privalov", _privalov_of_cycled_sides),
@@ -859,6 +876,25 @@ def test_negative_controls_fail_their_propositions(monkeypatch, pid):
     assert run_proposition(pid, seed=42).passed
     monkeypatch.setattr(*_NEGATIVE_CONTROLS[pid])
     assert not run_proposition(pid, seed=42).passed
+
+
+def test_incidence_fails_where_six_point_does(monkeypatch):
+    # P3.1's and P5.2's residual6 check (verify._incidence) fails a trial
+    # exactly where kernels.six_point gives CLASS_FAILED: a fit of zero,
+    # infinite or NaN norm (fit_six's coefficients scaled by 0, inf and NaN
+    # in columns 1-3) or a degenerate member (P on corner A in column 4).
+    def scaled(xs, ys, _real=kernels.fit_six):
+        co, frame, out = _real(xs, ys)
+        return tuple(c * np.array([1.0, 0.0, math.inf, math.nan, 1.0]) for c in co), frame, out
+
+    monkeypatch.setattr(kernels, "fit_six", scaled)
+    for kind in (kernels.KIND_P_ELLIPSE, kernels.KIND_P_HYPERBOLA):
+        args = (0.1, 0.2, 1.3, 0.15, 0.5, 1.1, kind, np.array([0.9] * 4 + [0.1]), np.array([0.7] * 4 + [0.2]))
+        with np.errstate(all="ignore"):
+            codes = kernels.six_point(*args)[0]
+            res, failed = verify._incidence(args)
+        assert failed.tolist() == (codes == kernels.CLASS_FAILED).tolist() == [False] + [True] * 4
+        assert res[0] <= 1e-12
 
 
 def _shape_grid() -> verify.ConfigTable:

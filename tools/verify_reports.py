@@ -13,8 +13,10 @@ half-tangent sextic, of the x478 quartic and of the V-ellipse co-vertex
 locus (DIR/locus_sextic.json, DIR/locus_x478_zero_set.json,
 DIR/locus_covertex_zero_set.json), the `regions --json` maps of the three
 kinds on the README's triangle "0,3 4,0 0,0" and on its (10, 10)
-translate, and one 80x70 map, of more than 4,096 cells
-(DIR/regions_*.json, each with its PPM beside it), and builds and renders
+translate, one 80x70 map, of more than 4,096 cells, and one 5000x2
+map, whose rows are wider than `kernels._BATCH_CHUNK` (4,096 cells), so
+that a chunk of the batch kernel ends inside a row (DIR/regions_*.json,
+each with its PPM beside it), and builds and renders
 the README's two scenes on that triangle (DIR/scene_v_ell.svg,
 DIR/scene_soddy.svg), the README's V-ellipse scene moved by (1e5, 1e5)
 (DIR/scene_v_ell_far.svg), the P-ellipse and P-hyperbola scenes of the
@@ -85,7 +87,8 @@ LOCI = (
 
 README_TRIANGLE = "0,3 4,0 0,0"
 # Each region kind on the README's triangle and on its (10, 10) translate,
-# at the CLI's 64x64 grid, and one map of more than 4,096 cells.
+# at the CLI's 64x64 grid, one map of more than 4,096 cells and one whose
+# rows are longer than that.
 REGIONS = tuple(
     (f"regions_{kind}{suffix}.json", ["regions", "--kind", kind, "--triangle", tri])
     for kind in ("v-ell", "p-ell", "p-hyp")
@@ -93,6 +96,8 @@ REGIONS = tuple(
 ) + (
     ("regions_p-ell_80x70.json",
      ["regions", "--kind", "p-ell", "--triangle", README_TRIANGLE, "--grid", "80x70"]),
+    ("regions_p-hyp_5000x2.json",
+     ["regions", "--kind", "p-hyp", "--triangle", README_TRIANGLE, "--grid", "5000x2"]),
 )
 # A triangle on the half-tangent sextic (tan(A/2) + tan(B/2) + tan(C/2) =
 # 2, the Soddy-line regime) and the same triangle with C's height moved by
